@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
@@ -455,5 +456,68 @@ func TestRecoveryRejectsCorruptLength(t *testing.T) {
 	}
 	if err := svc.Crash(pmem.Strict, 32); err != nil {
 		t.Fatalf("reformatted shard failed a clean recovery: %v", err)
+	}
+}
+
+// TestRecoverBoundaryAlignedHeadAfterRetire pins a legal image recovery
+// used to reject: the published head sits exactly on a segment boundary
+// and compaction has retired the segment holding byte head-1 (all
+// tombstones, nothing copied). A boundary-aligned head needs no mapped
+// segment — the next append maps one — so recovery must accept it, and
+// the log must keep working across a second crash.
+func TestRecoverBoundaryAlignedHeadAfterRetire(t *testing.T) {
+	rt := persist.NewRuntime("boundary-retire", "native", 1, persist.Config{})
+	th := rt.Thread(0)
+	const seg = 1024
+	s := newStore(th, seg)
+	th.TxBegin()
+	// 64 puts of 8-byte keys with empty values: 16-byte records fill
+	// segment 0 exactly.
+	for i := 0; i < 64; i++ {
+		if err := s.put(fmt.Sprintf("key%05d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.commit()
+	// 64 tombstones fill segment 1 exactly; the head lands on 2048.
+	for i := 0; i < 64; i++ {
+		if _, err := s.del(fmt.Sprintf("key%05d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.commit()
+	// Pass 1 retires segment 0 (all dead); pass 2 drops the now-sole
+	// tombstones and retires segment 1 with nothing copied.
+	if err := s.compact(1.0); err != nil {
+		t.Fatal(err)
+	}
+	th.TxEnd()
+	if s.head != 2*seg || len(s.slotOf) != 0 {
+		t.Fatalf("set-up drifted: head=%d with %d mapped segments, want %d with 0", s.head, len(s.slotOf), 2*seg)
+	}
+
+	rt.Crash(pmem.Strict, 1)
+	s, err := openStore(th, s.super, seg)
+	if err != nil {
+		t.Fatalf("recovery rejected a legal image: %v", err)
+	}
+	if s.head != 2*seg || len(s.index) != 0 {
+		t.Fatalf("recovered head=%d with %d keys, want %d with 0", s.head, len(s.index), 2*seg)
+	}
+
+	// The next append must map a fresh segment for the boundary head.
+	th.TxBegin()
+	if err := s.put("after", []byte("retire")); err != nil {
+		t.Fatal(err)
+	}
+	s.commit()
+	th.TxEnd()
+	rt.Crash(pmem.Strict, 2)
+	s, err = openStore(th, s.super, seg)
+	if err != nil {
+		t.Fatalf("second recovery failed: %v", err)
+	}
+	if got, ok := s.get("after"); !ok || string(got) != "retire" {
+		t.Fatalf("post-recovery put lost: %q, %v", got, ok)
 	}
 }

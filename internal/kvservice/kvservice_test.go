@@ -80,6 +80,42 @@ func TestGroupCommitTraceShape(t *testing.T) {
 	}
 }
 
+// TestStatsFencesMatchTrace pins Stats().Fences — read from the shard
+// devices' counters — to what analysis tools count in the shard traces,
+// through compactions and across a crash and its recovery.
+func TestStatsFencesMatchTrace(t *testing.T) {
+	svc := New(Config{Shards: 2, Batch: 4, SegBytes: 1024})
+	check := func(when string) {
+		t.Helper()
+		var want uint64
+		for i := 0; i < svc.Shards(); i++ {
+			want += uint64(svc.Runtime(i).Trace.CountKind(trace.KFence))
+		}
+		if got := svc.Stats().Fences; got != want || got == 0 {
+			t.Fatalf("%s: Stats().Fences = %d, traces hold %d KFence events", when, got, want)
+		}
+	}
+	check("after format")
+	load := func(round int) {
+		for i := 0; i < 200; i++ {
+			svc.Put(fmt.Sprintf("k%02d", i%23), bytes.Repeat([]byte{byte(round)}, 40+i%9))
+		}
+		svc.Delete("k03")
+		svc.Flush()
+	}
+	load(1)
+	if svc.Space().Compactions == 0 {
+		t.Fatal("no compaction ran; the copy-forward fences are untested")
+	}
+	check("after load")
+	if err := svc.Crash(pmem.Strict, 5); err != nil {
+		t.Fatal(err)
+	}
+	check("after crash")
+	load(2)
+	check("after post-crash load")
+}
+
 func TestCrashRecovery(t *testing.T) {
 	svc := New(Config{Shards: 2, Batch: 4})
 	for i := 0; i < 8; i++ {

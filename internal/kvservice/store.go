@@ -164,8 +164,11 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes int) (*store, error)
 		s.slotOf[seq] = i
 		s.live[seq] = 0
 	}
-	if s.head > 0 {
-		if _, ok := s.slotOf[(s.head-1)/sb]; !ok {
+	// A head inside a segment needs that segment mapped. A head exactly on
+	// a boundary needs nothing: the segment before it may have been retired
+	// by compaction, and the next append maps the one after.
+	if s.head%sb != 0 {
+		if _, ok := s.slotOf[s.head/sb]; !ok {
 			return nil, fmt.Errorf("kvservice: corrupt superblock: head %d lies in an unmapped segment", s.head)
 		}
 	}

@@ -15,10 +15,17 @@
 // in simulated caches/WCBs and are at the mercy of a crash.
 //
 // Both images are paged arenas: a two-level line table whose leaves hold 64
-// contiguous cache lines (one 4 KiB page of data), with copy-on-first-write
-// from the durable image into the live image. The page table replaces the
-// seed's map-per-line layout, which paid a heap allocation and a map lookup
-// for every 64 B line on the hottest path in the repo.
+// contiguous cache lines (one 4 KiB page of data). The live image is a lazy
+// copy-on-write overlay of the durable one: it holds only the pages written
+// (or flushed) since the last crash, each copied from its durable page on
+// first write, and reads of any other page fall through to the durable
+// image. The page table replaces the seed's map-per-line layout, which paid
+// a heap allocation and a map lookup for every 64 B line on the hottest
+// path in the repo.
+//
+// Every operation costs O(what it touches), never O(history): a fence walks
+// exactly the lines flushed since the thread's previous fence, and a crash
+// drops the overlay instead of re-copying the durable image.
 //
 // Crash injection supports two adversaries:
 //
@@ -58,7 +65,10 @@ type page struct {
 // image is a paged memory image: the first level maps a page index
 // (Line >> mem.PageShift) to a leaf page, the second level is the leaf's
 // line array. A one-entry cache short-circuits the map lookup for the
-// common run of accesses to the same page.
+// common run of accesses to the same page. The durable image holds every
+// page ever persisted; the live image holds only the pages materialised
+// since the last crash, and a page absent from it reads as its durable
+// page (see Device.readPage).
 type image struct {
 	pages   map[uint64]*page
 	lastIdx uint64
@@ -162,14 +172,85 @@ const (
 	Adversarial
 )
 
+// smallSet is the pending-set size up to which lineSet looks a line up by a
+// backwards scan. WHISPER's epochs are overwhelmingly a handful of lines, so
+// the scan (a few compares over one or two cache lines of line numbers) is
+// all the common case ever pays; scanning a full small set costs about what
+// one map insert does.
+const smallSet = 64
+
+// lineSet is a set of pending line snapshots in first-insertion order:
+// lines[i] is a distinct line and snaps[i] its latest snapshot. A line above
+// every pending one (hi) is new without a lookup, which covers log appends
+// and copy-forward runs of any length. Otherwise membership is a backwards
+// scan while the set holds at most smallSet lines, and beyond that an index
+// (line -> position) built by the first such lookup, which serves the rest
+// of the epoch and is dropped at reset. Reset truncates, so the cost of a
+// fence is the lines flushed since the previous one — never the size of the
+// largest epoch the thread has had — and steady-state small epochs allocate
+// nothing.
+type lineSet struct {
+	lines []mem.Line
+	snaps []line
+	hi    mem.Line           // highest pending line; valid when len(lines) > 0
+	index map[mem.Line]int32 // nil until a lookup in a set beyond smallSet
+}
+
+// put records snap as line l's pending snapshot, replacing an earlier one.
+func (s *lineSet) put(l mem.Line, snap *line) {
+	switch {
+	case len(s.lines) == 0 || l > s.hi:
+		s.hi = l
+	case len(s.lines) <= smallSet:
+		for i := len(s.lines) - 1; i >= 0; i-- {
+			if s.lines[i] == l {
+				s.snaps[i] = *snap
+				return
+			}
+		}
+	default:
+		if s.index == nil {
+			s.index = make(map[mem.Line]int32, 2*len(s.lines))
+			for i, pl := range s.lines {
+				s.index[pl] = int32(i)
+			}
+		}
+		if i, ok := s.index[l]; ok {
+			s.snaps[i] = *snap
+			return
+		}
+	}
+	if s.index != nil {
+		s.index[l] = int32(len(s.lines))
+	}
+	s.lines = append(s.lines, l)
+	s.snaps = append(s.snaps, *snap)
+}
+
+// reset empties the set, keeping the slices' capacity.
+func (s *lineSet) reset() {
+	s.lines = s.lines[:0]
+	s.snaps = s.snaps[:0]
+	s.index = nil
+}
+
+// clone returns an independent copy. The index is not copied; put rebuilds
+// it on demand.
+func (s *lineSet) clone() lineSet {
+	return lineSet{
+		lines: append([]mem.Line(nil), s.lines...),
+		snaps: append([]line(nil), s.snaps...),
+		hi:    s.hi,
+	}
+}
+
 // threadBuf holds one thread's volatile write-back machinery: flushed is
 // the set of CLWB snapshots that become durable at the thread's next
-// SFENCE, wcb the non-temporal stores awaiting the same. The maps are
-// retained (cleared, not dropped) across fences so steady-state epochs
-// allocate nothing.
+// SFENCE, wcb the non-temporal stores awaiting the same. Both are emptied by
+// truncation at the fence and dropped at a crash.
 type threadBuf struct {
-	flushed map[mem.Line]line
-	wcb     map[mem.Line]line
+	flushed lineSet
+	wcb     lineSet
 }
 
 // Device is the simulated PM device plus the volatile machinery (caches,
@@ -220,6 +301,16 @@ func (d *Device) Map(size int) mem.Addr {
 	n = (n + mem.LineSize - 1) &^ (mem.LineSize - 1)
 	d.next += n
 	return base
+}
+
+// readPage returns the page loads of l observe: the live page if it was
+// materialised since the last crash, else the durable page, else nil (never
+// written; reads as zero).
+func (d *Device) readPage(l mem.Line) *page {
+	if pg := d.live.lookup(l); pg != nil {
+		return pg
+	}
+	return d.durable.lookup(l)
 }
 
 // livePage returns the live page containing l, creating it on first write
@@ -306,10 +397,7 @@ func (d *Device) Store(tid ThreadID, a mem.Addr, data []byte) {
 // next SFENCE.
 func (d *Device) StoreNT(tid ThreadID, a mem.Addr, data []byte) {
 	checkRange(a, len(data))
-	w := d.buf(tid)
-	if w.wcb == nil {
-		w.wcb = make(map[mem.Line]line)
-	}
+	w := &d.buf(tid).wcb
 	off, lines := 0, uint64(0)
 	for off < len(data) {
 		ad := a + mem.Addr(off)
@@ -319,7 +407,7 @@ func (d *Device) StoreNT(tid ThreadID, a mem.Addr, data []byte) {
 		start := int(ad - mem.LineAddr(l))
 		n := copy(pg.data[li][start:], data[off:])
 		off += n
-		w.wcb[l] = pg.data[li]
+		w.put(l, &pg.data[li])
 		// NTI does not leave the line dirty in the cache; if it was
 		// dirty before, the WCB snapshot now carries the latest bytes.
 		if pg.dirty&(1<<li) != 0 {
@@ -341,7 +429,7 @@ func (d *Device) Load(tid ThreadID, a mem.Addr, size int) []byte {
 		ad := a + mem.Addr(off)
 		l := mem.LineOf(ad)
 		start := int(ad - mem.LineAddr(l))
-		if pg := d.live.lookup(l); pg != nil {
+		if pg := d.readPage(l); pg != nil {
 			off += copy(out[off:], pg.data[mem.PageIndex(l)][start:])
 		} else {
 			// Unwritten memory reads as zero; skip the copy.
@@ -358,61 +446,63 @@ func (d *Device) Load(tid ThreadID, a mem.Addr, size int) []byte {
 // thread's next SFENCE.
 func (d *Device) Flush(tid ThreadID, a mem.Addr, size int) {
 	checkRange(a, size)
-	b := d.buf(tid)
-	if b.flushed == nil {
-		b.flushed = make(map[mem.Line]line)
-	}
+	f := &d.buf(tid).flushed
 	n := mem.LinesSpanned(a, size)
 	l := mem.LineOf(a)
 	for i := 0; i < n; i++ {
 		pg := d.livePage(l)
-		b.flushed[l] = pg.data[mem.PageIndex(l)]
+		f.put(l, &pg.data[mem.PageIndex(l)])
 		l++
 	}
 	d.stats.flushes.Add(uint64(n))
 }
 
 // Fence issues SFENCE for tid: all of the thread's outstanding flushes and
-// write-combining entries become durable.
+// write-combining entries become durable. The cost is the lines pending
+// since the thread's previous fence, whatever the thread flushed before.
 func (d *Device) Fence(tid ThreadID) {
 	if tid >= 0 && int(tid) < len(d.threads) {
 		b := &d.threads[tid]
 		// Within one thread a line flushed and NT-stored persists the WCB
 		// snapshot (processed second), mirroring program order on x86.
-		// Distinct lines commute, so map iteration order is immaterial.
-		for l, snap := range b.flushed {
-			d.persistLine(l, snap)
-		}
-		clear(b.flushed)
-		for l, snap := range b.wcb {
-			d.persistLine(l, snap)
-		}
-		clear(b.wcb)
+		d.drain(&b.flushed)
+		d.drain(&b.wcb)
 	}
 	d.stats.fences.Add(1)
 }
 
-func (d *Device) persistLine(l mem.Line, snap line) {
+// drain persists every pending snapshot of s and empties it.
+func (d *Device) drain(s *lineSet) {
+	for i, l := range s.lines {
+		d.persistLine(l, &s.snaps[i])
+	}
+	s.reset()
+}
+
+func (d *Device) persistLine(l mem.Line, snap *line) {
 	// Materialize the live page first (copying the pre-update durable
-	// bytes) so persisting never changes what loads observe.
+	// bytes) so persisting never changes what loads observe. Every caller
+	// took snap from a live page, so this is a lookup, not a copy.
 	lp := d.livePage(l)
 	li := mem.PageIndex(l)
-	d.durablePage(l).data[li] = snap
+	d.durablePage(l).data[li] = *snap
 	d.stats.linesPersist.Add(1)
 	// If the live image still matches what we just persisted, the line is
 	// clean again. A later cacheable store may have re-dirtied it; compare
 	// to be exact.
-	if lp.dirty&(1<<li) != 0 && lp.data[li] == snap {
+	if lp.dirty&(1<<li) != 0 && lp.data[li] == *snap {
 		lp.dirty &^= 1 << li
 		d.ndirty--
 	}
 }
 
-// Crash simulates a power failure. The live image is discarded and replaced
-// by what the durable image plus the chosen adversary allows. Outstanding
-// flushes and WCB entries for all threads are lost (under Adversarial mode
-// they may independently survive, like any other in-flight line). After
-// Crash, software must run its recovery path before trusting the contents.
+// Crash simulates a power failure. The live overlay is dropped, so loads
+// fall through to what the durable image plus the chosen adversary allows —
+// O(1) under Strict, O(in-flight lines) under Adversarial, never O(image).
+// Outstanding flushes and WCB entries for all threads are lost (under
+// Adversarial mode they may independently survive, like any other in-flight
+// line). After Crash, software must run its recovery path before trusting
+// the contents.
 func (d *Device) Crash(mode CrashMode, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	if mode == Adversarial {
@@ -423,25 +513,27 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 		// entries overriding earlier ones — so the post-crash image is a
 		// pure function of device state and seed, never of Go map
 		// iteration order.
-		cands := make(map[mem.Line]line)
+		cands := make(map[mem.Line]*line)
 		for idx, pg := range d.live.pages {
 			if pg.dirty == 0 {
 				continue
 			}
 			for li := uint(0); li < mem.PageLines; li++ {
 				if pg.dirty&(1<<li) != 0 {
-					cands[mem.PageFirstLine(idx)+mem.Line(li)] = pg.data[li]
+					cands[mem.PageFirstLine(idx)+mem.Line(li)] = &pg.data[li]
 				}
 			}
 		}
 		for tid := range d.threads {
-			for l, snap := range d.threads[tid].flushed {
-				cands[l] = snap
+			f := &d.threads[tid].flushed
+			for i, l := range f.lines {
+				cands[l] = &f.snaps[i]
 			}
 		}
 		for tid := range d.threads {
-			for l, snap := range d.threads[tid].wcb {
-				cands[l] = snap
+			w := &d.threads[tid].wcb
+			for i, l := range w.lines {
+				cands[l] = &w.snaps[i]
 			}
 		}
 		lines := make([]mem.Line, 0, len(cands))
@@ -455,11 +547,8 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 			}
 		}
 	}
-	// Reset volatile state: live becomes a copy of durable.
-	d.live = image{pages: make(map[uint64]*page, len(d.durable.pages))}
-	for idx, pg := range d.durable.pages {
-		d.live.pages[idx] = &page{data: pg.data}
-	}
+	// Reset volatile state: an empty overlay reads as the durable image.
+	d.live = newImage()
 	d.ndirty = 0
 	for i := range d.threads {
 		d.threads[i] = threadBuf{}
@@ -499,10 +588,12 @@ func (d *Device) IsDurable(a mem.Addr, size int) bool {
 		if end > mem.LineSize {
 			end = mem.LineSize
 		}
-		lv := d.live.lineValue(l)
-		dv := d.durable.lineValue(l)
-		if !bytes.Equal(lv[start:end], dv[start:end]) {
-			return false
+		// A line absent from the live overlay is its durable value.
+		if lp := d.live.lookup(l); lp != nil {
+			lv, dv := lp.data[mem.PageIndex(l)], d.durable.lineValue(l)
+			if !bytes.Equal(lv[start:end], dv[start:end]) {
+				return false
+			}
 		}
 		off += end - start
 	}
@@ -519,7 +610,7 @@ func (d *Device) PendingFlushes(tid ThreadID) int {
 	if tid < 0 || int(tid) >= len(d.threads) {
 		return 0
 	}
-	return len(d.threads[tid].flushed)
+	return len(d.threads[tid].flushed.lines)
 }
 
 // Stats returns a copy of the device counters. Safe to call concurrently
@@ -535,10 +626,11 @@ func (d *Device) ResetStats() { d.stats.store(Stats{}) }
 // address. Together with DurableImage it fully describes the durable state.
 func (d *Device) Mapped() mem.Addr { return d.next }
 
-// Clone returns a deep copy of the device: both images, every thread's
-// flush/WCB buffers, the bump pointer and the counters. The crash checker
-// clones the device at the injection point so the crash image is frozen
-// while deferred cleanup code keeps running on the original.
+// Clone returns a deep copy of the device: the durable image and the live
+// overlay (still lazy in the copy), every thread's flush/WCB buffers, the
+// bump pointer and the counters. The crash checker clones the device at the
+// injection point so the crash image is frozen while deferred cleanup code
+// keeps running on the original.
 func (d *Device) Clone() *Device {
 	c := &Device{
 		live:    image{pages: make(map[uint64]*page, len(d.live.pages))},
@@ -557,17 +649,9 @@ func (d *Device) Clone() *Device {
 	}
 	c.threads = make([]threadBuf, len(d.threads))
 	for i := range d.threads {
-		if d.threads[i].flushed != nil {
-			c.threads[i].flushed = make(map[mem.Line]line, len(d.threads[i].flushed))
-			for l, snap := range d.threads[i].flushed {
-				c.threads[i].flushed[l] = snap
-			}
-		}
-		if d.threads[i].wcb != nil {
-			c.threads[i].wcb = make(map[mem.Line]line, len(d.threads[i].wcb))
-			for l, snap := range d.threads[i].wcb {
-				c.threads[i].wcb[l] = snap
-			}
+		c.threads[i] = threadBuf{
+			flushed: d.threads[i].flushed.clone(),
+			wcb:     d.threads[i].wcb.clone(),
 		}
 	}
 	return c
@@ -600,9 +684,9 @@ func (d *Device) DurableImage() []DurablePage {
 }
 
 // NewFromDurable builds a device rebooted onto the given durable image: the
-// live image is a copy of the durable one (what a machine sees after power
-// returns), all caches and write buffers are empty, and the bump pointer is
-// restored so recovery code can keep mapping fresh regions.
+// live overlay is empty, so loads observe the durable image (what a machine
+// sees after power returns), all caches and write buffers are empty, and the
+// bump pointer is restored so recovery code can keep mapping fresh regions.
 func NewFromDurable(pages []DurablePage, next mem.Addr) *Device {
 	d := New()
 	if next > d.next {
@@ -614,8 +698,6 @@ func NewFromDurable(pages []DurablePage, next mem.Addr) *Device {
 			copy(pg.data[li][:], dp.Data[li*mem.LineSize:(li+1)*mem.LineSize])
 		}
 		d.durable.pages[dp.Index] = pg
-		lp := &page{data: pg.data}
-		d.live.pages[dp.Index] = lp
 	}
 	return d
 }

@@ -2,6 +2,9 @@ package pmem
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -355,5 +358,510 @@ func TestStatsConcurrentReaders(t *testing.T) {
 	d.ResetStats()
 	if d.Stats() != (Stats{}) {
 		t.Error("ResetStats did not zero counters")
+	}
+}
+
+// refDevice is the reference model the differential test checks Device
+// against: the device's documented semantics written the obvious way, one
+// map entry per line, with no attention to cost. It deliberately shares no
+// code with the device.
+type refDevice struct {
+	live    map[mem.Line]line
+	durable map[uint64]*[PageBytes]byte // pages ever persisted to
+	dirty   map[mem.Line]bool
+	flushed []map[mem.Line]line // per thread
+	wcb     []map[mem.Line]line
+	stats   Stats
+}
+
+func newRefDevice(threads int) *refDevice {
+	r := &refDevice{
+		live:    map[mem.Line]line{},
+		durable: map[uint64]*[PageBytes]byte{},
+		dirty:   map[mem.Line]bool{},
+	}
+	for i := 0; i < threads; i++ {
+		r.flushed = append(r.flushed, map[mem.Line]line{})
+		r.wcb = append(r.wcb, map[mem.Line]line{})
+	}
+	return r
+}
+
+// write copies data into the live image and calls touched for every line.
+func (r *refDevice) write(a mem.Addr, data []byte, touched func(mem.Line)) {
+	for i := 0; i < len(data); {
+		ad := a + mem.Addr(i)
+		l := mem.LineOf(ad)
+		v := r.live[l]
+		i += copy(v[ad-mem.LineAddr(l):], data[i:])
+		r.live[l] = v
+		touched(l)
+	}
+	r.stats.BytesStored += uint64(len(data))
+}
+
+func (r *refDevice) store(a mem.Addr, data []byte) {
+	r.write(a, data, func(l mem.Line) {
+		r.dirty[l] = true
+		r.stats.Stores++
+	})
+}
+
+func (r *refDevice) storeNT(tid int, a mem.Addr, data []byte) {
+	r.write(a, data, func(l mem.Line) {
+		r.wcb[tid][l] = r.live[l]
+		delete(r.dirty, l)
+		r.stats.NTStores++
+	})
+}
+
+func (r *refDevice) flush(tid int, a mem.Addr, size int) {
+	l := mem.LineOf(a)
+	for i := 0; i < mem.LinesSpanned(a, size); i++ {
+		r.flushed[tid][l] = r.live[l]
+		r.stats.Flushes++
+		l++
+	}
+}
+
+func (r *refDevice) durableLine(l mem.Line) line {
+	var v line
+	if pg := r.durable[mem.PageOf(l)]; pg != nil {
+		copy(v[:], pg[mem.PageIndex(l)*mem.LineSize:])
+	}
+	return v
+}
+
+func (r *refDevice) persist(l mem.Line, snap line) {
+	pg := r.durable[mem.PageOf(l)]
+	if pg == nil {
+		pg = new([PageBytes]byte)
+		r.durable[mem.PageOf(l)] = pg
+	}
+	copy(pg[mem.PageIndex(l)*mem.LineSize:], snap[:])
+	r.stats.LinesPersist++
+	if r.dirty[l] && r.live[l] == snap {
+		delete(r.dirty, l)
+	}
+}
+
+func (r *refDevice) fence(tid int) {
+	for l, snap := range r.flushed[tid] {
+		r.persist(l, snap)
+	}
+	for l, snap := range r.wcb[tid] {
+		r.persist(l, snap)
+	}
+	r.flushed[tid] = map[mem.Line]line{}
+	r.wcb[tid] = map[mem.Line]line{}
+	r.stats.Fences++
+}
+
+func (r *refDevice) crash(mode CrashMode, seed int64) {
+	if mode == Adversarial {
+		cands := map[mem.Line]line{}
+		for l := range r.dirty {
+			cands[l] = r.live[l]
+		}
+		for _, bufs := range [][]map[mem.Line]line{r.flushed, r.wcb} {
+			for _, buf := range bufs {
+				for l, snap := range buf {
+					cands[l] = snap
+				}
+			}
+		}
+		lines := make([]mem.Line, 0, len(cands))
+		for l := range cands {
+			lines = append(lines, l)
+		}
+		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+		rng := rand.New(rand.NewSource(seed))
+		for _, l := range lines {
+			if rng.Intn(2) == 0 {
+				r.persist(l, cands[l])
+			}
+		}
+	}
+	r.live = map[mem.Line]line{}
+	for idx, pg := range r.durable {
+		for li := 0; li < mem.PageLines; li++ {
+			var v line
+			copy(v[:], pg[li*mem.LineSize:])
+			r.live[mem.PageFirstLine(idx)+mem.Line(li)] = v
+		}
+	}
+	r.dirty = map[mem.Line]bool{}
+	for tid := range r.flushed {
+		r.flushed[tid] = map[mem.Line]line{}
+		r.wcb[tid] = map[mem.Line]line{}
+	}
+	r.stats.Crashes++
+}
+
+// load reads from the live image; isDurable compares it with the durable.
+func (r *refDevice) load(a mem.Addr, size int) []byte {
+	out := make([]byte, size)
+	for i := range out {
+		ad := a + mem.Addr(i)
+		v := r.live[mem.LineOf(ad)]
+		out[i] = v[ad-mem.LineAddr(mem.LineOf(ad))]
+	}
+	return out
+}
+
+func (r *refDevice) isDurable(a mem.Addr, size int) bool {
+	for i := 0; i < size; i++ {
+		ad := a + mem.Addr(i)
+		l := mem.LineOf(ad)
+		lv, dv := r.live[l], r.durableLine(l)
+		if lv[ad-mem.LineAddr(l)] != dv[ad-mem.LineAddr(l)] {
+			return false
+		}
+	}
+	return true
+}
+
+// diff reports the first observable on which d departs from the model.
+func (r *refDevice) diff(d *Device) string {
+	if got := d.Stats(); got != r.stats {
+		return fmt.Sprintf("Stats: got %+v, want %+v", got, r.stats)
+	}
+	if got := d.DirtyLines(); got != len(r.dirty) {
+		return fmt.Sprintf("DirtyLines: got %d, want %d", got, len(r.dirty))
+	}
+	for tid := range r.flushed {
+		if got := d.PendingFlushes(ThreadID(tid)); got != len(r.flushed[tid]) {
+			return fmt.Sprintf("PendingFlushes(%d): got %d, want %d", tid, got, len(r.flushed[tid]))
+		}
+	}
+	img := d.DurableImage()
+	if len(img) != len(r.durable) {
+		return fmt.Sprintf("DurableImage: got %d pages, want %d", len(img), len(r.durable))
+	}
+	for i := range img {
+		if want := r.durable[img[i].Index]; want == nil || img[i].Data != *want {
+			return fmt.Sprintf("DurableImage: page %d differs", img[i].Index)
+		}
+	}
+	return ""
+}
+
+// TestDifferentialAgainstReferenceModel runs seeded random programs of
+// Store / StoreNT / Flush / Fence / Crash / Clone over 1-4 threads against
+// the device and the map-based reference model, comparing every observable
+// after every step. Epochs run from one line to more than 10 000, so each
+// thread's pending sets cross the scan/index switch in both directions;
+// lines are flushed twice inside an epoch and both flushed and NT-stored.
+func TestDifferentialAgainstReferenceModel(t *testing.T) {
+	const regionLines = 11000
+	seeds, steps := 6, 400
+	if testing.Short() {
+		seeds = 2
+	}
+	var sawSingleton, sawHuge, sawGrow, sawShrink bool
+	for seed := 1; seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		threads := 1 + seed%4
+		d := New()
+		base := d.Map(regionLines * mem.LineSize)
+		ref := newRefDevice(threads)
+
+		// target[tid] is the distinct-line count at which tid fences;
+		// lastEpoch[tid] the size of its previous epoch.
+		target := make([]int, threads)
+		lastEpoch := make([]int, threads)
+		lastFlush := make([]mem.Addr, threads)
+		pickTarget := func() int {
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3:
+				return 1 + rng.Intn(4)
+			case 4, 5:
+				return smallSet - 3 + rng.Intn(8)
+			case 6, 7:
+				return smallSet + 1 + rng.Intn(400)
+			case 8:
+				return 1000 + rng.Intn(2000)
+			}
+			return 10001 + rng.Intn(500)
+		}
+		for tid := range target {
+			target[tid] = pickTarget()
+			lastFlush[tid] = base
+		}
+		randBytes := func(n int) []byte {
+			b := make([]byte, n)
+			rng.Read(b)
+			return b
+		}
+		randAddr := func(span int) mem.Addr {
+			return base + mem.Addr(rng.Intn(regionLines*mem.LineSize-span))
+		}
+		fence := func(tid int) {
+			n := d.PendingFlushes(ThreadID(tid))
+			sawSingleton = sawSingleton || n == 1
+			sawHuge = sawHuge || n > 10000
+			if lastEpoch[tid] > 0 {
+				sawGrow = sawGrow || (lastEpoch[tid] <= smallSet && n > smallSet)
+				sawShrink = sawShrink || (lastEpoch[tid] > smallSet && n > 0 && n <= smallSet)
+			}
+			lastEpoch[tid] = n
+			d.Fence(ThreadID(tid))
+			ref.fence(tid)
+			target[tid] = pickTarget()
+		}
+
+		for step := 0; step < steps; step++ {
+			tid := rng.Intn(threads)
+			op := rng.Intn(100)
+			switch {
+			case op < 25:
+				data := randBytes(1 + rng.Intn(200))
+				a := randAddr(len(data))
+				d.Store(ThreadID(tid), a, data)
+				ref.store(a, data)
+			case op < 33:
+				data := randBytes(1 + rng.Intn(300))
+				a := randAddr(len(data))
+				d.StoreNT(ThreadID(tid), a, data)
+				ref.storeNT(tid, a, data)
+			case op < 38:
+				// NT-store into a line this epoch already flushed.
+				data := randBytes(1 + rng.Intn(16))
+				d.StoreNT(ThreadID(tid), lastFlush[tid], data)
+				ref.storeNT(tid, lastFlush[tid], data)
+			case op < 85:
+				// Store, then flush a run sized to the epoch's target; a
+				// quarter of the runs restart at the previous flush, so its
+				// lines are flushed twice with different contents.
+				remaining := target[tid] - d.PendingFlushes(ThreadID(tid))
+				lines := 1 + rng.Intn(3)
+				if remaining > 8 {
+					lines = 1 + rng.Intn(min(remaining, 4000))
+				}
+				size := lines*mem.LineSize - rng.Intn(mem.LineSize)
+				a := randAddr(size)
+				if rng.Intn(4) == 0 {
+					a = lastFlush[tid]
+					size = min(size, int(base)+regionLines*mem.LineSize-int(a))
+				}
+				data := randBytes(1 + rng.Intn(min(size, 300)))
+				d.Store(ThreadID(tid), a, data)
+				ref.store(a, data)
+				d.Flush(ThreadID(tid), a, size)
+				ref.flush(tid, a, size)
+				lastFlush[tid] = a
+				if d.PendingFlushes(ThreadID(tid)) >= target[tid] {
+					fence(tid)
+				}
+			case op < 88:
+				d = d.Clone()
+			case op < 90:
+				mode, cseed := CrashMode(rng.Intn(2)), rng.Int63()
+				d.Crash(mode, cseed)
+				ref.crash(mode, cseed)
+				for tid := range lastEpoch {
+					lastEpoch[tid] = 0
+				}
+			default:
+				fence(tid)
+			}
+			if msg := ref.diff(d); msg != "" {
+				t.Fatalf("seed %d step %d (op %d, thread %d): %s", seed, step, op, tid, msg)
+			}
+			a := randAddr(512)
+			if got, want := d.Load(0, a, 512), ref.load(a, 512); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Load(%v, 512) differs from the model", seed, step, a)
+			}
+			ref.stats.Loads += uint64(mem.LinesSpanned(a, 512))
+			if got, want := d.IsDurable(a, 512), ref.isDurable(a, 512); got != want {
+				t.Fatalf("seed %d step %d: IsDurable(%v, 512) = %v, model says %v", seed, step, a, got, want)
+			}
+		}
+	}
+	if !testing.Short() && !(sawSingleton && sawHuge && sawGrow && sawShrink) {
+		t.Errorf("programs missed an epoch shape: singleton=%v >10000=%v small->large=%v large->small=%v",
+			sawSingleton, sawHuge, sawGrow, sawShrink)
+	}
+}
+
+// lazyImageFixture builds a device whose durable image has a fully
+// persisted page, a partially persisted page (some lines durable, some
+// only dirty, one flushed but unfenced) and an NT-written page, next to a
+// page that was never written. It returns the base of the four pages.
+func lazyImageFixture() (*Device, mem.Addr) {
+	d := New()
+	a := d.Map(4 * PageBytes)
+	full := make([]byte, PageBytes)
+	for i := range full {
+		full[i] = byte(i%251 + 1)
+	}
+	d.Store(0, a, full)
+	d.Flush(0, a, PageBytes)
+	d.Fence(0)
+	part := a + PageBytes
+	d.Store(0, part, full[:PageBytes/2])
+	d.Flush(0, part, 4*mem.LineSize)
+	d.Fence(0)
+	d.Flush(0, part+8*mem.LineSize, mem.LineSize) // pending at the crash
+	d.StoreNT(1, a+2*PageBytes+100, full[:300])
+	d.Fence(1)
+	return d, a
+}
+
+// materialized returns a copy of d whose live image holds an eager copy of
+// every durable page, as the device kept it before the overlay went lazy.
+func materialized(d *Device) *Device {
+	c := d.Clone()
+	for idx := range c.durable.pages {
+		c.livePage(mem.PageFirstLine(idx))
+	}
+	return c
+}
+
+// sameView fails unless lazy and eager agree on every read of [a, a+size).
+func sameView(t *testing.T, when string, lazy, eager *Device, a mem.Addr, size int) {
+	t.Helper()
+	if got, want := lazy.Load(0, a, size), eager.Load(0, a, size); !bytes.Equal(got, want) {
+		t.Errorf("%s: Load differs from the eager image", when)
+	}
+	if got, want := lazy.Clone().Load(0, a, size), eager.Load(0, a, size); !bytes.Equal(got, want) {
+		t.Errorf("%s: Clone().Load differs from the eager image", when)
+	}
+	if got, want := lazy.Durable(a, size), eager.Durable(a, size); !bytes.Equal(got, want) {
+		t.Errorf("%s: Durable differs from the eager image", when)
+	}
+	for off := 0; off < size; off += mem.LineSize {
+		if got, want := lazy.IsDurable(a+mem.Addr(off), mem.LineSize), eager.IsDurable(a+mem.Addr(off), mem.LineSize); got != want {
+			t.Errorf("%s: IsDurable(+%d) = %v, eager image says %v", when, off, got, want)
+		}
+	}
+}
+
+// TestLazyLiveImageMatchesEagerCopy checks that a live image which falls
+// through to the durable one reads exactly like an eager copy of it, after
+// Crash and after NewFromDurable, on written, unwritten and partially
+// persisted pages.
+func TestLazyLiveImageMatchesEagerCopy(t *testing.T) {
+	d, a := lazyImageFixture()
+	d.Crash(Strict, 1)
+	if n := len(d.live.pages); n != 0 {
+		t.Fatalf("Crash left %d live pages materialised, want 0", n)
+	}
+	sameView(t, "after Crash", d, materialized(d), a, 4*PageBytes)
+	if !d.IsDurable(a, 4*PageBytes) {
+		t.Error("after Crash: the live image departs from the durable one")
+	}
+
+	r := NewFromDurable(d.DurableImage(), d.Mapped())
+	if n := len(r.live.pages); n != 0 {
+		t.Fatalf("NewFromDurable materialised %d live pages, want 0", n)
+	}
+	sameView(t, "after NewFromDurable", r, materialized(r), a, 4*PageBytes)
+	if got, want := r.Load(0, a, 4*PageBytes), d.Load(0, a, 4*PageBytes); !bytes.Equal(got, want) {
+		t.Error("NewFromDurable reads differently from the crashed device")
+	}
+
+	// An adversarial crash persists some in-flight lines first; the overlay
+	// it drops must not take them along.
+	d2, a2 := lazyImageFixture()
+	d2.Store(0, a2+3*PageBytes, []byte{7, 7, 7}) // dirties the unwritten page
+	d2.Crash(Adversarial, 3)
+	sameView(t, "after adversarial Crash", d2, materialized(d2), a2, 4*PageBytes)
+}
+
+// TestStoreAfterCrashMaterializesOnePage checks copy-on-first-write on a
+// recovered device: a store touches its own page only, reads of every page
+// stay right, and a second crash recovers what was persisted since.
+func TestStoreAfterCrashMaterializesOnePage(t *testing.T) {
+	d, a := lazyImageFixture()
+	d.Crash(Strict, 1)
+	before := d.Load(0, a, 4*PageBytes)
+
+	d.Store(0, a+10, []byte{0xAA})              // page 0: persisted below
+	d.Store(0, a+10+mem.LineSize, []byte{0xBB}) // page 0: left dirty
+	if n := len(d.live.pages); n != 1 {
+		t.Fatalf("one recovered page written, %d materialised", n)
+	}
+	d.Flush(0, a+10, 1)
+	d.Fence(0)
+	if n := len(d.live.pages); n != 1 {
+		t.Fatalf("fence materialised %d pages, want 1", n)
+	}
+	want := append([]byte(nil), before...)
+	want[10], want[10+mem.LineSize] = 0xAA, 0xBB
+	if got := d.Load(0, a, 4*PageBytes); !bytes.Equal(got, want) {
+		t.Fatal("loads after a store to a recovered page are wrong")
+	}
+	if d.IsDurable(a+10+mem.LineSize, 1) || !d.IsDurable(a+PageBytes, 3*PageBytes) {
+		t.Error("IsDurable wrong after a store to a recovered page")
+	}
+
+	d.Crash(Strict, 2)
+	want[10+mem.LineSize] = before[10+mem.LineSize] // the dirty store is lost
+	if got := d.Load(0, a, 4*PageBytes); !bytes.Equal(got, want) {
+		t.Fatal("second crash did not recover the persisted image")
+	}
+	if n := len(d.live.pages); n != 0 {
+		t.Fatalf("second crash left %d live pages", n)
+	}
+}
+
+// TestSmallEpochPathsDoNotAllocate pins the steady-state hot paths at zero
+// allocations: store+flush+fence and NT-store+fence of one line.
+func TestSmallEpochPathsDoNotAllocate(t *testing.T) {
+	d := New()
+	a := d.Map(1 << 16)
+	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	i := 0
+	sff := func() {
+		addr := a + mem.Addr((i%1024)*mem.LineSize)
+		i++
+		d.Store(0, addr, buf)
+		d.Flush(0, addr, len(buf))
+		d.Fence(0)
+	}
+	nt := func() {
+		addr := a + mem.Addr((i%1024)*mem.LineSize)
+		i++
+		d.StoreNT(0, addr, buf)
+		d.Fence(0)
+	}
+	for j := 0; j < 1024; j++ { // touch every page and grow the sets once
+		sff()
+		nt()
+	}
+	if n := testing.AllocsPerRun(1000, sff); n != 0 {
+		t.Errorf("store+flush+fence allocates %v times per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, nt); n != 0 {
+		t.Errorf("NT-store+fence allocates %v times per op, want 0", n)
+	}
+}
+
+// TestFenceCostIndependentOfHistory is the regression pin for O(history)
+// fences: store+flush+fence of one line must cost about the same on a
+// thread that has had an 8 192-line epoch as on a fresh device. With
+// map-backed buffers cleared at every fence the ratio was 390x; the limit
+// leaves room for a noisy box.
+func TestFenceCostIndependentOfHistory(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("wall-clock ratio: skipped under -short and -race")
+	}
+	nsPerOp := func(seen bool) float64 {
+		return float64(testing.Benchmark(func(b *testing.B) {
+			d := New()
+			a := d.Map(1 << 20)
+			if seen {
+				largeEpoch(d, a)
+			}
+			storeFlushFenceLoop(b, d, a)
+		}).NsPerOp())
+	}
+	fresh, after := nsPerOp(false), nsPerOp(true)
+	t.Logf("store+flush+fence: %.0f ns/op fresh, %.0f ns/op after a %d-line epoch (%.1fx)",
+		fresh, after, largeEpochLines, after/fresh)
+	if after > 20*fresh {
+		t.Errorf("a fence after one large epoch costs %.0f ns/op against %.0f fresh (%.0fx, limit 20x)",
+			after, fresh, after/fresh)
 	}
 }
