@@ -10,24 +10,28 @@
 //
 //	wanalyze -run [-fig3] [-fig4] [-fig5] [-amp] [-nti] [-san]
 //	wanalyze -dir traces/ -fig3
-//	wanalyze -dir traces/ -fused -san -cache
+//	wanalyze -dir traces/ -san -cache
 //	wanalyze -run -metrics out.json
 //
-// -san additionally replays each trace through the durability-ordering
+// -san additionally runs each trace through the durability-ordering
 // sanitizer (internal/pmsan) and prints one report per app; exit status
-// is 1 if any ordering error is found.
+// is 1 if any ordering error is found. -cache adds the Table 3
+// cache-hierarchy simulation and prints where accesses were serviced.
+// Every selected analysis rides one pass over each trace: a file is
+// decoded once however many of them consume it.
 //
-// -fused runs the selected analyses as fused consumers of a single pass
-// over each trace: with -san each file is decoded (or each app executed)
-// once instead of once per analysis. -cache adds the Table 3
-// cache-hierarchy simulation to the pass and prints where accesses were
-// serviced.
+// With -run the suite is regenerated -parallel apps at a time and each
+// trace is held until its analyses are done; -stream (or its synonym
+// -fused) instead runs the apps one after another with every analysis
+// consuming the live events, so no trace is ever retained. The output is
+// the same either way.
 //
 // With no figure flags, everything prints. Exit status is 1 when there is
 // nothing to analyze or a trace fails to load, 2 on usage errors.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -63,15 +67,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ops := fs.Int("ops", 0, "operations per client when regenerating")
 	seed := fs.Int64("seed", 1, "workload seed when regenerating")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max concurrent benchmark runs with -run (1 = serial)")
-	stream := fs.Bool("stream", false, "analyze as a stream: -run pipes each app straight into the sharded analysis, -dir reads traces without materializing them")
+	stream := fs.Bool("stream", false, "with -run: analyze each app's events as they are produced instead of retaining its trace (bounded memory, serial)")
 	fig3 := fs.Bool("fig3", false, "print Figure 3 (epochs per transaction)")
 	fig4 := fs.Bool("fig4", false, "print Figure 4 (epoch size distribution)")
 	fig5 := fs.Bool("fig5", false, "print Figure 5 (dependencies)")
 	amp := fs.Bool("amp", false, "print write amplification (§5.2)")
 	nti := fs.Bool("nti", false, "print NTI fractions (§5.2)")
 	san := fs.Bool("san", false, "run the durability-ordering sanitizer over each trace; exit 1 on ordering errors")
-	fused := fs.Bool("fused", false, "single-pass mode: all selected analyses consume one fan-out of each trace")
-	cache := fs.Bool("cache", false, "simulate the Table 3 cache hierarchy over each trace (requires -fused)")
+	fused := fs.Bool("fused", false, "synonym of -stream (every mode already runs all selected analyses in one pass)")
+	cache := fs.Bool("cache", false, "simulate the Table 3 cache hierarchy over each trace")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,23 +87,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "wanalyze: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
-	if *cache && !*fused {
-		fmt.Fprintln(stderr, "wanalyze: -cache requires -fused (the simulation rides the fused pass)")
-		return 2
-	}
 
 	// -san and -cache act as section selectors like the figure flags:
 	// alone they print only their own reports.
 	all := !*fig3 && !*fig4 && !*fig5 && !*amp && !*nti && !*san && !*cache
 
-	reports, sanReports, cacheStats, err := collect(*runSuite, *dir, *ops, *seed, *parallel, *stream, *san, *fused, *cache)
+	var passes []*whisper.FusedReport
+	var err error
+	fcfg := whisper.FusedConfig{Sanitize: *san, Cache: *cache}
+	switch {
+	case *runSuite:
+		passes, err = regenerate(whisper.Config{Ops: *ops, Seed: *seed}, fcfg, *parallel, !*stream && !*fused)
+	case *dir != "":
+		passes, err = readDir(*dir, fcfg)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "wanalyze:", err)
 		return 1
 	}
-	if len(reports) == 0 {
+	if len(passes) == 0 {
 		fmt.Fprintln(stderr, "wanalyze: nothing to analyze (use -run or -dir)")
 		return 1
+	}
+	reports := make([]*whisper.Report, len(passes))
+	for i, p := range passes {
+		reports[i] = p.Report
 	}
 
 	if all || *fig3 {
@@ -167,9 +179,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "== Cache hierarchy (Table 3): access servicing ==")
 		fmt.Fprintf(stdout, "%-10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
 			"Benchmark", "L1", "L2", "remote", "DRAM-rd", "DRAM-wr", "PM-rd", "PM-wr", "NT-wr")
-		for i, cs := range cacheStats {
+		for _, p := range passes {
+			cs := p.Cache
 			fmt.Fprintf(stdout, "%-10s %10d %10d %10d %10d %10d %10d %10d %10d\n",
-				reports[i].App, cs.L1Hits, cs.L2Hits, cs.RemoteHits,
+				p.Report.App, cs.L1Hits, cs.L2Hits, cs.RemoteHits,
 				cs.DRAMReads, cs.DRAMWrites, cs.PMReads, cs.PMWrites, cs.NTWrites)
 		}
 		fmt.Fprintln(stdout)
@@ -177,9 +190,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sanErrors := 0
 	if *san {
 		fmt.Fprintln(stdout, "== Sanitizer: durability-ordering violations ==")
-		for _, sr := range sanReports {
-			fmt.Fprint(stdout, sr.String())
-			sanErrors += sr.Errors()
+		for _, p := range passes {
+			fmt.Fprint(stdout, p.San.String())
+			sanErrors += p.San.Errors()
 		}
 	}
 	if err := cliutil.WriteMetrics(*metrics); err != nil {
@@ -193,152 +206,65 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// collect gathers one analysis report per app, plus one sanitizer report
-// per app when san is set and one cache-stats record per app when cache
-// is set. The sanitizer and cache slices are index-aligned with the
-// reports slice. With fused set, each trace is executed or decoded once
-// and all selected analyses consume the same pass.
-func collect(run bool, dir string, ops int, seed int64, parallel int, stream, san, fused, cache bool) ([]*whisper.Report, []*whisper.SanReport, []*whisper.CacheStats, error) {
-	if fused {
-		return collectFused(run, dir, ops, seed, san, cache)
-	}
-	if run {
-		cfg := whisper.Config{Ops: ops, Seed: seed}
-		if stream {
-			// Pipe each app's events straight into the sharded analysis;
-			// reports are identical to the materialized path (minus the
-			// retained trace), so every figure below is unchanged. The
-			// sanitizer taps the same stream inline.
-			var out []*whisper.Report
-			var sans []*whisper.SanReport
-			for _, name := range whisper.Names() {
-				var r *whisper.Report
-				var sr *whisper.SanReport
-				var err error
-				if san {
-					r, sr, err = whisper.RunStreamSanitized(name, cfg, nil)
-				} else {
-					r, err = whisper.RunStream(name, cfg, nil)
-				}
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				out = append(out, r)
-				if sr != nil {
-					sans = append(sans, sr)
-				}
-			}
-			return out, sans, nil, nil
-		}
-		// Suite members are independent runs; regenerate them concurrently.
-		// Reports are identical to serial regeneration for a fixed seed.
-		out, err := whisper.RunAllParallel(cfg, parallel)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var sans []*whisper.SanReport
-		if san {
-			for _, r := range out {
-				sans = append(sans, whisper.Sanitize(r.Trace))
-			}
-		}
-		return out, sans, nil, nil
-	}
-	if dir == "" {
-		return nil, nil, nil, nil
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "*.wspr"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var out []*whisper.Report
-	var sans []*whisper.SanReport
-	for _, path := range matches {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var rep *whisper.Report
-		if stream {
-			rep, err = whisper.AnalyzeReader(f)
-		} else {
-			var tr *whisper.Trace
-			tr, err = whisper.DecodeTrace(f)
-			if err == nil {
-				rep = whisper.Analyze(tr)
-			}
-		}
-		f.Close()
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %v", path, err)
-		}
-		if san {
-			// Saved traces sanitize from disk in both modes: reopen and
-			// stream the codec straight into the state machine.
-			sf, err := os.Open(path)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			sr, err := whisper.SanitizeReader(sf)
-			sf.Close()
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%s: %v", path, err)
-			}
-			sans = append(sans, sr)
-		}
-		out = append(out, rep)
-	}
-	return out, sans, nil, nil
-}
-
-// collectFused is the single-pass collector: each app run or trace file
-// is consumed exactly once, with the epoch analysis, sanitizer, and
-// cache simulation fanned out over the same event stream. The -dir path
-// in particular opens each file once, where the split collectors open it
-// twice (analysis + sanitizer).
-func collectFused(run bool, dir string, ops int, seed int64, san, cache bool) ([]*whisper.Report, []*whisper.SanReport, []*whisper.CacheStats, error) {
-	fcfg := whisper.FusedConfig{Sanitize: san, Cache: cache}
-	var out []*whisper.Report
-	var sans []*whisper.SanReport
-	var stats []*whisper.CacheStats
-	keep := func(fr *whisper.FusedReport) {
-		out = append(out, fr.Report)
-		if fr.San != nil {
-			sans = append(sans, fr.San)
-		}
-		if fr.Cache != nil {
-			stats = append(stats, fr.Cache)
-		}
-	}
-	if run {
-		cfg := whisper.Config{Ops: ops, Seed: seed}
+// regenerate runs the suite in-process and returns one pass per app:
+// the epoch report plus whatever fcfg selects. With retain, the apps run
+// -parallel at a time and each held trace is then analyzed through its
+// encoded form; without, each app runs alone with the analyses consuming
+// its live events and nothing is held. Reports are identical for a fixed
+// seed either way.
+func regenerate(cfg whisper.Config, fcfg whisper.FusedConfig, parallel int, retain bool) ([]*whisper.FusedReport, error) {
+	var out []*whisper.FusedReport
+	if !retain {
 		for _, name := range whisper.Names() {
 			fr, err := whisper.RunStreamFused(name, cfg, fcfg, nil)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
-			keep(fr)
+			out = append(out, fr)
 		}
-		return out, sans, stats, nil
+		return out, nil
 	}
-	if dir == "" {
-		return nil, nil, nil, nil
+	reports, err := whisper.RunAllParallel(cfg, parallel)
+	if err != nil {
+		return nil, err
 	}
+	for _, rep := range reports {
+		fr := &whisper.FusedReport{Report: rep}
+		if fcfg != (whisper.FusedConfig{}) {
+			// The sanitizer and the cache simulation read event streams;
+			// the codec is the one way to turn a held trace into one.
+			var buf bytes.Buffer
+			if err := rep.Trace.Encode(&buf); err != nil {
+				return nil, err
+			}
+			if fr, err = whisper.AnalyzeReaderFused(&buf, fcfg); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, fr)
+	}
+	return out, nil
+}
+
+// readDir makes one pass over each saved trace in dir: the file is opened
+// and decoded once, whatever fcfg adds to the epoch analysis.
+func readDir(dir string, fcfg whisper.FusedConfig) ([]*whisper.FusedReport, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.wspr"))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
+	var out []*whisper.FusedReport
 	for _, path := range matches {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		fr, err := whisper.AnalyzeReaderFused(f, fcfg)
 		f.Close()
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %v", path, err)
+			return nil, fmt.Errorf("%s: %v", path, err)
 		}
-		keep(fr)
+		out = append(out, fr)
 	}
-	return out, sans, stats, nil
+	return out, nil
 }

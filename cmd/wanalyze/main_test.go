@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -169,9 +170,8 @@ func TestSanFlag(t *testing.T) {
 	}
 }
 
-// TestFusedFlag pins the fused single-pass mode: its figures and
-// sanitizer output are byte-identical to the split collectors, -cache
-// adds the hierarchy table, and -cache without -fused is a usage error.
+// TestFusedFlag pins that -fused changes no output, and that -cache adds
+// the hierarchy table as a section of its own, with or without -fused.
 func TestFusedFlag(t *testing.T) {
 	traceDir := t.TempDir()
 	rep, err := whisper.Run("hashmap", whisper.Config{Clients: 2, Ops: 10, Seed: 1})
@@ -209,8 +209,69 @@ func TestFusedFlag(t *testing.T) {
 		t.Errorf("-cache alone printed figures:\n%s", cached.String())
 	}
 
-	var errOut bytes.Buffer
-	if code := run([]string{"-dir", traceDir, "-cache"}, &errOut, &errOut); code != 2 {
-		t.Fatalf("-cache without -fused: exit %d, want 2 (%s)", code, errOut.String())
+	var alone bytes.Buffer
+	if code := run([]string{"-dir", traceDir, "-cache"}, &alone, &alone); code != 0 {
+		t.Fatalf("-cache without -fused failed: %s", alone.String())
+	}
+	if alone.String() != cached.String() {
+		t.Errorf("-fused changed -cache output:\nplain:\n%s\nfused:\n%s", alone.String(), cached.String())
+	}
+}
+
+// TestModesOutputIdentical is the one-collector contract: with every
+// analysis selected, stdout is byte-identical whether the suite is
+// regenerated or read back from saved traces, and
+// whether or not -stream / -fused ask for traces not to be retained.
+func TestModesOutputIdentical(t *testing.T) {
+	traceDir := t.TempDir()
+	reports, err := whisper.RunAll(whisper.Config{Ops: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range reports {
+		f, err := os.Create(filepath.Join(traceDir, rep.App+".wspr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Trace.Encode(f); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+
+	// -dir lists files in name order, -run in suite order; compare each
+	// input's three modes exactly, and the two inputs as sets of lines.
+	outputs := map[string]string{}
+	for _, input := range [][]string{{"-run", "-ops", "5", "-seed", "3"}, {"-dir", traceDir}} {
+		for _, mode := range []string{"", "-stream", "-fused"} {
+			args := append(append([]string{}, input...), "-san", "-cache")
+			if mode != "" {
+				args = append(args, mode)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+			}
+			outputs[input[0]+mode] = stdout.String()
+		}
+		for _, mode := range []string{"-stream", "-fused"} {
+			if outputs[input[0]+mode] != outputs[input[0]] {
+				t.Errorf("%s %s changed the output:\ndefault:\n%s\n%s:\n%s",
+					input[0], mode, outputs[input[0]], mode, outputs[input[0]+mode])
+			}
+		}
+	}
+	sortedLines := func(s string) string {
+		lines := strings.Split(s, "\n")
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	if sortedLines(outputs["-run"]) != sortedLines(outputs["-dir"]) {
+		t.Errorf("-run and -dir disagree:\n-run:\n%s\n-dir:\n%s", outputs["-run"], outputs["-dir"])
+	}
+	for _, want := range []string{"Cache hierarchy", "pmsan: app=vacation"} {
+		if !strings.Contains(outputs["-run"], want) {
+			t.Errorf("output lacks %q:\n%s", want, outputs["-run"])
+		}
 	}
 }

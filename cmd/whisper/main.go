@@ -5,7 +5,7 @@
 // Usage:
 //
 //	whisper [-bench name] [-clients n] [-ops n] [-seed n] [-parallel n] [-trace dir] [-table1]
-//	        [-san] [-san-allow file] [-metrics out.json] [-debug-addr :6060]
+//	        [-stream] [-san] [-san-allow file] [-metrics out.json] [-debug-addr :6060]
 //
 // -san replays every run through the durability-ordering sanitizer
 // (internal/pmsan) and prints one report per app after the benchmark
@@ -18,6 +18,11 @@
 // byte-identical to -parallel=1 for a fixed seed — with or without
 // -metrics, which only snapshots counters after the runs finish.
 //
+// -stream pipes each run straight into the analysis instead of retaining
+// its trace (bounded memory, serial); the output, and the trace files
+// -trace writes, are the same either way. Exit status is 1 when a run or
+// the sanitizer fails, 2 on usage errors.
+//
 // -debug-addr serves net/http/pprof and expvar (the live metrics snapshot
 // is published as the "whisper" expvar) for profiling long sweeps.
 package main
@@ -26,39 +31,67 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 
 	"github.com/whisper-pm/whisper"
 	"github.com/whisper-pm/whisper/internal/cliutil"
 	"github.com/whisper-pm/whisper/internal/obs"
 )
 
+var paperRates = map[string]string{
+	"echo": "1.6M", "ycsb": "5M", "tpcc": "7.3M", "redis": "1.3M",
+	"ctree": "1M", "hashmap": "1.3M", "vacation": "700K",
+	"memcached": "1.5M", "nfs": "250K", "exim": "6250", "mysql": "60K",
+}
+
 func main() {
-	bench := flag.String("bench", "", "benchmark to run (default: whole suite)")
-	clients := flag.Int("clients", 0, "client threads (0 = paper default)")
-	ops := flag.Int("ops", 0, "operations per client (0 = suite default)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "max concurrent benchmark runs (1 = serial)")
-	traceDir := flag.String("trace", "", "directory to save raw traces")
-	stream := flag.Bool("stream", false, "pipe each run through the streaming analysis (bounded memory, serial; -trace saves chunked v2 traces)")
-	table1 := flag.Bool("table1", false, "print only the Table 1 epoch-rate rows")
-	san := flag.Bool("san", false, "run the durability-ordering sanitizer over each run; exit 1 on unsuppressed ordering errors")
-	sanAllow := flag.String("san-allow", "", "allowlist file of known sanitizer findings to suppress (implies -san)")
-	metrics := flag.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with the process edges injected, so tests can call it
+// directly. It returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("whisper", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "", "benchmark to run (default: whole suite)")
+	clients := fs.Int("clients", 0, "client threads (0 = paper default)")
+	ops := fs.Int("ops", 0, "operations per client (0 = suite default)")
+	seed := fs.Int64("seed", 1, "workload seed")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "max concurrent benchmark runs (1 = serial)")
+	traceDir := fs.String("trace", "", "directory to save raw traces")
+	stream := fs.Bool("stream", false, "pipe each run straight into the analysis instead of retaining its trace (bounded memory, serial)")
+	table1 := fs.Bool("table1", false, "print only the Table 1 epoch-rate rows")
+	san := fs.Bool("san", false, "run the durability-ordering sanitizer over each run; exit 1 on unsuppressed ordering errors")
+	sanAllow := fs.String("san-allow", "", "allowlist file of known sanitizer findings to suppress (implies -san)")
+	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// flag.Parse stops at the first positional argument, so a typo like
+	// `whisper -table1 echo -san` would otherwise silently drop -san.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "whisper: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
+	fail := func(err error) int {
+		// Errors from package whisper already carry the prefix.
+		fmt.Fprintln(stderr, "whisper:", strings.TrimPrefix(err.Error(), "whisper: "))
+		return 1
+	}
 
 	var allow *whisper.Allowlist
 	if *sanAllow != "" {
 		*san = true
 		var err error
 		if allow, err = whisper.LoadAllowlist(*sanAllow); err != nil {
-			fmt.Fprintln(os.Stderr, "whisper:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
@@ -70,7 +103,7 @@ func main() {
 		}))
 		go func() {
 			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "whisper: debug server:", err)
+				fmt.Fprintln(stderr, "whisper: debug server:", err)
 			}
 		}()
 	}
@@ -86,133 +119,113 @@ func main() {
 	var sanReports []*whisper.SanReport
 	switch {
 	case *stream:
-		// The streaming path analyzes each run's events as they are
-		// produced and never materializes a trace; runs execute serially
-		// (the app and its analysis already pipeline within one run). The
-		// sanitizer taps the same stream inline, so -san costs no extra
-		// pass and no retained trace.
+		// Each run's events are analyzed as they are produced and no
+		// trace is retained; runs execute serially (the app and its
+		// analysis already pipeline within one run). The sanitizer and
+		// the trace file ride the same pass, so neither costs a replay.
 		for _, name := range names {
-			rep, sanRep, err := runStreamed(name, cfg, *traceDir, *san)
+			fr, err := runStreamed(name, cfg, *traceDir, *san)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(err)
 			}
-			reports = append(reports, rep)
-			if sanRep != nil {
-				sanReports = append(sanReports, sanRep)
+			reports = append(reports, fr.Report)
+			if fr.San != nil {
+				sanReports = append(sanReports, fr.San)
 			}
 		}
 	case *bench != "":
 		rep, err := whisper.Run(*bench, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		reports = []*whisper.Report{rep}
 	default:
 		var err error
 		reports, err = whisper.RunAllParallel(cfg, *parallel)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
-	if *san && len(sanReports) == 0 {
-		// Materialized paths retain each trace; sanitize them here. Report
-		// order follows the (deterministic) run order, so the rendered
-		// output is byte-identical to the streaming path.
+	if !*stream {
+		// These paths retain each trace; sanitize and save from it.
+		// Report order follows the (deterministic) run order, so output
+		// and files are byte-identical to the streaming path's.
 		for _, rep := range reports {
-			sanReports = append(sanReports, whisper.Sanitize(rep.Trace))
+			if *san {
+				sanReports = append(sanReports, whisper.Sanitize(rep.Trace))
+			}
+			if *traceDir != "" {
+				if err := saveTrace(*traceDir, rep); err != nil {
+					return fail(err)
+				}
+			}
 		}
 	}
 
 	if *table1 {
-		fmt.Printf("%-10s %-10s %-14s %s\n", "Benchmark", "Layer", "Epochs/sec", "Paper (Table 1)")
+		fmt.Fprintf(stdout, "%-10s %-10s %-14s %s\n", "Benchmark", "Layer", "Epochs/sec", "Paper (Table 1)")
 	}
-	paperRates := map[string]string{
-		"echo": "1.6M", "ycsb": "5M", "tpcc": "7.3M", "redis": "1.3M",
-		"ctree": "1M", "hashmap": "1.3M", "vacation": "700K",
-		"memcached": "1.5M", "nfs": "250K", "exim": "6250", "mysql": "60K",
-	}
-
 	for _, rep := range reports {
 		if *table1 {
-			fmt.Printf("%-10s %-10s %-14.3g %s\n", rep.App, rep.Layer,
+			fmt.Fprintf(stdout, "%-10s %-10s %-14.3g %s\n", rep.App, rep.Layer,
 				rep.EpochsPerSecond, paperRates[rep.App])
 		} else {
-			fmt.Print(rep.String())
-		}
-		if *traceDir != "" && rep.Trace != nil {
-			if err := saveTrace(*traceDir, rep.App, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			fmt.Fprint(stdout, rep.String())
 		}
 	}
 	sanErrors := 0
 	for _, sr := range sanReports {
 		sr.ApplyAllowlist(allow)
-		fmt.Print(sr.String())
+		fmt.Fprint(stdout, sr.String())
 		sanErrors += sr.Errors()
 	}
 	if err := cliutil.WriteMetrics(*metrics); err != nil {
-		fmt.Fprintln(os.Stderr, "whisper:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if sanErrors > 0 {
-		fmt.Fprintf(os.Stderr, "whisper: sanitizer found %d unsuppressed ordering error sites\n", sanErrors)
-		os.Exit(1)
+		return fail(fmt.Errorf("sanitizer found %d unsuppressed ordering error sites", sanErrors))
 	}
+	return 0
 }
 
-// runStreamed runs one benchmark through the streaming pipeline, teeing
-// its events to <dir>/<name>.wspr in the v2 format when dir is set, with
-// the sanitizer tapping the stream inline when san is set.
-func runStreamed(name string, cfg whisper.Config, dir string, san bool) (*whisper.Report, *whisper.SanReport, error) {
+// createTrace opens <dir>/<name>.wspr for writing, creating dir.
+func createTrace(dir, name string) (*os.File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	return os.Create(filepath.Join(dir, name+".wspr"))
+}
+
+// runStreamed runs one benchmark through the streaming pipeline, with the
+// sanitizer on the same pass when san is set and the events written to
+// <dir>/<name>.wspr when dir is set.
+func runStreamed(name string, cfg whisper.Config, dir string, san bool) (*whisper.FusedReport, error) {
+	var traceOut io.Writer // stays a nil interface, not a nil *os.File, when no file is wanted
 	var f *os.File
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, err
-		}
 		var err error
-		if f, err = os.Create(filepath.Join(dir, name+".wspr")); err != nil {
-			return nil, nil, err
+		if f, err = createTrace(dir, name); err != nil {
+			return nil, err
 		}
+		traceOut = f
 	}
-	var rep *whisper.Report
-	var sanRep *whisper.SanReport
-	var err error
-	if san {
-		// f is a *os.File; pass an untyped nil when no tee is wanted.
-		if f != nil {
-			rep, sanRep, err = whisper.RunStreamSanitized(name, cfg, f)
-		} else {
-			rep, sanRep, err = whisper.RunStreamSanitized(name, cfg, nil)
-		}
-	} else if f != nil {
-		rep, err = whisper.RunStream(name, cfg, f)
-	} else {
-		rep, err = whisper.RunStream(name, cfg, nil)
-	}
+	fr, err := whisper.RunStreamFused(name, cfg, whisper.FusedConfig{Sanitize: san}, traceOut)
 	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, sanRep, nil
+	return fr, err
 }
 
-func saveTrace(dir, name string, rep *whisper.Report) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name+".wspr"))
+func saveTrace(dir string, rep *whisper.Report) error {
+	f, err := createTrace(dir, rep.App)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return rep.Trace.Encode(f)
+	err = rep.Trace.Encode(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

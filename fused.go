@@ -2,20 +2,18 @@ package whisper
 
 import (
 	"io"
-	"sync"
 
 	"github.com/whisper-pm/whisper/internal/cachesim"
-	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/pmsan"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // Fused single-pass mode: the epoch analysis, the durability-ordering
-// sanitizer, and the cache-hierarchy simulator consume one fan-out of
-// the same event stream instead of replaying the trace once each (the
-// Bentō observation: cross-cutting PM analyses share the pass, not just
-// the trace). The source — a live benchmark or a saved trace file — is
-// executed or decoded exactly once; each consumer's output is
+// sanitizer, and the cache-hierarchy simulator consume one pipeline pass
+// over the same event stream instead of replaying the trace once each
+// (the Bentō observation: cross-cutting PM analyses share the pass, not
+// just the trace). The source — a live benchmark or a saved trace file —
+// is executed or decoded exactly once; each consumer's output is
 // byte-identical to its standalone run, which TestFusedMatchesStandalone
 // asserts per suite member.
 
@@ -76,127 +74,49 @@ func AnalyzeReaderFused(r io.Reader, fcfg FusedConfig) (*FusedReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analyzeFused(rd, fcfg)
+	return fused(rd, fcfg, nil)
 }
 
 // RunStreamFused executes the named benchmark once and fans its live
 // event stream out to the epoch analysis plus the consumers fcfg
 // selects; the trace is never materialized. When traceOut is non-nil the
-// stream is also tee'd to it in the chunked v2 format.
+// stream is also written to it in the chunked v2 format.
 func RunStreamFused(name string, cfg Config, fcfg FusedConfig, traceOut io.Writer) (*FusedReport, error) {
-	src, launch, err := startStream(name, cfg)
+	src, err := startStream(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var tw *trace.Writer
-	if traceOut != nil {
-		tw, err = trace.NewWriter(traceOut, src.meta)
-		if err != nil {
-			return nil, err
-		}
-	}
-	launch()
-
-	var consumer trace.EventSource = src
-	if tw != nil {
-		consumer = teeSource{src: src, w: tw}
-	}
-	rep, err := analyzeFused(consumer, fcfg)
-	if err == nil && tw != nil {
-		vl, vs := src.Volatile()
-		err = tw.Close(vl, vs)
-	}
-	if err != nil {
-		// Drain so the producer goroutine can always finish.
-		for range src.ch {
-		}
-		return nil, err
-	}
-	return rep, nil
+	return fused(src, fcfg, traceOut)
 }
 
-// analyzeFused fans src out to the selected consumers and joins their
-// results. The epoch analysis runs on the calling goroutine; sanitizer
-// and cache simulation (serial state machines) run on their own
-// branches.
-func analyzeFused(src trace.EventSource, fcfg FusedConfig) (*FusedReport, error) {
-	n := 1
+// fused runs one pipeline pass over src with the sanitizer and the cache
+// simulation as taps when fcfg selects them, and the v2 writer as one when
+// traceOut is non-nil. Each tap fills its own field of the report; the
+// pipeline's join orders those writes before the return.
+func fused(src trace.EventSource, fcfg FusedConfig, traceOut io.Writer) (*FusedReport, error) {
+	out := &FusedReport{}
+	var taps []tap
 	if fcfg.Sanitize {
-		n++
+		taps = append(taps, func(b *trace.Branch) error {
+			rep, err := pmsan.Run(b)
+			out.San = &SanReport{rep: rep}
+			return err
+		})
 	}
 	if fcfg.Cache {
-		n++
+		taps = append(taps, func(b *trace.Branch) error {
+			stats, err := cachesim.ReplaySource(cachesim.New(cachesim.DefaultConfig()), b)
+			out.Cache = (*CacheStats)(&stats)
+			return err
+		})
 	}
-	if n == 1 {
-		// Nothing to fan out: plain streaming analysis.
-		a, err := epoch.AnalyzeStream(src)
-		if err != nil {
-			return nil, err
-		}
-		return &FusedReport{Report: newReport(a, nil)}, nil
+	if traceOut != nil {
+		taps = append(taps, func(b *trace.Branch) error { return writeV2(traceOut, b) })
 	}
-
-	branches := trace.Fanout(src, n)
-	var wg sync.WaitGroup
-	var (
-		sanRep   *pmsan.Report
-		sanErr   error
-		stats    cachesim.Stats
-		cacheErr error
-	)
-	next := 1
-	if fcfg.Sanitize {
-		b := branches[next]
-		next++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sanRep, sanErr = pmsan.Run(b)
-		}()
-	}
-	if fcfg.Cache {
-		b := branches[next]
-		next++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats, cacheErr = cachesim.ReplaySource(cachesim.New(cachesim.DefaultConfig()), b)
-		}()
-	}
-	a, err := epoch.AnalyzeStream(branches[0])
-	if err != nil {
-		// Only a source error stops the analysis, and the fan-out
-		// delivers it to every branch — but release ours explicitly so
-		// the pump cannot stall on an undrained queue.
-		branches[0].Close()
-	}
-	wg.Wait()
-	if err == nil {
-		err = sanErr
-	}
-	if err == nil {
-		err = cacheErr
-	}
+	a, err := pipeline(src, taps)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &FusedReport{Report: newReport(a, nil)}
-	if fcfg.Sanitize {
-		out.San = &SanReport{rep: sanRep}
-	}
-	if fcfg.Cache {
-		out.Cache = &CacheStats{
-			L1Hits:     stats.L1Hits,
-			L2Hits:     stats.L2Hits,
-			RemoteHits: stats.RemoteHits,
-			DRAMReads:  stats.DRAMReads,
-			DRAMWrites: stats.DRAMWrites,
-			PMReads:    stats.PMReads,
-			PMWrites:   stats.PMWrites,
-			NTWrites:   stats.NTWrites,
-			Evictions:  stats.Evictions,
-		}
-	}
+	out.Report = newReport(a, nil)
 	return out, nil
 }

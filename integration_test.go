@@ -248,7 +248,7 @@ func TestScaleUp(t *testing.T) {
 		t.Fatalf("epochs = %d", a.TotalEpochs)
 	}
 	// The analysis must agree with a codec round trip at scale.
-	var rep = analyze(&Trace{tr: rt.Trace})
+	var rep = Analyze(&Trace{tr: rt.Trace})
 	if rep.TotalEpochs != a.TotalEpochs {
 		t.Fatal("facade analysis diverged")
 	}

@@ -31,7 +31,7 @@ const NumSizeBuckets = 7
 func sizeBucket(lines int) int {
 	switch {
 	case lines <= 0:
-		// Defensive: zero-line epochs are skipped by Analyze before
+		// Defensive: zero-line epochs are skipped by AnalyzeStream before
 		// bucketing (a fence preceded only by flushes or zero-byte stores
 		// closes no epoch); without this clamp they would index bucket -1
 		// and panic.
@@ -90,145 +90,11 @@ type Analysis struct {
 	Duration mem.Time
 }
 
-// openEpoch accumulates one thread's in-progress epoch.
-type openEpoch struct {
-	lines map[mem.Line]bool
-	bytes int
-	start mem.Time
-	dirty bool
-}
-
-func newOpenEpoch() *openEpoch { return &openEpoch{lines: make(map[mem.Line]bool)} }
-
-// lineWriter remembers the last epoch that wrote a line.
-type lineWriter struct {
-	thread int32
-	end    mem.Time
-}
-
-// Analyze runs the full epoch analysis over a trace.
+// Analyze runs the full epoch analysis over a materialized trace: the
+// one streaming state machine, fed from the trace's event slice.
 func Analyze(tr *trace.Trace) *Analysis {
-	a := &Analysis{
-		App:          tr.App,
-		Layer:        tr.Layer,
-		Threads:      tr.Threads,
-		Duration:     tr.Duration(),
-		PMAccesses:   tr.PMAccesses(),
-		DRAMAccesses: tr.DRAMAccesses(),
-	}
-
-	open := make(map[int32]*openEpoch)
-	lastWriter := make(map[mem.Line]lineWriter)
-	inTx := make(map[int32]bool)
-	txEpochs := make(map[int32]int)
-
-	for _, e := range tr.Events {
-		switch e.Kind {
-		case trace.KStore, trace.KStoreNT:
-			oe := open[e.TID]
-			if oe == nil {
-				oe = newOpenEpoch()
-				open[e.TID] = oe
-			}
-			if !oe.dirty {
-				oe.start = e.Time
-				oe.dirty = true
-			}
-			for _, l := range mem.Lines(e.Addr, int(e.Size)) {
-				oe.lines[l] = true
-			}
-			oe.bytes += int(e.Size)
-			if e.Kind == trace.KStore {
-				a.CacheableStores++
-				a.CacheableBytes += uint64(e.Size)
-			} else {
-				a.NTStores++
-				a.NTBytes += uint64(e.Size)
-			}
-			a.TotalPMBytes += uint64(e.Size)
-
-		case trace.KFence:
-			oe := open[e.TID]
-			if oe == nil || len(oe.lines) == 0 {
-				// Empty epoch: §5.1 measures epochs in unique 64 B lines
-				// written between fences, so a fence preceded only by
-				// flushes (the legal dfence-style ordering idiom) or by
-				// zero-byte stores orders nothing and closes no epoch.
-				// Reset any zero-line open state so a stale start time
-				// cannot leak into the next real epoch.
-				if oe != nil && oe.dirty {
-					open[e.TID] = newOpenEpoch()
-				}
-				continue
-			}
-			a.closeEpoch(e.TID, e.Time, oe, lastWriter)
-			open[e.TID] = newOpenEpoch()
-			if inTx[e.TID] {
-				txEpochs[e.TID]++
-			}
-
-		case trace.KTxBegin:
-			inTx[e.TID] = true
-			txEpochs[e.TID] = 0
-
-		case trace.KTxEnd:
-			if inTx[e.TID] {
-				// Read-only transactions contain no ordering points and
-				// are not durable transactions; Figure 3 measures epochs
-				// per durable transaction.
-				if txEpochs[e.TID] > 0 {
-					a.TxEpochCounts = append(a.TxEpochCounts, txEpochs[e.TID])
-				}
-				inTx[e.TID] = false
-			}
-
-		case trace.KUserData:
-			a.UserBytes += uint64(e.Size)
-		}
-	}
+	a, _ := AnalyzeStream(trace.NewSliceSource(tr)) // a slice source cannot fail
 	return a
-}
-
-func (a *Analysis) closeEpoch(tid int32, end mem.Time, oe *openEpoch, lastWriter map[mem.Line]lineWriter) {
-	a.TotalEpochs++
-	n := len(oe.lines)
-	a.SizeHist[sizeBucket(n)]++
-	if n == 1 {
-		a.Singletons++
-		if oe.bytes < 10 {
-			a.SmallSingletons++
-		}
-	}
-	self, cross := false, false
-	for l := range oe.lines {
-		if w, ok := lastWriter[l]; ok {
-			// The dependency window is measured on the global clock
-			// between the earlier epoch's completion and this epoch's
-			// first store.
-			if oe.start >= w.end && oe.start-w.end <= DependencyWindow {
-				if w.thread == tid {
-					self = true
-				} else {
-					cross = true
-				}
-			} else if oe.start < w.end && end-w.end <= DependencyWindow {
-				// Overlapping epochs (interleaved threads): still a WAW
-				// within the window.
-				if w.thread == tid {
-					self = true
-				} else {
-					cross = true
-				}
-			}
-		}
-		lastWriter[l] = lineWriter{thread: tid, end: end}
-	}
-	if self {
-		a.SelfDepEpochs++
-	}
-	if cross {
-		a.CrossDepEpochs++
-	}
 }
 
 // MedianTxEpochs returns the median number of epochs per transaction

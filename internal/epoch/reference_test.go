@@ -1,0 +1,261 @@
+package epoch
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/trace"
+)
+
+// The oracle: the original materialized analysis, kept as the reference
+// AnalyzeStream is compared against. It shares nothing with the streaming
+// state machine — maps keyed by TID and line where that one uses dense
+// tables and paged slots — so agreement between the two is evidence, not
+// tautology.
+
+// openEpoch accumulates one thread's in-progress epoch.
+type openEpoch struct {
+	lines map[mem.Line]bool
+	bytes int
+	start mem.Time
+	dirty bool
+}
+
+func newOpenEpoch() *openEpoch { return &openEpoch{lines: make(map[mem.Line]bool)} }
+
+// lineWriter remembers the last epoch that wrote a line.
+type lineWriter struct {
+	thread int32
+	end    mem.Time
+}
+
+// referenceAnalyze is the map-per-epoch walk that was epoch.Analyze until the
+// analysis collapsed onto AnalyzeStream, moved here unchanged.
+func referenceAnalyze(tr *trace.Trace) *Analysis {
+	a := &Analysis{
+		App:          tr.App,
+		Layer:        tr.Layer,
+		Threads:      tr.Threads,
+		Duration:     tr.Duration(),
+		PMAccesses:   tr.PMAccesses(),
+		DRAMAccesses: tr.DRAMAccesses(),
+	}
+
+	open := make(map[int32]*openEpoch)
+	lastWriter := make(map[mem.Line]lineWriter)
+	inTx := make(map[int32]bool)
+	txEpochs := make(map[int32]int)
+
+	for _, e := range tr.Events {
+		switch e.Kind {
+		case trace.KStore, trace.KStoreNT:
+			oe := open[e.TID]
+			if oe == nil {
+				oe = newOpenEpoch()
+				open[e.TID] = oe
+			}
+			if !oe.dirty {
+				oe.start = e.Time
+				oe.dirty = true
+			}
+			for _, l := range mem.Lines(e.Addr, int(e.Size)) {
+				oe.lines[l] = true
+			}
+			oe.bytes += int(e.Size)
+			if e.Kind == trace.KStore {
+				a.CacheableStores++
+				a.CacheableBytes += uint64(e.Size)
+			} else {
+				a.NTStores++
+				a.NTBytes += uint64(e.Size)
+			}
+			a.TotalPMBytes += uint64(e.Size)
+
+		case trace.KFence:
+			oe := open[e.TID]
+			if oe == nil || len(oe.lines) == 0 {
+				// Empty epoch: §5.1 measures epochs in unique 64 B lines
+				// written between fences, so a fence preceded only by
+				// flushes (the legal dfence-style ordering idiom) or by
+				// zero-byte stores orders nothing and closes no epoch.
+				// Reset any zero-line open state so a stale start time
+				// cannot leak into the next real epoch.
+				if oe != nil && oe.dirty {
+					open[e.TID] = newOpenEpoch()
+				}
+				continue
+			}
+			a.closeEpoch(e.TID, e.Time, oe, lastWriter)
+			open[e.TID] = newOpenEpoch()
+			if inTx[e.TID] {
+				txEpochs[e.TID]++
+			}
+
+		case trace.KTxBegin:
+			inTx[e.TID] = true
+			txEpochs[e.TID] = 0
+
+		case trace.KTxEnd:
+			if inTx[e.TID] {
+				// Read-only transactions contain no ordering points and
+				// are not durable transactions; Figure 3 measures epochs
+				// per durable transaction.
+				if txEpochs[e.TID] > 0 {
+					a.TxEpochCounts = append(a.TxEpochCounts, txEpochs[e.TID])
+				}
+				inTx[e.TID] = false
+			}
+
+		case trace.KUserData:
+			a.UserBytes += uint64(e.Size)
+		}
+	}
+	return a
+}
+
+func (a *Analysis) closeEpoch(tid int32, end mem.Time, oe *openEpoch, lastWriter map[mem.Line]lineWriter) {
+	a.TotalEpochs++
+	n := len(oe.lines)
+	a.SizeHist[sizeBucket(n)]++
+	if n == 1 {
+		a.Singletons++
+		if oe.bytes < 10 {
+			a.SmallSingletons++
+		}
+	}
+	self, cross := false, false
+	for l := range oe.lines {
+		if w, ok := lastWriter[l]; ok {
+			// The dependency window is measured on the global clock
+			// between the earlier epoch's completion and this epoch's
+			// first store.
+			if oe.start >= w.end && oe.start-w.end <= DependencyWindow {
+				if w.thread == tid {
+					self = true
+				} else {
+					cross = true
+				}
+			} else if oe.start < w.end && end-w.end <= DependencyWindow {
+				// Overlapping epochs (interleaved threads): still a WAW
+				// within the window.
+				if w.thread == tid {
+					self = true
+				} else {
+					cross = true
+				}
+			}
+		}
+		lastWriter[l] = lineWriter{thread: tid, end: end}
+	}
+	if self {
+		a.SelfDepEpochs++
+	}
+	if cross {
+		a.CrossDepEpochs++
+	}
+}
+
+// nextOnly hides a source's NextChunk, forcing consumers onto the
+// one-event-at-a-time path.
+type nextOnly struct{ src trace.EventSource }
+
+func (n nextOnly) Meta() trace.Meta           { return n.src.Meta() }
+func (n nextOnly) Next() (trace.Event, error) { return n.src.Next() }
+func (n nextOnly) Volatile() (uint64, uint64) { return n.src.Volatile() }
+
+// feeds returns tr as every kind of source AnalyzeStream meets in the
+// repo: the in-memory slice (epoch.Analyze, whisper.Run), a v2 file
+// reader (AnalyzeReader), a fan-out branch (the fused pass), and a source
+// with no chunked fast path.
+func feeds(t *testing.T, tr *trace.Trace) map[string]trace.EventSource {
+	t.Helper()
+	out := map[string]trace.EventSource{
+		"slice":     trace.NewSliceSource(tr),
+		"next-only": nextOnly{trace.NewSliceSource(tr)},
+	}
+	branches := trace.Fanout(trace.NewSliceSource(tr), 2)
+	go func() { // the sibling branch must drain or the pump stalls
+		for {
+			if _, err := branches[1].NextChunk(); err != nil {
+				return
+			}
+		}
+	}()
+	out["fanout"] = branches[0]
+	// The codec refuses to carry a negative thread count, so those
+	// hand-built traces skip the file round trip.
+	if tr.Threads >= 0 {
+		var buf bytes.Buffer
+		if err := trace.EncodeV2(&buf, tr); err != nil {
+			t.Fatalf("EncodeV2: %v", err)
+		}
+		rd, err := trace.NewReader(&buf)
+		if err != nil {
+			t.Fatalf("NewReader: %v", err)
+		}
+		out["v2-reader"] = rd
+	}
+	return out
+}
+
+// requireMatchesOracle asserts that AnalyzeStream, fed tr every way feeds
+// offers, equals the reference walk exactly, and returns the oracle's
+// result for further assertions.
+func requireMatchesOracle(t *testing.T, tr *trace.Trace) *Analysis {
+	t.Helper()
+	want := referenceAnalyze(tr)
+	for name, src := range feeds(t, tr) {
+		got, err := AnalyzeStream(src)
+		if err != nil {
+			t.Fatalf("%s: AnalyzeStream: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: analysis diverges from the reference walk:\nreference: %+v\nstream:    %+v", name, want, got)
+		}
+	}
+	if got := Analyze(tr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Analyze diverges from the reference walk:\nreference: %+v\nAnalyze:   %+v", want, got)
+	}
+	return want
+}
+
+// TestDegenerateAgainstOracle holds the edge shapes to the oracle: the
+// zero-line epochs, more TIDs than the dense thread table, and an epoch
+// one line past the slice→map spill.
+func TestDegenerateAgainstOracle(t *testing.T) {
+	wide := &trace.Trace{App: "wide", Layer: "native", Threads: 100}
+	for i := 0; i < 100; i++ {
+		tid := int32(i)
+		wide.Append(st(tid, mem.Time(10*i+1), pm+mem.Addr(i)*mem.LineSize, 8))
+		wide.Append(st(tid, mem.Time(10*i+2), pm, 8)) // shared line
+		wide.Append(fence(tid, mem.Time(10*i+3)))
+	}
+	var spill []trace.Event
+	for i := 0; i <= spillLines; i++ {
+		spill = append(spill, st(0, mem.Time(i+1), pm+mem.Addr(i)*mem.LineSize, 8))
+	}
+	spill = append(spill, fence(0, spillLines+2), st(1, spillLines+3, pm, 8), fence(1, spillLines+4))
+
+	cases := []struct {
+		name       string
+		tr         *trace.Trace
+		wantEpochs int
+	}{
+		{"flush-only", mk(
+			trace.Event{Kind: trace.KFlush, TID: 0, Time: 1, Addr: pm, Size: 64},
+			fence(0, 2),
+		), 0},
+		{"zero-byte-store", mk(st(0, 1, pm, 0), fence(0, 2), st(0, 10, pm, 8), fence(0, 11)), 1},
+		{"beyond-dense-tids", wide, 100},
+		{"spilled-epoch", mk(spill...), 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := requireMatchesOracle(t, c.tr).TotalEpochs; got != c.wantEpochs {
+				t.Fatalf("TotalEpochs = %d, want %d", got, c.wantEpochs)
+			}
+		})
+	}
+}

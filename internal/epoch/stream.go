@@ -2,159 +2,34 @@ package epoch
 
 import (
 	"io"
-	"runtime"
-	"strconv"
-	"sync"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
-// Streaming analysis pipeline. Epochs are per-thread by definition (§5.1):
-// a thread's segmentation depends only on its own stores and fences, so a
-// demux stage routes each event — tagged with its global sequence index —
-// to a per-thread-group shard goroutine, and only the cross-thread WAW
-// dependency detection (Figure 5) runs as a merge pass, replayed in
-// global fence order over the 50 µs window index. The merge is
-// incremental: every chunk a shard finishes carries a watermark ("all my
-// events below index U are done"), and the merge consumes closed epochs
-// in global order as soon as they fall below the minimum watermark, so
-// pipeline memory is bounded by the in-flight window rather than the
-// trace or epoch count.
-//
-// Parallelism is sized to the machine, not the trace: the shard fan-out
-// is clamped to GOMAXPROCS (a 4-thread trace on a 1-CPU box runs the
-// single-shard inline path with no goroutines or channels at all), all
-// order-independent epoch statistics (size histogram, singletons, store
-// mix) reduce inside the shards, buffer recycling is per-shard free
-// lists with zero cross-shard traffic, and the only inherently ordered
-// work — the last-writer WAW classification — is partitioned by cache
-// line across worker goroutines fed in batches as the watermark
-// advances. Everything every path produces is, by construction,
-// identical to what the serial Analyze computes; TestStreamMatchesSerial
-// and TestStreamShardMatrix assert reflect.DeepEqual on randomized
-// traces across shard counts and GOMAXPROCS settings.
+// The one epoch analysis. Epochs are per-thread by definition (§5.1): a
+// thread's segmentation depends only on its own stores and fences, so the
+// analysis is one state machine per TID; events arrive in global order,
+// so every epoch classifies against the last-writer table (Figure 5) the
+// moment its fence closes it. Everything runs on the calling goroutine,
+// and memory is the open epochs plus the last-writer pages, independent
+// of trace length. The map-per-epoch walk in reference_test.go is the
+// oracle the equality tests compare this against.
 
 const (
-	// streamChunkEvents is the demux batch size: events are handed to
-	// shards in chunks so channel hand-offs (and the goroutine switches
-	// they imply) amortize across thousands of events.
+	// streamChunkEvents is the batch chunkReader fills from a Next-only
+	// source, so the event loop pays one iterator call per few thousand
+	// events.
 	streamChunkEvents = 8192
-	// streamChanDepth bounds each shard's input queue; together with the
-	// chunk size it caps buffered events per shard (and therefore pipeline
-	// RSS) at depth*chunk.
-	streamChanDepth = 8
-	// maxShards caps the goroutine fan-out regardless of Meta.Threads and
-	// GOMAXPROCS.
-	maxShards = 16
-	// watermarkInterval is how often (in global events) the demux flushes
-	// every shard — including idle ones — so each shard's watermark keeps
-	// advancing and the merge can retire epochs. It bounds how many closed
-	// epochs the merge may buffer when the TID mix is skewed.
-	watermarkInterval = 1 << 16
 	// spillLines is the open-epoch size at which the line set switches
 	// from a linear-scanned slice to a map. Figure 4 epochs are
 	// overwhelmingly <6 lines, so almost every epoch stays on the slice
-	// fast path and the per-store map hashing of the serial analyzer is
-	// avoided entirely.
+	// fast path and pays no per-store map hashing.
 	spillLines = 64
-	// wawBatchSize is how many retired epochs the merge accumulates
-	// before handing them to the line-partitioned WAW classifiers; one
-	// fork-join per batch amortizes the hand-off across thousands of
-	// line lookups.
-	wawBatchSize = 2048
 )
 
-// shardCount picks the demux fan-out for a trace with the given thread
-// count: the smallest power of two covering the threads (so the hot
-// routing step is a mask, not a division), clamped to GOMAXPROCS and
-// maxShards. Degenerate metadata (Threads <= 0, seen in hand-built or
-// corrupt traces) falls back to one shard. On a 1-CPU machine this
-// always returns 1, which routes AnalyzeStream to the inline path — the
-// pre-clamp pipeline paid up to 16-way channel hand-offs there and ran
-// slower the more threads the trace had.
-func shardCount(threads int) int {
-	if threads < 1 {
-		return 1
-	}
-	limit := runtime.GOMAXPROCS(0)
-	if limit > maxShards {
-		limit = maxShards
-	}
-	n := 1
-	for n < threads && 2*n <= limit {
-		n <<= 1
-	}
-	return n
-}
-
-// indexedEvent is an event stamped with its global trace position, which
-// the merge pass uses to reconstruct serial processing order.
-type indexedEvent struct {
-	idx uint64
-	e   trace.Event
-}
-
-// chunkMsg is one demux→shard batch. upTo promises that every event
-// routed to this shard with idx < upTo is contained in this or an
-// earlier chunk; it becomes the shard's watermark once processed.
-type chunkMsg struct {
-	events []indexedEvent
-	upTo   uint64
-}
-
-// closedEpoch is one finished epoch as emitted by a shard: the closing
-// fence's global index, the unique PM lines written, and the fields the
-// WAW merge consumes. Order-independent statistics (size bucket,
-// singletons) are already reduced shard-side into shardScalars.
-type closedEpoch struct {
-	idx   uint64
-	start mem.Time
-	end   mem.Time
-	lines []mem.Line
-	tid   int32
-}
-
-// txRec is one completed durable transaction (global index of its KTxEnd,
-// number of epochs it contained).
-type txRec struct {
-	idx   uint64
-	count int
-}
-
-// shardScalars are a shard's order-independent reductions, delivered once
-// when its input closes. Everything here is commutative addition, so the
-// merge applies them in whatever order shards finish.
-type shardScalars struct {
-	cacheableStores uint64
-	ntStores        uint64
-	cacheableBytes  uint64
-	ntBytes         uint64
-	totalPMBytes    uint64
-	userBytes       uint64
-	pmAccesses      uint64
-	dramEvents      uint64
-
-	totalEpochs     uint64
-	sizeHist        [NumSizeBuckets]uint64
-	singletons      uint64
-	smallSingletons uint64
-}
-
-// shardMsg is one shard→merge delivery: the epochs and transactions the
-// shard closed while processing a chunk, plus the new watermark. final is
-// set exactly once per shard, when its input channel closes.
-type shardMsg struct {
-	shard  int
-	epochs []closedEpoch
-	txs    []txRec
-	mark   uint64
-	final  *shardScalars
-}
-
-// threadState is one thread's in-progress epoch plus transaction state,
-// the sharded counterpart of openEpoch/inTx/txEpochs in Analyze.
+// threadState is one thread's in-progress epoch plus transaction state.
 type threadState struct {
 	lines   []mem.Line
 	spill   map[mem.Line]struct{}
@@ -195,40 +70,16 @@ func (ts *threadStates) get(tid int32) *threadState {
 }
 
 // AnalyzeStream runs the full epoch analysis over an event source without
-// materializing the trace. The result is identical (reflect.DeepEqual) to
-// Analyze on the equivalent materialized trace. Memory use is bounded by
-// the pipeline's in-flight window (channel depths plus one watermark
-// interval of closed epochs), independent of trace length. The shard
-// fan-out is sized from Meta.Threads clamped to GOMAXPROCS; with one
-// shard the whole analysis runs inline on the calling goroutine.
+// materializing the trace; memory use is independent of trace length.
+// The events it consumes are counted in pipeline_events_total{app,
+// stage="demux"} (the label value predates the single path and is kept so
+// metrics snapshots stay comparable).
 func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
-	return analyzeStream(src, shardCount(src.Meta().Threads))
-}
-
-// analyzeStream is AnalyzeStream with the shard count injected, so tests
-// can pin configurations independent of the machine.
-func analyzeStream(src trace.EventSource, nshards int) (*Analysis, error) {
-	if nshards <= 1 {
-		return streamInline(src)
-	}
-	return streamSharded(src, nshards)
-}
-
-// streamInline is the single-shard path: one goroutine (the caller's),
-// no channels, no global-index stamping, no epoch copies. Events arrive
-// in global order, so every epoch classifies against the last-writer
-// table the moment its fence closes it — exactly the serial Analyze
-// order — and the open epoch's own line set is passed to the classifier
-// without ever being copied out.
-func streamInline(src trace.EventSource) (*Analysis, error) {
 	m := src.Meta()
-	reg := obs.Default()
-	demuxed := reg.Counter("pipeline_events_total", obs.Labels{"app": m.App, "stage": "demux"})
-	sharded := reg.Counter("pipeline_events_total", obs.Labels{"app": m.App, "stage": "shard"})
-	depth := reg.Gauge("pipeline_depth", obs.Labels{"app": m.App, "shard": "0"})
+	consumed := obs.Default().Counter("pipeline_events_total", obs.Labels{"app": m.App, "stage": "demux"})
 
 	a := &Analysis{}
-	cls := newClassifier()
+	writers := writerTable{pages: make(map[uint64]*writerPage)}
 	var states threadStates
 	var lastTID int32
 	var lastST *threadState
@@ -256,8 +107,7 @@ func streamInline(src trace.EventSource) (*Analysis, error) {
 			any = true
 		}
 		last = c[len(c)-1].Time
-		demuxed.Add(uint64(len(c)))
-		sharded.Add(uint64(len(c)))
+		consumed.Add(uint64(len(c)))
 		for i := range c {
 			e := c[i]
 			st := lastST
@@ -301,7 +151,12 @@ func streamInline(src trace.EventSource) (*Analysis, error) {
 					n = len(st.spill)
 				}
 				if n == 0 {
-					// Empty epoch (§5.1): nothing ordered, nothing closed.
+					// Empty epoch: §5.1 measures epochs in unique 64 B
+					// lines written between fences, so a fence preceded
+					// only by flushes (the legal dfence-style ordering
+					// idiom) or by zero-byte stores orders nothing and
+					// closes no epoch. Reset the zero-line open state so a
+					// stale start time cannot leak into the next real one.
 					st.dirty = false
 					st.bytes = 0
 					continue
@@ -322,7 +177,7 @@ func streamInline(src trace.EventSource) (*Analysis, error) {
 						a.SmallSingletons++
 					}
 				}
-				self, cross := cls.classify(e.TID, st.start, e.Time, lines, 0, 0)
+				self, cross := writers.classify(e.TID, st.start, e.Time, lines)
 				if self {
 					a.SelfDepEpochs++
 				}
@@ -343,6 +198,9 @@ func streamInline(src trace.EventSource) (*Analysis, error) {
 
 			case trace.KTxEnd:
 				if st.inTx {
+					// Read-only transactions contain no ordering points
+					// and are not durable transactions; Figure 3 measures
+					// epochs per durable transaction.
 					if st.txCount > 0 {
 						a.TxEpochCounts = append(a.TxEpochCounts, st.txCount)
 					}
@@ -354,167 +212,7 @@ func streamInline(src trace.EventSource) (*Analysis, error) {
 			}
 		}
 	}
-	depth.Set(0)
 
-	a.App, a.Layer, a.Threads = m.App, m.Layer, m.Threads
-	if any {
-		a.Duration = last - first
-	}
-	vloads, vstores := src.Volatile()
-	a.DRAMAccesses += vloads + vstores
-	return a, nil
-}
-
-// streamSharded is the parallel path: TID-routed shard goroutines behind
-// per-shard bounded channels, a merge goroutine replaying closed epochs
-// in global fence order, and line-partitioned WAW classifier workers fed
-// in batches as the watermark advances.
-func streamSharded(src trace.EventSource, nshards int) (*Analysis, error) {
-	m := src.Meta()
-	mask := int32(nshards - 1)
-
-	reg := obs.Default()
-	demuxed := reg.Counter("pipeline_events_total", obs.Labels{"app": m.App, "stage": "demux"})
-	sharded := reg.Counter("pipeline_events_total", obs.Labels{"app": m.App, "stage": "shard"})
-	depth := make([]*obs.Gauge, nshards)
-	for s := range depth {
-		depth[s] = reg.Gauge("pipeline_depth", obs.Labels{"app": m.App, "shard": strconv.Itoa(s)})
-	}
-
-	// Buffer recycling is strictly per shard: chunkFree[s] carries spent
-	// demux batches from shard s back to the demux, epochFree[s] carries
-	// drained epoch batches from the merge back to shard s. No free list
-	// is ever touched by two producers or two consumers, so steady-state
-	// allocation is zero without any cross-shard pool contention.
-	chans := make([]chan chunkMsg, nshards)
-	chunkFree := make([]chan []indexedEvent, nshards)
-	epochFree := make([]chan []closedEpoch, nshards)
-	out := make(chan shardMsg, 2*nshards)
-	var wg sync.WaitGroup
-	for s := 0; s < nshards; s++ {
-		chans[s] = make(chan chunkMsg, streamChanDepth)
-		// Free-list capacity must cover the whole buffer inventory a
-		// shard can have in circulation (queued + pending + in
-		// processing + returning), or the non-blocking puts drop live
-		// buffers and the demux re-allocates them every cycle. Chunk
-		// buffers circulate through the shard channel (streamChanDepth)
-		// plus one pending in the demux and one in the shard's hands;
-		// epoch buffers through the shared out channel (2*nshards slots,
-		// all of which could momentarily belong to one shard).
-		chunkFree[s] = make(chan []indexedEvent, streamChanDepth+6)
-		epochFree[s] = make(chan []closedEpoch, 2*nshards+4)
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			runShard(s, chans[s], chunkFree[s], epochFree[s], out, sharded)
-		}(s)
-	}
-
-	// The merge runs concurrently with the demux so shard output drains
-	// while events are still arriving; it owns the Analysis accumulators
-	// and the classifier worker fleet.
-	mg := newMerger(nshards)
-	mergeDone := make(chan struct{})
-	go func() {
-		defer close(mergeDone)
-		for msg := range out {
-			mg.consume(msg)
-			if msg.epochs != nil {
-				// The merge copied what it needed; hand the batch buffer
-				// back to the shard that allocated it.
-				select {
-				case epochFree[msg.shard] <- msg.epochs[:0]:
-				default:
-				}
-			}
-		}
-		mg.finish()
-	}()
-
-	getChunk := func(s int) []indexedEvent {
-		select {
-		case b := <-chunkFree[s]:
-			return b[:0]
-		default:
-			return make([]indexedEvent, 0, streamChunkEvents)
-		}
-	}
-
-	// Demux: pull event batches (one interface call per chunk when the
-	// source supports it), assign global indices, track the trace's time
-	// span, and route by TID so each thread's events reach exactly one
-	// shard in order. Per-event reductions live in the shards.
-	next := chunkReader(src)
-	pending := make([][]indexedEvent, nshards)
-	for s := range pending {
-		pending[s] = getChunk(s)
-	}
-	var (
-		idx    uint64
-		first  mem.Time
-		last   mem.Time
-		any    bool
-		srcErr error
-	)
-	nextMark := uint64(watermarkInterval)
-	for {
-		c, err := next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			srcErr = err
-			break
-		}
-		if len(c) == 0 {
-			continue
-		}
-		if !any {
-			first = c[0].Time
-			any = true
-		}
-		last = c[len(c)-1].Time
-		for i := range c {
-			s := int(c[i].TID & mask)
-			pending[s] = append(pending[s], indexedEvent{idx: idx, e: c[i]})
-			idx++
-			if len(pending[s]) == streamChunkEvents {
-				demuxed.Add(streamChunkEvents)
-				depth[s].Set(int64(len(chans[s])))
-				chans[s] <- chunkMsg{events: pending[s], upTo: idx}
-				pending[s] = getChunk(s)
-			}
-		}
-		if idx >= nextMark {
-			// Periodic watermark flush: push every shard's pending batch
-			// (possibly empty) so idle shards' watermarks advance and the
-			// merge can retire buffered epochs.
-			for s := range pending {
-				demuxed.Add(uint64(len(pending[s])))
-				chans[s] <- chunkMsg{events: pending[s], upTo: idx}
-				pending[s] = getChunk(s)
-			}
-			nextMark = idx + watermarkInterval
-		}
-	}
-	for s := range chans {
-		if len(pending[s]) > 0 {
-			demuxed.Add(uint64(len(pending[s])))
-			chans[s] <- chunkMsg{events: pending[s], upTo: idx}
-		}
-		close(chans[s])
-	}
-	wg.Wait()
-	close(out)
-	<-mergeDone
-	for s := range depth {
-		depth[s].Set(0)
-	}
-	if srcErr != nil {
-		return nil, srcErr
-	}
-
-	a := mg.a
 	a.App, a.Layer, a.Threads = m.App, m.Layer, m.Threads
 	if any {
 		a.Duration = last - first
@@ -551,30 +249,31 @@ func chunkReader(src trace.EventSource) func() ([]trace.Event, error) {
 	}
 }
 
-// writerPageShift sizes the direct-index pages of the lastWriter table:
+// writerPageShift sizes the direct-index pages of the last-writer table:
 // 256 lines (16 KB of PM) per page. PM heaps are arena-allocated and
 // dense, so a handful of pages covers a whole app and almost every
-// lookup hits the single-entry page cache — no hashing per line, unlike
-// the serial analyzer's map.
+// lookup hits the single-entry page cache — no hashing per line.
 const writerPageShift = 8
 
-type mergeWriter struct {
+// writerSlot remembers the last epoch that wrote a line.
+type writerSlot struct {
 	thread int32
 	set    bool
 	end    mem.Time
 }
 
-type writerPage [1 << writerPageShift]mergeWriter
+type writerPage [1 << writerPageShift]writerSlot
 
-// writerTable maps a line to its last-writer slot via a sparse page
-// directory plus a most-recently-used page cache.
+// writerTable is the last-writer index behind the Figure 5 WAW
+// classification: it maps a line to its slot via a sparse page directory
+// plus a most-recently-used page cache.
 type writerTable struct {
 	pages    map[uint64]*writerPage
 	lastKey  uint64
 	lastPage *writerPage
 }
 
-func (t *writerTable) slot(l mem.Line) *mergeWriter {
+func (t *writerTable) slot(l mem.Line) *writerSlot {
 	key := uint64(l) >> writerPageShift
 	if t.lastPage == nil || key != t.lastKey {
 		p := t.pages[key]
@@ -587,32 +286,15 @@ func (t *writerTable) slot(l mem.Line) *mergeWriter {
 	return &t.lastPage[uint64(l)&(1<<writerPageShift-1)]
 }
 
-// classifier owns one partition of the last-writer index and performs
-// the Figure 5 WAW dependency classification for the lines it owns.
-// The inline path runs one classifier over every line (mask 0); the
-// sharded path runs nshards classifiers, each owning the lines where
-// line & mask == want, so their tables are disjoint by construction and
-// every line's writer history evolves in exactly the global epoch order
-// it would under the serial analyzer.
-type classifier struct {
-	writers writerTable
-}
-
-func newClassifier() *classifier {
-	return &classifier{writers: writerTable{pages: make(map[uint64]*writerPage)}}
-}
-
-// classify replays one closed epoch against the partition's last-writer
-// table: lines not owned by this partition are skipped, owned lines are
-// checked for a self/cross WAW within DependencyWindow and then claim
-// the slot. Line order within an epoch is immaterial — an epoch's lines
-// are unique, so each touches a distinct slot.
-func (c *classifier) classify(tid int32, start, end mem.Time, lines []mem.Line, mask, want uint64) (self, cross bool) {
+// classify replays one closed epoch against the table: each line is
+// checked for a self/cross WAW within DependencyWindow — measured
+// on the global clock between the earlier epoch's completion and this
+// epoch's first store — and then claims the slot. Line order within an
+// epoch is immaterial: an epoch's lines are unique, so each touches a
+// distinct slot.
+func (t *writerTable) classify(tid int32, start, end mem.Time, lines []mem.Line) (self, cross bool) {
 	for _, l := range lines {
-		if uint64(l)&mask != want {
-			continue
-		}
-		w := c.writers.slot(l)
+		w := t.slot(l)
 		if w.set {
 			if start >= w.end && start-w.end <= DependencyWindow {
 				if w.thread == tid {
@@ -633,421 +315,6 @@ func (c *classifier) classify(tid int32, start, end mem.Time, lines []mem.Line, 
 		w.thread, w.end, w.set = tid, end, true
 	}
 	return self, cross
-}
-
-const (
-	flagSelf  = 1 << 0
-	flagCross = 1 << 1
-)
-
-// wawJob is one fork-join unit: a batch of epochs in global order and
-// the per-worker flag array to fill (one byte per epoch, flagSelf /
-// flagCross bits for the lines this worker owns).
-type wawJob struct {
-	batch []closedEpoch
-	flags []uint8
-}
-
-// wawWorker classifies its line partition of every batch the merge
-// hands it. Workers never share state: each owns a disjoint slice of
-// the last-writer index and writes a private flags array, joined by the
-// merge after all workers finish the batch.
-type wawWorker struct {
-	cls        *classifier
-	mask, want uint64
-	in         chan wawJob
-	done       chan struct{}
-}
-
-func (w *wawWorker) run() {
-	for job := range w.in {
-		for i := range job.batch {
-			ce := &job.batch[i]
-			self, cross := w.cls.classify(ce.tid, ce.start, ce.end, ce.lines, w.mask, w.want)
-			var f uint8
-			if self {
-				f |= flagSelf
-			}
-			if cross {
-				f |= flagCross
-			}
-			job.flags[i] = f
-		}
-		w.done <- struct{}{}
-	}
-}
-
-// merger replays closed epochs in global fence order — exactly the order
-// the serial analyzer calls closeEpoch in, so every line's last-writer
-// history evolves identically and the WAW counts match. Epochs arrive
-// from each shard already idx-sorted, so the merge is a k-way head
-// selection gated by the minimum shard watermark: an epoch is retired
-// only once every shard has passed its index, i.e. once no earlier epoch
-// can still arrive. Retired epochs are buffered into batches and
-// classified by the line-partitioned workers; a drain runs only when the
-// minimum watermark actually advances, so bursts of shard messages cost
-// one merge scan, not one per message.
-type merger struct {
-	a *Analysis
-
-	marks []uint64
-	safe  uint64
-
-	epochQ    [][]closedEpoch
-	epochHead []int
-	// epochHeadIdx caches each shard queue's head global index (^0 when
-	// empty) so the k-way selection scans a flat array instead of
-	// dereferencing queue heads.
-	epochHeadIdx []uint64
-	txQ          [][]txRec
-	txHead       []int
-	txHeadIdx    []uint64
-
-	batch   []closedEpoch
-	workers []*wawWorker
-	flags   [][]uint8
-}
-
-const emptyQueue = ^uint64(0)
-
-func newMerger(nshards int) *merger {
-	mg := &merger{
-		a:            &Analysis{},
-		marks:        make([]uint64, nshards),
-		epochQ:       make([][]closedEpoch, nshards),
-		epochHead:    make([]int, nshards),
-		epochHeadIdx: make([]uint64, nshards),
-		txQ:          make([][]txRec, nshards),
-		txHead:       make([]int, nshards),
-		txHeadIdx:    make([]uint64, nshards),
-		workers:      make([]*wawWorker, nshards),
-		flags:        make([][]uint8, nshards),
-	}
-	for s := 0; s < nshards; s++ {
-		mg.epochHeadIdx[s] = emptyQueue
-		mg.txHeadIdx[s] = emptyQueue
-		w := &wawWorker{
-			cls:  newClassifier(),
-			mask: uint64(nshards - 1),
-			want: uint64(s),
-			in:   make(chan wawJob),
-			done: make(chan struct{}),
-		}
-		mg.workers[s] = w
-		go w.run()
-	}
-	return mg
-}
-
-func (mg *merger) consume(msg shardMsg) {
-	if msg.final != nil {
-		f := msg.final
-		mg.a.CacheableStores += f.cacheableStores
-		mg.a.NTStores += f.ntStores
-		mg.a.CacheableBytes += f.cacheableBytes
-		mg.a.NTBytes += f.ntBytes
-		mg.a.TotalPMBytes += f.totalPMBytes
-		mg.a.UserBytes += f.userBytes
-		mg.a.PMAccesses += f.pmAccesses
-		mg.a.DRAMAccesses += f.dramEvents
-		mg.a.TotalEpochs += int(f.totalEpochs)
-		for i, n := range f.sizeHist {
-			mg.a.SizeHist[i] += int(n)
-		}
-		mg.a.Singletons += int(f.singletons)
-		mg.a.SmallSingletons += int(f.smallSingletons)
-	}
-	s := msg.shard
-	if len(msg.epochs) > 0 {
-		// Copy into the shard's queue (the 56-byte records are cheaper to
-		// copy than to track ownership of), so the arrival buffer can go
-		// straight back to the shard's free list. Compact the drained
-		// prefix before appending: under steady flow the queue almost
-		// never empties completely (a tail above the watermark is the
-		// common case), so waiting for head == len would let the dead
-		// prefix — and the backing array — grow without bound. Shifting
-		// once the prefix passes half the queue keeps the cost amortized
-		// O(1) per record and the capacity at ~2× the live backlog.
-		if h := mg.epochHead[s]; h > 0 {
-			if h == len(mg.epochQ[s]) {
-				mg.epochQ[s] = mg.epochQ[s][:0]
-				mg.epochHead[s] = 0
-			} else if h > len(mg.epochQ[s])/2 {
-				n := copy(mg.epochQ[s], mg.epochQ[s][h:])
-				mg.epochQ[s] = mg.epochQ[s][:n]
-				mg.epochHead[s] = 0
-			}
-		}
-		mg.epochQ[s] = append(mg.epochQ[s], msg.epochs...)
-		mg.epochHeadIdx[s] = mg.epochQ[s][mg.epochHead[s]].idx
-	}
-	if len(msg.txs) > 0 {
-		if h := mg.txHead[s]; h > 0 {
-			if h == len(mg.txQ[s]) {
-				mg.txQ[s] = mg.txQ[s][:0]
-				mg.txHead[s] = 0
-			} else if h > len(mg.txQ[s])/2 {
-				n := copy(mg.txQ[s], mg.txQ[s][h:])
-				mg.txQ[s] = mg.txQ[s][:n]
-				mg.txHead[s] = 0
-			}
-		}
-		mg.txQ[s] = append(mg.txQ[s], msg.txs...)
-		mg.txHeadIdx[s] = mg.txQ[s][mg.txHead[s]].idx
-	}
-	if msg.mark > mg.marks[s] {
-		mg.marks[s] = msg.mark
-		safe := mg.marks[0]
-		for _, w := range mg.marks[1:] {
-			if w < safe {
-				safe = w
-			}
-		}
-		// Batched watermark merge: only a strictly advanced minimum can
-		// unlock new epochs (a shard's fresh epochs always carry indices
-		// at or above its previous mark), so anything else skips the
-		// k-way drain entirely.
-		if safe > mg.safe {
-			mg.safe = safe
-			mg.drain(safe)
-		}
-	}
-}
-
-// drain retires, in ascending global index, every buffered epoch and
-// transaction below the safe watermark. Epochs accumulate into the WAW
-// batch; transactions append straight to the Figure 3 inputs in global
-// commit order, matching the serial append at each KTxEnd.
-func (mg *merger) drain(safe uint64) {
-	for {
-		best, bestIdx := -1, safe
-		for s, hi := range mg.epochHeadIdx {
-			if hi < bestIdx {
-				best, bestIdx = s, hi
-			}
-		}
-		if best == -1 {
-			break
-		}
-		h := mg.epochHead[best]
-		mg.batch = append(mg.batch, mg.epochQ[best][h])
-		if len(mg.batch) >= wawBatchSize {
-			mg.flushBatch()
-		}
-		h++
-		if h == len(mg.epochQ[best]) {
-			mg.epochQ[best] = mg.epochQ[best][:0]
-			h = 0
-			mg.epochHeadIdx[best] = emptyQueue
-		} else {
-			mg.epochHeadIdx[best] = mg.epochQ[best][h].idx
-		}
-		mg.epochHead[best] = h
-	}
-	for {
-		best, bestIdx := -1, safe
-		for s, hi := range mg.txHeadIdx {
-			if hi < bestIdx {
-				best, bestIdx = s, hi
-			}
-		}
-		if best == -1 {
-			break
-		}
-		// The slice stays nil when there are no transactions, like the
-		// serial path.
-		h := mg.txHead[best]
-		mg.a.TxEpochCounts = append(mg.a.TxEpochCounts, mg.txQ[best][h].count)
-		h++
-		if h == len(mg.txQ[best]) {
-			mg.txQ[best] = mg.txQ[best][:0]
-			h = 0
-			mg.txHeadIdx[best] = emptyQueue
-		} else {
-			mg.txHeadIdx[best] = mg.txQ[best][h].idx
-		}
-		mg.txHead[best] = h
-	}
-}
-
-// flushBatch fork-joins the buffered epochs across the line-partitioned
-// classifiers and folds the per-worker flags into the Figure 5 counts.
-// Batches flush in retirement order and the join is a barrier, so each
-// worker sees its lines in exactly the global epoch order.
-func (mg *merger) flushBatch() {
-	n := len(mg.batch)
-	if n == 0 {
-		return
-	}
-	for w, wk := range mg.workers {
-		if cap(mg.flags[w]) < n {
-			mg.flags[w] = make([]uint8, n)
-		}
-		mg.flags[w] = mg.flags[w][:n]
-		wk.in <- wawJob{batch: mg.batch, flags: mg.flags[w]}
-	}
-	for _, wk := range mg.workers {
-		<-wk.done
-	}
-	for i := 0; i < n; i++ {
-		var f uint8
-		for w := range mg.workers {
-			f |= mg.flags[w][i]
-		}
-		if f&flagSelf != 0 {
-			mg.a.SelfDepEpochs++
-		}
-		if f&flagCross != 0 {
-			mg.a.CrossDepEpochs++
-		}
-	}
-	mg.batch = mg.batch[:0]
-}
-
-// finish flushes the final partial batch and retires the worker fleet.
-// By the time the merge loop exits every shard has delivered its final
-// watermark (^0), so the last consume already drained every epoch into
-// the batch.
-func (mg *merger) finish() {
-	mg.flushBatch()
-	for _, wk := range mg.workers {
-		close(wk.in)
-	}
-}
-
-// runShard consumes one shard's chunk stream and reduces it, shipping the
-// epochs and transactions each chunk closes to the merge along with the
-// chunk's watermark. A shard owns every event of the TIDs routed to it,
-// in original order, so its epoch segmentation is exactly the serial
-// per-thread state machine — minus the per-event map lookups: thread
-// state is cached across consecutive events of the same TID, and the
-// open line set is a linearly-scanned slice until an epoch grows past
-// spillLines. All order-independent statistics reduce here; only the
-// WAW-relevant epoch record goes to the merge.
-func runShard(shard int, ch <-chan chunkMsg, chunkFree chan<- []indexedEvent, epochFree <-chan []closedEpoch, out chan<- shardMsg, sharded *obs.Counter) {
-	var scal shardScalars
-	var states threadStates
-	var lastTID int32
-	var lastST *threadState
-	var arena []mem.Line
-	var scratch []mem.Line
-
-	for msg := range ch {
-		sharded.Add(uint64(len(msg.events)))
-		var epochs []closedEpoch
-		var txs []txRec
-		for i := range msg.events {
-			e := msg.events[i].e
-			st := lastST
-			if st == nil || e.TID != lastTID {
-				st = states.get(e.TID)
-				lastTID, lastST = e.TID, st
-			}
-			switch e.Kind {
-			case trace.KStore, trace.KStoreNT:
-				if !st.dirty {
-					st.start = e.Time
-					st.dirty = true
-				}
-				if e.Size > 0 {
-					l := mem.LineOf(e.Addr)
-					end := mem.LineOf(e.Addr + mem.Addr(e.Size) - 1)
-					for ; l <= end; l++ {
-						st.addLine(l)
-					}
-				}
-				st.bytes += int(e.Size)
-				if e.Kind == trace.KStore {
-					scal.cacheableStores++
-					scal.cacheableBytes += uint64(e.Size)
-				} else {
-					scal.ntStores++
-					scal.ntBytes += uint64(e.Size)
-				}
-				scal.totalPMBytes += uint64(e.Size)
-				scal.pmAccesses++
-
-			case trace.KLoad:
-				scal.pmAccesses++
-
-			case trace.KVLoad, trace.KVStore:
-				scal.dramEvents++
-
-			case trace.KFence:
-				n := len(st.lines)
-				if st.spill != nil {
-					n = len(st.spill)
-				}
-				if n == 0 {
-					// Empty epoch (§5.1): nothing ordered, nothing closed.
-					st.dirty = false
-					st.bytes = 0
-					continue
-				}
-				scal.totalEpochs++
-				scal.sizeHist[sizeBucket(n)]++
-				if n == 1 {
-					scal.singletons++
-					if st.bytes < 10 {
-						scal.smallSingletons++
-					}
-				}
-				var lines []mem.Line
-				if st.spill != nil {
-					scratch = scratch[:0]
-					for l := range st.spill {
-						scratch = append(scratch, l)
-					}
-					arena, lines = appendArena(arena, scratch)
-				} else {
-					arena, lines = appendArena(arena, st.lines)
-				}
-				if epochs == nil {
-					select {
-					case b := <-epochFree:
-						epochs = b[:0]
-					default:
-						epochs = make([]closedEpoch, 0, 256)
-					}
-				}
-				epochs = append(epochs, closedEpoch{
-					idx:   msg.events[i].idx,
-					start: st.start,
-					end:   e.Time,
-					lines: lines,
-					tid:   e.TID,
-				})
-				st.lines = st.lines[:0]
-				st.spill = nil
-				st.bytes = 0
-				st.dirty = false
-				if st.inTx {
-					st.txCount++
-				}
-
-			case trace.KTxBegin:
-				st.inTx = true
-				st.txCount = 0
-
-			case trace.KTxEnd:
-				if st.inTx {
-					if st.txCount > 0 {
-						txs = append(txs, txRec{idx: msg.events[i].idx, count: st.txCount})
-					}
-					st.inTx = false
-				}
-
-			case trace.KUserData:
-				scal.userBytes += uint64(e.Size)
-			}
-		}
-		select {
-		case chunkFree <- msg.events[:0]:
-		default:
-		}
-		out <- shardMsg{shard: shard, epochs: epochs, txs: txs, mark: msg.upTo}
-	}
-	out <- shardMsg{shard: shard, mark: ^uint64(0), final: &scal}
 }
 
 // addLine records a unique line in the open epoch, spilling from the
@@ -1072,22 +339,4 @@ func (st *threadState) addLine(l mem.Line) {
 		return
 	}
 	st.lines = append(st.lines, l)
-}
-
-// appendArena copies src into a chunked arena and returns the arena plus
-// the stable subslice holding the copy. Closed epochs keep their line
-// lists alive only until the merge retires them, so per-epoch
-// allocations are batched into moderate blocks that free as the merge
-// watermark advances, instead of one tiny allocation per fence.
-func appendArena(arena, src []mem.Line) (newArena, out []mem.Line) {
-	if len(arena)+len(src) > cap(arena) {
-		capNeed := 1 << 12
-		if len(src) > capNeed {
-			capNeed = len(src)
-		}
-		arena = make([]mem.Line, 0, capNeed)
-	}
-	start := len(arena)
-	arena = append(arena, src...)
-	return arena, arena[start:len(arena):len(arena)]
 }

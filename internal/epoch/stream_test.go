@@ -2,41 +2,21 @@ package epoch
 
 import (
 	"math/rand"
-	"reflect"
-	"runtime"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
-func analyzeBoth(t *testing.T, tr *trace.Trace) (*Analysis, *Analysis) {
-	t.Helper()
-	serial := Analyze(tr)
-	streamed, err := AnalyzeStream(trace.NewSliceSource(tr))
-	if err != nil {
-		t.Fatalf("AnalyzeStream: %v", err)
-	}
-	return serial, streamed
-}
-
-func requireIdentical(t *testing.T, serial, streamed *Analysis) {
-	t.Helper()
-	if !reflect.DeepEqual(serial, streamed) {
-		t.Fatalf("streamed analysis diverges from serial:\nserial:   %+v\nstreamed: %+v", serial, streamed)
-	}
-}
-
 func TestStreamEmptyTrace(t *testing.T) {
-	serial, streamed := analyzeBoth(t, &trace.Trace{App: "x", Layer: "native", Threads: 3})
-	requireIdentical(t, serial, streamed)
-	if streamed.TxEpochCounts != nil {
+	a := requireMatchesOracle(t, &trace.Trace{App: "x", Layer: "native", Threads: 3})
+	if a.TxEpochCounts != nil {
 		t.Fatal("TxEpochCounts not nil on empty trace")
 	}
 }
 
 func TestStreamStructured(t *testing.T) {
-	// A hand-built multi-thread trace exercising every merge concern:
+	// A hand-built multi-thread trace exercising every concern at once:
 	// cross-thread WAW inside and outside the window, overlapping epochs,
 	// transactions, spilled (>spillLines lines) epochs, zero-size stores,
 	// volatile events, user data.
@@ -80,19 +60,18 @@ func TestStreamStructured(t *testing.T) {
 	add(st(0, 54, base+192, 8))
 	add(fence(0, 55))
 
-	serial, streamed := analyzeBoth(t, tr)
-	if serial.CrossDepEpochs == 0 || serial.SelfDepEpochs == 0 {
+	a := requireMatchesOracle(t, tr)
+	if a.CrossDepEpochs == 0 || a.SelfDepEpochs == 0 {
 		t.Fatal("structured trace failed to produce both dependency kinds")
 	}
-	if serial.SizeHist[NumSizeBuckets-1] == 0 {
+	if a.SizeHist[NumSizeBuckets-1] == 0 {
 		t.Fatal("structured trace failed to produce a spilled epoch")
 	}
-	requireIdentical(t, serial, streamed)
 }
 
 // genRandomTrace builds a seeded random trace with contended lines,
 // interleaved transactions, and bursty fences — the shared workload of
-// the streaming equivalence tests.
+// the oracle equality tests.
 func genRandomTrace(seed int64) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	threads := 1 + rng.Intn(8)
@@ -145,72 +124,17 @@ func genRandomTrace(seed int64) *trace.Trace {
 }
 
 // TestStreamMatchesSerialRandom is the equivalence property test: on
-// randomized traces, AnalyzeStream must equal Analyze exactly.
+// randomized traces, the analysis must equal the reference walk exactly,
+// whichever kind of source feeds it.
 func TestStreamMatchesSerialRandom(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		serial, streamed := analyzeBoth(t, genRandomTrace(seed))
-		if !reflect.DeepEqual(serial, streamed) {
-			t.Fatalf("seed %d: streamed analysis diverges\nserial:   %+v\nstreamed: %+v", seed, serial, streamed)
-		}
-	}
-}
-
-// TestStreamShardMatrix pins the shard count directly (bypassing the
-// GOMAXPROCS clamp) and sweeps GOMAXPROCS × shard count over random
-// traces: every configuration — inline path, partial fan-out, full
-// 16-way fan-out on a single P — must be DeepEqual to the serial
-// analyzer.
-func TestStreamShardMatrix(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, nshards := range []int{1, 2, 4, 16} {
-			for seed := int64(0); seed < 6; seed++ {
-				tr := genRandomTrace(seed)
-				serial := Analyze(tr)
-				streamed, err := analyzeStream(trace.NewSliceSource(tr), nshards)
-				if err != nil {
-					t.Fatalf("procs=%d shards=%d seed=%d: analyzeStream: %v", procs, nshards, seed, err)
-				}
-				if !reflect.DeepEqual(serial, streamed) {
-					t.Fatalf("procs=%d shards=%d seed=%d: diverges\nserial:   %+v\nstreamed: %+v",
-						procs, nshards, seed, serial, streamed)
-				}
-			}
-		}
-	}
-}
-
-// TestShardCount pins the fan-out policy: power-of-two cover of the
-// thread count, clamped to GOMAXPROCS and maxShards, with degenerate
-// metadata falling back to one shard.
-func TestShardCount(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	cases := []struct {
-		threads, procs, want int
-	}{
-		{threads: 0, procs: 4, want: 1},  // degenerate metadata
-		{threads: -3, procs: 4, want: 1}, // degenerate metadata
-		{threads: 1, procs: 8, want: 1},
-		{threads: 4, procs: 1, want: 1}, // 1-CPU box: always inline
-		{threads: 4, procs: 2, want: 2},
-		{threads: 4, procs: 4, want: 4},
-		{threads: 8, procs: 3, want: 2}, // never exceed GOMAXPROCS
-		{threads: 5, procs: 16, want: 8},
-		{threads: 100, procs: 16, want: maxShards},
-	}
-	for _, c := range cases {
-		runtime.GOMAXPROCS(c.procs)
-		if got := shardCount(c.threads); got != c.want {
-			t.Errorf("shardCount(threads=%d) at GOMAXPROCS=%d = %d, want %d",
-				c.threads, c.procs, got, c.want)
-		}
+		requireMatchesOracle(t, genRandomTrace(seed))
 	}
 }
 
 // TestStreamDegenerateThreads is the regression test for Meta.Threads <= 0
-// (hand-built or corrupt traces): AnalyzeStream must fall back to one
-// shard and still match the serial analyzer.
+// (hand-built or corrupt traces): the analysis sizes nothing from the
+// header count and must still match the reference walk.
 func TestStreamDegenerateThreads(t *testing.T) {
 	for _, threads := range []int{0, -5} {
 		tr := mk(
@@ -220,23 +144,21 @@ func TestStreamDegenerateThreads(t *testing.T) {
 			fence(1, 4),
 		)
 		tr.Threads = threads
-		serial, streamed := analyzeBoth(t, tr)
-		requireIdentical(t, serial, streamed)
+		requireMatchesOracle(t, tr)
 	}
 }
 
 func TestStreamManyThreadsBeyondShardCap(t *testing.T) {
-	// More TIDs than maxShards: several threads share a shard and the
-	// cached thread-state pointer must switch correctly.
-	tr := &trace.Trace{App: "wide", Layer: "native", Threads: 3 * maxShards}
-	for i := 0; i < 3*maxShards; i++ {
+	// Many interleaved TIDs: the cached thread-state pointer must switch
+	// correctly on every event.
+	tr := &trace.Trace{App: "wide", Layer: "native", Threads: 48}
+	for i := 0; i < 48; i++ {
 		tid := int32(i)
 		tr.Append(st(tid, mem.Time(10*i+1), mem.PMBase+mem.Addr(i)*mem.LineSize, 8))
 		tr.Append(st(tid, mem.Time(10*i+2), mem.PMBase, 8)) // shared line
 		tr.Append(fence(tid, mem.Time(10*i+3)))
 	}
-	serial, streamed := analyzeBoth(t, tr)
-	requireIdentical(t, serial, streamed)
+	requireMatchesOracle(t, tr)
 }
 
 func TestStreamNegativeTID(t *testing.T) {
@@ -247,6 +169,5 @@ func TestStreamNegativeTID(t *testing.T) {
 		fence(-2, 4),
 	)
 	tr.Threads = 2
-	serial, streamed := analyzeBoth(t, tr)
-	requireIdentical(t, serial, streamed)
+	requireMatchesOracle(t, tr)
 }

@@ -14,7 +14,7 @@ import (
 // sanitizing the same trace twice renders byte-identically.
 func FuzzSanitizer(f *testing.F) {
 	var v1, v2 bytes.Buffer
-	if err := trace.Encode(&v1, brokenWorkload()); err != nil {
+	if err := trace.EncodeV1(&v1, brokenWorkload()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v1.Bytes())

@@ -7,7 +7,8 @@ import (
 	"io"
 )
 
-// Binary trace format:
+// Binary trace format, version 1 (read-only: the repo writes version 2,
+// see stream.go; files in this layout keep decoding through Reader):
 //
 //	magic "WSPR" | version u8
 //	app string | layer string | threads uvarint
@@ -30,8 +31,10 @@ const (
 	maxPreallocEvents = 1 << 16
 )
 
-// Encode writes t to w in the binary trace format.
-func Encode(w io.Writer, t *Trace) error {
+// EncodeV1 writes t to w in the version 1 layout. It exists for the
+// compatibility tests and the codec benchmark's v1 column, which need v1
+// bytes to feed the Reader; nothing outside tests calls it.
+func EncodeV1(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
 		return err

@@ -14,7 +14,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	seed := func(tr *Trace) {
 		var buf bytes.Buffer
-		if err := Encode(&buf, tr); err != nil {
+		if err := EncodeV1(&buf, tr); err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
 		f.Add(buf.Bytes())
@@ -39,7 +39,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := Encode(&buf, tr); err != nil {
+		if err := EncodeV1(&buf, tr); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)
 		}
 		tr2, err := Decode(bytes.NewReader(buf.Bytes()))

@@ -64,7 +64,7 @@ const (
 	// maxThreads bounds the header thread count trusted from either codec
 	// version, mirroring the string-length bound in readString. The count
 	// is attacker-controlled input that downstream consumers use to size
-	// per-thread state (analysis shard routing, dense per-TID tables), and
+	// per-thread state (dense per-TID tables), and
 	// the raw uvarint cast to int would go negative for values >= 2^63 on
 	// 64-bit platforms. Honest traces stay far below: the suite runs at
 	// most 8 client threads and the sharded service a few thousand.
@@ -80,9 +80,9 @@ type Meta struct {
 
 // EventSource is the streaming view of a trace: run metadata up front,
 // events in recorded order, aggregate volatile counters once the stream
-// is exhausted. It is the input of the sharded analysis pipeline
+// is exhausted. It is the input of the epoch analysis
 // (internal/epoch.AnalyzeStream) and of the streaming cache and HOPS
-// replays; *Reader and *SliceSource implement it.
+// replays; *Reader, *SliceSource and *Branch implement it.
 type EventSource interface {
 	// Meta returns the stream's run metadata.
 	Meta() Meta

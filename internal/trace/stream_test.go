@@ -98,7 +98,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 			orig := genTrace(rng, n)
 
 			var v1 bytes.Buffer
-			if err := Encode(&v1, orig); err != nil {
+			if err := EncodeV1(&v1, orig); err != nil {
 				t.Fatalf("seed %d n %d: Encode: %v", seed, n, err)
 			}
 			got, err := Decode(bytes.NewReader(v1.Bytes()))
@@ -401,7 +401,7 @@ func TestReaderStickyError(t *testing.T) {
 func TestV1ReaderVolatileUpFront(t *testing.T) {
 	tr := &Trace{App: "v", Layer: "native", Threads: 1, VolatileLoads: 11, VolatileStores: 22}
 	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
+	if err := EncodeV1(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := NewReader(&buf)

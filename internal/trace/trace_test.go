@@ -28,7 +28,7 @@ func sampleTrace() *Trace {
 func TestCodecRoundTrip(t *testing.T) {
 	orig := sampleTrace()
 	var buf bytes.Buffer
-	if err := Encode(&buf, orig); err != nil {
+	if err := EncodeV1(&buf, orig); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	got, err := Decode(&buf)
@@ -53,7 +53,7 @@ func TestCodecRoundTripRandom(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, orig); err != nil {
+	if err := EncodeV1(&buf, orig); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	got, err := Decode(&buf)
@@ -80,7 +80,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestDecodeRejectsTruncatedEvents(t *testing.T) {
 	orig := sampleTrace()
 	var buf bytes.Buffer
-	if err := Encode(&buf, orig); err != nil {
+	if err := EncodeV1(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -98,7 +98,7 @@ func TestDecodeRejectsTruncatedEvents(t *testing.T) {
 func TestDecodeAbsurdCountDoesNotPreallocate(t *testing.T) {
 	var buf bytes.Buffer
 	empty := &Trace{App: "x", Layer: "native", Threads: 1}
-	if err := Encode(&buf, empty); err != nil {
+	if err := EncodeV1(&buf, empty); err != nil {
 		t.Fatal(err)
 	}
 	// The encoding of an empty trace ends with the count uvarint (0x00).
@@ -143,7 +143,7 @@ func TestDecodeRejectsAbsurdThreadCount(t *testing.T) {
 	// The bound itself must round-trip: a trace at maxThreads is honest.
 	var buf bytes.Buffer
 	ok := &Trace{App: "x", Layer: "native", Threads: maxThreads}
-	if err := Encode(&buf, ok); err != nil {
+	if err := EncodeV1(&buf, ok); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -164,7 +164,7 @@ func TestDecodeLargeHonestTrace(t *testing.T) {
 		orig.Append(Event{Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i*8), Size: 8, Kind: KStore})
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, orig); err != nil {
+	if err := EncodeV1(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -190,7 +190,7 @@ func TestCodecRoundTripAdversarialFields(t *testing.T) {
 	orig.Append(Event{Time: 1<<64 - 1, Addr: 1<<64 - 1, Size: 1, TID: 2147483647}) // max deltas forward
 	orig.Append(Event{Time: 5, Addr: 3, Size: 1<<32 - 1, TID: 0, Kind: KUserData})
 	var buf bytes.Buffer
-	if err := Encode(&buf, orig); err != nil {
+	if err := EncodeV1(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)

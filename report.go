@@ -8,6 +8,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/hops"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // Report is the epoch-level analysis of one benchmark run — every number
@@ -55,10 +56,6 @@ type Report struct {
 // SizeBucketLabels are the Figure 4 bucket names.
 var SizeBucketLabels = epoch.SizeBucketLabels
 
-func analyze(t *Trace) *Report {
-	return newReport(epoch.Analyze(t.tr), t)
-}
-
 // newReport shapes an epoch analysis into the public Report. t may be nil
 // when the analysis came from the streaming path, which never materializes
 // a trace.
@@ -83,7 +80,10 @@ func newReport(a *epoch.Analysis, t *Trace) *Report {
 }
 
 // Analyze computes a Report from a previously recorded trace.
-func Analyze(t *Trace) *Report { return analyze(t) }
+func Analyze(t *Trace) *Report {
+	a, _ := pipeline(trace.NewSliceSource(t.tr), nil) // a slice source cannot fail
+	return newReport(a, t)
+}
 
 // String renders the report as a compact table.
 func (r *Report) String() string {

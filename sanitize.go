@@ -14,7 +14,7 @@ import (
 // ordering errors (state a transaction publishes at TxEnd without a
 // covering flush/fence) and performance smells (redundant flushes,
 // no-op fences). It runs over a retained trace (Sanitize), a stored
-// trace file (SanitizeReader), or inline in the streaming pipeline
+// trace file (SanitizeReader), or as a tap of the streaming pipeline
 // (RunStreamSanitized) — all three produce byte-identical reports for
 // the same run.
 
@@ -133,9 +133,13 @@ func SanitizeReader(r io.Reader) (*SanReport, error) {
 	return &SanReport{rep: rep}, nil
 }
 
-// RunStreamSanitized is RunStream with the sanitizer tapping the event
-// stream inline: one execution produces both the analysis report and
+// RunStreamSanitized is RunStream with the sanitizer tapping the same
+// pass: one execution produces both the analysis report and
 // the sanitizer report, and the trace is still never materialized.
 func RunStreamSanitized(name string, cfg Config, traceOut io.Writer) (*Report, *SanReport, error) {
-	return runStreamed(name, cfg, traceOut, true)
+	fr, err := RunStreamFused(name, cfg, FusedConfig{Sanitize: true}, traceOut)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fr.Report, fr.San, nil
 }

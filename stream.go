@@ -1,32 +1,104 @@
 package whisper
 
 import (
-	"fmt"
 	"io"
-	"time"
+	"sync"
 
 	"github.com/whisper-pm/whisper/internal/epoch"
-	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/pmsan"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
-// Streaming execution path: the benchmark runs in its own goroutine with
-// a persist event sink installed, events flow through a bounded channel
-// of chunks into the sharded epoch analysis, and the full event slice is
-// never materialized. The resulting Report is identical to the Run path
+// One pass, any number of consumers. Every analysis entry point of the
+// package — a live run, a saved file or a retained trace — is
+// pipeline(src, taps): the epoch analysis reads src, and whatever else
+// wants the events (the sanitizer, the cache simulation, the v2 trace
+// writer; see fused) rides the same pass as a tap on its own trace.Fanout
+// branch. Each consumer sees the identical event sequence, so its output
+// is byte-identical to reading the source alone, and the source is
+// executed or decoded exactly once.
+
+// tap is one extra consumer of a pipeline pass. It drains its branch and
+// keeps its own result; an error from any tap fails the pass.
+type tap func(*trace.Branch) error
+
+// pipeline runs the epoch analysis over src on the calling goroutine
+// with every tap consuming the same events concurrently. Without taps
+// nothing is fanned out: the analysis reads src directly.
+func pipeline(src trace.EventSource, taps []tap) (*epoch.Analysis, error) {
+	if len(taps) == 0 {
+		return epoch.AnalyzeStream(src)
+	}
+	branches := trace.Fanout(src, 1+len(taps))
+	errs := make([]error, len(taps))
+	var wg sync.WaitGroup
+	for i, t := range taps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A tap that gives up early must release the pump, or the
+			// other branches stall behind its full queue.
+			defer branches[1+i].Close()
+			errs[i] = t(branches[1+i])
+		}()
+	}
+	a, err := epoch.AnalyzeStream(branches[0])
+	branches[0].Close()
+	wg.Wait()
+	for _, terr := range errs {
+		if err == nil {
+			err = terr
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// writeV2 is the trace-file tap: it copies its branch to w in the chunked
+// v2 format.
+func writeV2(w io.Writer, src *trace.Branch) error {
+	tw, err := trace.NewWriter(w, src.Meta())
+	if err != nil {
+		return err
+	}
+	for {
+		chunk, err := src.NextChunk()
+		if err == io.EOF {
+			return tw.Close(src.Volatile())
+		}
+		if err != nil {
+			return err
+		}
+		for _, e := range chunk {
+			if err := tw.Write(e); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// Live runs: the benchmark executes in its own goroutine with a persist
+// event sink installed, and its events reach the pipeline through a
+// bounded channel of chunks, so the full event slice is never
+// materialized. The resulting Report is identical to Run's
 // (TestStreamMatchesSerial asserts it on every suite member); only its
 // Trace field is nil, since there is no retained trace to attach.
 
 // streamChunk is the producer-side batch size: the benchmark goroutine
-// hands events to the analysis in chunks so channel synchronization
-// amortizes across events.
+// hands events over in chunks so channel synchronization amortizes across
+// events.
 const streamChunk = 512
 
+// streamDepth bounds the chunks in flight between the benchmark and its
+// consumer: enough that neither side waits on every chunk, small enough
+// that a run's memory stays a few thousand events.
+const streamDepth = 8
+
 // chanSource adapts a bounded channel of event chunks to
-// trace.EventSource. The producer closes the channel when the run
+// trace.ChunkSource. The producer closes the channel when the run
 // completes (after publishing volatile counters and any run error), so
-// Volatile and Err are safe to read once Next has returned io.EOF.
+// Volatile is complete once Next has returned io.EOF.
 type chanSource struct {
 	meta trace.Meta
 	ch   chan []trace.Event
@@ -46,23 +118,18 @@ func (c *chanSource) Meta() trace.Meta { return c.meta }
 
 func (c *chanSource) Next() (trace.Event, error) {
 	for c.pos >= len(c.cur) {
-		chunk, ok := <-c.ch
-		if !ok {
-			if c.runErr != nil {
-				return trace.Event{}, c.runErr
-			}
-			return trace.Event{}, io.EOF
+		if _, err := c.NextChunk(); err != nil {
+			return trace.Event{}, err
 		}
-		c.cur, c.pos = chunk, 0
+		c.pos = 0
 	}
 	e := c.cur[c.pos]
 	c.pos++
 	return e, nil
 }
 
-// NextChunk yields whole producer batches (trace.ChunkSource), so the
-// analysis demux pays one channel receive — not one interface call — per
-// chunk of events.
+// NextChunk yields whole producer batches, so consumers pay one channel
+// receive — not one interface call — per chunk of events.
 func (c *chanSource) NextChunk() ([]trace.Event, error) {
 	if c.pos < len(c.cur) {
 		chunk := c.cur[c.pos:]
@@ -82,198 +149,63 @@ func (c *chanSource) NextChunk() ([]trace.Event, error) {
 
 func (c *chanSource) Volatile() (loads, stores uint64) { return c.vloads, c.vstores }
 
+// startStream launches the named benchmark in a producer goroutine and
+// returns the source its events arrive on. The goroutine ends with the
+// run; the consumer must read the source to its end (io.EOF or the run's
+// error), which pipeline always does.
+func startStream(name string, cfg Config) (*chanSource, error) {
+	b, cfg, err := resolve(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	src := &chanSource{
+		meta: trace.Meta{App: b.Name, Layer: b.Layer, Threads: cfg.Clients},
+		ch:   make(chan []trace.Event, streamDepth),
+	}
+	go func() {
+		chunk := make([]trace.Event, 0, streamChunk)
+		flush := func() {
+			if len(chunk) > 0 {
+				src.ch <- chunk
+				chunk = make([]trace.Event, 0, streamChunk)
+			}
+		}
+		// The sink runs under the benchmark's deterministic scheduler;
+		// only this goroutine touches chunk.
+		rt, err := b.exec(cfg, func(e trace.Event) {
+			chunk = append(chunk, e)
+			if len(chunk) == streamChunk {
+				flush()
+			}
+		})
+		flush()
+		src.runErr = err
+		src.vloads, src.vstores = rt.Trace.VolatileLoads, rt.Trace.VolatileStores
+		close(src.ch)
+	}()
+	return src, nil
+}
+
 // RunStream executes the named benchmark and analyzes its event stream on
 // the fly, without ever holding the full trace in memory. The returned
 // Report is identical to Run's except that Report.Trace is nil. When
-// traceOut is non-nil, the stream is also tee'd to it in the chunked v2
+// traceOut is non-nil, the stream is also written to it in the chunked v2
 // trace format (readable by DecodeTrace, wanalyze -dir, and AnalyzeReader).
 func RunStream(name string, cfg Config, traceOut io.Writer) (*Report, error) {
-	rep, _, err := runStreamed(name, cfg, traceOut, false)
-	return rep, err
-}
-
-// startStream prepares the channel-backed source for the named benchmark
-// and returns it with a launch function that starts the producer
-// goroutine. Splitting preparation from launch lets callers finish
-// fallible setup (e.g. creating a trace writer from src's metadata)
-// before any goroutine exists to leak.
-func startStream(name string, cfg Config) (src *chanSource, launch func(), err error) {
-	b, err := find(name)
+	fr, err := RunStreamFused(name, cfg, FusedConfig{}, traceOut)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	clients := cfg.Clients
-	if clients <= 0 {
-		clients = b.defaultClients
-	}
-	ops := cfg.Ops
-	if ops <= 0 {
-		ops = b.defaultOps
-	}
-
-	src = &chanSource{
-		meta: trace.Meta{App: b.Name, Layer: b.Layer, Threads: clients},
-		ch:   make(chan []trace.Event, 8),
-	}
-	launch = func() {
-		go func() {
-			rt := persist.NewRuntime(b.Name, b.Layer, clients, persist.Config{})
-			chunk := make([]trace.Event, 0, streamChunk)
-			flush := func() {
-				if len(chunk) > 0 {
-					src.ch <- chunk
-					chunk = make([]trace.Event, 0, streamChunk)
-				}
-			}
-			// The sink runs under the benchmark's deterministic scheduler;
-			// only this goroutine touches chunk.
-			rt.SetEventSink(func(e trace.Event) {
-				chunk = append(chunk, e)
-				if len(chunk) == streamChunk {
-					flush()
-				}
-			})
-			defer func() {
-				// A benchmark panic must not wedge the analysis side: record
-				// the failure, then close the channel so Next unblocks.
-				if r := recover(); r != nil {
-					src.runErr = fmt.Errorf("whisper: %s panicked: %v", b.Name, r)
-				}
-				flush()
-				src.vloads = rt.Trace.VolatileLoads
-				src.vstores = rt.Trace.VolatileStores
-				close(src.ch)
-			}()
-			start := time.Now()
-			b.run(rt, clients, ops, cfg.Seed)
-			publishRunMetrics(b.Name, rt, time.Since(start), clients*ops)
-		}()
-	}
-	return src, launch, nil
+	return fr.Report, nil
 }
-
-// runStreamed is the shared streaming body: benchmark producer goroutine,
-// optional trace tee, optional inline sanitizer tap, sharded analysis.
-func runStreamed(name string, cfg Config, traceOut io.Writer, sanitize bool) (*Report, *SanReport, error) {
-	src, launch, err := startStream(name, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var tw *trace.Writer
-	if traceOut != nil {
-		tw, err = trace.NewWriter(traceOut, src.meta)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	launch()
-
-	// The consumer chain: channel source, optionally tee'd to the trace
-	// writer, optionally tapped by the sanitizer. The sanitizer wrapper
-	// preserves the chunked fast path when the underlying source has one
-	// (the tee is Next-only, so its wrapper is too).
-	var consumer trace.EventSource = src
-	if tw != nil {
-		consumer = teeSource{src: src, w: tw}
-	}
-	var san *pmsan.Sanitizer
-	if sanitize {
-		san = pmsan.New(src.meta)
-		if cs, ok := consumer.(trace.ChunkSource); ok {
-			consumer = observedChunkSource{observedSource{src: consumer, san: san}, cs}
-		} else {
-			consumer = observedSource{src: consumer, san: san}
-		}
-	}
-
-	a, err := epoch.AnalyzeStream(consumer)
-	if err == nil && tw != nil {
-		vl, vs := src.Volatile()
-		err = tw.Close(vl, vs)
-	}
-	if err != nil {
-		// Drain so the producer goroutine can always finish.
-		for range src.ch {
-		}
-		return nil, nil, err
-	}
-	var sanRep *SanReport
-	if san != nil {
-		sanRep = &SanReport{rep: san.Finish()}
-	}
-	return newReport(a, nil), sanRep, nil
-}
-
-// observedSource taps every event a consumer pulls into the sanitizer.
-type observedSource struct {
-	src trace.EventSource
-	san *pmsan.Sanitizer
-}
-
-func (o observedSource) Meta() trace.Meta { return o.src.Meta() }
-
-func (o observedSource) Next() (trace.Event, error) {
-	e, err := o.src.Next()
-	if err == nil {
-		o.san.Observe(e)
-	}
-	return e, err
-}
-
-func (o observedSource) Volatile() (loads, stores uint64) { return o.src.Volatile() }
-
-// observedChunkSource additionally forwards the chunked fast path.
-type observedChunkSource struct {
-	observedSource
-	cs trace.ChunkSource
-}
-
-func (o observedChunkSource) NextChunk() ([]trace.Event, error) {
-	chunk, err := o.cs.NextChunk()
-	if err == nil {
-		for _, e := range chunk {
-			o.san.Observe(e)
-		}
-	}
-	return chunk, err
-}
-
-// teeSource copies every event it yields into a trace.Writer.
-type teeSource struct {
-	src *chanSource
-	w   *trace.Writer
-}
-
-func (t teeSource) Meta() trace.Meta { return t.src.Meta() }
-
-func (t teeSource) Next() (trace.Event, error) {
-	e, err := t.src.Next()
-	if err != nil {
-		return e, err
-	}
-	if werr := t.w.Write(e); werr != nil {
-		return e, werr
-	}
-	return e, nil
-}
-
-func (t teeSource) Volatile() (loads, stores uint64) { return t.src.Volatile() }
 
 // AnalyzeReader computes a Report by streaming a saved trace (either
-// codec version) through the sharded analysis without materializing it.
-// The report matches Analyze(DecodeTrace(r)) exactly, with a nil Trace.
+// codec version) through the analysis without materializing it. The
+// report matches Analyze(DecodeTrace(r)) exactly, with a nil Trace.
 func AnalyzeReader(r io.Reader) (*Report, error) {
-	rd, err := trace.NewReader(r)
+	fr, err := AnalyzeReaderFused(r, FusedConfig{})
 	if err != nil {
 		return nil, err
 	}
-	a, err := epoch.AnalyzeStream(rd)
-	if err != nil {
-		return nil, err
-	}
-	return newReport(a, nil), nil
+	return fr.Report, nil
 }
-
-// EncodeV2 writes the trace in the chunked v2 trace format (framed,
-// CRC-checksummed event blocks; see internal/trace).
-func (t *Trace) EncodeV2(w io.Writer) error { return trace.EncodeV2(w, t.tr) }

@@ -66,10 +66,16 @@ func (t *Trace) Layer() string { return t.tr.Layer }
 // Events returns the number of recorded PM events.
 func (t *Trace) Events() int { return t.tr.Len() }
 
-// Encode writes the trace in the binary trace format.
-func (t *Trace) Encode(w io.Writer) error { return trace.Encode(w, t.tr) }
+// Encode writes the trace in the binary trace format (chunked v2: framed,
+// CRC-checksummed event blocks; see internal/trace).
+func (t *Trace) Encode(w io.Writer) error { return trace.EncodeV2(w, t.tr) }
 
-// DecodeTrace reads a trace previously written with Encode.
+// EncodeV2 is Encode under its earlier name, from when Encode still wrote
+// the v1 layout.
+func (t *Trace) EncodeV2(w io.Writer) error { return t.Encode(w) }
+
+// DecodeTrace reads a trace written with Encode, or a v1 file from an
+// earlier version of the suite.
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	tr, err := trace.Decode(r)
 	if err != nil {
@@ -217,35 +223,53 @@ var suite = []Benchmark{
 	},
 }
 
-func find(name string) (*Benchmark, error) {
+// resolve finds the named suite member and fills cfg's zero Clients and
+// Ops with its defaults.
+func resolve(name string, cfg Config) (*Benchmark, Config, error) {
 	for i := range suite {
-		if suite[i].Name == name {
-			return &suite[i], nil
+		if b := &suite[i]; b.Name == name {
+			if cfg.Clients <= 0 {
+				cfg.Clients = b.defaultClients
+			}
+			if cfg.Ops <= 0 {
+				cfg.Ops = b.defaultOps
+			}
+			return b, cfg, nil
 		}
 	}
-	return nil, fmt.Errorf("whisper: unknown benchmark %q (have %v)", name, Names())
+	return nil, cfg, fmt.Errorf("whisper: unknown benchmark %q (have %v)", name, Names())
+}
+
+// exec runs b to completion on a fresh runtime and returns the runtime.
+// With a sink, events go there instead of into rt.Trace. A panicking
+// member (redis exhausting its nvml pool, say) comes back as an error:
+// every entry point of the package reports it the same way.
+func (b *Benchmark) exec(cfg Config, sink func(trace.Event)) (rt *persist.Runtime, err error) {
+	rt = persist.NewRuntime(b.Name, b.Layer, cfg.Clients, persist.Config{})
+	rt.SetEventSink(sink)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("whisper: %s panicked: %v", b.Name, r)
+		}
+	}()
+	start := time.Now()
+	b.run(rt, cfg.Clients, cfg.Ops, cfg.Seed)
+	publishRunMetrics(b.Name, rt, time.Since(start), cfg.Clients*cfg.Ops)
+	return rt, nil
 }
 
 // Run executes the named benchmark and returns its analysis report (with
 // the raw trace attached).
 func Run(name string, cfg Config) (*Report, error) {
-	b, err := find(name)
+	b, cfg, err := resolve(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	clients := cfg.Clients
-	if clients <= 0 {
-		clients = b.defaultClients
+	rt, err := b.exec(cfg, nil)
+	if err != nil {
+		return nil, err
 	}
-	ops := cfg.Ops
-	if ops <= 0 {
-		ops = b.defaultOps
-	}
-	rt := persist.NewRuntime(b.Name, b.Layer, clients, persist.Config{})
-	start := time.Now()
-	b.run(rt, clients, ops, cfg.Seed)
-	publishRunMetrics(b.Name, rt, time.Since(start), clients*ops)
-	return analyze(&Trace{tr: rt.Trace}), nil
+	return Analyze(&Trace{tr: rt.Trace}), nil
 }
 
 // RunAll executes every benchmark with cfg serially and returns reports in
@@ -258,24 +282,10 @@ func RunAll(cfg Config) ([]*Report, error) {
 // concurrently and returns reports in suite order. Every run owns its own
 // device, clock, trace and scheduler, and all randomness derives from
 // cfg.Seed, so the reports (and their traces) are bit-identical to serial
-// execution regardless of worker count or completion order. workers <= 1
-// runs serially; workers above the suite size are clamped.
+// execution regardless of worker count or completion order. workers is
+// clamped to [1, suite size]; one worker is serial execution.
 func RunAllParallel(cfg Config, workers int) ([]*Report, error) {
-	if workers > len(suite) {
-		workers = len(suite)
-	}
-	if workers <= 1 {
-		out := make([]*Report, 0, len(suite))
-		for _, b := range suite {
-			r, err := Run(b.Name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-		return out, nil
-	}
-
+	workers = max(1, min(workers, len(suite)))
 	out := make([]*Report, len(suite))
 	errs := make([]error, len(suite))
 	next := make(chan int)
@@ -285,17 +295,7 @@ func RunAllParallel(cfg Config, workers int) ([]*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				// A panicking benchmark must not take down the whole
-				// process when running as a pool worker; surface it as
-				// this slot's error instead.
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							errs[i] = fmt.Errorf("whisper: %s panicked: %v", suite[i].Name, r)
-						}
-					}()
-					out[i], errs[i] = Run(suite[i].Name, cfg)
-				}()
+				out[i], errs[i] = Run(suite[i].Name, cfg)
 			}
 		}()
 	}

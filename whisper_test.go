@@ -2,7 +2,11 @@ package whisper
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/persist"
 )
 
 func TestSuiteComplete(t *testing.T) {
@@ -179,5 +183,49 @@ func TestEverySuiteMemberRuns(t *testing.T) {
 		if rep.EpochsPerSecond <= 0 {
 			t.Errorf("%s: zero epoch rate", b.Name)
 		}
+	}
+}
+
+// TestPanickingMemberIsOneError pins the one panic contract: a suite
+// member that panics mid-run (redis exhausting its nvml pool is the real
+// case) comes back as the same error from every entry point, and takes
+// nothing else down with it.
+func TestPanickingMemberIsOneError(t *testing.T) {
+	cfg := Config{Ops: 5, Seed: 2}
+	before, err := Run("echo", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	saved := suite
+	defer func() { suite = saved }()
+	suite = append(append([]Benchmark(nil), saved...), Benchmark{
+		Name: "boom", Layer: "native", defaultClients: 1, defaultOps: 1,
+		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
+			th := rt.Thread(0)
+			th.Store(mem.PMBase, make([]byte, 8)) // panic with events already emitted
+			panic("pool exhausted")
+		},
+	})
+
+	const want = "whisper: boom panicked: pool exhausted"
+	_, runErr := Run("boom", cfg)
+	_, allErr := RunAll(cfg)
+	_, parErr := RunAllParallel(cfg, 4)
+	_, streamErr := RunStream("boom", cfg, nil)
+	for name, err := range map[string]error{
+		"Run": runErr, "RunAll": allErr, "RunAllParallel": parErr, "RunStream": streamErr,
+	} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error = %v, want %q", name, err, want)
+		}
+	}
+
+	after, err := Run("echo", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Error("a panicking member changed another member's report")
 	}
 }
