@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,9 +23,10 @@ import (
 // Deterministic per (n, threads).
 func genPipelineTrace(n, threads int) *trace.Trace {
 	rng := rand.New(rand.NewSource(int64(n)*31 + int64(threads)))
-	tr := &trace.Trace{App: "pipeline", Layer: "native", Threads: threads}
+	meta := trace.Meta{App: "pipeline", Layer: "native", Threads: threads}
+	tr := trace.FromEvents(meta, nil)
 	clock := mem.Time(1)
-	for len(tr.Events) < n {
+	for tr.Len() < n {
 		tid := int32(rng.Intn(threads))
 		clock += mem.Time(rng.Intn(300))
 		base := mem.PMBase + mem.Addr(rng.Intn(1<<14))*mem.LineSize
@@ -47,8 +49,7 @@ func genPipelineTrace(n, threads int) *trace.Trace {
 		clock += mem.Time(5)
 		tr.Append(trace.Event{Kind: trace.KTxEnd, TID: tid, Time: clock})
 	}
-	tr.Events = tr.Events[:n]
-	return tr
+	return trace.FromEvents(meta, slices.Concat(tr.Chunks()...)[:n])
 }
 
 // BenchmarkPipelineAnalyze is the epoch analysis on a synthetic trace of
@@ -66,7 +67,7 @@ func BenchmarkPipelineAnalyze(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(tr.Events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
+			b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 		})
 	}
 }

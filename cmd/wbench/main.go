@@ -43,6 +43,9 @@ type sample struct {
 // any scaling matrix.
 type entry struct {
 	Name string `json:"name"`
+	// Pkg is set only for results from a package other than the
+	// document's (input that concatenates several packages' runs).
+	Pkg string `json:"pkg,omitempty"`
 	// Procs is the GOMAXPROCS the samples ran at (the -P suffix; 1 when
 	// the runner printed no suffix).
 	Procs   int                `json:"procs,omitempty"`
@@ -107,6 +110,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 func parse(r io.Reader) (*document, error) {
 	doc := &document{}
 	byName := make(map[string]*entry)
+	pkg := "" // the package whose results are being read
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -119,7 +123,10 @@ func parse(r io.Reader) (*document, error) {
 			doc.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			if doc.Pkg == "" {
+				doc.Pkg = pkg
+			}
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -129,10 +136,13 @@ func parse(r io.Reader) (*document, error) {
 		if !ok {
 			continue
 		}
-		key := fmt.Sprintf("%s-%d", name, procs)
+		key := fmt.Sprintf("%s %s-%d", pkg, name, procs)
 		e := byName[key]
 		if e == nil {
 			e = &entry{Name: name, Procs: procs}
+			if pkg != doc.Pkg {
+				e.Pkg = pkg
+			}
 			byName[key] = e
 			doc.Benchmarks = append(doc.Benchmarks, e)
 		}

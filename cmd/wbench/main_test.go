@@ -114,3 +114,25 @@ BenchmarkStreamScaling/threads4-2   5   50 ns/op   20.0 Mevents/s
 		t.Errorf("names diverged: %q vs %q", p1.Name, p2.Name)
 	}
 }
+
+// TestParseKeepsPackagesDistinct covers input that concatenates two
+// packages' runs (go test -bench ... . ./internal/trace): the document
+// keeps the first package, later packages' entries name their own.
+func TestParseKeepsPackagesDistinct(t *testing.T) {
+	in := benchOutput + `pkg: github.com/whisper-pm/whisper/internal/trace
+BenchmarkTraceAppend-2   80   15385053 ns/op   15.39 ns/event   32.51 B/event
+`
+	doc, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Pkg != "github.com/whisper-pm/whisper" || len(doc.Benchmarks) != 3 {
+		t.Fatalf("pkg = %q with %d entries, want the first package and 3", doc.Pkg, len(doc.Benchmarks))
+	}
+	if doc.Benchmarks[0].Pkg != "" {
+		t.Errorf("entry of the document's package carries pkg %q", doc.Benchmarks[0].Pkg)
+	}
+	if ap := doc.Benchmarks[2]; ap.Pkg != "github.com/whisper-pm/whisper/internal/trace" || ap.Median["ns/event"] != 15.39 {
+		t.Errorf("second package's entry mis-parsed: %+v", ap)
+	}
+}

@@ -7,6 +7,7 @@ package whisper
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/apps/echo"
@@ -38,7 +39,7 @@ func TestTraceDrivesHOPSMachine(t *testing.T) {
 			}
 			m := hops.NewMachine(4, hops.DefaultConfig())
 			dfences := 0
-			for _, e := range rep.Trace.tr.Events {
+			for _, e := range slices.Concat(rep.Trace.tr.Chunks()...) {
 				tid := int(e.TID) % 4
 				switch e.Kind {
 				case trace.KStore, trace.KStoreNT:

@@ -161,7 +161,6 @@ type indexUndo struct {
 	had  bool
 }
 
-
 // Begin opens a transaction for thread tid on its partition.
 func (db *DB) Begin(tid int) *Tx {
 	th := db.rt.Thread(tid)
@@ -230,7 +229,6 @@ func (tx *Tx) write(a mem.Addr, data []byte) {
 		tx.dirty[l] = true
 	}
 }
-
 
 // Insert adds a tuple with the given key, attributes and varchar payload.
 func (tx *Tx) Insert(key uint64, attrs [nAttrs]uint64, varchar string) {
@@ -611,4 +609,3 @@ func hashString(s string) uint64 {
 	}
 	return h
 }
-

@@ -2,6 +2,7 @@ package redisstore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/epoch"
@@ -9,6 +10,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 func newStore() (*persist.Runtime, *nvml.Pool, *Store) {
@@ -85,7 +87,7 @@ func TestEpochsPerSetNearPaper(t *testing.T) {
 	// common case in lru-test's steady state.
 	rt, _, s := newStore()
 	s.Set("warm", "v0")
-	rt.Trace.Events = rt.Trace.Events[:0]
+	*rt.Trace = trace.Trace{}
 	for i := 0; i < 10; i++ {
 		s.Set("warm", fmt.Sprintf("v%d", i))
 	}
@@ -165,7 +167,7 @@ func TestRunWorkload(t *testing.T) {
 		t.Fatal("no transactions traced")
 	}
 	// Single-threaded server: everything on thread 0.
-	for _, e := range rt.Trace.Events {
+	for _, e := range slices.Concat(rt.Trace.Chunks()...) {
 		if e.TID != 0 {
 			t.Fatal("event off the event-loop thread")
 		}

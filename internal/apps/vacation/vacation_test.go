@@ -9,6 +9,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/mnemosyne"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 func newMgr(threads, relations int) (*persist.Runtime, *mnemosyne.Heap, *Manager) {
@@ -180,7 +181,7 @@ func TestCrossDependenciesFromCounters(t *testing.T) {
 	// Two clients updating the same global counter within the window
 	// produce cross-dependencies (§5.1).
 	rt, _, m := newMgr(2, 8)
-	rt.Trace.Events = rt.Trace.Events[:0]
+	*rt.Trace = trace.Trace{}
 	for i := 0; i < 10; i++ {
 		m.Reserve(0, 1, TableCar, uint64(i%8))
 		m.Reserve(1, 2, TableCar, uint64(i%8))

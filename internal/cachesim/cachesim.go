@@ -7,7 +7,7 @@
 // The simulator is functional (no timing): it classifies each access as an
 // L1 hit, L2 hit, remote-cache transfer, or memory access, and attributes
 // memory accesses to DRAM or PM by address. Timing belongs to
-// internal/hops.Replay; this package answers "where did the access go".
+// internal/hops.ReplaySource; this package answers "where did the access go".
 package cachesim
 
 import (

@@ -8,8 +8,10 @@ import "github.com/whisper-pm/whisper/internal/trace"
 // volatile counters cannot be replayed through caches and are ignored
 // here (Figure 6 uses the counters directly).
 func ReplayTrace(h *Hierarchy, tr *trace.Trace) Stats {
-	for _, e := range tr.Events {
-		replayEvent(h, e)
+	for _, c := range tr.Chunks() {
+		for _, e := range c {
+			replayEvent(h, e)
+		}
 	}
 	return h.Stats()
 }

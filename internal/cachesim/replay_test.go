@@ -94,7 +94,7 @@ func TestReplayEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := &trace.Trace{App: "edge", Layer: "native", Threads: 4, Events: tc.events}
+			tr := trace.FromEvents(trace.Meta{App: "edge", Layer: "native", Threads: 4}, tc.events)
 
 			got := ReplayTrace(New(DefaultConfig()), tr)
 			if got != tc.want {

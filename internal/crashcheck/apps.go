@@ -227,11 +227,11 @@ type strKV interface {
 
 type redisKV struct{ s *redisstore.Store }
 
-func (r redisKV) set(_ int, k, v string) error     { return r.s.Set(k, v) }
+func (r redisKV) set(_ int, k, v string) error       { return r.s.Set(k, v) }
 func (r redisKV) get(_ int, k string) (string, bool) { return r.s.Get(k) }
-func (r redisKV) del(_ int, k string) (bool, error) { return r.s.Del(k) }
-func (r redisKV) recover()                          { r.s.Recover() }
-func (r redisKV) check() error                      { return r.s.CheckInvariants() }
+func (r redisKV) del(_ int, k string) (bool, error)  { return r.s.Del(k) }
+func (r redisKV) recover()                           { r.s.Recover() }
+func (r redisKV) check() error                       { return r.s.CheckInvariants() }
 
 func openRedis(rt *persist.Runtime) strKV {
 	return redisKV{redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)}
@@ -239,11 +239,11 @@ func openRedis(rt *persist.Runtime) strKV {
 
 type memcacheKV struct{ c *memcache.Cache }
 
-func (m memcacheKV) set(tid int, k, v string) error      { return m.c.Set(tid, k, v) }
+func (m memcacheKV) set(tid int, k, v string) error       { return m.c.Set(tid, k, v) }
 func (m memcacheKV) get(tid int, k string) (string, bool) { return m.c.Get(tid, k) }
-func (m memcacheKV) del(tid int, k string) (bool, error) { return m.c.Delete(tid, k) }
-func (m memcacheKV) recover()                            { m.c.Recover() }
-func (m memcacheKV) check() error                        { return m.c.CheckInvariants(0) }
+func (m memcacheKV) del(tid int, k string) (bool, error)  { return m.c.Delete(tid, k) }
+func (m memcacheKV) recover()                             { m.c.Recover() }
+func (m memcacheKV) check() error                         { return m.c.CheckInvariants(0) }
 
 func openMemcached(rt *persist.Runtime) strKV {
 	// maxItems far above the scripted keyspace: LRU eviction never fires,

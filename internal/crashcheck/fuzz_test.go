@@ -25,8 +25,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	var two bytes.Buffer
 	TakeSnapshot(d).Encode(&two)
 	f.Add(two.Bytes())
-	f.Add(two.Bytes()[:30])              // truncated mid-page
-	f.Add([]byte("WCRS"))                // magic only
+	f.Add(two.Bytes()[:30])             // truncated mid-page
+	f.Add([]byte("WCRS"))               // magic only
 	f.Add(append([]byte(nil), 0, 1, 2)) // garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -91,7 +91,7 @@ type Analysis struct {
 }
 
 // Analyze runs the full epoch analysis over a materialized trace: the
-// one streaming state machine, fed from the trace's event slice.
+// one streaming state machine, fed from the trace's stored chunks.
 func Analyze(tr *trace.Trace) *Analysis {
 	a, _ := AnalyzeStream(trace.NewSliceSource(tr)) // a slice source cannot fail
 	return a

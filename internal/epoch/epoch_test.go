@@ -12,9 +12,7 @@ const pm = mem.PMBase
 
 // mk builds a trace from a compact event list.
 func mk(events ...trace.Event) *trace.Trace {
-	t := &trace.Trace{App: "synthetic", Layer: "native", Threads: 2}
-	t.Events = events
-	return t
+	return trace.FromEvents(trace.Meta{App: "synthetic", Layer: "native", Threads: 2}, events)
 }
 
 func st(tid int32, at mem.Time, addr mem.Addr, size uint32) trace.Event {

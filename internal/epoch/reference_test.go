@@ -3,6 +3,7 @@ package epoch
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -48,7 +49,7 @@ func referenceAnalyze(tr *trace.Trace) *Analysis {
 	inTx := make(map[int32]bool)
 	txEpochs := make(map[int32]int)
 
-	for _, e := range tr.Events {
+	for _, e := range slices.Concat(tr.Chunks()...) {
 		switch e.Kind {
 		case trace.KStore, trace.KStoreNT:
 			oe := open[e.TID]

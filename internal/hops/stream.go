@@ -9,13 +9,12 @@ import (
 
 // Streaming replay. The only part of the timing replay that needs the
 // future is the ofence/dfence split: a KFence is a dfence exactly when
-// the thread's next ordering event (KFence or KTxEnd) is a KTxEnd — that
-// is the fence markDurabilityFences would mark, since a later fence of
-// the same thread steals lastFence before any commit could mark the
-// earlier one. dfenceResolver implements that rule with a bounded
-// lookahead queue: events buffer only while some thread has a fence whose
-// classification is still unknown, which in practice is the short
-// distance to that thread's next ordering point.
+// the thread's next ordering event (KFence or KTxEnd) is a KTxEnd — the
+// last fence of each transaction. dfenceResolver implements that rule
+// (pinned against the index-marking oracle in timing_test.go) with a
+// bounded lookahead queue: events buffer only while some thread has a
+// fence whose classification is still unknown, which in practice is the
+// short distance to that thread's next ordering point.
 
 // pendingEvent is one buffered event awaiting dfence resolution.
 type pendingEvent struct {
@@ -87,7 +86,7 @@ func (d *dfenceResolver) drain() {
 }
 
 // finish releases everything still buffered: fences with no later commit
-// are ofences, matching markDurabilityFences on a full trace.
+// are ofences.
 func (d *dfenceResolver) finish() {
 	for i := range d.queue {
 		d.queue[i].await = false
@@ -95,9 +94,9 @@ func (d *dfenceResolver) finish() {
 	d.drain()
 }
 
-// ReplaySource is ReplayObserved over an event source: one pass, O(open
-// lookahead) memory, and a result identical to replaying the equivalent
-// materialized trace.
+// ReplaySource reruns src's instruction stream under the given persistence
+// model in one pass and O(open lookahead) memory. The instruments in ro
+// are pure outputs and never change the Result.
 func ReplaySource(src trace.EventSource, model Model, cfg Config, lat mem.Latency, ro ReplayObs) (Result, error) {
 	r := newReplayer(model, cfg, lat, ro)
 	d := newDfenceResolver(r.step)
@@ -115,9 +114,11 @@ func ReplaySource(src trace.EventSource, model Model, cfg Config, lat mem.Latenc
 	return r.result(), nil
 }
 
-// NormalizedSource computes the Figure 10 normalized runtimes from a
-// single pass over an event source: the five models' replayers advance in
-// lockstep on the same resolved event stream. instruments may be nil.
+// NormalizedSource computes the Figure 10 presentation — every model's
+// runtime normalized to the x86-64 (NVM) baseline — from a single pass
+// over an event source: the five models' replayers advance in lockstep on
+// the same resolved event stream. When instruments is non-nil,
+// instruments(m) supplies the ReplayObs for model m's replayer.
 func NormalizedSource(src trace.EventSource, cfg Config, lat mem.Latency, instruments func(Model) ReplayObs) (map[Model]float64, error) {
 	rs := make([]*replayer, len(Models))
 	for i, m := range Models {

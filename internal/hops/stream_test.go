@@ -65,31 +65,33 @@ func TestDfenceResolverMatchesMarks(t *testing.T) {
 			}
 			i++
 		})
-		for _, e := range tr.Events {
+		evs := events(tr)
+		for _, e := range evs {
 			d.push(e)
 		}
 		d.finish()
-		if i != len(tr.Events) {
-			t.Fatalf("seed %d: resolver released %d of %d events", seed, i, len(tr.Events))
+		if i != len(evs) {
+			t.Fatalf("seed %d: resolver released %d of %d events", seed, i, len(evs))
 		}
-		for j := range tr.Events {
+		for j := range evs {
 			if want[j] != got[j] {
 				t.Fatalf("seed %d: event %d (%v): dfence=%v, serial says %v",
-					seed, j, tr.Events[j], got[j], want[j])
+					seed, j, evs[j], got[j], want[j])
 			}
 		}
 	}
 }
 
 // TestReplaySourceMatchesReplay asserts the streaming replay is cycle-
-// identical to the materialized replay for every model.
+// identical to the oracle replay (whole-trace dfence marks) for every
+// model.
 func TestReplaySourceMatchesReplay(t *testing.T) {
 	cfg := DefaultConfig()
 	lat := mem.DefaultLatency()
 	for seed := int64(0); seed < 6; seed++ {
 		tr := genReplayTrace(seed, 3000)
 		for _, m := range Models {
-			want := Replay(tr, m, cfg, lat)
+			want := replayMarked(tr, m, cfg, lat)
 			got, err := ReplaySource(trace.NewSliceSource(tr), m, cfg, lat, ReplayObs{})
 			if err != nil {
 				t.Fatalf("seed %d model %v: %v", seed, m, err)
@@ -102,12 +104,16 @@ func TestReplaySourceMatchesReplay(t *testing.T) {
 }
 
 // TestNormalizedSourceMatchesNormalized checks the single-pass five-model
-// lockstep replay against the five-pass materialized version.
+// lockstep replay against five oracle replays, one per model.
 func TestNormalizedSourceMatchesNormalized(t *testing.T) {
 	cfg := DefaultConfig()
 	lat := mem.DefaultLatency()
 	tr := genReplayTrace(42, 4000)
-	want := Normalized(tr, cfg, lat)
+	base := replayMarked(tr, X86NVM, cfg, lat)
+	want := map[Model]float64{X86NVM: 1.0}
+	for _, m := range Models[1:] {
+		want[m] = float64(replayMarked(tr, m, cfg, lat).Cycles) / float64(base.Cycles)
+	}
 	got, err := NormalizedSource(trace.NewSliceSource(tr), cfg, lat, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -81,41 +81,25 @@ type pbState struct {
 	open int
 }
 
-// Replay reruns tr's instruction stream under the given persistence model.
+// replayer is the incremental core of the timing replay: one event at a
+// time via step, with the dfence decision supplied by the streaming
+// lookahead in ReplaySource and NormalizedSource.
 //
 // The trace was produced by an execution whose clock charged each event a
 // known cost (see persist.Thread); everything else in the inter-event gaps
-// is application compute, volatile traffic, and loads. Replay keeps that
-// compute identical and substitutes each model's ordering/durability
+// is application compute, volatile traffic, and loads. The replay keeps
+// that compute identical and substitutes each model's ordering/durability
 // behaviour for the recorded fence costs — the same-work, different-
 // persistence-hardware comparison of Figure 10. Crucially, compute time
 // lets the HOPS persist buffers drain in the background, which is where
 // HOPS's advantage comes from.
 //
 // For the HOPS models, the last fence before each KTxEnd is a dfence
-// (durability at commit) and fences outside any transaction are
-// conservatively dfences; all other fences become ofences (Figure 8).
-func Replay(tr *trace.Trace, model Model, cfg Config, lat mem.Latency) Result {
-	return ReplayObserved(tr, model, cfg, lat, ReplayObs{})
-}
-
-// ReplayObserved is Replay with observability instruments attached. The
-// instruments are pure outputs: ReplayObserved(tr, m, cfg, lat, ro) returns
-// exactly what Replay(tr, m, cfg, lat) returns.
-func ReplayObserved(tr *trace.Trace, model Model, cfg Config, lat mem.Latency, ro ReplayObs) Result {
-	dfence := markDurabilityFences(tr)
-	r := newReplayer(model, cfg, lat, ro)
-	for i := range tr.Events {
-		r.step(tr.Events[i], dfence[i])
-	}
-	return r.result()
-}
-
-// replayer is the incremental core of the timing replay: one event at a
-// time via step, with the dfence decision supplied by the caller (from
-// markDurabilityFences on a materialized trace, or from the streaming
-// lookahead in ReplaySource). ReplayObserved is exactly a step loop, so
-// both paths share every modelling decision.
+// (durability at commit); all other fences — including those outside any
+// transaction (asynchronous log truncation, root updates), which order
+// writes but need no synchronous durability — become ofences, with the
+// next dfence providing the durability point, exactly the split Figure 8
+// advocates.
 type replayer struct {
 	model Model
 	cfg   Config
@@ -351,7 +335,7 @@ func (r *replayer) result() Result {
 }
 
 // originalCharge reproduces the cycle cost persist.Thread charged for an
-// event when the trace was recorded, so Replay can subtract it from the
+// event when the trace was recorded, so the replay can subtract it from the
 // inter-event gap and keep only genuine compute. pending is the thread's
 // distinct-flushed-lines set maintained in event order — identical to the
 // device state the original fence saw.
@@ -384,55 +368,4 @@ func x86FenceCost(n int, persistLat, drainInterval mem.Cycles) mem.Cycles {
 		return 2 // bare sfence
 	}
 	return persistLat + mem.Cycles(n-1)*drainInterval
-}
-
-// markDurabilityFences returns, per event index, whether a KFence should
-// be treated as a dfence: the last fence of each transaction. Fences
-// outside transactions (asynchronous log truncation, root updates) order
-// writes but need no synchronous durability — they map to ofences, with
-// the next dfence providing the durability point, exactly the split
-// Figure 8 advocates.
-func markDurabilityFences(tr *trace.Trace) map[int]bool {
-	out := make(map[int]bool)
-	lastFence := make(map[int32]int)
-	for i, e := range tr.Events {
-		switch e.Kind {
-		case trace.KTxEnd:
-			if j, ok := lastFence[e.TID]; ok {
-				out[j] = true // commit fence: durability required
-			}
-		case trace.KFence:
-			lastFence[e.TID] = i
-		}
-	}
-	return out
-}
-
-// Normalized replays tr under every model and returns runtimes normalized
-// to the x86-64 (NVM) baseline — the exact presentation of Figure 10.
-func Normalized(tr *trace.Trace, cfg Config, lat mem.Latency) map[Model]float64 {
-	return NormalizedObserved(tr, cfg, lat, nil)
-}
-
-// NormalizedObserved is Normalized with per-model observability: when
-// instruments is non-nil, instruments(m) supplies the ReplayObs for each
-// model's replay. Instruments never change the returned ratios.
-func NormalizedObserved(tr *trace.Trace, cfg Config, lat mem.Latency, instruments func(Model) ReplayObs) map[Model]float64 {
-	obsFor := func(m Model) ReplayObs {
-		if instruments == nil {
-			return ReplayObs{}
-		}
-		return instruments(m)
-	}
-	base := ReplayObserved(tr, X86NVM, cfg, lat, obsFor(X86NVM))
-	out := make(map[Model]float64, len(Models))
-	out[X86NVM] = 1.0
-	for _, m := range Models {
-		if m == X86NVM {
-			continue
-		}
-		r := ReplayObserved(tr, m, cfg, lat, obsFor(m))
-		out[m] = float64(r.Cycles) / float64(base.Cycles)
-	}
-	return out
 }

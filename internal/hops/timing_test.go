@@ -1,6 +1,7 @@
 package hops
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -9,6 +10,56 @@ import (
 )
 
 const pm = mem.PMBase
+
+// markDurabilityFences is the oracle for the streaming dfence lookahead:
+// with the whole trace in hand it returns, per event index, whether a
+// KFence is the last fence of a transaction (a dfence).
+func markDurabilityFences(tr *trace.Trace) map[int]bool {
+	out := make(map[int]bool)
+	lastFence := make(map[int32]int)
+	for i, e := range events(tr) {
+		switch e.Kind {
+		case trace.KTxEnd:
+			if j, ok := lastFence[e.TID]; ok {
+				out[j] = true // commit fence: durability required
+			}
+		case trace.KFence:
+			lastFence[e.TID] = i
+		}
+	}
+	return out
+}
+
+// replayMarked is the oracle replay: the same replayer stepped over the
+// whole trace with markDurabilityFences' answers.
+func replayMarked(tr *trace.Trace, model Model, cfg Config, lat mem.Latency) Result {
+	dfence := markDurabilityFences(tr)
+	r := newReplayer(model, cfg, lat, ReplayObs{})
+	for i, e := range events(tr) {
+		r.step(e, dfence[i])
+	}
+	return r.result()
+}
+
+func events(tr *trace.Trace) []trace.Event { return slices.Concat(tr.Chunks()...) }
+
+// replay and normalized run the streaming replay over an in-memory trace,
+// whose source cannot fail.
+func replay(tr *trace.Trace, model Model, cfg Config, lat mem.Latency) Result {
+	r, err := ReplaySource(trace.NewSliceSource(tr), model, cfg, lat, ReplayObs{})
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func normalized(tr *trace.Trace, cfg Config, lat mem.Latency) map[Model]float64 {
+	norm, err := NormalizedSource(trace.NewSliceSource(tr), cfg, lat, nil)
+	if err != nil {
+		panic(err)
+	}
+	return norm
+}
 
 // txTrace builds a synthetic transactional trace: n transactions, each
 // with several single-line epochs (store+flush+fence) and a commit fence.
@@ -40,7 +91,7 @@ func TestFigure10Shape(t *testing.T) {
 	// IDEAL < HOPS(PWQ) <= HOPS(NVM) < x86(PWQ) < x86(NVM).
 	tr := txTrace(200, 10)
 	lat := mem.DefaultLatency()
-	norm := Normalized(tr, DefaultConfig(), lat)
+	norm := normalized(tr, DefaultConfig(), lat)
 
 	if norm[X86NVM] != 1.0 {
 		t.Fatalf("baseline not normalized: %v", norm[X86NVM])
@@ -72,7 +123,7 @@ func TestDFenceMarking(t *testing.T) {
 	marks := markDurabilityFences(tr)
 	// Fence events are at indices 3, 6, 9 (txbegin, then triples).
 	var fenceIdx []int
-	for i, e := range tr.Events {
+	for i, e := range events(tr) {
 		if e.Kind == trace.KFence {
 			fenceIdx = append(fenceIdx, i)
 		}
@@ -102,7 +153,7 @@ func TestUnbracketedFenceIsOFence(t *testing.T) {
 
 func TestReplayCountsFences(t *testing.T) {
 	tr := txTrace(10, 5)
-	r := Replay(tr, HOPSNVM, DefaultConfig(), mem.DefaultLatency())
+	r := replay(tr, HOPSNVM, DefaultConfig(), mem.DefaultLatency())
 	if r.Fences != 50 {
 		t.Fatalf("Fences = %d, want 50", r.Fences)
 	}
@@ -114,8 +165,8 @@ func TestReplayCountsFences(t *testing.T) {
 func TestPWQReducesBaselineStalls(t *testing.T) {
 	tr := txTrace(100, 8)
 	lat := mem.DefaultLatency()
-	nvm := Replay(tr, X86NVM, DefaultConfig(), lat)
-	pwq := Replay(tr, X86PWQ, DefaultConfig(), lat)
+	nvm := replay(tr, X86NVM, DefaultConfig(), lat)
+	pwq := replay(tr, X86PWQ, DefaultConfig(), lat)
 	if pwq.StallCycles >= nvm.StallCycles {
 		t.Fatalf("PWQ stalls (%d) not below NVM stalls (%d)", pwq.StallCycles, nvm.StallCycles)
 	}
@@ -123,7 +174,7 @@ func TestPWQReducesBaselineStalls(t *testing.T) {
 
 func TestIdealHasMinimalStalls(t *testing.T) {
 	tr := txTrace(50, 5)
-	r := Replay(tr, Ideal, DefaultConfig(), mem.DefaultLatency())
+	r := replay(tr, Ideal, DefaultConfig(), mem.DefaultLatency())
 	if r.StallCycles != 0 {
 		t.Fatalf("IDEAL stalls = %d, want 0", r.StallCycles)
 	}
@@ -133,8 +184,8 @@ func TestHOPSSpeedupGrowsWithEpochCount(t *testing.T) {
 	// More ordering points per transaction => more fences HOPS turns into
 	// cheap ofences => bigger HOPS advantage. (Consequence 2.)
 	lat := mem.DefaultLatency()
-	few := Normalized(txTrace(100, 2), DefaultConfig(), lat)
-	many := Normalized(txTrace(100, 20), DefaultConfig(), lat)
+	few := normalized(txTrace(100, 2), DefaultConfig(), lat)
+	many := normalized(txTrace(100, 20), DefaultConfig(), lat)
 	if many[HOPSNVM] >= few[HOPSNVM] {
 		t.Errorf("HOPS advantage did not grow with epoch count: %.3f vs %.3f",
 			many[HOPSNVM], few[HOPSNVM])
@@ -146,8 +197,8 @@ func TestSmallPBIncursStalls(t *testing.T) {
 	// HOPS. 1-entry PB must be slower than the default 32.
 	tr := txTrace(100, 10)
 	lat := mem.DefaultLatency()
-	small := Replay(tr, HOPSNVM, Config{PBEntries: 1, DrainAt: 1, MCs: 2}, lat)
-	big := Replay(tr, HOPSNVM, DefaultConfig(), lat)
+	small := replay(tr, HOPSNVM, Config{PBEntries: 1, DrainAt: 1, MCs: 2}, lat)
+	big := replay(tr, HOPSNVM, DefaultConfig(), lat)
 	if small.Cycles <= big.Cycles {
 		t.Errorf("1-entry PB (%d cyc) not slower than 32-entry (%d cyc)",
 			small.Cycles, big.Cycles)
@@ -197,7 +248,7 @@ func TestDrainAtSweep(t *testing.T) {
 	var prev mem.Cycles
 	for i, drainAt := range []int{1, 2, 4, 8, 16, 32} {
 		cfg.DrainAt = drainAt
-		r := Replay(tr, HOPSNVM, cfg, lat)
+		r := replay(tr, HOPSNVM, cfg, lat)
 		if i > 0 && r.Cycles < prev {
 			t.Errorf("DrainAt=%d ran in %d cycles, faster than a more eager policy (%d)",
 				drainAt, r.Cycles, prev)
@@ -205,9 +256,9 @@ func TestDrainAtSweep(t *testing.T) {
 		prev = r.Cycles
 	}
 	cfg.DrainAt = 1
-	eager := Replay(tr, HOPSNVM, cfg, lat)
+	eager := replay(tr, HOPSNVM, cfg, lat)
 	cfg.DrainAt = cfg.PBEntries
-	lazy := Replay(tr, HOPSNVM, cfg, lat)
+	lazy := replay(tr, HOPSNVM, cfg, lat)
 	if lazy.Cycles <= eager.Cycles {
 		t.Errorf("DrainAt=%d (%d cycles) not slower than DrainAt=1 (%d cycles): knob has no effect",
 			cfg.PBEntries, lazy.Cycles, eager.Cycles)
@@ -222,7 +273,7 @@ func TestDrainAtClamped(t *testing.T) {
 	run := func(drainAt int) Result {
 		cfg := DefaultConfig()
 		cfg.DrainAt = drainAt
-		return Replay(tr, HOPSNVM, cfg, lat)
+		return replay(tr, HOPSNVM, cfg, lat)
 	}
 	if got, want := run(0), run(1); got != want {
 		t.Errorf("DrainAt=0 -> %+v, want DrainAt=1 behaviour %+v", got, want)
@@ -242,12 +293,15 @@ func TestReplayObservedMatchesReplay(t *testing.T) {
 	lat := mem.DefaultLatency()
 	cfg := DefaultConfig()
 	for _, m := range Models {
-		plain := Replay(tr, m, cfg, lat)
+		plain := replay(tr, m, cfg, lat)
 		ro := ReplayObs{
 			Occupancy:  obs.NewHistogram(obs.ExpBuckets(1, 2, 8)...),
 			DrainStall: obs.NewHistogram(obs.ExpBuckets(1, 2, 12)...),
 		}
-		observed := ReplayObserved(tr, m, cfg, lat, ro)
+		observed, err := ReplaySource(trace.NewSliceSource(tr), m, cfg, lat, ro)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if plain != observed {
 			t.Errorf("%v: observed replay diverged: %+v vs %+v", m, observed, plain)
 		}

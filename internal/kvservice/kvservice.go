@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -519,28 +520,37 @@ func (s *Service) Space() SpaceStats {
 // Latency exposes the service latency histogram (ns).
 func (s *Service) Latency() *obs.Histogram { return s.latency }
 
-// TraceSource merges the per-shard traces into one EventSource: events
-// sorted by simulated time (ties keep shard order), thread ID rewritten
-// to the shard index, volatile counters summed. Shard address windows
-// are disjoint, so the merged trace is a legal multi-threaded run for
-// the sanitizer and the epoch analysis.
-func (s *Service) TraceSource() trace.EventSource {
-	merged := &trace.Trace{App: "kvservice", Layer: "native", Threads: len(s.shards)}
+// Trace merges the per-shard traces into one: events sorted by simulated
+// time (ties keep shard order), thread ID rewritten to the shard index,
+// volatile counters summed. Shard address windows are disjoint, so the
+// merged trace is a legal multi-threaded run for the sanitizer and the
+// epoch analysis.
+func (s *Service) Trace() *trace.Trace {
+	var events []trace.Event
+	var vloads, vstores uint64
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		for _, e := range sh.rt.Trace.Events {
-			e.TID = int32(i)
-			merged.Events = append(merged.Events, e)
+		events = slices.Grow(events, sh.rt.Trace.Len())
+		for _, c := range sh.rt.Trace.Chunks() {
+			for _, e := range c {
+				e.TID = int32(i)
+				events = append(events, e)
+			}
 		}
-		merged.VolatileLoads += sh.rt.Trace.VolatileLoads
-		merged.VolatileStores += sh.rt.Trace.VolatileStores
+		vloads += sh.rt.Trace.VolatileLoads
+		vstores += sh.rt.Trace.VolatileStores
 		sh.mu.Unlock()
 	}
-	sort.SliceStable(merged.Events, func(a, b int) bool {
-		return merged.Events[a].Time < merged.Events[b].Time
+	sort.SliceStable(events, func(a, b int) bool {
+		return events[a].Time < events[b].Time
 	})
-	return trace.NewSliceSource(merged)
+	merged := trace.FromEvents(trace.Meta{App: "kvservice", Layer: "native", Threads: len(s.shards)}, events)
+	merged.VolatileLoads, merged.VolatileStores = vloads, vstores
+	return merged
 }
+
+// TraceSource is Trace as an EventSource.
+func (s *Service) TraceSource() trace.EventSource { return trace.NewSliceSource(s.Trace()) }
 
 // latencyBuckets is the service latency layout: quarter-power-of-two
 // steps from 16 ns to ~3.5 ms, fine enough that interpolated p99/p999

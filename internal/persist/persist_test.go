@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -9,6 +10,9 @@ import (
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
+
+// events flattens the runtime's recorded trace for indexed assertions.
+func events(rt *Runtime) []trace.Event { return slices.Concat(rt.Trace.Chunks()...) }
 
 func newRT(t *testing.T) *Runtime {
 	t.Helper()
@@ -23,11 +27,11 @@ func TestStoreEmitsEventAndTakesEffect(t *testing.T) {
 	if got := rt.Dev.Load(0, a, 3); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("device bytes = %v", got)
 	}
-	if rt.Trace.Len() != 1 || rt.Trace.Events[0].Kind != trace.KStore {
-		t.Fatalf("trace = %v", rt.Trace.Events)
+	if rt.Trace.Len() != 1 || events(rt)[0].Kind != trace.KStore {
+		t.Fatalf("trace = %v", events(rt))
 	}
-	if rt.Trace.Events[0].TID != 0 || rt.Trace.Events[0].Size != 3 {
-		t.Fatalf("event fields wrong: %+v", rt.Trace.Events[0])
+	if events(rt)[0].TID != 0 || events(rt)[0].Size != 3 {
+		t.Fatalf("event fields wrong: %+v", events(rt)[0])
 	}
 }
 
@@ -54,7 +58,7 @@ func TestClockAdvancesMonotonically(t *testing.T) {
 		last = now
 	}
 	// Events must be stamped in nondecreasing time order.
-	evs := rt.Trace.Events
+	evs := events(rt)
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Time < evs[i-1].Time {
 			t.Fatalf("event %d out of time order", i)
@@ -130,7 +134,7 @@ func TestVolatileTracing(t *testing.T) {
 	if rt.Trace.Len() != 3 {
 		t.Fatalf("traced volatile events = %d, want 3", rt.Trace.Len())
 	}
-	if rt.Trace.Events[0].Kind != trace.KVStore {
+	if events(rt)[0].Kind != trace.KVStore {
 		t.Fatal("wrong event kind")
 	}
 }
@@ -181,8 +185,8 @@ func TestPersistStoreIsDurable(t *testing.T) {
 	// Event sequence must be store, flush, fence.
 	kinds := []trace.Kind{trace.KStore, trace.KFlush, trace.KFence}
 	for i, k := range kinds {
-		if rt.Trace.Events[i].Kind != k {
-			t.Fatalf("event %d kind = %v, want %v", i, rt.Trace.Events[i].Kind, k)
+		if events(rt)[i].Kind != k {
+			t.Fatalf("event %d kind = %v, want %v", i, events(rt)[i].Kind, k)
 		}
 	}
 }
@@ -191,7 +195,7 @@ func TestUserDataEvent(t *testing.T) {
 	rt := newRT(t)
 	th := rt.Thread(0)
 	th.UserData(123)
-	e := rt.Trace.Events[0]
+	e := events(rt)[0]
 	if e.Kind != trace.KUserData || e.Size != 123 {
 		t.Fatalf("user data event = %+v", e)
 	}
@@ -222,7 +226,7 @@ func TestFlushEdgeSizes(t *testing.T) {
 	th.FlushFence(a, 0)
 	th.FlushFence(a, -1)
 	if rt.Trace.Len() != 0 {
-		t.Fatalf("size<=0 flush emitted %d events: %v", rt.Trace.Len(), rt.Trace.Events)
+		t.Fatalf("size<=0 flush emitted %d events: %v", rt.Trace.Len(), events(rt))
 	}
 	if rt.Clock.Now() != before {
 		t.Fatalf("size<=0 flush advanced the clock: %d -> %d", before, rt.Clock.Now())
@@ -236,7 +240,7 @@ func TestFlushEdgeSizes(t *testing.T) {
 		t.Fatal("line-straddling flush+fence left data volatile")
 	}
 	var flushes int
-	for _, e := range rt.Trace.Events {
+	for _, e := range events(rt) {
 		if e.Kind == trace.KFlush {
 			flushes++
 			if e.Size != 8 {
@@ -280,7 +284,7 @@ func TestGroupCommitCoalescesToOneFence(t *testing.T) {
 		}
 	}
 	var flushes, fences int
-	for _, e := range rt.Trace.Events {
+	for _, e := range events(rt) {
 		switch e.Kind {
 		case trace.KFlush:
 			flushes++
@@ -309,7 +313,7 @@ func TestGroupEmptyCommitIsNoOp(t *testing.T) {
 	before := rt.Clock.Now()
 	g.Commit()
 	if rt.Trace.Len() != 0 {
-		t.Fatalf("empty Commit emitted %d events: %v", rt.Trace.Len(), rt.Trace.Events)
+		t.Fatalf("empty Commit emitted %d events: %v", rt.Trace.Len(), events(rt))
 	}
 	if rt.Clock.Now() != before {
 		t.Fatal("empty Commit advanced the clock")

@@ -59,7 +59,6 @@ type mdTx struct {
 	dirty []mem.Span
 }
 
-
 // begin opens the journal for a metadata transaction: bump the generation
 // and mark the descriptor UNCOMMITTED. The descriptor flush shares the
 // first entry's fence (entries are invalid without the matching

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -217,10 +218,10 @@ func TestUserDataUsesNTI(t *testing.T) {
 	// §5.2: about 96% of PMFS writes use NTIs.
 	rt, th, fs := newFS(t)
 	fs.Create(th, "/f")
-	rt.Trace.Events = rt.Trace.Events[:0]
+	*rt.Trace = trace.Trace{}
 	fs.WriteAt(th, "/f", 0, make([]byte, BlockSize))
 	var ntBytes, storeBytes uint64
-	for _, e := range rt.Trace.Events {
+	for _, e := range slices.Concat(rt.Trace.Chunks()...) {
 		switch e.Kind {
 		case trace.KStoreNT:
 			ntBytes += uint64(e.Size)
@@ -238,11 +239,11 @@ func TestBlockWriteIs64LineEpoch(t *testing.T) {
 	// Figure 4: PMFS epochs of 64 cache lines come from 4 KB block writes.
 	rt, th, fs := newFS(t)
 	fs.Create(th, "/f")
-	rt.Trace.Events = rt.Trace.Events[:0]
+	*rt.Trace = trace.Trace{}
 	fs.WriteAt(th, "/f", 0, make([]byte, BlockSize))
 	// Find the NT store of the user data and check it spans 64 lines.
 	found := false
-	for _, e := range rt.Trace.Events {
+	for _, e := range slices.Concat(rt.Trace.Chunks()...) {
 		if e.Kind == trace.KStoreNT && e.Size == BlockSize {
 			found = true
 		}
@@ -256,7 +257,7 @@ func TestWriteAmplificationNearPaper(t *testing.T) {
 	// §5.2: ~400 extra metadata/journal bytes per 4096-byte append (~10%).
 	rt, th, fs := newFS(t)
 	fs.Create(th, "/f")
-	rt.Trace.Events = rt.Trace.Events[:0]
+	*rt.Trace = trace.Trace{}
 	dev0 := rt.Dev.Stats().BytesStored
 	fs.Append(th, "/f", make([]byte, BlockSize))
 	total := rt.Dev.Stats().BytesStored - dev0
@@ -326,7 +327,7 @@ func TestCrashQuickConsistency(t *testing.T) {
 
 func TestSyscallsAreTransactions(t *testing.T) {
 	rt, th, fs := newFS(t)
-	rt.Trace.Events = rt.Trace.Events[:0]
+	*rt.Trace = trace.Trace{}
 	fs.Create(th, "/t")
 	fs.WriteAt(th, "/t", 0, []byte("x"))
 	fs.Stat(th, "/t")

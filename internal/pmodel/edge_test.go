@@ -1,6 +1,7 @@
 package pmodel
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/epoch"
@@ -102,7 +103,7 @@ func TestFenceOnlyProgramClosesNoEpoch(t *testing.T) {
 func sanitize(tr *trace.Trace) *pmsan.Report {
 	src := trace.NewSliceSource(tr)
 	s := pmsan.New(src.Meta())
-	for _, e := range tr.Events {
+	for _, e := range slices.Concat(tr.Chunks()...) {
 		s.Observe(e)
 	}
 	return s.Finish()

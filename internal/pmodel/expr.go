@@ -21,8 +21,8 @@ import (
 // nothing else, so a violated state is a complete, replayable witness.
 type Expr struct {
 	op   exprOp
-	l, r *Expr  // operands of not/and/or/imp (not uses l only)
-	cmp  cmpOp  // for opCmp
+	l, r *Expr // operands of not/and/or/imp (not uses l only)
+	cmp  cmpOp // for opCmp
 	lv   operand
 	rv   operand
 	lit  bool // for opLit

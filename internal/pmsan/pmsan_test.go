@@ -21,7 +21,7 @@ func ev(kind trace.Kind, tid int32, addr mem.Addr, size int, at mem.Time) trace.
 
 func sanitize(t *testing.T, events []trace.Event) *Report {
 	t.Helper()
-	tr := &trace.Trace{App: "synthetic", Layer: "native", Threads: 2, Events: events}
+	tr := trace.FromEvents(trace.Meta{App: "synthetic", Layer: "native", Threads: 2}, events)
 	rep, err := Run(trace.NewSliceSource(tr))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -277,7 +277,7 @@ func brokenWorkload() *trace.Trace {
 		ev(trace.KFence, 1, 0, 0, 15),
 		ev(trace.KFence, 1, 0, 0, 16),
 	}
-	return &trace.Trace{App: "broken", Layer: "native", Threads: 2, Events: events}
+	return trace.FromEvents(trace.Meta{App: "broken", Layer: "native", Threads: 2}, events)
 }
 
 func TestBrokenWorkloadCatchesAllFiveClasses(t *testing.T) {

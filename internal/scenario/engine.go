@@ -467,30 +467,15 @@ func (e *engine) analyze() {
 	for _, t := range e.tenants {
 		if t.svc != nil {
 			e.res.Domains = append(e.res.Domains,
-				domainResult(t.tgt.label(), materialize(t.svc.svc.TraceSource())))
+				domainResult(t.tgt.label(), t.svc.svc.Trace()))
 		}
 	}
-}
-
-// materialize drains an EventSource back into an in-memory trace.
-func materialize(src trace.EventSource) *trace.Trace {
-	m := src.Meta()
-	tr := &trace.Trace{App: m.App, Layer: m.Layer, Threads: m.Threads}
-	for {
-		ev, err := src.Next()
-		if err != nil {
-			break
-		}
-		tr.Events = append(tr.Events, ev)
-	}
-	tr.VolatileLoads, tr.VolatileStores = src.Volatile()
-	return tr
 }
 
 func domainResult(name string, tr *trace.Trace) DomainResult {
 	d := DomainResult{
 		Domain:  name,
-		Events:  uint64(len(tr.Events)),
+		Events:  uint64(tr.Len()),
 		Fences:  uint64(tr.CountKind(trace.KFence)),
 		Flushes: uint64(tr.CountKind(trace.KFlush)),
 	}

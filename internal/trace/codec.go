@@ -24,11 +24,6 @@ import (
 const (
 	magic   = "WSPR"
 	version = 1
-
-	// maxPreallocEvents bounds the event-slice capacity trusted from the
-	// on-disk count before any event has actually been decoded (64 Ki
-	// events ≈ 1.5 MiB).
-	maxPreallocEvents = 1 << 16
 )
 
 // EncodeV1 writes t to w in the version 1 layout. It exists for the
@@ -47,18 +42,20 @@ func EncodeV1(w io.Writer, t *Trace) error {
 	writeUvarint(bw, uint64(t.Threads))
 	writeUvarint(bw, t.VolatileLoads)
 	writeUvarint(bw, t.VolatileStores)
-	writeUvarint(bw, uint64(len(t.Events)))
+	writeUvarint(bw, uint64(t.n))
 	var prevTime, prevAddr uint64
-	for _, e := range t.Events {
-		if err := bw.WriteByte(byte(e.Kind)); err != nil {
-			return err
+	for _, c := range t.chunks {
+		for _, e := range c {
+			if err := bw.WriteByte(byte(e.Kind)); err != nil {
+				return err
+			}
+			writeUvarint(bw, uint64(e.TID))
+			writeVarint(bw, int64(uint64(e.Time)-prevTime))
+			writeVarint(bw, int64(uint64(e.Addr)-prevAddr))
+			writeUvarint(bw, uint64(e.Size))
+			prevTime = uint64(e.Time)
+			prevAddr = uint64(e.Addr)
 		}
-		writeUvarint(bw, uint64(e.TID))
-		writeVarint(bw, int64(uint64(e.Time)-prevTime))
-		writeVarint(bw, int64(uint64(e.Addr)-prevAddr))
-		writeUvarint(bw, uint64(e.Size))
-		prevTime = uint64(e.Time)
-		prevAddr = uint64(e.Addr)
 	}
 	return bw.Flush()
 }
@@ -67,23 +64,15 @@ func EncodeV1(w io.Writer, t *Trace) error {
 // or the chunked v2 layout) from r and materializes it. The decoder is a
 // thin loop over Reader, so both versions share one validation path:
 // kind bytes outside the known range and truncated or corrupt input are
-// rejected, never silently accepted.
+// rejected, never silently accepted. The v1 header's event count is
+// attacker-controlled and sizes nothing here: storage grows only with
+// events actually decoded.
 func Decode(r io.Reader) (*Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &Trace{App: rd.meta.App, Layer: rd.meta.Layer, Threads: rd.meta.Threads}
-	// The v1 count is attacker-controlled input: a corrupt or truncated
-	// file can claim 2^60 events and the first event read would only fail
-	// after a multi-GiB allocation. Cap the pre-allocation and let append
-	// grow the slice; honest traces larger than the cap pay a few
-	// reallocations. (v2 carries no up-front count; rd.remaining is 0.)
-	prealloc := rd.remaining
-	if prealloc > maxPreallocEvents {
-		prealloc = maxPreallocEvents
-	}
-	t.Events = make([]Event, 0, prealloc)
 	for {
 		e, err := rd.Next()
 		if err == io.EOF {
@@ -92,7 +81,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Events = append(t.Events, e)
+		t.Append(e)
 	}
 	t.VolatileLoads, t.VolatileStores = rd.Volatile()
 	return t, nil

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -20,18 +21,18 @@ func FuzzDecode(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	seed(&Trace{App: "echo", Layer: "native", Threads: 1})
-	seed(&Trace{
-		App: "ycsb", Layer: "native", Threads: 2,
-		VolatileLoads: 7, VolatileStores: 3,
-		Events: []Event{
-			{Time: 10, Addr: mem.PMBase, Size: 8, TID: 0, Kind: KStore},
-			{Time: 12, Addr: mem.PMBase + 64, Size: 64, TID: 1, Kind: KFlush},
-			{Time: 13, TID: 1, Kind: KFence},
-		},
+	three := FromEvents(Meta{App: "ycsb", Layer: "native", Threads: 2}, []Event{
+		{Time: 10, Addr: mem.PMBase, Size: 8, TID: 0, Kind: KStore},
+		{Time: 12, Addr: mem.PMBase + 64, Size: 64, TID: 1, Kind: KFlush},
+		{Time: 13, TID: 1, Kind: KFence},
 	})
+	three.VolatileLoads, three.VolatileStores = 7, 3
+	seed(three)
 	f.Add([]byte("WSPR"))
 	f.Add([]byte{})
 	f.Add([]byte("WSPR\x01\x04echo\x06native"))
+	// Past the first three chunk boundaries of the decoder's store.
+	seed(countingTrace(4*firstChunkEvents + 3))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(bytes.NewReader(data))
@@ -48,13 +49,11 @@ func FuzzDecode(f *testing.F) {
 		}
 		if tr2.App != tr.App || tr2.Layer != tr.Layer || tr2.Threads != tr.Threads ||
 			tr2.VolatileLoads != tr.VolatileLoads || tr2.VolatileStores != tr.VolatileStores ||
-			len(tr2.Events) != len(tr.Events) {
+			tr2.Len() != tr.Len() {
 			t.Fatalf("round trip changed trace header or event count")
 		}
-		for i := range tr.Events {
-			if tr.Events[i] != tr2.Events[i] {
-				t.Fatalf("round trip changed event %d", i)
-			}
+		if !slices.Equal(flat(tr), flat(tr2)) {
+			t.Fatalf("round trip changed events")
 		}
 	})
 }
@@ -65,16 +64,13 @@ func FuzzDecode(f *testing.F) {
 // encoded blocks (whole v2 streams plus hand-truncated and bit-flipped
 // variants) so the fuzzer starts inside the format.
 func FuzzReaderV2(f *testing.F) {
-	seedTrace := &Trace{
-		App: "ycsb", Layer: "native", Threads: 2,
-		VolatileLoads: 7, VolatileStores: 3,
-		Events: []Event{
-			{Time: 10, Addr: mem.PMBase, Size: 8, TID: 0, Kind: KStore},
-			{Time: 12, Addr: mem.PMBase + 64, Size: 64, TID: 1, Kind: KFlush},
-			{Time: 13, TID: 1, Kind: KFence},
-			{Time: 14, TID: 0, Kind: KTxEnd},
-		},
-	}
+	seedTrace := FromEvents(Meta{App: "ycsb", Layer: "native", Threads: 2}, []Event{
+		{Time: 10, Addr: mem.PMBase, Size: 8, TID: 0, Kind: KStore},
+		{Time: 12, Addr: mem.PMBase + 64, Size: 64, TID: 1, Kind: KFlush},
+		{Time: 13, TID: 1, Kind: KFence},
+		{Time: 14, TID: 0, Kind: KTxEnd},
+	})
+	seedTrace.VolatileLoads, seedTrace.VolatileStores = 7, 3
 	var buf bytes.Buffer
 	if err := EncodeV2(&buf, seedTrace); err != nil {
 		f.Fatalf("seed encode: %v", err)
@@ -144,7 +140,7 @@ func FuzzReaderV2(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of re-encoded v2 trace failed: %v", err)
 		}
-		if len(tr2.Events) != len(tr.Events) {
+		if tr2.Len() != tr.Len() {
 			t.Fatalf("v2 round trip changed event count")
 		}
 	})

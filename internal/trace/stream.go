@@ -110,10 +110,11 @@ type ChunkSource interface {
 // SliceSource adapts an in-memory Trace to the EventSource interface.
 type SliceSource struct {
 	tr *Trace
-	i  int
+	c  int // current chunk
+	i  int // next event within it
 }
 
-// NewSliceSource returns an EventSource over tr's event slice.
+// NewSliceSource returns an EventSource over tr's events.
 func NewSliceSource(tr *Trace) *SliceSource { return &SliceSource{tr: tr} }
 
 // Meta returns the trace's run metadata.
@@ -123,23 +124,30 @@ func (s *SliceSource) Meta() Meta {
 
 // Next returns the next event, or io.EOF past the end.
 func (s *SliceSource) Next() (Event, error) {
-	if s.i >= len(s.tr.Events) {
-		return Event{}, io.EOF
+	for s.c < len(s.tr.chunks) {
+		if c := s.tr.chunks[s.c]; s.i < len(c) {
+			e := c[s.i]
+			s.i++
+			return e, nil
+		}
+		s.c++
+		s.i = 0
 	}
-	e := s.tr.Events[s.i]
-	s.i++
-	return e, nil
+	return Event{}, io.EOF
 }
 
-// NextChunk returns the remaining events as one shared subslice, then
-// io.EOF. It implements ChunkSource without copying.
+// NextChunk returns the trace's stored chunks one at a time, then io.EOF.
+// It implements ChunkSource without copying.
 func (s *SliceSource) NextChunk() ([]Event, error) {
-	if s.i >= len(s.tr.Events) {
-		return nil, io.EOF
+	for s.c < len(s.tr.chunks) {
+		c := s.tr.chunks[s.c][s.i:]
+		s.c++
+		s.i = 0
+		if len(c) > 0 {
+			return c, nil
+		}
 	}
-	c := s.tr.Events[s.i:]
-	s.i = len(s.tr.Events)
-	return c, nil
+	return nil, io.EOF
 }
 
 // Volatile returns the trace's aggregate DRAM counters.
@@ -265,9 +273,11 @@ func EncodeV2(w io.Writer, t *Trace) error {
 	if err != nil {
 		return err
 	}
-	for _, e := range t.Events {
-		if err := tw.Write(e); err != nil {
-			return err
+	for _, c := range t.chunks {
+		for _, e := range c {
+			if err := tw.Write(e); err != nil {
+				return err
+			}
 		}
 	}
 	return tw.Close(t.VolatileLoads, t.VolatileStores)

@@ -52,12 +52,13 @@ func tracesEqual(t *testing.T, ctx string, want, got *Trace) {
 		t.Fatalf("%s: volatile counters mismatch: got %d/%d want %d/%d", ctx,
 			got.VolatileLoads, got.VolatileStores, want.VolatileLoads, want.VolatileStores)
 	}
-	if len(got.Events) != len(want.Events) {
-		t.Fatalf("%s: %d events, want %d", ctx, len(got.Events), len(want.Events))
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d events, want %d", ctx, got.Len(), want.Len())
 	}
-	for i := range want.Events {
-		if got.Events[i] != want.Events[i] {
-			t.Fatalf("%s: event %d = %+v, want %+v", ctx, i, got.Events[i], want.Events[i])
+	gotEv := flat(got)
+	for i, w := range flat(want) {
+		if gotEv[i] != w {
+			t.Fatalf("%s: event %d = %+v, want %+v", ctx, i, gotEv[i], w)
 		}
 	}
 }

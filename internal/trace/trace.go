@@ -94,13 +94,30 @@ func (e Event) String() string {
 // IsPMWrite reports whether e writes persistent memory.
 func (e Event) IsPMWrite() bool { return e.Kind == KStore || e.Kind == KStoreNT }
 
-// Trace is an in-memory sequence of events plus run metadata.
+// maxChunkEvents caps one chunk of a Trace's event store (1 MiB of
+// events): the slack a long trace carries is at most one part-filled
+// chunk, whatever its length.
+const maxChunkEvents = 1 << 15
+
+// firstChunkEvents sizes the first chunk, so a litmus-sized trace holds a
+// few hundred bytes.
+const firstChunkEvents = 16
+
+// Trace is an in-memory sequence of events plus run metadata. Events live
+// in append-only chunks that never move once written: recording costs a
+// bounds check and a store per event, never a re-copy of the history, and
+// a chunk handed to a reader (Chunks, SliceSource.NextChunk) stays valid
+// while recording continues.
 type Trace struct {
 	App     string // application name ("echo", "ycsb", ...)
 	Layer   string // access layer ("native", "mnemosyne", "nvml", "pmfs")
 	Threads int    // number of logical client threads
 
-	Events []Event
+	// chunks holds the events in recorded order. Every chunk is non-empty
+	// and all but the last are full; each new chunk is as large as
+	// everything before it, up to maxChunkEvents.
+	chunks [][]Event
+	n      int
 
 	// VolatileLoads/VolatileStores aggregate DRAM traffic when per-event
 	// volatile tracing is off (the common case; see persist.Config).
@@ -108,26 +125,55 @@ type Trace struct {
 	VolatileStores uint64
 }
 
+// FromEvents returns a trace whose first chunk is events itself: the slice
+// is adopted, not copied, and must not be written by the caller afterwards.
+// Later Appends go to fresh chunks, never into events' spare capacity.
+func FromEvents(m Meta, events []Event) *Trace {
+	t := &Trace{App: m.App, Layer: m.Layer, Threads: m.Threads}
+	if len(events) > 0 {
+		t.chunks = [][]Event{events[:len(events):len(events)]}
+		t.n = len(events)
+	}
+	return t
+}
+
 // Append adds an event.
-func (t *Trace) Append(e Event) { t.Events = append(t.Events, e) }
+func (t *Trace) Append(e Event) {
+	k := len(t.chunks) - 1
+	if k < 0 || len(t.chunks[k]) == cap(t.chunks[k]) {
+		size := min(max(t.n, firstChunkEvents), maxChunkEvents)
+		t.chunks = append(t.chunks, make([]Event, 0, size))
+		k++
+	}
+	t.chunks[k] = append(t.chunks[k], e)
+	t.n++
+}
 
 // Len returns the number of recorded events.
-func (t *Trace) Len() int { return len(t.Events) }
+func (t *Trace) Len() int { return t.n }
+
+// Chunks returns the recorded events in order as a sequence of non-empty
+// slices. Both levels are the trace's own storage: read-only for the
+// caller.
+func (t *Trace) Chunks() [][]Event { return t.chunks }
 
 // Duration returns the simulated time spanned by the trace.
 func (t *Trace) Duration() mem.Time {
-	if len(t.Events) == 0 {
+	if t.n == 0 {
 		return 0
 	}
-	return t.Events[len(t.Events)-1].Time - t.Events[0].Time
+	last := t.chunks[len(t.chunks)-1]
+	return last[len(last)-1].Time - t.chunks[0][0].Time
 }
 
 // CountKind returns the number of events of kind k.
 func (t *Trace) CountKind(k Kind) int {
 	n := 0
-	for _, e := range t.Events {
-		if e.Kind == k {
-			n++
+	for _, c := range t.chunks {
+		for _, e := range c {
+			if e.Kind == k {
+				n++
+			}
 		}
 	}
 	return n
@@ -136,10 +182,12 @@ func (t *Trace) CountKind(k Kind) int {
 // PMAccesses returns the number of PM loads+stores (cacheable and NTI).
 func (t *Trace) PMAccesses() uint64 {
 	var n uint64
-	for _, e := range t.Events {
-		switch e.Kind {
-		case KStore, KStoreNT, KLoad:
-			n++
+	for _, c := range t.chunks {
+		for _, e := range c {
+			switch e.Kind {
+			case KStore, KStoreNT, KLoad:
+				n++
+			}
 		}
 	}
 	return n
@@ -149,10 +197,12 @@ func (t *Trace) PMAccesses() uint64 {
 // per-event records with the aggregate counters.
 func (t *Trace) DRAMAccesses() uint64 {
 	n := t.VolatileLoads + t.VolatileStores
-	for _, e := range t.Events {
-		switch e.Kind {
-		case KVLoad, KVStore:
-			n++
+	for _, c := range t.chunks {
+		for _, e := range c {
+			switch e.Kind {
+			case KVLoad, KVStore:
+				n++
+			}
 		}
 	}
 	return n
@@ -161,8 +211,10 @@ func (t *Trace) DRAMAccesses() uint64 {
 // ByThread splits events by thread ID, preserving order.
 func (t *Trace) ByThread() map[int32][]Event {
 	out := make(map[int32][]Event)
-	for _, e := range t.Events {
-		out[e.TID] = append(out[e.TID], e)
+	for _, c := range t.chunks {
+		for _, e := range c {
+			out[e.TID] = append(out[e.TID], e)
+		}
 	}
 	return out
 }
@@ -170,9 +222,11 @@ func (t *Trace) ByThread() map[int32][]Event {
 // Filter returns the events satisfying keep, in order.
 func (t *Trace) Filter(keep func(Event) bool) []Event {
 	var out []Event
-	for _, e := range t.Events {
-		if keep(e) {
-			out = append(out, e)
+	for _, c := range t.chunks {
+		for _, e := range c {
+			if keep(e) {
+				out = append(out, e)
+			}
 		}
 	}
 	return out

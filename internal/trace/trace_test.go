@@ -5,11 +5,17 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 )
+
+// flat returns t's events as one slice, for indexed comparisons.
+func flat(t *Trace) []Event { return slices.Concat(t.Chunks()...) }
 
 func sampleTrace() *Trace {
 	t := &Trace{App: "echo", Layer: "native", Threads: 4,
@@ -155,12 +161,11 @@ func TestDecodeRejectsAbsurdThreadCount(t *testing.T) {
 	}
 }
 
-// TestDecodeLargeHonestTrace checks that capping the pre-allocation did
-// not cap the trace itself: more events than maxPreallocEvents must still
-// round-trip.
+// TestDecodeLargeHonestTrace checks that a v1 trace larger than any one
+// chunk of the decoder's store still round-trips.
 func TestDecodeLargeHonestTrace(t *testing.T) {
 	orig := &Trace{App: "big", Layer: "native", Threads: 1}
-	for i := 0; i < maxPreallocEvents+100; i++ {
+	for i := 0; i < 2*maxChunkEvents+100; i++ {
 		orig.Append(Event{Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i*8), Size: 8, Kind: KStore})
 	}
 	var buf bytes.Buffer
@@ -171,11 +176,11 @@ func TestDecodeLargeHonestTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Events) != len(orig.Events) {
-		t.Fatalf("decoded %d events, want %d", len(got.Events), len(orig.Events))
+	if got.Len() != orig.Len() {
+		t.Fatalf("decoded %d events, want %d", got.Len(), orig.Len())
 	}
-	if !reflect.DeepEqual(orig.Events[maxPreallocEvents], got.Events[maxPreallocEvents]) {
-		t.Fatal("event beyond the prealloc cap corrupted")
+	if !slices.Equal(flat(orig), flat(got)) {
+		t.Fatal("events past the first chunk corrupted")
 	}
 }
 
@@ -259,4 +264,143 @@ func TestEventString(t *testing.T) {
 	if !strings.Contains(s, "pm") {
 		t.Errorf("store string %q missing region", s)
 	}
+}
+
+// countingTrace returns a trace of n events whose Time is their index.
+func countingTrace(n int) *Trace {
+	t := &Trace{App: "store", Layer: "native", Threads: 1}
+	for i := 0; i < n; i++ {
+		t.Append(Event{Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i*8), Size: 8, Kind: KStore})
+	}
+	return t
+}
+
+// TestStoreReadSurfacesAgree pins the chunked store at its boundaries:
+// Len, Chunks, both SliceSource modes and a codec round trip must all
+// yield the appended sequence, and the chunk invariants must hold.
+func TestStoreReadSurfacesAgree(t *testing.T) {
+	for _, n := range []int{0, 1, maxChunkEvents - 1, maxChunkEvents, maxChunkEvents + 1, 3*maxChunkEvents + 7} {
+		tr := countingTrace(n)
+		if tr.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, tr.Len())
+		}
+		want := make([]Event, 0, n)
+		for i, c := range tr.Chunks() {
+			if len(c) == 0 || len(c) > maxChunkEvents {
+				t.Fatalf("n=%d: chunk %d holds %d events", n, i, len(c))
+			}
+			if i < len(tr.Chunks())-1 && len(c) != cap(c) {
+				t.Fatalf("n=%d: chunk %d is part-filled (%d of %d) but not last", n, i, len(c), cap(c))
+			}
+			want = append(want, c...)
+		}
+		if len(want) != n {
+			t.Fatalf("n=%d: Chunks hold %d events", n, len(want))
+		}
+		for i, e := range want {
+			if e.Time != mem.Time(i) {
+				t.Fatalf("n=%d: event %d carries time %d", n, i, e.Time)
+			}
+		}
+
+		var viaNext []Event
+		for src := NewSliceSource(tr); ; {
+			e, err := src.Next()
+			if err != nil {
+				break
+			}
+			viaNext = append(viaNext, e)
+		}
+		var viaChunk []Event
+		for src := NewSliceSource(tr); ; {
+			c, err := src.NextChunk()
+			if err != nil {
+				break
+			}
+			if len(c) == 0 {
+				t.Fatalf("n=%d: NextChunk returned an empty chunk", n)
+			}
+			viaChunk = append(viaChunk, c...)
+		}
+		var buf bytes.Buffer
+		if err := EncodeV2(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string][]Event{"Next": viaNext, "NextChunk": viaChunk, "EncodeV2/Decode": flat(decoded)} {
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d: %s yields %d events that differ from Chunks (%d)", n, name, len(got), n)
+			}
+		}
+	}
+}
+
+// TestFromEventsAdoptsWithoutSharingCapacity checks the constructor's
+// contract: the slice becomes the first chunk as is, and a later Append
+// never writes into its spare capacity.
+func TestFromEventsAdoptsWithoutSharingCapacity(t *testing.T) {
+	backing := make([]Event, 3, 8)
+	for i := range backing {
+		backing[i].Time = mem.Time(i)
+	}
+	tr := FromEvents(Meta{App: "a", Layer: "native", Threads: 2}, backing)
+	if tr.App != "a" || tr.Threads != 2 || tr.Len() != 3 || &tr.Chunks()[0][0] != &backing[0] {
+		t.Fatalf("FromEvents did not adopt the slice: %+v", tr)
+	}
+	tr.Append(Event{Time: 3})
+	if spare := backing[:4][3]; spare != (Event{}) {
+		t.Fatalf("Append wrote into the adopted slice's capacity: %+v", spare)
+	}
+	if got := flat(tr); len(got) != 4 || got[3].Time != 3 {
+		t.Fatalf("events after Append = %v", got)
+	}
+	if empty := FromEvents(Meta{}, nil); empty.Len() != 0 || len(empty.Chunks()) != 0 {
+		t.Fatalf("FromEvents(nil) = %+v", empty)
+	}
+}
+
+// TestAppendNeverRecopies bounds what recording allocates: a long trace
+// allocates about its own size once (a store that regrew would allocate
+// its history several times over), and a litmus-sized trace stays small.
+func TestAppendNeverRecopies(t *testing.T) {
+	allocated := func(n int) (uint64, *Trace) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr := countingTrace(n)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, tr
+	}
+	const n = 1_000_000
+	got, tr := allocated(n)
+	if limit := uint64(1.1 * n * float64(unsafe.Sizeof(Event{}))); got > limit {
+		t.Errorf("appending %d events allocated %d bytes, want <= %d", n, got, limit)
+	}
+	runtime.KeepAlive(tr)
+	if got, tr = allocated(10); got >= 4<<10 {
+		t.Errorf("a 10-event trace allocated %d bytes, want < 4 KiB", got)
+	}
+	runtime.KeepAlive(tr)
+}
+
+var sinkTrace *Trace
+
+// BenchmarkTraceAppend is the recorder's cost per event: one op is a
+// 1 M-event trace appended from empty, so ns/event and B/event include
+// every chunk the store allocates along the way.
+func BenchmarkTraceAppend(b *testing.B) {
+	const n = 1_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkTrace = countingTrace(n)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	events := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
 }

@@ -140,7 +140,10 @@ func SimulateHOPS(t *Trace, cfg HOPSConfig) map[string]float64 {
 				obs.ExpBuckets(1, 2, 14)...),
 		}
 	}
-	norm := hops.NormalizedObserved(t.tr, hc, mem.DefaultLatency(), instruments)
+	norm, err := hops.NormalizedSource(trace.NewSliceSource(t.tr), hc, mem.DefaultLatency(), instruments)
+	if err != nil {
+		panic("whisper: in-memory trace stream failed: " + err.Error())
+	}
 	out := make(map[string]float64, len(norm))
 	for m, v := range norm {
 		out[m.String()] = v
