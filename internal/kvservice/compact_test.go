@@ -517,7 +517,7 @@ func TestRecoverBoundaryAlignedHeadAfterRetire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second recovery failed: %v", err)
 	}
-	if got, ok := s.get("after"); !ok || string(got) != "retire" {
+	if got, ok := s.read("after", nil); !ok || string(got) != "retire" {
 		t.Fatalf("post-recovery put lost: %q, %v", got, ok)
 	}
 }

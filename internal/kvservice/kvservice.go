@@ -107,6 +107,7 @@ type shard struct {
 	th      *persist.Thread
 	st      *store
 	pending []request
+	scratch []byte   // value buffer for batch reads, whose bytes nobody keeps
 	freeAt  mem.Time // simulated time the shard finished its last batch
 	batches uint64
 	puts    uint64
@@ -206,7 +207,9 @@ func (s *Service) commitLocked(sh *shard, start mem.Time) {
 		sh.th.Compute(s.cfg.OpCycles)
 		switch r.op.Kind {
 		case workload.OpRead:
-			sh.st.get(r.op.Key)
+			if v, ok := sh.st.read(r.op.Key, sh.scratch); ok {
+				sh.scratch = v
+			}
 			sh.gets++
 		case workload.OpDelete:
 			if _, err := sh.st.del(r.op.Key); err != nil {
@@ -317,7 +320,7 @@ func (s *Service) Get(key string) ([]byte, bool) {
 		}
 		return append([]byte(nil), r.op.Value...), true
 	}
-	return sh.st.get(key)
+	return sh.st.read(key, nil)
 }
 
 // Flush commits every shard's pending batch, full or not.
@@ -405,27 +408,23 @@ func (s *Service) Crash(mode pmem.CrashMode, seed int64) error {
 
 // --- simulation-facing entry points (see sim.go) -------------------------
 
-// commitDue commits every shard whose oldest pending request has waited
-// MaxWait by simulated time now. The simulation calls it before each
-// arrival so deadline commits happen in event order.
-func (s *Service) commitDue(now mem.Time) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if len(sh.pending) > 0 {
-			if due := sh.pending[0].arrival + s.cfg.MaxWait; due <= now {
-				s.commitLocked(sh, max(due, sh.freeAt))
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// enqueue adds a timed request; a full batch commits immediately, gated
-// on the shard being free.
+// enqueue adds a timed request to its shard. A batch whose oldest request
+// has waited MaxWait by this arrival commits first, at its deadline — the
+// deadline rule is shard-local: arrivals come in time order and a commit
+// reads and writes only its own shard's device, clock and trace, so it does
+// not matter which later arrival notices that the deadline passed, only that
+// the batch starts at max(due, freeAt) and closes before the shard's next
+// request joins. Then the request is appended, and a full batch commits
+// immediately. Both commits are gated on the shard being free.
 func (s *Service) enqueue(op workload.KVOp, arrival mem.Time) {
 	sh := s.shards[s.ShardFor(op.Key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if len(sh.pending) > 0 {
+		if due := sh.pending[0].arrival + s.cfg.MaxWait; due <= arrival {
+			s.commitLocked(sh, max(due, sh.freeAt))
+		}
+	}
 	sh.pending = append(sh.pending, request{op: op, arrival: arrival})
 	if len(sh.pending) >= s.cfg.Batch {
 		s.commitLocked(sh, max(arrival, sh.freeAt))

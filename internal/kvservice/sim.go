@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
@@ -112,24 +113,27 @@ type SimResult struct {
 
 func round3(x float64) float64 { return math.Round(x*1000) / 1000 }
 
+// keyName is fmt.Sprintf("key%08d", n) without fmt: the request loop formats
+// one key per simulated arrival.
+func keyName(n uint64) string {
+	if n > 99999999 {
+		return "key" + strconv.FormatUint(n, 10)
+	}
+	b := [11]byte{'k', 'e', 'y'}
+	for i := len(b) - 1; i >= 3; i-- {
+		b[i] = byte('0' + n%10)
+		n /= 10
+	}
+	return string(b[:])
+}
+
 // Run drives one load point through a fresh service and returns the row
 // plus the service itself (callers feed its merged trace to the
 // sanitizer or the epoch analysis). Same config, same result — the whole
 // simulation runs on seeded PRNGs over the deterministic machine model.
 func Run(cfg SimConfig) (SimResult, *Service) {
 	cfg = cfg.withDefaults()
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	svc := New(Config{
-		Shards:   cfg.Shards,
-		Batch:    cfg.Batch,
-		MaxWait:  mem.Time(cfg.MaxWaitNS),
-		OpCycles: mem.Cycles(cfg.OpCycles),
-		SegBytes: cfg.SegBytes,
-		Metrics:  reg,
-	})
+	svc := newSimService(cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := workload.NewZipf(rng, cfg.ZipfS, cfg.Keys)
 	meanGapNS := 1e9 / (float64(cfg.Clients) * cfg.ClientOpsPerSec)
@@ -140,8 +144,7 @@ func Run(cfg SimConfig) (SimResult, *Service) {
 		if arrival == 0 {
 			arrival = 1 // zero is the "untimed" sentinel
 		}
-		svc.commitDue(arrival)
-		key := fmt.Sprintf("key%08d", zipf.Next())
+		key := keyName(zipf.Next())
 		op := workload.KVOp{Kind: workload.OpRead, Key: key}
 		if draw := rng.Intn(100); draw < cfg.WritePct {
 			val := make([]byte, cfg.ValueLen)
@@ -155,10 +158,31 @@ func Run(cfg SimConfig) (SimResult, *Service) {
 		svc.enqueue(op, arrival)
 	}
 	svc.drain()
+	return svc.simResult(cfg, mem.Time(t)), svc
+}
 
+// newSimService builds the service a load point runs against.
+func newSimService(cfg SimConfig) *Service {
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	return New(Config{
+		Shards:   cfg.Shards,
+		Batch:    cfg.Batch,
+		MaxWait:  mem.Time(cfg.MaxWaitNS),
+		OpCycles: mem.Cycles(cfg.OpCycles),
+		SegBytes: cfg.SegBytes,
+		Metrics:  reg,
+	})
+}
+
+// simResult reads the drained service into a capacity-curve row; lastArrival
+// is the simulated time of the final request.
+func (svc *Service) simResult(cfg SimConfig, lastArrival mem.Time) SimResult {
 	stats := svc.Stats()
 	space := svc.Space()
-	span := max(svc.makespan(), mem.Time(t))
+	span := max(svc.makespan(), lastArrival)
 	res := SimResult{
 		Shards:      cfg.Shards,
 		Batch:       cfg.Batch,
@@ -184,7 +208,7 @@ func Run(cfg SimConfig) (SimResult, *Service) {
 	if span > 0 {
 		res.OpsPerSec = round3(float64(cfg.Ops) / (float64(span) * 1e-9))
 	}
-	return res, svc
+	return res
 }
 
 // Simulate is Run without the service handle.

@@ -3,6 +3,7 @@ package kvservice
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -180,6 +181,7 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes int) (*store, error)
 		}
 	}
 	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
+	var buf []byte // key of the record under the cursor; grows to the longest
 	for _, seq := range seqs {
 		end := min((seq+1)*sb, s.head)
 		for off := seq * sb; off < end; {
@@ -202,8 +204,9 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes int) (*store, error)
 			if size > rem {
 				return nil, fmt.Errorf("kvservice: corrupt record at log offset %d: klen=%d vlen=%#x exceeds segment remainder %d", off, klen, vraw, rem)
 			}
-			key := string(th.Load(a+recHeader, int(klen)))
-			s.noteAppend(key, off, vlen, tomb)
+			buf = slices.Grow(buf[:0], int(klen))[:klen]
+			th.LoadInto(a+recHeader, buf)
+			s.noteAppend(string(buf), off, vlen, tomb)
 			off += size
 		}
 	}
@@ -360,16 +363,23 @@ func (s *store) del(key string) (bool, error) {
 	return true, nil
 }
 
-// get returns the committed value for key (records pending in the current
-// batch are already visible: put indexes eagerly).
-func (s *store) get(key string) ([]byte, bool) {
+// read returns the committed value for key (records pending in the current
+// batch are already visible: put indexes eagerly). The value is loaded into
+// buf when it fits its capacity, so a caller that discards the bytes passes
+// the same buffer again and pays no allocation; a nil buf yields a fresh
+// slice the caller may keep.
+func (s *store) read(key string, buf []byte) ([]byte, bool) {
 	s.th.VLoad(s.vbase, 2)
 	r, ok := s.index[key]
 	if !ok {
 		return nil, false
 	}
-	a := s.addr(r.off) + mem.Addr(recHeader+len(key))
-	return s.th.Load(a, r.vlen), true
+	if cap(buf) < r.vlen {
+		buf = make([]byte, r.vlen)
+	}
+	buf = buf[:r.vlen]
+	s.th.LoadInto(s.addr(r.off)+mem.Addr(recHeader+len(key)), buf)
+	return buf, true
 }
 
 // commit publishes everything appended since the last commit: one
@@ -453,6 +463,9 @@ func (s *store) needsCompact(liveFrac float64) (uint64, bool) {
 func (s *store) compactOnce(seq uint64) error {
 	sb := uint64(s.segBytes)
 	end := min((seq+1)*sb, s.head)
+	// buf holds the key, then (converted to a string, the key is done with)
+	// the value of the record under the cursor; it grows to the largest.
+	var buf []byte
 	for off := seq * sb; off < end; {
 		rem := end - off
 		if rem < recHeader {
@@ -470,12 +483,15 @@ func (s *store) compactOnce(seq uint64) error {
 			vlen = int(vraw)
 		}
 		size := recHeader + uint64(klen) + uint64(vlen)
-		key := string(s.th.Load(a+recHeader, int(klen)))
+		buf = slices.Grow(buf[:0], int(klen))[:klen]
+		s.th.LoadInto(a+recHeader, buf)
+		key := string(buf)
 		cur, isLive := s.index[key]
 		switch {
 		case !tomb && isLive && cur.off == off:
-			val := s.th.Load(a+recHeader+mem.Addr(klen), vlen)
-			noff, err := s.appendRec(key, val, false)
+			buf = slices.Grow(buf[:0], vlen)[:vlen]
+			s.th.LoadInto(a+recHeader+mem.Addr(klen), buf)
+			noff, err := s.appendRec(key, buf, false)
 			if err != nil {
 				return err
 			}

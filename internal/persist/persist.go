@@ -266,12 +266,19 @@ func (t *Thread) StoreNT(a mem.Addr, data []byte) {
 	t.epochLineTouches += uint64(mem.LinesSpanned(a, len(data)))
 }
 
-// Load reads size bytes at a.
+// Load reads size bytes at a into a fresh slice.
 func (t *Thread) Load(a mem.Addr, size int) []byte {
-	out := t.rt.Dev.Load(t.id, a, size)
-	t.tick(t.rt.cfg.Latency.L1Cycles)
-	t.emit(trace.KLoad, a, size)
+	out := make([]byte, size)
+	t.LoadInto(a, out)
 	return out
+}
+
+// LoadInto reads len(out) bytes at a into out without allocating — the load
+// for callers that do not keep the bytes past their next load.
+func (t *Thread) LoadInto(a mem.Addr, out []byte) {
+	t.rt.Dev.LoadInto(t.id, a, out)
+	t.tick(t.rt.cfg.Latency.L1Cycles)
+	t.emit(trace.KLoad, a, len(out))
 }
 
 // Flush issues CLWB for the lines overlapping [a, a+size) (PM_FLUSH).
@@ -394,7 +401,9 @@ func (t *Thread) StoreU64NT(a mem.Addr, v uint64) {
 
 // LoadU64 loads a little-endian uint64 from a.
 func (t *Thread) LoadU64(a mem.Addr) uint64 {
-	return binary.LittleEndian.Uint64(t.Load(a, 8))
+	var buf [8]byte
+	t.LoadInto(a, buf[:])
+	return binary.LittleEndian.Uint64(buf[:])
 }
 
 // StoreU32 stores v little-endian at a.
@@ -406,7 +415,9 @@ func (t *Thread) StoreU32(a mem.Addr, v uint32) {
 
 // LoadU32 loads a little-endian uint32 from a.
 func (t *Thread) LoadU32(a mem.Addr) uint32 {
-	return binary.LittleEndian.Uint32(t.Load(a, 4))
+	var buf [4]byte
+	t.LoadInto(a, buf[:])
+	return binary.LittleEndian.Uint32(buf[:])
 }
 
 // Memset stores n copies of b starting at a.

@@ -395,3 +395,66 @@ func TestFlushHookObservesFlushes(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadIntoIsLoad: Load is LoadInto into a fresh slice — same bytes over a
+// poisoned buffer (written span, then a never-written tail), same simulated
+// time, same KLoad event.
+func TestLoadIntoIsLoad(t *testing.T) {
+	rt := newRT(t)
+	th := rt.Thread(0)
+	a := rt.Dev.Map(2 * pmem.PageBytes)
+	th.Store(a+40, bytes.Repeat([]byte{9}, 100))
+	*rt.Trace = trace.Trace{}
+
+	t0 := rt.Clock.Now()
+	want := th.Load(a+30, 4200)
+	t1 := rt.Clock.Now()
+	got := bytes.Repeat([]byte{0xFF}, 4200)
+	th.LoadInto(a+30, got)
+	t2 := rt.Clock.Now()
+
+	if !bytes.Equal(got, want) {
+		t.Fatal("LoadInto bytes differ from Load")
+	}
+	if t1-t0 != t2-t1 || t1 == t0 {
+		t.Fatalf("Load took %d simulated ns, LoadInto %d", t1-t0, t2-t1)
+	}
+	ev := events(rt)
+	if len(ev) != 2 || ev[0].Kind != trace.KLoad {
+		t.Fatalf("trace = %v", ev)
+	}
+	ev[0].Time, ev[1].Time = 0, 0
+	if ev[0] != ev[1] {
+		t.Fatalf("Load emitted %+v, LoadInto %+v", ev[0], ev[1])
+	}
+}
+
+// TestTypedLoadsDoNotAllocate pins LoadU64/LoadU32 (the recovery scan's
+// header reads) and LoadInto at zero allocations. Events go to a sink so the
+// recorder's chunk growth is not in the count.
+func TestTypedLoadsDoNotAllocate(t *testing.T) {
+	rt := newRT(t)
+	th := rt.Thread(0)
+	a := rt.Dev.Map(64)
+	th.StoreU64(a, 0x1122334455667788)
+	events := 0
+	rt.SetEventSink(func(trace.Event) { events++ })
+	var u64 uint64
+	var u32 uint32
+	buf := make([]byte, 16)
+	for name, fn := range map[string]func(){
+		"LoadU64":  func() { u64 = th.LoadU64(a) },
+		"LoadU32":  func() { u32 = th.LoadU32(a + 4) },
+		"LoadInto": func() { th.LoadInto(a, buf) },
+	} {
+		if n := testing.AllocsPerRun(1000, fn); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, n)
+		}
+	}
+	if u64 != 0x1122334455667788 || u32 != 0x11223344 || buf[0] != 0x88 {
+		t.Fatalf("loaded %#x, %#x, %#x", u64, u32, buf[0])
+	}
+	if events != 3*1001 {
+		t.Fatalf("sink saw %d KLoad events, want %d", events, 3*1001)
+	}
+}

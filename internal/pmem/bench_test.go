@@ -77,6 +77,22 @@ func BenchmarkDeviceLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceLoadInto is BenchmarkDeviceLoad into a caller's buffer: the
+// same lookup and copy, no allocation.
+func BenchmarkDeviceLoadInto(b *testing.B) {
+	d := New()
+	a := d.Map(1 << 20)
+	for i := 0; i < 4096; i++ {
+		d.Store(0, a+mem.Addr(i*64), []byte{byte(i)})
+	}
+	var out [8]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.LoadInto(0, a+mem.Addr((i%4096)*64), out[:])
+	}
+}
+
 // largeEpochLines is one 512 KB compaction copy: the largest epoch the KV
 // service's copy-forward pass issues.
 const largeEpochLines = 8192

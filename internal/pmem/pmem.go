@@ -420,25 +420,34 @@ func (d *Device) StoreNT(tid ThreadID, a mem.Addr, data []byte) {
 	d.stats.bytesStored.Add(uint64(len(data)))
 }
 
-// Load reads size bytes at a from the live image.
+// Load reads size bytes at a from the live image into a fresh slice.
 func (d *Device) Load(tid ThreadID, a mem.Addr, size int) []byte {
-	checkRange(a, size)
 	out := make([]byte, size)
+	d.LoadInto(tid, a, out)
+	return out
+}
+
+// LoadInto reads len(out) bytes at a from the live image into out, whatever
+// out held before. It allocates nothing, so a caller that does not keep the
+// bytes can reuse one buffer across loads.
+func (d *Device) LoadInto(tid ThreadID, a mem.Addr, out []byte) {
+	checkRange(a, len(out))
 	off, lines := 0, uint64(0)
-	for off < size {
+	for off < len(out) {
 		ad := a + mem.Addr(off)
 		l := mem.LineOf(ad)
 		start := int(ad - mem.LineAddr(l))
 		if pg := d.readPage(l); pg != nil {
 			off += copy(out[off:], pg.data[mem.PageIndex(l)][start:])
 		} else {
-			// Unwritten memory reads as zero; skip the copy.
-			off += mem.LineSize - start
+			// Unwritten memory reads as zero.
+			n := min(mem.LineSize-start, len(out)-off)
+			clear(out[off : off+n])
+			off += n
 		}
 		lines++
 	}
 	d.stats.loads.Add(lines)
-	return out
 }
 
 // Flush issues CLWB for every line overlapping [a, a+size). The current

@@ -673,6 +673,11 @@ func TestDifferentialAgainstReferenceModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: Load(%v, 512) differs from the model", seed, step, a)
 			}
 			ref.stats.Loads += uint64(mem.LinesSpanned(a, 512))
+			into := bytes.Repeat([]byte{0xFF}, 512)
+			if d.LoadInto(0, a, into); !bytes.Equal(into, ref.load(a, 512)) {
+				t.Fatalf("seed %d step %d: LoadInto(%v, 512) differs from the model", seed, step, a)
+			}
+			ref.stats.Loads += uint64(mem.LinesSpanned(a, 512))
 			if got, want := d.IsDurable(a, 512), ref.isDurable(a, 512); got != want {
 				t.Fatalf("seed %d step %d: IsDurable(%v, 512) = %v, model says %v", seed, step, a, got, want)
 			}
@@ -803,6 +808,74 @@ func TestStoreAfterCrashMaterializesOnePage(t *testing.T) {
 	}
 	if n := len(d.live.pages); n != 0 {
 		t.Fatalf("second crash left %d live pages", n)
+	}
+}
+
+// TestLoadIntoMatchesLoad: LoadInto must overwrite every byte of a dirty
+// caller buffer exactly as Load fills a fresh one — including the spans that
+// no page backs, which Load got for free from make.
+func TestLoadIntoMatchesLoad(t *testing.T) {
+	d := New()
+	a := d.Map(4 * PageBytes)
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	// Page 0: lines 0 and 2 written, line 1 a hole inside a backed page.
+	d.Store(0, a, fill(mem.LineSize, 1))
+	d.Store(0, a+2*mem.LineSize, fill(mem.LineSize, 2))
+	// Pages 1-2: a write straddling the page boundary. Page 3: never written.
+	d.Store(0, a+2*PageBytes-24, fill(48, 3))
+	d.Flush(0, a, 2*PageBytes+64)
+	d.Fence(0)
+
+	check := func(when string) {
+		t.Helper()
+		for _, c := range []struct {
+			name string
+			off  mem.Addr
+			size int
+		}{
+			{"hole between written lines", 0, 3 * mem.LineSize},
+			{"inside the hole, unaligned", mem.LineSize + 5, 40},
+			{"page boundary", 2*PageBytes - 100, 200},
+			{"backed page into unbacked page", 3*PageBytes - 70, 300},
+			{"unbacked page only", 3*PageBytes + 9, 130},
+			{"empty", 7, 0},
+		} {
+			want := d.Load(0, a+c.off, c.size)
+			got := fill(c.size, 0xFF)
+			before := d.Stats().Loads
+			d.LoadInto(0, a+c.off, got)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: LoadInto differs from Load", when, c.name)
+			}
+			if n, w := d.Stats().Loads-before, uint64(mem.LinesSpanned(a+c.off, c.size)); n != w {
+				t.Errorf("%s, %s: LoadInto counted %d loads, want %d", when, c.name, n, w)
+			}
+		}
+	}
+	check("live overlay")
+	// After the crash every page exists only in the durable image.
+	d.Crash(Strict, 1)
+	if n := len(d.live.pages); n != 0 {
+		t.Fatalf("crash left %d live pages", n)
+	}
+	check("durable fall-through")
+	if got := d.Load(0, a+2*PageBytes-24, 48); !bytes.Equal(got, fill(48, 3)) {
+		t.Fatalf("persisted bytes lost across the crash: %v", got)
+	}
+}
+
+// TestLoadIntoDoesNotAllocate pins the read primitive at zero allocations,
+// backed or not.
+func TestLoadIntoDoesNotAllocate(t *testing.T) {
+	d := New()
+	a := d.Map(2 * PageBytes)
+	d.Store(0, a, bytes.Repeat([]byte{7}, 256))
+	out := make([]byte, 192)
+	if n := testing.AllocsPerRun(1000, func() { d.LoadInto(0, a+32, out) }); n != 0 {
+		t.Errorf("LoadInto of a written span allocates %v times per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { d.LoadInto(0, a+PageBytes, out) }); n != 0 {
+		t.Errorf("LoadInto of an unwritten span allocates %v times per op, want 0", n)
 	}
 }
 
