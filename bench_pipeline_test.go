@@ -72,6 +72,26 @@ func BenchmarkPipelineAnalyze(b *testing.B) {
 	}
 }
 
+// BenchmarkHOPSReplay is the Figure 10 replay — SimulateHOPS, all five
+// models in one pass — over a recorded ycsb run: Mevents/s is trace events
+// per second (each event is replayed five times), allocs/op the whole
+// pass's allocations, which do not grow with the trace.
+func BenchmarkHOPSReplay(b *testing.B) {
+	rep, err := Run("ycsb", Config{Ops: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultHOPSConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if norm := SimulateHOPS(rep.Trace, cfg); len(norm) != len(HOPSModels()) {
+			b.Fatalf("%d models replayed", len(norm))
+		}
+	}
+	b.ReportMetric(float64(rep.Trace.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
+}
+
 // BenchmarkTraceCodecV2 measures the chunked codec against v1 on the same
 // synthetic trace.
 func BenchmarkTraceCodecV2(b *testing.B) {

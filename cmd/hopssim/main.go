@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/whisper-pm/whisper"
@@ -30,14 +31,28 @@ var paperPMShare = map[string]float64{
 }
 
 func main() {
-	fig6 := flag.Bool("fig6", false, "print Figure 6 (PM share of accesses)")
-	fig10 := flag.Bool("fig10", false, "print Figure 10 (HOPS performance)")
-	ops := flag.Int("ops", 0, "operations per client (0 = suite default)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	pb := flag.Int("pb", 0, "persist-buffer entries per thread (0 = paper's 32)")
-	drain := flag.Int("drain", 0, "PB occupancy that launches the background drain (0 = paper's 16)")
-	metrics := flag.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with the process edges injected, so tests can call it
+// directly. It returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hopssim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig6 := fs.Bool("fig6", false, "print Figure 6 (PM share of accesses)")
+	fig10 := fs.Bool("fig10", false, "print Figure 10 (HOPS performance)")
+	ops := fs.Int("ops", 0, "operations per client (0 = suite default)")
+	seed := fs.Int64("seed", 1, "workload seed")
+	pb := fs.Int("pb", 0, "persist-buffer entries per thread (0 = paper's 32)")
+	drain := fs.Int("drain", 0, "PB occupancy that launches the background drain (0 = paper's 16)")
+	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "hopssim: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
 	both := !*fig6 && !*fig10
 
 	cfg := whisper.DefaultHOPSConfig()
@@ -58,53 +73,54 @@ func main() {
 	for _, name := range subset {
 		rep, err := whisper.Run(name, whisper.Config{Ops: *ops, Seed: *seed})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		reports[name] = rep
 	}
 
 	if both || *fig6 {
-		fmt.Println("== Figure 6: PM accesses among all memory accesses ==")
-		fmt.Printf("%-10s %-10s %s\n", "Benchmark", "Measured", "Paper")
+		fmt.Fprintln(stdout, "== Figure 6: PM accesses among all memory accesses ==")
+		fmt.Fprintf(stdout, "%-10s %-10s %s\n", "Benchmark", "Measured", "Paper")
 		var sum float64
 		for _, name := range subset {
 			r := reports[name]
-			fmt.Printf("%-10s %-9.2f%% %.2f%%\n", name, r.PMShare*100, paperPMShare[name])
+			fmt.Fprintf(stdout, "%-10s %-9.2f%% %.2f%%\n", name, r.PMShare*100, paperPMShare[name])
 			sum += r.PMShare * 100
 		}
-		fmt.Printf("%-10s %-9.2f%% %.2f%%\n\n", "average", sum/float64(len(subset)), 3.54)
+		fmt.Fprintf(stdout, "%-10s %-9.2f%% %.2f%%\n\n", "average", sum/float64(len(subset)), 3.54)
 	}
 
 	if both || *fig10 {
-		fmt.Printf("== Figure 10: normalized runtime (PB=%d entries, drain at %d, %d MCs) ==\n",
+		fmt.Fprintf(stdout, "== Figure 10: normalized runtime (PB=%d entries, drain at %d, %d MCs) ==\n",
 			cfg.PBEntries, cfg.DrainAt, cfg.MemoryControllers)
 		models := whisper.HOPSModels()
-		fmt.Printf("%-10s", "Benchmark")
+		fmt.Fprintf(stdout, "%-10s", "Benchmark")
 		for _, m := range models {
-			fmt.Printf(" %14s", m)
+			fmt.Fprintf(stdout, " %14s", m)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		avg := make(map[string]float64)
 		for _, name := range subset {
 			norm := whisper.SimulateHOPS(reports[name].Trace, cfg)
-			fmt.Printf("%-10s", name)
+			fmt.Fprintf(stdout, "%-10s", name)
 			for _, m := range models {
-				fmt.Printf(" %14.3f", norm[m])
+				fmt.Fprintf(stdout, " %14.3f", norm[m])
 				avg[m] += norm[m]
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Printf("%-10s", "average")
+		fmt.Fprintf(stdout, "%-10s", "average")
 		for _, m := range models {
-			fmt.Printf(" %14.3f", avg[m]/float64(len(subset)))
+			fmt.Fprintf(stdout, " %14.3f", avg[m]/float64(len(subset)))
 		}
-		fmt.Println()
-		fmt.Println("\npaper averages: x86(NVM) 1.00, x86(PWQ) 0.845, HOPS(NVM) 0.757, HOPS(PWQ) 0.747, IDEAL 0.593")
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "\npaper averages: x86(NVM) 1.00, x86(PWQ) 0.845, HOPS(NVM) 0.757, HOPS(PWQ) 0.747, IDEAL 0.593")
 	}
 
 	if err := cliutil.WriteMetrics(*metrics); err != nil {
-		fmt.Fprintln(os.Stderr, "hopssim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "hopssim:", err)
+		return 1
 	}
+	return 0
 }

@@ -24,7 +24,9 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 )
 
-// Config sizes the HOPS hardware.
+// Config sizes the HOPS hardware. In the timing replay a zero PBEntries,
+// MCs, OOOWidth or MCPipeline means its DefaultConfig value; NewMachine
+// rejects a zero PBEntries or MCs.
 type Config struct {
 	// PBEntries is the per-thread persist buffer capacity (32 in §6.4).
 	PBEntries int

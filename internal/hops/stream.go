@@ -23,43 +23,48 @@ type pendingEvent struct {
 	await  bool // an unresolved KFence; blocks draining
 }
 
+// openFence is one thread's unresolved KFence, by stream position.
+type openFence struct {
+	pos  int
+	open bool
+}
+
 // dfenceResolver buffers events until every fence ahead of them is
 // classified, then releases them in input order via the emit callback.
+// queue[head:] is the buffer; the released prefix is reclaimed by
+// truncation when the buffer empties and by a copy once it is at least as
+// long as what remains, so a release costs O(events released).
 type dfenceResolver struct {
 	queue      []pendingEvent
-	base       int           // stream position of queue[0]
-	pos        int           // stream position of the next pushed event
-	unresolved map[int32]int // tid -> stream position of its open fence
+	head       int                 // queue[:head] has been released
+	base       int                 // stream position of queue[0]
+	pos        int                 // stream position of the next pushed event
+	unresolved tidTable[openFence] // each thread's open fence
 	emit       func(e trace.Event, dfence bool)
 }
 
 func newDfenceResolver(emit func(trace.Event, bool)) *dfenceResolver {
-	return &dfenceResolver{unresolved: make(map[int32]int), emit: emit}
+	return &dfenceResolver{emit: emit}
 }
 
 func (d *dfenceResolver) push(e trace.Event) {
 	switch e.Kind {
 	case trace.KFence:
 		// A newer fence of the same thread makes the older one an ofence.
-		if j, ok := d.unresolved[e.TID]; ok {
-			d.queue[j-d.base].await = false
+		f := d.unresolved.get(e.TID)
+		if f.open {
+			d.queue[f.pos-d.base].await = false
 		}
 		d.queue = append(d.queue, pendingEvent{e: e, await: true})
-		d.unresolved[e.TID] = d.pos
+		f.pos, f.open = d.pos, true
 	case trace.KTxEnd:
 		// Commit: the thread's open fence is its durability point.
-		if j, ok := d.unresolved[e.TID]; ok {
-			d.queue[j-d.base].await = false
-			d.queue[j-d.base].dfence = true
-			delete(d.unresolved, e.TID)
+		if f := d.unresolved.get(e.TID); f.open {
+			d.queue[f.pos-d.base].await = false
+			d.queue[f.pos-d.base].dfence = true
+			f.open = false
 		}
-		if len(d.queue) == 0 {
-			d.pos++
-			d.base++
-			d.emit(e, false)
-			return
-		}
-		d.queue = append(d.queue, pendingEvent{e: e})
+		fallthrough
 	default:
 		if len(d.queue) == 0 {
 			// Nothing buffered and nothing to resolve: bypass the queue.
@@ -75,20 +80,23 @@ func (d *dfenceResolver) push(e trace.Event) {
 }
 
 func (d *dfenceResolver) drain() {
-	i := 0
+	i := d.head
 	for ; i < len(d.queue) && !d.queue[i].await; i++ {
 		d.emit(d.queue[i].e, d.queue[i].dfence)
 	}
-	if i > 0 {
+	d.head = i
+	if rest := len(d.queue) - i; rest <= i {
+		copy(d.queue, d.queue[i:])
+		d.queue = d.queue[:rest]
 		d.base += i
-		d.queue = d.queue[:copy(d.queue, d.queue[i:])]
+		d.head = 0
 	}
 }
 
 // finish releases everything still buffered: fences with no later commit
 // are ofences.
 func (d *dfenceResolver) finish() {
-	for i := range d.queue {
+	for i := d.head; i < len(d.queue); i++ {
 		d.queue[i].await = false
 	}
 	d.drain()
@@ -98,7 +106,7 @@ func (d *dfenceResolver) finish() {
 // model in one pass and O(open lookahead) memory. The instruments in ro
 // are pure outputs and never change the Result.
 func ReplaySource(src trace.EventSource, model Model, cfg Config, lat mem.Latency, ro ReplayObs) (Result, error) {
-	r := newReplayer(model, cfg, lat, ro)
+	r := newReplayer(model, cfg, lat, ro, newFront(cfg, lat))
 	d := newDfenceResolver(r.step)
 	for {
 		e, err := src.Next()
@@ -116,21 +124,24 @@ func ReplaySource(src trace.EventSource, model Model, cfg Config, lat mem.Latenc
 
 // NormalizedSource computes the Figure 10 presentation — every model's
 // runtime normalized to the x86-64 (NVM) baseline — from a single pass
-// over an event source: the five models' replayers advance in lockstep on
-// the same resolved event stream. When instruments is non-nil,
-// instruments(m) supplies the ReplayObs for model m's replayer.
+// over an event source: one front does the trace bookkeeping once per
+// resolved event and the five models' back ends advance in lockstep on its
+// answer. When instruments is non-nil, instruments(m) supplies the
+// ReplayObs for model m's replayer.
 func NormalizedSource(src trace.EventSource, cfg Config, lat mem.Latency, instruments func(Model) ReplayObs) (map[Model]float64, error) {
+	f := newFront(cfg, lat)
 	rs := make([]*replayer, len(Models))
 	for i, m := range Models {
 		ro := ReplayObs{}
 		if instruments != nil {
 			ro = instruments(m)
 		}
-		rs[i] = newReplayer(m, cfg, lat, ro)
+		rs[i] = newReplayer(m, cfg, lat, ro, f)
 	}
 	d := newDfenceResolver(func(e trace.Event, dfence bool) {
+		st := f.next(e)
 		for _, r := range rs {
-			r.step(e, dfence)
+			r.apply(e, dfence, st)
 		}
 	})
 	for {

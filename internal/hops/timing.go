@@ -71,28 +71,204 @@ type ReplayObs struct {
 	DrainStall *obs.Histogram
 }
 
-// pbState is one thread's persist buffer in the timing replay. done holds
-// completion times of entries already handed to the background drain
-// engine (FIFO, nondecreasing); open counts entries of the current epoch
-// still held in the buffer — BEP forbids draining an epoch before it
-// closes, so they have no completion time yet.
-type pbState struct {
-	done []mem.Cycles
-	open int
+// resolved is the one place the replay reads Config. A zero PBEntries, MCs,
+// OOOWidth or MCPipeline takes its §6.4 value from DefaultConfig. DrainAt —
+// the occupancy at which the drain engine force-closes (epoch-splits) the
+// OPEN epoch to start background flushing early; closed epochs always drain
+// in the background from the fence that closed them — is clamped to
+// [1, PBEntries]: 1 = fully eager (every store is handed to the drain engine
+// immediately, the pre-sweep behaviour), PBEntries = drain only on fences or
+// a full buffer.
+func (c Config) resolved() Config {
+	def := DefaultConfig()
+	if c.PBEntries <= 0 {
+		c.PBEntries = def.PBEntries
+	}
+	if c.MCs <= 0 {
+		c.MCs = def.MCs
+	}
+	if c.OOOWidth == 0 {
+		c.OOOWidth = def.OOOWidth
+	}
+	if c.MCPipeline == 0 {
+		c.MCPipeline = def.MCPipeline
+	}
+	if c.DrainAt <= 0 {
+		c.DrainAt = 1
+	}
+	if c.DrainAt > c.PBEntries {
+		c.DrainAt = c.PBEntries
+	}
+	return c
 }
 
-// replayer is the incremental core of the timing replay: one event at a
-// time via step, with the dfence decision supplied by the streaming
-// lookahead in ReplaySource and NormalizedSource.
+// tidTable resolves a TID to its *T in the manner of epoch.threadStates: a
+// direct-indexed array for the common small non-negative TIDs, a lazily
+// built map for the rest (negative or huge TIDs in hand-built traces).
+// Entries are created zero-valued on first use.
+type tidTable[T any] struct {
+	dense [64]*T
+	odd   map[int32]*T
+}
+
+func (t *tidTable[T]) get(tid int32) *T {
+	if uint32(tid) < uint32(len(t.dense)) {
+		v := t.dense[tid]
+		if v == nil {
+			v = new(T)
+			t.dense[tid] = v
+		}
+		return v
+	}
+	v := t.odd[tid]
+	if v == nil {
+		if t.odd == nil {
+			t.odd = make(map[int32]*T)
+		}
+		v = new(T)
+		t.odd[tid] = v
+	}
+	return v
+}
+
+// frontStep is what the front hands the back ends for one event: the part
+// of replaying it that is a function of the trace and the latencies and
+// never of the model.
+type frontStep struct {
+	// compute is the recovered application compute preceding the event, in
+	// cycles on the OOO core.
+	compute mem.Cycles
+	// lines is the number of cache lines a store or flush spans.
+	lines int
+	// pending is, at a fence, the size of the thread's x86 drain set: the
+	// distinct lines CLWB'd or NT-stored since its previous fence.
+	pending int
+}
+
+// pendingSets is one thread's reconstruction of what the recording
+// execution and an x86 machine have outstanding at its next fence.
+type pendingSets struct {
+	// clwb mirrors pmem.Device.PendingFlushes exactly (distinct CLWB'd
+	// lines since the last fence): it reconstructs the cost the original
+	// execution charged each fence.
+	clwb mem.LineSet
+	// drain is the x86 models' drain set: clwb plus the NT-store lines
+	// waiting in the WCB.
+	drain mem.LineSet
+}
+
+// front is the model-independent half of the timing replay, advanced once
+// per event however many models replay it.
 //
 // The trace was produced by an execution whose clock charged each event a
 // known cost (see persist.Thread); everything else in the inter-event gaps
 // is application compute, volatile traffic, and loads. The replay keeps
 // that compute identical and substitutes each model's ordering/durability
 // behaviour for the recorded fence costs — the same-work, different-
-// persistence-hardware comparison of Figure 10. Crucially, compute time
-// lets the HOPS persist buffers drain in the background, which is where
-// HOPS's advantage comes from.
+// persistence-hardware comparison of Figure 10. Recovering the compute
+// needs the recorded device's pending-flush set, and the x86 models' fence
+// cost needs their drain set; both are per-thread functions of the event
+// stream alone, so the front maintains them and the five back ends share
+// one front exactly.
+type front struct {
+	lat     mem.Latency
+	ooo     mem.Cycles
+	threads tidTable[pendingSets]
+
+	prevTime mem.Time
+	started  bool
+}
+
+func newFront(cfg Config, lat mem.Latency) *front {
+	return &front{lat: lat, ooo: mem.Cycles(cfg.resolved().OOOWidth)}
+}
+
+// next advances the front over e.
+func (f *front) next(e trace.Event) frontStep {
+	if !f.started {
+		f.prevTime = e.Time
+		f.started = true
+	}
+	// Recover pure compute: the recorded gap minus the cost the original
+	// execution charged for this event (see persist.Thread). Compute
+	// executes on the OOO core; fences (substituted per model) serialize.
+	gap := f.lat.ToCycles(e.Time - f.prevTime)
+	f.prevTime = e.Time
+
+	var st frontStep
+	var orig mem.Cycles
+	switch e.Kind {
+	case trace.KStore:
+		orig = f.lat.StoreCycles
+		st.lines = mem.LinesSpanned(e.Addr, int(e.Size))
+	case trace.KStoreNT:
+		orig = f.lat.StoreCycles + 1
+		st.lines = mem.LinesSpanned(e.Addr, int(e.Size))
+		p := f.threads.get(e.TID)
+		for i, l := 0, mem.LineOf(e.Addr); i < st.lines; i, l = i+1, l+1 {
+			p.drain.Add(l)
+		}
+	case trace.KLoad:
+		orig = f.lat.L1Cycles
+	case trace.KFlush:
+		orig = 2
+		st.lines = mem.LinesSpanned(e.Addr, int(e.Size))
+		p := f.threads.get(e.TID)
+		for i, l := 0, mem.LineOf(e.Addr); i < st.lines; i, l = i+1, l+1 {
+			p.clwb.Add(l)
+			p.drain.Add(l)
+		}
+	case trace.KFence:
+		p := f.threads.get(e.TID)
+		orig = f.lat.PMCycles
+		if n := p.clwb.Len(); n > 1 {
+			orig += mem.Cycles(n-1) * (f.lat.PMCycles / 8)
+		}
+		st.pending = p.drain.Len()
+		p.clwb.Reset()
+		p.drain.Reset()
+	}
+	if gap > orig {
+		st.compute = (gap - orig) / f.ooo
+	}
+	return st
+}
+
+// pbState is one thread's persist buffer in the timing replay. done[head:]
+// holds completion times of entries already handed to the background drain
+// engine (FIFO, nondecreasing); open counts entries of the current epoch
+// still held in the buffer — BEP forbids draining an epoch before it
+// closes, so they have no completion time yet.
+//
+// Invariant: head < len(done), or both are 0 — pop and the dfence path
+// truncate done when the last entry leaves, so an empty queue is
+// len(done) == 0, the backing array is reused from its start, and a
+// transactional workload (every commit empties the buffer) never grows it
+// past the buffer's capacity.
+type pbState struct {
+	done []mem.Cycles
+	head int
+	open int
+}
+
+// queued is the number of entries handed to the drain engine and not yet
+// complete.
+func (pb *pbState) queued() int { return len(pb.done) - pb.head }
+
+// pop drops the head entry.
+func (pb *pbState) pop() {
+	pb.head++
+	if pb.head == len(pb.done) {
+		pb.done, pb.head = pb.done[:0], 0
+	}
+}
+
+// replayer is one model's back end of the timing replay: it applies each
+// event's model-specific ordering and durability behaviour to its own
+// clock, taking the model-independent part from a front and the dfence
+// decision from the streaming lookahead in ReplaySource and
+// NormalizedSource. Compute time lets the HOPS persist buffers drain in
+// the background, which is where HOPS's advantage comes from.
 //
 // For the HOPS models, the last fence before each KTxEnd is a dfence
 // (durability at commit); all other fences — including those outside any
@@ -102,89 +278,41 @@ type pbState struct {
 // advocates.
 type replayer struct {
 	model Model
-	cfg   Config
 	lat   mem.Latency
 	ro    ReplayObs
 	res   Result
+	// front feeds step. NormalizedSource's five replayers share one and
+	// are driven through apply instead.
+	front *front
 
-	// origPending mirrors pmem.Device.PendingFlushes exactly (distinct
-	// CLWB'd lines since the last fence): it reconstructs the cost the
-	// original execution charged each fence, independent of the model
-	// being replayed. modelPending is the x86 models' own drain set and
-	// additionally includes NT-store lines waiting in the WCB.
-	origPending  map[int32]map[mem.Line]bool
-	modelPending map[int32]map[mem.Line]bool
 	// pbs holds the per-thread HOPS persist buffers.
-	pbs map[int32]*pbState
+	pbs tidTable[pbState]
 
 	persistLat    mem.Cycles
 	drainInterval mem.Cycles
-	ooo           mem.Cycles
+	pbEntries     int
 	drainAt       int
 
-	now      mem.Cycles
-	prevTime mem.Time
-	started  bool
+	now mem.Cycles
 }
 
-func newReplayer(model Model, cfg Config, lat mem.Latency, ro ReplayObs) *replayer {
+func newReplayer(model Model, cfg Config, lat mem.Latency, ro ReplayObs, f *front) *replayer {
+	cfg = cfg.resolved()
 	r := &replayer{
-		model: model, cfg: cfg, lat: lat, ro: ro,
-		res:          Result{Model: model},
-		origPending:  make(map[int32]map[mem.Line]bool),
-		modelPending: make(map[int32]map[mem.Line]bool),
-		pbs:          make(map[int32]*pbState),
+		model: model, lat: lat, ro: ro, front: f,
+		res:       Result{Model: model},
+		pbEntries: cfg.PBEntries,
+		drainAt:   cfg.DrainAt,
 	}
 	r.persistLat = lat.PMCycles
 	if model == X86PWQ || model == HOPSPWQ {
 		r.persistLat = lat.MCQueue
 	}
-	pipe := cfg.MCPipeline
-	if pipe == 0 {
-		pipe = 4
-	}
-	r.drainInterval = mem.Cycles(int(r.persistLat) / (cfg.MCs * pipe))
+	r.drainInterval = mem.Cycles(int(r.persistLat) / (cfg.MCs * cfg.MCPipeline))
 	if r.drainInterval == 0 {
 		r.drainInterval = 1
 	}
-
-	// DrainAt is the occupancy at which the drain engine force-closes
-	// (epoch-splits) the OPEN epoch to start background flushing early;
-	// closed epochs always drain in the background from the fence that
-	// closed them. Clamp to [1, PBEntries]: 1 = fully eager (every store
-	// is handed to the drain engine immediately, the pre-sweep behaviour),
-	// PBEntries = drain only on fences or a full buffer.
-	r.drainAt = cfg.DrainAt
-	if r.drainAt <= 0 {
-		r.drainAt = 1
-	}
-	if r.drainAt > cfg.PBEntries {
-		r.drainAt = cfg.PBEntries
-	}
-
-	r.ooo = mem.Cycles(cfg.OOOWidth)
-	if r.ooo == 0 {
-		r.ooo = 4
-	}
 	return r
-}
-
-func getSet(m map[int32]map[mem.Line]bool, tid int32) map[mem.Line]bool {
-	p := m[tid]
-	if p == nil {
-		p = make(map[mem.Line]bool)
-		m[tid] = p
-	}
-	return p
-}
-
-func (r *replayer) getPB(tid int32) *pbState {
-	pb := r.pbs[tid]
-	if pb == nil {
-		pb = &pbState{}
-		r.pbs[tid] = pb
-	}
-	return pb
 }
 
 // schedule hands every open-epoch entry to the background drain
@@ -202,40 +330,46 @@ func (r *replayer) schedule(pb *pbState, now mem.Cycles) {
 
 // retire drops entries whose background drain has completed.
 func (r *replayer) retire(pb *pbState, now mem.Cycles) {
-	for len(pb.done) > 0 && pb.done[0] <= now {
-		pb.done = pb.done[1:]
+	for len(pb.done) > 0 && pb.done[pb.head] <= now {
+		pb.pop()
 	}
 }
 
-// step replays one event. dfence tells a KFence whether it is a
-// durability fence under the HOPS models; it is ignored for every other
-// event kind.
-func (r *replayer) step(e trace.Event, dfence bool) {
-	if !r.started {
-		r.prevTime = e.Time
-		r.started = true
-	}
-	// Recover pure compute: the recorded gap minus the cost the
-	// original execution charged for this event.
-	gap := r.lat.ToCycles(e.Time - r.prevTime)
-	orig := originalCharge(e, r.lat, getSet(r.origPending, e.TID))
-	if gap > orig {
-		// Compute executes on the OOO core; fences (substituted below
-		// per model) serialize.
-		r.now += (gap - orig) / r.ooo
-	}
-	r.prevTime = e.Time
-
-	// Maintain the original execution's pending-flush bookkeeping
-	// regardless of model.
-	switch e.Kind {
-	case trace.KFlush:
-		for _, l := range mem.Lines(e.Addr, int(e.Size)) {
-			getSet(r.origPending, e.TID)[l] = true
+// buffer enters a store's lines into the thread's persist buffer, one
+// entry per line.
+func (r *replayer) buffer(pb *pbState, lines int) {
+	for i := 0; i < lines; i++ {
+		r.retire(pb, r.now)
+		if pb.queued()+pb.open >= r.pbEntries {
+			// Full PB: force-close the open epoch and stall until the
+			// head entry drains.
+			r.schedule(pb, r.now)
+			stall := pb.done[pb.head] - r.now
+			r.now += stall
+			r.res.StallCycles += stall
+			r.ro.DrainStall.Observe(uint64(stall))
+			pb.pop()
 		}
-	case trace.KFence:
-		delete(r.origPending, e.TID)
+		pb.open++
+		if pb.open >= r.drainAt {
+			// Occupancy hit the launch threshold: epoch-split the open
+			// epoch and drain it in the background.
+			r.schedule(pb, r.now)
+		}
+		r.ro.Occupancy.Observe(uint64(pb.queued() + pb.open))
 	}
+}
+
+// step replays one event through the replayer's own front. dfence tells a
+// KFence whether it is a durability fence under the HOPS models; it is
+// ignored for every other event kind.
+func (r *replayer) step(e trace.Event, dfence bool) {
+	r.apply(e, dfence, r.front.next(e))
+}
+
+// apply replays one event whose model-independent part is st.
+func (r *replayer) apply(e trace.Event, dfence bool, st frontStep) {
+	r.now += st.compute
 
 	switch e.Kind {
 	case trace.KStore, trace.KStoreNT:
@@ -243,68 +377,34 @@ func (r *replayer) step(e trace.Event, dfence bool) {
 		if e.Kind == trace.KStoreNT {
 			r.now++
 		}
-		switch r.model {
-		case X86NVM, X86PWQ:
-			if e.Kind == trace.KStoreNT {
-				for _, l := range mem.Lines(e.Addr, int(e.Size)) {
-					getSet(r.modelPending, e.TID)[l] = true
-				}
-			}
-		case HOPSNVM, HOPSPWQ:
-			pb := r.getPB(e.TID)
-			for range mem.Lines(e.Addr, int(e.Size)) {
-				r.retire(pb, r.now)
-				if len(pb.done)+pb.open >= r.cfg.PBEntries {
-					// Full PB: force-close the open epoch and stall
-					// until the head entry drains.
-					r.schedule(pb, r.now)
-					stall := pb.done[0] - r.now
-					r.now += stall
-					r.res.StallCycles += stall
-					r.ro.DrainStall.Observe(uint64(stall))
-					pb.done = pb.done[1:]
-				}
-				pb.open++
-				if pb.open >= r.drainAt {
-					// Occupancy hit the launch threshold: epoch-split
-					// the open epoch and drain it in the background.
-					r.schedule(pb, r.now)
-				}
-				r.ro.Occupancy.Observe(uint64(len(pb.done) + pb.open))
-			}
-		case Ideal:
-			// No persistence bookkeeping at all.
+		// x86: the front tracks the NT lines awaiting the fence. IDEAL:
+		// no persistence bookkeeping at all.
+		if r.model == HOPSNVM || r.model == HOPSPWQ {
+			r.buffer(r.pbs.get(e.TID), st.lines)
 		}
 
 	case trace.KLoad:
 		r.now += r.lat.L1Cycles
 
 	case trace.KFlush:
-		switch r.model {
-		case X86NVM, X86PWQ:
+		if r.model == X86NVM || r.model == X86PWQ {
 			r.now += 2 // clwb issue cost
-			for _, l := range mem.Lines(e.Addr, int(e.Size)) {
-				getSet(r.modelPending, e.TID)[l] = true
-			}
-		default:
-			// HOPS and IDEAL need no flush instructions: the
-			// instruction disappears from the stream.
 		}
+		// HOPS and IDEAL need no flush instructions: the instruction
+		// disappears from the stream.
 
 	case trace.KFence:
 		r.res.Fences++
 		switch r.model {
 		case X86NVM, X86PWQ:
-			n := len(getSet(r.modelPending, e.TID))
-			r.ro.Occupancy.Observe(uint64(n))
-			stall := x86FenceCost(n, r.persistLat, r.drainInterval)
+			r.ro.Occupancy.Observe(uint64(st.pending))
+			stall := x86FenceCost(st.pending, r.persistLat, r.drainInterval)
 			r.now += stall
 			r.res.StallCycles += stall
 			r.ro.DrainStall.Observe(uint64(stall))
-			delete(r.modelPending, e.TID)
 		case HOPSNVM, HOPSPWQ:
 			r.now++ // TS register bump
-			pb := r.getPB(e.TID)
+			pb := r.pbs.get(e.TID)
 			r.retire(pb, r.now)
 			// The fence closes the epoch; its entries may now drain,
 			// so hand them to the background engine (BEP rule: epochs
@@ -317,7 +417,7 @@ func (r *replayer) step(e trace.Event, dfence bool) {
 					r.now += stall
 					r.res.StallCycles += stall
 					r.ro.DrainStall.Observe(uint64(stall))
-					pb.done = pb.done[:0]
+					pb.done, pb.head = pb.done[:0], 0
 				}
 			}
 		case Ideal:
@@ -332,32 +432,6 @@ func (r *replayer) step(e trace.Event, dfence bool) {
 func (r *replayer) result() Result {
 	r.res.Cycles = r.now
 	return r.res
-}
-
-// originalCharge reproduces the cycle cost persist.Thread charged for an
-// event when the trace was recorded, so the replay can subtract it from the
-// inter-event gap and keep only genuine compute. pending is the thread's
-// distinct-flushed-lines set maintained in event order — identical to the
-// device state the original fence saw.
-func originalCharge(e trace.Event, lat mem.Latency, pending map[mem.Line]bool) mem.Cycles {
-	switch e.Kind {
-	case trace.KStore:
-		return lat.StoreCycles
-	case trace.KStoreNT:
-		return lat.StoreCycles + 1
-	case trace.KLoad:
-		return lat.L1Cycles
-	case trace.KFlush:
-		return 2
-	case trace.KFence:
-		cost := lat.PMCycles
-		if n := len(pending); n > 1 {
-			cost += mem.Cycles(n-1) * (lat.PMCycles / 8)
-		}
-		return cost
-	default:
-		return 0
-	}
 }
 
 // x86FenceCost models an sfence draining n outstanding lines: the first

@@ -34,7 +34,7 @@ func markDurabilityFences(tr *trace.Trace) map[int]bool {
 // whole trace with markDurabilityFences' answers.
 func replayMarked(tr *trace.Trace, model Model, cfg Config, lat mem.Latency) Result {
 	dfence := markDurabilityFences(tr)
-	r := newReplayer(model, cfg, lat, ReplayObs{})
+	r := newReplayer(model, cfg, lat, ReplayObs{}, newFront(cfg, lat))
 	for i, e := range events(tr) {
 		r.step(e, dfence[i])
 	}
@@ -308,5 +308,26 @@ func TestReplayObservedMatchesReplay(t *testing.T) {
 		if m != Ideal && ro.Occupancy.Count() == 0 {
 			t.Errorf("%v: occupancy histogram recorded nothing", m)
 		}
+	}
+}
+
+// TestReplayAllocsIndependentOfLength pins that the five-model replay
+// allocates per run, not per event or per epoch: the per-thread tables, line
+// sets and queues reach their steady size in the first transactions, so a
+// trace four times as long costs the same handful of allocations.
+func TestReplayAllocsIndependentOfLength(t *testing.T) {
+	cfg, lat := DefaultConfig(), mem.DefaultLatency()
+	allocs := func(tr *trace.Trace) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NormalizedSource(trace.NewSliceSource(tr), cfg, lat, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 200
+	short, long := allocs(txTrace(n, 10)), allocs(txTrace(4*n, 10))
+	if long-short > 4 {
+		t.Errorf("%d transactions: %.0f allocs, %d transactions: %.0f — the replay allocates per event or per epoch",
+			n, short, 4*n, long)
 	}
 }

@@ -172,76 +172,36 @@ const (
 	Adversarial
 )
 
-// smallSet is the pending-set size up to which lineSet looks a line up by a
-// backwards scan. WHISPER's epochs are overwhelmingly a handful of lines, so
-// the scan (a few compares over one or two cache lines of line numbers) is
-// all the common case ever pays; scanning a full small set costs about what
-// one map insert does.
-const smallSet = 64
-
-// lineSet is a set of pending line snapshots in first-insertion order:
-// lines[i] is a distinct line and snaps[i] its latest snapshot. A line above
-// every pending one (hi) is new without a lookup, which covers log appends
-// and copy-forward runs of any length. Otherwise membership is a backwards
-// scan while the set holds at most smallSet lines, and beyond that an index
-// (line -> position) built by the first such lookup, which serves the rest
-// of the epoch and is dropped at reset. Reset truncates, so the cost of a
-// fence is the lines flushed since the previous one — never the size of the
-// largest epoch the thread has had — and steady-state small epochs allocate
-// nothing.
+// lineSet is a set of pending line snapshots: keys holds the distinct pending
+// lines in first-insertion order (membership by mem.LineSet's high-water fast
+// path, short backwards scan or lazily built index) and snaps[i] is the
+// latest snapshot of keys.Lines()[i]. reset truncates both, so the
+// cost of a fence is the lines flushed since the previous one — never the
+// size of the largest epoch the thread has had — and steady-state small
+// epochs allocate nothing.
 type lineSet struct {
-	lines []mem.Line
+	keys  mem.LineSet
 	snaps []line
-	hi    mem.Line           // highest pending line; valid when len(lines) > 0
-	index map[mem.Line]int32 // nil until a lookup in a set beyond smallSet
 }
 
 // put records snap as line l's pending snapshot, replacing an earlier one.
 func (s *lineSet) put(l mem.Line, snap *line) {
-	switch {
-	case len(s.lines) == 0 || l > s.hi:
-		s.hi = l
-	case len(s.lines) <= smallSet:
-		for i := len(s.lines) - 1; i >= 0; i-- {
-			if s.lines[i] == l {
-				s.snaps[i] = *snap
-				return
-			}
-		}
-	default:
-		if s.index == nil {
-			s.index = make(map[mem.Line]int32, 2*len(s.lines))
-			for i, pl := range s.lines {
-				s.index[pl] = int32(i)
-			}
-		}
-		if i, ok := s.index[l]; ok {
-			s.snaps[i] = *snap
-			return
-		}
+	if pos, added := s.keys.Add(l); added {
+		s.snaps = append(s.snaps, *snap)
+	} else {
+		s.snaps[pos] = *snap
 	}
-	if s.index != nil {
-		s.index[l] = int32(len(s.lines))
-	}
-	s.lines = append(s.lines, l)
-	s.snaps = append(s.snaps, *snap)
 }
 
 // reset empties the set, keeping the slices' capacity.
 func (s *lineSet) reset() {
-	s.lines = s.lines[:0]
+	s.keys.Reset()
 	s.snaps = s.snaps[:0]
-	s.index = nil
 }
 
-// clone returns an independent copy. The index is not copied; put rebuilds
-// it on demand.
+// clone returns an independent copy.
 func (s *lineSet) clone() lineSet {
-	return lineSet{
-		lines: append([]mem.Line(nil), s.lines...),
-		snaps: append([]line(nil), s.snaps...),
-		hi:    s.hi,
-	}
+	return lineSet{keys: s.keys.Clone(), snaps: append([]line(nil), s.snaps...)}
 }
 
 // threadBuf holds one thread's volatile write-back machinery: flushed is
@@ -482,7 +442,7 @@ func (d *Device) Fence(tid ThreadID) {
 
 // drain persists every pending snapshot of s and empties it.
 func (d *Device) drain(s *lineSet) {
-	for i, l := range s.lines {
+	for i, l := range s.keys.Lines() {
 		d.persistLine(l, &s.snaps[i])
 	}
 	s.reset()
@@ -535,13 +495,13 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 		}
 		for tid := range d.threads {
 			f := &d.threads[tid].flushed
-			for i, l := range f.lines {
+			for i, l := range f.keys.Lines() {
 				cands[l] = &f.snaps[i]
 			}
 		}
 		for tid := range d.threads {
 			w := &d.threads[tid].wcb
-			for i, l := range w.lines {
+			for i, l := range w.keys.Lines() {
 				cands[l] = &w.snaps[i]
 			}
 		}
@@ -619,7 +579,7 @@ func (d *Device) PendingFlushes(tid ThreadID) int {
 	if tid < 0 || int(tid) >= len(d.threads) {
 		return 0
 	}
-	return len(d.threads[tid].flushed.lines)
+	return d.threads[tid].flushed.keys.Len()
 }
 
 // Stats returns a copy of the device counters. Safe to call concurrently

@@ -99,7 +99,10 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// HOPSConfig sizes the simulated HOPS hardware for SimulateHOPS.
+// HOPSConfig sizes the simulated HOPS hardware for SimulateHOPS. A zero
+// PBEntries or MemoryControllers means the paper's §6.4 value; DrainAt is
+// clamped to [1, PBEntries], so zero is the fully eager drain, not the
+// paper's 16 — start from DefaultHOPSConfig for the evaluated machine.
 type HOPSConfig struct {
 	// PBEntries is the per-thread persist buffer capacity (paper: 32).
 	PBEntries int
