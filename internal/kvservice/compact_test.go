@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -18,11 +19,14 @@ type churnOp struct {
 
 // churnScript builds n ops cycling over a small keyspace: overwrites with
 // growing values, every fifth op a delete. Small keys + small segments
-// force frequent segment turnover and compaction passes.
+// force frequent segment turnover and compaction passes. (23 keys, up from
+// 13 while a pass ran whole between two batches: a sealed segment then
+// still holds enough live records that a paced pass takes three batches
+// to copy them, which is the state the crash sweep has to cover.)
 func churnScript(n int) []churnOp {
 	ops := make([]churnOp, 0, n)
 	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("k%02d", i%13)
+		k := fmt.Sprintf("k%02d", i%23)
 		if i%5 == 4 {
 			ops = append(ops, churnOp{key: k})
 			continue
@@ -168,6 +172,76 @@ func TestCompactionBoundsSegments(t *testing.T) {
 	}
 }
 
+// TestStepWalkIsPaced covers the victim a hot, small keyspace makes: a
+// sealed segment that is all garbage the moment it seals. Dead records
+// cost the step loads but no copies, so a quota on copied bytes alone let
+// such a victim be walked end to end under the shard lock behind one
+// small batch. The step's walk has its own bound: behind a batch of one
+// record the cursor moves at most scanPerCopy records' worth (plus the
+// record it stops on and a padded tail), a victim takes many batches to
+// drain, and reclaim still keeps the log bounded.
+func TestStepWalkIsPaced(t *testing.T) {
+	const segBytes = 1 << 12
+	svc := New(Config{Shards: 1, Batch: 1, SegBytes: segBytes, Metrics: obs.NewRegistry()})
+	st := svc.shards[0].st
+	val := []byte("0123456789abcdef")
+	const rec = recHeader + 2 + 16
+	const maxWalk = (scanPerCopy + 2) * rec
+	var steps, maxSteps int
+	for i := 0; i < 6000; i++ {
+		p0, c0 := st.pass, st.compactions
+		if err := svc.Put(fmt.Sprintf("k%d", i%2), val); err != nil {
+			t.Fatal(err)
+		}
+		p1 := st.pass
+		from, to := p0.cursor, p1.cursor
+		switch {
+		case !p0.active && !p1.active:
+			if st.compactions != c0 {
+				t.Fatalf("put %d: a whole pass ran behind one %d-byte batch", i, rec)
+			}
+			continue
+		case !p0.active:
+			from = p1.victim * segBytes
+		case !p1.active:
+			to = (p0.victim + 1) * segBytes
+			maxSteps = max(maxSteps, steps+1)
+			steps = -1
+		}
+		steps++
+		if to-from > maxWalk {
+			t.Fatalf("put %d: the step walked %d bytes of segment %d behind a %d-byte batch, want at most %d", i, to-from, p0.victim, rec, maxWalk)
+		}
+	}
+	if want := segBytes / maxWalk; maxSteps < want {
+		t.Fatalf("the longest pass took %d steps; an all-dead %d-byte victim needs at least %d", maxSteps, segBytes, want)
+	}
+	svc.Flush()
+	if sp := svc.Space(); sp.Compactions < 20 || sp.Segments > 2 {
+		t.Fatalf("paced walk fell behind: %d passes, %d segments mapped for 2 live records", sp.Compactions, sp.Segments)
+	}
+}
+
+// compactSeg aims a pass at a segment of the test's choosing and runs it to
+// the end in one whole-segment step: copy, commit, retire. (It was
+// store.compactOnce until compaction became a resumable step; the service
+// never picks a victim by hand.) No pass may be in flight.
+func compactSeg(t *testing.T, st *store, seq uint64) {
+	t.Helper()
+	if st.pass.active {
+		t.Fatalf("a pass over segment %d is in flight; aiming another would corrupt its accounting", st.pass.victim)
+	}
+	st.pass = pass{active: true, victim: seq, cursor: seq * uint64(st.segBytes)}
+	if err := st.compactStep(1.0, st.segBytes); err != nil {
+		t.Fatalf("compactStep over segment %d: %v", seq, err)
+	}
+	st.commit()
+	st.finishPass()
+	if _, mapped := st.slotOf[seq]; mapped {
+		t.Fatalf("segment %d still mapped after a whole-segment step", seq)
+	}
+}
+
 // TestTombstoneRules pins the compactor's tombstone retention logic on a
 // hand-built store: a tombstone is copied forward while any older record
 // of its key is still mapped (dropping it would resurrect that record on
@@ -196,9 +270,7 @@ func TestTombstoneRules(t *testing.T) {
 		t.Fatal("put segment already unmapped; test geometry broken")
 	}
 	svc.shards[0].th.TxBegin()
-	if err := st.compactOnce(tombSeq); err != nil {
-		t.Fatalf("compactOnce: %v", err)
-	}
+	compactSeg(t, st, tombSeq)
 	svc.shards[0].th.TxEnd()
 	if _, ok := st.tombs["doomed"]; !ok {
 		t.Fatal("tombstone dropped while its put was still mapped")
@@ -207,16 +279,12 @@ func TestTombstoneRules(t *testing.T) {
 	// tombstone), so afterwards the tombstone is the key's sole record and
 	// the next pass over its segment may drop it.
 	svc.shards[0].th.TxBegin()
-	if err := st.compactOnce(putSeq); err != nil {
-		t.Fatalf("compactOnce: %v", err)
-	}
+	compactSeg(t, st, putSeq)
 	if st.nrecs["doomed"] != 1 {
 		t.Fatalf("nrecs[doomed] = %d after the put's segment retired, want 1", st.nrecs["doomed"])
 	}
 	tombSeq = st.tombs["doomed"] / uint64(st.segBytes)
-	if err := st.compactOnce(tombSeq); err != nil {
-		t.Fatalf("compactOnce: %v", err)
-	}
+	compactSeg(t, st, tombSeq)
 	svc.shards[0].th.TxEnd()
 	if _, ok := st.tombs["doomed"]; ok {
 		t.Fatal("sole-record tombstone not dropped")
@@ -283,6 +351,40 @@ func (c *crashAt) hook(trace.Event) {
 	}
 }
 
+// newScripted is the service the scripted runs share: one shard, batches
+// of four, segments a dozen records long.
+func newScripted() *Service { return New(Config{Shards: 1, Batch: 4, SegBytes: 512}) }
+
+// longestPass runs the script to the end and returns the largest number of
+// batch commits any one compaction pass spread its copies over.
+func longestPass(ops []churnOp) int {
+	svc := newScripted()
+	sh := svc.shards[0]
+	model := map[string]string{}
+	spans := map[uint64]int{}
+	longest := 0
+	for _, op := range ops {
+		before, copied, batches := sh.st.pass, sh.st.copiedBytes, sh.batches
+		applyOp(svc, model, op)
+		if sh.batches == batches || sh.st.copiedBytes == copied {
+			continue // no commit, or a commit whose step copied nothing
+		}
+		// The copies belong to the pass that was in flight, or to the one
+		// the step began; a pass that began and ended here spans one.
+		pass := before
+		if !pass.active {
+			pass = sh.st.pass
+		}
+		if !pass.active {
+			longest = max(longest, 1)
+			continue
+		}
+		spans[pass.victim]++
+		longest = max(longest, spans[pass.victim])
+	}
+	return longest
+}
+
 // runScripted drives the churn script against a fresh small-segment
 // service, arming an event-hook crash after skipping the format
 // transaction. It returns the service, the two oracle maps bracketing
@@ -290,7 +392,7 @@ func (c *crashAt) hook(trace.Event) {
 // completed), and whether the panic fired.
 func runScripted(t *testing.T, ops []churnOp, crashAfter int) (svc *Service, prev, next map[string]string, crashed bool) {
 	t.Helper()
-	svc = New(Config{Shards: 1, Batch: 4, SegBytes: 512})
+	svc = newScripted()
 	var c *crashAt
 	if crashAfter > 0 {
 		c = &crashAt{remaining: crashAfter}
@@ -325,18 +427,25 @@ func runScripted(t *testing.T, ops []churnOp, crashAfter int) (svc *Service, pre
 // TestCrashSweepThroughCompaction crashes at every persistent trace
 // event of a compaction-heavy scripted run — strict and adversarial —
 // and requires recovery to land on exactly the committed state before or
-// after the interrupted batch. Compaction runs inside batch commits, so
-// the sweep necessarily lands crash points before, inside, and after
-// compaction passes: mid-copy, between a pass's head publish and its
-// retire, and inside the retire's own flush+fence.
+// after the interrupted batch. Compaction steps run inside batches and the
+// closing Flush drains it, so the sweep necessarily lands crash points in
+// every step of a pass: mid-copy, inside the commit that publishes a
+// prefix of the copies, between two steps, between the last publish and
+// the retire, and inside the retire's own flush+fence.
 func TestCrashSweepThroughCompaction(t *testing.T) {
-	ops := churnScript(96)
+	ops := churnScript(128)
 	base, _, final, crashed := runScripted(t, ops, 0)
 	if crashed {
 		t.Fatal("baseline run crashed")
 	}
 	if base.Space().Compactions == 0 {
 		t.Fatal("baseline run never compacted; sweep would not cover compaction")
+	}
+	// A pass is a run of steps, each inside its own batch; the state this
+	// sweep has to reach is the one between two of them, so the window must
+	// hold a pass that took at least three commits to publish its copies.
+	if n := longestPass(ops); n < 3 {
+		t.Fatalf("longest pass spread its copies over %d commits; the sweep needs one over >= 3", n)
 	}
 	if idx := matchState(base, []map[string]string{final}); idx != 0 {
 		t.Fatal("baseline final state diverged from the model")
@@ -377,52 +486,272 @@ func TestCrashSweepThroughCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionResumesAfterCrash power-fails the service between two steps
+// of a pass — a prefix of the victim's copies published, the victim still
+// mapped, the cursor lost with the rest of DRAM — and requires the rest of
+// the script to run as if nothing had happened: the recovery scan counts
+// the copied originals dead, so the fresh pass copies only what was left.
+func TestCompactionResumesAfterCrash(t *testing.T) {
+	// The crash sweep's script over more keys: its 23 keep under one
+	// segment live, where two mapped segments (the head and one other) are
+	// the floor and 2x cannot be asked for.
+	var ops []churnOp
+	for i, op := range churnScript(600) {
+		op.key = fmt.Sprintf("k%02d", (i*7)%61)
+		ops = append(ops, op)
+	}
+	for _, mode := range []pmem.CrashMode{pmem.Strict, pmem.Adversarial} {
+		svc := newScripted()
+		sh := svc.shards[0]
+		model := map[string]string{}
+		// Run up to a batch boundary that leaves a pass part-way through
+		// its victim with copies already published.
+		next := -1
+		for i, op := range ops {
+			applyOp(svc, model, op)
+			p := sh.st.pass
+			if len(sh.pending) == 0 && p.active && p.cursor > p.victim*uint64(sh.st.segBytes) && sh.st.copiedBytes > 0 {
+				next = i + 1
+				break
+			}
+		}
+		if next < 0 {
+			t.Fatal("script never left a pass in flight at a batch boundary")
+		}
+		victim := sh.st.pass.victim
+		left := sh.st.live[victim] // what the pass had still to copy
+		if left == 0 {
+			t.Fatal("interrupted pass had nothing left to copy; the resume would be vacuous")
+		}
+		if err := svc.Crash(mode, 7); err != nil {
+			t.Fatalf("%v: recovery: %v", mode, err)
+		}
+		st := sh.st // the recovered store
+		if st.pass.active {
+			t.Fatalf("%v: recovery resurrected a cursor: %+v", mode, st.pass)
+		}
+		if got := st.live[victim]; got != left {
+			t.Fatalf("%v: recovery scan attributes %d live bytes to the interrupted victim, the pass had %d left to copy", mode, got, left)
+		}
+		if idx := matchState(svc, []map[string]string{model}); idx != 0 {
+			t.Fatalf("%v: recovered state diverged from the model", mode)
+		}
+
+		// The rest of the script. budget[v] is the most a pass over v may
+		// copy: v's live bytes when it was last seen sealed and whole — at
+		// recovery for the segments sealed then, at their first sighting
+		// for the ones sealed later. Live bytes of a sealed segment only
+		// fall, so a pass that copies a record twice overdraws it.
+		sb := uint64(st.segBytes)
+		budget := map[uint64]int64{}
+		var allowed int64
+		track := func() {
+			for seq, l := range st.live {
+				if _, seen := budget[seq]; !seen && seq < st.head/sb {
+					budget[seq] = l
+				}
+			}
+			for seq, l := range budget {
+				if _, mapped := st.slotOf[seq]; !mapped {
+					allowed += l
+					delete(budget, seq)
+				}
+			}
+		}
+		track()
+		// First the passes already due, with no write in between: every
+		// live byte of a victim is then copied exactly once or, a tombstone
+		// with nothing left to shadow, dropped — so the copied bytes are the
+		// victims' recovered live bytes less what left the live total.
+		liveBefore := st.liveTotal()
+		svc.Flush()
+		track()
+		if _, mapped := st.slotOf[victim]; mapped {
+			t.Fatalf("%v: the interrupted victim is still mapped after a drain", mode)
+		}
+		if dropped := liveBefore - st.liveTotal(); int64(st.copiedBytes) != allowed-dropped {
+			t.Fatalf("%v: drain after recovery copied %d bytes; its victims held %d live, %d of them dropped", mode, st.copiedBytes, allowed, dropped)
+		}
+		for _, op := range ops[next:] {
+			applyOp(svc, model, op)
+			track()
+		}
+		svc.Flush()
+		track()
+		if st.pass.active {
+			t.Fatalf("%v: Flush left a pass in flight", mode)
+		}
+		sp := svc.Space()
+		if sp.Compactions == 0 {
+			t.Fatalf("%v: nothing was compacted after the recovery", mode)
+		}
+		if int64(sp.CopiedBytes) > allowed {
+			t.Fatalf("%v: %d bytes copied after recovery, the retired victims held %d live: a record was copied twice", mode, sp.CopiedBytes, allowed)
+		}
+		if idx := matchState(svc, []map[string]string{model}); idx != 0 {
+			t.Fatalf("%v: final state diverged from the model", mode)
+		}
+		if amp := sp.Amplification(); amp > 2.0 || sp.Segments != len(st.slotOf) {
+			t.Fatalf("%v: segment leaked: %d mapped, amplification %.3f (live=%d log=%d)", mode, sp.Segments, amp, sp.LiveBytes, sp.LogBytes)
+		}
+		// What is mapped durably is what is mapped in DRAM: no slot kept a
+		// base the store has forgotten.
+		if err := svc.Crash(pmem.Strict, 8); err != nil {
+			t.Fatalf("%v: second recovery: %v", mode, err)
+		}
+		if got := svc.Space().Segments; got != sp.Segments {
+			t.Fatalf("%v: %d segments mapped after a second recovery, %d before it", mode, got, sp.Segments)
+		}
+		if idx := matchState(svc, []map[string]string{model}); idx != 0 {
+			t.Fatalf("%v: state after the second recovery diverged from the model", mode)
+		}
+	}
+}
+
+// TestSlotEntryNeverHalfMapped crashes at every persistent event of the
+// one batch that maps a second segment, under several adversarial seeds.
+// The slot entry is two stores to one line and the line may reach PM
+// between them; the paced compactor keeps segment 0 mapped while later
+// slots are claimed, which is how the crash sweep found an entry that read
+// {new base, segment 0}. Recovery must accept every image and land on the
+// state before or after the batch.
+func TestSlotEntryNeverHalfMapped(t *testing.T) {
+	run := func(crashAfter int) (svc *Service, prev, next map[string]string, crashed bool) {
+		svc = New(Config{Shards: 1, Batch: 1, SegBytes: 256})
+		prev, next = map[string]string{}, map[string]string{}
+		i := 0
+		put := func() {
+			k, v := fmt.Sprintf("k%02d", i), fmt.Sprintf("value-%02d-................", i)
+			next[k] = v
+			if err := svc.Put(k, []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		// Fill segment 0 until the next record no longer fits.
+		rec := uint64(recHeader + 3 + len("value-00-................"))
+		for st := svc.shards[0].st; 256-st.head%256 >= rec; {
+			put()
+			prev[fmt.Sprintf("k%02d", i-1)] = next[fmt.Sprintf("k%02d", i-1)]
+		}
+		c := &crashAt{remaining: crashAfter}
+		svc.Runtime(0).SetEventHook(c.hook)
+		defer svc.Runtime(0).SetEventHook(nil)
+		defer func() {
+			if r := recover(); r != nil {
+				if r != c {
+					panic(r)
+				}
+				crashed = true
+			}
+		}()
+		put() // pads segment 0, claims a slot for segment 1
+		return svc, prev, next, false
+	}
+	for k := 1; ; k++ {
+		_, _, _, crashed := run(k)
+		if !crashed {
+			if k < 6 {
+				t.Fatalf("the batch had only %d persistent events; it never mapped a segment", k-1)
+			}
+			break
+		}
+		for seed := int64(1); seed <= 8; seed++ {
+			svc, prev, next, _ := run(k)
+			if err := svc.Crash(pmem.Adversarial, seed); err != nil {
+				t.Fatalf("event %d seed %d: recovery failed: %v", k, seed, err)
+			}
+			if matchState(svc, []map[string]string{prev, next}) < 0 {
+				t.Fatalf("event %d seed %d: recovered state matches neither side of the batch", k, seed)
+			}
+		}
+	}
+}
+
 // TestOversizedAndShardFullDegrade pins the panic-to-error conversion:
 // an oversized record is rejected at the API edge, and slot-table
 // exhaustion under an all-live workload degrades the offending request
-// while the shard keeps serving reads and the service stays crashable.
+// while the shard keeps serving reads and the service stays crashable. The
+// compactor's own shard-full error lands inside a batch and degrades the
+// same way: the pass is abandoned and counted, never dropped on the floor.
 func TestOversizedAndShardFullDegrade(t *testing.T) {
 	const segBytes = 256
-	svc := New(Config{Shards: 1, Batch: 1, SegBytes: segBytes})
+	// A private registry: the test reads a counter, and the default one is
+	// shared by every service of the process (and by -count reruns).
+	svc := New(Config{Shards: 1, Batch: 1, SegBytes: segBytes, Metrics: obs.NewRegistry()})
 	if err := svc.Put("big", make([]byte, segBytes)); err == nil {
 		t.Fatal("oversized put accepted")
 	}
 	if st := svc.Stats(); st.Rejects != 0 {
 		t.Fatal("API-edge rejection counted as a shard reject")
 	}
-	// Fill with unique (all-live) records until the slot table exhausts.
-	// Compaction cannot help — no segment has enough dead bytes to make a
-	// pass worthwhile. Batch-path failures degrade the request into the
-	// rejects counter rather than erroring the API, so watch the counter.
+	// Fill with unique (all-live) records until every slot is mapped and the
+	// head segment has no room for one more. Compaction cannot help — no
+	// segment has enough dead bytes to make a pass worthwhile.
 	sh := svc.shards[0]
-	var fullAt int
-	for i := 0; ; i++ {
-		if err := svc.Put(fmt.Sprintf("unique-%06d", i), []byte("vvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvv")); err != nil {
-			t.Fatalf("put %d errored at the API edge: %v", i, err)
+	st := sh.st
+	key := func(i int) string { return fmt.Sprintf("unique-%06d", i) }
+	val := []byte("vvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvv")
+	rec := recHeader + len(key(0)) + len(val)
+	n := 0
+	for st.headroom() > 0 || segBytes-int(st.head%segBytes) >= rec {
+		if err := svc.Put(key(n), val); err != nil {
+			t.Fatalf("put %d errored at the API edge: %v", n, err)
 		}
-		if sh.rejects > 0 {
-			fullAt = i
-			break
-		}
-		if i > 4*maxSegs*segBytes/53 { // ~4x the records that fit
-			t.Fatal("shard never reported full")
+		n++
+		if sh.rejects > 0 || n > maxSegs*segBytes/rec {
+			t.Fatalf("after %d puts: %d rejects, headroom %d; the shard should fill without one", n, sh.rejects, st.headroom())
 		}
 	}
-	if fullAt == 0 {
-		t.Fatal("first put already rejected")
+	// A delete still fits the head segment's tail, and makes segment 0 a
+	// pressure victim (3 of 4 records live). The step riding the delete's
+	// batch finds no slot for its first copy: it must stop, leave the
+	// victim mapped and the accounting whole, and be counted.
+	svc.Delete(key(0))
+	if sh.dels != 1 || sh.rejects != 0 {
+		t.Fatalf("delete on a full shard: dels=%d rejects=%d, want it served", sh.dels, sh.rejects)
+	}
+	if got := svc.abortsC.Value(); got != 1 {
+		t.Fatalf("kvservice_compaction_aborts_total = %d after the step found the shard full, want 1", got)
+	}
+	if _, mapped := st.slotOf[0]; !mapped || st.pass.active {
+		t.Fatalf("abandoned pass: victim mapped=%v, pass %+v; want the victim kept and the cursor cleared", mapped, st.pass)
+	}
+	if got := st.nrecs[key(0)]; got != 2 {
+		t.Fatalf("nrecs[%s] = %d after the abort, want 2: its dead put is still mapped under the tombstone", key(0), got)
+	}
+	if d, v := svc.LogHeads(0); d != v {
+		t.Fatalf("the aborted step's batch was not published: durable head %d, volatile %d", d, v)
+	}
+	// From here every append is turned away, and every batch retries the
+	// pass and counts another abort.
+	if err := svc.Put(key(n), val); err != nil {
+		t.Fatalf("put %d errored at the API edge: %v", n, err)
+	}
+	if aborts := svc.abortsC.Value(); sh.rejects != 1 || aborts < 2 {
+		t.Fatalf("put on a full shard: rejects=%d aborts=%d, want 1 and >= 2", sh.rejects, aborts)
 	}
 	// The shard must still serve reads and survive a crash cycle.
-	if got, ok := svc.Get("unique-000000"); !ok || string(got) == "" {
+	if got, ok := svc.Get(key(1)); !ok || len(got) == 0 {
 		t.Fatal("full shard stopped serving reads")
+	}
+	if _, ok := svc.Get(key(0)); ok {
+		t.Fatal("delete served on a full shard is not visible")
 	}
 	if err := svc.Crash(pmem.Strict, 23); err != nil {
 		t.Fatalf("full shard failed recovery: %v", err)
 	}
-	if got, ok := svc.Get(fmt.Sprintf("unique-%06d", fullAt-1)); !ok || len(got) == 0 {
+	if got, ok := svc.Get(key(n - 1)); !ok || len(got) == 0 {
 		t.Fatal("last accepted record lost across recovery")
 	}
-	if _, ok := svc.Get(fmt.Sprintf("unique-%06d", fullAt)); ok {
+	if _, ok := svc.Get(key(n)); ok {
 		t.Fatal("rejected record visible after recovery")
+	}
+	if _, ok := svc.Get(key(0)); ok {
+		t.Fatal("deleted key resurrected by recovery")
+	}
+	if got, ok := svc.Get(key(1)); !ok || len(got) == 0 {
+		t.Fatal("record of the abandoned pass's victim lost across recovery")
 	}
 }
 
@@ -488,7 +817,7 @@ func TestRecoverBoundaryAlignedHeadAfterRetire(t *testing.T) {
 	s.commit()
 	// Pass 1 retires segment 0 (all dead); pass 2 drops the now-sole
 	// tombstones and retires segment 1 with nothing copied.
-	if err := s.compact(1.0); err != nil {
+	if err := s.drain(1.0); err != nil {
 		t.Fatal(err)
 	}
 	th.TxEnd()
@@ -497,7 +826,7 @@ func TestRecoverBoundaryAlignedHeadAfterRetire(t *testing.T) {
 	}
 
 	rt.Crash(pmem.Strict, 1)
-	s, err := openStore(th, s.super, seg)
+	s, err := openStore(th, s.super, seg, 0)
 	if err != nil {
 		t.Fatalf("recovery rejected a legal image: %v", err)
 	}
@@ -513,7 +842,7 @@ func TestRecoverBoundaryAlignedHeadAfterRetire(t *testing.T) {
 	s.commit()
 	th.TxEnd()
 	rt.Crash(pmem.Strict, 2)
-	s, err = openStore(th, s.super, seg)
+	s, err = openStore(th, s.super, seg, 0)
 	if err != nil {
 		t.Fatalf("second recovery failed: %v", err)
 	}

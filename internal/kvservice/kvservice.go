@@ -57,11 +57,12 @@ type Config struct {
 	OpCycles mem.Cycles
 	// SegBytes is the shard log segment size (default 1 MiB).
 	SegBytes int
-	// CompactFrac is the live-fraction threshold for compaction: after a
-	// batch commits, sealed segments whose live bytes are at or below
-	// CompactFrac×SegBytes are copy-forward compacted and retired, which
-	// bounds steady-state space amplification near 1/CompactFrac. Default
-	// 0.5; negative disables compaction.
+	// CompactFrac is the live-fraction threshold for compaction: a sealed
+	// segment whose live bytes are at or below CompactFrac×SegBytes becomes
+	// a copy-forward victim, drained a batch's worth of bytes at a time
+	// inside the batches that follow and then retired, which bounds
+	// steady-state space amplification near 1/CompactFrac. Default 0.5;
+	// negative disables compaction.
 	CompactFrac float64
 	// Metrics is the registry service and shard instruments report into;
 	// nil means the process-wide obs.Default(). Simulation sweeps pass a
@@ -128,13 +129,31 @@ type Service struct {
 	shards  []*shard
 	latency *obs.Histogram // ns from arrival to batch durability
 
+	// stageNS is the latency budget: the simulated ns timed requests spent
+	// in each stage of their batch. The stages partition arrival→durable,
+	// so their sum is the latency histogram's sum, to the nanosecond.
+	stageNS [numStages]*obs.Counter
+
 	compactionsC *obs.Counter // compaction passes completed
 	copiedC      *obs.Counter // record bytes copied forward
+	abortsC      *obs.Counter // compaction passes abandoned on a full shard
 	rejectsC     *obs.Counter // requests degraded (oversized, shard full)
 	liveG        *obs.Gauge   // live record bytes across shards
 	deadG        *obs.Gauge   // dead (reclaimable) log bytes across shards
 	segsG        *obs.Gauge   // mapped log segments across shards
 }
+
+// The stages of a timed request's latency, in the order a batch runs them.
+const (
+	stageWait   = iota // arrival until the request's batch starts
+	stageApply         // the batch's requests applied: compute, loads, appends
+	stageCopy          // the compaction step riding the batch
+	stageCommit        // group flush+fence, then head store+flush+fence
+	stageRetire        // a drained victim's slot zeroed; closing the batch
+	numStages
+)
+
+var stageNames = [numStages]string{"wait", "apply", "copy", "commit", "retire"}
 
 // New builds a service with cfg.Shards fresh shards. Each shard's device
 // allocator is pre-bumped into its own address window (see
@@ -151,8 +170,14 @@ func New(cfg Config) *Service {
 		"batch":  strconv.Itoa(cfg.Batch),
 	}
 	s.latency = reg.Histogram("kvservice_latency_ns", lbl, latencyBuckets()...)
+	for i, name := range stageNames {
+		s.stageNS[i] = reg.Counter("kvservice_stage_ns_total", obs.Labels{
+			"shards": lbl["shards"], "batch": lbl["batch"], "stage": name,
+		})
+	}
 	s.compactionsC = reg.Counter("kvservice_compaction_runs_total", lbl)
 	s.copiedC = reg.Counter("kvservice_compaction_copied_bytes_total", lbl)
+	s.abortsC = reg.Counter("kvservice_compaction_aborts_total", lbl)
 	s.rejectsC = reg.Counter("kvservice_rejects_total", lbl)
 	s.liveG = reg.Gauge("kvservice_live_bytes", lbl)
 	s.deadG = reg.Gauge("kvservice_dead_bytes", lbl)
@@ -198,56 +223,100 @@ func (s *Service) commitLocked(sh *shard, start mem.Time) {
 	if len(sh.pending) == 0 {
 		return
 	}
-	if now := sh.rt.Clock.Now(); start < now {
+	clk, st := sh.rt.Clock, sh.st
+	if now := clk.Now(); start < now {
 		start = now
 	}
-	sh.rt.Clock.Set(start)
+	clk.Set(start)
 	sh.th.TxBegin()
+	var appended int64 // record bytes the batch's accepted writes appended
 	for _, r := range sh.pending {
 		sh.th.Compute(s.cfg.OpCycles)
 		switch r.op.Kind {
 		case workload.OpRead:
-			if v, ok := sh.st.read(r.op.Key, sh.scratch); ok {
+			if v, ok := st.read(r.op.Key, sh.scratch); ok {
 				sh.scratch = v
 			}
 			sh.gets++
 		case workload.OpDelete:
-			if _, err := sh.st.del(r.op.Key); err != nil {
+			if wrote, err := st.del(r.op.Key); err != nil {
 				sh.rejects++
 				s.rejectsC.Inc()
 			} else {
 				sh.dels++
+				if wrote {
+					appended += footprint(len(r.op.Key), 0)
+				}
 			}
 		default:
-			if err := sh.st.put(r.op.Key, r.op.Value); err != nil {
+			if err := st.put(r.op.Key, r.op.Value); err != nil {
 				sh.rejects++
 				s.rejectsC.Inc()
 			} else {
 				sh.puts++
+				appended += footprint(len(r.op.Key), len(r.op.Value))
 			}
 		}
 	}
-	sh.st.commit()
-	// Compaction runs between batches inside the same transaction: copies
-	// ride their own group commit + head publish, so the merged trace
-	// stays persistency-legal. A shard-full error here means everything
-	// is live; the pass already published what it copied, the victim
-	// stays mapped, and the shard keeps serving.
-	c0, b0 := sh.st.compactions, sh.st.copiedBytes
-	_ = sh.st.compact(s.cfg.CompactFrac)
-	s.compactionsC.Add(sh.st.compactions - c0)
-	s.copiedC.Add(sh.st.copiedBytes - b0)
+	applied := clk.Now()
+	// Compaction rides the batch: the step's copies join the batch's group,
+	// so the one commit below flushes and publishes both, and a victim the
+	// step drained is retired behind that publish. A shard-full error means
+	// the step stopped short; what it copied is published all the same, the
+	// victim stays mapped, and the shard keeps serving. The quota is what
+	// the accepted writes appended: segment-tail padding and a rejected
+	// request earn the step nothing.
+	c0, b0 := st.compactions, st.copiedBytes
+	if err := st.compactStep(s.cfg.CompactFrac, int(appended)); err != nil {
+		s.abortsC.Inc()
+	}
+	copied := clk.Now()
+	st.commit()
+	committed := clk.Now()
+	st.finishPass()
+	s.compactionsC.Add(st.compactions - c0)
+	s.copiedC.Add(st.copiedBytes - b0)
 	sh.th.TxEnd()
-	end := sh.rt.Clock.Now()
+	end := clk.Now()
+	var timed, wait uint64
 	for _, r := range sh.pending {
 		if r.arrival > 0 {
 			s.latency.Observe(uint64(end - r.arrival))
+			wait += uint64(start - r.arrival)
+			timed++
 		}
+	}
+	if timed > 0 {
+		s.stageNS[stageWait].Add(wait)
+		s.stageNS[stageApply].Add(timed * uint64(applied-start))
+		s.stageNS[stageCopy].Add(timed * uint64(copied-applied))
+		s.stageNS[stageCommit].Add(timed * uint64(committed-copied))
+		s.stageNS[stageRetire].Add(timed * uint64(end-committed))
 	}
 	sh.batches++
 	sh.pending = sh.pending[:0]
 	s.observeSpaceLocked(sh)
 	sh.freeAt = end
+}
+
+// drainCompactionLocked finishes the pass in flight and every pass still
+// due, in a transaction of its own, so that a quiesced shard is left fully
+// compacted. With nothing due it emits nothing. Callers hold sh.mu.
+func (s *Service) drainCompactionLocked(sh *shard) {
+	st := sh.st
+	if !st.compactionDue(s.cfg.CompactFrac) {
+		return
+	}
+	sh.th.TxBegin()
+	c0, b0 := st.compactions, st.copiedBytes
+	if err := st.drain(s.cfg.CompactFrac); err != nil {
+		s.abortsC.Inc()
+	}
+	s.compactionsC.Add(st.compactions - c0)
+	s.copiedC.Add(st.copiedBytes - b0)
+	sh.th.TxEnd()
+	s.observeSpaceLocked(sh)
+	sh.freeAt = sh.rt.Clock.Now()
 }
 
 // observeSpaceLocked refreshes the space gauges with this shard's
@@ -323,14 +392,16 @@ func (s *Service) Get(key string) ([]byte, bool) {
 	return sh.st.read(key, nil)
 }
 
-// Flush commits every shard's pending batch, full or not.
+// Flush commits every shard's pending batch, full or not, and finishes the
+// compaction passes due, so a flushed service is fully compacted.
 func (s *Service) Flush() {
 	for i := range s.shards {
 		s.FlushShard(i)
 	}
 }
 
-// FlushShard commits shard i's pending batch, full or not. The unlock is
+// FlushShard commits shard i's pending batch, full or not, and then drains
+// the shard's compaction (see drainCompactionLocked). The unlock is
 // deferred so a panic unwinding out of the commit — the scenario engine's
 // crash-storm injection aborts a group commit mid-batch exactly this way —
 // leaves the shard lock released and the service crashable.
@@ -339,6 +410,7 @@ func (s *Service) FlushShard(i int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s.commitLocked(sh, sh.freeAt)
+	s.drainCompactionLocked(sh)
 }
 
 // LogHeads returns shard i's published (durable) and volatile log heads.
@@ -390,8 +462,9 @@ func (s *Service) Crash(mode pmem.CrashMode, seed int64) error {
 		sh.mu.Lock()
 		sh.pending = sh.pending[:0]
 		super := sh.st.super
+		keys := len(sh.st.nrecs)
 		sh.rt.Crash(mode, seed)
-		st, err := openStore(sh.th, super, s.cfg.SegBytes)
+		st, err := openStore(sh.th, super, s.cfg.SegBytes, keys)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -111,6 +111,38 @@ type SimResult struct {
 	P999Us      float64 `json:"p999_us"`
 }
 
+// SweepRow is one cell of a sweep: the capacity-curve row and, as further
+// columns of the same JSON object, its latency budget — the mean simulated
+// µs a request spent in each stage of its batch (see the stage constants),
+// rounded like the quantiles; the five add up to the mean latency. The
+// budget sits beside SimResult, not in it: a SimResult is compared and
+// printed whole by callers that pin a run's simulated behaviour, and an
+// instrument must not change what they see.
+type SweepRow struct {
+	SimResult
+	WaitUs   float64 `json:"wait_us"`
+	ApplyUs  float64 `json:"apply_us"`
+	CopyUs   float64 `json:"copy_us"`
+	CommitUs float64 `json:"commit_us"`
+	RetireUs float64 `json:"retire_us"`
+}
+
+// sweepRow joins a run's result with the drained service's stage counters
+// as per-request means.
+func sweepRow(res SimResult, svc *Service) SweepRow {
+	row := SweepRow{SimResult: res}
+	n := float64(svc.latency.Count())
+	if n == 0 {
+		return row
+	}
+	us := func(stage int) float64 {
+		return round3(float64(svc.stageNS[stage].Value()) / n / 1000)
+	}
+	row.WaitUs, row.ApplyUs, row.CopyUs = us(stageWait), us(stageApply), us(stageCopy)
+	row.CommitUs, row.RetireUs = us(stageCommit), us(stageRetire)
+	return row
+}
+
 func round3(x float64) float64 { return math.Round(x*1000) / 1000 }
 
 // keyName is fmt.Sprintf("key%08d", n) without fmt: the request loop formats
@@ -306,7 +338,7 @@ type CapacityPoint struct {
 // grid, every row, and the capacity curve.
 type SweepResult struct {
 	Config   SweepConfig     `json:"config"`
-	Rows     []SimResult     `json:"rows"`
+	Rows     []SweepRow      `json:"rows"`
 	Capacity []CapacityPoint `json:"capacity"`
 }
 
@@ -320,7 +352,7 @@ func Sweep(cfg SweepConfig) SweepResult {
 		for _, b := range cfg.Batches {
 			pt := CapacityPoint{Shards: ns, Batch: b}
 			for _, cl := range cfg.Clients {
-				row := Simulate(SimConfig{
+				res, svc := Run(SimConfig{
 					Shards:          ns,
 					Batch:           b,
 					Clients:         cl,
@@ -334,8 +366,8 @@ func Sweep(cfg SweepConfig) SweepResult {
 					OpCycles:        cfg.OpCycles,
 					Seed:            cfg.Seed,
 				})
-				out.Rows = append(out.Rows, row)
-				if row.P99Us <= cfg.P99LimitUs && cl > pt.MaxClients {
+				out.Rows = append(out.Rows, sweepRow(res, svc))
+				if res.P99Us <= cfg.P99LimitUs && cl > pt.MaxClients {
 					pt.MaxClients = cl
 				}
 			}
@@ -377,7 +409,7 @@ func Compare(ref, cur SweepResult, slack float64) error {
 		slack = 1
 	}
 	type cell struct{ sh, b, cl int }
-	refRows := make(map[cell]SimResult, len(ref.Rows))
+	refRows := make(map[cell]SweepRow, len(ref.Rows))
 	for _, r := range ref.Rows {
 		refRows[cell{r.Shards, r.Batch, r.Clients}] = r
 	}

@@ -2,6 +2,8 @@ package kvservice
 
 import (
 	"bytes"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -146,10 +148,10 @@ func TestSimResultSanity(t *testing.T) {
 	if r.Batches == 0 || r.MeanBatch < 1 {
 		t.Fatalf("batches = %d, mean %.2f", r.Batches, r.MeanBatch)
 	}
-	// Two fences per put-carrying batch, up to three per compaction pass
-	// (group commit, head publish, slot retire), plus one per shard
-	// format, never more (read-only batches are free).
-	if r.Fences > 2*r.Batches+3*r.Compactions+2 {
+	// Two fences per put-carrying batch, one per compaction pass (the slot
+	// retire: a pass's copies ride the batches' own commits), plus one per
+	// shard format, never more (read-only batches are free).
+	if r.Fences > 2*r.Batches+r.Compactions+2 {
 		t.Fatalf("fences = %d for %d batches, %d compactions", r.Fences, r.Batches, r.Compactions)
 	}
 	if r.SimNS == 0 || r.OpsPerSec <= 0 {
@@ -220,5 +222,71 @@ func TestChurnGateVerdict(t *testing.T) {
 	sp := svc.Space()
 	if sp.Compactions != res.Compactions {
 		t.Fatalf("service reports %d compactions, result %d", sp.Compactions, res.Compactions)
+	}
+}
+
+// TestStageBudgetSumsToLatency: the five stage counters partition every
+// timed request's arrival→durable interval, so their sum is the latency
+// histogram's sum to the nanosecond — on a run whose batches carry
+// compaction steps and retires, and on a read-mostly one where most
+// batches commit nothing.
+func TestStageBudgetSumsToLatency(t *testing.T) {
+	for name, cfg := range map[string]SimConfig{
+		"compacting":  {Shards: 1, Batch: 8, Clients: 2000, Ops: 40000, Keys: 1024, WritePct: 80, DeletePct: 5, SegBytes: 1 << 16},
+		"read-mostly": {Shards: 2, Batch: 8, Clients: 8000, Ops: 20000, Keys: 4096, WritePct: 5},
+	} {
+		res, svc := Run(cfg)
+		lat := svc.Latency()
+		var st [numStages]uint64
+		var sum uint64
+		for i, c := range svc.stageNS {
+			st[i] = c.Value()
+			sum += st[i]
+		}
+		if lat.Count() != uint64(cfg.Ops) {
+			t.Fatalf("%s: %d latencies observed for %d requests", name, lat.Count(), cfg.Ops)
+		}
+		if sum != lat.Sum() {
+			t.Fatalf("%s: stages %v %v sum to %d ns, latencies to %d ns", name, stageNames, st, sum, lat.Sum())
+		}
+		if st[stageWait] == 0 || st[stageApply] == 0 || st[stageCommit] == 0 {
+			t.Fatalf("%s: a stage every run pays is empty: %v %v", name, stageNames, st)
+		}
+		if compacted := res.Compactions > 0; compacted != (st[stageCopy] > 0) || compacted != (name == "compacting") {
+			t.Fatalf("%s: %d compactions but copy stage %d ns", name, res.Compactions, st[stageCopy])
+		}
+		// The row's columns are the same budget per request.
+		m := sweepRow(res, svc)
+		mean := float64(lat.Sum()) / float64(lat.Count()) / 1000
+		if got := m.WaitUs + m.ApplyUs + m.CopyUs + m.CommitUs + m.RetireUs; got < mean-0.003 || got > mean+0.003 {
+			t.Fatalf("%s: stage means %+v add up to %.3f µs, mean latency is %.3f µs", name, m, got, mean)
+		}
+	}
+}
+
+// TestRatedCapacity pins the capacity curve of the committed artifact: a
+// sweep at BENCH_kv_service.json's own config must rate every
+// shards × batch column where the artifact does, and where the service
+// stood before compaction had a pause to take out of p99.
+func TestRatedCapacity(t *testing.T) {
+	f, err := os.Open("../../BENCH_kv_service.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ref, err := ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []CapacityPoint{
+		{1, 1, 2000}, {1, 8, 4000}, {1, 32, 4000},
+		{2, 1, 4000}, {2, 8, 8000}, {2, 32, 8000},
+		{4, 1, 8000}, {4, 8, 8000}, {4, 32, 8000},
+	}
+	if !slices.Equal(ref.Capacity, want) {
+		t.Fatalf("BENCH_kv_service.json rates\n %+v\nthe pinned curve is\n %+v", ref.Capacity, want)
+	}
+	if got := Sweep(ref.Config).Capacity; !slices.Equal(got, want) {
+		t.Fatalf("sweep at the artifact's config rates\n %+v\nwant\n %+v", got, want)
 	}
 }

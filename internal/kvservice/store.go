@@ -21,24 +21,46 @@ import (
 //	tombstone    [klen u32][tombMarker ][key]            (vlen slot)
 //
 // Log offsets are logical and grow forever; offset→address goes through
-// the slot table (seq = off/segBytes). A slot whose base is zero is free:
-// compaction retires a segment by copying its live records to the head,
-// publishing them, and then zeroing the slot's base with its own
-// flush+fence. Physical bases move to a volatile free-list that ensureSeg
-// reuses, so steady-state space stays bounded instead of growing one
-// segment per segment's worth of dead records.
+// the slot table (seq = off/segBytes). A slot whose base is zero is free.
+// Physical bases of retired segments move to a volatile free-list that
+// ensureSeg reuses, so steady-state space stays bounded instead of growing
+// one segment per segment's worth of dead records.
 //
 // The head is the commit point. A batch appends records (and possibly new
 // slot entries), makes them durable under one group-commit fence, and only
 // then publishes the new head with its own store+flush+fence. Recovery
 // trusts nothing past the durable head, so a crash between the two fences
-// loses the batch cleanly instead of exposing torn records. Compaction
-// keeps the same discipline: copies ride a group commit and the victim's
-// slot is zeroed only after the new head is durable, so a crash
-// mid-compaction replays either the old layout or the new one, never a
-// torn mix. Slot entries are 16 bytes on a 16-byte boundary inside a
-// line-aligned superblock, so the device's line-granular crash model
-// persists each {base, seqno} pair atomically.
+// loses the batch cleanly instead of exposing torn records.
+//
+// Compaction rides that commit instead of owning one. A pass drains one
+// sealed victim segment by copying its live records (and the tombstones
+// that still shadow something) to the head, but it does so a step at a
+// time: compactStep runs inside a batch, before the batch's commit, and
+// copies no more bytes than the batch appended itself, so the copies are
+// flushed by the batch's group fence and published by the batch's head
+// store. The pass costs no fence of its own until the victim is drained;
+// then, after the commit that published its last copy, finishPass zeroes
+// the victim's slot base with one flush+fence. Pacing by appended bytes
+// keeps reclaim level with the writes that make the garbage: a victim at
+// or under CompactFrac of a segment is drained by no more appended bytes
+// than retiring it frees. The step's walk is bounded the same way (see
+// scanPerCopy), so its time under the shard lock scales with the batch
+// that carries it, never with how dead the victim is.
+//
+// Crash ordering: at every event the durable image is the old layout plus
+// a published prefix of the pass's copies. A copy sits at a higher offset
+// than its original and carried the key's newest record when it was made,
+// so replaying both in log order lands on the copy, and anything written
+// to the key afterwards lies higher still. The retire stays strictly
+// behind the publish that makes it safe; a crash that loses the zeroing
+// store leaves the victim mapped and shadowed. The pass's position
+// {victim, cursor} is volatile on purpose: recovery rebuilds live and
+// nrecs from the scan — originals whose copies were published count as
+// dead — and the next step simply picks a fresh victim, so nothing about
+// a half-finished pass has to be durable or trusted. A slot entry's two
+// words share a cache line but are two stores, and the line can reach PM
+// between them: ensureSeg writes the segment number before the base, so
+// the half-written entry still reads as a free slot.
 const (
 	defaultSegBytes = 1 << 20
 	maxSegs         = 512
@@ -55,6 +77,18 @@ const (
 	// tombMarker in a record's vlen slot marks a tombstone: the key was
 	// deleted, and the record carries no value bytes.
 	tombMarker = ^uint32(0)
+
+	// scanPerCopy is how many victim bytes a compaction step may examine
+	// per byte of quota. Dead records cost loads too, so the walk needs a
+	// bound of its own. Reclaim keeps level with the appends only from 2
+	// up (1/(1-CompactFrac) at the default: a victim drained over 1/k of a
+	// segment of appends plus its copies, under half a segment, must not
+	// outgrow the segment its retirement frees), and records keep dying
+	// while a pass is in flight, so the typical walk already runs past 2×
+	// its copies. At 4 the bound leaves such a pass alone and only the
+	// nearly-dead victim feels it: that one drains over a quarter segment
+	// of appends instead of under one batch.
+	scanPerCopy = 4
 )
 
 // valRef locates a committed value by its record's logical log offset.
@@ -84,24 +118,41 @@ type store struct {
 
 	index map[string]valRef
 	tombs map[string]uint64 // key -> offset of its current tombstone
-	nrecs map[string]int    // key -> records bearing key in mapped segments
-	live  map[uint64]int64  // seq -> live record bytes (incl. tombstones)
+	// nrecs counts, per key, the records bearing it that will still be
+	// mapped once the pass in flight retires its victim: the records the
+	// cursor has passed are already counted out, a copy stands in for its
+	// original.
+	nrecs map[string]int
+	live  map[uint64]int64 // seq -> live record bytes (incl. tombstones)
 
-	compactions uint64 // compaction passes completed
+	pass        pass
+	scratch     []byte // compactStep's record buffer
+	compactions uint64 // compaction passes completed (victims retired)
 	copiedBytes uint64 // record bytes copied forward by compaction
 	vbase       mem.Addr
 }
 
-func emptyStore(th *persist.Thread, super mem.Addr, segBytes int) *store {
+// pass is the compactor's position between two steps: the sealed segment
+// being drained and the log offset of the next record to examine. It is
+// volatile (see the crash-ordering note above).
+type pass struct {
+	active bool
+	victim uint64
+	cursor uint64
+}
+
+// emptyStore builds the volatile half of a store; keys sizes the per-key
+// maps (a capacity, not a claim about contents).
+func emptyStore(th *persist.Thread, super mem.Addr, segBytes, keys int) *store {
 	return &store{
 		th:       th,
 		group:    persist.NewGroup(th),
 		super:    super,
 		segBytes: segBytes,
 		slotOf:   make(map[uint64]int),
-		index:    make(map[string]valRef),
+		index:    make(map[string]valRef, keys),
 		tombs:    make(map[string]uint64),
-		nrecs:    make(map[string]int),
+		nrecs:    make(map[string]int, keys),
 		live:     make(map[uint64]int64),
 		vbase:    th.Runtime().VMap(1 << 20),
 	}
@@ -111,7 +162,7 @@ func emptyStore(th *persist.Thread, super mem.Addr, segBytes int) *store {
 // and persists the empty-log superblock in its own transaction.
 func newStore(th *persist.Thread, segBytes int) *store {
 	rt := th.Runtime()
-	s := emptyStore(th, rt.Dev.Map(superBytes), segBytes)
+	s := emptyStore(th, rt.Dev.Map(superBytes), segBytes, 0)
 	seg0 := rt.Dev.Map(segBytes)
 	s.nslots = 1
 	s.slotBase = []mem.Addr{seg0}
@@ -137,9 +188,12 @@ func newStore(th *persist.Thread, segBytes int) *store {
 // claiming a second slot for the same segment number. Lengths inside the
 // published head are validated against their segment's remainder — a
 // corrupt klen/vlen fails recovery loudly instead of silently aliasing
-// into a neighboring segment.
-func openStore(th *persist.Thread, super mem.Addr, segBytes int) (*store, error) {
-	s := emptyStore(th, super, segBytes)
+// into a neighboring segment. keys is how many keys to size the index for
+// (what the shard held before the crash, 0 for a cold open): recovery
+// still takes every key from the scan, it only stops growing its maps from
+// empty.
+func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, error) {
+	s := emptyStore(th, super, segBytes, keys)
 	s.head = th.LoadU64(super + superHeadOff)
 	n := th.LoadU64(super + superNSlotsOff)
 	if n > maxSegs {
@@ -185,32 +239,41 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes int) (*store, error)
 	for _, seq := range seqs {
 		end := min((seq+1)*sb, s.head)
 		for off := seq * sb; off < end; {
-			rem := end - off
-			if rem < recHeader {
-				break // implicit tail padding
+			a, rem := s.addr(off), end-off
+			klen, vlen, tomb, ok := s.recAt(a, rem)
+			if !ok {
+				break
 			}
-			a := s.addr(off)
-			klen := th.LoadU32(a)
-			if klen == padMarker {
-				break // explicit tail padding
-			}
-			vraw := th.LoadU32(a + 4)
-			tomb := vraw == tombMarker
-			vlen := 0
-			if !tomb {
-				vlen = int(vraw)
-			}
-			size := recHeader + uint64(klen) + uint64(vlen)
+			size := uint64(footprint(klen, vlen))
 			if size > rem {
-				return nil, fmt.Errorf("kvservice: corrupt record at log offset %d: klen=%d vlen=%#x exceeds segment remainder %d", off, klen, vraw, rem)
+				return nil, fmt.Errorf("kvservice: corrupt record at log offset %d: klen=%d vlen=%d exceeds segment remainder %d", off, klen, vlen, rem)
 			}
-			buf = slices.Grow(buf[:0], int(klen))[:klen]
+			buf = slices.Grow(buf[:0], klen)[:klen]
 			th.LoadInto(a+recHeader, buf)
 			s.noteAppend(string(buf), off, vlen, tomb)
 			off += size
 		}
 	}
 	return s, nil
+}
+
+// recAt loads the header of the record at device address a, rem bytes
+// short of where the scan of its segment stops. ok is false when the rest
+// of the segment is padding: an explicit marker, or a tail too short to
+// hold one.
+func (s *store) recAt(a mem.Addr, rem uint64) (klen, vlen int, tomb, ok bool) {
+	if rem < recHeader {
+		return 0, 0, false, false
+	}
+	k := s.th.LoadU32(a)
+	if k == padMarker {
+		return 0, 0, false, false
+	}
+	v := s.th.LoadU32(a + 4)
+	if v == tombMarker {
+		return int(k), 0, true, true
+	}
+	return int(k), int(v), false, true
 }
 
 // addr maps a logical log offset to its device address through the slot
@@ -262,9 +325,13 @@ func (s *store) ensureSeg() error {
 	} else {
 		base = s.th.Runtime().Dev.Map(s.segBytes)
 	}
+	// Segment number first, base second: the entry's line can reach PM
+	// between the two stores, and a slot reads as free until its base is
+	// set, so the half-written entry is a free slot — never the new base
+	// under the slot's previous segment number.
 	a := s.slotAddr(slot)
-	s.th.StoreU64(a, uint64(base))
 	s.th.StoreU64(a+8, seq)
+	s.th.StoreU64(a, uint64(base))
 	s.group.Add(a, slotBytes)
 	s.slotBase[slot] = base
 	s.slotSeq[slot] = seq
@@ -433,6 +500,9 @@ func (s *store) victim() (uint64, bool) {
 	return best, bestLive >= 0
 }
 
+// headroom is the number of slot-table entries still free to map a segment.
+func (s *store) headroom() int { return maxSegs - s.nslots + len(s.freeSlots) }
+
 // needsCompact reports whether the victim is worth compacting under the
 // live-fraction threshold, or must be compacted because the slot table is
 // nearly exhausted. Pressure compaction skips victims that are almost
@@ -446,92 +516,169 @@ func (s *store) needsCompact(liveFrac float64) (uint64, bool) {
 	if float64(l) <= liveFrac*float64(s.segBytes) {
 		return seq, true
 	}
-	headroom := maxSegs - s.nslots + len(s.freeSlots)
-	if headroom <= 2 && l <= int64(s.segBytes)*3/4 {
+	if s.headroom() <= 2 && l <= int64(s.segBytes)*3/4 {
 		return seq, true
 	}
 	return 0, false
 }
 
-// compactOnce copies seq's live records (and still-needed tombstones) to
-// the head, publishes them with a group commit + head publish, and then
-// durably retires the slot. Crash ordering: before the head publish the
-// old layout recovers untouched; between the publish and the retire both
-// the originals and the copies replay, copies last (higher offsets win);
-// after the retire only the copies remain. A tombstone whose key has no
-// other record in any mapped segment is dropped instead of copied.
-func (s *store) compactOnce(seq uint64) error {
+// compactionDue reports whether a step would have work: a pass is in
+// flight, or a sealed segment qualifies as a victim.
+func (s *store) compactionDue(liveFrac float64) bool {
+	if liveFrac < 0 {
+		return false
+	}
+	if s.pass.active {
+		return true
+	}
+	_, ok := s.needsCompact(liveFrac)
+	return ok
+}
+
+// compactStep advances copy-forward compaction by one step inside the
+// caller's batch, before the batch's commit: it resumes the pass in flight
+// (or picks a victim when idle) and copies live records, and tombstones
+// that still shadow an older record, from the cursor to the head until it
+// has copied quota bytes or drained the victim. The copies join the
+// batch's group, so the batch's commit flushes and publishes them; the
+// caller runs finishPass after that commit. quota is the bytes the batch
+// appended itself — a read-only batch copies nothing — except under
+// slot-table pressure (headroom <= 2), which takes a whole segment.
+//
+// The walk is paced as well as the copies: a step examines fewer than
+// scanPerCopy×quota bytes of the victim (plus the record it stops on), so
+// a victim that is nearly all garbage cannot be walked end to end under
+// the shard lock behind one small batch.
+//
+// A record the cursor passes is counted out of nrecs as it goes (a copy
+// takes its original's count), so when a tombstone comes up, nrecs == 1
+// says no other record of the key stays mapped once the victim retires and
+// the tombstone is dropped instead of copied. One pass runs at a time and
+// its victim retires before the next is picked, so nothing else reads
+// nrecs in between.
+//
+// A copy that finds the shard full aborts the pass: what was copied stays
+// in the group and is published, the victim stays mapped, the cursor is
+// cleared, and the records it had passed are counted back into nrecs.
+func (s *store) compactStep(liveFrac float64, quota int) error {
+	if liveFrac < 0 {
+		return nil
+	}
+	if s.headroom() <= 2 {
+		quota = s.segBytes
+	}
+	if quota <= 0 {
+		return nil
+	}
 	sb := uint64(s.segBytes)
-	end := min((seq+1)*sb, s.head)
+	if !s.pass.active {
+		seq, ok := s.needsCompact(liveFrac)
+		if !ok {
+			return nil
+		}
+		s.pass = pass{active: true, victim: seq, cursor: seq * sb}
+	}
+	seq := s.pass.victim
+	end := (seq + 1) * sb
+	off := s.pass.cursor
 	// buf holds the key, then (converted to a string, the key is done with)
-	// the value of the record under the cursor; it grows to the largest.
-	var buf []byte
-	for off := seq * sb; off < end; {
-		rem := end - off
-		if rem < recHeader {
-			break
-		}
+	// the value of the record under the cursor; it grows to the largest and
+	// is kept across steps.
+	buf := s.scratch
+	for copied, scanned := 0, 0; off < end && copied < quota && scanned < scanPerCopy*quota; {
 		a := s.addr(off)
-		klen := s.th.LoadU32(a)
-		if klen == padMarker {
+		klen, vlen, tomb, ok := s.recAt(a, end-off)
+		if !ok {
+			off = end
 			break
 		}
-		vraw := s.th.LoadU32(a + 4)
-		tomb := vraw == tombMarker
-		vlen := 0
-		if !tomb {
-			vlen = int(vraw)
-		}
-		size := recHeader + uint64(klen) + uint64(vlen)
-		buf = slices.Grow(buf[:0], int(klen))[:klen]
+		size := footprint(klen, vlen)
+		buf = slices.Grow(buf[:0], klen)[:klen]
 		s.th.LoadInto(a+recHeader, buf)
 		key := string(buf)
-		cur, isLive := s.index[key]
+		// current: the record is its key's newest, a value or a tombstone.
+		var current bool
+		if tomb {
+			toff, ok := s.tombs[key]
+			current = ok && toff == off
+		} else {
+			cur, ok := s.index[key]
+			current = ok && cur.off == off
+		}
 		switch {
-		case !tomb && isLive && cur.off == off:
-			buf = slices.Grow(buf[:0], vlen)[:vlen]
-			s.th.LoadInto(a+recHeader+mem.Addr(klen), buf)
-			noff, err := s.appendRec(key, buf, false)
-			if err != nil {
-				return err
-			}
-			s.live[seq] -= footprint(int(klen), vlen)
-			s.live[noff/sb] += footprint(int(klen), vlen)
-			s.index[key] = valRef{off: noff, vlen: vlen}
-			s.th.VStore(s.vbase, 2)
-			s.copiedBytes += size
-		case tomb && s.tombs[key] == off:
-			if s.nrecs[key] == 1 {
-				// Sole record for the key anywhere in the log: nothing
-				// left to shadow, so the tombstone itself can go.
-				delete(s.tombs, key)
-				delete(s.nrecs, key)
-				s.live[seq] -= footprint(int(klen), 0)
-				s.th.VStore(s.vbase, 2)
-			} else {
-				noff, err := s.appendRec(key, nil, true)
-				if err != nil {
-					return err
-				}
-				s.live[seq] -= footprint(int(klen), 0)
-				s.live[noff/sb] += footprint(int(klen), 0)
-				s.tombs[key] = noff
-				s.th.VStore(s.vbase, 2)
-			}
-		default:
+		case !current:
 			// Dead record (superseded value, stale tombstone): it leaves
 			// the log when the segment retires.
 			s.nrecs[key]--
 			if s.nrecs[key] == 0 {
 				delete(s.nrecs, key)
 			}
+		case tomb && s.nrecs[key] == 1:
+			// Sole record for the key anywhere in the log: nothing left
+			// to shadow, so the tombstone itself can go.
+			delete(s.tombs, key)
+			delete(s.nrecs, key)
+			s.live[seq] -= size
+			s.th.VStore(s.vbase, 2)
+		default:
+			buf = slices.Grow(buf[:0], vlen)[:vlen]
+			s.th.LoadInto(a+recHeader+mem.Addr(klen), buf)
+			noff, err := s.appendRec(key, buf, tomb)
+			if err != nil {
+				s.abandonPass(off)
+				return err
+			}
+			s.live[seq] -= size
+			s.live[noff/sb] += size
+			if tomb {
+				s.tombs[key] = noff
+			} else {
+				s.index[key] = valRef{off: noff, vlen: vlen}
+			}
+			s.th.VStore(s.vbase, 2)
+			s.copiedBytes += uint64(size)
+			copied += int(size)
 		}
-		off += size
+		off += uint64(size)
+		scanned += int(size)
 	}
-	s.commit()
-	s.retire(seq)
-	s.compactions++
+	s.pass.cursor = off
+	s.scratch = buf
 	return nil
+}
+
+// abandonPass gives up the pass in flight with its cursor at upto: the
+// victim stays mapped, so every record the cursor had passed — dead, or
+// copied and now shadowed by its copy — is a mapped record again and is
+// counted back into nrecs by walking the prefix once more. (A tombstone
+// the pass had dropped comes back as a stale one: it shadows nothing and
+// leaves with the segment.)
+func (s *store) abandonPass(upto uint64) {
+	seq := s.pass.victim
+	sb := uint64(s.segBytes)
+	var buf []byte
+	for off := seq * sb; off < upto; {
+		a := s.addr(off)
+		klen, vlen, _, _ := s.recAt(a, upto-off)
+		buf = slices.Grow(buf[:0], klen)[:klen]
+		s.th.LoadInto(a+recHeader, buf)
+		s.nrecs[string(buf)]++
+		off += uint64(footprint(klen, vlen))
+	}
+	s.pass = pass{}
+}
+
+// finishPass retires the victim once its pass has drained it. Callers run
+// it after the commit that followed the draining step: every copy is then
+// behind a durable head, and so is every newer record that made one of the
+// victim's records dead.
+func (s *store) finishPass() {
+	if !s.pass.active || s.pass.cursor < (s.pass.victim+1)*uint64(s.segBytes) {
+		return
+	}
+	s.retire(s.pass.victim)
+	s.pass = pass{}
+	s.compactions++
 }
 
 // retire durably frees seq's slot after its live records have been
@@ -552,21 +699,17 @@ func (s *store) retire(seq uint64) {
 	s.freeBases = append(s.freeBases, base)
 }
 
-// compact runs copy-forward compaction until no sealed segment is at or
-// below the live-fraction threshold. Each pass retires one whole segment;
-// the pass count is bounded by the mapped-segment count because a new
-// sealed segment takes a full segment of head advance to form while every
-// pass removes one.
-func (s *store) compact(liveFrac float64) error {
-	if liveFrac < 0 {
-		return nil
-	}
-	for limit := len(s.slotOf); limit > 0; limit-- {
-		seq, ok := s.needsCompact(liveFrac)
-		if !ok {
-			return nil
-		}
-		if err := s.compactOnce(seq); err != nil {
+// drain steps compaction with whole-segment quotas, committing after each
+// step, until no pass is in flight and no sealed segment qualifies: what a
+// quiesced shard runs so that it is left fully compacted. Every step
+// retires its victim, and a new sealed segment takes a full segment of
+// head advance to form, so the mapped-segment count bounds the loop.
+func (s *store) drain(liveFrac float64) error {
+	for limit := len(s.slotOf); limit > 0 && s.compactionDue(liveFrac); limit-- {
+		err := s.compactStep(liveFrac, s.segBytes)
+		s.commit()
+		s.finishPass() // nothing to finish after an abort: the pass is gone
+		if err != nil {
 			return err
 		}
 	}
