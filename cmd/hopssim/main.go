@@ -13,7 +13,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -37,8 +36,7 @@ func main() {
 // run is main with the process edges injected, so tests can call it
 // directly. It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("hopssim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cliutil.Flags("hopssim", stderr)
 	fig6 := fs.Bool("fig6", false, "print Figure 6 (PM share of accesses)")
 	fig10 := fs.Bool("fig10", false, "print Figure 10 (HOPS performance)")
 	ops := fs.Int("ops", 0, "operations per client (0 = suite default)")
@@ -46,11 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pb := fs.Int("pb", 0, "persist-buffer entries per thread (0 = paper's 32)")
 	drain := fs.Int("drain", 0, "PB occupancy that launches the background drain (0 = paper's 16)")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "hopssim: unexpected arguments: %v\n", fs.Args())
+	if !cliutil.Parse(fs, args) {
 		return 2
 	}
 	both := !*fig6 && !*fig10

@@ -32,7 +32,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -60,8 +59,7 @@ func main() {
 // run is main with the process edges injected, so error-path tests can
 // call it directly. It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("wanalyze", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cliutil.Flags("wanalyze", stderr)
 	runSuite := fs.Bool("run", false, "regenerate the suite in-process")
 	dir := fs.String("dir", "", "directory of saved .wspr traces")
 	ops := fs.Int("ops", 0, "operations per client when regenerating")
@@ -77,14 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fused := fs.Bool("fused", false, "synonym of -stream (every mode already runs all selected analyses in one pass)")
 	cache := fs.Bool("cache", false, "simulate the Table 3 cache hierarchy over each trace")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	// flag.Parse stops at the first positional argument, so a typo like
-	// `wanalyze -run echo -fused` would otherwise silently drop every
-	// flag after "echo" and run the defaults instead.
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "wanalyze: unexpected arguments: %v\n", fs.Args())
+	if !cliutil.Parse(fs, args) {
 		return 2
 	}
 

@@ -59,6 +59,12 @@ func TestRunErrorPaths(t *testing.T) {
 			wantErr:  "flag provided but not defined",
 		},
 		{
+			name:     "stray positional argument",
+			args:     []string{"-run", "echo", "-fused"},
+			wantCode: 2,
+			wantErr:  "unexpected arguments: [echo -fused]",
+		},
+		{
 			name:     "empty trace dir",
 			args:     []string{"-dir", tmp},
 			wantCode: 1,

@@ -17,13 +17,14 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/whisper-pm/whisper/internal/cliutil"
 )
 
 func main() {
@@ -63,15 +64,10 @@ type document struct {
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("wbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cliutil.Flags("wbench", stderr)
 	out := fs.String("o", "", "output file (default stdout)")
 	note := fs.String("note", "", "free-form note recorded in the document")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "wbench: unexpected arguments: %v\n", fs.Args())
+	if !cliutil.Parse(fs, args) {
 		return 2
 	}
 

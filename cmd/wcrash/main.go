@@ -20,7 +20,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -38,8 +37,7 @@ func main() {
 // run is main with the process edges injected, so error-path tests can
 // call it directly. It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("wcrash", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cliutil.Flags("wcrash", stderr)
 	app := fs.String("app", "", "check one application (default: all)")
 	clients := fs.Int("clients", 0, "client threads (0 = checker default)")
 	ops := fs.Int("ops", 0, "scripted operations per run (0 = checker default)")
@@ -49,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	smoke := fs.Bool("smoke", false, "fast CI matrix: all apps, 2 seeds, 8 ops")
 	verbose := fs.Bool("v", false, "print every violation, not just per-app summaries")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	if err := fs.Parse(args); err != nil {
+	if !cliutil.Parse(fs, args) {
 		return 2
 	}
 

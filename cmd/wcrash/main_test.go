@@ -28,6 +28,12 @@ func TestRunErrorPaths(t *testing.T) {
 			wantErr:  "flag provided but not defined",
 		},
 		{
+			name:     "stray positional argument",
+			args:     []string{"vacation", "-v"},
+			wantCode: 2,
+			wantErr:  "unexpected arguments: [vacation -v]",
+		},
+		{
 			name:     "non-numeric point",
 			args:     []string{"-points", "1,zap"},
 			wantCode: 2,

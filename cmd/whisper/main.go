@@ -29,7 +29,6 @@ package main
 
 import (
 	"expvar"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -57,8 +56,7 @@ func main() {
 // run is main with the process edges injected, so tests can call it
 // directly. It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("whisper", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cliutil.Flags("whisper", stderr)
 	bench := fs.String("bench", "", "benchmark to run (default: whole suite)")
 	clients := fs.Int("clients", 0, "client threads (0 = paper default)")
 	ops := fs.Int("ops", 0, "operations per client (0 = suite default)")
@@ -71,13 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sanAllow := fs.String("san-allow", "", "allowlist file of known sanitizer findings to suppress (implies -san)")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	// flag.Parse stops at the first positional argument, so a typo like
-	// `whisper -table1 echo -san` would otherwise silently drop -san.
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "whisper: unexpected arguments: %v\n", fs.Args())
+	if !cliutil.Parse(fs, args) {
 		return 2
 	}
 	fail := func(err error) int {

@@ -22,7 +22,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -38,15 +37,14 @@ func main() {
 // run is main with the process edges injected, so error-path tests can
 // call it directly. It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("wlitmus", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cliutil.Flags("wlitmus", stderr)
 	shape := fs.String("shape", "", "run one builtin shape by name")
 	file := fs.String("f", "", "run a litmus DSL file instead of the builtin suite")
 	list := fs.Bool("list", false, "list builtin shape names and exit")
 	crossval := fs.Bool("crossval", false, "cross-validate the enumeration against device crash sampling (px86 only)")
 	seeds := fs.Int("seeds", 3, "adversarial seeds per crash point for -crossval")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	if err := fs.Parse(args); err != nil {
+	if !cliutil.Parse(fs, args) {
 		return 2
 	}
 	fail := func(err error) int {

@@ -82,6 +82,7 @@ func TestLitmusFile(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-nonsense"},
+		{"store-store"}, // positional: a shape is named with -shape
 		{"-shape", "no-such-shape"},
 		{"-f", "/does/not/exist.litmus"},
 		{"-shape", "store-store", "-f", "x.litmus"},

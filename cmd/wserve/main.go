@@ -55,8 +55,7 @@ func main() {
 // run is main with the process edges injected, so error-path tests can
 // call it directly. It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("wserve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cliutil.Flags("wserve", stderr)
 	var (
 		shards   = fs.String("shards", "1,2,4", "comma-separated shard counts")
 		batch    = fs.String("batch", "1,8,32", "comma-separated group-commit batch sizes")
@@ -78,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		churn    = fs.Bool("churn", false, "run the compaction-churn gate instead of the sweep")
 		metrics  = fs.String("metrics", "", "write metrics snapshot JSON to this file on exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if !cliutil.Parse(fs, args) {
 		return 2
 	}
 	shardList, err1 := parseIntList(*shards)

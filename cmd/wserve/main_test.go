@@ -184,6 +184,13 @@ func TestUsageErrors(t *testing.T) {
 		t.Fatalf("unknown flag exit = %d, want 2", code)
 	}
 	errb.Reset()
+	if code := run([]string{"churn", "-san"}, &out, &errb); code != 2 || out.Len() != 0 {
+		t.Fatalf("positional argument: exit = %d, stdout %q; want 2 and nothing run", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "unexpected arguments: [churn -san]") {
+		t.Fatalf("stderr: %q", errb.String())
+	}
+	errb.Reset()
 	if code := run([]string{"-shards", "1,zero"}, &out, &errb); code != 2 {
 		t.Fatalf("bad list exit = %d, want 2", code)
 	}

@@ -21,7 +21,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -38,8 +37,7 @@ func main() {
 // run is main with the process edges injected, so tests can call it
 // directly. It returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("wstorm", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cliutil.Flags("wstorm", stderr)
 	list := fs.Bool("list", false, "list builtin scenarios and primitive classes")
 	name := fs.String("scenario", "smoke", "builtin scenario to run")
 	file := fs.String("f", "", "run a scenario spec file instead of a builtin")
@@ -48,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	san := fs.Bool("san", false, "exit 1 on durability-sanitizer errors too")
 	primsOnly := fs.Bool("prims", false, "run the PM-primitives microsuite instead")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	if err := fs.Parse(args); err != nil {
+	if !cliutil.Parse(fs, args) {
 		return 2
 	}
 	fail := func(err error) int {

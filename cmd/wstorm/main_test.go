@@ -136,6 +136,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-scenario", "no-such-scenario"},
 		{"-f", filepath.Join(t.TempDir(), "missing.txt")},
 		{"-not-a-flag"},
+		{"smoke", "-list"},  // positional: would drop -list and run smoke
 		{"-f", "/dev/null"}, // empty spec: no tenants
 	}
 	for _, args := range cases {

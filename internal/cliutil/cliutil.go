@@ -1,13 +1,39 @@
-// Package cliutil holds small helpers shared by the whisper command-line
-// tools (cmd/whisper, cmd/wanalyze, cmd/wcrash, cmd/hopssim).
+// Package cliutil holds the small helpers every whisper command-line tool
+// under cmd/ shares.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/whisper-pm/whisper/internal/obs"
 )
+
+// Flags returns the flag set of the command name: parse errors and usage
+// go to stderr and come back to the caller instead of exiting the process,
+// so a main's run() stays testable.
+func Flags(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// Parse parses args into fs and rejects positional arguments: no tool takes
+// any, and flag parsing stops at the first one, so `wstorm smoke -list`
+// would otherwise drop -list and run the defaults. False means a usage
+// error has been reported on fs's output and the command should exit 2.
+func Parse(fs *flag.FlagSet, args []string) bool {
+	if fs.Parse(args) != nil {
+		return false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s: unexpected arguments: %v\n", fs.Name(), fs.Args())
+		return false
+	}
+	return true
+}
 
 // WriteMetrics snapshots the process-wide metrics registry and writes it
 // as indented JSON to path. An empty path is a no-op, so commands can pass

@@ -4,19 +4,13 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
-	"github.com/whisper-pm/whisper/internal/apps/ctree"
 	"github.com/whisper-pm/whisper/internal/apps/echo"
 	"github.com/whisper-pm/whisper/internal/apps/fsapps"
-	"github.com/whisper-pm/whisper/internal/apps/hashstore"
-	"github.com/whisper-pm/whisper/internal/apps/memcache"
 	"github.com/whisper-pm/whisper/internal/apps/nstore"
-	"github.com/whisper-pm/whisper/internal/apps/redisstore"
 	"github.com/whisper-pm/whisper/internal/apps/vacation"
 	"github.com/whisper-pm/whisper/internal/mnemosyne"
-	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
 )
 
@@ -32,27 +26,14 @@ type entry struct {
 var registry = []entry{
 	{"echo", "native", func() App { return &echoApp{} }},
 	{"ycsb", "native", func() App { return &nstoreApp{} }},
-	{"redis", "nvml", func() App { return newStrApp(openRedis) }},
-	{"ctree", "nvml", func() App { return newU64App(openCtree) }},
-	{"hashmap", "nvml", func() App { return newU64App(openHashmap) }},
+	{"redis", "nvml", func() App { return newStrApp("redis") }},
+	{"ctree", "nvml", func() App { return newU64App("ctree") }},
+	{"hashmap", "nvml", func() App { return newU64App("hashmap") }},
 	{"vacation", "mnemosyne", func() App { return &vacationApp{} }},
-	{"memcached", "mnemosyne", func() App { return newStrApp(openMemcached) }},
+	{"memcached", "mnemosyne", func() App { return newStrApp("memcached") }},
 	{"nfs", "pmfs", func() App { return fsapps.NewCrashApp("nfs") }},
 	{"exim", "pmfs", func() App { return fsapps.NewCrashApp("exim") }},
 	{"mysql", "pmfs", func() App { return fsapps.NewCrashApp("mysql") }},
-}
-
-// sortedKeys returns m's keys in ascending order. Oracle loops that report
-// the FIRST mismatching key must walk the key space in a fixed order — a
-// bare Go map range would make the violation message (and hence the
-// checker's output) depend on map iteration order.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // Apps returns the registered application names in suite order.
@@ -74,24 +55,7 @@ func lookup(name string) (entry, error) {
 }
 
 // ---------------------------------------------------------------------------
-// uint64 key-value adapters: ctree and hashmap share one shape.
-
-// u64KV is the store surface the NVML tree/map apps expose.
-type u64KV interface {
-	Insert(tid int, key, value uint64) error
-	Get(tid int, key uint64) (uint64, bool)
-	Delete(tid int, key uint64) (bool, error)
-	Recover()
-	CheckInvariants(tid int) error
-}
-
-func openCtree(rt *persist.Runtime) u64KV {
-	return ctree.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}))
-}
-
-func openHashmap(rt *persist.Runtime) u64KV {
-	return hashstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)
-}
+// Key-value apps: ctree and hashmap (uint64), redis and memcached (string).
 
 const (
 	opInsert = iota
@@ -99,51 +63,44 @@ const (
 	opGet
 )
 
-type u64Op struct {
+// kvOp is one scripted operation; key and val are the raw draws the app's
+// render function turns into its store's key and value types.
+type kvOp struct {
 	kind     int
 	key, val uint64
 }
 
-// u64Pending is the operation in flight at the crash: its key may hold the
-// before or the after state, atomically.
-type u64Pending struct {
-	key      uint64
-	before   uint64
-	beforeOk bool
-	after    uint64
-	afterOk  bool
+// kvApp scripts an insert/delete/get mix against one key-value store and
+// leaves every judgement to its Model.
+type kvApp[K cmp.Ordered, V comparable] struct {
+	name     string
+	open     func(app string, rt *persist.Runtime) KV[K, V]
+	keyspace int
+	render   func(key, val uint64) (K, V)
+	clients  int
+	script   []kvOp
+	m        *Model[K, V]
 }
 
-type u64App struct {
-	open    func(*persist.Runtime) u64KV
-	kv      u64KV
-	clients int
-	script  []u64Op
-	model   map[uint64]uint64
-	touched map[uint64]bool
-	pending *u64Pending
-	err     error
+func newU64App(name string) App {
+	// The stores treat key/value 0 as ambiguous; keep both nonzero.
+	return &kvApp[uint64, uint64]{name: name, open: OpenU64, keyspace: 256,
+		render: func(k, v uint64) (uint64, uint64) { return k + 1, v + 1 }}
 }
 
-func newU64App(open func(*persist.Runtime) u64KV) *u64App {
-	return &u64App{open: open}
+func newStrApp(name string) App {
+	return &kvApp[string, string]{name: name, open: OpenStr, keyspace: 128,
+		render: func(k, v uint64) (string, string) {
+			return fmt.Sprintf("key-%03d", k), fmt.Sprintf("value-%06d", v)
+		}}
 }
 
-func (a *u64App) fail(format string, args ...any) {
-	if a.err == nil {
-		a.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (a *u64App) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
-	a.kv = a.open(rt)
+func (a *kvApp[K, V]) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
+	a.m = NewModel(a.open(a.name, rt))
 	a.clients = clients
-	a.model = make(map[uint64]uint64)
-	a.touched = make(map[uint64]bool)
 	rng := rand.New(rand.NewSource(seed))
-	const keyspace = 256
 	for k := 0; k < ops; k++ {
-		op := u64Op{key: uint64(rng.Intn(keyspace)) + 1, val: rng.Uint64()%1_000_000 + 1}
+		op := kvOp{key: uint64(rng.Intn(a.keyspace)), val: rng.Uint64() % 1_000_000}
 		switch r := rng.Intn(100); {
 		case r < 60:
 			op.kind = opInsert
@@ -156,211 +113,23 @@ func (a *u64App) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
 	}
 }
 
-func (a *u64App) Do(k int) {
+func (a *kvApp[K, V]) Do(k int) {
 	op := a.script[k]
 	tid := k % a.clients
-	a.touched[op.key] = true
-	before, ok := a.model[op.key]
+	key, val := a.render(op.key, op.val)
 	switch op.kind {
 	case opInsert:
-		a.pending = &u64Pending{key: op.key, before: before, beforeOk: ok, after: op.val, afterOk: true}
-		if err := a.kv.Insert(tid, op.key, op.val); err != nil {
-			a.fail("insert %d: %v", op.key, err)
-		} else {
-			a.model[op.key] = op.val
-		}
+		a.m.Insert(tid, key, val)
 	case opDelete:
-		a.pending = &u64Pending{key: op.key, before: before, beforeOk: ok}
-		if _, err := a.kv.Delete(tid, op.key); err != nil {
-			a.fail("delete %d: %v", op.key, err)
-		} else {
-			delete(a.model, op.key)
-		}
+		a.m.Delete(tid, key)
 	case opGet:
-		got, gok := a.kv.Get(tid, op.key)
-		if gok != ok || (ok && got != before) {
-			a.fail("get %d: store (%d,%v) diverged from model (%d,%v)", op.key, got, gok, before, ok)
-		}
-	}
-	a.pending = nil
-}
-
-func (a *u64App) Recover() { a.kv.Recover() }
-
-func (a *u64App) Check() error {
-	if a.err != nil {
-		return a.err
-	}
-	if err := a.kv.CheckInvariants(0); err != nil {
-		return err
-	}
-	for _, key := range sortedKeys(a.touched) {
-		got, ok := a.kv.Get(0, key)
-		if p := a.pending; p != nil && p.key == key {
-			okBefore := ok == p.beforeOk && (!ok || got == p.before)
-			okAfter := ok == p.afterOk && (!ok || got == p.after)
-			if !okBefore && !okAfter {
-				return fmt.Errorf("in-flight key %d: (%d,%v) is neither before (%d,%v) nor after (%d,%v)",
-					key, got, ok, p.before, p.beforeOk, p.after, p.afterOk)
-			}
-			continue
-		}
-		want, wok := a.model[key]
-		if ok != wok || (ok && got != want) {
-			return fmt.Errorf("key %d: recovered (%d,%v), model (%d,%v)", key, got, ok, want, wok)
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// string key-value adapters: redis (NVML) and memcached (Mnemosyne).
-
-// strKV adapts the two string stores to one surface.
-type strKV interface {
-	set(tid int, key, val string) error
-	get(tid int, key string) (string, bool)
-	del(tid int, key string) (bool, error)
-	recover()
-	check() error
-}
-
-type redisKV struct{ s *redisstore.Store }
-
-func (r redisKV) set(_ int, k, v string) error       { return r.s.Set(k, v) }
-func (r redisKV) get(_ int, k string) (string, bool) { return r.s.Get(k) }
-func (r redisKV) del(_ int, k string) (bool, error)  { return r.s.Del(k) }
-func (r redisKV) recover()                           { r.s.Recover() }
-func (r redisKV) check() error                       { return r.s.CheckInvariants() }
-
-func openRedis(rt *persist.Runtime) strKV {
-	return redisKV{redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)}
-}
-
-type memcacheKV struct{ c *memcache.Cache }
-
-func (m memcacheKV) set(tid int, k, v string) error       { return m.c.Set(tid, k, v) }
-func (m memcacheKV) get(tid int, k string) (string, bool) { return m.c.Get(tid, k) }
-func (m memcacheKV) del(tid int, k string) (bool, error)  { return m.c.Delete(tid, k) }
-func (m memcacheKV) recover()                             { m.c.Recover() }
-func (m memcacheKV) check() error                         { return m.c.CheckInvariants(0) }
-
-func openMemcached(rt *persist.Runtime) strKV {
-	// maxItems far above the scripted keyspace: LRU eviction never fires,
-	// so the volatile model needs no eviction mirror.
-	return memcacheKV{memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 256, 1<<14)}
-}
-
-type strPending struct {
-	key      string
-	before   string
-	beforeOk bool
-	after    string
-	afterOk  bool
-}
-
-type strApp struct {
-	open    func(*persist.Runtime) strKV
-	kv      strKV
-	clients int
-	script  []u64Op // key/val as numbers, rendered to strings
-	model   map[string]string
-	touched map[string]bool
-	pending *strPending
-	err     error
-}
-
-func newStrApp(open func(*persist.Runtime) strKV) *strApp {
-	return &strApp{open: open}
-}
-
-func (a *strApp) fail(format string, args ...any) {
-	if a.err == nil {
-		a.err = fmt.Errorf(format, args...)
+		a.m.Get(tid, key)
 	}
 }
 
-func (a *strApp) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
-	a.kv = a.open(rt)
-	a.clients = clients
-	a.model = make(map[string]string)
-	a.touched = make(map[string]bool)
-	rng := rand.New(rand.NewSource(seed))
-	const keyspace = 128
-	for k := 0; k < ops; k++ {
-		op := u64Op{key: uint64(rng.Intn(keyspace)), val: rng.Uint64() % 1_000_000}
-		switch r := rng.Intn(100); {
-		case r < 60:
-			op.kind = opInsert
-		case r < 80:
-			op.kind = opDelete
-		default:
-			op.kind = opGet
-		}
-		a.script = append(a.script, op)
-	}
-}
+func (a *kvApp[K, V]) Recover() { a.m.Recover() }
 
-func strKey(k uint64) string { return fmt.Sprintf("key-%03d", k) }
-func strVal(v uint64) string { return fmt.Sprintf("value-%06d", v) }
-
-func (a *strApp) Do(k int) {
-	op := a.script[k]
-	tid := k % a.clients
-	key := strKey(op.key)
-	a.touched[key] = true
-	before, ok := a.model[key]
-	switch op.kind {
-	case opInsert:
-		val := strVal(op.val)
-		a.pending = &strPending{key: key, before: before, beforeOk: ok, after: val, afterOk: true}
-		if err := a.kv.set(tid, key, val); err != nil {
-			a.fail("set %s: %v", key, err)
-		} else {
-			a.model[key] = val
-		}
-	case opDelete:
-		a.pending = &strPending{key: key, before: before, beforeOk: ok}
-		if _, err := a.kv.del(tid, key); err != nil {
-			a.fail("del %s: %v", key, err)
-		} else {
-			delete(a.model, key)
-		}
-	case opGet:
-		got, gok := a.kv.get(tid, key)
-		if gok != ok || (ok && got != before) {
-			a.fail("get %s: store (%q,%v) diverged from model (%q,%v)", key, got, gok, before, ok)
-		}
-	}
-	a.pending = nil
-}
-
-func (a *strApp) Recover() { a.kv.recover() }
-
-func (a *strApp) Check() error {
-	if a.err != nil {
-		return a.err
-	}
-	if err := a.kv.check(); err != nil {
-		return err
-	}
-	for _, key := range sortedKeys(a.touched) {
-		got, ok := a.kv.get(0, key)
-		if p := a.pending; p != nil && p.key == key {
-			okBefore := ok == p.beforeOk && (!ok || got == p.before)
-			okAfter := ok == p.afterOk && (!ok || got == p.after)
-			if !okBefore && !okAfter {
-				return fmt.Errorf("in-flight key %s: (%q,%v) is neither before nor after state", key, got, ok)
-			}
-			continue
-		}
-		want, wok := a.model[key]
-		if ok != wok || (ok && got != want) {
-			return fmt.Errorf("key %s: recovered (%q,%v), model (%q,%v)", key, got, ok, want, wok)
-		}
-	}
-	return nil
-}
+func (a *kvApp[K, V]) Check() error { return a.m.Check(0) }
 
 // ---------------------------------------------------------------------------
 // N-store (YCSB mix): multi-write OPTWAL transactions, all-or-nothing.
@@ -530,7 +299,7 @@ func (a *nstoreApp) Check() error {
 	// An in-flight transaction must land entirely before or entirely
 	// after: mixing rows from both sides breaks OPTWAL atomicity.
 	matchBefore, matchAfter := true, true
-	for _, key := range sortedKeys(a.touched) {
+	for _, key := range SortedKeys(a.touched) {
 		if p != nil {
 			if before, inflight := p.before[key]; inflight {
 				if !a.rowMatches(key, before) {
@@ -640,7 +409,7 @@ func (a *echoApp) Check() error {
 	}
 	if a.pending == nil {
 		// Diagnose the mismatch precisely when no batch was in flight.
-		for _, key := range sortedKeys(a.model) {
+		for _, key := range SortedKeys(a.model) {
 			want := a.model[key]
 			got, ok := a.st.Get(0, key)
 			if !ok || got != want {
@@ -835,7 +604,7 @@ func (a *vacationApp) compare(m *vacModel) error {
 			}
 		}
 	}
-	for _, c := range sortedKeys(a.customers) {
+	for _, c := range SortedKeys(a.customers) {
 		if got, want := a.mgr.Reservations(0, c), len(m.resv[c]); got != want {
 			return fmt.Errorf("customer %d: recovered %d reservations, model %d", c, got, want)
 		}

@@ -150,11 +150,6 @@ type Result struct {
 // Ok reports whether every cell passed.
 func (r Result) Ok() bool { return len(r.Violations) == 0 }
 
-// crashSignal is the private panic value the event hook throws to stop the
-// application mid-operation. Anything else unwinding out of an adapter is a
-// real bug and is re-thrown.
-type crashSignal struct{}
-
 // CheckApp runs the full (seeds x points x modes) crash matrix for the
 // named suite application.
 func CheckApp(name string, cfg Config) (Result, error) {
@@ -259,9 +254,9 @@ func runCell(ent entry, cfg Config, seed int64, point int, mode Mode, golden []i
 // returns the frozen pre-crash device image (not yet crashed). For
 // boundary mode the image is cloned between operations; for mid-operation
 // modes an event hook clones it halfway through operation `point`'s PM
-// event stream (per the golden run) and aborts the operation with a
-// crashSignal panic, exactly as a power failure would stop the world
-// mid-store.
+// event stream (per the golden run) and aborts the operation there
+// (persist.Runtime.AbortAt), exactly as a power failure would stop the
+// world mid-store.
 func executeToCrash(ent entry, cfg Config, seed int64, point int, mode Mode, golden []int) (*pmem.Device, App, *persist.Runtime) {
 	rt := persist.NewRuntime(ent.name, ent.layer, cfg.Clients, persist.Config{})
 	app := ent.factory()
@@ -273,29 +268,7 @@ func executeToCrash(ent entry, cfg Config, seed int64, point int, mode Mode, gol
 		return rt.Dev.Clone(), app, rt
 	}
 	var frozen *pmem.Device
-	countdown := golden[point] / 2
-	if countdown < 1 {
-		countdown = 1
-	}
-	rt.SetEventHook(func(trace.Event) {
-		countdown--
-		if countdown == 0 {
-			rt.SetEventHook(nil)
-			frozen = rt.Dev.Clone()
-			panic(crashSignal{})
-		}
-	})
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); !ok {
-					panic(r)
-				}
-			}
-		}()
-		app.Do(point)
-	}()
-	rt.SetEventHook(nil)
+	rt.AbortAt(max(1, golden[point]/2), func() { frozen = rt.Dev.Clone() }, func() { app.Do(point) })
 	if frozen == nil {
 		// The operation emitted fewer events than its golden twin — runs
 		// are deterministic so this should not happen; degrade to the

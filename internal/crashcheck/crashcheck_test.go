@@ -45,7 +45,9 @@ func TestRecoveryMatrix(t *testing.T) {
 // count word. The fenced variant persists each slot before bumping the
 // count (the count bump is the atomic commit point); the broken variant
 // omits every flush and fence — the classic missing-fence bug the checker
-// exists to catch.
+// exists to catch. It is an App (scripted: operation k appends slot k) and
+// a KV (newest slot of a key wins; there is no delete), so the same bug
+// tests the matrix and the Model.
 type naiveKV struct {
 	rt      *persist.Runtime
 	base    mem.Addr
@@ -62,22 +64,41 @@ func (n *naiveKV) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
 func (n *naiveKV) key(k int) uint64 { return uint64(k) + 1 }
 func (n *naiveKV) val(k int) uint64 { return (uint64(k) + 1) * 7 }
 
-func (n *naiveKV) Do(k int) {
+func (n *naiveKV) Do(k int) { n.Insert(0, n.key(k), n.val(k)) }
+
+func (n *naiveKV) Insert(_ int, key, val uint64) error {
 	th := n.rt.Thread(0)
 	n.pending = true
-	slot := n.base + 8 + mem.Addr(k*16)
-	th.StoreU64(slot, n.key(k))
-	th.StoreU64(slot+8, n.val(k))
+	slot := n.base + 8 + mem.Addr(n.acked*16)
+	th.StoreU64(slot, key)
+	th.StoreU64(slot+8, val)
 	if n.fenced {
 		th.FlushFence(slot, 16)
 	}
-	th.StoreU64(n.base, uint64(k)+1)
+	th.StoreU64(n.base, uint64(n.acked)+1)
 	if n.fenced {
 		th.FlushFence(n.base, 8)
 	}
-	n.acked = k + 1
+	n.acked++
 	n.pending = false
+	return nil
 }
+
+func (n *naiveKV) Get(_ int, key uint64) (val uint64, ok bool) {
+	th := n.rt.Thread(0)
+	for i := 0; i < int(th.LoadU64(n.base)); i++ {
+		if slot := n.base + 8 + mem.Addr(i*16); th.LoadU64(slot) == key {
+			val, ok = th.LoadU64(slot+8), true
+		}
+	}
+	return val, ok
+}
+
+func (n *naiveKV) Delete(int, uint64) (bool, error) {
+	return false, fmt.Errorf("append-only store")
+}
+
+func (n *naiveKV) CheckInvariants(int) error { return nil }
 
 func (n *naiveKV) Recover() {}
 

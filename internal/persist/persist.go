@@ -171,6 +171,39 @@ func (r *Runtime) Crash(mode pmem.CrashMode, seed int64) {
 // after that instruction.
 func (r *Runtime) SetEventHook(fn func(trace.Event)) { r.onEvent = fn }
 
+// crashSignal is the panic value AbortAt's hook throws to stop fn. Anything
+// else unwinding out of fn is a real bug and is re-thrown.
+type crashSignal struct{}
+
+// AbortAt runs fn and stops it at its n-th persistent trace event, the way
+// a power failure stops the world mid-store: the event hook panics out of
+// fn and AbortAt recovers. atStop, if non-nil, runs at the stop instant —
+// after the n-th event's device operation, before the unwind — which is
+// where a caller clones the device. The result is whether fn was stopped;
+// false means fn emitted fewer than n events and ran to completion. The
+// runtime's event hook is taken over for the call and cleared after it.
+func (r *Runtime) AbortAt(n int, atStop func(), fn func()) (aborted bool) {
+	r.onEvent = func(trace.Event) {
+		if n--; n == 0 {
+			if atStop != nil {
+				atStop()
+			}
+			panic(crashSignal{})
+		}
+	}
+	defer func() {
+		r.onEvent = nil
+		if p := recover(); p != nil {
+			if _, ok := p.(crashSignal); !ok {
+				panic(p)
+			}
+			aborted = true
+		}
+	}()
+	fn()
+	return false
+}
+
 // SetEventSink routes every persistent trace event to sink INSTEAD of
 // appending it to the in-memory Trace (nil restores materialization).
 // This is the streaming pipeline's tap: with a sink installed, a run's

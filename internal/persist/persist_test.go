@@ -369,6 +369,43 @@ func TestRuntimeInstanceMetricsIsolation(t *testing.T) {
 	}
 }
 
+// TestAbortAt: fn stops at exactly its n-th PM event with atStop seeing the
+// device just after it, an fn that runs out of events first completes, a
+// panic that is not the abort signal passes through, and the hook is gone
+// afterwards either way.
+func TestAbortAt(t *testing.T) {
+	rt := newRT(t)
+	th := rt.Thread(0)
+	a := rt.Dev.Map(64)
+	three := func() {
+		th.StoreU64(a, 1)
+		th.StoreU64(a, 2)
+		th.StoreU64(a, 3)
+	}
+	var seen uint64
+	if !rt.AbortAt(2, func() { seen = th.LoadU64(a) }, three) {
+		t.Fatal("fn with three events was not stopped at its second")
+	}
+	if seen != 2 || th.LoadU64(a) != 2 {
+		t.Fatalf("stopped with %d at the stop instant and %d after, want 2 and 2", seen, th.LoadU64(a))
+	}
+	if rt.AbortAt(4, nil, three) {
+		t.Fatal("fn with three events reported stopped at a fourth")
+	}
+	if rt.onEvent != nil {
+		t.Fatal("event hook left installed")
+	}
+	defer func() {
+		if r := recover(); r != "bug" {
+			t.Fatalf("recovered %v, want the original panic value", r)
+		}
+		if rt.onEvent != nil {
+			t.Fatal("event hook left installed after a foreign panic")
+		}
+	}()
+	rt.AbortAt(1, nil, func() { panic("bug") })
+}
+
 func TestFlushHookObservesFlushes(t *testing.T) {
 	rt := newRT(t)
 	th := rt.Thread(0)

@@ -99,11 +99,6 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// crashSignal aborts a kvservice group commit from inside the event hook;
-// the engine recovers it at the injection site (same pattern as
-// crashcheck's mid-operation stop).
-type crashSignal struct{}
-
 // tenantState is one tenant's traffic cursor.
 type tenantState struct {
 	spec      Tenant
@@ -397,29 +392,9 @@ func (e *engine) injectMidCommit(t *svcTarget) (midAbort, bool) {
 	if idx < 0 {
 		return midAbort{}, false
 	}
-	rt := t.svc.Runtime(idx)
 	d0, _ := t.svc.LogHeads(idx)
 	countdown := 1 + e.rng.Intn(2*n)
-	panicked := false
-	rt.SetEventHook(func(trace.Event) {
-		countdown--
-		if countdown == 0 {
-			panic(crashSignal{})
-		}
-	})
-	func() {
-		defer func() {
-			rt.SetEventHook(nil)
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); !ok {
-					panic(r)
-				}
-				panicked = true
-			}
-		}()
-		t.svc.FlushShard(idx)
-	}()
-	if !panicked {
+	if !t.svc.Runtime(idx).AbortAt(countdown, nil, func() { t.svc.FlushShard(idx) }) {
 		// The commit outran the countdown; the batch is durable after all.
 		t.commitShard(idx)
 		return midAbort{}, false

@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/persist"
@@ -178,10 +179,11 @@ func runOne(name string, cfg Config, reg *obs.Registry) (Row, error) {
 	}
 
 	// Every acknowledged update must survive a strict crash: recover and
-	// sweep the model.
+	// sweep the model, lowest slot first so the mismatch named is fixed.
 	rt.Crash(pmem.Strict, cfg.Seed)
 	p.recoverState()
-	for slot, want := range model {
+	for _, slot := range crashcheck.SortedKeys(model) {
+		want := model[slot]
 		got, ok := p.read(slot)
 		if !ok || got != want {
 			return Row{}, fmt.Errorf("prims %s: slot %d recovered (%d,%v), model %d", name, slot, got, ok, want)

@@ -104,8 +104,6 @@ func TestDecompositionOrderingPoints(t *testing.T) {
 	}
 }
 
-type crashSignal struct{}
-
 // countUpdateEvents runs one update on a fresh primitive and returns how
 // many device events it emits, so the crash sweep can hit every point.
 func countUpdateEvents(name string, cfg Config) int {
@@ -130,24 +128,7 @@ func crashDuringUpdate(t *testing.T, name string, cfg Config, mode pmem.CrashMod
 	p.init(rt, cfg)
 	p.update(1, old)
 
-	countdown := k
-	rt.SetEventHook(func(trace.Event) {
-		countdown--
-		if countdown == 0 {
-			panic(crashSignal{})
-		}
-	})
-	func() {
-		defer func() {
-			rt.SetEventHook(nil)
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); !ok {
-					panic(r)
-				}
-			}
-		}()
-		p.update(1, new)
-	}()
+	rt.AbortAt(k, nil, func() { p.update(1, new) })
 
 	rt.Crash(mode, seed)
 	p.recoverState()

@@ -6,8 +6,9 @@
 // spikes. A crash plan periodically power-fails every persistence domain
 // under live traffic and drives each tenant's recovery path, validating
 // the recovered state against a volatile oracle at every recovery point
-// (the crashcheck models run *online*). Reports are deterministic: the
-// same spec and seed produce byte-identical JSON on any GOMAXPROCS.
+// (for app tenants crashcheck.Model, imported and run *online*). Reports
+// are deterministic: the same spec and seed produce byte-identical JSON
+// on any GOMAXPROCS.
 package scenario
 
 import (

@@ -8,7 +8,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/kvservice"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/pmem"
-	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // TestStormAcceptance pins the PR's acceptance storm: storm-mixed runs
@@ -105,31 +104,10 @@ func abortMidCommit(t *testing.T) *kvservice.Service {
 	for i := 0; i < 7; i++ {
 		svc.Put(fmt.Sprintf("key-%02d", i), []byte(fmt.Sprintf("%s%d", val, i)))
 	}
-	rt := svc.Runtime(0)
 	// TxBegin is one event and each put appends with two (store+userdata):
 	// a countdown of 12 lands inside the sixth record's append, after five
 	// records are fully on the (volatile) device and before any flush.
-	countdown := 12
-	panicked := false
-	rt.SetEventHook(func(trace.Event) {
-		countdown--
-		if countdown == 0 {
-			panic(crashSignal{})
-		}
-	})
-	func() {
-		defer func() {
-			rt.SetEventHook(nil)
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); !ok {
-					panic(r)
-				}
-				panicked = true
-			}
-		}()
-		svc.FlushShard(0)
-	}()
-	if !panicked {
+	if !svc.Runtime(0).AbortAt(12, nil, func() { svc.FlushShard(0) }) {
 		t.Fatal("commit was not aborted mid-batch")
 	}
 	return svc

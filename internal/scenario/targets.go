@@ -3,16 +3,10 @@ package scenario
 import (
 	"cmp"
 	"fmt"
-	"slices"
 
-	"github.com/whisper-pm/whisper/internal/apps/ctree"
-	"github.com/whisper-pm/whisper/internal/apps/hashstore"
-	"github.com/whisper-pm/whisper/internal/apps/memcache"
-	"github.com/whisper-pm/whisper/internal/apps/redisstore"
+	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/kvservice"
 	"github.com/whisper-pm/whisper/internal/mem"
-	"github.com/whisper-pm/whisper/internal/mnemosyne"
-	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/persist"
 )
@@ -46,15 +40,6 @@ type target interface {
 	counts() (reads, writes, deletes uint64)
 }
 
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // base carries the bookkeeping all targets share.
 type base struct {
 	name    string
@@ -75,146 +60,33 @@ func (b *base) fail(format string, args ...any) {
 }
 
 // ---------------------------------------------------------------------------
-// uint64 key-value tenants: ctree and hashmap on the shared runtime.
+// app tenants: ctree, hashmap, redis and memcached on the shared runtime.
 
-// u64KV is the surface ctree.Tree and hashstore.Map share.
-type u64KV interface {
-	Insert(tid int, key, value uint64) error
-	Get(tid int, key uint64) (uint64, bool)
-	Delete(tid int, key uint64) (bool, error)
-	Recover()
-	CheckInvariants(tid int) error
-}
-
-type u64Target struct {
+// appTarget drives one crashcheck.Model — the store, its mirror and the
+// definition of a legal recovered state all live there. The tenant only
+// counts ops and renders the engine's numeric keys and values.
+type appTarget[K cmp.Ordered, V comparable] struct {
 	base
-	kv      u64KV
-	tid     int
-	model   map[uint64]uint64
-	touched map[uint64]bool
+	m   *crashcheck.Model[K, V]
+	tid int
+	key func(o op) K
+	val func(o op) V
 }
 
-func newU64Target(name, app string, rt *persist.Runtime, tid int) *u64Target {
-	var kv u64KV
-	switch app {
-	case "ctree":
-		kv = ctree.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}))
-	case "hashmap":
-		kv = hashstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)
-	default:
-		panic("scenario: not a u64 app: " + app)
-	}
-	return &u64Target{
-		base:    base{name: name},
-		kv:      kv,
-		tid:     tid,
-		model:   make(map[uint64]uint64),
-		touched: make(map[uint64]bool),
+func newU64Target(name, app string, rt *persist.Runtime, tid int) target {
+	// The stores treat key/value 0 as ambiguous; keep both nonzero.
+	return &appTarget[uint64, uint64]{
+		base: base{name: name}, m: crashcheck.NewModel(crashcheck.OpenU64(app, rt)), tid: tid,
+		key: func(o op) uint64 { return o.key + 1 },
+		val: func(o op) uint64 { return o.val%1_000_000 + 1 },
 	}
 }
 
-func (t *u64Target) apply(o op) {
-	key := o.key + 1 // stores treat key/value 0 as ambiguous; keep both nonzero
-	val := o.val%1_000_000 + 1
-	t.touched[key] = true
-	switch o.kind {
-	case opWrite:
-		t.writes++
-		if err := t.kv.Insert(t.tid, key, val); err != nil {
-			t.fail("insert %d: %v", key, err)
-			return
-		}
-		t.model[key] = val
-	case opDel:
-		t.deletes++
-		if _, err := t.kv.Delete(t.tid, key); err != nil {
-			t.fail("delete %d: %v", key, err)
-			return
-		}
-		delete(t.model, key)
-	default:
-		t.reads++
-		got, ok := t.kv.Get(t.tid, key)
-		want, wok := t.model[key]
-		if ok != wok || (ok && got != want) {
-			t.fail("get %d: store (%d,%v) diverged from model (%d,%v)", key, got, ok, want, wok)
-		}
-	}
-}
-
-func (t *u64Target) recoverState() { t.kv.Recover() }
-func (t *u64Target) crashed()      {}
-
-func (t *u64Target) check() error {
-	if t.failure != nil {
-		return t.failure
-	}
-	if err := t.kv.CheckInvariants(t.tid); err != nil {
-		return err
-	}
-	for _, key := range sortedKeys(t.touched) {
-		got, ok := t.kv.Get(t.tid, key)
-		want, wok := t.model[key]
-		if ok != wok || (ok && got != want) {
-			return fmt.Errorf("key %d: recovered (%d,%v), model (%d,%v)", key, got, ok, want, wok)
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// string key-value tenants: redis (NVML) and memcached (Mnemosyne).
-
-type strKV interface {
-	set(tid int, key, val string) error
-	get(tid int, key string) (string, bool)
-	del(tid int, key string) (bool, error)
-	recover()
-	check() error
-}
-
-type redisKV struct{ s *redisstore.Store }
-
-func (r redisKV) set(_ int, k, v string) error       { return r.s.Set(k, v) }
-func (r redisKV) get(_ int, k string) (string, bool) { return r.s.Get(k) }
-func (r redisKV) del(_ int, k string) (bool, error)  { return r.s.Del(k) }
-func (r redisKV) recover()                           { r.s.Recover() }
-func (r redisKV) check() error                       { return r.s.CheckInvariants() }
-
-type memcacheKV struct{ c *memcache.Cache }
-
-func (m memcacheKV) set(tid int, k, v string) error       { return m.c.Set(tid, k, v) }
-func (m memcacheKV) get(tid int, k string) (string, bool) { return m.c.Get(tid, k) }
-func (m memcacheKV) del(tid int, k string) (bool, error)  { return m.c.Delete(tid, k) }
-func (m memcacheKV) recover()                             { m.c.Recover() }
-func (m memcacheKV) check() error                         { return m.c.CheckInvariants(0) }
-
-type strTarget struct {
-	base
-	kv      strKV
-	tid     int
-	model   map[string]string
-	touched map[string]bool
-}
-
-func newStrTarget(name, app string, rt *persist.Runtime, tid int) *strTarget {
-	var kv strKV
-	switch app {
-	case "redis":
-		kv = redisKV{redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)}
-	case "memcached":
-		// maxItems far above any scenario keyspace: LRU eviction never
-		// fires, so the oracle needs no eviction mirror.
-		kv = memcacheKV{memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 256, 1<<20)}
-	default:
-		panic("scenario: not a string app: " + app)
-	}
-	return &strTarget{
-		base:    base{name: name},
-		kv:      kv,
-		tid:     tid,
-		model:   make(map[string]string),
-		touched: make(map[string]bool),
+func newStrTarget(name, app string, rt *persist.Runtime, tid int) target {
+	return &appTarget[string, string]{
+		base: base{name: name}, m: crashcheck.NewModel(crashcheck.OpenStr(app, rt)), tid: tid,
+		key: func(o op) string { return scenarioKey(o.key) },
+		val: scenarioVal,
 	}
 }
 
@@ -229,53 +101,23 @@ func scenarioVal(o op) string {
 	return v[:max(1, o.vlen)]
 }
 
-func (t *strTarget) apply(o op) {
-	key := scenarioKey(o.key)
-	t.touched[key] = true
+func (t *appTarget[K, V]) apply(o op) {
 	switch o.kind {
 	case opWrite:
 		t.writes++
-		if err := t.kv.set(t.tid, key, scenarioVal(o)); err != nil {
-			t.fail("set %s: %v", key, err)
-			return
-		}
-		t.model[key] = scenarioVal(o)
+		t.m.Insert(t.tid, t.key(o), t.val(o))
 	case opDel:
 		t.deletes++
-		if _, err := t.kv.del(t.tid, key); err != nil {
-			t.fail("del %s: %v", key, err)
-			return
-		}
-		delete(t.model, key)
+		t.m.Delete(t.tid, t.key(o))
 	default:
 		t.reads++
-		got, ok := t.kv.get(t.tid, key)
-		want, wok := t.model[key]
-		if ok != wok || (ok && got != want) {
-			t.fail("get %s: store (%q,%v) diverged from model (%q,%v)", key, got, ok, want, wok)
-		}
+		t.m.Get(t.tid, t.key(o))
 	}
 }
 
-func (t *strTarget) recoverState() { t.kv.recover() }
-func (t *strTarget) crashed()      {}
-
-func (t *strTarget) check() error {
-	if t.failure != nil {
-		return t.failure
-	}
-	if err := t.kv.check(); err != nil {
-		return err
-	}
-	for _, key := range sortedKeys(t.touched) {
-		got, ok := t.kv.get(t.tid, key)
-		want, wok := t.model[key]
-		if ok != wok || (ok && got != want) {
-			return fmt.Errorf("key %s: recovered (%q,%v), model (%q,%v)", key, got, ok, want, wok)
-		}
-	}
-	return nil
-}
+func (t *appTarget[K, V]) recoverState() { t.m.Recover() }
+func (t *appTarget[K, V]) crashed()      {}
+func (t *appTarget[K, V]) check() error  { return t.m.Check(t.tid) }
 
 // ---------------------------------------------------------------------------
 // kvservice tenant: a sharded service with its own persistence domains.
@@ -399,7 +241,7 @@ func (t *svcTarget) check() error {
 	if t.failure != nil {
 		return t.failure
 	}
-	for _, key := range sortedKeys(t.touched) {
+	for _, key := range crashcheck.SortedKeys(t.touched) {
 		got, ok := t.svc.Get(key)
 		want, wok := t.lookup(key)
 		if ok != wok || (ok && string(got) != want) {

@@ -208,17 +208,6 @@ func (t *Trace) DRAMAccesses() uint64 {
 	return n
 }
 
-// ByThread splits events by thread ID, preserving order.
-func (t *Trace) ByThread() map[int32][]Event {
-	out := make(map[int32][]Event)
-	for _, c := range t.chunks {
-		for _, e := range c {
-			out[e.TID] = append(out[e.TID], e)
-		}
-	}
-	return out
-}
-
 // Filter returns the events satisfying keep, in order.
 func (t *Trace) Filter(keep func(Event) bool) []Event {
 	var out []Event

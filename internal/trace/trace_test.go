@@ -223,21 +223,6 @@ func TestCounts(t *testing.T) {
 	}
 }
 
-func TestByThread(t *testing.T) {
-	tr := sampleTrace()
-	by := tr.ByThread()
-	if len(by[0]) != 6 || len(by[1]) != 2 {
-		t.Errorf("ByThread sizes = %d/%d, want 6/2", len(by[0]), len(by[1]))
-	}
-	for tid, evs := range by {
-		for i := 1; i < len(evs); i++ {
-			if evs[i].Time < evs[i-1].Time {
-				t.Errorf("thread %d events out of order", tid)
-			}
-		}
-	}
-}
-
 func TestFilter(t *testing.T) {
 	tr := sampleTrace()
 	writes := tr.Filter(func(e Event) bool { return e.IsPMWrite() })

@@ -11,8 +11,10 @@ import (
 // each app with its paper-fixed workload, a scenario declares the traffic:
 // multi-tenant mixes of apps and the kvservice, zipfian or rotating-
 // hotspot skew, phase changes and think-time spikes, and crash storms
-// that power-fail every persistence domain under live load — with the
-// crashcheck oracles validating each tenant at every recovery point.
+// that power-fail every persistence domain under live load. Every app
+// tenant is judged at every recovery point by crashcheck.Model, the same
+// oracle wcrash's matrix uses; a kvservice tenant by the engine's own
+// two-layer batch oracle.
 // The companion primitives microsuite decomposes app costs into the four
 // canonical PM update primitives under identical traffic.
 

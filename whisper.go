@@ -18,7 +18,6 @@ package whisper
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -310,12 +309,4 @@ func RunAllParallel(cfg Config, workers int) ([]*Report, error) {
 		}
 	}
 	return out, nil
-}
-
-// SortedCopy returns values sorted ascending (small helper for reports).
-func SortedCopy(v []int) []int {
-	out := make([]int, len(v))
-	copy(out, v)
-	sort.Ints(out)
-	return out
 }

@@ -144,14 +144,6 @@ func TestSimulateHOPSZeroSizes(t *testing.T) {
 	}
 }
 
-func TestSortedCopy(t *testing.T) {
-	in := []int{3, 1, 2}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[2] != 3 || in[0] != 3 {
-		t.Fatal("SortedCopy wrong or mutated input")
-	}
-}
-
 // TestParallelSuiteMatchesSerial asserts the parallel runner's contract:
 // for a fixed seed, running the suite with a worker pool produces reports
 // and raw traces byte-identical to serial execution — scheduling the runs
