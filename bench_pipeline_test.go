@@ -156,8 +156,13 @@ func BenchmarkTraceCodecV2(b *testing.B) {
 	})
 }
 
-// BenchmarkRunVsRunStream compares end-to-end benchmark execution:
-// materialize-then-analyze versus pipelined streaming analysis.
+// BenchmarkRunVsRunStream runs the same two-stage pipeline twice: both
+// entry points record on one goroutine and analyse the trace's tail on
+// another, so the rows differ only in what the trace does with a chunk it
+// has handed over — "materialized" keeps it (1 MiB chunks, Report.Trace),
+// "stream" drops it (512-event chunks, a few thousand events alive). The
+// difference between the rows is the price of retention, not of a second
+// pass.
 func BenchmarkRunVsRunStream(b *testing.B) {
 	for _, name := range []string{"echo", "hashmap"} {
 		b.Run("materialized/"+name, func(b *testing.B) {

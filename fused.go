@@ -82,11 +82,11 @@ func AnalyzeReaderFused(r io.Reader, fcfg FusedConfig) (*FusedReport, error) {
 // selects; the trace is never materialized. When traceOut is non-nil the
 // stream is also written to it in the chunked v2 format.
 func RunStreamFused(name string, cfg Config, fcfg FusedConfig, traceOut io.Writer) (*FusedReport, error) {
-	src, err := startStream(name, cfg)
+	tail, _, err := record(name, cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	return fused(src, fcfg, traceOut)
+	return fused(tail, fcfg, traceOut)
 }
 
 // fused runs one pipeline pass over src with the sanitizer and the cache

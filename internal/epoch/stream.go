@@ -27,9 +27,18 @@ const (
 	// overwhelmingly <6 lines, so almost every epoch stays on the slice
 	// fast path and pays no per-store map hashing.
 	spillLines = 64
+	// keepSpillLines is the largest epoch whose spill map is kept for the
+	// thread's next large epoch. Clearing a map costs its capacity, not its
+	// length, so the map one huge epoch grew (a megabyte memset) is dropped
+	// rather than charged to every 65-line epoch after it.
+	keepSpillLines = 1024
 )
 
 // threadState is one thread's in-progress epoch plus transaction state.
+// The open epoch's lines are in lines until it outgrows spillLines, then in
+// spill (non-empty exactly while an epoch is spilled); the map is made once
+// per thread and cleared at the fence, so a run of large epochs (every
+// 4 KiB PMFS write) allocates nothing.
 type threadState struct {
 	lines   []mem.Line
 	spill   map[mem.Line]struct{}
@@ -147,7 +156,7 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 
 			case trace.KFence:
 				n := len(st.lines)
-				if st.spill != nil {
+				if len(st.spill) > 0 {
 					n = len(st.spill)
 				}
 				if n == 0 {
@@ -162,7 +171,7 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 					continue
 				}
 				lines := st.lines
-				if st.spill != nil {
+				if len(st.spill) > 0 {
 					scratch = scratch[:0]
 					for l := range st.spill {
 						scratch = append(scratch, l)
@@ -185,7 +194,11 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 					a.CrossDepEpochs++
 				}
 				st.lines = st.lines[:0]
-				st.spill = nil
+				if n > keepSpillLines {
+					st.spill = nil
+				} else if len(st.spill) > 0 {
+					clear(st.spill)
+				}
 				st.bytes = 0
 				st.dirty = false
 				if st.inTx {
@@ -320,7 +333,7 @@ func (t *writerTable) classify(tid int32, start, end mem.Time, lines []mem.Line)
 // addLine records a unique line in the open epoch, spilling from the
 // slice to a map once the epoch grows large.
 func (st *threadState) addLine(l mem.Line) {
-	if st.spill != nil {
+	if len(st.spill) > 0 {
 		st.spill[l] = struct{}{}
 		return
 	}
@@ -330,7 +343,9 @@ func (st *threadState) addLine(l mem.Line) {
 		}
 	}
 	if len(st.lines) >= spillLines {
-		st.spill = make(map[mem.Line]struct{}, 2*spillLines)
+		if st.spill == nil {
+			st.spill = make(map[mem.Line]struct{}, 2*spillLines)
+		}
 		for _, have := range st.lines {
 			st.spill[have] = struct{}{}
 		}

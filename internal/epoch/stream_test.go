@@ -171,3 +171,56 @@ func TestStreamNegativeTID(t *testing.T) {
 	tr.Threads = 2
 	requireMatchesOracle(t, tr)
 }
+
+// largeEpochs builds a one-thread trace of n epochs shaped like a PMFS
+// block write: a store to a descriptor line, a 4 KiB non-temporal store,
+// a fence — 65 lines, one past the slice→map spill. Each epoch writes a
+// different block, so a line left behind in a reused spill map would show
+// as a larger epoch and a false dependency.
+func largeEpochs(n int) *trace.Trace {
+	tr := &trace.Trace{App: "blocks", Layer: "pmfs", Threads: 1}
+	clock := mem.Time(1)
+	for i := 0; i < n; i++ {
+		tr.Append(st(0, clock, mem.PMBase, 24))
+		tr.Append(nt(0, clock+1, mem.PMBase+mem.Addr(4096*(1+i%8)), 4096))
+		tr.Append(fence(0, clock+2))
+		clock += 3
+	}
+	return tr
+}
+
+// TestSpillMapIsReusedNotInherited holds runs of spilled epochs on one
+// thread to the map-per-epoch oracle: the thread's one spill map must be
+// empty at every fence, whether it was cleared or, after an epoch past
+// keepSpillLines, dropped.
+func TestSpillMapIsReusedNotInherited(t *testing.T) {
+	tr := largeEpochs(20)
+	clock := mem.Time(1000)
+	tr.Append(st(0, clock, mem.PMBase+1<<20, uint32(2*keepSpillLines*mem.LineSize))) // dropped, not cleared
+	tr.Append(fence(0, clock+1))
+	tr.Append(nt(0, clock+2, mem.PMBase+4096, 4096+64)) // spills into a fresh map
+	tr.Append(fence(0, clock+3))
+	tr.Append(st(0, clock+4, mem.PMBase+64, 8)) // and back on the slice
+	tr.Append(fence(0, clock+5))
+	a := requireMatchesOracle(t, tr)
+	if a.SizeHist[NumSizeBuckets-1] != 22 || a.Singletons != 1 {
+		t.Fatalf("size histogram %v, singletons %d: want 22 epochs of >= 64 lines and one singleton", a.SizeHist, a.Singletons)
+	}
+}
+
+// TestLargeEpochsDoNotAllocate pins the spill map at one per thread: the
+// analysis of a thousand 65-line epochs allocates what the analysis of ten
+// does (its tables and the map itself), not a map per epoch.
+func TestLargeEpochsDoNotAllocate(t *testing.T) {
+	allocs := func(tr *trace.Trace) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := AnalyzeStream(trace.NewSliceSource(tr)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(largeEpochs(10)), allocs(largeEpochs(1000))
+	if many > few+2 {
+		t.Fatalf("1000 large epochs allocate %v times, 10 allocate %v: the spill map is not reused", many, few)
+	}
+}

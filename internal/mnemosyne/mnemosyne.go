@@ -205,14 +205,22 @@ func (tx *Tx) appendRecord(a mem.Addr, data []byte) {
 // Read returns size bytes at a as observed inside the transaction: the
 // transaction's own writes take precedence over memory.
 func (tx *Tx) Read(a mem.Addr, size int) []byte {
-	out := tx.th.Load(a, size)
-	// Overlay shadow chunks that intersect [a, a+size) in program order,
-	// so a later small write to a range inside an earlier large write
-	// wins — exactly what commit-time application produces.
+	out := make([]byte, size)
+	tx.readInto(a, out)
+	return out
+}
+
+// readInto is Read into the caller's buffer: one load of len(out) bytes,
+// then the transaction's own writes on top.
+func (tx *Tx) readInto(a mem.Addr, out []byte) {
+	tx.th.LoadInto(a, out)
+	// Overlay shadow chunks that intersect [a, a+len(out)) in program
+	// order, so a later small write to a range inside an earlier large
+	// write wins — exactly what commit-time application produces.
 	for _, w := range tx.writes {
 		sa, data := w.addr, w.data
 		lo, hi := sa, sa+mem.Addr(len(data))
-		if hi <= a || lo >= a+mem.Addr(size) {
+		if hi <= a || lo >= a+mem.Addr(len(out)) {
 			continue
 		}
 		start := int64(lo) - int64(a)
@@ -223,11 +231,14 @@ func (tx *Tx) Read(a mem.Addr, size int) []byte {
 		}
 		copy(out[start:], data[from:])
 	}
-	return out
 }
 
-// ReadU64 is Read for a little-endian uint64.
-func (tx *Tx) ReadU64(a mem.Addr) uint64 { return getU64(tx.Read(a, 8)) }
+// ReadU64 is Read for a little-endian uint64, without the slice.
+func (tx *Tx) ReadU64(a mem.Addr) uint64 {
+	var buf [8]byte
+	tx.readInto(a, buf[:])
+	return getU64(buf[:])
+}
 
 // Alloc allocates inside the transaction (pmalloc).
 func (tx *Tx) Alloc(size int) mem.Addr { return tx.h.PMalloc(tx.th, size) }

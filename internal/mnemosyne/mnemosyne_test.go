@@ -391,3 +391,37 @@ func TestReadOnlyAbortIssuesNoFence(t *testing.T) {
 		t.Fatal("writing abort issued no fence for its log records")
 	}
 }
+
+// TestReadU64DoesNotAllocate pins the transactional word read (every
+// field() of Vacation's red-black trees) at zero allocations, with an empty
+// write set and with one it has to overlay, and holds it to Read's value.
+// (The recorder's chunk growth is a handful of allocations over a thousand
+// calls, below AllocsPerRun's whole-number average.)
+func TestReadU64DoesNotAllocate(t *testing.T) {
+	_, th, h := newHeap(Options{})
+	a := h.PMalloc(th, 64)
+	th.StoreU64(a, 0x1111111111111111)
+	th.StoreU64(a+8, 0x2222222222222222)
+	err := h.Run(th, func(tx *Tx) error {
+		var v uint64
+		read := func() { v = tx.ReadU64(a + 4) } // straddles both words
+		if n := testing.AllocsPerRun(1000, read); n != 0 {
+			t.Errorf("ReadU64 with an empty write set allocates %v times per call, want 0", n)
+		}
+		if v != 0x2222222211111111 {
+			t.Errorf("ReadU64 with an empty write set = %#x", v)
+		}
+		tx.WriteU64(a, 0x3333333333333333)
+		tx.Write(a+8, []byte{0x44, 0x44}) // a later, smaller write wins its bytes
+		if n := testing.AllocsPerRun(1000, read); n != 0 {
+			t.Errorf("ReadU64 over a write set allocates %v times per call, want 0", n)
+		}
+		if want := getU64(tx.Read(a+4, 8)); v != want || v != 0x2222444433333333 {
+			t.Errorf("ReadU64 over a write set = %#x, Read says %#x", v, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -200,11 +200,10 @@ func (tx *Tx) appendUndo(a mem.Addr, size int) {
 	if rec+mem.Addr(recHeader+padded) > tx.p.logs[tx.th.ID()]+logBytes {
 		panic("nvml: undo log overflow (transaction too large)")
 	}
-	old := tx.th.Load(a, size)
-	var buf = make([]byte, recHeader+padded)
+	buf := make([]byte, recHeader+padded)
+	tx.th.LoadInto(a, buf[recHeader:recHeader+size]) // the old image, read straight into its record
 	binary.LittleEndian.PutUint64(buf[0:], uint64(a))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(size))
-	copy(buf[recHeader:], old)
 	// Undo records use cacheable stores + flush + fence (§3.1) — and the
 	// fence must come before the data writes, fragmenting the transaction.
 	tx.th.Store(rec, buf)
@@ -240,10 +239,8 @@ func (tx *Tx) SetU64(a mem.Addr, v uint64) {
 // Read returns size bytes at a. Undo-log transactions read in place.
 func (tx *Tx) Read(a mem.Addr, size int) []byte { return tx.th.Load(a, size) }
 
-// ReadU64 reads a little-endian uint64.
-func (tx *Tx) ReadU64(a mem.Addr) uint64 {
-	return binary.LittleEndian.Uint64(tx.Read(a, 8))
-}
+// ReadU64 reads a little-endian uint64 without allocating.
+func (tx *Tx) ReadU64(a mem.Addr) uint64 { return tx.th.LoadU64(a) }
 
 // allocMarker flags an undo record as "allocation made in this
 // transaction" rather than an old-data snapshot. Rollback and crash

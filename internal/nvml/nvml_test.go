@@ -3,6 +3,7 @@ package nvml
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -385,5 +386,36 @@ func TestCommitFlushesCoalesced(t *testing.T) {
 	}
 	if n := rep.Sites(pmsan.RedundantFlush); n != 0 {
 		t.Fatalf("redundant flushes after coalescing: %d sites\n%s", n, rep)
+	}
+}
+
+// TestReadU64DoesNotAllocate pins the transactional word read (every field
+// a tree or hash walk visits) at zero allocations, and holds it to Read: the
+// same value, and the same one KLoad event. (The recorder's chunk growth is
+// a handful of allocations over a thousand calls, below AllocsPerRun's
+// whole-number average.)
+func TestReadU64DoesNotAllocate(t *testing.T) {
+	rt, th, p := newPool(Options{})
+	err := p.Run(th, func(tx *Tx) error {
+		a := tx.Alloc(16)
+		tx.Write(a, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		var v uint64
+		if n := testing.AllocsPerRun(1000, func() { v = tx.ReadU64(a) }); n != 0 {
+			t.Errorf("ReadU64 allocates %v times per call, want 0", n)
+		}
+		if v != 0x0807060504030201 {
+			t.Errorf("ReadU64 = %#x", v)
+		}
+		before := rt.Trace.Len()
+		tx.ReadU64(a)
+		tx.Read(a, 8)
+		if ev := slices.Concat(rt.Trace.Chunks()...)[before:]; len(ev) != 2 ||
+			ev[0].Kind != trace.KLoad || ev[0].Addr != ev[1].Addr || ev[0].Size != ev[1].Size || ev[0].Kind != ev[1].Kind {
+			t.Errorf("ReadU64 and Read(a, 8) emitted %v", ev)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -69,7 +69,6 @@ type Runtime struct {
 	threads []*Thread
 	vnext   mem.Addr // volatile address bump pointer (below mem.PMBase)
 	onEvent func(trace.Event)
-	sink    func(trace.Event)
 
 	// epochLines records the size, in cache-line touches, of every epoch
 	// the run closes (the paper's Figure 3 dimension). Instruments come
@@ -155,12 +154,7 @@ func (r *Runtime) Crash(mode pmem.CrashMode, seed int64) {
 		th.epochOpen = false
 		th.epochLineTouches = 0 // the open epoch never closed; don't record it
 	}
-	ev := trace.Event{Time: r.Clock.Now(), Kind: trace.KCrash}
-	if r.sink != nil {
-		r.sink(ev)
-	} else {
-		r.Trace.Append(ev)
-	}
+	r.Trace.Append(trace.Event{Time: r.Clock.Now(), Kind: trace.KCrash})
 }
 
 // SetEventHook registers fn to be called after every persistent trace event
@@ -203,15 +197,6 @@ func (r *Runtime) AbortAt(n int, atStop func(), fn func()) (aborted bool) {
 	fn()
 	return false
 }
-
-// SetEventSink routes every persistent trace event to sink INSTEAD of
-// appending it to the in-memory Trace (nil restores materialization).
-// This is the streaming pipeline's tap: with a sink installed, a run's
-// memory no longer grows with its event count. The aggregate volatile
-// counters still accumulate on r.Trace, and the event hook (if any) still
-// fires after the sink. Events are emitted under the runtime's
-// deterministic scheduler, so the sink is never called concurrently.
-func (r *Runtime) SetEventSink(sink func(trace.Event)) { r.sink = sink }
 
 // Reboot replaces the runtime's device with dev — typically a crash image —
 // and resets all per-thread volatile state (open transactions and epochs
@@ -269,11 +254,7 @@ func (t *Thread) emit(k trace.Kind, a mem.Addr, size int) {
 		TID:  int32(t.id),
 		Kind: k,
 	}
-	if t.rt.sink != nil {
-		t.rt.sink(ev)
-	} else {
-		t.rt.Trace.Append(ev)
-	}
+	t.rt.Trace.Append(ev)
 	if t.rt.onEvent != nil {
 		t.rt.onEvent(ev)
 	}

@@ -56,9 +56,10 @@ func (fs *FS) Fsck(th *persist.Thread) error {
 			if ino < 1 || int(ino) >= fs.opts.Inodes {
 				return fmt.Errorf("fsck: directory %d holds out-of-range inode %d", dir, ino)
 			}
-			raw := th.Load(entry+8, maxName+1)
-			name := string(raw[:indexByte(raw, 0)])
-			if name == "" {
+			var raw [maxName + 1]byte
+			th.LoadInto(entry+8, raw[:])
+			name := raw[:indexByte(raw[:], 0)]
+			if len(name) == 0 {
 				return fmt.Errorf("fsck: directory %d holds dirent with empty name (inode %d)", dir, ino)
 			}
 			if reachable[ino] {
@@ -70,7 +71,7 @@ func (fs *FS) Fsck(th *persist.Thread) error {
 				queue = append(queue, ino)
 			case typeFile:
 			default:
-				return fmt.Errorf("fsck: dirent %q in directory %d points at free inode %d", name, dir, ino)
+				return fmt.Errorf("fsck: dirent %q in directory %d points at free inode %d", string(name), dir, ino)
 			}
 			if err := fs.fsckInodeBlocks(th, ino, refBlocks); err != nil {
 				return err

@@ -91,7 +91,9 @@ func (mt *mdTx) write(a mem.Addr, data []byte) {
 	}
 	th := mt.th
 	entry := mt.j.slotAddr(mt.start + mt.n)
-	old := th.Load(a, len(data))
+	var buf [jrnlMaxData]byte
+	old := buf[:len(data)]
+	th.LoadInto(a, old)
 	th.StoreU64(entry, uint64(a))
 	th.StoreU32(entry+8, uint32(len(data)))
 	th.StoreU32(entry+12, uint32(mt.j.gen))

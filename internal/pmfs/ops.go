@@ -154,20 +154,18 @@ func (fs *FS) ReadAt(th *persist.Thread, path string, off int64, size int) ([]by
 	if off+int64(size) > fileSize {
 		size = int(fileSize - off)
 	}
-	out := make([]byte, 0, size)
+	out := make([]byte, size)
 	pos := uint64(off)
-	for len(out) < size {
+	for rest := out; len(rest) > 0; {
 		ba, err := fs.blockForRead(th, ino, pos)
 		if err != nil {
 			return nil, err
 		}
 		inBlock := int(pos % BlockSize)
-		n := BlockSize - inBlock
-		if n > size-len(out) {
-			n = size - len(out)
-		}
-		out = append(out, th.Load(ba+mem.Addr(inBlock), n)...)
+		n := min(BlockSize-inBlock, len(rest))
+		th.LoadInto(ba+mem.Addr(inBlock), rest[:n])
 		pos += uint64(n)
+		rest = rest[n:]
 	}
 	return out, nil
 }
@@ -187,23 +185,24 @@ func (fs *FS) Unlink(th *persist.Thread, path string) error {
 	}
 	ia := fs.inodeAddr(ino)
 	if th.LoadU64(ia+offType) == typeDir {
-		empty := true
-		fs.scanDir(th, ino, func(mem.Addr, uint32, string) bool { empty = false; return false })
-		if !empty {
+		s := fs.scanDir(th, ino)
+		if s.next() {
 			return ErrNotEmpty
+		}
+		if s.err != nil {
+			return s.err
 		}
 	}
 
 	mt := fs.jrnl.begin(th)
-	// Remove the directory entry.
-	var entryAddr mem.Addr
-	fs.scanDir(th, dir, func(e mem.Addr, i uint32, n string) bool {
-		if n == name {
-			entryAddr = e
-			return false
-		}
-		return true
-	})
+	// Remove the directory entry. The directory is scanned again for the
+	// entry's address; a scan that fails now (a corrupt image) must not
+	// turn into a journalled write to address 0.
+	entryAddr, _, err := fs.findEntry(th, dir, name)
+	if err != nil {
+		mt.abort()
+		return err
+	}
 	mt.writeU64(entryAddr, 0) // ino = 0 marks the slot deleted
 
 	nlink := th.LoadU64(ia + offNlink)
@@ -270,14 +269,14 @@ func (fs *FS) Rename(th *persist.Thread, oldPath, newPath string) error {
 		mt.abort()
 		return err
 	}
-	var entryAddr mem.Addr
-	fs.scanDir(th, oldDir, func(e mem.Addr, i uint32, n string) bool {
-		if n == oldName && i == ino {
-			entryAddr = e
-			return false
-		}
-		return true
-	})
+	entryAddr, found, err := fs.findEntry(th, oldDir, oldName)
+	if err == nil && found != ino {
+		err = ErrNotFound // the name no longer leads to the inode being moved
+	}
+	if err != nil {
+		mt.abort() // takes the new entry back out
+		return err
+	}
 	mt.writeU64(entryAddr, 0)
 	mt.commit()
 	return nil
@@ -313,11 +312,11 @@ func (fs *FS) Readdir(th *persist.Thread, path string) ([]string, error) {
 		}
 	}
 	var names []string
-	err := fs.scanDir(th, ino, func(_ mem.Addr, _ uint32, n string) bool {
-		names = append(names, n)
-		return true
-	})
-	return names, err
+	s := fs.scanDir(th, ino)
+	for s.next() {
+		names = append(names, string(s.name()))
+	}
+	return names, s.err
 }
 
 // Fsync is a no-op: PMFS persists synchronously. It still brackets a
@@ -344,11 +343,11 @@ func trimmed(p string) string {
 // resolveParent returns the inode of path's parent directory and the final
 // name component.
 func (fs *FS) resolveParent(th *persist.Thread, path string) (uint32, string, error) {
-	components, name, err := splitPath(path)
+	dirs, name, err := splitPath(path)
 	if err != nil {
 		return 0, "", err
 	}
-	dir, err := fs.lookupDir(th, components)
+	dir, err := fs.lookupDir(th, dirs)
 	if err != nil {
 		return 0, "", err
 	}

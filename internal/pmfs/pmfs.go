@@ -207,25 +207,31 @@ func (fs *FS) allocInode(th *persist.Thread, mt *mdTx, typ uint64) (uint32, erro
 	return ino, nil
 }
 
-// splitPath returns the parent directory components and the final name.
-func splitPath(path string) ([]string, string, error) {
+// splitPath returns the parent directory's path (slash-separated, empty for
+// the root) and the final name. Both are substrings of path: resolving a
+// path allocates nothing.
+func splitPath(path string) (string, string, error) {
 	path = strings.Trim(path, "/")
 	if path == "" {
-		return nil, "", ErrExists // the root itself
+		return "", "", ErrExists // the root itself
 	}
-	parts := strings.Split(path, "/")
-	name := parts[len(parts)-1]
+	dirs, name := "", path
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		dirs, name = path[:i], path[i+1:]
+	}
 	if len(name) > maxName {
-		return nil, "", ErrNameLong
+		return "", "", ErrNameLong
 	}
-	return parts[:len(parts)-1], name, nil
+	return dirs, name, nil
 }
 
-// lookupDir walks the directory components and returns the directory's
-// inode number.
-func (fs *FS) lookupDir(th *persist.Thread, components []string) (uint32, error) {
+// lookupDir walks the directory components of dirs and returns the
+// directory's inode number.
+func (fs *FS) lookupDir(th *persist.Thread, dirs string) (uint32, error) {
 	ino := uint32(rootIno)
-	for _, c := range components {
+	for dirs != "" {
+		var c string
+		c, dirs, _ = strings.Cut(dirs, "/")
 		next, err := fs.lookupEntry(th, ino, c)
 		if err != nil {
 			return 0, err
@@ -240,48 +246,78 @@ func (fs *FS) lookupDir(th *persist.Thread, components []string) (uint32, error)
 
 // lookupEntry scans the directory blocks of dir for name.
 func (fs *FS) lookupEntry(th *persist.Thread, dir uint32, name string) (uint32, error) {
-	var found uint32
-	err := fs.scanDir(th, dir, func(entry mem.Addr, ino uint32, n string) bool {
-		if n == name {
-			found = ino
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	if found == 0 {
-		return 0, ErrNotFound
-	}
-	return found, nil
+	_, found, err := fs.findEntry(th, dir, name)
+	return found, err
 }
 
-// scanDir iterates the live entries of a directory; fn returns false to
-// stop.
-func (fs *FS) scanDir(th *persist.Thread, dir uint32, fn func(entry mem.Addr, ino uint32, name string) bool) error {
+// findEntry scans the directory blocks of dir for name and returns the
+// entry's address and inode number, or ErrNotFound.
+func (fs *FS) findEntry(th *persist.Thread, dir uint32, name string) (mem.Addr, uint32, error) {
+	s := fs.scanDir(th, dir)
+	for s.next() {
+		if string(s.name()) == name {
+			return s.entry, s.ino, nil
+		}
+	}
+	if s.err != nil {
+		return 0, 0, s.err
+	}
+	return 0, 0, ErrNotFound
+}
+
+// dirScan walks the live entries of one directory. It is a value on its
+// caller's stack and reads each name into its own buffer, so a scan
+// allocates nothing; a caller that keeps a name copies it.
+type dirScan struct {
+	fs        *FS
+	th        *persist.Thread
+	dir       uint32
+	off, size uint64
+	err       error // why next stopped early, if it did
+
+	// The current entry, valid until the next call of next.
+	entry   mem.Addr
+	ino     uint32
+	raw     [maxName + 1]byte
+	nameLen int
+}
+
+// name returns the current entry's name, a view of the scan's buffer.
+func (s *dirScan) name() []byte { return s.raw[:s.nameLen] }
+
+// scanDir starts a scan of dir's entries; a dir that is not a directory
+// yields none and leaves ErrNotDir in err.
+func (fs *FS) scanDir(th *persist.Thread, dir uint32) dirScan {
+	s := dirScan{fs: fs, th: th, dir: dir}
 	ia := fs.inodeAddr(dir)
 	if th.LoadU64(ia+offType) != typeDir {
-		return ErrNotDir
+		s.err = ErrNotDir
+		return s
 	}
-	size := th.LoadU64(ia + offSize)
-	for off := uint64(0); off < size; off += direntSize {
-		ba, err := fs.blockForRead(th, dir, off)
+	s.size = th.LoadU64(ia + offSize)
+	return s
+}
+
+// next advances to the next live entry and reports whether there is one.
+func (s *dirScan) next() bool {
+	for s.err == nil && s.off < s.size {
+		off := s.off
+		s.off += direntSize
+		ba, err := s.fs.blockForRead(s.th, s.dir, off)
 		if err != nil {
-			return err
+			s.err = err
+			break
 		}
-		entry := ba + mem.Addr(off%BlockSize)
-		ino := uint32(th.LoadU64(entry))
-		if ino == 0 {
+		s.entry = ba + mem.Addr(off%BlockSize)
+		s.ino = uint32(s.th.LoadU64(s.entry))
+		if s.ino == 0 {
 			continue // deleted entry
 		}
-		raw := th.Load(entry+8, maxName+1)
-		name := string(raw[:indexByte(raw, 0)])
-		if !fn(entry, ino, name) {
-			return nil
-		}
+		s.th.LoadInto(s.entry+8, s.raw[:])
+		s.nameLen = indexByte(s.raw[:], 0)
+		return true
 	}
-	return nil
+	return false
 }
 
 func indexByte(b []byte, c byte) int {

@@ -400,3 +400,117 @@ func TestMetadataCommitFlushesCoalesced(t *testing.T) {
 		t.Fatalf("redundant metadata flushes: %d sites\n%s", n, rep)
 	}
 }
+
+// TestSecondScanFailureAbortsTheTransaction corrupts the parent directory's
+// inode between the two scans Unlink and Rename make of it — the lookup,
+// then the scan for the entry's address inside the metadata transaction.
+// The failed second scan used to be ignored and its zero address
+// journalled: a write to address 0. Now the call returns the scan's error
+// with the transaction rolled back, and the namespace is as it was.
+func TestSecondScanFailureAbortsTheTransaction(t *testing.T) {
+	calls := map[string]func(*FS, *persist.Thread) error{
+		"Unlink": func(fs *FS, th *persist.Thread) error { return fs.Unlink(th, "/d/f") },
+		"Rename": func(fs *FS, th *persist.Thread) error { return fs.Rename(th, "/d/f", "/g") },
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			rt, th, fs := newFS(t)
+			if err := fs.Mkdir(th, "/d"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Create(th, "/d/f"); err != nil {
+				t.Fatal(err)
+			}
+			dir, err := fs.lookup(th, "/d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			typeAddr := fs.inodeAddr(dir) + offType
+
+			// The transaction opens by storing to the journal descriptor,
+			// after the lookups and before the second scan: damage /d's
+			// inode type there, behind the filesystem's back.
+			rt.SetEventHook(func(e trace.Event) {
+				if e.Kind == trace.KStore && e.Addr == fs.jrnl.desc {
+					rt.SetEventHook(nil)
+					rt.Dev.Store(0, typeAddr, []byte{byte(typeFile), 0, 0, 0, 0, 0, 0, 0})
+				}
+			})
+			if err := call(fs, th); !errors.Is(err, ErrNotDir) {
+				t.Fatalf("%s over a directory corrupted mid-call = %v, want ErrNotDir", name, err)
+			}
+			for _, e := range rt.Trace.Filter(trace.Event.IsPMWrite) {
+				if e.Addr == 0 {
+					t.Fatalf("%s stored to address 0: %v", name, e)
+				}
+			}
+
+			th.StoreU64(typeAddr, typeDir) // repair, then look around
+			if _, err := fs.Stat(th, "/d/f"); err != nil {
+				t.Fatalf("/d/f after the failed %s: %v", name, err)
+			}
+			if _, err := fs.Stat(th, "/g"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("/g after the failed %s = %v, want ErrNotFound", name, err)
+			}
+			if th.LoadU64(fs.jrnl.desc) != jrnlFree {
+				t.Fatalf("journal left open after the failed %s", name)
+			}
+			if err := call(fs, th); err != nil {
+				t.Fatalf("%s on the repaired directory: %v", name, err)
+			}
+		})
+	}
+}
+
+// TestReadPathsDoNotAllocate pins the filesystem's read side: resolving a
+// path and scanning a directory allocate nothing, hit or miss, and ReadAt
+// allocates its result only. (The recorder's chunk growth is a handful of
+// allocations over a thousand calls, below AllocsPerRun's whole-number
+// average.)
+func TestReadPathsDoNotAllocate(t *testing.T) {
+	_, th, fs := newFS(t)
+	if err := fs.Mkdir(th, "/dir"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if err := fs.Create(th, fmt.Sprintf("/dir/file%02d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.WriteAt(th, "/dir/file31", 0, make([]byte, BlockSize+100)); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := fs.lookup(th, "/dir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pin := range map[string]struct {
+		want float64
+		fn   func()
+	}{
+		"lookupEntry miss over 32 entries": {0, func() {
+			if _, err := fs.lookupEntry(th, dir, "absent"); err != ErrNotFound {
+				t.Fatal(err)
+			}
+		}},
+		"lookupEntry hit on the last of 32": {0, func() {
+			if _, err := fs.lookupEntry(th, dir, "file31"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		"Stat through two directories": {0, func() {
+			if _, err := fs.Stat(th, "/dir/file31"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		"ReadAt across two blocks": {1, func() {
+			if out, err := fs.ReadAt(th, "/dir/file31", 0, BlockSize+100); err != nil || len(out) != BlockSize+100 {
+				t.Fatal(len(out), err)
+			}
+		}},
+	} {
+		if n := testing.AllocsPerRun(1000, pin.fn); n != pin.want {
+			t.Errorf("%s allocates %v times per call, want %v", name, n, pin.want)
+		}
+	}
+}

@@ -44,13 +44,49 @@ type fanout struct {
 // stops early must call Close to release the pump — io.EOF and stream
 // errors close the branch automatically.
 type Branch struct {
+	chunkStream
 	f    *fanout
-	ch   chan []Event
 	stop chan struct{}
 	once sync.Once
+}
 
+// chunkStream is the consumer end of a bounded channel of chunks — what a
+// Branch and a Tail both are. The sender closes ch at the end of the
+// stream; what the end means (io.EOF or an error) is the owner's to say.
+type chunkStream struct {
+	ch  chan []Event
 	cur []Event
 	pos int
+}
+
+// next returns the stream's next event, false once ch is closed and drained.
+func (s *chunkStream) next() (Event, bool) {
+	for s.pos >= len(s.cur) {
+		chunk, ok := <-s.ch
+		if !ok {
+			return Event{}, false
+		}
+		s.cur, s.pos = chunk, 0
+	}
+	e := s.cur[s.pos]
+	s.pos++
+	return e, true
+}
+
+// nextChunk returns what is left of the current chunk, else the next one
+// whole; false once ch is closed and drained.
+func (s *chunkStream) nextChunk() ([]Event, bool) {
+	if s.pos < len(s.cur) {
+		chunk := s.cur[s.pos:]
+		s.pos = len(s.cur)
+		return chunk, true
+	}
+	chunk, ok := <-s.ch
+	if !ok {
+		return nil, false
+	}
+	s.cur, s.pos = chunk, len(chunk)
+	return chunk, true
 }
 
 // Fanout starts a pump goroutine over src and returns n branches that
@@ -61,9 +97,9 @@ func Fanout(src EventSource, n int) []*Branch {
 	f := &fanout{src: src, branches: make([]*Branch, n)}
 	for i := range f.branches {
 		f.branches[i] = &Branch{
-			f:    f,
-			ch:   make(chan []Event, fanoutDepth),
-			stop: make(chan struct{}),
+			chunkStream: chunkStream{ch: make(chan []Event, fanoutDepth)},
+			f:           f,
+			stop:        make(chan struct{}),
 		}
 	}
 	go f.pump()
@@ -125,39 +161,27 @@ func (b *Branch) Meta() Meta { return b.f.src.Meta() }
 // Next returns the branch's next event, io.EOF at the end of a
 // well-formed stream, or the source's error.
 func (b *Branch) Next() (Event, error) {
-	for b.pos >= len(b.cur) {
-		chunk, ok := <-b.ch
-		if !ok {
-			if b.f.err != nil {
-				return Event{}, b.f.err
-			}
-			return Event{}, io.EOF
-		}
-		b.cur, b.pos = chunk, 0
+	if e, ok := b.next(); ok {
+		return e, nil
 	}
-	e := b.cur[b.pos]
-	b.pos++
-	return e, nil
+	return Event{}, b.end()
 }
 
 // NextChunk returns the branch's next batch of events. The returned
 // slice is shared with the other branches and must be treated as
 // read-only.
 func (b *Branch) NextChunk() ([]Event, error) {
-	if b.pos < len(b.cur) {
-		chunk := b.cur[b.pos:]
-		b.pos = len(b.cur)
+	if chunk, ok := b.nextChunk(); ok {
 		return chunk, nil
 	}
-	chunk, ok := <-b.ch
-	if !ok {
-		if b.f.err != nil {
-			return nil, b.f.err
-		}
-		return nil, io.EOF
+	return nil, b.end()
+}
+
+func (b *Branch) end() error {
+	if b.f.err != nil {
+		return b.f.err
 	}
-	b.cur, b.pos = chunk, len(chunk)
-	return chunk, nil
+	return io.EOF
 }
 
 // Volatile returns the source's aggregate DRAM counters; complete only

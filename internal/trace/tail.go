@@ -1,0 +1,102 @@
+package trace
+
+import "io"
+
+// A trace can be read while it is still being recorded. Chunks never move
+// once written, so a full chunk is finished work the moment Append has to
+// open the next one: the recording goroutine hands it to the trace's Tail
+// with one channel send, and a reader on another goroutine analyses it
+// while the application goes on recording. The reader never sees the open
+// chunk; the last, part-filled chunk follows when the run ends.
+
+// tailDepth bounds the sealed chunks queued between the recorder and the
+// tail's reader: deep enough that neither side waits on every chunk,
+// shallow enough that a trace which drops what it hands over keeps only a
+// few thousand events alive.
+const tailDepth = 8
+
+// droppedChunkEvents caps a chunk of a trace that does not keep what it
+// hands over: with tailDepth chunks queued, the events in flight are a few
+// thousand however long the run.
+const droppedChunkEvents = 512
+
+// Tail is the read end of a trace under recording. It implements
+// ChunkSource: each chunk arrives once Append has sealed it, the last one
+// when the recorder calls Close. The reader must consume the stream to its
+// end (io.EOF or the recorder's error), or the recorder blocks on a full
+// queue.
+type Tail struct {
+	chunkStream
+	tr   *Trace
+	keep bool
+
+	// Written by the recorder strictly before close(ch) and read by the
+	// reader only after the channel is drained; the same edge orders the
+	// recorder's writes to tr.VolatileLoads/VolatileStores before Volatile.
+	err error
+}
+
+// Tail attaches a reader to t, which must not hold events yet. With keep
+// the trace retains every chunk, as an unfollowed trace does; without, a
+// chunk belongs to the reader alone once handed over, chunks stop growing
+// at droppedChunkEvents, and the trace's own read surface (Chunks, a
+// SliceSource) sees only the open chunk — Len still counts every event.
+func (t *Trace) Tail(keep bool) *Tail {
+	if t.n != 0 || t.tail != nil {
+		panic("trace: Tail on a trace that already holds events or a tail")
+	}
+	t.tail = &Tail{chunkStream: chunkStream{ch: make(chan []Event, tailDepth)}, tr: t, keep: keep}
+	return t.tail
+}
+
+// Close ends the stream: the recorder hands over the part-filled last
+// chunk, and the reader then sees err, or io.EOF when err is nil. Only the
+// recording goroutine may call it, once, after its last Append.
+func (tl *Tail) Close(err error) {
+	t := tl.tr
+	if k := len(t.chunks) - 1; k >= 0 {
+		tl.ch <- t.chunks[k] // chunks are sealed lazily: the last is never yet sent
+		if !tl.keep {
+			t.chunks = nil
+		}
+	}
+	t.tail = nil
+	tl.err = err
+	close(tl.ch)
+}
+
+// Meta returns the trace's run metadata.
+func (tl *Tail) Meta() Meta {
+	return Meta{App: tl.tr.App, Layer: tl.tr.Layer, Threads: tl.tr.Threads}
+}
+
+// Next returns the next event in recorded order, io.EOF after the last,
+// or the error the recorder closed the tail with.
+func (tl *Tail) Next() (Event, error) {
+	if e, ok := tl.next(); ok {
+		return e, nil
+	}
+	return Event{}, tl.end()
+}
+
+// NextChunk returns the next sealed chunk: the trace's own storage when it
+// keeps its chunks, so read-only either way.
+func (tl *Tail) NextChunk() ([]Event, error) {
+	if chunk, ok := tl.nextChunk(); ok {
+		return chunk, nil
+	}
+	return nil, tl.end()
+}
+
+func (tl *Tail) end() error {
+	if tl.err != nil {
+		return tl.err
+	}
+	return io.EOF
+}
+
+// Volatile returns the trace's aggregate DRAM counters; complete only
+// after Next/NextChunk has returned io.EOF.
+func (tl *Tail) Volatile() (loads, stores uint64) {
+	return tl.tr.VolatileLoads, tl.tr.VolatileStores
+}

@@ -119,6 +119,9 @@ type Trace struct {
 	chunks [][]Event
 	n      int
 
+	// tail, when set, is handed every chunk as Append seals it (tail.go).
+	tail *Tail
+
 	// VolatileLoads/VolatileStores aggregate DRAM traffic when per-event
 	// volatile tracing is off (the common case; see persist.Config).
 	VolatileLoads  uint64
@@ -141,12 +144,26 @@ func FromEvents(m Meta, events []Event) *Trace {
 func (t *Trace) Append(e Event) {
 	k := len(t.chunks) - 1
 	if k < 0 || len(t.chunks[k]) == cap(t.chunks[k]) {
-		size := min(max(t.n, firstChunkEvents), maxChunkEvents)
-		t.chunks = append(t.chunks, make([]Event, 0, size))
-		k++
+		k = t.openChunk()
 	}
 	t.chunks[k] = append(t.chunks[k], e)
 	t.n++
+}
+
+// openChunk seals the full last chunk — it is never written again, so a
+// tail's reader may have it now — and starts the next, returning its index.
+func (t *Trace) openChunk() int {
+	limit := maxChunkEvents
+	if tl := t.tail; tl != nil {
+		if k := len(t.chunks) - 1; k >= 0 {
+			tl.ch <- t.chunks[k]
+		}
+		if !tl.keep {
+			t.chunks, limit = t.chunks[:0], droppedChunkEvents
+		}
+	}
+	t.chunks = append(t.chunks, make([]Event, 0, min(max(t.n, firstChunkEvents), limit)))
+	return len(t.chunks) - 1
 }
 
 // Len returns the number of recorded events.

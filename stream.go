@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/whisper-pm/whisper/internal/epoch"
+	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
@@ -78,112 +79,32 @@ func writeV2(w io.Writer, src *trace.Branch) error {
 	}
 }
 
-// Live runs: the benchmark executes in its own goroutine with a persist
-// event sink installed, and its events reach the pipeline through a
-// bounded channel of chunks, so the full event slice is never
-// materialized. The resulting Report is identical to Run's
-// (TestStreamMatchesSerial asserts it on every suite member); only its
-// Trace field is nil, since there is no retained trace to attach.
+// Live runs are two stages at chunk granularity, exec ∥ analysis: the
+// benchmark records on its own goroutine into a trace.Trace whose chunks
+// never move once written, and each chunk reaches the pipeline through the
+// trace's Tail the moment Append seals it — one channel send per chunk,
+// never per event — so the analysis of one chunk overlaps the recording of
+// the next instead of re-reading the whole trace from cold memory after the
+// run. Run and RunStream are the same two stages and differ only in whether
+// the trace keeps a chunk it has handed over: Run's does, and the retained
+// trace is Report.Trace; RunStream's drops it, so the full event sequence is
+// never materialized and Report.Trace is nil. The reports are identical
+// (TestStreamMatchesSerial asserts it on every suite member).
 
-// streamChunk is the producer-side batch size: the benchmark goroutine
-// hands events over in chunks so channel synchronization amortizes across
-// events.
-const streamChunk = 512
-
-// streamDepth bounds the chunks in flight between the benchmark and its
-// consumer: enough that neither side waits on every chunk, small enough
-// that a run's memory stays a few thousand events.
-const streamDepth = 8
-
-// chanSource adapts a bounded channel of event chunks to
-// trace.ChunkSource. The producer closes the channel when the run
-// completes (after publishing volatile counters and any run error), so
-// Volatile is complete once Next has returned io.EOF.
-type chanSource struct {
-	meta trace.Meta
-	ch   chan []trace.Event
-
-	cur []trace.Event
-	pos int
-
-	// Written by the producer goroutine strictly before close(ch); read
-	// by the consumer only after the channel is drained. The channel
-	// close is the synchronization edge.
-	vloads  uint64
-	vstores uint64
-	runErr  error
-}
-
-func (c *chanSource) Meta() trace.Meta { return c.meta }
-
-func (c *chanSource) Next() (trace.Event, error) {
-	for c.pos >= len(c.cur) {
-		if _, err := c.NextChunk(); err != nil {
-			return trace.Event{}, err
-		}
-		c.pos = 0
-	}
-	e := c.cur[c.pos]
-	c.pos++
-	return e, nil
-}
-
-// NextChunk yields whole producer batches, so consumers pay one channel
-// receive — not one interface call — per chunk of events.
-func (c *chanSource) NextChunk() ([]trace.Event, error) {
-	if c.pos < len(c.cur) {
-		chunk := c.cur[c.pos:]
-		c.pos = len(c.cur)
-		return chunk, nil
-	}
-	chunk, ok := <-c.ch
-	if !ok {
-		if c.runErr != nil {
-			return nil, c.runErr
-		}
-		return nil, io.EOF
-	}
-	c.cur, c.pos = chunk, len(chunk)
-	return chunk, nil
-}
-
-func (c *chanSource) Volatile() (loads, stores uint64) { return c.vloads, c.vstores }
-
-// startStream launches the named benchmark in a producer goroutine and
-// returns the source its events arrive on. The goroutine ends with the
-// run; the consumer must read the source to its end (io.EOF or the run's
-// error), which pipeline always does.
-func startStream(name string, cfg Config) (*chanSource, error) {
+// record launches the named benchmark on its own goroutine, recording into
+// a fresh runtime's trace, and returns that trace with the tail its events
+// arrive on. The goroutine ends with the run, a panicking member closing the
+// tail with the run's error; the caller must read the tail to its end (io.EOF
+// or that error), which pipeline always does.
+func record(name string, cfg Config, keep bool) (*trace.Tail, *trace.Trace, error) {
 	b, cfg, err := resolve(name, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	src := &chanSource{
-		meta: trace.Meta{App: b.Name, Layer: b.Layer, Threads: cfg.Clients},
-		ch:   make(chan []trace.Event, streamDepth),
-	}
-	go func() {
-		chunk := make([]trace.Event, 0, streamChunk)
-		flush := func() {
-			if len(chunk) > 0 {
-				src.ch <- chunk
-				chunk = make([]trace.Event, 0, streamChunk)
-			}
-		}
-		// The sink runs under the benchmark's deterministic scheduler;
-		// only this goroutine touches chunk.
-		rt, err := b.exec(cfg, func(e trace.Event) {
-			chunk = append(chunk, e)
-			if len(chunk) == streamChunk {
-				flush()
-			}
-		})
-		flush()
-		src.runErr = err
-		src.vloads, src.vstores = rt.Trace.VolatileLoads, rt.Trace.VolatileStores
-		close(src.ch)
-	}()
-	return src, nil
+	rt := persist.NewRuntime(b.Name, b.Layer, cfg.Clients, persist.Config{})
+	tail := rt.Trace.Tail(keep)
+	go func() { tail.Close(b.exec(rt, cfg)) }()
+	return tail, rt.Trace, nil
 }
 
 // RunStream executes the named benchmark and analyzes its event stream on

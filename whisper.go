@@ -239,13 +239,10 @@ func resolve(name string, cfg Config) (*Benchmark, Config, error) {
 	return nil, cfg, fmt.Errorf("whisper: unknown benchmark %q (have %v)", name, Names())
 }
 
-// exec runs b to completion on a fresh runtime and returns the runtime.
-// With a sink, events go there instead of into rt.Trace. A panicking
-// member (redis exhausting its nvml pool, say) comes back as an error:
-// every entry point of the package reports it the same way.
-func (b *Benchmark) exec(cfg Config, sink func(trace.Event)) (rt *persist.Runtime, err error) {
-	rt = persist.NewRuntime(b.Name, b.Layer, cfg.Clients, persist.Config{})
-	rt.SetEventSink(sink)
+// exec runs b to completion on rt. A panicking member (redis exhausting its
+// nvml pool, say) comes back as an error: every entry point of the package
+// reports it the same way.
+func (b *Benchmark) exec(rt *persist.Runtime, cfg Config) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("whisper: %s panicked: %v", b.Name, r)
@@ -254,21 +251,22 @@ func (b *Benchmark) exec(cfg Config, sink func(trace.Event)) (rt *persist.Runtim
 	start := time.Now()
 	b.run(rt, cfg.Clients, cfg.Ops, cfg.Seed)
 	publishRunMetrics(b.Name, rt, time.Since(start), cfg.Clients*cfg.Ops)
-	return rt, nil
+	return nil
 }
 
 // Run executes the named benchmark and returns its analysis report (with
-// the raw trace attached).
+// the raw trace attached). The analysis reads the trace's tail while the
+// benchmark is still recording it (see record).
 func Run(name string, cfg Config) (*Report, error) {
-	b, cfg, err := resolve(name, cfg)
+	tail, tr, err := record(name, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := b.exec(cfg, nil)
+	a, err := pipeline(tail, nil)
 	if err != nil {
 		return nil, err
 	}
-	return Analyze(&Trace{tr: rt.Trace}), nil
+	return newReport(a, &Trace{tr: tr}), nil
 }
 
 // RunAll executes every benchmark with cfg serially and returns reports in

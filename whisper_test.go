@@ -2,8 +2,11 @@ package whisper
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
@@ -61,17 +64,31 @@ func TestRunSmall(t *testing.T) {
 	}
 }
 
+// onOneAndTwoProcs runs body with GOMAXPROCS 1 and 2: a run is exec ∥
+// analysis, and its output must not depend on whether the two stages share
+// a core or have one each.
+func onOneAndTwoProcs(t *testing.T, body func(t *testing.T)) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			body(t)
+		})
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
-	a, _ := Run("ctree", Config{Clients: 2, Ops: 15, Seed: 9})
-	b, _ := Run("ctree", Config{Clients: 2, Ops: 15, Seed: 9})
-	if a.TotalEpochs != b.TotalEpochs || a.MedianTxEpochs != b.MedianTxEpochs {
-		t.Fatal("same seed, different reports")
-	}
-	c, _ := Run("ctree", Config{Clients: 2, Ops: 15, Seed: 10})
-	if a.Trace.Events() == c.Trace.Events() && a.TotalEpochs == c.TotalEpochs {
-		// Weak check; different seeds usually shift the interleaving.
-		t.Log("warning: different seeds produced identical shapes")
-	}
+	onOneAndTwoProcs(t, func(t *testing.T) {
+		a, _ := Run("ctree", Config{Clients: 2, Ops: 15, Seed: 9})
+		b, _ := Run("ctree", Config{Clients: 2, Ops: 15, Seed: 9})
+		if a.TotalEpochs != b.TotalEpochs || a.MedianTxEpochs != b.MedianTxEpochs {
+			t.Fatal("same seed, different reports")
+		}
+		c, _ := Run("ctree", Config{Clients: 2, Ops: 15, Seed: 10})
+		if a.Trace.Events() == c.Trace.Events() && a.TotalEpochs == c.TotalEpochs {
+			// Weak check; different seeds usually shift the interleaving.
+			t.Log("warning: different seeds produced identical shapes")
+		}
+	})
 }
 
 func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
@@ -149,6 +166,10 @@ func TestSimulateHOPSZeroSizes(t *testing.T) {
 // and raw traces byte-identical to serial execution — scheduling the runs
 // concurrently must not perturb any simulated outcome.
 func TestParallelSuiteMatchesSerial(t *testing.T) {
+	onOneAndTwoProcs(t, testParallelSuiteMatchesSerial)
+}
+
+func testParallelSuiteMatchesSerial(t *testing.T) {
 	cfg := Config{Ops: 10, Seed: 13}
 	serial, err := RunAll(cfg)
 	if err != nil {
@@ -202,10 +223,12 @@ func TestEverySuiteMemberRuns(t *testing.T) {
 
 // TestPanickingMemberIsOneError pins the one panic contract: a suite
 // member that panics mid-run (redis exhausting its nvml pool is the real
-// case) comes back as the same error from every entry point, and takes
-// nothing else down with it.
+// case) comes back as the same error from every entry point, takes
+// nothing else down with it, and leaves no goroutine of its two-stage run
+// behind.
 func TestPanickingMemberIsOneError(t *testing.T) {
 	cfg := Config{Ops: 5, Seed: 2}
+	goroutines := runtime.NumGoroutine()
 	before, err := Run("echo", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -241,5 +264,15 @@ func TestPanickingMemberIsOneError(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before, after) {
 		t.Error("a panicking member changed another member's report")
+	}
+
+	// A recorder exits after closing its tail, which can be a moment after
+	// the reader has returned: wait for the count to settle, not for a time.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after the failed runs, %d before them", n, goroutines)
 	}
 }
