@@ -146,7 +146,7 @@ func BenchmarkTraceCodecV2(b *testing.B) {
 				b.Fatal(err)
 			}
 			for {
-				if _, err := rd.Next(); err == io.EOF {
+				if _, err := rd.NextChunk(); err == io.EOF {
 					break
 				} else if err != nil {
 					b.Fatal(err)
@@ -176,7 +176,7 @@ func BenchmarkRunVsRunStream(b *testing.B) {
 		b.Run("stream/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunStream(name, Config{Ops: benchOps, Seed: 1}, nil); err != nil {
+				if _, err := RunStreamFused(name, Config{Ops: benchOps, Seed: 1}, FusedConfig{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -198,23 +198,24 @@ func (g *genSource) Meta() trace.Meta {
 	return trace.Meta{App: "gen", Layer: "native", Threads: g.threads}
 }
 
-func (g *genSource) Next() (trace.Event, error) {
+// NextChunk generates the next block-sized batch into a fresh slice, as
+// the contract requires of a source.
+func (g *genSource) NextChunk() ([]trace.Event, error) {
 	if g.i >= g.n {
-		return trace.Event{}, io.EOF
+		return nil, io.EOF
 	}
-	g.i++
-	g.clock += mem.Time(10 + g.rng.Intn(100))
-	tid := int32(g.i % g.threads)
-	switch g.i % 5 {
-	case 0:
-		return trace.Event{Kind: trace.KFence, TID: tid, Time: g.clock}, nil
-	default:
-		return trace.Event{
-			Kind: trace.KStore, TID: tid, Time: g.clock,
-			Addr: mem.PMBase + mem.Addr(g.rng.Intn(1<<16))*mem.LineSize,
-			Size: 8,
-		}, nil
+	chunk := make([]trace.Event, 0, min(g.n-g.i, trace.DefaultBlockEvents))
+	for len(chunk) < cap(chunk) {
+		g.i++
+		g.clock += mem.Time(10 + g.rng.Intn(100))
+		e := trace.Event{Kind: trace.KFence, TID: int32(g.i % g.threads), Time: g.clock}
+		if g.i%5 != 0 {
+			e.Kind, e.Size = trace.KStore, 8
+			e.Addr = mem.PMBase + mem.Addr(g.rng.Intn(1<<16))*mem.LineSize
+		}
+		chunk = append(chunk, e)
 	}
+	return chunk, nil
 }
 
 func (g *genSource) Volatile() (uint64, uint64) { return 0, 0 }

@@ -60,7 +60,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *drain > 0 {
-		cfg.DrainAt = *drain
+		// The replay clamps the threshold to the buffer size
+		// (hops.Config.resolved); the Figure 10 header must name the
+		// machine that was simulated, not the one requested.
+		cfg.DrainAt = min(*drain, cfg.PBEntries)
 	}
 
 	reports := make(map[string]*whisper.Report)

@@ -28,6 +28,26 @@ func TestFigure10Golden(t *testing.T) {
 	}
 }
 
+// TestFigure10HeaderNamesTheSimulatedMachine: a -drain beyond the buffer is
+// clamped to it by the replay, so the header must print the clamped value —
+// the whole output is that of asking for the buffer size outright.
+func TestFigure10HeaderNamesTheSimulatedMachine(t *testing.T) {
+	outputs := map[string]string{}
+	for _, drain := range []string{"100", "8"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-fig10", "-ops", "5", "-pb", "8", "-drain", drain}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-drain %s: exit %d: %s", drain, code, stderr.String())
+		}
+		outputs[drain] = stdout.String()
+	}
+	if !strings.Contains(outputs["100"], "(PB=8 entries, drain at 8, ") {
+		t.Errorf("header does not name the clamped threshold:\n%s", outputs["100"])
+	}
+	if outputs["100"] != outputs["8"] {
+		t.Errorf("-drain 100 and -drain 8 differ on an 8-entry buffer:\n%s\n%s", outputs["100"], outputs["8"])
+	}
+}
+
 func TestRunErrorPaths(t *testing.T) {
 	cases := []struct {
 		name     string

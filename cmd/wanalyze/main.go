@@ -20,18 +20,16 @@
 // Every selected analysis rides one pass over each trace: a file is
 // decoded once however many of them consume it.
 //
-// With -run the suite is regenerated -parallel apps at a time and each
-// trace is held until its analyses are done; -stream (or its synonym
-// -fused) instead runs the apps one after another with every analysis
-// consuming the live events, so no trace is ever retained. The output is
-// the same either way.
+// With -run the suite is regenerated -parallel apps at a time, every
+// selected analysis consuming each app's events as they are recorded, so
+// no trace is ever retained.
 //
 // With no figure flags, everything prints. Exit status is 1 when there is
-// nothing to analyze or a trace fails to load, 2 on usage errors.
+// nothing to analyze or a trace fails to load, 2 on usage errors (giving
+// both -run and -dir is one).
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -65,17 +63,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ops := fs.Int("ops", 0, "operations per client when regenerating")
 	seed := fs.Int64("seed", 1, "workload seed when regenerating")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max concurrent benchmark runs with -run (1 = serial)")
-	stream := fs.Bool("stream", false, "with -run: analyze each app's events as they are produced instead of retaining its trace (bounded memory, serial)")
 	fig3 := fs.Bool("fig3", false, "print Figure 3 (epochs per transaction)")
 	fig4 := fs.Bool("fig4", false, "print Figure 4 (epoch size distribution)")
 	fig5 := fs.Bool("fig5", false, "print Figure 5 (dependencies)")
 	amp := fs.Bool("amp", false, "print write amplification (§5.2)")
 	nti := fs.Bool("nti", false, "print NTI fractions (§5.2)")
 	san := fs.Bool("san", false, "run the durability-ordering sanitizer over each trace; exit 1 on ordering errors")
-	fused := fs.Bool("fused", false, "synonym of -stream (every mode already runs all selected analyses in one pass)")
 	cache := fs.Bool("cache", false, "simulate the Table 3 cache hierarchy over each trace")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
 	if !cliutil.Parse(fs, args) {
+		return 2
+	}
+	if *runSuite && *dir != "" {
+		fmt.Fprintln(stderr, "wanalyze: -run and -dir are two inputs; give one")
 		return 2
 	}
 
@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fcfg := whisper.FusedConfig{Sanitize: *san, Cache: *cache}
 	switch {
 	case *runSuite:
-		passes, err = regenerate(whisper.Config{Ops: *ops, Seed: *seed}, fcfg, *parallel, !*stream && !*fused)
+		passes, err = whisper.RunAllFused(whisper.Names(), whisper.Config{Ops: *ops, Seed: *seed}, fcfg, *parallel, nil)
 	case *dir != "":
 		passes, err = readDir(*dir, fcfg)
 	}
@@ -195,46 +195,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// regenerate runs the suite in-process and returns one pass per app:
-// the epoch report plus whatever fcfg selects. With retain, the apps run
-// -parallel at a time and each held trace is then analyzed through its
-// encoded form; without, each app runs alone with the analyses consuming
-// its live events and nothing is held. Reports are identical for a fixed
-// seed either way.
-func regenerate(cfg whisper.Config, fcfg whisper.FusedConfig, parallel int, retain bool) ([]*whisper.FusedReport, error) {
-	var out []*whisper.FusedReport
-	if !retain {
-		for _, name := range whisper.Names() {
-			fr, err := whisper.RunStreamFused(name, cfg, fcfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, fr)
-		}
-		return out, nil
-	}
-	reports, err := whisper.RunAllParallel(cfg, parallel)
-	if err != nil {
-		return nil, err
-	}
-	for _, rep := range reports {
-		fr := &whisper.FusedReport{Report: rep}
-		if fcfg != (whisper.FusedConfig{}) {
-			// The sanitizer and the cache simulation read event streams;
-			// the codec is the one way to turn a held trace into one.
-			var buf bytes.Buffer
-			if err := rep.Trace.Encode(&buf); err != nil {
-				return nil, err
-			}
-			if fr, err = whisper.AnalyzeReaderFused(&buf, fcfg); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, fr)
-	}
-	return out, nil
 }
 
 // readDir makes one pass over each saved trace in dir: the file is opened

@@ -60,9 +60,29 @@ func TestRunErrorPaths(t *testing.T) {
 		},
 		{
 			name:     "stray positional argument",
-			args:     []string{"-run", "echo", "-fused"},
+			args:     []string{"-run", "echo", "-san"},
 			wantCode: 2,
-			wantErr:  "unexpected arguments: [echo -fused]",
+			wantErr:  "unexpected arguments: [echo -san]",
+		},
+		{
+			name:     "both inputs",
+			args:     []string{"-run", "-dir", traceDir},
+			wantCode: 2,
+			wantErr:  "-run and -dir",
+		},
+		{
+			// Every run streams in one fused pass; the flags that used to
+			// ask for it are gone.
+			name:     "removed -stream flag",
+			args:     []string{"-run", "-stream"},
+			wantCode: 2,
+			wantErr:  "flag provided but not defined: -stream",
+		},
+		{
+			name:     "removed -fused flag",
+			args:     []string{"-dir", traceDir, "-fused"},
+			wantCode: 2,
+			wantErr:  "flag provided but not defined: -fused",
 		},
 		{
 			name:     "empty trace dir",
@@ -73,12 +93,6 @@ func TestRunErrorPaths(t *testing.T) {
 		{
 			name:     "corrupt trace file",
 			args:     []string{"-dir", corruptDir},
-			wantCode: 1,
-			wantErr:  "bad.wspr",
-		},
-		{
-			name:     "corrupt trace file streaming",
-			args:     []string{"-dir", corruptDir, "-stream"},
 			wantCode: 1,
 			wantErr:  "bad.wspr",
 		},
@@ -111,74 +125,34 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 }
 
-// TestStreamFlagOutputIdentical asserts that -stream changes nothing about
-// the rendered figures, whether analyzing saved traces or live runs.
-func TestStreamFlagOutputIdentical(t *testing.T) {
-	traceDir := t.TempDir()
-	rep, err := whisper.Run("hashmap", whisper.Config{Clients: 2, Ops: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join(traceDir, "hashmap.wspr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Trace.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var plain, streamed bytes.Buffer
-	if code := run([]string{"-dir", traceDir}, &plain, &plain); code != 0 {
-		t.Fatalf("plain run failed: %s", plain.String())
-	}
-	if code := run([]string{"-dir", traceDir, "-stream"}, &streamed, &streamed); code != 0 {
-		t.Fatalf("streamed run failed: %s", streamed.String())
-	}
-	if plain.String() != streamed.String() {
-		t.Errorf("-stream changed -dir output:\nplain:\n%s\nstreamed:\n%s", plain.String(), streamed.String())
-	}
-}
-
 // TestSanFlag pins the sanitizer section: -san alone prints only the
-// sanitizer reports, the output is byte-identical between the saved-trace
-// and streaming paths, and a clean suite exits 0.
+// sanitizer reports, and a clean trace exits 0.
 func TestSanFlag(t *testing.T) {
-	traceDir := t.TempDir()
-	rep, err := whisper.Run("hashmap", whisper.Config{Clients: 2, Ops: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	out := runOnSavedHashmap(t, "-san")
+	if !strings.Contains(out, "pmsan: app=hashmap") {
+		t.Errorf("no sanitizer report in output:\n%s", out)
 	}
-	f, err := os.Create(filepath.Join(traceDir, "hashmap.wspr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Trace.Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var plain, streamed bytes.Buffer
-	if code := run([]string{"-dir", traceDir, "-san"}, &plain, &plain); code != 0 {
-		t.Fatalf("-san run failed: %s", plain.String())
-	}
-	if code := run([]string{"-dir", traceDir, "-san", "-stream"}, &streamed, &streamed); code != 0 {
-		t.Fatalf("-san -stream run failed: %s", streamed.String())
-	}
-	if plain.String() != streamed.String() {
-		t.Errorf("-stream changed -san output:\nplain:\n%s\nstreamed:\n%s", plain.String(), streamed.String())
-	}
-	if !strings.Contains(plain.String(), "pmsan: app=hashmap") {
-		t.Errorf("no sanitizer report in output:\n%s", plain.String())
-	}
-	if strings.Contains(plain.String(), "Figure") {
-		t.Errorf("-san alone printed figures:\n%s", plain.String())
+	if strings.Contains(out, "Figure") {
+		t.Errorf("-san alone printed figures:\n%s", out)
 	}
 }
 
-// TestFusedFlag pins that -fused changes no output, and that -cache adds
-// the hierarchy table as a section of its own, with or without -fused.
-func TestFusedFlag(t *testing.T) {
+// TestCacheFlag pins that -cache adds the hierarchy table as a section of
+// its own.
+func TestCacheFlag(t *testing.T) {
+	out := runOnSavedHashmap(t, "-cache")
+	if !strings.Contains(out, "Cache hierarchy") {
+		t.Errorf("-cache printed no hierarchy table:\n%s", out)
+	}
+	if strings.Contains(out, "Figure") {
+		t.Errorf("-cache alone printed figures:\n%s", out)
+	}
+}
+
+// runOnSavedHashmap saves a small hashmap trace and returns what
+// `wanalyze -dir <it> flags...` prints.
+func runOnSavedHashmap(t *testing.T, flags ...string) string {
+	t.Helper()
 	traceDir := t.TempDir()
 	rep, err := whisper.Run("hashmap", whisper.Config{Clients: 2, Ops: 10, Seed: 1})
 	if err != nil {
@@ -192,42 +166,17 @@ func TestFusedFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-
-	var plain, fused bytes.Buffer
-	if code := run([]string{"-dir", traceDir, "-san"}, &plain, &plain); code != 0 {
-		t.Fatalf("-san run failed: %s", plain.String())
+	var out bytes.Buffer
+	if code := run(append([]string{"-dir", traceDir}, flags...), &out, &out); code != 0 {
+		t.Fatalf("%v failed: %s", flags, out.String())
 	}
-	if code := run([]string{"-dir", traceDir, "-san", "-fused"}, &fused, &fused); code != 0 {
-		t.Fatalf("-san -fused run failed: %s", fused.String())
-	}
-	if plain.String() != fused.String() {
-		t.Errorf("-fused changed -san output:\nplain:\n%s\nfused:\n%s", plain.String(), fused.String())
-	}
-
-	var cached bytes.Buffer
-	if code := run([]string{"-dir", traceDir, "-fused", "-cache"}, &cached, &cached); code != 0 {
-		t.Fatalf("-fused -cache run failed: %s", cached.String())
-	}
-	if !strings.Contains(cached.String(), "Cache hierarchy") {
-		t.Errorf("-cache printed no hierarchy table:\n%s", cached.String())
-	}
-	if strings.Contains(cached.String(), "Figure") {
-		t.Errorf("-cache alone printed figures:\n%s", cached.String())
-	}
-
-	var alone bytes.Buffer
-	if code := run([]string{"-dir", traceDir, "-cache"}, &alone, &alone); code != 0 {
-		t.Fatalf("-cache without -fused failed: %s", alone.String())
-	}
-	if alone.String() != cached.String() {
-		t.Errorf("-fused changed -cache output:\nplain:\n%s\nfused:\n%s", alone.String(), cached.String())
-	}
+	return out.String()
 }
 
 // TestModesOutputIdentical is the one-collector contract: with every
 // analysis selected, stdout is byte-identical whether the suite is
-// regenerated or read back from saved traces, and
-// whether or not -stream / -fused ask for traces not to be retained.
+// regenerated on one worker or on two, and the same set of lines when it is
+// read back from saved traces.
 func TestModesOutputIdentical(t *testing.T) {
 	traceDir := t.TempDir()
 	reports, err := whisper.RunAll(whisper.Config{Ops: 5, Seed: 3})
@@ -245,28 +194,24 @@ func TestModesOutputIdentical(t *testing.T) {
 		f.Close()
 	}
 
-	// -dir lists files in name order, -run in suite order; compare each
-	// input's three modes exactly, and the two inputs as sets of lines.
 	outputs := map[string]string{}
-	for _, input := range [][]string{{"-run", "-ops", "5", "-seed", "3"}, {"-dir", traceDir}} {
-		for _, mode := range []string{"", "-stream", "-fused"} {
-			args := append(append([]string{}, input...), "-san", "-cache")
-			if mode != "" {
-				args = append(args, mode)
-			}
-			var stdout, stderr bytes.Buffer
-			if code := run(args, &stdout, &stderr); code != 0 {
-				t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
-			}
-			outputs[input[0]+mode] = stdout.String()
+	for mode, input := range map[string][]string{
+		"-run":             {"-run", "-ops", "5", "-seed", "3", "-parallel", "1"},
+		"-run -parallel 2": {"-run", "-ops", "5", "-seed", "3", "-parallel", "2"},
+		"-dir":             {"-dir", traceDir},
+	} {
+		args := append(input, "-san", "-cache")
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
 		}
-		for _, mode := range []string{"-stream", "-fused"} {
-			if outputs[input[0]+mode] != outputs[input[0]] {
-				t.Errorf("%s %s changed the output:\ndefault:\n%s\n%s:\n%s",
-					input[0], mode, outputs[input[0]], mode, outputs[input[0]+mode])
-			}
-		}
+		outputs[mode] = stdout.String()
 	}
+	if outputs["-run -parallel 2"] != outputs["-run"] {
+		t.Errorf("-parallel changed the output:\n1:\n%s\n2:\n%s", outputs["-run"], outputs["-run -parallel 2"])
+	}
+	// -dir lists files in name order, -run in suite order: compare the two
+	// inputs as sets of lines.
 	sortedLines := func(s string) string {
 		lines := strings.Split(s, "\n")
 		sort.Strings(lines)

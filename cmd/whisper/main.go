@@ -5,12 +5,12 @@
 // Usage:
 //
 //	whisper [-bench name] [-clients n] [-ops n] [-seed n] [-parallel n] [-trace dir] [-table1]
-//	        [-stream] [-san] [-san-allow file] [-metrics out.json] [-debug-addr :6060]
+//	        [-san] [-san-allow file] [-metrics out.json] [-debug-addr :6060]
 //
-// -san replays every run through the durability-ordering sanitizer
-// (internal/pmsan) and prints one report per app after the benchmark
-// output; the process exits 1 if any unsuppressed ordering error
-// remains. -san-allow loads an allowlist of known findings to suppress.
+// -san puts the durability-ordering sanitizer (internal/pmsan) on every
+// run and prints one report per app after the benchmark output; the
+// process exits 1 if any unsuppressed ordering error remains. -san-allow
+// loads an allowlist of known findings to suppress.
 //
 // With no -bench, the whole suite runs, up to -parallel benchmarks at a
 // time (default: one worker per CPU). Each run owns its own simulated
@@ -18,10 +18,10 @@
 // byte-identical to -parallel=1 for a fixed seed — with or without
 // -metrics, which only snapshots counters after the runs finish.
 //
-// -stream pipes each run straight into the analysis instead of retaining
-// its trace (bounded memory, serial); the output, and the trace files
-// -trace writes, are the same either way. Exit status is 1 when a run or
-// the sanitizer fails, 2 on usage errors.
+// Every run is one pass: the app's events reach the analysis, the
+// sanitizer and the -trace file writer as they are recorded, and no trace
+// is retained. Exit status is 1 when a run or the sanitizer fails, 2 on
+// usage errors.
 //
 // -debug-addr serves net/http/pprof and expvar (the live metrics snapshot
 // is published as the "whisper" expvar) for profiling long sweeps.
@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "workload seed")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max concurrent benchmark runs (1 = serial)")
 	traceDir := fs.String("trace", "", "directory to save raw traces")
-	stream := fs.Bool("stream", false, "pipe each run straight into the analysis instead of retaining its trace (bounded memory, serial)")
 	table1 := fs.Bool("table1", false, "print only the Table 1 epoch-rate rows")
 	san := fs.Bool("san", false, "run the durability-ordering sanitizer over each run; exit 1 on unsuppressed ordering errors")
 	sanAllow := fs.String("san-allow", "", "allowlist file of known sanitizer findings to suppress (implies -san)")
@@ -107,57 +106,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		names = []string{*bench}
 	}
 
-	var reports []*whisper.Report
-	var sanReports []*whisper.SanReport
-	switch {
-	case *stream:
-		// Each run's events are analyzed as they are produced and no
-		// trace is retained; runs execute serially (the app and its
-		// analysis already pipeline within one run). The sanitizer and
-		// the trace file ride the same pass, so neither costs a replay.
-		for _, name := range names {
-			fr, err := runStreamed(name, cfg, *traceDir, *san)
-			if err != nil {
-				return fail(err)
-			}
-			reports = append(reports, fr.Report)
-			if fr.San != nil {
-				sanReports = append(sanReports, fr.San)
-			}
-		}
-	case *bench != "":
-		rep, err := whisper.Run(*bench, cfg)
-		if err != nil {
+	var traceOut func(name string) (io.WriteCloser, error)
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			return fail(err)
 		}
-		reports = []*whisper.Report{rep}
-	default:
-		var err error
-		reports, err = whisper.RunAllParallel(cfg, *parallel)
-		if err != nil {
-			return fail(err)
+		traceOut = func(name string) (io.WriteCloser, error) {
+			return os.Create(filepath.Join(*traceDir, name+".wspr"))
 		}
 	}
-	if !*stream {
-		// These paths retain each trace; sanitize and save from it.
-		// Report order follows the (deterministic) run order, so output
-		// and files are byte-identical to the streaming path's.
-		for _, rep := range reports {
-			if *san {
-				sanReports = append(sanReports, whisper.Sanitize(rep.Trace))
-			}
-			if *traceDir != "" {
-				if err := saveTrace(*traceDir, rep); err != nil {
-					return fail(err)
-				}
-			}
-		}
+	passes, err := whisper.RunAllFused(names, cfg, whisper.FusedConfig{Sanitize: *san}, *parallel, traceOut)
+	if err != nil {
+		return fail(err)
 	}
 
 	if *table1 {
 		fmt.Fprintf(stdout, "%-10s %-10s %-14s %s\n", "Benchmark", "Layer", "Epochs/sec", "Paper (Table 1)")
 	}
-	for _, rep := range reports {
+	for _, p := range passes {
+		rep := p.Report
 		if *table1 {
 			fmt.Fprintf(stdout, "%-10s %-10s %-14.3g %s\n", rep.App, rep.Layer,
 				rep.EpochsPerSecond, paperRates[rep.App])
@@ -166,10 +133,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	sanErrors := 0
-	for _, sr := range sanReports {
-		sr.ApplyAllowlist(allow)
-		fmt.Fprint(stdout, sr.String())
-		sanErrors += sr.Errors()
+	if *san {
+		for _, p := range passes {
+			p.San.ApplyAllowlist(allow)
+			fmt.Fprint(stdout, p.San.String())
+			sanErrors += p.San.Errors()
+		}
 	}
 	if err := cliutil.WriteMetrics(*metrics); err != nil {
 		return fail(err)
@@ -178,46 +147,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("sanitizer found %d unsuppressed ordering error sites", sanErrors))
 	}
 	return 0
-}
-
-// createTrace opens <dir>/<name>.wspr for writing, creating dir.
-func createTrace(dir, name string) (*os.File, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return os.Create(filepath.Join(dir, name+".wspr"))
-}
-
-// runStreamed runs one benchmark through the streaming pipeline, with the
-// sanitizer on the same pass when san is set and the events written to
-// <dir>/<name>.wspr when dir is set.
-func runStreamed(name string, cfg whisper.Config, dir string, san bool) (*whisper.FusedReport, error) {
-	var traceOut io.Writer // stays a nil interface, not a nil *os.File, when no file is wanted
-	var f *os.File
-	if dir != "" {
-		var err error
-		if f, err = createTrace(dir, name); err != nil {
-			return nil, err
-		}
-		traceOut = f
-	}
-	fr, err := whisper.RunStreamFused(name, cfg, whisper.FusedConfig{Sanitize: san}, traceOut)
-	if f != nil {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return fr, err
-}
-
-func saveTrace(dir string, rep *whisper.Report) error {
-	f, err := createTrace(dir, rep.App)
-	if err != nil {
-		return err
-	}
-	err = rep.Trace.Encode(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

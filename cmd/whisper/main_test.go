@@ -18,12 +18,14 @@ func TestRunErrorPaths(t *testing.T) {
 		wantErr  string
 	}{
 		{"unknown benchmark", []string{"-bench", "nope"}, 1, `unknown benchmark "nope"`},
-		{"unknown benchmark streaming", []string{"-bench", "nope", "-stream"}, 1, `unknown benchmark "nope"`},
+		{"unwritable trace dir", []string{"-bench", "echo", "-ops", "2", "-trace", filepath.Join(os.DevNull, "traces")}, 1, os.DevNull},
 		{"unreadable allowlist", []string{"-san-allow", filepath.Join(t.TempDir(), "missing.allow")}, 1, "allowlist"},
 		// flag parsing stops at "echo": without the check -san is dropped
 		// and the run succeeds unsanitized.
 		{"stray positional argument", []string{"-table1", "echo", "-san"}, 2, "unexpected arguments: [echo -san]"},
 		{"unknown flag", []string{"-nope"}, 2, "flag provided but not defined"},
+		// Every run streams; the flag that used to ask for it is gone.
+		{"removed -stream flag", []string{"-stream"}, 2, "flag provided but not defined: -stream"},
 		{"unwritable metrics path", []string{"-bench", "echo", "-ops", "2", "-metrics", filepath.Join(t.TempDir(), "no-dir", "m.json")}, 1, "write metrics"},
 	}
 	for _, tc := range cases {
@@ -39,40 +41,44 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 }
 
-// TestStreamFlagChangesNothing pins that -stream is only a memory mode:
-// the report, the sanitizer section and the trace files -trace writes are
-// byte-identical to the default path's.
-func TestStreamFlagChangesNothing(t *testing.T) {
-	dirs := map[string]string{"default": t.TempDir(), "stream": t.TempDir()}
+// TestParallelFlagChangesNothing pins that -parallel only schedules the
+// runs: the report, the sanitizer section and the trace files -trace writes
+// are byte-identical with one worker and with two.
+func TestParallelFlagChangesNothing(t *testing.T) {
+	dirs := map[string]string{"1": t.TempDir(), "2": t.TempDir()}
 	outputs := map[string]string{}
-	for mode, dir := range dirs {
-		args := []string{"-ops", "5", "-san", "-trace", dir}
-		if mode == "stream" {
-			args = append(args, "-stream")
-		}
+	for workers, dir := range dirs {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("%s: exit %d: %s", mode, code, stderr.String())
+		if code := run([]string{"-ops", "5", "-san", "-trace", dir, "-parallel", workers}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-parallel %s: exit %d: %s", workers, code, stderr.String())
 		}
-		outputs[mode] = stdout.String()
+		outputs[workers] = stdout.String()
 	}
-	if outputs["default"] != outputs["stream"] {
-		t.Errorf("-stream changed the output:\ndefault:\n%s\nstream:\n%s", outputs["default"], outputs["stream"])
+	if outputs["1"] != outputs["2"] {
+		t.Errorf("-parallel changed the output:\n1:\n%s\n2:\n%s", outputs["1"], outputs["2"])
 	}
-	if !strings.Contains(outputs["default"], "pmsan: app=echo") {
-		t.Errorf("no sanitizer section in output:\n%s", outputs["default"])
+	if !strings.Contains(outputs["1"], "pmsan: app=echo") {
+		t.Errorf("no sanitizer section in output:\n%s", outputs["1"])
 	}
 	for _, name := range whisper.Names() {
-		a, err := os.ReadFile(filepath.Join(dirs["default"], name+".wspr"))
+		a, err := os.ReadFile(filepath.Join(dirs["1"], name+".wspr"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(dirs["stream"], name+".wspr"))
+		b, err := os.ReadFile(filepath.Join(dirs["2"], name+".wspr"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Errorf("%s.wspr differs between the default and -stream paths", name)
+			t.Errorf("%s.wspr differs between -parallel 1 and -parallel 2", name)
+		}
+		// The file is the run: analysing it gives the report printed.
+		rep, err := whisper.AnalyzeReader(bytes.NewReader(a))
+		if err != nil {
+			t.Fatalf("%s.wspr: %v", name, err)
+		}
+		if !strings.Contains(outputs["1"], rep.String()) {
+			t.Errorf("%s.wspr analyses to a report the run did not print:\n%s", name, rep.String())
 		}
 	}
 }

@@ -89,6 +89,35 @@ func RunStreamFused(name string, cfg Config, fcfg FusedConfig, traceOut io.Write
 	return fused(tail, fcfg, traceOut)
 }
 
+// RunAllFused is RunStreamFused over each of names, up to workers of them
+// at a time, with the reports in names order. When traceOut is non-nil each
+// run's events also go, in the chunked v2 format, to the writer
+// traceOut(name) opens; it is closed when that run ends. As with
+// RunAllParallel, neither the reports nor the bytes written depend on
+// workers.
+func RunAllFused(names []string, cfg Config, fcfg FusedConfig, workers int, traceOut func(name string) (io.WriteCloser, error)) ([]*FusedReport, error) {
+	out := make([]*FusedReport, len(names))
+	err := forEach(len(names), workers, func(i int) (err error) {
+		if traceOut == nil {
+			out[i], err = RunStreamFused(names[i], cfg, fcfg, nil)
+			return err
+		}
+		w, err := traceOut(names[i])
+		if err != nil {
+			return err
+		}
+		out[i], err = RunStreamFused(names[i], cfg, fcfg, w)
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // fused runs one pipeline pass over src with the sanitizer and the cache
 // simulation as taps when fcfg selects them, and the v2 writer as one when
 // traceOut is non-nil. Each tap fills its own field of the report; the

@@ -2,10 +2,14 @@ package whisper
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/cachesim"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // TestFusedMatchesStandalone is the fused-mode contract: for every suite
@@ -21,7 +25,10 @@ func TestFusedMatchesStandalone(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantSan := Sanitize(serial.Trace)
-			wantStats := cachesim.ReplayTrace(cachesim.New(cachesim.DefaultConfig()), serial.Trace.tr)
+			wantStats, err := cachesim.ReplaySource(cachesim.New(cachesim.DefaultConfig()), trace.NewSliceSource(serial.Trace.tr))
+			if err != nil {
+				t.Fatal(err)
+			}
 			wantCache := CacheStats{
 				L1Hits:     wantStats.L1Hits,
 				L2Hits:     wantStats.L2Hits,
@@ -96,5 +103,53 @@ func TestFusedNoExtras(t *testing.T) {
 func TestFusedReaderRejectsGarbage(t *testing.T) {
 	if _, err := AnalyzeReaderFused(bytes.NewReader([]byte("junk")), FusedConfig{Sanitize: true}); err == nil {
 		t.Fatal("AnalyzeReaderFused accepted garbage")
+	}
+}
+
+// teeFile is RunAllFused's trace writer over a buffer; it notes its Close.
+type teeFile struct {
+	bytes.Buffer
+	closed bool
+}
+
+func (f *teeFile) Close() error { f.closed = true; return nil }
+
+// TestRunAllFusedMatchesSingleRuns: the suite call is RunStreamFused per
+// name — reports in the order asked for, each trace writer filled with that
+// run's bytes and closed — whatever the worker count, and a writer that
+// cannot be opened fails the call.
+func TestRunAllFusedMatchesSingleRuns(t *testing.T) {
+	cfg := Config{Ops: 5, Seed: 3}
+	fcfg := FusedConfig{Sanitize: true}
+	names := []string{"vacation", "echo", "nfs"}
+	for _, workers := range []int{1, 2} {
+		var mu sync.Mutex
+		files := map[string]*teeFile{}
+		passes, err := RunAllFused(names, cfg, fcfg, workers, func(name string) (io.WriteCloser, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			files[name] = &teeFile{}
+			return files[name], nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range names {
+			var tee bytes.Buffer
+			want, err := RunStreamFused(name, cfg, fcfg, &tee)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*passes[i].Report, *want.Report) || passes[i].San.String() != want.San.String() {
+				t.Errorf("workers=%d: pass %d is not %s's", workers, i, name)
+			}
+			if f := files[name]; f == nil || !f.closed || !bytes.Equal(f.Bytes(), tee.Bytes()) {
+				t.Errorf("workers=%d: %s's trace writer was not filled with its run and closed", workers, name)
+			}
+		}
+	}
+	boom := errors.New("disk full")
+	if _, err := RunAllFused(names, cfg, fcfg, 2, func(string) (io.WriteCloser, error) { return nil, boom }); err != boom {
+		t.Errorf("a trace writer that cannot be opened gave %v, want %v", err, boom)
 	}
 }

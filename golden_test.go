@@ -63,10 +63,11 @@ func TestGoldenFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			streamed, err := RunStream(app, goldenCfg, nil)
+			fr, err := RunStreamFused(app, goldenCfg, FusedConfig{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			streamed := fr.Report
 			par, ok := parByApp[app]
 			if !ok {
 				t.Fatalf("parallel suite run is missing %s", app)

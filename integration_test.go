@@ -82,7 +82,10 @@ func TestTraceDrivesCacheSim(t *testing.T) {
 	hashstore.RunWorkload(rt, pool, 256, 2, 40, 5)
 
 	h := cachesim.New(cachesim.DefaultConfig())
-	st := cachesim.ReplayTrace(h, rt.Trace)
+	st, err := cachesim.ReplaySource(h, trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.MemAccesses() == 0 {
 		t.Fatal("no memory accesses reached the hierarchy")
 	}

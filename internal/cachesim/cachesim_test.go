@@ -126,7 +126,10 @@ func TestReplayTrace(t *testing.T) {
 	tr.Append(trace.Event{Kind: trace.KVLoad, TID: 1, Addr: 0x5000, Size: 8})
 	tr.Append(trace.Event{Kind: trace.KStoreNT, TID: 0, Addr: mem.PMBase + 64, Size: 64})
 	h := New(DefaultConfig())
-	s := ReplayTrace(h, tr)
+	s, err := ReplaySource(h, trace.NewSliceSource(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.PMWrites != 1 || s.NTWrites != 1 || s.DRAMReads != 1 {
 		t.Fatalf("replay stats: %+v", s)
 	}

@@ -96,18 +96,12 @@ func TestReplayEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := trace.FromEvents(trace.Meta{App: "edge", Layer: "native", Threads: 4}, tc.events)
 
-			got := ReplayTrace(New(DefaultConfig()), tr)
-			if got != tc.want {
-				t.Errorf("ReplayTrace stats = %+v, want %+v", got, tc.want)
-			}
-
-			// The streaming replay must agree exactly.
-			streamed, err := ReplaySource(New(DefaultConfig()), trace.NewSliceSource(tr))
+			got, err := ReplaySource(New(DefaultConfig()), trace.NewSliceSource(tr))
 			if err != nil {
 				t.Fatalf("ReplaySource: %v", err)
 			}
-			if streamed != got {
-				t.Errorf("ReplaySource stats = %+v, ReplayTrace = %+v", streamed, got)
+			if got != tc.want {
+				t.Errorf("ReplaySource stats = %+v, want %+v", got, tc.want)
 			}
 		})
 	}

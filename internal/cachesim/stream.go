@@ -7,39 +7,24 @@ import (
 )
 
 // ReplaySource drives the hierarchy with every memory event from an event
-// source, in O(1) memory per event. It is the streaming form of
-// ReplayTrace and produces identical statistics for an equivalent
-// materialized trace (the replay is a stateless per-event dispatch, so
-// the two are the same loop).
+// source, in O(1) memory per event. Volatile accesses participate only
+// when the trace was recorded with per-event volatile tracing
+// (persist.Config.TraceVolatile); aggregated volatile counters cannot be
+// replayed through caches and are ignored here (Figure 6 uses the counters
+// directly).
 func ReplaySource(h *Hierarchy, src trace.EventSource) (Stats, error) {
-	if cs, ok := src.(trace.ChunkSource); ok {
-		// Chunked fast path: one interface call per batch instead of per
-		// event. The dispatch itself is identical.
-		for {
-			chunk, err := cs.NextChunk()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return h.Stats(), err
-			}
-			for i := range chunk {
-				replayEvent(h, chunk[i])
-			}
-		}
-		return h.Stats(), nil
-	}
 	for {
-		e, err := src.Next()
+		chunk, err := src.NextChunk()
 		if err == io.EOF {
-			break
+			return h.Stats(), nil
 		}
 		if err != nil {
 			return h.Stats(), err
 		}
-		replayEvent(h, e)
+		for _, e := range chunk {
+			replayEvent(h, e)
+		}
 	}
-	return h.Stats(), nil
 }
 
 func replayEvent(h *Hierarchy, e trace.Event) {

@@ -158,23 +158,36 @@ func (a *Analysis) closeEpoch(tid int32, end mem.Time, oe *openEpoch, lastWriter
 	}
 }
 
-// nextOnly hides a source's NextChunk, forcing consumers onto the
-// one-event-at-a-time path.
-type nextOnly struct{ src trace.EventSource }
+// perEvent hands a trace out in one-event chunks: nothing in the analysis
+// (the first/last timestamps, the cached thread state) may depend on where
+// a chunk ends.
+type perEvent struct {
+	*trace.SliceSource
+	rest []trace.Event
+}
 
-func (n nextOnly) Meta() trace.Meta           { return n.src.Meta() }
-func (n nextOnly) Next() (trace.Event, error) { return n.src.Next() }
-func (n nextOnly) Volatile() (uint64, uint64) { return n.src.Volatile() }
+func (p *perEvent) NextChunk() ([]trace.Event, error) {
+	if len(p.rest) == 0 {
+		c, err := p.SliceSource.NextChunk()
+		if err != nil {
+			return nil, err
+		}
+		p.rest = c
+	}
+	c := p.rest[:1:1]
+	p.rest = p.rest[1:]
+	return c, nil
+}
 
 // feeds returns tr as every kind of source AnalyzeStream meets in the
 // repo: the in-memory slice (epoch.Analyze, whisper.Run), a v2 file
-// reader (AnalyzeReader), a fan-out branch (the fused pass), and a source
-// with no chunked fast path.
+// reader (AnalyzeReader), a fan-out branch (the fused pass), and the same
+// events in the smallest chunks a source may hand out.
 func feeds(t *testing.T, tr *trace.Trace) map[string]trace.EventSource {
 	t.Helper()
 	out := map[string]trace.EventSource{
 		"slice":     trace.NewSliceSource(tr),
-		"next-only": nextOnly{trace.NewSliceSource(tr)},
+		"per-event": &perEvent{SliceSource: trace.NewSliceSource(tr)},
 	}
 	branches := trace.Fanout(trace.NewSliceSource(tr), 2)
 	go func() { // the sibling branch must drain or the pump stalls

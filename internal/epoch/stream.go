@@ -18,10 +18,6 @@ import (
 // oracle the equality tests compare this against.
 
 const (
-	// streamChunkEvents is the batch chunkReader fills from a Next-only
-	// source, so the event loop pays one iterator call per few thousand
-	// events.
-	streamChunkEvents = 8192
 	// spillLines is the open-epoch size at which the line set switches
 	// from a linear-scanned slice to a map. Figure 4 epochs are
 	// overwhelmingly <6 lines, so almost every epoch stays on the slice
@@ -99,17 +95,13 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 		any   bool
 	)
 
-	next := chunkReader(src)
 	for {
-		c, err := next()
+		c, err := src.NextChunk()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
-		}
-		if len(c) == 0 {
-			continue
 		}
 		if !any {
 			first = c[0].Time
@@ -233,33 +225,6 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 	vloads, vstores := src.Volatile()
 	a.DRAMAccesses += vloads + vstores
 	return a, nil
-}
-
-// chunkReader returns a batch iterator over src: the source's own
-// NextChunk when it implements trace.ChunkSource, otherwise an adapter
-// that fills a reused buffer one event at a time.
-func chunkReader(src trace.EventSource) func() ([]trace.Event, error) {
-	if cs, ok := src.(trace.ChunkSource); ok {
-		return cs.NextChunk
-	}
-	buf := make([]trace.Event, 0, streamChunkEvents)
-	return func() ([]trace.Event, error) {
-		buf = buf[:0]
-		for len(buf) < streamChunkEvents {
-			e, err := src.Next()
-			if err == io.EOF {
-				if len(buf) == 0 {
-					return nil, io.EOF
-				}
-				return buf, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			buf = append(buf, e)
-		}
-		return buf, nil
-	}
 }
 
 // writerPageShift sizes the direct-index pages of the last-writer table:

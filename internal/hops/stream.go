@@ -102,23 +102,32 @@ func (d *dfenceResolver) finish() {
 	d.drain()
 }
 
+// run pushes every event of src through the resolver and releases what is
+// still buffered when the stream ends.
+func (d *dfenceResolver) run(src trace.EventSource) error {
+	for {
+		chunk, err := src.NextChunk()
+		if err == io.EOF {
+			d.finish()
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		for _, e := range chunk {
+			d.push(e)
+		}
+	}
+}
+
 // ReplaySource reruns src's instruction stream under the given persistence
 // model in one pass and O(open lookahead) memory. The instruments in ro
 // are pure outputs and never change the Result.
 func ReplaySource(src trace.EventSource, model Model, cfg Config, lat mem.Latency, ro ReplayObs) (Result, error) {
 	r := newReplayer(model, cfg, lat, ro, newFront(cfg, lat))
-	d := newDfenceResolver(r.step)
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Result{Model: model}, err
-		}
-		d.push(e)
+	if err := newDfenceResolver(r.step).run(src); err != nil {
+		return Result{Model: model}, err
 	}
-	d.finish()
 	return r.result(), nil
 }
 
@@ -144,17 +153,9 @@ func NormalizedSource(src trace.EventSource, cfg Config, lat mem.Latency, instru
 			r.apply(e, dfence, st)
 		}
 	})
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		d.push(e)
+	if err := d.run(src); err != nil {
+		return nil, err
 	}
-	d.finish()
 
 	out := make(map[Model]float64, len(Models))
 	var base mem.Cycles

@@ -346,33 +346,19 @@ func (s *Sanitizer) Finish() *Report {
 }
 
 // Run drains an event source through a fresh Sanitizer and returns the
-// report. Chunked sources are consumed chunk-at-a-time.
+// report.
 func Run(src trace.EventSource) (*Report, error) {
 	s := New(src.Meta())
-	if cs, ok := src.(trace.ChunkSource); ok {
-		for {
-			chunk, err := cs.NextChunk()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range chunk {
-				s.Observe(e)
-			}
+	for {
+		chunk, err := src.NextChunk()
+		if err == io.EOF {
+			return s.Finish(), nil
 		}
-	} else {
-		for {
-			e, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range chunk {
 			s.Observe(e)
 		}
 	}
-	return s.Finish(), nil
 }

@@ -345,20 +345,34 @@ func TestReportByteIdenticalAcross20Runs(t *testing.T) {
 	}
 }
 
-// nextOnly hides the ChunkSource fast path, forcing Run's event-at-a-
-// time branch.
-type nextOnly struct{ src *trace.SliceSource }
+// perEvent hands a trace out in one-event chunks.
+type perEvent struct {
+	*trace.SliceSource
+	rest []trace.Event
+}
 
-func (n nextOnly) Meta() trace.Meta           { return n.src.Meta() }
-func (n nextOnly) Next() (trace.Event, error) { return n.src.Next() }
-func (n nextOnly) Volatile() (l, s uint64)    { return n.src.Volatile() }
+func (p *perEvent) NextChunk() ([]trace.Event, error) {
+	if len(p.rest) == 0 {
+		c, err := p.SliceSource.NextChunk()
+		if err != nil {
+			return nil, err
+		}
+		p.rest = c
+	}
+	c := p.rest[:1:1]
+	p.rest = p.rest[1:]
+	return c, nil
+}
 
+// TestChunkedAndUnchunkedAgree: no sanitizer state depends on where a
+// chunk ends — the report over the trace's own chunks equals the report
+// over the same events one per chunk.
 func TestChunkedAndUnchunkedAgree(t *testing.T) {
 	a, err := Run(trace.NewSliceSource(brokenWorkload()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(nextOnly{src: trace.NewSliceSource(brokenWorkload())})
+	b, err := Run(&perEvent{SliceSource: trace.NewSliceSource(brokenWorkload())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,14 +74,16 @@ func Decode(r io.Reader) (*Trace, error) {
 	}
 	t := &Trace{App: rd.meta.App, Layer: rd.meta.Layer, Threads: rd.meta.Threads}
 	for {
-		e, err := rd.Next()
+		chunk, err := rd.NextChunk()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		t.Append(e)
+		for _, e := range chunk {
+			t.Append(e)
+		}
 	}
 	t.VolatileLoads, t.VolatileStores = rd.Volatile()
 	return t, nil

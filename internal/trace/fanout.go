@@ -15,10 +15,6 @@ import (
 // which keeps each consumer's output byte-identical to what it would
 // produce reading the source alone.
 
-// fanoutChunkEvents is the pump's batch size for Next-only sources; a
-// ChunkSource's own batches pass through whole.
-const fanoutChunkEvents = 4096
-
 // fanoutDepth bounds each branch's queue. The pump advances at the pace
 // of the slowest branch, so total buffered memory is
 // branches × depth × chunk.
@@ -39,54 +35,15 @@ type fanout struct {
 }
 
 // Branch is one consumer's view of a fanned-out stream. It implements
-// ChunkSource; chunks are shared read-only with the other branches, so a
+// EventSource; chunks are shared read-only with the other branches, so a
 // consumer must not mutate the slices NextChunk returns. A consumer that
 // stops early must call Close to release the pump — io.EOF and stream
 // errors close the branch automatically.
 type Branch struct {
-	chunkStream
+	ch   chan []Event // the pump closes it at the end of the stream
 	f    *fanout
 	stop chan struct{}
 	once sync.Once
-}
-
-// chunkStream is the consumer end of a bounded channel of chunks — what a
-// Branch and a Tail both are. The sender closes ch at the end of the
-// stream; what the end means (io.EOF or an error) is the owner's to say.
-type chunkStream struct {
-	ch  chan []Event
-	cur []Event
-	pos int
-}
-
-// next returns the stream's next event, false once ch is closed and drained.
-func (s *chunkStream) next() (Event, bool) {
-	for s.pos >= len(s.cur) {
-		chunk, ok := <-s.ch
-		if !ok {
-			return Event{}, false
-		}
-		s.cur, s.pos = chunk, 0
-	}
-	e := s.cur[s.pos]
-	s.pos++
-	return e, true
-}
-
-// nextChunk returns what is left of the current chunk, else the next one
-// whole; false once ch is closed and drained.
-func (s *chunkStream) nextChunk() ([]Event, bool) {
-	if s.pos < len(s.cur) {
-		chunk := s.cur[s.pos:]
-		s.pos = len(s.cur)
-		return chunk, true
-	}
-	chunk, ok := <-s.ch
-	if !ok {
-		return nil, false
-	}
-	s.cur, s.pos = chunk, len(chunk)
-	return chunk, true
 }
 
 // Fanout starts a pump goroutine over src and returns n branches that
@@ -96,37 +53,15 @@ func (s *chunkStream) nextChunk() ([]Event, bool) {
 func Fanout(src EventSource, n int) []*Branch {
 	f := &fanout{src: src, branches: make([]*Branch, n)}
 	for i := range f.branches {
-		f.branches[i] = &Branch{
-			chunkStream: chunkStream{ch: make(chan []Event, fanoutDepth)},
-			f:           f,
-			stop:        make(chan struct{}),
-		}
+		f.branches[i] = &Branch{ch: make(chan []Event, fanoutDepth), f: f, stop: make(chan struct{})}
 	}
 	go f.pump()
 	return f.branches
 }
 
 func (f *fanout) pump() {
-	cs, chunked := f.src.(ChunkSource)
 	for {
-		var chunk []Event
-		var err error
-		if chunked {
-			chunk, err = cs.NextChunk()
-		} else {
-			// Next-only source: fill a fresh buffer per chunk — every
-			// branch retains a reference until it finishes the chunk, so
-			// the buffer cannot be reused.
-			chunk, err = f.fill()
-		}
-		if len(chunk) > 0 {
-			for _, b := range f.branches {
-				select {
-				case b.ch <- chunk:
-				case <-b.stop:
-				}
-			}
-		}
+		chunk, err := f.src.NextChunk()
 		if err != nil {
 			if err != io.EOF {
 				f.err = err
@@ -137,55 +72,33 @@ func (f *fanout) pump() {
 			}
 			return
 		}
-	}
-}
-
-// fill batches events from a Next-only source into a freshly allocated
-// chunk. It returns any events read even when the stream ends or errors
-// mid-chunk, so consumers observe the same prefix a direct reader would.
-func (f *fanout) fill() ([]Event, error) {
-	chunk := make([]Event, 0, fanoutChunkEvents)
-	for len(chunk) < fanoutChunkEvents {
-		e, err := f.src.Next()
-		if err != nil {
-			return chunk, err
+		for _, b := range f.branches {
+			select {
+			case b.ch <- chunk:
+			case <-b.stop:
+			}
 		}
-		chunk = append(chunk, e)
 	}
-	return chunk, nil
 }
 
 // Meta returns the source's run metadata.
 func (b *Branch) Meta() Meta { return b.f.src.Meta() }
 
-// Next returns the branch's next event, io.EOF at the end of a
-// well-formed stream, or the source's error.
-func (b *Branch) Next() (Event, error) {
-	if e, ok := b.next(); ok {
-		return e, nil
-	}
-	return Event{}, b.end()
-}
-
-// NextChunk returns the branch's next batch of events. The returned
-// slice is shared with the other branches and must be treated as
-// read-only.
+// NextChunk returns the branch's next batch of events, io.EOF at the end
+// of a well-formed stream, or the source's error. The returned slice is
+// shared with the other branches and must be treated as read-only.
 func (b *Branch) NextChunk() ([]Event, error) {
-	if chunk, ok := b.nextChunk(); ok {
+	if chunk, ok := <-b.ch; ok {
 		return chunk, nil
 	}
-	return nil, b.end()
-}
-
-func (b *Branch) end() error {
 	if b.f.err != nil {
-		return b.f.err
+		return nil, b.f.err
 	}
-	return io.EOF
+	return nil, io.EOF
 }
 
 // Volatile returns the source's aggregate DRAM counters; complete only
-// after Next/NextChunk has returned io.EOF.
+// after NextChunk has returned io.EOF.
 func (b *Branch) Volatile() (loads, stores uint64) { return b.f.vloads, b.f.vstores }
 
 // Close releases the branch: the pump stops delivering to it and will

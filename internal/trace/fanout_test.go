@@ -11,42 +11,42 @@ import (
 
 func fanoutTestTrace() *Trace {
 	tr := &Trace{App: "fan", Layer: "native", Threads: 2, VolatileLoads: 7, VolatileStores: 9}
-	for i := 0; i < 3*fanoutChunkEvents+17; i++ {
+	for i := 0; i < 3*DefaultBlockEvents+17; i++ {
 		tr.Append(Event{Kind: KStore, TID: int32(i % 2), Time: memTime(uint64(i + 1)), Addr: memAddr(uint64(64 * i)), Size: 8})
 	}
 	return tr
 }
 
-// drainBranch reads a branch to EOF (via Next or NextChunk) and returns
-// the events plus the post-EOF volatile counters.
-func drainBranch(t *testing.T, b *Branch, chunked bool) ([]Event, uint64, uint64) {
+// drainBranch reads a branch to EOF and returns the events plus the
+// post-EOF volatile counters.
+func drainBranch(t *testing.T, b *Branch) ([]Event, uint64, uint64) {
 	t.Helper()
 	var got []Event
 	for {
-		if chunked {
-			c, err := b.NextChunk()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Errorf("NextChunk: %v", err)
-				break
-			}
-			got = append(got, c...)
-		} else {
-			e, err := b.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Errorf("Next: %v", err)
-				break
-			}
-			got = append(got, e)
+		c, err := b.NextChunk()
+		if err == io.EOF {
+			break
 		}
+		if err != nil {
+			t.Errorf("NextChunk: %v", err)
+			break
+		}
+		got = append(got, c...)
 	}
 	vl, vs := b.Volatile()
 	return got, vl, vs
+}
+
+// perEvent reads a Reader through its stop-early Next only and hands each
+// event out as a chunk of its own: the smallest chunks the contract allows.
+type perEvent struct{ *Reader }
+
+func (p perEvent) NextChunk() ([]Event, error) {
+	e, err := p.Next()
+	if err != nil {
+		return nil, err
+	}
+	return []Event{e}, nil
 }
 
 func TestFanoutAllBranchesSeeFullStream(t *testing.T) {
@@ -65,7 +65,7 @@ func TestFanoutAllBranchesSeeFullStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rd
+			return perEvent{rd}
 		}},
 	} {
 		t.Run(src.name, func(t *testing.T) {
@@ -76,8 +76,7 @@ func TestFanoutAllBranchesSeeFullStream(t *testing.T) {
 				wg.Add(1)
 				go func(i int, b *Branch) {
 					defer wg.Done()
-					// Mix consumption styles across branches.
-					ev, vl, vs := drainBranch(t, b, i%2 == 0)
+					ev, vl, vs := drainBranch(t, b)
 					if vl != tr.VolatileLoads || vs != tr.VolatileStores {
 						t.Errorf("branch %d: Volatile = (%d, %d), want (%d, %d)",
 							i, vl, vs, tr.VolatileLoads, tr.VolatileStores)
@@ -102,26 +101,30 @@ func TestFanoutEarlyCloseReleasesPump(t *testing.T) {
 	// Branch 1 abandons immediately; branch 0 must still drain the whole
 	// stream without the pump stalling on the dead branch.
 	branches[1].Close()
-	got, _, _ := drainBranch(t, branches[0], true)
+	got, _, _ := drainBranch(t, branches[0])
 	if !reflect.DeepEqual(got, flat(tr)) {
 		t.Fatalf("surviving branch saw %d events, want %d", len(got), tr.Len())
 	}
 }
 
-// failingSource errors after a few events; every branch must observe the
-// same prefix and then the error.
+// failingSource errors after one chunk of n events; every branch must
+// observe the same prefix and then the error.
 type failingSource struct {
 	n   int
 	err error
 }
 
 func (f *failingSource) Meta() Meta { return Meta{App: "fail", Threads: 1} }
-func (f *failingSource) Next() (Event, error) {
+func (f *failingSource) NextChunk() ([]Event, error) {
 	if f.n == 0 {
-		return Event{}, f.err
+		return nil, f.err
 	}
-	f.n--
-	return Event{Kind: KStore, TID: 0, Time: 1, Addr: 0, Size: 8}, nil
+	chunk := make([]Event, f.n)
+	for i := range chunk {
+		chunk[i] = Event{Kind: KStore, TID: 0, Time: 1, Addr: 0, Size: 8}
+	}
+	f.n = 0
+	return chunk, nil
 }
 func (f *failingSource) Volatile() (uint64, uint64) { return 0, 0 }
 
@@ -132,11 +135,11 @@ func TestFanoutPropagatesSourceError(t *testing.T) {
 		seen := 0
 		var err error
 		for {
-			_, err = b.Next()
-			if err != nil {
+			var c []Event
+			if c, err = b.NextChunk(); err != nil {
 				break
 			}
-			seen++
+			seen += len(c)
 		}
 		if seen != 5 {
 			t.Errorf("branch %d: saw %d events before error, want 5", i, seen)

@@ -1,0 +1,164 @@
+package trace
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// encoded returns tr in the v1 or the v2 layout.
+func encoded(t *testing.T, tr *Trace, v1 bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := EncodeV2
+	if v1 {
+		enc = EncodeV1
+	}
+	if err := enc(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEverySourceOneContract feeds the same events through every
+// EventSource the package has and holds each to the one contract: the
+// recorded sequence, never an empty chunk, io.EOF that stays io.EOF, the
+// volatile counters complete by then — and a chunk the caller was given
+// earlier still reads the same after the source has been drained, which a
+// source that decoded into a reused buffer would fail.
+func TestEverySourceOneContract(t *testing.T) {
+	// Three v1 batches / v2 blocks and a part one; past the tail's 512-event
+	// dropped chunks and its queue depth.
+	orig := genTrace(rand.New(rand.NewSource(22)), 3*DefaultBlockEvents+17)
+	want := flat(orig)
+
+	reader := func(v1 bool) func(*testing.T) EventSource {
+		return func(t *testing.T) EventSource {
+			rd, err := NewReader(bytes.NewReader(encoded(t, orig, v1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rd
+		}
+	}
+	tail := func(keep bool) func(*testing.T) EventSource {
+		return func(*testing.T) EventSource {
+			tr := &Trace{App: orig.App, Layer: orig.Layer, Threads: orig.Threads}
+			tl := tr.Tail(keep)
+			go func() {
+				for _, e := range want {
+					tr.Append(e)
+				}
+				tr.VolatileLoads, tr.VolatileStores = orig.VolatileLoads, orig.VolatileStores
+				tl.Close(nil)
+			}()
+			return tl
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		open func(*testing.T) EventSource
+	}{
+		{"slice", func(*testing.T) EventSource { return NewSliceSource(orig) }},
+		{"reader-v1", reader(true)},
+		{"reader-v2", reader(false)},
+		{"fanout-branch", func(*testing.T) EventSource { return Fanout(NewSliceSource(orig), 1)[0] }},
+		{"fanout-over-reader", func(t *testing.T) EventSource { return Fanout(reader(false)(t), 1)[0] }},
+		{"tail-keeping", tail(true)},
+		{"tail-dropping", tail(false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.open(t)
+			if m := src.Meta(); m != (Meta{App: orig.App, Layer: orig.Layer, Threads: orig.Threads}) {
+				t.Fatalf("Meta = %+v", m)
+			}
+			var chunks, asGiven [][]Event
+			for {
+				c, err := src.NextChunk()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("NextChunk: %v", err)
+				}
+				if len(c) == 0 {
+					t.Fatalf("chunk %d is empty", len(chunks))
+				}
+				chunks = append(chunks, c)
+				asGiven = append(asGiven, slices.Clone(c))
+			}
+			if _, err := src.NextChunk(); err != io.EOF {
+				t.Fatalf("NextChunk after io.EOF = %v", err)
+			}
+			if l, s := src.Volatile(); l != orig.VolatileLoads || s != orig.VolatileStores {
+				t.Fatalf("Volatile = %d, %d, want %d, %d", l, s, orig.VolatileLoads, orig.VolatileStores)
+			}
+			for i := range chunks {
+				if !slices.Equal(chunks[i], asGiven[i]) {
+					t.Fatalf("chunk %d of %d changed after it was handed out", i, len(chunks))
+				}
+			}
+			if got := slices.Concat(chunks...); !slices.Equal(got, want) {
+				t.Fatalf("%d events in %d chunks differ from the %d recorded", len(got), len(chunks), len(want))
+			}
+		})
+	}
+}
+
+// TestDamagedStreamEndsInAnError cuts a v1 and a v2 stream short at every
+// byte and flips every byte of the v2 stream past its header (the CRCs
+// cover all of that; a v1 stream has none, so a flipped byte there may
+// decode): the header is refused, or reading by chunks ends in an error
+// that says what is wrong and stays — never in io.EOF over a short read —
+// and what was delivered before it is a prefix of the recorded events.
+func TestDamagedStreamEndsInAnError(t *testing.T) {
+	orig := genTrace(rand.New(rand.NewSource(7)), 40)
+	want := flat(orig)
+	for _, v1 := range []bool{true, false} {
+		whole := encoded(t, orig, v1)
+		damaged := map[string][]byte{}
+		for cut := 0; cut < len(whole); cut++ {
+			damaged[fmt.Sprint("cut at ", cut)] = whole[:cut]
+		}
+		if !v1 {
+			var header bytes.Buffer
+			if _, err := NewWriter(&header, Meta{App: orig.App, Layer: orig.Layer, Threads: orig.Threads}); err != nil {
+				t.Fatal(err)
+			}
+			for at := header.Len(); at < len(whole); at++ {
+				flipped := slices.Clone(whole)
+				flipped[at] ^= 0x40
+				damaged[fmt.Sprint("flip at ", at)] = flipped
+			}
+		}
+		for what, data := range damaged {
+			rd, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			var got []Event
+			for {
+				var c []Event
+				if c, err = rd.NextChunk(); err != nil {
+					break
+				}
+				if len(c) == 0 {
+					t.Fatalf("v1=%v %s: empty chunk", v1, what)
+				}
+				got = append(got, c...)
+			}
+			if err == io.EOF || err.Error() == "" {
+				t.Fatalf("v1=%v %s: stream ended in %v after %d of %d events", v1, what, err, len(got), len(want))
+			}
+			if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+				t.Fatalf("v1=%v %s: the %d events before the error are not a prefix of the recorded ones", v1, what, len(got))
+			}
+			if _, again := rd.NextChunk(); again != err {
+				t.Fatalf("v1=%v %s: error %v became %v on the next call", v1, what, err, again)
+			}
+		}
+	}
+}

@@ -79,39 +79,29 @@ type Meta struct {
 }
 
 // EventSource is the streaming view of a trace: run metadata up front,
-// events in recorded order, aggregate volatile counters once the stream
-// is exhausted. It is the input of the epoch analysis
-// (internal/epoch.AnalyzeStream) and of the streaming cache and HOPS
-// replays; *Reader, *SliceSource and *Branch implement it.
+// events in recorded order a chunk at a time, aggregate volatile counters
+// once the stream is exhausted. It is the input of the epoch analysis
+// (internal/epoch.AnalyzeStream), the sanitizer and the streaming cache
+// and HOPS replays; *Reader, *SliceSource, *Branch and *Tail implement it.
 type EventSource interface {
 	// Meta returns the stream's run metadata.
 	Meta() Meta
-	// Next returns the next event in recorded order, or io.EOF after the
-	// last one. Any other error means the stream is corrupt or truncated.
-	Next() (Event, error)
-	// Volatile returns the aggregate DRAM load/store counters. The
-	// values are complete only after Next has returned io.EOF.
-	Volatile() (loads, stores uint64)
-}
-
-// ChunkSource is an optional EventSource extension for sources that can
-// hand out events in batches, sparing consumers one interface call per
-// event. NextChunk returns at least one event or an error (io.EOF at
-// end). Ownership of the returned slice transfers to the caller: the
-// source must never reuse or mutate it (consumers may share it across
-// goroutines), and the caller must treat it as read-only. A consumer
-// must use either Next or NextChunk, exclusively, for the life of the
-// stream.
-type ChunkSource interface {
-	EventSource
+	// NextChunk returns the next batch of events in recorded order — at
+	// least one — or io.EOF after the last. Any other error means the
+	// stream is corrupt or truncated. Ownership of the returned slice
+	// transfers to the caller: the source must never reuse or mutate it
+	// (consumers may share it across goroutines), and the caller must
+	// treat it as read-only.
 	NextChunk() ([]Event, error)
+	// Volatile returns the aggregate DRAM load/store counters. The
+	// values are complete only after NextChunk has returned io.EOF.
+	Volatile() (loads, stores uint64)
 }
 
 // SliceSource adapts an in-memory Trace to the EventSource interface.
 type SliceSource struct {
 	tr *Trace
-	c  int // current chunk
-	i  int // next event within it
+	c  int // next chunk
 }
 
 // NewSliceSource returns an EventSource over tr's events.
@@ -122,32 +112,14 @@ func (s *SliceSource) Meta() Meta {
 	return Meta{App: s.tr.App, Layer: s.tr.Layer, Threads: s.tr.Threads}
 }
 
-// Next returns the next event, or io.EOF past the end.
-func (s *SliceSource) Next() (Event, error) {
-	for s.c < len(s.tr.chunks) {
-		if c := s.tr.chunks[s.c]; s.i < len(c) {
-			e := c[s.i]
-			s.i++
-			return e, nil
-		}
-		s.c++
-		s.i = 0
-	}
-	return Event{}, io.EOF
-}
-
-// NextChunk returns the trace's stored chunks one at a time, then io.EOF.
-// It implements ChunkSource without copying.
+// NextChunk returns the trace's stored chunks (never empty, see
+// Trace.chunks) one at a time without copying, then io.EOF.
 func (s *SliceSource) NextChunk() ([]Event, error) {
-	for s.c < len(s.tr.chunks) {
-		c := s.tr.chunks[s.c][s.i:]
-		s.c++
-		s.i = 0
-		if len(c) > 0 {
-			return c, nil
-		}
+	if s.c >= len(s.tr.chunks) {
+		return nil, io.EOF
 	}
-	return nil, io.EOF
+	s.c++
+	return s.tr.chunks[s.c-1], nil
 }
 
 // Volatile returns the trace's aggregate DRAM counters.
@@ -285,28 +257,28 @@ func EncodeV2(w io.Writer, t *Trace) error {
 
 // --- Reader --------------------------------------------------------------
 
-// Reader decodes a trace stream event by event, holding O(block) memory.
-// It reads both codec versions: the sequential v1 format and the framed
-// v2 format (verifying every block CRC and the trailer).
+// Reader decodes a trace stream a chunk at a time, holding O(block)
+// memory. It reads both codec versions: the sequential v1 format and the
+// framed v2 format (verifying every block CRC and the trailer).
 type Reader struct {
 	br   *bufio.Reader
 	ver  byte
 	meta Meta
 
-	// v1: events remaining; volatile counters live in the header.
-	remaining uint64
+	// v1: events remaining and the running delta state; the volatile
+	// counters live in the header.
+	remaining          uint64
+	prevTime, prevAddr uint64
 
-	// v2: decoded current block and reusable payload buffer.
-	block   []Event
-	pos     int
+	// v2: reusable buffer for a block's encoded bytes. The decoded events
+	// are never reused: a chunk belongs to whoever NextChunk gave it to.
 	payload []byte
+
+	cur []Event // what Next has yet to hand out of the last chunk
 
 	vloads, vstores uint64
 	delivered       uint64
-	done            bool
-	err             error
-
-	prevTime, prevAddr uint64
+	err             error // sticky; io.EOF once the stream has ended well
 }
 
 // NewReader parses the stream header from r (either codec version) and
@@ -364,186 +336,193 @@ func (r *Reader) Version() int { return int(r.ver) }
 
 // Volatile returns the aggregate DRAM counters. For v1 streams they are
 // available immediately; for v2 they arrive in the trailer, so they are
-// complete only after Next has returned io.EOF.
+// complete only after NextChunk or Next has returned io.EOF.
 func (r *Reader) Volatile() (uint64, uint64) { return r.vloads, r.vstores }
 
-// Next returns the next event, io.EOF at the end of a well-formed
-// stream, or a descriptive error on corruption. Errors are sticky.
-func (r *Reader) Next() (Event, error) {
+// NextChunk returns the next decoded v2 block, or the next batch of up to
+// DefaultBlockEvents events of a v1 stream, in a slice the Reader never
+// touches again; io.EOF at the end of a well-formed stream, or a
+// descriptive error on corruption. Either is sticky.
+func (r *Reader) NextChunk() ([]Event, error) {
 	if r.err != nil {
-		return Event{}, r.err
+		return nil, r.err
 	}
-	if r.done {
-		return Event{}, io.EOF
-	}
-	var e Event
-	var err error
+	var chunk []Event
 	if r.ver == version {
-		e, err = r.nextV1()
+		chunk, r.err = r.readBatchV1()
 	} else {
-		e, err = r.nextV2()
+		chunk, r.err = r.readFrame()
 	}
-	if err != nil {
-		if err == io.EOF {
-			r.done = true
-		} else {
-			r.err = err
-		}
-		return Event{}, err
+	r.delivered += uint64(len(chunk))
+	if len(chunk) > 0 {
+		// A v1 batch cut short by corruption: the events before it are
+		// good, so the caller gets them and meets the error on its next call.
+		return chunk, nil
 	}
-	r.delivered++
-	return e, nil
+	if r.err == nil {
+		r.err = io.EOF
+	}
+	return nil, r.err
 }
 
-func (r *Reader) nextV1() (Event, error) {
-	if r.remaining == 0 {
-		return Event{}, io.EOF
-	}
-	kind, err := r.br.ReadByte()
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: event %d: %w", r.delivered, noEOF(err))
-	}
-	if kind > maxKind {
-		return Event{}, fmt.Errorf("trace: event %d: invalid kind %d", r.delivered, kind)
-	}
-	tid, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return Event{}, noEOF(err)
-	}
-	dt, err := binary.ReadVarint(r.br)
-	if err != nil {
-		return Event{}, noEOF(err)
-	}
-	da, err := binary.ReadVarint(r.br)
-	if err != nil {
-		return Event{}, noEOF(err)
-	}
-	size, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return Event{}, noEOF(err)
-	}
-	r.remaining--
-	r.prevTime += uint64(dt)
-	r.prevAddr += uint64(da)
-	return Event{
-		Kind: Kind(kind),
-		TID:  int32(tid),
-		Time: memTime(r.prevTime),
-		Addr: memAddr(r.prevAddr),
-		Size: uint32(size),
-	}, nil
-}
-
-func (r *Reader) nextV2() (Event, error) {
-	for r.pos >= len(r.block) {
-		if err := r.readFrame(); err != nil {
+// Next returns the next event, io.EOF at the end of a well-formed stream,
+// or a descriptive error on corruption. It is NextChunk handed out one
+// event at a time, for callers that stop early; use one or the other on a
+// given Reader, not both.
+func (r *Reader) Next() (Event, error) {
+	if len(r.cur) == 0 {
+		chunk, err := r.NextChunk()
+		if err != nil {
 			return Event{}, err
 		}
-		if r.done {
-			return Event{}, io.EOF
-		}
+		r.cur = chunk
 	}
-	e := r.block[r.pos]
-	r.pos++
+	e := r.cur[0]
+	r.cur = r.cur[1:]
 	return e, nil
 }
 
-// readFrame reads one v2 frame: an event block (decoded into r.block) or
-// the trailer (which completes the stream).
-func (r *Reader) readFrame() error {
+// readBatchV1 decodes up to DefaultBlockEvents of the events the v1 header
+// promised. The header's count is untrusted and sizes nothing beyond one
+// batch. It returns what it decoded before an error along with the error,
+// and nothing at the end of the stream.
+func (r *Reader) readBatchV1() ([]Event, error) {
+	n := min(r.remaining, DefaultBlockEvents)
+	if n == 0 {
+		return nil, nil
+	}
+	batch := make([]Event, 0, n)
+	for ; n > 0; n-- {
+		at := r.delivered + uint64(len(batch))
+		kind, err := r.br.ReadByte()
+		if err != nil {
+			return batch, fmt.Errorf("trace: event %d: %w", at, noEOF(err))
+		}
+		if kind > maxKind {
+			return batch, fmt.Errorf("trace: event %d: invalid kind %d", at, kind)
+		}
+		tid, err := binary.ReadUvarint(r.br)
+		if err != nil {
+			return batch, noEOF(err)
+		}
+		dt, err := binary.ReadVarint(r.br)
+		if err != nil {
+			return batch, noEOF(err)
+		}
+		da, err := binary.ReadVarint(r.br)
+		if err != nil {
+			return batch, noEOF(err)
+		}
+		size, err := binary.ReadUvarint(r.br)
+		if err != nil {
+			return batch, noEOF(err)
+		}
+		r.remaining--
+		r.prevTime += uint64(dt)
+		r.prevAddr += uint64(da)
+		batch = append(batch, Event{
+			Kind: Kind(kind),
+			TID:  int32(tid),
+			Time: memTime(r.prevTime),
+			Addr: memAddr(r.prevAddr),
+			Size: uint32(size),
+		})
+	}
+	return batch, nil
+}
+
+// readFrame reads one v2 frame: an event block, returned decoded, or the
+// trailer, which completes the stream and returns no events.
+func (r *Reader) readFrame() ([]Event, error) {
 	tag, err := r.br.ReadByte()
 	if err != nil {
-		return fmt.Errorf("trace: reading frame tag: %w", noEOF(err))
+		return nil, fmt.Errorf("trace: reading frame tag: %w", noEOF(err))
 	}
 	switch tag {
 	case tagBlock:
 		return r.readBlock()
 	case tagTrailer:
-		return r.readTrailer()
+		return nil, r.readTrailer()
 	default:
-		return fmt.Errorf("trace: unknown frame tag %#x", tag)
+		return nil, fmt.Errorf("trace: unknown frame tag %#x", tag)
 	}
 }
 
-func (r *Reader) readBlock() error {
+func (r *Reader) readBlock() ([]Event, error) {
 	count, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return fmt.Errorf("trace: block count: %w", noEOF(err))
+		return nil, fmt.Errorf("trace: block count: %w", noEOF(err))
 	}
 	payloadLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return fmt.Errorf("trace: block length: %w", noEOF(err))
+		return nil, fmt.Errorf("trace: block length: %w", noEOF(err))
 	}
 	// The count and length are untrusted input: bound them before any
 	// allocation, and cross-check them against each other — the smallest
 	// event encodes to minEventBytes, so a count the payload cannot hold
 	// is a lie, reported before reading the payload at all.
 	if count == 0 {
-		return errors.New("trace: empty block")
+		return nil, errors.New("trace: empty block")
 	}
 	if count > maxBlockEvents {
-		return fmt.Errorf("trace: block claims %d events (max %d)", count, maxBlockEvents)
+		return nil, fmt.Errorf("trace: block claims %d events (max %d)", count, maxBlockEvents)
 	}
 	if payloadLen > maxBlockBytes {
-		return fmt.Errorf("trace: block claims %d payload bytes (max %d)", payloadLen, maxBlockBytes)
+		return nil, fmt.Errorf("trace: block claims %d payload bytes (max %d)", payloadLen, maxBlockBytes)
 	}
 	if count*minEventBytes > payloadLen {
-		return fmt.Errorf("trace: block claims %d events in %d bytes", count, payloadLen)
+		return nil, fmt.Errorf("trace: block claims %d events in %d bytes", count, payloadLen)
 	}
 	if uint64(cap(r.payload)) < payloadLen {
 		r.payload = make([]byte, payloadLen)
 	}
 	r.payload = r.payload[:payloadLen]
 	if _, err := io.ReadFull(r.br, r.payload); err != nil {
-		return fmt.Errorf("trace: block payload: %w", noEOF(err))
+		return nil, fmt.Errorf("trace: block payload: %w", noEOF(err))
 	}
 	var crcb [4]byte
 	if _, err := io.ReadFull(r.br, crcb[:]); err != nil {
-		return fmt.Errorf("trace: block crc: %w", noEOF(err))
+		return nil, fmt.Errorf("trace: block crc: %w", noEOF(err))
 	}
 	if got, want := crc32.ChecksumIEEE(r.payload), binary.LittleEndian.Uint32(crcb[:]); got != want {
-		return fmt.Errorf("trace: block crc mismatch (%#x != %#x)", got, want)
+		return nil, fmt.Errorf("trace: block crc mismatch (%#x != %#x)", got, want)
 	}
 
-	if uint64(cap(r.block)) < count {
-		r.block = make([]Event, count)
-	}
-	r.block = r.block[:count]
-	r.pos = 0
+	block := make([]Event, count)
 	pos := 0
 	var prevTime, prevAddr uint64 // deltas reset per block
 	for i := uint64(0); i < count; i++ {
 		if pos >= len(r.payload) {
-			return fmt.Errorf("trace: block event %d: payload exhausted", i)
+			return nil, fmt.Errorf("trace: block event %d: payload exhausted", i)
 		}
 		kind := r.payload[pos]
 		pos++
 		if kind > maxKind {
-			return fmt.Errorf("trace: block event %d: invalid kind %d", i, kind)
+			return nil, fmt.Errorf("trace: block event %d: invalid kind %d", i, kind)
 		}
 		tid, n := binary.Uvarint(r.payload[pos:])
 		if n <= 0 {
-			return fmt.Errorf("trace: block event %d: bad tid varint", i)
+			return nil, fmt.Errorf("trace: block event %d: bad tid varint", i)
 		}
 		pos += n
 		dt, n := binary.Varint(r.payload[pos:])
 		if n <= 0 {
-			return fmt.Errorf("trace: block event %d: bad time varint", i)
+			return nil, fmt.Errorf("trace: block event %d: bad time varint", i)
 		}
 		pos += n
 		da, n := binary.Varint(r.payload[pos:])
 		if n <= 0 {
-			return fmt.Errorf("trace: block event %d: bad addr varint", i)
+			return nil, fmt.Errorf("trace: block event %d: bad addr varint", i)
 		}
 		pos += n
 		size, n := binary.Uvarint(r.payload[pos:])
 		if n <= 0 {
-			return fmt.Errorf("trace: block event %d: bad size varint", i)
+			return nil, fmt.Errorf("trace: block event %d: bad size varint", i)
 		}
 		pos += n
 		prevTime += uint64(dt)
 		prevAddr += uint64(da)
-		r.block[i] = Event{
+		block[i] = Event{
 			Kind: Kind(kind),
 			TID:  int32(tid),
 			Time: memTime(prevTime),
@@ -552,9 +531,9 @@ func (r *Reader) readBlock() error {
 		}
 	}
 	if pos != len(r.payload) {
-		return fmt.Errorf("trace: block has %d trailing payload bytes", len(r.payload)-pos)
+		return nil, fmt.Errorf("trace: block has %d trailing payload bytes", len(r.payload)-pos)
 	}
-	return nil
+	return block, nil
 }
 
 func (r *Reader) readTrailer() error {
@@ -582,7 +561,6 @@ func (r *Reader) readTrailer() error {
 		return fmt.Errorf("trace: trailer claims %d events, stream carried %d", total, r.delivered)
 	}
 	r.vloads, r.vstores = vloads, vstores
-	r.done = true
 	return nil
 }
 

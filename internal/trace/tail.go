@@ -21,12 +21,12 @@ const tailDepth = 8
 const droppedChunkEvents = 512
 
 // Tail is the read end of a trace under recording. It implements
-// ChunkSource: each chunk arrives once Append has sealed it, the last one
+// EventSource: each chunk arrives once Append has sealed it, the last one
 // when the recorder calls Close. The reader must consume the stream to its
 // end (io.EOF or the recorder's error), or the recorder blocks on a full
 // queue.
 type Tail struct {
-	chunkStream
+	ch   chan []Event // sealed chunks; the recorder closes it at the end
 	tr   *Trace
 	keep bool
 
@@ -45,7 +45,7 @@ func (t *Trace) Tail(keep bool) *Tail {
 	if t.n != 0 || t.tail != nil {
 		panic("trace: Tail on a trace that already holds events or a tail")
 	}
-	t.tail = &Tail{chunkStream: chunkStream{ch: make(chan []Event, tailDepth)}, tr: t, keep: keep}
+	t.tail = &Tail{ch: make(chan []Event, tailDepth), tr: t, keep: keep}
 	return t.tail
 }
 
@@ -70,33 +70,21 @@ func (tl *Tail) Meta() Meta {
 	return Meta{App: tl.tr.App, Layer: tl.tr.Layer, Threads: tl.tr.Threads}
 }
 
-// Next returns the next event in recorded order, io.EOF after the last,
-// or the error the recorder closed the tail with.
-func (tl *Tail) Next() (Event, error) {
-	if e, ok := tl.next(); ok {
-		return e, nil
-	}
-	return Event{}, tl.end()
-}
-
-// NextChunk returns the next sealed chunk: the trace's own storage when it
-// keeps its chunks, so read-only either way.
+// NextChunk returns the next sealed chunk — the trace's own storage when
+// it keeps its chunks, so read-only either way — io.EOF after the last, or
+// the error the recorder closed the tail with.
 func (tl *Tail) NextChunk() ([]Event, error) {
-	if chunk, ok := tl.nextChunk(); ok {
+	if chunk, ok := <-tl.ch; ok {
 		return chunk, nil
 	}
-	return nil, tl.end()
-}
-
-func (tl *Tail) end() error {
 	if tl.err != nil {
-		return tl.err
+		return nil, tl.err
 	}
-	return io.EOF
+	return nil, io.EOF
 }
 
 // Volatile returns the trace's aggregate DRAM counters; complete only
-// after Next/NextChunk has returned io.EOF.
+// after NextChunk has returned io.EOF.
 func (tl *Tail) Volatile() (loads, stores uint64) {
 	return tl.tr.VolatileLoads, tl.tr.VolatileStores
 }

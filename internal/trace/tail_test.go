@@ -33,16 +33,23 @@ func record(tr *Trace, tl *Tail, n int, closeErr error) {
 
 // TestTailSeesEveryEventOnce appends from one goroutine while the tail is
 // read on another (run it under -race): every event arrives once, in
-// order, through NextChunk and through Next, whether the trace keeps its
-// chunks or drops them, and the volatile counters are complete at io.EOF.
+// order, whether the trace keeps its chunks or drops them and whether the
+// reader is on the tail itself, as whisper.Run is, or behind a Fanout
+// branch, as a run with taps is (the subtest key still spells that
+// "chunks=", true for the tail itself, so results line up with earlier
+// runs); the volatile counters are complete at io.EOF.
 func TestTailSeesEveryEventOnce(t *testing.T) {
 	for _, keep := range []bool{true, false} {
 		for _, n := range tailSizes {
-			for _, byChunk := range []bool{true, false} {
-				t.Run(fmt.Sprintf("keep=%v/n=%d/chunks=%v", keep, n, byChunk), func(t *testing.T) {
+			for _, direct := range []bool{true, false} {
+				t.Run(fmt.Sprintf("keep=%v/n=%d/chunks=%v", keep, n, direct), func(t *testing.T) {
 					tr := &Trace{App: "tail", Layer: "native", Threads: 4}
 					tl := tr.Tail(keep)
-					if m := tl.Meta(); m != (Meta{App: "tail", Layer: "native", Threads: 4}) {
+					var src EventSource = tl
+					if !direct {
+						src = Fanout(tl, 1)[0]
+					}
+					if m := src.Meta(); m != (Meta{App: "tail", Layer: "native", Threads: 4}) {
 						t.Fatalf("Meta = %+v", m)
 					}
 					record(tr, tl, n, nil)
@@ -56,26 +63,15 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 						seen++
 					}
 					for {
-						if byChunk {
-							c, err := tl.NextChunk()
-							if err == io.EOF {
-								break
-							}
-							if err != nil || len(c) == 0 {
-								t.Fatalf("NextChunk = %d events, %v", len(c), err)
-							}
-							chunks = append(chunks, c)
-							for _, e := range c {
-								check(e)
-							}
-						} else {
-							e, err := tl.Next()
-							if err == io.EOF {
-								break
-							}
-							if err != nil {
-								t.Fatal(err)
-							}
+						c, err := src.NextChunk()
+						if err == io.EOF {
+							break
+						}
+						if err != nil || len(c) == 0 {
+							t.Fatalf("NextChunk = %d events, %v", len(c), err)
+						}
+						chunks = append(chunks, c)
+						for _, e := range c {
 							check(e)
 						}
 					}
@@ -83,10 +79,10 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 						t.Fatalf("saw %d events, want %d", seen, n)
 					}
 					wantLoads := uint64(3 * ((n + 999) / 1000))
-					if l, s := tl.Volatile(); l != wantLoads || s != uint64(n) {
+					if l, s := src.Volatile(); l != wantLoads || s != uint64(n) {
 						t.Fatalf("Volatile = %d, %d, want %d, %d", l, s, wantLoads, n)
 					}
-					if _, err := tl.NextChunk(); err != io.EOF {
+					if _, err := src.NextChunk(); err != io.EOF {
 						t.Fatalf("NextChunk after the end = %v, want io.EOF", err)
 					}
 
@@ -144,8 +140,8 @@ func TestTailCloseError(t *testing.T) {
 	if seen != 600 {
 		t.Fatalf("saw %d events before the error, want 600", seen)
 	}
-	if _, err := tl.Next(); err != boom {
-		t.Fatalf("Next after the error = %v, want %v", err, boom)
+	if _, err := tl.NextChunk(); err != boom {
+		t.Fatalf("NextChunk after the error = %v, want %v", err, boom)
 	}
 }
 

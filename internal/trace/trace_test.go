@@ -261,7 +261,7 @@ func countingTrace(n int) *Trace {
 }
 
 // TestStoreReadSurfacesAgree pins the chunked store at its boundaries:
-// Len, Chunks, both SliceSource modes and a codec round trip must all
+// Len, Chunks, a SliceSource and a codec round trip must all
 // yield the appended sequence, and the chunk invariants must hold.
 func TestStoreReadSurfacesAgree(t *testing.T) {
 	for _, n := range []int{0, 1, maxChunkEvents - 1, maxChunkEvents, maxChunkEvents + 1, 3*maxChunkEvents + 7} {
@@ -288,14 +288,6 @@ func TestStoreReadSurfacesAgree(t *testing.T) {
 			}
 		}
 
-		var viaNext []Event
-		for src := NewSliceSource(tr); ; {
-			e, err := src.Next()
-			if err != nil {
-				break
-			}
-			viaNext = append(viaNext, e)
-		}
 		var viaChunk []Event
 		for src := NewSliceSource(tr); ; {
 			c, err := src.NextChunk()
@@ -315,7 +307,7 @@ func TestStoreReadSurfacesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string][]Event{"Next": viaNext, "NextChunk": viaChunk, "EncodeV2/Decode": flat(decoded)} {
+		for name, got := range map[string][]Event{"NextChunk": viaChunk, "EncodeV2/Decode": flat(decoded)} {
 			if !slices.Equal(got, want) {
 				t.Fatalf("n=%d: %s yields %d events that differ from Chunks (%d)", n, name, len(got), n)
 			}

@@ -15,7 +15,7 @@ import (
 // covering flush/fence) and performance smells (redundant flushes,
 // no-op fences). It runs over a retained trace (Sanitize), a stored
 // trace file (SanitizeReader), or as a tap of the streaming pipeline
-// (RunStreamSanitized) — all three produce byte-identical reports for
+// (FusedConfig.Sanitize) — all three produce byte-identical reports for
 // the same run.
 
 // SanReport is the result of sanitizing one trace. Reports are
@@ -131,15 +131,4 @@ func SanitizeReader(r io.Reader) (*SanReport, error) {
 		return nil, err
 	}
 	return &SanReport{rep: rep}, nil
-}
-
-// RunStreamSanitized is RunStream with the sanitizer tapping the same
-// pass: one execution produces both the analysis report and
-// the sanitizer report, and the trace is still never materialized.
-func RunStreamSanitized(name string, cfg Config, traceOut io.Writer) (*Report, *SanReport, error) {
-	fr, err := RunStreamFused(name, cfg, FusedConfig{Sanitize: true}, traceOut)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fr.Report, fr.San, nil
 }

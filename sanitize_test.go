@@ -23,10 +23,11 @@ func TestSanitizerCleanAndByteIdentical(t *testing.T) {
 			fromTrace := Sanitize(serial.Trace)
 
 			var tee bytes.Buffer
-			_, streamed, err := RunStreamSanitized(name, cfg, &tee)
+			fr, err := RunStreamFused(name, cfg, FusedConfig{Sanitize: true}, &tee)
 			if err != nil {
 				t.Fatal(err)
 			}
+			streamed := fr.San
 			fromDisk, err := SanitizeReader(bytes.NewReader(tee.Bytes()))
 			if err != nil {
 				t.Fatal(err)

@@ -85,11 +85,11 @@ func writeV2(w io.Writer, src *trace.Branch) error {
 // trace's Tail the moment Append seals it — one channel send per chunk,
 // never per event — so the analysis of one chunk overlaps the recording of
 // the next instead of re-reading the whole trace from cold memory after the
-// run. Run and RunStream are the same two stages and differ only in whether
-// the trace keeps a chunk it has handed over: Run's does, and the retained
-// trace is Report.Trace; RunStream's drops it, so the full event sequence is
-// never materialized and Report.Trace is nil. The reports are identical
-// (TestStreamMatchesSerial asserts it on every suite member).
+// run. Run and RunStreamFused are the same two stages and differ only in
+// whether the trace keeps a chunk it has handed over: Run's does, and the
+// retained trace is Report.Trace; RunStreamFused's drops it, so the full
+// event sequence is never materialized and Report.Trace is nil. The reports
+// are identical (TestStreamMatchesSerial asserts it on every suite member).
 
 // record launches the named benchmark on its own goroutine, recording into
 // a fresh runtime's trace, and returns that trace with the tail its events
@@ -105,19 +105,6 @@ func record(name string, cfg Config, keep bool) (*trace.Tail, *trace.Trace, erro
 	tail := rt.Trace.Tail(keep)
 	go func() { tail.Close(b.exec(rt, cfg)) }()
 	return tail, rt.Trace, nil
-}
-
-// RunStream executes the named benchmark and analyzes its event stream on
-// the fly, without ever holding the full trace in memory. The returned
-// Report is identical to Run's except that Report.Trace is nil. When
-// traceOut is non-nil, the stream is also written to it in the chunked v2
-// trace format (readable by DecodeTrace, wanalyze -dir, and AnalyzeReader).
-func RunStream(name string, cfg Config, traceOut io.Writer) (*Report, error) {
-	fr, err := RunStreamFused(name, cfg, FusedConfig{}, traceOut)
-	if err != nil {
-		return nil, err
-	}
-	return fr.Report, nil
 }
 
 // AnalyzeReader computes a Report by streaming a saved trace (either

@@ -21,10 +21,11 @@ func TestStreamMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			var tee bytes.Buffer
-			streamed, err := RunStream(b.Name, cfg, &tee)
+			fr, err := RunStreamFused(b.Name, cfg, FusedConfig{}, &tee)
 			if err != nil {
 				t.Fatal(err)
 			}
+			streamed := fr.Report
 			if streamed.Trace != nil {
 				t.Error("streamed report retained a trace")
 			}
@@ -62,8 +63,8 @@ func TestStreamMatchesSerial(t *testing.T) {
 
 // TestRunStreamUnknownBenchmark pins the error path.
 func TestRunStreamUnknownBenchmark(t *testing.T) {
-	if _, err := RunStream("nope", Config{}, nil); err == nil {
-		t.Fatal("RunStream accepted an unknown benchmark")
+	if _, err := RunStreamFused("nope", Config{}, FusedConfig{}, nil); err == nil {
+		t.Fatal("RunStreamFused accepted an unknown benchmark")
 	}
 }
 

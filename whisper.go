@@ -282,9 +282,23 @@ func RunAll(cfg Config) ([]*Report, error) {
 // execution regardless of worker count or completion order. workers is
 // clamped to [1, suite size]; one worker is serial execution.
 func RunAllParallel(cfg Config, workers int) ([]*Report, error) {
-	workers = max(1, min(workers, len(suite)))
 	out := make([]*Report, len(suite))
-	errs := make([]error, len(suite))
+	err := forEach(len(suite), workers, func(i int) (err error) {
+		out[i], err = Run(suite[i].Name, cfg)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// forEach calls fn(0) … fn(n-1), up to workers of them at a time (clamped
+// to [1, n]), waits for all of them and returns the error of the lowest
+// index that failed.
+func forEach(n, workers int, fn func(i int) error) error {
+	workers = max(1, min(workers, n))
+	errs := make([]error, n)
 	next := make(chan int)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -292,19 +306,19 @@ func RunAllParallel(cfg Config, workers int) ([]*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				out[i], errs[i] = Run(suite[i].Name, cfg)
+				errs[i] = fn(i)
 			}
 		}()
 	}
-	for i := range suite {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }

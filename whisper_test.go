@@ -249,9 +249,10 @@ func TestPanickingMemberIsOneError(t *testing.T) {
 	_, runErr := Run("boom", cfg)
 	_, allErr := RunAll(cfg)
 	_, parErr := RunAllParallel(cfg, 4)
-	_, streamErr := RunStream("boom", cfg, nil)
+	_, streamErr := RunStreamFused("boom", cfg, FusedConfig{Sanitize: true}, nil)
+	_, fusedErr := RunAllFused(Names(), cfg, FusedConfig{}, 4, nil)
 	for name, err := range map[string]error{
-		"Run": runErr, "RunAll": allErr, "RunAllParallel": parErr, "RunStream": streamErr,
+		"Run": runErr, "RunAll": allErr, "RunAllParallel": parErr, "RunStreamFused": streamErr, "RunAllFused": fusedErr,
 	} {
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: error = %v, want %q", name, err, want)
