@@ -24,6 +24,12 @@
 //	                                 # cells use private registries so rows
 //	                                 # stay independent)
 //
+// -san and -churn are the recording modes: their services are built with
+// kvservice's Record option and keep every shard's event trace for the
+// sanitizer, and both print how many fences that trace holds beside the
+// shard devices' own count (exit 1 if they differ). Sweep and -check cells
+// read counters only and record nothing.
+//
 // The sweep is deterministic: every cell reseeds from -seed and runs on
 // a private metrics registry, so the same flags produce byte-identical
 // JSON, and a subset sweep (the CI smoke job) reproduces the exact rows
@@ -46,6 +52,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/kvservice"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/pmsan"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 func main() {
@@ -107,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "%s\n", buf)
-		rep, rerr := pmsan.Run(svc.TraceSource())
+		rep, rerr := sanitize(svc, stdout)
 		if rerr != nil {
 			fmt.Fprintf(stderr, "wserve: sanitizer: %v\n", rerr)
 			return 1
@@ -140,9 +147,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			OpCycles:        *opcycles,
 			Seed:            *seed,
 			Metrics:         obs.Default(),
+			Record:          true,
 		}
 		row, svc := kvservice.Run(cfg)
-		rep, rerr := pmsan.Run(svc.TraceSource())
+		rep, rerr := sanitize(svc, stdout)
 		if rerr != nil {
 			fmt.Fprintf(stderr, "wserve: sanitizer: %v\n", rerr)
 			return 1
@@ -217,6 +225,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return writeMetricsAndExit(*metrics, stderr)
+}
+
+// sanitize runs the durability sanitizer over svc's merged trace, after
+// printing how many fences that trace holds beside the shard devices' own
+// count. The two must agree: a trace with fewer is not the record of the
+// run — from a service that was not recording it would be empty — and the
+// sanitizer's "0 errors" about it would mean nothing.
+func sanitize(svc *kvservice.Service, stdout io.Writer) (*pmsan.Report, error) {
+	tr := svc.Trace()
+	seen, issued := uint64(tr.CountKind(trace.KFence)), svc.Stats().Fences
+	fmt.Fprintf(stdout, "wserve: sanitizer input holds %d fences, the shard devices issued %d\n", seen, issued)
+	if seen != issued {
+		return nil, fmt.Errorf("the trace is not the run's: %d fences against the devices' %d", seen, issued)
+	}
+	return pmsan.Run(trace.NewSliceSource(tr))
 }
 
 func writeMetricsAndExit(path string, stderr io.Writer) int {

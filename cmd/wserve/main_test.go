@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -107,6 +108,41 @@ func TestSanCleanTrace(t *testing.T) {
 	if !strings.Contains(out.String(), "wserve -san") {
 		t.Fatalf("san output: %q", out.String())
 	}
+	requireSanitizerSawTheRun(t, out.String())
+}
+
+// requireSanitizerSawTheRun finds the non-vacuity line in a -san or -churn
+// run's stdout and demands a nonzero fence count, the same on both sides.
+func requireSanitizerSawTheRun(t *testing.T, stdout string) {
+	t.Helper()
+	const format = "wserve: sanitizer input holds %d fences, the shard devices issued %d"
+	for _, line := range strings.Split(stdout, "\n") {
+		var seen, issued uint64
+		if n, _ := fmt.Sscanf(line, format, &seen, &issued); n == 2 {
+			if seen == 0 || seen != issued {
+				t.Fatalf("sanitizer input held %d fences, devices issued %d", seen, issued)
+			}
+			return
+		}
+	}
+	t.Fatalf("no non-vacuity line in %q", stdout)
+}
+
+// TestSanitizeRefusesATraceThatIsNotTheRun: the sanitizer step errors out
+// when the trace it would read disagrees with the devices about how many
+// fences there were. (A service that recorded nothing never gets that far:
+// its Trace panics, which internal/kvservice pins.)
+func TestSanitizeRefusesATraceThatIsNotTheRun(t *testing.T) {
+	_, svc := kvservice.Run(kvservice.SimConfig{Shards: 2, Batch: 8, Clients: 1000, Ops: 500, Record: true})
+	var out bytes.Buffer
+	if rep, err := sanitize(svc, &out); err != nil || rep.Errors() != 0 {
+		t.Fatalf("recording run: %v, %v", rep, err)
+	}
+	requireSanitizerSawTheRun(t, out.String())
+	svc.Runtime(0).Dev.ResetStats() // the devices now claim fewer fences than the trace holds
+	if _, err := sanitize(svc, io.Discard); err == nil || !strings.Contains(err.Error(), "fences") {
+		t.Fatalf("fence mismatch: err = %v", err)
+	}
 }
 
 func TestChurnGate(t *testing.T) {
@@ -132,6 +168,7 @@ func TestChurnGate(t *testing.T) {
 	if !strings.Contains(string(rest), "san_errors=0") {
 		t.Fatalf("summary line missing clean sanitizer: %q", rest)
 	}
+	requireSanitizerSawTheRun(t, string(rest))
 }
 
 // TestCheckToleratesOldReference pins forward compatibility of the

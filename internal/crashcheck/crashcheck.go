@@ -210,7 +210,7 @@ func checkEntry(ent entry, cfg Config) (Result, error) {
 // points) and validating that the application and its oracle agree on the
 // final state — a broken oracle must fail here, not in a crash cell.
 func goldenRun(ent entry, cfg Config, seed int64) ([]int, error) {
-	rt := persist.NewRuntime(ent.name, ent.layer, cfg.Clients, persist.Config{})
+	rt := persist.NewRuntime(ent.name, ent.layer, cfg.Clients, persist.Config{NoTrace: true})
 	app := ent.factory()
 	app.Setup(rt, cfg.Clients, cfg.Ops, seed)
 	events := 0
@@ -258,7 +258,7 @@ func runCell(ent entry, cfg Config, seed int64, point int, mode Mode, golden []i
 // (persist.Runtime.AbortAt), exactly as a power failure would stop the
 // world mid-store.
 func executeToCrash(ent entry, cfg Config, seed int64, point int, mode Mode, golden []int) (*pmem.Device, App, *persist.Runtime) {
-	rt := persist.NewRuntime(ent.name, ent.layer, cfg.Clients, persist.Config{})
+	rt := persist.NewRuntime(ent.name, ent.layer, cfg.Clients, persist.Config{NoTrace: true})
 	app := ent.factory()
 	app.Setup(rt, cfg.Clients, cfg.Ops, seed)
 	for k := 0; k < point; k++ {

@@ -52,11 +52,14 @@ func BenchmarkRun(b *testing.B) {
 // TestRunAllocsPerRequest bounds what one more simulated request costs the
 // heap on the read shape: its key string (1), a value and a record buffer
 // for the 5 % that write (0.1), the range coalescing of the group commits
-// those writes cause (0.24), and the amortized growth of traces and indexes.
-// Load results are not in that list — a batch read fills the shard's scratch
-// buffer — and neither is key formatting; with both it was 2.46. The second
-// run is twice the first, so everything that does not scale with requests
-// (service construction, first chunks) cancels.
+// those writes cause (0.24), and the amortized growth of the indexes. Load
+// results are not in that list — a batch read fills the shard's scratch
+// buffer — and neither is key formatting; with both it was 2.46. Nor is the
+// trace: the run does not record (it cost few mallocs when it did, one per
+// 32 768-event chunk — 1.375 then as now — what it cost was the bytes, which
+// TestUnrecordedRunRetainsNothingPerEvent bounds). The second run is twice
+// the first, so everything that does not scale with requests (service
+// construction) cancels.
 func TestRunAllocsPerRequest(t *testing.T) {
 	const ops = 50_000
 	once := mallocsDuring(func() { Run(desConfig("read", ops)) })

@@ -352,8 +352,9 @@ func (c *crashAt) hook(trace.Event) {
 }
 
 // newScripted is the service the scripted runs share: one shard, batches
-// of four, segments a dozen records long.
-func newScripted() *Service { return New(Config{Shards: 1, Batch: 4, SegBytes: 512}) }
+// of four, segments a dozen records long, recording — the crash sweep sizes
+// its event budget from the baseline's trace.
+func newScripted() *Service { return New(Config{Shards: 1, Batch: 4, SegBytes: 512, Record: true}) }
 
 // longestPass runs the script to the end and returns the largest number of
 // batch commits any one compaction pass spread its copies over.

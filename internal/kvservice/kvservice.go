@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -68,6 +67,12 @@ type Config struct {
 	// nil means the process-wide obs.Default(). Simulation sweeps pass a
 	// private registry per run so rows never contaminate each other.
 	Metrics *obs.Registry
+	// Record makes every shard keep its PM event trace, for callers that
+	// go on to read Trace, TraceSource or a shard runtime's Trace (the
+	// sanitizer and epoch analysis runs, trace-comparing tests). Off, the
+	// shards record nothing — the service's counters, clocks and devices
+	// are the same either way — and Trace panics.
+	Record bool
 }
 
 func (c Config) withDefaults() Config {
@@ -186,6 +191,7 @@ func New(cfg Config) *Service {
 		rt := persist.NewRuntime("kvservice", "native", 1, persist.Config{
 			Metrics:  reg,
 			Instance: fmt.Sprintf("shard-%d", i),
+			NoTrace:  !cfg.Record,
 		})
 		if i > 0 {
 			rt.Dev.Map(i * shardAddrStride)
@@ -201,7 +207,8 @@ func New(cfg Config) *Service {
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
 
-// Runtime exposes shard i's persist runtime (tests and trace plumbing).
+// Runtime exposes shard i's persist runtime (tests and trace plumbing). Its
+// Trace holds events only on a service built with Config.Record.
 func (s *Service) Runtime(i int) *persist.Runtime { return s.shards[i].rt }
 
 // ShardFor returns the shard index key routes to (FNV-1a).
@@ -596,32 +603,55 @@ func (s *Service) Latency() *obs.Histogram { return s.latency }
 // time (ties keep shard order), thread ID rewritten to the shard index,
 // volatile counters summed. Shard address windows are disjoint, so the
 // merged trace is a legal multi-threaded run for the sanitizer and the
-// epoch analysis.
+// epoch analysis. Each shard's trace is already in time order — a shard's
+// clock never runs backwards — so this is a k-way merge. It panics on a
+// service built without Config.Record: there the shards kept no events,
+// and an empty trace would pass every analysis.
 func (s *Service) Trace() *trace.Trace {
-	var events []trace.Event
+	if !s.cfg.Record {
+		panic("kvservice: Trace on a service built without Config.Record: its shards recorded no events")
+	}
+	// rest[i] is the unread part of shard i's current chunk, later[i] the
+	// chunks after it. A sealed chunk never changes and the open one only
+	// grows past the length snapshotted here, so the merge runs unlocked.
+	rest := make([][]trace.Event, len(s.shards))
+	later := make([][][]trace.Event, len(s.shards))
+	var total int
 	var vloads, vstores uint64
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		events = slices.Grow(events, sh.rt.Trace.Len())
-		for _, c := range sh.rt.Trace.Chunks() {
-			for _, e := range c {
-				e.TID = int32(i)
-				events = append(events, e)
-			}
+		if chunks := sh.rt.Trace.Chunks(); len(chunks) > 0 {
+			rest[i], later[i] = chunks[0], slices.Clone(chunks[1:])
 		}
+		total += sh.rt.Trace.Len()
 		vloads += sh.rt.Trace.VolatileLoads
 		vstores += sh.rt.Trace.VolatileStores
 		sh.mu.Unlock()
 	}
-	sort.SliceStable(events, func(a, b int) bool {
-		return events[a].Time < events[b].Time
-	})
+	events := make([]trace.Event, 0, total)
+	for {
+		first := -1
+		for i, r := range rest {
+			if len(r) > 0 && (first < 0 || r[0].Time < rest[first][0].Time) {
+				first = i
+			}
+		}
+		if first < 0 {
+			break
+		}
+		e := rest[first][0]
+		e.TID = int32(first)
+		events = append(events, e)
+		if rest[first] = rest[first][1:]; len(rest[first]) == 0 && len(later[first]) > 0 {
+			rest[first], later[first] = later[first][0], later[first][1:]
+		}
+	}
 	merged := trace.FromEvents(trace.Meta{App: "kvservice", Layer: "native", Threads: len(s.shards)}, events)
 	merged.VolatileLoads, merged.VolatileStores = vloads, vstores
 	return merged
 }
 
-// TraceSource is Trace as an EventSource.
+// TraceSource is Trace as an EventSource, panic included.
 func (s *Service) TraceSource() trace.EventSource { return trace.NewSliceSource(s.Trace()) }
 
 // latencyBuckets is the service latency layout: quarter-power-of-two

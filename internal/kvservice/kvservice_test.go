@@ -51,7 +51,7 @@ func TestPutGetFlush(t *testing.T) {
 // fences (records+metadata, then the published head), the same bill a
 // single put pays at batch size 1.
 func TestGroupCommitTraceShape(t *testing.T) {
-	svc := New(Config{Shards: 1, Batch: 4})
+	svc := New(Config{Shards: 1, Batch: 4, Record: true})
 	initFences := svc.Runtime(0).Trace.CountKind(trace.KFence)
 	for i := 0; i < 4; i++ {
 		svc.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 32))
@@ -85,7 +85,7 @@ func TestGroupCommitTraceShape(t *testing.T) {
 // devices' counters — to what analysis tools count in the shard traces,
 // through compactions and across a crash and its recovery.
 func TestStatsFencesMatchTrace(t *testing.T) {
-	svc := New(Config{Shards: 2, Batch: 4, SegBytes: 1024})
+	svc := New(Config{Shards: 2, Batch: 4, SegBytes: 1024, Record: true})
 	check := func(when string) {
 		t.Helper()
 		var want uint64
@@ -191,7 +191,7 @@ func TestCrashRecoverySegmentGrowth(t *testing.T) {
 // merged trace through the durability sanitizer and the epoch analysis:
 // group commit must not cost the service its persistency discipline.
 func TestServiceTraceCleanUnderAnalysis(t *testing.T) {
-	_, svc := Run(SimConfig{Shards: 3, Batch: 8, Clients: 2000, Ops: 4000})
+	_, svc := Run(SimConfig{Shards: 3, Batch: 8, Clients: 2000, Ops: 4000, Record: true})
 	rep, err := pmsan.Run(svc.TraceSource())
 	if err != nil {
 		t.Fatalf("pmsan: %v", err)

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
 	"github.com/whisper-pm/whisper/internal/workload"
 )
@@ -72,6 +74,7 @@ func referenceRun(cfg SimConfig) (SimResult, *Service) {
 // the space picture, the latency histogram and every shard's trace bytes.
 func requireMatchesReference(t *testing.T, cfg SimConfig) SimResult {
 	t.Helper()
+	cfg.Record = true // the shard traces are compared byte for byte below
 	got, gs := Run(cfg)
 	want, ws := referenceRun(cfg)
 	if got != want {
@@ -133,6 +136,71 @@ func TestShardLocalDeadlineMatchesGlobalScanUnderChurn(t *testing.T) {
 	})
 	if res.Compactions == 0 {
 		t.Fatal("churn cell never compacted; the comparison covered no compaction pass")
+	}
+}
+
+// referenceTrace is Service.Trace as it was before the k-way merge: every
+// shard's events copied end to end, then one stable sort by time.
+func referenceTrace(s *Service) *trace.Trace {
+	var events []trace.Event
+	var vloads, vstores uint64
+	for i, sh := range s.shards {
+		for _, c := range sh.rt.Trace.Chunks() {
+			for _, e := range c {
+				e.TID = int32(i)
+				events = append(events, e)
+			}
+		}
+		vloads += sh.rt.Trace.VolatileLoads
+		vstores += sh.rt.Trace.VolatileStores
+	}
+	sort.SliceStable(events, func(a, b int) bool {
+		return events[a].Time < events[b].Time
+	})
+	merged := trace.FromEvents(trace.Meta{App: "kvservice", Layer: "native", Threads: len(s.shards)}, events)
+	merged.VolatileLoads, merged.VolatileStores = vloads, vstores
+	return merged
+}
+
+// TestTraceMergeMatchesStableSort: the merged trace is byte for byte the
+// stable sort's, on one shard, two and four, through a crash and recovery,
+// and where shards' events share a timestamp (every shard formats its log
+// at the same simulated instants, so ties are there from the first event).
+func TestTraceMergeMatchesStableSort(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		_, svc := Run(SimConfig{
+			Shards: shards, Batch: 8, Clients: 8000, Ops: 6000, Keys: 4096,
+			WritePct: 40, DeletePct: 10, SegBytes: 1 << 14, Record: true,
+		})
+		if err := svc.Crash(pmem.Strict, 1); err != nil {
+			t.Fatal(err)
+		}
+		svc.Put("after", []byte("crash"))
+		svc.Flush()
+		got, want := svc.Trace(), referenceTrace(svc)
+		var g, w bytes.Buffer
+		if err := trace.EncodeV2(&g, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.EncodeV2(&w, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), w.Bytes()) {
+			t.Fatalf("%d shards: merged trace differs from the stable sort (%d vs %d events)", shards, got.Len(), want.Len())
+		}
+		ties := 0
+		var prev trace.Event
+		for _, c := range got.Chunks() {
+			for _, e := range c {
+				if e.Time == prev.Time && e.TID != prev.TID {
+					ties++
+				}
+				prev = e
+			}
+		}
+		if shards > 1 && ties == 0 {
+			t.Fatalf("%d shards: no two shards' events share a timestamp; tie order went untested", shards)
+		}
 	}
 }
 

@@ -38,6 +38,9 @@ type SimConfig struct {
 	// gives every run a private registry so repeated runs are independent
 	// and byte-identical.
 	Metrics *obs.Registry `json:"-"`
+	// Record is kvservice.Config.Record for the run's service: set by
+	// callers that read the returned service's trace.
+	Record bool `json:"-"`
 }
 
 func (c SimConfig) withDefaults() SimConfig {
@@ -206,6 +209,7 @@ func newSimService(cfg SimConfig) *Service {
 		OpCycles: mem.Cycles(cfg.OpCycles),
 		SegBytes: cfg.SegBytes,
 		Metrics:  reg,
+		Record:   cfg.Record,
 	})
 }
 
@@ -286,6 +290,7 @@ func Churn(ops int, seed int64) (ChurnResult, *Service) {
 		ValueLen: 128,
 		SegBytes: 1 << 13,
 		Seed:     seed,
+		Record:   true, // the gate's caller sanitizes the run's trace
 	})
 	stats := svc.Stats()
 	out := ChurnResult{

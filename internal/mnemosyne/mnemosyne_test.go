@@ -3,6 +3,7 @@ package mnemosyne
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -419,9 +420,84 @@ func TestReadU64DoesNotAllocate(t *testing.T) {
 		if want := getU64(tx.Read(a+4, 8)); v != want || v != 0x2222444433333333 {
 			t.Errorf("ReadU64 over a write set = %#x, Read says %#x", v, want)
 		}
+		// Past indexAfter writes the read goes through the line index: built
+		// by the first read (AllocsPerRun's warm-up call), free after it.
+		for i := 0; i < indexAfter; i++ {
+			tx.WriteU64(a+16+mem.Addr(i%4)*8, uint64(i))
+		}
+		if n := testing.AllocsPerRun(1000, read); n != 0 {
+			t.Errorf("ReadU64 over an indexed write set allocates %v times per call, want 0", n)
+		}
+		if v != 0x2222444433333333 || tx.indexed != len(tx.writes) {
+			t.Errorf("ReadU64 over an indexed write set = %#x with %d of %d writes indexed", v, tx.indexed, len(tx.writes))
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceOverlay is the overlay readInto did before the write set was
+// indexed by line: every write of the transaction, in program order, laid
+// over out wherever it intersects [a, a+len(out)).
+func referenceOverlay(writes []shadowWrite, a mem.Addr, out []byte) {
+	for _, w := range writes {
+		sa, data := w.addr, w.data
+		lo, hi := sa, sa+mem.Addr(len(data))
+		if hi <= a || lo >= a+mem.Addr(len(out)) {
+			continue
+		}
+		start := int64(lo) - int64(a)
+		from := 0
+		if start < 0 {
+			from = int(-start)
+			start = 0
+		}
+		copy(out[start:], data[from:])
+	}
+}
+
+// TestReadYourWritesMatchesLinearOverlay: random writes — words, runs that
+// cross a line, runs long enough to be chunked into several records, all
+// landing on each other — and random reads of every alignment and of many
+// lines at once; each read must return the device's bytes under the linear
+// overlay of the whole write set, the loop the line index replaced.
+func TestReadYourWritesMatchesLinearOverlay(t *testing.T) {
+	const region = 8 * mem.LineSize
+	for seed := int64(1); seed <= 20; seed++ {
+		rt, th, h := newHeap(Options{})
+		rng := rand.New(rand.NewSource(seed))
+		base := h.PMalloc(th, region)
+		init := make([]byte, region)
+		rng.Read(init)
+		th.Store(base, init)
+		final := init
+		err := h.Run(th, func(tx *Tx) error {
+			for step := 0; step < 300; step++ {
+				if rng.Intn(3) > 0 {
+					n := []int{1, 2, 8, 8, 8, 24, 70, 130}[rng.Intn(8)]
+					data := make([]byte, n)
+					rng.Read(data)
+					tx.Write(base+mem.Addr(rng.Intn(region-n+1)), data)
+				}
+				n := []int{0, 1, 8, 8, 8, 40, 64, 200, region}[rng.Intn(9)]
+				a := base + mem.Addr(rng.Intn(region-n+1))
+				want := rt.Dev.Load(0, a, n)
+				referenceOverlay(tx.writes, a, want)
+				if got := tx.Read(a, n); !bytes.Equal(got, want) {
+					t.Fatalf("seed %d step %d: Read(%v, %d) over %d writes\n got %x\nwant %x", seed, step, a, n, len(tx.writes), got, want)
+				}
+			}
+			referenceOverlay(tx.writes, base, final)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What the reads promised is what commit leaves in memory.
+		if got := th.Load(base, region); !bytes.Equal(got, final) {
+			t.Fatalf("seed %d: memory after commit differs from the overlaid write set", seed)
+		}
 	}
 }

@@ -7,7 +7,8 @@
 //
 // A Runtime owns one device, one clock and one trace; each logical client
 // thread of an application holds a *Thread and issues its PM operations
-// through it:
+// through it (a runtime built with Config.NoTrace keeps the device and the
+// clock and records no events — for domains whose owner reads counters):
 //
 //	th.TxBegin()
 //	th.Store(addr, data)   // cacheable store
@@ -50,6 +51,13 @@ type Config struct {
 	// of short-lived domains pass their own registry so per-run numbers
 	// do not accumulate across runs in the global one.
 	Metrics *obs.Registry
+	// NoTrace builds a runtime whose event sequence nobody will read: the
+	// device, the clock, the instruments and the volatile aggregates work
+	// as ever, but Runtime.Trace stays empty — an event is constructed only
+	// while an event hook is set, for the hook alone. For persistence
+	// domains whose owner reads counters (device stats, the clock), not
+	// events; simulated time and device state do not depend on it.
+	NoTrace bool
 }
 
 func (c Config) withDefaults() Config {
@@ -63,6 +71,8 @@ func (c Config) withDefaults() Config {
 type Runtime struct {
 	Dev   *pmem.Device
 	Clock *mem.Clock
+	// Trace is the run's event record. Under Config.NoTrace it carries the
+	// run's metadata and volatile aggregates and never an event.
 	Trace *trace.Trace
 
 	cfg     Config
@@ -154,7 +164,9 @@ func (r *Runtime) Crash(mode pmem.CrashMode, seed int64) {
 		th.epochOpen = false
 		th.epochLineTouches = 0 // the open epoch never closed; don't record it
 	}
-	r.Trace.Append(trace.Event{Time: r.Clock.Now(), Kind: trace.KCrash})
+	if !r.cfg.NoTrace {
+		r.Trace.Append(trace.Event{Time: r.Clock.Now(), Kind: trace.KCrash})
+	}
 }
 
 // SetEventHook registers fn to be called after every persistent trace event
@@ -162,7 +174,8 @@ func (r *Runtime) Crash(mode pmem.CrashMode, seed int64) {
 // to stop execution at a precise point in the PM instruction stream; the
 // device operation the event describes has already taken effect when the
 // hook runs, so a device snapshot taken inside fn captures the state just
-// after that instruction.
+// after that instruction. A NoTrace runtime hands fn the same events in the
+// same order; it only keeps none of them.
 func (r *Runtime) SetEventHook(fn func(trace.Event)) { r.onEvent = fn }
 
 // crashSignal is the panic value AbortAt's hook throws to stop fn. Anything
@@ -246,17 +259,24 @@ func (t *Thread) ID() int { return int(t.id) }
 // Runtime returns the owning runtime.
 func (t *Thread) Runtime() *Runtime { return t.rt }
 
+// emit records one event and shows it to the event hook. The clock has
+// already ticked for the operation and emit never touches it, which is why
+// a NoTrace runtime — nothing recorded, and without a hook no event built —
+// keeps simulated time to the nanosecond. The event is spelled out in each
+// arm: built by a shared helper it is assembled in a temporary and copied,
+// which costs the recording path a store-forwarding stall per event.
 func (t *Thread) emit(k trace.Kind, a mem.Addr, size int) {
-	ev := trace.Event{
-		Time: t.rt.Clock.Now(),
-		Addr: a,
-		Size: uint32(size),
-		TID:  int32(t.id),
-		Kind: k,
+	rt := t.rt
+	if rt.cfg.NoTrace {
+		if rt.onEvent != nil {
+			rt.onEvent(trace.Event{Time: rt.Clock.Now(), Addr: a, Size: uint32(size), TID: int32(t.id), Kind: k})
+		}
+		return
 	}
-	t.rt.Trace.Append(ev)
-	if t.rt.onEvent != nil {
-		t.rt.onEvent(ev)
+	ev := trace.Event{Time: rt.Clock.Now(), Addr: a, Size: uint32(size), TID: int32(t.id), Kind: k}
+	rt.Trace.Append(ev)
+	if rt.onEvent != nil {
+		rt.onEvent(ev)
 	}
 }
 

@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -494,5 +497,141 @@ func TestTypedLoadsDoNotAllocate(t *testing.T) {
 	}
 	if events != 3*1001 {
 		t.Fatalf("hook saw %d KLoad events, want %d", events, 3*1001)
+	}
+}
+
+// noTracePair builds a recording runtime and a NoTrace one, alike otherwise,
+// each on a private registry.
+func noTracePair() (rec, quiet *Runtime) {
+	rec = NewRuntime("pair", "native", 2, Config{Metrics: obs.NewRegistry()})
+	quiet = NewRuntime("pair", "native", 2, Config{Metrics: obs.NewRegistry(), NoTrace: true})
+	return rec, quiet
+}
+
+// everyEmitter issues each kind of event the runtime can emit, two threads
+// interleaved, leaving stores in every state a crash can find them in:
+// fenced, flushed and unfenced, dirty.
+func everyEmitter(rt *Runtime) {
+	base := rt.Dev.Map(16 * mem.LineSize)
+	t0, t1 := rt.Thread(0), rt.Thread(1)
+	g := NewGroup(t1)
+	for i := 0; i < 6; i++ {
+		a := base + mem.Addr(i)*2*mem.LineSize
+		t0.TxBegin()
+		t0.VLoad(0, 3)
+		t0.StoreU64(a, uint64(i)+1)
+		t0.UserData(8)
+		t0.FlushFence(a, 8)
+		t0.VStore(0, 2)
+		t0.TxEnd()
+		t1.StoreU64NT(a+mem.LineSize, t0.LoadU64(a))
+		t1.Compute(17)
+		t1.Store(a+mem.LineSize+8, []byte{byte(i), 0xEE})
+		g.Add(a+mem.LineSize, 10)
+		if i%2 == 1 {
+			g.Commit()
+		}
+	}
+	t0.StoreU64(base, 99) // dirty, never flushed
+	t1.Flush(base+mem.LineSize, 8)
+}
+
+// imageHash crashes a clone of dev under mode and hashes what survived.
+func imageHash(dev *pmem.Device, mode pmem.CrashMode) [sha256.Size]byte {
+	c := dev.Clone()
+	c.Crash(mode, 5)
+	h := sha256.New()
+	for _, pg := range c.DurableImage() {
+		fmt.Fprintln(h, pg.Index)
+		h.Write(pg.Data[:])
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// requireSameMachine holds quiet to rec on everything but the record: the
+// clock, the device's counters and its crash images, the volatile
+// aggregates and every instrument.
+func requireSameMachine(t *testing.T, when string, rec, quiet *Runtime) {
+	t.Helper()
+	if r, q := rec.Clock.Now(), quiet.Clock.Now(); r != q {
+		t.Fatalf("%s: clock %d recording, %d not", when, r, q)
+	}
+	if r, q := rec.Dev.Stats(), quiet.Dev.Stats(); r != q {
+		t.Fatalf("%s: device stats %+v recording, %+v not", when, r, q)
+	}
+	for _, mode := range []pmem.CrashMode{pmem.Strict, pmem.Adversarial} {
+		if imageHash(rec.Dev, mode) != imageHash(quiet.Dev, mode) {
+			t.Fatalf("%s: durable image after a %v crash differs", when, mode)
+		}
+	}
+	if rec.Trace.VolatileLoads != quiet.Trace.VolatileLoads || rec.Trace.VolatileStores != quiet.Trace.VolatileStores {
+		t.Fatalf("%s: volatile aggregates %d/%d recording, %d/%d not", when,
+			rec.Trace.VolatileLoads, rec.Trace.VolatileStores, quiet.Trace.VolatileLoads, quiet.Trace.VolatileStores)
+	}
+	if r, q := rec.cfg.Metrics.Snapshot(), quiet.cfg.Metrics.Snapshot(); !reflect.DeepEqual(r, q) {
+		t.Fatalf("%s: instruments differ:\n%+v\n%+v", when, r, q)
+	}
+}
+
+// TestNoTraceKeepsTheMachine: a NoTrace runtime is the same machine with an
+// empty record, and a hook set on it sees the events the record would hold.
+func TestNoTraceKeepsTheMachine(t *testing.T) {
+	rec, quiet := noTracePair()
+	everyEmitter(rec)
+	everyEmitter(quiet)
+	rec.Crash(pmem.Adversarial, 3)
+	quiet.Crash(pmem.Adversarial, 3)
+	if rec.Trace.Len() == 0 || quiet.Trace.Len() != 0 {
+		t.Fatalf("recorded %d events, NoTrace %d; want some and none", rec.Trace.Len(), quiet.Trace.Len())
+	}
+	if quiet.Trace.App != "pair" || quiet.Trace.Threads != 2 {
+		t.Fatalf("NoTrace runtime lost its metadata: %q, %d threads", quiet.Trace.App, quiet.Trace.Threads)
+	}
+	requireSameMachine(t, "after the script and a crash", rec, quiet)
+
+	// The hook on a NoTrace runtime is handed what a recording one records
+	// (the crash marker bypasses the hook on both).
+	var hooked []trace.Event
+	quiet.SetEventHook(func(e trace.Event) { hooked = append(hooked, e) })
+	from := rec.Trace.Len()
+	everyEmitter(rec)
+	everyEmitter(quiet)
+	quiet.SetEventHook(nil)
+	if want := events(rec)[from:]; !slices.Equal(hooked, want) {
+		t.Fatalf("hook saw %d events, the record holds %d (or they differ)", len(hooked), len(want))
+	}
+	n := len(hooked)
+	rec.Thread(0).Fence()
+	quiet.Thread(0).Fence()
+	if len(hooked) != n || quiet.Trace.Len() != 0 {
+		t.Fatal("a cleared hook still saw an event, or the NoTrace runtime recorded one")
+	}
+	requireSameMachine(t, "after the hooked script", rec, quiet)
+}
+
+// TestAbortAtWithoutTrace: AbortAt counts events the runtime does not keep.
+// At every n the NoTrace runtime stops where the recording one does — same
+// verdict, same simulated instant, same device at the stop.
+func TestAbortAtWithoutTrace(t *testing.T) {
+	for n := 1; ; n++ {
+		rec, quiet := noTracePair()
+		var stops [2][sha256.Size]byte
+		var aborted [2]bool
+		for i, rt := range []*Runtime{rec, quiet} {
+			aborted[i] = rt.AbortAt(n, func() { stops[i] = imageHash(rt.Dev, pmem.Adversarial) }, func() { everyEmitter(rt) })
+		}
+		if aborted[0] != aborted[1] || stops[0] != stops[1] {
+			t.Fatalf("n=%d: stopped %v / %v, same image at the stop: %v", n, aborted[0], aborted[1], stops[0] == stops[1])
+		}
+		requireSameMachine(t, fmt.Sprintf("after stopping at n=%d", n), rec, quiet)
+		if !aborted[0] {
+			if rec.Trace.Len() != n-1 {
+				t.Fatalf("script ran out at n=%d but recorded %d events", n, rec.Trace.Len())
+			}
+			break
+		}
+		if rec.Trace.Len() != n || quiet.Trace.Len() != 0 {
+			t.Fatalf("n=%d: recorded %d events, NoTrace %d", n, rec.Trace.Len(), quiet.Trace.Len())
+		}
 	}
 }

@@ -196,7 +196,9 @@ func Run(spec *Spec, cfg Config) (*Result, error) {
 	e.build(reg)
 	e.drive()
 	e.finish()
-	e.analyze()
+	if err := e.analyze(); err != nil {
+		return nil, err
+	}
 	return e.res, nil
 }
 
@@ -435,24 +437,39 @@ func (e *engine) finish() {
 // persistence domain. App tenants share one trace; each kvservice tenant
 // contributes its merged shard trace (shard address windows are disjoint,
 // but domains overlap each other, so they are analyzed separately).
-func (e *engine) analyze() {
+func (e *engine) analyze() error {
 	if e.rt != nil {
-		e.res.Domains = append(e.res.Domains, domainResult("apps", e.rt.Trace))
+		d, err := domainResult("apps", e.rt.Trace, e.rt.Dev.Stats().Fences)
+		if err != nil {
+			return err
+		}
+		e.res.Domains = append(e.res.Domains, d)
 	}
 	for _, t := range e.tenants {
 		if t.svc != nil {
-			e.res.Domains = append(e.res.Domains,
-				domainResult(t.tgt.label(), t.svc.svc.Trace()))
+			d, err := domainResult(t.tgt.label(), t.svc.svc.Trace(), t.svc.svc.Stats().Fences)
+			if err != nil {
+				return err
+			}
+			e.res.Domains = append(e.res.Domains, d)
 		}
 	}
+	return nil
 }
 
-func domainResult(name string, tr *trace.Trace) DomainResult {
+// domainResult analyzes one domain's trace. devFences is the fence count of
+// the domain's devices: a trace holding any other number is not the record
+// of what the devices did — a domain that was not recording hands over an
+// empty one — and a sanitizer fed it would report 0 errors about nothing.
+func domainResult(name string, tr *trace.Trace, devFences uint64) (DomainResult, error) {
 	d := DomainResult{
 		Domain:  name,
 		Events:  uint64(tr.Len()),
 		Fences:  uint64(tr.CountKind(trace.KFence)),
 		Flushes: uint64(tr.CountKind(trace.KFlush)),
+	}
+	if d.Fences != devFences {
+		return d, fmt.Errorf("scenario: domain %s: trace holds %d fences, its devices issued %d", name, d.Fences, devFences)
 	}
 	an := epoch.Analyze(tr)
 	d.Epochs = an.TotalEpochs
@@ -465,5 +482,5 @@ func domainResult(name string, tr *trace.Trace) DomainResult {
 	}
 	d.SanErrors = rep.Errors()
 	d.SanSites = len(rep.Violations)
-	return d
+	return d, nil
 }

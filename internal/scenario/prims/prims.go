@@ -138,6 +138,7 @@ func runOne(name string, cfg Config, reg *obs.Registry) (Row, error) {
 	rt := persist.NewRuntime("prims", "native", 1, persist.Config{
 		Metrics:  reg,
 		Instance: name,
+		NoTrace:  true, // the rows come from device stats and the clock
 	})
 	p := newPrimitive(name)
 	p.init(rt, cfg)

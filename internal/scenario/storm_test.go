@@ -86,6 +86,40 @@ func TestKVServiceCrashStormRegression(t *testing.T) {
 	}
 }
 
+// TestDomainAnalysisRefusesAnUnrecordedRun: a service built without
+// Config.Record keeps no events, and a sanitizer fed its empty trace would
+// report 0 errors about nothing. Two things stand in the way: the service
+// panics when asked for the trace, and domainResult holds whatever trace it
+// is given to the devices' own fence count.
+func TestDomainAnalysisRefusesAnUnrecordedRun(t *testing.T) {
+	load := func(record bool) *kvservice.Service {
+		svc := kvservice.New(kvservice.Config{Shards: 2, Batch: 4, Metrics: obs.NewRegistry(), Record: record})
+		for i := 0; i < 40; i++ {
+			svc.Put(fmt.Sprintf("key-%02d", i), []byte("value"))
+		}
+		svc.Flush()
+		return svc
+	}
+	quiet := load(false)
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "Config.Record") {
+				t.Fatalf("Trace on an unrecorded service: recovered %q, want the Config.Record panic", msg)
+			}
+		}()
+		quiet.Trace()
+	}()
+	issued := quiet.Stats().Fences
+	if _, err := domainResult("kv", quiet.Runtime(0).Trace, issued); err == nil || !strings.Contains(err.Error(), "fences") {
+		t.Fatalf("an empty trace against %d device fences: err = %v, want the fence mismatch", issued, err)
+	}
+	rec := load(true)
+	d, err := domainResult("kv", rec.Trace(), rec.Stats().Fences)
+	if err != nil || d.Fences != issued || d.SanErrors != 0 {
+		t.Fatalf("recording twin: %+v, %v; want %d fences and a clean pass", d, err, issued)
+	}
+}
+
 // tornTailSeed is the pinned adversarial crash seed for
 // TestKVServiceTornTailPinned: under it, the crash persists some cache
 // lines of the aborted batch's records and drops others, leaving a torn

@@ -148,6 +148,7 @@ func newSvcTarget(name string, t Tenant, reg *obs.Registry) *svcTarget {
 		Batch:    t.Batch,
 		SegBytes: t.SegBytes,
 		Metrics:  reg,
+		Record:   true, // engine.analyze reads the merged trace
 	})
 	return &svcTarget{
 		base:      base{name: name},
