@@ -1,0 +1,95 @@
+package whisper
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/whisper-pm/whisper/internal/hops"
+	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/trace"
+)
+
+// hostileTraces are well-formed v2 files (every CRC and count valid) that
+// no recorder writes: the decoder accepts them, so the consumers are the
+// only line of defence. The first two took the process down before the
+// consumers shared one thread table and one bounded line walk — cachesim
+// indexed l1[-1] on a tap goroutine, and mem.Lines called make with a
+// negative capacity; the third walked 67 M lines in three of the four.
+func hostileTraces(t testing.TB) []hostileTrace {
+	// One transaction touching [a, a+size) with every kind of memory event.
+	sff := func(tid int32, a mem.Addr, size uint32) []byte {
+		tr := trace.FromEvents(trace.Meta{App: "hostile", Layer: "native", Threads: 1}, []trace.Event{
+			{Time: 1, TID: tid, Kind: trace.KTxBegin},
+			{Time: 2, TID: tid, Kind: trace.KStore, Addr: a, Size: size},
+			{Time: 3, TID: tid, Kind: trace.KStoreNT, Addr: a, Size: size},
+			{Time: 4, TID: tid, Kind: trace.KLoad, Addr: a, Size: size},
+			{Time: 5, TID: tid, Kind: trace.KFlush, Addr: a, Size: size},
+			{Time: 6, TID: tid, Kind: trace.KFence},
+			{Time: 7, TID: tid, Kind: trace.KTxEnd},
+		})
+		var buf bytes.Buffer
+		if err := trace.EncodeV2(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return []hostileTrace{
+		{"negative-tid", sff(-1, mem.PMBase, 8)},
+		{"wrapping-span", sff(0, ^mem.Addr(0)-4, 64)},
+		{"4GiB-store", sff(0, mem.PMBase, 0xFFFFFFFF)},
+	}
+}
+
+type hostileTrace struct {
+	name string
+	data []byte
+}
+
+// analyzeHostile runs every consumer of a trace file over data — the
+// epoch analysis, pmsan and cachesim on one fused pass, then the HOPS
+// front and its five back ends — and holds whatever they report to the
+// work a bounded walk allows: no more classified cache accesses than
+// MaxEventLines per event. An error from either pass is a legal outcome;
+// a panic (which on a tap goroutine no caller can recover) is the failure.
+func analyzeHostile(t *testing.T, data []byte) {
+	rep, err := AnalyzeReaderFused(bytes.NewReader(data), FusedConfig{Sanitize: true, Cache: true})
+	if err == nil {
+		c := rep.Cache
+		walked := c.L1Hits + c.L2Hits + c.RemoteHits + c.MemAccesses()
+		if limit := rep.San.rep.Events * trace.MaxEventLines; walked > limit {
+			t.Fatalf("cachesim classified %d line accesses for %d events; the walk bound allows %d",
+				walked, rep.San.rep.Events, limit)
+		}
+	}
+	rd, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	norm, err := hops.NormalizedSource(rd, hops.DefaultConfig(), mem.DefaultLatency(), nil)
+	if err == nil && len(norm) != len(hops.Models) {
+		t.Fatalf("NormalizedSource returned %d models, want %d", len(norm), len(hops.Models))
+	}
+}
+
+// TestHostileTraceFilesReportOrError pins the hand-found inputs: a
+// negative TID, a span that wraps the address space, and a 4 GiB store
+// each come back as a report or an error from the fused pass and the
+// HOPS replay.
+func TestHostileTraceFilesReportOrError(t *testing.T) {
+	for _, h := range hostileTraces(t) {
+		t.Run(h.name, func(t *testing.T) { analyzeHostile(t, h.data) })
+	}
+}
+
+// FuzzFused throws arbitrary bytes at everything that reads a trace file.
+// pmsan was the only consumer with a fuzz target (FuzzSanitizer), and the
+// only one whose line walk and thread lookup survived a hostile file;
+// this target covers the shared table and walk under all four. Seeds: the
+// FuzzDecode / FuzzSanitizer corpora (testdata/fuzz/FuzzFused) and the
+// three hostile files above.
+func FuzzFused(f *testing.F) {
+	for _, h := range hostileTraces(f) {
+		f.Add(h.data)
+	}
+	f.Fuzz(analyzeHostile)
+}

@@ -180,7 +180,7 @@ func (db *DB) Begin(tid int) *Tx {
 // clean; commit skips them. Runs for every flush the thread issues while
 // the transaction is open.
 func (tx *Tx) noteFlushed(a mem.Addr, size int) {
-	for _, l := range mem.Lines(a, size) {
+	for l, n := mem.LineOf(a), mem.LinesSpanned(a, size); n > 0; l, n = l+1, n-1 {
 		if tx.dirty[l] {
 			tx.dirty[l] = false
 		}
@@ -225,7 +225,7 @@ func (tx *Tx) undo(a mem.Addr, size int) {
 // commit (OPTWAL/NVML behaviour the paper observes in §5.1).
 func (tx *Tx) write(a mem.Addr, data []byte) {
 	tx.th.Store(a, data)
-	for _, l := range mem.Lines(a, len(data)) {
+	for l, n := mem.LineOf(a), mem.LinesSpanned(a, len(data)); n > 0; l, n = l+1, n-1 {
 		tx.dirty[l] = true
 	}
 }

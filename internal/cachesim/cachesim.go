@@ -12,6 +12,7 @@ package cachesim
 
 import (
 	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // Config describes the hierarchy geometry. Sizes are in bytes; the caches
@@ -158,13 +159,31 @@ func New(cfg Config) *Hierarchy {
 	return h
 }
 
-// Read performs a load by core tid over the lines of [a, a+size).
-func (h *Hierarchy) Read(tid int, a mem.Addr, size int) {
-	for _, l := range mem.Lines(a, size) {
-		h.readLine(tid, l)
+// Access performs the memory event e on the core its thread runs on, a
+// line at a time over e.Lines; events that touch no memory (fences,
+// transaction markers) do nothing. TIDs map onto cores modulo Threads as
+// unsigned numbers, so a negative TID in a hostile file still names one.
+func (h *Hierarchy) Access(e trace.Event) {
+	var op func(*Hierarchy, int, mem.Line)
+	switch e.Kind {
+	case trace.KStore, trace.KVStore:
+		op = (*Hierarchy).writeLine
+	case trace.KLoad, trace.KVLoad:
+		op = (*Hierarchy).readLine
+	case trace.KStoreNT:
+		op = (*Hierarchy).writeNTLine
+	case trace.KFlush:
+		op = (*Hierarchy).flushLine
+	default:
+		return
+	}
+	tid := int(uint32(e.TID) % uint32(h.cfg.Threads))
+	for l, n := e.Lines(); n > 0; l, n = l+1, n-1 {
+		op(h, tid, l)
 	}
 }
 
+// readLine performs a load of l by core tid.
 func (h *Hierarchy) readLine(tid int, l mem.Line) {
 	if h.l1[tid].lookup(l) != invalid {
 		h.stats.L1Hits++
@@ -205,14 +224,9 @@ func (c *cache) fill(l mem.Line, st lineState, h *Hierarchy) {
 	}
 }
 
-// Write performs a cacheable store by core tid (write-allocate, writeback:
-// the memory write happens on eviction/flush, counted as a PM/DRAM write).
-func (h *Hierarchy) Write(tid int, a mem.Addr, size int) {
-	for _, l := range mem.Lines(a, size) {
-		h.writeLine(tid, l)
-	}
-}
-
+// writeLine performs a cacheable store by core tid (write-allocate,
+// writeback: the memory write happens on eviction/flush, counted as a
+// PM/DRAM write).
 func (h *Hierarchy) writeLine(tid int, l mem.Line) {
 	// Invalidate all other copies (exclusive permission).
 	for o := 0; o < h.cfg.Threads; o++ {
@@ -239,36 +253,32 @@ func (h *Hierarchy) writeLine(tid int, l mem.Line) {
 	h.stickyM[l] = tid
 }
 
-// WriteNT performs a non-temporal store: it bypasses the caches and goes
-// straight to memory, invalidating any cached copies.
-func (h *Hierarchy) WriteNT(tid int, a mem.Addr, size int) {
-	for _, l := range mem.Lines(a, size) {
-		for o := 0; o < h.cfg.Threads; o++ {
-			h.l1[o].invalidate(l)
-			h.l2[o].invalidate(l)
-		}
-		h.stats.NTWrites++
+// writeNTLine performs a non-temporal store: it bypasses the caches and
+// goes straight to memory, invalidating any cached copies.
+func (h *Hierarchy) writeNTLine(_ int, l mem.Line) {
+	for o := 0; o < h.cfg.Threads; o++ {
+		h.l1[o].invalidate(l)
+		h.l2[o].invalidate(l)
 	}
+	h.stats.NTWrites++
 }
 
-// Flush writes the line back to memory (CLWB): a PM or DRAM write if the
-// line is cached anywhere.
-func (h *Hierarchy) Flush(tid int, a mem.Addr, size int) {
-	for _, l := range mem.Lines(a, size) {
-		cached := false
-		for o := 0; o < h.cfg.Threads; o++ {
-			if h.l1[o].lookup(l) != invalid || h.l2[o].lookup(l) != invalid {
-				cached = true
-			}
+// flushLine writes the line back to memory (CLWB): a PM or DRAM write if
+// the line is cached anywhere.
+func (h *Hierarchy) flushLine(_ int, l mem.Line) {
+	cached := false
+	for o := 0; o < h.cfg.Threads; o++ {
+		if h.l1[o].lookup(l) != invalid || h.l2[o].lookup(l) != invalid {
+			cached = true
 		}
-		if !cached {
-			continue
-		}
-		if mem.LineIsPM(l) {
-			h.stats.PMWrites++
-		} else {
-			h.stats.DRAMWrites++
-		}
+	}
+	if !cached {
+		return
+	}
+	if mem.LineIsPM(l) {
+		h.stats.PMWrites++
+	} else {
+		h.stats.DRAMWrites++
 	}
 }
 

@@ -11,14 +11,19 @@ func small() *Hierarchy {
 	return New(Config{L1Size: 1024, L1Ways: 2, L2Size: 4096, L2Ways: 4, Threads: 2})
 }
 
+// access performs one memory event on h, as a replay would.
+func access(h *Hierarchy, k trace.Kind, tid int32, a mem.Addr, size uint32) {
+	h.Access(trace.Event{Kind: k, TID: tid, Addr: a, Size: size})
+}
+
 func TestColdMissThenHit(t *testing.T) {
 	h := small()
-	h.Read(0, mem.PMBase, 8)
+	access(h, trace.KLoad, 0, mem.PMBase, 8)
 	s := h.Stats()
 	if s.PMReads != 1 || s.L1Hits != 0 {
 		t.Fatalf("cold read stats: %+v", s)
 	}
-	h.Read(0, mem.PMBase, 8)
+	access(h, trace.KLoad, 0, mem.PMBase, 8)
 	if h.Stats().L1Hits != 1 {
 		t.Fatalf("warm read not an L1 hit: %+v", h.Stats())
 	}
@@ -26,10 +31,10 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestDRAMvsPMClassification(t *testing.T) {
 	h := small()
-	h.Read(0, 0x1000, 8)     // DRAM
-	h.Read(0, mem.PMBase, 8) // PM
-	h.Write(0, 0x2000, 8)    // DRAM (write-allocate read)
-	h.Write(0, mem.PMBase+64, 8)
+	access(h, trace.KLoad, 0, 0x1000, 8)     // DRAM
+	access(h, trace.KLoad, 0, mem.PMBase, 8) // PM
+	access(h, trace.KStore, 0, 0x2000, 8)    // DRAM (write-allocate read)
+	access(h, trace.KStore, 0, mem.PMBase+64, 8)
 	s := h.Stats()
 	if s.DRAMReads != 2 || s.PMReads != 2 {
 		t.Fatalf("classification: %+v", s)
@@ -38,12 +43,12 @@ func TestDRAMvsPMClassification(t *testing.T) {
 
 func TestWriteInvalidatesOtherCores(t *testing.T) {
 	h := small()
-	h.Read(0, mem.PMBase, 8)
-	h.Read(1, mem.PMBase, 8) // core 1 gets it (remote or L2)
-	h.Write(1, mem.PMBase, 8)
+	access(h, trace.KLoad, 0, mem.PMBase, 8)
+	access(h, trace.KLoad, 1, mem.PMBase, 8) // core 1 gets it (remote or L2)
+	access(h, trace.KStore, 1, mem.PMBase, 8)
 	// Core 0's copy must now be invalid: its next read can't be an L1 hit.
 	before := h.Stats().L1Hits
-	h.Read(0, mem.PMBase, 8)
+	access(h, trace.KLoad, 0, mem.PMBase, 8)
 	s := h.Stats()
 	if s.L1Hits != before {
 		t.Fatal("read after remote write hit a stale L1 line")
@@ -52,8 +57,8 @@ func TestWriteInvalidatesOtherCores(t *testing.T) {
 
 func TestRemoteTransfer(t *testing.T) {
 	h := small()
-	h.Read(0, mem.PMBase, 8)
-	h.Read(1, mem.PMBase, 8)
+	access(h, trace.KLoad, 0, mem.PMBase, 8)
+	access(h, trace.KLoad, 1, mem.PMBase, 8)
 	s := h.Stats()
 	if s.RemoteHits != 1 {
 		t.Fatalf("RemoteHits = %d, want 1 (cache-to-cache)", s.RemoteHits)
@@ -68,13 +73,13 @@ func TestStickyM(t *testing.T) {
 	if h.StickyOwner(mem.LineOf(mem.PMBase)) != -1 {
 		t.Fatal("sticky owner before any write")
 	}
-	h.Write(1, mem.PMBase, 8)
+	access(h, trace.KStore, 1, mem.PMBase, 8)
 	if h.StickyOwner(mem.LineOf(mem.PMBase)) != 1 {
 		t.Fatal("sticky owner not recorded")
 	}
 	// Sticky-M persists across eviction: thrash the set.
 	for i := 0; i < 100; i++ {
-		h.Write(0, mem.PMBase+mem.Addr(4096*i), 8)
+		access(h, trace.KStore, 0, mem.PMBase+mem.Addr(4096*i), 8)
 	}
 	if h.StickyOwner(mem.LineOf(mem.PMBase)) != 0 {
 		t.Fatal("sticky owner not updated by later writer")
@@ -84,7 +89,7 @@ func TestStickyM(t *testing.T) {
 func TestEvictionsOccur(t *testing.T) {
 	h := small() // 1 KB L1, 2-way: 8 sets -> same set every 512 bytes
 	for i := 0; i < 64; i++ {
-		h.Read(0, mem.PMBase+mem.Addr(i*1024), 8)
+		access(h, trace.KLoad, 0, mem.PMBase+mem.Addr(i*1024), 8)
 	}
 	if h.Stats().Evictions == 0 {
 		t.Fatal("no evictions despite thrashing")
@@ -93,13 +98,13 @@ func TestEvictionsOccur(t *testing.T) {
 
 func TestNTBypassesCache(t *testing.T) {
 	h := small()
-	h.WriteNT(0, mem.PMBase, 128)
+	access(h, trace.KStoreNT, 0, mem.PMBase, 128)
 	s := h.Stats()
 	if s.NTWrites != 2 {
 		t.Fatalf("NTWrites = %d, want 2 lines", s.NTWrites)
 	}
 	// A following read must miss (NT did not allocate).
-	h.Read(0, mem.PMBase, 8)
+	access(h, trace.KLoad, 0, mem.PMBase, 8)
 	if h.Stats().L1Hits != 0 {
 		t.Fatal("NT write allocated into the cache")
 	}
@@ -107,13 +112,13 @@ func TestNTBypassesCache(t *testing.T) {
 
 func TestFlushCountsWriteback(t *testing.T) {
 	h := small()
-	h.Write(0, mem.PMBase, 8)
-	h.Flush(0, mem.PMBase, 8)
+	access(h, trace.KStore, 0, mem.PMBase, 8)
+	access(h, trace.KFlush, 0, mem.PMBase, 8)
 	if h.Stats().PMWrites != 1 {
 		t.Fatalf("PMWrites = %d, want 1", h.Stats().PMWrites)
 	}
 	// Flushing an uncached line is a no-op.
-	h.Flush(0, mem.PMBase+8192, 8)
+	access(h, trace.KFlush, 0, mem.PMBase+8192, 8)
 	if h.Stats().PMWrites != 1 {
 		t.Fatal("flush of uncached line counted")
 	}

@@ -83,6 +83,33 @@ func TestReplayEdgeCases(t *testing.T) {
 			want: Stats{PMReads: 1, L1Hits: 1},
 		},
 		{
+			name: "negative TID names a core",
+			events: []trace.Event{
+				// TIDs fold as unsigned numbers: -1 is 0xFFFFFFFF, core 3 of
+				// 4. A signed remainder indexed l1[-1] here.
+				{Kind: trace.KStore, TID: -1, Time: 1, Addr: base, Size: 8},
+				{Kind: trace.KLoad, TID: 3, Time: 2, Addr: base, Size: 8},
+			},
+			want: Stats{PMReads: 1, L1Hits: 1},
+		},
+		{
+			name: "span wrapping the address space is one line",
+			events: []trace.Event{
+				// Addr+Size overflows; the shared walk cuts the event to its
+				// first line, where a []mem.Line of the span had a negative
+				// capacity.
+				{Kind: trace.KStoreNT, TID: 0, Time: 1, Addr: ^mem.Addr(0) - 4, Size: 64},
+			},
+			want: Stats{NTWrites: 1},
+		},
+		{
+			name: "4 GiB store stops at the walk bound",
+			events: []trace.Event{
+				{Kind: trace.KStoreNT, TID: 0, Time: 1, Addr: base, Size: 0xFFFFFFFF},
+			},
+			want: Stats{NTWrites: trace.MaxEventLines},
+		},
+		{
 			name: "transaction markers are memory no-ops",
 			events: []trace.Event{
 				{Kind: trace.KTxBegin, TID: 0, Time: 1},
@@ -104,5 +131,31 @@ func TestReplayEdgeCases(t *testing.T) {
 				t.Errorf("ReplaySource stats = %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestReplayAllocsIndependentOfLength: a pass over a warm working set
+// allocates nothing per event — no []mem.Line per access — so four times
+// the 4 KiB writes cost what one times does (the first touch of each line
+// fills a cache set and the sticky-M table; that is all).
+func TestReplayAllocsIndependentOfLength(t *testing.T) {
+	pass := func(writes int) float64 {
+		events := make([]trace.Event, 0, 3*writes)
+		for i := 0; i < writes; i++ {
+			tm := mem.Time(3 * i)
+			events = append(events,
+				trace.Event{Kind: trace.KStore, Time: tm, Addr: mem.PMBase, Size: 4096},
+				trace.Event{Kind: trace.KFlush, Time: tm + 1, Addr: mem.PMBase, Size: 4096},
+				trace.Event{Kind: trace.KFence, Time: tm + 2})
+		}
+		tr := trace.FromEvents(trace.Meta{App: "allocs", Threads: 1}, events)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ReplaySource(New(DefaultConfig()), trace.NewSliceSource(tr)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, four := pass(50), pass(200); one != four {
+		t.Fatalf("50 4 KiB writes allocate %v times, 200 allocate %v: the replay allocates per event", one, four)
 	}
 }

@@ -22,21 +22,7 @@ func ReplaySource(h *Hierarchy, src trace.EventSource) (Stats, error) {
 			return h.Stats(), err
 		}
 		for _, e := range chunk {
-			replayEvent(h, e)
+			h.Access(e)
 		}
-	}
-}
-
-func replayEvent(h *Hierarchy, e trace.Event) {
-	tid := int(e.TID) % h.cfg.Threads
-	switch e.Kind {
-	case trace.KStore, trace.KVStore:
-		h.Write(tid, e.Addr, int(e.Size))
-	case trace.KLoad, trace.KVLoad:
-		h.Read(tid, e.Addr, int(e.Size))
-	case trace.KStoreNT:
-		h.WriteNT(tid, e.Addr, int(e.Size))
-	case trace.KFlush:
-		h.Flush(tid, e.Addr, int(e.Size))
 	}
 }

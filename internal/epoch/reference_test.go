@@ -237,7 +237,7 @@ func requireMatchesOracle(t *testing.T, tr *trace.Trace) *Analysis {
 
 // TestDegenerateAgainstOracle holds the edge shapes to the oracle: the
 // zero-line epochs, more TIDs than the dense thread table, and an epoch
-// one line past the slice→map spill.
+// one line past what the line set looks up by scanning.
 func TestDegenerateAgainstOracle(t *testing.T) {
 	wide := &trace.Trace{App: "wide", Layer: "native", Threads: 100}
 	for i := 0; i < 100; i++ {
@@ -246,11 +246,11 @@ func TestDegenerateAgainstOracle(t *testing.T) {
 		wide.Append(st(tid, mem.Time(10*i+2), pm, 8)) // shared line
 		wide.Append(fence(tid, mem.Time(10*i+3)))
 	}
-	var spill []trace.Event
-	for i := 0; i <= spillLines; i++ {
-		spill = append(spill, st(0, mem.Time(i+1), pm+mem.Addr(i)*mem.LineSize, 8))
+	var large []trace.Event
+	for i := 0; i <= mem.SmallSet; i++ {
+		large = append(large, st(0, mem.Time(i+1), pm+mem.Addr(i)*mem.LineSize, 8))
 	}
-	spill = append(spill, fence(0, spillLines+2), st(1, spillLines+3, pm, 8), fence(1, spillLines+4))
+	large = append(large, fence(0, mem.SmallSet+2), st(1, mem.SmallSet+3, pm, 8), fence(1, mem.SmallSet+4))
 
 	cases := []struct {
 		name       string
@@ -263,7 +263,7 @@ func TestDegenerateAgainstOracle(t *testing.T) {
 		), 0},
 		{"zero-byte-store", mk(st(0, 1, pm, 0), fence(0, 2), st(0, 10, pm, 8), fence(0, 11)), 1},
 		{"beyond-dense-tids", wide, 100},
-		{"spilled-epoch", mk(spill...), 2},
+		{"beyond-small-set", mk(large...), 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -271,5 +271,41 @@ func TestDegenerateAgainstOracle(t *testing.T) {
 				t.Fatalf("TotalEpochs = %d, want %d", got, c.wantEpochs)
 			}
 		})
+	}
+}
+
+// TestLineSetSizesAgainstOracle walks epochs across every lookup regime of
+// the per-thread mem.LineSet — under, at and one past SmallSet, and 2 048
+// lines — written ascending (every line above the last: no lookup),
+// descending (every line a lookup that misses) and ascending then
+// descending again (every second-pass line a lookup that hits), two
+// threads alternating so each epoch also classifies against the other's.
+func TestLineSetSizesAgainstOracle(t *testing.T) {
+	for _, n := range []int{mem.SmallSet - 1, mem.SmallSet, mem.SmallSet + 1, 2048} {
+		asc := make([]int, n)
+		for i := range asc {
+			asc[i] = i
+		}
+		desc := slices.Clone(asc)
+		slices.Reverse(desc)
+		orders := map[string][]int{"ascending": asc, "descending": desc, "repeats": slices.Concat(asc, desc)}
+		for name, order := range orders {
+			tr := &trace.Trace{App: "sizes", Layer: "native", Threads: 2}
+			clock := mem.Time(1)
+			for epoch := 0; epoch < 4; epoch++ {
+				tid := int32(epoch % 2)
+				for _, i := range order {
+					tr.Append(st(tid, clock, pm+mem.Addr(i)*mem.LineSize, 8))
+					clock++
+				}
+				tr.Append(fence(tid, clock))
+				clock++
+			}
+			a := requireMatchesOracle(t, tr)
+			if a.SizeHist[sizeBucket(n)] != 4 || a.CrossDepEpochs != 3 {
+				t.Errorf("%d lines %s: size histogram %v, %d cross-dependent epochs; want 4 epochs of %d lines, 3 cross-dependent",
+					n, name, a.SizeHist, a.CrossDepEpochs, n)
+			}
+		}
 	}
 }

@@ -17,61 +17,17 @@ import (
 // of trace length. The map-per-epoch walk in reference_test.go is the
 // oracle the equality tests compare this against.
 
-const (
-	// spillLines is the open-epoch size at which the line set switches
-	// from a linear-scanned slice to a map. Figure 4 epochs are
-	// overwhelmingly <6 lines, so almost every epoch stays on the slice
-	// fast path and pays no per-store map hashing.
-	spillLines = 64
-	// keepSpillLines is the largest epoch whose spill map is kept for the
-	// thread's next large epoch. Clearing a map costs its capacity, not its
-	// length, so the map one huge epoch grew (a megabyte memset) is dropped
-	// rather than charged to every 65-line epoch after it.
-	keepSpillLines = 1024
-)
-
 // threadState is one thread's in-progress epoch plus transaction state.
-// The open epoch's lines are in lines until it outgrows spillLines, then in
-// spill (non-empty exactly while an epoch is spilled); the map is made once
-// per thread and cleared at the fence, so a run of large epochs (every
-// 4 KiB PMFS write) allocates nothing.
+// The open epoch's lines are a mem.LineSet, emptied at the fence: a small
+// epoch pays a short scan per store and no hashing, and a run of large ones
+// (every 4 KiB PMFS write) allocates nothing.
 type threadState struct {
-	lines   []mem.Line
-	spill   map[mem.Line]struct{}
+	lines   mem.LineSet
 	bytes   int
 	start   mem.Time
 	dirty   bool
 	inTx    bool
 	txCount int
-}
-
-// threadStates resolves a TID to its state machine: a direct-indexed
-// array for the common small non-negative TIDs (so interleaved traces
-// pay an array load per thread switch, not a map lookup), a lazily
-// built map for the rest (negative or large TIDs in hand-built traces).
-type threadStates struct {
-	dense [64]*threadState
-	m     map[int32]*threadState
-}
-
-func (ts *threadStates) get(tid int32) *threadState {
-	if uint32(tid) < uint32(len(ts.dense)) {
-		st := ts.dense[tid]
-		if st == nil {
-			st = &threadState{lines: make([]mem.Line, 0, 8)}
-			ts.dense[tid] = st
-		}
-		return st
-	}
-	st := ts.m[tid]
-	if st == nil {
-		if ts.m == nil {
-			ts.m = make(map[int32]*threadState)
-		}
-		st = &threadState{lines: make([]mem.Line, 0, 8)}
-		ts.m[tid] = st
-	}
-	return st
 }
 
 // AnalyzeStream runs the full epoch analysis over an event source without
@@ -85,10 +41,9 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 
 	a := &Analysis{}
 	writers := writerTable{pages: make(map[uint64]*writerPage)}
-	var states threadStates
+	var states trace.TIDTable[threadState]
 	var lastTID int32
 	var lastST *threadState
-	var scratch []mem.Line
 	var (
 		first mem.Time
 		last  mem.Time
@@ -113,7 +68,7 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 			e := c[i]
 			st := lastST
 			if st == nil || e.TID != lastTID {
-				st = states.get(e.TID)
+				st = states.Get(e.TID)
 				lastTID, lastST = e.TID, st
 			}
 			switch e.Kind {
@@ -122,12 +77,8 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 					st.start = e.Time
 					st.dirty = true
 				}
-				if e.Size > 0 {
-					l := mem.LineOf(e.Addr)
-					end := mem.LineOf(e.Addr + mem.Addr(e.Size) - 1)
-					for ; l <= end; l++ {
-						st.addLine(l)
-					}
+				for l, n := e.Lines(); n > 0; l, n = l+1, n-1 {
+					st.lines.Add(l)
 				}
 				st.bytes += int(e.Size)
 				if e.Kind == trace.KStore {
@@ -147,10 +98,7 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 				a.DRAMAccesses++
 
 			case trace.KFence:
-				n := len(st.lines)
-				if len(st.spill) > 0 {
-					n = len(st.spill)
-				}
+				n := st.lines.Len()
 				if n == 0 {
 					// Empty epoch: §5.1 measures epochs in unique 64 B
 					// lines written between fences, so a fence preceded
@@ -162,14 +110,6 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 					st.bytes = 0
 					continue
 				}
-				lines := st.lines
-				if len(st.spill) > 0 {
-					scratch = scratch[:0]
-					for l := range st.spill {
-						scratch = append(scratch, l)
-					}
-					lines = scratch
-				}
 				a.TotalEpochs++
 				a.SizeHist[sizeBucket(n)]++
 				if n == 1 {
@@ -178,19 +118,14 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 						a.SmallSingletons++
 					}
 				}
-				self, cross := writers.classify(e.TID, st.start, e.Time, lines)
+				self, cross := writers.classify(e.TID, st.start, e.Time, st.lines.Lines())
 				if self {
 					a.SelfDepEpochs++
 				}
 				if cross {
 					a.CrossDepEpochs++
 				}
-				st.lines = st.lines[:0]
-				if n > keepSpillLines {
-					st.spill = nil
-				} else if len(st.spill) > 0 {
-					clear(st.spill)
-				}
+				st.lines.Reset()
 				st.bytes = 0
 				st.dirty = false
 				if st.inTx {
@@ -293,30 +228,4 @@ func (t *writerTable) classify(tid int32, start, end mem.Time, lines []mem.Line)
 		w.thread, w.end, w.set = tid, end, true
 	}
 	return self, cross
-}
-
-// addLine records a unique line in the open epoch, spilling from the
-// slice to a map once the epoch grows large.
-func (st *threadState) addLine(l mem.Line) {
-	if len(st.spill) > 0 {
-		st.spill[l] = struct{}{}
-		return
-	}
-	for _, have := range st.lines {
-		if have == l {
-			return
-		}
-	}
-	if len(st.lines) >= spillLines {
-		if st.spill == nil {
-			st.spill = make(map[mem.Line]struct{}, 2*spillLines)
-		}
-		for _, have := range st.lines {
-			st.spill[have] = struct{}{}
-		}
-		st.spill[l] = struct{}{}
-		st.lines = st.lines[:0]
-		return
-	}
-	st.lines = append(st.lines, l)
 }

@@ -18,7 +18,7 @@ func TestStreamEmptyTrace(t *testing.T) {
 func TestStreamStructured(t *testing.T) {
 	// A hand-built multi-thread trace exercising every concern at once:
 	// cross-thread WAW inside and outside the window, overlapping epochs,
-	// transactions, spilled (>spillLines lines) epochs, zero-size stores,
+	// transactions, epochs of more than mem.SmallSet lines, zero-size stores,
 	// volatile events, user data.
 	tr := &trace.Trace{App: "structured", Layer: "nvml", Threads: 4, VolatileLoads: 100, VolatileStores: 50}
 	add := func(e trace.Event) { tr.Append(e) }
@@ -33,14 +33,14 @@ func TestStreamStructured(t *testing.T) {
 	// Thread 1: same line as thread 0, inside the window → cross WAW.
 	add(st(1, 20, base, 8))
 	add(fence(1, 21))
-	// Thread 2: giant epoch spilling the slice line set.
-	for i := 0; i < 2*spillLines; i++ {
+	// Thread 2: giant epoch, past the line set's scanned size.
+	for i := 0; i < 2*mem.SmallSet; i++ {
 		add(st(2, mem.Time(30+i), base+mem.Addr(4096+64*i), 8))
 	}
-	add(fence(2, mem.Time(30+2*spillLines)))
+	add(fence(2, mem.Time(30+2*mem.SmallSet)))
 	// Thread 1 again: same giant range, far in the future → no WAW.
-	add(st(1, 30+mem.Time(2*spillLines)+2*DependencyWindow, base+4096, 8))
-	add(fence(1, 31+mem.Time(2*spillLines)+2*DependencyWindow))
+	add(st(1, 30+mem.Time(2*mem.SmallSet)+2*DependencyWindow, base+4096, 8))
+	add(fence(1, 31+mem.Time(2*mem.SmallSet)+2*DependencyWindow))
 	// Thread 3: zero-size store then fence (closes nothing), then a
 	// flush-only fence, then user data and volatile traffic.
 	add(st(3, 40, base+1<<20, 0))
@@ -65,7 +65,7 @@ func TestStreamStructured(t *testing.T) {
 		t.Fatal("structured trace failed to produce both dependency kinds")
 	}
 	if a.SizeHist[NumSizeBuckets-1] == 0 {
-		t.Fatal("structured trace failed to produce a spilled epoch")
+		t.Fatal("structured trace failed to produce an epoch of >= 64 lines")
 	}
 }
 
@@ -174,9 +174,9 @@ func TestStreamNegativeTID(t *testing.T) {
 
 // largeEpochs builds a one-thread trace of n epochs shaped like a PMFS
 // block write: a store to a descriptor line, a 4 KiB non-temporal store,
-// a fence — 65 lines, one past the slice→map spill. Each epoch writes a
-// different block, so a line left behind in a reused spill map would show
-// as a larger epoch and a false dependency.
+// a fence — 65 lines, one past mem.SmallSet. Each epoch writes a different
+// block, so a line left behind in the thread's line set would show as a
+// larger epoch and a false dependency.
 func largeEpochs(n int) *trace.Trace {
 	tr := &trace.Trace{App: "blocks", Layer: "pmfs", Threads: 1}
 	clock := mem.Time(1)
@@ -189,28 +189,33 @@ func largeEpochs(n int) *trace.Trace {
 	return tr
 }
 
-// TestSpillMapIsReusedNotInherited holds runs of spilled epochs on one
-// thread to the map-per-epoch oracle: the thread's one spill map must be
-// empty at every fence, whether it was cleared or, after an epoch past
-// keepSpillLines, dropped.
-func TestSpillMapIsReusedNotInherited(t *testing.T) {
+// TestLineSetIsEmptiedNotInherited holds runs of large epochs on one
+// thread to the map-per-epoch oracle: the thread's one line set must be
+// empty after every fence — after an epoch far past mem.SmallSet, after one
+// whose descending second store makes the set build its index, and when
+// the next epoch is a singleton again. (The analysis used to keep a spill
+// map of its own and drop it after an epoch of more than 1 024 lines; that
+// behaviour went with the map — LineSet.Reset drops its index at every
+// fence — so nothing here tests for it.)
+func TestLineSetIsEmptiedNotInherited(t *testing.T) {
 	tr := largeEpochs(20)
 	clock := mem.Time(1000)
-	tr.Append(st(0, clock, mem.PMBase+1<<20, uint32(2*keepSpillLines*mem.LineSize))) // dropped, not cleared
+	tr.Append(st(0, clock, mem.PMBase+1<<20, 32*mem.SmallSet*mem.LineSize))
 	tr.Append(fence(0, clock+1))
-	tr.Append(nt(0, clock+2, mem.PMBase+4096, 4096+64)) // spills into a fresh map
-	tr.Append(fence(0, clock+3))
-	tr.Append(st(0, clock+4, mem.PMBase+64, 8)) // and back on the slice
-	tr.Append(fence(0, clock+5))
+	tr.Append(nt(0, clock+2, mem.PMBase+8192, 4096+64))
+	tr.Append(st(0, clock+3, mem.PMBase+4096, 64)) // below every member: an indexed lookup
+	tr.Append(fence(0, clock+4))
+	tr.Append(st(0, clock+5, mem.PMBase+64, 8))
+	tr.Append(fence(0, clock+6))
 	a := requireMatchesOracle(t, tr)
 	if a.SizeHist[NumSizeBuckets-1] != 22 || a.Singletons != 1 {
 		t.Fatalf("size histogram %v, singletons %d: want 22 epochs of >= 64 lines and one singleton", a.SizeHist, a.Singletons)
 	}
 }
 
-// TestLargeEpochsDoNotAllocate pins the spill map at one per thread: the
-// analysis of a thousand 65-line epochs allocates what the analysis of ten
-// does (its tables and the map itself), not a map per epoch.
+// TestLargeEpochsDoNotAllocate: the analysis of a thousand 65-line epochs
+// allocates exactly what the analysis of 250 does (its tables and the
+// thread's line set, grown once), nothing per epoch or per event.
 func TestLargeEpochsDoNotAllocate(t *testing.T) {
 	allocs := func(tr *trace.Trace) float64 {
 		return testing.AllocsPerRun(5, func() {
@@ -219,8 +224,7 @@ func TestLargeEpochsDoNotAllocate(t *testing.T) {
 			}
 		})
 	}
-	few, many := allocs(largeEpochs(10)), allocs(largeEpochs(1000))
-	if many > few+2 {
-		t.Fatalf("1000 large epochs allocate %v times, 10 allocate %v: the spill map is not reused", many, few)
+	if one, four := allocs(largeEpochs(250)), allocs(largeEpochs(1000)); one != four {
+		t.Fatalf("250 large epochs allocate %v times, 1000 allocate %v: the analysis allocates per epoch", one, four)
 	}
 }

@@ -36,10 +36,10 @@ type openFence struct {
 // long as what remains, so a release costs O(events released).
 type dfenceResolver struct {
 	queue      []pendingEvent
-	head       int                 // queue[:head] has been released
-	base       int                 // stream position of queue[0]
-	pos        int                 // stream position of the next pushed event
-	unresolved tidTable[openFence] // each thread's open fence
+	head       int                       // queue[:head] has been released
+	base       int                       // stream position of queue[0]
+	pos        int                       // stream position of the next pushed event
+	unresolved trace.TIDTable[openFence] // each thread's open fence
 	emit       func(e trace.Event, dfence bool)
 }
 
@@ -51,7 +51,7 @@ func (d *dfenceResolver) push(e trace.Event) {
 	switch e.Kind {
 	case trace.KFence:
 		// A newer fence of the same thread makes the older one an ofence.
-		f := d.unresolved.get(e.TID)
+		f := d.unresolved.Get(e.TID)
 		if f.open {
 			d.queue[f.pos-d.base].await = false
 		}
@@ -59,7 +59,7 @@ func (d *dfenceResolver) push(e trace.Event) {
 		f.pos, f.open = d.pos, true
 	case trace.KTxEnd:
 		// Commit: the thread's open fence is its durability point.
-		if f := d.unresolved.get(e.TID); f.open {
+		if f := d.unresolved.Get(e.TID); f.open {
 			d.queue[f.pos-d.base].await = false
 			d.queue[f.pos-d.base].dfence = true
 			f.open = false

@@ -102,35 +102,6 @@ func (c Config) resolved() Config {
 	return c
 }
 
-// tidTable resolves a TID to its *T in the manner of epoch.threadStates: a
-// direct-indexed array for the common small non-negative TIDs, a lazily
-// built map for the rest (negative or huge TIDs in hand-built traces).
-// Entries are created zero-valued on first use.
-type tidTable[T any] struct {
-	dense [64]*T
-	odd   map[int32]*T
-}
-
-func (t *tidTable[T]) get(tid int32) *T {
-	if uint32(tid) < uint32(len(t.dense)) {
-		v := t.dense[tid]
-		if v == nil {
-			v = new(T)
-			t.dense[tid] = v
-		}
-		return v
-	}
-	v := t.odd[tid]
-	if v == nil {
-		if t.odd == nil {
-			t.odd = make(map[int32]*T)
-		}
-		v = new(T)
-		t.odd[tid] = v
-	}
-	return v
-}
-
 // frontStep is what the front hands the back ends for one event: the part
 // of replaying it that is a function of the trace and the latencies and
 // never of the model.
@@ -173,7 +144,7 @@ type pendingSets struct {
 type front struct {
 	lat     mem.Latency
 	ooo     mem.Cycles
-	threads tidTable[pendingSets]
+	threads trace.TIDTable[pendingSets]
 
 	prevTime mem.Time
 	started  bool
@@ -200,26 +171,26 @@ func (f *front) next(e trace.Event) frontStep {
 	switch e.Kind {
 	case trace.KStore:
 		orig = f.lat.StoreCycles
-		st.lines = mem.LinesSpanned(e.Addr, int(e.Size))
+		_, st.lines = e.Lines()
 	case trace.KStoreNT:
 		orig = f.lat.StoreCycles + 1
-		st.lines = mem.LinesSpanned(e.Addr, int(e.Size))
-		p := f.threads.get(e.TID)
-		for i, l := 0, mem.LineOf(e.Addr); i < st.lines; i, l = i+1, l+1 {
+		p := f.threads.Get(e.TID)
+		l, n := e.Lines()
+		for st.lines = n; n > 0; l, n = l+1, n-1 {
 			p.drain.Add(l)
 		}
 	case trace.KLoad:
 		orig = f.lat.L1Cycles
 	case trace.KFlush:
 		orig = 2
-		st.lines = mem.LinesSpanned(e.Addr, int(e.Size))
-		p := f.threads.get(e.TID)
-		for i, l := 0, mem.LineOf(e.Addr); i < st.lines; i, l = i+1, l+1 {
+		p := f.threads.Get(e.TID)
+		l, n := e.Lines()
+		for st.lines = n; n > 0; l, n = l+1, n-1 {
 			p.clwb.Add(l)
 			p.drain.Add(l)
 		}
 	case trace.KFence:
-		p := f.threads.get(e.TID)
+		p := f.threads.Get(e.TID)
 		orig = f.lat.PMCycles
 		if n := p.clwb.Len(); n > 1 {
 			orig += mem.Cycles(n-1) * (f.lat.PMCycles / 8)
@@ -286,7 +257,7 @@ type replayer struct {
 	front *front
 
 	// pbs holds the per-thread HOPS persist buffers.
-	pbs tidTable[pbState]
+	pbs trace.TIDTable[pbState]
 
 	persistLat    mem.Cycles
 	drainInterval mem.Cycles
@@ -380,7 +351,7 @@ func (r *replayer) apply(e trace.Event, dfence bool, st frontStep) {
 		// x86: the front tracks the NT lines awaiting the fence. IDEAL:
 		// no persistence bookkeeping at all.
 		if r.model == HOPSNVM || r.model == HOPSPWQ {
-			r.buffer(r.pbs.get(e.TID), st.lines)
+			r.buffer(r.pbs.Get(e.TID), st.lines)
 		}
 
 	case trace.KLoad:
@@ -404,7 +375,7 @@ func (r *replayer) apply(e trace.Event, dfence bool, st frontStep) {
 			r.ro.DrainStall.Observe(uint64(stall))
 		case HOPSNVM, HOPSPWQ:
 			r.now++ // TS register bump
-			pb := r.pbs.get(e.TID)
+			pb := r.pbs.Get(e.TID)
 			r.retire(pb, r.now)
 			// The fence closes the epoch; its entries may now drain,
 			// so hand them to the background engine (BEP rule: epochs

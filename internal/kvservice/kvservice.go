@@ -68,10 +68,10 @@ type Config struct {
 	// private registry per run so rows never contaminate each other.
 	Metrics *obs.Registry
 	// Record makes every shard keep its PM event trace, for callers that
-	// go on to read Trace, TraceSource or a shard runtime's Trace (the
-	// sanitizer and epoch analysis runs, trace-comparing tests). Off, the
-	// shards record nothing — the service's counters, clocks and devices
-	// are the same either way — and Trace panics.
+	// go on to read Trace or a shard runtime's Trace (the sanitizer and
+	// epoch analysis runs, trace-comparing tests). Off, the shards record
+	// nothing — the service's counters, clocks and devices are the same
+	// either way — and Trace panics.
 	Record bool
 }
 
@@ -650,9 +650,6 @@ func (s *Service) Trace() *trace.Trace {
 	merged.VolatileLoads, merged.VolatileStores = vloads, vstores
 	return merged
 }
-
-// TraceSource is Trace as an EventSource, panic included.
-func (s *Service) TraceSource() trace.EventSource { return trace.NewSliceSource(s.Trace()) }
 
 // latencyBuckets is the service latency layout: quarter-power-of-two
 // steps from 16 ns to ~3.5 ms, fine enough that interpolated p99/p999

@@ -192,14 +192,14 @@ func TestCrashRecoverySegmentGrowth(t *testing.T) {
 // group commit must not cost the service its persistency discipline.
 func TestServiceTraceCleanUnderAnalysis(t *testing.T) {
 	_, svc := Run(SimConfig{Shards: 3, Batch: 8, Clients: 2000, Ops: 4000, Record: true})
-	rep, err := pmsan.Run(svc.TraceSource())
+	rep, err := pmsan.Run(trace.NewSliceSource(svc.Trace()))
 	if err != nil {
 		t.Fatalf("pmsan: %v", err)
 	}
 	if rep.Errors() != 0 {
 		t.Fatalf("sanitizer found %d unsuppressed error sites:\n%s", rep.Errors(), rep)
 	}
-	an, err := epoch.AnalyzeStream(svc.TraceSource())
+	an, err := epoch.AnalyzeStream(trace.NewSliceSource(svc.Trace()))
 	if err != nil {
 		t.Fatalf("epoch analysis: %v", err)
 	}

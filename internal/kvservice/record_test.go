@@ -44,7 +44,6 @@ func TestTraceOfUnrecordedServicePanics(t *testing.T) {
 		}
 	}
 	requirePanic(t, "Trace", "Config.Record", func() { svc.Trace() })
-	requirePanic(t, "TraceSource", "Config.Record", func() { svc.TraceSource() })
 
 	_, svc = Run(SimConfig{Shards: 2, Batch: 8, Clients: 2000, Ops: 500, Record: true})
 	if got, want := uint64(svc.Trace().CountKind(trace.KFence)), svc.Stats().Fences; got != want {

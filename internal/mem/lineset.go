@@ -8,9 +8,10 @@ package mem
 const SmallSet = 64
 
 // LineSet is a set of distinct cache lines in first-insertion order, built
-// for the per-thread pending sets a fence empties: the device's CLWB and
-// WCB sets (internal/pmem keeps each line's snapshot beside it) and the
-// HOPS replay's reconstruction of them (internal/hops, keys only). A line
+// for the per-thread sets a fence empties: the device's CLWB and WCB sets
+// (internal/pmem keeps each line's snapshot beside it), the HOPS replay's
+// reconstruction of them (internal/hops, keys only) and the epoch
+// analysis's open epoch (internal/epoch). A line
 // above every member (hi) is new without a lookup, which covers log appends
 // and copy-forward runs of any length. Otherwise membership is a backwards
 // scan while the set holds at most SmallSet lines, and beyond that an index

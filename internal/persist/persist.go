@@ -161,7 +161,6 @@ func (r *Runtime) Crash(mode pmem.CrashMode, seed int64) {
 	r.Dev.Crash(mode, seed)
 	for _, th := range r.threads {
 		th.txDepth = 0
-		th.epochOpen = false
 		th.epochLineTouches = 0 // the open epoch never closed; don't record it
 	}
 	if !r.cfg.NoTrace {
@@ -219,7 +218,6 @@ func (r *Runtime) Reboot(dev *pmem.Device) {
 	r.Dev = dev
 	for _, th := range r.threads {
 		th.txDepth = 0
-		th.epochOpen = false
 		th.epochLineTouches = 0
 	}
 }
@@ -231,10 +229,6 @@ type Thread struct {
 	rt      *Runtime
 	id      pmem.ThreadID
 	txDepth int
-
-	// epochOpen tracks whether the thread has issued a PM store since its
-	// last fence; used by assertions in tests.
-	epochOpen bool
 
 	// epochLineTouches counts cache-line touches by PM stores in the
 	// current epoch; observed into the runtime's epoch-size histogram at
@@ -287,7 +281,6 @@ func (t *Thread) Store(a mem.Addr, data []byte) {
 	t.rt.Dev.Store(t.id, a, data)
 	t.tick(t.rt.cfg.Latency.StoreCycles)
 	t.emit(trace.KStore, a, len(data))
-	t.epochOpen = true
 	t.epochLineTouches += uint64(mem.LinesSpanned(a, len(data)))
 }
 
@@ -296,7 +289,6 @@ func (t *Thread) StoreNT(a mem.Addr, data []byte) {
 	t.rt.Dev.StoreNT(t.id, a, data)
 	t.tick(t.rt.cfg.Latency.StoreCycles + 1)
 	t.emit(trace.KStoreNT, a, len(data))
-	t.epochOpen = true
 	t.epochLineTouches += uint64(mem.LinesSpanned(a, len(data)))
 }
 
@@ -352,7 +344,6 @@ func (t *Thread) Fence() {
 	}
 	t.tick(cost)
 	t.emit(trace.KFence, 0, 0)
-	t.epochOpen = false
 	t.orderingPoints.Inc()
 	if t.epochLineTouches > 0 {
 		t.rt.epochLines.Observe(t.epochLineTouches)

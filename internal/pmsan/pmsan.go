@@ -101,6 +101,8 @@ type lineState struct {
 }
 
 type threadState struct {
+	// lines is made by the first store or flush: the thread table hands
+	// out zero-valued states.
 	lines map[mem.Line]*lineState
 	// txLines lists PM lines stored to inside the open tx window, in
 	// first-touch order.
@@ -117,6 +119,9 @@ type threadState struct {
 func (t *threadState) line(l mem.Line) *lineState {
 	ls := t.lines[l]
 	if ls == nil {
+		if t.lines == nil {
+			t.lines = make(map[mem.Line]*lineState)
+		}
 		ls = &lineState{}
 		t.lines[l] = ls
 	}
@@ -130,18 +135,12 @@ type vkey struct {
 	line  mem.Line
 }
 
-// maxEventLines bounds the lines walked for a single event, so a
-// corrupt or adversarial trace (the fuzz target feeds arbitrary decoded
-// traces) cannot drive the sanitizer into an effectively unbounded
-// loop. 1<<16 lines = 4 MiB, far above any real event in the suite.
-const maxEventLines = 1 << 16
-
 // Sanitizer runs the durability-ordering state machine over one trace.
 // It is not safe for concurrent use; feed it events in trace order via
 // Observe and call Finish exactly once.
 type Sanitizer struct {
 	meta     trace.Meta
-	threads  map[int32]*threadState
+	threads  trace.TIDTable[threadState]
 	viol     map[vkey]*Violation
 	events   uint64
 	finished bool
@@ -150,20 +149,7 @@ type Sanitizer struct {
 // New returns a Sanitizer for a trace with the given metadata (used
 // only for report labeling).
 func New(meta trace.Meta) *Sanitizer {
-	return &Sanitizer{
-		meta:    meta,
-		threads: make(map[int32]*threadState),
-		viol:    make(map[vkey]*Violation),
-	}
-}
-
-func (s *Sanitizer) thread(tid int32) *threadState {
-	t := s.threads[tid]
-	if t == nil {
-		t = &threadState{lines: make(map[mem.Line]*lineState)}
-		s.threads[tid] = t
-	}
-	return t
+	return &Sanitizer{meta: meta, viol: make(map[vkey]*Violation)}
 }
 
 func (s *Sanitizer) record(c Class, tid int32, l mem.Line, at mem.Time) {
@@ -174,23 +160,6 @@ func (s *Sanitizer) record(c Class, tid int32, l mem.Line, at mem.Time) {
 		s.viol[k] = v
 	}
 	v.Count++
-}
-
-// eventLines yields [first, last] PM-clamped line bounds for an event,
-// or ok=false when the event touches no lines.
-func eventLines(a mem.Addr, size uint32) (first, last mem.Line, ok bool) {
-	if size == 0 {
-		return 0, 0, false
-	}
-	first = mem.LineOf(a)
-	last = mem.LineOf(a + mem.Addr(size) - 1)
-	if last < first { // address-space wrap in a hostile trace
-		last = first
-	}
-	if last-first >= maxEventLines {
-		last = first + maxEventLines - 1
-	}
-	return first, last, true
 }
 
 // Observe feeds one event to the state machine.
@@ -206,7 +175,7 @@ func (s *Sanitizer) Observe(e trace.Event) {
 	case trace.KFence:
 		s.fence(e)
 	case trace.KTxBegin:
-		t := s.thread(e.TID)
+		t := s.threads.Get(e.TID)
 		t.txOpen = true
 	case trace.KTxEnd:
 		s.txEnd(e)
@@ -218,13 +187,9 @@ func (s *Sanitizer) Observe(e trace.Event) {
 }
 
 func (s *Sanitizer) store(e trace.Event, nt bool) {
-	first, last, ok := eventLines(e.Addr, e.Size)
-	if !ok {
-		return
-	}
-	t := s.thread(e.TID)
+	t := s.threads.Get(e.TID)
 	touchedPM := false
-	for ln := first; ln <= last; ln++ {
+	for ln, n := e.Lines(); n > 0; ln, n = ln+1, n-1 {
 		if !mem.LineIsPM(ln) {
 			continue
 		}
@@ -254,13 +219,9 @@ func (s *Sanitizer) store(e trace.Event, nt bool) {
 }
 
 func (s *Sanitizer) flush(e trace.Event) {
-	first, last, ok := eventLines(e.Addr, e.Size)
-	if !ok {
-		return
-	}
-	t := s.thread(e.TID)
+	t := s.threads.Get(e.TID)
 	touchedPM := false
-	for ln := first; ln <= last; ln++ {
+	for ln, n := e.Lines(); n > 0; ln, n = ln+1, n-1 {
 		if !mem.LineIsPM(ln) {
 			continue
 		}
@@ -281,7 +242,7 @@ func (s *Sanitizer) flush(e trace.Event) {
 }
 
 func (s *Sanitizer) fence(e trace.Event) {
-	t := s.thread(e.TID)
+	t := s.threads.Get(e.TID)
 	if t.pendingWork == 0 {
 		s.record(FenceNoWork, e.TID, 0, e.Time)
 	}
@@ -296,7 +257,7 @@ func (s *Sanitizer) fence(e trace.Event) {
 }
 
 func (s *Sanitizer) txEnd(e trace.Event) {
-	t := s.thread(e.TID)
+	t := s.threads.Get(e.TID)
 	for _, ln := range t.txLines {
 		ls := t.lines[ln]
 		if ls == nil {
@@ -321,9 +282,7 @@ func (s *Sanitizer) txEnd(e trace.Event) {
 // all open transactions, so carrying pre-crash state into the recovery
 // path would report ordering errors no hardware can observe.
 func (s *Sanitizer) crash() {
-	for tid := range s.threads {
-		s.threads[tid] = &threadState{lines: make(map[mem.Line]*lineState)}
-	}
+	s.threads = trace.TIDTable[threadState]{}
 }
 
 // Finish seals the sanitizer and returns its report. It also publishes
