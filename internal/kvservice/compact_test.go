@@ -2,8 +2,10 @@ package kvservice
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
@@ -775,7 +777,14 @@ func TestRecoveryRejectsCorruptLength(t *testing.T) {
 	if err == nil {
 		t.Fatal("recovery accepted a corrupt vlen")
 	}
-	// Reformatted: empty but alive.
+	requireReformatted(t, svc)
+}
+
+// requireReformatted: a service whose one shard just failed recovery has
+// been reformatted empty (the key every corrupt-image test writes is gone)
+// and serves, commits and recovers again.
+func requireReformatted(t *testing.T, svc *Service) {
+	t.Helper()
 	if _, ok := svc.Get("victim"); ok {
 		t.Fatal("corrupt shard still serving the poisoned key")
 	}
@@ -786,6 +795,53 @@ func TestRecoveryRejectsCorruptLength(t *testing.T) {
 	}
 	if err := svc.Crash(pmem.Strict, 32); err != nil {
 		t.Fatalf("reformatted shard failed a clean recovery: %v", err)
+	}
+	if got, _ := svc.Get("fresh"); string(got) != "start" {
+		t.Fatalf("reformatted shard lost its first commit across a crash: %q", got)
+	}
+}
+
+// corruptSlot durably overwrites one word of shard i's slot 0 — its base
+// (off 0) or its segment number (off 8) — outside any batch.
+func corruptSlot(svc *Service, i int, off mem.Addr, v uint64) {
+	sh := svc.shards[i]
+	a := sh.st.slotAddr(0) + off
+	sh.th.StoreU64(a, v)
+	sh.th.FlushFence(a, 8)
+}
+
+// TestRecoveryRejectsCorruptSlotBase: a mapped slot whose segment is not
+// persistent memory the device mapped, or whose segment number makes log
+// offsets wrap, fails recovery with an error naming the slot and leaves the
+// shard reformatted and serviceable. Before the check, a base in DRAM
+// panicked the scan's first load ("address 0x40(dram) is not persistent")
+// — on a shard goroutine, one missed re-raise from killing the process — a
+// base whose segment wraps the address space or lies past what the device
+// mapped scanned unwritten memory as the segment and returned nil with the
+// key gone, and a wrapping segment number failed on the head check
+// instead, naming the wrong cause.
+func TestRecoveryRejectsCorruptSlotBase(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		off  mem.Addr
+		v    uint64
+	}{
+		{"dram-base", 0, 0x40},
+		{"wrapping-base", 0, 0xffffffffffffffc0},
+		{"past-mapped-base", 0, 1 << 62},
+		{"wrapping-seq", 8, 1 << 55},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			svc := New(Config{Shards: 1, Batch: 1, SegBytes: 512})
+			svc.Put("victim", []byte("value"))
+			svc.Flush()
+			corruptSlot(svc, 0, c.off, c.v)
+			err := svc.Crash(pmem.Strict, 31)
+			if err == nil || !strings.Contains(err.Error(), "corrupt slot table: slot 0 ") {
+				t.Fatalf("recovery of a slot holding %#x at +%d: %v, want an error naming slot 0", c.v, c.off, err)
+			}
+			requireReformatted(t, svc)
+		})
 	}
 }
 

@@ -17,6 +17,7 @@
 package kvservice
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -462,52 +463,86 @@ func (s *Service) DurableLog(i int, from, to uint64) []byte {
 // the durable head. A shard whose durable image fails recovery validation
 // (corrupt lengths or slot table) is reported in the returned error and
 // reformatted empty so the service stays serviceable; callers treat a
-// non-nil return as data loss.
+// non-nil return as data loss. Shards recover on goroutines of their own
+// (see startShards); the error returned is the lowest-indexed shard's.
 func (s *Service) Crash(mode pmem.CrashMode, seed int64) error {
-	var firstErr error
-	for _, sh := range s.shards {
+	errs := make([]error, len(s.shards))
+	startShards(len(s.shards), func(i int) {
+		sh := s.shards[i]
 		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		sh.pending = sh.pending[:0]
 		super := sh.st.super
 		keys := len(sh.st.nrecs)
 		sh.rt.Crash(mode, seed)
 		st, err := openStore(sh.th, super, s.cfg.SegBytes, keys)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			errs[i] = err
 			st = newStore(sh.th, s.cfg.SegBytes)
 		}
 		sh.st = st
 		s.observeSpaceLocked(sh)
 		sh.freeAt = sh.rt.Clock.Now()
-		sh.mu.Unlock()
+	})()
+	return cmp.Or(errs...)
+}
+
+// startShards runs fn(i) for every shard index i below n, each on a
+// goroutine of its own, and returns the join. Shards share nothing a commit
+// or a recovery touches — device, runtime, clock, trace and store are each
+// shard's own, and the service-wide instruments are atomics whose totals do
+// not depend on interleaving — so running them at once changes no number.
+// The join waits for every goroutine and then re-raises a panic from any of
+// them with its original value (the lowest index's, if several panicked),
+// so a recover on the caller's goroutine — persist.Runtime.AbortAt's, the
+// scenario engine's — sees what it saw when the shards ran one after
+// another on it. fn releases whatever it locks on the way out of a panic.
+func startShards(n int, fn func(i int)) (join func()) {
+	panics := make([]any, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			fn(i)
+		}(i)
 	}
-	return firstErr
+	return func() {
+		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
+	}
 }
 
 // --- simulation-facing entry points (see sim.go) -------------------------
 
-// enqueue adds a timed request to its shard. A batch whose oldest request
-// has waited MaxWait by this arrival commits first, at its deadline — the
-// deadline rule is shard-local: arrivals come in time order and a commit
-// reads and writes only its own shard's device, clock and trace, so it does
-// not matter which later arrival notices that the deadline passed, only that
-// the batch starts at max(due, freeAt) and closes before the shard's next
-// request joins. Then the request is appended, and a full batch commits
-// immediately. Both commits are gated on the shard being free.
-func (s *Service) enqueue(op workload.KVOp, arrival mem.Time) {
-	sh := s.shards[s.ShardFor(op.Key)]
+// enqueue adds sh's timed requests, in arrival order, to its batch. A batch
+// whose oldest request has waited MaxWait by an arrival commits first, at
+// its deadline — the deadline rule is shard-local: arrivals come in time
+// order and a commit reads and writes only its own shard's device, clock and
+// trace, so it does not matter which later arrival notices that the deadline
+// passed, only that the batch starts at max(due, freeAt) and closes before
+// the shard's next request joins. Then the request is appended, and a full
+// batch commits immediately. Both commits are gated on the shard being free.
+// A shard's schedule is therefore a function of its own arrivals alone,
+// which is what lets Run feed each shard on a goroutine of its own.
+func (s *Service) enqueue(sh *shard, reqs []request) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if len(sh.pending) > 0 {
-		if due := sh.pending[0].arrival + s.cfg.MaxWait; due <= arrival {
-			s.commitLocked(sh, max(due, sh.freeAt))
+	for _, r := range reqs {
+		if len(sh.pending) > 0 {
+			if due := sh.pending[0].arrival + s.cfg.MaxWait; due <= r.arrival {
+				s.commitLocked(sh, max(due, sh.freeAt))
+			}
 		}
-	}
-	sh.pending = append(sh.pending, request{op: op, arrival: arrival})
-	if len(sh.pending) >= s.cfg.Batch {
-		s.commitLocked(sh, max(arrival, sh.freeAt))
+		sh.pending = append(sh.pending, r)
+		if len(sh.pending) >= s.cfg.Batch {
+			s.commitLocked(sh, max(r.arrival, sh.freeAt))
+		}
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
+	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -35,9 +37,10 @@ func (s *Service) commitDue(now mem.Time) {
 	}
 }
 
-// referenceRun is Run as it was before the deadline rule moved into enqueue:
-// the same draws in the same order, keys through fmt, commitDue before every
-// arrival.
+// referenceRun is Run as it was before the deadline rule moved into enqueue
+// and the shards onto goroutines of their own: the same draws in the same
+// order, keys through fmt, commitDue before every arrival, every shard
+// simulated on the caller's goroutine one request at a time.
 func referenceRun(cfg SimConfig) (SimResult, *Service) {
 	cfg = cfg.withDefaults()
 	svc := newSimService(cfg)
@@ -63,10 +66,36 @@ func referenceRun(cfg SimConfig) (SimResult, *Service) {
 		} else if draw < cfg.WritePct+cfg.DeletePct {
 			op = workload.KVOp{Kind: workload.OpDelete, Key: key}
 		}
-		svc.enqueue(op, arrival)
+		svc.enqueue(svc.shards[svc.ShardFor(key)], []request{{op: op, arrival: arrival}})
 	}
 	svc.drain()
 	return svc.simResult(cfg, mem.Time(t)), svc
+}
+
+// referenceCrash is Service.Crash as it was before the shards recovered on
+// goroutines of their own: one shard after another on the caller's
+// goroutine, the first error kept.
+func referenceCrash(s *Service, mode pmem.CrashMode, seed int64) error {
+	var firstErr error
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.pending = sh.pending[:0]
+		super := sh.st.super
+		keys := len(sh.st.nrecs)
+		sh.rt.Crash(mode, seed)
+		st, err := openStore(sh.th, super, s.cfg.SegBytes, keys)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			st = newStore(sh.th, s.cfg.SegBytes)
+		}
+		sh.st = st
+		s.observeSpaceLocked(sh)
+		sh.freeAt = sh.rt.Clock.Now()
+		sh.mu.Unlock()
+	}
+	return firstErr
 }
 
 // requireMatchesReference runs cfg through Run and referenceRun and demands
@@ -105,37 +134,132 @@ func requireMatchesReference(t *testing.T, cfg SimConfig) SimResult {
 	return got
 }
 
+// atProcs runs fn at the test binary's GOMAXPROCS, then at 1 (every shard
+// goroutine and the drawing one share a core) and at 4 (more cores than
+// the benchmark box has): the shards' schedules must not depend on how
+// their goroutines interleave.
+func atProcs(t *testing.T, fn func(t *testing.T)) {
+	def := runtime.GOMAXPROCS(0)
+	for i, procs := range []int{def, 1, 4} {
+		if i > 0 && procs == def {
+			continue
+		}
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			fn(t)
+		})
+	}
+}
+
 // TestShardLocalDeadlineMatchesGlobalScan: the grid runs from
 // deadline-dominated (500 clients: the mean gap is MaxWait, most batches
 // close on the timer) through batch-full-dominated to saturated (32 000
 // clients on few shards: commits queue behind freeAt).
 func TestShardLocalDeadlineMatchesGlobalScan(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		for _, batch := range []int{1, 8, 32} {
-			for _, clients := range []int{500, 8000, 32000} {
-				for _, del := range []int{0, 10} {
-					for seed := int64(1); seed <= 3; seed++ {
-						requireMatchesReference(t, SimConfig{
-							Shards: shards, Batch: batch, Clients: clients,
-							Ops: 4000, Keys: 4096, WritePct: 40, DeletePct: del, Seed: seed,
-						})
+	atProcs(t, func(t *testing.T) {
+		for _, shards := range []int{1, 2, 4} {
+			for _, batch := range []int{1, 8, 32} {
+				for _, clients := range []int{500, 8000, 32000} {
+					for _, del := range []int{0, 10} {
+						for seed := int64(1); seed <= 3; seed++ {
+							requireMatchesReference(t, SimConfig{
+								Shards: shards, Batch: batch, Clients: clients,
+								Ops: 4000, Keys: 4096, WritePct: 40, DeletePct: del, Seed: seed,
+							})
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestShardLocalDeadlineMatchesGlobalScanUnderChurn puts compaction passes
 // inside the compared batches: a small hot keyspace overwrites 1 MiB
 // segments dead several times over.
 func TestShardLocalDeadlineMatchesGlobalScanUnderChurn(t *testing.T) {
-	res := requireMatchesReference(t, SimConfig{
-		Shards: 1, Batch: 8, Clients: 2000, Ops: 40000, Keys: 1024,
-		WritePct: 80, DeletePct: 5, SegBytes: 1 << 20, Seed: 1,
+	atProcs(t, func(t *testing.T) {
+		res := requireMatchesReference(t, SimConfig{
+			Shards: 1, Batch: 8, Clients: 2000, Ops: 40000, Keys: 1024,
+			WritePct: 80, DeletePct: 5, SegBytes: 1 << 20, Seed: 1,
+		})
+		if res.Compactions == 0 {
+			t.Fatal("churn cell never compacted; the comparison covered no compaction pass")
+		}
 	})
-	if res.Compactions == 0 {
-		t.Fatal("churn cell never compacted; the comparison covered no compaction pass")
+}
+
+// crashFixture is a service in the state a crash finds worth the most: a
+// churn run (small segments, so passes are frequent) left with a compaction
+// pass in flight on some shard, a partial batch pending on every shard, and
+// shard 0's group commit stopped partway through its PM events with lines
+// still in flight for the adversary. Same arguments, same service.
+func crashFixture(t *testing.T, shards int, seed int64) *Service {
+	t.Helper()
+	_, svc := Run(SimConfig{
+		Shards: shards, Batch: 8, Clients: 2000, Ops: 6000, Keys: 512,
+		WritePct: 80, DeletePct: 5, SegBytes: 1 << 13, Seed: seed,
+	})
+	inFlight := false
+	for _, sh := range svc.shards {
+		inFlight = inFlight || sh.st.pass.active
+	}
+	if !inFlight {
+		t.Fatalf("shards=%d seed=%d: the run left no compaction pass in flight", shards, seed)
+	}
+	for i := 0; i < 4*shards; i++ {
+		svc.Put(fmt.Sprintf("pending-%02d", i), []byte("lost with the crash, or torn"))
+	}
+	if len(svc.shards[0].pending) == 0 {
+		t.Fatalf("shards=%d: no put routed to shard 0", shards)
+	}
+	if !svc.Runtime(0).AbortAt(5, nil, func() { svc.FlushShard(0) }) {
+		t.Fatalf("shards=%d: shard 0's commit emitted fewer than 5 events", shards)
+	}
+	return svc
+}
+
+// TestCrashMatchesSerialRecovery: Crash, recovering every shard on a
+// goroutine of its own, leaves each shard exactly as referenceCrash's one
+// shard after another does — index, tombstones, log heads, clock, device
+// counters, durable image — and returns the same error.
+func TestCrashMatchesSerialRecovery(t *testing.T) {
+	for _, shards := range []int{1, 2, 4} {
+		for _, mode := range []pmem.CrashMode{pmem.Strict, pmem.Adversarial} {
+			for seed := int64(1); seed <= 3; seed++ {
+				cell := fmt.Sprintf("shards=%d %v seed=%d", shards, mode, seed)
+				got, want := crashFixture(t, shards, seed), crashFixture(t, shards, seed)
+				if g, w := got.Crash(mode, seed), referenceCrash(want, mode, seed); fmt.Sprint(g) != fmt.Sprint(w) {
+					t.Fatalf("%s: Crash returned %v, the serial loop %v", cell, g, w)
+				}
+				if g, w := got.Space(), want.Space(); g != w {
+					t.Fatalf("%s: Space %+v, serial %+v", cell, g, w)
+				}
+				if g, w := got.Stats(), want.Stats(); g != w {
+					t.Fatalf("%s: Stats %+v, serial %+v", cell, g, w)
+				}
+				for i := 0; i < shards; i++ {
+					gs, ws := got.shards[i], want.shards[i]
+					if !reflect.DeepEqual(gs.st.index, ws.st.index) || !reflect.DeepEqual(gs.st.tombs, ws.st.tombs) {
+						t.Fatalf("%s: shard %d recovered a different index", cell, i)
+					}
+					gd, gv := got.LogHeads(i)
+					wd, wv := want.LogHeads(i)
+					if gd != wd || gv != wv {
+						t.Fatalf("%s: shard %d heads (%d,%d), serial (%d,%d)", cell, i, gd, gv, wd, wv)
+					}
+					if g, w := gs.rt.Clock.Now(), ws.rt.Clock.Now(); g != w || gs.freeAt != ws.freeAt {
+						t.Fatalf("%s: shard %d clock %d (free at %d), serial %d (%d)", cell, i, g, gs.freeAt, w, ws.freeAt)
+					}
+					if g, w := gs.rt.Dev.Stats(), ws.rt.Dev.Stats(); g != w {
+						t.Fatalf("%s: shard %d device stats %+v, serial %+v", cell, i, g, w)
+					}
+					if crashcheck.TakeSnapshot(gs.rt.Dev).Hash() != crashcheck.TakeSnapshot(ws.rt.Dev).Hash() {
+						t.Fatalf("%s: shard %d durable images differ", cell, i)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -166,9 +166,13 @@ func keyName(n uint64) string {
 // plus the service itself (callers feed its merged trace to the
 // sanitizer or the epoch analysis). Same config, same result — the whole
 // simulation runs on seeded PRNGs over the deterministic machine model.
+// The caller's goroutine draws every arrival, in one order whatever the
+// shard count; each shard simulates its own arrivals on a goroutine of its
+// own (see feed), and its schedule depends on nothing else.
 func Run(cfg SimConfig) (SimResult, *Service) {
 	cfg = cfg.withDefaults()
 	svc := newSimService(cfg)
+	f := svc.startFeed(svc.enqueue)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := workload.NewZipf(rng, cfg.ZipfS, cfg.Keys)
 	meanGapNS := 1e9 / (float64(cfg.Clients) * cfg.ClientOpsPerSec)
@@ -190,10 +194,79 @@ func Run(cfg SimConfig) (SimResult, *Service) {
 		} else if draw < cfg.WritePct+cfg.DeletePct {
 			op = workload.KVOp{Kind: workload.OpDelete, Key: key}
 		}
-		svc.enqueue(op, arrival)
+		f.send(svc.ShardFor(key), request{op: op, arrival: arrival})
 	}
+	f.close()
 	svc.drain()
 	return svc.simResult(cfg, mem.Time(t)), svc
+}
+
+const (
+	feedChunk = 256 // requests per hand-off to a shard goroutine
+	feedDepth = 4   // chunks queued or running on a shard while the drawer fills the next
+)
+
+// feed carries Run's requests from the goroutine that draws them to one
+// goroutine per shard. The drawing side appends each request to its shard's
+// open chunk; a full chunk goes to the shard's goroutine, which hands it to
+// step and sends it back to be refilled. feedDepth+1 chunks circulate per
+// shard, so the drawing side runs at most that far ahead of any shard and a
+// request costs no allocation of its own.
+type feed struct {
+	open [][]request      // per shard: the chunk being filled
+	full []chan []request // per shard: chunks waiting for the shard's goroutine
+	free []chan []request // per shard: chunks coming back to be refilled
+	join func()
+}
+
+// startFeed starts a goroutine per shard that passes each chunk sent to it
+// to step, in order. A goroutine whose step panicked keeps taking chunks, so
+// the drawing side never blocks on it; close re-raises the panic.
+func (s *Service) startFeed(step func(sh *shard, reqs []request)) *feed {
+	n := len(s.shards)
+	f := &feed{open: make([][]request, n), full: make([]chan []request, n), free: make([]chan []request, n)}
+	for i := range s.shards {
+		f.open[i] = make([]request, 0, feedChunk)
+		f.full[i] = make(chan []request, feedDepth)
+		f.free[i] = make(chan []request, feedDepth+1) // room for every chunk: the shard never blocks on it
+		for j := 0; j < feedDepth; j++ {
+			f.free[i] <- make([]request, 0, feedChunk)
+		}
+	}
+	f.join = startShards(n, func(i int) {
+		defer func() { // after a panic in step: keep taking chunks until close
+			for c := range f.full[i] {
+				f.free[i] <- c
+			}
+		}()
+		for c := range f.full[i] {
+			step(s.shards[i], c)
+			f.free[i] <- c
+		}
+	})
+	return f
+}
+
+// send queues r for shard i.
+func (f *feed) send(i int, r request) {
+	c := append(f.open[i], r)
+	if len(c) == feedChunk {
+		f.full[i] <- c
+		c = (<-f.free[i])[:0]
+	}
+	f.open[i] = c
+}
+
+// close sends the part-filled chunks, lets the shard goroutines finish and
+// waits for them; a panic from any of them is re-raised here.
+func (f *feed) close() {
+	for i, c := range f.open {
+		if len(c) > 0 {
+			f.full[i] <- c
+		}
+		close(f.full[i])
+	}
+	f.join()
 }
 
 // newSimService builds the service a load point runs against.

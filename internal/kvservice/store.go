@@ -3,6 +3,7 @@ package kvservice
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -188,7 +189,9 @@ func newStore(th *persist.Thread, segBytes int) *store {
 // claiming a second slot for the same segment number. Lengths inside the
 // published head are validated against their segment's remainder — a
 // corrupt klen/vlen fails recovery loudly instead of silently aliasing
-// into a neighboring segment. keys is how many keys to size the index for
+// into a neighboring segment — and so does a mapped slot whose segment is
+// not inside the device's mapped persistent range, or whose segment number
+// puts log offsets past 2^64. keys is how many keys to size the index for
 // (what the shard held before the crash, 0 for a cold open): recovery
 // still takes every key from the scan, it only stops growing its maps from
 // empty.
@@ -203,6 +206,7 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 	s.slotBase = make([]mem.Addr, s.nslots)
 	s.slotSeq = make([]uint64, s.nslots)
 	sb := uint64(segBytes)
+	mapped := th.Runtime().Dev.Mapped()
 	for i := 0; i < s.nslots; i++ {
 		a := super + superSlotTable + mem.Addr(slotBytes*i)
 		base := mem.Addr(th.LoadU64(a))
@@ -210,6 +214,16 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 		if base == 0 {
 			s.freeSlots = append(s.freeSlots, i)
 			continue
+		}
+		// The scan loads [base, base+segBytes) and computes log offsets up to
+		// (seq+1)*segBytes: a base outside the device's mapped persistent
+		// range would panic the load or read unwritten memory as a segment,
+		// and an offset that wraps would alias the start of the log.
+		if end := base + mem.Addr(sb); !mem.IsPM(base) || end < base || end > mapped {
+			return nil, fmt.Errorf("kvservice: corrupt slot table: slot %d maps segment %d at %v, outside the mapped range [%v, %v)", i, seq, base, mem.PMBase, mapped)
+		}
+		if seq >= math.MaxUint64/sb {
+			return nil, fmt.Errorf("kvservice: corrupt slot table: slot %d maps segment %d, whose log offsets overflow", i, seq)
 		}
 		if dup, ok := s.slotOf[seq]; ok {
 			return nil, fmt.Errorf("kvservice: corrupt slot table: slots %d and %d both map segment %d", dup, i, seq)
