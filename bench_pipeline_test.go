@@ -92,39 +92,19 @@ func BenchmarkHOPSReplay(b *testing.B) {
 	b.ReportMetric(float64(rep.Trace.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
-// BenchmarkTraceCodecV2 measures the chunked codec against v1 on the same
-// synthetic trace.
+// BenchmarkTraceCodecV2 measures the chunked codec on a synthetic trace:
+// encoding, materializing decode, and chunked reading.
 func BenchmarkTraceCodecV2(b *testing.B) {
 	tr := genPipelineTrace(1_000_000, 8)
-	var v1, v2 bytes.Buffer
-	if err := trace.EncodeV1(&v1, tr); err != nil {
-		b.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := trace.EncodeV2(&v2, tr); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("encode/v1", func(b *testing.B) {
-		b.SetBytes(int64(v1.Len()))
-		for i := 0; i < b.N; i++ {
-			var sink countWriter
-			if err := trace.EncodeV1(&sink, tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("encode/v2", func(b *testing.B) {
 		b.SetBytes(int64(v2.Len()))
 		for i := 0; i < b.N; i++ {
 			var sink countWriter
 			if err := trace.EncodeV2(&sink, tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode/v1", func(b *testing.B) {
-		b.SetBytes(int64(v1.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, err := trace.Decode(bytes.NewReader(v1.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -154,34 +134,6 @@ func BenchmarkTraceCodecV2(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkRunVsRunStream runs the same two-stage pipeline twice: both
-// entry points record on one goroutine and analyse the trace's tail on
-// another, so the rows differ only in what the trace does with a chunk it
-// has handed over — "materialized" keeps it (1 MiB chunks, Report.Trace),
-// "stream" drops it (512-event chunks, a few thousand events alive). The
-// difference between the rows is the price of retention, not of a second
-// pass.
-func BenchmarkRunVsRunStream(b *testing.B) {
-	for _, name := range []string{"echo", "hashmap"} {
-		b.Run("materialized/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(name, Config{Ops: benchOps, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("stream/"+name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunStreamFused(name, Config{Ops: benchOps, Seed: 1}, FusedConfig{}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // genSource emits a deterministic synthetic event stream without ever

@@ -328,15 +328,15 @@ func BenchmarkPMFSBlockWrite(b *testing.B) {
 }
 
 // BenchmarkSuiteRunner measures whole-suite wall clock: all eleven
-// applications at benchOps, serial versus the bounded worker pool. The
-// parallel rows must produce identical reports (asserted by
+// applications at benchOps through RunAllFused, serial versus two workers.
+// The rows must produce identical reports (asserted by
 // TestParallelSuiteMatchesSerial); only the wall clock may differ.
 func BenchmarkSuiteRunner(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
+	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunAllParallel(Config{Ops: benchOps, Seed: 1}, workers); err != nil {
+				if _, err := RunAllFused(Names(), Config{Ops: benchOps, Seed: 1}, FusedConfig{}, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 
 	"github.com/whisper-pm/whisper"
 	"github.com/whisper-pm/whisper/internal/cliutil"
@@ -197,15 +198,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// readDir makes one pass over each saved trace in dir: the file is opened
-// and decoded once, whatever fcfg adds to the epoch analysis.
+// readDir makes one pass over each saved trace in dir, the regular files
+// named *.wspr in name order: the file is opened and decoded once, whatever
+// fcfg adds to the epoch analysis.
 func readDir(dir string, fcfg whisper.FusedConfig) ([]*whisper.FusedReport, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.wspr"))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var out []*whisper.FusedReport
-	for _, path := range matches {
+	for _, e := range entries {
+		if !e.Type().IsRegular() || !strings.HasSuffix(e.Name(), ".wspr") {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,23 +15,31 @@ import (
 func TestRunErrorPaths(t *testing.T) {
 	tmp := t.TempDir()
 
-	// A valid saved trace for the success and corrupt-file cases.
-	traceDir := filepath.Join(tmp, "traces")
-	if err := os.MkdirAll(traceDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
+	// A valid saved trace for the success and corrupt-file cases, and
+	// copies of it in directories whose names are glob patterns. The
+	// bracket directory also holds a subdirectory named like a trace,
+	// which is not one.
+	var saved bytes.Buffer
 	rep, err := whisper.Run("hashmap", whisper.Config{Clients: 2, Ops: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(filepath.Join(traceDir, "hashmap.wspr"))
-	if err != nil {
+	if err := rep.Trace.Encode(&saved); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Trace.Encode(f); err != nil {
+	traceDir := filepath.Join(tmp, "traces")
+	bracketDir := filepath.Join(tmp, "t[")
+	for _, dir := range []string{traceDir, bracketDir, filepath.Join(tmp, "a1"), filepath.Join(tmp, "a2")} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "hashmap.wspr"), saved.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(bracketDir, "sub.wspr"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	corruptDir := filepath.Join(tmp, "corrupt")
 	if err := os.MkdirAll(corruptDir, 0o755); err != nil {
@@ -89,6 +98,26 @@ func TestRunErrorPaths(t *testing.T) {
 			args:     []string{"-dir", tmp},
 			wantCode: 1,
 			wantErr:  "nothing to analyze",
+		},
+		{
+			// The directory name is a path, not a pattern: a "[" in it is
+			// an ordinary character.
+			name:     "trace dir named like a bad pattern",
+			args:     []string{"-dir", bracketDir, "-fig4"},
+			wantCode: 0,
+		},
+		{
+			// ... and "a*" names one directory, not a1 and a2 together.
+			name:     "trace dir named like a pattern",
+			args:     []string{"-dir", filepath.Join(tmp, "a*")},
+			wantCode: 1,
+			wantErr:  filepath.Join(tmp, "a*"),
+		},
+		{
+			name:     "missing trace dir",
+			args:     []string{"-dir", filepath.Join(tmp, "nonexistent")},
+			wantCode: 1,
+			wantErr:  filepath.Join(tmp, "nonexistent") + ": no such file or directory",
 		},
 		{
 			name:     "corrupt trace file",
@@ -179,19 +208,11 @@ func runOnSavedHashmap(t *testing.T, flags ...string) string {
 // read back from saved traces.
 func TestModesOutputIdentical(t *testing.T) {
 	traceDir := t.TempDir()
-	reports, err := whisper.RunAll(whisper.Config{Ops: 5, Seed: 3})
+	_, err := whisper.RunAllFused(whisper.Names(), whisper.Config{Ops: 5, Seed: 3}, whisper.FusedConfig{}, 1, func(name string) (io.WriteCloser, error) {
+		return os.Create(filepath.Join(traceDir, name+".wspr"))
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, rep := range reports {
-		f, err := os.Create(filepath.Join(traceDir, rep.App+".wspr"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.Trace.Encode(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
 	}
 
 	outputs := map[string]string{}

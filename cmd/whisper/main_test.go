@@ -41,6 +41,24 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 }
 
+// TestUnknownBenchmarkWritesNoTrace: a run that fails on its benchmark
+// name leaves nothing in the -trace directory, where an empty .wspr file
+// would later fail `wanalyze -dir` on a truncated header.
+func TestUnknownBenchmarkWritesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-bench", "nope", "-trace", dir}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("-trace directory holds %s after a failed run", e.Name())
+	}
+}
+
 // TestParallelFlagChangesNothing pins that -parallel only schedules the
 // runs: the report, the sanitizer section and the trace files -trace writes
 // are byte-identical with one worker and with two.

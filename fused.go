@@ -65,10 +65,10 @@ type FusedReport struct {
 	Cache *CacheStats
 }
 
-// AnalyzeReaderFused streams a saved trace (either codec version)
-// through the epoch analysis plus the consumers fcfg selects, decoding
-// the file exactly once. The outputs match AnalyzeReader,
-// SanitizeReader, and a standalone cache replay on the same trace.
+// AnalyzeReaderFused streams a saved trace through the epoch analysis plus
+// the consumers fcfg selects, decoding the file exactly once. The outputs
+// match AnalyzeReader, SanitizeReader, and a standalone cache replay on the
+// same trace.
 func AnalyzeReaderFused(r io.Reader, fcfg FusedConfig) (*FusedReport, error) {
 	rd, err := trace.NewReader(r)
 	if err != nil {
@@ -92,10 +92,15 @@ func RunStreamFused(name string, cfg Config, fcfg FusedConfig, traceOut io.Write
 // RunAllFused is RunStreamFused over each of names, up to workers of them
 // at a time, with the reports in names order. When traceOut is non-nil each
 // run's events also go, in the chunked v2 format, to the writer
-// traceOut(name) opens; it is closed when that run ends. As with
-// RunAllParallel, neither the reports nor the bytes written depend on
-// workers.
+// traceOut(name) opens; it is closed when that run ends. Neither the
+// reports nor the bytes written depend on workers. An unknown name fails
+// the call before anything runs or traceOut is called.
 func RunAllFused(names []string, cfg Config, fcfg FusedConfig, workers int, traceOut func(name string) (io.WriteCloser, error)) ([]*FusedReport, error) {
+	for _, name := range names {
+		if _, _, err := resolve(name, cfg); err != nil {
+			return nil, err
+		}
+	}
 	out := make([]*FusedReport, len(names))
 	err := forEach(len(names), workers, func(i int) (err error) {
 		if traceOut == nil {

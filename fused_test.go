@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -151,5 +152,47 @@ func TestRunAllFusedMatchesSingleRuns(t *testing.T) {
 	boom := errors.New("disk full")
 	if _, err := RunAllFused(names, cfg, fcfg, 2, func(string) (io.WriteCloser, error) { return nil, boom }); err != boom {
 		t.Errorf("a trace writer that cannot be opened gave %v, want %v", err, boom)
+	}
+}
+
+// TestRunAllFusedUnknownNameOpensNothing: a name outside the suite fails
+// the call before any run starts or any trace writer is opened, so a
+// `whisper -bench nope -trace dir` leaves no empty file behind for a later
+// `wanalyze -dir` to choke on.
+func TestRunAllFusedUnknownNameOpensNothing(t *testing.T) {
+	var mu sync.Mutex
+	var opened []string
+	_, err := RunAllFused([]string{"echo", "nope"}, Config{Ops: 2, Seed: 1}, FusedConfig{}, 2, func(name string) (io.WriteCloser, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		opened = append(opened, name)
+		return &teeFile{}, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown benchmark "nope"`) {
+		t.Fatalf("error = %v, want one naming the unknown benchmark", err)
+	}
+	if len(opened) != 0 {
+		t.Fatalf("trace writers opened for %v", opened)
+	}
+}
+
+// TestV1TraceRejected feeds the header of a version 1 trace file, a format
+// no longer read, to every entry point that reads a trace: each refuses it
+// by its version.
+func TestV1TraceRejected(t *testing.T) {
+	v1 := []byte("WSPR\x01\x04echo\x06native\x01\x00\x00\x00")
+	for name, read := range map[string]func(io.Reader) error{
+		"trace.NewReader": func(r io.Reader) error { _, err := trace.NewReader(r); return err },
+		"trace.Decode":    func(r io.Reader) error { _, err := trace.Decode(r); return err },
+		"DecodeTrace":     func(r io.Reader) error { _, err := DecodeTrace(r); return err },
+		"AnalyzeReaderFused": func(r io.Reader) error {
+			_, err := AnalyzeReaderFused(r, FusedConfig{Sanitize: true, Cache: true})
+			return err
+		},
+		"SanitizeReader": func(r io.Reader) error { _, err := SanitizeReader(r); return err },
+	} {
+		if err := read(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+			t.Errorf("%s: error = %v, want unsupported version 1", name, err)
+		}
 	}
 }

@@ -47,13 +47,13 @@ func renderFigures(r *Report) string {
 // streaming execution paths all render the figures byte-identically.
 // Regenerate with: go test -run TestGoldenFigures -update .
 func TestGoldenFigures(t *testing.T) {
-	parReports, err := RunAllParallel(goldenCfg, 4)
+	passes, err := RunAllFused(Names(), goldenCfg, FusedConfig{}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parByApp := make(map[string]*Report)
-	for _, r := range parReports {
-		parByApp[r.App] = r
+	for _, p := range passes {
+		parByApp[p.Report.App] = p.Report
 	}
 
 	for _, app := range goldenApps {

@@ -165,17 +165,17 @@ func TestHeadlineFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite sweep")
 	}
-	reports, err := RunAll(Config{Ops: 20, Seed: 11})
+	passes, err := RunAllFused(Names(), Config{Ops: 20, Seed: 11}, FusedConfig{}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var singles, self, cross float64
-	for _, r := range reports {
-		singles += r.SingletonFraction
-		self += r.SelfDeps
-		cross += r.CrossDeps
+	for _, p := range passes {
+		singles += p.Report.SingletonFraction
+		self += p.Report.SelfDeps
+		cross += p.Report.CrossDeps
 	}
-	n := float64(len(reports))
+	n := float64(len(passes))
 	if avg := singles / n; avg < 0.55 || avg > 0.95 {
 		t.Errorf("average singleton fraction = %.2f, paper ~0.75", avg)
 	}
@@ -187,8 +187,8 @@ func TestHeadlineFindings(t *testing.T) {
 	}
 	// Transactions implemented with 5..50 ordering points for most apps.
 	in := 0
-	for _, r := range reports {
-		if r.MedianTxEpochs >= 4 && r.MedianTxEpochs <= 50 {
+	for _, p := range passes {
+		if m := p.Report.MedianTxEpochs; m >= 4 && m <= 50 {
 			in++
 		}
 	}

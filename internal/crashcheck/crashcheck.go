@@ -24,9 +24,15 @@
 // then lets the device independently keep or drop every line that was not
 // yet explicitly made durable — the legal residual states of a real
 // cache hierarchy.
+//
+// Crash images never leave the process: a cell crashes its device in place
+// and reboots the application on that same device, so there is no image
+// file format to write, read or keep compatible.
 package crashcheck
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -306,7 +312,7 @@ func SampleDurable(dev *pmem.Device, mode Mode, seed int64, point int) *pmem.Dev
 }
 
 // DurableImageHash runs a single cell up to and including the device crash
-// and returns the SHA-256 of the canonical durable-image snapshot. Two
+// and returns the SHA-256 of the device's durable state (see imageHash). Two
 // invocations with identical coordinates must agree byte for byte — the
 // determinism contract the regression test pins 50 times over.
 func DurableImageHash(name string, cfg Config, seed int64, point int, mode Mode) ([32]byte, error) {
@@ -324,5 +330,23 @@ func DurableImageHash(name string, cfg Config, seed int64, point int, mode Mode)
 	}
 	frozen, _, _ := executeToCrash(ent, cfg, seed, point, mode, golden)
 	frozen.Crash(deviceMode(mode), crashSeed(seed, point, mode))
-	return TakeSnapshot(frozen).Hash(), nil
+	return imageHash(frozen), nil
+}
+
+// imageHash returns the SHA-256 of d's durable state: the mapped extent,
+// then each durable page's index and bytes in ascending index order, so two
+// devices with equal durable contents hash alike whatever their history.
+func imageHash(d *pmem.Device) [32]byte {
+	h := sha256.New()
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], uint64(d.Mapped()))
+	h.Write(word[:])
+	for _, pg := range d.DurableImage() {
+		binary.LittleEndian.PutUint64(word[:], pg.Index)
+		h.Write(word[:])
+		h.Write(pg.Data[:])
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
 }

@@ -1,13 +1,11 @@
 package crashcheck
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/pmsan"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
@@ -171,86 +169,6 @@ func TestDeterministicCrashImages(t *testing.T) {
 				t.Fatalf("%s/%s: image hash diverged at run %d", tc.app, tc.mode, i)
 			}
 		}
-	}
-}
-
-// buildDevice makes a small device with a few durable and dirty lines.
-func buildDevice(t *testing.T) *pmem.Device {
-	t.Helper()
-	d := pmem.New()
-	a := d.Map(3 * 4096)
-	d.Store(0, a, []byte("durable after fence"))
-	d.Store(0, a+8192, bytes.Repeat([]byte{0xAB}, 128))
-	d.Flush(0, a, 64)
-	d.Flush(0, a+8192, 128)
-	d.Fence(0)
-	d.Store(0, a+4096, []byte("dirty, not persisted")) // must not appear durable
-	return d
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	d := buildDevice(t)
-	snap := TakeSnapshot(d)
-	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Next != snap.Next || len(got.Pages) != len(snap.Pages) {
-		t.Fatalf("round trip mismatch: next %d/%d pages %d/%d", got.Next, snap.Next, len(got.Pages), len(snap.Pages))
-	}
-	for i := range got.Pages {
-		if got.Pages[i] != snap.Pages[i] {
-			t.Fatalf("page %d differs after round trip", i)
-		}
-	}
-	if got.Hash() != snap.Hash() {
-		t.Fatalf("hash differs after round trip")
-	}
-	// Restore must reproduce the durable image on a fresh device.
-	r := TakeSnapshot(got.Restore())
-	if r.Hash() != snap.Hash() {
-		t.Fatalf("restored device durable image differs")
-	}
-}
-
-func TestDecodeSnapshotRejectsCorrupt(t *testing.T) {
-	valid := func() []byte {
-		var buf bytes.Buffer
-		TakeSnapshot(buildDevice(t)).Encode(&buf)
-		return buf.Bytes()
-	}()
-
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": append([]byte("XXXX"), valid[4:]...),
-		"truncated": valid[:len(valid)-7],
-	}
-	badVersion := append([]byte(nil), valid...)
-	badVersion[4] = 99
-	cases["bad version"] = badVersion
-	hugePages := append([]byte(nil), valid...)
-	for i := 16; i < 24; i++ {
-		hugePages[i] = 0xFF
-	}
-	cases["absurd page count"] = hugePages
-	if len(valid) >= 24+2*(8+pmem.PageBytes) {
-		swapped := append([]byte(nil), valid...)
-		copy(swapped[24:], valid[24+8+pmem.PageBytes:24+2*(8+pmem.PageBytes)])
-		copy(swapped[24+8+pmem.PageBytes:], valid[24:24+8+pmem.PageBytes])
-		cases["non-ascending indexes"] = swapped
-	}
-
-	for name, data := range cases {
-		if _, err := DecodeSnapshot(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: decode accepted corrupt input", name)
-		}
-	}
-	if _, err := DecodeSnapshot(bytes.NewReader(valid)); err != nil {
-		t.Errorf("valid input rejected: %v", err)
 	}
 }
 

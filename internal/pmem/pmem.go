@@ -651,22 +651,3 @@ func (d *Device) DurableImage() []DurablePage {
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out
 }
-
-// NewFromDurable builds a device rebooted onto the given durable image: the
-// live overlay is empty, so loads observe the durable image (what a machine
-// sees after power returns), all caches and write buffers are empty, and the
-// bump pointer is restored so recovery code can keep mapping fresh regions.
-func NewFromDurable(pages []DurablePage, next mem.Addr) *Device {
-	d := New()
-	if next > d.next {
-		d.next = next
-	}
-	for _, dp := range pages {
-		pg := &page{}
-		for li := 0; li < mem.PageLines; li++ {
-			copy(pg.data[li][:], dp.Data[li*mem.LineSize:(li+1)*mem.LineSize])
-		}
-		d.durable.pages[dp.Index] = pg
-	}
-	return d
-}

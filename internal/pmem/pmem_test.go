@@ -743,9 +743,8 @@ func sameView(t *testing.T, when string, lazy, eager *Device, a mem.Addr, size i
 }
 
 // TestLazyLiveImageMatchesEagerCopy checks that a live image which falls
-// through to the durable one reads exactly like an eager copy of it, after
-// Crash and after NewFromDurable, on written, unwritten and partially
-// persisted pages.
+// through to the durable one reads exactly like an eager copy of it after
+// Crash, on written, unwritten and partially persisted pages.
 func TestLazyLiveImageMatchesEagerCopy(t *testing.T) {
 	d, a := lazyImageFixture()
 	d.Crash(Strict, 1)
@@ -755,15 +754,6 @@ func TestLazyLiveImageMatchesEagerCopy(t *testing.T) {
 	sameView(t, "after Crash", d, materialized(d), a, 4*PageBytes)
 	if !d.IsDurable(a, 4*PageBytes) {
 		t.Error("after Crash: the live image departs from the durable one")
-	}
-
-	r := NewFromDurable(d.DurableImage(), d.Mapped())
-	if n := len(r.live.pages); n != 0 {
-		t.Fatalf("NewFromDurable materialised %d live pages, want 0", n)
-	}
-	sameView(t, "after NewFromDurable", r, materialized(r), a, 4*PageBytes)
-	if got, want := r.Load(0, a, 4*PageBytes), d.Load(0, a, 4*PageBytes); !bytes.Equal(got, want) {
-		t.Error("NewFromDurable reads differently from the crashed device")
 	}
 
 	// An adversarial crash persists some in-flight lines first; the overlay

@@ -2,26 +2,28 @@ package pmsan
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
-// FuzzSanitizer feeds arbitrary encoded traces (both codec versions;
-// the seed corpus includes the trace decoder's corpus plus the seeded
-// broken workload) through the full decode→sanitize path. Invariants:
-// no panic on any decodable input, and the report is deterministic —
-// sanitizing the same trace twice renders byte-identically.
+// FuzzSanitizer feeds arbitrary encoded traces (the seed corpus includes
+// the trace decoder's corpus plus the seeded broken workload, whole and cut
+// short inside a transaction) through the full decode→sanitize path.
+// Invariants: no panic on any decodable input, and the report is
+// deterministic — sanitizing the same trace twice renders byte-identically.
 func FuzzSanitizer(f *testing.F) {
-	var v1, v2 bytes.Buffer
-	if err := trace.EncodeV1(&v1, brokenWorkload()); err != nil {
-		f.Fatal(err)
+	broken := brokenWorkload()
+	open := trace.FromEvents(trace.Meta{App: broken.App, Layer: broken.Layer, Threads: broken.Threads},
+		slices.Concat(broken.Chunks()...)[:7])
+	for _, tr := range []*trace.Trace{broken, open} {
+		var buf bytes.Buffer
+		if err := trace.EncodeV2(&buf, tr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(v1.Bytes())
-	if err := trace.EncodeV2(&v2, brokenWorkload()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.Decode(bytes.NewReader(data))

@@ -1,8 +1,8 @@
 // Package pmsan is a durability-ordering sanitizer for WHISPER traces.
 //
 // It consumes the same event stream the epoch analysis does (any
-// trace.EventSource — the live streaming pipeline or a stored v1/v2
-// trace) and runs a small per-thread, per-cache-line state machine over
+// trace.EventSource — the live streaming pipeline or a stored trace
+// file) and runs a small per-thread, per-cache-line state machine over
 // the store→flush→fence→commit lifecycle that the paper's §5 flush and
 // fence accounting assumes. Px86-style ordering semantics (Bila et al.)
 // drive the transitions: a cacheable store is durable only after a

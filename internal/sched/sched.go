@@ -42,25 +42,6 @@ func Run(workers []Worker, seed int64) {
 	}
 }
 
-// RunRoundRobin interleaves the workers strictly in order 0,1,2,...,
-// skipping finished workers. Useful for tests that need a fully predictable
-// interleaving independent of any RNG.
-func RunRoundRobin(workers []Worker) {
-	done := make([]bool, len(workers))
-	remaining := len(workers)
-	for remaining > 0 {
-		for i, w := range workers {
-			if done[i] {
-				continue
-			}
-			if !w.Step() {
-				done[i] = true
-				remaining--
-			}
-		}
-	}
-}
-
 // Steps runs a worker that performs n steps by calling fn with the step
 // index.
 func Steps(n int, fn func(i int)) Worker {

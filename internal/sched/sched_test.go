@@ -50,18 +50,8 @@ func TestRunInterleaves(t *testing.T) {
 	}
 }
 
-func TestRunRoundRobin(t *testing.T) {
-	var log []int
-	RunRoundRobin([]Worker{collector(0, 2, &log), collector(1, 4, &log)})
-	want := []int{0, 1, 0, 1, 1, 1}
-	if !reflect.DeepEqual(log, want) {
-		t.Fatalf("round robin order = %v, want %v", log, want)
-	}
-}
-
 func TestRunEmpty(t *testing.T) {
-	Run(nil, 1)        // must not hang or panic
-	RunRoundRobin(nil) // ditto
+	Run(nil, 1) // must not hang or panic
 }
 
 func TestStepsZero(t *testing.T) {

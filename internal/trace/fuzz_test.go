@@ -15,7 +15,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	seed := func(tr *Trace) {
 		var buf bytes.Buffer
-		if err := EncodeV1(&buf, tr); err != nil {
+		if err := EncodeV2(&buf, tr); err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
 		f.Add(buf.Bytes())
@@ -30,7 +30,7 @@ func FuzzDecode(f *testing.F) {
 	seed(three)
 	f.Add([]byte("WSPR"))
 	f.Add([]byte{})
-	f.Add([]byte("WSPR\x01\x04echo\x06native"))
+	f.Add([]byte("WSPR\x02\x04echo\x06native"))
 	// Past the first three chunk boundaries of the decoder's store.
 	seed(countingTrace(4*firstChunkEvents + 3))
 
@@ -40,7 +40,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := EncodeV1(&buf, tr); err != nil {
+		if err := EncodeV2(&buf, tr); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)
 		}
 		tr2, err := Decode(bytes.NewReader(buf.Bytes()))
@@ -124,10 +124,7 @@ func FuzzReaderV2(f *testing.F) {
 				t.Fatalf("reader produced an implausible number of events from %d input bytes", len(data))
 			}
 		}
-		if rd.Version() != version2 {
-			return
-		}
-		// Fully accepted v2 stream: must re-encode and decode identically.
+		// Fully accepted stream: must re-encode and decode identically.
 		tr, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("Decode failed on stream Reader accepted: %v", err)

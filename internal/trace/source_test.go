@@ -9,15 +9,11 @@ import (
 	"testing"
 )
 
-// encoded returns tr in the v1 or the v2 layout.
-func encoded(t *testing.T, tr *Trace, v1 bool) []byte {
+// encoded returns tr in the binary trace format.
+func encoded(t *testing.T, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := EncodeV2
-	if v1 {
-		enc = EncodeV1
-	}
-	if err := enc(&buf, tr); err != nil {
+	if err := EncodeV2(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -30,19 +26,17 @@ func encoded(t *testing.T, tr *Trace, v1 bool) []byte {
 // earlier still reads the same after the source has been drained, which a
 // source that decoded into a reused buffer would fail.
 func TestEverySourceOneContract(t *testing.T) {
-	// Three v1 batches / v2 blocks and a part one; past the tail's 512-event
-	// dropped chunks and its queue depth.
+	// Three blocks and a part one; past the tail's 512-event dropped chunks
+	// and its queue depth.
 	orig := genTrace(rand.New(rand.NewSource(22)), 3*DefaultBlockEvents+17)
 	want := flat(orig)
 
-	reader := func(v1 bool) func(*testing.T) EventSource {
-		return func(t *testing.T) EventSource {
-			rd, err := NewReader(bytes.NewReader(encoded(t, orig, v1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rd
+	reader := func(t *testing.T) EventSource {
+		rd, err := NewReader(bytes.NewReader(encoded(t, orig)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return rd
 	}
 	tail := func(keep bool) func(*testing.T) EventSource {
 		return func(*testing.T) EventSource {
@@ -63,10 +57,9 @@ func TestEverySourceOneContract(t *testing.T) {
 		open func(*testing.T) EventSource
 	}{
 		{"slice", func(*testing.T) EventSource { return NewSliceSource(orig) }},
-		{"reader-v1", reader(true)},
-		{"reader-v2", reader(false)},
+		{"reader-v2", reader},
 		{"fanout-branch", func(*testing.T) EventSource { return Fanout(NewSliceSource(orig), 1)[0] }},
-		{"fanout-over-reader", func(t *testing.T) EventSource { return Fanout(reader(false)(t), 1)[0] }},
+		{"fanout-over-reader", func(t *testing.T) EventSource { return Fanout(reader(t), 1)[0] }},
 		{"tail-keeping", tail(true)},
 		{"tail-dropping", tail(false)},
 	} {
@@ -108,57 +101,52 @@ func TestEverySourceOneContract(t *testing.T) {
 	}
 }
 
-// TestDamagedStreamEndsInAnError cuts a v1 and a v2 stream short at every
-// byte and flips every byte of the v2 stream past its header (the CRCs
-// cover all of that; a v1 stream has none, so a flipped byte there may
-// decode): the header is refused, or reading by chunks ends in an error
-// that says what is wrong and stays — never in io.EOF over a short read —
-// and what was delivered before it is a prefix of the recorded events.
+// TestDamagedStreamEndsInAnError cuts a stream short at every byte and
+// flips every byte past its header (the CRCs cover all of that): the
+// header is refused, or reading by chunks ends in an error that says what
+// is wrong and stays — never in io.EOF over a short read — and what was
+// delivered before it is a prefix of the recorded events.
 func TestDamagedStreamEndsInAnError(t *testing.T) {
 	orig := genTrace(rand.New(rand.NewSource(7)), 40)
 	want := flat(orig)
-	for _, v1 := range []bool{true, false} {
-		whole := encoded(t, orig, v1)
-		damaged := map[string][]byte{}
-		for cut := 0; cut < len(whole); cut++ {
-			damaged[fmt.Sprint("cut at ", cut)] = whole[:cut]
+	whole := encoded(t, orig)
+	damaged := map[string][]byte{}
+	for cut := 0; cut < len(whole); cut++ {
+		damaged[fmt.Sprint("cut at ", cut)] = whole[:cut]
+	}
+	var header bytes.Buffer
+	if _, err := NewWriter(&header, Meta{App: orig.App, Layer: orig.Layer, Threads: orig.Threads}); err != nil {
+		t.Fatal(err)
+	}
+	for at := header.Len(); at < len(whole); at++ {
+		flipped := slices.Clone(whole)
+		flipped[at] ^= 0x40
+		damaged[fmt.Sprint("flip at ", at)] = flipped
+	}
+	for what, data := range damaged {
+		rd, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			continue
 		}
-		if !v1 {
-			var header bytes.Buffer
-			if _, err := NewWriter(&header, Meta{App: orig.App, Layer: orig.Layer, Threads: orig.Threads}); err != nil {
-				t.Fatal(err)
+		var got []Event
+		for {
+			var c []Event
+			if c, err = rd.NextChunk(); err != nil {
+				break
 			}
-			for at := header.Len(); at < len(whole); at++ {
-				flipped := slices.Clone(whole)
-				flipped[at] ^= 0x40
-				damaged[fmt.Sprint("flip at ", at)] = flipped
+			if len(c) == 0 {
+				t.Fatalf("%s: empty chunk", what)
 			}
+			got = append(got, c...)
 		}
-		for what, data := range damaged {
-			rd, err := NewReader(bytes.NewReader(data))
-			if err != nil {
-				continue
-			}
-			var got []Event
-			for {
-				var c []Event
-				if c, err = rd.NextChunk(); err != nil {
-					break
-				}
-				if len(c) == 0 {
-					t.Fatalf("v1=%v %s: empty chunk", v1, what)
-				}
-				got = append(got, c...)
-			}
-			if err == io.EOF || err.Error() == "" {
-				t.Fatalf("v1=%v %s: stream ended in %v after %d of %d events", v1, what, err, len(got), len(want))
-			}
-			if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
-				t.Fatalf("v1=%v %s: the %d events before the error are not a prefix of the recorded ones", v1, what, len(got))
-			}
-			if _, again := rd.NextChunk(); again != err {
-				t.Fatalf("v1=%v %s: error %v became %v on the next call", v1, what, err, again)
-			}
+		if err == io.EOF || err.Error() == "" {
+			t.Fatalf("%s: stream ended in %v after %d of %d events", what, err, len(got), len(want))
+		}
+		if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+			t.Fatalf("%s: the %d events before the error are not a prefix of the recorded ones", what, len(got))
+		}
+		if _, again := rd.NextChunk(); again != err {
+			t.Fatalf("%s: error %v became %v on the next call", what, err, again)
 		}
 	}
 }

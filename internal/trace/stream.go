@@ -24,18 +24,18 @@ import (
 //	    vloads uvarint | vstores uvarint | total uvarint
 //	    crc u32 LE              IEEE CRC-32 of the three varints above
 //
-// Events inside a block use the same per-event encoding as version 1
-// (kind u8, tid uvarint, time delta varint, addr delta varint, size
-// uvarint) but the time/addr delta state RESETS at each block boundary,
-// so every block is independently decodable and checkable. Unlike
-// version 1 there is no up-front event count: the writer emits events as
-// they happen and the aggregate volatile counters ride in the trailer,
-// which is what lets a live run stream into analysis without ever
-// materializing the trace. Memory on both sides is O(block), not
-// O(trace).
+// An event is kind u8, tid uvarint, time delta varint, addr delta varint,
+// size uvarint. Time and Addr are signed deltas from the previous event in
+// the same block, which keeps realistic traces small (consecutive events
+// are close in both time and space); the delta state resets at each block
+// boundary, so every block is independently decodable and checkable.
+// There is no up-front event count: the writer emits events as they happen
+// and the aggregate volatile counters ride in the trailer, which is what
+// lets a live run stream into analysis without ever materializing the
+// trace. Memory on both sides is O(block), not O(trace).
 
 const (
-	version2 = 2
+	version = 2
 
 	tagBlock   = 0x01
 	tagTrailer = 0x02
@@ -57,12 +57,12 @@ const (
 	// is lying about its count.
 	minEventBytes = 5
 
-	// maxKind is the highest valid Kind byte; both codec versions reject
-	// anything above it.
+	// maxKind is the highest valid Kind byte; the Reader and the Writer
+	// reject anything above it.
 	maxKind = byte(KCrash)
 
-	// maxThreads bounds the header thread count trusted from either codec
-	// version, mirroring the string-length bound in readString. The count
+	// maxThreads bounds the header thread count the Reader trusts,
+	// mirroring the string-length bound in readString. The count
 	// is attacker-controlled input that downstream consumers use to size
 	// per-thread state (dense per-TID tables), and
 	// the raw uvarint cast to int would go negative for values >= 2^63 on
@@ -150,7 +150,7 @@ func NewWriter(w io.Writer, m Meta) (*Writer, error) {
 	if _, err := bw.WriteString(magic); err != nil {
 		return nil, err
 	}
-	if err := bw.WriteByte(version2); err != nil {
+	if err := bw.WriteByte(version); err != nil {
 		return nil, err
 	}
 	writeString(bw, m.App)
@@ -258,20 +258,13 @@ func EncodeV2(w io.Writer, t *Trace) error {
 // --- Reader --------------------------------------------------------------
 
 // Reader decodes a trace stream a chunk at a time, holding O(block)
-// memory. It reads both codec versions: the sequential v1 format and the
-// framed v2 format (verifying every block CRC and the trailer).
+// memory and verifying every block CRC and the trailer.
 type Reader struct {
 	br   *bufio.Reader
-	ver  byte
 	meta Meta
 
-	// v1: events remaining and the running delta state; the volatile
-	// counters live in the header.
-	remaining          uint64
-	prevTime, prevAddr uint64
-
-	// v2: reusable buffer for a block's encoded bytes. The decoded events
-	// are never reused: a chunk belongs to whoever NextChunk gave it to.
+	// payload is a reusable buffer for a block's encoded bytes. The decoded
+	// events are never reused: a chunk belongs to whoever NextChunk gave it to.
 	payload []byte
 
 	cur []Event // what Next has yet to hand out of the last chunk
@@ -281,8 +274,8 @@ type Reader struct {
 	err             error // sticky; io.EOF once the stream has ended well
 }
 
-// NewReader parses the stream header from r (either codec version) and
-// returns a Reader positioned at the first event.
+// NewReader parses the stream header from r and returns a Reader
+// positioned at the first event.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
@@ -296,10 +289,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver != version && ver != version2 {
+	if ver != version {
 		return nil, fmt.Errorf("trace: unsupported version %d", ver)
 	}
-	rd := &Reader{br: br, ver: ver}
+	rd := &Reader{br: br}
 	if rd.meta.App, err = readString(br); err != nil {
 		return nil, err
 	}
@@ -314,53 +307,33 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("trace: unreasonable thread count %d (max %d)", threads, maxThreads)
 	}
 	rd.meta.Threads = int(threads)
-	if ver == version {
-		if rd.vloads, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		if rd.vstores, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		if rd.remaining, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-	}
 	return rd, nil
 }
 
 // Meta returns the stream's run metadata.
 func (r *Reader) Meta() Meta { return r.meta }
 
-// Version returns the codec version being read (1 or 2).
-func (r *Reader) Version() int { return int(r.ver) }
-
-// Volatile returns the aggregate DRAM counters. For v1 streams they are
-// available immediately; for v2 they arrive in the trailer, so they are
-// complete only after NextChunk or Next has returned io.EOF.
+// Volatile returns the aggregate DRAM counters. They arrive in the
+// trailer, so they are complete only after NextChunk or Next has returned
+// io.EOF.
 func (r *Reader) Volatile() (uint64, uint64) { return r.vloads, r.vstores }
 
-// NextChunk returns the next decoded v2 block, or the next batch of up to
-// DefaultBlockEvents events of a v1 stream, in a slice the Reader never
+// NextChunk returns the next decoded block in a slice the Reader never
 // touches again; io.EOF at the end of a well-formed stream, or a
 // descriptive error on corruption. Either is sticky.
 func (r *Reader) NextChunk() ([]Event, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	var chunk []Event
-	if r.ver == version {
-		chunk, r.err = r.readBatchV1()
-	} else {
-		chunk, r.err = r.readFrame()
-	}
-	r.delivered += uint64(len(chunk))
-	if len(chunk) > 0 {
-		// A v1 batch cut short by corruption: the events before it are
-		// good, so the caller gets them and meets the error on its next call.
-		return chunk, nil
-	}
-	if r.err == nil {
+	chunk, err := r.readFrame()
+	switch {
+	case err != nil:
+		r.err = err
+	case chunk == nil: // the trailer
 		r.err = io.EOF
+	default:
+		r.delivered += uint64(len(chunk))
+		return chunk, nil
 	}
 	return nil, r.err
 }
@@ -382,56 +355,7 @@ func (r *Reader) Next() (Event, error) {
 	return e, nil
 }
 
-// readBatchV1 decodes up to DefaultBlockEvents of the events the v1 header
-// promised. The header's count is untrusted and sizes nothing beyond one
-// batch. It returns what it decoded before an error along with the error,
-// and nothing at the end of the stream.
-func (r *Reader) readBatchV1() ([]Event, error) {
-	n := min(r.remaining, DefaultBlockEvents)
-	if n == 0 {
-		return nil, nil
-	}
-	batch := make([]Event, 0, n)
-	for ; n > 0; n-- {
-		at := r.delivered + uint64(len(batch))
-		kind, err := r.br.ReadByte()
-		if err != nil {
-			return batch, fmt.Errorf("trace: event %d: %w", at, noEOF(err))
-		}
-		if kind > maxKind {
-			return batch, fmt.Errorf("trace: event %d: invalid kind %d", at, kind)
-		}
-		tid, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return batch, noEOF(err)
-		}
-		dt, err := binary.ReadVarint(r.br)
-		if err != nil {
-			return batch, noEOF(err)
-		}
-		da, err := binary.ReadVarint(r.br)
-		if err != nil {
-			return batch, noEOF(err)
-		}
-		size, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return batch, noEOF(err)
-		}
-		r.remaining--
-		r.prevTime += uint64(dt)
-		r.prevAddr += uint64(da)
-		batch = append(batch, Event{
-			Kind: Kind(kind),
-			TID:  int32(tid),
-			Time: memTime(r.prevTime),
-			Addr: memAddr(r.prevAddr),
-			Size: uint32(size),
-		})
-	}
-	return batch, nil
-}
-
-// readFrame reads one v2 frame: an event block, returned decoded, or the
+// readFrame reads one frame: an event block, returned decoded, or the
 // trailer, which completes the stream and returns no events.
 func (r *Reader) readFrame() ([]Event, error) {
 	tag, err := r.br.ReadByte()

@@ -89,8 +89,7 @@ func readerMaterialize(t *testing.T, r io.Reader) *Trace {
 
 // TestPropertyRoundTrip is the codec property test: for random valid
 // traces — all kinds, extreme deltas, zero-size stores, empty traces —
-// Encode→Decode (v1), EncodeV2→Decode, and Writer→Reader must all
-// reproduce the input exactly.
+// EncodeV2→Decode and Writer→Reader must both reproduce the input exactly.
 func TestPropertyRoundTrip(t *testing.T) {
 	sizes := []int{0, 1, 2, 17, 1000, DefaultBlockEvents, 2*DefaultBlockEvents + 37}
 	for seed := int64(0); seed < 8; seed++ {
@@ -98,29 +97,18 @@ func TestPropertyRoundTrip(t *testing.T) {
 		for _, n := range sizes {
 			orig := genTrace(rng, n)
 
-			var v1 bytes.Buffer
-			if err := EncodeV1(&v1, orig); err != nil {
-				t.Fatalf("seed %d n %d: Encode: %v", seed, n, err)
-			}
-			got, err := Decode(bytes.NewReader(v1.Bytes()))
-			if err != nil {
-				t.Fatalf("seed %d n %d: Decode v1: %v", seed, n, err)
-			}
-			tracesEqual(t, "v1 Encode/Decode", orig, got)
-
 			var v2 bytes.Buffer
 			if err := EncodeV2(&v2, orig); err != nil {
 				t.Fatalf("seed %d n %d: EncodeV2: %v", seed, n, err)
 			}
-			got, err = Decode(bytes.NewReader(v2.Bytes()))
+			got, err := Decode(bytes.NewReader(v2.Bytes()))
 			if err != nil {
-				t.Fatalf("seed %d n %d: Decode v2: %v", seed, n, err)
+				t.Fatalf("seed %d n %d: Decode: %v", seed, n, err)
 			}
-			tracesEqual(t, "v2 EncodeV2/Decode", orig, got)
+			tracesEqual(t, "EncodeV2/Decode", orig, got)
 
-			// Writer→Reader, event by event, both versions.
-			tracesEqual(t, "v1 Reader", orig, readerMaterialize(t, bytes.NewReader(v1.Bytes())))
-			tracesEqual(t, "v2 Writer/Reader", orig, readerMaterialize(t, bytes.NewReader(v2.Bytes())))
+			// Writer→Reader, event by event.
+			tracesEqual(t, "Writer/Reader", orig, readerMaterialize(t, bytes.NewReader(v2.Bytes())))
 		}
 	}
 }
@@ -179,7 +167,7 @@ func appendString(b []byte, s string) []byte {
 func v2Header() []byte {
 	var b []byte
 	b = append(b, magic...)
-	b = append(b, version2)
+	b = append(b, version)
 	b = appendString(b, "a")
 	b = appendString(b, "native")
 	b = appendUvarint(b, 1)
@@ -355,24 +343,15 @@ func TestV2RejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestV1RejectsInvalidKind covers the latent v1 bug this PR fixes:
-// Decode used to accept any kind byte silently; now both codec versions
-// validate it against the known range.
-func TestV1RejectsInvalidKind(t *testing.T) {
+// TestReaderRejectsInvalidKind checks that a kind byte outside the known
+// range is refused inside a block whose framing and CRC are valid.
+func TestReaderRejectsInvalidKind(t *testing.T) {
 	for _, kind := range []byte{maxKind + 1, 0x42, 0xff} {
-		var b []byte
-		b = append(b, magic...)
-		b = append(b, version)
-		b = appendString(b, "a")
-		b = appendString(b, "native")
-		b = appendUvarint(b, 1) // threads
-		b = appendUvarint(b, 0) // vloads
-		b = appendUvarint(b, 0) // vstores
-		b = appendUvarint(b, 1) // count
-		b = append(b, rawEvent(kind, 0, 1, 1, 8)...)
+		b := append(v2Header(), okBlock(rawEvent(kind, 0, 1, 1, 8))...)
+		b = append(b, rawTrailer(0, 0, 1, true, 0)...)
 		_, err := Decode(bytes.NewReader(b))
 		if err == nil {
-			t.Fatalf("v1 Decode accepted kind %d", kind)
+			t.Fatalf("Decode accepted kind %d", kind)
 		}
 		if !strings.Contains(err.Error(), "invalid kind") {
 			t.Fatalf("kind %d: error %q does not mention invalid kind", kind, err)
@@ -393,26 +372,5 @@ func TestReaderStickyError(t *testing.T) {
 	}
 	if _, err := rd.Next(); err == nil || err == io.EOF {
 		t.Fatalf("error not sticky: %v", err)
-	}
-}
-
-// TestV1ReaderVolatileUpFront checks the version-skew contract: v1
-// carries the volatile counters in the header, so a Reader exposes them
-// before the stream is drained.
-func TestV1ReaderVolatileUpFront(t *testing.T) {
-	tr := &Trace{App: "v", Layer: "native", Threads: 1, VolatileLoads: 11, VolatileStores: 22}
-	var buf bytes.Buffer
-	if err := EncodeV1(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", rd.Version())
-	}
-	if vl, vs := rd.Volatile(); vl != 11 || vs != 22 {
-		t.Fatalf("Volatile = %d/%d, want 11/22", vl, vs)
 	}
 }

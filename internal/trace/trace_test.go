@@ -34,7 +34,7 @@ func sampleTrace() *Trace {
 func TestCodecRoundTrip(t *testing.T) {
 	orig := sampleTrace()
 	var buf bytes.Buffer
-	if err := EncodeV1(&buf, orig); err != nil {
+	if err := EncodeV2(&buf, orig); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	got, err := Decode(&buf)
@@ -59,7 +59,7 @@ func TestCodecRoundTripRandom(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if err := EncodeV1(&buf, orig); err != nil {
+	if err := EncodeV2(&buf, orig); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	got, err := Decode(&buf)
@@ -86,70 +86,62 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestDecodeRejectsTruncatedEvents(t *testing.T) {
 	orig := sampleTrace()
 	var buf bytes.Buffer
-	if err := EncodeV1(&buf, orig); err != nil {
+	if err := EncodeV2(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := Decode(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Error("Decode accepted truncated event stream")
+	// Inside the trailer's CRC, and inside the one block's events.
+	for _, cut := range []int{len(raw) - 3, len(raw) / 2} {
+		if _, err := Decode(bytes.NewReader(raw[:cut])); err == nil {
+			t.Errorf("Decode accepted a stream cut at %d of %d bytes", cut, len(raw))
+		}
 	}
 }
 
 // TestDecodeAbsurdCountDoesNotPreallocate feeds a syntactically valid
-// header whose event count claims 2^60 events. The seed trusted that
-// uvarint and pre-allocated the whole slice, so a 30-byte file could
-// trigger a multi-exabyte allocation request before the first event read
-// failed. Decode must instead fail on the missing events with bounded
-// memory use.
+// header followed by a block whose count claims 2^60 events and no event
+// bytes. A decoder that trusted that uvarint and pre-allocated the whole
+// slice would let a 30-byte file trigger a multi-exabyte allocation
+// request before the first event read failed. Decode must instead refuse
+// the claim with bounded memory use.
 func TestDecodeAbsurdCountDoesNotPreallocate(t *testing.T) {
 	var buf bytes.Buffer
-	empty := &Trace{App: "x", Layer: "native", Threads: 1}
-	if err := EncodeV1(&buf, empty); err != nil {
+	if _, err := NewWriter(&buf, Meta{App: "x", Layer: "native", Threads: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// The encoding of an empty trace ends with the count uvarint (0x00).
-	// Replace it with a huge count and no event bytes.
-	raw := buf.Bytes()
-	if raw[len(raw)-1] != 0 {
-		t.Fatalf("expected trailing zero count, got %#x", raw[len(raw)-1])
-	}
-	raw = raw[:len(raw)-1]
-	var cnt [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(cnt[:], 1<<60)
-	raw = append(raw, cnt[:n]...)
+	raw := append(buf.Bytes(), tagBlock)
+	raw = binary.AppendUvarint(raw, 1<<60)
+	raw = binary.AppendUvarint(raw, 0)
 
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
-		t.Fatal("Decode accepted a 2^60-event trace with no event bytes")
+		t.Fatal("Decode accepted a 2^60-event block with no event bytes")
 	}
 }
 
-// TestDecodeRejectsAbsurdThreadCount feeds headers (both codec versions)
-// whose thread-count uvarint claims 2^40 or 2^63 threads. The count used
+// TestDecodeRejectsAbsurdThreadCount feeds headers whose thread-count uvarint claims 2^40 or 2^63 threads. The count used
 // to be cast straight to int: consumers sizing per-TID state from
 // Meta.Threads would trust it, and values >= 2^63 wrapped negative on
 // 64-bit platforms. The reader must reject it like it already rejects
 // unreasonable string lengths and block counts.
 func TestDecodeRejectsAbsurdThreadCount(t *testing.T) {
-	for _, ver := range []byte{1, 2} {
-		for _, claim := range []uint64{1 << 40, 1 << 63} {
-			var raw []byte
-			raw = append(raw, magic...)
-			raw = append(raw, ver)
-			raw = append(raw, 0, 0) // empty app + layer strings
-			raw = binary.AppendUvarint(raw, claim)
-			_, err := NewReader(bytes.NewReader(raw))
-			if err == nil {
-				t.Fatalf("v%d: NewReader accepted a %d-thread header", ver, claim)
-			}
-			if !strings.Contains(err.Error(), "thread count") {
-				t.Fatalf("v%d: error %q does not name the thread count", ver, err)
-			}
+	for _, claim := range []uint64{1 << 40, 1 << 63} {
+		var raw []byte
+		raw = append(raw, magic...)
+		raw = append(raw, version)
+		raw = append(raw, 0, 0) // empty app + layer strings
+		raw = binary.AppendUvarint(raw, claim)
+		_, err := NewReader(bytes.NewReader(raw))
+		if err == nil {
+			t.Fatalf("NewReader accepted a %d-thread header", claim)
+		}
+		if !strings.Contains(err.Error(), "thread count") {
+			t.Fatalf("error %q does not name the thread count", err)
 		}
 	}
 	// The bound itself must round-trip: a trace at maxThreads is honest.
 	var buf bytes.Buffer
 	ok := &Trace{App: "x", Layer: "native", Threads: maxThreads}
-	if err := EncodeV1(&buf, ok); err != nil {
+	if err := EncodeV2(&buf, ok); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -161,7 +153,7 @@ func TestDecodeRejectsAbsurdThreadCount(t *testing.T) {
 	}
 }
 
-// TestDecodeLargeHonestTrace checks that a v1 trace larger than any one
+// TestDecodeLargeHonestTrace checks that a trace larger than any one
 // chunk of the decoder's store still round-trips.
 func TestDecodeLargeHonestTrace(t *testing.T) {
 	orig := &Trace{App: "big", Layer: "native", Threads: 1}
@@ -169,7 +161,7 @@ func TestDecodeLargeHonestTrace(t *testing.T) {
 		orig.Append(Event{Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i*8), Size: 8, Kind: KStore})
 	}
 	var buf bytes.Buffer
-	if err := EncodeV1(&buf, orig); err != nil {
+	if err := EncodeV2(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -195,7 +187,7 @@ func TestCodecRoundTripAdversarialFields(t *testing.T) {
 	orig.Append(Event{Time: 1<<64 - 1, Addr: 1<<64 - 1, Size: 1, TID: 2147483647}) // max deltas forward
 	orig.Append(Event{Time: 5, Addr: 3, Size: 1<<32 - 1, TID: 0, Kind: KUserData})
 	var buf bytes.Buffer
-	if err := EncodeV1(&buf, orig); err != nil {
+	if err := EncodeV2(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)

@@ -1,7 +1,6 @@
 package whisper
 
 import (
-	"io"
 	"time"
 
 	"github.com/whisper-pm/whisper/internal/obs"
@@ -10,17 +9,12 @@ import (
 
 // HistogramMetric is one histogram in a metrics snapshot: Counts has one
 // entry per bound plus a final overflow bucket.
-type HistogramMetric struct {
-	Bounds []uint64 `json:"bounds"`
-	Counts []uint64 `json:"counts"`
-	Count  uint64   `json:"count"`
-	Sum    uint64   `json:"sum"`
-}
+type HistogramMetric = obs.HistogramSnapshot
 
 // MetricsSnapshot is a point-in-time copy of every metric the stack has
 // recorded this process, keyed by canonical metric name ("name{k=v,...}"
 // with label keys sorted). Marshalling a snapshot of equal state always
-// yields identical bytes.
+// yields identical bytes; Empty and WriteJSON come with the type.
 //
 // The layers report:
 //
@@ -32,42 +26,11 @@ type HistogramMetric struct {
 //     buffer pressure in the Figure 10 replay;
 //   - crashcheck_*{app}: cells run, violations, oracle wall-clock;
 //   - suite_*{app}: wall-clock and operation rate per benchmark run.
-type MetricsSnapshot struct {
-	Counters   map[string]uint64          `json:"counters"`
-	Gauges     map[string]int64           `json:"gauges"`
-	Histograms map[string]HistogramMetric `json:"histograms"`
-}
-
-// Empty reports whether the snapshot holds no metrics at all.
-func (s MetricsSnapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
-}
-
-// WriteJSON writes the snapshot as indented JSON followed by a newline.
-func (s MetricsSnapshot) WriteJSON(w io.Writer) error {
-	return obs.Snapshot{
-		Counters: s.Counters, Gauges: s.Gauges, Histograms: histsToObs(s.Histograms),
-	}.WriteJSON(w)
-}
-
-func histsToObs(in map[string]HistogramMetric) map[string]obs.HistogramSnapshot {
-	out := make(map[string]obs.HistogramSnapshot, len(in))
-	for k, h := range in {
-		out[k] = obs.HistogramSnapshot(h)
-	}
-	return out
-}
+type MetricsSnapshot = obs.Snapshot
 
 // Metrics snapshots the process-wide metrics registry. Instruments
 // accumulate across runs; use ResetMetrics for a per-experiment baseline.
-func Metrics() MetricsSnapshot {
-	s := obs.Default().Snapshot()
-	hists := make(map[string]HistogramMetric, len(s.Histograms))
-	for k, h := range s.Histograms {
-		hists[k] = HistogramMetric(h)
-	}
-	return MetricsSnapshot{Counters: s.Counters, Gauges: s.Gauges, Histograms: hists}
-}
+func Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
 
 // ResetMetrics drops every recorded metric.
 func ResetMetrics() { obs.Default().Reset() }

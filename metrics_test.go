@@ -13,7 +13,7 @@ import (
 func TestMetricsCoverEveryApp(t *testing.T) {
 	ResetMetrics()
 	defer ResetMetrics()
-	if _, err := RunAll(Config{Ops: 5, Seed: 3}); err != nil {
+	if _, err := RunAllFused(Names(), Config{Ops: 5, Seed: 3}, FusedConfig{}, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := Metrics()

@@ -109,7 +109,7 @@ func LoadAllowlist(path string) (*Allowlist, error) {
 }
 
 // Sanitize runs the durability-ordering sanitizer over a retained
-// trace (as produced by Run/RunAll; Report.Trace carries one).
+// trace (as produced by Run; Report.Trace carries one).
 func Sanitize(t *Trace) *SanReport {
 	rep, err := pmsan.Run(trace.NewSliceSource(t.tr))
 	if err != nil {
@@ -119,8 +119,8 @@ func Sanitize(t *Trace) *SanReport {
 	return &SanReport{rep: rep}
 }
 
-// SanitizeReader runs the sanitizer over a stored trace (either codec
-// version) without materializing it.
+// SanitizeReader runs the sanitizer over a stored trace without
+// materializing it.
 func SanitizeReader(r io.Reader) (*SanReport, error) {
 	rd, err := trace.NewReader(r)
 	if err != nil {

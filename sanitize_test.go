@@ -52,27 +52,26 @@ func TestSanitizerCleanAndByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSanitizerParallelMatchesSerial pins that RunAllParallel's retained
-// traces sanitize to the same bytes as the serial path: worker scheduling
-// must not leak into reports.
+// TestSanitizerParallelMatchesSerial pins that the sanitizer riding
+// RunAllFused at four workers reports the same bytes as sanitizing each
+// single Run's retained trace: worker scheduling must not leak into
+// reports.
 func TestSanitizerParallelMatchesSerial(t *testing.T) {
 	cfg := Config{Ops: 8, Seed: 7}
-	serial, err := RunAll(cfg)
+	parallel, err := RunAllFused(Names(), cfg, FusedConfig{Sanitize: true}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAllParallel(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
+	if len(parallel) != len(Names()) {
+		t.Fatalf("%d passes for %d apps", len(parallel), len(Names()))
 	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("report counts diverge: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		sr, pr := Sanitize(serial[i].Trace), Sanitize(parallel[i].Trace)
-		if sr.String() != pr.String() {
-			t.Errorf("%s: parallel sanitizer report diverged:\n got: %s\nwant: %s",
-				sr.App(), pr, sr)
+	for i, name := range Names() {
+		rep, err := Run(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr, pr := Sanitize(rep.Trace), parallel[i].San; sr.String() != pr.String() {
+			t.Errorf("%s: parallel sanitizer report diverged:\n got: %s\nwant: %s", name, pr, sr)
 		}
 	}
 }

@@ -107,9 +107,9 @@ func record(name string, cfg Config, keep bool) (*trace.Tail, *trace.Trace, erro
 	return tail, rt.Trace, nil
 }
 
-// AnalyzeReader computes a Report by streaming a saved trace (either
-// codec version) through the analysis without materializing it. The
-// report matches Analyze(DecodeTrace(r)) exactly, with a nil Trace.
+// AnalyzeReader computes a Report by streaming a saved trace through the
+// analysis without materializing it. The report matches
+// Analyze(DecodeTrace(r)) exactly, with a nil Trace.
 func AnalyzeReader(r io.Reader) (*Report, error) {
 	fr, err := AnalyzeReaderFused(r, FusedConfig{})
 	if err != nil {

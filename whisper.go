@@ -73,8 +73,7 @@ func (t *Trace) Encode(w io.Writer) error { return trace.EncodeV2(w, t.tr) }
 // the v1 layout.
 func (t *Trace) EncodeV2(w io.Writer) error { return t.Encode(w) }
 
-// DecodeTrace reads a trace written with Encode, or a v1 file from an
-// earlier version of the suite.
+// DecodeTrace reads a trace written with Encode.
 func DecodeTrace(r io.Reader) (*Trace, error) {
 	tr, err := trace.Decode(r)
 	if err != nil {
@@ -267,30 +266,6 @@ func Run(name string, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	return newReport(a, &Trace{tr: tr}), nil
-}
-
-// RunAll executes every benchmark with cfg serially and returns reports in
-// suite order.
-func RunAll(cfg Config) ([]*Report, error) {
-	return RunAllParallel(cfg, 1)
-}
-
-// RunAllParallel executes the suite with up to workers benchmarks running
-// concurrently and returns reports in suite order. Every run owns its own
-// device, clock, trace and scheduler, and all randomness derives from
-// cfg.Seed, so the reports (and their traces) are bit-identical to serial
-// execution regardless of worker count or completion order. workers is
-// clamped to [1, suite size]; one worker is serial execution.
-func RunAllParallel(cfg Config, workers int) ([]*Report, error) {
-	out := make([]*Report, len(suite))
-	err := forEach(len(suite), workers, func(i int) (err error) {
-		out[i], err = Run(suite[i].Name, cfg)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // forEach calls fn(0) … fn(n-1), up to workers of them at a time (clamped

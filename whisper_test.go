@@ -3,8 +3,10 @@ package whisper
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,42 +164,52 @@ func TestSimulateHOPSZeroSizes(t *testing.T) {
 }
 
 // TestParallelSuiteMatchesSerial asserts the parallel runner's contract:
-// for a fixed seed, running the suite with a worker pool produces reports
-// and raw traces byte-identical to serial execution — scheduling the runs
-// concurrently must not perturb any simulated outcome.
+// for a fixed seed, RunAllFused at one worker and at four produces the
+// reports of single Run calls, and trace files byte-identical to those
+// runs' retained traces — scheduling the runs concurrently must not perturb
+// any simulated outcome.
 func TestParallelSuiteMatchesSerial(t *testing.T) {
 	onOneAndTwoProcs(t, testParallelSuiteMatchesSerial)
 }
 
 func testParallelSuiteMatchesSerial(t *testing.T) {
 	cfg := Config{Ops: 10, Seed: 13}
-	serial, err := RunAll(cfg)
-	if err != nil {
-		t.Fatal(err)
+	names := Names()
+	serial := make([]Report, len(names))
+	serialTrace := make([][]byte, len(names))
+	for i, name := range names {
+		rep, err := Run(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.Trace.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		serial[i], serialTrace[i] = *rep, buf.Bytes()
+		serial[i].Trace = nil
 	}
-	for _, workers := range []int{4, 64} {
-		par, err := RunAllParallel(cfg, workers)
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		files := map[string]*teeFile{}
+		par, err := RunAllFused(names, cfg, FusedConfig{}, workers, func(name string) (io.WriteCloser, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			files[name] = &teeFile{}
+			return files[name], nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(par) != len(serial) {
 			t.Fatalf("workers=%d: %d reports, want %d", workers, len(par), len(serial))
 		}
-		for i := range serial {
-			if got, want := par[i].String(), serial[i].String(); got != want {
-				t.Errorf("workers=%d: %s report diverged:\n got: %s\nwant: %s",
-					workers, serial[i].App, got, want)
+		for i, name := range names {
+			if got, want := *par[i].Report, serial[i]; !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=%d: %s report diverged:\n got: %s\nwant: %s", workers, name, got.String(), want.String())
 			}
-			var sb, pb bytes.Buffer
-			if err := serial[i].Trace.Encode(&sb); err != nil {
-				t.Fatal(err)
-			}
-			if err := par[i].Trace.Encode(&pb); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-				t.Errorf("workers=%d: %s raw trace not byte-identical to serial",
-					workers, serial[i].App)
+			if !bytes.Equal(files[name].Bytes(), serialTrace[i]) {
+				t.Errorf("workers=%d: %s raw trace not byte-identical to serial", workers, name)
 			}
 		}
 	}
@@ -247,12 +259,10 @@ func TestPanickingMemberIsOneError(t *testing.T) {
 
 	const want = "whisper: boom panicked: pool exhausted"
 	_, runErr := Run("boom", cfg)
-	_, allErr := RunAll(cfg)
-	_, parErr := RunAllParallel(cfg, 4)
 	_, streamErr := RunStreamFused("boom", cfg, FusedConfig{Sanitize: true}, nil)
 	_, fusedErr := RunAllFused(Names(), cfg, FusedConfig{}, 4, nil)
 	for name, err := range map[string]error{
-		"Run": runErr, "RunAll": allErr, "RunAllParallel": parErr, "RunStreamFused": streamErr, "RunAllFused": fusedErr,
+		"Run": runErr, "RunStreamFused": streamErr, "RunAllFused": fusedErr,
 	} {
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: error = %v, want %q", name, err, want)
