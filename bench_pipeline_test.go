@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/whisper-pm/whisper/internal/cachesim"
 	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -87,6 +88,30 @@ func BenchmarkHOPSReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if norm := SimulateHOPS(rep.Trace, cfg); len(norm) != len(HOPSModels()) {
 			b.Fatalf("%d models replayed", len(norm))
+		}
+	}
+	b.ReportMetric(float64(rep.Trace.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
+}
+
+// BenchmarkCacheReplay is the Table 3 hierarchy — cachesim.ReplaySource
+// on a fresh DefaultConfig hierarchy, the fused pass's cache tap — over a
+// recorded ycsb run: Mevents/s is trace events per second, allocs/op the
+// whole pass's allocations (the caches' sets and the line directory's
+// growth, nothing per fill or per event).
+func BenchmarkCacheReplay(b *testing.B) {
+	rep, err := Run("ycsb", Config{Ops: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := cachesim.ReplaySource(cachesim.New(cachesim.DefaultConfig()), trace.NewSliceSource(rep.Trace.tr))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.MemAccesses() == 0 {
+			b.Fatal("no access reached memory")
 		}
 	}
 	b.ReportMetric(float64(rep.Trace.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")

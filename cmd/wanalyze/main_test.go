@@ -178,6 +178,26 @@ func TestCacheFlag(t *testing.T) {
 	}
 }
 
+// TestCacheGolden pins the cache simulator's counts as -cache prints them
+// for the whole suite — L1, L2 and remote hits, DRAM and PM traffic, NT
+// writes — against the output of the commit before the holder directory.
+// Regenerate only for a change that means to move the hierarchy's counts:
+//
+//	go run ./cmd/wanalyze -run -ops 20 -seed 1 -cache > cmd/wanalyze/testdata/cache-ops20-seed1.golden
+func TestCacheGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "cache-ops20-seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-run", "-ops", "20", "-seed", "1", "-cache"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("cache counts moved:\ngot:\n%s\nwant:\n%s", stdout.String(), want)
+	}
+}
+
 // runOnSavedHashmap saves a small hashmap trace and returns what
 // `wanalyze -dir <it> flags...` prints.
 func runOnSavedHashmap(t *testing.T, flags ...string) string {

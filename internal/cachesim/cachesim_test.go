@@ -145,7 +145,45 @@ func TestReplayTrace(t *testing.T) {
 
 func TestDefaultConfigGeometry(t *testing.T) {
 	h := New(DefaultConfig())
-	if len(h.l1) != 4 || len(h.l2) != 4 {
+	if len(h.caches) != 8 {
 		t.Fatal("default config should have 4 cores")
+	}
+}
+
+// TestNewRejectsBadGeometry: a hierarchy with no cores divided by zero on
+// its first Access, on whichever tap goroutine ran it, and zero ways
+// divided by zero inside New; more than 32 cores do not fit the holder
+// mask. New refuses each at construction, naming the field.
+func TestNewRejectsBadGeometry(t *testing.T) {
+	ok := Config{L1Size: 512, L1Ways: 2, L2Size: 2048, L2Ways: 4, Threads: 2}
+	cases := []struct {
+		name  string
+		patch func(*Config)
+		want  string
+	}{
+		{"no cores", func(c *Config) { c.Threads = 0 }, "cachesim: Config.Threads = 0, want 1 to 32"},
+		{"negative cores", func(c *Config) { c.Threads = -1 }, "cachesim: Config.Threads = -1, want 1 to 32"},
+		{"more cores than the mask", func(c *Config) { c.Threads = 33 }, "cachesim: Config.Threads = 33, want 1 to 32"},
+		{"zero L1 ways", func(c *Config) { c.L1Ways = 0 }, "cachesim: Config.L1Ways = 0, want at least 1"},
+		{"zero L2 ways", func(c *Config) { c.L2Ways = 0 }, "cachesim: Config.L2Ways = 0, want at least 1"},
+		{"L1 under a line", func(c *Config) { c.L1Size = mem.LineSize - 1 }, "cachesim: Config.L1Size = 63, want at least one 64-byte line"},
+		{"L2 of zero bytes", func(c *Config) { c.L2Size = 0 }, "cachesim: Config.L2Size = 0, want at least one 64-byte line"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ok
+			tc.patch(&cfg)
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("New(%+v) panicked with %v, want %q", cfg, got, tc.want)
+				}
+			}()
+			New(cfg)
+		})
+	}
+	for _, threads := range []int{1, 32} {
+		cfg := ok
+		cfg.Threads = threads
+		access(New(cfg), trace.KStore, -1, mem.PMBase, 8)
 	}
 }
