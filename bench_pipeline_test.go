@@ -15,6 +15,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/cachesim"
 	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/pmsan"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
@@ -117,6 +118,36 @@ func BenchmarkCacheReplay(b *testing.B) {
 	b.ReportMetric(float64(rep.Trace.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
+// BenchmarkSanitizeReplay is the durability-ordering sanitizer —
+// pmsan.Run, the fused pass's sanitizer tap — over a recorded ycsb run
+// and a recorded nfs run, whose 4 KiB writes touch many more lines per
+// event: Mevents/s is trace events per second, allocs/op the whole pass's
+// allocations (line-state pages and slices, nothing per line).
+func BenchmarkSanitizeReplay(b *testing.B) {
+	for _, app := range []struct {
+		name string
+		ops  int
+	}{{"ycsb", 1000}, {"nfs", 400}} {
+		rep, err := Run(app.name, Config{Ops: app.ops, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(app.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := pmsan.Run(trace.NewSliceSource(rep.Trace.tr))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.Errors() != 0 {
+					b.Fatalf("%d sanitizer errors", r.Errors())
+				}
+			}
+			b.ReportMetric(float64(rep.Trace.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
+		})
+	}
+}
+
 // BenchmarkTraceCodecV2 measures the chunked codec on a synthetic trace:
 // encoding, materializing decode, and chunked reading.
 func BenchmarkTraceCodecV2(b *testing.B) {
@@ -198,13 +229,15 @@ func (g *genSource) NextChunk() ([]trace.Event, error) {
 func (g *genSource) Volatile() (uint64, uint64) { return 0, 0 }
 
 // TestStreamBoundedMemory drives a trace ~10× the size of the largest
-// suite trace through the streaming analysis and asserts the live heap
+// suite trace through the fused pass — the epoch analysis with the
+// sanitizer and the cache simulation as taps — and asserts the live heap
 // stays far below what materializing the events would need. 4M events
 // would occupy ≥96 MB as a []trace.Event, live for the whole analysis;
-// the pipeline holds only chunks in flight plus the watermark window of
-// closed epochs. GC is tightened and the heap sampled while the run is
-// in progress, so a materializing implementation cannot hide the slice
-// as collectable garbage.
+// the pipeline holds only chunks in flight plus each consumer's line
+// tables, which grow with the 64 Ki-line footprint and not with the
+// trace. GC is tightened and the heap sampled while the run is in
+// progress, so a materializing implementation cannot hide the slice as
+// collectable garbage.
 func TestStreamBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory ceiling test is slow")
@@ -235,14 +268,15 @@ func TestStreamBoundedMemory(t *testing.T) {
 		}
 	}()
 
-	a, err := epoch.AnalyzeStream(&genSource{n: events, threads: 8, rng: rand.New(rand.NewSource(7))})
+	rep, err := fused(&genSource{n: events, threads: 8, rng: rand.New(rand.NewSource(7))}, FusedConfig{Sanitize: true, Cache: true}, nil)
 	close(stop)
 	<-sampled
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalEpochs == 0 {
-		t.Fatal("generated stream produced no epochs")
+	a := rep.Report
+	if a.TotalEpochs == 0 || rep.San == nil || rep.Cache.MemAccesses() == 0 {
+		t.Fatal("generated stream produced no epochs, no sanitizer report or no memory traffic")
 	}
 
 	// Two cycles so sync.Pool victim caches fully clear before the

@@ -14,10 +14,10 @@
 // when that cache holds a valid entry for the line — set on a fill, cleared
 // on an invalidation and when a valid entry is evicted. The entry also
 // carries the sticky-M owner. A local L1 hit touches no table; a miss or a
-// store reads the entry once and writes it once, and invalidations, remote
-// lookups and flushes visit only the caches whose bit is set, never every
-// core. Each cache's sets are carved from one array at construction and
-// shift in place.
+// store looks the entry up once and updates it in place, and
+// invalidations, remote lookups and flushes visit only the caches whose
+// bit is set, never every core. Each cache's sets are carved from one
+// array at construction and shift in place.
 //
 // Four behaviours are deliberate and pinned by the reference hierarchy in
 // reference_test.go; changing any of them moves the bench `analyze`
@@ -196,11 +196,12 @@ type Hierarchy struct {
 	// index is its bit in lineInfo.holders.
 	caches []cache
 	// dir has an entry for every line any access has touched — a load
-	// that misses L1 makes one as surely as a store does — and is never
-	// pruned, so sticky-M outlives the copies. It grows with the pass's
-	// footprint: one 16-byte entry plus map overhead per distinct line,
-	// where the sticky-M table it replaced held stored lines only.
-	dir map[mem.Line]lineInfo
+	// that misses L1 makes one as surely as a store does — so sticky-M
+	// outlives the copies. It grows with the pass's footprint a 4 KiB page
+	// of 256 entries at a time: 16.1 B per touched line when the footprint
+	// is dense, 4.1 KiB when it touches one line per page
+	// (TestTableBytesPerTouchedLine in the root package pins both).
+	dir mem.LineTable[lineInfo]
 
 	stats Stats
 }
@@ -214,7 +215,7 @@ func New(cfg Config) *Hierarchy {
 	require(cfg.L2Ways >= 1, "L2Ways", cfg.L2Ways, "at least 1")
 	require(cfg.L1Size >= mem.LineSize, "L1Size", cfg.L1Size, fmt.Sprintf("at least one %d-byte line", mem.LineSize))
 	require(cfg.L2Size >= mem.LineSize, "L2Size", cfg.L2Size, fmt.Sprintf("at least one %d-byte line", mem.LineSize))
-	h := &Hierarchy{cfg: cfg, caches: make([]cache, 0, 2*cfg.Threads), dir: make(map[mem.Line]lineInfo)}
+	h := &Hierarchy{cfg: cfg, caches: make([]cache, 0, 2*cfg.Threads)}
 	for i := 0; i < cfg.Threads; i++ {
 		h.caches = append(h.caches, newCache(cfg.L1Size, cfg.L1Ways), newCache(cfg.L2Size, cfg.L2Ways))
 	}
@@ -252,17 +253,17 @@ func (h *Hierarchy) Access(e trace.Event) {
 }
 
 // readLine performs a load of l by core tid. An L1 hit touches no table;
-// anything else reads the line's entry once and writes it once.
+// anything else looks the line's entry up once.
 func (h *Hierarchy) readLine(tid int, l mem.Line) {
 	l1, l2 := 2*tid, 2*tid+1
 	if h.caches[l1].lookup(l) != invalid {
 		h.stats.L1Hits++
 		return
 	}
-	info := h.dir[l]
+	info := h.dir.Get(l)
 	if others := info.holders &^ coreBits(tid); info.holders&(1<<l2) != 0 {
 		h.stats.L2Hits++
-		h.fill(l1, l, h.caches[l2].lookup(l), &info)
+		h.fill(l1, l, h.caches[l2].lookup(l), info)
 	} else if others != 0 {
 		// Coherence transfer from the lowest-numbered core holding the
 		// line: its L1 if that holds it (the lower bit), else its L2.
@@ -272,14 +273,13 @@ func (h *Hierarchy) readLine(tid int, l mem.Line) {
 		o := b &^ 1
 		h.caches[o].downgrade(l)
 		h.caches[o+1].downgrade(l)
-		h.fill(l1, l, shared, &info)
-		h.fill(l2, l, shared, &info)
+		h.fill(l1, l, shared, info)
+		h.fill(l2, l, shared, info)
 	} else {
 		h.countRead(l)
-		h.fill(l1, l, shared, &info)
-		h.fill(l2, l, shared, &info)
+		h.fill(l1, l, shared, info)
+		h.fill(l2, l, shared, info)
 	}
-	h.dir[l] = info
 }
 
 // countRead counts a read of l from memory.
@@ -305,9 +305,7 @@ func (h *Hierarchy) fill(b int, l mem.Line, st lineState, info *lineInfo) {
 func (h *Hierarchy) allocate(b int, l mem.Line, st lineState, info *lineInfo) bool {
 	victim, evicted := h.caches[b].insert(l, st)
 	if evicted {
-		v := h.dir[victim]
-		v.holders &^= 1 << b
-		h.dir[victim] = v
+		h.dir.Get(victim).holders &^= 1 << b
 	}
 	info.holders |= 1 << b
 	return evicted
@@ -326,14 +324,11 @@ func (h *Hierarchy) invalidate(l mem.Line, info *lineInfo, mask uint64) {
 // writeback: the memory write happens on eviction/flush, counted as a
 // PM/DRAM write). It invalidates every other core's copy and takes the
 // line exclusive in both of its own caches; inserting an entry the cache
-// holds promotes it as a lookup would. It reads the line's entry once and
-// writes it back only when the store changed it (a repeated store by the
-// line's owner does not).
+// holds promotes it as a lookup would.
 func (h *Hierarchy) writeLine(tid int, l mem.Line) {
 	l1, l2 := 2*tid, 2*tid+1
-	old := h.dir[l]
-	info := old
-	h.invalidate(l, &info, info.holders&^coreBits(tid))
+	info := h.dir.Get(l)
+	h.invalidate(l, info, info.holders&^coreBits(tid))
 	switch {
 	case info.holders&(1<<l1) != 0:
 		h.stats.L1Hits++
@@ -342,21 +337,16 @@ func (h *Hierarchy) writeLine(tid int, l mem.Line) {
 	default:
 		h.countRead(l) // write-allocate: fetch then modify
 	}
-	h.allocate(l1, l, exclusive, &info)
-	h.allocate(l2, l, exclusive, &info)
+	h.allocate(l1, l, exclusive, info)
+	h.allocate(l2, l, exclusive, info)
 	info.sticky = int32(tid) + 1
-	if info != old {
-		h.dir[l] = info
-	}
 }
 
 // writeNTLine performs a non-temporal store: it bypasses the caches and
 // goes straight to memory, invalidating any cached copies.
 func (h *Hierarchy) writeNTLine(_ int, l mem.Line) {
-	if info := h.dir[l]; info.holders != 0 {
-		h.invalidate(l, &info, info.holders)
-		h.dir[l] = info
-	}
+	info := h.dir.Get(l)
+	h.invalidate(l, info, info.holders)
 	h.stats.NTWrites++
 }
 
@@ -364,7 +354,7 @@ func (h *Hierarchy) writeNTLine(_ int, l mem.Line) {
 // the line is cached anywhere. Each holding core finds it in its L1, or
 // in its L2 when the L1 does not hold it, and promotes it there.
 func (h *Hierarchy) flushLine(_ int, l mem.Line) {
-	holders := h.dir[l].holders
+	holders := h.dir.Get(l).holders
 	if holders == 0 {
 		return
 	}
@@ -381,7 +371,7 @@ func (h *Hierarchy) flushLine(_ int, l mem.Line) {
 }
 
 // StickyOwner returns the last core to hold the line exclusively, or -1.
-func (h *Hierarchy) StickyOwner(l mem.Line) int { return int(h.dir[l].sticky) - 1 }
+func (h *Hierarchy) StickyOwner(l mem.Line) int { return int(h.dir.Get(l).sticky) - 1 }
 
 // Stats returns the accumulated counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }

@@ -169,8 +169,9 @@ func TestReplayAllocsIndependentOfLength(t *testing.T) {
 // first few hundred lines, evicts — allocates only for the directory
 // growing to N entries. (Sets that reallocated on every insert cost two
 // allocations a line.) The directory's own growth is measured on a bare
-// map of the same type and taken off; how many tables a map of 32 000
-// entries splits into varies by a few with its hash seed, hence the slack.
+// table of the same type and taken off; how many tables its page map of
+// 125 pages splits into varies by a few with the hash seed, hence the
+// slack.
 func TestColdPassAllocsIndependentOfLines(t *testing.T) {
 	beyondDirectory := func(lines int) float64 {
 		events := make([]trace.Event, lines)
@@ -185,9 +186,9 @@ func TestColdPassAllocsIndependentOfLines(t *testing.T) {
 			}
 		})
 		dir := testing.AllocsPerRun(5, func() {
-			m := make(map[mem.Line]lineInfo)
+			var dir mem.LineTable[lineInfo]
 			for i := 0; i < lines; i++ {
-				m[mem.LineOf(mem.PMBase)+mem.Line(i)] = lineInfo{}
+				*dir.Get(mem.LineOf(mem.PMBase) + mem.Line(i)) = lineInfo{}
 			}
 		})
 		return pass - dir

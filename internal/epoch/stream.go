@@ -40,7 +40,7 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 	consumed := obs.Default().Counter("pipeline_events_total", obs.Labels{"app": m.App, "stage": "demux"})
 
 	a := &Analysis{}
-	writers := writerTable{pages: make(map[uint64]*writerPage)}
+	var writers mem.LineTable[writerSlot]
 	var states trace.TIDTable[threadState]
 	var lastTID int32
 	var lastST *threadState
@@ -118,7 +118,7 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 						a.SmallSingletons++
 					}
 				}
-				self, cross := writers.classify(e.TID, st.start, e.Time, st.lines.Lines())
+				self, cross := classify(&writers, e.TID, st.start, e.Time, st.lines.Lines())
 				if self {
 					a.SelfDepEpochs++
 				}
@@ -162,52 +162,23 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 	return a, nil
 }
 
-// writerPageShift sizes the direct-index pages of the last-writer table:
-// 256 lines (16 KB of PM) per page. PM heaps are arena-allocated and
-// dense, so a handful of pages covers a whole app and almost every
-// lookup hits the single-entry page cache — no hashing per line.
-const writerPageShift = 8
-
-// writerSlot remembers the last epoch that wrote a line.
+// writerSlot remembers the last epoch that wrote a line: the last-writer
+// table behind the Figure 5 WAW classification.
 type writerSlot struct {
 	thread int32
 	set    bool
 	end    mem.Time
 }
 
-type writerPage [1 << writerPageShift]writerSlot
-
-// writerTable is the last-writer index behind the Figure 5 WAW
-// classification: it maps a line to its slot via a sparse page directory
-// plus a most-recently-used page cache.
-type writerTable struct {
-	pages    map[uint64]*writerPage
-	lastKey  uint64
-	lastPage *writerPage
-}
-
-func (t *writerTable) slot(l mem.Line) *writerSlot {
-	key := uint64(l) >> writerPageShift
-	if t.lastPage == nil || key != t.lastKey {
-		p := t.pages[key]
-		if p == nil {
-			p = new(writerPage)
-			t.pages[key] = p
-		}
-		t.lastKey, t.lastPage = key, p
-	}
-	return &t.lastPage[uint64(l)&(1<<writerPageShift-1)]
-}
-
-// classify replays one closed epoch against the table: each line is
-// checked for a self/cross WAW within DependencyWindow — measured
+// classify replays one closed epoch against the last-writer table: each
+// line is checked for a self/cross WAW within DependencyWindow — measured
 // on the global clock between the earlier epoch's completion and this
 // epoch's first store — and then claims the slot. Line order within an
 // epoch is immaterial: an epoch's lines are unique, so each touches a
 // distinct slot.
-func (t *writerTable) classify(tid int32, start, end mem.Time, lines []mem.Line) (self, cross bool) {
+func classify(writers *mem.LineTable[writerSlot], tid int32, start, end mem.Time, lines []mem.Line) (self, cross bool) {
 	for _, l := range lines {
-		w := t.slot(l)
+		w := writers.Get(l)
 		if w.set {
 			if start >= w.end && start-w.end <= DependencyWindow {
 				if w.thread == tid {

@@ -79,10 +79,19 @@ type DepPointer struct {
 }
 
 // lineOwner tracks which thread most recently held the line exclusively —
-// the sticky-M information HOPS gleans from coherence (§6.3).
+// the sticky-M information HOPS gleans from coherence (§6.3). Epoch TSs
+// start at 1, so the zero entry of a line no thread has written names no
+// buffered epoch: no drained TS is below its epochTS of 0.
 type lineOwner struct {
 	thread  int
 	epochTS uint64
+}
+
+// durableLine is a line's modelled PM image: the last drained version,
+// and whether any version has drained.
+type durableLine struct {
+	data    uint64
+	drained bool
 }
 
 // threadState is the per-hardware-thread HOPS state.
@@ -101,10 +110,10 @@ type Machine struct {
 	globalTS []uint64
 
 	// owners is the sticky-M table: last exclusive holder per line.
-	owners map[mem.Line]lineOwner
+	owners mem.LineTable[lineOwner]
 
-	// durable is the modelled PM image: last drained version per line.
-	durable map[mem.Line]uint64
+	// durable is the modelled PM image.
+	durable mem.LineTable[durableLine]
 
 	// drained records the global drain order for invariant checking.
 	drained []Entry
@@ -128,8 +137,6 @@ func NewMachine(nthreads int, cfg Config) *Machine {
 	m := &Machine{
 		cfg:      cfg,
 		globalTS: make([]uint64, nthreads),
-		owners:   make(map[mem.Line]lineOwner),
-		durable:  make(map[mem.Line]uint64),
 	}
 	for i := 0; i < nthreads; i++ {
 		m.threads = append(m.threads, &threadState{ts: 1})
@@ -148,7 +155,8 @@ func (m *Machine) Store(tid int, line mem.Line, data uint64) {
 		m.drainEntries(tid, len(t.pb)-m.cfg.PBEntries+1)
 	}
 	var dep *DepPointer
-	if own, ok := m.owners[line]; ok && own.thread != tid {
+	own := m.owners.Get(line)
+	if own.thread != tid {
 		// A dependency exists only while the writing epoch is still
 		// buffered; the pointer conservatively names the source thread's
 		// CURRENT epoch TS, not the exact epoch that wrote the line
@@ -174,7 +182,7 @@ func (m *Machine) Store(tid int, line mem.Line, data uint64) {
 	t.pb = append(t.pb, Entry{
 		Thread: tid, Line: line, Data: data, EpochTS: t.ts, Dep: dep, Seq: m.seq,
 	})
-	m.owners[line] = lineOwner{thread: tid, epochTS: t.ts}
+	*own = lineOwner{thread: tid, epochTS: t.ts}
 	m.stores++
 }
 
@@ -254,7 +262,7 @@ func (m *Machine) satisfyDep(e Entry, inFlight map[int]bool) {
 }
 
 func (m *Machine) commitEntry(e Entry) {
-	m.durable[e.Line] = e.Data
+	*m.durable.Get(e.Line) = durableLine{data: e.Data, drained: true}
 	// globalTS means "epochs <= TS completely drained". The entry's epoch
 	// is complete only when no buffered entry of that epoch remains AND
 	// the epoch is closed (the thread's TS register moved past it);
@@ -274,8 +282,8 @@ func (m *Machine) commitEntry(e Entry) {
 // Durable returns the durable (post-crash) value of line and whether the
 // line was ever drained.
 func (m *Machine) Durable(line mem.Line) (uint64, bool) {
-	v, ok := m.durable[line]
-	return v, ok
+	d := m.durable.Get(line)
+	return d.data, d.drained
 }
 
 // Buffered returns the number of buffered entries in tid's PB.

@@ -101,9 +101,7 @@ type lineState struct {
 }
 
 type threadState struct {
-	// lines is made by the first store or flush: the thread table hands
-	// out zero-valued states.
-	lines map[mem.Line]*lineState
+	lines mem.LineTable[lineState]
 	// txLines lists PM lines stored to inside the open tx window, in
 	// first-touch order.
 	txLines []mem.Line
@@ -114,18 +112,6 @@ type threadState struct {
 	// pendingWork counts flushes/NT stores since the last fence; a fence
 	// finding zero is a FenceNoWork.
 	pendingWork int
-}
-
-func (t *threadState) line(l mem.Line) *lineState {
-	ls := t.lines[l]
-	if ls == nil {
-		if t.lines == nil {
-			t.lines = make(map[mem.Line]*lineState)
-		}
-		ls = &lineState{}
-		t.lines[l] = ls
-	}
-	return ls
 }
 
 // vkey aggregates violations per (class, thread, line).
@@ -194,7 +180,7 @@ func (s *Sanitizer) store(e trace.Event, nt bool) {
 			continue
 		}
 		touchedPM = true
-		ls := t.line(ln)
+		ls := t.lines.Get(ln)
 		if nt {
 			// An NT store over still-dirty cacheable data leaves the
 			// line needing flush+fence, which dominates fence-only.
@@ -226,7 +212,7 @@ func (s *Sanitizer) flush(e trace.Event) {
 			continue
 		}
 		touchedPM = true
-		ls := t.line(ln)
+		ls := t.lines.Get(ln)
 		if ls.flushedSinceStore {
 			s.record(RedundantFlush, e.TID, ln, e.Time)
 		}
@@ -248,8 +234,7 @@ func (s *Sanitizer) fence(e trace.Event) {
 	}
 	t.pendingWork = 0
 	for _, ln := range t.pending {
-		ls := t.lines[ln]
-		if ls != nil && (ls.st == stFlushed || ls.st == stNTPending) {
+		if ls := t.lines.Get(ln); ls.st == stFlushed || ls.st == stNTPending {
 			ls.st = stClean
 		}
 	}
@@ -259,10 +244,7 @@ func (s *Sanitizer) fence(e trace.Event) {
 func (s *Sanitizer) txEnd(e trace.Event) {
 	t := s.threads.Get(e.TID)
 	for _, ln := range t.txLines {
-		ls := t.lines[ln]
-		if ls == nil {
-			continue
-		}
+		ls := t.lines.Get(ln)
 		ls.inTx = false
 		switch ls.st {
 		case stDirty:
