@@ -21,9 +21,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/cliutil"
 )
 
-// subset is the simulator-suitable application list of §5.3/§6.4.
-var subset = []string{"echo", "ycsb", "redis", "ctree", "hashmap", "vacation"}
-
 var paperPMShare = map[string]float64{
 	"echo": 5.49, "ycsb": 8.71, "redis": 0.74,
 	"ctree": 3.32, "hashmap": 2.6, "vacation": 0.36,
@@ -66,6 +63,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.DrainAt = min(*drain, cfg.PBEntries)
 	}
 
+	// The simulator-suitable subset of §5.3/§6.4, in suite order.
+	var subset []string
+	for _, b := range whisper.Benchmarks() {
+		if b.Simulatable {
+			subset = append(subset, b.Name)
+		}
+	}
 	reports := make(map[string]*whisper.Report)
 	for _, name := range subset {
 		rep, err := whisper.Run(name, whisper.Config{Ops: *ops, Seed: *seed})

@@ -26,8 +26,8 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/whisper-pm/whisper"
 	"github.com/whisper-pm/whisper/internal/cliutil"
+	"github.com/whisper-pm/whisper/internal/crashcheck"
 )
 
 func main() {
@@ -56,13 +56,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := whisper.CrashCheckConfig{Clients: *clients, Ops: *ops}
+	cfg := crashcheck.Config{Clients: *clients, Ops: *ops}
 	if *smoke {
 		cfg.Ops = 8
 		cfg.Seeds = []int64{1, 2}
 	}
-	for s := int64(1); s <= int64(*seeds); s++ {
-		cfg.Seeds = append(cfg.Seeds, s)
+	if *seeds > 0 {
+		cfg.Seeds = nil // -seeds replaces smoke's seeds, it does not extend them
+		for s := int64(1); s <= int64(*seeds); s++ {
+			cfg.Seeds = append(cfg.Seeds, s)
+		}
 	}
 	var err error
 	if cfg.Points, err = parsePoints(*points); err != nil {
@@ -72,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	apps := whisper.CrashApps()
+	apps := crashcheck.Apps()
 	if *app != "" {
 		// Validate before running anything: an unknown app must be a clean
 		// usage error, not a mid-matrix failure.
@@ -92,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%-10s  %-7s  %-10s  %-8s  %s\n", "app", "cells", "violations", "elapsed", "status")
 	failed := false
 	for _, name := range apps {
-		rep, err := whisper.CrashCheck(name, cfg)
+		rep, err := crashcheck.CheckApp(name, cfg)
 		if err != nil {
 			return fail(err)
 		}
@@ -136,15 +139,15 @@ func parsePoints(s string) ([]int, error) {
 	return out, nil
 }
 
-func parseModes(s string) ([]whisper.CrashMode, error) {
+func parseModes(s string) ([]crashcheck.Mode, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var out []whisper.CrashMode
+	var out []crashcheck.Mode
 	for _, f := range strings.Split(s, ",") {
 		name := strings.TrimSpace(f)
 		found := false
-		for _, m := range whisper.CrashModes() {
+		for _, m := range crashcheck.Modes() {
 			if m.String() == name {
 				out = append(out, m)
 				found = true

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -10,10 +11,11 @@ import (
 func TestRunErrorPaths(t *testing.T) {
 	tmp := t.TempDir()
 	cases := []struct {
-		name     string
-		args     []string
-		wantCode int
-		wantErr  string // substring expected on stderr
+		name      string
+		args      []string
+		wantCode  int
+		wantErr   string // substring expected on stderr
+		wantCells int    // when nonzero, the one app row's cell count
 	}{
 		{
 			name:     "unknown app",
@@ -66,6 +68,13 @@ func TestRunErrorPaths(t *testing.T) {
 				"-metrics", filepath.Join(tmp, "ok.json")},
 			wantCode: 0,
 		},
+		{
+			// -seeds replaces smoke's {1, 2}: 1 seed x 4 points x 3 modes.
+			name:      "smoke seeds replace the smoke list",
+			args:      []string{"-smoke", "-seeds", "1", "-app", "hashmap"},
+			wantCode:  0,
+			wantCells: 12,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,6 +88,12 @@ func TestRunErrorPaths(t *testing.T) {
 			}
 			if tc.wantCode == 0 && !strings.Contains(stdout.String(), "ok") {
 				t.Fatalf("success run printed no ok row:\n%s", stdout.String())
+			}
+			if tc.wantCells != 0 {
+				rows := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+				if len(rows) != 2 || strings.Fields(rows[1])[1] != strconv.Itoa(tc.wantCells) {
+					t.Fatalf("want one app row of %d cells:\n%s", tc.wantCells, stdout.String())
+				}
 			}
 		})
 	}

@@ -26,8 +26,8 @@ import (
 	"io"
 	"os"
 
-	"github.com/whisper-pm/whisper"
 	"github.com/whisper-pm/whisper/internal/cliutil"
+	"github.com/whisper-pm/whisper/internal/pmodel"
 )
 
 func main() {
@@ -56,8 +56,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, name := range whisper.LitmusShapes() {
-			fmt.Fprintln(stdout, name)
+		for _, s := range pmodel.Suite() {
+			fmt.Fprintln(stdout, s.Name)
 		}
 		return 0
 	}
@@ -65,19 +65,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Single-program mode: -shape or -f. The verdict drives the exit
 	// code, so a litmus file works as a CI assertion on its own.
 	if *shape != "" || *file != "" {
-		var (
-			res *whisper.LitmusResult
-			err error
-		)
+		var src string
 		if *shape != "" {
-			res, err = whisper.RunLitmusShape(*shape)
-		} else {
-			src, rerr := os.ReadFile(*file)
-			if rerr != nil {
-				return fail(rerr)
+			s, ok := pmodel.ShapeByName(*shape)
+			if !ok {
+				return fail(fmt.Errorf("whisper: unknown litmus shape %q", *shape))
 			}
-			res, err = whisper.RunLitmusProgram(string(src))
+			src = s.DSL
+		} else {
+			b, err := os.ReadFile(*file)
+			if err != nil {
+				return fail(err)
+			}
+			src = string(b)
 		}
+		res, err := check(src)
 		if err != nil {
 			return fail(err)
 		}
@@ -97,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	sr, err := whisper.RunLitmusSuite()
+	sr, err := pmodel.RunSuite(pmodel.CheckConfig{})
 	if err != nil {
 		return fail(err)
 	}
@@ -107,25 +109,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		code = 1
 	}
 	if *crossval {
-		for _, name := range whisper.LitmusShapes() {
-			res, err := whisper.RunLitmusShape(name)
+		for _, s := range pmodel.Suite() {
+			res, err := check(s.DSL)
 			if err != nil {
 				return fail(err)
 			}
-			missing, samples, err := res.CrossValidate(*seeds)
+			x, err := pmodel.CrossValidate(res.Program, res, pmodel.XValConfig{Seeds: *seeds})
 			if err != nil {
 				// Epoch shapes have no device twin; skip them explicitly
 				// so the output names what was not cross-validated.
-				fmt.Fprintf(stdout, "crossval: shape=%s skipped (%v)\n", name, err)
+				fmt.Fprintf(stdout, "crossval: shape=%s skipped (%v)\n", s.Name, err)
 				continue
 			}
 			status := "subset-ok"
-			if missing > 0 {
+			if !x.Ok() {
 				status = "MISSING"
 				code = 1
 			}
 			fmt.Fprintf(stdout, "crossval: shape=%s samples=%d missing=%d %s\n",
-				name, samples, missing, status)
+				s.Name, x.Samples, len(x.Missing), status)
 		}
 	}
 	if err := cliutil.WriteMetrics(*metrics); err != nil {
@@ -134,18 +136,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func crossValidate(res *whisper.LitmusResult, seeds int, stdout, stderr io.Writer) int {
-	missing, samples, err := res.CrossValidate(seeds)
+// check parses litmus DSL source and enumerates its durable states.
+func check(src string) (*pmodel.Result, error) {
+	p, err := pmodel.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return pmodel.Check(p, pmodel.CheckConfig{})
+}
+
+func crossValidate(res *pmodel.Result, seeds int, stdout, stderr io.Writer) int {
+	x, err := pmodel.CrossValidate(res.Program, res, pmodel.XValConfig{Seeds: seeds})
 	if err != nil {
 		fmt.Fprintln(stderr, "wlitmus:", err)
 		return 2
 	}
 	status := "subset-ok"
 	code := 0
-	if missing > 0 {
+	if !x.Ok() {
 		status = "MISSING"
 		code = 1
 	}
-	fmt.Fprintf(stdout, "crossval: samples=%d missing=%d %s\n", samples, missing, status)
+	fmt.Fprintf(stdout, "crossval: samples=%d missing=%d %s\n", x.Samples, len(x.Missing), status)
 	return code
 }

@@ -77,24 +77,14 @@ func AnalyzeReaderFused(r io.Reader, fcfg FusedConfig) (*FusedReport, error) {
 	return fused(rd, fcfg, nil)
 }
 
-// RunStreamFused executes the named benchmark once and fans its live
-// event stream out to the epoch analysis plus the consumers fcfg
-// selects; the trace is never materialized. When traceOut is non-nil the
-// stream is also written to it in the chunked v2 format.
-func RunStreamFused(name string, cfg Config, fcfg FusedConfig, traceOut io.Writer) (*FusedReport, error) {
-	tail, _, err := record(name, cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	return fused(tail, fcfg, traceOut)
-}
-
-// RunAllFused is RunStreamFused over each of names, up to workers of them
-// at a time, with the reports in names order. When traceOut is non-nil each
-// run's events also go, in the chunked v2 format, to the writer
-// traceOut(name) opens; it is closed when that run ends. Neither the
-// reports nor the bytes written depend on workers. An unknown name fails
-// the call before anything runs or traceOut is called.
+// RunAllFused executes each of names once, up to workers of them at a
+// time, and fans each live event stream out to the epoch analysis plus the
+// consumers fcfg selects; no trace is materialized, and the reports come
+// back in names order. When traceOut is non-nil each run's events also go,
+// in the chunked v2 format, to the writer traceOut(name) opens; it is
+// closed when that run ends. Neither the reports nor the bytes written
+// depend on workers. An unknown name fails the call before anything runs
+// or traceOut is called.
 func RunAllFused(names []string, cfg Config, fcfg FusedConfig, workers int, traceOut func(name string) (io.WriteCloser, error)) ([]*FusedReport, error) {
 	for _, name := range names {
 		if _, _, err := resolve(name, cfg); err != nil {
@@ -104,14 +94,14 @@ func RunAllFused(names []string, cfg Config, fcfg FusedConfig, workers int, trac
 	out := make([]*FusedReport, len(names))
 	err := forEach(len(names), workers, func(i int) (err error) {
 		if traceOut == nil {
-			out[i], err = RunStreamFused(names[i], cfg, fcfg, nil)
+			out[i], err = runFused(names[i], cfg, fcfg, nil)
 			return err
 		}
 		w, err := traceOut(names[i])
 		if err != nil {
 			return err
 		}
-		out[i], err = RunStreamFused(names[i], cfg, fcfg, w)
+		out[i], err = runFused(names[i], cfg, fcfg, w)
 		if cerr := w.Close(); err == nil {
 			err = cerr
 		}
@@ -121,6 +111,16 @@ func RunAllFused(names []string, cfg Config, fcfg FusedConfig, workers int, trac
 		return nil, err
 	}
 	return out, nil
+}
+
+// runFused is one member of RunAllFused: the named benchmark's live stream
+// through fused, and through the v2 writer too when traceOut is non-nil.
+func runFused(name string, cfg Config, fcfg FusedConfig, traceOut io.Writer) (*FusedReport, error) {
+	tail, _, err := record(name, cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	return fused(tail, fcfg, traceOut)
 }
 
 // fused runs one pipeline pass over src with the sanitizer and the cache

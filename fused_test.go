@@ -45,7 +45,7 @@ func TestFusedMatchesStandalone(t *testing.T) {
 			want.Trace = nil
 
 			var tee bytes.Buffer
-			fused, err := RunStreamFused(b.Name, cfg, FusedConfig{Sanitize: true, Cache: true}, &tee)
+			fused, err := runFused(b.Name, cfg, FusedConfig{Sanitize: true, Cache: true}, &tee)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestFusedNoExtras(t *testing.T) {
 	}
 	want := *serial
 	want.Trace = nil
-	fused, err := RunStreamFused("ctree", cfg, FusedConfig{}, nil)
+	fused, err := runFused("ctree", cfg, FusedConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ type teeFile struct {
 
 func (f *teeFile) Close() error { f.closed = true; return nil }
 
-// TestRunAllFusedMatchesSingleRuns: the suite call is RunStreamFused per
+// TestRunAllFusedMatchesSingleRuns: the suite call is runFused per
 // name — reports in the order asked for, each trace writer filled with that
 // run's bytes and closed — whatever the worker count, and a writer that
 // cannot be opened fails the call.
@@ -137,7 +137,7 @@ func TestRunAllFusedMatchesSingleRuns(t *testing.T) {
 		}
 		for i, name := range names {
 			var tee bytes.Buffer
-			want, err := RunStreamFused(name, cfg, fcfg, &tee)
+			want, err := runFused(name, cfg, fcfg, &tee)
 			if err != nil {
 				t.Fatal(err)
 			}

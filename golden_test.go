@@ -63,7 +63,7 @@ func TestGoldenFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fr, err := RunStreamFused(app, goldenCfg, FusedConfig{}, nil)
+			fr, err := runFused(app, goldenCfg, FusedConfig{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -114,12 +114,17 @@ type DB struct {
 	rt    *persist.Runtime
 	cfg   Config
 	parts []*partition
+	// commits holds one flush group per thread, reused by every commit
+	// that thread makes. Like the indexes it is volatile: Recover starts
+	// it afresh, since a crash inside a commit can strand spans in it.
+	commits []*persist.Group
 }
 
 // Open creates a database with cfg.Partitions partitions.
 func Open(rt *persist.Runtime, cfg Config) *DB {
 	cfg = cfg.withDefaults(rt.Threads())
 	db := &DB{rt: rt, cfg: cfg}
+	db.resetCommits()
 	th := rt.Thread(0)
 	for i := 0; i < cfg.Partitions; i++ {
 		db.parts = append(db.parts, &partition{
@@ -322,21 +327,16 @@ func (tx *Tx) Commit() {
 	th := tx.th
 	th.SetFlushHook(nil)
 	// Flush each still-dirty line exactly once, in address order (the
-	// map is iterated via Coalesce's sort, so commit event streams are
-	// deterministic). Lines an inline flush already covered are skipped.
-	spans := make([]mem.Span, 0, len(tx.dirty))
+	// map is iterated via the group's coalescing sort, so commit event
+	// streams are deterministic). Lines an inline flush already covered
+	// are skipped.
+	g := tx.db.commits[th.ID()]
 	for l, need := range tx.dirty {
 		if need {
-			spans = append(spans, mem.Span{Addr: mem.LineAddr(l), Size: mem.LineSize})
+			g.Add(mem.LineAddr(l), mem.LineSize)
 		}
 	}
-	flushes := mem.Coalesce(spans)
-	for _, s := range flushes {
-		th.Flush(s.Addr, s.Size)
-	}
-	if len(flushes) > 0 {
-		th.Fence()
-	}
+	g.Commit()
 	th.StoreU64(tx.p.walDesc, walCommitted)
 	th.FlushFence(tx.p.walDesc, 8)
 	tx.clearLog()
@@ -385,9 +385,18 @@ func (tx *Tx) clearLog() {
 	tx.p.walNext = (tx.start + tx.n) % walEntries
 }
 
+// resetCommits gives every thread an empty commit group.
+func (db *DB) resetCommits() {
+	db.commits = db.commits[:0]
+	for i := 0; i < db.rt.Threads(); i++ {
+		db.commits = append(db.commits, persist.NewGroup(db.rt.Thread(i)))
+	}
+}
+
 // Recover rolls back uncommitted transactions in every partition and
 // rebuilds the volatile indexes from the persistent bucket chains.
 func (db *DB) Recover() {
+	db.resetCommits()
 	th := db.rt.Thread(0)
 	for _, p := range db.parts {
 		status := th.LoadU64(p.walDesc)

@@ -253,3 +253,27 @@ func TestCommitSkipsInlineFlushedLines(t *testing.T) {
 		t.Fatalf("errors=%d redundant=%d:\n%s", rep.Errors(), rep.Sites(pmsan.RedundantFlush), rep)
 	}
 }
+
+func TestRecoverDropsACommitCutShort(t *testing.T) {
+	// A crash between a commit's flushes strands the rest of its spans in
+	// the thread's commit group; Recover must start the group afresh, or
+	// the next commit would flush lines it never wrote.
+	rt, db := newDB(1)
+	tx := db.Begin(0)
+	tx.Insert(1, [nAttrs]uint64{5, 0, 0, 0}, "a")
+	tx.Commit()
+
+	tx = db.Begin(0)
+	tx.Update(1, 0, 77, "b")
+	if !rt.AbortAt(1, nil, tx.Commit) {
+		t.Fatal("commit ran to completion; want it stopped at its first flush")
+	}
+	if db.commits[0].Pending() == 0 {
+		t.Fatal("the cut commit stranded no spans; the test no longer exercises recovery")
+	}
+	rt.Crash(pmem.Strict, 5)
+	db.Recover()
+	if n := db.commits[0].Pending(); n != 0 {
+		t.Fatalf("%d spans of the crashed commit survived recovery", n)
+	}
+}

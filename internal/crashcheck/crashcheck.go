@@ -166,19 +166,6 @@ func CheckApp(name string, cfg Config) (Result, error) {
 	return checkEntry(ent, cfg)
 }
 
-// CheckAll runs the matrix for every registered application.
-func CheckAll(cfg Config) ([]Result, error) {
-	var out []Result
-	for _, ent := range registry {
-		r, err := checkEntry(ent, cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 func checkEntry(ent entry, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	res := Result{App: ent.name}

@@ -39,6 +39,22 @@ func TestRecoveryMatrix(t *testing.T) {
 	}
 }
 
+// TestUnknownAppIsAnError pins the registry the CLI lists — ten apps, three
+// modes — and that CheckApp refuses a name outside it before running
+// anything.
+func TestUnknownAppIsAnError(t *testing.T) {
+	if got := len(Apps()); got != 10 {
+		t.Errorf("Apps() = %v, want 10 apps", Apps())
+	}
+	if got := len(Modes()); got != 3 {
+		t.Errorf("Modes() = %v, want 3 modes", Modes())
+	}
+	res, err := CheckApp("no-such-app", Config{})
+	if err == nil || res.Cells != 0 {
+		t.Fatalf("CheckApp(no-such-app) = %d cells, %v; want an error and no cells", res.Cells, err)
+	}
+}
+
 // naiveKV is an append-only persistent array of {key, value} slots behind a
 // count word. The fenced variant persists each slot before bumping the
 // count (the count bump is the atomic commit point); the broken variant

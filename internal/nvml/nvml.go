@@ -97,7 +97,7 @@ type Tx struct {
 	th      *persist.Thread
 	logPos  mem.Addr
 	logged  []dirtyRange     // ranges captured in the undo log
-	dirty   []mem.Span       // in-place writes awaiting commit-time flush
+	dirty   persist.Group    // in-place writes awaiting commit-time flush
 	fresh   map[mem.Addr]int // allocations made in this tx (addr -> size)
 	frees   []mem.Addr       // frees deferred to commit
 	aborted bool
@@ -143,6 +143,7 @@ func (p *Pool) Run(th *persist.Thread, body func(*Tx) error) error {
 		p:      p,
 		th:     th,
 		logPos: p.logs[th.ID()] + entryOffset,
+		dirty:  *persist.NewGroup(th),
 		fresh:  make(map[mem.Addr]int),
 	}
 	// Mark the log active: its entries are meaningful until committed.
@@ -220,7 +221,7 @@ func (tx *Tx) Write(a mem.Addr, data []byte) {
 		panic(fmt.Sprintf("nvml: write to %v outside AddRange (stray update)", a))
 	}
 	tx.th.Store(a, data)
-	tx.dirty = append(tx.dirty, mem.Span{Addr: a, Size: len(data)})
+	tx.dirty.Add(a, len(data))
 }
 
 // Set is the AddRange+Write convenience used by NVML macros.
@@ -296,17 +297,11 @@ func (tx *Tx) commit() {
 	logBase := tx.p.logs[th.ID()]
 
 	// Flush all in-place data writes and fence: the deferred-flush epoch.
-	// Coalesce the per-Write dirty ranges to one flush per distinct line —
-	// a transaction updating several fields of one node (ctree keys, redis
-	// entry header+value) would otherwise flush the shared line once per
-	// Write call.
-	flushes := mem.Coalesce(tx.dirty)
-	for _, s := range flushes {
-		th.Flush(s.Addr, s.Size)
-	}
-	if len(flushes) > 0 {
-		th.Fence()
-	}
+	// The group coalesces the per-Write dirty ranges to one flush per
+	// distinct line — a transaction updating several fields of one node
+	// (ctree keys, redis entry header+value) would otherwise flush the
+	// shared line once per Write call.
+	tx.dirty.Commit()
 
 	// Commit point.
 	th.StoreU64(logBase+stateOffset, logCommitted)

@@ -56,7 +56,7 @@ type mdTx struct {
 	th    *persist.Thread
 	start int // first slot of this transaction
 	n     int // entries appended
-	dirty []mem.Span
+	dirty persist.Group
 }
 
 // begin opens the journal for a metadata transaction: bump the generation
@@ -69,7 +69,7 @@ func (j *journal) begin(th *persist.Thread) *mdTx {
 	th.StoreU64(j.desc+8, j.gen)
 	th.StoreU64(j.desc+16, uint64(j.next))
 	th.Flush(j.desc, 24)
-	return &mdTx{j: j, th: th, start: j.next}
+	return &mdTx{j: j, th: th, start: j.next, dirty: *persist.NewGroup(th)}
 }
 
 func (j *journal) slotAddr(slot int) mem.Addr {
@@ -103,7 +103,7 @@ func (mt *mdTx) write(a mem.Addr, data []byte) {
 	mt.n++
 
 	th.Store(a, data)
-	mt.dirty = append(mt.dirty, mem.Span{Addr: a, Size: len(data)})
+	mt.dirty.Add(a, len(data))
 }
 
 // writeU64 journals and updates a single metadata word.
@@ -123,13 +123,7 @@ func (mt *mdTx) commit() {
 	// One flush per distinct dirty line. Metadata words cluster: an
 	// inode's size and mtime live in the same 64-byte line, so flushing
 	// the raw per-write ranges re-flushes clean lines on every commit.
-	flushes := mem.Coalesce(mt.dirty)
-	for _, s := range flushes {
-		th.Flush(s.Addr, s.Size)
-	}
-	if len(flushes) > 0 {
-		th.Fence()
-	}
+	mt.dirty.Commit()
 	th.StoreU64(mt.j.desc, jrnlCommitted)
 	th.Flush(mt.j.desc, 8)
 	th.Fence()

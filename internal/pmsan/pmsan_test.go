@@ -485,3 +485,27 @@ func TestHostileEventSizes(t *testing.T) {
 	})
 	_ = rep.String()
 }
+
+// TestClassNames pins the class names in report order and the
+// error/diagnostic split that the CLIs' exit codes depend on.
+func TestClassNames(t *testing.T) {
+	want := []string{
+		"dirty-at-commit", "unfenced-flush", "unfenced-nt-store",
+		"redundant-flush", "fence-without-work",
+	}
+	for i, name := range want {
+		c, ok := ClassByName(name)
+		if !ok || c != Class(i) || c.String() != name {
+			t.Errorf("ClassByName(%q) = %v, %v; want class %d", name, c, ok, i)
+		}
+		if c.IsError() != (i < 3) {
+			t.Errorf("%s: IsError = %v", name, c.IsError())
+		}
+	}
+	if int(numClasses) != len(want) {
+		t.Errorf("numClasses = %d, want %d", numClasses, len(want))
+	}
+	if _, ok := ClassByName("bogus"); ok {
+		t.Error("unknown class name resolved")
+	}
+}

@@ -20,7 +20,7 @@ type Report struct {
 
 	// Trace is the raw recorded trace (reusable for HOPS simulation or
 	// offline analysis). It is nil for reports produced by the streaming
-	// path (RunStreamFused, AnalyzeReader), which never materializes events.
+	// path (RunAllFused, AnalyzeReader), which never materializes events.
 	Trace *Trace
 
 	// TotalEpochs is the number of epochs (store sets between sfences).

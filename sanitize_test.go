@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/whisper-pm/whisper/internal/pmsan"
 )
 
 // TestSanitizerCleanAndByteIdentical is the sanitizer's core contract over
@@ -23,7 +25,7 @@ func TestSanitizerCleanAndByteIdentical(t *testing.T) {
 			fromTrace := Sanitize(serial.Trace)
 
 			var tee bytes.Buffer
-			fr, err := RunStreamFused(name, cfg, FusedConfig{Sanitize: true}, &tee)
+			fr, err := runFused(name, cfg, FusedConfig{Sanitize: true}, &tee)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,9 +45,9 @@ func TestSanitizerCleanAndByteIdentical(t *testing.T) {
 			if fromTrace.Errors() != 0 {
 				t.Errorf("ordering errors in %s:\n%s", name, fromTrace)
 			}
-			for _, class := range SanClasses() {
-				if n := fromTrace.Sites(class); n != 0 {
-					t.Errorf("%s: %d %s sites, want 0:\n%s", name, n, class, fromTrace)
+			for c := pmsan.DirtyAtCommit; c <= pmsan.FenceNoWork; c++ {
+				if n := fromTrace.Sites(c.String()); n != 0 {
+					t.Errorf("%s: %d %s sites, want 0:\n%s", name, n, c, fromTrace)
 				}
 			}
 		})
@@ -98,44 +100,13 @@ func TestAllowlistAPIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := san.ApplyAllowlist(al); n != san.Suppressed() {
-		t.Errorf("ApplyAllowlist returned %d, Suppressed() = %d", n, san.Suppressed())
+	if n := san.ApplyAllowlist(al); n != san.rep.Suppressed() {
+		t.Errorf("ApplyAllowlist returned %d, Suppressed() = %d", n, san.rep.Suppressed())
 	}
 	if san.ApplyAllowlist(nil) != 0 {
 		t.Error("nil allowlist suppressed sites")
 	}
 	if _, err := ParseAllowlist(strings.NewReader("toofew\n")); err == nil {
 		t.Error("malformed allowlist rule accepted")
-	}
-}
-
-// TestSanClassMetadata pins the exported class list and the
-// error/diagnostic split the CLI exit code depends on.
-func TestSanClassMetadata(t *testing.T) {
-	want := []string{
-		"dirty-at-commit", "unfenced-flush", "unfenced-nt-store",
-		"redundant-flush", "fence-without-work",
-	}
-	got := SanClasses()
-	if len(got) != len(want) {
-		t.Fatalf("SanClasses() = %v", got)
-	}
-	for i, c := range want {
-		if got[i] != c {
-			t.Fatalf("SanClasses()[%d] = %q, want %q", i, got[i], c)
-		}
-	}
-	for _, c := range want[:3] {
-		if !SanClassIsError(c) {
-			t.Errorf("%s should be an error class", c)
-		}
-	}
-	for _, c := range want[3:] {
-		if SanClassIsError(c) {
-			t.Errorf("%s should be a diagnostic class", c)
-		}
-	}
-	if SanClassIsError("bogus") {
-		t.Error("unknown class reported as error")
 	}
 }

@@ -85,9 +85,9 @@ func writeV2(w io.Writer, src *trace.Branch) error {
 // trace's Tail the moment Append seals it — one channel send per chunk,
 // never per event — so the analysis of one chunk overlaps the recording of
 // the next instead of re-reading the whole trace from cold memory after the
-// run. Run and RunStreamFused are the same two stages and differ only in
+// run. Run and RunAllFused are the same two stages and differ only in
 // whether the trace keeps a chunk it has handed over: Run's does, and the
-// retained trace is Report.Trace; RunStreamFused's drops it, so the full
+// retained trace is Report.Trace; RunAllFused's drops it, so the full
 // event sequence is never materialized and Report.Trace is nil. The reports
 // are identical (TestStreamMatchesSerial asserts it on every suite member).
 

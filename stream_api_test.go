@@ -21,7 +21,7 @@ func TestStreamMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			var tee bytes.Buffer
-			fr, err := RunStreamFused(b.Name, cfg, FusedConfig{}, &tee)
+			fr, err := runFused(b.Name, cfg, FusedConfig{}, &tee)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,8 +63,8 @@ func TestStreamMatchesSerial(t *testing.T) {
 
 // TestRunStreamUnknownBenchmark pins the error path.
 func TestRunStreamUnknownBenchmark(t *testing.T) {
-	if _, err := RunStreamFused("nope", Config{}, FusedConfig{}, nil); err == nil {
-		t.Fatal("RunStreamFused accepted an unknown benchmark")
+	if _, err := runFused("nope", Config{}, FusedConfig{}, nil); err == nil {
+		t.Fatal("runFused accepted an unknown benchmark")
 	}
 }
 

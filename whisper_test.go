@@ -259,10 +259,10 @@ func TestPanickingMemberIsOneError(t *testing.T) {
 
 	const want = "whisper: boom panicked: pool exhausted"
 	_, runErr := Run("boom", cfg)
-	_, streamErr := RunStreamFused("boom", cfg, FusedConfig{Sanitize: true}, nil)
+	_, streamErr := runFused("boom", cfg, FusedConfig{Sanitize: true}, nil)
 	_, fusedErr := RunAllFused(Names(), cfg, FusedConfig{}, 4, nil)
 	for name, err := range map[string]error{
-		"Run": runErr, "RunStreamFused": streamErr, "RunAllFused": fusedErr,
+		"Run": runErr, "runFused": streamErr, "RunAllFused": fusedErr,
 	} {
 		if err == nil || err.Error() != want {
 			t.Errorf("%s: error = %v, want %q", name, err, want)
