@@ -40,14 +40,16 @@ type dfenceResolver struct {
 	base       int                       // stream position of queue[0]
 	pos        int                       // stream position of the next pushed event
 	unresolved trace.TIDTable[openFence] // each thread's open fence
-	emit       func(e trace.Event, dfence bool)
+	// emit is handed each released event, valid only during the call.
+	emit func(e *trace.Event, dfence bool)
 }
 
-func newDfenceResolver(emit func(trace.Event, bool)) *dfenceResolver {
+func newDfenceResolver(emit func(*trace.Event, bool)) *dfenceResolver {
 	return &dfenceResolver{emit: emit}
 }
 
-func (d *dfenceResolver) push(e trace.Event) {
+// push adds e, which is copied if it has to wait, to the stream.
+func (d *dfenceResolver) push(e *trace.Event) {
 	switch e.Kind {
 	case trace.KFence:
 		// A newer fence of the same thread makes the older one an ofence.
@@ -55,7 +57,7 @@ func (d *dfenceResolver) push(e trace.Event) {
 		if f.open {
 			d.queue[f.pos-d.base].await = false
 		}
-		d.queue = append(d.queue, pendingEvent{e: e, await: true})
+		d.queue = append(d.queue, pendingEvent{e: *e, await: true})
 		f.pos, f.open = d.pos, true
 	case trace.KTxEnd:
 		// Commit: the thread's open fence is its durability point.
@@ -73,7 +75,7 @@ func (d *dfenceResolver) push(e trace.Event) {
 			d.emit(e, false)
 			return
 		}
-		d.queue = append(d.queue, pendingEvent{e: e})
+		d.queue = append(d.queue, pendingEvent{e: *e})
 	}
 	d.pos++
 	d.drain()
@@ -82,7 +84,7 @@ func (d *dfenceResolver) push(e trace.Event) {
 func (d *dfenceResolver) drain() {
 	i := d.head
 	for ; i < len(d.queue) && !d.queue[i].await; i++ {
-		d.emit(d.queue[i].e, d.queue[i].dfence)
+		d.emit(&d.queue[i].e, d.queue[i].dfence)
 	}
 	d.head = i
 	if rest := len(d.queue) - i; rest <= i {
@@ -102,30 +104,133 @@ func (d *dfenceResolver) finish() {
 	d.drain()
 }
 
-// run pushes every event of src through the resolver and releases what is
-// still buffered when the stream ends.
-func (d *dfenceResolver) run(src trace.EventSource) error {
-	for {
-		chunk, err := src.NextChunk()
-		if err == io.EOF {
-			d.finish()
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for _, e := range chunk {
-			d.push(e)
+// The replay runs in two stages joined by a small ring of batches. Stage 1,
+// on a goroutine of its own, reads the source, resolves dfences and advances
+// the front; stage 2, on the caller's goroutine, runs each back end over a
+// whole batch in turn. The front and the back ends see the events in stream
+// order either way, so the result does not depend on how the two stages
+// interleave or on how many cores they share.
+
+// replayBatchSize is the number of resolved events in one batch: enough that
+// a hand-off (two channel operations) is noise beside the back ends' work on
+// it, few enough that a batch stays in the second-level cache.
+const replayBatchSize = 2048
+
+// replayBatches is the number of batches circulating between the stages:
+// stage 1 fills up to replayBatches-1 ahead of the one stage 2 replays.
+const replayBatches = 4
+
+// feeder is stage 1 of the replay. It fills batch, hands it to full and
+// takes an empty one from free; full has room for every batch, so only
+// taking from free can wait, and it gives up once stop is closed.
+type feeder struct {
+	front   *front
+	batch   []frontStep
+	free    chan []frontStep
+	full    chan []frontStep
+	stop    chan struct{}
+	stopped bool // stage 2 has returned: drop events, read no further
+}
+
+func (fd *feeder) emit(e *trace.Event, dfence bool) {
+	if fd.stopped {
+		return
+	}
+	n := len(fd.batch)
+	fd.batch = fd.batch[:n+1]
+	st := &fd.batch[n]
+	fd.front.next(e, st)
+	st.dfence = dfence
+	if n+1 == replayBatchSize {
+		fd.full <- fd.batch
+		select {
+		case fd.batch = <-fd.free:
+		case <-fd.stop:
+			fd.batch, fd.stopped = nil, true
 		}
 	}
 }
 
+// run pushes every event of src through the resolver, releases what is
+// still buffered when the stream ends and hands over the last, part-filled
+// batch.
+func (fd *feeder) run(src trace.EventSource) error {
+	d := newDfenceResolver(fd.emit)
+	var err error
+	for !fd.stopped {
+		var chunk []trace.Event
+		chunk, err = src.NextChunk()
+		if err == io.EOF {
+			d.finish()
+			err = nil
+			break
+		}
+		if err != nil {
+			break
+		}
+		for i := range chunk {
+			d.push(&chunk[i])
+		}
+	}
+	if len(fd.batch) > 0 {
+		fd.full <- fd.batch
+	}
+	return err
+}
+
+// drive runs the back ends rs over src: stage 1 on a new goroutine,
+// stage 2 here. It returns src's error, re-raises a panic of stage 1 with
+// its own value, and returns — normally or by a back end's panic — only
+// after stage 1 has exited. The back ends' tallies are flushed once the
+// stream has been replayed.
+func drive(src trace.EventSource, cfg Config, lat mem.Latency, rs []*replayer) error {
+	fd := &feeder{
+		front: newFront(cfg, lat),
+		free:  make(chan []frontStep, replayBatches),
+		full:  make(chan []frontStep, replayBatches),
+		stop:  make(chan struct{}),
+	}
+	for i := 1; i < replayBatches; i++ {
+		fd.free <- make([]frontStep, 0, replayBatchSize)
+	}
+	fd.batch = make([]frontStep, 0, replayBatchSize)
+
+	// Both are written before full is closed and read after it is drained.
+	var err error
+	var panicked any
+	go func() {
+		defer close(fd.full)
+		defer func() { panicked = recover() }()
+		err = fd.run(src)
+	}()
+	defer func() {
+		close(fd.stop)
+		for range fd.full {
+		}
+	}()
+
+	for batch := range fd.full {
+		for _, r := range rs {
+			r.applyAll(batch)
+		}
+		fd.free <- batch[:0]
+	}
+	if panicked != nil {
+		panic(panicked)
+	}
+	for _, r := range rs {
+		r.flush()
+	}
+	return err
+}
+
 // ReplaySource reruns src's instruction stream under the given persistence
 // model in one pass and O(open lookahead) memory. The instruments in ro
-// are pure outputs and never change the Result.
+// are pure outputs and never change the Result; they are filled when the
+// replay finishes.
 func ReplaySource(src trace.EventSource, model Model, cfg Config, lat mem.Latency, ro ReplayObs) (Result, error) {
-	r := newReplayer(model, cfg, lat, ro, newFront(cfg, lat))
-	if err := newDfenceResolver(r.step).run(src); err != nil {
+	r := newReplayer(model, cfg, lat, ro)
+	if err := drive(src, cfg, lat, []*replayer{r}); err != nil {
 		return Result{Model: model}, err
 	}
 	return r.result(), nil
@@ -134,26 +239,20 @@ func ReplaySource(src trace.EventSource, model Model, cfg Config, lat mem.Latenc
 // NormalizedSource computes the Figure 10 presentation — every model's
 // runtime normalized to the x86-64 (NVM) baseline — from a single pass
 // over an event source: one front does the trace bookkeeping once per
-// resolved event and the five models' back ends advance in lockstep on its
-// answer. When instruments is non-nil, instruments(m) supplies the
-// ReplayObs for model m's replayer.
+// resolved event and the five models' back ends replay its answers batch
+// by batch. When instruments is non-nil, instruments(m) supplies the
+// ReplayObs for model m's replayer; they are filled when the replay
+// finishes.
 func NormalizedSource(src trace.EventSource, cfg Config, lat mem.Latency, instruments func(Model) ReplayObs) (map[Model]float64, error) {
-	f := newFront(cfg, lat)
 	rs := make([]*replayer, len(Models))
 	for i, m := range Models {
 		ro := ReplayObs{}
 		if instruments != nil {
 			ro = instruments(m)
 		}
-		rs[i] = newReplayer(m, cfg, lat, ro, f)
+		rs[i] = newReplayer(m, cfg, lat, ro)
 	}
-	d := newDfenceResolver(func(e trace.Event, dfence bool) {
-		st := f.next(e)
-		for _, r := range rs {
-			r.apply(e, dfence, st)
-		}
-	})
-	if err := d.run(src); err != nil {
+	if err := drive(src, cfg, lat, rs); err != nil {
 		return nil, err
 	}
 

@@ -1,8 +1,11 @@
 package hops
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -59,15 +62,15 @@ func TestDfenceResolverMatchesMarks(t *testing.T) {
 		want := markDurabilityFences(tr)
 		got := make(map[int]bool)
 		i := 0
-		d := newDfenceResolver(func(e trace.Event, dfence bool) {
+		d := newDfenceResolver(func(e *trace.Event, dfence bool) {
 			if dfence {
 				got[i] = true
 			}
 			i++
 		})
 		evs := events(tr)
-		for _, e := range evs {
-			d.push(e)
+		for i := range evs {
+			d.push(&evs[i])
 		}
 		d.finish()
 		if i != len(evs) {
@@ -126,4 +129,82 @@ func TestNormalizedSourceMatchesNormalized(t *testing.T) {
 			t.Fatalf("model %v: stream %v != serial %v", m, got[m], v)
 		}
 	}
+}
+
+// failingSource hands out k chunks of its source and then fails: with err,
+// or by panicking with panicValue when that is set.
+type failingSource struct {
+	trace.EventSource
+	k          int
+	err        error
+	panicValue any
+}
+
+func (s *failingSource) NextChunk() ([]trace.Event, error) {
+	if s.k == 0 {
+		if s.panicValue != nil {
+			panic(s.panicValue)
+		}
+		return nil, s.err
+	}
+	s.k--
+	return s.EventSource.NextChunk()
+}
+
+// requireGoroutines waits for the goroutine count to come back to base:
+// stage 1 has closed its channel by the time the replay returns, but may
+// not have exited yet.
+func requireGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before: the replay's stage 1 outlived it", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestReplayFailuresReachCaller holds the two-stage driver to the serial
+// replay's failure behaviour. A source error after k chunks is what
+// NormalizedSource and ReplaySource return; a panic in the source, on the
+// stage-1 goroutine, reaches the caller's recover with its own value; a
+// panic in a back end, on the caller's goroutine, does not leave stage 1
+// waiting for a free batch. No goroutine outlives any of them. The trace is
+// long enough that stage 1 runs out of batches several times over.
+func TestReplayFailuresReachCaller(t *testing.T) {
+	tr := genReplayTrace(5, 20*replayBatches*replayBatchSize)
+	cfg, lat := DefaultConfig(), mem.DefaultLatency()
+	boom := errors.New("source failed")
+	for _, k := range []int{0, 1, 6, 12} {
+		base := runtime.NumGoroutine()
+		if _, err := NormalizedSource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, err: boom}, cfg, lat, nil); err != boom {
+			t.Errorf("k=%d: NormalizedSource returned %v, want the source's error", k, err)
+		}
+		if _, err := ReplaySource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, err: boom}, HOPSNVM, cfg, lat, ReplayObs{}); err != boom {
+			t.Errorf("k=%d: ReplaySource returned %v, want the source's error", k, err)
+		}
+		requireGoroutines(t, base)
+
+		func() {
+			defer func() {
+				if r := recover(); r != boom {
+					t.Errorf("k=%d: recovered %v, want the source's panic value", k, r)
+				}
+			}()
+			NormalizedSource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, panicValue: boom}, cfg, lat, nil)
+		}()
+		requireGoroutines(t, base)
+	}
+
+	// A back end with a zero-entry persist buffer indexes an empty drain
+	// queue at the first store.
+	base := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if _, ok := recover().(runtime.Error); !ok {
+				t.Errorf("the back end's panic did not reach the caller")
+			}
+		}()
+		drive(trace.NewSliceSource(tr), cfg, lat, []*replayer{{model: HOPSNVM}})
+	}()
+	requireGoroutines(t, base)
 }

@@ -102,9 +102,10 @@ func (c Config) resolved() Config {
 	return c
 }
 
-// frontStep is what the front hands the back ends for one event: the part
-// of replaying it that is a function of the trace and the latencies and
-// never of the model.
+// frontStep is what the back ends see of one event: the part of replaying
+// it that is a function of the trace and the latencies and never of the
+// model. The back ends read nothing else of the event, so a step is half
+// an event's size.
 type frontStep struct {
 	// compute is the recovered application compute preceding the event, in
 	// cycles on the OOO core.
@@ -114,6 +115,11 @@ type frontStep struct {
 	// pending is, at a fence, the size of the thread's x86 drain set: the
 	// distinct lines CLWB'd or NT-stored since its previous fence.
 	pending int
+	tid     int32
+	kind    trace.Kind
+	// dfence marks a KFence that is a durability fence under the HOPS
+	// models. The dfence resolver sets it, not the front.
+	dfence bool
 }
 
 // pendingSets is one thread's reconstruction of what the recording
@@ -154,8 +160,11 @@ func newFront(cfg Config, lat mem.Latency) *front {
 	return &front{lat: lat, ooo: mem.Cycles(cfg.resolved().OOOWidth)}
 }
 
-// next advances the front over e.
-func (f *front) next(e trace.Event) frontStep {
+// next advances the front over e and writes what the back ends need of it
+// to st. Both are pointers so that neither 32-byte struct round-trips
+// through the stack: storing a step field by field and reloading it whole
+// stalls store forwarding on every event.
+func (f *front) next(e *trace.Event, st *frontStep) {
 	if !f.started {
 		f.prevTime = e.Time
 		f.started = true
@@ -166,7 +175,7 @@ func (f *front) next(e trace.Event) frontStep {
 	gap := f.lat.ToCycles(e.Time - f.prevTime)
 	f.prevTime = e.Time
 
-	var st frontStep
+	*st = frontStep{tid: e.TID, kind: e.Kind}
 	var orig mem.Cycles
 	switch e.Kind {
 	case trace.KStore:
@@ -202,7 +211,6 @@ func (f *front) next(e trace.Event) frontStep {
 	if gap > orig {
 		st.compute = (gap - orig) / f.ooo
 	}
-	return st
 }
 
 // pbState is one thread's persist buffer in the timing replay. done[head:]
@@ -236,10 +244,10 @@ func (pb *pbState) pop() {
 
 // replayer is one model's back end of the timing replay: it applies each
 // event's model-specific ordering and durability behaviour to its own
-// clock, taking the model-independent part from a front and the dfence
-// decision from the streaming lookahead in ReplaySource and
-// NormalizedSource. Compute time lets the HOPS persist buffers drain in
-// the background, which is where HOPS's advantage comes from.
+// clock, taking the model-independent part from the front and the dfence
+// decision from the streaming lookahead, both computed by stage 1 of the
+// replay driver (stream.go). Compute time lets the HOPS persist buffers
+// drain in the background, which is where HOPS's advantage comes from.
 //
 // For the HOPS models, the last fence before each KTxEnd is a dfence
 // (durability at commit); all other fences — including those outside any
@@ -250,11 +258,11 @@ func (pb *pbState) pop() {
 type replayer struct {
 	model Model
 	lat   mem.Latency
-	ro    ReplayObs
 	res   Result
-	// front feeds step. NormalizedSource's five replayers share one and
-	// are driven through apply instead.
-	front *front
+
+	// occupancy and drainStall accumulate the ReplayObs histograms'
+	// observations without atomics; flush hands them over.
+	occupancy, drainStall obs.Tally
 
 	// pbs holds the per-thread HOPS persist buffers.
 	pbs trace.TIDTable[pbState]
@@ -267,13 +275,15 @@ type replayer struct {
 	now mem.Cycles
 }
 
-func newReplayer(model Model, cfg Config, lat mem.Latency, ro ReplayObs, f *front) *replayer {
+func newReplayer(model Model, cfg Config, lat mem.Latency, ro ReplayObs) *replayer {
 	cfg = cfg.resolved()
 	r := &replayer{
-		model: model, lat: lat, ro: ro, front: f,
-		res:       Result{Model: model},
-		pbEntries: cfg.PBEntries,
-		drainAt:   cfg.DrainAt,
+		model: model, lat: lat,
+		occupancy:  obs.NewTally(ro.Occupancy),
+		drainStall: obs.NewTally(ro.DrainStall),
+		res:        Result{Model: model},
+		pbEntries:  cfg.PBEntries,
+		drainAt:    cfg.DrainAt,
 	}
 	r.persistLat = lat.PMCycles
 	if model == X86PWQ || model == HOPSPWQ {
@@ -318,7 +328,7 @@ func (r *replayer) buffer(pb *pbState, lines int) {
 			stall := pb.done[pb.head] - r.now
 			r.now += stall
 			r.res.StallCycles += stall
-			r.ro.DrainStall.Observe(uint64(stall))
+			r.drainStall.Observe(uint64(stall))
 			pb.pop()
 		}
 		pb.open++
@@ -327,31 +337,31 @@ func (r *replayer) buffer(pb *pbState, lines int) {
 			// epoch and drain it in the background.
 			r.schedule(pb, r.now)
 		}
-		r.ro.Occupancy.Observe(uint64(pb.queued() + pb.open))
+		r.occupancy.Observe(uint64(pb.queued() + pb.open))
 	}
 }
 
-// step replays one event through the replayer's own front. dfence tells a
-// KFence whether it is a durability fence under the HOPS models; it is
-// ignored for every other event kind.
-func (r *replayer) step(e trace.Event, dfence bool) {
-	r.apply(e, dfence, r.front.next(e))
+// applyAll replays a batch of resolved events.
+func (r *replayer) applyAll(batch []frontStep) {
+	for i := range batch {
+		r.apply(&batch[i])
+	}
 }
 
-// apply replays one event whose model-independent part is st.
-func (r *replayer) apply(e trace.Event, dfence bool, st frontStep) {
+// apply replays one resolved event.
+func (r *replayer) apply(st *frontStep) {
 	r.now += st.compute
 
-	switch e.Kind {
+	switch st.kind {
 	case trace.KStore, trace.KStoreNT:
 		r.now += r.lat.StoreCycles
-		if e.Kind == trace.KStoreNT {
+		if st.kind == trace.KStoreNT {
 			r.now++
 		}
 		// x86: the front tracks the NT lines awaiting the fence. IDEAL:
 		// no persistence bookkeeping at all.
 		if r.model == HOPSNVM || r.model == HOPSPWQ {
-			r.buffer(r.pbs.Get(e.TID), st.lines)
+			r.buffer(r.pbs.Get(st.tid), st.lines)
 		}
 
 	case trace.KLoad:
@@ -368,26 +378,26 @@ func (r *replayer) apply(e trace.Event, dfence bool, st frontStep) {
 		r.res.Fences++
 		switch r.model {
 		case X86NVM, X86PWQ:
-			r.ro.Occupancy.Observe(uint64(st.pending))
+			r.occupancy.Observe(uint64(st.pending))
 			stall := x86FenceCost(st.pending, r.persistLat, r.drainInterval)
 			r.now += stall
 			r.res.StallCycles += stall
-			r.ro.DrainStall.Observe(uint64(stall))
+			r.drainStall.Observe(uint64(stall))
 		case HOPSNVM, HOPSPWQ:
 			r.now++ // TS register bump
-			pb := r.pbs.Get(e.TID)
+			pb := r.pbs.Get(st.tid)
 			r.retire(pb, r.now)
 			// The fence closes the epoch; its entries may now drain,
 			// so hand them to the background engine (BEP rule: epochs
 			// drain when closed, an ofence never stalls for them).
 			r.schedule(pb, r.now)
-			if dfence {
+			if st.dfence {
 				r.res.DFences++
 				if len(pb.done) > 0 {
 					stall := pb.done[len(pb.done)-1] - r.now
 					r.now += stall
 					r.res.StallCycles += stall
-					r.ro.DrainStall.Observe(uint64(stall))
+					r.drainStall.Observe(uint64(stall))
 					pb.done, pb.head = pb.done[:0], 0
 				}
 			}
@@ -398,6 +408,12 @@ func (r *replayer) apply(e trace.Event, dfence bool, st frontStep) {
 	case trace.KVLoad, trace.KVStore:
 		r.now++
 	}
+}
+
+// flush adds the tallied observations to the ReplayObs histograms.
+func (r *replayer) flush() {
+	r.occupancy.Flush()
+	r.drainStall.Flush()
 }
 
 func (r *replayer) result() Result {

@@ -34,9 +34,12 @@ func markDurabilityFences(tr *trace.Trace) map[int]bool {
 // whole trace with markDurabilityFences' answers.
 func replayMarked(tr *trace.Trace, model Model, cfg Config, lat mem.Latency) Result {
 	dfence := markDurabilityFences(tr)
-	r := newReplayer(model, cfg, lat, ReplayObs{}, newFront(cfg, lat))
+	f, r := newFront(cfg, lat), newReplayer(model, cfg, lat, ReplayObs{})
 	for i, e := range events(tr) {
-		r.step(e, dfence[i])
+		var st frontStep
+		f.next(&e, &st)
+		st.dfence = dfence[i]
+		r.apply(&st)
 	}
 	return r.result()
 }

@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -93,6 +95,50 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if s.Sum != wantSum {
 		t.Fatalf("Sum = %d, want %d", s.Sum, wantSum)
 	}
+}
+
+// TestTallyMatchesObserve feeds the same values through a Tally plus Flush
+// and through Observe on twin histograms — zero, every bound, every
+// bound+1 and the largest value — and requires equal snapshots; nothing
+// reaches the histogram before Flush, and a second Flush adds nothing.
+func TestTallyMatchesObserve(t *testing.T) {
+	bounds := ExpBuckets(1, 2, 14)
+	values := []uint64{0, math.MaxUint64, math.MaxUint64 - 1}
+	for _, b := range bounds {
+		values = append(values, b, b+1, b-1)
+	}
+	direct, tallied := NewHistogram(bounds...), NewHistogram(bounds...)
+	tally := NewTally(tallied)
+	for round := 0; round < 3; round++ { // repeats make every count > 1
+		for _, v := range values {
+			direct.Observe(v)
+			tally.Observe(v)
+		}
+	}
+	if tallied.Count() != 0 {
+		t.Fatalf("histogram holds %d observations before Flush", tallied.Count())
+	}
+	tally.Flush()
+	want := direct.Snapshot()
+	if got := tallied.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Tally+Flush = %+v, Observe = %+v", got, want)
+	}
+	tally.Flush()
+	if got := tallied.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second Flush changed the histogram: %+v, want %+v", got, want)
+	}
+	// The tally keeps working after a Flush.
+	direct.Observe(7)
+	tally.Observe(7)
+	tally.Flush()
+	if got, want := tallied.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a second round: Tally+Flush = %+v, Observe = %+v", got, want)
+	}
+
+	// A tally over no histogram is a no-op.
+	none := NewTally(nil)
+	none.Observe(3)
+	none.Flush()
 }
 
 func TestHistogramRejectsBadBounds(t *testing.T) {

@@ -15,8 +15,9 @@ const magic = "WSPR"
 // Decode reads a binary trace from r and materializes it. The decoder is a
 // thin loop over Reader, so it shares the Reader's validation: kind bytes
 // outside the known range, unknown versions and truncated or corrupt input
-// are rejected, never silently accepted. Storage grows only with events
-// actually decoded.
+// are rejected, never silently accepted. Each decoded block becomes one
+// chunk of the trace as it is, so storage is the events actually decoded
+// and nothing is copied twice.
 func Decode(r io.Reader) (*Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -31,9 +32,10 @@ func Decode(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range chunk {
-			t.Append(e)
-		}
+		// The Reader never touches a chunk again, and clipping its
+		// capacity makes it full: a later Append opens a chunk of its own.
+		t.chunks = append(t.chunks, chunk[:len(chunk):len(chunk)])
+		t.n += len(chunk)
 	}
 	t.VolatileLoads, t.VolatileStores = rd.Volatile()
 	return t, nil

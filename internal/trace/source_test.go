@@ -10,7 +10,7 @@ import (
 )
 
 // encoded returns tr in the binary trace format.
-func encoded(t *testing.T, tr *Trace) []byte {
+func encoded(t testing.TB, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeV2(&buf, tr); err != nil {

@@ -263,9 +263,12 @@ type Reader struct {
 	br   *bufio.Reader
 	meta Meta
 
-	// payload is a reusable buffer for a block's encoded bytes. The decoded
-	// events are never reused: a chunk belongs to whoever NextChunk gave it to.
+	// payload is a reusable buffer for a block's encoded bytes, crc one for
+	// its checksum (a local would escape to the heap once per block). The
+	// decoded events are never reused: a chunk belongs to whoever NextChunk
+	// gave it to.
 	payload []byte
+	crc     [4]byte
 
 	cur []Event // what Next has yet to hand out of the last chunk
 
@@ -404,11 +407,10 @@ func (r *Reader) readBlock() ([]Event, error) {
 	if _, err := io.ReadFull(r.br, r.payload); err != nil {
 		return nil, fmt.Errorf("trace: block payload: %w", noEOF(err))
 	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(r.br, crcb[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.crc[:]); err != nil {
 		return nil, fmt.Errorf("trace: block crc: %w", noEOF(err))
 	}
-	if got, want := crc32.ChecksumIEEE(r.payload), binary.LittleEndian.Uint32(crcb[:]); got != want {
+	if got, want := crc32.ChecksumIEEE(r.payload), binary.LittleEndian.Uint32(r.crc[:]); got != want {
 		return nil, fmt.Errorf("trace: block crc mismatch (%#x != %#x)", got, want)
 	}
 

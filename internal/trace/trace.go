@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 )
@@ -113,9 +114,11 @@ type Trace struct {
 	Layer   string // access layer ("native", "mnemosyne", "nvml", "pmfs")
 	Threads int    // number of logical client threads
 
-	// chunks holds the events in recorded order. Every chunk is non-empty
-	// and all but the last are full; each new chunk is as large as
-	// everything before it, up to maxChunkEvents.
+	// chunks holds the events in recorded order. Every chunk is non-empty;
+	// Append writes only into the last one and opens a new chunk when that
+	// one is full, each as large as everything before it, up to
+	// maxChunkEvents. Chunks adopted whole (FromEvents, Decode's blocks)
+	// are clipped to their length, so Append never writes into them.
 	chunks [][]Event
 	n      int
 
@@ -173,6 +176,18 @@ func (t *Trace) Len() int { return t.n }
 // slices. Both levels are the trace's own storage: read-only for the
 // caller.
 func (t *Trace) Chunks() [][]Event { return t.chunks }
+
+// Equal reports whether a and b hold the same run metadata, volatile
+// counters and event sequence. Chunk boundaries are storage, not content:
+// a decoded trace is chunked by the stream's blocks, a recorded one by
+// Append's geometry, and the two are Equal when their events are.
+func Equal(a, b *Trace) bool {
+	if a.App != b.App || a.Layer != b.Layer || a.Threads != b.Threads ||
+		a.VolatileLoads != b.VolatileLoads || a.VolatileStores != b.VolatileStores || a.n != b.n {
+		return false
+	}
+	return slices.Equal(slices.Concat(a.chunks...), slices.Concat(b.chunks...))
+}
 
 // Duration returns the simulated time spanned by the trace.
 func (t *Trace) Duration() mem.Time {

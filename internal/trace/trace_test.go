@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -41,7 +40,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if !reflect.DeepEqual(orig, got) {
+	if !Equal(orig, got) {
 		t.Fatalf("round trip mismatch:\norig %+v\ngot  %+v", orig, got)
 	}
 }
@@ -66,7 +65,7 @@ func TestCodecRoundTripRandom(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if !reflect.DeepEqual(orig, got) {
+	if !Equal(orig, got) {
 		t.Fatal("random round trip mismatch")
 	}
 }
@@ -194,7 +193,7 @@ func TestCodecRoundTripAdversarialFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(orig, got) {
+	if !Equal(orig, got) {
 		t.Fatalf("adversarial round trip mismatch:\norig %+v\ngot  %+v", orig, got)
 	}
 }
@@ -372,4 +371,82 @@ func BenchmarkTraceAppend(b *testing.B) {
 	events := float64(b.N) * n
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
+}
+
+// TestDecodeAdoptsBlocks pins what Decode allocates: the Reader's one
+// slice per block, which becomes a chunk as it is, plus a constant and the
+// chunk list's doubling — never a second copy of the events. A decoder
+// that re-appended every event would allocate its chunks on top of the
+// blocks and twice the bytes.
+func TestDecodeAdoptsBlocks(t *testing.T) {
+	decode := func(n int) (allocs float64, bytesPerEvent float64) {
+		raw := encoded(t, countingTrace(n))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(3, func() {
+			if _, err := Decode(bytes.NewReader(raw)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up run besides the three it counts.
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 4 / float64(n)
+	}
+	const short, long = 8 * DefaultBlockEvents, 64 * DefaultBlockEvents
+	shortAllocs, _ := decode(short)
+	longAllocs, perEvent := decode(long)
+	// 56 more blocks, the chunk list doubles three more times, and the
+	// runtime may allocate a little of its own while the runs are counted.
+	if extra, want := longAllocs-shortAllocs, float64(long-short)/DefaultBlockEvents+6; extra > want {
+		t.Errorf("%d events: %.0f allocs, %d events: %.0f — %.0f more, want <= %.0f (one per block)",
+			short, shortAllocs, long, longAllocs, extra, want)
+	}
+	if size := float64(unsafe.Sizeof(Event{})); perEvent > 1.1*size {
+		t.Errorf("Decode allocated %.1f B/event, want <= %.1f (the blocks alone)", perEvent, 1.1*size)
+	}
+}
+
+// TestAppendAfterDecodeKeepsDecodedEvents checks that an adopted block is
+// full as far as Append is concerned: appending to a decoded trace opens a
+// chunk of its own and leaves every decoded event in place.
+func TestAppendAfterDecodeKeepsDecodedEvents(t *testing.T) {
+	const n = 2*DefaultBlockEvents + 5
+	tr, err := Decode(bytes.NewReader(encoded(t, countingTrace(n))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := len(tr.Chunks())
+	for i, c := range tr.Chunks() {
+		if len(c) != cap(c) {
+			t.Fatalf("decoded chunk %d holds %d events in a capacity of %d", i, len(c), cap(c))
+		}
+	}
+	want := flat(countingTrace(n + 100))
+	for i, e := range want[n:] {
+		tr.Append(e)
+		if i == 0 && len(tr.Chunks()) != blocks+1 {
+			t.Fatalf("the first Append left %d chunks, want a new one after the %d decoded", len(tr.Chunks()), blocks)
+		}
+	}
+	if got := flat(tr); !slices.Equal(got, want) {
+		t.Fatalf("after %d Appends the trace holds %d events that differ from the %d expected", len(want)-n, len(got), len(want))
+	}
+}
+
+// BenchmarkDecode materializes a 1 M-event trace from its v2 encoding:
+// Mevents/s is decoded events per second, allocs/op one per block plus a
+// constant.
+func BenchmarkDecode(b *testing.B) {
+	const n = 1 << 20
+	raw := encoded(b, countingTrace(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := Decode(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTrace = tr
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }

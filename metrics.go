@@ -23,7 +23,8 @@ type HistogramMetric = obs.HistogramSnapshot
 //   - persist_epoch_lines{app} / persist_ordering_points_total{app,thread}:
 //     epoch sizes in line touches and fences per thread (Figures 3–4);
 //   - hops_pb_occupancy / hops_drain_stall_cycles{app,model}: persist-
-//     buffer pressure in the Figure 10 replay;
+//     buffer pressure in the Figure 10 replay, added when each replay
+//     finishes, not per observation;
 //   - crashcheck_*{app}: cells run, violations, oracle wall-clock;
 //   - suite_*{app}: wall-clock and operation rate per benchmark run.
 type MetricsSnapshot = obs.Snapshot

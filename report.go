@@ -131,7 +131,8 @@ func HOPSModels() []string {
 // models and returns runtimes normalized to the x86-64 (NVM) baseline,
 // keyed by model name. Each model's persist-buffer occupancy and drain
 // stalls are recorded into the process metrics registry (see Metrics) as
-// hops_pb_occupancy and hops_drain_stall_cycles, labelled {app, model}.
+// hops_pb_occupancy and hops_drain_stall_cycles, labelled {app, model};
+// the histograms are filled when the replay finishes, not per observation.
 func SimulateHOPS(t *Trace, cfg HOPSConfig) map[string]float64 {
 	hc := hops.Config{PBEntries: cfg.PBEntries, DrainAt: cfg.DrainAt, MCs: cfg.MemoryControllers}
 	instruments := func(m hops.Model) hops.ReplayObs {

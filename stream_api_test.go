@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // TestStreamMatchesSerial is the pipeline's core contract: for every suite
@@ -45,7 +47,7 @@ func TestStreamMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decoding tee'd v2 trace: %v", err)
 			}
-			if !reflect.DeepEqual(dec.tr, serial.Trace.tr) {
+			if !trace.Equal(dec.tr, serial.Trace.tr) {
 				t.Error("tee'd v2 trace != materialized trace")
 			}
 
