@@ -96,6 +96,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	// The simulator replaces a zero or out-of-range setting with its
+	// default, and the artifact records the flag as given: refuse them, so
+	// that the artifact describes the run.
+	for _, c := range []struct {
+		ok         bool
+		flag, want string
+	}{
+		{*rate > 0, "rate", "a positive rate"},
+		{*ops > 0, "ops", "a positive count"},
+		{*keys > 0, "keys", "a positive count"},
+		{*write > 0 && *write <= 100, "write", "a percentage in 1..100"},
+		{*value > 0, "value", "a positive size"},
+		{*zipfS > 1, "zipf", "a skew above 1"},
+		{*maxwait > 0, "maxwait", "a positive deadline"},
+		{*opcycles > 0, "opcycles", "a positive charge"},
+		{*seed != 0, "seed", "a nonzero seed"},
+	} {
+		if !c.ok {
+			fmt.Fprintf(stderr, "wserve: bad -%s %s (want %s)\n", c.flag, fs.Lookup(c.flag).Value, c.want)
+			return 2
+		}
+	}
 
 	if *churn {
 		// The sweep's -ops default is too small to overflow the segment

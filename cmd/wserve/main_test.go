@@ -237,4 +237,28 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"-check", filepath.Join(t.TempDir(), "absent.json")}, &out, &errb); code != 2 {
 		t.Fatal("missing reference file should exit 2")
 	}
+	// A setting the simulator would silently replace with its default (or,
+	// for -write above 100, misread) is refused before anything runs.
+	for _, args := range [][]string{
+		{"-write", "0"}, {"-write", "-5"}, {"-write", "101"},
+		{"-value", "0"}, {"-value", "-1"},
+		{"-zipf", "1"}, {"-zipf", "0.5"}, {"-zipf", "NaN"},
+		{"-rate", "0"}, {"-rate", "-3"}, {"-rate", "NaN"},
+		{"-keys", "0"},
+		{"-ops", "0"}, {"-ops", "-1"},
+		{"-maxwait", "0"},
+		{"-opcycles", "0"},
+		{"-seed", "0"},
+		{"-churn", "-ops", "0"},
+	} {
+		out.Reset()
+		errb.Reset()
+		code := run(append([]string{"-shards", "1", "-batch", "1", "-clients", "500"}, args...), &out, &errb)
+		if code != 2 || out.Len() != 0 {
+			t.Errorf("%v: exit = %d, stdout %q; want 2 and nothing run", args, code, out.String())
+		}
+		if flag := args[len(args)-2]; !strings.Contains(errb.String(), "bad "+flag+" ") {
+			t.Errorf("%v: stderr %q does not name %s", args, errb.String(), flag)
+		}
+	}
 }

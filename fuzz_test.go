@@ -65,7 +65,7 @@ func analyzeHostile(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	norm, err := hops.NormalizedSource(rd, hops.DefaultConfig(), mem.DefaultLatency(), nil)
+	norm, err := hops.NormalizedSource(rd, hops.DefaultConfig(), nil)
 	if err == nil && len(norm) != len(hops.Models) {
 		t.Fatalf("NormalizedSource returned %d models, want %d", len(norm), len(hops.Models))
 	}

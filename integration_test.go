@@ -73,11 +73,12 @@ func TestTraceDrivesHOPSMachine(t *testing.T) {
 	}
 }
 
-// TestTraceDrivesCacheSim replays a volatile-traced run through the cache
+// TestTraceDrivesCacheSim replays a recorded run through the cache
 // hierarchy and sanity-checks the classification: PM traffic must reach
-// PM, DRAM traffic must not.
+// PM. (The run counts its volatile traffic and records none of it; the
+// routing of volatile events to DRAM is pinned in internal/cachesim.)
 func TestTraceDrivesCacheSim(t *testing.T) {
-	rt := persist.NewRuntime("hashmap", "nvml", 2, persist.Config{TraceVolatile: true})
+	rt := persist.NewRuntime("hashmap", "nvml", 2, persist.Config{})
 	pool := nvml.Open(rt, 4096, nvml.Options{})
 	hashstore.RunWorkload(rt, pool, 256, 2, 40, 5)
 
@@ -94,9 +95,6 @@ func TestTraceDrivesCacheSim(t *testing.T) {
 	}
 	if st.L1Hits == 0 {
 		t.Fatal("no locality at all — cache model broken")
-	}
-	if st.DRAMReads == 0 {
-		t.Fatal("volatile events did not reach DRAM classification")
 	}
 }
 

@@ -82,7 +82,7 @@ func (s *SingleSlab) Alloc(th *persist.Thread, size int) mem.Addr {
 	need := uint64(headerSize + align8(size))
 	for i, blk := range s.free {
 		bs := s.blockSize(th, blk)
-		th.VLoad(0, 1) // free-list traversal
+		th.VLoad(1) // free-list traversal
 		if bs < need {
 			continue
 		}
@@ -97,7 +97,7 @@ func (s *SingleSlab) Alloc(th *persist.Thread, size int) mem.Addr {
 			s.writeHeader(th, blk, bs, StatePersistent)
 			s.free = append(s.free[:i], s.free[i+1:]...)
 		}
-		th.VStore(0, 1)
+		th.VStore(1)
 		return blk + headerSize
 	}
 	return 0
@@ -121,7 +121,7 @@ func (s *SingleSlab) Free(th *persist.Thread, data mem.Addr) {
 		s.writeHeader(th, blk, bs, StateFree)
 	}
 	s.insertFree(blk)
-	th.VStore(0, 1)
+	th.VStore(1)
 }
 
 // SetState updates the block's persistent state label in its own epoch —

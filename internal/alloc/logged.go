@@ -77,7 +77,7 @@ func (g *Logged) Alloc(th *persist.Thread, size int) mem.Addr {
 	if !ok {
 		return 0
 	}
-	th.VLoad(0, 1)
+	th.VLoad(1)
 
 	word := c.bitmaps + mem.Addr(blk/64*8)
 	v := th.LoadU64(word) | 1<<uint(blk%64)
@@ -105,7 +105,7 @@ func (g *Logged) Free(th *persist.Thread, a mem.Addr) {
 	g.loggedBitmapUpdate(th, word, v&^bit)
 	c.push(blk)
 	c.allocated--
-	th.VStore(0, 1)
+	th.VStore(1)
 }
 
 // FreeIfAllocated frees the object if its bitmap bit is set and reports

@@ -110,7 +110,7 @@ func (m *MultiSlab) Alloc(th *persist.Thread, size int) mem.Addr {
 	if !ok {
 		return 0
 	}
-	th.VLoad(0, 1)
+	th.VLoad(1)
 
 	word := c.bitmaps + mem.Addr(blk/64*8)
 	v := th.LoadU64(word)
@@ -137,7 +137,7 @@ func (m *MultiSlab) Free(th *persist.Thread, a mem.Addr) {
 	th.Fence()
 	c.push(blk)
 	c.allocated--
-	th.VStore(0, 1)
+	th.VStore(1)
 }
 
 func (m *MultiSlab) locate(a mem.Addr) (*slabClass, int) {

@@ -101,7 +101,7 @@ func (t *Tree) Insert(tid int, key, value uint64) error {
 				slot = node + nChild1
 			}
 			p = tx.ReadU64(slot)
-			th.VLoad(0, 1)
+			th.VLoad(1)
 		}
 		leaf := leafAddr(p)
 		existing := tx.ReadU64(leaf + lKey)
@@ -321,8 +321,8 @@ func RunWorkload(rt *persist.Runtime, pool *nvml.Pool, clients, txs int, seed in
 			t.Insert(c, rng.Uint64(), uint64(i))
 			rt.Thread(c).Compute(21000)
 			// Benchmark driver, key generation (Figure 6: ~3.3% PM).
-			rt.Thread(c).VLoad(0, 1200)
-			rt.Thread(c).VStore(0, 400)
+			rt.Thread(c).VLoad(1200)
+			rt.Thread(c).VStore(400)
 		})
 	}
 	sched.Run(workers, seed)

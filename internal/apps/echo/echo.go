@@ -146,7 +146,7 @@ func (s *Store) bucketAddr(h uint64) mem.Addr {
 // at the next SubmitBatch. This mirrors Echo's local-write/batch design.
 func (s *Store) Put(tid int, key string, value uint64) {
 	s.local[tid][hashKey(key)] = value
-	s.rt.Thread(tid).VStore(0, 2)
+	s.rt.Thread(tid).VStore(2)
 }
 
 // Get reads first from the client's volatile store, then from the master.
@@ -154,11 +154,11 @@ func (s *Store) Get(tid int, key string) (uint64, bool) {
 	th := s.rt.Thread(tid)
 	h := hashKey(key)
 	if v, ok := s.local[tid][h]; ok {
-		th.VLoad(0, 2)
+		th.VLoad(2)
 		return v, true
 	}
 	entry, ok := s.index[h]
-	th.VLoad(0, 1)
+	th.VLoad(1)
 	if !ok {
 		return 0, false
 	}
@@ -236,7 +236,7 @@ func (s *Store) SubmitBatch(tid int) int {
 func (s *Store) masterApply(th *persist.Thread, h, value uint64) {
 	s.clock++
 	entry, ok := s.index[h]
-	th.VLoad(0, 1)
+	th.VLoad(1)
 	if !ok {
 		entry = s.insertEntry(th, h)
 	}
@@ -279,7 +279,7 @@ func (s *Store) insertEntry(th *persist.Thread, h uint64) mem.Addr {
 	th.Fence()
 
 	s.index[h] = entry
-	th.VStore(0, 1)
+	th.VStore(1)
 	return entry
 }
 
@@ -399,8 +399,8 @@ func RunWorkload(rt *persist.Runtime, cfg Config, clients, txs int, seed int64) 
 			// Client/server round trip, volatile local-store maintenance,
 			// batching buffers: Echo's PM traffic is ~5.5% of accesses
 			// (Figure 6).
-			rt.Thread(c).VLoad(0, 3900)
-			rt.Thread(c).VStore(0, 1300)
+			rt.Thread(c).VLoad(3900)
+			rt.Thread(c).VStore(1300)
 			rt.Thread(c).Compute(174000)
 		})
 	}

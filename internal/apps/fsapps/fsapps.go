@@ -39,7 +39,7 @@ func RunNFS(rt *persist.Runtime, fs *pmfs.FS, clients, opsPerClient int, seed in
 			// The NFS server adds RPC decode/encode and dcache work on
 			// the volatile side.
 			th.Compute(64000)
-			th.VLoad(0, 80)
+			th.VLoad(80)
 			switch op.Kind {
 			case workload.FileCreate:
 				fs.Create(th, op.Path)
@@ -101,7 +101,7 @@ func RunExim(rt *persist.Runtime, fs *pmfs.FS, clients, deliveries int, msgKB in
 			// most compute-heavy app per PM epoch in the suite (Table 1:
 			// only 6250 epochs/s).
 			th.Compute(9000000)
-			th.VLoad(0, 2000)
+			th.VLoad(2000)
 			// Receive into the spool, deliver, log, clean up.
 			fs.Create(th, d.Spool)
 			fs.WriteAt(th, d.Spool, 0, msg)
@@ -151,7 +151,7 @@ func RunMySQL(rt *persist.Runtime, fs *pmfs.FS, clients, txs int, seed int64) er
 			// parsing, optimization and buffer-pool work dominate (Table
 			// 1: 60 K epochs/s — the slowest epoch rate after Exim).
 			th.Compute(840000)
-			th.VLoad(0, 1500)
+			th.VLoad(1500)
 			// A fraction of reads miss the buffer pool.
 			fs.ReadAt(th, "/db/table.ibd", int64(t.UpdateRow%8)*pageSize, 1024)
 			if t.Write {

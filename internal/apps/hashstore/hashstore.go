@@ -82,7 +82,7 @@ func (m *Map) Insert(tid int, key, value uint64) error {
 		tx.SetU64(bucket, uint64(ne))
 		th.UserData(16)
 		m.count++
-		th.VStore(0, 1)
+		th.VStore(1)
 		return nil
 	})
 }
@@ -113,7 +113,7 @@ func (m *Map) Delete(tid int, key uint64) (bool, error) {
 				tx.Free(e)
 				found = true
 				m.count--
-				th.VStore(0, 1)
+				th.VStore(1)
 				return nil
 			}
 			prev = e + eNext
@@ -195,8 +195,8 @@ func RunWorkload(rt *persist.Runtime, pool *nvml.Pool, nbuckets, clients, txs in
 			m.Insert(c, key, uint64(i))
 			rt.Thread(c).Compute(16000)
 			// Benchmark driver, key generation (Figure 6: ~2.6% PM).
-			rt.Thread(c).VLoad(0, 680)
-			rt.Thread(c).VStore(0, 220)
+			rt.Thread(c).VLoad(680)
+			rt.Thread(c).VStore(220)
 		})
 	}
 	sched.Run(workers, seed)

@@ -178,7 +178,7 @@ func (c *Cache) Set(tid int, key, value string) error {
 		th.UserData(len(key) + len(value))
 		c.count++
 		c.byAddr[item] = c.lru.PushFront(item)
-		th.VStore(0, 3)
+		th.VStore(3)
 		return nil
 	})
 }
@@ -219,7 +219,7 @@ func (c *Cache) Get(tid int, key string) (string, bool) {
 		c.touch(item)
 		return nil
 	})
-	th.VLoad(0, 4)
+	th.VLoad(4)
 	return out, found
 }
 
@@ -316,7 +316,7 @@ func RunWorkload(rt *persist.Runtime, heap *mnemosyne.Heap, nbuckets, maxItems, 
 				c.Get(w, op.Key)
 			}
 			rt.Thread(w).Compute(700)
-			rt.Thread(w).VLoad(0, 15)
+			rt.Thread(w).VLoad(15)
 		})
 	}
 	sched.Run(workers, seed)

@@ -282,7 +282,7 @@ func (tx *Tx) Insert(key uint64, attrs [nAttrs]uint64, varchar string) {
 	prev, had := p.index[key]
 	tx.indexUndo = append(tx.indexUndo, indexUndo{key: key, prev: prev, had: had})
 	p.index[key] = t
-	th.VStore(0, 2)
+	th.VStore(2)
 }
 
 // Update overwrites attribute idx and the varchar of the tuple with key.
@@ -290,7 +290,7 @@ func (tx *Tx) Insert(key uint64, attrs [nAttrs]uint64, varchar string) {
 func (tx *Tx) Update(key uint64, idx int, val uint64, varchar string) bool {
 	p, th := tx.p, tx.th
 	t, ok := p.index[key]
-	th.VLoad(0, 1)
+	th.VLoad(1)
 	if !ok {
 		return false
 	}
@@ -314,7 +314,7 @@ func (tx *Tx) Update(key uint64, idx int, val uint64, varchar string) bool {
 func (tx *Tx) Read(key uint64, idx int) (uint64, bool) {
 	p, th := tx.p, tx.th
 	t, ok := p.index[key]
-	th.VLoad(0, 1)
+	th.VLoad(1)
 	if !ok {
 		return 0, false
 	}
@@ -546,8 +546,8 @@ func RunYCSB(rt *persist.Runtime, cfg Config, clients, txs, opsPerTx, writePct i
 				}
 				tx.th.Compute(2000)
 				// SQL executor, volatile index probes (Figure 6: ~8.7% PM).
-				tx.th.VLoad(0, 150)
-				tx.th.VStore(0, 45)
+				tx.th.VLoad(150)
+				tx.th.VStore(45)
 			}
 			tx.Commit()
 		})
@@ -602,7 +602,7 @@ func RunTPCC(rt *persist.Runtime, cfg Config, clients, txs int, seed int64) *DB 
 				}
 			}
 			tx.th.Compute(15000)
-			tx.th.VLoad(0, 40)
+			tx.th.VLoad(40)
 			tx.Commit()
 		})
 	}

@@ -114,7 +114,7 @@ func (s *Store) Set(key, value string) error {
 		tx.SetU64(bucket, uint64(ne))
 		th.UserData(len(key) + len(value))
 		s.count++
-		th.VStore(0, 2)
+		th.VStore(2)
 		return nil
 	})
 }
@@ -140,7 +140,7 @@ func (s *Store) Get(key string) (string, bool) {
 		}
 		e = mem.Addr(th.LoadU64(e + eNext))
 	}
-	th.VLoad(0, 2)
+	th.VLoad(2)
 	return "", false
 }
 
@@ -251,8 +251,8 @@ func RunWorkload(rt *persist.Runtime, pool *nvml.Pool, nbuckets int, keys uint64
 		th.Compute(4000)
 		// Event loop, RESP protocol parsing, reply buffers (Figure 6:
 		// only ~0.74% of redis accesses touch PM).
-		th.VLoad(0, 1050)
-		th.VStore(0, 350)
+		th.VLoad(1050)
+		th.VStore(350)
 	}
 	return s
 }

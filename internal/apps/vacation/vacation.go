@@ -150,7 +150,7 @@ func (m *Manager) Reserve(tid int, customer uint64, table int, id uint64) (bool,
 	ok := false
 	err := m.heap.Run(th, func(tx *mnemosyne.Tx) error {
 		rec, found := m.tables[table].Lookup(tx, id)
-		th.VLoad(0, 4)
+		th.VLoad(4)
 		if !found {
 			return nil
 		}
@@ -325,8 +325,8 @@ func RunWorkload(rt *persist.Runtime, heap *mnemosyne.Heap, relations, clients, 
 			rt.Thread(c).Compute(10000)
 			// STM bookkeeping, client tables, itinerary building: vacation
 			// touches PM for only ~0.36% of its accesses (Figure 6).
-			rt.Thread(c).VLoad(0, 140000)
-			rt.Thread(c).VStore(0, 46000)
+			rt.Thread(c).VLoad(140000)
+			rt.Thread(c).VStore(46000)
 		})
 	}
 	sched.Run(workers, seed)

@@ -7,11 +7,10 @@ import (
 )
 
 // ReplaySource drives the hierarchy with every memory event from an event
-// source, in O(1) memory per event. Volatile accesses participate only
-// when the trace was recorded with per-event volatile tracing
-// (persist.Config.TraceVolatile); aggregated volatile counters cannot be
-// replayed through caches and are ignored here (Figure 6 uses the counters
-// directly).
+// source, in O(1) memory per event. Volatile accesses participate only as
+// KVLoad/KVStore events; the runtime records volatile traffic as aggregate
+// counters, which cannot be replayed through caches and are ignored here
+// (Figure 6 uses the counters directly).
 func ReplaySource(h *Hierarchy, src trace.EventSource) (Stats, error) {
 	for {
 		chunk, err := src.NextChunk()

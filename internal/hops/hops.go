@@ -24,9 +24,10 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 )
 
-// Config sizes the HOPS hardware. In the timing replay a zero PBEntries,
-// MCs, OOOWidth or MCPipeline means its DefaultConfig value; NewMachine
-// rejects a zero PBEntries or MCs.
+// Config sizes the HOPS hardware. In the timing replay a zero PBEntries or
+// MCs means its DefaultConfig value; NewMachine rejects either. The core
+// and the memory controllers' pipelines are fixed (oooWidth, mcPipeline),
+// and every latency is the Table 3 machine's (internal/mem).
 type Config struct {
 	// PBEntries is the per-thread persist buffer capacity (32 in §6.4).
 	PBEntries int
@@ -41,22 +42,11 @@ type Config struct {
 	DrainAt int
 	// MCs is the number of memory controllers (2 in Table 3).
 	MCs int
-	// OOOWidth models the 8-way out-of-order core of Table 3 in the
-	// timing replay: recovered compute gaps execute OOOWidth instructions
-	// per cycle, while fence stalls serialize (an sfence drains the store
-	// buffer regardless of issue width). 0 means the default of 4
-	// (sustained IPC of the 8-way core).
-	OOOWidth int
-	// MCPipeline is the number of in-flight writes each memory controller
-	// sustains (write-queue depth / banking): background drains retire
-	// one line every persistLatency/(MCs*MCPipeline) cycles. 0 means the
-	// default of 4.
-	MCPipeline int
 }
 
 // DefaultConfig mirrors the evaluation configuration of §6.4.
 func DefaultConfig() Config {
-	return Config{PBEntries: 32, DrainAt: 16, MCs: 2, OOOWidth: 4, MCPipeline: 4}
+	return Config{PBEntries: 32, DrainAt: 16, MCs: 2}
 }
 
 // Entry is one persist-buffer record: the front end holds (line, epoch TS,

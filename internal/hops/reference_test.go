@@ -57,7 +57,6 @@ type refPBState struct {
 type refReplayer struct {
 	model Model
 	cfg   Config
-	lat   mem.Latency
 	ro    ReplayObs
 	res   Result
 
@@ -81,23 +80,20 @@ type refReplayer struct {
 	started  bool
 }
 
-func newRefReplayer(model Model, cfg Config, lat mem.Latency, ro ReplayObs) *refReplayer {
+func newRefReplayer(model Model, cfg Config, ro ReplayObs) *refReplayer {
 	r := &refReplayer{
-		model: model, cfg: cfg, lat: lat, ro: ro,
+		model: model, cfg: cfg, ro: ro,
 		res:          Result{Model: model},
 		origPending:  make(map[int32]map[mem.Line]bool),
 		modelPending: make(map[int32]map[mem.Line]bool),
 		pbs:          make(map[int32]*refPBState),
 	}
-	r.persistLat = lat.PMCycles
+	r.persistLat = mem.PMCycles
 	if model == X86PWQ || model == HOPSPWQ {
-		r.persistLat = lat.MCQueue
+		r.persistLat = mem.MCQueueCycles
 	}
-	pipe := cfg.MCPipeline
-	if pipe == 0 {
-		pipe = 4
-	}
-	r.drainInterval = mem.Cycles(int(r.persistLat) / (cfg.MCs * pipe))
+	// Each MC sustains four in-flight writes.
+	r.drainInterval = mem.Cycles(int(r.persistLat) / (cfg.MCs * 4))
 	if r.drainInterval == 0 {
 		r.drainInterval = 1
 	}
@@ -116,10 +112,7 @@ func newRefReplayer(model Model, cfg Config, lat mem.Latency, ro ReplayObs) *ref
 		r.drainAt = cfg.PBEntries
 	}
 
-	r.ooo = mem.Cycles(cfg.OOOWidth)
-	if r.ooo == 0 {
-		r.ooo = 4
-	}
+	r.ooo = 4 // the sustained IPC of Table 3's 8-way core
 	return r
 }
 
@@ -171,8 +164,8 @@ func (r *refReplayer) step(e trace.Event, dfence bool) {
 	}
 	// Recover pure compute: the recorded gap minus the cost the
 	// original execution charged for this event.
-	gap := r.lat.ToCycles(e.Time - r.prevTime)
-	orig := refOriginalCharge(e, r.lat, refGetSet(r.origPending, e.TID))
+	gap := mem.ToCycles(e.Time - r.prevTime)
+	orig := refOriginalCharge(e, refGetSet(r.origPending, e.TID))
 	if gap > orig {
 		// Compute executes on the OOO core; fences (substituted below
 		// per model) serialize.
@@ -193,7 +186,7 @@ func (r *refReplayer) step(e trace.Event, dfence bool) {
 
 	switch e.Kind {
 	case trace.KStore, trace.KStoreNT:
-		r.now += r.lat.StoreCycles
+		r.now += mem.StoreCycles
 		if e.Kind == trace.KStoreNT {
 			r.now++
 		}
@@ -231,7 +224,7 @@ func (r *refReplayer) step(e trace.Event, dfence bool) {
 		}
 
 	case trace.KLoad:
-		r.now += r.lat.L1Cycles
+		r.now += mem.L1Cycles
 
 	case trace.KFlush:
 		switch r.model {
@@ -293,20 +286,20 @@ func (r *refReplayer) result() Result {
 // inter-event gap and keep only genuine compute. pending is the thread's
 // distinct-flushed-lines set maintained in event order — identical to the
 // device state the original fence saw.
-func refOriginalCharge(e trace.Event, lat mem.Latency, pending map[mem.Line]bool) mem.Cycles {
+func refOriginalCharge(e trace.Event, pending map[mem.Line]bool) mem.Cycles {
 	switch e.Kind {
 	case trace.KStore:
-		return lat.StoreCycles
+		return mem.StoreCycles
 	case trace.KStoreNT:
-		return lat.StoreCycles + 1
+		return mem.StoreCycles + 1
 	case trace.KLoad:
-		return lat.L1Cycles
+		return mem.L1Cycles
 	case trace.KFlush:
 		return 2
 	case trace.KFence:
-		cost := lat.PMCycles
+		cost := mem.PMCycles
 		if n := len(pending); n > 1 {
-			cost += mem.Cycles(n-1) * (lat.PMCycles / 8)
+			cost += mem.Cycles(n-1) * (mem.PMCycles / 8)
 		}
 		return cost
 	default:
@@ -325,9 +318,9 @@ func refX86FenceCost(n int, persistLat, drainInterval mem.Cycles) mem.Cycles {
 }
 
 // refReplay replays tr under model with the reference replayer.
-func refReplay(tr *trace.Trace, model Model, cfg Config, lat mem.Latency, ro ReplayObs) Result {
+func refReplay(tr *trace.Trace, model Model, cfg Config, ro ReplayObs) Result {
 	dfence := markDurabilityFences(tr)
-	r := newRefReplayer(model, cfg, lat, ro)
+	r := newRefReplayer(model, cfg, ro)
 	for i, e := range events(tr) {
 		r.step(e, dfence[i])
 	}
@@ -475,12 +468,11 @@ func testObs() ReplayObs {
 // replay and from the five-model pass, which must observe the same values.
 func requireMatchesReference(t *testing.T, name string, tr *trace.Trace, cfg Config) {
 	t.Helper()
-	lat := mem.DefaultLatency()
 	want := make(map[Model]Result)
 	wantObs := make(map[Model]ReplayObs)
 	for _, m := range Models {
 		wantObs[m] = testObs()
-		want[m] = refReplay(tr, m, cfg, lat, wantObs[m])
+		want[m] = refReplay(tr, m, cfg, wantObs[m])
 	}
 	sameObs := func(path string, m Model, got ReplayObs) {
 		t.Helper()
@@ -494,7 +486,7 @@ func requireMatchesReference(t *testing.T, name string, tr *trace.Trace, cfg Con
 
 	for _, m := range Models {
 		ro := testObs()
-		got, err := ReplaySource(trace.NewSliceSource(tr), m, cfg, lat, ro)
+		got, err := ReplaySource(trace.NewSliceSource(tr), m, cfg, ro)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -508,7 +500,7 @@ func requireMatchesReference(t *testing.T, name string, tr *trace.Trace, cfg Con
 	for _, m := range Models {
 		gotObs[m] = testObs()
 	}
-	norm, err := NormalizedSource(trace.NewSliceSource(tr), cfg, lat, func(m Model) ReplayObs { return gotObs[m] })
+	norm, err := NormalizedSource(trace.NewSliceSource(tr), cfg, func(m Model) ReplayObs { return gotObs[m] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,11 +546,11 @@ func TestReplayMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	// Every sizing field left to its default, and a narrower core with
-	// one unpipelined MC.
+	// The §6.4 sizing spelt out, and a smaller buffer drained through one
+	// MC.
 	for _, cfg := range []Config{
 		{PBEntries: 32, DrainAt: 16, MCs: 2},
-		{PBEntries: 8, DrainAt: 4, MCs: 1, OOOWidth: 1, MCPipeline: 1},
+		{PBEntries: 8, DrainAt: 4, MCs: 1},
 	} {
 		requireMatchesReference(t, "interleaved4", genReplayTrace(4, 3000), cfg)
 	}

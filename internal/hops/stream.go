@@ -183,9 +183,9 @@ func (fd *feeder) run(src trace.EventSource) error {
 // its own value, and returns — normally or by a back end's panic — only
 // after stage 1 has exited. The back ends' tallies are flushed once the
 // stream has been replayed.
-func drive(src trace.EventSource, cfg Config, lat mem.Latency, rs []*replayer) error {
+func drive(src trace.EventSource, rs []*replayer) error {
 	fd := &feeder{
-		front: newFront(cfg, lat),
+		front: &front{},
 		free:  make(chan []frontStep, replayBatches),
 		full:  make(chan []frontStep, replayBatches),
 		stop:  make(chan struct{}),
@@ -228,9 +228,9 @@ func drive(src trace.EventSource, cfg Config, lat mem.Latency, rs []*replayer) e
 // model in one pass and O(open lookahead) memory. The instruments in ro
 // are pure outputs and never change the Result; they are filled when the
 // replay finishes.
-func ReplaySource(src trace.EventSource, model Model, cfg Config, lat mem.Latency, ro ReplayObs) (Result, error) {
-	r := newReplayer(model, cfg, lat, ro)
-	if err := drive(src, cfg, lat, []*replayer{r}); err != nil {
+func ReplaySource(src trace.EventSource, model Model, cfg Config, ro ReplayObs) (Result, error) {
+	r := newReplayer(model, cfg, ro)
+	if err := drive(src, []*replayer{r}); err != nil {
 		return Result{Model: model}, err
 	}
 	return r.result(), nil
@@ -243,16 +243,16 @@ func ReplaySource(src trace.EventSource, model Model, cfg Config, lat mem.Latenc
 // by batch. When instruments is non-nil, instruments(m) supplies the
 // ReplayObs for model m's replayer; they are filled when the replay
 // finishes.
-func NormalizedSource(src trace.EventSource, cfg Config, lat mem.Latency, instruments func(Model) ReplayObs) (map[Model]float64, error) {
+func NormalizedSource(src trace.EventSource, cfg Config, instruments func(Model) ReplayObs) (map[Model]float64, error) {
 	rs := make([]*replayer, len(Models))
 	for i, m := range Models {
 		ro := ReplayObs{}
 		if instruments != nil {
 			ro = instruments(m)
 		}
-		rs[i] = newReplayer(m, cfg, lat, ro)
+		rs[i] = newReplayer(m, cfg, ro)
 	}
-	if err := drive(src, cfg, lat, rs); err != nil {
+	if err := drive(src, rs); err != nil {
 		return nil, err
 	}
 

@@ -90,12 +90,11 @@ func TestDfenceResolverMatchesMarks(t *testing.T) {
 // model.
 func TestReplaySourceMatchesReplay(t *testing.T) {
 	cfg := DefaultConfig()
-	lat := mem.DefaultLatency()
 	for seed := int64(0); seed < 6; seed++ {
 		tr := genReplayTrace(seed, 3000)
 		for _, m := range Models {
-			want := replayMarked(tr, m, cfg, lat)
-			got, err := ReplaySource(trace.NewSliceSource(tr), m, cfg, lat, ReplayObs{})
+			want := replayMarked(tr, m, cfg)
+			got, err := ReplaySource(trace.NewSliceSource(tr), m, cfg, ReplayObs{})
 			if err != nil {
 				t.Fatalf("seed %d model %v: %v", seed, m, err)
 			}
@@ -110,14 +109,13 @@ func TestReplaySourceMatchesReplay(t *testing.T) {
 // lockstep replay against five oracle replays, one per model.
 func TestNormalizedSourceMatchesNormalized(t *testing.T) {
 	cfg := DefaultConfig()
-	lat := mem.DefaultLatency()
 	tr := genReplayTrace(42, 4000)
-	base := replayMarked(tr, X86NVM, cfg, lat)
+	base := replayMarked(tr, X86NVM, cfg)
 	want := map[Model]float64{X86NVM: 1.0}
 	for _, m := range Models[1:] {
-		want[m] = float64(replayMarked(tr, m, cfg, lat).Cycles) / float64(base.Cycles)
+		want[m] = float64(replayMarked(tr, m, cfg).Cycles) / float64(base.Cycles)
 	}
-	got, err := NormalizedSource(trace.NewSliceSource(tr), cfg, lat, nil)
+	got, err := NormalizedSource(trace.NewSliceSource(tr), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +170,14 @@ func requireGoroutines(t *testing.T, base int) {
 // long enough that stage 1 runs out of batches several times over.
 func TestReplayFailuresReachCaller(t *testing.T) {
 	tr := genReplayTrace(5, 20*replayBatches*replayBatchSize)
-	cfg, lat := DefaultConfig(), mem.DefaultLatency()
+	cfg := DefaultConfig()
 	boom := errors.New("source failed")
 	for _, k := range []int{0, 1, 6, 12} {
 		base := runtime.NumGoroutine()
-		if _, err := NormalizedSource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, err: boom}, cfg, lat, nil); err != boom {
+		if _, err := NormalizedSource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, err: boom}, cfg, nil); err != boom {
 			t.Errorf("k=%d: NormalizedSource returned %v, want the source's error", k, err)
 		}
-		if _, err := ReplaySource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, err: boom}, HOPSNVM, cfg, lat, ReplayObs{}); err != boom {
+		if _, err := ReplaySource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, err: boom}, HOPSNVM, cfg, ReplayObs{}); err != boom {
 			t.Errorf("k=%d: ReplaySource returned %v, want the source's error", k, err)
 		}
 		requireGoroutines(t, base)
@@ -190,7 +188,7 @@ func TestReplayFailuresReachCaller(t *testing.T) {
 					t.Errorf("k=%d: recovered %v, want the source's panic value", k, r)
 				}
 			}()
-			NormalizedSource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, panicValue: boom}, cfg, lat, nil)
+			NormalizedSource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, panicValue: boom}, cfg, nil)
 		}()
 		requireGoroutines(t, base)
 	}
@@ -204,7 +202,7 @@ func TestReplayFailuresReachCaller(t *testing.T) {
 				t.Errorf("the back end's panic did not reach the caller")
 			}
 		}()
-		drive(trace.NewSliceSource(tr), cfg, lat, []*replayer{{model: HOPSNVM}})
+		drive(trace.NewSliceSource(tr), []*replayer{{model: HOPSNVM}})
 	}()
 	requireGoroutines(t, base)
 }

@@ -71,8 +71,19 @@ type ReplayObs struct {
 	DrainStall *obs.Histogram
 }
 
-// resolved is the one place the replay reads Config. A zero PBEntries, MCs,
-// OOOWidth or MCPipeline takes its §6.4 value from DefaultConfig. DrainAt —
+// oooWidth models the 8-way out-of-order core of Table 3 in the timing
+// replay: recovered compute gaps execute oooWidth instructions per cycle
+// (the sustained IPC of the 8-way core), while fence stalls serialize (an
+// sfence drains the store buffer regardless of issue width).
+const oooWidth = 4
+
+// mcPipeline is the number of in-flight writes each memory controller
+// sustains (write-queue depth / banking): background drains retire one
+// line every persistLat/(MCs*mcPipeline) cycles.
+const mcPipeline = 4
+
+// resolved is the one place the replay reads Config. A zero PBEntries or
+// MCs takes its §6.4 value from DefaultConfig. DrainAt —
 // the occupancy at which the drain engine force-closes (epoch-splits) the
 // OPEN epoch to start background flushing early; closed epochs always drain
 // in the background from the fence that closed them — is clamped to
@@ -86,12 +97,6 @@ func (c Config) resolved() Config {
 	}
 	if c.MCs <= 0 {
 		c.MCs = def.MCs
-	}
-	if c.OOOWidth == 0 {
-		c.OOOWidth = def.OOOWidth
-	}
-	if c.MCPipeline == 0 {
-		c.MCPipeline = def.MCPipeline
 	}
 	if c.DrainAt <= 0 {
 		c.DrainAt = 1
@@ -137,8 +142,8 @@ type pendingSets struct {
 // front is the model-independent half of the timing replay, advanced once
 // per event however many models replay it.
 //
-// The trace was produced by an execution whose clock charged each event a
-// known cost (see persist.Thread); everything else in the inter-event gaps
+// The trace was produced by an execution whose clock charged each event
+// trace.Charge for its kind; everything else in the inter-event gaps
 // is application compute, volatile traffic, and loads. The replay keeps
 // that compute identical and substitutes each model's ordering/durability
 // behaviour for the recorded fence costs — the same-work, different-
@@ -148,16 +153,10 @@ type pendingSets struct {
 // stream alone, so the front maintains them and the five back ends share
 // one front exactly.
 type front struct {
-	lat     mem.Latency
-	ooo     mem.Cycles
 	threads trace.TIDTable[pendingSets]
 
 	prevTime mem.Time
 	started  bool
-}
-
-func newFront(cfg Config, lat mem.Latency) *front {
-	return &front{lat: lat, ooo: mem.Cycles(cfg.resolved().OOOWidth)}
 }
 
 // next advances the front over e and writes what the back ends need of it
@@ -170,28 +169,29 @@ func (f *front) next(e *trace.Event, st *frontStep) {
 		f.started = true
 	}
 	// Recover pure compute: the recorded gap minus the cost the original
-	// execution charged for this event (see persist.Thread). Compute
+	// execution charged for this event. Each case passes its own constant
+	// kind, so the inlined Charge folds to the case's cost. Compute
 	// executes on the OOO core; fences (substituted per model) serialize.
-	gap := f.lat.ToCycles(e.Time - f.prevTime)
+	gap := mem.ToCycles(e.Time - f.prevTime)
 	f.prevTime = e.Time
 
 	*st = frontStep{tid: e.TID, kind: e.Kind}
 	var orig mem.Cycles
 	switch e.Kind {
 	case trace.KStore:
-		orig = f.lat.StoreCycles
+		orig = trace.Charge(trace.KStore, 0)
 		_, st.lines = e.Lines()
 	case trace.KStoreNT:
-		orig = f.lat.StoreCycles + 1
+		orig = trace.Charge(trace.KStoreNT, 0)
 		p := f.threads.Get(e.TID)
 		l, n := e.Lines()
 		for st.lines = n; n > 0; l, n = l+1, n-1 {
 			p.drain.Add(l)
 		}
 	case trace.KLoad:
-		orig = f.lat.L1Cycles
+		orig = trace.Charge(trace.KLoad, 0)
 	case trace.KFlush:
-		orig = 2
+		orig = trace.Charge(trace.KFlush, 0)
 		p := f.threads.Get(e.TID)
 		l, n := e.Lines()
 		for st.lines = n; n > 0; l, n = l+1, n-1 {
@@ -200,16 +200,13 @@ func (f *front) next(e *trace.Event, st *frontStep) {
 		}
 	case trace.KFence:
 		p := f.threads.Get(e.TID)
-		orig = f.lat.PMCycles
-		if n := p.clwb.Len(); n > 1 {
-			orig += mem.Cycles(n-1) * (f.lat.PMCycles / 8)
-		}
+		orig = trace.Charge(trace.KFence, p.clwb.Len())
 		st.pending = p.drain.Len()
 		p.clwb.Reset()
 		p.drain.Reset()
 	}
 	if gap > orig {
-		st.compute = (gap - orig) / f.ooo
+		st.compute = (gap - orig) / oooWidth
 	}
 }
 
@@ -257,7 +254,6 @@ func (pb *pbState) pop() {
 // advocates.
 type replayer struct {
 	model Model
-	lat   mem.Latency
 	res   Result
 
 	// occupancy and drainStall accumulate the ReplayObs histograms'
@@ -275,21 +271,21 @@ type replayer struct {
 	now mem.Cycles
 }
 
-func newReplayer(model Model, cfg Config, lat mem.Latency, ro ReplayObs) *replayer {
+func newReplayer(model Model, cfg Config, ro ReplayObs) *replayer {
 	cfg = cfg.resolved()
 	r := &replayer{
-		model: model, lat: lat,
+		model:      model,
 		occupancy:  obs.NewTally(ro.Occupancy),
 		drainStall: obs.NewTally(ro.DrainStall),
 		res:        Result{Model: model},
 		pbEntries:  cfg.PBEntries,
 		drainAt:    cfg.DrainAt,
 	}
-	r.persistLat = lat.PMCycles
+	r.persistLat = mem.PMCycles
 	if model == X86PWQ || model == HOPSPWQ {
-		r.persistLat = lat.MCQueue
+		r.persistLat = mem.MCQueueCycles
 	}
-	r.drainInterval = mem.Cycles(int(r.persistLat) / (cfg.MCs * cfg.MCPipeline))
+	r.drainInterval = mem.Cycles(int(r.persistLat) / (cfg.MCs * mcPipeline))
 	if r.drainInterval == 0 {
 		r.drainInterval = 1
 	}
@@ -354,10 +350,7 @@ func (r *replayer) apply(st *frontStep) {
 
 	switch st.kind {
 	case trace.KStore, trace.KStoreNT:
-		r.now += r.lat.StoreCycles
-		if st.kind == trace.KStoreNT {
-			r.now++
-		}
+		r.now += trace.Charge(st.kind, 0)
 		// x86: the front tracks the NT lines awaiting the fence. IDEAL:
 		// no persistence bookkeeping at all.
 		if r.model == HOPSNVM || r.model == HOPSPWQ {
@@ -365,11 +358,11 @@ func (r *replayer) apply(st *frontStep) {
 		}
 
 	case trace.KLoad:
-		r.now += r.lat.L1Cycles
+		r.now += trace.Charge(trace.KLoad, 0)
 
 	case trace.KFlush:
 		if r.model == X86NVM || r.model == X86PWQ {
-			r.now += 2 // clwb issue cost
+			r.now += trace.Charge(trace.KFlush, 0) // clwb issue
 		}
 		// HOPS and IDEAL need no flush instructions: the instruction
 		// disappears from the stream.

@@ -6,6 +6,7 @@ import (
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
+	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
@@ -32,9 +33,9 @@ func markDurabilityFences(tr *trace.Trace) map[int]bool {
 
 // replayMarked is the oracle replay: the same replayer stepped over the
 // whole trace with markDurabilityFences' answers.
-func replayMarked(tr *trace.Trace, model Model, cfg Config, lat mem.Latency) Result {
+func replayMarked(tr *trace.Trace, model Model, cfg Config) Result {
 	dfence := markDurabilityFences(tr)
-	f, r := newFront(cfg, lat), newReplayer(model, cfg, lat, ReplayObs{})
+	f, r := &front{}, newReplayer(model, cfg, ReplayObs{})
 	for i, e := range events(tr) {
 		var st frontStep
 		f.next(&e, &st)
@@ -48,20 +49,71 @@ func events(tr *trace.Trace) []trace.Event { return slices.Concat(tr.Chunks()...
 
 // replay and normalized run the streaming replay over an in-memory trace,
 // whose source cannot fail.
-func replay(tr *trace.Trace, model Model, cfg Config, lat mem.Latency) Result {
-	r, err := ReplaySource(trace.NewSliceSource(tr), model, cfg, lat, ReplayObs{})
+func replay(tr *trace.Trace, model Model, cfg Config) Result {
+	r, err := ReplaySource(trace.NewSliceSource(tr), model, cfg, ReplayObs{})
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
-func normalized(tr *trace.Trace, cfg Config, lat mem.Latency) map[Model]float64 {
-	norm, err := NormalizedSource(trace.NewSliceSource(tr), cfg, lat, nil)
+func normalized(tr *trace.Trace, cfg Config) map[Model]float64 {
+	norm, err := NormalizedSource(trace.NewSliceSource(tr), cfg, nil)
 	if err != nil {
 		panic(err)
 	}
 	return norm
+}
+
+// TestFrontRecoversRecordedCompute records a run that computes a known even
+// number of cycles c before each event the recording machine charges, and
+// holds the front to giving that compute back: what the recorder ticked for
+// an event is what the replay takes off the gap. The recovered compute is
+// c, or c-1 after an event with an odd charge, whose half nanosecond the
+// clock truncates. The front hands the back ends compute on the OOO core,
+// so the check is on c and c-1 divided by its width; c steps by 80 cycles
+// from event to event, so a gap charged to the wrong event shows too.
+func TestFrontRecoversRecordedCompute(t *testing.T) {
+	rt := persist.NewRuntime("charges", "native", 1, persist.Config{})
+	th := rt.Thread(0)
+	a := rt.Dev.Map(4 * mem.LineSize)
+	th.TxBegin() // the front's first event starts its clock
+
+	var want []mem.Cycles
+	c := mem.Cycles(400)
+	for _, op := range []func(){
+		func() { th.Store(a, []byte{1}) },
+		func() { th.StoreNT(a+mem.LineSize, []byte{2}) },
+		func() { th.LoadInto(a, make([]byte, 8)) },
+		th.Fence, // nothing CLWB'd: the NT store is not a flush
+		func() { th.Flush(a, 8) },
+		th.Fence, // one line pending
+		func() { th.Flush(a, 3*mem.LineSize) },
+		th.Fence, // three lines pending
+	} {
+		c += 80
+		th.Compute(c)
+		op()
+		want = append(want, c)
+	}
+
+	evs := events(rt.Trace)
+	if len(evs) != len(want)+1 {
+		t.Fatalf("recorded %d events, want %d", len(evs), len(want)+1)
+	}
+	f := &front{}
+	for i := range evs {
+		var st frontStep
+		f.next(&evs[i], &st)
+		if i == 0 {
+			continue
+		}
+		c := want[i-1]
+		if st.compute != c/oooWidth && st.compute != (c-1)/oooWidth {
+			t.Errorf("event %d (%v) after Compute(%d): front recovered %d cycles on the OOO core, want %d or %d",
+				i, evs[i].Kind, c, st.compute, c/oooWidth, (c-1)/oooWidth)
+		}
+	}
 }
 
 // txTrace builds a synthetic transactional trace: n transactions, each
@@ -93,8 +145,7 @@ func TestFigure10Shape(t *testing.T) {
 	// The qualitative Figure 10 ordering on a transactional workload:
 	// IDEAL < HOPS(PWQ) <= HOPS(NVM) < x86(PWQ) < x86(NVM).
 	tr := txTrace(200, 10)
-	lat := mem.DefaultLatency()
-	norm := normalized(tr, DefaultConfig(), lat)
+	norm := normalized(tr, DefaultConfig())
 
 	if norm[X86NVM] != 1.0 {
 		t.Fatalf("baseline not normalized: %v", norm[X86NVM])
@@ -156,7 +207,7 @@ func TestUnbracketedFenceIsOFence(t *testing.T) {
 
 func TestReplayCountsFences(t *testing.T) {
 	tr := txTrace(10, 5)
-	r := replay(tr, HOPSNVM, DefaultConfig(), mem.DefaultLatency())
+	r := replay(tr, HOPSNVM, DefaultConfig())
 	if r.Fences != 50 {
 		t.Fatalf("Fences = %d, want 50", r.Fences)
 	}
@@ -167,9 +218,8 @@ func TestReplayCountsFences(t *testing.T) {
 
 func TestPWQReducesBaselineStalls(t *testing.T) {
 	tr := txTrace(100, 8)
-	lat := mem.DefaultLatency()
-	nvm := replay(tr, X86NVM, DefaultConfig(), lat)
-	pwq := replay(tr, X86PWQ, DefaultConfig(), lat)
+	nvm := replay(tr, X86NVM, DefaultConfig())
+	pwq := replay(tr, X86PWQ, DefaultConfig())
 	if pwq.StallCycles >= nvm.StallCycles {
 		t.Fatalf("PWQ stalls (%d) not below NVM stalls (%d)", pwq.StallCycles, nvm.StallCycles)
 	}
@@ -177,7 +227,7 @@ func TestPWQReducesBaselineStalls(t *testing.T) {
 
 func TestIdealHasMinimalStalls(t *testing.T) {
 	tr := txTrace(50, 5)
-	r := replay(tr, Ideal, DefaultConfig(), mem.DefaultLatency())
+	r := replay(tr, Ideal, DefaultConfig())
 	if r.StallCycles != 0 {
 		t.Fatalf("IDEAL stalls = %d, want 0", r.StallCycles)
 	}
@@ -186,9 +236,8 @@ func TestIdealHasMinimalStalls(t *testing.T) {
 func TestHOPSSpeedupGrowsWithEpochCount(t *testing.T) {
 	// More ordering points per transaction => more fences HOPS turns into
 	// cheap ofences => bigger HOPS advantage. (Consequence 2.)
-	lat := mem.DefaultLatency()
-	few := normalized(txTrace(100, 2), DefaultConfig(), lat)
-	many := normalized(txTrace(100, 20), DefaultConfig(), lat)
+	few := normalized(txTrace(100, 2), DefaultConfig())
+	many := normalized(txTrace(100, 20), DefaultConfig())
 	if many[HOPSNVM] >= few[HOPSNVM] {
 		t.Errorf("HOPS advantage did not grow with epoch count: %.3f vs %.3f",
 			many[HOPSNVM], few[HOPSNVM])
@@ -199,9 +248,8 @@ func TestSmallPBIncursStalls(t *testing.T) {
 	// Ablation: a tiny persist buffer forces foreground stalls even under
 	// HOPS. 1-entry PB must be slower than the default 32.
 	tr := txTrace(100, 10)
-	lat := mem.DefaultLatency()
-	small := replay(tr, HOPSNVM, Config{PBEntries: 1, DrainAt: 1, MCs: 2}, lat)
-	big := replay(tr, HOPSNVM, DefaultConfig(), lat)
+	small := replay(tr, HOPSNVM, Config{PBEntries: 1, DrainAt: 1, MCs: 2})
+	big := replay(tr, HOPSNVM, DefaultConfig())
 	if small.Cycles <= big.Cycles {
 		t.Errorf("1-entry PB (%d cyc) not slower than 32-entry (%d cyc)",
 			small.Cycles, big.Cycles)
@@ -246,12 +294,11 @@ func bigEpochTrace(n, linesPerTx int) *trace.Trace {
 // fully-lazy policy is strictly slower than the fully-eager one.
 func TestDrainAtSweep(t *testing.T) {
 	tr := bigEpochTrace(50, 24)
-	lat := mem.DefaultLatency()
 	cfg := DefaultConfig()
 	var prev mem.Cycles
 	for i, drainAt := range []int{1, 2, 4, 8, 16, 32} {
 		cfg.DrainAt = drainAt
-		r := replay(tr, HOPSNVM, cfg, lat)
+		r := replay(tr, HOPSNVM, cfg)
 		if i > 0 && r.Cycles < prev {
 			t.Errorf("DrainAt=%d ran in %d cycles, faster than a more eager policy (%d)",
 				drainAt, r.Cycles, prev)
@@ -259,9 +306,9 @@ func TestDrainAtSweep(t *testing.T) {
 		prev = r.Cycles
 	}
 	cfg.DrainAt = 1
-	eager := replay(tr, HOPSNVM, cfg, lat)
+	eager := replay(tr, HOPSNVM, cfg)
 	cfg.DrainAt = cfg.PBEntries
-	lazy := replay(tr, HOPSNVM, cfg, lat)
+	lazy := replay(tr, HOPSNVM, cfg)
 	if lazy.Cycles <= eager.Cycles {
 		t.Errorf("DrainAt=%d (%d cycles) not slower than DrainAt=1 (%d cycles): knob has no effect",
 			cfg.PBEntries, lazy.Cycles, eager.Cycles)
@@ -272,11 +319,10 @@ func TestDrainAtSweep(t *testing.T) {
 // behave as 1, values above PBEntries behave as PBEntries.
 func TestDrainAtClamped(t *testing.T) {
 	tr := bigEpochTrace(20, 24)
-	lat := mem.DefaultLatency()
 	run := func(drainAt int) Result {
 		cfg := DefaultConfig()
 		cfg.DrainAt = drainAt
-		return replay(tr, HOPSNVM, cfg, lat)
+		return replay(tr, HOPSNVM, cfg)
 	}
 	if got, want := run(0), run(1); got != want {
 		t.Errorf("DrainAt=0 -> %+v, want DrainAt=1 behaviour %+v", got, want)
@@ -293,15 +339,14 @@ func TestDrainAtClamped(t *testing.T) {
 // perturbs the modelled timing, and that the instruments actually record.
 func TestReplayObservedMatchesReplay(t *testing.T) {
 	tr := txTrace(50, 6)
-	lat := mem.DefaultLatency()
 	cfg := DefaultConfig()
 	for _, m := range Models {
-		plain := replay(tr, m, cfg, lat)
+		plain := replay(tr, m, cfg)
 		ro := ReplayObs{
 			Occupancy:  obs.NewHistogram(obs.ExpBuckets(1, 2, 8)...),
 			DrainStall: obs.NewHistogram(obs.ExpBuckets(1, 2, 12)...),
 		}
-		observed, err := ReplaySource(trace.NewSliceSource(tr), m, cfg, lat, ro)
+		observed, err := ReplaySource(trace.NewSliceSource(tr), m, cfg, ro)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,10 +364,10 @@ func TestReplayObservedMatchesReplay(t *testing.T) {
 // sets and queues reach their steady size in the first transactions, so a
 // trace four times as long costs the same handful of allocations.
 func TestReplayAllocsIndependentOfLength(t *testing.T) {
-	cfg, lat := DefaultConfig(), mem.DefaultLatency()
+	cfg := DefaultConfig()
 	allocs := func(tr *trace.Trace) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := NormalizedSource(trace.NewSliceSource(tr), cfg, lat, nil); err != nil {
+			if _, err := NormalizedSource(trace.NewSliceSource(tr), cfg, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

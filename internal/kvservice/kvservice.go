@@ -41,6 +41,13 @@ import (
 // space is free in the simulator — pages materialize only when written.
 const shardAddrStride = 1 << 30
 
+// compactFrac is the live-fraction threshold for compaction: a sealed
+// segment whose live bytes are at or below compactFrac×SegBytes becomes a
+// copy-forward victim, drained a batch's worth of bytes at a time inside
+// the batches that follow and then retired, which bounds steady-state
+// space amplification near 1/compactFrac.
+const compactFrac = 0.5
+
 // Config tunes a Service.
 type Config struct {
 	// Shards is the number of independent persistence domains (default 1).
@@ -55,15 +62,9 @@ type Config struct {
 	// OpCycles is the per-request compute charge in CPU cycles, covering
 	// parsing and index work outside the PM path (default 200).
 	OpCycles mem.Cycles
-	// SegBytes is the shard log segment size (default 1 MiB).
+	// SegBytes is the shard log segment size (default 1 MiB). A sealed
+	// segment whose live bytes fall to compactFrac of it is compacted.
 	SegBytes int
-	// CompactFrac is the live-fraction threshold for compaction: a sealed
-	// segment whose live bytes are at or below CompactFrac×SegBytes becomes
-	// a copy-forward victim, drained a batch's worth of bytes at a time
-	// inside the batches that follow and then retired, which bounds
-	// steady-state space amplification near 1/CompactFrac. Default 0.5;
-	// negative disables compaction.
-	CompactFrac float64
 	// Metrics is the registry service and shard instruments report into;
 	// nil means the process-wide obs.Default(). Simulation sweeps pass a
 	// private registry per run so rows never contaminate each other.
@@ -91,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SegBytes <= 0 {
 		c.SegBytes = defaultSegBytes
-	}
-	if c.CompactFrac == 0 {
-		c.CompactFrac = 0.5
 	}
 	return c
 }
@@ -275,7 +273,7 @@ func (s *Service) commitLocked(sh *shard, start mem.Time) {
 	// the accepted writes appended: segment-tail padding and a rejected
 	// request earn the step nothing.
 	c0, b0 := st.compactions, st.copiedBytes
-	if err := st.compactStep(s.cfg.CompactFrac, int(appended)); err != nil {
+	if err := st.compactStep(compactFrac, int(appended)); err != nil {
 		s.abortsC.Inc()
 	}
 	copied := clk.Now()
@@ -312,12 +310,12 @@ func (s *Service) commitLocked(sh *shard, start mem.Time) {
 // compacted. With nothing due it emits nothing. Callers hold sh.mu.
 func (s *Service) drainCompactionLocked(sh *shard) {
 	st := sh.st
-	if !st.compactionDue(s.cfg.CompactFrac) {
+	if !st.compactionDue(compactFrac) {
 		return
 	}
 	sh.th.TxBegin()
 	c0, b0 := st.compactions, st.copiedBytes
-	if err := st.drain(s.cfg.CompactFrac); err != nil {
+	if err := st.drain(compactFrac); err != nil {
 		s.abortsC.Inc()
 	}
 	s.compactionsC.Add(st.compactions - c0)

@@ -43,7 +43,7 @@ import (
 // then, after the commit that published its last copy, finishPass zeroes
 // the victim's slot base with one flush+fence. Pacing by appended bytes
 // keeps reclaim level with the writes that make the garbage: a victim at
-// or under CompactFrac of a segment is drained by no more appended bytes
+// or under compactFrac of a segment is drained by no more appended bytes
 // than retiring it frees. The step's walk is bounded the same way (see
 // scanPerCopy), so its time under the shard lock scales with the batch
 // that carries it, never with how dead the victim is.
@@ -82,7 +82,7 @@ const (
 	// scanPerCopy is how many victim bytes a compaction step may examine
 	// per byte of quota. Dead records cost loads too, so the walk needs a
 	// bound of its own. Reclaim keeps level with the appends only from 2
-	// up (1/(1-CompactFrac) at the default: a victim drained over 1/k of a
+	// up (1/(1-compactFrac): a victim drained over 1/k of a
 	// segment of appends plus its copies, under half a segment, must not
 	// outgrow the segment its retirement frees), and records keep dying
 	// while a pass is in flight, so the typical walk already runs past 2×
@@ -130,7 +130,6 @@ type store struct {
 	scratch     []byte // compactStep's record buffer
 	compactions uint64 // compaction passes completed (victims retired)
 	copiedBytes uint64 // record bytes copied forward by compaction
-	vbase       mem.Addr
 }
 
 // pass is the compactor's position between two steps: the sealed segment
@@ -155,7 +154,6 @@ func emptyStore(th *persist.Thread, super mem.Addr, segBytes, keys int) *store {
 		tombs:    make(map[string]uint64),
 		nrecs:    make(map[string]int, keys),
 		live:     make(map[uint64]int64),
-		vbase:    th.Runtime().VMap(1 << 20),
 	}
 }
 
@@ -407,7 +405,7 @@ func (s *store) noteAppend(key string, off uint64, vlen int, tomb bool) {
 	} else if toff, ok := s.tombs[key]; ok {
 		s.live[toff/sb] -= footprint(len(key), 0)
 	}
-	s.th.VStore(s.vbase, 2)
+	s.th.VStore(2)
 	if tomb {
 		delete(s.index, key)
 		s.tombs[key] = off
@@ -450,7 +448,7 @@ func (s *store) del(key string) (bool, error) {
 // the same buffer again and pays no allocation; a nil buf yields a fresh
 // slice the caller may keep.
 func (s *store) read(key string, buf []byte) ([]byte, bool) {
-	s.th.VLoad(s.vbase, 2)
+	s.th.VLoad(2)
 	r, ok := s.index[key]
 	if !ok {
 		return nil, false
@@ -539,9 +537,6 @@ func (s *store) needsCompact(liveFrac float64) (uint64, bool) {
 // compactionDue reports whether a step would have work: a pass is in
 // flight, or a sealed segment qualifies as a victim.
 func (s *store) compactionDue(liveFrac float64) bool {
-	if liveFrac < 0 {
-		return false
-	}
 	if s.pass.active {
 		return true
 	}
@@ -575,9 +570,6 @@ func (s *store) compactionDue(liveFrac float64) bool {
 // in the group and is published, the victim stays mapped, the cursor is
 // cleared, and the records it had passed are counted back into nrecs.
 func (s *store) compactStep(liveFrac float64, quota int) error {
-	if liveFrac < 0 {
-		return nil
-	}
 	if s.headroom() <= 2 {
 		quota = s.segBytes
 	}
@@ -633,7 +625,7 @@ func (s *store) compactStep(liveFrac float64, quota int) error {
 			delete(s.tombs, key)
 			delete(s.nrecs, key)
 			s.live[seq] -= size
-			s.th.VStore(s.vbase, 2)
+			s.th.VStore(2)
 		default:
 			buf = slices.Grow(buf[:0], vlen)[:vlen]
 			s.th.LoadInto(a+recHeader+mem.Addr(klen), buf)
@@ -649,7 +641,7 @@ func (s *store) compactStep(liveFrac float64, quota int) error {
 			} else {
 				s.index[key] = valRef{off: noff, vlen: vlen}
 			}
-			s.th.VStore(s.vbase, 2)
+			s.th.VStore(2)
 			s.copiedBytes += uint64(size)
 			copied += int(size)
 		}

@@ -149,47 +149,21 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// Latency describes the timing configuration of the simulated machine. The
-// defaults follow Table 3 of the paper: a 2 GHz core, DRAM 40 cycles, PM 160
-// cycles for both reads and writes.
-type Latency struct {
-	CPUGHz      float64 // core frequency, cycles per nanosecond
-	DRAMCycles  Cycles  // DRAM read/write latency
-	PMCycles    Cycles  // PM read/write latency
-	L1Cycles    Cycles  // L1 hit latency
-	L2Cycles    Cycles  // L2/LLC hit latency
-	MCQueue     Cycles  // memory-controller queue acceptance latency (PWQ durability point)
-	StoreCycles Cycles  // nominal cost of an ordinary store that hits cache
-}
+// The simulated machine is the gem5 configuration of Table 3 of the paper:
+// a 2 GHz core whose PM reads and writes take 160 cycles.
+const (
+	CPUGHz               = 2.0 // core frequency, cycles per nanosecond
+	PMCycles      Cycles = 160 // PM read/write latency
+	L1Cycles      Cycles = 4   // L1 hit latency
+	MCQueueCycles Cycles = 80  // memory-controller queue acceptance latency (PWQ durability point)
+	StoreCycles   Cycles = 1   // nominal cost of an ordinary store that hits cache
+)
 
-// DefaultLatency mirrors the gem5 configuration in Table 3 of the paper.
-func DefaultLatency() Latency {
-	return Latency{
-		CPUGHz:      2.0,
-		DRAMCycles:  40,
-		PMCycles:    160,
-		L1Cycles:    4,
-		L2Cycles:    12,
-		MCQueue:     80,
-		StoreCycles: 1,
-	}
-}
+// ToTime converts cycles to simulated nanoseconds.
+func ToTime(c Cycles) Time { return Time(float64(c) / CPUGHz) }
 
-// ToTime converts cycles to simulated nanoseconds under l.
-func (l Latency) ToTime(c Cycles) Time {
-	if l.CPUGHz <= 0 {
-		return Time(c)
-	}
-	return Time(float64(c) / l.CPUGHz)
-}
-
-// ToCycles converts simulated nanoseconds to cycles under l.
-func (l Latency) ToCycles(t Time) Cycles {
-	if l.CPUGHz <= 0 {
-		return Cycles(t)
-	}
-	return Cycles(float64(t) * l.CPUGHz)
-}
+// ToCycles converts simulated nanoseconds to cycles.
+func ToCycles(t Time) Cycles { return Cycles(float64(t) * CPUGHz) }
 
 // Clock is the simulated global clock. Every traced event is stamped from a
 // Clock; applications advance it as they execute simulated work. Clock is
@@ -205,8 +179,8 @@ func (c *Clock) Now() Time { return c.now }
 // Advance moves the clock forward by d nanoseconds.
 func (c *Clock) Advance(d Time) { c.now += d }
 
-// AdvanceCycles moves the clock forward by cy cycles under lat.
-func (c *Clock) AdvanceCycles(cy Cycles, lat Latency) { c.now += lat.ToTime(cy) }
+// AdvanceCycles moves the clock forward by cy cycles.
+func (c *Clock) AdvanceCycles(cy Cycles) { c.now += ToTime(cy) }
 
 // Set forces the clock to t. It is used by trace replay, which must revisit
 // recorded timestamps, and must never move the clock backwards elsewhere.

@@ -104,37 +104,30 @@ func TestClock(t *testing.T) {
 	if c.Now() != 150 {
 		t.Fatalf("clock = %d, want 150", c.Now())
 	}
-	lat := DefaultLatency() // 2 GHz: 2 cycles per ns
-	c.AdvanceCycles(200, lat)
+	c.AdvanceCycles(200) // 2 GHz: 2 cycles per ns
 	if c.Now() != 250 {
 		t.Fatalf("clock = %d, want 250 after 200 cycles at 2 GHz", c.Now())
 	}
 }
 
 func TestLatencyConversions(t *testing.T) {
-	lat := DefaultLatency()
-	if got := lat.ToTime(2000); got != 1000 {
+	if got := ToTime(2000); got != 1000 {
 		t.Errorf("ToTime(2000 cyc) = %d ns, want 1000", got)
 	}
-	if got := lat.ToCycles(1000); got != 2000 {
+	if got := ToCycles(1000); got != 2000 {
 		t.Errorf("ToCycles(1000 ns) = %d, want 2000", got)
 	}
-	// Zero frequency degrades to identity rather than dividing by zero.
-	var zero Latency
-	if got := zero.ToTime(42); got != 42 {
-		t.Errorf("zero-latency ToTime = %d, want 42", got)
+	// An odd cycle count truncates to the nanosecond below.
+	if got := ToTime(1); got != 0 {
+		t.Errorf("ToTime(1 cyc) = %d ns, want 0", got)
 	}
 }
 
 func TestDefaultLatencyMatchesPaperTable3(t *testing.T) {
-	lat := DefaultLatency()
-	if lat.DRAMCycles != 40 {
-		t.Errorf("DRAM latency = %d cycles, paper uses 40", lat.DRAMCycles)
+	if PMCycles != 160 {
+		t.Errorf("PM latency = %d cycles, paper uses 160", PMCycles)
 	}
-	if lat.PMCycles != 160 {
-		t.Errorf("PM latency = %d cycles, paper uses 160", lat.PMCycles)
-	}
-	if lat.CPUGHz != 2.0 {
-		t.Errorf("CPU frequency = %v GHz, paper uses 2", lat.CPUGHz)
+	if CPUGHz != 2.0 {
+		t.Errorf("CPU frequency = %v GHz, paper uses 2", CPUGHz)
 	}
 }

@@ -220,7 +220,7 @@ func (tx *Tx) appendRecord(a mem.Addr, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	tx.writes = append(tx.writes, shadowWrite{addr: a, data: cp})
-	tx.th.VStore(0, 1)
+	tx.th.VStore(1)
 }
 
 // indexWrites brings the line index up to date: every write not yet in it

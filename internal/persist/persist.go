@@ -16,9 +16,13 @@
 //	th.Fence()             // SFENCE — ends the epoch
 //	th.TxEnd()
 //
-// Volatile (DRAM) traffic is accounted through th.VLoad/VStore (aggregate
-// counters by default, full events when Config.TraceVolatile is set), which
-// feeds the paper's Figure 6 analysis.
+// Volatile (DRAM) traffic is counted through th.VLoad/VStore into the
+// trace's aggregate counters, which feed the paper's Figure 6 analysis; it
+// ticks the clock and records no event.
+//
+// Each PM instruction ticks the clock by trace.Charge for its kind before
+// its event is stamped: the cost the HOPS replay takes back off the
+// recorded gaps to recover the application's compute.
 package persist
 
 import (
@@ -33,13 +37,6 @@ import (
 
 // Config tunes a Runtime.
 type Config struct {
-	// Latency is the machine timing model; zero value means
-	// mem.DefaultLatency.
-	Latency mem.Latency
-	// TraceVolatile records every volatile access as a trace event instead
-	// of only aggregating counts. Expensive; used by cache-simulation
-	// studies.
-	TraceVolatile bool
 	// Instance distinguishes many runtimes of the same app — the sharded
 	// service runs one persistence domain per shard, all named
 	// "kvservice". When non-empty it is added as an "instance" label on
@@ -60,13 +57,6 @@ type Config struct {
 	NoTrace bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Latency == (mem.Latency{}) {
-		c.Latency = mem.DefaultLatency()
-	}
-	return c
-}
-
 // Runtime binds a device, clock and trace for one application run.
 type Runtime struct {
 	Dev   *pmem.Device
@@ -77,7 +67,6 @@ type Runtime struct {
 
 	cfg     Config
 	threads []*Thread
-	vnext   mem.Addr // volatile address bump pointer (below mem.PMBase)
 	onEvent func(trace.Event)
 
 	// epochLines records the size, in cache-line touches, of every epoch
@@ -94,13 +83,11 @@ func NewRuntime(app, layer string, nthreads int, cfg Config) *Runtime {
 	if nthreads <= 0 {
 		panic("persist: nthreads must be positive")
 	}
-	cfg = cfg.withDefaults()
 	r := &Runtime{
 		Dev:   pmem.New(),
 		Clock: &mem.Clock{},
 		Trace: &trace.Trace{App: app, Layer: layer, Threads: nthreads},
 		cfg:   cfg,
-		vnext: 1 << 20, // leave the low megabyte unused, like a real process
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -134,22 +121,6 @@ func (r *Runtime) Thread(i int) *Thread { return r.threads[i] }
 
 // Threads returns the number of logical threads.
 func (r *Runtime) Threads() int { return len(r.threads) }
-
-// Latency returns the timing configuration.
-func (r *Runtime) Latency() mem.Latency { return r.cfg.Latency }
-
-// VMap reserves size bytes of volatile (DRAM) address space. The returned
-// addresses are only used for accounting and cache simulation; volatile
-// data itself lives in ordinary Go values.
-func (r *Runtime) VMap(size int) mem.Addr {
-	base := r.vnext
-	n := (mem.Addr(size) + mem.LineSize - 1) &^ (mem.LineSize - 1)
-	r.vnext += n
-	if r.vnext >= mem.PMBase {
-		panic("persist: volatile address space exhausted")
-	}
-	return base
-}
 
 // Crash injects a power failure (see pmem.Device.Crash). Outstanding
 // transactions are abandoned; applications must run their recovery paths.
@@ -274,12 +245,12 @@ func (t *Thread) emit(k trace.Kind, a mem.Addr, size int) {
 	}
 }
 
-func (t *Thread) tick(c mem.Cycles) { t.rt.Clock.AdvanceCycles(c, t.rt.cfg.Latency) }
+func (t *Thread) tick(c mem.Cycles) { t.rt.Clock.AdvanceCycles(c) }
 
 // Store performs a cacheable store of data at a.
 func (t *Thread) Store(a mem.Addr, data []byte) {
 	t.rt.Dev.Store(t.id, a, data)
-	t.tick(t.rt.cfg.Latency.StoreCycles)
+	t.tick(trace.Charge(trace.KStore, 0))
 	t.emit(trace.KStore, a, len(data))
 	t.epochLineTouches += uint64(mem.LinesSpanned(a, len(data)))
 }
@@ -287,7 +258,7 @@ func (t *Thread) Store(a mem.Addr, data []byte) {
 // StoreNT performs a non-temporal store of data at a (PM_MOVNTI).
 func (t *Thread) StoreNT(a mem.Addr, data []byte) {
 	t.rt.Dev.StoreNT(t.id, a, data)
-	t.tick(t.rt.cfg.Latency.StoreCycles + 1)
+	t.tick(trace.Charge(trace.KStoreNT, 0))
 	t.emit(trace.KStoreNT, a, len(data))
 	t.epochLineTouches += uint64(mem.LinesSpanned(a, len(data)))
 }
@@ -303,7 +274,7 @@ func (t *Thread) Load(a mem.Addr, size int) []byte {
 // for callers that do not keep the bytes past their next load.
 func (t *Thread) LoadInto(a mem.Addr, out []byte) {
 	t.rt.Dev.LoadInto(t.id, a, out)
-	t.tick(t.rt.cfg.Latency.L1Cycles)
+	t.tick(trace.Charge(trace.KLoad, 0))
 	t.emit(trace.KLoad, a, len(out))
 }
 
@@ -316,7 +287,7 @@ func (t *Thread) Flush(a mem.Addr, size int) {
 		return
 	}
 	t.rt.Dev.Flush(t.id, a, size)
-	t.tick(2)
+	t.tick(trace.Charge(trace.KFlush, 0))
 	t.emit(trace.KFlush, a, size)
 	if t.flushHook != nil {
 		t.flushHook(a, size)
@@ -336,13 +307,7 @@ func (t *Thread) Fence() {
 	// Execution-time model: the fence stalls for the drain of whatever was
 	// outstanding. The HOPS replay (internal/hops) substitutes its own
 	// models; this charge only shapes the trace's wall-clock (Table 1).
-	cost := t.rt.cfg.Latency.PMCycles
-	if pending > 1 {
-		// Flushes to distinct lines drain concurrently through the MCs;
-		// charge a modest serialization tail per extra line.
-		cost += mem.Cycles(pending-1) * (t.rt.cfg.Latency.PMCycles / 8)
-	}
-	t.tick(cost)
+	t.tick(trace.Charge(trace.KFence, pending))
 	t.emit(trace.KFence, 0, 0)
 	t.orderingPoints.Inc()
 	if t.epochLineTouches > 0 {
@@ -383,28 +348,16 @@ func (t *Thread) UserData(n int) {
 // Compute advances the simulated clock by c cycles of pure computation.
 func (t *Thread) Compute(c mem.Cycles) { t.tick(c) }
 
-// VLoad accounts for n volatile loads starting at address a (a may be zero
-// when the caller tracks no volatile layout).
-func (t *Thread) VLoad(a mem.Addr, n int) {
-	if t.rt.cfg.TraceVolatile {
-		for i := 0; i < n; i++ {
-			t.emit(trace.KVLoad, a+mem.Addr(i*8), 8)
-		}
-	} else {
-		t.rt.Trace.VolatileLoads += uint64(n)
-	}
+// VLoad accounts for n volatile loads: a cycle each, counted in the trace's
+// aggregates.
+func (t *Thread) VLoad(n int) {
+	t.rt.Trace.VolatileLoads += uint64(n)
 	t.tick(mem.Cycles(n))
 }
 
-// VStore accounts for n volatile stores starting at address a.
-func (t *Thread) VStore(a mem.Addr, n int) {
-	if t.rt.cfg.TraceVolatile {
-		for i := 0; i < n; i++ {
-			t.emit(trace.KVStore, a+mem.Addr(i*8), 8)
-		}
-	} else {
-		t.rt.Trace.VolatileStores += uint64(n)
-	}
+// VStore accounts for n volatile stores.
+func (t *Thread) VStore(n int) {
+	t.rt.Trace.VolatileStores += uint64(n)
 	t.tick(mem.Cycles(n))
 }
 

@@ -119,38 +119,13 @@ func TestCrashResetsTxDepth(t *testing.T) {
 func TestVolatileAggregation(t *testing.T) {
 	rt := newRT(t)
 	th := rt.Thread(1)
-	th.VLoad(0, 10)
-	th.VStore(0, 4)
+	th.VLoad(10)
+	th.VStore(4)
 	if rt.Trace.VolatileLoads != 10 || rt.Trace.VolatileStores != 4 {
 		t.Fatalf("aggregates = %d/%d", rt.Trace.VolatileLoads, rt.Trace.VolatileStores)
 	}
 	if rt.Trace.Len() != 0 {
 		t.Fatal("aggregated volatile accesses should not emit events")
-	}
-}
-
-func TestVolatileTracing(t *testing.T) {
-	rt := NewRuntime("test", "native", 1, Config{TraceVolatile: true})
-	th := rt.Thread(0)
-	va := rt.VMap(64)
-	th.VStore(va, 3)
-	if rt.Trace.Len() != 3 {
-		t.Fatalf("traced volatile events = %d, want 3", rt.Trace.Len())
-	}
-	if events(rt)[0].Kind != trace.KVStore {
-		t.Fatal("wrong event kind")
-	}
-}
-
-func TestVMapDisjointFromPM(t *testing.T) {
-	rt := newRT(t)
-	v1 := rt.VMap(100)
-	v2 := rt.VMap(100)
-	if v1 == v2 {
-		t.Error("VMap returned overlapping regions")
-	}
-	if v1%64 != 0 || v2%64 != 0 {
-		t.Error("VMap returned unaligned region")
 	}
 }
 
@@ -518,11 +493,11 @@ func everyEmitter(rt *Runtime) {
 	for i := 0; i < 6; i++ {
 		a := base + mem.Addr(i)*2*mem.LineSize
 		t0.TxBegin()
-		t0.VLoad(0, 3)
+		t0.VLoad(3)
 		t0.StoreU64(a, uint64(i)+1)
 		t0.UserData(8)
 		t0.FlushFence(a, 8)
-		t0.VStore(0, 2)
+		t0.VStore(2)
 		t0.TxEnd()
 		t1.StoreU64NT(a+mem.LineSize, t0.LoadU64(a))
 		t1.Compute(17)

@@ -174,7 +174,7 @@ func (fs *FS) allocBlock(th *persist.Thread, mt *mdTx) (uint32, error) {
 	word := fs.bitmap + mem.Addr(blk/64*8)
 	v := th.LoadU64(word)
 	mt.writeU64(word, v|1<<uint(blk%64))
-	th.VStore(0, 1)
+	th.VStore(1)
 	return blk, nil
 }
 
@@ -184,7 +184,7 @@ func (fs *FS) freeBlock(th *persist.Thread, mt *mdTx, blk uint32) {
 	v := th.LoadU64(word)
 	mt.writeU64(word, v&^(1<<uint(blk%64)))
 	fs.freeBlocks = append(fs.freeBlocks, blk)
-	th.VStore(0, 1)
+	th.VStore(1)
 }
 
 // allocInode reserves an inode number inside mt and initializes its type.
@@ -203,7 +203,7 @@ func (fs *FS) allocInode(th *persist.Thread, mt *mdTx, typ uint64) (uint32, erro
 	}
 	init[16] = 1 // nlink = 1
 	mt.write(ia+offType, init[:])
-	th.VStore(0, 1)
+	th.VStore(1)
 	return ino, nil
 }
 

@@ -31,8 +31,9 @@ const (
 	KTxBegin
 	// KTxEnd marks the end (commit) of a durable transaction.
 	KTxEnd
-	// KVLoad is a volatile (DRAM) load; recorded only when the runtime is
-	// configured to trace volatile traffic (Figure 6 studies).
+	// KVLoad is a volatile (DRAM) load. persist aggregates volatile
+	// traffic into Trace.VolatileLoads/VolatileStores and records no such
+	// event, but the format and every consumer accept one.
 	KVLoad
 	// KVStore is a volatile (DRAM) store.
 	KVStore
@@ -70,6 +71,33 @@ func KindByName(name string) (Kind, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Charge is the cycles the recording machine charges an event of kind k:
+// what persist.Thread advances the clock by for the instruction before it
+// stamps the event, and so what the HOPS replay takes off the gap ending at
+// the event to recover the application's compute. pendingFlushes matters
+// to a KFence alone: the distinct lines the thread CLWB'd since its
+// previous fence, whose drain the fence stalls for. They drain
+// concurrently through the memory controllers, so each line past the
+// first adds a modest serialization tail. Every other kind is free.
+func Charge(k Kind, pendingFlushes int) mem.Cycles {
+	switch k {
+	case KStore:
+		return mem.StoreCycles
+	case KStoreNT:
+		return mem.StoreCycles + 1
+	case KLoad:
+		return mem.L1Cycles
+	case KFlush:
+		return 2 // clwb issue
+	case KFence:
+		if pendingFlushes > 1 {
+			return mem.PMCycles + mem.Cycles(pendingFlushes-1)*(mem.PMCycles/8)
+		}
+		return mem.PMCycles
+	}
+	return 0
 }
 
 // Event is one trace record. Addr/Size are meaningful for memory events;

@@ -6,7 +6,6 @@ import (
 
 	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/hops"
-	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
@@ -144,7 +143,7 @@ func SimulateHOPS(t *Trace, cfg HOPSConfig) map[string]float64 {
 				obs.ExpBuckets(1, 2, 14)...),
 		}
 	}
-	norm, err := hops.NormalizedSource(trace.NewSliceSource(t.tr), hc, mem.DefaultLatency(), instruments)
+	norm, err := hops.NormalizedSource(trace.NewSliceSource(t.tr), hc, instruments)
 	if err != nil {
 		panic("whisper: in-memory trace stream failed: " + err.Error())
 	}
