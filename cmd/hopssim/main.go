@@ -41,7 +41,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pb := fs.Int("pb", 0, "persist-buffer entries per thread (0 = paper's 32)")
 	drain := fs.Int("drain", 0, "PB occupancy that launches the background drain (0 = paper's 16)")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	if !cliutil.Parse(fs, args) {
+	if !cliutil.Parse(fs, args) || !cliutil.InRange(fs,
+		cliutil.Check{OK: *ops >= 0, Flag: "ops", Want: "0 for the suite default, or more"},
+		cliutil.Check{OK: *pb >= 0, Flag: "pb", Want: "0 for the paper's 32, or more"},
+		cliutil.Check{OK: *drain >= 0, Flag: "drain", Want: "0 for the paper's 16, or more"},
+	) {
 		return 2
 	}
 	both := !*fig6 && !*fig10

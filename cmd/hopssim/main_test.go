@@ -58,6 +58,11 @@ func TestRunErrorPaths(t *testing.T) {
 		{"stray positional argument", []string{"-fig6", "echo"}, 2, "unexpected arguments: [echo]"},
 		{"unknown flag", []string{"-nope"}, 2, "flag provided but not defined"},
 		{"unwritable metrics path", []string{"-fig6", "-ops", "2", "-metrics", filepath.Join(t.TempDir(), "no-dir", "m.json")}, 1, "write metrics"},
+		// Out of range: the replay would simulate the default machine
+		// and the header would name it.
+		{"negative pb", []string{"-fig10", "-pb", "-4", "-drain", "-1"}, 2, "hopssim: bad -pb -4 (want "},
+		{"negative drain", []string{"-fig10", "-drain", "-1"}, 2, "hopssim: bad -drain -1 (want "},
+		{"negative ops", []string{"-fig10", "-ops", "-2"}, 2, "hopssim: bad -ops -2 (want "},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -72,7 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	san := fs.Bool("san", false, "run the durability-ordering sanitizer over each trace; exit 1 on ordering errors")
 	cache := fs.Bool("cache", false, "simulate the Table 3 cache hierarchy over each trace")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	if !cliutil.Parse(fs, args) {
+	if !cliutil.Parse(fs, args) || !cliutil.InRange(fs,
+		cliutil.Check{OK: *ops >= 0, Flag: "ops", Want: "0 for the suite default, or more"},
+		cliutil.Check{OK: *parallel >= 1, Flag: "parallel", Want: "1 or more"},
+	) {
 		return 2
 	}
 	if *runSuite && *dir != "" {

@@ -74,6 +74,18 @@ func TestRunErrorPaths(t *testing.T) {
 			wantErr:  "unexpected arguments: [echo -san]",
 		},
 		{
+			name:     "negative ops",
+			args:     []string{"-run", "-ops", "-1"},
+			wantCode: 2,
+			wantErr:  "wanalyze: bad -ops -1 (want ",
+		},
+		{
+			name:     "zero parallel",
+			args:     []string{"-run", "-ops", "2", "-parallel", "0"},
+			wantCode: 2,
+			wantErr:  "wanalyze: bad -parallel 0 (want ",
+		},
+		{
 			name:     "both inputs",
 			args:     []string{"-run", "-dir", traceDir},
 			wantCode: 2,

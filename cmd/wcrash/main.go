@@ -20,6 +20,7 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
@@ -70,6 +71,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var err error
 	if cfg.Points, err = parsePoints(*points); err != nil {
 		return fail(err)
+	}
+	// The checker clamps a crash point past the run's last operation to
+	// that operation, so a point out of range would check another one.
+	runOps, lastPoint := cmp.Or(cfg.Ops, crashcheck.DefaultOps), -1
+	for _, p := range cfg.Points {
+		lastPoint = max(lastPoint, p)
+	}
+	if !cliutil.InRange(fs,
+		cliutil.Check{OK: *clients >= 0, Flag: "clients", Want: "0 for the checker default, or more"},
+		cliutil.Check{OK: *ops >= 0, Flag: "ops", Want: "0 for the checker default, or more"},
+		cliutil.Check{OK: *seeds >= 0, Flag: "seeds", Want: "0 for the checker default, or more"},
+		cliutil.Check{OK: lastPoint < runOps, Flag: "points", Want: fmt.Sprintf("points below the run's %d operations", runOps)},
+	) {
+		return 2
 	}
 	if cfg.Modes, err = parseModes(*modes); err != nil {
 		return fail(err)

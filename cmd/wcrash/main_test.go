@@ -54,6 +54,38 @@ func TestRunErrorPaths(t *testing.T) {
 			wantErr:  `unknown mode "quantum"`,
 		},
 		{
+			// The checker would run its default 96-cell matrix.
+			name:     "negative sizes",
+			args:     []string{"-ops", "-3", "-clients", "-1", "-seeds", "-2"},
+			wantCode: 2,
+			wantErr:  "wcrash: bad -clients -1 (want ",
+		},
+		{
+			name:     "negative ops",
+			args:     []string{"-app", "ctree", "-ops", "-3"},
+			wantCode: 2,
+			wantErr:  "wcrash: bad -ops -3 (want ",
+		},
+		{
+			name:     "negative seeds",
+			args:     []string{"-app", "ctree", "-seeds", "-2"},
+			wantCode: 2,
+			wantErr:  "wcrash: bad -seeds -2 (want ",
+		},
+		{
+			// The checker would clamp it to point 7.
+			name:     "point past the last operation",
+			args:     []string{"-points", "99", "-ops", "8"},
+			wantCode: 2,
+			wantErr:  "wcrash: bad -points 99 (want points below the run's 8 operations)",
+		},
+		{
+			name:     "point past the default operations",
+			args:     []string{"-app", "ctree", "-points", "1,16"},
+			wantCode: 2,
+			wantErr:  "wcrash: bad -points 1,16 (want points below the run's 16 operations)",
+		},
+		{
 			name: "unwritable metrics path",
 			args: []string{"-app", "ctree", "-ops", "4", "-seeds", "1",
 				"-points", "1", "-modes", "all-persisted",

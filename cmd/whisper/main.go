@@ -68,7 +68,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sanAllow := fs.String("san-allow", "", "allowlist file of known sanitizer findings to suppress (implies -san)")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
-	if !cliutil.Parse(fs, args) {
+	if !cliutil.Parse(fs, args) || !cliutil.InRange(fs,
+		cliutil.Check{OK: *clients >= 0, Flag: "clients", Want: "0 for the paper default, or more"},
+		cliutil.Check{OK: *ops >= 0, Flag: "ops", Want: "0 for the suite default, or more"},
+		cliutil.Check{OK: *parallel >= 1, Flag: "parallel", Want: "1 or more"},
+	) {
 		return 2
 	}
 	fail := func(err error) int {

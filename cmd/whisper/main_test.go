@@ -27,6 +27,11 @@ func TestRunErrorPaths(t *testing.T) {
 		// Every run streams; the flag that used to ask for it is gone.
 		{"removed -stream flag", []string{"-stream"}, 2, "flag provided but not defined: -stream"},
 		{"unwritable metrics path", []string{"-bench", "echo", "-ops", "2", "-metrics", filepath.Join(t.TempDir(), "no-dir", "m.json")}, 1, "write metrics"},
+		// Out of range: the suite would run its defaults, or serially.
+		{"negative clients", []string{"-clients", "-3", "-ops", "-2"}, 2, "whisper: bad -clients -3 (want "},
+		{"negative ops", []string{"-bench", "echo", "-ops", "-2"}, 2, "whisper: bad -ops -2 (want "},
+		{"zero parallel", []string{"-bench", "echo", "-ops", "2", "-parallel", "0"}, 2, "whisper: bad -parallel 0 (want "},
+		{"negative parallel", []string{"-bench", "echo", "-ops", "2", "-parallel", "-1"}, 2, "whisper: bad -parallel -1 (want "},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

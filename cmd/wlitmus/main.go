@@ -44,7 +44,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	crossval := fs.Bool("crossval", false, "cross-validate the enumeration against device crash sampling (px86 only)")
 	seeds := fs.Int("seeds", 3, "adversarial seeds per crash point for -crossval")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
-	if !cliutil.Parse(fs, args) {
+	if !cliutil.Parse(fs, args) || !cliutil.InRange(fs,
+		cliutil.Check{OK: *seeds >= 1, Flag: "seeds", Want: "1 or more"},
+	) {
 		return 2
 	}
 	fail := func(err error) int {

@@ -87,6 +87,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-f", "/does/not/exist.litmus"},
 		{"-shape", "store-store", "-f", "x.litmus"},
 		{"-shape", "epoch-waw-same", "-crossval"}, // epoch has no device twin
+		{"-crossval", "-seeds", "-3"},             // would sample the default 3
+		{"-crossval", "-seeds", "0"},
 	}
 	for _, args := range cases {
 		if code, out, _ := runCLI(t, args...); code != 2 {

@@ -99,24 +99,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The simulator replaces a zero or out-of-range setting with its
 	// default, and the artifact records the flag as given: refuse them, so
 	// that the artifact describes the run.
-	for _, c := range []struct {
-		ok         bool
-		flag, want string
-	}{
-		{*rate > 0, "rate", "a positive rate"},
-		{*ops > 0, "ops", "a positive count"},
-		{*keys > 0, "keys", "a positive count"},
-		{*write > 0 && *write <= 100, "write", "a percentage in 1..100"},
-		{*value > 0, "value", "a positive size"},
-		{*zipfS > 1, "zipf", "a skew above 1"},
-		{*maxwait > 0, "maxwait", "a positive deadline"},
-		{*opcycles > 0, "opcycles", "a positive charge"},
-		{*seed != 0, "seed", "a nonzero seed"},
-	} {
-		if !c.ok {
-			fmt.Fprintf(stderr, "wserve: bad -%s %s (want %s)\n", c.flag, fs.Lookup(c.flag).Value, c.want)
-			return 2
-		}
+	if !cliutil.InRange(fs,
+		cliutil.Check{OK: *rate > 0, Flag: "rate", Want: "a positive rate"},
+		cliutil.Check{OK: *ops > 0, Flag: "ops", Want: "a positive count"},
+		cliutil.Check{OK: *keys > 0, Flag: "keys", Want: "a positive count"},
+		cliutil.Check{OK: *write > 0 && *write <= 100, Flag: "write", Want: "a percentage in 1..100"},
+		cliutil.Check{OK: *value > 0, Flag: "value", Want: "a positive size"},
+		cliutil.Check{OK: *zipfS > 1, Flag: "zipf", Want: "a skew above 1"},
+		cliutil.Check{OK: *maxwait > 0, Flag: "maxwait", Want: "a positive deadline"},
+		cliutil.Check{OK: *opcycles > 0, Flag: "opcycles", Want: "a positive charge"},
+		cliutil.Check{OK: *seed != 0, Flag: "seed", Want: "a nonzero seed"},
+	) {
+		return 2
 	}
 
 	if *churn {

@@ -29,7 +29,9 @@ import (
 // TestTraceDrivesHOPSMachine replays a real application's PM stores and
 // fences through the functional HOPS persist-buffer machine and checks the
 // Buffered Epoch Persistency invariants over the resulting drain order —
-// the §6.2 hardware rules validated against §3's software.
+// the §6.2 hardware rules validated against §3's software. The ordering
+// points are Figure 10's: every fence is an ofence, and the commit of a
+// transaction that fenced is a dfence.
 func TestTraceDrivesHOPSMachine(t *testing.T) {
 	for _, name := range []string{"hashmap", "vacation", "ycsb"} {
 		t.Run(name, func(t *testing.T) {
@@ -38,7 +40,7 @@ func TestTraceDrivesHOPSMachine(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := hops.NewMachine(4, hops.DefaultConfig())
-			dfences := 0
+			var fenced [4]bool // a fence since the thread's last commit point
 			for _, e := range slices.Concat(rep.Trace.tr.Chunks()...) {
 				tid := int(e.TID) % 4
 				switch e.Kind {
@@ -47,13 +49,15 @@ func TestTraceDrivesHOPSMachine(t *testing.T) {
 						m.Store(tid, l, uint64(e.Time))
 					}
 				case trace.KFence:
-					// Alternate: most fences are ordering-only.
-					if dfences%8 == 7 {
+					m.OFence(tid)
+					fenced[tid] = true
+				case trace.KTxBegin:
+					fenced[tid] = false
+				case trace.KTxEnd:
+					if fenced[tid] {
 						m.DFence(tid)
-					} else {
-						m.OFence(tid)
 					}
-					dfences++
+					fenced[tid] = false
 				}
 			}
 			m.DrainAll()
@@ -61,7 +65,7 @@ func TestTraceDrivesHOPSMachine(t *testing.T) {
 				t.Fatalf("%s: BEP invariant violated: %v", name, err)
 			}
 			st := m.Stats()
-			if st.Stores == 0 || st.OFences == 0 {
+			if st.Stores == 0 || st.OFences == 0 || st.DFences == 0 {
 				t.Fatalf("%s: machine saw no traffic: %+v", name, st)
 			}
 			// Multi-versioning must actually occur on real workloads
@@ -70,6 +74,31 @@ func TestTraceDrivesHOPSMachine(t *testing.T) {
 				t.Errorf("%s: no multi-versioned lines buffered", name)
 			}
 		})
+	}
+}
+
+// TestHOPSDFencesAreDurableTransactions cross-checks two consumers of one
+// recorded stream: at hopssim's Figure 10 configuration, the HOPS (NVM)
+// replay stalls at one dfence per durable transaction, so its DFences
+// equals the epoch analysis's Transactions for every simulated member.
+func TestHOPSDFencesAreDurableTransactions(t *testing.T) {
+	cfg := hops.DefaultConfig()
+	for _, b := range Benchmarks() {
+		if !b.Simulatable {
+			continue
+		}
+		rep, err := Run(b.Name, Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := hops.ReplaySource(trace.NewSliceSource(rep.Trace.tr), hops.HOPSNVM, cfg, hops.ReplayObs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.DFences != rep.Transactions || r.DFences == 0 {
+			t.Errorf("%s: HOPS (NVM) replays %d dfences, the epoch analysis counts %d durable transactions",
+				b.Name, r.DFences, rep.Transactions)
+		}
 	}
 }
 

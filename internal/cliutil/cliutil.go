@@ -35,6 +35,27 @@ func Parse(fs *flag.FlagSet, args []string) bool {
 	return true
 }
 
+// Check is one flag's range rule: OK says whether the value given is in
+// range, Want names the range.
+type Check struct {
+	OK         bool
+	Flag, Want string
+}
+
+// InRange reports whether every check holds. At the first that does not it
+// prints "<tool>: bad -<flag> <value> (want <Want>)" on fs's output, and the
+// command should exit 2: a tool refuses a value the code under it would
+// otherwise replace with a default or clamp without a word.
+func InRange(fs *flag.FlagSet, checks ...Check) bool {
+	for _, c := range checks {
+		if !c.OK {
+			fmt.Fprintf(fs.Output(), "%s: bad -%s %s (want %s)\n", fs.Name(), c.Flag, fs.Lookup(c.Flag).Value, c.Want)
+			return false
+		}
+	}
+	return true
+}
+
 // WriteMetrics snapshots the process-wide metrics registry and writes it
 // as indented JSON to path. An empty path is a no-op, so commands can pass
 // their -metrics flag value straight through. Errors name the path — the

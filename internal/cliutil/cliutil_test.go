@@ -39,6 +39,25 @@ func TestParse(t *testing.T) {
 	}
 }
 
+func TestInRange(t *testing.T) {
+	var stderr bytes.Buffer
+	fs := Flags("wtool", &stderr)
+	n := fs.Int("n", 0, "count")
+	fs.Int("m", 0, "other count")
+	if !Parse(fs, []string{"-n", "-4", "-m", "2"}) {
+		t.Fatal(stderr.String())
+	}
+	if !InRange(fs, Check{true, "m", "anything"}) || stderr.Len() != 0 {
+		t.Fatalf("a holding check refused: %q", stderr.String())
+	}
+	if InRange(fs, Check{true, "m", "anything"}, Check{*n >= 0, "n", "0 or more"}, Check{false, "m", "never"}) {
+		t.Fatal("a failing check passed")
+	}
+	if got, want := stderr.String(), "wtool: bad -n -4 (want 0 or more)\n"; got != want {
+		t.Fatalf("stderr %q, want %q: the first failing check, once", got, want)
+	}
+}
+
 func TestWriteMetrics(t *testing.T) {
 	if err := WriteMetrics(""); err != nil {
 		t.Fatalf("empty path must be a no-op, got %v", err)

@@ -90,18 +90,22 @@ type App interface {
 // full ten-app matrix in the seconds range.
 type Config struct {
 	Clients int     // client threads (default 2)
-	Ops     int     // scripted operations per run (default 16)
+	Ops     int     // scripted operations per run (default DefaultOps)
 	Seeds   []int64 // workload seeds (default 1..8)
 	Points  []int   // crash points in [0, Ops) (default 0, 1, Ops/2, Ops-1)
 	Modes   []Mode  // crash modes (default all three)
 }
+
+// DefaultOps is the number of scripted operations per run when Config.Ops
+// is zero.
+const DefaultOps = 16
 
 func (c Config) withDefaults() Config {
 	if c.Clients <= 0 {
 		c.Clients = 2
 	}
 	if c.Ops <= 0 {
-		c.Ops = 16
+		c.Ops = DefaultOps
 	}
 	if len(c.Seeds) == 0 {
 		for s := int64(1); s <= 8; s++ {

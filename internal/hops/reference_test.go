@@ -18,11 +18,12 @@ import (
 )
 
 // The reference replay: the replayer as it stood before the front / back-end
-// split, moved here verbatim (identifiers prefixed ref, nothing else changed)
-// and driven by markDurabilityFences. It shares no code with timing.go — a
-// map of maps per pending set rebuilt after every fence, a mem.Lines slice per
-// store and flush, a persist-buffer queue that slices its head off — so it is
-// an independent statement of what each model charges each event, and
+// split, moved here verbatim (identifiers prefixed ref) except for the dfence
+// rule, which it decides at each commit from a map of its own. It shares no
+// code with timing.go — a map of maps per pending set rebuilt after every
+// fence, a mem.Lines slice per store and flush, a persist-buffer queue that
+// slices its head off, a map of fenced threads — so it is an independent
+// statement of what each model charges each event, and
 // TestReplayMatchesReference holds the production replay to it exactly.
 
 // refPBState is one thread's persist buffer in the timing replay. done holds
@@ -36,8 +37,7 @@ type refPBState struct {
 }
 
 // refReplayer is the incremental core of the timing replay: one event at a
-// time via step, with the dfence decision supplied by the streaming
-// lookahead in ReplaySource and NormalizedSource.
+// time via step.
 //
 // The trace was produced by an execution whose clock charged each event a
 // known cost (see persist.Thread); everything else in the inter-event gaps
@@ -48,12 +48,11 @@ type refPBState struct {
 // lets the HOPS persist buffers drain in the background, which is where
 // HOPS's advantage comes from.
 //
-// For the HOPS models, the last fence before each KTxEnd is a dfence
-// (durability at commit); all other fences — including those outside any
-// transaction (asynchronous log truncation, root updates), which order
-// writes but need no synchronous durability — become ofences, with the
-// next dfence providing the durability point, exactly the split Figure 8
-// advocates.
+// For the HOPS models, the commit (KTxEnd) of a transaction that fenced is a
+// dfence (durability at commit); every fence is an ofence — those outside
+// any transaction (asynchronous log truncation, root updates) order writes
+// but need no synchronous durability — with the next dfence providing the
+// durability point, exactly the split Figure 8 advocates.
 type refReplayer struct {
 	model Model
 	cfg   Config
@@ -69,6 +68,9 @@ type refReplayer struct {
 	modelPending map[int32]map[mem.Line]bool
 	// pbs holds the per-thread HOPS persist buffers.
 	pbs map[int32]*refPBState
+	// fencedTx holds the threads that fenced since their last KTxBegin or
+	// KTxEnd: their next commit is a dfence.
+	fencedTx map[int32]bool
 
 	persistLat    mem.Cycles
 	drainInterval mem.Cycles
@@ -87,6 +89,7 @@ func newRefReplayer(model Model, cfg Config, ro ReplayObs) *refReplayer {
 		origPending:  make(map[int32]map[mem.Line]bool),
 		modelPending: make(map[int32]map[mem.Line]bool),
 		pbs:          make(map[int32]*refPBState),
+		fencedTx:     make(map[int32]bool),
 	}
 	r.persistLat = mem.PMCycles
 	if model == X86PWQ || model == HOPSPWQ {
@@ -154,10 +157,8 @@ func (r *refReplayer) retire(pb *refPBState, now mem.Cycles) {
 	}
 }
 
-// step replays one event. dfence tells a KFence whether it is a
-// durability fence under the HOPS models; it is ignored for every other
-// event kind.
-func (r *refReplayer) step(e trace.Event, dfence bool) {
+// step replays one event.
+func (r *refReplayer) step(e trace.Event) {
 	if !r.started {
 		r.prevTime = e.Time
 		r.started = true
@@ -257,18 +258,30 @@ func (r *refReplayer) step(e trace.Event, dfence bool) {
 			// so hand them to the background engine (BEP rule: epochs
 			// drain when closed, an ofence never stalls for them).
 			r.schedule(pb, r.now)
-			if dfence {
-				r.res.DFences++
-				if len(pb.done) > 0 {
-					stall := pb.done[len(pb.done)-1] - r.now
-					r.now += stall
-					r.res.StallCycles += stall
-					r.ro.DrainStall.Observe(uint64(stall))
-					pb.done = pb.done[:0]
-				}
-			}
 		case Ideal:
 			r.now++
+		}
+		r.fencedTx[e.TID] = true
+
+	case trace.KTxBegin:
+		delete(r.fencedTx, e.TID)
+
+	case trace.KTxEnd:
+		dfence := r.fencedTx[e.TID]
+		delete(r.fencedTx, e.TID)
+		if dfence && (r.model == HOPSNVM || r.model == HOPSPWQ) {
+			// The commit of a transaction that fenced: stall until every
+			// closed epoch has drained.
+			r.res.DFences++
+			pb := r.refGetPB(e.TID)
+			r.retire(pb, r.now)
+			if len(pb.done) > 0 {
+				stall := pb.done[len(pb.done)-1] - r.now
+				r.now += stall
+				r.res.StallCycles += stall
+				r.ro.DrainStall.Observe(uint64(stall))
+				pb.done = pb.done[:0]
+			}
 		}
 
 	case trace.KVLoad, trace.KVStore:
@@ -319,10 +332,9 @@ func refX86FenceCost(n int, persistLat, drainInterval mem.Cycles) mem.Cycles {
 
 // refReplay replays tr under model with the reference replayer.
 func refReplay(tr *trace.Trace, model Model, cfg Config, ro ReplayObs) Result {
-	dfence := markDurabilityFences(tr)
 	r := newRefReplayer(model, cfg, ro)
-	for i, e := range events(tr) {
-		r.step(e, dfence[i])
+	for _, e := range events(tr) {
+		r.step(e)
 	}
 	return r.result()
 }
@@ -404,7 +416,7 @@ func largeEpochTrace() *trace.Trace {
 
 // oddTIDTrace interleaves a dense TID with one negative and one huge TID
 // (the lazily built side of every per-thread table) and ends in fences that
-// no commit follows, which finish must release as ofences.
+// no commit follows, which stay ofences.
 func oddTIDTrace() *trace.Trace {
 	b := newBuilder(13)
 	tids := []int32{-1, 1 << 20, 3}
@@ -522,7 +534,7 @@ func requireMatchesReference(t *testing.T, name string, tr *trace.Trace, cfg Con
 // TestReplayMatchesReference is the oracle for the front / back-end split:
 // five models over every trace shape that reaches a distinct path of the
 // front's line sets, the persist-buffer queue, the per-thread tables and
-// the dfence lookahead, under buffer sizes small enough that full-PB stalls
+// the dfence rule, under buffer sizes small enough that full-PB stalls
 // fire, plus three recorded apps.
 func TestReplayMatchesReference(t *testing.T) {
 	traces := []struct {

@@ -7,112 +7,19 @@ import (
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
-// Streaming replay. The only part of the timing replay that needs the
-// future is the ofence/dfence split: a KFence is a dfence exactly when
-// the thread's next ordering event (KFence or KTxEnd) is a KTxEnd — the
-// last fence of each transaction. dfenceResolver implements that rule
-// (pinned against the index-marking oracle in timing_test.go) with a
-// bounded lookahead queue: events buffer only while some thread has a
-// fence whose classification is still unknown, which in practice is the
-// short distance to that thread's next ordering point.
-
-// pendingEvent is one buffered event awaiting dfence resolution.
-type pendingEvent struct {
-	e      trace.Event
-	dfence bool
-	await  bool // an unresolved KFence; blocks draining
-}
-
-// openFence is one thread's unresolved KFence, by stream position.
-type openFence struct {
-	pos  int
-	open bool
-}
-
-// dfenceResolver buffers events until every fence ahead of them is
-// classified, then releases them in input order via the emit callback.
-// queue[head:] is the buffer; the released prefix is reclaimed by
-// truncation when the buffer empties and by a copy once it is at least as
-// long as what remains, so a release costs O(events released).
-type dfenceResolver struct {
-	queue      []pendingEvent
-	head       int                       // queue[:head] has been released
-	base       int                       // stream position of queue[0]
-	pos        int                       // stream position of the next pushed event
-	unresolved trace.TIDTable[openFence] // each thread's open fence
-	// emit is handed each released event, valid only during the call.
-	emit func(e *trace.Event, dfence bool)
-}
-
-func newDfenceResolver(emit func(*trace.Event, bool)) *dfenceResolver {
-	return &dfenceResolver{emit: emit}
-}
-
-// push adds e, which is copied if it has to wait, to the stream.
-func (d *dfenceResolver) push(e *trace.Event) {
-	switch e.Kind {
-	case trace.KFence:
-		// A newer fence of the same thread makes the older one an ofence.
-		f := d.unresolved.Get(e.TID)
-		if f.open {
-			d.queue[f.pos-d.base].await = false
-		}
-		d.queue = append(d.queue, pendingEvent{e: *e, await: true})
-		f.pos, f.open = d.pos, true
-	case trace.KTxEnd:
-		// Commit: the thread's open fence is its durability point.
-		if f := d.unresolved.Get(e.TID); f.open {
-			d.queue[f.pos-d.base].await = false
-			d.queue[f.pos-d.base].dfence = true
-			f.open = false
-		}
-		fallthrough
-	default:
-		if len(d.queue) == 0 {
-			// Nothing buffered and nothing to resolve: bypass the queue.
-			d.pos++
-			d.base++
-			d.emit(e, false)
-			return
-		}
-		d.queue = append(d.queue, pendingEvent{e: *e})
-	}
-	d.pos++
-	d.drain()
-}
-
-func (d *dfenceResolver) drain() {
-	i := d.head
-	for ; i < len(d.queue) && !d.queue[i].await; i++ {
-		d.emit(&d.queue[i].e, d.queue[i].dfence)
-	}
-	d.head = i
-	if rest := len(d.queue) - i; rest <= i {
-		copy(d.queue, d.queue[i:])
-		d.queue = d.queue[:rest]
-		d.base += i
-		d.head = 0
-	}
-}
-
-// finish releases everything still buffered: fences with no later commit
-// are ofences.
-func (d *dfenceResolver) finish() {
-	for i := d.head; i < len(d.queue); i++ {
-		d.queue[i].await = false
-	}
-	d.drain()
-}
-
+// Streaming replay. Nothing in the timing replay needs the future: the
+// front decides the HOPS durability point when a commit arrives (timing.go),
+// so each event is replayed as it is read.
+//
 // The replay runs in two stages joined by a small ring of batches. Stage 1,
-// on a goroutine of its own, reads the source, resolves dfences and advances
-// the front; stage 2, on the caller's goroutine, runs each back end over a
-// whole batch in turn. The front and the back ends see the events in stream
-// order either way, so the result does not depend on how the two stages
-// interleave or on how many cores they share.
+// on a goroutine of its own, reads the source and advances the front; stage
+// 2, on the caller's goroutine, runs each back end over a whole batch in
+// turn. The front and the back ends see the events in stream order either
+// way, so the result does not depend on how the two stages interleave or on
+// how many cores they share.
 
-// replayBatchSize is the number of resolved events in one batch: enough that
-// a hand-off (two channel operations) is noise beside the back ends' work on
+// replayBatchSize is the number of events in one batch: enough that a
+// hand-off (two channel operations) is noise beside the back ends' work on
 // it, few enough that a batch stays in the second-level cache.
 const replayBatchSize = 2048
 
@@ -129,18 +36,15 @@ type feeder struct {
 	free    chan []frontStep
 	full    chan []frontStep
 	stop    chan struct{}
-	stopped bool // stage 2 has returned: drop events, read no further
+	stopped bool // stage 2 has returned: read no further
 }
 
-func (fd *feeder) emit(e *trace.Event, dfence bool) {
-	if fd.stopped {
-		return
-	}
+// emit advances the front over e into the batch's next step and hands the
+// batch over when it is full.
+func (fd *feeder) emit(e *trace.Event) {
 	n := len(fd.batch)
 	fd.batch = fd.batch[:n+1]
-	st := &fd.batch[n]
-	fd.front.next(e, st)
-	st.dfence = dfence
+	fd.front.next(e, &fd.batch[n])
 	if n+1 == replayBatchSize {
 		fd.full <- fd.batch
 		select {
@@ -151,25 +55,22 @@ func (fd *feeder) emit(e *trace.Event, dfence bool) {
 	}
 }
 
-// run pushes every event of src through the resolver, releases what is
-// still buffered when the stream ends and hands over the last, part-filled
-// batch.
+// run advances the front over every event of src and hands over the last,
+// part-filled batch.
 func (fd *feeder) run(src trace.EventSource) error {
-	d := newDfenceResolver(fd.emit)
 	var err error
 	for !fd.stopped {
 		var chunk []trace.Event
 		chunk, err = src.NextChunk()
 		if err == io.EOF {
-			d.finish()
 			err = nil
 			break
 		}
 		if err != nil {
 			break
 		}
-		for i := range chunk {
-			d.push(&chunk[i])
+		for i := 0; i < len(chunk) && !fd.stopped; i++ {
+			fd.emit(&chunk[i])
 		}
 	}
 	if len(fd.batch) > 0 {
@@ -225,9 +126,9 @@ func drive(src trace.EventSource, rs []*replayer) error {
 }
 
 // ReplaySource reruns src's instruction stream under the given persistence
-// model in one pass and O(open lookahead) memory. The instruments in ro
-// are pure outputs and never change the Result; they are filled when the
-// replay finishes.
+// model in one pass, in memory bounded by the threads and lines in flight,
+// not by the trace's length. The instruments in ro are pure outputs and
+// never change the Result; they are filled when the replay finishes.
 func ReplaySource(src trace.EventSource, model Model, cfg Config, ro ReplayObs) (Result, error) {
 	r := newReplayer(model, cfg, ro)
 	if err := drive(src, []*replayer{r}); err != nil {
@@ -239,10 +140,9 @@ func ReplaySource(src trace.EventSource, model Model, cfg Config, ro ReplayObs) 
 // NormalizedSource computes the Figure 10 presentation — every model's
 // runtime normalized to the x86-64 (NVM) baseline — from a single pass
 // over an event source: one front does the trace bookkeeping once per
-// resolved event and the five models' back ends replay its answers batch
-// by batch. When instruments is non-nil, instruments(m) supplies the
-// ReplayObs for model m's replayer; they are filled when the replay
-// finishes.
+// event and the five models' back ends replay its answers batch by batch.
+// When instruments is non-nil, instruments(m) supplies the ReplayObs for
+// model m's replayer; they are filled when the replay finishes.
 func NormalizedSource(src trace.EventSource, cfg Config, instruments func(Model) ReplayObs) (map[Model]float64, error) {
 	rs := make([]*replayer, len(Models))
 	for i, m := range Models {

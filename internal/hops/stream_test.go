@@ -13,7 +13,7 @@ import (
 
 // genReplayTrace builds a random trace with realistic transactional
 // structure: per-thread runs of stores/flushes closed by fences, some
-// inside transactions (making their last fence a dfence), some not.
+// inside transactions (making their commit a dfence), some not.
 func genReplayTrace(seed int64, n int) *trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	tr := &trace.Trace{App: "rand", Layer: "native", Threads: 4}
@@ -53,47 +53,15 @@ func genReplayTrace(seed int64, n int) *trace.Trace {
 	return tr
 }
 
-// TestDfenceResolverMatchesMarks pins the streaming lookahead rule to the
-// materialized marking: a fence is a dfence iff the thread's next ordering
-// event is a commit.
-func TestDfenceResolverMatchesMarks(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		tr := genReplayTrace(seed, 2000)
-		want := markDurabilityFences(tr)
-		got := make(map[int]bool)
-		i := 0
-		d := newDfenceResolver(func(e *trace.Event, dfence bool) {
-			if dfence {
-				got[i] = true
-			}
-			i++
-		})
-		evs := events(tr)
-		for i := range evs {
-			d.push(&evs[i])
-		}
-		d.finish()
-		if i != len(evs) {
-			t.Fatalf("seed %d: resolver released %d of %d events", seed, i, len(evs))
-		}
-		for j := range evs {
-			if want[j] != got[j] {
-				t.Fatalf("seed %d: event %d (%v): dfence=%v, serial says %v",
-					seed, j, evs[j], got[j], want[j])
-			}
-		}
-	}
-}
-
-// TestReplaySourceMatchesReplay asserts the streaming replay is cycle-
-// identical to the oracle replay (whole-trace dfence marks) for every
-// model.
+// TestReplaySourceMatchesReplay asserts the two-stage streaming replay is
+// cycle-identical to the same front and back end stepped serially, for
+// every model.
 func TestReplaySourceMatchesReplay(t *testing.T) {
 	cfg := DefaultConfig()
 	for seed := int64(0); seed < 6; seed++ {
 		tr := genReplayTrace(seed, 3000)
 		for _, m := range Models {
-			want := replayMarked(tr, m, cfg)
+			want := replaySerial(tr, m, cfg, nil)
 			got, err := ReplaySource(trace.NewSliceSource(tr), m, cfg, ReplayObs{})
 			if err != nil {
 				t.Fatalf("seed %d model %v: %v", seed, m, err)
@@ -106,14 +74,14 @@ func TestReplaySourceMatchesReplay(t *testing.T) {
 }
 
 // TestNormalizedSourceMatchesNormalized checks the single-pass five-model
-// lockstep replay against five oracle replays, one per model.
+// replay against five serial replays, one per model.
 func TestNormalizedSourceMatchesNormalized(t *testing.T) {
 	cfg := DefaultConfig()
 	tr := genReplayTrace(42, 4000)
-	base := replayMarked(tr, X86NVM, cfg)
+	base := replaySerial(tr, X86NVM, cfg, nil)
 	want := map[Model]float64{X86NVM: 1.0}
 	for _, m := range Models[1:] {
-		want[m] = float64(replayMarked(tr, m, cfg).Cycles) / float64(base.Cycles)
+		want[m] = float64(replaySerial(tr, m, cfg, nil).Cycles) / float64(base.Cycles)
 	}
 	got, err := NormalizedSource(trace.NewSliceSource(tr), cfg, nil)
 	if err != nil {

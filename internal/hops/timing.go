@@ -122,13 +122,14 @@ type frontStep struct {
 	pending int
 	tid     int32
 	kind    trace.Kind
-	// dfence marks a KFence that is a durability fence under the HOPS
-	// models. The dfence resolver sets it, not the front.
+	// dfence marks a KTxEnd that is a durability fence under the HOPS
+	// models: its transaction fenced at least once.
 	dfence bool
 }
 
 // pendingSets is one thread's reconstruction of what the recording
-// execution and an x86 machine have outstanding at its next fence.
+// execution and an x86 machine have outstanding at its next fence, and of
+// whether its open transaction has fenced.
 type pendingSets struct {
 	// clwb mirrors pmem.Device.PendingFlushes exactly (distinct CLWB'd
 	// lines since the last fence): it reconstructs the cost the original
@@ -137,6 +138,9 @@ type pendingSets struct {
 	// drain is the x86 models' drain set: clwb plus the NT-store lines
 	// waiting in the WCB.
 	drain mem.LineSet
+	// fenced is set by a KFence and cleared by KTxBegin and KTxEnd: at a
+	// KTxEnd it says whether the transaction ordered anything.
+	fenced bool
 }
 
 // front is the model-independent half of the timing replay, advanced once
@@ -151,7 +155,9 @@ type pendingSets struct {
 // needs the recorded device's pending-flush set, and the x86 models' fence
 // cost needs their drain set; both are per-thread functions of the event
 // stream alone, so the front maintains them and the five back ends share
-// one front exactly.
+// one front exactly. So is the HOPS durability point: a KTxEnd is a dfence
+// exactly when its thread fenced since its KTxBegin, which the front knows
+// when the commit arrives.
 type front struct {
 	threads trace.TIDTable[pendingSets]
 
@@ -204,6 +210,13 @@ func (f *front) next(e *trace.Event, st *frontStep) {
 		st.pending = p.drain.Len()
 		p.clwb.Reset()
 		p.drain.Reset()
+		p.fenced = true
+	case trace.KTxBegin:
+		f.threads.Get(e.TID).fenced = false
+	case trace.KTxEnd:
+		p := f.threads.Get(e.TID)
+		st.dfence = p.fenced
+		p.fenced = false
 	}
 	if gap > orig {
 		st.compute = (gap - orig) / oooWidth
@@ -241,17 +254,17 @@ func (pb *pbState) pop() {
 
 // replayer is one model's back end of the timing replay: it applies each
 // event's model-specific ordering and durability behaviour to its own
-// clock, taking the model-independent part from the front and the dfence
-// decision from the streaming lookahead, both computed by stage 1 of the
-// replay driver (stream.go). Compute time lets the HOPS persist buffers
-// drain in the background, which is where HOPS's advantage comes from.
+// clock, taking the model-independent part, the dfence decision included,
+// from the front, which stage 1 of the replay driver advances (stream.go).
+// Compute time lets the HOPS persist buffers drain in the background,
+// which is where HOPS's advantage comes from.
 //
-// For the HOPS models, the last fence before each KTxEnd is a dfence
-// (durability at commit); all other fences — including those outside any
-// transaction (asynchronous log truncation, root updates), which order
-// writes but need no synchronous durability — become ofences, with the
-// next dfence providing the durability point, exactly the split Figure 8
-// advocates.
+// For the HOPS models every KFence is an ofence, and the commit (KTxEnd) of
+// a transaction that fenced is its dfence: durability at commit. Fences
+// outside any transaction (asynchronous log truncation, root updates) order
+// writes but need no synchronous durability, and a read-only transaction
+// has nothing to make durable; the next dfence provides the durability
+// point, exactly the split Figure 8 advocates.
 type replayer struct {
 	model Model
 	res   Result
@@ -384,18 +397,23 @@ func (r *replayer) apply(st *frontStep) {
 			// so hand them to the background engine (BEP rule: epochs
 			// drain when closed, an ofence never stalls for them).
 			r.schedule(pb, r.now)
-			if st.dfence {
-				r.res.DFences++
-				if len(pb.done) > 0 {
-					stall := pb.done[len(pb.done)-1] - r.now
-					r.now += stall
-					r.res.StallCycles += stall
-					r.drainStall.Observe(uint64(stall))
-					pb.done, pb.head = pb.done[:0], 0
-				}
-			}
 		case Ideal:
 			r.now++
+		}
+
+	case trace.KTxEnd:
+		if st.dfence && (r.model == HOPSNVM || r.model == HOPSPWQ) {
+			// The dfence: stall until every closed epoch has drained.
+			r.res.DFences++
+			pb := r.pbs.Get(st.tid)
+			r.retire(pb, r.now)
+			if len(pb.done) > 0 {
+				stall := pb.done[len(pb.done)-1] - r.now
+				r.now += stall
+				r.res.StallCycles += stall
+				r.drainStall.Observe(uint64(stall))
+				pb.done, pb.head = pb.done[:0], 0
+			}
 		}
 
 	case trace.KVLoad, trace.KVStore:

@@ -12,35 +12,20 @@ import (
 
 const pm = mem.PMBase
 
-// markDurabilityFences is the oracle for the streaming dfence lookahead:
-// with the whole trace in hand it returns, per event index, whether a
-// KFence is the last fence of a transaction (a dfence).
-func markDurabilityFences(tr *trace.Trace) map[int]bool {
-	out := make(map[int]bool)
-	lastFence := make(map[int32]int)
-	for i, e := range events(tr) {
-		switch e.Kind {
-		case trace.KTxEnd:
-			if j, ok := lastFence[e.TID]; ok {
-				out[j] = true // commit fence: durability required
-			}
-		case trace.KFence:
-			lastFence[e.TID] = i
-		}
-	}
-	return out
-}
-
-// replayMarked is the oracle replay: the same replayer stepped over the
-// whole trace with markDurabilityFences' answers.
-func replayMarked(tr *trace.Trace, model Model, cfg Config) Result {
-	dfence := markDurabilityFences(tr)
+// replaySerial is the replay without its driver: one front and one back
+// end stepped over the trace event by event, on the caller's goroutine.
+// dfenceAt, when non-nil, is called with the index of each event at which
+// the back end counted a dfence.
+func replaySerial(tr *trace.Trace, model Model, cfg Config, dfenceAt func(int)) Result {
 	f, r := &front{}, newReplayer(model, cfg, ReplayObs{})
 	for i, e := range events(tr) {
 		var st frontStep
 		f.next(&e, &st)
-		st.dfence = dfence[i]
+		n := r.res.DFences
 		r.apply(&st)
+		if r.res.DFences != n && dfenceAt != nil {
+			dfenceAt(i)
+		}
 	}
 	return r.result()
 }
@@ -172,36 +157,52 @@ func TestFigure10Shape(t *testing.T) {
 	}
 }
 
+// TestDFenceMarking pins where HOPS's durability point lies: a transaction
+// with three fences replays one dfence, at its commit, and its fences are
+// ofences.
 func TestDFenceMarking(t *testing.T) {
 	tr := txTrace(1, 3)
-	marks := markDurabilityFences(tr)
-	// Fence events are at indices 3, 6, 9 (txbegin, then triples).
-	var fenceIdx []int
-	for i, e := range events(tr) {
-		if e.Kind == trace.KFence {
-			fenceIdx = append(fenceIdx, i)
+	evs := events(tr)
+	for _, m := range []Model{HOPSNVM, HOPSPWQ} {
+		var at []int
+		r := replaySerial(tr, m, DefaultConfig(), func(i int) { at = append(at, i) })
+		if r.Fences != 3 || r.DFences != 1 {
+			t.Errorf("%v: %d fences, %d dfences; want 3 and 1", m, r.Fences, r.DFences)
 		}
-	}
-	if len(fenceIdx) != 3 {
-		t.Fatalf("fences = %d", len(fenceIdx))
-	}
-	if marks[fenceIdx[0]] || marks[fenceIdx[1]] {
-		t.Error("non-final fences marked as dfence")
-	}
-	if !marks[fenceIdx[2]] {
-		t.Error("commit fence not marked as dfence")
+		if len(at) != 1 || evs[at[0]].Kind != trace.KTxEnd {
+			t.Errorf("%v: dfences at events %v, want one at the commit (event %d)", m, at, len(evs)-1)
+		}
 	}
 }
 
+// TestUnbracketedFenceIsOFence: fences outside transactions (log
+// truncation, root updates) are ordering-only, so HOPS replays them as
+// ofences. That holds too when the thread's next ordering event is the
+// commit of a read-only transaction (Mnemosyne truncating its log ahead of
+// one): that commit orders nothing, so it is no dfence and waits for no
+// drain.
 func TestUnbracketedFenceIsOFence(t *testing.T) {
-	// Fences outside transactions (log truncation, root updates) are
-	// ordering-only: HOPS maps them to ofences.
-	tr := &trace.Trace{Threads: 1}
-	tr.Append(trace.Event{Kind: trace.KStore, Addr: pm, Size: 8})
-	tr.Append(trace.Event{Kind: trace.KFence})
-	marks := markDurabilityFences(tr)
-	if marks[1] {
-		t.Error("unbracketed fence treated as dfence")
+	bare := &trace.Trace{Threads: 1}
+	bare.Append(trace.Event{Kind: trace.KStore, Addr: pm, Size: 8})
+	bare.Append(trace.Event{Kind: trace.KFence, Time: 1})
+	readOnly := &trace.Trace{Threads: 1}
+	readOnly.Append(trace.Event{Kind: trace.KStore, Addr: pm, Size: 8})
+	readOnly.Append(trace.Event{Kind: trace.KFence, Time: 1})
+	readOnly.Append(trace.Event{Kind: trace.KTxBegin, Time: 2})
+	readOnly.Append(trace.Event{Kind: trace.KLoad, Addr: pm, Size: 8, Time: 3})
+	readOnly.Append(trace.Event{Kind: trace.KTxEnd, Time: 4})
+	for name, tr := range map[string]*trace.Trace{"bare": bare, "before a read-only tx": readOnly} {
+		for _, m := range []Model{HOPSNVM, HOPSPWQ} {
+			ro := ReplayObs{DrainStall: obs.NewHistogram(obs.ExpBuckets(1, 2, 12)...)}
+			r, err := ReplaySource(trace.NewSliceSource(tr), m, DefaultConfig(), ro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Fences != 1 || r.DFences != 0 || r.StallCycles != 0 || ro.DrainStall.Count() != 0 {
+				t.Errorf("%s, %v: %d fences, %d dfences, %d stall cycles, %d drain stalls; want 1 fence and no stall",
+					name, m, r.Fences, r.DFences, r.StallCycles, ro.DrainStall.Count())
+			}
+		}
 	}
 }
 

@@ -25,6 +25,10 @@
 //     persist buffers itself); an ofence (trace.KFence) is a pure epoch
 //     boundary — ordering without waiting; a dfence (trace.KTxEnd)
 //     additionally blocks until the thread's pending persists drain.
+//     The Figure 10 timing replay (hops.ReplaySource) shares this commit
+//     rule: it replays every KFence as an ofence and stalls at the
+//     KTxEnd, counting a dfence when the transaction fenced (a commit
+//     that ordered nothing has nothing to drain).
 //
 // Enumeration is an explicit-state search with canonical-state hashing
 // and memoization; under Px86, runs of persists to distinct lines
