@@ -111,7 +111,7 @@ func BenchmarkCacheReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.MemAccesses() == 0 {
+		if memAccesses(CacheStats(st)) == 0 {
 			b.Fatal("no access reached memory")
 		}
 	}
@@ -275,7 +275,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := rep.Report
-	if a.TotalEpochs == 0 || rep.San == nil || rep.Cache.MemAccesses() == 0 {
+	if a.TotalEpochs == 0 || rep.San == nil || memAccesses(*rep.Cache) == 0 {
 		t.Fatal("generated stream produced no epochs, no sanitizer report or no memory traffic")
 	}
 

@@ -48,11 +48,6 @@ type CacheStats struct {
 	Evictions uint64
 }
 
-// MemAccesses returns the number of accesses that reached memory.
-func (s CacheStats) MemAccesses() uint64 {
-	return s.DRAMReads + s.DRAMWrites + s.PMReads + s.PMWrites + s.NTWrites
-}
-
 // FusedReport bundles the outputs of one fused pass.
 type FusedReport struct {
 	// Report is the epoch analysis (always present; Trace is nil, as in

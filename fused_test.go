@@ -196,3 +196,8 @@ func TestV1TraceRejected(t *testing.T) {
 		}
 	}
 }
+
+// memAccesses returns the number of accesses that reached memory.
+func memAccesses(s CacheStats) uint64 {
+	return s.DRAMReads + s.DRAMWrites + s.PMReads + s.PMWrites + s.NTWrites
+}

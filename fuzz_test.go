@@ -55,7 +55,7 @@ func analyzeHostile(t *testing.T, data []byte) {
 	rep, err := AnalyzeReaderFused(bytes.NewReader(data), FusedConfig{Sanitize: true, Cache: true})
 	if err == nil {
 		c := rep.Cache
-		walked := c.L1Hits + c.L2Hits + c.RemoteHits + c.MemAccesses()
+		walked := c.L1Hits + c.L2Hits + c.RemoteHits + memAccesses(*c)
 		if limit := rep.San.rep.Events * trace.MaxEventLines; walked > limit {
 			t.Fatalf("cachesim classified %d line accesses for %d events; the walk bound allows %d",
 				walked, rep.San.rep.Events, limit)

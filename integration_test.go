@@ -2,12 +2,11 @@ package whisper
 
 // System-level integration tests: these cut across the substrate layers
 // the way the paper's methodology does — run a real application, then feed
-// its trace to the analyses, the cache simulator, and the functional HOPS
-// machine, and inject crashes into full application stacks.
+// its trace to the analyses and the cache simulator, and inject crashes
+// into full application stacks.
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/apps/echo"
@@ -16,8 +15,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/apps/vacation"
 	"github.com/whisper-pm/whisper/internal/cachesim"
 	"github.com/whisper-pm/whisper/internal/epoch"
-	"github.com/whisper-pm/whisper/internal/hops"
-	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/mnemosyne"
 	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
@@ -25,82 +22,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/pmfs"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
-
-// TestTraceDrivesHOPSMachine replays a real application's PM stores and
-// fences through the functional HOPS persist-buffer machine and checks the
-// Buffered Epoch Persistency invariants over the resulting drain order —
-// the §6.2 hardware rules validated against §3's software. The ordering
-// points are Figure 10's: every fence is an ofence, and the commit of a
-// transaction that fenced is a dfence.
-func TestTraceDrivesHOPSMachine(t *testing.T) {
-	for _, name := range []string{"hashmap", "vacation", "ycsb"} {
-		t.Run(name, func(t *testing.T) {
-			rep, err := Run(name, Config{Clients: 4, Ops: 30, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := hops.NewMachine(4, hops.DefaultConfig())
-			var fenced [4]bool // a fence since the thread's last commit point
-			for _, e := range slices.Concat(rep.Trace.tr.Chunks()...) {
-				tid := int(e.TID) % 4
-				switch e.Kind {
-				case trace.KStore, trace.KStoreNT:
-					for _, l := range mem.Lines(e.Addr, int(e.Size)) {
-						m.Store(tid, l, uint64(e.Time))
-					}
-				case trace.KFence:
-					m.OFence(tid)
-					fenced[tid] = true
-				case trace.KTxBegin:
-					fenced[tid] = false
-				case trace.KTxEnd:
-					if fenced[tid] {
-						m.DFence(tid)
-					}
-					fenced[tid] = false
-				}
-			}
-			m.DrainAll()
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("%s: BEP invariant violated: %v", name, err)
-			}
-			st := m.Stats()
-			if st.Stores == 0 || st.OFences == 0 || st.DFences == 0 {
-				t.Fatalf("%s: machine saw no traffic: %+v", name, st)
-			}
-			// Multi-versioning must actually occur on real workloads
-			// (Consequence 6: self-dependencies are common).
-			if st.MultiVersions == 0 {
-				t.Errorf("%s: no multi-versioned lines buffered", name)
-			}
-		})
-	}
-}
-
-// TestHOPSDFencesAreDurableTransactions cross-checks two consumers of one
-// recorded stream: at hopssim's Figure 10 configuration, the HOPS (NVM)
-// replay stalls at one dfence per durable transaction, so its DFences
-// equals the epoch analysis's Transactions for every simulated member.
-func TestHOPSDFencesAreDurableTransactions(t *testing.T) {
-	cfg := hops.DefaultConfig()
-	for _, b := range Benchmarks() {
-		if !b.Simulatable {
-			continue
-		}
-		rep, err := Run(b.Name, Config{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := hops.ReplaySource(trace.NewSliceSource(rep.Trace.tr), hops.HOPSNVM, cfg, hops.ReplayObs{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.DFences != rep.Transactions || r.DFences == 0 {
-			t.Errorf("%s: HOPS (NVM) replays %d dfences, the epoch analysis counts %d durable transactions",
-				b.Name, r.DFences, rep.Transactions)
-		}
-	}
-}
 
 // TestTraceDrivesCacheSim replays a recorded run through the cache
 // hierarchy and sanity-checks the classification: PM traffic must reach
@@ -116,7 +37,7 @@ func TestTraceDrivesCacheSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MemAccesses() == 0 {
+	if memAccesses(CacheStats(st)) == 0 {
 		t.Fatal("no memory accesses reached the hierarchy")
 	}
 	if st.PMWrites+st.NTWrites == 0 {

@@ -17,8 +17,6 @@
 package alloc
 
 import (
-	"fmt"
-
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
 )
@@ -103,27 +101,6 @@ func (s *SingleSlab) Alloc(th *persist.Thread, size int) mem.Addr {
 	return 0
 }
 
-// Free returns a previously allocated region to the slab and coalesces with
-// a free successor when possible.
-func (s *SingleSlab) Free(th *persist.Thread, data mem.Addr) {
-	blk := data - headerSize
-	bs := s.blockSize(th, blk)
-	if s.blockState(th, blk) == StateFree {
-		panic(fmt.Sprintf("alloc: double free of %v", data))
-	}
-	next := blk + mem.Addr(bs)
-	if s.inSlab(next) && s.blockState(th, next) == StateFree {
-		// Coalesce: grow this block over its successor.
-		merged := bs + s.blockSize(th, next)
-		s.writeHeader(th, blk, merged, StateFree)
-		s.removeFree(next)
-	} else {
-		s.writeHeader(th, blk, bs, StateFree)
-	}
-	s.insertFree(blk)
-	th.VStore(1)
-}
-
 // SetState updates the block's persistent state label in its own epoch —
 // N-store's FREE/VOLATILE/PERSISTENT transitions, a major source of
 // self-dependencies (§5.1).
@@ -137,28 +114,6 @@ func (s *SingleSlab) SetState(th *persist.Thread, data mem.Addr, state uint64) {
 func (s *SingleSlab) inSlab(a mem.Addr) bool {
 	return a >= s.base && a < s.base+mem.Addr(s.size)
 }
-
-func (s *SingleSlab) removeFree(blk mem.Addr) {
-	for i, f := range s.free {
-		if f == blk {
-			s.free = append(s.free[:i], s.free[i+1:]...)
-			return
-		}
-	}
-}
-
-func (s *SingleSlab) insertFree(blk mem.Addr) {
-	i := 0
-	for i < len(s.free) && s.free[i] < blk {
-		i++
-	}
-	s.free = append(s.free, 0)
-	copy(s.free[i+1:], s.free[i:])
-	s.free[i] = blk
-}
-
-// FreeBlocks returns the number of blocks on the volatile free list.
-func (s *SingleSlab) FreeBlocks() int { return len(s.free) }
 
 // Recover rebuilds the volatile free list by walking the persistent header
 // chain, the post-crash path of a header-based allocator.

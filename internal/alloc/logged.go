@@ -82,7 +82,6 @@ func (g *Logged) Alloc(th *persist.Thread, size int) mem.Addr {
 	word := c.bitmaps + mem.Addr(blk/64*8)
 	v := th.LoadU64(word) | 1<<uint(blk%64)
 	g.loggedBitmapUpdate(th, word, v)
-	c.allocated++
 
 	// 5. Auxiliary object header (size class + object size).
 	base := c.data + mem.Addr(blk*c.blockSize)
@@ -104,7 +103,6 @@ func (g *Logged) Free(th *persist.Thread, a mem.Addr) {
 	}
 	g.loggedBitmapUpdate(th, word, v&^bit)
 	c.push(blk)
-	c.allocated--
 	th.VStore(1)
 }
 
@@ -120,9 +118,6 @@ func (g *Logged) FreeIfAllocated(th *persist.Thread, a mem.Addr) bool {
 	g.Free(th, a)
 	return true
 }
-
-// Allocated returns the number of live objects.
-func (g *Logged) Allocated() int { return g.inner.Allocated() }
 
 // Recover replays a committed-but-uncleared redo record, then rebuilds the
 // volatile free indexes. After Recover the allocator state is exactly as if

@@ -2,7 +2,6 @@ package alloc
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
@@ -14,8 +13,7 @@ import (
 // (set the bitmap bit) flushed and fenced in its own epoch; that is exactly
 // the dominant singleton-epoch source the paper identifies. A crash between
 // an allocation and the linking of the object into a reachable structure
-// leaks the block (Mnemosyne's documented trade-off); LeakCheck finds such
-// blocks given the application's reachable set.
+// leaks the block (Mnemosyne's documented trade-off).
 type MultiSlab struct {
 	rt      *persist.Runtime
 	classes []*slabClass
@@ -34,15 +32,6 @@ type slabClass struct {
 	bitmaps   mem.Addr       // perSlab/64 persistent words
 	data      mem.Addr       // perSlab * blockSize bytes
 	free      [stripes][]int // volatile free indexes, striped by bitmap word
-	allocated int
-}
-
-func (c *slabClass) freeCount() int {
-	n := 0
-	for i := range c.free {
-		n += len(c.free[i])
-	}
-	return n
 }
 
 // pop takes a free block, preferring the thread's own stripe.
@@ -118,7 +107,6 @@ func (m *MultiSlab) Alloc(th *persist.Thread, size int) mem.Addr {
 	th.StoreU64(word, v)
 	th.Flush(word, 8)
 	th.Fence()
-	c.allocated++
 	return c.data + mem.Addr(blk*c.blockSize)
 }
 
@@ -136,7 +124,6 @@ func (m *MultiSlab) Free(th *persist.Thread, a mem.Addr) {
 	th.Flush(word, 8)
 	th.Fence()
 	c.push(blk)
-	c.allocated--
 	th.VStore(1)
 }
 
@@ -154,26 +141,14 @@ func (m *MultiSlab) locate(a mem.Addr) (*slabClass, int) {
 	panic(fmt.Sprintf("alloc: address %v not from this allocator", a))
 }
 
-// Allocated returns the total number of live blocks across classes
-// according to the volatile index.
-func (m *MultiSlab) Allocated() int {
-	n := 0
-	for _, c := range m.classes {
-		n += c.allocated
-	}
-	return n
-}
-
 // Recover rebuilds the volatile free indexes from the persistent bitmaps.
 func (m *MultiSlab) Recover(th *persist.Thread) {
 	for _, c := range m.classes {
 		for i := range c.free {
 			c.free[i] = c.free[i][:0]
 		}
-		c.allocated = 0
 		for w := 0; w < c.perSlab/64; w++ {
 			v := th.LoadU64(c.bitmaps + mem.Addr(w*8))
-			c.allocated += bits.OnesCount64(v)
 			for b := 63; b >= 0; b-- {
 				if v&(1<<uint(b)) == 0 {
 					c.push(w*64 + b)
@@ -181,26 +156,4 @@ func (m *MultiSlab) Recover(th *persist.Thread) {
 			}
 		}
 	}
-}
-
-// LeakCheck returns the addresses of blocks marked allocated in the
-// persistent bitmaps but absent from reachable — the garbage a post-crash
-// collector (§5.2, Consequence 8) would reclaim.
-func (m *MultiSlab) LeakCheck(th *persist.Thread, reachable map[mem.Addr]bool) []mem.Addr {
-	var leaks []mem.Addr
-	for _, c := range m.classes {
-		for w := 0; w < c.perSlab/64; w++ {
-			v := th.LoadU64(c.bitmaps + mem.Addr(w*8))
-			for b := 0; b < 64; b++ {
-				if v&(1<<uint(b)) == 0 {
-					continue
-				}
-				a := c.data + mem.Addr((w*64+b)*c.blockSize)
-				if !reachable[a] {
-					leaks = append(leaks, a)
-				}
-			}
-		}
-	}
-	return leaks
 }

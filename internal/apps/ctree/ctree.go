@@ -57,12 +57,6 @@ func New(rt *persist.Runtime, pool *nvml.Pool) *Tree {
 	return t
 }
 
-// Attach reopens a tree over a recovered pool.
-func Attach(rt *persist.Runtime, pool *nvml.Pool) *Tree {
-	th := rt.Thread(0)
-	return &Tree{rt: rt, pool: pool, rootPtr: pool.Root(th, rootSlot)}
-}
-
 func isLeaf(p uint64) bool       { return p&leafTag != 0 }
 func leafAddr(p uint64) mem.Addr { return mem.Addr(p &^ leafTag) }
 

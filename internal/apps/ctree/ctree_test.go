@@ -127,18 +127,17 @@ func TestEpochsPerInsertNearPaper(t *testing.T) {
 }
 
 func TestCrashRecover(t *testing.T) {
-	rt, pool, tr := newTree()
+	rt, _, tr := newTree()
 	for k := uint64(1); k <= 8; k++ {
 		tr.Insert(0, k*1000, k)
 	}
 	rt.Crash(pmem.Strict, 6)
-	pool.Recover(rt.Thread(0))
-	tr2 := Attach(rt, pool)
-	if got := tr2.CountPersistent(0); got != 8 {
+	tr.Recover()
+	if got := tr.CountPersistent(0); got != 8 {
 		t.Fatalf("recovered count = %d, want 8", got)
 	}
 	for k := uint64(1); k <= 8; k++ {
-		if v, ok := tr2.Get(0, k*1000); !ok || v != k {
+		if v, ok := tr.Get(0, k*1000); !ok || v != k {
 			t.Fatalf("key %d lost: %v,%v", k*1000, v, ok)
 		}
 	}
@@ -156,9 +155,8 @@ func TestCrashMidInsertInvisible(t *testing.T) {
 		})
 	}()
 	rt.Crash(pmem.Adversarial, 7)
-	pool.Recover(rt.Thread(0))
-	tr2 := Attach(rt, pool)
-	if got := tr2.CountPersistent(0); got != 1 {
+	tr.Recover()
+	if got := tr.CountPersistent(0); got != 1 {
 		t.Fatalf("count = %d, want 1", got)
 	}
 }

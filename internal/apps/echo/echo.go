@@ -364,23 +364,6 @@ func (s *Store) CheckInvariants() error {
 	return nil
 }
 
-// Versions returns the number of versions stored for key (newest first
-// traversal), for tests.
-func (s *Store) Versions(tid int, key string) int {
-	th := s.rt.Thread(tid)
-	entry, ok := s.index[hashKey(key)]
-	if !ok {
-		return 0
-	}
-	n := 0
-	ver := mem.Addr(th.LoadU64(entry + eVer))
-	for ver != 0 {
-		n++
-		ver = mem.Addr(th.LoadU64(ver + vPrev))
-	}
-	return n
-}
-
 // RunWorkload executes the echo-test profile: clients issue transactions
 // of staged updates and submit them in batches. Each client performs
 // `txs` batch submissions. Returns the runtime's trace via rt.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/epoch"
+	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 )
@@ -43,8 +44,13 @@ func TestVersionChaining(t *testing.T) {
 		s.Put(0, "vkey", uint64(i*100))
 		s.SubmitBatch(0)
 	}
-	if got := s.Versions(0, "vkey"); got != 3 {
-		t.Fatalf("Versions = %d, want 3 (chronological chain)", got)
+	th := s.rt.Thread(0)
+	versions := 0
+	for ver := mem.Addr(th.LoadU64(s.index[hashKey("vkey")] + eVer)); ver != 0; ver = mem.Addr(th.LoadU64(ver + vPrev)) {
+		versions++
+	}
+	if versions != 3 {
+		t.Fatalf("version chain holds %d versions, want 3 (chronological chain)", versions)
 	}
 	if v, _ := s.Get(0, "vkey"); v != 300 {
 		t.Fatalf("latest value = %d", v)

@@ -61,20 +61,6 @@ func New(rt *persist.Runtime, heap *mnemosyne.Heap, nbuckets, maxItems int) *Cac
 	return c
 }
 
-// Attach reopens a cache over an existing heap (after recovery): the bucket
-// array comes from the heap's root table and the volatile LRU is rebuilt
-// from the persistent chains. This is memcached's durable root — before it
-// existed, a crash at even a quiescent point lost the whole cache.
-func Attach(rt *persist.Runtime, heap *mnemosyne.Heap, nbuckets, maxItems int) *Cache {
-	c := &Cache{
-		rt: rt, heap: heap, nbucket: uint64(nbuckets), maxItems: maxItems,
-		lru: list.New(), byAddr: make(map[mem.Addr]*list.Element),
-	}
-	c.buckets = heap.Root(rt.Thread(0), rootSlot)
-	c.CountPersistent(0)
-	return c
-}
-
 // Recover brings the cache back after a crash: the heap replays its
 // committed redo logs and rebuilds the allocator, the bucket array is
 // reread from the root table, and the volatile LRU is rebuilt from the

@@ -459,9 +459,6 @@ func (db *DB) Recover() {
 	}
 }
 
-// Partition returns partition i's tuple count (volatile index size).
-func (db *DB) Partition(i int) int { return len(db.parts[i].index) }
-
 // Get reads attribute idx of the tuple with key on tid's partition without
 // opening a transaction — the read path recovery oracles use, so checking
 // state does not itself create WAL traffic.

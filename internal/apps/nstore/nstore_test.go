@@ -117,8 +117,8 @@ func TestCrashCommittedSurvives(t *testing.T) {
 	if !ok || v != 123 {
 		t.Fatalf("committed tuple lost: %v,%v", v, ok)
 	}
-	if db.Partition(0) != 1 {
-		t.Fatalf("index rebuilt with %d tuples", db.Partition(0))
+	if len(db.parts[0].index) != 1 {
+		t.Fatalf("index rebuilt with %d tuples", len(db.parts[0].index))
 	}
 }
 
@@ -140,7 +140,7 @@ func TestStateVariableSelfDeps(t *testing.T) {
 func TestYCSBWorkload(t *testing.T) {
 	rt := persist.NewRuntime("ycsb", "native", 2, persist.Config{})
 	db := RunYCSB(rt, Config{Buckets: 256, SlabBytes: 4 << 20}, 2, 10, 4, 80, 11)
-	if db.Partition(0) == 0 {
+	if len(db.parts[0].index) == 0 {
 		t.Fatal("no tuples in partition 0")
 	}
 	a := epoch.Analyze(rt.Trace)

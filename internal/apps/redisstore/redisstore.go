@@ -52,13 +52,6 @@ func New(rt *persist.Runtime, pool *nvml.Pool, nbuckets int) *Store {
 	return s
 }
 
-// Attach reopens a store over a recovered pool.
-func Attach(rt *persist.Runtime, pool *nvml.Pool, nbuckets int) *Store {
-	th := rt.Thread(0)
-	return &Store{rt: rt, pool: pool, nbucket: uint64(nbuckets),
-		buckets: pool.Root(th, rootSlot)}
-}
-
 func fnv(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

@@ -99,18 +99,17 @@ func TestEpochsPerSetNearPaper(t *testing.T) {
 }
 
 func TestCrashRecover(t *testing.T) {
-	rt, pool, s := newStore()
+	rt, _, s := newStore()
 	for i := 0; i < 20; i++ {
 		s.Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 	}
 	rt.Crash(pmem.Strict, 8)
-	pool.Recover(rt.Thread(0))
-	s2 := Attach(rt, pool, 64)
-	if got := s2.CountPersistent(); got != 20 {
+	s.Recover()
+	if got := s.CountPersistent(); got != 20 {
 		t.Fatalf("recovered count = %d", got)
 	}
 	for i := 0; i < 20; i++ {
-		if v, ok := s2.Get(fmt.Sprintf("k%d", i)); !ok || v != fmt.Sprintf("v%d", i) {
+		if v, ok := s.Get(fmt.Sprintf("k%d", i)); !ok || v != fmt.Sprintf("v%d", i) {
 			t.Fatalf("k%d = %q,%v", i, v, ok)
 		}
 	}
@@ -133,9 +132,8 @@ func TestCrashMidSetRollsBack(t *testing.T) {
 		})
 	}()
 	rt.Crash(pmem.Adversarial, 9)
-	pool.Recover(rt.Thread(0))
-	s2 := Attach(rt, pool, 64)
-	if v, ok := s2.Get("key"); !ok || v != "original" {
+	s.Recover()
+	if v, ok := s.Get("key"); !ok || v != "original" {
 		t.Fatalf("value = %q,%v, want original", v, ok)
 	}
 }

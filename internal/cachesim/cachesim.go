@@ -7,7 +7,7 @@
 // The simulator is functional (no timing): it classifies each access as an
 // L1 hit, L2 hit, remote-cache transfer, or memory access, and attributes
 // memory accesses to DRAM or PM by address. Timing belongs to
-// internal/hops.ReplaySource; this package answers "where did the access go".
+// internal/hops; this package answers "where did the access go".
 //
 // One directory entry per line says which caches hold it: bit 2c of its
 // holder mask is core c's L1, bit 2c+1 its L2, and a bit is set exactly
@@ -76,11 +76,6 @@ type Stats struct {
 	PMWrites   uint64
 	NTWrites   uint64 // non-temporal writes (bypass caches, straight to PM)
 	Evictions  uint64
-}
-
-// MemAccesses returns the number of accesses that reached memory.
-func (s Stats) MemAccesses() uint64 {
-	return s.DRAMReads + s.DRAMWrites + s.PMReads + s.PMWrites + s.NTWrites
 }
 
 // maxThreads is the most cores the holder mask can name: two bits a core
@@ -369,9 +364,6 @@ func (h *Hierarchy) flushLine(_ int, l mem.Line) {
 		h.stats.DRAMWrites++
 	}
 }
-
-// StickyOwner returns the last core to hold the line exclusively, or -1.
-func (h *Hierarchy) StickyOwner(l mem.Line) int { return int(h.dir.Get(l).sticky) - 1 }
 
 // Stats returns the accumulated counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }

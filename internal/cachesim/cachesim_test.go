@@ -138,8 +138,8 @@ func TestReplayTrace(t *testing.T) {
 	if s.PMWrites != 1 || s.NTWrites != 1 || s.DRAMReads != 1 {
 		t.Fatalf("replay stats: %+v", s)
 	}
-	if s.MemAccesses() == 0 {
-		t.Fatal("MemAccesses zero")
+	if s.DRAMReads+s.DRAMWrites+s.PMReads+s.PMWrites+s.NTWrites == 0 {
+		t.Fatal("no access reached memory")
 	}
 }
 
@@ -187,3 +187,6 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 		access(New(cfg), trace.KStore, -1, mem.PMBase, 8)
 	}
 }
+
+// StickyOwner returns the last core to hold the line exclusively, or -1.
+func (h *Hierarchy) StickyOwner(l mem.Line) int { return int(h.dir.Get(l).sticky) - 1 }

@@ -169,7 +169,6 @@ type nstoreApp struct {
 	model   map[uint64][4]uint64
 	touched map[uint64]bool
 	pending *nsPending
-	err     error
 }
 
 func (a *nstoreApp) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
@@ -211,12 +210,6 @@ func (a *nstoreApp) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
 			}
 		}
 		a.script = append(a.script, tx)
-	}
-}
-
-func (a *nstoreApp) fail(format string, args ...any) {
-	if a.err == nil {
-		a.err = fmt.Errorf(format, args...)
 	}
 }
 
@@ -289,9 +282,6 @@ func (a *nstoreApp) rowMatches(key uint64, want nsRow) bool {
 }
 
 func (a *nstoreApp) Check() error {
-	if a.err != nil {
-		return a.err
-	}
 	if err := a.db.CheckInvariants(); err != nil {
 		return err
 	}

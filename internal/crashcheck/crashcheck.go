@@ -31,8 +31,6 @@
 package crashcheck
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -300,44 +298,4 @@ func SampleDurable(dev *pmem.Device, mode Mode, seed int64, point int) *pmem.Dev
 	c := dev.Clone()
 	c.Crash(deviceMode(mode), crashSeed(seed, point, mode))
 	return c
-}
-
-// DurableImageHash runs a single cell up to and including the device crash
-// and returns the SHA-256 of the device's durable state (see imageHash). Two
-// invocations with identical coordinates must agree byte for byte — the
-// determinism contract the regression test pins 50 times over.
-func DurableImageHash(name string, cfg Config, seed int64, point int, mode Mode) ([32]byte, error) {
-	ent, err := lookup(name)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	cfg = cfg.withDefaults()
-	golden, err := goldenRun(ent, cfg, seed)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	if point < 0 || point >= cfg.Ops {
-		return [32]byte{}, fmt.Errorf("crashcheck: point %d out of range [0,%d)", point, cfg.Ops)
-	}
-	frozen, _, _ := executeToCrash(ent, cfg, seed, point, mode, golden)
-	frozen.Crash(deviceMode(mode), crashSeed(seed, point, mode))
-	return imageHash(frozen), nil
-}
-
-// imageHash returns the SHA-256 of d's durable state: the mapped extent,
-// then each durable page's index and bytes in ascending index order, so two
-// devices with equal durable contents hash alike whatever their history.
-func imageHash(d *pmem.Device) [32]byte {
-	h := sha256.New()
-	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], uint64(d.Mapped()))
-	h.Write(word[:])
-	for _, pg := range d.DurableImage() {
-		binary.LittleEndian.PutUint64(word[:], pg.Index)
-		h.Write(word[:])
-		h.Write(pg.Data[:])
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
 }

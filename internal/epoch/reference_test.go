@@ -39,9 +39,11 @@ func referenceAnalyze(tr *trace.Trace) *Analysis {
 		App:          tr.App,
 		Layer:        tr.Layer,
 		Threads:      tr.Threads,
-		Duration:     tr.Duration(),
-		PMAccesses:   tr.PMAccesses(),
-		DRAMAccesses: tr.DRAMAccesses(),
+		DRAMAccesses: tr.VolatileLoads + tr.VolatileStores,
+	}
+	events := slices.Concat(tr.Chunks()...)
+	if len(events) > 0 {
+		a.Duration = events[len(events)-1].Time - events[0].Time
 	}
 
 	open := make(map[int32]*openEpoch)
@@ -49,9 +51,16 @@ func referenceAnalyze(tr *trace.Trace) *Analysis {
 	inTx := make(map[int32]bool)
 	txEpochs := make(map[int32]int)
 
-	for _, e := range slices.Concat(tr.Chunks()...) {
+	for _, e := range events {
 		switch e.Kind {
+		case trace.KLoad:
+			a.PMAccesses++
+
+		case trace.KVLoad, trace.KVStore:
+			a.DRAMAccesses++
+
 		case trace.KStore, trace.KStoreNT:
+			a.PMAccesses++
 			oe := open[e.TID]
 			if oe == nil {
 				oe = newOpenEpoch()

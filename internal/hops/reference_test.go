@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/apps/ctree"
+	"github.com/whisper-pm/whisper/internal/apps/hashstore"
 	"github.com/whisper-pm/whisper/internal/apps/nstore"
 	"github.com/whisper-pm/whisper/internal/apps/vacation"
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -458,6 +459,10 @@ func recorded(app string) *trace.Trace {
 	case "ctree":
 		rt := persist.NewRuntime(app, "nvml", clients, persist.Config{})
 		ctree.RunWorkload(rt, nvml.Open(rt, 1<<15, nvml.Options{}), clients, ops, seed)
+		return rt.Trace
+	case "hashmap":
+		rt := persist.NewRuntime(app, "nvml", clients, persist.Config{})
+		hashstore.RunWorkload(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 4096, clients, ops, seed)
 		return rt.Trace
 	case "vacation":
 		rt := persist.NewRuntime(app, "mnemosyne", clients, persist.Config{})

@@ -125,18 +125,6 @@ func drive(src trace.EventSource, rs []*replayer) error {
 	return err
 }
 
-// ReplaySource reruns src's instruction stream under the given persistence
-// model in one pass, in memory bounded by the threads and lines in flight,
-// not by the trace's length. The instruments in ro are pure outputs and
-// never change the Result; they are filled when the replay finishes.
-func ReplaySource(src trace.EventSource, model Model, cfg Config, ro ReplayObs) (Result, error) {
-	r := newReplayer(model, cfg, ro)
-	if err := drive(src, []*replayer{r}); err != nil {
-		return Result{Model: model}, err
-	}
-	return r.result(), nil
-}
-
 // NormalizedSource computes the Figure 10 presentation — every model's
 // runtime normalized to the x86-64 (NVM) baseline — from a single pass
 // over an event source: one front does the trace bookkeeping once per

@@ -11,6 +11,18 @@ import (
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
+// ReplaySource reruns src's instruction stream under the given persistence
+// model in one pass, in memory bounded by the threads and lines in flight,
+// not by the trace's length. The instruments in ro are pure outputs and
+// never change the Result; they are filled when the replay finishes.
+func ReplaySource(src trace.EventSource, model Model, cfg Config, ro ReplayObs) (Result, error) {
+	r := newReplayer(model, cfg, ro)
+	if err := drive(src, []*replayer{r}); err != nil {
+		return Result{Model: model}, err
+	}
+	return r.result(), nil
+}
+
 // genReplayTrace builds a random trace with realistic transactional
 // structure: per-thread runs of stores/flushes closed by fences, some
 // inside transactions (making their commit a dfence), some not.

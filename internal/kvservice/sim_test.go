@@ -236,18 +236,18 @@ func TestStageBudgetSumsToLatency(t *testing.T) {
 		"read-mostly": {Shards: 2, Batch: 8, Clients: 8000, Ops: 20000, Keys: 4096, WritePct: 5},
 	} {
 		res, svc := Run(cfg)
-		lat := svc.Latency()
+		lat := svc.Latency().Snapshot()
 		var st [numStages]uint64
 		var sum uint64
 		for i, c := range svc.stageNS {
 			st[i] = c.Value()
 			sum += st[i]
 		}
-		if lat.Count() != uint64(cfg.Ops) {
-			t.Fatalf("%s: %d latencies observed for %d requests", name, lat.Count(), cfg.Ops)
+		if lat.Count != uint64(cfg.Ops) {
+			t.Fatalf("%s: %d latencies observed for %d requests", name, lat.Count, cfg.Ops)
 		}
-		if sum != lat.Sum() {
-			t.Fatalf("%s: stages %v %v sum to %d ns, latencies to %d ns", name, stageNames, st, sum, lat.Sum())
+		if sum != lat.Sum {
+			t.Fatalf("%s: stages %v %v sum to %d ns, latencies to %d ns", name, stageNames, st, sum, lat.Sum)
 		}
 		if st[stageWait] == 0 || st[stageApply] == 0 || st[stageCommit] == 0 {
 			t.Fatalf("%s: a stage every run pays is empty: %v %v", name, stageNames, st)
@@ -257,7 +257,7 @@ func TestStageBudgetSumsToLatency(t *testing.T) {
 		}
 		// The row's columns are the same budget per request.
 		m := sweepRow(res, svc)
-		mean := float64(lat.Sum()) / float64(lat.Count()) / 1000
+		mean := float64(lat.Sum) / float64(lat.Count) / 1000
 		if got := m.WaitUs + m.ApplyUs + m.CopyUs + m.CommitUs + m.RetireUs; got < mean-0.003 || got > mean+0.003 {
 			t.Fatalf("%s: stage means %+v add up to %.3f µs, mean latency is %.3f µs", name, m, got, mean)
 		}

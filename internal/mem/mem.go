@@ -176,9 +176,6 @@ type Clock struct {
 // Now returns the current simulated time.
 func (c *Clock) Now() Time { return c.now }
 
-// Advance moves the clock forward by d nanoseconds.
-func (c *Clock) Advance(d Time) { c.now += d }
-
 // AdvanceCycles moves the clock forward by cy cycles.
 func (c *Clock) AdvanceCycles(cy Cycles) { c.now += ToTime(cy) }
 

@@ -99,14 +99,13 @@ func TestClock(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatal("new clock not at zero")
 	}
-	c.Advance(100)
-	c.Advance(50)
+	c.AdvanceCycles(300) // 2 GHz: 2 cycles per ns
 	if c.Now() != 150 {
-		t.Fatalf("clock = %d, want 150", c.Now())
+		t.Fatalf("clock = %d, want 150 after 300 cycles at 2 GHz", c.Now())
 	}
-	c.AdvanceCycles(200) // 2 GHz: 2 cycles per ns
+	c.AdvanceCycles(200)
 	if c.Now() != 250 {
-		t.Fatalf("clock = %d, want 250 after 200 cycles at 2 GHz", c.Now())
+		t.Fatalf("clock = %d, want 250 after 200 more cycles", c.Now())
 	}
 }
 

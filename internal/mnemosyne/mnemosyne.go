@@ -23,16 +23,12 @@
 package mnemosyne
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/whisper-pm/whisper/internal/alloc"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
 )
-
-// ErrAborted is returned by Tx when the transaction body asks to abort.
-var ErrAborted = errors.New("mnemosyne: transaction aborted")
 
 // Log geometry. Each record is a 16-byte header (addr, len) followed by the
 // payload rounded up to 8 bytes. A zero header terminates the log.
@@ -103,9 +99,6 @@ func (h *Heap) Root(th *persist.Thread, slot int) mem.Addr {
 	return mem.Addr(th.LoadU64(h.roots + mem.Addr(slot*8)))
 }
 
-// Allocator exposes the underlying allocator for leak analysis.
-func (h *Heap) Allocator() *alloc.MultiSlab { return h.alloc }
-
 // Tx is an open durable transaction on one thread.
 type Tx struct {
 	h      *Heap
@@ -122,7 +115,6 @@ type Tx struct {
 	byLine  map[mem.Line]lineChain
 	links   []writeLink
 	indexed int
-	aborted bool
 }
 
 // indexAfter is the write-set length from which a read goes through the
@@ -145,7 +137,7 @@ type lineChain struct{ head, tail int32 }
 type writeLink struct{ write, next int32 }
 
 // Run executes body inside a durable transaction on th. If body returns an
-// error (or calls Abort), the transaction's writes never reach the data
+// error, the transaction's writes never reach the data
 // structures and the log is discarded; otherwise commit makes them durable
 // atomically.
 func (h *Heap) Run(th *persist.Thread, body func(*Tx) error) error {
@@ -156,13 +148,10 @@ func (h *Heap) Run(th *persist.Thread, body func(*Tx) error) error {
 	}
 	th.TxBegin()
 	err := body(tx)
-	if err != nil || tx.aborted {
+	if err != nil {
 		tx.abort()
 		th.TxEnd()
 		tx.truncateLog()
-		if err == nil {
-			err = ErrAborted
-		}
 		return err
 	}
 	tx.commit()
@@ -172,9 +161,6 @@ func (h *Heap) Run(th *persist.Thread, body func(*Tx) error) error {
 	tx.truncateLog()
 	return nil
 }
-
-// Abort marks the transaction for rollback; Run returns ErrAborted.
-func (tx *Tx) Abort() { tx.aborted = true }
 
 // Write records a transactional write of data at a. Mnemosyne detects and
 // logs all updates to persistent objects within a transaction (§3.1), so

@@ -58,19 +58,6 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	}
 }
 
-func TestAbortMethod(t *testing.T) {
-	_, th, h := newHeap(Options{})
-	a := h.PMalloc(th, 64)
-	err := h.Run(th, func(tx *Tx) error {
-		tx.Write(a, []byte{1})
-		tx.Abort()
-		return nil
-	})
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
-	}
-}
-
 func TestReadYourOwnWrites(t *testing.T) {
 	_, th, h := newHeap(Options{})
 	a := h.PMalloc(th, 64)
@@ -93,7 +80,7 @@ func TestReadYourOwnWrites(t *testing.T) {
 func TestReadOverlayPartial(t *testing.T) {
 	_, th, h := newHeap(Options{})
 	a := h.PMalloc(th, 64)
-	th.PersistStore(a, []byte("AAAAAAAA"))
+	persistStore(th, a, []byte("AAAAAAAA"))
 	h.Run(th, func(tx *Tx) error {
 		tx.Write(a+2, []byte("BB"))
 		if got := tx.Read(a, 8); !bytes.Equal(got, []byte("AABBAAAA")) {
@@ -157,7 +144,7 @@ func TestBatchClearUsesFewerEpochs(t *testing.T) {
 func TestCrashBeforeCommitRollsForwardNothing(t *testing.T) {
 	rt, th, h := newHeap(Options{})
 	a := h.PMalloc(th, 64)
-	th.PersistStore(a, []byte("original"))
+	persistStore(th, a, []byte("original"))
 
 	// Simulate a crash mid-transaction: write a log record but never
 	// commit. Run the body far enough by panicking inside.
@@ -180,7 +167,7 @@ func TestCrashAfterCommitRecordReplays(t *testing.T) {
 	// application lost. Recovery must replay the log.
 	rt, th, h := newHeap(Options{})
 	a := h.PMalloc(th, 64)
-	th.PersistStore(a, []byte("original"))
+	persistStore(th, a, []byte("original"))
 
 	// Build the window by hand: durable log record + durable commit
 	// record, then crash before any in-place apply.
@@ -216,7 +203,7 @@ func TestCrashAtEveryEpochBoundary(t *testing.T) {
 	// Count epochs in a full run first.
 	rtFull, thFull, hFull := newHeap(Options{})
 	aFull := hFull.PMalloc(thFull, 64)
-	thFull.PersistStore(aFull, oldVal)
+	persistStore(thFull, aFull, oldVal)
 	f0 := rtFull.Trace.CountKind(trace.KFence)
 	hFull.Run(thFull, func(tx *Tx) error { tx.Write(aFull, newVal); return nil })
 	total := rtFull.Trace.CountKind(trace.KFence) - f0
@@ -224,7 +211,7 @@ func TestCrashAtEveryEpochBoundary(t *testing.T) {
 	for k := 0; k <= total; k++ {
 		rt, th, h := newHeap(Options{})
 		a := h.PMalloc(th, 64)
-		th.PersistStore(a, oldVal)
+		persistStore(th, a, oldVal)
 		f0 := rt.Trace.CountKind(trace.KFence)
 		crash := errors.New("crash")
 		func() {
@@ -275,9 +262,13 @@ func TestAllocFreeInsideTx(t *testing.T) {
 		tx.Free(a)
 		return nil
 	})
-	if h.Allocator().Allocated() != 0 {
-		t.Fatalf("Allocated = %d", h.Allocator().Allocated())
-	}
+	// The block is free again: freeing it once more is a double free.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("block still allocated after tx.Free")
+		}
+	}()
+	h.alloc.Free(th, a)
 }
 
 func TestConcurrentThreadsIndependentLogs(t *testing.T) {
@@ -367,8 +358,7 @@ func TestReadOnlyAbortIssuesNoFence(t *testing.T) {
 	a := h.PMalloc(th, 64)
 	h.Run(th, func(tx *Tx) error {
 		tx.Read(a, 8) // read-only
-		tx.Abort()
-		return nil
+		return errors.New("abort")
 	})
 	rep, err := pmsan.Run(trace.NewSliceSource(rt.Trace))
 	if err != nil {
@@ -385,8 +375,7 @@ func TestReadOnlyAbortIssuesNoFence(t *testing.T) {
 	fences := rt.Trace.CountKind(trace.KFence)
 	h.Run(th, func(tx *Tx) error {
 		tx.Write(a, []byte{7}) // appends an undo record (NT stores)
-		tx.Abort()
-		return nil
+		return errors.New("abort")
 	})
 	if rt.Trace.CountKind(trace.KFence) == fences {
 		t.Fatal("writing abort issued no fence for its log records")
@@ -500,4 +489,11 @@ func TestReadYourWritesMatchesLinearOverlay(t *testing.T) {
 			t.Fatalf("seed %d: memory after commit differs from the overlaid write set", seed)
 		}
 	}
+}
+
+// persistStore is the complete native-persistence store: cacheable store,
+// CLWB, SFENCE.
+func persistStore(th *persist.Thread, a mem.Addr, data []byte) {
+	th.Store(a, data)
+	th.FlushFence(a, len(data))
 }

@@ -23,16 +23,12 @@ package nvml
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"github.com/whisper-pm/whisper/internal/alloc"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
 )
-
-// ErrAborted is returned by Run when the transaction aborts.
-var ErrAborted = errors.New("nvml: transaction aborted")
 
 const (
 	logBytes    = 1 << 16
@@ -88,19 +84,15 @@ func (p *Pool) Root(th *persist.Thread, slot int) mem.Addr {
 	return mem.Addr(th.LoadU64(p.roots + mem.Addr(slot*8)))
 }
 
-// Allocator exposes the underlying allocator (tests, ablations).
-func (p *Pool) Allocator() *alloc.Logged { return p.alloc }
-
 // Tx is an open undo-log transaction.
 type Tx struct {
-	p       *Pool
-	th      *persist.Thread
-	logPos  mem.Addr
-	logged  []dirtyRange     // ranges captured in the undo log
-	dirty   persist.Group    // in-place writes awaiting commit-time flush
-	fresh   map[mem.Addr]int // allocations made in this tx (addr -> size)
-	frees   []mem.Addr       // frees deferred to commit
-	aborted bool
+	p      *Pool
+	th     *persist.Thread
+	logPos mem.Addr
+	logged []dirtyRange     // ranges captured in the undo log
+	dirty  persist.Group    // in-place writes awaiting commit-time flush
+	fresh  map[mem.Addr]int // allocations made in this tx (addr -> size)
+	frees  []mem.Addr       // frees deferred to commit
 }
 
 type dirtyRange struct {
@@ -133,7 +125,7 @@ func covered(ranges []dirtyRange, a mem.Addr, size int) bool {
 	return true
 }
 
-// Run executes body in a durable transaction on th. On error or Abort, all
+// Run executes body in a durable transaction on th. On error, all
 // in-place writes are rolled back from the undo log and allocations made in
 // the transaction are released.
 func (p *Pool) Run(th *persist.Thread, body func(*Tx) error) error {
@@ -151,19 +143,13 @@ func (p *Pool) Run(th *persist.Thread, body func(*Tx) error) error {
 	th.FlushFence(p.logs[th.ID()]+stateOffset, 8)
 
 	err := body(tx)
-	if err != nil || tx.aborted {
+	if err != nil {
 		tx.rollback()
-		if err == nil {
-			err = ErrAborted
-		}
 		return err
 	}
 	tx.commit()
 	return nil
 }
-
-// Abort requests rollback.
-func (tx *Tx) Abort() { tx.aborted = true }
 
 // AddRange captures the current contents of [a, a+size) in the undo log so
 // the range may be modified in place. Ranges in objects allocated within

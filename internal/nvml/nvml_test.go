@@ -203,17 +203,18 @@ func TestCrashMidTxRollsBack(t *testing.T) {
 
 func TestCrashMidTxFreesFreshAllocation(t *testing.T) {
 	rt, th, p := newPool(Options{})
+	var a mem.Addr
 	func() {
 		defer func() { recover() }()
 		p.Run(th, func(tx *Tx) error {
-			tx.Alloc(32)
+			a = tx.Alloc(32)
 			panic("power failure")
 		})
 	}()
 	rt.Crash(pmem.Strict, 1)
 	p.Recover(th)
-	if got := p.Allocator().Allocated(); got != 0 {
-		t.Fatalf("Allocated = %d after recovering aborted alloc, want 0", got)
+	if p.alloc.FreeIfAllocated(th, a) {
+		t.Fatal("recovery left the aborted allocation allocated")
 	}
 }
 
@@ -235,13 +236,13 @@ func TestCrashAfterCommitFinishesDeferredFree(t *testing.T) {
 
 	rt.Crash(pmem.Strict, 1)
 	p.Recover(th)
-	if got := p.Allocator().Allocated(); got != 0 {
-		t.Fatalf("Allocated = %d, want 0 (deferred free must complete)", got)
+	if p.alloc.FreeIfAllocated(th, a) {
+		t.Fatal("deferred free did not complete")
 	}
 	// Recovery must be idempotent: a second pass changes nothing.
 	p.Recover(th)
-	if got := p.Allocator().Allocated(); got != 0 {
-		t.Fatalf("second Recover broke state: Allocated = %d", got)
+	if p.alloc.FreeIfAllocated(th, a) {
+		t.Fatal("second Recover re-allocated the freed block")
 	}
 }
 
@@ -253,8 +254,8 @@ func TestAbortKeepsDeferredFrees(t *testing.T) {
 		tx.Free(a)
 		return errors.New("abort")
 	})
-	if got := p.Allocator().Allocated(); got != 1 {
-		t.Fatalf("Allocated = %d after aborted free, want 1", got)
+	if !p.alloc.FreeIfAllocated(th, a) {
+		t.Fatal("aborted free released the block")
 	}
 }
 

@@ -190,14 +190,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // Quantile returns an estimate of the q-quantile of the observed values
 // (q is clamped to [0, 1]; a nil or empty histogram returns 0).
 //

@@ -141,11 +141,6 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Empty reports whether the snapshot holds no instruments at all.
-func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
-}
-
 // Snapshot captures the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{

@@ -335,9 +335,6 @@ func (t *Thread) TxEnd() {
 	t.emit(trace.KTxEnd, 0, 0)
 }
 
-// InTx reports whether the thread is inside a transaction.
-func (t *Thread) InTx() bool { return t.txDepth > 0 }
-
 // UserData declares that n bytes of the current transaction's PM writes are
 // application payload (not log/allocator metadata); input to the write
 // amplification analysis (§5.2).
@@ -418,11 +415,4 @@ func (t *Thread) FlushFence(a mem.Addr, size int) {
 	}
 	t.Flush(a, size)
 	t.Fence()
-}
-
-// PersistStore is the complete native-persistence store: cacheable store,
-// CLWB, SFENCE.
-func (t *Thread) PersistStore(a mem.Addr, data []byte) {
-	t.Store(a, data)
-	t.FlushFence(a, len(data))
 }

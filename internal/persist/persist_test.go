@@ -109,7 +109,7 @@ func TestCrashResetsTxDepth(t *testing.T) {
 	th := rt.Thread(0)
 	th.TxBegin()
 	rt.Crash(pmem.Strict, 1)
-	if th.InTx() {
+	if th.txDepth > 0 {
 		t.Error("thread still in tx after crash")
 	}
 	th.TxBegin() // must not panic
@@ -156,9 +156,9 @@ func TestPersistStoreIsDurable(t *testing.T) {
 	rt := newRT(t)
 	th := rt.Thread(0)
 	a := rt.Dev.Map(64)
-	th.PersistStore(a, []byte{42})
+	persistStore(th, a, []byte{42})
 	if !rt.Dev.IsDurable(a, 1) {
-		t.Fatal("PersistStore left data volatile")
+		t.Fatal("a flushed and fenced store left data volatile")
 	}
 	// Event sequence must be store, flush, fence.
 	kinds := []trace.Kind{trace.KStore, trace.KFlush, trace.KFence}
@@ -326,9 +326,9 @@ func TestRuntimeInstanceMetricsIsolation(t *testing.T) {
 	rt0 := NewRuntime("svc", "native", 1, Config{Metrics: reg, Instance: "shard-0"})
 	rt1 := NewRuntime("svc", "native", 1, Config{Metrics: reg, Instance: "shard-1"})
 	a0, a1 := rt0.Dev.Map(64), rt1.Dev.Map(64)
-	rt0.Thread(0).PersistStore(a0, []byte{1})
-	rt0.Thread(0).PersistStore(a0, []byte{2})
-	rt1.Thread(0).PersistStore(a1, []byte{3})
+	persistStore(rt0.Thread(0), a0, []byte{1})
+	persistStore(rt0.Thread(0), a0, []byte{2})
+	persistStore(rt1.Thread(0), a1, []byte{3})
 
 	snap := reg.Snapshot()
 	k0 := `persist_ordering_points_total{app=svc,instance=shard-0,thread=0}`
@@ -609,4 +609,11 @@ func TestAbortAtWithoutTrace(t *testing.T) {
 			t.Fatalf("n=%d: recorded %d events, NoTrace %d", n, rec.Trace.Len(), quiet.Trace.Len())
 		}
 	}
+}
+
+// persistStore is the complete native-persistence store: cacheable store,
+// CLWB, SFENCE.
+func persistStore(th *Thread, a mem.Addr, data []byte) {
+	th.Store(a, data)
+	th.FlushFence(a, len(data))
 }

@@ -244,44 +244,6 @@ func (fs *FS) freeFileBlocks(th *persist.Thread, mt *mdTx, ino uint32) {
 	}
 }
 
-// Rename moves oldPath to newPath (replacing nothing; newPath must not
-// exist).
-func (fs *FS) Rename(th *persist.Thread, oldPath, newPath string) error {
-	th.TxBegin()
-	defer th.TxEnd()
-	oldDir, oldName, err := fs.resolveParent(th, oldPath)
-	if err != nil {
-		return err
-	}
-	newDir, newName, err := fs.resolveParent(th, newPath)
-	if err != nil {
-		return err
-	}
-	ino, err := fs.lookupEntry(th, oldDir, oldName)
-	if err != nil {
-		return err
-	}
-	if _, err := fs.lookupEntry(th, newDir, newName); err == nil {
-		return ErrExists
-	}
-	mt := fs.jrnl.begin(th)
-	if err := fs.addDirent(th, mt, newDir, newName, ino); err != nil {
-		mt.abort()
-		return err
-	}
-	entryAddr, found, err := fs.findEntry(th, oldDir, oldName)
-	if err == nil && found != ino {
-		err = ErrNotFound // the name no longer leads to the inode being moved
-	}
-	if err != nil {
-		mt.abort() // takes the new entry back out
-		return err
-	}
-	mt.writeU64(entryAddr, 0)
-	mt.commit()
-	return nil
-}
-
 // Stat returns metadata about path.
 func (fs *FS) Stat(th *persist.Thread, path string) (Info, error) {
 	th.TxBegin()

@@ -183,23 +183,6 @@ func TestDirentSlotReuse(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	_, th, fs := newFS(t)
-	fs.Mkdir(th, "/dir")
-	fs.Create(th, "/old")
-	fs.WriteAt(th, "/old", 0, []byte("content"))
-	if err := fs.Rename(th, "/old", "/dir/new"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Stat(th, "/old"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("old name still present")
-	}
-	got, err := fs.ReadAt(th, "/dir/new", 0, 7)
-	if err != nil || !bytes.Equal(got, []byte("content")) {
-		t.Fatalf("renamed content = %q, %v", got, err)
-	}
-}
-
 func TestUnlinkFreesBlocks(t *testing.T) {
 	_, th, fs := newFS(t)
 	fs.Create(th, "/f") // the root directory grabs its dirent block here
@@ -402,7 +385,7 @@ func TestMetadataCommitFlushesCoalesced(t *testing.T) {
 }
 
 // TestSecondScanFailureAbortsTheTransaction corrupts the parent directory's
-// inode between the two scans Unlink and Rename make of it — the lookup,
+// inode between the two scans Unlink makes of it — the lookup,
 // then the scan for the entry's address inside the metadata transaction.
 // The failed second scan used to be ignored and its zero address
 // journalled: a write to address 0. Now the call returns the scan's error
@@ -410,7 +393,6 @@ func TestMetadataCommitFlushesCoalesced(t *testing.T) {
 func TestSecondScanFailureAbortsTheTransaction(t *testing.T) {
 	calls := map[string]func(*FS, *persist.Thread) error{
 		"Unlink": func(fs *FS, th *persist.Thread) error { return fs.Unlink(th, "/d/f") },
-		"Rename": func(fs *FS, th *persist.Thread) error { return fs.Rename(th, "/d/f", "/g") },
 	}
 	for name, call := range calls {
 		t.Run(name, func(t *testing.T) {
@@ -439,18 +421,17 @@ func TestSecondScanFailureAbortsTheTransaction(t *testing.T) {
 			if err := call(fs, th); !errors.Is(err, ErrNotDir) {
 				t.Fatalf("%s over a directory corrupted mid-call = %v, want ErrNotDir", name, err)
 			}
-			for _, e := range rt.Trace.Filter(trace.Event.IsPMWrite) {
-				if e.Addr == 0 {
-					t.Fatalf("%s stored to address 0: %v", name, e)
+			for _, c := range rt.Trace.Chunks() {
+				for _, e := range c {
+					if (e.Kind == trace.KStore || e.Kind == trace.KStoreNT) && e.Addr == 0 {
+						t.Fatalf("%s stored to address 0: %v", name, e)
+					}
 				}
 			}
 
 			th.StoreU64(typeAddr, typeDir) // repair, then look around
 			if _, err := fs.Stat(th, "/d/f"); err != nil {
 				t.Fatalf("/d/f after the failed %s: %v", name, err)
-			}
-			if _, err := fs.Stat(th, "/g"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("/g after the failed %s = %v, want ErrNotFound", name, err)
 			}
 			if th.LoadU64(fs.jrnl.desc) != jrnlFree {
 				t.Fatalf("journal left open after the failed %s", name)

@@ -19,7 +19,7 @@ func TestSanitizerFindingsHaveWitnessStates(t *testing.T) {
 		if p.Model != ModelPx86 {
 			continue
 		}
-		ex, err := Execute(p)
+		ex, err := execute(p, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -56,12 +56,12 @@ func TestSanitizerFindingsHaveWitnessStates(t *testing.T) {
 func TestSanitizerSitesAlignWithWitness(t *testing.T) {
 	s, _ := ShapeByName("mnemosyne-log-term")
 	p := MustParse(s.DSL)
-	ex, err := Execute(p)
+	ex, err := execute(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := sanitize(ex.Trace)
-	dirty := rep.ByClass(pmsan.DirtyAtCommit)
+	dirty := byClass(rep, pmsan.DirtyAtCommit)
 	if len(dirty) != 1 {
 		t.Fatalf("dirty-at-commit sites = %d, want 1:\n%s", len(dirty), rep)
 	}
@@ -111,4 +111,17 @@ func TestSuiteReportDeterministic(t *testing.T) {
 			t.Fatalf("run %d diverges from run 0:\n%s\n--- vs ---\n%s", i, rep, first)
 		}
 	}
+}
+
+// byClass returns the violations rep recorded for class c, in report order
+// (sorted by thread then line), to line sanitizer findings up with
+// enumerated durable states.
+func byClass(rep *pmsan.Report, c pmsan.Class) []pmsan.Violation {
+	var out []pmsan.Violation
+	for _, v := range rep.Violations {
+		if v.Class == c {
+			out = append(out, v)
+		}
+	}
+	return out
 }

@@ -17,7 +17,7 @@ func TestEmptyProgram(t *testing.T) {
 	if !r.Clean() {
 		t.Fatal("empty program not clean")
 	}
-	ex, err := Execute(r.Program)
+	ex, err := execute(r.Program, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestZeroThreadsWithInvariant(t *testing.T) {
 	if len(r.Durable) != 1 || !r.Clean() {
 		t.Fatalf("durable=%v clean=%v", r.Durable, r.Clean())
 	}
-	ex, err := Execute(p)
+	ex, err := execute(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ invariant x == 0
 	if len(r.Durable) != 1 || !r.Clean() {
 		t.Fatalf("durable=%v clean=%v", r.Durable, r.Clean())
 	}
-	ex, err := Execute(r.Program)
+	ex, err := execute(r.Program, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ invariant x == 0
 func TestFenceOnlyProgramClosesNoEpoch(t *testing.T) {
 	// A fence with no preceding stores closes no epoch: the zero-line
 	// epoch guard means the streaming epoch analysis sees nothing.
-	ex, err := Execute(MustParse("thread:\n  fence\n  fence\n"))
+	ex, err := execute(MustParse("thread:\n  fence\n  fence\n"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

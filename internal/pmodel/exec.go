@@ -26,14 +26,8 @@ type Exec struct {
 	Final []uint64
 }
 
-// Execute runs the program on the device stack, interleaving threads
-// round-robin (one op per thread per round). The trace it leaves behind
-// feeds pmsan in the differential tests.
-func Execute(p *Program) (*Exec, error) {
-	return execute(p, nil)
-}
-
-// execute runs the round-robin interleaving, invoking step (when
+// execute runs the program on the device stack, interleaving threads
+// round-robin (one op per thread per round), and invokes step (when
 // non-nil) before the first operation and after every operation.
 func execute(p *Program, step func(rt *persist.Runtime, addrs []mem.Addr, point int)) (*Exec, error) {
 	if err := p.Validate(); err != nil {

@@ -119,7 +119,7 @@ func FuzzPmodel(f *testing.F) {
 		if p.Model != ModelPx86 {
 			return
 		}
-		ex, err := Execute(p)
+		ex, err := execute(p, nil)
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
 		}

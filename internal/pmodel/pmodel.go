@@ -25,7 +25,7 @@
 //     persist buffers itself); an ofence (trace.KFence) is a pure epoch
 //     boundary — ordering without waiting; a dfence (trace.KTxEnd)
 //     additionally blocks until the thread's pending persists drain.
-//     The Figure 10 timing replay (hops.ReplaySource) shares this commit
+//     The Figure 10 timing replay (hops.NormalizedSource) shares this commit
 //     rule: it replays every KFence as an ofence and stalls at the
 //     KTxEnd, counting a dfence when the transaction fenced (a commit
 //     that ordered nothing has nothing to drain).
@@ -102,17 +102,6 @@ type Op struct {
 	Var  uint8
 	Val  uint64
 	Size int32
-}
-
-func (o Op) String() string {
-	switch o.Kind {
-	case trace.KStore, trace.KStoreNT:
-		return fmt.Sprintf("%s v%d=%d", o.Kind, o.Var, o.Val)
-	case trace.KFlush:
-		return fmt.Sprintf("%s v%d size=%d", o.Kind, o.Var, o.Size)
-	default:
-		return o.Kind.String()
-	}
 }
 
 // Program is a litmus test: named variables (each mapped to its own PM

@@ -83,14 +83,6 @@ func (a *Allowlist) Apply(r *Report) int {
 	return n
 }
 
-// Len returns the number of rules.
-func (a *Allowlist) Len() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.rules)
-}
-
 // ParseAllowlist reads the allowlist format from r. Malformed rules are
 // errors (with 1-based line numbers), not silently skipped: a typo in a
 // suppression file must not quietly re-open the CI gate.

@@ -293,10 +293,10 @@ func TestBrokenWorkloadCatchesAllFiveClasses(t *testing.T) {
 		RedundantFlush:  1,
 		FenceNoWork:     1, // aggregated per thread; t1's two hits are one site
 	})
-	if got := rep.Hits(RedundantFlush); got != 2 {
+	if got := rep.classTotals()[RedundantFlush].hits; got != 2 {
 		t.Errorf("redundant-flush hits = %d, want 2", got)
 	}
-	if got := rep.Hits(FenceNoWork); got != 2 {
+	if got := rep.classTotals()[FenceNoWork].hits; got != 2 {
 		t.Errorf("fence-without-work hits = %d, want 2", got)
 	}
 	if rep.Errors() != 3 {
@@ -413,8 +413,8 @@ broken dirty-at-commit t0
 	if err != nil {
 		t.Fatal(err)
 	}
-	if al.Len() != 2 {
-		t.Fatalf("parsed %d rules, want 2", al.Len())
+	if len(al.rules) != 2 {
+		t.Fatalf("parsed %d rules, want 2", len(al.rules))
 	}
 	rep, err := Run(trace.NewSliceSource(brokenWorkload()))
 	if err != nil {

@@ -77,23 +77,6 @@ func (r *Report) classTotals() [numClasses]classTotal {
 // Sites returns the number of distinct (thread, line) sites for class c.
 func (r *Report) Sites(c Class) int { return r.classTotals()[c].sites }
 
-// ByClass returns the violations recorded for class c, in report order
-// (sorted by thread then line). The persistency-model differential tests
-// (internal/pmodel) use it to line sanitizer findings up with enumerated
-// durable states.
-func (r *Report) ByClass(c Class) []Violation {
-	var out []Violation
-	for _, v := range r.Violations {
-		if v.Class == c {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// Hits returns the total event count recorded for class c.
-func (r *Report) Hits(c Class) uint64 { return r.classTotals()[c].hits }
-
 // Errors returns the number of unsuppressed error-class sites. A suite
 // run is clean when every report's Errors is zero.
 func (r *Report) Errors() int {

@@ -73,7 +73,6 @@ type Row struct {
 
 // primitive is one durable update discipline over fixed slots.
 type primitive interface {
-	name() string
 	init(rt *persist.Runtime, cfg Config)
 	update(slot, val uint64)
 	read(slot uint64) (uint64, bool)
@@ -230,8 +229,6 @@ type inplace struct {
 	buf    []byte
 }
 
-func (p *inplace) name() string { return "inplace-flush" }
-
 func (p *inplace) init(rt *persist.Runtime, cfg Config) {
 	p.th = rt.Thread(0)
 	p.stride = lineAligned(cfg.Payload)
@@ -271,8 +268,6 @@ type cow struct {
 	stride  int
 	buf     []byte
 }
-
-func (p *cow) name() string { return "cow-publish" }
 
 func (p *cow) init(rt *persist.Runtime, cfg Config) {
 	p.th = rt.Thread(0)
@@ -320,8 +315,6 @@ type logAppend struct {
 	index    map[uint64]mem.Addr
 	buf      []byte
 }
-
-func (p *logAppend) name() string { return "log-append" }
 
 func (p *logAppend) init(rt *persist.Runtime, cfg Config) {
 	p.th = rt.Thread(0)
@@ -388,8 +381,6 @@ const (
 	descIdle    = 0
 	descInstall = 1
 )
-
-func (p *pmwcas) name() string { return "pmwcas" }
 
 func (p *pmwcas) init(rt *persist.Runtime, cfg Config) {
 	p.th = rt.Thread(0)

@@ -244,19 +244,3 @@ func TestDuplicateTenantLabels(t *testing.T) {
 		t.Fatalf("labels = %v, want ctree-0 and ctree-1", labels)
 	}
 }
-
-func TestTotalOps(t *testing.T) {
-	s, err := Builtin("storm-mixed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, tn := range s.Tenants {
-		for _, p := range tn.Phases {
-			want += p.Ops
-		}
-	}
-	if got := s.TotalOps(); got != want || got < 2000 {
-		t.Fatalf("TotalOps = %d, want %d (>=2000)", got, want)
-	}
-}

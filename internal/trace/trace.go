@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 )
@@ -120,9 +119,6 @@ func (e Event) String() string {
 	}
 }
 
-// IsPMWrite reports whether e writes persistent memory.
-func (e Event) IsPMWrite() bool { return e.Kind == KStore || e.Kind == KStoreNT }
-
 // maxChunkEvents caps one chunk of a Trace's event store (1 MiB of
 // events): the slack a long trace carries is at most one part-filled
 // chunk, whatever its length.
@@ -205,27 +201,6 @@ func (t *Trace) Len() int { return t.n }
 // caller.
 func (t *Trace) Chunks() [][]Event { return t.chunks }
 
-// Equal reports whether a and b hold the same run metadata, volatile
-// counters and event sequence. Chunk boundaries are storage, not content:
-// a decoded trace is chunked by the stream's blocks, a recorded one by
-// Append's geometry, and the two are Equal when their events are.
-func Equal(a, b *Trace) bool {
-	if a.App != b.App || a.Layer != b.Layer || a.Threads != b.Threads ||
-		a.VolatileLoads != b.VolatileLoads || a.VolatileStores != b.VolatileStores || a.n != b.n {
-		return false
-	}
-	return slices.Equal(slices.Concat(a.chunks...), slices.Concat(b.chunks...))
-}
-
-// Duration returns the simulated time spanned by the trace.
-func (t *Trace) Duration() mem.Time {
-	if t.n == 0 {
-		return 0
-	}
-	last := t.chunks[len(t.chunks)-1]
-	return last[len(last)-1].Time - t.chunks[0][0].Time
-}
-
 // CountKind returns the number of events of kind k.
 func (t *Trace) CountKind(k Kind) int {
 	n := 0
@@ -237,46 +212,4 @@ func (t *Trace) CountKind(k Kind) int {
 		}
 	}
 	return n
-}
-
-// PMAccesses returns the number of PM loads+stores (cacheable and NTI).
-func (t *Trace) PMAccesses() uint64 {
-	var n uint64
-	for _, c := range t.chunks {
-		for _, e := range c {
-			switch e.Kind {
-			case KStore, KStoreNT, KLoad:
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// DRAMAccesses returns the number of volatile loads+stores, combining
-// per-event records with the aggregate counters.
-func (t *Trace) DRAMAccesses() uint64 {
-	n := t.VolatileLoads + t.VolatileStores
-	for _, c := range t.chunks {
-		for _, e := range c {
-			switch e.Kind {
-			case KVLoad, KVStore:
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Filter returns the events satisfying keep, in order.
-func (t *Trace) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, c := range t.chunks {
-		for _, e := range c {
-			if keep(e) {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
 }

@@ -71,14 +71,6 @@ func NewHotspot(rng *rand.Rand, keys, hotKeys uint64, hotPct, rotate int) *Hotsp
 	return &Hotspot{rng: rng, keys: keys, hotKeys: hotKeys, hotPct: hotPct, rotate: rotate}
 }
 
-// HotBase returns the start of the current hot window.
-func (h *Hotspot) HotBase() uint64 { return h.base }
-
-// InHotSet reports whether key falls in the current hot window.
-func (h *Hotspot) InHotSet(key uint64) bool {
-	return (key+h.keys-h.base)%h.keys < h.hotKeys
-}
-
 // Next returns the next key index, advancing the hot window first when a
 // rotation boundary is crossed.
 func (h *Hotspot) Next() uint64 {

@@ -233,7 +233,7 @@ func TestHotspotFractionUnderRotation(t *testing.T) {
 	for p := 0; p < phases; p++ {
 		hot := 0
 		for i := 0; i < rotate; i++ {
-			if h.InHotSet(h.Next()) {
+			if inHotSet(h, h.Next()) {
 				hot++
 			}
 		}
@@ -241,7 +241,7 @@ func TestHotspotFractionUnderRotation(t *testing.T) {
 		if frac < hotPct-2 || frac > hotPct+2 {
 			t.Errorf("phase %d: hot fraction = %.1f%%, want %d%%±2", p, frac, hotPct)
 		}
-		bases[h.HotBase()] = true
+		bases[h.base] = true
 	}
 	if len(bases) != phases {
 		t.Errorf("saw %d distinct hot windows over %d phases, want %d", len(bases), phases, phases)
@@ -260,13 +260,13 @@ func TestHotspotRotationAdvancesWindow(t *testing.T) {
 	for p := 0; p < 7; p++ {
 		for i := 0; i < rotate; i++ {
 			k := h.Next()
-			if !h.InHotSet(k) {
-				t.Fatalf("hotPct=100 drew cold key %d (base %d)", k, h.HotBase())
+			if !inHotSet(h, k) {
+				t.Fatalf("hotPct=100 drew cold key %d (base %d)", k, h.base)
 			}
 		}
 		// The window slides on the first draw after each rotate boundary,
 		// so after phase p's draws the base has advanced p times.
-		if got, want := h.HotBase(), (uint64(p)*hotKeys)%keys; got != want {
+		if got, want := h.base, (uint64(p)*hotKeys)%keys; got != want {
 			t.Fatalf("after phase %d: base = %d, want %d", p, got, want)
 		}
 	}
@@ -281,7 +281,7 @@ func TestHotspotColdDrawsAvoidWindow(t *testing.T) {
 		if k >= 1000 {
 			t.Fatalf("key %d out of range", k)
 		}
-		if h.InHotSet(k) {
+		if inHotSet(h, k) {
 			t.Fatalf("hotPct=0 drew hot key %d", k)
 		}
 	}
@@ -315,4 +315,9 @@ func TestZipfThetaMonotone(t *testing.T) {
 	if prev < 0.9 {
 		t.Errorf("theta 3.0: top-%d mass = %.4f, want heavy concentration", topK, prev)
 	}
+}
+
+// inHotSet reports whether key falls in h's current hot window.
+func inHotSet(h *Hotspot, key uint64) bool {
+	return (key+h.keys-h.base)%h.keys < h.hotKeys
 }

@@ -3,10 +3,19 @@ package whisper
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/trace"
 )
+
+// sameTrace reports whether a and b hold the same run metadata, volatile
+// counters and events; chunk boundaries are storage, not content.
+func sameTrace(a, b *trace.Trace) bool {
+	return a.App == b.App && a.Layer == b.Layer && a.Threads == b.Threads &&
+		a.VolatileLoads == b.VolatileLoads && a.VolatileStores == b.VolatileStores &&
+		slices.Equal(slices.Concat(a.Chunks()...), slices.Concat(b.Chunks()...))
+}
 
 // TestStreamMatchesSerial is the pipeline's core contract: for every suite
 // member, the streaming run — app goroutine piping events through the
@@ -47,7 +56,7 @@ func TestStreamMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decoding tee'd v2 trace: %v", err)
 			}
-			if !trace.Equal(dec.tr, serial.Trace.tr) {
+			if !sameTrace(dec.tr, serial.Trace.tr) {
 				t.Error("tee'd v2 trace != materialized trace")
 			}
 

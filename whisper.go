@@ -59,9 +59,6 @@ type Trace struct {
 // App returns the application name recorded in the trace.
 func (t *Trace) App() string { return t.tr.App }
 
-// Layer returns the access layer ("native", "mnemosyne", "nvml", "pmfs").
-func (t *Trace) Layer() string { return t.tr.Layer }
-
 // Events returns the number of recorded PM events.
 func (t *Trace) Events() int { return t.tr.Len() }
 

@@ -110,7 +110,7 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	if rep2.TotalEpochs != rep.TotalEpochs || rep2.SelfDeps != rep.SelfDeps {
 		t.Fatal("analysis changed across encode/decode")
 	}
-	if tr2.App() != "redis" || tr2.Layer() != "nvml" || tr2.Events() == 0 {
+	if tr2.App() != "redis" || tr2.tr.Layer != "nvml" || tr2.Events() == 0 {
 		t.Fatal("trace metadata lost")
 	}
 }
