@@ -87,38 +87,53 @@ const maxThreads = 32
 // whose capacity is the associativity, so an insert shifts the set in place
 // and a cache never allocates after construction.
 type cache struct {
-	sets  [][]cacheLine // per set, LRU order (front = most recent)
-	nsets uint64
+	sets [][]cacheLine // per set, LRU order (front = most recent)
+	// mask is the set count less one: New admits only power-of-two set
+	// counts, as both levels of DefaultConfig have, so a line's set is
+	// its low bits.
+	mask uint64
 }
 
-type cacheLine struct {
-	line  mem.Line
-	state lineState
+// cacheLine is one entry of a set: a line and its state in one word, the
+// state in the top two bits. A line is an address over the line size, so
+// it is below 2^58 and never reaches them.
+type cacheLine uint64
+
+const stateShift = 62
+
+func entry(l mem.Line, st lineState) cacheLine {
+	return cacheLine(l) | cacheLine(st)<<stateShift
+}
+
+func (cl cacheLine) line() mem.Line   { return mem.Line(cl &^ (3 << stateShift)) }
+func (cl cacheLine) state() lineState { return lineState(cl >> stateShift) }
+
+// setCount is the number of sets a level of size bytes and ways ways has;
+// a level smaller than one set still has one.
+func setCount(size, ways int) int {
+	return max(size/mem.LineSize/ways, 1)
 }
 
 func newCache(size, ways int) cache {
-	nsets := size / mem.LineSize / ways
-	if nsets < 1 {
-		nsets = 1
-	}
+	nsets := setCount(size, ways)
 	backing := make([]cacheLine, nsets*ways)
-	c := cache{sets: make([][]cacheLine, nsets), nsets: uint64(nsets)}
+	c := cache{sets: make([][]cacheLine, nsets), mask: uint64(nsets - 1)}
 	for i := range c.sets {
 		c.sets[i] = backing[i*ways : i*ways : (i+1)*ways]
 	}
 	return c
 }
 
-func (c *cache) setOf(l mem.Line) *[]cacheLine { return &c.sets[uint64(l)%c.nsets] }
+func (c *cache) setOf(l mem.Line) *[]cacheLine { return &c.sets[uint64(l)&c.mask] }
 
 // lookup returns the line's state and promotes it to MRU.
 func (c *cache) lookup(l mem.Line) lineState {
 	set := *c.setOf(l)
 	for i, cl := range set {
-		if cl.line == l && cl.state != invalid {
+		if cl.line() == l && cl.state() != invalid {
 			copy(set[1:i+1], set[:i])
 			set[0] = cl
-			return cl.state
+			return cl.state()
 		}
 	}
 	return invalid
@@ -132,7 +147,7 @@ func (c *cache) insert(l mem.Line, st lineState) (victim mem.Line, evicted bool)
 	p := c.setOf(l)
 	set := *p
 	i := 0
-	for i < len(set) && set[i].line != l {
+	for i < len(set) && set[i].line() != l {
 		i++
 	}
 	if i == len(set) {
@@ -141,11 +156,11 @@ func (c *cache) insert(l mem.Line, st lineState) (victim mem.Line, evicted bool)
 			*p = set
 		} else {
 			i--
-			victim, evicted = set[i].line, set[i].state != invalid
+			victim, evicted = set[i].line(), set[i].state() != invalid
 		}
 	}
 	copy(set[1:i+1], set[:i])
-	set[0] = cacheLine{l, st}
+	set[0] = entry(l, st)
 	return victim, evicted
 }
 
@@ -154,8 +169,8 @@ func (c *cache) insert(l mem.Line, st lineState) (victim mem.Line, evicted bool)
 func (c *cache) invalidate(l mem.Line) {
 	set := *c.setOf(l)
 	for i := range set {
-		if set[i].line == l {
-			set[i].state = invalid
+		if set[i].line() == l {
+			set[i] = entry(l, invalid)
 		}
 	}
 }
@@ -164,8 +179,8 @@ func (c *cache) invalidate(l mem.Line) {
 func (c *cache) downgrade(l mem.Line) {
 	set := *c.setOf(l)
 	for i := range set {
-		if set[i].line == l && set[i].state == exclusive {
-			set[i].state = shared
+		if set[i] == entry(l, exclusive) {
+			set[i] = entry(l, shared)
 		}
 	}
 }
@@ -202,19 +217,25 @@ type Hierarchy struct {
 }
 
 // New creates a hierarchy. It panics, naming the field, unless Threads is
-// 1 to 32, both associativities are at least 1 and both sizes at least
-// one line.
+// 1 to 32, both associativities are at least 1, both sizes at least one
+// line and both levels a power-of-two number of sets.
 func New(cfg Config) *Hierarchy {
 	require(cfg.Threads >= 1 && cfg.Threads <= maxThreads, "Threads", cfg.Threads, fmt.Sprintf("1 to %d", maxThreads))
 	require(cfg.L1Ways >= 1, "L1Ways", cfg.L1Ways, "at least 1")
 	require(cfg.L2Ways >= 1, "L2Ways", cfg.L2Ways, "at least 1")
 	require(cfg.L1Size >= mem.LineSize, "L1Size", cfg.L1Size, fmt.Sprintf("at least one %d-byte line", mem.LineSize))
 	require(cfg.L2Size >= mem.LineSize, "L2Size", cfg.L2Size, fmt.Sprintf("at least one %d-byte line", mem.LineSize))
+	require(bits.OnesCount(uint(setCount(cfg.L1Size, cfg.L1Ways))) == 1, "L1Size", cfg.L1Size, setsWanted(cfg.L1Ways))
+	require(bits.OnesCount(uint(setCount(cfg.L2Size, cfg.L2Ways))) == 1, "L2Size", cfg.L2Size, setsWanted(cfg.L2Ways))
 	h := &Hierarchy{cfg: cfg, caches: make([]cache, 0, 2*cfg.Threads)}
 	for i := 0; i < cfg.Threads; i++ {
 		h.caches = append(h.caches, newCache(cfg.L1Size, cfg.L1Ways), newCache(cfg.L2Size, cfg.L2Ways))
 	}
 	return h
+}
+
+func setsWanted(ways int) string {
+	return fmt.Sprintf("a power-of-two count of %d-way sets of %d-byte lines", ways, mem.LineSize)
 }
 
 func require(ok bool, field string, v int, want string) {

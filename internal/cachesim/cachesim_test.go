@@ -153,7 +153,8 @@ func TestDefaultConfigGeometry(t *testing.T) {
 // TestNewRejectsBadGeometry: a hierarchy with no cores divided by zero on
 // its first Access, on whichever tap goroutine ran it, and zero ways
 // divided by zero inside New; more than 32 cores do not fit the holder
-// mask. New refuses each at construction, naming the field.
+// mask, and a set count that is not a power of two has no mask to pick a
+// line's set. New refuses each at construction, naming the field.
 func TestNewRejectsBadGeometry(t *testing.T) {
 	ok := Config{L1Size: 512, L1Ways: 2, L2Size: 2048, L2Ways: 4, Threads: 2}
 	cases := []struct {
@@ -168,6 +169,8 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 		{"zero L2 ways", func(c *Config) { c.L2Ways = 0 }, "cachesim: Config.L2Ways = 0, want at least 1"},
 		{"L1 under a line", func(c *Config) { c.L1Size = mem.LineSize - 1 }, "cachesim: Config.L1Size = 63, want at least one 64-byte line"},
 		{"L2 of zero bytes", func(c *Config) { c.L2Size = 0 }, "cachesim: Config.L2Size = 0, want at least one 64-byte line"},
+		{"three L1 sets", func(c *Config) { c.L1Size = 384 }, "cachesim: Config.L1Size = 384, want a power-of-two count of 2-way sets of 64-byte lines"},
+		{"six L2 sets", func(c *Config) { c.L2Size = 1536 }, "cachesim: Config.L2Size = 1536, want a power-of-two count of 4-way sets of 64-byte lines"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -65,7 +65,7 @@ func genReplayTrace(seed int64, n int) *trace.Trace {
 	return tr
 }
 
-// TestReplaySourceMatchesReplay asserts the two-stage streaming replay is
+// TestReplaySourceMatchesReplay asserts the staged streaming replay is
 // cycle-identical to the same front and back end stepped serially, for
 // every model.
 func TestReplaySourceMatchesReplay(t *testing.T) {
@@ -130,24 +130,26 @@ func (s *failingSource) NextChunk() ([]trace.Event, error) {
 }
 
 // requireGoroutines waits for the goroutine count to come back to base:
-// stage 1 has closed its channel by the time the replay returns, but may
-// not have exited yet.
+// the back-end stages have signalled their exit by the time the replay
+// returns, but may not have exited yet.
 func requireGoroutines(t *testing.T, base int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, %d before: the replay's stage 1 outlived it", runtime.NumGoroutine(), base)
+			t.Fatalf("%d goroutines, %d before: a stage of the replay outlived it", runtime.NumGoroutine(), base)
 		}
 	}
 }
 
-// TestReplayFailuresReachCaller holds the two-stage driver to the serial
+// TestReplayFailuresReachCaller holds the staged driver to the serial
 // replay's failure behaviour. A source error after k chunks is what
-// NormalizedSource and ReplaySource return; a panic in the source, on the
-// stage-1 goroutine, reaches the caller's recover with its own value; a
-// panic in a back end, on the caller's goroutine, does not leave stage 1
-// waiting for a free batch. No goroutine outlives any of them. The trace is
-// long enough that stage 1 runs out of batches several times over.
+// NormalizedSource and ReplaySource return, whether the models have a
+// persist buffer or not; a panic in the source, on the caller's goroutine,
+// reaches the caller's recover with its own value once the back ends have
+// stopped; a panic in a back end, on a goroutine of its own, does too, and
+// does not leave stage 1 waiting for a free batch. No goroutine outlives
+// any of them. The trace is long enough that stage 1 runs out of batches
+// several times over.
 func TestReplayFailuresReachCaller(t *testing.T) {
 	tr := genReplayTrace(5, 20*replayBatches*replayBatchSize)
 	cfg := DefaultConfig()
@@ -157,11 +159,23 @@ func TestReplayFailuresReachCaller(t *testing.T) {
 		if _, err := NormalizedSource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, err: boom}, cfg, nil); err != boom {
 			t.Errorf("k=%d: NormalizedSource returned %v, want the source's error", k, err)
 		}
-		if _, err := ReplaySource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, err: boom}, HOPSNVM, cfg, ReplayObs{}); err != boom {
-			t.Errorf("k=%d: ReplaySource returned %v, want the source's error", k, err)
+		for _, m := range []Model{HOPSNVM, X86NVM} {
+			if _, err := ReplaySource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, err: boom}, m, cfg, ReplayObs{}); err != boom {
+				t.Errorf("k=%d: ReplaySource(%v) returned %v, want the source's error", k, m, err)
+			}
 		}
 		requireGoroutines(t, base)
 
+		for _, m := range []Model{HOPSPWQ, Ideal} {
+			func() {
+				defer func() {
+					if r := recover(); r != boom {
+						t.Errorf("k=%d %v: recovered %v, want the source's panic value", k, m, r)
+					}
+				}()
+				ReplaySource(&failingSource{EventSource: trace.NewSliceSource(tr), k: k, panicValue: boom}, m, cfg, ReplayObs{})
+			}()
+		}
 		func() {
 			defer func() {
 				if r := recover(); r != boom {
@@ -173,16 +187,33 @@ func TestReplayFailuresReachCaller(t *testing.T) {
 		requireGoroutines(t, base)
 	}
 
-	// A back end with a zero-entry persist buffer indexes an empty drain
-	// queue at the first store.
+	// A HOPS (PWQ) back end with a zero-entry persist buffer indexes an
+	// empty drain queue at the first store, on its own goroutine, while the
+	// other four models replay as usual. The caller recovers that panic's
+	// own value: the one the same store raises when replayed here.
+	var want any
+	func() {
+		defer func() { want = recover() }()
+		(&replayer{model: HOPSPWQ}).apply(&frontStep{kind: trace.KStore, lines: 1})
+	}()
+	if _, ok := want.(runtime.Error); !ok {
+		t.Fatalf("a zero-entry persist buffer raised %v, want a runtime error", want)
+	}
 	base := runtime.NumGoroutine()
 	func() {
 		defer func() {
-			if _, ok := recover().(runtime.Error); !ok {
-				t.Errorf("the back end's panic did not reach the caller")
+			if r := recover(); r != want {
+				t.Errorf("recovered %v, want the back end's panic value %v", r, want)
 			}
 		}()
-		drive(trace.NewSliceSource(tr), []*replayer{{model: HOPSNVM}})
+		rs := make([]*replayer, len(Models))
+		for i, m := range Models {
+			rs[i] = newReplayer(m, cfg, ReplayObs{})
+			if m == HOPSPWQ {
+				rs[i].pbEntries = 0
+			}
+		}
+		drive(trace.NewSliceSource(tr), rs)
 	}()
 	requireGoroutines(t, base)
 }

@@ -350,59 +350,45 @@ func (r *replayer) buffer(pb *pbState, lines int) {
 	}
 }
 
-// applyAll replays a batch of resolved events.
+// buffered reports whether the model has a persist buffer. Only those
+// models replay a batch step by step (applyAll); the others' replay is a
+// sum over the batch (applySum).
+func (r *replayer) buffered() bool { return r.model == HOPSNVM || r.model == HOPSPWQ }
+
+// applyAll replays a batch of resolved events under a HOPS model.
 func (r *replayer) applyAll(batch []frontStep) {
 	for i := range batch {
 		r.apply(&batch[i])
 	}
 }
 
-// apply replays one resolved event.
+// apply replays one resolved event under a HOPS model.
 func (r *replayer) apply(st *frontStep) {
 	r.now += st.compute
 
 	switch st.kind {
 	case trace.KStore, trace.KStoreNT:
 		r.now += trace.Charge(st.kind, 0)
-		// x86: the front tracks the NT lines awaiting the fence. IDEAL:
-		// no persistence bookkeeping at all.
-		if r.model == HOPSNVM || r.model == HOPSPWQ {
-			r.buffer(r.pbs.Get(st.tid), st.lines)
-		}
+		r.buffer(r.pbs.Get(st.tid), st.lines)
 
 	case trace.KLoad:
 		r.now += trace.Charge(trace.KLoad, 0)
 
-	case trace.KFlush:
-		if r.model == X86NVM || r.model == X86PWQ {
-			r.now += trace.Charge(trace.KFlush, 0) // clwb issue
-		}
-		// HOPS and IDEAL need no flush instructions: the instruction
-		// disappears from the stream.
+	// KFlush: HOPS needs no flush instructions; the instruction disappears
+	// from the stream.
 
 	case trace.KFence:
 		r.res.Fences++
-		switch r.model {
-		case X86NVM, X86PWQ:
-			r.occupancy.Observe(uint64(st.pending))
-			stall := x86FenceCost(st.pending, r.persistLat, r.drainInterval)
-			r.now += stall
-			r.res.StallCycles += stall
-			r.drainStall.Observe(uint64(stall))
-		case HOPSNVM, HOPSPWQ:
-			r.now++ // TS register bump
-			pb := r.pbs.Get(st.tid)
-			r.retire(pb, r.now)
-			// The fence closes the epoch; its entries may now drain,
-			// so hand them to the background engine (BEP rule: epochs
-			// drain when closed, an ofence never stalls for them).
-			r.schedule(pb, r.now)
-		case Ideal:
-			r.now++
-		}
+		r.now++ // TS register bump
+		pb := r.pbs.Get(st.tid)
+		r.retire(pb, r.now)
+		// The fence closes the epoch; its entries may now drain, so hand
+		// them to the background engine (BEP rule: epochs drain when
+		// closed, an ofence never stalls for them).
+		r.schedule(pb, r.now)
 
 	case trace.KTxEnd:
-		if st.dfence && (r.model == HOPSNVM || r.model == HOPSPWQ) {
+		if st.dfence {
 			// The dfence: stall until every closed epoch has drained.
 			r.res.DFences++
 			pb := r.pbs.Get(st.tid)
@@ -418,6 +404,58 @@ func (r *replayer) apply(st *frontStep) {
 
 	case trace.KVLoad, trace.KVStore:
 		r.now++
+	}
+}
+
+// batchSum is what a model without a persist buffer needs of a batch. Such
+// a model charges every event a constant of its kind on top of its compute,
+// except a fence under x86, which stalls for the lines pending at it; so
+// its replay of the batch is the batch's compute, its count of each kind
+// and its fences' pending counts in stream order.
+type batchSum struct {
+	compute mem.Cycles
+	// kinds counts the steps of each kind, indexed by the Kind byte.
+	kinds   [1 << 8]int
+	pending []int
+}
+
+// of makes s the summary of batch.
+func (s *batchSum) of(batch []frontStep) {
+	s.compute, s.kinds, s.pending = 0, [1 << 8]int{}, s.pending[:0]
+	for i := range batch {
+		st := &batch[i]
+		s.compute += st.compute
+		s.kinds[st.kind]++
+		if st.kind == trace.KFence {
+			s.pending = append(s.pending, st.pending)
+		}
+	}
+}
+
+// applySum replays a batch under x86 or IDEAL from its summary, observing
+// at each fence what stepping it would.
+func (r *replayer) applySum(s *batchSum) {
+	n := func(k trace.Kind) mem.Cycles { return mem.Cycles(s.kinds[k]) }
+	r.now += s.compute +
+		n(trace.KStore)*trace.Charge(trace.KStore, 0) +
+		n(trace.KStoreNT)*trace.Charge(trace.KStoreNT, 0) +
+		n(trace.KLoad)*trace.Charge(trace.KLoad, 0) +
+		n(trace.KVLoad) + n(trace.KVStore)
+	r.res.Fences += s.kinds[trace.KFence]
+	if r.model == Ideal {
+		// No flush instructions, and a fence is a bare ordering point.
+		r.now += n(trace.KFence)
+		return
+	}
+	// x86: a clwb issue per flush, and each fence drains the lines the
+	// front found pending at it.
+	r.now += n(trace.KFlush) * trace.Charge(trace.KFlush, 0)
+	for _, p := range s.pending {
+		r.occupancy.Observe(uint64(p))
+		stall := x86FenceCost(p, r.persistLat, r.drainInterval)
+		r.now += stall
+		r.res.StallCycles += stall
+		r.drainStall.Observe(uint64(stall))
 	}
 }
 

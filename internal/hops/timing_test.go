@@ -13,16 +13,23 @@ import (
 const pm = mem.PMBase
 
 // replaySerial is the replay without its driver: one front and one back
-// end stepped over the trace event by event, on the caller's goroutine.
+// end stepped over the trace event by event, on the caller's goroutine; a
+// model without a persist buffer replays each event as a batch of one.
 // dfenceAt, when non-nil, is called with the index of each event at which
 // the back end counted a dfence.
 func replaySerial(tr *trace.Trace, model Model, cfg Config, dfenceAt func(int)) Result {
 	f, r := &front{}, newReplayer(model, cfg, ReplayObs{})
+	var sum batchSum
 	for i, e := range events(tr) {
 		var st frontStep
 		f.next(&e, &st)
 		n := r.res.DFences
-		r.apply(&st)
+		if r.buffered() {
+			r.apply(&st)
+		} else {
+			sum.of([]frontStep{st})
+			r.applySum(&sum)
+		}
 		if r.res.DFences != n && dfenceAt != nil {
 			dfenceAt(i)
 		}

@@ -2,8 +2,11 @@ package mem
 
 // tablePageShift sizes LineTable's pages: 256 lines (16 KiB of memory) per
 // page. PM heaps are arena-allocated and dense, so a handful of pages covers
-// a whole app and almost every lookup hits the one-entry page cache — no
-// hashing per line.
+// a whole app. That does not make the one-entry page cache hit almost
+// always: in the fused analysis pass 39 % / 45 % / 30 % / 20 % of Gets miss
+// it on ycsb / ctree / vacation / nfs, mostly the cache simulation's
+// eviction path, which looks up the victim's entry on another page. A miss
+// costs one map lookup.
 const tablePageShift = 8
 
 type tablePage[T any] [1 << tablePageShift]T

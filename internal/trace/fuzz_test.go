@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -60,7 +61,8 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzReaderV2 targets the chunked v2 block reader specifically: truncated
 // blocks, corrupted CRCs, and lying block counts must error — never panic
-// or allocate beyond the framing caps. The corpus is seeded with real
+// or allocate beyond the framing caps — and Decode must reject what the
+// streaming Reader rejects, with the same error. The corpus is seeded with real
 // encoded blocks (whole v2 streams plus hand-truncated and bit-flipped
 // variants) so the fuzzer starts inside the format.
 func FuzzReaderV2(f *testing.F) {
@@ -102,8 +104,20 @@ func FuzzReaderV2(f *testing.F) {
 	f.Add([]byte("WSPR\x02\x04echo\x06native\x01"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Decode frames the blocks serially and decodes them on workers; a
+		// stream the Reader rejects it must reject with the Reader's
+		// error, and leave no worker behind either way.
+		base := runtime.NumGoroutine()
+		_, decodeErr := Decode(bytes.NewReader(data))
+		requireGoroutines(t, base)
+		sameError := func(err error) {
+			if decodeErr == nil || decodeErr.Error() != err.Error() {
+				t.Fatalf("the Reader rejects the stream with %q, Decode with %v", err, decodeErr)
+			}
+		}
 		rd, err := NewReader(bytes.NewReader(data))
 		if err != nil {
+			sameError(err)
 			return
 		}
 		var n int
@@ -117,6 +131,7 @@ func FuzzReaderV2(f *testing.F) {
 				if _, err2 := rd.Next(); err2 == nil || err2 == io.EOF {
 					t.Fatalf("reader resumed after error %v", err)
 				}
+				sameError(err)
 				return
 			}
 			n++

@@ -273,8 +273,11 @@ type Reader struct {
 	cur []Event // what Next has yet to hand out of the last chunk
 
 	vloads, vstores uint64
-	delivered       uint64
-	err             error // sticky; io.EOF once the stream has ended well
+	// framed counts the events of every block read so far; the trailer's
+	// total must equal it. A block that fails to decode ends the stream,
+	// so at the trailer they have all been delivered.
+	framed uint64
+	err    error // sticky; io.EOF once the stream has ended well
 }
 
 // NewReader parses the stream header from r and returns a Reader
@@ -335,7 +338,6 @@ func (r *Reader) NextChunk() ([]Event, error) {
 	case chunk == nil: // the trailer
 		r.err = io.EOF
 	default:
-		r.delivered += uint64(len(chunk))
 		return chunk, nil
 	}
 	return nil, r.err
@@ -361,93 +363,130 @@ func (r *Reader) Next() (Event, error) {
 // readFrame reads one frame: an event block, returned decoded, or the
 // trailer, which completes the stream and returns no events.
 func (r *Reader) readFrame() ([]Event, error) {
+	count, crc, err := r.nextFrame(&r.payload)
+	if err != nil || count == 0 {
+		return nil, err
+	}
+	return decodeBlock(r.payload, crc, count)
+}
+
+// nextFrame reads one frame without decoding it. For an event block it
+// reads the payload into *buf, growing it if need be, and returns the
+// block's event count and crc; the trailer it reads and checks against
+// the events framed so far, and returns a count of 0.
+func (r *Reader) nextFrame(buf *[]byte) (count int, crc uint32, err error) {
 	tag, err := r.br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("trace: reading frame tag: %w", noEOF(err))
+		return 0, 0, fmt.Errorf("trace: reading frame tag: %w", noEOF(err))
 	}
 	switch tag {
 	case tagBlock:
-		return r.readBlock()
+		return r.readBlock(buf)
 	case tagTrailer:
-		return nil, r.readTrailer()
+		return 0, 0, r.readTrailer()
 	default:
-		return nil, fmt.Errorf("trace: unknown frame tag %#x", tag)
+		return 0, 0, fmt.Errorf("trace: unknown frame tag %#x", tag)
 	}
 }
 
-func (r *Reader) readBlock() ([]Event, error) {
+// readBlock reads a block's framing: its header, bounded before anything
+// is allocated, its payload into *buf and its crc.
+func (r *Reader) readBlock(buf *[]byte) (int, uint32, error) {
 	count, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: block count: %w", noEOF(err))
+		return 0, 0, fmt.Errorf("trace: block count: %w", noEOF(err))
 	}
 	payloadLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: block length: %w", noEOF(err))
+		return 0, 0, fmt.Errorf("trace: block length: %w", noEOF(err))
 	}
 	// The count and length are untrusted input: bound them before any
 	// allocation, and cross-check them against each other — the smallest
 	// event encodes to minEventBytes, so a count the payload cannot hold
 	// is a lie, reported before reading the payload at all.
 	if count == 0 {
-		return nil, errors.New("trace: empty block")
+		return 0, 0, errors.New("trace: empty block")
 	}
 	if count > maxBlockEvents {
-		return nil, fmt.Errorf("trace: block claims %d events (max %d)", count, maxBlockEvents)
+		return 0, 0, fmt.Errorf("trace: block claims %d events (max %d)", count, maxBlockEvents)
 	}
 	if payloadLen > maxBlockBytes {
-		return nil, fmt.Errorf("trace: block claims %d payload bytes (max %d)", payloadLen, maxBlockBytes)
+		return 0, 0, fmt.Errorf("trace: block claims %d payload bytes (max %d)", payloadLen, maxBlockBytes)
 	}
 	if count*minEventBytes > payloadLen {
-		return nil, fmt.Errorf("trace: block claims %d events in %d bytes", count, payloadLen)
+		return 0, 0, fmt.Errorf("trace: block claims %d events in %d bytes", count, payloadLen)
 	}
-	if uint64(cap(r.payload)) < payloadLen {
-		r.payload = make([]byte, payloadLen)
+	if uint64(cap(*buf)) < payloadLen {
+		*buf = make([]byte, payloadLen)
 	}
-	r.payload = r.payload[:payloadLen]
-	if _, err := io.ReadFull(r.br, r.payload); err != nil {
-		return nil, fmt.Errorf("trace: block payload: %w", noEOF(err))
+	*buf = (*buf)[:payloadLen]
+	if _, err := io.ReadFull(r.br, *buf); err != nil {
+		return 0, 0, fmt.Errorf("trace: block payload: %w", noEOF(err))
 	}
 	if _, err := io.ReadFull(r.br, r.crc[:]); err != nil {
-		return nil, fmt.Errorf("trace: block crc: %w", noEOF(err))
+		return 0, 0, fmt.Errorf("trace: block crc: %w", noEOF(err))
 	}
-	if got, want := crc32.ChecksumIEEE(r.payload), binary.LittleEndian.Uint32(r.crc[:]); got != want {
-		return nil, fmt.Errorf("trace: block crc mismatch (%#x != %#x)", got, want)
-	}
+	r.framed += count
+	return int(count), binary.LittleEndian.Uint32(r.crc[:]), nil
+}
 
+// decodeBlock checks a block's payload p against its crc and decodes its
+// count events into a new slice. It is the one block decoder, shared by
+// the streaming Reader and Decode's workers, so both report a damaged
+// block the same way.
+//
+// Nearly every field of a realistic event fits in one varint byte (a small
+// tid, close deltas, a small size), so a field whose first byte ends it is
+// read inline and binary.Uvarint runs only otherwise.
+func decodeBlock(p []byte, crc uint32, count int) ([]Event, error) {
+	if got := crc32.ChecksumIEEE(p); got != crc {
+		return nil, fmt.Errorf("trace: block crc mismatch (%#x != %#x)", got, crc)
+	}
 	block := make([]Event, count)
 	pos := 0
 	var prevTime, prevAddr uint64 // deltas reset per block
-	for i := uint64(0); i < count; i++ {
-		if pos >= len(r.payload) {
+	for i := range block {
+		if pos >= len(p) {
 			return nil, fmt.Errorf("trace: block event %d: payload exhausted", i)
 		}
-		kind := r.payload[pos]
+		kind := p[pos]
 		pos++
 		if kind > maxKind {
 			return nil, fmt.Errorf("trace: block event %d: invalid kind %d", i, kind)
 		}
-		tid, n := binary.Uvarint(r.payload[pos:])
-		if n <= 0 {
+		var tid, dt, da, size uint64
+		var n int
+		if pos < len(p) && p[pos] < 0x80 {
+			tid, pos = uint64(p[pos]), pos+1
+		} else if tid, n = binary.Uvarint(p[pos:]); n > 0 {
+			pos += n
+		} else {
 			return nil, fmt.Errorf("trace: block event %d: bad tid varint", i)
 		}
-		pos += n
-		dt, n := binary.Varint(r.payload[pos:])
-		if n <= 0 {
+		if pos < len(p) && p[pos] < 0x80 {
+			dt, pos = uint64(p[pos]), pos+1
+		} else if dt, n = binary.Uvarint(p[pos:]); n > 0 {
+			pos += n
+		} else {
 			return nil, fmt.Errorf("trace: block event %d: bad time varint", i)
 		}
-		pos += n
-		da, n := binary.Varint(r.payload[pos:])
-		if n <= 0 {
+		if pos < len(p) && p[pos] < 0x80 {
+			da, pos = uint64(p[pos]), pos+1
+		} else if da, n = binary.Uvarint(p[pos:]); n > 0 {
+			pos += n
+		} else {
 			return nil, fmt.Errorf("trace: block event %d: bad addr varint", i)
 		}
-		pos += n
-		size, n := binary.Uvarint(r.payload[pos:])
-		if n <= 0 {
+		if pos < len(p) && p[pos] < 0x80 {
+			size, pos = uint64(p[pos]), pos+1
+		} else if size, n = binary.Uvarint(p[pos:]); n > 0 {
+			pos += n
+		} else {
 			return nil, fmt.Errorf("trace: block event %d: bad size varint", i)
 		}
-		pos += n
-		prevTime += uint64(dt)
-		prevAddr += uint64(da)
+		// The deltas are binary.Varint's zigzag of the unsigned value.
+		prevTime += uint64(int64(dt>>1) ^ -int64(dt&1))
+		prevAddr += uint64(int64(da>>1) ^ -int64(da&1))
 		block[i] = Event{
 			Kind: Kind(kind),
 			TID:  int32(tid),
@@ -456,8 +495,8 @@ func (r *Reader) readBlock() ([]Event, error) {
 			Size: uint32(size),
 		}
 	}
-	if pos != len(r.payload) {
-		return nil, fmt.Errorf("trace: block has %d trailing payload bytes", len(r.payload)-pos)
+	if pos != len(p) {
+		return nil, fmt.Errorf("trace: block has %d trailing payload bytes", len(p)-pos)
 	}
 	return block, nil
 }
@@ -483,8 +522,8 @@ func (r *Reader) readTrailer() error {
 	if got, want := crc32.ChecksumIEEE(rec.buf), binary.LittleEndian.Uint32(crcb[:]); got != want {
 		return fmt.Errorf("trace: trailer crc mismatch (%#x != %#x)", got, want)
 	}
-	if total != r.delivered {
-		return fmt.Errorf("trace: trailer claims %d events, stream carried %d", total, r.delivered)
+	if total != r.framed {
+		return fmt.Errorf("trace: trailer claims %d events, stream carried %d", total, r.framed)
 	}
 	r.vloads, r.vstores = vloads, vstores
 	return nil
