@@ -19,6 +19,7 @@ import (
 
 	"github.com/whisper-pm/whisper"
 	"github.com/whisper-pm/whisper/internal/cliutil"
+	"github.com/whisper-pm/whisper/internal/mem"
 )
 
 var paperPMShare = map[string]float64{
@@ -98,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if both || *fig10 {
 		fmt.Fprintf(stdout, "== Figure 10: normalized runtime (PB=%d entries, drain at %d, %d MCs) ==\n",
-			cfg.PBEntries, cfg.DrainAt, cfg.MemoryControllers)
+			cfg.PBEntries, cfg.DrainAt, mem.MCs)
 		models := whisper.HOPSModels()
 		fmt.Fprintf(stdout, "%-10s", "Benchmark")
 		for _, m := range models {

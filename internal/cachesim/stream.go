@@ -7,10 +7,11 @@ import (
 )
 
 // ReplaySource drives the hierarchy with every memory event from an event
-// source, in O(1) memory per event. Volatile accesses participate only as
-// KVLoad/KVStore events; the runtime records volatile traffic as aggregate
-// counters, which cannot be replayed through caches and are ignored here
-// (Figure 6 uses the counters directly).
+// source, in O(1) memory per event. The recorder keeps volatile traffic
+// only as aggregate counters (trace.Trace.VolatileLoads/VolatileStores),
+// which cannot be replayed through caches and are ignored here (Figure 6
+// uses the counters directly); a KVLoad/KVStore event in a hand-built
+// trace is replayed like any other access.
 func ReplaySource(h *Hierarchy, src trace.EventSource) (Stats, error) {
 	for {
 		chunk, err := src.NextChunk()

@@ -12,10 +12,10 @@
 // a durable image — as the oracle for the §6.2 ordering invariants.
 package hops
 
-// Config sizes the HOPS hardware. A zero PBEntries or MCs means its
-// DefaultConfig value. The core and the memory controllers' pipelines are
-// fixed (oooWidth, mcPipeline), and every latency is the Table 3 machine's
-// (internal/mem).
+// Config sizes the HOPS hardware. A zero PBEntries means its DefaultConfig
+// value. The core, the memory controllers and their pipelines are fixed
+// (oooWidth, mem.MCs, mcPipeline), and every latency is the Table 3
+// machine's (internal/mem).
 type Config struct {
 	// PBEntries is the per-thread persist buffer capacity (32 in §6.4).
 	PBEntries int
@@ -28,11 +28,9 @@ type Config struct {
 	// DrainAt=1 is a fully eager engine (every store is handed to the
 	// write queues immediately); values are clamped to [1, PBEntries].
 	DrainAt int
-	// MCs is the number of memory controllers (2 in Table 3).
-	MCs int
 }
 
 // DefaultConfig mirrors the evaluation configuration of §6.4.
 func DefaultConfig() Config {
-	return Config{PBEntries: 32, DrainAt: 16, MCs: 2}
+	return Config{PBEntries: 32, DrainAt: 16}
 }

@@ -225,7 +225,7 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Error("zero-size PB accepted")
 		}
 	}()
-	NewMachine(1, Config{PBEntries: 0, MCs: 1})
+	NewMachine(1, Config{PBEntries: 0})
 }
 
 // TestTraceDrivesHOPSMachine replays a real application's PM stores and

@@ -80,7 +80,7 @@ type Machine struct {
 
 // NewMachine creates a HOPS model with nthreads hardware threads.
 func NewMachine(nthreads int, cfg Config) *Machine {
-	if cfg.PBEntries <= 0 || cfg.MCs <= 0 {
+	if cfg.PBEntries <= 0 {
 		panic("hops: invalid config")
 	}
 	m := &Machine{

@@ -79,11 +79,11 @@ const oooWidth = 4
 
 // mcPipeline is the number of in-flight writes each memory controller
 // sustains (write-queue depth / banking): background drains retire one
-// line every persistLat/(MCs*mcPipeline) cycles.
+// line every persistLat/(mem.MCs*mcPipeline) cycles.
 const mcPipeline = 4
 
-// resolved is the one place the replay reads Config. A zero PBEntries or
-// MCs takes its §6.4 value from DefaultConfig. DrainAt —
+// resolved is the one place the replay reads Config. A zero PBEntries
+// takes its §6.4 value from DefaultConfig. DrainAt —
 // the occupancy at which the drain engine force-closes (epoch-splits) the
 // OPEN epoch to start background flushing early; closed epochs always drain
 // in the background from the fence that closed them — is clamped to
@@ -94,9 +94,6 @@ func (c Config) resolved() Config {
 	def := DefaultConfig()
 	if c.PBEntries <= 0 {
 		c.PBEntries = def.PBEntries
-	}
-	if c.MCs <= 0 {
-		c.MCs = def.MCs
 	}
 	if c.DrainAt <= 0 {
 		c.DrainAt = 1
@@ -298,7 +295,7 @@ func newReplayer(model Model, cfg Config, ro ReplayObs) *replayer {
 	if model == X86PWQ || model == HOPSPWQ {
 		r.persistLat = mem.MCQueueCycles
 	}
-	r.drainInterval = mem.Cycles(int(r.persistLat) / (cfg.MCs * mcPipeline))
+	r.drainInterval = mem.Cycles(int(r.persistLat) / (mem.MCs * mcPipeline))
 	if r.drainInterval == 0 {
 		r.drainInterval = 1
 	}

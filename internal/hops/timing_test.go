@@ -256,7 +256,7 @@ func TestSmallPBIncursStalls(t *testing.T) {
 	// Ablation: a tiny persist buffer forces foreground stalls even under
 	// HOPS. 1-entry PB must be slower than the default 32.
 	tr := txTrace(100, 10)
-	small := replay(tr, HOPSNVM, Config{PBEntries: 1, DrainAt: 1, MCs: 2})
+	small := replay(tr, HOPSNVM, Config{PBEntries: 1, DrainAt: 1})
 	big := replay(tr, HOPSNVM, DefaultConfig())
 	if small.Cycles <= big.Cycles {
 		t.Errorf("1-entry PB (%d cyc) not slower than 32-entry (%d cyc)",

@@ -59,7 +59,10 @@ func applyOp(svc *Service, model map[string]string, op churnOp) {
 func matchState(svc *Service, candidates []map[string]string) int {
 	got := map[string]string{}
 	for _, sh := range svc.shards {
-		for k := range sh.st.index {
+		for k, e := range sh.st.keys {
+			if e.vlen == tombMarker {
+				continue
+			}
 			v, ok := svc.Get(k)
 			if !ok {
 				return -1
@@ -165,6 +168,7 @@ func TestCompactionBoundsSegments(t *testing.T) {
 	if idx := matchState(svc, []map[string]string{model}); idx != 0 {
 		t.Fatal("compacted store diverged from the model")
 	}
+	requireTablesMatchLog(t, svc.shards[0].st)
 	// The compacted log must also recover to the same state.
 	if err := svc.Crash(pmem.Adversarial, 5); err != nil {
 		t.Fatalf("recovery: %v", err)
@@ -172,6 +176,7 @@ func TestCompactionBoundsSegments(t *testing.T) {
 	if idx := matchState(svc, []map[string]string{model}); idx != 0 {
 		t.Fatal("recovered compacted store diverged from the model")
 	}
+	requireTablesMatchLog(t, svc.shards[0].st)
 }
 
 // TestStepWalkIsPaced covers the victim a hot, small keyspace makes: a
@@ -239,7 +244,7 @@ func compactSeg(t *testing.T, st *store, seq uint64) {
 	}
 	st.commit()
 	st.finishPass()
-	if _, mapped := st.slotOf[seq]; mapped {
+	if _, mapped := st.segs[seq]; mapped {
 		t.Fatalf("segment %d still mapped after a whole-segment step", seq)
 	}
 }
@@ -258,23 +263,23 @@ func TestTombstoneRules(t *testing.T) {
 		svc.Put(fmt.Sprintf("fill%02d", i), []byte("ffffffffffffffffffff"))
 	}
 	svc.Delete("doomed")
-	if _, ok := st.tombs["doomed"]; !ok {
+	if st.keys["doomed"].vlen != tombMarker {
 		t.Fatal("tombstone not tracked")
 	}
-	if st.nrecs["doomed"] != 2 {
-		t.Fatalf("nrecs[doomed] = %d, want 2 (put + tombstone)", st.nrecs["doomed"])
+	if n := st.keys["doomed"].recs; n != 2 {
+		t.Fatalf("doomed's recs = %d, want 2 (put + tombstone)", n)
 	}
 	// Compact the tombstone's segment while the put is still mapped: the
 	// tombstone must survive the pass (copied forward, not dropped).
-	tombSeq := st.tombs["doomed"] / uint64(st.segBytes)
+	tombSeq := st.keys["doomed"].off / uint64(st.segBytes)
 	putSeq := uint64(0)
-	if _, ok := st.slotOf[putSeq]; !ok {
+	if _, ok := st.segs[putSeq]; !ok {
 		t.Fatal("put segment already unmapped; test geometry broken")
 	}
 	svc.shards[0].th.TxBegin()
 	compactSeg(t, st, tombSeq)
 	svc.shards[0].th.TxEnd()
-	if _, ok := st.tombs["doomed"]; !ok {
+	if _, ok := st.keys["doomed"]; !ok {
 		t.Fatal("tombstone dropped while its put was still mapped")
 	}
 	// Now compact the put's segment: the put is dead (superseded by the
@@ -282,17 +287,14 @@ func TestTombstoneRules(t *testing.T) {
 	// the next pass over its segment may drop it.
 	svc.shards[0].th.TxBegin()
 	compactSeg(t, st, putSeq)
-	if st.nrecs["doomed"] != 1 {
-		t.Fatalf("nrecs[doomed] = %d after the put's segment retired, want 1", st.nrecs["doomed"])
+	if n := st.keys["doomed"].recs; n != 1 {
+		t.Fatalf("doomed's recs = %d after the put's segment retired, want 1", n)
 	}
-	tombSeq = st.tombs["doomed"] / uint64(st.segBytes)
+	tombSeq = st.keys["doomed"].off / uint64(st.segBytes)
 	compactSeg(t, st, tombSeq)
 	svc.shards[0].th.TxEnd()
-	if _, ok := st.tombs["doomed"]; ok {
-		t.Fatal("sole-record tombstone not dropped")
-	}
-	if st.nrecs["doomed"] != 0 {
-		t.Fatalf("nrecs[doomed] = %d, want 0", st.nrecs["doomed"])
+	if k, ok := st.keys["doomed"]; ok {
+		t.Fatalf("sole-record tombstone not dropped: %+v", k)
 	}
 	// Either way the key must stay absent across recovery.
 	if err := svc.Crash(pmem.Strict, 3); err != nil {
@@ -359,8 +361,10 @@ func (c *crashAt) hook(trace.Event) {
 func newScripted() *Service { return New(Config{Shards: 1, Batch: 4, SegBytes: 512, Record: true}) }
 
 // longestPass runs the script to the end and returns the largest number of
-// batch commits any one compaction pass spread its copies over.
-func longestPass(ops []churnOp) int {
+// batch commits any one compaction pass spread its copies over. It holds
+// the store's tables to the log after every commit, passes in flight
+// included.
+func longestPass(t *testing.T, ops []churnOp) int {
 	svc := newScripted()
 	sh := svc.shards[0]
 	model := map[string]string{}
@@ -369,6 +373,9 @@ func longestPass(ops []churnOp) int {
 	for _, op := range ops {
 		before, copied, batches := sh.st.pass, sh.st.copiedBytes, sh.batches
 		applyOp(svc, model, op)
+		if len(sh.pending) == 0 {
+			requireTablesMatchLog(t, sh.st)
+		}
 		if sh.batches == batches || sh.st.copiedBytes == copied {
 			continue // no commit, or a commit whose step copied nothing
 		}
@@ -447,12 +454,13 @@ func TestCrashSweepThroughCompaction(t *testing.T) {
 	// A pass is a run of steps, each inside its own batch; the state this
 	// sweep has to reach is the one between two of them, so the window must
 	// hold a pass that took at least three commits to publish its copies.
-	if n := longestPass(ops); n < 3 {
+	if n := longestPass(t, ops); n < 3 {
 		t.Fatalf("longest pass spread its copies over %d commits; the sweep needs one over >= 3", n)
 	}
 	if idx := matchState(base, []map[string]string{final}); idx != 0 {
 		t.Fatal("baseline final state diverged from the model")
 	}
+	requireTablesMatchLog(t, base.shards[0].st)
 	total := base.Runtime(0).Trace.CountKind(trace.KStore) +
 		base.Runtime(0).Trace.CountKind(trace.KStoreNT) +
 		base.Runtime(0).Trace.CountKind(trace.KFlush) +
@@ -481,6 +489,7 @@ func TestCrashSweepThroughCompaction(t *testing.T) {
 			if idx < 0 {
 				t.Fatalf("crash point %d (%v): recovered state matches neither the pre- nor post-batch model", k, mode)
 			}
+			requireTablesMatchLog(t, svc.shards[0].st)
 			outcomes[idx]++
 		}
 	}
@@ -522,7 +531,8 @@ func TestCompactionResumesAfterCrash(t *testing.T) {
 			t.Fatal("script never left a pass in flight at a batch boundary")
 		}
 		victim := sh.st.pass.victim
-		left := sh.st.live[victim] // what the pass had still to copy
+		requireTablesMatchLog(t, sh.st)
+		left := sh.st.segs[victim].live // what the pass had still to copy
 		if left == 0 {
 			t.Fatal("interrupted pass had nothing left to copy; the resume would be vacuous")
 		}
@@ -533,7 +543,8 @@ func TestCompactionResumesAfterCrash(t *testing.T) {
 		if st.pass.active {
 			t.Fatalf("%v: recovery resurrected a cursor: %+v", mode, st.pass)
 		}
-		if got := st.live[victim]; got != left {
+		requireTablesMatchLog(t, st)
+		if got := st.segs[victim].live; got != left {
 			t.Fatalf("%v: recovery scan attributes %d live bytes to the interrupted victim, the pass had %d left to copy", mode, got, left)
 		}
 		if idx := matchState(svc, []map[string]string{model}); idx != 0 {
@@ -549,13 +560,13 @@ func TestCompactionResumesAfterCrash(t *testing.T) {
 		budget := map[uint64]int64{}
 		var allowed int64
 		track := func() {
-			for seq, l := range st.live {
+			for seq, g := range st.segs {
 				if _, seen := budget[seq]; !seen && seq < st.head/sb {
-					budget[seq] = l
+					budget[seq] = g.live
 				}
 			}
 			for seq, l := range budget {
-				if _, mapped := st.slotOf[seq]; !mapped {
+				if _, mapped := st.segs[seq]; !mapped {
 					allowed += l
 					delete(budget, seq)
 				}
@@ -569,7 +580,7 @@ func TestCompactionResumesAfterCrash(t *testing.T) {
 		liveBefore := st.liveTotal()
 		svc.Flush()
 		track()
-		if _, mapped := st.slotOf[victim]; mapped {
+		if _, mapped := st.segs[victim]; mapped {
 			t.Fatalf("%v: the interrupted victim is still mapped after a drain", mode)
 		}
 		if dropped := liveBefore - st.liveTotal(); int64(st.copiedBytes) != allowed-dropped {
@@ -594,7 +605,8 @@ func TestCompactionResumesAfterCrash(t *testing.T) {
 		if idx := matchState(svc, []map[string]string{model}); idx != 0 {
 			t.Fatalf("%v: final state diverged from the model", mode)
 		}
-		if amp := sp.Amplification(); amp > 2.0 || sp.Segments != len(st.slotOf) {
+		requireTablesMatchLog(t, st)
+		if amp := sp.Amplification(); amp > 2.0 || sp.Segments != len(st.segs) {
 			t.Fatalf("%v: segment leaked: %d mapped, amplification %.3f (live=%d log=%d)", mode, sp.Segments, amp, sp.LiveBytes, sp.LogBytes)
 		}
 		// What is mapped durably is what is mapped in DRAM: no slot kept a
@@ -608,6 +620,7 @@ func TestCompactionResumesAfterCrash(t *testing.T) {
 		if idx := matchState(svc, []map[string]string{model}); idx != 0 {
 			t.Fatalf("%v: state after the second recovery diverged from the model", mode)
 		}
+		requireTablesMatchLog(t, sh.st)
 	}
 }
 
@@ -717,12 +730,13 @@ func TestOversizedAndShardFullDegrade(t *testing.T) {
 	if got := svc.abortsC.Value(); got != 1 {
 		t.Fatalf("kvservice_compaction_aborts_total = %d after the step found the shard full, want 1", got)
 	}
-	if _, mapped := st.slotOf[0]; !mapped || st.pass.active {
+	if _, mapped := st.segs[0]; !mapped || st.pass.active {
 		t.Fatalf("abandoned pass: victim mapped=%v, pass %+v; want the victim kept and the cursor cleared", mapped, st.pass)
 	}
-	if got := st.nrecs[key(0)]; got != 2 {
-		t.Fatalf("nrecs[%s] = %d after the abort, want 2: its dead put is still mapped under the tombstone", key(0), got)
+	if got := st.keys[key(0)].recs; got != 2 {
+		t.Fatalf("%s's recs = %d after the abort, want 2: its dead put is still mapped under the tombstone", key(0), got)
 	}
+	requireTablesMatchLog(t, st)
 	if d, v := svc.LogHeads(0); d != v {
 		t.Fatalf("the aborted step's batch was not published: durable head %d, volatile %d", d, v)
 	}
@@ -756,6 +770,7 @@ func TestOversizedAndShardFullDegrade(t *testing.T) {
 	if got, ok := svc.Get(key(1)); !ok || len(got) == 0 {
 		t.Fatal("record of the abandoned pass's victim lost across recovery")
 	}
+	requireTablesMatchLog(t, sh.st)
 }
 
 // TestRecoveryRejectsCorruptLength pins the recovery validation: a
@@ -767,10 +782,9 @@ func TestRecoveryRejectsCorruptLength(t *testing.T) {
 	svc.Put("victim", []byte("value"))
 	svc.Flush()
 	st := svc.shards[0].st
-	ref := st.index["victim"]
 	// Corrupt the record's vlen in place, durably, outside any batch.
 	th := svc.shards[0].th
-	a := st.addr(ref.off) + 4
+	a := st.addr(st.keys["victim"].off) + 4
 	th.StoreU32(a, uint32(st.segBytes)*2)
 	th.FlushFence(a, 4)
 	err := svc.Crash(pmem.Strict, 31)
@@ -878,8 +892,8 @@ func TestRecoverBoundaryAlignedHeadAfterRetire(t *testing.T) {
 		t.Fatal(err)
 	}
 	th.TxEnd()
-	if s.head != 2*seg || len(s.slotOf) != 0 {
-		t.Fatalf("set-up drifted: head=%d with %d mapped segments, want %d with 0", s.head, len(s.slotOf), 2*seg)
+	if s.head != 2*seg || len(s.segs) != 0 {
+		t.Fatalf("set-up drifted: head=%d with %d mapped segments, want %d with 0", s.head, len(s.segs), 2*seg)
 	}
 
 	rt.Crash(pmem.Strict, 1)
@@ -887,8 +901,8 @@ func TestRecoverBoundaryAlignedHeadAfterRetire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery rejected a legal image: %v", err)
 	}
-	if s.head != 2*seg || len(s.index) != 0 {
-		t.Fatalf("recovered head=%d with %d keys, want %d with 0", s.head, len(s.index), 2*seg)
+	if s.head != 2*seg || len(s.keys) != 0 {
+		t.Fatalf("recovered head=%d with %d keys, want %d with 0", s.head, len(s.keys), 2*seg)
 	}
 
 	// The next append must map a fresh segment for the boundary head.

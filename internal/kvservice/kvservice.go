@@ -260,7 +260,7 @@ func (s *Service) commitLocked(sh *shard, start mem.Time) {
 				s.rejectsC.Inc()
 			} else {
 				sh.puts++
-				appended += footprint(len(r.op.Key), len(r.op.Value))
+				appended += footprint(len(r.op.Key), uint32(len(r.op.Value)))
 			}
 		}
 	}
@@ -332,7 +332,7 @@ func (s *Service) drainCompactionLocked(sh *shard) {
 func (s *Service) observeSpaceLocked(sh *shard) {
 	live := sh.st.liveTotal()
 	dead := int64(sh.st.logBytes()) - live
-	segs := int64(len(sh.st.slotOf))
+	segs := int64(len(sh.st.segs))
 	s.liveG.Add(live - sh.lastLive)
 	s.deadG.Add(dead - sh.lastDead)
 	s.segsG.Add(segs - sh.lastSegs)
@@ -444,8 +444,8 @@ func (s *Service) DurableLog(i int, from, to uint64) []byte {
 	sb := uint64(sh.st.segBytes)
 	for off := from; off < to; {
 		n := min(sb-off%sb, to-off)
-		if slot, ok := sh.st.slotOf[off/sb]; ok {
-			a := sh.st.slotBase[slot] + mem.Addr(off%sb)
+		if g, ok := sh.st.segs[off/sb]; ok {
+			a := g.base + mem.Addr(off%sb)
 			out = append(out, sh.rt.Dev.Durable(a, int(n))...)
 		} else {
 			out = append(out, make([]byte, n)...)
@@ -471,7 +471,7 @@ func (s *Service) Crash(mode pmem.CrashMode, seed int64) error {
 		defer sh.mu.Unlock()
 		sh.pending = sh.pending[:0]
 		super := sh.st.super
-		keys := len(sh.st.nrecs)
+		keys := len(sh.st.keys)
 		sh.rt.Crash(mode, seed)
 		st, err := openStore(sh.th, super, s.cfg.SegBytes, keys)
 		if err != nil {
@@ -619,7 +619,7 @@ func (s *Service) Space() SpaceStats {
 	var sp SpaceStats
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sp.Segments += len(sh.st.slotOf)
+		sp.Segments += len(sh.st.segs)
 		sp.LiveBytes += uint64(sh.st.liveTotal())
 		sp.LogBytes += sh.st.logBytes()
 		sp.Compactions += sh.st.compactions

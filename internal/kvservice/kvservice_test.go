@@ -176,7 +176,7 @@ func TestCrashRecoverySegmentGrowth(t *testing.T) {
 		t.Fatalf("log stayed in %d segments; growth path untested", nsegs)
 	}
 	svc.Crash(pmem.Strict, 7)
-	if got := len(svc.shards[0].st.index); got != len(want) {
+	if got := len(svc.shards[0].st.keys); got != len(want) {
 		t.Fatalf("recovered %d keys, want %d", got, len(want))
 	}
 	for k, v := range want {

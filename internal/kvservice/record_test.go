@@ -112,7 +112,7 @@ func retainedAfterRun(cfg SimConfig) retained {
 	r := retained{heap: int64(ms.HeapAlloc)}
 	for i, sh := range svc.shards {
 		r.pages += int64(len(sh.rt.Dev.DurableImage()))
-		r.keys += int64(len(sh.st.index))
+		r.keys += int64(len(sh.st.keys))
 		r.events += int64(svc.Runtime(i).Trace.Len())
 	}
 	return r
@@ -147,7 +147,7 @@ func TestUnrecordedRunRetainsNothingPerEvent(t *testing.T) {
 			rec.heap-quiet.heap, traceBytes)
 	}
 	// A device page is held twice, live and durable; half a KiB a key covers
-	// the index entry, the per-key record count and the key's string.
+	// the key-table entry and the key's string.
 	if limit := 2*quiet.pages*pmem.PageBytes + quiet.keys*512 + 512<<10; quiet.heap > limit {
 		t.Errorf("unrecorded heap grew %d B; %d pages and %d keys account for at most %d", quiet.heap, quiet.pages, quiet.keys, limit)
 	}

@@ -81,7 +81,7 @@ func referenceCrash(s *Service, mode pmem.CrashMode, seed int64) error {
 		sh.mu.Lock()
 		sh.pending = sh.pending[:0]
 		super := sh.st.super
-		keys := len(sh.st.nrecs)
+		keys := len(sh.st.keys)
 		sh.rt.Crash(mode, seed)
 		st, err := openStore(sh.th, super, s.cfg.SegBytes, keys)
 		if err != nil {
@@ -221,8 +221,9 @@ func crashFixture(t *testing.T, shards int, seed int64) *Service {
 
 // TestCrashMatchesSerialRecovery: Crash, recovering every shard on a
 // goroutine of its own, leaves each shard exactly as referenceCrash's one
-// shard after another does — index, tombstones, log heads, clock, device
-// counters, durable image — and returns the same error.
+// shard after another does — key table, log heads, clock, device
+// counters, durable image — and returns the same error. Both sides' key
+// and segment tables must also match their logs.
 func TestCrashMatchesSerialRecovery(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, mode := range []pmem.CrashMode{pmem.Strict, pmem.Adversarial} {
@@ -240,9 +241,11 @@ func TestCrashMatchesSerialRecovery(t *testing.T) {
 				}
 				for i := 0; i < shards; i++ {
 					gs, ws := got.shards[i], want.shards[i]
-					if !reflect.DeepEqual(gs.st.index, ws.st.index) || !reflect.DeepEqual(gs.st.tombs, ws.st.tombs) {
-						t.Fatalf("%s: shard %d recovered a different index", cell, i)
+					if !reflect.DeepEqual(gs.st.keys, ws.st.keys) {
+						t.Fatalf("%s: shard %d recovered a different key table", cell, i)
 					}
+					requireTablesMatchLog(t, gs.st)
+					requireTablesMatchLog(t, ws.st)
 					gd, gv := got.LogHeads(i)
 					wd, wv := want.LogHeads(i)
 					if gd != wd || gv != wv {

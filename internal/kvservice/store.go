@@ -55,13 +55,13 @@ import (
 // to the key afterwards lies higher still. The retire stays strictly
 // behind the publish that makes it safe; a crash that loses the zeroing
 // store leaves the victim mapped and shadowed. The pass's position
-// {victim, cursor} is volatile on purpose: recovery rebuilds live and
-// nrecs from the scan — originals whose copies were published count as
-// dead — and the next step simply picks a fresh victim, so nothing about
-// a half-finished pass has to be durable or trusted. A slot entry's two
-// words share a cache line but are two stores, and the line can reach PM
-// between them: ensureSeg writes the segment number before the base, so
-// the half-written entry still reads as a free slot.
+// {victim, cursor} is volatile on purpose: recovery rebuilds the key and
+// segment tables from the scan — originals whose copies were published
+// count as dead — and the next step simply picks a fresh victim, so
+// nothing about a half-finished pass has to be durable or trusted. A slot
+// entry's two words share a cache line but are two stores, and the line
+// can reach PM between them: ensureSeg writes the segment number before
+// the base, so the half-written entry still reads as a free slot.
 const (
 	defaultSegBytes = 1 << 20
 	maxSegs         = 512
@@ -92,17 +92,39 @@ const (
 	scanPerCopy = 4
 )
 
-// valRef locates a committed value by its record's logical log offset.
-// The device address is derived through the slot table on demand, so a
-// compaction that moves the record only has to update the offset.
-type valRef struct {
-	off  uint64
-	vlen int
+// keyState is a key's entry in the key table. The key's newest record is
+// located by its logical log offset — the device address is derived
+// through the slot table on demand, so a compaction that moves the record
+// only has to update the offset.
+type keyState struct {
+	off  uint64 // log offset of the key's newest record; noRec if none is
+	vlen uint32 // that record's vlen slot: tombMarker for a tombstone
+	// recs counts the records bearing the key that will still be mapped
+	// once the pass in flight retires its victim: the records the cursor
+	// has passed are already counted out, a copy stands in for its
+	// original. A key is in the table exactly while recs is positive.
+	recs int32
 }
 
-// store is one shard's durable log plus its volatile index. All methods
-// run on the shard's single persist.Thread; the service layer serializes
-// access with the shard lock.
+// noRec is the offset of a key with mapped records but no current one: a
+// pass dropped its sole tombstone, then was abandoned, so the tombstone
+// and the records it shadowed are mapped again but shadow nothing (see
+// abandonPass). Such a key reads as deleted.
+const noRec = math.MaxUint64
+
+// segment is a mapped log segment: its number, its slot-table entry, its
+// physical base and the bytes of its records that are current (values
+// and tombstones).
+type segment struct {
+	seq  uint64
+	slot int
+	base mem.Addr
+	live int64
+}
+
+// store is one shard's durable log plus its volatile key and segment
+// tables. All methods run on the shard's single persist.Thread; the
+// service layer serializes access with the shard lock.
 type store struct {
 	th       *persist.Thread
 	group    *persist.Group
@@ -110,21 +132,12 @@ type store struct {
 	segBytes int
 	head     uint64 // volatile head: includes appends not yet published
 
-	nslots    int            // slot-table high-water mark
-	slotBase  []mem.Addr     // per-slot physical base; 0 = free
-	slotSeq   []uint64       // per-slot segment number (valid when base != 0)
-	slotOf    map[uint64]int // seq -> slot index
-	freeSlots []int          // zeroed slots available for reuse
-	freeBases []mem.Addr     // retired physical segments available for reuse
+	segs      map[uint64]*segment // seq -> mapped segment
+	slots     []*segment          // per slot, nil = free; len is the high-water mark
+	freeSlots []int               // zeroed slots available for reuse
+	freeBases []mem.Addr          // retired physical segments available for reuse
 
-	index map[string]valRef
-	tombs map[string]uint64 // key -> offset of its current tombstone
-	// nrecs counts, per key, the records bearing it that will still be
-	// mapped once the pass in flight retires its victim: the records the
-	// cursor has passed are already counted out, a copy stands in for its
-	// original.
-	nrecs map[string]int
-	live  map[uint64]int64 // seq -> live record bytes (incl. tombstones)
+	keys map[string]keyState
 
 	pass        pass
 	scratch     []byte // compactStep's record buffer
@@ -141,19 +154,16 @@ type pass struct {
 	cursor uint64
 }
 
-// emptyStore builds the volatile half of a store; keys sizes the per-key
-// maps (a capacity, not a claim about contents).
+// emptyStore builds the volatile half of a store; keys sizes the key
+// table (a capacity, not a claim about contents).
 func emptyStore(th *persist.Thread, super mem.Addr, segBytes, keys int) *store {
 	return &store{
 		th:       th,
 		group:    persist.NewGroup(th),
 		super:    super,
 		segBytes: segBytes,
-		slotOf:   make(map[uint64]int),
-		index:    make(map[string]valRef, keys),
-		tombs:    make(map[string]uint64),
-		nrecs:    make(map[string]int, keys),
-		live:     make(map[uint64]int64),
+		segs:     make(map[uint64]*segment),
+		keys:     make(map[string]keyState, keys),
 	}
 }
 
@@ -163,11 +173,8 @@ func newStore(th *persist.Thread, segBytes int) *store {
 	rt := th.Runtime()
 	s := emptyStore(th, rt.Dev.Map(superBytes), segBytes, 0)
 	seg0 := rt.Dev.Map(segBytes)
-	s.nslots = 1
-	s.slotBase = []mem.Addr{seg0}
-	s.slotSeq = []uint64{0}
-	s.slotOf[0] = 0
-	s.live[0] = 0
+	s.slots = []*segment{{base: seg0}}
+	s.segs[0] = s.slots[0]
 	th.TxBegin()
 	th.StoreU64(s.super+superHeadOff, 0)
 	th.StoreU64(s.super+superNSlotsOff, 1)
@@ -189,10 +196,10 @@ func newStore(th *persist.Thread, segBytes int) *store {
 // corrupt klen/vlen fails recovery loudly instead of silently aliasing
 // into a neighboring segment — and so does a mapped slot whose segment is
 // not inside the device's mapped persistent range, or whose segment number
-// puts log offsets past 2^64. keys is how many keys to size the index for
-// (what the shard held before the crash, 0 for a cold open): recovery
-// still takes every key from the scan, it only stops growing its maps from
-// empty.
+// puts log offsets past 2^64. keys is how many keys to size the key table
+// for (what the shard held before the crash, 0 for a cold open): recovery
+// still takes every key from the scan, it only stops growing the table
+// from empty.
 func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, error) {
 	s := emptyStore(th, super, segBytes, keys)
 	s.head = th.LoadU64(super + superHeadOff)
@@ -200,12 +207,10 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 	if n > maxSegs {
 		return nil, fmt.Errorf("kvservice: corrupt superblock: %d slots exceeds table size %d", n, maxSegs)
 	}
-	s.nslots = int(n)
-	s.slotBase = make([]mem.Addr, s.nslots)
-	s.slotSeq = make([]uint64, s.nslots)
+	s.slots = make([]*segment, n)
 	sb := uint64(segBytes)
 	mapped := th.Runtime().Dev.Mapped()
-	for i := 0; i < s.nslots; i++ {
+	for i := range s.slots {
 		a := super + superSlotTable + mem.Addr(slotBytes*i)
 		base := mem.Addr(th.LoadU64(a))
 		seq := th.LoadU64(a + 8)
@@ -223,25 +228,23 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 		if seq >= math.MaxUint64/sb {
 			return nil, fmt.Errorf("kvservice: corrupt slot table: slot %d maps segment %d, whose log offsets overflow", i, seq)
 		}
-		if dup, ok := s.slotOf[seq]; ok {
-			return nil, fmt.Errorf("kvservice: corrupt slot table: slots %d and %d both map segment %d", dup, i, seq)
+		if dup, ok := s.segs[seq]; ok {
+			return nil, fmt.Errorf("kvservice: corrupt slot table: slots %d and %d both map segment %d", dup.slot, i, seq)
 		}
-		s.slotBase[i] = base
-		s.slotSeq[i] = seq
-		s.slotOf[seq] = i
-		s.live[seq] = 0
+		s.slots[i] = &segment{seq: seq, slot: i, base: base}
+		s.segs[seq] = s.slots[i]
 	}
 	// A head inside a segment needs that segment mapped. A head exactly on
 	// a boundary needs nothing: the segment before it may have been retired
 	// by compaction, and the next append maps the one after.
 	if s.head%sb != 0 {
-		if _, ok := s.slotOf[s.head/sb]; !ok {
+		if _, ok := s.segs[s.head/sb]; !ok {
 			return nil, fmt.Errorf("kvservice: corrupt superblock: head %d lies in an unmapped segment", s.head)
 		}
 	}
 	// Scan mapped segments below the head in log order.
 	var seqs []uint64
-	for seq := range s.slotOf {
+	for seq := range s.segs {
 		if seq*sb < s.head {
 			seqs = append(seqs, seq)
 		}
@@ -252,7 +255,7 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 		end := min((seq+1)*sb, s.head)
 		for off := seq * sb; off < end; {
 			a, rem := s.addr(off), end-off
-			klen, vlen, tomb, ok := s.recAt(a, rem)
+			klen, vlen, ok := s.recAt(a, rem)
 			if !ok {
 				break
 			}
@@ -262,7 +265,7 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 			}
 			buf = slices.Grow(buf[:0], klen)[:klen]
 			th.LoadInto(a+recHeader, buf)
-			s.noteAppend(string(buf), off, vlen, tomb)
+			s.noteAppend(string(buf), off, vlen)
 			off += size
 		}
 	}
@@ -270,29 +273,25 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 }
 
 // recAt loads the header of the record at device address a, rem bytes
-// short of where the scan of its segment stops. ok is false when the rest
-// of the segment is padding: an explicit marker, or a tail too short to
-// hold one.
-func (s *store) recAt(a mem.Addr, rem uint64) (klen, vlen int, tomb, ok bool) {
+// short of where the scan of its segment stops: its key length and its
+// vlen slot (tombMarker for a tombstone). ok is false when the rest of the
+// segment is padding: an explicit marker, or a tail too short to hold one.
+func (s *store) recAt(a mem.Addr, rem uint64) (klen int, vlen uint32, ok bool) {
 	if rem < recHeader {
-		return 0, 0, false, false
+		return 0, 0, false
 	}
 	k := s.th.LoadU32(a)
 	if k == padMarker {
-		return 0, 0, false, false
+		return 0, 0, false
 	}
-	v := s.th.LoadU32(a + 4)
-	if v == tombMarker {
-		return int(k), 0, true, true
-	}
-	return int(k), int(v), false, true
+	return int(k), s.th.LoadU32(a + 4), true
 }
 
 // addr maps a logical log offset to its device address through the slot
 // table. The segment must be mapped.
 func (s *store) addr(off uint64) mem.Addr {
 	sb := uint64(s.segBytes)
-	return s.slotBase[s.slotOf[off/sb]] + mem.Addr(off%sb)
+	return s.segs[off/sb].base + mem.Addr(off%sb)
 }
 
 func (s *store) slotAddr(slot int) mem.Addr {
@@ -312,7 +311,7 @@ func (s *store) errShardFull() error {
 // request instead of killing the process.
 func (s *store) ensureSeg() error {
 	seq := s.head / uint64(s.segBytes)
-	if _, ok := s.slotOf[seq]; ok {
+	if _, ok := s.segs[seq]; ok {
 		return nil
 	}
 	var slot int
@@ -320,12 +319,10 @@ func (s *store) ensureSeg() error {
 	case len(s.freeSlots) > 0:
 		slot = s.freeSlots[len(s.freeSlots)-1]
 		s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
-	case s.nslots < maxSegs:
-		slot = s.nslots
-		s.nslots++
-		s.slotBase = append(s.slotBase, 0)
-		s.slotSeq = append(s.slotSeq, 0)
-		s.th.StoreU64(s.super+superNSlotsOff, uint64(s.nslots))
+	case len(s.slots) < maxSegs:
+		slot = len(s.slots)
+		s.slots = append(s.slots, nil)
+		s.th.StoreU64(s.super+superNSlotsOff, uint64(len(s.slots)))
 		s.group.Add(s.super+superNSlotsOff, 8)
 	default:
 		return s.errShardFull()
@@ -345,10 +342,8 @@ func (s *store) ensureSeg() error {
 	s.th.StoreU64(a+8, seq)
 	s.th.StoreU64(a, uint64(base))
 	s.group.Add(a, slotBytes)
-	s.slotBase[slot] = base
-	s.slotSeq[slot] = seq
-	s.slotOf[seq] = slot
-	s.live[seq] = 0
+	s.slots[slot] = &segment{seq: seq, slot: slot, base: base}
+	s.segs[seq] = s.slots[slot]
 	return nil
 }
 
@@ -390,29 +385,28 @@ func (s *store) appendRec(key string, val []byte, tomb bool) (uint64, error) {
 	return off, nil
 }
 
-// footprint is the log bytes a record occupies.
-func footprint(klen, vlen int) int64 { return int64(recHeader + klen + vlen) }
+// footprint is the log bytes a record occupies, given its vlen slot: a
+// tombstone carries no value bytes.
+func footprint(klen int, vlen uint32) int64 {
+	if vlen == tombMarker {
+		vlen = 0
+	}
+	return int64(recHeader+klen) + int64(vlen)
+}
 
-// noteAppend records the index/accounting effect of a freshly appended (or
-// replayed) record: the new record is live in its segment, and whatever it
-// supersedes — the key's previous value or tombstone — goes dead in its.
-func (s *store) noteAppend(key string, off uint64, vlen int, tomb bool) {
+// noteAppend records the key- and segment-table effect of a freshly
+// appended (or replayed) record: the new record is live in its segment,
+// and whatever it supersedes — the key's previous value or tombstone —
+// goes dead in its.
+func (s *store) noteAppend(key string, off uint64, vlen uint32) {
 	sb := uint64(s.segBytes)
-	s.nrecs[key]++
-	s.live[off/sb] += footprint(len(key), vlen)
-	if old, ok := s.index[key]; ok {
-		s.live[old.off/sb] -= footprint(len(key), old.vlen)
-	} else if toff, ok := s.tombs[key]; ok {
-		s.live[toff/sb] -= footprint(len(key), 0)
+	k, ok := s.keys[key]
+	s.segs[off/sb].live += footprint(len(key), vlen)
+	if ok && k.off != noRec {
+		s.segs[k.off/sb].live -= footprint(len(key), k.vlen)
 	}
 	s.th.VStore(2)
-	if tomb {
-		delete(s.index, key)
-		s.tombs[key] = off
-	} else {
-		s.index[key] = valRef{off: off, vlen: vlen}
-		delete(s.tombs, key)
-	}
+	s.keys[key] = keyState{off: off, vlen: vlen, recs: k.recs + 1}
 }
 
 // put appends one record and indexes it. The record is volatile until the
@@ -423,7 +417,7 @@ func (s *store) put(key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	s.noteAppend(key, off, len(val), false)
+	s.noteAppend(key, off, uint32(len(val)))
 	return nil
 }
 
@@ -431,14 +425,14 @@ func (s *store) put(key string, val []byte) error {
 // absent (or already deleted) key writes nothing — recovery would replay
 // nothing either way.
 func (s *store) del(key string) (bool, error) {
-	if _, ok := s.index[key]; !ok {
+	if k, ok := s.keys[key]; !ok || k.vlen == tombMarker {
 		return false, nil
 	}
 	off, err := s.appendRec(key, nil, true)
 	if err != nil {
 		return false, err
 	}
-	s.noteAppend(key, off, 0, true)
+	s.noteAppend(key, off, tombMarker)
 	return true, nil
 }
 
@@ -449,15 +443,15 @@ func (s *store) del(key string) (bool, error) {
 // slice the caller may keep.
 func (s *store) read(key string, buf []byte) ([]byte, bool) {
 	s.th.VLoad(2)
-	r, ok := s.index[key]
-	if !ok {
+	k, ok := s.keys[key]
+	if !ok || k.vlen == tombMarker {
 		return nil, false
 	}
-	if cap(buf) < r.vlen {
-		buf = make([]byte, r.vlen)
+	if cap(buf) < int(k.vlen) {
+		buf = make([]byte, k.vlen)
 	}
-	buf = buf[:r.vlen]
-	s.th.LoadInto(s.addr(r.off)+mem.Addr(recHeader+len(key)), buf)
+	buf = buf[:k.vlen]
+	s.th.LoadInto(s.addr(k.off)+mem.Addr(recHeader+len(key)), buf)
 	return buf, true
 }
 
@@ -477,8 +471,8 @@ func (s *store) commit() {
 // liveTotal is the shard's live record bytes across mapped segments.
 func (s *store) liveTotal() int64 {
 	var t int64
-	for _, v := range s.live {
-		t += v
+	for _, g := range s.segs {
+		t += g.live
 	}
 	return t
 }
@@ -486,7 +480,7 @@ func (s *store) liveTotal() int64 {
 // logBytes is the shard's physical log footprint: mapped segments times
 // segment size. Retired (free-listed) bases are reused, not counted.
 func (s *store) logBytes() uint64 {
-	return uint64(len(s.slotOf)) * uint64(s.segBytes)
+	return uint64(len(s.segs)) * uint64(s.segBytes)
 }
 
 // victim picks the compaction victim: the sealed (fully written, not
@@ -496,24 +490,19 @@ func (s *store) victim() (uint64, bool) {
 	headSeq := s.head / uint64(s.segBytes)
 	var best uint64
 	bestLive := int64(-1)
-	for slot := 0; slot < s.nslots; slot++ {
-		if s.slotBase[slot] == 0 {
+	for _, g := range s.slots {
+		if g == nil || g.seq >= headSeq {
 			continue
 		}
-		seq := s.slotSeq[slot]
-		if seq >= headSeq {
-			continue
-		}
-		l := s.live[seq]
-		if bestLive < 0 || l < bestLive || (l == bestLive && seq < best) {
-			best, bestLive = seq, l
+		if bestLive < 0 || g.live < bestLive || (g.live == bestLive && g.seq < best) {
+			best, bestLive = g.seq, g.live
 		}
 	}
 	return best, bestLive >= 0
 }
 
 // headroom is the number of slot-table entries still free to map a segment.
-func (s *store) headroom() int { return maxSegs - s.nslots + len(s.freeSlots) }
+func (s *store) headroom() int { return maxSegs - len(s.slots) + len(s.freeSlots) }
 
 // needsCompact reports whether the victim is worth compacting under the
 // live-fraction threshold, or must be compacted because the slot table is
@@ -524,7 +513,7 @@ func (s *store) needsCompact(liveFrac float64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	l := s.live[seq]
+	l := s.segs[seq].live
 	if float64(l) <= liveFrac*float64(s.segBytes) {
 		return seq, true
 	}
@@ -559,16 +548,16 @@ func (s *store) compactionDue(liveFrac float64) bool {
 // a victim that is nearly all garbage cannot be walked end to end under
 // the shard lock behind one small batch.
 //
-// A record the cursor passes is counted out of nrecs as it goes (a copy
-// takes its original's count), so when a tombstone comes up, nrecs == 1
-// says no other record of the key stays mapped once the victim retires and
-// the tombstone is dropped instead of copied. One pass runs at a time and
-// its victim retires before the next is picked, so nothing else reads
-// nrecs in between.
+// A record the cursor passes is counted out of its key's recs as it goes
+// (a copy takes its original's count), so when a tombstone comes up,
+// recs == 1 says no other record of the key stays mapped once the victim
+// retires and the tombstone is dropped instead of copied. One pass runs at
+// a time and its victim retires before the next is picked, so nothing else
+// reads recs in between.
 //
 // A copy that finds the shard full aborts the pass: what was copied stays
 // in the group and is published, the victim stays mapped, the cursor is
-// cleared, and the records it had passed are counted back into nrecs.
+// cleared, and the records it had passed are counted back into recs.
 func (s *store) compactStep(liveFrac float64, quota int) error {
 	if s.headroom() <= 2 {
 		quota = s.segBytes
@@ -584,8 +573,8 @@ func (s *store) compactStep(liveFrac float64, quota int) error {
 		}
 		s.pass = pass{active: true, victim: seq, cursor: seq * sb}
 	}
-	seq := s.pass.victim
-	end := (seq + 1) * sb
+	victim := s.segs[s.pass.victim]
+	end := (victim.seq + 1) * sb
 	off := s.pass.cursor
 	// buf holds the key, then (converted to a string, the key is done with)
 	// the value of the record under the cursor; it grows to the largest and
@@ -593,54 +582,45 @@ func (s *store) compactStep(liveFrac float64, quota int) error {
 	buf := s.scratch
 	for copied, scanned := 0, 0; off < end && copied < quota && scanned < scanPerCopy*quota; {
 		a := s.addr(off)
-		klen, vlen, tomb, ok := s.recAt(a, end-off)
+		klen, vlen, ok := s.recAt(a, end-off)
 		if !ok {
 			off = end
 			break
 		}
 		size := footprint(klen, vlen)
+		tomb := vlen == tombMarker
 		buf = slices.Grow(buf[:0], klen)[:klen]
 		s.th.LoadInto(a+recHeader, buf)
 		key := string(buf)
-		// current: the record is its key's newest, a value or a tombstone.
-		var current bool
-		if tomb {
-			toff, ok := s.tombs[key]
-			current = ok && toff == off
-		} else {
-			cur, ok := s.index[key]
-			current = ok && cur.off == off
-		}
+		k := s.keys[key]
 		switch {
-		case !current:
+		case k.off != off:
 			// Dead record (superseded value, stale tombstone): it leaves
 			// the log when the segment retires.
-			s.nrecs[key]--
-			if s.nrecs[key] == 0 {
-				delete(s.nrecs, key)
+			if k.recs--; k.recs == 0 {
+				delete(s.keys, key)
+			} else {
+				s.keys[key] = k
 			}
-		case tomb && s.nrecs[key] == 1:
+		case tomb && k.recs == 1:
 			// Sole record for the key anywhere in the log: nothing left
 			// to shadow, so the tombstone itself can go.
-			delete(s.tombs, key)
-			delete(s.nrecs, key)
-			s.live[seq] -= size
+			delete(s.keys, key)
+			victim.live -= size
 			s.th.VStore(2)
 		default:
-			buf = slices.Grow(buf[:0], vlen)[:vlen]
+			n := int(size) - recHeader - klen // value bytes, none for a tombstone
+			buf = slices.Grow(buf[:0], n)[:n]
 			s.th.LoadInto(a+recHeader+mem.Addr(klen), buf)
 			noff, err := s.appendRec(key, buf, tomb)
 			if err != nil {
 				s.abandonPass(off)
 				return err
 			}
-			s.live[seq] -= size
-			s.live[noff/sb] += size
-			if tomb {
-				s.tombs[key] = noff
-			} else {
-				s.index[key] = valRef{off: noff, vlen: vlen}
-			}
+			victim.live -= size
+			s.segs[noff/sb].live += size
+			k.off = noff
+			s.keys[key] = k
 			s.th.VStore(2)
 			s.copiedBytes += uint64(size)
 			copied += int(size)
@@ -656,19 +636,24 @@ func (s *store) compactStep(liveFrac float64, quota int) error {
 // abandonPass gives up the pass in flight with its cursor at upto: the
 // victim stays mapped, so every record the cursor had passed — dead, or
 // copied and now shadowed by its copy — is a mapped record again and is
-// counted back into nrecs by walking the prefix once more. (A tombstone
-// the pass had dropped comes back as a stale one: it shadows nothing and
-// leaves with the segment.)
+// counted back into its key's recs by walking the prefix once more. (A
+// tombstone the pass had dropped comes back as a stale one: it shadows
+// nothing and leaves with the segment. Its key is counted back without a
+// current record, at noRec.)
 func (s *store) abandonPass(upto uint64) {
-	seq := s.pass.victim
 	sb := uint64(s.segBytes)
 	var buf []byte
-	for off := seq * sb; off < upto; {
+	for off := s.pass.victim * sb; off < upto; {
 		a := s.addr(off)
-		klen, vlen, _, _ := s.recAt(a, upto-off)
+		klen, vlen, _ := s.recAt(a, upto-off)
 		buf = slices.Grow(buf[:0], klen)[:klen]
 		s.th.LoadInto(a+recHeader, buf)
-		s.nrecs[string(buf)]++
+		k, ok := s.keys[string(buf)]
+		if !ok {
+			k = keyState{off: noRec, vlen: tombMarker}
+		}
+		k.recs++
+		s.keys[string(buf)] = k
 		off += uint64(footprint(klen, vlen))
 	}
 	s.pass = pass{}
@@ -693,16 +678,14 @@ func (s *store) finishPass() {
 // that loses the zeroing store leaves the victim mapped — its records
 // replay and are shadowed by the published copies at higher offsets.
 func (s *store) retire(seq uint64) {
-	slot := s.slotOf[seq]
-	base := s.slotBase[slot]
-	a := s.slotAddr(slot)
+	g := s.segs[seq]
+	a := s.slotAddr(g.slot)
 	s.th.StoreU64(a, 0)
 	s.th.FlushFence(a, 8)
-	delete(s.slotOf, seq)
-	delete(s.live, seq)
-	s.slotBase[slot] = 0
-	s.freeSlots = append(s.freeSlots, slot)
-	s.freeBases = append(s.freeBases, base)
+	delete(s.segs, seq)
+	s.slots[g.slot] = nil
+	s.freeSlots = append(s.freeSlots, g.slot)
+	s.freeBases = append(s.freeBases, g.base)
 }
 
 // drain steps compaction with whole-segment quotas, committing after each
@@ -711,7 +694,7 @@ func (s *store) retire(seq uint64) {
 // retires its victim, and a new sealed segment takes a full segment of
 // head advance to form, so the mapped-segment count bounds the loop.
 func (s *store) drain(liveFrac float64) error {
-	for limit := len(s.slotOf); limit > 0 && s.compactionDue(liveFrac); limit-- {
+	for limit := len(s.segs); limit > 0 && s.compactionDue(liveFrac); limit-- {
 		err := s.compactStep(liveFrac, s.segBytes)
 		s.commit()
 		s.finishPass() // nothing to finish after an abort: the pass is gone

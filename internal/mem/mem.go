@@ -150,10 +150,12 @@ const (
 )
 
 // The simulated machine is the gem5 configuration of Table 3 of the paper:
-// a 2 GHz core whose PM reads and writes take 160 cycles.
+// a 2 GHz core whose PM reads and writes take 160 cycles, behind two memory
+// controllers.
 const (
 	CPUGHz               = 2.0 // core frequency, cycles per nanosecond
 	PMCycles      Cycles = 160 // PM read/write latency
+	MCs                  = 2   // memory controllers
 	L1Cycles      Cycles = 4   // L1 hit latency
 	MCQueueCycles Cycles = 80  // memory-controller queue acceptance latency (PWQ durability point)
 	StoreCycles   Cycles = 1   // nominal cost of an ordinary store that hits cache

@@ -31,10 +31,7 @@ type Config struct {
 	Ops     int     // updates per primitive (default 2000)
 	Slots   uint64  // distinct update targets (default 256)
 	Payload int     // payload bytes per update (default 64)
-	Zipf    float64 // key skew (default 1.1); HotPct > 0 switches to hotspot
-	HotPct  int
-	HotKeys uint64
-	Rotate  int
+	Zipf    float64 // key skew (default 1.1)
 	Seed    int64
 	Metrics *obs.Registry
 }
@@ -52,9 +49,6 @@ func (c Config) withDefaults() Config {
 	c.Payload = (c.Payload + 7) &^ 7 // whole words: PMwCAS updates word sets
 	if c.Zipf == 0 {
 		c.Zipf = 1.1
-	}
-	if c.HotPct > 0 && c.HotKeys == 0 {
-		c.HotKeys = max(1, c.Slots/8)
 	}
 	return c
 }
@@ -145,12 +139,7 @@ func runOne(name string, cfg Config, reg *obs.Registry) (Row, error) {
 	// Identical traffic per primitive: the generator stack is re-seeded
 	// from cfg.Seed for each one.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var gen interface{ Next() uint64 }
-	if cfg.HotPct > 0 {
-		gen = workload.NewHotspot(rng, cfg.Slots, cfg.HotKeys, cfg.HotPct, cfg.Rotate)
-	} else {
-		gen = workload.NewZipf(rng, cfg.Zipf, cfg.Slots)
-	}
+	gen := workload.NewZipf(rng, cfg.Zipf, cfg.Slots)
 	model := make(map[uint64]uint64, cfg.Slots)
 
 	rt.Dev.ResetStats()

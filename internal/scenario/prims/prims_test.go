@@ -23,9 +23,6 @@ func TestConfigDefaults(t *testing.T) {
 	if got := (Config{Payload: 3}).withDefaults().Payload; got != 64 {
 		t.Fatalf("payload 3 became %d, want the 64 default (min 8)", got)
 	}
-	if got := (Config{HotPct: 50}).withDefaults().HotKeys; got != 32 {
-		t.Fatalf("hot keys defaulted to %d, want slots/8 = 32", got)
-	}
 }
 
 // TestSuiteDeterministic pins that the microsuite — including the strict
@@ -203,18 +200,6 @@ func TestRunSuiteRowsMatchConfig(t *testing.T) {
 		if r.Ops != 64 {
 			t.Fatalf("%s: ops = %d, want 64", r.Primitive, r.Ops)
 		}
-	}
-}
-
-// TestHotspotTrafficSuite runs the suite under rotating-hotspot skew to
-// pin that the alternate generator path survives the crash sweep too.
-func TestHotspotTrafficSuite(t *testing.T) {
-	rows, err := RunSuite(Config{Ops: 200, HotPct: 90, Rotate: 40, Seed: 5, Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows", len(rows))
 	}
 }
 

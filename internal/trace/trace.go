@@ -149,8 +149,9 @@ type Trace struct {
 	// tail, when set, is handed every chunk as Append seals it (tail.go).
 	tail *Tail
 
-	// VolatileLoads/VolatileStores aggregate DRAM traffic when per-event
-	// volatile tracing is off (the common case; see persist.Config).
+	// VolatileLoads/VolatileStores count the DRAM loads and stores the
+	// recorder charged (persist.Thread.VLoad/VStore). They are the only
+	// record of volatile traffic: no recorder emits KVLoad/KVStore events.
 	VolatileLoads  uint64
 	VolatileStores uint64
 }

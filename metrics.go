@@ -14,7 +14,7 @@ type HistogramMetric = obs.HistogramSnapshot
 // MetricsSnapshot is a point-in-time copy of every metric the stack has
 // recorded this process, keyed by canonical metric name ("name{k=v,...}"
 // with label keys sorted). Marshalling a snapshot of equal state always
-// yields identical bytes; Empty and WriteJSON come with the type.
+// yields identical bytes; WriteJSON comes with the type.
 //
 // The layers report:
 //

@@ -99,22 +99,21 @@ func (r *Report) String() string {
 }
 
 // HOPSConfig sizes the simulated HOPS hardware for SimulateHOPS. A zero
-// PBEntries or MemoryControllers means the paper's §6.4 value; DrainAt is
-// clamped to [1, PBEntries], so zero is the fully eager drain, not the
-// paper's 16 — start from DefaultHOPSConfig for the evaluated machine.
+// PBEntries means the paper's §6.4 value; DrainAt is clamped to
+// [1, PBEntries], so zero is the fully eager drain, not the paper's 16 —
+// start from DefaultHOPSConfig for the evaluated machine. The memory
+// controllers are Table 3's two.
 type HOPSConfig struct {
 	// PBEntries is the per-thread persist buffer capacity (paper: 32).
 	PBEntries int
 	// DrainAt is the occupancy that triggers background flushing (16).
 	DrainAt int
-	// MemoryControllers is the MC count (2).
-	MemoryControllers int
 }
 
 // DefaultHOPSConfig returns the paper's §6.4 configuration.
 func DefaultHOPSConfig() HOPSConfig {
 	c := hops.DefaultConfig()
-	return HOPSConfig{PBEntries: c.PBEntries, DrainAt: c.DrainAt, MemoryControllers: c.MCs}
+	return HOPSConfig{PBEntries: c.PBEntries, DrainAt: c.DrainAt}
 }
 
 // HOPSModels lists the Figure 10 model names in presentation order.
@@ -133,7 +132,7 @@ func HOPSModels() []string {
 // hops_pb_occupancy and hops_drain_stall_cycles, labelled {app, model};
 // the histograms are filled when the replay finishes, not per observation.
 func SimulateHOPS(t *Trace, cfg HOPSConfig) map[string]float64 {
-	hc := hops.Config{PBEntries: cfg.PBEntries, DrainAt: cfg.DrainAt, MCs: cfg.MemoryControllers}
+	hc := hops.Config{PBEntries: cfg.PBEntries, DrainAt: cfg.DrainAt}
 	instruments := func(m hops.Model) hops.ReplayObs {
 		labels := obs.Labels{"app": t.tr.App, "model": m.String()}
 		return hops.ReplayObs{
