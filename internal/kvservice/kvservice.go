@@ -114,6 +114,11 @@ type shard struct {
 	pending []request
 	scratch []byte   // value buffer for batch reads, whose bytes nobody keeps
 	freeAt  mem.Time // simulated time the shard finished its last batch
+	// tally and stages hold what this shard's commits observed since the
+	// last flushInstrumentsLocked: the shares of the service latency
+	// histogram and stage counters, kept in plain memory under the lock.
+	tally   obs.Tally
+	stages  [numStages]uint64
 	batches uint64
 	puts    uint64
 	gets    uint64
@@ -196,7 +201,7 @@ func New(cfg Config) *Service {
 			rt.Dev.Map(i * shardAddrStride)
 		}
 		th := rt.Thread(0)
-		sh := &shard{rt: rt, th: th, st: newStore(th, cfg.SegBytes)}
+		sh := &shard{rt: rt, th: th, st: newStore(th, cfg.SegBytes), tally: obs.NewTally(s.latency)}
 		sh.freeAt = rt.Clock.Now()
 		s.shards = append(s.shards, sh)
 	}
@@ -223,8 +228,8 @@ func (s *Service) ShardFor(key string) int {
 // simulated time start (clamped forward to the shard clock — per-shard
 // time never runs backwards). Requests are applied in arrival order
 // inside one transaction; every request in the batch completes when the
-// batch is durable, and timed requests observe that as their latency.
-// Callers hold sh.mu.
+// batch is durable, and timed requests observe that as their latency, in
+// the shard's tally until flushInstrumentsLocked. Callers hold sh.mu.
 func (s *Service) commitLocked(sh *shard, start mem.Time) {
 	if len(sh.pending) == 0 {
 		return
@@ -287,22 +292,34 @@ func (s *Service) commitLocked(sh *shard, start mem.Time) {
 	var timed, wait uint64
 	for _, r := range sh.pending {
 		if r.arrival > 0 {
-			s.latency.Observe(uint64(end - r.arrival))
+			sh.tally.Observe(uint64(end - r.arrival))
 			wait += uint64(start - r.arrival)
 			timed++
 		}
 	}
-	if timed > 0 {
-		s.stageNS[stageWait].Add(wait)
-		s.stageNS[stageApply].Add(timed * uint64(applied-start))
-		s.stageNS[stageCopy].Add(timed * uint64(copied-applied))
-		s.stageNS[stageCommit].Add(timed * uint64(committed-copied))
-		s.stageNS[stageRetire].Add(timed * uint64(end-committed))
-	}
+	sh.stages[stageWait] += wait
+	sh.stages[stageApply] += timed * uint64(applied-start)
+	sh.stages[stageCopy] += timed * uint64(copied-applied)
+	sh.stages[stageCommit] += timed * uint64(committed-copied)
+	sh.stages[stageRetire] += timed * uint64(end-committed)
 	sh.batches++
 	sh.pending = sh.pending[:0]
 	s.observeSpaceLocked(sh)
 	sh.freeAt = end
+}
+
+// flushInstrumentsLocked adds what sh's commits observed to the service
+// histogram and stage counters and empties the shard's share. Only timed
+// requests observe, and they join a shard only through enqueue, which ends
+// with this flush; drain commits the batch they leave pending and flushes
+// too. So the service instruments lag a shard by at most one feed chunk and
+// hold every observation once Run returns. Callers hold sh.mu.
+func (s *Service) flushInstrumentsLocked(sh *shard) {
+	sh.tally.Flush()
+	for i, ns := range sh.stages {
+		s.stageNS[i].Add(ns)
+	}
+	sh.stages = [numStages]uint64{}
 }
 
 // drainCompactionLocked finishes the pass in flight and every pass still
@@ -542,15 +559,18 @@ func (s *Service) enqueue(sh *shard, reqs []request) {
 			s.commitLocked(sh, max(r.arrival, sh.freeAt))
 		}
 	}
+	s.flushInstrumentsLocked(sh)
 }
 
-// drain commits all leftover partial batches at their deadlines.
+// drain commits all leftover partial batches at their deadlines and flushes
+// what they observed.
 func (s *Service) drain() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		if len(sh.pending) > 0 {
 			s.commitLocked(sh, max(sh.pending[0].arrival+s.cfg.MaxWait, sh.freeAt))
 		}
+		s.flushInstrumentsLocked(sh)
 		sh.mu.Unlock()
 	}
 }

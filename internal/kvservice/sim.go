@@ -148,8 +148,8 @@ func sweepRow(res SimResult, svc *Service) SweepRow {
 
 func round3(x float64) float64 { return math.Round(x*1000) / 1000 }
 
-// keyName is fmt.Sprintf("key%08d", n) without fmt: the request loop formats
-// one key per simulated arrival.
+// keyName is fmt.Sprintf("key%08d", n) without fmt: Run formats each key
+// once, on its first draw (see drawnKey).
 func keyName(n uint64) string {
 	if n > 99999999 {
 		return "key" + strconv.FormatUint(n, 10)
@@ -162,6 +162,14 @@ func keyName(n uint64) string {
 	return string(b[:])
 }
 
+// drawnKey is Run's memo of one key index: its name and the shard it routes
+// to, filled on the index's first draw. Every request for the key then
+// carries the same string, so the key table compares it by pointer.
+type drawnKey struct {
+	name  string
+	shard int
+}
+
 // Run drives one load point through a fresh service and returns the row
 // plus the service itself (callers feed its merged trace to the
 // sanitizer or the epoch analysis). Same config, same result — the whole
@@ -169,12 +177,25 @@ func keyName(n uint64) string {
 // The caller's goroutine draws every arrival, in one order whatever the
 // shard count; each shard simulates its own arrivals on a goroutine of its
 // own (see feed), and its schedule depends on nothing else.
+//
+// The drawer allocates nothing per request beyond a key's first draw. Keys
+// come from a table local to the run, min(Keys, Ops) entries indexed by key
+// index (an index past it is formatted and routed per draw); it dies with
+// the run, not with the service its callers hold on to. A write's value is a ValueLen window into one pattern buffer,
+// starting at i%26: the bytes 'a'+(i+j)%26 for j < ValueLen. Values are
+// read-only downstream — store.put copies them into the record, Get copies a
+// pending one — so every write may share the pattern.
 func Run(cfg SimConfig) (SimResult, *Service) {
 	cfg = cfg.withDefaults()
 	svc := newSimService(cfg)
 	f := svc.startFeed(svc.enqueue)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := workload.NewZipf(rng, cfg.ZipfS, cfg.Keys)
+	keys := make([]drawnKey, min(cfg.Keys, uint64(cfg.Ops)))
+	pattern := make([]byte, cfg.ValueLen+26)
+	for j := range pattern {
+		pattern[j] = byte('a' + j%26)
+	}
 	meanGapNS := 1e9 / (float64(cfg.Clients) * cfg.ClientOpsPerSec)
 	var t float64
 	for i := 0; i < cfg.Ops; i++ {
@@ -183,18 +204,25 @@ func Run(cfg SimConfig) (SimResult, *Service) {
 		if arrival == 0 {
 			arrival = 1 // zero is the "untimed" sentinel
 		}
-		key := keyName(zipf.Next())
-		op := workload.KVOp{Kind: workload.OpRead, Key: key}
-		if draw := rng.Intn(100); draw < cfg.WritePct {
-			val := make([]byte, cfg.ValueLen)
-			for j := range val {
-				val[j] = byte('a' + (i+j)%26)
+		var k drawnKey
+		if n := zipf.Next(); n < uint64(len(keys)) {
+			if keys[n].name == "" {
+				keys[n].name = keyName(n)
+				keys[n].shard = svc.ShardFor(keys[n].name)
 			}
-			op = workload.KVOp{Kind: workload.OpUpdate, Key: key, Value: val}
-		} else if draw < cfg.WritePct+cfg.DeletePct {
-			op = workload.KVOp{Kind: workload.OpDelete, Key: key}
+			k = keys[n]
+		} else {
+			k.name = keyName(n)
+			k.shard = svc.ShardFor(k.name)
 		}
-		f.send(svc.ShardFor(key), request{op: op, arrival: arrival})
+		op := workload.KVOp{Kind: workload.OpRead, Key: k.name}
+		if draw := rng.Intn(100); draw < cfg.WritePct {
+			val := pattern[i%26:][:cfg.ValueLen:cfg.ValueLen]
+			op = workload.KVOp{Kind: workload.OpUpdate, Key: k.name, Value: val}
+		} else if draw < cfg.WritePct+cfg.DeletePct {
+			op = workload.KVOp{Kind: workload.OpDelete, Key: k.name}
+		}
+		f.send(k.shard, request{op: op, arrival: arrival})
 	}
 	f.close()
 	svc.drain()
@@ -210,8 +238,9 @@ const (
 // goroutine per shard. The drawing side appends each request to its shard's
 // open chunk; a full chunk goes to the shard's goroutine, which hands it to
 // step and sends it back to be refilled. feedDepth+1 chunks circulate per
-// shard, so the drawing side runs at most that far ahead of any shard and a
-// request costs no allocation of its own.
+// shard, so the drawing side runs at most that far ahead of any shard and
+// the hand-off costs a request no allocation. The shard side flushes its
+// latency tally and stage counters once per chunk, at the end of enqueue.
 type feed struct {
 	open [][]request      // per shard: the chunk being filled
 	full []chan []request // per shard: chunks waiting for the shard's goroutine

@@ -3,6 +3,7 @@ package kvservice
 import (
 	"bytes"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -260,6 +261,34 @@ func TestStageBudgetSumsToLatency(t *testing.T) {
 		mean := float64(lat.Sum) / float64(lat.Count) / 1000
 		if got := m.WaitUs + m.ApplyUs + m.CopyUs + m.CommitUs + m.RetireUs; got < mean-0.003 || got > mean+0.003 {
 			t.Fatalf("%s: stage means %+v add up to %.3f µs, mean latency is %.3f µs", name, m, got, mean)
+		}
+	}
+}
+
+// TestLatencyCountsEveryTimedRequest: shards observe latency and stage
+// shares into their own tallies and flush them per chunk and in drain, so a
+// run must still end with every request in the service histogram and the
+// stage counters summing to its sum. The op counts straddle a feed chunk
+// (a partial last chunk, an exact one, one request over) and leave a batch
+// pending for drain; each runs on one shard and four, on one core and on
+// every core.
+func TestLatencyCountsEveryTimedRequest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		runtime.GOMAXPROCS(procs)
+		for _, shards := range []int{1, 4} {
+			for _, ops := range []int{1, feedChunk - 1, feedChunk, feedChunk + 1, 1003} {
+				_, svc := Run(SimConfig{Shards: shards, Batch: 8, Clients: 4000, Ops: ops, Keys: 1024, WritePct: 50})
+				lat := svc.Latency().Snapshot()
+				var sum uint64
+				for _, c := range svc.stageNS {
+					sum += c.Value()
+				}
+				if lat.Count != uint64(ops) || sum != lat.Sum {
+					t.Errorf("GOMAXPROCS=%d shards=%d ops=%d: %d latencies summing to %d ns, stages sum to %d ns",
+						procs, shards, ops, lat.Count, lat.Sum, sum)
+				}
+			}
 		}
 	}
 }

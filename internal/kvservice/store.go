@@ -141,6 +141,7 @@ type store struct {
 
 	pass        pass
 	scratch     []byte // compactStep's record buffer
+	rec         []byte // appendRec's record image; th.Store copies it into the device
 	compactions uint64 // compaction passes completed (victims retired)
 	copiedBytes uint64 // record bytes copied forward by compaction
 }
@@ -348,7 +349,9 @@ func (s *store) ensureSeg() error {
 }
 
 // appendRec appends one record (or tombstone) at the head and returns its
-// log offset. The bytes are volatile until the next commit.
+// log offset. The bytes are volatile until the next commit. The record is
+// built in the store's own buffer, not in val, so val may be any caller's
+// slice: a value Run cuts from its shared pattern, compactStep's scratch.
 func (s *store) appendRec(key string, val []byte, tomb bool) (uint64, error) {
 	need := recHeader + len(key) + len(val)
 	if need > s.segBytes {
@@ -367,7 +370,8 @@ func (s *store) appendRec(key string, val []byte, tomb bool) (uint64, error) {
 	}
 	off := s.head
 	a := s.addr(off)
-	buf := make([]byte, need)
+	buf := slices.Grow(s.rec[:0], need)[:need]
+	s.rec = buf
 	binary.LittleEndian.PutUint32(buf, uint32(len(key)))
 	if tomb {
 		binary.LittleEndian.PutUint32(buf[4:], tombMarker)

@@ -11,7 +11,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // LineSize is the cache-line granularity used throughout the paper: epochs
@@ -90,14 +90,17 @@ type Span struct {
 	Size int
 }
 
-// Coalesce returns line-aligned spans covering exactly the distinct
-// cache lines touched by spans, merged into maximal contiguous runs and
-// sorted by address. Transaction layers use it to issue commit-time
-// flushes once per dirty line: per-write dirty ranges routinely overlap
-// within a line (e.g. two fields of one inode), and flushing them
-// verbatim re-flushes lines that are already clean.
-func Coalesce(spans []Span) []Span {
-	lines := make([]Line, 0, len(spans))
+// Coalesce returns line-aligned spans covering exactly the distinct cache
+// lines touched by spans, merged into maximal contiguous runs and sorted by
+// address. Transaction layers use it to issue commit-time flushes once per
+// dirty line: per-write dirty ranges routinely overlap within a line (e.g.
+// two fields of one inode), and flushing them verbatim re-flushes lines
+// that are already clean. The runs are built in runs and sorted in lines,
+// both overwritten from their start; it returns the two buffers, so a
+// caller that passes them back coalesces every later batch without
+// allocating.
+func Coalesce(runs []Span, lines []Line, spans []Span) ([]Span, []Line) {
+	lines = slices.Grow(lines[:0], len(spans))
 	for _, s := range spans {
 		n := LinesSpanned(s.Addr, s.Size)
 		first := LineOf(s.Addr)
@@ -105,14 +108,11 @@ func Coalesce(spans []Span) []Span {
 			lines = append(lines, first+Line(i))
 		}
 	}
-	if len(lines) == 0 {
-		return nil
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	out := make([]Span, 0, len(lines))
+	slices.Sort(lines)
+	runs = slices.Grow(runs[:0], len(lines))
 	for _, l := range lines {
-		if n := len(out); n > 0 {
-			prev := &out[n-1]
+		if n := len(runs); n > 0 {
+			prev := &runs[n-1]
 			end := prev.Addr + Addr(prev.Size)
 			if LineAddr(l) < end { // duplicate line
 				continue
@@ -122,9 +122,9 @@ func Coalesce(spans []Span) []Span {
 				continue
 			}
 		}
-		out = append(out, Span{Addr: LineAddr(l), Size: LineSize})
+		runs = append(runs, Span{Addr: LineAddr(l), Size: LineSize})
 	}
-	return out
+	return runs, lines
 }
 
 func (a Addr) String() string {

@@ -21,6 +21,8 @@ import "github.com/whisper-pm/whisper/internal/mem"
 type Group struct {
 	th    *Thread
 	spans []mem.Span
+	runs  []mem.Span // Commit's coalesced runs, kept for the next batch
+	lines []mem.Line // Commit's sort buffer, kept for the next batch
 }
 
 // NewGroup creates an empty group committing through th.
@@ -42,12 +44,15 @@ func (g *Group) Pending() int { return len(g.spans) }
 // (coalesced into maximal runs) and issues one fence, then resets the
 // group for the next batch. An empty group is a complete no-op: there is
 // nothing to order, so no fence is issued (an unconditional fence would
-// be exactly the fence-without-work smell the sanitizer flags).
+// be exactly the fence-without-work smell the sanitizer flags). A group
+// reuses its buffers, so once they have grown to the largest batch a
+// commit allocates nothing.
 func (g *Group) Commit() {
 	if len(g.spans) == 0 {
 		return
 	}
-	for _, s := range mem.Coalesce(g.spans) {
+	g.runs, g.lines = mem.Coalesce(g.runs, g.lines, g.spans)
+	for _, s := range g.runs {
 		g.th.Flush(s.Addr, s.Size)
 	}
 	g.th.Fence()

@@ -317,6 +317,36 @@ func TestGroupReusableAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestGroupCommitDoesNotAllocate pins a steady-state group commit at zero
+// allocations: once its span, run and sort buffers have grown to the batch,
+// Add and Commit reuse them. The batch is the KV service's shape, eight
+// 147-byte records appended back to back plus a slot-table entry far away.
+func TestGroupCommitDoesNotAllocate(t *testing.T) {
+	rt := NewRuntime("test", "native", 1, Config{Metrics: obs.NewRegistry(), NoTrace: true})
+	th := rt.Thread(0)
+	a := rt.Dev.Map(8 << 10)
+	rec := make([]byte, 147)
+	g := NewGroup(th)
+	off := 0
+	batch := func() {
+		for i := 0; i < 8; i++ {
+			addr := a + 1024 + mem.Addr(off%(6<<10))
+			th.Store(addr, rec)
+			g.Add(addr, len(rec))
+			off += len(rec)
+		}
+		th.StoreU64(a, uint64(off))
+		g.Add(a, 16)
+		g.Commit()
+	}
+	if n := testing.AllocsPerRun(1000, batch); n != 0 {
+		t.Errorf("a steady-state group commit allocates %v times, want 0", n)
+	}
+	if !rt.Dev.IsDurable(a, 16) {
+		t.Fatal("the last batch's slot entry is not durable")
+	}
+}
+
 func TestRuntimeInstanceMetricsIsolation(t *testing.T) {
 	// Two runtimes of the same app with distinct instances and a private
 	// registry: their ordering-point counters must not alias each other,
