@@ -1,14 +1,16 @@
 // Command wcrash runs the systematic crash-consistency matrix: every
-// selected WHISPER application is executed on the simulated PM device,
+// selected WHISPER application runs its one workload on the simulated PM
+// device — the paper's mix the suite records, and for the apps whose paper
+// mix skips an operation recovery must handle the checker's mix too — is
 // crashed at chosen operation-boundary and mid-operation points under all
 // three crash modes, rebooted through its recovery path, and validated
 // against a volatile oracle (acknowledged operations must survive, the
 // in-flight operation must be atomically present or absent, structural
-// invariants must always hold).
+// invariants must always hold). A row of the output is one (app, mix).
 //
 // Usage:
 //
-//	wcrash                         # full default matrix, all ten apps
+//	wcrash                         # full default matrix, all eleven apps
 //	wcrash -app vacation -v        # one app, per-cell violations
 //	wcrash -seeds 12 -ops 32       # heavier sweep
 //	wcrash -points 0,1,7,15,31     # explicit crash points
@@ -41,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := cliutil.Flags("wcrash", stderr)
 	app := fs.String("app", "", "check one application (default: all)")
 	clients := fs.Int("clients", 0, "client threads (0 = checker default)")
-	ops := fs.Int("ops", 0, "scripted operations per run (0 = checker default)")
+	ops := fs.Int("ops", 0, "operations per run, across clients (0 = checker default)")
 	seeds := fs.Int("seeds", 0, "number of workload seeds 1..N (0 = checker default of 8)")
 	points := fs.String("points", "", "comma-separated crash points (default 0,1,Ops/2,Ops-1)")
 	modes := fs.String("modes", "", "comma-separated modes: all-persisted,mid-epoch,adversarial-subset (default all)")
@@ -90,40 +92,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	apps := crashcheck.Apps()
+	apps := crashcheck.Suite()
 	if *app != "" {
 		// Validate before running anything: an unknown app must be a clean
 		// usage error, not a mid-matrix failure.
-		found := false
-		for _, name := range apps {
-			if name == *app {
-				found = true
-				break
-			}
+		a, err := crashcheck.Lookup(*app)
+		if err != nil {
+			return fail(fmt.Errorf("unknown app %q (have %s)", *app, strings.Join(crashcheck.Apps(), ", ")))
 		}
-		if !found {
-			return fail(fmt.Errorf("unknown app %q (have %s)", *app, strings.Join(apps, ", ")))
-		}
-		apps = []string{*app}
+		apps = []crashcheck.App{*a}
 	}
 
-	fmt.Fprintf(stdout, "%-10s  %-7s  %-10s  %-8s  %s\n", "app", "cells", "violations", "elapsed", "status")
+	fmt.Fprintf(stdout, "%-10s  %-7s  %-7s  %-10s  %-8s  %s\n", "app", "mix", "cells", "violations", "elapsed", "status")
 	failed := false
-	for _, name := range apps {
-		rep, err := crashcheck.CheckApp(name, cfg)
-		if err != nil {
-			return fail(err)
-		}
-		status := "ok"
-		if !rep.Ok() {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Fprintf(stdout, "%-10s  %-7d  %-10d  %-8s  %s\n",
-			rep.App, rep.Cells, len(rep.Violations), rep.Elapsed.Round(1e6), status)
-		if *verbose || !rep.Ok() {
-			for _, v := range rep.Violations {
-				fmt.Fprintf(stdout, "    %s\n", v)
+	for _, a := range apps {
+		for _, mix := range a.Mixes {
+			rep, err := crashcheck.CheckApp(a.Name, mix, cfg)
+			if err != nil {
+				return fail(err)
+			}
+			status := "ok"
+			if !rep.Ok() {
+				status = "FAIL"
+				failed = true
+			}
+			fmt.Fprintf(stdout, "%-10s  %-7s  %-7d  %-10d  %-8s  %s\n",
+				rep.App, rep.Mix, rep.Cells, len(rep.Violations), rep.Elapsed.Round(1e6), status)
+			if *verbose || !rep.Ok() {
+				for _, v := range rep.Violations {
+					fmt.Fprintf(stdout, "    %s\n", v)
+				}
 			}
 		}
 	}

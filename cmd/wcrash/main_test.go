@@ -15,7 +15,8 @@ func TestRunErrorPaths(t *testing.T) {
 		args      []string
 		wantCode  int
 		wantErr   string // substring expected on stderr
-		wantCells int    // when nonzero, the one app row's cell count
+		wantRows  int    // when wantCells is nonzero, the number of (app, mix) rows
+		wantCells int    // when nonzero, every row's cell count
 	}{
 		{
 			name:     "unknown app",
@@ -101,10 +102,12 @@ func TestRunErrorPaths(t *testing.T) {
 			wantCode: 0,
 		},
 		{
-			// -seeds replaces smoke's {1, 2}: 1 seed x 4 points x 3 modes.
+			// -seeds replaces smoke's {1, 2}: 1 seed x 4 points x 3 modes,
+			// on each of hashmap's two rows (paper and checker mix).
 			name:      "smoke seeds replace the smoke list",
 			args:      []string{"-smoke", "-seeds", "1", "-app", "hashmap"},
 			wantCode:  0,
+			wantRows:  2,
 			wantCells: 12,
 		},
 	}
@@ -122,9 +125,14 @@ func TestRunErrorPaths(t *testing.T) {
 				t.Fatalf("success run printed no ok row:\n%s", stdout.String())
 			}
 			if tc.wantCells != 0 {
-				rows := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-				if len(rows) != 2 || strings.Fields(rows[1])[1] != strconv.Itoa(tc.wantCells) {
-					t.Fatalf("want one app row of %d cells:\n%s", tc.wantCells, stdout.String())
+				rows := strings.Split(strings.TrimSpace(stdout.String()), "\n")[1:]
+				if len(rows) != tc.wantRows {
+					t.Fatalf("want %d rows:\n%s", tc.wantRows, stdout.String())
+				}
+				for _, row := range rows {
+					if strings.Fields(row)[2] != strconv.Itoa(tc.wantCells) {
+						t.Fatalf("want rows of %d cells:\n%s", tc.wantCells, stdout.String())
+					}
 				}
 			}
 		})

@@ -9,18 +9,16 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/whisper-pm/whisper/internal/apps/echo"
-	"github.com/whisper-pm/whisper/internal/apps/fsapps"
 	"github.com/whisper-pm/whisper/internal/apps/hashstore"
-	"github.com/whisper-pm/whisper/internal/apps/vacation"
 	"github.com/whisper-pm/whisper/internal/cachesim"
+	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/epoch"
-	"github.com/whisper-pm/whisper/internal/mnemosyne"
 	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/pmfs"
 	"github.com/whisper-pm/whisper/internal/trace"
+	"github.com/whisper-pm/whisper/internal/workload"
 )
 
 // TestTraceDrivesCacheSim replays a recorded run through the cache
@@ -28,9 +26,7 @@ import (
 // PM. (The run counts its volatile traffic and records none of it; the
 // routing of volatile events to DRAM is pinned in internal/cachesim.)
 func TestTraceDrivesCacheSim(t *testing.T) {
-	rt := persist.NewRuntime("hashmap", "nvml", 2, persist.Config{})
-	pool := nvml.Open(rt, 4096, nvml.Options{})
-	hashstore.RunWorkload(rt, pool, 256, 2, 40, 5)
+	rt := recordApp(t, "hashmap", 2, 40, 5)
 
 	h := cachesim.New(cachesim.DefaultConfig())
 	st, err := cachesim.ReplaySource(h, trace.NewSliceSource(rt.Trace))
@@ -48,63 +44,48 @@ func TestTraceDrivesCacheSim(t *testing.T) {
 	}
 }
 
-// TestEveryAppSurvivesAdversarialCrash runs each transactional stack,
-// crashes it adversarially, recovers, and checks structural consistency.
+// recordApp runs app's paper mix through the suite's one driver on a
+// recording runtime.
+func recordApp(t *testing.T, app string, clients, ops int, seed int64) *persist.Runtime {
+	t.Helper()
+	a, err := crashcheck.Lookup(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := persist.NewRuntime(a.Name, a.Layer, clients, persist.Config{})
+	a.Run(rt, clients, ops, seed)
+	return rt
+}
+
+// TestEveryAppSurvivesAdversarialCrash runs each transactional stack on
+// its paper mix, crashes it adversarially in its last operation, recovers,
+// and holds the image to the app's oracle: structural consistency, and
+// every acknowledged operation intact.
 func TestEveryAppSurvivesAdversarialCrash(t *testing.T) {
-	t.Run("echo", func(t *testing.T) {
-		for seed := int64(1); seed <= 5; seed++ {
-			rt := persist.NewRuntime("echo", "native", 2, persist.Config{})
-			s := echo.RunWorkload(rt, echo.Config{Buckets: 128, SlabBytes: 4 << 20, BatchSize: 8}, 2, 4, seed)
-			rt.Crash(pmem.Adversarial, seed)
-			s.Recover()
-			// Recovery must not panic and the index must be walkable.
-		}
-	})
-	t.Run("vacation", func(t *testing.T) {
-		for seed := int64(1); seed <= 5; seed++ {
-			rt := persist.NewRuntime("vacation", "mnemosyne", 2, persist.Config{})
-			heap := mnemosyne.New(rt, 16384, mnemosyne.Options{})
-			m := vacation.RunWorkload(rt, heap, 32, 2, 10, seed)
-			rt.Crash(pmem.Adversarial, seed)
-			heap.Recover(rt.Thread(0), true)
-			if !m.CheckTrees(0) {
-				t.Fatalf("seed %d: red-black invariants violated after crash", seed)
+	for _, tc := range []struct {
+		name, app  string
+		seeds, ops int
+	}{
+		{"echo", "echo", 5, 8},
+		{"vacation", "vacation", 5, 20},
+		{"hashmap", "hashmap", 5, 40},
+		{"pmfs-exim", "exim", 3, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := crashcheck.Config{Clients: 2, Ops: tc.ops, Points: []int{tc.ops - 1},
+				Modes: []crashcheck.Mode{crashcheck.AdversarialSubset}}
+			for seed := int64(1); seed <= int64(tc.seeds); seed++ {
+				cfg.Seeds = append(cfg.Seeds, seed)
 			}
-		}
-	})
-	t.Run("hashmap", func(t *testing.T) {
-		for seed := int64(1); seed <= 5; seed++ {
-			rt := persist.NewRuntime("hashmap", "nvml", 2, persist.Config{})
-			pool := nvml.Open(rt, 4096, nvml.Options{})
-			m := hashstore.RunWorkload(rt, pool, 256, 2, 20, seed)
-			before := m.Len()
-			rt.Crash(pmem.Adversarial, seed)
-			pool.Recover(rt.Thread(0))
-			m2 := hashstore.Attach(rt, pool, 256)
-			got := m2.CountPersistent(0)
-			// All transactions committed before the crash: every insert
-			// must have survived.
-			if got != before {
-				t.Fatalf("seed %d: %d entries survived of %d committed", seed, got, before)
-			}
-		}
-	})
-	t.Run("pmfs-exim", func(t *testing.T) {
-		for seed := int64(1); seed <= 3; seed++ {
-			rt := persist.NewRuntime("exim", "pmfs", 2, persist.Config{})
-			fs := pmfs.Format(rt, rt.Thread(0), pmfs.Options{Inodes: 512, Blocks: 2048})
-			if err := fsapps.RunExim(rt, fs, 2, 5, 2, seed); err != nil {
+			res, err := crashcheck.CheckApp(tc.app, workload.Paper, cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			rt.Crash(pmem.Adversarial, seed)
-			fs.Recover(rt.Thread(0))
-			// Completed deliveries must be readable.
-			data, err := fs.ReadAt(rt.Thread(0), "/log/mainlog", 0, 1<<20)
-			if err != nil || len(data) == 0 {
-				t.Fatalf("seed %d: delivery log unreadable: %v", seed, err)
+			for _, v := range res.Violations {
+				t.Error(v)
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestHeadlineFindings asserts the paper's abstract across the whole
@@ -189,13 +170,11 @@ func TestScaleUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long run")
 	}
-	rt := persist.NewRuntime("scale", "nvml", 4, persist.Config{})
-	pool := nvml.Open(rt, 1<<15, nvml.Options{})
-	m := hashstore.RunWorkload(rt, pool, 4096, 4, 2000, 19)
-	if m.Len() < 7000 {
-		t.Fatalf("expected ~8000 inserts, got %d", m.Len())
-	}
+	rt := recordApp(t, "hashmap", 4, 2000, 19)
 	a := epoch.Analyze(rt.Trace)
+	if len(a.TxEpochCounts) < 8000 {
+		t.Fatalf("expected 8000 insert transactions, got %d", len(a.TxEpochCounts))
+	}
 	if a.TotalEpochs < 50000 {
 		t.Fatalf("epochs = %d", a.TotalEpochs)
 	}

@@ -14,7 +14,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/sched"
+	"github.com/whisper-pm/whisper/internal/workload"
 )
 
 // Node layouts. An internal node discriminates on one bit of the 64-bit
@@ -301,24 +301,39 @@ func (t *Tree) checkNode(th *persist.Thread, p uint64, parentBit uint, mask, wan
 	return t.checkNode(th, c1, bit, mask|1<<bit, want|1<<bit)
 }
 
-// RunWorkload executes the paper's configuration: `clients` threads each
-// performing `txs` INSERT transactions.
-func RunWorkload(rt *persist.Runtime, pool *nvml.Pool, clients, txs int, seed int64) *Tree {
-	t := New(rt, pool)
-	workers := make([]sched.Worker, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		rng := rand.New(rand.NewSource(seed + int64(c)))
-		workers[c] = sched.Steps(txs, func(i int) {
-			// INSERT transactions over fresh random keys (the paper's
-			// "100K INSERT transactions" configuration).
-			t.Insert(c, rng.Uint64(), uint64(i))
-			rt.Thread(c).Compute(21000)
-			// Benchmark driver, key generation (Figure 6: ~3.3% PM).
-			rt.Thread(c).VLoad(1200)
-			rt.Thread(c).VStore(400)
-		})
+// Workload is the ctree workload: the paper's INSERT transactions over
+// fresh random keys ("100K INSERT transactions"), or under
+// workload.Checker the checker's insert/delete/get mix over 256 keys.
+type Workload struct {
+	rt    *persist.Runtime
+	kv    workload.KV[uint64, uint64]
+	keys  []*rand.Rand
+	check *workload.KVCheck[uint64, uint64]
+}
+
+// Setup prepares clients' generators over kv: a *Tree, or an oracle
+// wrapping one.
+func Setup(rt *persist.Runtime, kv workload.KV[uint64, uint64], mix workload.Mix, clients int, seed int64) *Workload {
+	w := &Workload{rt: rt, kv: kv}
+	if mix == workload.Checker {
+		w.check = workload.NewKVCheck(kv, clients, seed, 256, workload.NonZero)
 	}
-	sched.Run(workers, seed)
-	return t
+	for c := 0; c < clients; c++ {
+		w.keys = append(w.keys, rand.New(rand.NewSource(seed+int64(c))))
+	}
+	return w
+}
+
+// Op runs client tid's i-th operation.
+func (w *Workload) Op(tid, i int) {
+	if w.check != nil {
+		w.check.Op(tid)
+	} else {
+		w.kv.Insert(tid, w.keys[tid].Uint64(), uint64(i))
+	}
+	th := w.rt.Thread(tid)
+	th.Compute(21000)
+	// Benchmark driver, key generation (Figure 6: ~3.3% PM).
+	th.VLoad(1200)
+	th.VStore(400)
 }

@@ -161,19 +161,6 @@ func TestCrashMidInsertInvisible(t *testing.T) {
 	}
 }
 
-func TestRunWorkload(t *testing.T) {
-	rt := persist.NewRuntime("ctree", "nvml", 4, persist.Config{})
-	pool := nvml.Open(rt, 8192, nvml.Options{})
-	tr := RunWorkload(rt, pool, 4, 25, 21)
-	if tr.Len() == 0 {
-		t.Fatal("workload inserted nothing")
-	}
-	a := epoch.Analyze(rt.Trace)
-	if a.SingletonFraction() < 0.5 {
-		t.Errorf("singleton fraction = %.2f", a.SingletonFraction())
-	}
-}
-
 func TestCritBit(t *testing.T) {
 	cases := []struct {
 		a, b uint64

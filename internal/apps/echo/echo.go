@@ -26,7 +26,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/alloc"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/sched"
 	"github.com/whisper-pm/whisper/internal/workload"
 )
 
@@ -120,12 +119,10 @@ func New(rt *persist.Runtime, cfg Config) *Store {
 	return s
 }
 
-// HashKey exposes the store's key hash. SubmitBatch applies a batch in
+// HashKey is the store's key hash. SubmitBatch applies a batch in
 // ascending hash order, so an external oracle needs the hash to know which
 // update prefixes are legal crash states.
-func HashKey(key string) uint64 { return hashKey(key) }
-
-func hashKey(key string) uint64 {
+func HashKey(key string) uint64 {
 	// FNV-1a.
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -145,14 +142,14 @@ func (s *Store) bucketAddr(h uint64) mem.Addr {
 // Put stages an update in the client's volatile store; it becomes durable
 // at the next SubmitBatch. This mirrors Echo's local-write/batch design.
 func (s *Store) Put(tid int, key string, value uint64) {
-	s.local[tid][hashKey(key)] = value
+	s.local[tid][HashKey(key)] = value
 	s.rt.Thread(tid).VStore(2)
 }
 
 // Get reads first from the client's volatile store, then from the master.
 func (s *Store) Get(tid int, key string) (uint64, bool) {
 	th := s.rt.Thread(tid)
-	h := hashKey(key)
+	h := HashKey(key)
 	if v, ok := s.local[tid][h]; ok {
 		th.VLoad(2)
 		return v, true
@@ -364,29 +361,46 @@ func (s *Store) CheckInvariants() error {
 	return nil
 }
 
-// RunWorkload executes the echo-test profile: clients issue transactions
-// of staged updates and submit them in batches. Each client performs
-// `txs` batch submissions. Returns the runtime's trace via rt.
-func RunWorkload(rt *persist.Runtime, cfg Config, clients, txs int, seed int64) *Store {
-	s := New(rt, cfg)
-	workers := make([]sched.Worker, clients)
+// BatchSize is the number of updates a client stages per batch.
+func (s *Store) BatchSize() int { return s.cfg.BatchSize }
+
+// Batcher is the method set the echo workload drives: a *Store, or an
+// oracle wrapping one and forwarding every call unchanged.
+type Batcher interface {
+	BatchSize() int
+	Put(tid int, key string, value uint64)
+	SubmitBatch(tid int) int
+}
+
+// Workload is the echo-test profile: each operation stages a batch of
+// YCSB-style updates (zipf keys, so a batch may update a key twice) and
+// submits it.
+type Workload struct {
+	rt   *persist.Runtime
+	s    Batcher
+	gens []*workload.YCSB
+}
+
+// Setup prepares clients' update generators over s.
+func Setup(rt *persist.Runtime, s Batcher, clients int, seed int64) *Workload {
+	w := &Workload{rt: rt, s: s}
 	for c := 0; c < clients; c++ {
-		c := c
-		gen := workload.NewYCSB(seed+int64(c), 4096, 100, 8)
-		workers[c] = sched.Steps(txs, func(int) {
-			for i := 0; i < s.cfg.BatchSize; i++ {
-				op := gen.Next()
-				s.Put(c, op.Key, uint64(len(op.Value)))
-			}
-			s.SubmitBatch(c)
-			// Client/server round trip, volatile local-store maintenance,
-			// batching buffers: Echo's PM traffic is ~5.5% of accesses
-			// (Figure 6).
-			rt.Thread(c).VLoad(3900)
-			rt.Thread(c).VStore(1300)
-			rt.Thread(c).Compute(174000)
-		})
+		w.gens = append(w.gens, workload.NewYCSB(seed+int64(c), 4096, 100, 8))
 	}
-	sched.Run(workers, seed)
-	return s
+	return w
+}
+
+// Op runs client tid's i-th batch submission.
+func (w *Workload) Op(tid, i int) {
+	for n := w.s.BatchSize(); n > 0; n-- {
+		op := w.gens[tid].Next()
+		w.s.Put(tid, op.Key, uint64(len(op.Value)))
+	}
+	w.s.SubmitBatch(tid)
+	// Client/server round trip, volatile local-store maintenance, batching
+	// buffers: Echo's PM traffic is ~5.5% of accesses (Figure 6).
+	th := w.rt.Thread(tid)
+	th.VLoad(3900)
+	th.VStore(1300)
+	th.Compute(174000)
 }

@@ -46,7 +46,7 @@ func TestVersionChaining(t *testing.T) {
 	}
 	th := s.rt.Thread(0)
 	versions := 0
-	for ver := mem.Addr(th.LoadU64(s.index[hashKey("vkey")] + eVer)); ver != 0; ver = mem.Addr(th.LoadU64(ver + vPrev)) {
+	for ver := mem.Addr(th.LoadU64(s.index[HashKey("vkey")] + eVer)); ver != 0; ver = mem.Addr(th.LoadU64(ver + vPrev)) {
 		versions++
 	}
 	if versions != 3 {
@@ -126,31 +126,5 @@ func TestCrashMidBatchAdversarial(t *testing.T) {
 		if v != 1 && v != 2 {
 			t.Fatalf("seed %d: torn value %d", seed, v)
 		}
-	}
-}
-
-func TestRunWorkloadProducesTrace(t *testing.T) {
-	rt := persist.NewRuntime("echo", "native", 4, persist.Config{})
-	RunWorkload(rt, Config{Buckets: 512, SlabBytes: 4 << 20, BatchSize: 8}, 4, 5, 42)
-	a := epoch.Analyze(rt.Trace)
-	if len(a.TxEpochCounts) != 20 {
-		t.Fatalf("transactions = %d, want 20 (4 clients x 5)", len(a.TxEpochCounts))
-	}
-	if a.TotalEpochs == 0 || a.MedianTxEpochs() < 10 {
-		t.Fatalf("median epochs/tx = %d", a.MedianTxEpochs())
-	}
-	if a.DRAMAccesses == 0 {
-		t.Fatal("no volatile traffic accounted")
-	}
-}
-
-func TestDeterministicWorkload(t *testing.T) {
-	run := func() int {
-		rt := persist.NewRuntime("echo", "native", 2, persist.Config{})
-		RunWorkload(rt, Config{Buckets: 128, SlabBytes: 2 << 20, BatchSize: 4}, 2, 3, 7)
-		return rt.Trace.Len()
-	}
-	if run() != run() {
-		t.Fatal("same seed produced different traces")
 	}
 }

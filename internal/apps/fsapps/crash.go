@@ -4,44 +4,23 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
+	"sort"
 
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmfs"
 )
 
-// This file gives the three filesystem-tier apps the Recover/oracle surface
-// the crash-consistency checker (internal/crashcheck) needs. The legacy
-// applications are unmodified — persistence happens inside PMFS — so the
-// recovery unit is the filesystem image and the oracle is a volatile model
-// of the namespace and file contents.
-//
-// PMFS semantics drive what the oracle may demand of an interrupted call:
+// The three filesystem-tier apps are unmodified legacy applications —
+// persistence happens inside PMFS — so the crash checker's recovery unit
+// is the filesystem image and its oracle a volatile model of the namespace
+// and file contents. PMFS semantics drive what the oracle may demand of an
+// interrupted call:
 // metadata is journaled and therefore atomic, but user data is written with
 // non-temporal stores and NOT journaled. A call that was in flight at the
 // crash may land in its before or after state, and for an overwrite whose
 // size does not change, bytes inside the written range may tear — each byte
 // independently old or new. Everything outside the in-flight call must
 // match the model exactly, and pmfs.Fsck must always pass.
-
-// fsCall kinds.
-const (
-	fcCreate = iota
-	fcWrite  // WriteAt(path, off, data)
-	fcAppend // Append at the model's current size
-	fcRead   // ReadAt full file, checked against the model inline
-	fcStat
-	fcUnlink
-	fcFsync
-)
-
-// fsCall is one filesystem system call of a scripted operation.
-type fsCall struct {
-	kind int
-	path string
-	off  int
-	data []byte
-}
 
 // fsPending describes the call in flight when a crash hits: the acceptable
 // recovered states of its path. before/after are file contents; the Ok
@@ -56,8 +35,10 @@ type fsPending struct {
 	lo, hi   int
 }
 
-// fsOracle executes filesystem calls while maintaining the volatile model.
-type fsOracle struct {
+// Oracle wraps a filesystem, forwards every FS call to it unchanged and
+// models what each must have done, errors included (ErrExists, ErrNotFound).
+// It makes no filesystem call of its own until Check.
+type Oracle struct {
 	rt      *persist.Runtime
 	fs      *pmfs.FS
 	files   map[string][]byte
@@ -67,8 +48,9 @@ type fsOracle struct {
 	err     error // first model/filesystem disagreement during execution
 }
 
-func newFSOracle(rt *persist.Runtime, fs *pmfs.FS) *fsOracle {
-	return &fsOracle{
+// NewOracle wraps fs, which must be freshly formatted.
+func NewOracle(rt *persist.Runtime, fs *pmfs.FS) *Oracle {
+	return &Oracle{
 		rt: rt, fs: fs,
 		files:   make(map[string][]byte),
 		dirs:    make(map[string]bool),
@@ -76,127 +58,156 @@ func newFSOracle(rt *persist.Runtime, fs *pmfs.FS) *fsOracle {
 	}
 }
 
-func (o *fsOracle) fail(format string, args ...any) {
+func (o *Oracle) fail(format string, args ...any) {
 	if o.err == nil {
 		o.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (o *fsOracle) mkdir(th *persist.Thread, path string) {
-	if err := o.fs.Mkdir(th, path); err != nil {
-		o.fail("fsoracle: mkdir %s: %v", path, err)
-		return
+// file returns path's modeled contents and whether it exists, noting the
+// path touched, and the error a call on it must return: nil, or ErrNotFound
+// for a missing file.
+func (o *Oracle) file(path string) ([]byte, bool, error) {
+	o.touched[path] = true
+	cur, ok := o.files[path]
+	if !ok {
+		return nil, false, pmfs.ErrNotFound
 	}
-	o.dirs[path] = true
+	return cur, true, nil
 }
 
-// do executes one scripted call with pending-state bookkeeping: pending is
-// set just before the call and cleared just after, so if a crash interrupts
-// the call the oracle knows exactly which path may be in either state.
-func (o *fsOracle) do(th *persist.Thread, c fsCall) {
-	cur, ok := o.files[c.path]
-	o.touched[c.path] = true
-	switch c.kind {
-	case fcCreate:
-		o.pending = &fsPending{path: c.path, before: cur, beforeOk: ok, after: []byte{}, afterOk: true}
-		err := o.fs.Create(th, c.path)
-		if ok {
-			if !errors.Is(err, pmfs.ErrExists) {
-				o.fail("fsoracle: create existing %s: got %v, want ErrExists", c.path, err)
-			}
-		} else if err != nil {
-			o.fail("fsoracle: create %s: %v", c.path, err)
-		} else {
-			o.files[c.path] = []byte{}
-		}
-	case fcWrite, fcAppend:
-		off := c.off
-		if c.kind == fcAppend {
-			off = len(cur)
-		}
-		var after []byte
-		if ok {
-			after = append([]byte(nil), cur...)
-			for len(after) < off+len(c.data) {
-				after = append(after, 0)
-			}
-			copy(after[off:], c.data)
-		}
-		o.pending = &fsPending{
-			path: c.path, before: cur, beforeOk: ok, after: after, afterOk: ok,
-			lo: off, hi: off + len(c.data),
-		}
-		err := o.fs.WriteAt(th, c.path, int64(off), c.data)
-		if !ok {
-			if !errors.Is(err, pmfs.ErrNotFound) {
-				o.fail("fsoracle: write missing %s: got %v, want ErrNotFound", c.path, err)
-			}
-		} else if err != nil {
-			o.fail("fsoracle: write %s: %v", c.path, err)
-		} else {
-			o.files[c.path] = after
-		}
-	case fcUnlink:
-		o.pending = &fsPending{path: c.path, before: cur, beforeOk: ok}
-		err := o.fs.Unlink(th, c.path)
-		if !ok {
-			if !errors.Is(err, pmfs.ErrNotFound) {
-				o.fail("fsoracle: unlink missing %s: got %v, want ErrNotFound", c.path, err)
-			}
-		} else if err != nil {
-			o.fail("fsoracle: unlink %s: %v", c.path, err)
-		} else {
-			delete(o.files, c.path)
-		}
-	case fcRead:
-		got, err := o.fs.ReadAt(th, c.path, 0, len(cur))
-		if !ok {
-			if !errors.Is(err, pmfs.ErrNotFound) {
-				o.fail("fsoracle: read missing %s: got %v, want ErrNotFound", c.path, err)
-			}
-		} else if err != nil {
-			o.fail("fsoracle: read %s: %v", c.path, err)
-		} else if !bytes.Equal(got, cur) {
-			o.fail("fsoracle: read %s: content diverged from model", c.path)
-		}
-	case fcStat:
-		st, err := o.fs.Stat(th, c.path)
-		if !ok {
-			if !errors.Is(err, pmfs.ErrNotFound) {
-				o.fail("fsoracle: stat missing %s: got %v, want ErrNotFound", c.path, err)
-			}
-		} else if err != nil {
-			o.fail("fsoracle: stat %s: %v", c.path, err)
-		} else if st.Size != int64(len(cur)) {
-			o.fail("fsoracle: stat %s: size %d, model %d", c.path, st.Size, len(cur))
-		}
-	case fcFsync:
-		if err := o.fs.Fsync(th, c.path); ok && err != nil {
-			o.fail("fsoracle: fsync %s: %v", c.path, err)
-		}
+// check holds call's error on path to the one the model wants, and
+// reports whether the call succeeded as it should.
+func (o *Oracle) check(call, path string, err, want error) bool {
+	if want != nil && !errors.Is(err, want) || want == nil && err != nil {
+		o.fail("fsoracle: %s %s: got %v, want %v", call, path, err, want)
 	}
+	return err == nil && want == nil
+}
+
+// mutate runs fn, a mutating call, with p pending: set just before the
+// call and cleared just after, so if a crash interrupts the call the
+// oracle knows exactly which path may be in either state. A call that
+// succeeds as it should moves the model to p's after state.
+func (o *Oracle) mutate(call string, p *fsPending, want error, fn func() error) error {
+	o.pending = p
+	err := fn()
 	o.pending = nil
+	if o.check(call, p.path, err, want) {
+		if p.afterOk {
+			o.files[p.path] = p.after
+		} else {
+			delete(o.files, p.path)
+		}
+	}
+	return err
 }
 
-// check validates the recovered filesystem against the model: structural
-// fsck, every directory present, every touched path in its modeled state —
-// or, for the one call in flight at the crash, in its before or after state
-// with byte-level tearing allowed only inside the written range.
-func (o *fsOracle) check() error {
+// Mkdir forwards to the filesystem and records the directory.
+func (o *Oracle) Mkdir(th *persist.Thread, path string) error {
+	err := o.fs.Mkdir(th, path)
+	if o.check("mkdir", path, err, nil) {
+		o.dirs[path] = true
+	}
+	return err
+}
+
+// Create forwards to the filesystem.
+func (o *Oracle) Create(th *persist.Thread, path string) error {
+	cur, ok, _ := o.file(path)
+	p := &fsPending{path: path, before: cur, beforeOk: ok, after: []byte{}, afterOk: true}
+	var want error
+	if ok {
+		p.after, want = cur, pmfs.ErrExists
+	}
+	return o.mutate("create", p, want, func() error { return o.fs.Create(th, path) })
+}
+
+// WriteAt forwards to the filesystem.
+func (o *Oracle) WriteAt(th *persist.Thread, path string, off int64, data []byte) error {
+	return o.write(path, int(off), data, func() error { return o.fs.WriteAt(th, path, off, data) })
+}
+
+// Append forwards to the filesystem; the model appends at its own size.
+func (o *Oracle) Append(th *persist.Thread, path string, data []byte) error {
+	return o.write(path, len(o.files[path]), data, func() error { return o.fs.Append(th, path, data) })
+}
+
+// write models data landing at off in path around fn.
+func (o *Oracle) write(path string, off int, data []byte, fn func() error) error {
+	cur, ok, want := o.file(path)
+	var after []byte
+	if ok {
+		after = append([]byte(nil), cur...)
+		for len(after) < off+len(data) {
+			after = append(after, 0)
+		}
+		copy(after[off:], data)
+	}
+	return o.mutate("write", &fsPending{path: path, before: cur, beforeOk: ok, after: after, afterOk: ok,
+		lo: off, hi: off + len(data)}, want, fn)
+}
+
+// Unlink forwards to the filesystem.
+func (o *Oracle) Unlink(th *persist.Thread, path string) error {
+	cur, ok, want := o.file(path)
+	return o.mutate("unlink", &fsPending{path: path, before: cur, beforeOk: ok}, want,
+		func() error { return o.fs.Unlink(th, path) })
+}
+
+// ReadAt forwards to the filesystem and holds the bytes read to the model.
+func (o *Oracle) ReadAt(th *persist.Thread, path string, off int64, size int) ([]byte, error) {
+	got, err := o.fs.ReadAt(th, path, off, size)
+	cur, _, want := o.file(path)
+	if o.check("read", path, err, want) && !bytes.Equal(got, cur[min(int(off), len(cur)):min(int(off)+size, len(cur))]) {
+		o.fail("fsoracle: read %s: content diverged from model", path)
+	}
+	return got, err
+}
+
+// Stat forwards to the filesystem and holds the size to the model.
+func (o *Oracle) Stat(th *persist.Thread, path string) (pmfs.Info, error) {
+	st, err := o.fs.Stat(th, path)
+	cur, _, want := o.file(path)
+	if o.check("stat", path, err, want) && st.Size != int64(len(cur)) {
+		o.fail("fsoracle: stat %s: size %d, model %d", path, st.Size, len(cur))
+	}
+	return st, err
+}
+
+// Fsync forwards to the filesystem.
+func (o *Oracle) Fsync(th *persist.Thread, path string) error {
+	err := o.fs.Fsync(th, path)
+	if _, ok := o.files[path]; ok {
+		o.check("fsync", path, err, nil)
+	}
+	return err
+}
+
+// Recover replays/aborts the PMFS journal and rebuilds volatile state.
+func (o *Oracle) Recover() { o.fs.Recover(o.rt.Thread(0)) }
+
+// Check validates the recovered filesystem against the model as thread
+// tid: structural fsck, every directory present, every touched path in its
+// modeled state — or, for the one call in flight at the crash, in its
+// before or after state with byte-level tearing allowed only inside the
+// written range. Paths are checked in name order, so the violation named
+// is always the same one.
+func (o *Oracle) Check(tid int) error {
 	if o.err != nil {
 		return o.err
 	}
-	th := o.rt.Thread(0)
+	th := o.rt.Thread(tid)
 	if err := o.fs.Fsck(th); err != nil {
 		return err
 	}
-	for dir := range o.dirs {
+	for _, dir := range sortedPaths(o.dirs) {
 		st, err := o.fs.Stat(th, dir)
 		if err != nil || !st.IsDir {
 			return fmt.Errorf("fsoracle: directory %s missing after recovery (%v)", dir, err)
 		}
 	}
-	for path := range o.touched {
+	for _, path := range sortedPaths(o.touched) {
 		if o.pending != nil && o.pending.path == path {
 			if err := o.checkEither(th, o.pending); err != nil {
 				return err
@@ -210,9 +221,18 @@ func (o *fsOracle) check() error {
 	return nil
 }
 
+func sortedPaths(set map[string]bool) []string {
+	paths := make([]string, 0, len(set))
+	for p := range set {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
 // checkExact requires path to match the model state exactly (acknowledged
 // operations must survive; absent paths must stay absent).
-func (o *fsOracle) checkExact(th *persist.Thread, path string, want []byte) error {
+func (o *Oracle) checkExact(th *persist.Thread, path string, want []byte) error {
 	_, ok := o.files[path]
 	st, err := o.fs.Stat(th, path)
 	if !ok {
@@ -238,7 +258,7 @@ func (o *fsOracle) checkExact(th *persist.Thread, path string, want []byte) erro
 }
 
 // checkEither validates the path whose call was interrupted by the crash.
-func (o *fsOracle) checkEither(th *persist.Thread, p *fsPending) error {
+func (o *Oracle) checkEither(th *persist.Thread, p *fsPending) error {
 	st, err := o.fs.Stat(th, p.path)
 	if err != nil {
 		if !errors.Is(err, pmfs.ErrNotFound) {
@@ -273,179 +293,4 @@ func (o *fsOracle) checkEither(th *persist.Thread, p *fsPending) error {
 		}
 	}
 	return nil
-}
-
-// CrashApp drives one of the three filesystem workloads (nfs, exim, mysql)
-// under the crash-consistency harness: a deterministic op script over a
-// fresh PMFS image, a Recover path, and the oracle check above. It
-// implements the crashcheck.App interface structurally.
-type CrashApp struct {
-	variant string
-	rt      *persist.Runtime
-	clients int
-	o       *fsOracle
-	ops     [][]fsCall
-}
-
-// NewCrashApp returns a crash-checkable instance of the named fs workload.
-func NewCrashApp(variant string) *CrashApp {
-	switch variant {
-	case "nfs", "exim", "mysql":
-		return &CrashApp{variant: variant}
-	}
-	panic("fsapps: unknown crash variant " + variant)
-}
-
-// Name returns the suite name of the underlying workload.
-func (a *CrashApp) Name() string { return a.variant }
-
-// Setup formats a filesystem, builds the variant's initial namespace, and
-// scripts `ops` operations from seed. Everything is deterministic in
-// (clients, ops, seed).
-func (a *CrashApp) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
-	a.rt = rt
-	a.clients = clients
-	fs := pmfs.Format(rt, rt.Thread(0), pmfs.Options{Inodes: 512, Blocks: 2048})
-	a.o = newFSOracle(rt, fs)
-	rng := rand.New(rand.NewSource(seed))
-	th0 := rt.Thread(0)
-	switch a.variant {
-	case "nfs":
-		a.o.mkdir(th0, "/files")
-		a.ops = scriptNFS(rng, ops)
-	case "exim":
-		for _, dir := range []string{"/mail", "/spool", "/log"} {
-			a.o.mkdir(th0, dir)
-		}
-		a.o.do(th0, fsCall{kind: fcCreate, path: "/log/mainlog"})
-		const nmail = 12
-		for i := 0; i < nmail; i++ {
-			a.o.do(th0, fsCall{kind: fcCreate, path: fmt.Sprintf("/mail/user%03d", i)})
-		}
-		a.ops = scriptExim(rng, ops, nmail)
-	case "mysql":
-		a.o.mkdir(th0, "/db")
-		for _, f := range []string{"/db/table.ibd", "/db/redo.log", "/db/doublewrite"} {
-			a.o.do(th0, fsCall{kind: fcCreate, path: f})
-		}
-		const pages = 4
-		for p := 0; p < pages; p++ {
-			a.o.do(th0, fsCall{kind: fcWrite, path: "/db/table.ibd",
-				off: p * pmfs.BlockSize, data: randBytes(rng, pmfs.BlockSize)})
-		}
-		a.ops = scriptMySQL(rng, ops, pages)
-	}
-	if a.o.err != nil {
-		panic(a.o.err)
-	}
-}
-
-// Do executes scripted operation k on a client thread.
-func (a *CrashApp) Do(k int) {
-	th := a.rt.Thread(k % a.clients)
-	for _, c := range a.ops[k] {
-		a.o.do(th, c)
-	}
-}
-
-// Recover replays/aborts the PMFS journal and rebuilds volatile state.
-func (a *CrashApp) Recover() {
-	a.o.fs.Recover(a.rt.Thread(0))
-}
-
-// Check validates the recovered image against the oracle model.
-func (a *CrashApp) Check() error { return a.o.check() }
-
-func randBytes(rng *rand.Rand, n int) []byte {
-	b := make([]byte, n)
-	rng.Read(b)
-	return b
-}
-
-// scriptNFS builds a fileserver-style op mix: creates, overwrites,
-// appends, reads, stats and deletes over a growing pool of files.
-func scriptNFS(rng *rand.Rand, n int) [][]fsCall {
-	var (
-		ops  [][]fsCall
-		live []string
-		ctr  int
-	)
-	for k := 0; k < n; k++ {
-		r := rng.Intn(100)
-		switch {
-		case len(live) == 0 || r < 30:
-			path := fmt.Sprintf("/files/f%03d", ctr)
-			ctr++
-			live = append(live, path)
-			ops = append(ops, []fsCall{
-				{kind: fcCreate, path: path},
-				{kind: fcWrite, path: path, data: randBytes(rng, 256+rng.Intn(2*pmfs.BlockSize))},
-			})
-		case r < 55:
-			path := live[rng.Intn(len(live))]
-			ops = append(ops, []fsCall{
-				{kind: fcWrite, path: path, off: rng.Intn(2048), data: randBytes(rng, 128+rng.Intn(pmfs.BlockSize))},
-			})
-		case r < 75:
-			path := live[rng.Intn(len(live))]
-			ops = append(ops, []fsCall{
-				{kind: fcAppend, path: path, data: randBytes(rng, 128+rng.Intn(1024))},
-			})
-		case r < 90:
-			path := live[rng.Intn(len(live))]
-			ops = append(ops, []fsCall{
-				{kind: fcRead, path: path},
-				{kind: fcStat, path: path},
-			})
-		default:
-			i := rng.Intn(len(live))
-			path := live[i]
-			live = append(live[:i], live[i+1:]...)
-			ops = append(ops, []fsCall{{kind: fcUnlink, path: path}})
-		}
-	}
-	return ops
-}
-
-// scriptExim builds postal-style deliveries: spool the message, append to
-// the mailbox and the log, unlink the spool file.
-func scriptExim(rng *rand.Rand, n, nmail int) [][]fsCall {
-	var ops [][]fsCall
-	for k := 0; k < n; k++ {
-		spool := fmt.Sprintf("/spool/msg%04d", k)
-		mailbox := fmt.Sprintf("/mail/user%03d", rng.Intn(nmail))
-		msg := randBytes(rng, 512+rng.Intn(2048))
-		ops = append(ops, []fsCall{
-			{kind: fcCreate, path: spool},
-			{kind: fcWrite, path: spool, data: msg},
-			{kind: fcAppend, path: mailbox, data: msg},
-			{kind: fcAppend, path: "/log/mainlog",
-				data: []byte(fmt.Sprintf("delivered %s %d bytes\n", mailbox, len(msg)))},
-			{kind: fcUnlink, path: spool},
-		})
-	}
-	return ops
-}
-
-// scriptMySQL builds sysbench-style transactions: page reads, and for
-// write transactions a redo append, doublewrite, in-place page write, and
-// fsync.
-func scriptMySQL(rng *rand.Rand, n, pages int) [][]fsCall {
-	var ops [][]fsCall
-	for k := 0; k < n; k++ {
-		row := rng.Intn(pages)
-		calls := []fsCall{{kind: fcRead, path: "/db/table.ibd"}}
-		if rng.Intn(100) < 60 {
-			page := randBytes(rng, pmfs.BlockSize)
-			calls = append(calls,
-				fsCall{kind: fcAppend, path: "/db/redo.log",
-					data: []byte(fmt.Sprintf("tx update row %d\n", row))},
-				fsCall{kind: fcWrite, path: "/db/doublewrite", data: page},
-				fsCall{kind: fcWrite, path: "/db/table.ibd", off: row * pmfs.BlockSize, data: page},
-				fsCall{kind: fcFsync, path: "/db/redo.log"},
-			)
-		}
-		ops = append(ops, calls)
-	}
-	return ops
 }

@@ -17,47 +17,72 @@ import (
 
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmfs"
-	"github.com/whisper-pm/whisper/internal/sched"
 	"github.com/whisper-pm/whisper/internal/workload"
 )
 
-// RunNFS executes the filebench fileserver profile: clients create,
+// FS is the method set the three workloads drive: a *pmfs.FS, or the crash
+// checker's Oracle wrapping one and forwarding every call unchanged.
+type FS interface {
+	Mkdir(th *persist.Thread, path string) error
+	Create(th *persist.Thread, path string) error
+	WriteAt(th *persist.Thread, path string, off int64, data []byte) error
+	Append(th *persist.Thread, path string, data []byte) error
+	ReadAt(th *persist.Thread, path string, off int64, size int) ([]byte, error)
+	Stat(th *persist.Thread, path string) (pmfs.Info, error)
+	Unlink(th *persist.Thread, path string) error
+	Fsync(th *persist.Thread, path string) error
+}
+
+// Workload is one of the three filesystem workloads. A call's error is
+// part of the workload, not a failure of it: the fileserver's clients
+// each keep their own view of which files exist, so some of their
+// creates find the file there and some writes and unlinks find it gone.
+type Workload struct {
+	rt *persist.Runtime
+	op func(th *persist.Thread, tid int)
+}
+
+// Op runs client tid's i-th operation.
+func (w *Workload) Op(tid, i int) { w.op(w.rt.Thread(tid), tid) }
+
+// must panics on a setup call's error: the namespace a workload starts
+// from is not optional.
+func must(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("fsapps: setup: %v", err))
+	}
+}
+
+// SetupNFS prepares the filebench fileserver profile: clients create,
 // write, read, append, stat and delete files in a shared directory.
-func RunNFS(rt *persist.Runtime, fs *pmfs.FS, clients, opsPerClient int, seed int64) error {
-	th0 := rt.Thread(0)
-	if err := fs.Mkdir(th0, "/files"); err != nil {
-		return err
+func SetupNFS(rt *persist.Runtime, fs FS, clients int, seed int64) *Workload {
+	must(fs.Mkdir(rt.Thread(0), "/files"))
+	gens := make([]*workload.Fileserver, clients)
+	for c := range gens {
+		gens[c] = workload.NewFileserver(seed+int64(c)*31, 48, 48)
 	}
-	workers := make([]sched.Worker, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		gen := workload.NewFileserver(seed+int64(c)*31, 48, 48)
-		payload := make([]byte, 64<<10)
-		workers[c] = sched.Steps(opsPerClient, func(int) {
-			th := rt.Thread(c)
-			op := gen.Next()
-			// The NFS server adds RPC decode/encode and dcache work on
-			// the volatile side.
-			th.Compute(64000)
-			th.VLoad(80)
-			switch op.Kind {
-			case workload.FileCreate:
-				fs.Create(th, op.Path)
-			case workload.FileWrite:
-				fs.WriteAt(th, op.Path, 0, payload[:clamp(op.Size, len(payload))])
-			case workload.FileAppend:
-				fs.Append(th, op.Path, payload[:clamp(op.Size, len(payload))])
-			case workload.FileRead:
-				fs.ReadAt(th, op.Path, 0, clamp(op.Size, len(payload)))
-			case workload.FileStat:
-				fs.Stat(th, op.Path)
-			case workload.FileDelete:
-				fs.Unlink(th, op.Path)
-			}
-		})
-	}
-	sched.Run(workers, seed)
-	return nil
+	payload := make([]byte, 64<<10)
+	return &Workload{rt: rt, op: func(th *persist.Thread, tid int) {
+		op := gens[tid].Next()
+		// The NFS server adds RPC decode/encode and dcache work on the
+		// volatile side.
+		th.Compute(64000)
+		th.VLoad(80)
+		switch op.Kind {
+		case workload.FileCreate:
+			fs.Create(th, op.Path)
+		case workload.FileWrite:
+			fs.WriteAt(th, op.Path, 0, payload[:clamp(op.Size, len(payload))])
+		case workload.FileAppend:
+			fs.Append(th, op.Path, payload[:clamp(op.Size, len(payload))])
+		case workload.FileRead:
+			fs.ReadAt(th, op.Path, 0, clamp(op.Size, len(payload)))
+		case workload.FileStat:
+			fs.Stat(th, op.Path)
+		case workload.FileDelete:
+			fs.Unlink(th, op.Path)
+		}
+	}}
 }
 
 func clamp(v, max int) int {
@@ -70,100 +95,77 @@ func clamp(v, max int) int {
 	return v
 }
 
-// RunExim executes the postal profile: each delivery spools the message,
-// appends it to the recipient's mailbox, logs the delivery, and removes
-// the spool file — Exim's receive/deliver/log pipeline.
-func RunExim(rt *persist.Runtime, fs *pmfs.FS, clients, deliveries int, msgKB int, seed int64) error {
+// SetupExim prepares the postal profile over 250 mailboxes: each delivery
+// spools the message, appends it to the recipient's mailbox, logs the
+// delivery, and removes the spool file — Exim's receive/deliver/log
+// pipeline.
+func SetupExim(rt *persist.Runtime, fs FS, clients int, seed int64) *Workload {
 	th0 := rt.Thread(0)
 	for _, dir := range []string{"/mail", "/spool", "/log"} {
-		if err := fs.Mkdir(th0, dir); err != nil {
-			return err
-		}
+		must(fs.Mkdir(th0, dir))
 	}
-	if err := fs.Create(th0, "/log/mainlog"); err != nil {
-		return err
-	}
+	must(fs.Create(th0, "/log/mainlog"))
 	// Pre-create the mailboxes (Exim's setup).
 	for i := 0; i < 250; i++ {
-		if err := fs.Create(th0, fmt.Sprintf("/mail/user%03d", i)); err != nil {
-			return err
-		}
+		must(fs.Create(th0, fmt.Sprintf("/mail/user%03d", i)))
 	}
-	workers := make([]sched.Worker, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		gen := workload.NewPostal(seed+int64(c)*17, 250, msgKB)
-		workers[c] = sched.Steps(deliveries, func(int) {
-			th := rt.Thread(c)
-			d := gen.Next()
-			msg := make([]byte, d.Size)
-			// SMTP receive, spawning the delivery processes: Exim is the
-			// most compute-heavy app per PM epoch in the suite (Table 1:
-			// only 6250 epochs/s).
-			th.Compute(9000000)
-			th.VLoad(2000)
-			// Receive into the spool, deliver, log, clean up.
-			fs.Create(th, d.Spool)
-			fs.WriteAt(th, d.Spool, 0, msg)
-			fs.Append(th, d.Mailbox, msg)
-			fs.Append(th, "/log/mainlog", []byte(fmt.Sprintf("delivered %s %d bytes\n", d.Mailbox, d.Size)))
-			fs.Unlink(th, d.Spool)
-		})
+	gens := make([]*workload.Postal, clients)
+	for c := range gens {
+		gens[c] = workload.NewPostal(seed+int64(c)*17, 250, 8)
 	}
-	sched.Run(workers, seed)
-	return nil
+	return &Workload{rt: rt, op: func(th *persist.Thread, tid int) {
+		d := gens[tid].Next()
+		msg := make([]byte, d.Size)
+		// SMTP receive, spawning the delivery processes: Exim is the most
+		// compute-heavy app per PM epoch in the suite (Table 1: only 6250
+		// epochs/s).
+		th.Compute(9000000)
+		th.VLoad(2000)
+		// Receive into the spool, deliver, log, clean up.
+		fs.Create(th, d.Spool)
+		fs.WriteAt(th, d.Spool, 0, msg)
+		fs.Append(th, d.Mailbox, msg)
+		fs.Append(th, "/log/mainlog", []byte(fmt.Sprintf("delivered %s %d bytes\n", d.Mailbox, d.Size)))
+		fs.Unlink(th, d.Spool)
+	}}
 }
 
-// RunMySQL executes the sysbench OLTP-complex profile: point selects and
+// SetupMySQL prepares the sysbench OLTP-complex profile: point selects and
 // range scans read table pages; write transactions update a page, append
 // to the redo log, and fsync — InnoDB's durability discipline expressed
 // through filesystem calls.
-func RunMySQL(rt *persist.Runtime, fs *pmfs.FS, clients, txs int, seed int64) error {
+func SetupMySQL(rt *persist.Runtime, fs FS, clients int, seed int64) *Workload {
 	th0 := rt.Thread(0)
-	if err := fs.Mkdir(th0, "/db"); err != nil {
-		return err
-	}
-	if err := fs.Create(th0, "/db/table.ibd"); err != nil {
-		return err
-	}
-	if err := fs.Create(th0, "/db/redo.log"); err != nil {
-		return err
-	}
-	if err := fs.Create(th0, "/db/doublewrite"); err != nil {
-		return err
+	must(fs.Mkdir(th0, "/db"))
+	for _, f := range []string{"/db/table.ibd", "/db/redo.log", "/db/doublewrite"} {
+		must(fs.Create(th0, f))
 	}
 	// Initialize a small table file: 8 InnoDB-style 16 KB pages.
 	const pageSize = 4 * pmfs.BlockSize
 	page := make([]byte, pageSize)
 	for p := 0; p < 8; p++ {
-		if err := fs.WriteAt(th0, "/db/table.ibd", int64(p)*pageSize, page); err != nil {
-			return err
+		must(fs.WriteAt(th0, "/db/table.ibd", int64(p)*pageSize, page))
+	}
+	gens := make([]*workload.Sysbench, clients)
+	for c := range gens {
+		gens[c] = workload.NewSysbench(seed+int64(c)*13, 1<<20)
+	}
+	return &Workload{rt: rt, op: func(th *persist.Thread, tid int) {
+		t := gens[tid].Next()
+		// Reads are served mostly from the buffer pool: volatile. SQL
+		// parsing, optimization and buffer-pool work dominate (Table 1:
+		// 60 K epochs/s — the slowest epoch rate after Exim).
+		th.Compute(840000)
+		th.VLoad(1500)
+		// A fraction of reads miss the buffer pool.
+		fs.ReadAt(th, "/db/table.ibd", int64(t.UpdateRow%8)*pageSize, 1024)
+		if t.Write {
+			// InnoDB durability: redo record, then the 16 KB page through
+			// the doublewrite buffer, then in place.
+			fs.Append(th, "/db/redo.log", []byte(fmt.Sprintf("tx update row %d\n", t.UpdateRow)))
+			fs.WriteAt(th, "/db/doublewrite", 0, page)
+			fs.WriteAt(th, "/db/table.ibd", int64(t.UpdateRow%8)*pageSize, page)
+			fs.Fsync(th, "/db/redo.log")
 		}
-	}
-	workers := make([]sched.Worker, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		gen := workload.NewSysbench(seed+int64(c)*13, 1<<20)
-		workers[c] = sched.Steps(txs, func(int) {
-			th := rt.Thread(c)
-			t := gen.Next()
-			// Reads are served mostly from the buffer pool: volatile. SQL
-			// parsing, optimization and buffer-pool work dominate (Table
-			// 1: 60 K epochs/s — the slowest epoch rate after Exim).
-			th.Compute(840000)
-			th.VLoad(1500)
-			// A fraction of reads miss the buffer pool.
-			fs.ReadAt(th, "/db/table.ibd", int64(t.UpdateRow%8)*pageSize, 1024)
-			if t.Write {
-				// InnoDB durability: redo record, then the 16 KB page
-				// through the doublewrite buffer, then in place.
-				fs.Append(th, "/db/redo.log", []byte(fmt.Sprintf("tx update row %d\n", t.UpdateRow)))
-				fs.WriteAt(th, "/db/doublewrite", 0, page)
-				fs.WriteAt(th, "/db/table.ibd", int64(t.UpdateRow%8)*pageSize, page)
-				fs.Fsync(th, "/db/redo.log")
-			}
-		})
-	}
-	sched.Run(workers, seed)
-	return nil
+	}}
 }

@@ -1,32 +1,48 @@
-package fsapps
+package fsapps_test
 
 import (
-	"strings"
 	"testing"
 
+	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/pmfs"
+	"github.com/whisper-pm/whisper/internal/workload"
 )
 
-func newFS(app string, threads int) (*persist.Runtime, *pmfs.FS) {
-	rt := persist.NewRuntime(app, "pmfs", threads, persist.Config{})
-	fs := pmfs.Format(rt, rt.Thread(0), pmfs.Options{Inodes: 1024, Blocks: 4096})
-	return rt, fs
-}
-
-func TestRunNFS(t *testing.T) {
-	rt, fs := newFS("nfs", 4)
-	if err := RunNFS(rt, fs, 4, 30, 41); err != nil {
-		t.Fatal(err)
-	}
-	names, err := fs.Readdir(rt.Thread(0), "/files")
+// record runs app's paper mix through the suite's one driver on a
+// recording runtime.
+func record(t *testing.T, app string, clients, ops int, seed int64) *persist.Runtime {
+	t.Helper()
+	a, err := crashcheck.Lookup(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) == 0 {
-		t.Fatal("fileserver created no files")
+	rt := persist.NewRuntime(a.Name, a.Layer, clients, persist.Config{})
+	a.Run(rt, clients, ops, seed)
+	return rt
+}
+
+// agrees runs the same workload with the filesystem oracle attached and
+// requires the final image to match its model: every file the workload
+// created, wrote, appended to or unlinked holds exactly the bytes the
+// calls acknowledged (a checker run with one boundary cell, whose golden
+// run fails on any disagreement).
+func agrees(t *testing.T, app string, clients, ops int, seed int64) {
+	t.Helper()
+	res, err := crashcheck.CheckApp(app, workload.Paper, crashcheck.Config{
+		Clients: clients, Ops: clients * ops, Seeds: []int64{seed},
+		Points: []int{clients*ops - 1}, Modes: []crashcheck.Mode{crashcheck.AllPersisted},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, v := range res.Violations {
+		t.Error(v)
+	}
+}
+
+func TestRunNFS(t *testing.T) {
+	rt := record(t, "nfs", 4, 30, 41)
 	a := epoch.Analyze(rt.Trace)
 	if a.TotalEpochs == 0 {
 		t.Fatal("no epochs")
@@ -39,69 +55,33 @@ func TestRunNFS(t *testing.T) {
 	if a.NTIFraction() < 0.5 {
 		t.Errorf("NTI fraction = %.2f, want high", a.NTIFraction())
 	}
+	agrees(t, "nfs", 4, 30, 41)
 }
 
 func TestRunExim(t *testing.T) {
-	rt, fs := newFS("exim", 2)
-	if err := RunExim(rt, fs, 2, 10, 4, 43); err != nil {
-		t.Fatal(err)
+	rt := record(t, "exim", 2, 10, 43)
+	// Setup's 3 mkdirs, the log and 250 mailboxes, then five durable
+	// calls per delivery: spool create and write, mailbox and log appends,
+	// spool unlink.
+	if n, want := len(epoch.Analyze(rt.Trace).TxEpochCounts), 254+5*20; n != want {
+		t.Fatalf("durable calls = %d, want %d", n, want)
 	}
-	th := rt.Thread(0)
-	// Spool files must be cleaned up.
-	spool, _ := fs.Readdir(th, "/spool")
-	if len(spool) != 0 {
-		t.Fatalf("spool not empty: %v", spool)
-	}
-	// The log must contain one line per delivery.
-	data, err := fs.ReadAt(th, "/log/mainlog", 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(string(data), "\n")
-	if lines != 20 {
-		t.Fatalf("log lines = %d, want 20", lines)
-	}
-	// Some mailbox must have grown.
-	grown := false
-	boxes, _ := fs.Readdir(th, "/mail")
-	for _, b := range boxes {
-		if info, err := fs.Stat(th, "/mail/"+b); err == nil && info.Size > 0 {
-			grown = true
-		}
-	}
-	if !grown {
-		t.Fatal("no mailbox received mail")
-	}
+	agrees(t, "exim", 2, 10, 43)
 }
 
 func TestRunMySQL(t *testing.T) {
-	rt, fs := newFS("mysql", 2)
-	if err := RunMySQL(rt, fs, 2, 20, 47); err != nil {
-		t.Fatal(err)
-	}
-	th := rt.Thread(0)
-	info, err := fs.Stat(th, "/db/redo.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ~30% of 40 transactions write; each appends a log line.
-	if info.Size == 0 {
-		t.Fatal("redo log empty")
-	}
+	rt := record(t, "mysql", 2, 20, 47)
 	a := epoch.Analyze(rt.Trace)
 	// MySQL has the lowest self-dependency rate of the suite (Fig. 5).
 	if a.SelfDepFraction() > 0.8 {
 		t.Errorf("self-dep fraction = %.2f, expected low-ish for MySQL", a.SelfDepFraction())
 	}
+	agrees(t, "mysql", 2, 20, 47)
 }
 
 func TestEximMedianTxSmall(t *testing.T) {
 	// Figure 3: exim median 5 epochs per transaction (= system call).
-	rt, fs := newFS("exim", 1)
-	if err := RunExim(rt, fs, 1, 10, 2, 53); err != nil {
-		t.Fatal(err)
-	}
-	a := epoch.Analyze(rt.Trace)
+	a := epoch.Analyze(record(t, "exim", 1, 10, 53).Trace)
 	med := a.MedianTxEpochs()
 	if med < 2 || med > 12 {
 		t.Errorf("median epochs/syscall = %d, paper reports 5", med)
@@ -110,9 +90,7 @@ func TestEximMedianTxSmall(t *testing.T) {
 
 func TestFSAppsPMFraction(t *testing.T) {
 	// Filesystem apps still have mostly volatile traffic.
-	rt, fs := newFS("nfs", 2)
-	RunNFS(rt, fs, 2, 20, 59)
-	a := epoch.Analyze(rt.Trace)
+	a := epoch.Analyze(record(t, "nfs", 2, 20, 59).Trace)
 	if a.DRAMAccesses == 0 {
 		t.Fatal("no volatile accounting")
 	}

@@ -12,7 +12,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/sched"
+	"github.com/whisper-pm/whisper/internal/workload"
 )
 
 // Entry layout: key u64 | value u64 | next u64.
@@ -181,24 +181,34 @@ func (m *Map) CheckInvariants(tid int) error {
 	return nil
 }
 
-// RunWorkload executes the paper's configuration: `clients` threads
-// performing `txs` INSERT transactions each over a shared map.
-func RunWorkload(rt *persist.Runtime, pool *nvml.Pool, nbuckets, clients, txs int, seed int64) *Map {
-	m := New(rt, pool, nbuckets)
-	workers := make([]sched.Worker, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		workers[c] = sched.Steps(txs, func(i int) {
-			// INSERT transactions over fresh keys (the paper's "100K
-			// INSERT transactions" configuration).
-			key := uint64(c)<<32 | uint64(i)
-			m.Insert(c, key, uint64(i))
-			rt.Thread(c).Compute(16000)
-			// Benchmark driver, key generation (Figure 6: ~2.6% PM).
-			rt.Thread(c).VLoad(680)
-			rt.Thread(c).VStore(220)
-		})
+// Workload is the hashmap workload: the paper's INSERT transactions over
+// fresh keys ("100K INSERT transactions"), or under workload.Checker the
+// checker's insert/delete/get mix over 256 keys.
+type Workload struct {
+	rt    *persist.Runtime
+	kv    workload.KV[uint64, uint64]
+	check *workload.KVCheck[uint64, uint64]
+}
+
+// Setup prepares the workload over kv: a *Map, or an oracle wrapping one.
+func Setup(rt *persist.Runtime, kv workload.KV[uint64, uint64], mix workload.Mix, clients int, seed int64) *Workload {
+	w := &Workload{rt: rt, kv: kv}
+	if mix == workload.Checker {
+		w.check = workload.NewKVCheck(kv, clients, seed, 256, workload.NonZero)
 	}
-	sched.Run(workers, seed)
-	return m
+	return w
+}
+
+// Op runs client tid's i-th operation.
+func (w *Workload) Op(tid, i int) {
+	if w.check != nil {
+		w.check.Op(tid)
+	} else {
+		w.kv.Insert(tid, uint64(tid)<<32|uint64(i), uint64(i))
+	}
+	th := w.rt.Thread(tid)
+	th.Compute(16000)
+	// Benchmark driver, key generation (Figure 6: ~2.6% PM).
+	th.VLoad(680)
+	th.VStore(220)
 }

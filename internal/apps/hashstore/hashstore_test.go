@@ -133,19 +133,3 @@ func TestCrashMidInsertAtomic(t *testing.T) {
 		}
 	}
 }
-
-func TestRunWorkload(t *testing.T) {
-	rt := persist.NewRuntime("hashmap", "nvml", 4, persist.Config{})
-	pool := nvml.Open(rt, 4096, nvml.Options{})
-	m := RunWorkload(rt, pool, 256, 4, 25, 99)
-	if m.Len() == 0 {
-		t.Fatal("workload inserted nothing")
-	}
-	a := epoch.Analyze(rt.Trace)
-	if len(a.TxEpochCounts) < 100 {
-		t.Fatalf("transactions = %d, want >= 100", len(a.TxEpochCounts))
-	}
-	if a.SingletonFraction() < 0.5 {
-		t.Errorf("singleton fraction = %.2f, paper reports ~0.75 for NVML apps", a.SingletonFraction())
-	}
-}

@@ -1,0 +1,33 @@
+package hashstore_test
+
+import (
+	"testing"
+
+	"github.com/whisper-pm/whisper/internal/crashcheck"
+	"github.com/whisper-pm/whisper/internal/epoch"
+	"github.com/whisper-pm/whisper/internal/persist"
+)
+
+// record runs app's paper mix through the suite's one driver on a
+// recording runtime.
+func record(t *testing.T, app string, clients, ops int, seed int64) *persist.Runtime {
+	t.Helper()
+	a, err := crashcheck.Lookup(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := persist.NewRuntime(a.Name, a.Layer, clients, persist.Config{})
+	a.Run(rt, clients, ops, seed)
+	return rt
+}
+
+func TestRunWorkload(t *testing.T) {
+	rt := record(t, "hashmap", 4, 25, 99)
+	a := epoch.Analyze(rt.Trace)
+	if len(a.TxEpochCounts) < 100 {
+		t.Fatalf("transactions = %d, want >= 100", len(a.TxEpochCounts))
+	}
+	if a.SingletonFraction() < 0.5 {
+		t.Errorf("singleton fraction = %.2f, paper reports ~0.75 for NVML apps", a.SingletonFraction())
+	}
+}

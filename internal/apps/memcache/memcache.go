@@ -17,7 +17,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/mnemosyne"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/sched"
 	"github.com/whisper-pm/whisper/internal/workload"
 )
 
@@ -126,9 +125,9 @@ func (c *Cache) bucketAddr(h uint64) mem.Addr {
 	return c.buckets + mem.Addr((h%c.nbucket)*8)
 }
 
-// Set stores key -> value (the SET command) in a durable transaction,
+// Insert stores key -> value (the SET command) in a durable transaction,
 // evicting the LRU item if the cache is full.
-func (c *Cache) Set(tid int, key, value string) error {
+func (c *Cache) Insert(tid int, key, value string) error {
 	if len(key)+len(value) > maxKV {
 		value = value[:maxKV-len(key)]
 	}
@@ -286,25 +285,38 @@ func (c *Cache) CountPersistent(tid int) int {
 	return n
 }
 
-// RunWorkload executes the memslap profile: `clients` threads, `ops`
-// operations each, setPct percent SETs.
-func RunWorkload(rt *persist.Runtime, heap *mnemosyne.Heap, nbuckets, maxItems, clients, ops, setPct int, seed int64) *Cache {
-	c := New(rt, heap, nbuckets, maxItems)
-	workers := make([]sched.Worker, clients)
-	for w := 0; w < clients; w++ {
-		w := w
-		gen := workload.Memslap(seed+int64(w), 1<<14, setPct, 40)
-		workers[w] = sched.Steps(ops, func(int) {
-			op := gen.Next()
-			if op.Kind == workload.OpUpdate {
-				c.Set(w, op.Key, string(op.Value))
-			} else {
-				c.Get(w, op.Key)
-			}
-			rt.Thread(w).Compute(700)
-			rt.Thread(w).VLoad(15)
-		})
+// Workload is the memcached workload: the memslap profile (5% SETs over
+// 16K keys), or under workload.Checker the checker's insert/delete/get mix
+// over 128 keys.
+type Workload struct {
+	rt    *persist.Runtime
+	kv    workload.KV[string, string]
+	slap  []*workload.YCSB
+	check *workload.KVCheck[string, string]
+}
+
+// Setup prepares clients' generators over kv: a *Cache, or an oracle
+// wrapping one.
+func Setup(rt *persist.Runtime, kv workload.KV[string, string], mix workload.Mix, clients int, seed int64) *Workload {
+	w := &Workload{rt: rt, kv: kv}
+	if mix == workload.Checker {
+		w.check = workload.NewKVCheck(kv, clients, seed, 128, workload.Strings)
 	}
-	sched.Run(workers, seed)
-	return c
+	for c := 0; c < clients; c++ {
+		w.slap = append(w.slap, workload.Memslap(seed+int64(c), 1<<14, 5, 40))
+	}
+	return w
+}
+
+// Op runs client tid's i-th operation.
+func (w *Workload) Op(tid, i int) {
+	if w.check != nil {
+		w.check.Op(tid)
+	} else if op := w.slap[tid].Next(); op.Kind == workload.OpUpdate {
+		w.kv.Insert(tid, op.Key, string(op.Value))
+	} else {
+		w.kv.Get(tid, op.Key)
+	}
+	w.rt.Thread(tid).Compute(700)
+	w.rt.Thread(tid).VLoad(15)
 }

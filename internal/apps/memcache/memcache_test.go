@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/mnemosyne"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
@@ -19,7 +18,7 @@ func newCache(threads, maxItems int) (*persist.Runtime, *mnemosyne.Heap, *Cache)
 
 func TestSetGet(t *testing.T) {
 	_, _, c := newCache(1, 100)
-	c.Set(0, "hello", "world")
+	c.Insert(0, "hello", "world")
 	if v, ok := c.Get(0, "hello"); !ok || v != "world" {
 		t.Fatalf("Get = %q,%v", v, ok)
 	}
@@ -30,8 +29,8 @@ func TestSetGet(t *testing.T) {
 
 func TestSetOverwrite(t *testing.T) {
 	_, _, c := newCache(1, 100)
-	c.Set(0, "k", "v1")
-	c.Set(0, "k", "v2longer")
+	c.Insert(0, "k", "v1")
+	c.Insert(0, "k", "v2longer")
 	if v, _ := c.Get(0, "k"); v != "v2longer" {
 		t.Fatalf("value = %q", v)
 	}
@@ -42,8 +41,8 @@ func TestSetOverwrite(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	_, _, c := newCache(1, 100)
-	c.Set(0, "a", "1")
-	c.Set(0, "b", "2")
+	c.Insert(0, "a", "1")
+	c.Insert(0, "b", "2")
 	if found, err := c.Delete(0, "a"); err != nil || !found {
 		t.Fatalf("Delete = %v,%v", found, err)
 	}
@@ -57,11 +56,11 @@ func TestDelete(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	_, _, c := newCache(1, 3)
-	c.Set(0, "a", "1")
-	c.Set(0, "b", "2")
-	c.Set(0, "c", "3")
+	c.Insert(0, "a", "1")
+	c.Insert(0, "b", "2")
+	c.Insert(0, "c", "3")
 	c.Get(0, "a") // touch a: now b is LRU
-	c.Set(0, "d", "4")
+	c.Insert(0, "d", "4")
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d after eviction", c.Len())
 	}
@@ -80,7 +79,7 @@ func TestGetIsReadOnlyTx(t *testing.T) {
 	// fence-free read-only transactions (the paper's median tx is 4
 	// epochs because GETs dominate).
 	rt, _, c := newCache(1, 100)
-	c.Set(0, "k", "v")
+	c.Insert(0, "k", "v")
 	n := rt.Trace.CountKind(trace.KFence)
 	c.Get(0, "k")
 	if got := rt.Trace.CountKind(trace.KFence) - n; got != 0 {
@@ -95,7 +94,7 @@ func TestGetIsReadOnlyTx(t *testing.T) {
 func TestCrashRecover(t *testing.T) {
 	rt, heap, c := newCache(1, 100)
 	for i := 0; i < 10; i++ {
-		c.Set(0, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
+		c.Insert(0, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 	}
 	rt.Crash(pmem.Strict, 12)
 	heap.Recover(rt.Thread(0), true)
@@ -111,7 +110,7 @@ func TestCrashRecover(t *testing.T) {
 
 func TestCrashMidSetInvisible(t *testing.T) {
 	rt, heap, c := newCache(1, 100)
-	c.Set(0, "stable", "yes")
+	c.Insert(0, "stable", "yes")
 	func() {
 		defer func() { recover() }()
 		heap.Run(rt.Thread(0), func(tx *mnemosyne.Tx) error {
@@ -128,22 +127,5 @@ func TestCrashMidSetInvisible(t *testing.T) {
 	}
 	if v, ok := c.Get(0, "stable"); !ok || v != "yes" {
 		t.Fatal("committed item lost")
-	}
-}
-
-func TestRunWorkloadMedianSmall(t *testing.T) {
-	// memslap is GET-heavy, so the median transaction is tiny (paper: 4).
-	rt := persist.NewRuntime("memcached", "mnemosyne", 4, persist.Config{})
-	heap := mnemosyne.New(rt, 8192, mnemosyne.Options{})
-	RunWorkload(rt, heap, 128, 500, 4, 100, 5, 23)
-	a := epoch.Analyze(rt.Trace)
-	med := a.MedianTxEpochs()
-	if med > 6 {
-		t.Errorf("median epochs/tx = %d, paper reports 4", med)
-	}
-	// Only the durable (SET) transactions count for Figure 3; at 5% SET
-	// over 400 ops that is a small number.
-	if len(a.TxEpochCounts) < 5 {
-		t.Fatalf("durable transactions = %d", len(a.TxEpochCounts))
 	}
 }

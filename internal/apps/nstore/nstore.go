@@ -19,11 +19,11 @@ package nstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 
 	"github.com/whisper-pm/whisper/internal/alloc"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/sched"
 	"github.com/whisper-pm/whisper/internal/workload"
 )
 
@@ -166,8 +166,24 @@ type indexUndo struct {
 	had  bool
 }
 
+// Txn is the method set of an open transaction: a *Tx, or a crash
+// oracle's wrapper that forwards every call to one unchanged.
+type Txn interface {
+	Insert(key uint64, attrs [nAttrs]uint64, varchar string)
+	Update(key uint64, idx int, val uint64, varchar string) bool
+	Read(key uint64, idx int) (uint64, bool)
+	Commit()
+	Abort()
+}
+
+// Store is the method set the workloads drive: a *DB, or an oracle
+// wrapping one.
+type Store interface {
+	Begin(tid int) Txn
+}
+
 // Begin opens a transaction for thread tid on its partition.
-func (db *DB) Begin(tid int) *Tx {
+func (db *DB) Begin(tid int) Txn {
 	th := db.rt.Thread(tid)
 	p := db.parts[tid%len(db.parts)]
 	th.TxBegin()
@@ -511,100 +527,149 @@ func (db *DB) CheckInvariants() error {
 	return nil
 }
 
-// RunYCSB executes the YCSB-like profile (§4, Table 1: 4 clients, 80%
-// writes): each transaction performs opsPerTx operations on the client's
-// partition.
-func RunYCSB(rt *persist.Runtime, cfg Config, clients, txs, opsPerTx, writePct int, seed int64) *DB {
-	db := Open(rt, cfg)
-	// Preload a keyspace per partition.
-	keys := uint64(2048)
+// YCSB is the YCSB-like profile (§4, Table 1: 4 clients, 80% writes):
+// each transaction performs seven operations on the client's partition.
+// Under workload.Checker it is the checker's mix instead: one to three
+// writes, inserts of fresh keys and updates of preloaded ones, and one
+// transaction in ten aborted.
+type YCSB struct {
+	rt    *persist.Runtime
+	db    Store
+	gens  []*workload.YCSB
+	check []*rand.Rand
+}
+
+// SetupYCSB preloads 64 keys into each client's partition of db and
+// prepares the clients' generators.
+func SetupYCSB(rt *persist.Runtime, db Store, mix workload.Mix, clients int, seed int64) *YCSB {
+	w := &YCSB{rt: rt, db: db}
 	for c := 0; c < clients; c++ {
 		tx := db.Begin(c)
 		for k := uint64(0); k < 64; k++ {
 			tx.Insert(k, [nAttrs]uint64{k, k, k, k}, "init")
 		}
 		tx.Commit()
+		w.gens = append(w.gens, workload.NewYCSB(seed+int64(c), 2048, 80, 24))
+		if mix == workload.Checker {
+			w.check = append(w.check, rand.New(rand.NewSource(seed+int64(c))))
+		}
 	}
-	workers := make([]sched.Worker, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		gen := workload.NewYCSB(seed+int64(c), keys, writePct, 24)
-		workers[c] = sched.Steps(txs, func(int) {
-			tx := db.Begin(c)
-			for i := 0; i < opsPerTx; i++ {
-				op := gen.Next()
-				key := hashString(op.Key) % 2048
-				if op.Kind == workload.OpUpdate {
-					if !tx.Update(key, int(key%nAttrs), key, string(op.Value)) {
-						tx.Insert(key, [nAttrs]uint64{key, 0, 0, 0}, string(op.Value))
-					}
-				} else {
-					tx.Read(key, 0)
-				}
-				tx.th.Compute(2000)
-				// SQL executor, volatile index probes (Figure 6: ~8.7% PM).
-				tx.th.VLoad(150)
-				tx.th.VStore(45)
-			}
-			tx.Commit()
-		})
-	}
-	sched.Run(workers, seed)
-	return db
+	return w
 }
 
-// RunTPCC executes the TPC-C-like profile (4 clients, 40% writes).
-func RunTPCC(rt *persist.Runtime, cfg Config, clients, txs int, seed int64) *DB {
-	db := Open(rt, cfg)
-	// Preload stock/district rows per partition.
+// Op runs client tid's i-th transaction.
+func (w *YCSB) Op(tid, i int) {
+	th := w.rt.Thread(tid)
+	tx := w.db.Begin(tid)
+	if w.check != nil {
+		w.checkerTx(tx, th, w.check[tid], i)
+		return
+	}
+	for n := 0; n < 7; n++ {
+		op := w.gens[tid].Next()
+		key := hashString(op.Key) % 2048
+		if op.Kind == workload.OpUpdate {
+			if !tx.Update(key, int(key%nAttrs), key, string(op.Value)) {
+				tx.Insert(key, [nAttrs]uint64{key, 0, 0, 0}, string(op.Value))
+			}
+		} else {
+			tx.Read(key, 0)
+		}
+		charge(th)
+	}
+	tx.Commit()
+}
+
+// checkerTx is one transaction of the checker's mix. A fresh key is
+// unique per (transaction, write), so an aborted insert's key is never
+// reused.
+func (w *YCSB) checkerTx(tx Txn, th *persist.Thread, rng *rand.Rand, i int) {
+	abort := rng.Intn(100) < 10
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		if rng.Intn(100) < 45 {
+			key := uint64(1<<20 + i*4 + n)
+			var attrs [nAttrs]uint64
+			for j := range attrs {
+				attrs[j] = rng.Uint64() % 100_000
+			}
+			tx.Insert(key, attrs, fmt.Sprintf("row-%d", key))
+		} else {
+			tx.Update(uint64(rng.Intn(64)), rng.Intn(nAttrs), rng.Uint64()%100_000, fmt.Sprintf("upd-%d", i))
+		}
+		charge(th)
+	}
+	if abort {
+		tx.Abort()
+	} else {
+		tx.Commit()
+	}
+}
+
+// charge is the volatile side of one YCSB operation: SQL executor,
+// volatile index probes (Figure 6: ~8.7% PM).
+func charge(th *persist.Thread) {
+	th.Compute(2000)
+	th.VLoad(150)
+	th.VStore(45)
+}
+
+// TPCC is the TPC-C-like profile (4 clients, 40% writes).
+type TPCC struct {
+	rt       *persist.Runtime
+	db       Store
+	gens     []*workload.TPCC
+	orderSeq uint64
+}
+
+// SetupTPCC preloads 128 stock/district rows into each client's
+// partition of db and prepares the clients' generators.
+func SetupTPCC(rt *persist.Runtime, db Store, clients int, seed int64) *TPCC {
+	w := &TPCC{rt: rt, db: db, orderSeq: 1 << 20}
 	for c := 0; c < clients; c++ {
 		tx := db.Begin(c)
 		for k := uint64(0); k < 128; k++ {
 			tx.Insert(k, [nAttrs]uint64{100, 0, 0, 0}, "stock")
 		}
 		tx.Commit()
+		w.gens = append(w.gens, workload.NewTPCC(seed+int64(c), clients, 128))
 	}
-	var orderSeq uint64 = 1 << 20
-	workers := make([]sched.Worker, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		gen := workload.NewTPCC(seed+int64(c), clients, 128)
-		workers[c] = sched.Steps(txs, func(int) {
-			t := gen.Next()
-			tx := db.Begin(c)
-			switch t.Kind {
-			case workload.TPCCNewOrder:
-				// Insert the order row and one row per order line, and
-				// decrement stock.
-				orderSeq++
-				tx.Insert(orderSeq, [nAttrs]uint64{uint64(t.Warehouse), uint64(t.District), 0, 0}, "order")
-				for i, item := range t.Items {
-					orderSeq++
-					tx.Insert(orderSeq, [nAttrs]uint64{uint64(item), uint64(t.Quantity[i]), 0, 0}, "line")
-					if v, ok := tx.Read(uint64(item), 0); ok {
-						tx.Update(uint64(item), 0, v-uint64(t.Quantity[i]), "")
-					}
-				}
-			case workload.TPCCPayment:
-				// Warehouse YTD, district YTD, customer balance, plus a
-				// history-row insert.
-				tx.Update(uint64(t.Warehouse), 1, orderSeq, "")
-				tx.Update(uint64(t.District), 1, uint64(t.Warehouse), "payment")
-				tx.Update(uint64(16+t.District), 2, orderSeq, "")
-				orderSeq++
-				tx.Insert(orderSeq, [nAttrs]uint64{uint64(t.Warehouse), uint64(t.District), 0, 0}, "hist")
-			case workload.TPCCStockLevel, workload.TPCCOrderStatus:
-				for k := uint64(0); k < 10; k++ {
-					tx.Read(k, 0)
-				}
+	return w
+}
+
+// Op runs client tid's i-th transaction.
+func (w *TPCC) Op(tid, i int) {
+	t := w.gens[tid].Next()
+	tx := w.db.Begin(tid)
+	switch t.Kind {
+	case workload.TPCCNewOrder:
+		// Insert the order row and one row per order line, and decrement
+		// stock.
+		w.orderSeq++
+		tx.Insert(w.orderSeq, [nAttrs]uint64{uint64(t.Warehouse), uint64(t.District), 0, 0}, "order")
+		for i, item := range t.Items {
+			w.orderSeq++
+			tx.Insert(w.orderSeq, [nAttrs]uint64{uint64(item), uint64(t.Quantity[i]), 0, 0}, "line")
+			if v, ok := tx.Read(uint64(item), 0); ok {
+				tx.Update(uint64(item), 0, v-uint64(t.Quantity[i]), "")
 			}
-			tx.th.Compute(15000)
-			tx.th.VLoad(40)
-			tx.Commit()
-		})
+		}
+	case workload.TPCCPayment:
+		// Warehouse YTD, district YTD, customer balance, plus a
+		// history-row insert.
+		tx.Update(uint64(t.Warehouse), 1, w.orderSeq, "")
+		tx.Update(uint64(t.District), 1, uint64(t.Warehouse), "payment")
+		tx.Update(uint64(16+t.District), 2, w.orderSeq, "")
+		w.orderSeq++
+		tx.Insert(w.orderSeq, [nAttrs]uint64{uint64(t.Warehouse), uint64(t.District), 0, 0}, "hist")
+	case workload.TPCCStockLevel, workload.TPCCOrderStatus:
+		for k := uint64(0); k < 10; k++ {
+			tx.Read(k, 0)
+		}
 	}
-	sched.Run(workers, seed)
-	return db
+	th := w.rt.Thread(tid)
+	th.Compute(15000)
+	th.VLoad(40)
+	tx.Commit()
 }
 
 func hashString(s string) uint64 {

@@ -19,13 +19,13 @@ func newDB(threads int) (*persist.Runtime, *DB) {
 
 func TestInsertRead(t *testing.T) {
 	_, db := newDB(1)
-	tx := db.Begin(0)
+	tx := db.Begin(0).(*Tx)
 	tx.Insert(42, [nAttrs]uint64{1, 2, 3, 4}, "hello")
 	if v, ok := tx.Read(42, 2); !ok || v != 3 {
 		t.Fatalf("Read = %v,%v", v, ok)
 	}
 	tx.Commit()
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	if v, ok := tx.Read(42, 0); !ok || v != 1 {
 		t.Fatalf("post-commit Read = %v,%v", v, ok)
 	}
@@ -34,17 +34,17 @@ func TestInsertRead(t *testing.T) {
 
 func TestUpdateCommit(t *testing.T) {
 	_, db := newDB(1)
-	tx := db.Begin(0)
+	tx := db.Begin(0).(*Tx)
 	tx.Insert(7, [nAttrs]uint64{10, 0, 0, 0}, "v")
 	tx.Commit()
 
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	if !tx.Update(7, 0, 99, "updated") {
 		t.Fatal("update missed existing key")
 	}
 	tx.Commit()
 
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	v, _ := tx.Read(7, 0)
 	tx.Commit()
 	if v != 99 {
@@ -54,15 +54,15 @@ func TestUpdateCommit(t *testing.T) {
 
 func TestAbortRollsBack(t *testing.T) {
 	_, db := newDB(1)
-	tx := db.Begin(0)
+	tx := db.Begin(0).(*Tx)
 	tx.Insert(1, [nAttrs]uint64{5, 0, 0, 0}, "orig")
 	tx.Commit()
 
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	tx.Update(1, 0, 1000, "")
 	tx.Abort()
 
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	v, _ := tx.Read(1, 0)
 	tx.Commit()
 	if v != 5 {
@@ -72,7 +72,7 @@ func TestAbortRollsBack(t *testing.T) {
 
 func TestUpdateMissingKey(t *testing.T) {
 	_, db := newDB(1)
-	tx := db.Begin(0)
+	tx := db.Begin(0).(*Tx)
 	if tx.Update(404, 0, 1, "") {
 		t.Fatal("update of missing key succeeded")
 	}
@@ -81,11 +81,11 @@ func TestUpdateMissingKey(t *testing.T) {
 
 func TestCrashUncommittedRollsBack(t *testing.T) {
 	rt, db := newDB(1)
-	tx := db.Begin(0)
+	tx := db.Begin(0).(*Tx)
 	tx.Insert(1, [nAttrs]uint64{5, 0, 0, 0}, "orig")
 	tx.Commit()
 
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	tx.Update(1, 0, 777, "")
 	// Force the in-place writes durable: worst case for undo logging.
 	for l := range tx.dirty {
@@ -96,7 +96,7 @@ func TestCrashUncommittedRollsBack(t *testing.T) {
 	rt.Crash(pmem.Strict, 3)
 	db.Recover()
 
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	v, ok := tx.Read(1, 0)
 	tx.Commit()
 	if !ok || v != 5 {
@@ -106,12 +106,12 @@ func TestCrashUncommittedRollsBack(t *testing.T) {
 
 func TestCrashCommittedSurvives(t *testing.T) {
 	rt, db := newDB(1)
-	tx := db.Begin(0)
+	tx := db.Begin(0).(*Tx)
 	tx.Insert(9, [nAttrs]uint64{123, 0, 0, 0}, "keep")
 	tx.Commit()
 	rt.Crash(pmem.Strict, 4)
 	db.Recover()
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	v, ok := tx.Read(9, 0)
 	tx.Commit()
 	if !ok || v != 123 {
@@ -127,7 +127,7 @@ func TestStateVariableSelfDeps(t *testing.T) {
 	// self-dependencies.
 	rt, db := newDB(1)
 	for i := 0; i < 20; i++ {
-		tx := db.Begin(0)
+		tx := db.Begin(0).(*Tx)
 		tx.Insert(uint64(i), [nAttrs]uint64{0, 0, 0, 0}, "x")
 		tx.Commit()
 	}
@@ -137,86 +137,16 @@ func TestStateVariableSelfDeps(t *testing.T) {
 	}
 }
 
-func TestYCSBWorkload(t *testing.T) {
-	rt := persist.NewRuntime("ycsb", "native", 2, persist.Config{})
-	db := RunYCSB(rt, Config{Buckets: 256, SlabBytes: 4 << 20}, 2, 10, 4, 80, 11)
-	if len(db.parts[0].index) == 0 {
-		t.Fatal("no tuples in partition 0")
-	}
-	a := epoch.Analyze(rt.Trace)
-	// 2 preload txs + 20 workload txs.
-	if len(a.TxEpochCounts) != 22 {
-		t.Fatalf("transactions = %d", len(a.TxEpochCounts))
-	}
-	if a.MedianTxEpochs() < 10 {
-		t.Fatalf("median epochs/tx = %d, want tens (paper: 42)", a.MedianTxEpochs())
-	}
-}
-
-func TestTPCCWorkload(t *testing.T) {
-	rt := persist.NewRuntime("tpcc", "native", 2, persist.Config{})
-	RunTPCC(rt, Config{Buckets: 512, SlabBytes: 8 << 20}, 2, 10, 13)
-	a := epoch.Analyze(rt.Trace)
-	if len(a.TxEpochCounts) != 22 {
-		t.Fatalf("transactions = %d", len(a.TxEpochCounts))
-	}
-	// NewOrder transactions are an order of magnitude bigger than YCSB's.
-	max := 0
-	for _, n := range a.TxEpochCounts {
-		if n > max {
-			max = n
-		}
-	}
-	if max < 60 {
-		t.Fatalf("largest tx = %d epochs, want >= 60 (paper median: 197)", max)
-	}
-}
-
 func TestPartitionIsolation(t *testing.T) {
 	_, db := newDB(2)
-	tx := db.Begin(0)
+	tx := db.Begin(0).(*Tx)
 	tx.Insert(5, [nAttrs]uint64{1, 0, 0, 0}, "p0")
 	tx.Commit()
-	tx = db.Begin(1)
+	tx = db.Begin(1).(*Tx)
 	if _, ok := tx.Read(5, 0); ok {
 		t.Fatal("partition 1 sees partition 0's tuple")
 	}
 	tx.Commit()
-}
-
-func TestYCSBTraceSanitizerClean(t *testing.T) {
-	// Replay a whole YCSB run through the durability-ordering sanitizer:
-	// no line may reach commit dirty or unfenced, and — after the
-	// per-line deferred-flush tracking — commit must not re-flush lines
-	// an inline flush (undo record, neighbouring insert, allocator
-	// header) already covered.
-	rt := persist.NewRuntime("ycsb", "native", 2, persist.Config{})
-	RunYCSB(rt, Config{}, 2, 6, 4, 80, 42)
-	rep, err := pmsan.Run(trace.NewSliceSource(rt.Trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors() != 0 {
-		t.Fatalf("ordering errors in YCSB trace:\n%s", rep)
-	}
-	if n := rep.Sites(pmsan.RedundantFlush); n != 0 {
-		t.Fatalf("redundant flushes in YCSB trace: %d sites\n%s", n, rep)
-	}
-}
-
-func TestTPCCTraceSanitizerClean(t *testing.T) {
-	rt := persist.NewRuntime("tpcc", "native", 2, persist.Config{})
-	RunTPCC(rt, Config{}, 2, 6, 42)
-	rep, err := pmsan.Run(trace.NewSliceSource(rt.Trace))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors() != 0 {
-		t.Fatalf("ordering errors in TPC-C trace:\n%s", rep)
-	}
-	if n := rep.Sites(pmsan.RedundantFlush); n != 0 {
-		t.Fatalf("redundant flushes in TPC-C trace: %d sites\n%s", n, rep)
-	}
 }
 
 func TestCommitSkipsInlineFlushedLines(t *testing.T) {
@@ -224,11 +154,11 @@ func TestCommitSkipsInlineFlushedLines(t *testing.T) {
 	// Insert's flush must not re-flush that line at commit, but the
 	// deferred bytes must still be durable at the commit point.
 	rt, db := newDB(1)
-	tx := db.Begin(0)
+	tx := db.Begin(0).(*Tx)
 	tx.Insert(1, [nAttrs]uint64{1, 0, 0, 0}, "one")
 	tx.Commit()
 
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	if !tx.Update(1, 0, 99, "") {
 		t.Fatal("update missed")
 	}
@@ -259,11 +189,11 @@ func TestRecoverDropsACommitCutShort(t *testing.T) {
 	// the thread's commit group; Recover must start the group afresh, or
 	// the next commit would flush lines it never wrote.
 	rt, db := newDB(1)
-	tx := db.Begin(0)
+	tx := db.Begin(0).(*Tx)
 	tx.Insert(1, [nAttrs]uint64{5, 0, 0, 0}, "a")
 	tx.Commit()
 
-	tx = db.Begin(0)
+	tx = db.Begin(0).(*Tx)
 	tx.Update(1, 0, 77, "b")
 	if !rt.AbortAt(1, nil, tx.Commit) {
 		t.Fatal("commit ran to completion; want it stopped at its first flush")

@@ -68,8 +68,9 @@ func (s *Store) bucketAddr(h uint64) mem.Addr {
 	return s.buckets + mem.Addr((h%s.nbucket)*8)
 }
 
-// Set stores key -> value durably (the SET command).
-func (s *Store) Set(key, value string) error {
+// Insert stores key -> value durably (the SET command). Like every
+// command it runs on the event-loop thread, whichever client tid sent it.
+func (s *Store) Insert(_ int, key, value string) error {
 	if len(key)+len(value) > maxKV {
 		value = value[:maxKV-len(key)]
 	}
@@ -118,7 +119,7 @@ func (s *Store) entryKey(tx *nvml.Tx, e mem.Addr) string {
 }
 
 // Get returns the value for key (the GET command).
-func (s *Store) Get(key string) (string, bool) {
+func (s *Store) Get(_ int, key string) (string, bool) {
 	th := s.rt.Thread(s.serverTID)
 	h := fnv(key)
 	e := mem.Addr(th.LoadU64(s.bucketAddr(h)))
@@ -137,8 +138,8 @@ func (s *Store) Get(key string) (string, bool) {
 	return "", false
 }
 
-// Del removes key (the DEL command); returns whether it existed.
-func (s *Store) Del(key string) (bool, error) {
+// Delete removes key (the DEL command); returns whether it existed.
+func (s *Store) Delete(_ int, key string) (bool, error) {
 	th := s.rt.Thread(s.serverTID)
 	h := fnv(key)
 	found := false
@@ -193,7 +194,7 @@ func (s *Store) Recover() {
 // acyclic, every entry's stored hash matches its key bytes and selects the
 // bucket the entry hangs off, lengths are within the allocation, and no key
 // appears twice in a chain.
-func (s *Store) CheckInvariants() error {
+func (s *Store) CheckInvariants(int) error {
 	th := s.rt.Thread(s.serverTID)
 	for b := uint64(0); b < s.nbucket; b++ {
 		seen := make(map[mem.Addr]bool)
@@ -227,25 +228,41 @@ func (s *Store) CheckInvariants() error {
 	return nil
 }
 
-// RunWorkload executes the lru-test profile over `keys` keys with `ops`
-// operations, all on the single server thread (Redis's event loop).
-func RunWorkload(rt *persist.Runtime, pool *nvml.Pool, nbuckets int, keys uint64, ops int, seed int64) *Store {
-	s := New(rt, pool, nbuckets)
-	gen := workload.NewLRUTest(seed, keys)
-	th := rt.Thread(s.serverTID)
-	for i := 0; i < ops; i++ {
-		op := gen.Next()
-		switch op.Kind {
-		case workload.OpInsert:
-			s.Set(op.Key, string(op.Value))
-		default:
-			s.Get(op.Key)
-		}
-		th.Compute(4000)
-		// Event loop, RESP protocol parsing, reply buffers (Figure 6:
-		// only ~0.74% of redis accesses touch PM).
-		th.VLoad(1050)
-		th.VStore(350)
+// Workload is the redis workload: the lru-test profile over 1M keys, or
+// under workload.Checker the checker's insert/delete/get mix over 128
+// keys. Redis serves every command on its one event-loop thread, so the
+// workload is one client: run it as a single thread of every client's
+// operations.
+type Workload struct {
+	rt    *persist.Runtime
+	kv    workload.KV[string, string]
+	lru   *workload.LRUTest
+	check *workload.KVCheck[string, string]
+}
+
+// Setup prepares the generator over kv: a *Store, or an oracle wrapping
+// one.
+func Setup(rt *persist.Runtime, kv workload.KV[string, string], mix workload.Mix, seed int64) *Workload {
+	w := &Workload{rt: rt, kv: kv, lru: workload.NewLRUTest(seed, 1<<20)}
+	if mix == workload.Checker {
+		w.check = workload.NewKVCheck(kv, 1, seed, 128, workload.Strings)
 	}
-	return s
+	return w
+}
+
+// Op runs the server thread tid's i-th command.
+func (w *Workload) Op(tid, i int) {
+	if w.check != nil {
+		w.check.Op(tid)
+	} else if op := w.lru.Next(); op.Kind == workload.OpInsert {
+		w.kv.Insert(tid, op.Key, string(op.Value))
+	} else {
+		w.kv.Get(tid, op.Key)
+	}
+	th := w.rt.Thread(tid)
+	th.Compute(4000)
+	// Event loop, RESP protocol parsing, reply buffers (Figure 6: only
+	// ~0.74% of redis accesses touch PM).
+	th.VLoad(1050)
+	th.VStore(350)
 }

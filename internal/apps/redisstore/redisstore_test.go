@@ -2,7 +2,6 @@ package redisstore
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/epoch"
@@ -21,28 +20,28 @@ func newStore() (*persist.Runtime, *nvml.Pool, *Store) {
 
 func TestSetGet(t *testing.T) {
 	_, _, s := newStore()
-	s.Set("name", "whisper")
-	s.Set("venue", "asplos17")
-	if v, ok := s.Get("name"); !ok || v != "whisper" {
+	s.Insert(0, "name", "whisper")
+	s.Insert(0, "venue", "asplos17")
+	if v, ok := s.Get(0, "name"); !ok || v != "whisper" {
 		t.Fatalf("Get = %q,%v", v, ok)
 	}
-	if v, ok := s.Get("venue"); !ok || v != "asplos17" {
+	if v, ok := s.Get(0, "venue"); !ok || v != "asplos17" {
 		t.Fatalf("Get = %q,%v", v, ok)
 	}
-	if _, ok := s.Get("absent"); ok {
+	if _, ok := s.Get(0, "absent"); ok {
 		t.Fatal("phantom key")
 	}
 }
 
 func TestSetOverwrite(t *testing.T) {
 	_, _, s := newStore()
-	s.Set("k", "first")
-	s.Set("k", "secondvalue")
-	if v, _ := s.Get("k"); v != "secondvalue" {
+	s.Insert(0, "k", "first")
+	s.Insert(0, "k", "secondvalue")
+	if v, _ := s.Get(0, "k"); v != "secondvalue" {
 		t.Fatalf("value = %q", v)
 	}
-	s.Set("k", "x") // shrink
-	if v, _ := s.Get("k"); v != "x" {
+	s.Insert(0, "k", "x") // shrink
+	if v, _ := s.Get(0, "k"); v != "x" {
 		t.Fatalf("value = %q", v)
 	}
 	if s.Len() != 1 {
@@ -52,16 +51,16 @@ func TestSetOverwrite(t *testing.T) {
 
 func TestDel(t *testing.T) {
 	_, _, s := newStore()
-	s.Set("a", "1")
-	s.Set("b", "2")
-	found, err := s.Del("a")
+	s.Insert(0, "a", "1")
+	s.Insert(0, "b", "2")
+	found, err := s.Delete(0, "a")
 	if err != nil || !found {
 		t.Fatalf("Del = %v,%v", found, err)
 	}
-	if _, ok := s.Get("a"); ok {
+	if _, ok := s.Get(0, "a"); ok {
 		t.Fatal("deleted key present")
 	}
-	if v, _ := s.Get("b"); v != "2" {
+	if v, _ := s.Get(0, "b"); v != "2" {
 		t.Fatal("unrelated key damaged")
 	}
 }
@@ -70,10 +69,10 @@ func TestChainCollisions(t *testing.T) {
 	_, _, s := newStore()
 	// 64 buckets, 200 keys: plenty of chaining.
 	for i := 0; i < 200; i++ {
-		s.Set(fmt.Sprintf("key%03d", i), fmt.Sprintf("val%03d", i))
+		s.Insert(0, fmt.Sprintf("key%03d", i), fmt.Sprintf("val%03d", i))
 	}
 	for i := 0; i < 200; i++ {
-		if v, ok := s.Get(fmt.Sprintf("key%03d", i)); !ok || v != fmt.Sprintf("val%03d", i) {
+		if v, ok := s.Get(0, fmt.Sprintf("key%03d", i)); !ok || v != fmt.Sprintf("val%03d", i) {
 			t.Fatalf("key%03d = %q,%v", i, v, ok)
 		}
 	}
@@ -86,10 +85,10 @@ func TestEpochsPerSetNearPaper(t *testing.T) {
 	// Figure 3: redis median 6 epochs/tx. Updates (no allocation) are the
 	// common case in lru-test's steady state.
 	rt, _, s := newStore()
-	s.Set("warm", "v0")
+	s.Insert(0, "warm", "v0")
 	*rt.Trace = trace.Trace{}
 	for i := 0; i < 10; i++ {
-		s.Set("warm", fmt.Sprintf("v%d", i))
+		s.Insert(0, "warm", fmt.Sprintf("v%d", i))
 	}
 	a := epoch.Analyze(rt.Trace)
 	med := a.MedianTxEpochs()
@@ -101,7 +100,7 @@ func TestEpochsPerSetNearPaper(t *testing.T) {
 func TestCrashRecover(t *testing.T) {
 	rt, _, s := newStore()
 	for i := 0; i < 20; i++ {
-		s.Set(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
+		s.Insert(0, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 	}
 	rt.Crash(pmem.Strict, 8)
 	s.Recover()
@@ -109,7 +108,7 @@ func TestCrashRecover(t *testing.T) {
 		t.Fatalf("recovered count = %d", got)
 	}
 	for i := 0; i < 20; i++ {
-		if v, ok := s.Get(fmt.Sprintf("k%d", i)); !ok || v != fmt.Sprintf("v%d", i) {
+		if v, ok := s.Get(0, fmt.Sprintf("k%d", i)); !ok || v != fmt.Sprintf("v%d", i) {
 			t.Fatalf("k%d = %q,%v", i, v, ok)
 		}
 	}
@@ -117,7 +116,7 @@ func TestCrashRecover(t *testing.T) {
 
 func TestCrashMidSetRollsBack(t *testing.T) {
 	rt, pool, s := newStore()
-	s.Set("key", "original")
+	s.Insert(0, "key", "original")
 	func() {
 		defer func() { recover() }()
 		pool.Run(rt.Thread(0), func(tx *nvml.Tx) error {
@@ -133,7 +132,7 @@ func TestCrashMidSetRollsBack(t *testing.T) {
 	}()
 	rt.Crash(pmem.Adversarial, 9)
 	s.Recover()
-	if v, ok := s.Get("key"); !ok || v != "original" {
+	if v, ok := s.Get(0, "key"); !ok || v != "original" {
 		t.Fatalf("value = %q,%v, want original", v, ok)
 	}
 }
@@ -144,31 +143,12 @@ func TestOversizeValueClamped(t *testing.T) {
 	for i := range long {
 		long[i] = 'x'
 	}
-	if err := s.Set("k", string(long)); err != nil {
+	if err := s.Insert(0, "k", string(long)); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := s.Get("k")
+	v, ok := s.Get(0, "k")
 	if !ok || len(v) == 0 || len(v) > maxKV {
 		t.Fatalf("clamped value len = %d", len(v))
-	}
-}
-
-func TestRunWorkload(t *testing.T) {
-	rt := persist.NewRuntime("redis", "nvml", 1, persist.Config{})
-	pool := nvml.Open(rt, 8192, nvml.Options{})
-	s := RunWorkload(rt, pool, 256, 1000, 200, 3)
-	if s.Len() == 0 {
-		t.Fatal("no keys stored")
-	}
-	a := epoch.Analyze(rt.Trace)
-	if len(a.TxEpochCounts) == 0 {
-		t.Fatal("no transactions traced")
-	}
-	// Single-threaded server: everything on thread 0.
-	for _, e := range slices.Concat(rt.Trace.Chunks()...) {
-		if e.TID != 0 {
-			t.Fatal("event off the event-loop thread")
-		}
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/mnemosyne"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/sched"
 	"github.com/whisper-pm/whisper/internal/workload"
 )
 
@@ -298,37 +297,50 @@ func (m *Manager) CheckTrees(tid int) bool {
 	return ok
 }
 
-// RunWorkload executes the vacation client mix: `clients` threads, `txs`
-// transactions each, against `relations` tuples per table.
-func RunWorkload(rt *persist.Runtime, heap *mnemosyne.Heap, relations, clients, txs int, seed int64) *Manager {
-	m := NewManager(rt, heap, relations, 8)
-	workers := make([]sched.Worker, clients)
+// Store is the method set the vacation workload drives: a *Manager, or an
+// oracle wrapping one and forwarding every call unchanged.
+type Store interface {
+	FreeSlots(tid int, table int, id uint64) (uint64, bool)
+	Reserve(tid int, customer uint64, table int, id uint64) (bool, error)
+	Cancel(tid int, customer uint64, table int) (bool, error)
+	AddInventory(tid int, table int, id, delta uint64) error
+}
+
+// Workload is the vacation client mix over `relations` tuples per table.
+type Workload struct {
+	rt   *persist.Runtime
+	m    Store
+	gens []*workload.Vacation
+}
+
+// Setup prepares clients' transaction generators over m.
+func Setup(rt *persist.Runtime, m Store, relations, clients int, seed int64) *Workload {
+	w := &Workload{rt: rt, m: m}
 	for c := 0; c < clients; c++ {
-		c := c
-		gen := workload.NewVacation(seed+int64(c), 256, relations)
-		workers[c] = sched.Steps(txs, func(int) {
-			t := gen.Next()
-			switch t.Kind {
-			case workload.VacationReserve:
-				// STAMP's MAKE_RESERVATION queries candidates first, then
-				// books the chosen one; the queries are read-only
-				// transactions.
-				for _, obj := range t.Objects {
-					m.FreeSlots(c, t.Table, uint64(obj))
-				}
-				m.Reserve(c, uint64(t.Customer), t.Table, uint64(t.Objects[0]))
-			case workload.VacationCancel:
-				m.Cancel(c, uint64(t.Customer), t.Table)
-			case workload.VacationUpdate:
-				m.AddInventory(c, t.Table, uint64(t.Objects[0]), 2)
-			}
-			rt.Thread(c).Compute(10000)
-			// STM bookkeeping, client tables, itinerary building: vacation
-			// touches PM for only ~0.36% of its accesses (Figure 6).
-			rt.Thread(c).VLoad(140000)
-			rt.Thread(c).VStore(46000)
-		})
+		w.gens = append(w.gens, workload.NewVacation(seed+int64(c), 256, relations))
 	}
-	sched.Run(workers, seed)
-	return m
+	return w
+}
+
+// Op runs client tid's i-th transaction.
+func (w *Workload) Op(tid, i int) {
+	switch t := w.gens[tid].Next(); t.Kind {
+	case workload.VacationReserve:
+		// STAMP's MAKE_RESERVATION queries candidates first, then books
+		// the chosen one; the queries are read-only transactions.
+		for _, obj := range t.Objects {
+			w.m.FreeSlots(tid, t.Table, uint64(obj))
+		}
+		w.m.Reserve(tid, uint64(t.Customer), t.Table, uint64(t.Objects[0]))
+	case workload.VacationCancel:
+		w.m.Cancel(tid, uint64(t.Customer), t.Table)
+	case workload.VacationUpdate:
+		w.m.AddInventory(tid, t.Table, uint64(t.Objects[0]), 2)
+	}
+	th := w.rt.Thread(tid)
+	th.Compute(10000)
+	// STM bookkeeping, client tables, itinerary building: vacation
+	// touches PM for only ~0.36% of its accesses (Figure 6).
+	th.VLoad(140000)
+	th.VStore(46000)
 }

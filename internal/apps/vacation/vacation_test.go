@@ -196,23 +196,6 @@ func TestCrossDependenciesFromCounters(t *testing.T) {
 	}
 }
 
-func TestRunWorkload(t *testing.T) {
-	rt := persist.NewRuntime("vacation", "mnemosyne", 4, persist.Config{})
-	heap := mnemosyne.New(rt, 32768, mnemosyne.Options{})
-	m := RunWorkload(rt, heap, 64, 4, 20, 17)
-	if !m.CheckTrees(0) {
-		t.Fatal("trees inconsistent after workload")
-	}
-	a := epoch.Analyze(rt.Trace)
-	if len(a.TxEpochCounts) == 0 {
-		t.Fatal("no transactions")
-	}
-	med := a.MedianTxEpochs()
-	if med > 25 {
-		t.Errorf("median epochs/tx = %d, paper reports 4", med)
-	}
-}
-
 func memA(v uint64) memAddr { return memAddr(v) }
 
 // memAddr aliases mem.Addr for brevity in tests.

@@ -1,0 +1,34 @@
+package vacation_test
+
+import (
+	"testing"
+
+	"github.com/whisper-pm/whisper/internal/crashcheck"
+	"github.com/whisper-pm/whisper/internal/epoch"
+	"github.com/whisper-pm/whisper/internal/persist"
+)
+
+// record runs app's paper mix through the suite's one driver on a
+// recording runtime.
+func record(t *testing.T, app string, clients, ops int, seed int64) *persist.Runtime {
+	t.Helper()
+	a, err := crashcheck.Lookup(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := persist.NewRuntime(a.Name, a.Layer, clients, persist.Config{})
+	a.Run(rt, clients, ops, seed)
+	return rt
+}
+
+func TestRunWorkload(t *testing.T) {
+	rt := record(t, "vacation", 4, 20, 17)
+	a := epoch.Analyze(rt.Trace)
+	if len(a.TxEpochCounts) == 0 {
+		t.Fatal("no transactions")
+	}
+	med := a.MedianTxEpochs()
+	if med > 25 {
+		t.Errorf("median epochs/tx = %d, paper reports 4", med)
+	}
+}

@@ -5,15 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/whisper-pm/whisper/internal/apps/ctree"
-	"github.com/whisper-pm/whisper/internal/apps/fsapps"
-	"github.com/whisper-pm/whisper/internal/apps/nstore"
-	"github.com/whisper-pm/whisper/internal/apps/vacation"
+	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/mem"
-	"github.com/whisper-pm/whisper/internal/mnemosyne"
-	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/pmfs"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
@@ -290,34 +284,23 @@ func randomProgram(seed int64, n int) []trace.Event {
 	return events
 }
 
-// recordedTrace runs one app at a small size and returns the trace it
-// recorded: the three simulatable apps HOPS replays, and nfs for PMFS's
-// NT-store-heavy file writes.
+// recordedTrace runs one app at a small size through the suite's one
+// driver and returns the trace it recorded: the three simulatable apps
+// HOPS replays, and nfs (on its eight clients) for PMFS's NT-store-heavy
+// file writes.
 func recordedTrace(app string) *trace.Trace {
-	const clients, ops, seed = 4, 12, 1
-	switch app {
-	case "ycsb":
-		rt := persist.NewRuntime(app, "native", clients, persist.Config{})
-		nstore.RunYCSB(rt, nstore.Config{}, clients, ops, 7, 80, seed)
-		return rt.Trace
-	case "ctree":
-		rt := persist.NewRuntime(app, "nvml", clients, persist.Config{})
-		ctree.RunWorkload(rt, nvml.Open(rt, 1<<15, nvml.Options{}), clients, ops, seed)
-		return rt.Trace
-	case "vacation":
-		rt := persist.NewRuntime(app, "mnemosyne", clients, persist.Config{})
-		vacation.RunWorkload(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 512, clients, ops, seed)
-		return rt.Trace
-	case "nfs":
-		const nfsClients = 8
-		rt := persist.NewRuntime(app, "pmfs", nfsClients, persist.Config{})
-		fs := pmfs.Format(rt, rt.Thread(0), pmfs.Options{})
-		if err := fsapps.RunNFS(rt, fs, nfsClients, ops, seed); err != nil {
-			panic(err)
-		}
-		return rt.Trace
+	const ops, seed = 12, 1
+	a, err := crashcheck.Lookup(app)
+	if err != nil {
+		panic(err)
 	}
-	panic("recordedTrace: unknown app " + app)
+	clients := 4
+	if app == "nfs" {
+		clients = a.Clients
+	}
+	rt := persist.NewRuntime(a.Name, a.Layer, clients, persist.Config{})
+	a.Run(rt, clients, ops, seed)
+	return rt.Trace
 }
 
 // requireMatchesReference replays src through Hierarchy and refHierarchy

@@ -1,159 +1,25 @@
 package crashcheck
 
 import (
-	"cmp"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"github.com/whisper-pm/whisper/internal/apps/echo"
-	"github.com/whisper-pm/whisper/internal/apps/fsapps"
 	"github.com/whisper-pm/whisper/internal/apps/nstore"
 	"github.com/whisper-pm/whisper/internal/apps/vacation"
-	"github.com/whisper-pm/whisper/internal/mnemosyne"
-	"github.com/whisper-pm/whisper/internal/persist"
 )
 
-// entry registers one checkable suite application.
-type entry struct {
-	name    string
-	layer   string
-	factory func() App
-}
-
-// registry lists the paper's ten applications (the two N-store benchmarks
-// share one application; the checker drives it with the YCSB-style mix).
-var registry = []entry{
-	{"echo", "native", func() App { return &echoApp{} }},
-	{"ycsb", "native", func() App { return &nstoreApp{} }},
-	{"redis", "nvml", func() App { return newStrApp("redis") }},
-	{"ctree", "nvml", func() App { return newU64App("ctree") }},
-	{"hashmap", "nvml", func() App { return newU64App("hashmap") }},
-	{"vacation", "mnemosyne", func() App { return &vacationApp{} }},
-	{"memcached", "mnemosyne", func() App { return newStrApp("memcached") }},
-	{"nfs", "pmfs", func() App { return fsapps.NewCrashApp("nfs") }},
-	{"exim", "pmfs", func() App { return fsapps.NewCrashApp("exim") }},
-	{"mysql", "pmfs", func() App { return fsapps.NewCrashApp("mysql") }},
-}
-
-// Apps returns the registered application names in suite order.
-func Apps() []string {
-	var names []string
-	for _, e := range registry {
-		names = append(names, e.name)
-	}
-	return names
-}
-
-func lookup(name string) (entry, error) {
-	for _, e := range registry {
-		if e.name == name {
-			return e, nil
-		}
-	}
-	return entry{}, fmt.Errorf("crashcheck: unknown app %q (have %v)", name, Apps())
-}
+// The oracles of the apps that are neither key-value stores (Model) nor
+// filesystems (fsapps.Oracle).
 
 // ---------------------------------------------------------------------------
-// Key-value apps: ctree and hashmap (uint64), redis and memcached (string).
+// N-store (ycsb, tpcc): multi-write OPTWAL transactions, all-or-nothing.
 
-const (
-	opInsert = iota
-	opDelete
-	opGet
-)
-
-// kvOp is one scripted operation; key and val are the raw draws the app's
-// render function turns into its store's key and value types.
-type kvOp struct {
-	kind     int
-	key, val uint64
-}
-
-// kvApp scripts an insert/delete/get mix against one key-value store and
-// leaves every judgement to its Model.
-type kvApp[K cmp.Ordered, V comparable] struct {
-	name     string
-	open     func(app string, rt *persist.Runtime) KV[K, V]
-	keyspace int
-	render   func(key, val uint64) (K, V)
-	clients  int
-	script   []kvOp
-	m        *Model[K, V]
-}
-
-func newU64App(name string) App {
-	// The stores treat key/value 0 as ambiguous; keep both nonzero.
-	return &kvApp[uint64, uint64]{name: name, open: OpenU64, keyspace: 256,
-		render: func(k, v uint64) (uint64, uint64) { return k + 1, v + 1 }}
-}
-
-func newStrApp(name string) App {
-	return &kvApp[string, string]{name: name, open: OpenStr, keyspace: 128,
-		render: func(k, v uint64) (string, string) {
-			return fmt.Sprintf("key-%03d", k), fmt.Sprintf("value-%06d", v)
-		}}
-}
-
-func (a *kvApp[K, V]) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
-	a.m = NewModel(a.open(a.name, rt))
-	a.clients = clients
-	rng := rand.New(rand.NewSource(seed))
-	for k := 0; k < ops; k++ {
-		op := kvOp{key: uint64(rng.Intn(a.keyspace)), val: rng.Uint64() % 1_000_000}
-		switch r := rng.Intn(100); {
-		case r < 60:
-			op.kind = opInsert
-		case r < 80:
-			op.kind = opDelete
-		default:
-			op.kind = opGet
-		}
-		a.script = append(a.script, op)
-	}
-}
-
-func (a *kvApp[K, V]) Do(k int) {
-	op := a.script[k]
-	tid := k % a.clients
-	key, val := a.render(op.key, op.val)
-	switch op.kind {
-	case opInsert:
-		a.m.Insert(tid, key, val)
-	case opDelete:
-		a.m.Delete(tid, key)
-	case opGet:
-		a.m.Get(tid, key)
-	}
-}
-
-func (a *kvApp[K, V]) Recover() { a.m.Recover() }
-
-func (a *kvApp[K, V]) Check() error { return a.m.Check(0) }
-
-// ---------------------------------------------------------------------------
-// N-store (YCSB mix): multi-write OPTWAL transactions, all-or-nothing.
-
-type nsWrite struct {
-	insert  bool
-	key     uint64
-	idx     int
-	val     uint64
-	attrs   [4]uint64
-	varchar string
-}
-
-type nsTx struct {
-	writes []nsWrite
-	abort  bool
-}
-
-// nsPending snapshots the model rows a transaction touches, before and
-// after. The recovered image must match one side for every touched key —
-// the undo WAL makes partial transactions illegal.
-type nsPending struct {
-	before map[uint64]nsRow
-	after  map[uint64]nsRow
+// nsKey names a row: N-store keys are per partition, and a client's
+// transactions run on the partition of its thread.
+type nsKey struct {
+	part int
+	key  uint64
 }
 
 type nsRow struct {
@@ -161,153 +27,143 @@ type nsRow struct {
 	ok    bool
 }
 
-type nstoreApp struct {
-	rt      *persist.Runtime
+// nstoreOracle wraps a database. A transaction's writes go to its before
+// and after images of the rows it touches as they are issued, so a crash
+// anywhere inside it finds the rows the recovered image must match on one
+// side or the other — the undo WAL makes a mix of both illegal.
+type nstoreOracle struct {
 	db      *nstore.DB
-	clients int
-	script  []nsTx
-	model   map[uint64][4]uint64
-	touched map[uint64]bool
-	pending *nsPending
+	model   map[nsKey][4]uint64
+	touched map[nsKey]bool
+	open    *nsTx // the transaction in flight, nil between transactions
+	firstErr
 }
 
-func (a *nstoreApp) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
-	a.rt = rt
-	a.clients = clients
-	a.db = nstore.Open(rt, nstore.Config{Partitions: clients, Buckets: 128, SlabBytes: 1 << 20})
-	a.model = make(map[uint64][4]uint64)
-	a.touched = make(map[uint64]bool)
-	rng := rand.New(rand.NewSource(seed))
-	// Keys are partitioned by construction: key ≡ tid (mod clients), so
-	// every transaction touches only its own partition's index.
-	live := make(map[int][]uint64)
-	for k := 0; k < ops; k++ {
-		tid := k % clients
-		tx := nsTx{abort: rng.Intn(100) < 10}
-		n := 1 + rng.Intn(3)
-		for i := 0; i < n; i++ {
-			if len(live[tid]) == 0 || rng.Intn(100) < 45 {
-				// Unique per (transaction, write): an aborted insert's key is
-				// never reused, so re-insert ambiguity cannot arise.
-				key := uint64(tid + clients*(k*4+i+1))
-				var attrs [4]uint64
-				for j := range attrs {
-					attrs[j] = rng.Uint64() % 100_000
-				}
-				tx.writes = append(tx.writes, nsWrite{
-					insert: true, key: key, attrs: attrs,
-					varchar: fmt.Sprintf("row-%d", key),
-				})
-				if !tx.abort {
-					live[tid] = append(live[tid], key)
-				}
-			} else {
-				key := live[tid][rng.Intn(len(live[tid]))]
-				tx.writes = append(tx.writes, nsWrite{
-					key: key, idx: rng.Intn(4), val: rng.Uint64() % 100_000,
-					varchar: fmt.Sprintf("upd-%d", k),
-				})
-			}
-		}
-		a.script = append(a.script, tx)
-	}
+func newNStoreOracle(db *nstore.DB) *nstoreOracle {
+	return &nstoreOracle{db: db, model: make(map[nsKey][4]uint64), touched: make(map[nsKey]bool)}
 }
 
-func (a *nstoreApp) Do(k int) {
-	script := a.script[k]
-	tid := k % a.clients
-	// Predict the transaction's outcome on copies of the touched rows.
-	p := &nsPending{before: make(map[uint64]nsRow), after: make(map[uint64]nsRow)}
-	for _, w := range script.writes {
-		if _, seen := p.before[w.key]; !seen {
-			attrs, ok := a.model[w.key]
-			p.before[w.key] = nsRow{attrs: attrs, ok: ok}
-			p.after[w.key] = nsRow{attrs: attrs, ok: ok}
-		}
-		row := p.after[w.key]
-		if w.insert {
-			row = nsRow{attrs: w.attrs, ok: true}
-		} else if row.ok {
-			row.attrs[w.idx] = w.val
-		}
-		p.after[w.key] = row
-	}
-	if script.abort {
-		p.after = p.before
-	}
-	a.pending = p
-	for key := range p.before {
-		a.touched[key] = true
-	}
+// nsTx wraps one transaction: before and after hold the touched rows as
+// they were at Begin and as the transaction has left them.
+type nsTx struct {
+	o             *nstoreOracle
+	tx            nstore.Txn
+	part          int
+	before, after map[uint64]nsRow
+}
 
-	tx := a.db.Begin(tid)
-	for _, w := range script.writes {
-		if w.insert {
-			tx.Insert(w.key, w.attrs, w.varchar)
+// Begin forwards to the database.
+func (o *nstoreOracle) Begin(tid int) nstore.Txn {
+	t := &nsTx{o: o, part: tid, before: make(map[uint64]nsRow), after: make(map[uint64]nsRow)}
+	o.open = t
+	t.tx = o.db.Begin(tid)
+	return t
+}
+
+// row returns key's row as the transaction sees it, noting the key touched.
+func (t *nsTx) row(key uint64) nsRow {
+	k := nsKey{t.part, key}
+	t.o.touched[k] = true
+	if r, seen := t.after[key]; seen {
+		return r
+	}
+	attrs, ok := t.o.model[k]
+	r := nsRow{attrs, ok}
+	t.before[key], t.after[key] = r, r
+	return r
+}
+
+func (t *nsTx) Insert(key uint64, attrs [4]uint64, varchar string) {
+	t.row(key)
+	t.after[key] = nsRow{attrs, true}
+	t.tx.Insert(key, attrs, varchar)
+}
+
+func (t *nsTx) Update(key uint64, idx int, val uint64, varchar string) bool {
+	r := t.row(key)
+	if r.ok {
+		r.attrs[idx] = val
+		t.after[key] = r
+	}
+	ok := t.tx.Update(key, idx, val, varchar)
+	if ok != r.ok {
+		t.o.fail("update partition %d key %d: store found it %v, model %v", t.part, key, ok, r.ok)
+	}
+	return ok
+}
+
+func (t *nsTx) Read(key uint64, idx int) (uint64, bool) {
+	got, ok := t.tx.Read(key, idx)
+	if r := t.row(key); ok != r.ok || ok && got != r.attrs[idx] {
+		t.o.fail("read partition %d key %d: store (%d,%v), model (%d,%v)", t.part, key, got, ok, r.attrs[idx], r.ok)
+	}
+	return got, ok
+}
+
+func (t *nsTx) Commit() {
+	t.tx.Commit()
+	for key, r := range t.after {
+		if r.ok {
+			t.o.model[nsKey{t.part, key}] = r.attrs
 		} else {
-			tx.Update(w.key, w.idx, w.val, w.varchar)
+			delete(t.o.model, nsKey{t.part, key})
 		}
 	}
-	if script.abort {
-		tx.Abort()
-	} else {
-		tx.Commit()
-	}
-	for key, row := range p.after {
-		if row.ok {
-			a.model[key] = row.attrs
-		} else {
-			delete(a.model, key)
-		}
-	}
-	a.pending = nil
+	t.o.open = nil
 }
 
-func (a *nstoreApp) Recover() { a.db.Recover() }
+func (t *nsTx) Abort() {
+	// A crash inside the rollback must leave the rows as they were.
+	t.after = t.before
+	t.tx.Abort()
+	t.o.open = nil
+}
 
-// owner returns the tid whose partition holds key (by script construction).
-func (a *nstoreApp) owner(key uint64) int { return int(key % uint64(a.clients)) }
+func (o *nstoreOracle) Recover() { o.db.Recover() }
 
-func (a *nstoreApp) rowMatches(key uint64, want nsRow) bool {
+func (o *nstoreOracle) rowMatches(k nsKey, want nsRow) bool {
 	for idx := 0; idx < 4; idx++ {
-		got, ok := a.db.Get(a.owner(key), key, idx)
-		if ok != want.ok {
-			return false
-		}
-		if ok && got != want.attrs[idx] {
+		got, ok := o.db.Get(k.part, k.key, idx)
+		if ok != want.ok || ok && got != want.attrs[idx] {
 			return false
 		}
 	}
 	return true
 }
 
-func (a *nstoreApp) Check() error {
-	if err := a.db.CheckInvariants(); err != nil {
+func (o *nstoreOracle) Check(int) error {
+	if o.err != nil {
+		return o.err
+	}
+	if err := o.db.CheckInvariants(); err != nil {
 		return err
 	}
-	p := a.pending
+	keys := make([]nsKey, 0, len(o.touched))
+	for k := range o.touched {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return keys[i].part < keys[j].part || keys[i].part == keys[j].part && keys[i].key < keys[j].key
+	})
 	// An in-flight transaction must land entirely before or entirely
 	// after: mixing rows from both sides breaks OPTWAL atomicity.
+	t := o.open
 	matchBefore, matchAfter := true, true
-	for _, key := range SortedKeys(a.touched) {
-		if p != nil {
-			if before, inflight := p.before[key]; inflight {
-				if !a.rowMatches(key, before) {
-					matchBefore = false
-				}
-				if !a.rowMatches(key, p.after[key]) {
-					matchAfter = false
-				}
+	for _, k := range keys {
+		if t != nil && k.part == t.part {
+			if before, inflight := t.before[k.key]; inflight {
+				matchBefore = matchBefore && o.rowMatches(k, before)
+				matchAfter = matchAfter && o.rowMatches(k, t.after[k.key])
 				continue
 			}
 		}
-		attrs, ok := a.model[key]
-		if !a.rowMatches(key, nsRow{attrs: attrs, ok: ok}) {
-			got, gok := a.db.Get(a.owner(key), key, 0)
-			return fmt.Errorf("key %d: recovered (%d,%v) diverged from model (%v,%v)", key, got, gok, attrs, ok)
+		attrs, ok := o.model[k]
+		if !o.rowMatches(k, nsRow{attrs, ok}) {
+			got, gok := o.db.Get(k.part, k.key, 0)
+			return fmt.Errorf("partition %d key %d: recovered (%d,%v) diverged from model (%v,%v)", k.part, k.key, got, gok, attrs, ok)
 		}
 	}
-	if p != nil && !matchBefore && !matchAfter {
+	if t != nil && !matchBefore && !matchAfter {
 		return fmt.Errorf("in-flight transaction is neither rolled back nor committed (partial writes visible)")
 	}
 	return nil
@@ -322,86 +178,77 @@ type echoKV struct {
 	val uint64
 }
 
-type echoApp struct {
-	rt      *persist.Runtime
-	st      *echo.Store
-	clients int
-	batches [][]echoKV
+// echoOracle wraps a store. Like the store it stages a client's updates by
+// key hash, so an update repeated within a batch is last-put-wins.
+type echoOracle struct {
+	*echo.Store
+	staged  map[int]map[uint64]echoKV // client -> key hash -> last put
 	model   map[string]uint64
 	touched map[string]bool
-	pending []echoKV // in-flight batch, sorted in application (hash) order
-	err     error
+	pending []echoKV // in-flight batch, in application (hash) order
+	firstErr
 }
 
-func (a *echoApp) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
-	a.rt = rt
-	a.clients = clients
-	a.st = echo.New(rt, echo.Config{Buckets: 256, SlabBytes: 1 << 20, BatchSize: 8})
-	a.model = make(map[string]uint64)
-	a.touched = make(map[string]bool)
-	rng := rand.New(rand.NewSource(seed))
-	const keyspace = 64
-	const batch = 4
-	for k := 0; k < ops; k++ {
-		seen := make(map[int]bool)
-		var kvs []echoKV
-		for len(kvs) < batch {
-			id := rng.Intn(keyspace)
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			kvs = append(kvs, echoKV{key: fmt.Sprintf("key-%02d", id), val: rng.Uint64()%1_000_000 + 1})
-		}
-		a.batches = append(a.batches, kvs)
+func newEchoOracle(st *echo.Store) *echoOracle {
+	return &echoOracle{Store: st, staged: make(map[int]map[uint64]echoKV),
+		model: make(map[string]uint64), touched: make(map[string]bool)}
+}
+
+// Put forwards to the store and stages the update in the model.
+func (o *echoOracle) Put(tid int, key string, value uint64) {
+	if o.staged[tid] == nil {
+		o.staged[tid] = make(map[uint64]echoKV)
 	}
+	o.staged[tid][echo.HashKey(key)] = echoKV{key, value}
+	o.Store.Put(tid, key, value)
 }
 
-func (a *echoApp) Do(k int) {
-	tid := k % a.clients
-	kvs := append([]echoKV(nil), a.batches[k]...)
-	// The store applies a batch in ascending key-hash order; keep the
-	// pending copy in that order so prefixes line up.
-	sort.Slice(kvs, func(i, j int) bool {
-		return echo.HashKey(kvs[i].key) < echo.HashKey(kvs[j].key)
-	})
-	a.pending = kvs
+// SubmitBatch forwards to the store. The batch in flight is the client's
+// staged updates in the ascending hash order the store applies them in.
+func (o *echoOracle) SubmitBatch(tid int) int {
+	staged := o.staged[tid]
+	hashes := make([]uint64, 0, len(staged))
+	for h := range staged {
+		hashes = append(hashes, h)
+	}
+	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+	kvs := make([]echoKV, len(hashes))
+	for i, h := range hashes {
+		kvs[i] = staged[h]
+		o.touched[kvs[i].key] = true
+	}
+	delete(o.staged, tid)
+	o.pending = kvs
+	n := o.Store.SubmitBatch(tid)
+	if n != len(kvs) {
+		o.fail("batch of %d staged updates applied %d", len(kvs), n)
+	}
 	for _, kv := range kvs {
-		a.touched[kv.key] = true
-		a.st.Put(tid, kv.key, kv.val)
+		o.model[kv.key] = kv.val
 	}
-	a.st.SubmitBatch(tid)
-	for _, kv := range kvs {
-		a.model[kv.key] = kv.val
-	}
-	a.pending = nil
+	o.pending = nil
+	return n
 }
 
-func (a *echoApp) Recover() { a.st.Recover() }
-
-func (a *echoApp) Check() error {
-	if a.err != nil {
-		return a.err
+func (o *echoOracle) Check(tid int) error {
+	if o.err != nil {
+		return o.err
 	}
-	if err := a.st.CheckInvariants(); err != nil {
+	if err := o.CheckInvariants(); err != nil {
 		return err
 	}
 	// Candidate states: the committed model, or (with a batch in flight)
 	// the model plus any prefix of the batch in application order.
-	candidates := [][]echoKV{nil}
-	for i := 1; i <= len(a.pending); i++ {
-		candidates = append(candidates, a.pending[:i])
-	}
-	for _, prefix := range candidates {
-		if a.matches(prefix) {
+	for i := 0; i <= len(o.pending); i++ {
+		if o.matches(tid, o.pending[:i]) {
 			return nil
 		}
 	}
-	if a.pending == nil {
+	if o.pending == nil {
 		// Diagnose the mismatch precisely when no batch was in flight.
-		for _, key := range SortedKeys(a.model) {
-			want := a.model[key]
-			got, ok := a.st.Get(0, key)
+		for _, key := range SortedKeys(o.model) {
+			want := o.model[key]
+			got, ok := o.Get(tid, key)
 			if !ok || got != want {
 				return fmt.Errorf("key %s: recovered (%d,%v), model wants %d", key, got, ok, want)
 			}
@@ -413,16 +260,16 @@ func (a *echoApp) Check() error {
 
 // matches reports whether the recovered store equals the committed model
 // with `prefix` of the in-flight batch applied on top.
-func (a *echoApp) matches(prefix []echoKV) bool {
-	want := make(map[string]uint64, len(a.model))
-	for k, v := range a.model {
+func (o *echoOracle) matches(tid int, prefix []echoKV) bool {
+	want := make(map[string]uint64, len(o.model))
+	for k, v := range o.model {
 		want[k] = v
 	}
 	for _, kv := range prefix {
 		want[kv.key] = kv.val
 	}
-	for key := range a.touched {
-		got, ok := a.st.Get(0, key)
+	for key := range o.touched {
+		got, ok := o.Get(tid, key)
 		wv, wok := want[key]
 		if ok != wok || (ok && got != wv) {
 			return false
@@ -498,126 +345,116 @@ type vacPending struct {
 	after  *vacModel
 }
 
-type vacationApp struct {
-	rt        *persist.Runtime
-	mgr       *vacation.Manager
-	clients   int
+// vacationOracle wraps a reservation manager.
+type vacationOracle struct {
+	*vacation.Manager
 	relations int
-	script    []vacOp
 	model     *vacModel
 	customers map[uint64]bool
 	pending   *vacPending
-	err       error
+	firstErr
 }
 
-func (a *vacationApp) Setup(rt *persist.Runtime, clients, ops int, seed int64) {
-	a.rt = rt
-	a.clients = clients
-	a.relations = 48
-	const capacity = 4
-	heap := mnemosyne.New(rt, 1<<15, mnemosyne.Options{})
-	a.mgr = vacation.NewManager(rt, heap, a.relations, capacity)
-	a.model = &vacModel{free: make(map[[2]uint64]uint64), resv: make(map[uint64][]vacOp)}
-	a.customers = make(map[uint64]bool)
+// newVacationOracle wraps mgr, freshly built with relations tuples per
+// table of capacity free slots each.
+func newVacationOracle(mgr *vacation.Manager, relations int, capacity uint64) *vacationOracle {
+	o := &vacationOracle{Manager: mgr, relations: relations,
+		model:     &vacModel{free: make(map[[2]uint64]uint64), resv: make(map[uint64][]vacOp)},
+		customers: make(map[uint64]bool)}
 	for t := 0; t < 3; t++ {
-		for id := 0; id < a.relations; id++ {
-			a.model.free[[2]uint64{uint64(t), uint64(id)}] = capacity
+		for id := 0; id < relations; id++ {
+			o.model.free[[2]uint64{uint64(t), uint64(id)}] = capacity
 		}
-		a.model.counters[t] = uint64(a.relations) * capacity
+		o.model.counters[t] = uint64(relations) * capacity
 	}
-	rng := rand.New(rand.NewSource(seed))
-	for k := 0; k < ops; k++ {
-		op := vacOp{
-			customer: uint64(rng.Intn(24)),
-			table:    rng.Intn(3),
-			id:       uint64(rng.Intn(a.relations)),
-			delta:    uint64(rng.Intn(3) + 1),
-		}
-		switch r := rng.Intn(100); {
-		case r < 60:
-			op.kind = 0
-		case r < 85:
-			op.kind = 1
-		default:
-			op.kind = 2
-		}
-		a.script = append(a.script, op)
-	}
+	return o
 }
 
-func (a *vacationApp) fail(format string, args ...any) {
-	if a.err == nil {
-		a.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (a *vacationApp) Do(k int) {
-	op := a.script[k]
-	tid := k % a.clients
-	a.customers[op.customer] = true
-	after := a.model.clone()
+// do runs call, the store's half of op, between the model's before and
+// after states.
+func (o *vacationOracle) do(op vacOp, call func() (bool, error)) (bool, error) {
+	after := o.model.clone()
 	predicted := after.apply(op)
-	a.pending = &vacPending{before: a.model, after: after}
-	var ok bool
-	var err error
-	switch op.kind {
-	case 0:
-		ok, err = a.mgr.Reserve(tid, op.customer, op.table, op.id)
-	case 1:
-		ok, err = a.mgr.Cancel(tid, op.customer, op.table)
-	default:
-		err = a.mgr.AddInventory(tid, op.table, op.id, op.delta)
-		ok = true
-	}
+	o.pending = &vacPending{before: o.model, after: after}
+	ok, err := call()
 	if err != nil {
-		a.fail("op %d: %v", k, err)
+		o.fail("%+v: %v", op, err)
 	} else if ok != predicted {
-		a.fail("op %d: store returned %v, model predicted %v", k, ok, predicted)
+		o.fail("%+v: store returned %v, model predicted %v", op, ok, predicted)
 	}
-	a.model = after
-	a.pending = nil
+	o.model = after
+	o.pending = nil
+	return ok, err
 }
 
-func (a *vacationApp) Recover() { a.mgr.Recover() }
+// FreeSlots forwards the read-only query and holds it to the model.
+func (o *vacationOracle) FreeSlots(tid int, table int, id uint64) (uint64, bool) {
+	got, found := o.Manager.FreeSlots(tid, table, id)
+	if want := o.model.free[[2]uint64{uint64(table), id}]; !found || got != want {
+		o.fail("table %d id %d: store free (%d,%v), model %d", table, id, got, found, want)
+	}
+	return got, found
+}
+
+func (o *vacationOracle) Reserve(tid int, customer uint64, table int, id uint64) (bool, error) {
+	o.customers[customer] = true
+	return o.do(vacOp{kind: 0, customer: customer, table: table, id: id}, func() (bool, error) {
+		return o.Manager.Reserve(tid, customer, table, id)
+	})
+}
+
+func (o *vacationOracle) Cancel(tid int, customer uint64, table int) (bool, error) {
+	o.customers[customer] = true
+	return o.do(vacOp{kind: 1, customer: customer, table: table}, func() (bool, error) {
+		return o.Manager.Cancel(tid, customer, table)
+	})
+}
+
+func (o *vacationOracle) AddInventory(tid int, table int, id, delta uint64) error {
+	_, err := o.do(vacOp{kind: 2, table: table, id: id, delta: delta}, func() (bool, error) {
+		return true, o.Manager.AddInventory(tid, table, id, delta)
+	})
+	return err
+}
 
 // compare checks the full persistent state against one model state.
-func (a *vacationApp) compare(m *vacModel) error {
+func (o *vacationOracle) compare(tid int, m *vacModel) error {
 	for t := 0; t < 3; t++ {
-		if got := a.mgr.Counter(0, t); got != m.counters[t] {
+		if got := o.Counter(tid, t); got != m.counters[t] {
 			return fmt.Errorf("table %d counter: recovered %d, model %d", t, got, m.counters[t])
 		}
-		for id := 0; id < a.relations; id++ {
-			got, found := a.mgr.FreeSlots(0, t, uint64(id))
+		for id := 0; id < o.relations; id++ {
+			got, found := o.Manager.FreeSlots(tid, t, uint64(id))
 			want := m.free[[2]uint64{uint64(t), uint64(id)}]
 			if !found || got != want {
 				return fmt.Errorf("table %d id %d: recovered free (%d,%v), model %d", t, id, got, found, want)
 			}
 		}
 	}
-	for _, c := range SortedKeys(a.customers) {
-		if got, want := a.mgr.Reservations(0, c), len(m.resv[c]); got != want {
+	for _, c := range SortedKeys(o.customers) {
+		if got, want := o.Reservations(tid, c), len(m.resv[c]); got != want {
 			return fmt.Errorf("customer %d: recovered %d reservations, model %d", c, got, want)
 		}
 	}
 	return nil
 }
 
-func (a *vacationApp) Check() error {
-	if a.err != nil {
-		return a.err
+func (o *vacationOracle) Check(tid int) error {
+	if o.err != nil {
+		return o.err
 	}
-	if !a.mgr.CheckTrees(0) {
+	if !o.CheckTrees(tid) {
 		return fmt.Errorf("red-black tree invariants violated after recovery")
 	}
-	if p := a.pending; p != nil {
-		errBefore := a.compare(p.before)
+	if p := o.pending; p != nil {
+		errBefore := o.compare(tid, p.before)
 		if errBefore == nil {
 			return nil
 		}
-		if errAfter := a.compare(p.after); errAfter == nil {
+		if errAfter := o.compare(tid, p.after); errAfter == nil {
 			return nil
 		}
 		return fmt.Errorf("in-flight transaction is neither rolled back nor committed: %v", errBefore)
 	}
-	return a.compare(a.model)
+	return o.compare(tid, o.model)
 }

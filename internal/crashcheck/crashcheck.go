@@ -1,10 +1,16 @@
-// Package crashcheck is the suite-wide crash-consistency checker: it runs
-// any WHISPER application against the simulated PM device, crashes it at
-// systematically chosen points, reboots a fresh application instance on the
-// surviving durable image, and validates application-level invariants
-// against a volatile oracle model.
+// Package crashcheck is the suite-wide crash-consistency checker and the
+// one app table (suite.go) both it and the suite run: every application is
+// one op-level workload, run by one driver in the suite's interleaving.
+// The checker runs an app's workload, crashes it at systematically chosen
+// points, reboots the app on the surviving durable image, and validates it
+// against a volatile oracle.
 //
-// The oracle discipline, shared by every adapter:
+// The adapter contract: an app's workload drives its store through the
+// store's own method set, so its oracle wraps the store, forwards every
+// call unchanged and emits no PM event of its own — a checked run records
+// exactly the trace the suite measures (TestOracleAddsNoEvent). The oracle
+// survives the crash; Recover reboots the wrapped store and Check judges
+// the image by one discipline:
 //
 //   - operations acknowledged before the crash must be fully visible after
 //     recovery (persistence of acknowledged work);
@@ -14,30 +20,29 @@
 //   - structural invariants (hash placement, tree balance, WAL/state
 //     machine legality, fsck) must hold in every recovered image.
 //
-// Crash points come in two flavors: operation boundaries (the device image
-// after k completed operations) and mid-operation points (an event hook
-// stops the world halfway through operation k's PM event stream, exactly
-// where the paper's epoch analysis says ordering bugs hide). The device's
-// two crash modes map onto three checker modes: AllPersisted freezes the
-// boundary image under strict semantics, MidEpoch stops mid-operation
-// under strict semantics, and AdversarialSubset stops mid-operation and
-// then lets the device independently keep or drop every line that was not
-// yet explicitly made durable — the legal residual states of a real
-// cache hierarchy.
-//
-// Crash images never leave the process: a cell crashes its device in place
-// and reboots the application on that same device, so there is no image
-// file format to write, read or keep compatible.
+// A row of the matrix is (app, mix): the paper's mix, and for the apps
+// whose paper mix never issues an operation recovery must handle (a delete,
+// an abort) the checker's mix too. Crash point k is the k-th operation of
+// the interleaving, either at its boundary or stopped halfway through its
+// PM event stream — exactly where the paper's epoch analysis says ordering
+// bugs hide. AllPersisted freezes the boundary image under strict device
+// semantics, MidEpoch stops mid-operation under strict semantics, and
+// AdversarialSubset stops mid-operation and then lets the device keep or
+// drop every line not yet explicitly made durable. Crash images never
+// leave the process: a cell crashes its device in place and reboots the
+// app on it.
 package crashcheck
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
+	"github.com/whisper-pm/whisper/internal/workload"
 )
 
 // Mode selects how a crash point is materialized.
@@ -70,32 +75,17 @@ func (m Mode) String() string {
 // Modes returns all checker modes.
 func Modes() []Mode { return []Mode{AllPersisted, MidEpoch, AdversarialSubset} }
 
-// App is the adapter contract every checkable application implements.
-// Setup builds the application on rt and scripts `ops` deterministic
-// operations from seed; Do executes operation k; Recover reboots the
-// application from the (possibly crashed) durable image; Check compares
-// the recovered state against the adapter's volatile oracle model. The
-// adapter object survives the simulated crash, so its model still knows
-// which operations were acknowledged and which single one was in flight.
-type App interface {
-	Setup(rt *persist.Runtime, clients, ops int, seed int64)
-	Do(k int)
-	Recover()
-	Check() error
-}
-
 // Config scales a checking run. The zero value picks defaults that keep a
-// full ten-app matrix in the seconds range.
+// full matrix in the seconds range.
 type Config struct {
 	Clients int     // client threads (default 2)
-	Ops     int     // scripted operations per run (default DefaultOps)
+	Ops     int     // operations per run, across clients (default DefaultOps)
 	Seeds   []int64 // workload seeds (default 1..8)
 	Points  []int   // crash points in [0, Ops) (default 0, 1, Ops/2, Ops-1)
 	Modes   []Mode  // crash modes (default all three)
 }
 
-// DefaultOps is the number of scripted operations per run when Config.Ops
-// is zero.
+// DefaultOps is the number of operations per run when Config.Ops is zero.
 const DefaultOps = 16
 
 func (c Config) withDefaults() Config {
@@ -137,6 +127,7 @@ func (c Config) withDefaults() Config {
 // Violation is one failed (seed, point, mode) cell.
 type Violation struct {
 	App   string
+	Mix   workload.Mix
 	Mode  Mode
 	Seed  int64
 	Point int
@@ -144,12 +135,13 @@ type Violation struct {
 }
 
 func (v Violation) String() string {
-	return fmt.Sprintf("%s seed=%d point=%d mode=%s: %v", v.App, v.Seed, v.Point, v.Mode, v.Err)
+	return fmt.Sprintf("%s/%s seed=%d point=%d mode=%s: %v", v.App, v.Mix, v.Seed, v.Point, v.Mode, v.Err)
 }
 
-// Result summarizes checking one application.
+// Result summarizes checking one (app, mix) row.
 type Result struct {
 	App        string
+	Mix        workload.Mix
 	Cells      int // (seed, point, mode) cells executed
 	Violations []Violation
 	Elapsed    time.Duration
@@ -159,19 +151,22 @@ type Result struct {
 func (r Result) Ok() bool { return len(r.Violations) == 0 }
 
 // CheckApp runs the full (seeds x points x modes) crash matrix for the
-// named suite application.
-func CheckApp(name string, cfg Config) (Result, error) {
-	ent, err := lookup(name)
+// named suite application under mix, which must be one of its Mixes.
+func CheckApp(name string, mix workload.Mix, cfg Config) (Result, error) {
+	a, err := Lookup(name)
 	if err != nil {
 		return Result{}, err
 	}
-	return checkEntry(ent, cfg)
+	if !slices.Contains(a.Mixes, mix) {
+		return Result{}, fmt.Errorf("crashcheck: %s has no %s mix (have %v)", name, mix, a.Mixes)
+	}
+	return checkApp(a, mix, cfg)
 }
 
-func checkEntry(ent entry, cfg Config) (Result, error) {
+func checkApp(a *App, mix workload.Mix, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	res := Result{App: ent.name}
-	labels := obs.Labels{"app": ent.name}
+	res := Result{App: a.Name, Mix: mix}
+	labels := obs.Labels{"app": a.Name, "mix": mix.String()}
 	cells := obs.Default().Counter("crashcheck_cells_total", labels)
 	violations := obs.Default().Counter("crashcheck_violations_total", labels)
 	// Oracle checks are wall-clock work (no simulated time): microsecond
@@ -179,18 +174,22 @@ func checkEntry(ent entry, cfg Config) (Result, error) {
 	oracleUS := obs.Default().Histogram("crashcheck_oracle_us", labels, obs.ExpBuckets(1, 2, 16)...)
 	start := time.Now()
 	for _, seed := range cfg.Seeds {
-		golden, err := goldenRun(ent, cfg, seed)
+		golden, err := goldenRun(a, mix, cfg, seed)
 		if err != nil {
-			return res, fmt.Errorf("crashcheck: %s: %w", ent.name, err)
+			return res, fmt.Errorf("crashcheck: %s/%s: %w", a.Name, mix, err)
 		}
 		for _, point := range cfg.Points {
 			for _, mode := range cfg.Modes {
 				res.Cells++
 				cells.Inc()
-				if err := runCell(ent, cfg, seed, point, mode, golden, oracleUS); err != nil {
+				verr, err := runCell(a, mix, cfg, seed, point, mode, golden, oracleUS)
+				if err != nil {
+					return res, fmt.Errorf("crashcheck: %s/%s: %w", a.Name, mix, err)
+				}
+				if verr != nil {
 					violations.Inc()
 					res.Violations = append(res.Violations, Violation{
-						App: ent.name, Mode: mode, Seed: seed, Point: point, Err: err,
+						App: a.Name, Mix: mix, Mode: mode, Seed: seed, Point: point, Err: verr,
 					})
 				}
 			}
@@ -200,77 +199,93 @@ func checkEntry(ent entry, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// goldenRun executes the full workload without crashing, recording how many
-// PM events each operation emits (the yardstick for mid-operation crash
-// points) and validating that the application and its oracle agree on the
-// final state — a broken oracle must fail here, not in a crash cell.
-func goldenRun(ent entry, cfg Config, seed int64) ([]int, error) {
-	rt := persist.NewRuntime(ent.name, ent.layer, cfg.Clients, persist.Config{NoTrace: true})
-	app := ent.factory()
-	app.Setup(rt, cfg.Clients, cfg.Ops, seed)
+// checkedRun builds a checked run of a: cfg.Ops operations spread over
+// cfg.Clients threads, on a runtime that keeps no trace.
+func checkedRun(a *App, mix workload.Mix, cfg Config, seed int64) (func(func(int, func()) bool), Oracle, *persist.Runtime) {
+	rt := persist.NewRuntime(a.Name, a.Layer, cfg.Clients, persist.Config{NoTrace: true})
+	drive, o := a.start(rt, mix, cfg.Clients, (cfg.Ops+cfg.Clients-1)/cfg.Clients, seed, true)
+	return drive, o, rt
+}
+
+// goldenRun executes the first cfg.Ops operations without crashing,
+// recording how many PM events each emits (the yardstick for
+// mid-operation crash points) and validating that the application and its
+// oracle agree on the final state — a broken oracle must fail here, not in
+// a crash cell.
+func goldenRun(a *App, mix workload.Mix, cfg Config, seed int64) ([]int, error) {
+	drive, o, rt := checkedRun(a, mix, cfg, seed)
 	events := 0
 	rt.SetEventHook(func(trace.Event) { events++ })
-	counts := make([]int, cfg.Ops)
-	for k := 0; k < cfg.Ops; k++ {
+	counts := make([]int, 0, cfg.Ops)
+	drive(func(k int, op func()) bool {
+		if k == cfg.Ops {
+			return false
+		}
 		before := events
-		app.Do(k)
-		counts[k] = events - before
-	}
+		op()
+		counts = append(counts, events-before)
+		return true
+	})
 	rt.SetEventHook(nil)
-	if err := app.Check(); err != nil {
+	if err := o.Check(0); err != nil {
 		return nil, fmt.Errorf("golden run (seed %d) failed its own oracle: %w", seed, err)
 	}
 	return counts, nil
 }
 
 // runCell executes one (seed, point, mode) cell: run to the crash point,
-// freeze and crash the device, reboot, recover, check. A panic out of
-// Recover or Check counts as a violation (a corrupted image may legally
-// make recovery code blow up — that is a detection, not a checker crash).
-// oracleUS, when non-nil, records the wall-clock microseconds the oracle
-// comparison took.
-func runCell(ent entry, cfg Config, seed int64, point int, mode Mode, golden []int, oracleUS *obs.Histogram) (err error) {
-	frozen, app, rt := executeToCrash(ent, cfg, seed, point, mode, golden)
+// freeze and crash the device, reboot, recover, check. It returns the
+// cell's violation: a panic out of Recover or Check is one (a corrupted
+// image may legally make recovery blow up). A crash point the run never
+// reached is the checker's own error. oracleUS records the wall-clock
+// microseconds the oracle comparison took.
+func runCell(a *App, mix workload.Mix, cfg Config, seed int64, point int, mode Mode, golden []int, oracleUS *obs.Histogram) (verr, err error) {
+	frozen, o, rt, err := executeToCrash(a, mix, cfg, seed, point, mode, golden)
+	if err != nil {
+		return nil, err
+	}
 	frozen.Crash(deviceMode(mode), crashSeed(seed, point, mode))
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("recovery panicked: %v", r)
+			verr = fmt.Errorf("recovery panicked: %v", r)
 		}
 	}()
 	rt.Reboot(frozen)
-	app.Recover()
+	o.Recover()
 	checkStart := time.Now()
-	err = app.Check()
+	verr = o.Check(0)
 	oracleUS.Observe(uint64(time.Since(checkStart).Microseconds()))
-	return err
+	return verr, nil
 }
 
-// executeToCrash builds the application, runs it up to the crash point and
-// returns the frozen pre-crash device image (not yet crashed). For
-// boundary mode the image is cloned between operations; for mid-operation
-// modes an event hook clones it halfway through operation `point`'s PM
-// event stream (per the golden run) and aborts the operation there
-// (persist.Runtime.AbortAt), exactly as a power failure would stop the
-// world mid-store.
-func executeToCrash(ent entry, cfg Config, seed int64, point int, mode Mode, golden []int) (*pmem.Device, App, *persist.Runtime) {
-	rt := persist.NewRuntime(ent.name, ent.layer, cfg.Clients, persist.Config{NoTrace: true})
-	app := ent.factory()
-	app.Setup(rt, cfg.Clients, cfg.Ops, seed)
-	for k := 0; k < point; k++ {
-		app.Do(k)
-	}
-	if mode == AllPersisted {
-		return rt.Dev.Clone(), app, rt
-	}
+// executeToCrash runs the application up to the crash point and returns
+// the frozen pre-crash device image (not yet crashed), the run's oracle and
+// runtime. Boundary mode clones the image between operations; the
+// mid-operation modes clone it halfway through operation `point`'s PM
+// event stream (per the golden run) and abort the operation there
+// (persist.Runtime.AbortAt), as a power failure stops the world mid-store.
+// Runs are deterministic, so an operation that ends short of that event is
+// a run the golden run never measured: an error, never a substitute cell.
+func executeToCrash(a *App, mix workload.Mix, cfg Config, seed int64, point int, mode Mode, golden []int) (*pmem.Device, Oracle, *persist.Runtime, error) {
+	drive, o, rt := checkedRun(a, mix, cfg, seed)
 	var frozen *pmem.Device
-	rt.AbortAt(max(1, golden[point]/2), func() { frozen = rt.Dev.Clone() }, func() { app.Do(point) })
+	drive(func(k int, op func()) bool {
+		if k < point {
+			op()
+			return true
+		}
+		if mode == AllPersisted {
+			frozen = rt.Dev.Clone()
+		} else {
+			rt.AbortAt(max(1, golden[point]/2), func() { frozen = rt.Dev.Clone() }, op)
+		}
+		return false
+	})
 	if frozen == nil {
-		// The operation emitted fewer events than its golden twin — runs
-		// are deterministic so this should not happen; degrade to the
-		// post-operation boundary rather than fail the cell.
-		frozen = rt.Dev.Clone()
+		return nil, nil, nil, fmt.Errorf("seed %d point %d mode %s: operation %d ran to its end before event %d of its golden run's %d",
+			seed, point, mode, point, max(1, golden[point]/2), golden[point])
 	}
-	return frozen, app, rt
+	return frozen, o, rt, nil
 }
 
 func deviceMode(m Mode) pmem.CrashMode {

@@ -12,6 +12,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/mnemosyne"
 	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
+	"github.com/whisper-pm/whisper/internal/workload"
 )
 
 // SortedKeys returns m's keys in ascending order. Oracle loops that report
@@ -27,29 +28,14 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return keys
 }
 
-// KV is the store surface Model drives. ctree.Tree and hashstore.Map
-// satisfy it as they are; redisKV and memcacheKV adapt the string stores.
+// KV is the store surface Model wraps: the key-value workloads' method set,
+// plus recovery and the store's own invariants. ctree.Tree, hashstore.Map,
+// redisstore.Store and memcache.Cache satisfy it as they are.
 type KV[K, V any] interface {
-	Insert(tid int, key K, value V) error
-	Get(tid int, key K) (V, bool)
-	Delete(tid int, key K) (bool, error)
+	workload.KV[K, V]
 	Recover()
 	CheckInvariants(tid int) error
 }
-
-type redisKV struct{ s *redisstore.Store }
-
-func (r redisKV) Insert(_ int, k, v string) error      { return r.s.Set(k, v) }
-func (r redisKV) Get(_ int, k string) (string, bool)   { return r.s.Get(k) }
-func (r redisKV) Delete(_ int, k string) (bool, error) { return r.s.Del(k) }
-func (r redisKV) Recover()                             { r.s.Recover() }
-func (r redisKV) CheckInvariants(int) error            { return r.s.CheckInvariants() }
-
-// memcacheKV: the cache already has Get, Delete, Recover and
-// CheckInvariants in KV's shape; only its write is named differently.
-type memcacheKV struct{ *memcache.Cache }
-
-func (m memcacheKV) Insert(tid int, k, v string) error { return m.Set(tid, k, v) }
 
 // OpenU64 builds the named uint64 key-value application on rt.
 func OpenU64(app string, rt *persist.Runtime) KV[uint64, uint64] {
@@ -66,13 +52,23 @@ func OpenU64(app string, rt *persist.Runtime) KV[uint64, uint64] {
 func OpenStr(app string, rt *persist.Runtime) KV[string, string] {
 	switch app {
 	case "redis":
-		return redisKV{redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)}
+		return redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)
 	case "memcached":
 		// maxItems far above any driven keyspace: LRU eviction never fires,
 		// so the model needs no eviction mirror.
-		return memcacheKV{memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 256, 1<<20)}
+		return memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 256, 1<<20)
 	}
 	panic("crashcheck: not a string key-value app: " + app)
+}
+
+// firstErr keeps the first disagreement between a store and its oracle
+// seen during the run; the oracle's Check reports it.
+type firstErr struct{ err error }
+
+func (f *firstErr) fail(format string, args ...any) {
+	if f.err == nil {
+		f.err = fmt.Errorf(format, args...)
+	}
 }
 
 // inflight is the operation executing when a crash stopped the world: its
@@ -86,15 +82,16 @@ type inflight[K, V any] struct {
 // Model is the volatile oracle of a key-value store, and the single
 // definition of a legal recovered state: every acknowledged insert and
 // delete is visible, the one operation in flight at the crash is present
-// entirely or not at all, and the store's own invariants hold. The Model
-// object survives the simulated crash; an operation a crash aborts never
+// entirely or not at all, and the store's own invariants hold. It has the
+// store's workload.KV method set and forwards each call unchanged. The
+// Model survives the simulated crash; an operation a crash aborts never
 // returns, so its before/after record is still set when Check runs.
 type Model[K cmp.Ordered, V comparable] struct {
-	kv      KV[K, V]
-	mirror  map[K]V
-	touched map[K]bool
-	pending *inflight[K, V]
-	err     error // first store error or read divergence; Check reports it
+	kv       KV[K, V]
+	mirror   map[K]V
+	touched  map[K]bool
+	pending  *inflight[K, V]
+	firstErr // first store error or read divergence
 }
 
 // NewModel wraps kv, which must be empty.
@@ -102,46 +99,45 @@ func NewModel[K cmp.Ordered, V comparable](kv KV[K, V]) *Model[K, V] {
 	return &Model[K, V]{kv: kv, mirror: make(map[K]V), touched: make(map[K]bool)}
 }
 
-func (m *Model[K, V]) fail(format string, args ...any) {
-	if m.err == nil {
-		m.err = fmt.Errorf(format, args...)
-	}
-}
-
 // Insert writes key=val through to the store and, once acknowledged, to
 // the mirror.
-func (m *Model[K, V]) Insert(tid int, key K, val V) {
+func (m *Model[K, V]) Insert(tid int, key K, val V) error {
 	before, ok := m.mirror[key]
 	m.touched[key] = true
 	m.pending = &inflight[K, V]{key: key, before: before, beforeOk: ok, after: val, afterOk: true}
-	if err := m.kv.Insert(tid, key, val); err != nil {
+	err := m.kv.Insert(tid, key, val)
+	if err != nil {
 		m.fail("insert %v: %v", key, err)
 	} else {
 		m.mirror[key] = val
 	}
 	m.pending = nil
+	return err
 }
 
 // Delete removes key from the store and, once acknowledged, from the mirror.
-func (m *Model[K, V]) Delete(tid int, key K) {
+func (m *Model[K, V]) Delete(tid int, key K) (bool, error) {
 	before, ok := m.mirror[key]
 	m.touched[key] = true
 	m.pending = &inflight[K, V]{key: key, before: before, beforeOk: ok}
-	if _, err := m.kv.Delete(tid, key); err != nil {
+	found, err := m.kv.Delete(tid, key)
+	if err != nil {
 		m.fail("delete %v: %v", key, err)
 	} else {
 		delete(m.mirror, key)
 	}
 	m.pending = nil
+	return found, err
 }
 
 // Get reads key and holds the store to the mirror.
-func (m *Model[K, V]) Get(tid int, key K) {
+func (m *Model[K, V]) Get(tid int, key K) (V, bool) {
 	m.touched[key] = true
 	got, ok := m.kv.Get(tid, key)
 	if want, wok := m.mirror[key]; !same(got, ok, want, wok) {
 		m.fail("get %v: store (%v,%v) diverged from model (%v,%v)", key, got, ok, want, wok)
 	}
+	return got, ok
 }
 
 // same reports whether two (value, present) lookups agree.

@@ -21,7 +21,7 @@ func TestModelVerdicts(t *testing.T) {
 	insertEvents := func(fenced bool) int {
 		rt := persist.NewRuntime("naive-kv", "native", 1, persist.Config{})
 		kv := &naiveKV{fenced: fenced}
-		kv.Setup(rt, 1, 1, 0)
+		kv.open(rt)
 		n := 0
 		rt.SetEventHook(func(trace.Event) { n++ })
 		kv.Insert(0, 1, 1)
@@ -79,7 +79,7 @@ func TestModelVerdicts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := persist.NewRuntime("naive-kv", "native", 1, persist.Config{})
 			kv := &naiveKV{fenced: tc.fenced}
-			kv.Setup(rt, 1, 16, 0)
+			kv.open(rt)
 			m := NewModel[uint64, uint64](kv)
 			tc.traffic(t, rt, m)
 			rt.Crash(pmem.Strict, 1)

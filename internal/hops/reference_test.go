@@ -6,13 +6,8 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/whisper-pm/whisper/internal/apps/ctree"
-	"github.com/whisper-pm/whisper/internal/apps/hashstore"
-	"github.com/whisper-pm/whisper/internal/apps/nstore"
-	"github.com/whisper-pm/whisper/internal/apps/vacation"
+	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/mem"
-	"github.com/whisper-pm/whisper/internal/mnemosyne"
-	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -447,29 +442,17 @@ func oddTIDTrace() *trace.Trace {
 	return b.tr
 }
 
-// recorded runs one of the simulatable apps at a small size and returns
-// the trace it recorded.
+// recorded runs one of the simulatable apps at a small size through the
+// suite's one driver and returns the trace it recorded.
 func recorded(app string) *trace.Trace {
 	const clients, ops, seed = 4, 12, 1
-	switch app {
-	case "ycsb":
-		rt := persist.NewRuntime(app, "native", clients, persist.Config{})
-		nstore.RunYCSB(rt, nstore.Config{}, clients, ops, 7, 80, seed)
-		return rt.Trace
-	case "ctree":
-		rt := persist.NewRuntime(app, "nvml", clients, persist.Config{})
-		ctree.RunWorkload(rt, nvml.Open(rt, 1<<15, nvml.Options{}), clients, ops, seed)
-		return rt.Trace
-	case "hashmap":
-		rt := persist.NewRuntime(app, "nvml", clients, persist.Config{})
-		hashstore.RunWorkload(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 4096, clients, ops, seed)
-		return rt.Trace
-	case "vacation":
-		rt := persist.NewRuntime(app, "mnemosyne", clients, persist.Config{})
-		vacation.RunWorkload(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 512, clients, ops, seed)
-		return rt.Trace
+	a, err := crashcheck.Lookup(app)
+	if err != nil {
+		panic(err)
 	}
-	panic("recorded: unknown app " + app)
+	rt := persist.NewRuntime(a.Name, a.Layer, clients, persist.Config{})
+	a.Run(rt, clients, ops, seed)
+	return rt.Trace
 }
 
 func testObs() ReplayObs {

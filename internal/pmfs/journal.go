@@ -94,10 +94,14 @@ func (mt *mdTx) write(a mem.Addr, data []byte) {
 	var buf [jrnlMaxData]byte
 	old := buf[:len(data)]
 	th.LoadInto(a, old)
+	// The old image goes in before the header. An entry is one line, and
+	// a crash can persist that line mid-write: a valid target and
+	// generation must never sit beside the slot's previous old image,
+	// which recovery would replay into the metadata.
+	th.Store(entry+16, old)
 	th.StoreU64(entry, uint64(a))
 	th.StoreU32(entry+8, uint32(len(data)))
 	th.StoreU32(entry+12, uint32(mt.j.gen))
-	th.Store(entry+16, old)
 	th.Flush(entry, jrnlEntrySize)
 	th.Fence()
 	mt.n++

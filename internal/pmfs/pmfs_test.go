@@ -495,3 +495,43 @@ func TestReadPathsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestTornJournalEntryIsNotReplayed crashes a block-allocating write at
+// each of its PM events after the circular journal has wrapped, so every
+// slot the write takes still holds an old entry's image. An entry is one
+// line: a crash can leave it with its new target and generation but the
+// previous entry's old image, unless the old image is stored first.
+// Recovery must never replay such an entry into the metadata.
+func TestTornJournalEntryIsNotReplayed(t *testing.T) {
+	build := func() (*persist.Runtime, *persist.Thread, *FS) {
+		rt, th, fs := newFS(t)
+		for i := 0; i < 150; i++ {
+			if err := fs.Create(th, fmt.Sprintf("/f%03d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rt, th, fs
+	}
+	data := make([]byte, 3*BlockSize)
+	write := func(th *persist.Thread, fs *FS) func() {
+		return func() { fs.WriteAt(th, "/f007", 0, data) }
+	}
+	rt, th, fs := build()
+	events := 0
+	rt.SetEventHook(func(trace.Event) { events++ })
+	write(th, fs)()
+	rt.SetEventHook(nil)
+	for k := 1; k <= events; k++ {
+		for seed := int64(1); seed <= 2; seed++ {
+			rt, th, fs := build()
+			var frozen *pmem.Device
+			rt.AbortAt(k, func() { frozen = rt.Dev.Clone() }, write(th, fs))
+			frozen.Crash(pmem.Adversarial, seed)
+			rt.Reboot(frozen)
+			fs.Recover(th)
+			if err := fs.Fsck(th); err != nil {
+				t.Fatalf("crash at event %d of %d, seed %d: %v", k, events, seed, err)
+			}
+		}
+	}
+}

@@ -5,53 +5,41 @@
 // structures. The paper's dependency analysis (Figure 5) only needs the
 // interleaving of *epochs* across threads on a global clock, so we
 // interleave logical threads at transaction granularity: the scheduler
-// repeatedly picks a runnable worker under a seeded RNG and lets it execute
-// one whole transaction on the shared simulated clock. The result is a
+// repeatedly picks a runnable client under a seeded RNG and lets it execute
+// one whole operation on the shared simulated clock. The result is a
 // realistic, cross-thread-conflicting event stream that is reproducible
 // bit-for-bit for a given seed.
 package sched
 
 import "math/rand"
 
-// Worker is one logical client thread. Step executes the worker's next
-// transaction (or batch, for batching designs like Echo) and reports
-// whether more work remains.
-type Worker interface {
-	Step() bool
-}
-
-// WorkerFunc adapts a function to the Worker interface.
-type WorkerFunc func() bool
-
-// Step calls f.
-func (f WorkerFunc) Step() bool { return f() }
-
-// Run interleaves the workers until all are done, choosing the next worker
-// uniformly at random among the runnable ones using a RNG seeded with seed.
-// Run is deterministic for fixed workers and seed.
-func Run(workers []Worker, seed int64) {
+// Run interleaves len(steps) client threads, client tid performing
+// steps[tid] operations: it repeatedly picks a live client uniformly at
+// random under an RNG seeded with seed and calls fn(tid, i) for that
+// client's i-th operation. A client leaves the pool after its last
+// operation; a client with no operations is still picked once, and leaves
+// then. fn returning false stops the run before anything else executes.
+// Run keeps O(clients) state whatever the step counts, and is
+// deterministic for fixed steps and seed.
+func Run(steps []int, seed int64, fn func(tid, i int) bool) {
 	rng := rand.New(rand.NewSource(seed))
-	live := make([]Worker, len(workers))
-	copy(live, workers)
+	live := make([]int, len(steps))
+	next := make([]int, len(steps))
+	for tid := range live {
+		live[tid] = tid
+	}
 	for len(live) > 0 {
-		i := rng.Intn(len(live))
-		if !live[i].Step() {
-			live[i] = live[len(live)-1]
+		j := rng.Intn(len(live))
+		tid := live[j]
+		if i := next[tid]; i < steps[tid] {
+			if !fn(tid, i) {
+				return
+			}
+			next[tid]++
+		}
+		if next[tid] >= steps[tid] {
+			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
 	}
-}
-
-// Steps runs a worker that performs n steps by calling fn with the step
-// index.
-func Steps(n int, fn func(i int)) Worker {
-	i := 0
-	return WorkerFunc(func() bool {
-		if i >= n {
-			return false
-		}
-		fn(i)
-		i++
-		return i < n
-	})
 }

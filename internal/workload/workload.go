@@ -428,3 +428,69 @@ func (s *Sysbench) Next() SysbenchTx {
 	}
 	return tx
 }
+
+// Mix selects the operation mix an application's workload issues.
+type Mix int
+
+const (
+	// Paper is the Table 1 mix: what the suite records and the figures
+	// measure.
+	Paper Mix = iota
+	// Checker is the crash checker's mix, for the apps whose paper mix
+	// never issues an operation recovery must handle: deletes for the
+	// key-value stores, aborts for N-store.
+	Checker
+)
+
+func (m Mix) String() string { return [...]string{"paper", "checker"}[m] }
+
+// KV is the method set the key-value workloads drive: the store itself,
+// or a crash oracle that wraps it and forwards every call unchanged.
+type KV[K, V any] interface {
+	Insert(tid int, key K, value V) error
+	Get(tid int, key K) (V, bool)
+	Delete(tid int, key K) (bool, error)
+}
+
+// KVCheck is the checker's key-value mix: each client issues 60% inserts,
+// 20% deletes and 20% gets of keys drawn uniformly from `keys` of them, so
+// deletes hit live keys and inserts overwrite them. render turns a raw key
+// and value draw into the store's types.
+type KVCheck[K, V any] struct {
+	kv     KV[K, V]
+	rngs   []*rand.Rand
+	keys   int
+	render func(key, val uint64) (K, V)
+}
+
+// NewKVCheck creates the mix over kv for clients clients.
+func NewKVCheck[K, V any](kv KV[K, V], clients int, seed int64, keys int, render func(key, val uint64) (K, V)) *KVCheck[K, V] {
+	g := &KVCheck[K, V]{kv: kv, keys: keys, render: render}
+	for c := 0; c < clients; c++ {
+		g.rngs = append(g.rngs, rand.New(rand.NewSource(seed+int64(c))))
+	}
+	return g
+}
+
+// Op issues client tid's next operation.
+func (g *KVCheck[K, V]) Op(tid int) {
+	rng := g.rngs[tid]
+	key, val := g.render(uint64(rng.Intn(g.keys)), rng.Uint64()%1_000_000)
+	switch r := rng.Intn(100); {
+	case r < 60:
+		g.kv.Insert(tid, key, val)
+	case r < 80:
+		g.kv.Delete(tid, key)
+	default:
+		g.kv.Get(tid, key)
+	}
+}
+
+// NonZero renders a KVCheck draw for the uint64 stores, which treat key
+// and value 0 as ambiguous.
+func NonZero(key, val uint64) (uint64, uint64) { return key + 1, val + 1 }
+
+// Strings renders a KVCheck draw for the string stores.
+func Strings(key, val uint64) (string, string) {
+	return fmt.Sprintf("key-%03d", key), fmt.Sprintf("value-%06d", val)
+}

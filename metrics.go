@@ -25,7 +25,7 @@ type HistogramMetric = obs.HistogramSnapshot
 //   - hops_pb_occupancy / hops_drain_stall_cycles{app,model}: persist-
 //     buffer pressure in the Figure 10 replay, added when each replay
 //     finishes, not per observation;
-//   - crashcheck_*{app}: cells run, violations, oracle wall-clock;
+//   - crashcheck_*{app,mix}: cells run, violations, oracle wall-clock;
 //   - suite_*{app}: wall-clock and operation rate per benchmark run.
 type MetricsSnapshot = obs.Snapshot
 

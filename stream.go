@@ -97,13 +97,13 @@ func writeV2(w io.Writer, src *trace.Branch) error {
 // tail with the run's error; the caller must read the tail to its end (io.EOF
 // or that error), which pipeline always does.
 func record(name string, cfg Config, keep bool) (*trace.Tail, *trace.Trace, error) {
-	b, cfg, err := resolve(name, cfg)
+	a, cfg, err := resolve(name, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	rt := persist.NewRuntime(b.Name, b.Layer, cfg.Clients, persist.Config{})
+	rt := persist.NewRuntime(a.Name, a.Layer, cfg.Clients, persist.Config{})
 	tail := rt.Trace.Tail(keep)
-	go func() { tail.Close(b.exec(rt, cfg)) }()
+	go func() { tail.Close(execute(a, rt, cfg)) }()
 	return tail, rt.Trace, nil
 }
 

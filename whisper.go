@@ -21,18 +21,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/whisper-pm/whisper/internal/apps/ctree"
-	"github.com/whisper-pm/whisper/internal/apps/echo"
-	"github.com/whisper-pm/whisper/internal/apps/fsapps"
-	"github.com/whisper-pm/whisper/internal/apps/hashstore"
-	"github.com/whisper-pm/whisper/internal/apps/memcache"
-	"github.com/whisper-pm/whisper/internal/apps/nstore"
-	"github.com/whisper-pm/whisper/internal/apps/redisstore"
-	"github.com/whisper-pm/whisper/internal/apps/vacation"
-	"github.com/whisper-pm/whisper/internal/mnemosyne"
-	"github.com/whisper-pm/whisper/internal/nvml"
+	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/pmfs"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
@@ -91,162 +81,48 @@ type Benchmark struct {
 	// Simulatable marks the subset used for the gem5-style studies
 	// (Figures 6 and 10).
 	Simulatable bool
-
-	defaultClients int
-	defaultOps     int
-	run            func(rt *persist.Runtime, clients, ops int, seed int64)
 }
 
 // Benchmarks returns the suite in Table 1 order.
 func Benchmarks() []Benchmark {
-	out := make([]Benchmark, len(suite))
-	copy(out, suite)
+	var out []Benchmark
+	for _, a := range crashcheck.Suite() {
+		out = append(out, Benchmark{Name: a.Name, Layer: a.Layer, Workload: a.Workload, Simulatable: a.Simulatable})
+	}
 	return out
 }
 
 // Names returns the benchmark names in suite order.
-func Names() []string {
-	var names []string
-	for _, b := range suite {
-		names = append(names, b.Name)
+func Names() []string { return crashcheck.Apps() }
+
+// resolve finds the named suite member in the app table the crash checker
+// shares, and fills cfg's zero Clients and Ops with its defaults.
+func resolve(name string, cfg Config) (*crashcheck.App, Config, error) {
+	a, err := crashcheck.Lookup(name)
+	if err != nil {
+		return nil, cfg, fmt.Errorf("whisper: unknown benchmark %q (have %v)", name, Names())
 	}
-	return names
-}
-
-var suite = []Benchmark{
-	{
-		Name: "echo", Layer: "native", Simulatable: true,
-		Workload:       "echo-test / 4 clients, batched update transactions",
-		defaultClients: 4, defaultOps: 40,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			echo.RunWorkload(rt, echo.Config{}, clients, ops, seed)
-		},
-	},
-	{
-		Name: "ycsb", Layer: "native", Simulatable: true,
-		Workload:       "YCSB-like / 4 clients, 80% writes (N-store OPTWAL)",
-		defaultClients: 4, defaultOps: 300,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			nstore.RunYCSB(rt, nstore.Config{}, clients, ops, 7, 80, seed)
-		},
-	},
-	{
-		Name: "tpcc", Layer: "native", Simulatable: false,
-		Workload:       "TPC-C-like / 4 clients, 40% writes (N-store OPTWAL)",
-		defaultClients: 4, defaultOps: 150,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			nstore.RunTPCC(rt, nstore.Config{}, clients, ops, seed)
-		},
-	},
-	{
-		Name: "redis", Layer: "nvml", Simulatable: true,
-		Workload:       "redis-cli lru-test / 1 million keys",
-		defaultClients: 1, defaultOps: 1200,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			pool := nvml.Open(rt, 1<<15, nvml.Options{})
-			redisstore.RunWorkload(rt, pool, 4096, 1<<20, clients*ops, seed)
-		},
-	},
-	{
-		Name: "ctree", Layer: "nvml", Simulatable: true,
-		Workload:       "4 clients, INSERT transactions",
-		defaultClients: 4, defaultOps: 250,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			pool := nvml.Open(rt, 1<<15, nvml.Options{})
-			ctree.RunWorkload(rt, pool, clients, ops, seed)
-		},
-	},
-	{
-		Name: "hashmap", Layer: "nvml", Simulatable: true,
-		Workload:       "4 clients, INSERT transactions",
-		defaultClients: 4, defaultOps: 250,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			pool := nvml.Open(rt, 1<<15, nvml.Options{})
-			hashstore.RunWorkload(rt, pool, 4096, clients, ops, seed)
-		},
-	},
-	{
-		Name: "vacation", Layer: "mnemosyne", Simulatable: true,
-		Workload:       "4 clients, reservation mix, red-black trees",
-		defaultClients: 4, defaultOps: 200,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			heap := mnemosyne.New(rt, 1<<15, mnemosyne.Options{})
-			vacation.RunWorkload(rt, heap, 512, clients, ops, seed)
-		},
-	},
-	{
-		Name: "memcached", Layer: "mnemosyne", Simulatable: false,
-		Workload:       "memslap / 4 clients, 5% SET",
-		defaultClients: 4, defaultOps: 500,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			heap := mnemosyne.New(rt, 1<<15, mnemosyne.Options{})
-			memcache.RunWorkload(rt, heap, 4096, 1<<14, clients, ops, 5, seed)
-		},
-	},
-	{
-		Name: "nfs", Layer: "pmfs", Simulatable: false,
-		Workload:       "filebench fileserver / 8 clients",
-		defaultClients: 8, defaultOps: 60,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			fs := pmfs.Format(rt, rt.Thread(0), pmfs.Options{})
-			if err := fsapps.RunNFS(rt, fs, clients, ops, seed); err != nil {
-				panic(err)
-			}
-		},
-	},
-	{
-		Name: "exim", Layer: "pmfs", Simulatable: false,
-		Workload:       "postal / 8 clients, 250 mailboxes",
-		defaultClients: 8, defaultOps: 20,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			fs := pmfs.Format(rt, rt.Thread(0), pmfs.Options{})
-			if err := fsapps.RunExim(rt, fs, clients, ops, 8, seed); err != nil {
-				panic(err)
-			}
-		},
-	},
-	{
-		Name: "mysql", Layer: "pmfs", Simulatable: false,
-		Workload:       "sysbench OLTP-complex / 4 clients",
-		defaultClients: 4, defaultOps: 60,
-		run: func(rt *persist.Runtime, clients, ops int, seed int64) {
-			fs := pmfs.Format(rt, rt.Thread(0), pmfs.Options{})
-			if err := fsapps.RunMySQL(rt, fs, clients, ops, seed); err != nil {
-				panic(err)
-			}
-		},
-	},
-}
-
-// resolve finds the named suite member and fills cfg's zero Clients and
-// Ops with its defaults.
-func resolve(name string, cfg Config) (*Benchmark, Config, error) {
-	for i := range suite {
-		if b := &suite[i]; b.Name == name {
-			if cfg.Clients <= 0 {
-				cfg.Clients = b.defaultClients
-			}
-			if cfg.Ops <= 0 {
-				cfg.Ops = b.defaultOps
-			}
-			return b, cfg, nil
-		}
+	if cfg.Clients <= 0 {
+		cfg.Clients = a.Clients
 	}
-	return nil, cfg, fmt.Errorf("whisper: unknown benchmark %q (have %v)", name, Names())
+	if cfg.Ops <= 0 {
+		cfg.Ops = a.Ops
+	}
+	return a, cfg, nil
 }
 
-// exec runs b to completion on rt. A panicking member (redis exhausting its
-// nvml pool, say) comes back as an error: every entry point of the package
-// reports it the same way.
-func (b *Benchmark) exec(rt *persist.Runtime, cfg Config) (err error) {
+// execute runs a's paper mix to completion on rt. A panicking member (redis
+// exhausting its nvml pool, say) comes back as an error: every entry point
+// of the package reports it the same way.
+func execute(a *crashcheck.App, rt *persist.Runtime, cfg Config) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("whisper: %s panicked: %v", b.Name, r)
+			err = fmt.Errorf("whisper: %s panicked: %v", a.Name, r)
 		}
 	}()
 	start := time.Now()
-	b.run(rt, cfg.Clients, cfg.Ops, cfg.Seed)
-	publishRunMetrics(b.Name, rt, time.Since(start), cfg.Clients*cfg.Ops)
+	a.Run(rt, cfg.Clients, cfg.Ops, cfg.Seed)
+	publishRunMetrics(a.Name, rt, time.Since(start), cfg.Clients*cfg.Ops)
 	return nil
 }
 
