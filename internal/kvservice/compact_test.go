@@ -577,13 +577,13 @@ func TestCompactionResumesAfterCrash(t *testing.T) {
 		// live byte of a victim is then copied exactly once or, a tombstone
 		// with nothing left to shadow, dropped — so the copied bytes are the
 		// victims' recovered live bytes less what left the live total.
-		liveBefore := st.liveTotal()
+		liveBefore := st.liveBytes
 		svc.Flush()
 		track()
 		if _, mapped := st.segs[victim]; mapped {
 			t.Fatalf("%v: the interrupted victim is still mapped after a drain", mode)
 		}
-		if dropped := liveBefore - st.liveTotal(); int64(st.copiedBytes) != allowed-dropped {
+		if dropped := liveBefore - st.liveBytes; int64(st.copiedBytes) != allowed-dropped {
 			t.Fatalf("%v: drain after recovery copied %d bytes; its victims held %d live, %d of them dropped", mode, st.copiedBytes, allowed, dropped)
 		}
 		for _, op := range ops[next:] {

@@ -347,7 +347,7 @@ func (s *Service) drainCompactionLocked(sh *shard) {
 // local to the shard lock — no cross-shard reads, so the concurrent API
 // stays race-free. Callers hold sh.mu.
 func (s *Service) observeSpaceLocked(sh *shard) {
-	live := sh.st.liveTotal()
+	live := sh.st.liveBytes
 	dead := int64(sh.st.logBytes()) - live
 	segs := int64(len(sh.st.segs))
 	s.liveG.Add(live - sh.lastLive)
@@ -640,7 +640,7 @@ func (s *Service) Space() SpaceStats {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sp.Segments += len(sh.st.segs)
-		sp.LiveBytes += uint64(sh.st.liveTotal())
+		sp.LiveBytes += uint64(sh.st.liveBytes)
 		sp.LogBytes += sh.st.logBytes()
 		sp.Compactions += sh.st.compactions
 		sp.CopiedBytes += sh.st.copiedBytes

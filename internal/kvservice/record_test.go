@@ -146,9 +146,9 @@ func TestUnrecordedRunRetainsNothingPerEvent(t *testing.T) {
 		t.Errorf("recording grew the heap %d B more than not recording, but the trace alone is %d B: the unrecorded run retains events",
 			rec.heap-quiet.heap, traceBytes)
 	}
-	// A device page is held twice, live and durable; half a KiB a key covers
-	// the key-table entry and the key's string.
-	if limit := 2*quiet.pages*pmem.PageBytes + quiet.keys*512 + 512<<10; quiet.heap > limit {
+	// A device page is held once, with its bookkeeping; half a KiB a key
+	// covers the key-table entry and the key's string.
+	if limit := quiet.pages*(pmem.PageBytes+pmem.PageOverheadBytes) + quiet.keys*512 + 512<<10; quiet.heap > limit {
 		t.Errorf("unrecorded heap grew %d B; %d pages and %d keys account for at most %d", quiet.heap, quiet.pages, quiet.keys, limit)
 	}
 }

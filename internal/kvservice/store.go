@@ -139,6 +139,10 @@ type store struct {
 
 	keys map[string]keyState
 
+	// liveBytes is the sum of the mapped segments' live bytes, kept by
+	// addLive beside every change to one.
+	liveBytes int64
+
 	pass        pass
 	scratch     []byte // compactStep's record buffer
 	rec         []byte // appendRec's record image; th.Store copies it into the device
@@ -302,7 +306,7 @@ func (s *store) slotAddr(slot int) mem.Addr {
 // errShardFull is returned when a shard's slot table is exhausted and
 // compaction cannot reclaim space (everything is live).
 func (s *store) errShardFull() error {
-	return fmt.Errorf("kvservice: shard log full (%d segments of %d bytes, %d bytes live)", maxSegs, s.segBytes, s.liveTotal())
+	return fmt.Errorf("kvservice: shard log full (%d segments of %d bytes, %d bytes live)", maxSegs, s.segBytes, s.liveBytes)
 }
 
 // ensureSeg maps a segment for the current head if it lacks one, reusing a
@@ -405,9 +409,9 @@ func footprint(klen int, vlen uint32) int64 {
 func (s *store) noteAppend(key string, off uint64, vlen uint32) {
 	sb := uint64(s.segBytes)
 	k, ok := s.keys[key]
-	s.segs[off/sb].live += footprint(len(key), vlen)
+	s.addLive(s.segs[off/sb], footprint(len(key), vlen))
 	if ok && k.off != noRec {
-		s.segs[k.off/sb].live -= footprint(len(key), k.vlen)
+		s.addLive(s.segs[k.off/sb], -footprint(len(key), k.vlen))
 	}
 	s.th.VStore(2)
 	s.keys[key] = keyState{off: off, vlen: vlen, recs: k.recs + 1}
@@ -472,13 +476,10 @@ func (s *store) commit() {
 	s.th.FlushFence(s.super+superHeadOff, 8)
 }
 
-// liveTotal is the shard's live record bytes across mapped segments.
-func (s *store) liveTotal() int64 {
-	var t int64
-	for _, g := range s.segs {
-		t += g.live
-	}
-	return t
+// addLive changes g's live bytes, and the shard's total with them, by n.
+func (s *store) addLive(g *segment, n int64) {
+	g.live += n
+	s.liveBytes += n
 }
 
 // logBytes is the shard's physical log footprint: mapped segments times
@@ -610,7 +611,7 @@ func (s *store) compactStep(liveFrac float64, quota int) error {
 			// Sole record for the key anywhere in the log: nothing left
 			// to shadow, so the tombstone itself can go.
 			delete(s.keys, key)
-			victim.live -= size
+			s.addLive(victim, -size)
 			s.th.VStore(2)
 		default:
 			n := int(size) - recHeader - klen // value bytes, none for a tombstone
@@ -621,8 +622,8 @@ func (s *store) compactStep(liveFrac float64, quota int) error {
 				s.abandonPass(off)
 				return err
 			}
-			victim.live -= size
-			s.segs[noff/sb].live += size
+			s.addLive(victim, -size)
+			s.addLive(s.segs[noff/sb], size)
 			k.off = noff
 			s.keys[key] = k
 			s.th.VStore(2)
@@ -686,6 +687,7 @@ func (s *store) retire(seq uint64) {
 	a := s.slotAddr(g.slot)
 	s.th.StoreU64(a, 0)
 	s.th.FlushFence(a, 8)
+	s.liveBytes -= g.live
 	delete(s.segs, seq)
 	s.slots[g.slot] = nil
 	s.freeSlots = append(s.freeSlots, g.slot)

@@ -18,7 +18,8 @@ import (
 //   - a key's entry is its newest record's offset and vlen slot, and recs
 //     counts its records outside the pass's passed prefix (the victim's
 //     offsets below the cursor); a key with no such record has no entry;
-//   - a segment's live bytes are the bytes of the current records in it;
+//   - a segment's live bytes are the bytes of the current records in it,
+//     and the shard's running total is their sum;
 //   - slots and segs name the same segments, each at its own slot.
 //
 // One difference is legal: a key that abandonPass counted back after the
@@ -110,10 +111,15 @@ func requireTablesMatchLog(t *testing.T, st *store) {
 	if len(st.keys) != entries {
 		t.Fatalf("tables oracle: %d keys in the table, %d in the log", len(st.keys), entries)
 	}
+	var total int64
 	for seq, want := range live {
 		if got := st.segs[seq].live; got != want {
 			t.Fatalf("tables oracle: segment %d has %d live bytes, its current records hold %d", seq, got, want)
 		}
+		total += want
+	}
+	if st.liveBytes != total {
+		t.Fatalf("tables oracle: the shard's running total is %d live bytes, its segments hold %d", st.liveBytes, total)
 	}
 }
 

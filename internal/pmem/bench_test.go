@@ -3,9 +3,9 @@ package pmem
 // Microbenchmarks for the device hot path: every PM store an application
 // performs funnels through Store/Flush/Fence, so allocations here multiply
 // across the whole suite. Before/after numbers for the paged-arena image
-// (vs the seed's map-per-line device) and for the dense pending-line sets
-// and the lazy live image (vs map-backed buffers and an eagerly copied live
-// image) are recorded in EXPERIMENTS.md.
+// (vs the seed's map-per-line device), for the dense pending-line sets (vs
+// map-backed buffers) and for the one image with undo blocks (vs a live
+// and a durable page map) are recorded in EXPERIMENTS.md.
 
 import (
 	"fmt"

@@ -2,30 +2,33 @@
 // domain. It is the substrate that stands in for the paper's NVDIMM-backed
 // testbed (see DESIGN.md, "Substitutions").
 //
-// The device keeps two images of persistent memory:
+// The device answers two questions about every byte of persistent memory:
 //
-//   - the live image: what loads observe, i.e. the union of caches,
+//   - its live value: what loads observe, i.e. the union of caches,
 //     write-combining buffers and the PM device;
-//   - the durable image: exactly the bytes that would survive a power
-//     failure right now.
+//   - its durable value: exactly what would survive a power failure right
+//     now.
 //
 // Software moves bytes from live to durable exactly the way x86-64 software
 // does: cacheable stores followed by CLWB of each line and an SFENCE, or
 // non-temporal stores (NTI) drained by an SFENCE. Until then the bytes sit
 // in simulated caches/WCBs and are at the mercy of a crash.
 //
-// Both images are paged arenas: a two-level line table whose leaves hold 64
-// contiguous cache lines (one 4 KiB page of data). The live image is a lazy
-// copy-on-write overlay of the durable one: it holds only the pages written
-// (or flushed) since the last crash, each copied from its durable page on
-// first write, and reads of any other page fall through to the durable
-// image. The page table replaces the seed's map-per-line layout, which paid
-// a heap allocation and a map lookup for every 64 B line on the hottest
-// path in the repo.
+// The two values differ only for the lines in flight, and the applications
+// WHISPER measures make almost every line durable soon after writing it
+// (Figure 4). So the device holds one image, and each in-flight line keeps
+// its durable value on the side, as an undo log does. The image is a map
+// from page index (Line >> mem.PageShift) to a page of 64 contiguous cache
+// lines (4 KiB of data), carved from slabs, with a one-entry cache in front
+// of the map for the common run of accesses to one page. A page with a line
+// changed since it was last persisted (a stale line) borrows an undo block
+// from a recycled pool; the block holds those lines' durable values and
+// goes back to the pool when the last of them is persisted.
+// Every page is held once, so a written 4 KiB costs the host about 4 KiB.
 //
 // Every operation costs O(what it touches), never O(history): a fence walks
 // exactly the lines flushed since the thread's previous fence, and a crash
-// drops the overlay instead of re-copying the durable image.
+// restores exactly the in-flight pages from their undo blocks.
 //
 // Crash injection supports two adversaries:
 //
@@ -39,7 +42,9 @@ package pmem
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -53,53 +58,55 @@ type ThreadID int
 
 type line [mem.LineSize]byte
 
-// page is one leaf of the two-level line table: mem.PageLines contiguous
-// cache lines (4 KiB of data). In the live image, dirty is a bitmap of
-// lines whose bytes differ from the durable image due to cacheable stores
-// not yet written back; the durable image leaves it zero.
+// block is one page's worth of line values: mem.PageLines contiguous cache
+// lines, 4 KiB. Blocks hold no pointer, so the garbage collector never
+// scans them.
+type block [mem.PageLines]line
+
+// page is one page of the device's image: the block holding its lines' live
+// values and the bookkeeping that recovers their durable values.
 type page struct {
+	data *block
+	// dirty is a bitmap of lines whose live bytes differ from their
+	// durable ones because of cacheable stores not yet written back.
 	dirty uint64
-	data  [mem.PageLines]line
+	// stale is a bitmap of lines whose durable value is in the page's undo
+	// block rather than in data. A line not in it is durable as it stands.
+	// Every dirty line is stale.
+	stale uint64
+	// undo is 1 + the page's position in Device.inflight while stale is
+	// not zero, and 0 otherwise.
+	undo int32
+	// persisted records that a line of the page was ever persisted: the
+	// page is part of DurableImage. A page never persisted is durably zero.
+	persisted bool
 }
 
-// image is a paged memory image: the first level maps a page index
-// (Line >> mem.PageShift) to a leaf page, the second level is the leaf's
-// line array. A one-entry cache short-circuits the map lookup for the
-// common run of accesses to the same page. The durable image holds every
-// page ever persisted; the live image holds only the pages materialised
-// since the last crash, and a page absent from it reads as its durable
-// page (see Device.readPage).
-type image struct {
-	pages   map[uint64]*page
-	lastIdx uint64
-	lastPg  *page
+// inflightPage is a page with a stale line and the undo block it borrowed,
+// which holds the durable values of the page's stale lines at their line
+// positions.
+type inflightPage struct {
+	idx uint64 // page index
+	pg  *page
+	blk *block
 }
 
-func newImage() image {
-	return image{pages: make(map[uint64]*page)}
-}
+// noPage is a page index no line has: the empty one-entry page cache.
+const noPage = ^uint64(0)
 
-// lookup returns the page containing l, or nil if the page was never
-// written.
-func (im *image) lookup(l mem.Line) *page {
-	idx := mem.PageOf(l)
-	if im.lastPg != nil && im.lastIdx == idx {
-		return im.lastPg
-	}
-	pg := im.pages[idx]
-	if pg != nil {
-		im.lastIdx, im.lastPg = idx, pg
-	}
-	return pg
-}
+// Page blocks are carved from slabs. A new slab holds as many blocks as the
+// image has pages, between firstSlabPages and maxSlabPages, so a small
+// device stays small, a large one pays one allocation per maxSlabPages
+// pages, and only the newest slab has blocks not yet given out.
+const (
+	firstSlabPages = 4
+	maxSlabPages   = 64
+)
 
-// lineValue returns a copy of line l's bytes (zero if never written).
-func (im *image) lineValue(l mem.Line) line {
-	if pg := im.lookup(l); pg != nil {
-		return pg.data[mem.PageIndex(l)]
-	}
-	return line{}
-}
+// maxSpareBlocks bounds the pool of undo blocks kept for reuse: one large
+// epoch borrows a block per page it touches, and the pool should not keep
+// them all for the life of the device.
+const maxSpareBlocks = 64
 
 // Stats counts device-level activity. All counts are since construction or
 // the last ResetStats. Memory-operation counters (Stores, NTStores, Loads,
@@ -175,22 +182,28 @@ const (
 // lineSet is a set of pending line snapshots: keys holds the distinct pending
 // lines in first-insertion order (membership by mem.LineSet's high-water fast
 // path, short backwards scan or lazily built index) and snaps[i] is the
-// latest snapshot of keys.Lines()[i]. reset truncates both, so the
-// cost of a fence is the lines flushed since the previous one — never the
-// size of the largest epoch the thread has had — and steady-state small
-// epochs allocate nothing.
+// latest snapshot of keys.Lines()[i]. snaps may run past keys with slots
+// reserved for lines not yet added, so that put never grows it. reset
+// truncates both, so the cost of a fence is the lines flushed since the
+// previous one — never the size of the largest epoch the thread has had —
+// and steady-state small epochs allocate nothing.
 type lineSet struct {
 	keys  mem.LineSet
 	snaps []line
 }
 
-// put records snap as line l's pending snapshot, replacing an earlier one.
-func (s *lineSet) put(l mem.Line, snap *line) {
-	if pos, added := s.keys.Add(l); added {
-		s.snaps = append(s.snaps, *snap)
-	} else {
-		s.snaps[pos] = *snap
+// reserve makes room for n more lines, which put needs before it adds them.
+func (s *lineSet) reserve(n int) {
+	if need := s.keys.Len() + n; need > len(s.snaps) {
+		s.snaps = slices.Grow(s.snaps, need-len(s.snaps))[:need]
 	}
+}
+
+// put records snap as line l's pending snapshot, replacing an earlier one.
+// A slot for l must have been reserved.
+func (s *lineSet) put(l mem.Line, snap *line) {
+	pos, _ := s.keys.Add(l)
+	s.snaps[pos] = *snap
 }
 
 // reset empties the set, keeping the slices' capacity.
@@ -201,7 +214,7 @@ func (s *lineSet) reset() {
 
 // clone returns an independent copy.
 func (s *lineSet) clone() lineSet {
-	return lineSet{keys: s.keys.Clone(), snaps: append([]line(nil), s.snaps...)}
+	return lineSet{keys: s.keys.Clone(), snaps: slices.Clone(s.snaps[:s.keys.Len()])}
 }
 
 // threadBuf holds one thread's volatile write-back machinery: flushed is
@@ -221,11 +234,21 @@ type threadBuf struct {
 // called from another goroutine (a metrics scraper, the suite runner's
 // bookkeeping) while operations are in flight.
 type Device struct {
-	live    image
-	durable image
+	// pages is the image: every page ever written, flushed or persisted.
+	// lastIdx/lastPg cache the page used last (lastIdx is noPage when
+	// empty), and slab holds the blocks new pages are given.
+	pages   map[uint64]*page
+	lastIdx uint64
+	lastPg  *page
+	slab    []block
 
-	// ndirty counts lines whose live image differs from the durable image
-	// due to cacheable stores (the set bits across live pages' dirty maps).
+	// inflight lists the pages with a stale line, each with its undo
+	// block, in no particular order; spare holds undo blocks for reuse.
+	inflight []inflightPage
+	spare    []*block
+
+	// ndirty counts lines whose live value differs from the durable one
+	// due to cacheable stores (the set bits across the pages' dirty maps).
 	ndirty int
 
 	// threads holds per-thread flush/WCB buffers, indexed by ThreadID so
@@ -240,8 +263,8 @@ type Device struct {
 // New creates an empty device whose persistent range starts at mem.PMBase.
 func New() *Device {
 	return &Device{
-		live:    newImage(),
-		durable: newImage(),
+		pages:   make(map[uint64]*page),
+		lastIdx: noPage,
 		next:    mem.PMBase,
 	}
 }
@@ -263,53 +286,110 @@ func (d *Device) Map(size int) mem.Addr {
 	return base
 }
 
-// readPage returns the page loads of l observe: the live page if it was
-// materialised since the last crash, else the durable page, else nil (never
-// written; reads as zero).
+// page returns the page containing l, creating a zero page on first use.
+func (d *Device) page(l mem.Line) *page {
+	if mem.PageOf(l) == d.lastIdx {
+		return d.lastPg
+	}
+	return d.lookup(l, true)
+}
+
+// readPage returns the page containing l, or nil if no store or flush ever
+// touched it (it reads as zero).
 func (d *Device) readPage(l mem.Line) *page {
-	if pg := d.live.lookup(l); pg != nil {
-		return pg
+	if mem.PageOf(l) == d.lastIdx {
+		return d.lastPg
 	}
-	return d.durable.lookup(l)
+	return d.lookup(l, false)
 }
 
-// livePage returns the live page containing l, creating it on first write
-// with a copy of the durable page (copy-on-first-write).
-func (d *Device) livePage(l mem.Line) *page {
+// lookup is the map probe behind page and readPage: it returns the page
+// containing l, creating it if create is set, and caches what it returns.
+// It is kept out of line so that both callers' cache hits inline.
+//
+//go:noinline
+func (d *Device) lookup(l mem.Line, create bool) *page {
 	idx := mem.PageOf(l)
-	if d.live.lastPg != nil && d.live.lastIdx == idx {
-		return d.live.lastPg
-	}
-	pg := d.live.pages[idx]
+	pg := d.pages[idx]
 	if pg == nil {
-		pg = &page{}
-		if dur := d.durable.pages[idx]; dur != nil {
-			pg.data = dur.data
+		if !create {
+			return nil
 		}
-		d.live.pages[idx] = pg
+		if len(d.slab) == 0 {
+			d.slab = make([]block, min(max(len(d.pages), firstSlabPages), maxSlabPages))
+		}
+		pg = &page{data: &d.slab[0]}
+		d.slab = d.slab[1:]
+		d.pages[idx] = pg
 	}
-	d.live.lastIdx, d.live.lastPg = idx, pg
+	d.lastIdx, d.lastPg = idx, pg
 	return pg
 }
 
-// durablePage returns the durable page containing l, creating a zero page
-// on first persist.
-func (d *Device) durablePage(l mem.Line) *page {
-	idx := mem.PageOf(l)
-	if d.durable.lastPg != nil && d.durable.lastIdx == idx {
-		return d.durable.lastPg
+// undoOf returns pg's undo block, borrowing one from the pool if pg has
+// none. idx is pg's page index.
+func (d *Device) undoOf(idx uint64, pg *page) *block {
+	if pg.undo == 0 {
+		var blk *block
+		if n := len(d.spare); n > 0 {
+			blk, d.spare = d.spare[n-1], d.spare[:n-1]
+		} else {
+			blk = new(block)
+		}
+		d.inflight = append(d.inflight, inflightPage{idx: idx, pg: pg, blk: blk})
+		pg.undo = int32(len(d.inflight))
 	}
-	pg := d.durable.pages[idx]
-	if pg == nil {
-		pg = &page{}
-		d.durable.pages[idx] = pg
+	return d.inflight[pg.undo-1].blk
+}
+
+// release returns the undo block of pg, which has no stale line left, to
+// the pool.
+func (d *Device) release(pg *page) {
+	i := pg.undo - 1
+	d.recycle(d.inflight[i].blk)
+	last := len(d.inflight) - 1
+	if int(i) != last {
+		d.inflight[i] = d.inflight[last]
+		d.inflight[i].pg.undo = i + 1
 	}
-	d.durable.lastIdx, d.durable.lastPg = idx, pg
-	return pg
+	d.inflight[last] = inflightPage{}
+	d.inflight = d.inflight[:last]
+	pg.undo = 0
+}
+
+// recycle puts blk in the pool unless the pool is full.
+func (d *Device) recycle(blk *block) {
+	if len(d.spare) < maxSpareBlocks {
+		d.spare = append(d.spare, blk)
+	}
+}
+
+// saveLine keeps line l's durable value, which its live bytes still are,
+// in its page's undo block before the line first changes.
+func (d *Device) saveLine(l mem.Line, pg *page) {
+	li := mem.PageIndex(l)
+	d.undoOf(mem.PageOf(l), pg)[li] = pg.data[li]
+	pg.stale |= 1 << li
+}
+
+// durableLine returns line li of pg's durable value.
+func (d *Device) durableLine(pg *page, li uint) *line {
+	if pg.stale&(1<<li) != 0 {
+		return &d.inflight[pg.undo-1].blk[li]
+	}
+	return &pg.data[li]
 }
 
 // buf returns tid's flush/WCB buffers, growing the thread table on demand.
 func (d *Device) buf(tid ThreadID) *threadBuf {
+	if tid >= 0 && int(tid) < len(d.threads) {
+		return &d.threads[tid]
+	}
+	return d.growThreads(tid)
+}
+
+// growThreads is buf's slow path.
+func (d *Device) growThreads(tid ThreadID) *threadBuf {
 	if tid < 0 {
 		panic(fmt.Sprintf("pmem: negative thread id %d", tid))
 	}
@@ -320,12 +400,20 @@ func (d *Device) buf(tid ThreadID) *threadBuf {
 }
 
 func checkRange(a mem.Addr, size int) {
+	if !mem.IsPM(a) || size < 0 {
+		badRange(a, size)
+	}
+}
+
+// badRange panics for the range checkRange refused. It is kept out of line
+// so that checkRange inlines.
+//
+//go:noinline
+func badRange(a mem.Addr, size int) {
 	if !mem.IsPM(a) {
 		panic(fmt.Sprintf("pmem: address %v is not persistent", a))
 	}
-	if size < 0 {
-		panic("pmem: negative size")
-	}
+	panic("pmem: negative size")
 }
 
 // Store performs cacheable stores of data starting at a. The bytes become
@@ -337,11 +425,12 @@ func (d *Device) Store(tid ThreadID, a mem.Addr, data []byte) {
 	for off < len(data) {
 		ad := a + mem.Addr(off)
 		l := mem.LineOf(ad)
-		pg := d.livePage(l)
+		pg := d.page(l)
 		li := mem.PageIndex(l)
-		start := int(ad - mem.LineAddr(l))
-		n := copy(pg.data[li][start:], data[off:])
-		off += n
+		if pg.stale&(1<<li) == 0 {
+			d.saveLine(l, pg)
+		}
+		off += copy(pg.data[li][ad-mem.LineAddr(l):], data[off:])
 		if pg.dirty&(1<<li) == 0 {
 			pg.dirty |= 1 << li
 			d.ndirty++
@@ -358,15 +447,17 @@ func (d *Device) Store(tid ThreadID, a mem.Addr, data []byte) {
 func (d *Device) StoreNT(tid ThreadID, a mem.Addr, data []byte) {
 	checkRange(a, len(data))
 	w := &d.buf(tid).wcb
+	w.reserve(mem.LinesSpanned(a, len(data)))
 	off, lines := 0, uint64(0)
 	for off < len(data) {
 		ad := a + mem.Addr(off)
 		l := mem.LineOf(ad)
-		pg := d.livePage(l)
+		pg := d.page(l)
 		li := mem.PageIndex(l)
-		start := int(ad - mem.LineAddr(l))
-		n := copy(pg.data[li][start:], data[off:])
-		off += n
+		if pg.stale&(1<<li) == 0 {
+			d.saveLine(l, pg)
+		}
+		off += copy(pg.data[li][ad-mem.LineAddr(l):], data[off:])
 		w.put(l, &pg.data[li])
 		// NTI does not leave the line dirty in the cache; if it was
 		// dirty before, the WCB snapshot now carries the latest bytes.
@@ -417,10 +508,10 @@ func (d *Device) Flush(tid ThreadID, a mem.Addr, size int) {
 	checkRange(a, size)
 	f := &d.buf(tid).flushed
 	n := mem.LinesSpanned(a, size)
+	f.reserve(n)
 	l := mem.LineOf(a)
 	for i := 0; i < n; i++ {
-		pg := d.livePage(l)
-		f.put(l, &pg.data[mem.PageIndex(l)])
+		f.put(l, &d.page(l).data[mem.PageIndex(l)])
 		l++
 	}
 	d.stats.flushes.Add(uint64(n))
@@ -442,38 +533,50 @@ func (d *Device) Fence(tid ThreadID) {
 
 // drain persists every pending snapshot of s and empties it.
 func (d *Device) drain(s *lineSet) {
-	for i, l := range s.keys.Lines() {
+	lines := s.keys.Lines()
+	if len(lines) == 0 {
+		return
+	}
+	for i, l := range lines {
 		d.persistLine(l, &s.snaps[i])
 	}
+	d.stats.linesPersist.Add(uint64(len(lines)))
 	s.reset()
 }
 
+// persistLine makes snap line l's durable value. Its caller counts it in
+// Stats.LinesPersist.
 func (d *Device) persistLine(l mem.Line, snap *line) {
-	// Materialize the live page first (copying the pre-update durable
-	// bytes) so persisting never changes what loads observe. Every caller
-	// took snap from a live page, so this is a lookup, not a copy.
-	lp := d.livePage(l)
+	pg := d.page(l)
 	li := mem.PageIndex(l)
-	d.durablePage(l).data[li] = *snap
-	d.stats.linesPersist.Add(1)
-	// If the live image still matches what we just persisted, the line is
-	// clean again. A later cacheable store may have re-dirtied it; compare
-	// to be exact.
-	if lp.dirty&(1<<li) != 0 && lp.data[li] == *snap {
-		lp.dirty &^= 1 << li
-		d.ndirty--
+	pg.persisted = true
+	if pg.data[li] == *snap {
+		// The live line is what was just persisted: it is clean and
+		// durable as it stands.
+		if pg.dirty&(1<<li) != 0 {
+			pg.dirty &^= 1 << li
+			d.ndirty--
+		}
+		if pg.stale&(1<<li) != 0 {
+			if pg.stale &^= 1 << li; pg.stale == 0 {
+				d.release(pg)
+			}
+		}
+		return
 	}
+	// A later store changed the line: the snapshot is its durable value.
+	d.undoOf(mem.PageOf(l), pg)[li] = *snap
+	pg.stale |= 1 << li
 }
 
-// Crash simulates a power failure. The live overlay is dropped, so loads
-// fall through to what the durable image plus the chosen adversary allows —
-// O(1) under Strict, O(in-flight lines) under Adversarial, never O(image).
-// Outstanding flushes and WCB entries for all threads are lost (under
-// Adversarial mode they may independently survive, like any other in-flight
-// line). After Crash, software must run its recovery path before trusting
-// the contents.
+// Crash simulates a power failure. Each in-flight page gets its stale
+// lines back from its undo block, so loads observe what the durable image
+// plus the chosen adversary allows; the cost is the in-flight lines, never
+// the image. Outstanding flushes and WCB entries for all threads are lost
+// (under Adversarial mode they may independently survive, like any other
+// in-flight line). After Crash, software must run its recovery path before
+// trusting the contents.
 func (d *Device) Crash(mode CrashMode, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
 	if mode == Adversarial {
 		// Collect candidate in-flight lines. When several snapshots of the
 		// same line are buffered, the surviving one is fixed by collection
@@ -483,14 +586,10 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 		// pure function of device state and seed, never of Go map
 		// iteration order.
 		cands := make(map[mem.Line]*line)
-		for idx, pg := range d.live.pages {
-			if pg.dirty == 0 {
-				continue
-			}
-			for li := uint(0); li < mem.PageLines; li++ {
-				if pg.dirty&(1<<li) != 0 {
-					cands[mem.PageFirstLine(idx)+mem.Line(li)] = &pg.data[li]
-				}
+		for _, f := range d.inflight {
+			for dirty := f.pg.dirty; dirty != 0; dirty &= dirty - 1 {
+				li := bits.TrailingZeros64(dirty)
+				cands[mem.PageFirstLine(f.idx)+mem.Line(li)] = &f.pg.data[li]
 			}
 		}
 		for tid := range d.threads {
@@ -510,14 +609,27 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 			lines = append(lines, l)
 		}
 		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+		rng := rand.New(rand.NewSource(seed))
+		kept := uint64(0)
 		for _, l := range lines {
 			if rng.Intn(2) == 0 {
 				d.persistLine(l, cands[l])
+				kept++
 			}
 		}
+		d.stats.linesPersist.Add(kept)
 	}
-	// Reset volatile state: an empty overlay reads as the durable image.
-	d.live = newImage()
+	// Reset volatile state: every stale line takes its durable value back.
+	for _, f := range d.inflight {
+		for stale := f.pg.stale; stale != 0; stale &= stale - 1 {
+			li := bits.TrailingZeros64(stale)
+			f.pg.data[li] = f.blk[li]
+		}
+		f.pg.dirty, f.pg.stale, f.pg.undo = 0, 0, 0
+		d.recycle(f.blk)
+	}
+	clear(d.inflight)
+	d.inflight = d.inflight[:0]
 	d.ndirty = 0
 	for i := range d.threads {
 		d.threads[i] = threadBuf{}
@@ -535,8 +647,8 @@ func (d *Device) Durable(a mem.Addr, size int) []byte {
 		ad := a + mem.Addr(off)
 		l := mem.LineOf(ad)
 		start := int(ad - mem.LineAddr(l))
-		if pg := d.durable.lookup(l); pg != nil {
-			off += copy(out[off:], pg.data[mem.PageIndex(l)][start:])
+		if pg := d.readPage(l); pg != nil {
+			off += copy(out[off:], d.durableLine(pg, mem.PageIndex(l))[start:])
 		} else {
 			off += mem.LineSize - start
 		}
@@ -553,14 +665,11 @@ func (d *Device) IsDurable(a mem.Addr, size int) bool {
 		ad := a + mem.Addr(off)
 		l := mem.LineOf(ad)
 		start := int(ad - mem.LineAddr(l))
-		end := start + (size - off)
-		if end > mem.LineSize {
-			end = mem.LineSize
-		}
-		// A line absent from the live overlay is its durable value.
-		if lp := d.live.lookup(l); lp != nil {
-			lv, dv := lp.data[mem.PageIndex(l)], d.durable.lineValue(l)
-			if !bytes.Equal(lv[start:end], dv[start:end]) {
+		end := min(start+(size-off), mem.LineSize)
+		// Only a stale line can differ from its durable value.
+		if pg := d.readPage(l); pg != nil {
+			li := mem.PageIndex(l)
+			if lv, dv := &pg.data[li], d.durableLine(pg, li); !bytes.Equal(lv[start:end], dv[start:end]) {
 				return false
 			}
 		}
@@ -595,26 +704,33 @@ func (d *Device) ResetStats() { d.stats.store(Stats{}) }
 // address. Together with DurableImage it fully describes the durable state.
 func (d *Device) Mapped() mem.Addr { return d.next }
 
-// Clone returns a deep copy of the device: the durable image and the live
-// overlay (still lazy in the copy), every thread's flush/WCB buffers, the
+// Clone returns a deep copy of the device: the image, its blocks in one
+// slab, a copy of every undo block, every thread's flush/WCB buffers, the
 // bump pointer and the counters. The crash checker clones the device at the
 // injection point so the crash image is frozen while deferred cleanup code
 // keeps running on the original.
 func (d *Device) Clone() *Device {
 	c := &Device{
-		live:    image{pages: make(map[uint64]*page, len(d.live.pages))},
-		durable: image{pages: make(map[uint64]*page, len(d.durable.pages))},
-		ndirty:  d.ndirty,
-		next:    d.next,
+		pages:    make(map[uint64]*page, len(d.pages)),
+		lastIdx:  noPage,
+		inflight: make([]inflightPage, len(d.inflight)),
+		ndirty:   d.ndirty,
+		next:     d.next,
 	}
 	c.stats.store(d.stats.load())
-	for idx, pg := range d.live.pages {
-		cp := *pg
-		c.live.pages[idx] = &cp
+	pages, blocks := make([]page, 0, len(d.pages)), make([]block, 0, len(d.pages))
+	for idx, pg := range d.pages {
+		blocks = append(blocks, *pg.data)
+		pages = append(pages, *pg)
+		cp := &pages[len(pages)-1]
+		cp.data = &blocks[len(blocks)-1]
+		c.pages[idx] = cp
 	}
-	for idx, pg := range d.durable.pages {
-		cp := *pg
-		c.durable.pages[idx] = &cp
+	// A page's undo field is its position in inflight, which the copy
+	// keeps.
+	for i, f := range d.inflight {
+		blk := *f.blk
+		c.inflight[i] = inflightPage{idx: f.idx, pg: c.pages[f.idx], blk: &blk}
 	}
 	c.threads = make([]threadBuf, len(d.threads))
 	for i := range d.threads {
@@ -629,6 +745,12 @@ func (d *Device) Clone() *Device {
 // PageBytes is the data size of one image page.
 const PageBytes = mem.PageLines * mem.LineSize
 
+// PageOverheadBytes bounds the host heap a written page costs beyond its
+// PageBytes of data: the page's record, its map entry and its share of a
+// part-filled slab and of the undo pool. TestDeviceHoldsOneImage measures
+// it.
+const PageOverheadBytes = 128
+
 // DurablePage is one 4 KiB page of the durable image, identified by its
 // page index (line number >> mem.PageShift).
 type DurablePage struct {
@@ -636,15 +758,19 @@ type DurablePage struct {
 	Data  [PageBytes]byte
 }
 
-// DurableImage returns a copy of the durable image as pages sorted by
-// index. The enumeration is deterministic: two devices with equal durable
-// state return identical slices regardless of write order or map layout.
+// DurableImage returns a copy of the durable image, the pages ever
+// persisted, sorted by index. The enumeration is deterministic: two devices
+// with equal durable state return identical slices regardless of write
+// order or map layout.
 func (d *Device) DurableImage() []DurablePage {
-	out := make([]DurablePage, 0, len(d.durable.pages))
-	for idx, pg := range d.durable.pages {
+	out := make([]DurablePage, 0, len(d.pages))
+	for idx, pg := range d.pages {
+		if !pg.persisted {
+			continue
+		}
 		dp := DurablePage{Index: idx}
-		for li := 0; li < mem.PageLines; li++ {
-			copy(dp.Data[li*mem.LineSize:], pg.data[li][:])
+		for li := uint(0); li < mem.PageLines; li++ {
+			copy(dp.Data[li*mem.LineSize:], d.durableLine(pg, li)[:])
 		}
 		out = append(out, dp)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -689,11 +690,11 @@ func TestDifferentialAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-// lazyImageFixture builds a device whose durable image has a fully
-// persisted page, a partially persisted page (some lines durable, some
-// only dirty, one flushed but unfenced) and an NT-written page, next to a
-// page that was never written. It returns the base of the four pages.
-func lazyImageFixture() (*Device, mem.Addr) {
+// crashFixture builds a device whose durable image has a fully persisted
+// page, a partially persisted page (some lines durable, some only dirty, one
+// flushed but unfenced) and an NT-written page, next to a page that was
+// never written. It returns the base of the four pages.
+func crashFixture() (*Device, mem.Addr) {
 	d := New()
 	a := d.Map(4 * PageBytes)
 	full := make([]byte, PageBytes)
@@ -713,75 +714,78 @@ func lazyImageFixture() (*Device, mem.Addr) {
 	return d, a
 }
 
-// materialized returns a copy of d whose live image holds an eager copy of
-// every durable page, as the device kept it before the overlay went lazy.
-func materialized(d *Device) *Device {
-	c := d.Clone()
-	for idx := range c.durable.pages {
-		c.livePage(mem.PageFirstLine(idx))
-	}
-	return c
-}
-
-// sameView fails unless lazy and eager agree on every read of [a, a+size).
-func sameView(t *testing.T, when string, lazy, eager *Device, a mem.Addr, size int) {
-	t.Helper()
-	if got, want := lazy.Load(0, a, size), eager.Load(0, a, size); !bytes.Equal(got, want) {
-		t.Errorf("%s: Load differs from the eager image", when)
-	}
-	if got, want := lazy.Clone().Load(0, a, size), eager.Load(0, a, size); !bytes.Equal(got, want) {
-		t.Errorf("%s: Clone().Load differs from the eager image", when)
-	}
-	if got, want := lazy.Durable(a, size), eager.Durable(a, size); !bytes.Equal(got, want) {
-		t.Errorf("%s: Durable differs from the eager image", when)
-	}
-	for off := 0; off < size; off += mem.LineSize {
-		if got, want := lazy.IsDurable(a+mem.Addr(off), mem.LineSize), eager.IsDurable(a+mem.Addr(off), mem.LineSize); got != want {
-			t.Errorf("%s: IsDurable(+%d) = %v, eager image says %v", when, off, got, want)
+// TestCrashRestoresOnlyInFlightPages checks that a crash visits exactly the
+// pages with a stale line: each takes its durable values back and returns
+// its undo block, every other page is left as it was, bit for bit, and
+// loads then read the durable image, on the device and on a clone of it.
+func TestCrashRestoresOnlyInFlightPages(t *testing.T) {
+	for _, mode := range []CrashMode{Strict, Adversarial} {
+		d, a := crashFixture()
+		d.Store(0, a+3*PageBytes, []byte{7, 7, 7}) // dirties the unwritten page
+		inflight := map[*page]bool{}
+		for _, f := range d.inflight {
+			inflight[f.pg] = true
+		}
+		if len(inflight) != 2 {
+			t.Fatalf("%d pages in flight, want 2: the partly persisted page and the one stored last", len(inflight))
+		}
+		type pageCopy struct {
+			meta page
+			data block
+		}
+		others := map[*page]pageCopy{}
+		for _, pg := range d.pages {
+			if !inflight[pg] {
+				others[pg] = pageCopy{*pg, *pg.data}
+			}
+		}
+		spare := len(d.spare)
+		d.Crash(mode, 3)
+		if len(d.inflight) != 0 || len(d.spare) != spare+2 {
+			t.Errorf("mode %d: after Crash %d pages in flight and %d spare blocks, want 0 and %d", mode, len(d.inflight), len(d.spare), spare+2)
+		}
+		for pg := range inflight {
+			if pg.dirty != 0 || pg.stale != 0 || pg.undo != 0 {
+				t.Errorf("mode %d: a restored page kept dirty %#x, stale %#x, undo %d", mode, pg.dirty, pg.stale, pg.undo)
+			}
+		}
+		for pg, was := range others {
+			if *pg != was.meta || *pg.data != was.data {
+				t.Errorf("mode %d: Crash changed a page with nothing in flight", mode)
+			}
+		}
+		durable := d.Durable(a, 4*PageBytes)
+		if !bytes.Equal(d.Load(0, a, 4*PageBytes), durable) || !bytes.Equal(d.Clone().Load(0, a, 4*PageBytes), durable) {
+			t.Errorf("mode %d: after Crash loads differ from the durable image", mode)
+		}
+		if !d.IsDurable(a, 4*PageBytes) {
+			t.Errorf("mode %d: after Crash the live image departs from the durable one", mode)
 		}
 	}
 }
 
-// TestLazyLiveImageMatchesEagerCopy checks that a live image which falls
-// through to the durable one reads exactly like an eager copy of it after
-// Crash, on written, unwritten and partially persisted pages.
-func TestLazyLiveImageMatchesEagerCopy(t *testing.T) {
-	d, a := lazyImageFixture()
-	d.Crash(Strict, 1)
-	if n := len(d.live.pages); n != 0 {
-		t.Fatalf("Crash left %d live pages materialised, want 0", n)
-	}
-	sameView(t, "after Crash", d, materialized(d), a, 4*PageBytes)
-	if !d.IsDurable(a, 4*PageBytes) {
-		t.Error("after Crash: the live image departs from the durable one")
-	}
-
-	// An adversarial crash persists some in-flight lines first; the overlay
-	// it drops must not take them along.
-	d2, a2 := lazyImageFixture()
-	d2.Store(0, a2+3*PageBytes, []byte{7, 7, 7}) // dirties the unwritten page
-	d2.Crash(Adversarial, 3)
-	sameView(t, "after adversarial Crash", d2, materialized(d2), a2, 4*PageBytes)
-}
-
-// TestStoreAfterCrashMaterializesOnePage checks copy-on-first-write on a
-// recovered device: a store touches its own page only, reads of every page
-// stay right, and a second crash recovers what was persisted since.
-func TestStoreAfterCrashMaterializesOnePage(t *testing.T) {
-	d, a := lazyImageFixture()
+// TestStoreAfterCrashSavesOneLine checks the undo bookkeeping on a recovered
+// device: a store saves the durable value of the one line it changes, a
+// fence gives it back, reads of every page stay right, and a second crash
+// recovers what was persisted since.
+func TestStoreAfterCrashSavesOneLine(t *testing.T) {
+	d, a := crashFixture()
 	d.Crash(Strict, 1)
 	before := d.Load(0, a, 4*PageBytes)
-
-	d.Store(0, a+10, []byte{0xAA})              // page 0: persisted below
-	d.Store(0, a+10+mem.LineSize, []byte{0xBB}) // page 0: left dirty
-	if n := len(d.live.pages); n != 1 {
-		t.Fatalf("one recovered page written, %d materialised", n)
+	saved := func(when string, stale uint64) {
+		t.Helper()
+		if len(d.inflight) != 1 || d.inflight[0].pg.stale != stale {
+			t.Fatalf("%s: %d pages in flight, want 1 with stale lines %#x", when, len(d.inflight), stale)
+		}
 	}
+
+	d.Store(0, a+10, []byte{0xAA}) // page 0: persisted below
+	saved("one store", 0b01)
+	d.Store(0, a+10+mem.LineSize, []byte{0xBB}) // page 0: left dirty
+	saved("two stores", 0b11)
 	d.Flush(0, a+10, 1)
 	d.Fence(0)
-	if n := len(d.live.pages); n != 1 {
-		t.Fatalf("fence materialised %d pages, want 1", n)
-	}
+	saved("after the fence", 0b10)
 	want := append([]byte(nil), before...)
 	want[10], want[10+mem.LineSize] = 0xAA, 0xBB
 	if got := d.Load(0, a, 4*PageBytes); !bytes.Equal(got, want) {
@@ -796,8 +800,42 @@ func TestStoreAfterCrashMaterializesOnePage(t *testing.T) {
 	if got := d.Load(0, a, 4*PageBytes); !bytes.Equal(got, want) {
 		t.Fatal("second crash did not recover the persisted image")
 	}
-	if n := len(d.live.pages); n != 0 {
-		t.Fatalf("second crash left %d live pages", n)
+	if len(d.inflight) != 0 {
+		t.Fatalf("second crash left %d pages in flight", len(d.inflight))
+	}
+}
+
+// TestDeviceHoldsOneImage pins the device's host footprint: each page
+// written and persisted costs its PageBytes of data plus at most
+// PageOverheadBytes of bookkeeping. Measured on linux/amd64 with Go 1.24:
+// 69 B a page in epochs of one page, 93 B in epochs of sixteen (whose
+// sixteen undo blocks stay pooled).
+func TestDeviceHoldsOneImage(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const pages = 3000
+	for _, epoch := range []int{1, 16} {
+		buf := bytes.Repeat([]byte{0x5A}, epoch*PageBytes)
+		before := heap()
+		d := New()
+		a := d.Map(pages * PageBytes)
+		for p := 0; p < pages; p += epoch {
+			at := a + mem.Addr(p*PageBytes)
+			d.Store(0, at, buf)
+			d.Flush(0, at, len(buf))
+			d.Fence(0)
+		}
+		per := (int64(heap()) - int64(before)) / pages
+		runtime.KeepAlive(d)
+		t.Logf("epochs of %d pages: %d B of heap per page (%d B beyond the data)", epoch, per, per-PageBytes)
+		if per > PageBytes+PageOverheadBytes {
+			t.Errorf("epochs of %d pages: %d B of heap per written and persisted page, want at most %d + %d", epoch, per, PageBytes, PageOverheadBytes)
+		}
 	}
 }
 
@@ -842,13 +880,15 @@ func TestLoadIntoMatchesLoad(t *testing.T) {
 			}
 		}
 	}
-	check("live overlay")
-	// After the crash every page exists only in the durable image.
+	check("persisted")
+	// A store left in flight, then lost: the crash restores its line.
+	d.Store(0, a+mem.LineSize+5, fill(40, 4))
+	check("in flight")
 	d.Crash(Strict, 1)
-	if n := len(d.live.pages); n != 0 {
-		t.Fatalf("crash left %d live pages", n)
+	check("after a crash")
+	if got := d.Load(0, a+mem.LineSize, mem.LineSize); !bytes.Equal(got, fill(mem.LineSize, 0)) {
+		t.Fatalf("an unpersisted store survived the crash: %v", got)
 	}
-	check("durable fall-through")
 	if got := d.Load(0, a+2*PageBytes-24, 48); !bytes.Equal(got, fill(48, 3)) {
 		t.Fatalf("persisted bytes lost across the crash: %v", got)
 	}
