@@ -897,7 +897,7 @@ func TestRecoverBoundaryAlignedHeadAfterRetire(t *testing.T) {
 	}
 
 	rt.Crash(pmem.Strict, 1)
-	s, err := openStore(th, s.super, seg, 0)
+	s, _, err := openStore(th, s.super, seg, 0)
 	if err != nil {
 		t.Fatalf("recovery rejected a legal image: %v", err)
 	}
@@ -913,7 +913,7 @@ func TestRecoverBoundaryAlignedHeadAfterRetire(t *testing.T) {
 	s.commit()
 	th.TxEnd()
 	rt.Crash(pmem.Strict, 2)
-	s, err = openStore(th, s.super, seg, 0)
+	s, _, err = openStore(th, s.super, seg, 0)
 	if err != nil {
 		t.Fatalf("second recovery failed: %v", err)
 	}

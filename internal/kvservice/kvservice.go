@@ -129,6 +129,11 @@ type shard struct {
 	lastLive int64
 	lastDead int64
 	lastSegs int64
+	// What this shard's recoveries cost: simulated ns, device lines
+	// loaded, records scanned.
+	recoveryNS      *obs.Counter
+	recoveryLines   *obs.Counter
+	recoveryRecords *obs.Counter
 }
 
 // Service routes requests across shards and owns the fleet-level
@@ -202,6 +207,10 @@ func New(cfg Config) *Service {
 		}
 		th := rt.Thread(0)
 		sh := &shard{rt: rt, th: th, st: newStore(th, cfg.SegBytes), tally: obs.NewTally(s.latency)}
+		shardLbl := obs.Labels{"shards": lbl["shards"], "batch": lbl["batch"], "shard": strconv.Itoa(i)}
+		sh.recoveryNS = reg.Counter("kvservice_recovery_ns_total", shardLbl)
+		sh.recoveryLines = reg.Counter("kvservice_recovery_lines_total", shardLbl)
+		sh.recoveryRecords = reg.Counter("kvservice_recovery_records_total", shardLbl)
 		sh.freeAt = rt.Clock.Now()
 		s.shards = append(s.shards, sh)
 	}
@@ -480,6 +489,9 @@ func (s *Service) DurableLog(i int, from, to uint64) []byte {
 // reformatted empty so the service stays serviceable; callers treat a
 // non-nil return as data loss. Shards recover on goroutines of their own
 // (see startShards); the error returned is the lowest-indexed shard's.
+// Each shard's recovery adds its simulated ns, the device lines it loaded
+// and the records it scanned to the shard's kvservice_recovery_*_total
+// counters; a failed scan counts its cost but no records.
 func (s *Service) Crash(mode pmem.CrashMode, seed int64) error {
 	errs := make([]error, len(s.shards))
 	startShards(len(s.shards), func(i int) {
@@ -490,7 +502,11 @@ func (s *Service) Crash(mode pmem.CrashMode, seed int64) error {
 		super := sh.st.super
 		keys := len(sh.st.keys)
 		sh.rt.Crash(mode, seed)
-		st, err := openStore(sh.th, super, s.cfg.SegBytes, keys)
+		t0, l0 := sh.rt.Clock.Now(), sh.rt.Dev.Stats().Loads
+		st, records, err := openStore(sh.th, super, s.cfg.SegBytes, keys)
+		sh.recoveryNS.Add(uint64(sh.rt.Clock.Now() - t0))
+		sh.recoveryLines.Add(sh.rt.Dev.Stats().Loads - l0)
+		sh.recoveryRecords.Add(uint64(records))
 		if err != nil {
 			errs[i] = err
 			st = newStore(sh.th, s.cfg.SegBytes)

@@ -3,6 +3,7 @@ package kvservice
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
 	"github.com/whisper-pm/whisper/internal/workload"
@@ -83,7 +85,7 @@ func referenceCrash(s *Service, mode pmem.CrashMode, seed int64) error {
 		super := sh.st.super
 		keys := len(sh.st.keys)
 		sh.rt.Crash(mode, seed)
-		st, err := openStore(sh.th, super, s.cfg.SegBytes, keys)
+		st, _, err := openStore(sh.th, super, s.cfg.SegBytes, keys)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -96,6 +98,84 @@ func referenceCrash(s *Service, mode pmem.CrashMode, seed int64) error {
 		sh.mu.Unlock()
 	}
 	return firstErr
+}
+
+// referenceOpenStore is openStore as it was before the scan split in two
+// passes: one walk over each segment that converts every record's key to
+// a string of its own and updates the key and segment tables before it
+// loads the next record. Validation, loads and charges are openStore's;
+// only the order of the host-side work differs.
+func referenceOpenStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, int, error) {
+	s := emptyStore(th, super, segBytes, keys)
+	s.head = th.LoadU64(super + superHeadOff)
+	n := th.LoadU64(super + superNSlotsOff)
+	if n > maxSegs {
+		return nil, 0, fmt.Errorf("kvservice: corrupt superblock: %d slots exceeds table size %d", n, maxSegs)
+	}
+	s.slots = make([]*segment, n)
+	sb := uint64(segBytes)
+	mapped := th.Runtime().Dev.Mapped()
+	for i := range s.slots {
+		a := super + superSlotTable + mem.Addr(slotBytes*i)
+		base := mem.Addr(th.LoadU64(a))
+		seq := th.LoadU64(a + 8)
+		if base == 0 {
+			s.freeSlots = append(s.freeSlots, i)
+			continue
+		}
+		if end := base + mem.Addr(sb); !mem.IsPM(base) || end < base || end > mapped {
+			return nil, 0, fmt.Errorf("kvservice: corrupt slot table: slot %d maps segment %d at %v, outside the mapped range [%v, %v)", i, seq, base, mem.PMBase, mapped)
+		}
+		if seq >= math.MaxUint64/sb {
+			return nil, 0, fmt.Errorf("kvservice: corrupt slot table: slot %d maps segment %d, whose log offsets overflow", i, seq)
+		}
+		if dup, ok := s.segs[seq]; ok {
+			return nil, 0, fmt.Errorf("kvservice: corrupt slot table: slots %d and %d both map segment %d", dup.slot, i, seq)
+		}
+		s.slots[i] = &segment{seq: seq, slot: i, base: base}
+		s.segs[seq] = s.slots[i]
+	}
+	if s.head%sb != 0 {
+		if _, ok := s.segs[s.head/sb]; !ok {
+			return nil, 0, fmt.Errorf("kvservice: corrupt superblock: head %d lies in an unmapped segment", s.head)
+		}
+	}
+	var seqs []uint64
+	for seq := range s.segs {
+		if seq*sb < s.head {
+			seqs = append(seqs, seq)
+		}
+	}
+	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
+	var buf []byte
+	records := 0
+	for _, seq := range seqs {
+		end := min((seq+1)*sb, s.head)
+		for off := seq * sb; off < end; {
+			a, rem := s.addr(off), end-off
+			klen, vlen, ok := s.recAt(a, rem)
+			if !ok {
+				break
+			}
+			size := uint64(footprint(klen, vlen))
+			if size > rem {
+				return nil, 0, fmt.Errorf("kvservice: corrupt record at log offset %d: klen=%d vlen=%d exceeds segment remainder %d", off, klen, vlen, rem)
+			}
+			buf = slices.Grow(buf[:0], klen)[:klen]
+			th.LoadInto(a+recHeader, buf)
+			key := string(buf)
+			k, seen := s.keys[key]
+			s.addLive(s.segs[off/sb], footprint(klen, vlen))
+			if seen && k.off != noRec {
+				s.addLive(s.segs[k.off/sb], -footprint(klen, k.vlen))
+			}
+			th.VStore(2)
+			s.keys[key] = keyState{off: off, vlen: vlen, recs: k.recs + 1}
+			records++
+			off += size
+		}
+	}
+	return s, records, nil
 }
 
 // requireMatchesReference runs cfg through Run and referenceRun and demands

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
@@ -191,26 +190,41 @@ func newStore(th *persist.Thread, segBytes int) *store {
 }
 
 // openStore recovers a shard from its durable superblock after a crash:
-// it rebuilds the volatile index by scanning the mapped segments up to the
-// published head. Records appended but never head-published are dead space
-// the next append overwrites. Slots whose segment lies entirely past the
-// head (allocated by a batch whose head publish never landed) are adopted
-// as mapped-but-empty, so a re-run of the batch reuses them instead of
-// claiming a second slot for the same segment number. Lengths inside the
-// published head are validated against their segment's remainder — a
-// corrupt klen/vlen fails recovery loudly instead of silently aliasing
-// into a neighboring segment — and so does a mapped slot whose segment is
-// not inside the device's mapped persistent range, or whose segment number
-// puts log offsets past 2^64. keys is how many keys to size the key table
-// for (what the shard held before the crash, 0 for a cold open): recovery
-// still takes every key from the scan, it only stops growing the table
-// from empty.
-func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, error) {
+// it rebuilds the volatile key and segment tables by scanning the mapped
+// segments up to the published head, and returns the store with the
+// number of records it scanned. Records appended but never head-published
+// are dead space the next append overwrites. Slots whose segment lies
+// entirely past the head (allocated by a batch whose head publish never
+// landed) are adopted as mapped-but-empty, so a re-run of the batch reuses
+// them instead of claiming a second slot for the same segment number.
+// Lengths inside the published head are validated against their segment's
+// remainder — a corrupt klen/vlen fails recovery loudly instead of
+// silently aliasing into a neighboring segment — and so does a mapped slot
+// whose segment is not inside the device's mapped persistent range, or
+// whose segment number puts log offsets past 2^64. keys is how many keys
+// to size the key table for (what the shard held before the crash, 0 for
+// a cold open): recovery still takes every key from the scan, it only
+// stops growing the table from empty.
+//
+// The scan takes each segment in two passes. The first walks the
+// segment's records in log order — every device load, every charge and
+// every length check — and appends each key's bytes to one buffer and
+// (offset, vlen, key end) to a record list. The second converts the buffer
+// into one string and applies the records, in log order, to the key and
+// segment tables, each key a slice of that string. The device walk runs
+// apart from the key-table probes, which would evict its pages from the
+// cache, and a segment's keys cost one allocation. Both buffers are reused
+// from segment to segment and die with the scan, so the transient memory
+// is one segment's worth. A segment's key string stays alive while any key
+// recovered from it is still in the table; a put, a compaction copy or a
+// delete of that key stores a new key string in the map, so what the
+// strings retain never exceeds the recovered key bytes.
+func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, int, error) {
 	s := emptyStore(th, super, segBytes, keys)
 	s.head = th.LoadU64(super + superHeadOff)
 	n := th.LoadU64(super + superNSlotsOff)
 	if n > maxSegs {
-		return nil, fmt.Errorf("kvservice: corrupt superblock: %d slots exceeds table size %d", n, maxSegs)
+		return nil, 0, fmt.Errorf("kvservice: corrupt superblock: %d slots exceeds table size %d", n, maxSegs)
 	}
 	s.slots = make([]*segment, n)
 	sb := uint64(segBytes)
@@ -228,13 +242,13 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 		// range would panic the load or read unwritten memory as a segment,
 		// and an offset that wraps would alias the start of the log.
 		if end := base + mem.Addr(sb); !mem.IsPM(base) || end < base || end > mapped {
-			return nil, fmt.Errorf("kvservice: corrupt slot table: slot %d maps segment %d at %v, outside the mapped range [%v, %v)", i, seq, base, mem.PMBase, mapped)
+			return nil, 0, fmt.Errorf("kvservice: corrupt slot table: slot %d maps segment %d at %v, outside the mapped range [%v, %v)", i, seq, base, mem.PMBase, mapped)
 		}
 		if seq >= math.MaxUint64/sb {
-			return nil, fmt.Errorf("kvservice: corrupt slot table: slot %d maps segment %d, whose log offsets overflow", i, seq)
+			return nil, 0, fmt.Errorf("kvservice: corrupt slot table: slot %d maps segment %d, whose log offsets overflow", i, seq)
 		}
 		if dup, ok := s.segs[seq]; ok {
-			return nil, fmt.Errorf("kvservice: corrupt slot table: slots %d and %d both map segment %d", dup.slot, i, seq)
+			return nil, 0, fmt.Errorf("kvservice: corrupt slot table: slots %d and %d both map segment %d", dup.slot, i, seq)
 		}
 		s.slots[i] = &segment{seq: seq, slot: i, base: base}
 		s.segs[seq] = s.slots[i]
@@ -244,7 +258,7 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 	// by compaction, and the next append maps the one after.
 	if s.head%sb != 0 {
 		if _, ok := s.segs[s.head/sb]; !ok {
-			return nil, fmt.Errorf("kvservice: corrupt superblock: head %d lies in an unmapped segment", s.head)
+			return nil, 0, fmt.Errorf("kvservice: corrupt superblock: head %d lies in an unmapped segment", s.head)
 		}
 	}
 	// Scan mapped segments below the head in log order.
@@ -254,9 +268,17 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
-	var buf []byte // key of the record under the cursor; grows to the longest
+	slices.Sort(seqs)
+	type scanned struct {
+		off    uint64
+		vlen   uint32
+		keyEnd int // the key is keyBytes[previous record's keyEnd:keyEnd]
+	}
+	var recs []scanned
+	var keyBytes []byte
+	records := 0
 	for _, seq := range seqs {
+		recs, keyBytes = recs[:0], keyBytes[:0]
 		end := min((seq+1)*sb, s.head)
 		for off := seq * sb; off < end; {
 			a, rem := s.addr(off), end-off
@@ -266,15 +288,24 @@ func openStore(th *persist.Thread, super mem.Addr, segBytes, keys int) (*store, 
 			}
 			size := uint64(footprint(klen, vlen))
 			if size > rem {
-				return nil, fmt.Errorf("kvservice: corrupt record at log offset %d: klen=%d vlen=%d exceeds segment remainder %d", off, klen, vlen, rem)
+				return nil, 0, fmt.Errorf("kvservice: corrupt record at log offset %d: klen=%d vlen=%d exceeds segment remainder %d", off, klen, vlen, rem)
 			}
-			buf = slices.Grow(buf[:0], klen)[:klen]
-			th.LoadInto(a+recHeader, buf)
-			s.noteAppend(string(buf), off, vlen)
+			k := len(keyBytes)
+			keyBytes = slices.Grow(keyBytes, klen)[:k+klen]
+			th.LoadInto(a+recHeader, keyBytes[k:])
+			th.VStore(2)
+			recs = append(recs, scanned{off: off, vlen: vlen, keyEnd: k + klen})
 			off += size
 		}
+		segKeys := string(keyBytes)
+		k := 0
+		for _, r := range recs {
+			s.index(segKeys[k:r.keyEnd], r.off, r.vlen)
+			k = r.keyEnd
+		}
+		records += len(recs)
 	}
-	return s, nil
+	return s, records, nil
 }
 
 // recAt loads the header of the record at device address a, rem bytes
@@ -402,18 +433,18 @@ func footprint(klen int, vlen uint32) int64 {
 	return int64(recHeader+klen) + int64(vlen)
 }
 
-// noteAppend records the key- and segment-table effect of a freshly
-// appended (or replayed) record: the new record is live in its segment,
-// and whatever it supersedes — the key's previous value or tombstone —
-// goes dead in its.
-func (s *store) noteAppend(key string, off uint64, vlen uint32) {
+// index applies a record to the key and segment tables: the record at
+// off, the key's newest, is live in its segment, and whatever it
+// supersedes — the key's previous value or tombstone — goes dead in its.
+// put and del charge the probe and the store it costs; recovery charges
+// them in its scan, at the record's place in the log.
+func (s *store) index(key string, off uint64, vlen uint32) {
 	sb := uint64(s.segBytes)
 	k, ok := s.keys[key]
 	s.addLive(s.segs[off/sb], footprint(len(key), vlen))
 	if ok && k.off != noRec {
 		s.addLive(s.segs[k.off/sb], -footprint(len(key), k.vlen))
 	}
-	s.th.VStore(2)
 	s.keys[key] = keyState{off: off, vlen: vlen, recs: k.recs + 1}
 }
 
@@ -425,7 +456,8 @@ func (s *store) put(key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	s.noteAppend(key, off, uint32(len(val)))
+	s.th.VStore(2)
+	s.index(key, off, uint32(len(val)))
 	return nil
 }
 
@@ -440,7 +472,8 @@ func (s *store) del(key string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	s.noteAppend(key, off, tombMarker)
+	s.th.VStore(2)
+	s.index(key, off, tombMarker)
 	return true, nil
 }
 

@@ -54,34 +54,16 @@ func requireTablesMatchLog(t *testing.T, st *store) {
 	}
 	newest := map[string]keyState{} // recs counted outside the passed prefix
 	live := map[uint64]int64{}
-	var seqs []uint64
 	for seq := range st.segs {
 		live[seq] = 0
-		seqs = append(seqs, seq)
 	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		if seq*sb >= st.head {
-			continue
+	for _, r := range durableLog(st) {
+		k := newest[r.key]
+		k.off, k.vlen = r.off, r.vlen
+		if !passed(r.off) {
+			k.recs++
 		}
-		img := dev.Durable(st.segs[seq].base, st.segBytes)
-		end := min(sb, st.head-seq*sb)
-		for o := uint64(0); o+recHeader <= end; {
-			klen := binary.LittleEndian.Uint32(img[o:])
-			if klen == padMarker {
-				break
-			}
-			vlen := binary.LittleEndian.Uint32(img[o+4:])
-			key := string(img[o+recHeader : o+recHeader+uint64(klen)])
-			off := seq*sb + o
-			k := newest[key]
-			k.off, k.vlen = off, vlen
-			if !passed(off) {
-				k.recs++
-			}
-			newest[key] = k
-			o += uint64(footprint(int(klen), vlen))
-		}
+		newest[r.key] = k
 	}
 
 	entries := 0
@@ -121,6 +103,43 @@ func requireTablesMatchLog(t *testing.T, st *store) {
 	if st.liveBytes != total {
 		t.Fatalf("tables oracle: the shard's running total is %d live bytes, its segments hold %d", st.liveBytes, total)
 	}
+}
+
+// logRec is one record of a store's durable log.
+type logRec struct {
+	off  uint64
+	key  string
+	vlen uint32
+}
+
+// durableLog reads st's records below the published head, in log order,
+// from the durable image, so reading charges nothing. st must be at a
+// commit boundary with an intact log.
+func durableLog(st *store) []logRec {
+	dev := st.th.Runtime().Dev
+	sb := uint64(st.segBytes)
+	var seqs []uint64
+	for seq := range st.segs {
+		if seq*sb < st.head {
+			seqs = append(seqs, seq)
+		}
+	}
+	slices.Sort(seqs)
+	var out []logRec
+	for _, seq := range seqs {
+		img := dev.Durable(st.segs[seq].base, st.segBytes)
+		end := min(sb, st.head-seq*sb)
+		for o := uint64(0); o+recHeader <= end; {
+			klen := binary.LittleEndian.Uint32(img[o:])
+			if klen == padMarker {
+				break
+			}
+			vlen := binary.LittleEndian.Uint32(img[o+4:])
+			out = append(out, logRec{off: seq*sb + o, key: string(img[o+recHeader : o+recHeader+uint64(klen)]), vlen: vlen})
+			o += uint64(footprint(int(klen), vlen))
+		}
+	}
+	return out
 }
 
 // TestAbandonAfterDroppedTombstone builds the one state the oracle forgives:
@@ -192,7 +211,7 @@ func TestAbandonAfterDroppedTombstone(t *testing.T) {
 	th.TxEnd()
 	requireTablesMatchLog(t, s)
 	rt.Crash(pmem.Strict, 1)
-	s, err := openStore(th, s.super, seg, len(s.keys))
+	s, _, err := openStore(th, s.super, seg, len(s.keys))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
