@@ -343,28 +343,3 @@ func BenchmarkSuiteRunner(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkTraceCodec measures encode/decode throughput of the binary
-// trace format.
-func BenchmarkTraceCodec(b *testing.B) {
-	rep, err := Run("hashmap", Config{Ops: benchOps, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var sink countWriter
-			if err := rep.Trace.Encode(&sink); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(sink))
-		}
-	})
-}
-
-type countWriter int
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	*c += countWriter(len(p))
-	return len(p), nil
-}

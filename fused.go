@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"github.com/whisper-pm/whisper/internal/cachesim"
+	"github.com/whisper-pm/whisper/internal/par"
 	"github.com/whisper-pm/whisper/internal/pmsan"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
@@ -87,7 +88,7 @@ func RunAllFused(names []string, cfg Config, fcfg FusedConfig, workers int, trac
 		}
 	}
 	out := make([]*FusedReport, len(names))
-	err := forEach(len(names), workers, func(i int) (err error) {
+	err := par.Each(len(names), workers, func(i int) (err error) {
 		if traceOut == nil {
 			out[i], err = runFused(names[i], cfg, fcfg, nil)
 			return err

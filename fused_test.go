@@ -201,3 +201,58 @@ func TestV1TraceRejected(t *testing.T) {
 func memAccesses(s CacheStats) uint64 {
 	return s.DRAMReads + s.DRAMWrites + s.PMReads + s.PMWrites + s.NTWrites
 }
+
+// TestFusedTapPanicReachesCaller: a tap that panics on its goroutine
+// reaches pipeline's caller with its own value once the pass is over — the
+// source read to its end and every other tap finished — and when two taps
+// panic, the lower one's value wins, even though it panics last.
+func TestFusedTapPanicReachesCaller(t *testing.T) {
+	rep, err := Run("hashmap", Config{Ops: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := errors.New("first tap"), errors.New("third tap")
+	drain := func(b *trace.Branch) (n int) {
+		for {
+			chunk, err := b.NextChunk()
+			if err != nil {
+				return n
+			}
+			n += len(chunk)
+		}
+	}
+	var counted int
+	taps := []tap{
+		func(b *trace.Branch) error { drain(b); panic(first) },
+		func(b *trace.Branch) error { counted = drain(b); return nil },
+		func(*trace.Branch) error { panic(second) },
+	}
+	src := &eofSource{EventSource: trace.NewSliceSource(rep.Trace.tr)}
+	func() {
+		defer func() {
+			if r := recover(); r != first {
+				t.Errorf("recovered %v, want the first tap's panic value", r)
+			}
+		}()
+		pipeline(src, taps)
+		t.Error("pipeline returned with two of its taps panicking")
+	}()
+	if !src.eof {
+		t.Error("the panic reached the caller before the source was read to its end")
+	}
+	if counted != rep.Trace.Events() {
+		t.Errorf("the tap that did not panic counted %d of %d events", counted, rep.Trace.Events())
+	}
+}
+
+// eofSource notes when its source reports io.EOF.
+type eofSource struct {
+	trace.EventSource
+	eof bool
+}
+
+func (s *eofSource) NextChunk() ([]trace.Event, error) {
+	chunk, err := s.EventSource.NextChunk()
+	s.eof = s.eof || err == io.EOF
+	return chunk, err
+}

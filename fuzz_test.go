@@ -50,7 +50,7 @@ type hostileTrace struct {
 // front and its five back ends — and holds whatever they report to the
 // work a bounded walk allows: no more classified cache accesses than
 // MaxEventLines per event. An error from either pass is a legal outcome;
-// a panic (which on a tap goroutine no caller can recover) is the failure.
+// a panic is the failure.
 func analyzeHostile(t *testing.T, data []byte) {
 	rep, err := AnalyzeReaderFused(bytes.NewReader(data), FusedConfig{Sanitize: true, Cache: true})
 	if err == nil {

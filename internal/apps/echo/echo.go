@@ -119,22 +119,6 @@ func New(rt *persist.Runtime, cfg Config) *Store {
 	return s
 }
 
-// HashKey is the store's key hash. SubmitBatch applies a batch in
-// ascending hash order, so an external oracle needs the hash to know which
-// update prefixes are legal crash states.
-func HashKey(key string) uint64 {
-	// FNV-1a.
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1 // zero is the "absent" sentinel in buckets
-	}
-	return h
-}
-
 func (s *Store) bucketAddr(h uint64) mem.Addr {
 	return s.buckets + mem.Addr(int(h%uint64(s.cfg.Buckets))*8)
 }
@@ -142,14 +126,14 @@ func (s *Store) bucketAddr(h uint64) mem.Addr {
 // Put stages an update in the client's volatile store; it becomes durable
 // at the next SubmitBatch. This mirrors Echo's local-write/batch design.
 func (s *Store) Put(tid int, key string, value uint64) {
-	s.local[tid][HashKey(key)] = value
+	s.local[tid][workload.HashKey(key)] = value
 	s.rt.Thread(tid).VStore(2)
 }
 
 // Get reads first from the client's volatile store, then from the master.
 func (s *Store) Get(tid int, key string) (uint64, bool) {
 	th := s.rt.Thread(tid)
-	h := HashKey(key)
+	h := workload.HashKey(key)
 	if v, ok := s.local[tid][h]; ok {
 		th.VLoad(2)
 		return v, true

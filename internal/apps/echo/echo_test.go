@@ -8,6 +8,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
+	"github.com/whisper-pm/whisper/internal/workload"
 )
 
 func newStore(threads int) (*persist.Runtime, *Store) {
@@ -46,7 +47,7 @@ func TestVersionChaining(t *testing.T) {
 	}
 	th := s.rt.Thread(0)
 	versions := 0
-	for ver := mem.Addr(th.LoadU64(s.index[HashKey("vkey")] + eVer)); ver != 0; ver = mem.Addr(th.LoadU64(ver + vPrev)) {
+	for ver := mem.Addr(th.LoadU64(s.index[workload.HashKey("vkey")] + eVer)); ver != 0; ver = mem.Addr(th.LoadU64(ver + vPrev)) {
 		versions++
 	}
 	if versions != 3 {

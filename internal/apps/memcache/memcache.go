@@ -93,8 +93,8 @@ func (c *Cache) CheckInvariants(tid int) error {
 				return fmt.Errorf("memcache: item %v lens %d+%d exceed allocation", item, kl, vl)
 			}
 			key := string(th.Load(item+iData, kl))
-			if fnv(key) != h {
-				return fmt.Errorf("memcache: item %v stored hash %#x != fnv(%q)", item, h, key)
+			if workload.HashKey(key) != h {
+				return fmt.Errorf("memcache: item %v stored hash %#x != HashKey(%q)", item, h, key)
 			}
 			if h%c.nbucket != b {
 				return fmt.Errorf("memcache: key %q in bucket %d, belongs in %d", key, b, h%c.nbucket)
@@ -109,18 +109,6 @@ func (c *Cache) CheckInvariants(tid int) error {
 	return nil
 }
 
-func fnv(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
 func (c *Cache) bucketAddr(h uint64) mem.Addr {
 	return c.buckets + mem.Addr((h%c.nbucket)*8)
 }
@@ -132,7 +120,7 @@ func (c *Cache) Insert(tid int, key, value string) error {
 		value = value[:maxKV-len(key)]
 	}
 	th := c.rt.Thread(tid)
-	h := fnv(key)
+	h := workload.HashKey(key)
 	return c.heap.Run(th, func(tx *mnemosyne.Tx) error {
 		if item, prev := c.find(tx, h, key); item != 0 {
 			_ = prev
@@ -189,7 +177,7 @@ func (c *Cache) find(tx *mnemosyne.Tx, h uint64, key string) (mem.Addr, mem.Addr
 // transaction plus a volatile LRU bump.
 func (c *Cache) Get(tid int, key string) (string, bool) {
 	th := c.rt.Thread(tid)
-	h := fnv(key)
+	h := workload.HashKey(key)
 	var out string
 	found := false
 	c.heap.Run(th, func(tx *mnemosyne.Tx) error {
@@ -211,7 +199,7 @@ func (c *Cache) Get(tid int, key string) (string, bool) {
 // Delete removes key (the DELETE command).
 func (c *Cache) Delete(tid int, key string) (bool, error) {
 	th := c.rt.Thread(tid)
-	h := fnv(key)
+	h := workload.HashKey(key)
 	found := false
 	err := c.heap.Run(th, func(tx *mnemosyne.Tx) error {
 		item, prev := c.find(tx, h, key)

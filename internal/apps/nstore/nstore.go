@@ -567,7 +567,7 @@ func (w *YCSB) Op(tid, i int) {
 	}
 	for n := 0; n < 7; n++ {
 		op := w.gens[tid].Next()
-		key := hashString(op.Key) % 2048
+		key := workload.HashKey(op.Key) % 2048
 		if op.Kind == workload.OpUpdate {
 			if !tx.Update(key, int(key%nAttrs), key, string(op.Value)) {
 				tx.Insert(key, [nAttrs]uint64{key, 0, 0, 0}, string(op.Value))
@@ -670,13 +670,4 @@ func (w *TPCC) Op(tid, i int) {
 	th.Compute(15000)
 	th.VLoad(40)
 	tx.Commit()
-}
-
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

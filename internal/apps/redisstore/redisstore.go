@@ -52,18 +52,6 @@ func New(rt *persist.Runtime, pool *nvml.Pool, nbuckets int) *Store {
 	return s
 }
 
-func fnv(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
 func (s *Store) bucketAddr(h uint64) mem.Addr {
 	return s.buckets + mem.Addr((h%s.nbucket)*8)
 }
@@ -75,7 +63,7 @@ func (s *Store) Insert(_ int, key, value string) error {
 		value = value[:maxKV-len(key)]
 	}
 	th := s.rt.Thread(s.serverTID)
-	h := fnv(key)
+	h := workload.HashKey(key)
 	return s.pool.Run(th, func(tx *nvml.Tx) error {
 		bucket := s.bucketAddr(h)
 		e := mem.Addr(tx.ReadU64(bucket))
@@ -121,7 +109,7 @@ func (s *Store) entryKey(tx *nvml.Tx, e mem.Addr) string {
 // Get returns the value for key (the GET command).
 func (s *Store) Get(_ int, key string) (string, bool) {
 	th := s.rt.Thread(s.serverTID)
-	h := fnv(key)
+	h := workload.HashKey(key)
 	e := mem.Addr(th.LoadU64(s.bucketAddr(h)))
 	for e != 0 {
 		if th.LoadU64(e+eHash) == h {
@@ -141,7 +129,7 @@ func (s *Store) Get(_ int, key string) (string, bool) {
 // Delete removes key (the DEL command); returns whether it existed.
 func (s *Store) Delete(_ int, key string) (bool, error) {
 	th := s.rt.Thread(s.serverTID)
-	h := fnv(key)
+	h := workload.HashKey(key)
 	found := false
 	err := s.pool.Run(th, func(tx *nvml.Tx) error {
 		prev := s.bucketAddr(h)
@@ -212,8 +200,8 @@ func (s *Store) CheckInvariants(int) error {
 				return fmt.Errorf("redisstore: entry %v lens %d+%d exceed allocation", e, kl, vl)
 			}
 			key := string(th.Load(e+eData, kl))
-			if fnv(key) != h {
-				return fmt.Errorf("redisstore: entry %v stored hash %#x != fnv(%q)", e, h, key)
+			if workload.HashKey(key) != h {
+				return fmt.Errorf("redisstore: entry %v stored hash %#x != HashKey(%q)", e, h, key)
 			}
 			if h%s.nbucket != b {
 				return fmt.Errorf("redisstore: key %q in bucket %d, belongs in %d", key, b, h%s.nbucket)

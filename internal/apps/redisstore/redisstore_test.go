@@ -10,6 +10,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
+	"github.com/whisper-pm/whisper/internal/workload"
 )
 
 func newStore() (*persist.Runtime, *nvml.Pool, *Store) {
@@ -121,7 +122,7 @@ func TestCrashMidSetRollsBack(t *testing.T) {
 		defer func() { recover() }()
 		pool.Run(rt.Thread(0), func(tx *nvml.Tx) error {
 			// Start mutating the existing value then die.
-			h := fnv("key")
+			h := workload.HashKey("key")
 			bucket := s.bucketAddr(h)
 			e := memAddr(tx.ReadU64(bucket))
 			kl := int(tx.ReadU64(e+eLens) & 0xffffffff)

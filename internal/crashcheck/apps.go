@@ -7,6 +7,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/apps/echo"
 	"github.com/whisper-pm/whisper/internal/apps/nstore"
 	"github.com/whisper-pm/whisper/internal/apps/vacation"
+	"github.com/whisper-pm/whisper/internal/workload"
 )
 
 // The oracles of the apps that are neither key-value stores (Model) nor
@@ -199,7 +200,7 @@ func (o *echoOracle) Put(tid int, key string, value uint64) {
 	if o.staged[tid] == nil {
 		o.staged[tid] = make(map[uint64]echoKV)
 	}
-	o.staged[tid][echo.HashKey(key)] = echoKV{key, value}
+	o.staged[tid][workload.HashKey(key)] = echoKV{key, value}
 	o.Store.Put(tid, key, value)
 }
 

@@ -376,7 +376,7 @@ func TestMissedCrashPointIsAnError(t *testing.T) {
 // applies each key once, in ascending hash order.
 func TestEchoOracleRepeatedKey(t *testing.T) {
 	a, b := "key-a", "key-b"
-	if echo.HashKey(a) > echo.HashKey(b) {
+	if workload.HashKey(a) > workload.HashKey(b) {
 		a, b = b, a
 	}
 	open := func() (*persist.Runtime, *echoOracle) {

@@ -2,10 +2,10 @@ package hops
 
 import (
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/par"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
@@ -90,7 +90,7 @@ func backEnds(rs []*replayer) []*backEnd {
 // feeder is stage 1 of the replay. It fills batch, hands it to every
 // back-end stage and takes an empty one from free. No channel holds more
 // than the replayBatches batches there are, so only taking from free can
-// wait, and it gives up once abort is closed.
+// wait, and it gives up once a back end that panicked signals abort.
 type feeder struct {
 	front  *front
 	batch  *replayBatch
@@ -151,10 +151,11 @@ func (fd *feeder) run(src trace.EventSource) error {
 }
 
 // drive runs the back ends rs over src: stage 1 here, each back-end stage
-// on a goroutine of its own. It returns src's error once every stage has
-// exited, and then flushes the back ends' tallies. A panic of stage 1
-// reaches the caller after every back-end stage has exited; so does the
-// first back end's panic, re-raised here with its own value.
+// on a goroutine of its own (par.Go). It returns src's error once every
+// stage has exited, and then flushes the back ends' tallies. A panic of
+// stage 1 reaches the caller after every back-end stage has exited; so does
+// a back end's panic (the lowest stage's, if several panicked), with its
+// own value, which supersedes stage 1's.
 func drive(src trace.EventSource, rs []*replayer) error {
 	stages := backEnds(rs)
 	batches := make([]replayBatch, replayBatches)
@@ -162,7 +163,7 @@ func drive(src trace.EventSource, rs []*replayer) error {
 		front:  &front{},
 		stages: stages,
 		free:   make(chan *replayBatch, replayBatches),
-		abort:  make(chan struct{}),
+		abort:  make(chan struct{}, len(stages)), // one signal per stage that can panic: none blocks
 	}
 	for i := range batches {
 		batches[i].steps = make([]frontStep, 0, replayBatchSize)
@@ -170,46 +171,36 @@ func drive(src trace.EventSource, rs []*replayer) error {
 	}
 	fd.batch = <-fd.free
 
-	// panicked is written before abort is closed and read after every
-	// back-end stage has exited.
-	var panicked any
-	var once sync.Once
-	var wg sync.WaitGroup
 	for _, b := range stages {
 		b.in = make(chan *replayBatch, replayBatches)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					once.Do(func() {
-						panicked = p
-						close(fd.abort)
-					})
-				}
-			}()
-			for batch := range b.in {
-				b.replay(batch.steps)
-				if batch.left.Add(-1) == 0 {
-					batch.steps = batch.steps[:0]
-					fd.free <- batch
-				}
+	}
+	join := par.Go(len(stages), func(i int) {
+		b := stages[i]
+		replayed := false
+		defer func() {
+			if !replayed { // a panic: stage 1 must not wait for this stage's batches
+				fd.abort <- struct{}{}
 			}
 		}()
-	}
+		for batch := range b.in {
+			b.replay(batch.steps)
+			if batch.left.Add(-1) == 0 {
+				batch.steps = batch.steps[:0]
+				fd.free <- batch
+			}
+		}
+		replayed = true
+	})
 
 	err := func() error {
 		defer func() {
 			for _, b := range stages {
 				close(b.in)
 			}
-			wg.Wait()
+			join()
 		}()
 		return fd.run(src)
 	}()
-	if panicked != nil {
-		panic(panicked)
-	}
 	for _, r := range rs {
 		r.flush()
 	}

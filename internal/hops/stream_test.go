@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
@@ -215,5 +216,55 @@ func TestReplayFailuresReachCaller(t *testing.T) {
 		}
 		drive(trace.NewSliceSource(tr), rs)
 	}()
+	requireGoroutines(t, base)
+}
+
+// countingSource counts the events its source hands out.
+type countingSource struct {
+	trace.EventSource
+	events int
+}
+
+func (s *countingSource) NextChunk() ([]trace.Event, error) {
+	chunk, err := s.EventSource.NextChunk()
+	s.events += len(chunk)
+	return chunk, err
+}
+
+// TestBackEndPanicReachesNormalizedSource: a back end that panics on its
+// own goroutine — HOPS (PWQ) observing its persist-buffer occupancy into a
+// histogram with no buckets — reaches NormalizedSource's caller with its
+// own value, after stage 1 has stopped reading: stage 1 fills the batches
+// there are, none comes back from the stage that panicked, and it reads no
+// further than the chunk it is in. No goroutine outlives the replay.
+func TestBackEndPanicReachesNormalizedSource(t *testing.T) {
+	tr := genReplayTrace(5, 20*replayBatches*replayBatchSize)
+	maxChunk := 0
+	for src := trace.NewSliceSource(tr); ; {
+		chunk, err := src.NextChunk()
+		if err != nil {
+			break
+		}
+		maxChunk = max(maxChunk, len(chunk))
+	}
+	src := &countingSource{EventSource: trace.NewSliceSource(tr)}
+	base := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if r, ok := recover().(runtime.Error); !ok {
+				t.Errorf("recovered %v, want the back end's runtime error", r)
+			}
+		}()
+		NormalizedSource(src, DefaultConfig(), func(m Model) ReplayObs {
+			if m == HOPSPWQ {
+				return ReplayObs{Occupancy: &obs.Histogram{}}
+			}
+			return ReplayObs{}
+		})
+		t.Error("NormalizedSource returned with a back end panicking")
+	}()
+	if limit := replayBatches*replayBatchSize + maxChunk; src.events > limit {
+		t.Errorf("stage 1 read %d of %d events after a back end panicked, want at most %d", src.events, tr.Len(), limit)
+	}
 	requireGoroutines(t, base)
 }

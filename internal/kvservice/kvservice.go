@@ -27,6 +27,7 @@ import (
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
+	"github.com/whisper-pm/whisper/internal/par"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -488,13 +489,18 @@ func (s *Service) DurableLog(i int, from, to uint64) []byte {
 // (corrupt lengths or slot table) is reported in the returned error and
 // reformatted empty so the service stays serviceable; callers treat a
 // non-nil return as data loss. Shards recover on goroutines of their own
-// (see startShards); the error returned is the lowest-indexed shard's.
+// (par.Go): they share nothing a recovery touches — device, runtime, clock,
+// trace and store are each shard's own, and the service-wide instruments
+// are atomics whose totals do not depend on interleaving — so running them
+// at once changes no number. The error returned is the lowest-indexed
+// shard's, and a shard's panic (persist.Runtime.AbortAt's, say) reaches the
+// caller with its own value once every shard has recovered and unlocked.
 // Each shard's recovery adds its simulated ns, the device lines it loaded
 // and the records it scanned to the shard's kvservice_recovery_*_total
 // counters; a failed scan counts its cost but no records.
 func (s *Service) Crash(mode pmem.CrashMode, seed int64) error {
 	errs := make([]error, len(s.shards))
-	startShards(len(s.shards), func(i int) {
+	par.Go(len(s.shards), func(i int) {
 		sh := s.shards[i]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
@@ -516,37 +522,6 @@ func (s *Service) Crash(mode pmem.CrashMode, seed int64) error {
 		sh.freeAt = sh.rt.Clock.Now()
 	})()
 	return cmp.Or(errs...)
-}
-
-// startShards runs fn(i) for every shard index i below n, each on a
-// goroutine of its own, and returns the join. Shards share nothing a commit
-// or a recovery touches — device, runtime, clock, trace and store are each
-// shard's own, and the service-wide instruments are atomics whose totals do
-// not depend on interleaving — so running them at once changes no number.
-// The join waits for every goroutine and then re-raises a panic from any of
-// them with its original value (the lowest index's, if several panicked),
-// so a recover on the caller's goroutine — persist.Runtime.AbortAt's, the
-// scenario engine's — sees what it saw when the shards ran one after
-// another on it. fn releases whatever it locks on the way out of a panic.
-func startShards(n int, fn func(i int)) (join func()) {
-	panics := make([]any, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			defer func() { panics[i] = recover() }()
-			fn(i)
-		}(i)
-	}
-	return func() {
-		wg.Wait()
-		for _, p := range panics {
-			if p != nil {
-				panic(p)
-			}
-		}
-	}
 }
 
 // --- simulation-facing entry points (see sim.go) -------------------------

@@ -10,6 +10,7 @@ import (
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/obs"
+	"github.com/whisper-pm/whisper/internal/par"
 	"github.com/whisper-pm/whisper/internal/workload"
 )
 
@@ -262,7 +263,7 @@ func (s *Service) startFeed(step func(sh *shard, reqs []request)) *feed {
 			f.free[i] <- make([]request, 0, feedChunk)
 		}
 	}
-	f.join = startShards(n, func(i int) {
+	f.join = par.Go(n, func(i int) {
 		defer func() { // after a panic in step: keep taking chunks until close
 			for c := range f.full[i] {
 				f.free[i] <- c

@@ -20,13 +20,12 @@ import (
 // are flushed and fenced before the in-place metadata update, fragmenting
 // every metadata transaction into alternating epochs exactly as the paper
 // describes for undo logging; each entry is cleared in its own epoch at
-// commit (singleton epochs) unless batch clearing is enabled.
+// commit (singleton epochs).
 type journal struct {
 	desc    mem.Addr // status u64 | generation u64 | start slot u64
 	entries mem.Addr // jrnlMaxEntries * 64 bytes, used as a circular log
-	batch   bool
-	gen     uint64 // volatile copy of the current generation
-	next    int    // next free slot (circular) — long reuse distance, so
+	gen     uint64   // volatile copy of the current generation
+	next    int      // next free slot (circular) — long reuse distance, so
 	// journal slots do not manufacture self-dependencies the way a
 	// fixed-slot log would (real PMFS uses a circular journal too)
 }
@@ -41,11 +40,10 @@ const (
 	jrnlMaxData    = 48
 )
 
-func newJournal(rt *persist.Runtime, batch bool) *journal {
+func newJournal(rt *persist.Runtime) *journal {
 	return &journal{
 		desc:    rt.Dev.Map(64),
 		entries: rt.Dev.Map(jrnlMaxEntries * jrnlEntrySize),
-		batch:   batch,
 	}
 }
 
@@ -120,8 +118,7 @@ func (mt *mdTx) writeU64(a mem.Addr, v uint64) {
 }
 
 // commit flushes the in-place metadata updates, marks the journal
-// COMMITTED, clears the entries (per entry or batched), and frees the
-// descriptor.
+// COMMITTED, clears the entries one epoch each, and frees the descriptor.
 func (mt *mdTx) commit() {
 	th := mt.th
 	// One flush per distinct dirty line. Metadata words cluster: an
@@ -137,24 +134,12 @@ func (mt *mdTx) commit() {
 // clear zeroes n journal entries starting at slot start, frees the
 // descriptor, and advances the circular position.
 func (j *journal) clear(th *persist.Thread, start, n int) {
-	if j.batch {
-		for i := 0; i < n; i++ { // contiguous flushes, one fence
-			e := j.slotAddr(start + i)
-			th.StoreU64(e, 0)
-			th.StoreU64(e+8, 0)
-			th.Flush(e, 16)
-		}
-		if n > 0 {
-			th.Fence()
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			e := j.slotAddr(start + i)
-			th.StoreU64(e, 0)
-			th.StoreU64(e+8, 0)
-			th.Flush(e, 16)
-			th.Fence()
-		}
+	for i := 0; i < n; i++ {
+		e := j.slotAddr(start + i)
+		th.StoreU64(e, 0)
+		th.StoreU64(e+8, 0)
+		th.Flush(e, 16)
+		th.Fence()
 	}
 	th.StoreU64(j.desc, jrnlFree)
 	th.Flush(j.desc, 8)

@@ -11,8 +11,7 @@
 //     fences, with the journal descriptor walked through
 //     UNCOMMITTED → COMMITTED → FREE states — the self-dependency source
 //     the paper calls out in §5.1;
-//   - clears each journal entry in its own epoch (singleton epochs), with
-//     Options.BatchClear providing the batched alternative;
+//   - clears each journal entry in its own epoch (singleton epochs);
 //   - persists synchronously: when a call returns, its effects are
 //     durable.
 //
@@ -74,9 +73,8 @@ const (
 
 // Options tune the filesystem.
 type Options struct {
-	Inodes     int  // number of inodes (default 4096)
-	Blocks     int  // number of 4 KB data blocks (default 16384)
-	BatchClear bool // clear journal entries in one epoch at commit
+	Inodes int // number of inodes (default 4096)
+	Blocks int // number of 4 KB data blocks (default 16384)
 }
 
 func (o Options) withDefaults() Options {
@@ -116,7 +114,7 @@ func Format(rt *persist.Runtime, th *persist.Thread, opts Options) *FS {
 		inodes: rt.Dev.Map(opts.Inodes * inodeSize),
 		bitmap: rt.Dev.Map(opts.Blocks / 8),
 		data:   rt.Dev.Map(opts.Blocks * BlockSize),
-		jrnl:   newJournal(rt, opts.BatchClear),
+		jrnl:   newJournal(rt),
 	}
 	// Root directory: inode 1, empty, one link.
 	root := fs.inodeAddr(rootIno)

@@ -106,6 +106,22 @@ type KVOp struct {
 	Value []byte
 }
 
+// HashKey is the key hash of the key-value apps: FNV-1a, 64-bit, with 0
+// mapped to 1 so that zero can stay a bucket's "absent" sentinel. Echo
+// applies a batch in ascending hash order, so a crash oracle needs the same
+// hash to know which update prefixes are legal crash states.
+func HashKey(key string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	if h == 0 {
+		h = 1
+	}
+	return h
+}
+
 // YCSB generates a YCSB-like stream: zipf-distributed keys over a fixed
 // keyspace with a configurable write fraction (the paper runs 80% writes).
 type YCSB struct {

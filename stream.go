@@ -1,10 +1,11 @@
 package whisper
 
 import (
+	"cmp"
 	"io"
-	"sync"
 
 	"github.com/whisper-pm/whisper/internal/epoch"
+	"github.com/whisper-pm/whisper/internal/par"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/trace"
 )
@@ -24,33 +25,25 @@ type tap func(*trace.Branch) error
 
 // pipeline runs the epoch analysis over src on the calling goroutine
 // with every tap consuming the same events concurrently. Without taps
-// nothing is fanned out: the analysis reads src directly.
+// nothing is fanned out: the analysis reads src directly. A tap's panic
+// reaches the caller with its own value (the lowest tap's, if several
+// panicked) once the analysis and every other tap have finished.
 func pipeline(src trace.EventSource, taps []tap) (*epoch.Analysis, error) {
 	if len(taps) == 0 {
 		return epoch.AnalyzeStream(src)
 	}
 	branches := trace.Fanout(src, 1+len(taps))
 	errs := make([]error, len(taps))
-	var wg sync.WaitGroup
-	for i, t := range taps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A tap that gives up early must release the pump, or the
-			// other branches stall behind its full queue.
-			defer branches[1+i].Close()
-			errs[i] = t(branches[1+i])
-		}()
-	}
+	join := par.Go(len(taps), func(i int) {
+		// A tap that gives up early, or panics, must release the pump, or
+		// the other branches stall behind its full queue.
+		defer branches[1+i].Close()
+		errs[i] = taps[i](branches[1+i])
+	})
 	a, err := epoch.AnalyzeStream(branches[0])
 	branches[0].Close()
-	wg.Wait()
-	for _, terr := range errs {
-		if err == nil {
-			err = terr
-		}
-	}
-	if err != nil {
+	join()
+	if err = cmp.Or(err, cmp.Or(errs...)); err != nil {
 		return nil, err
 	}
 	return a, nil

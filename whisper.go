@@ -18,7 +18,6 @@ package whisper
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"github.com/whisper-pm/whisper/internal/crashcheck"
@@ -139,34 +138,4 @@ func Run(name string, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	return newReport(a, &Trace{tr: tr}), nil
-}
-
-// forEach calls fn(0) … fn(n-1), up to workers of them at a time (clamped
-// to [1, n]), waits for all of them and returns the error of the lowest
-// index that failed.
-func forEach(n, workers int, fn func(i int) error) error {
-	workers = max(1, min(workers, n))
-	errs := make([]error, n)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
