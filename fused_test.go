@@ -5,9 +5,11 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/whisper-pm/whisper/internal/cachesim"
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -243,6 +245,65 @@ func TestFusedTapPanicReachesCaller(t *testing.T) {
 	if counted != rep.Trace.Events() {
 		t.Errorf("the tap that did not panic counted %d of %d events", counted, rep.Trace.Events())
 	}
+}
+
+// TestFusedSourcePanicReachesCaller: a source that panics while a tap
+// rides the pass reaches pipeline's caller with its own value, and only
+// once the analysis, the tap and the pump have all finished.
+func TestFusedSourcePanicReachesCaller(t *testing.T) {
+	rep, err := Run("hashmap", Config{Ops: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := errors.New("source bug")
+	var tapped int
+	taps := []tap{func(b *trace.Branch) error {
+		for {
+			chunk, err := b.NextChunk()
+			if err != nil {
+				return err
+			}
+			tapped += len(chunk)
+		}
+	}}
+	base := runtime.NumGoroutine()
+	src := &panicAfter{EventSource: trace.NewSliceSource(rep.Trace.tr), chunks: 2, value: value}
+	func() {
+		defer func() {
+			if r := recover(); r != value {
+				t.Errorf("recovered %v, want the source's panic value", r)
+			}
+		}()
+		pipeline(src, taps)
+		t.Error("pipeline returned over a panicking source")
+	}()
+	if tapped != src.handed {
+		t.Errorf("the tap saw %d of the %d events handed out before the panic", tapped, src.handed)
+	}
+	// The pump has closed every branch by then, but may not have exited.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before: a goroutine of the pass outlived the panic", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// panicAfter hands out its source's first chunks, then panics with value.
+type panicAfter struct {
+	trace.EventSource
+	chunks int
+	handed int
+	value  any
+}
+
+func (s *panicAfter) NextChunk() ([]trace.Event, error) {
+	if s.chunks == 0 {
+		panic(s.value)
+	}
+	s.chunks--
+	chunk, err := s.EventSource.NextChunk()
+	s.handed += len(chunk)
+	return chunk, err
 }
 
 // eofSource notes when its source reports io.EOF.

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math/bits"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,100 @@ func TestMultiSlabRecover(t *testing.T) {
 			// a was freed before the crash and may be reused — but only once.
 			a = 0
 			continue
+		}
+	}
+}
+
+// eagerFree is the free index NewMultiSlab built before it went lazy, kept
+// as the oracle for the order blocks are handed out in: every block pushed
+// at construction, highest first, onto its stripe's stack.
+type eagerFree [stripes][]int
+
+func newEagerFree(perSlab int) *eagerFree {
+	e := &eagerFree{}
+	for blk := perSlab - 1; blk >= 0; blk-- {
+		e.push(blk)
+	}
+	return e
+}
+
+func (e *eagerFree) push(blk int) { e[(blk/64)%stripes] = append(e[(blk/64)%stripes], blk) }
+
+func (e *eagerFree) pop(tid int) (int, bool) {
+	for i := 0; i < stripes; i++ {
+		idx := (tid%stripes + i) % stripes
+		if n := len(e[idx]); n > 0 {
+			blk := e[idx][n-1]
+			e[idx] = e[idx][:n-1]
+			return blk, true
+		}
+	}
+	return 0, false
+}
+
+// recover rebuilds the stacks from the live blocks as Recover does from
+// the bitmaps: words ascending, bits descending.
+func (e *eagerFree) recover(perSlab int, live map[int]bool) {
+	for i := range e {
+		e[i] = e[i][:0]
+	}
+	for w := 0; w < perSlab/64; w++ {
+		for b := 63; b >= 0; b-- {
+			if !live[w*64+b] {
+				e.push(w*64 + b)
+			}
+		}
+	}
+}
+
+// TestMultiSlabPopOrderMatchesEager: the lazily built free lists hand out
+// blocks in exactly the order the eager ones did, over random runs of
+// allocations from several threads, frees of random live blocks and
+// Recovers, through exhaustion of whole stripes and classes. The order is
+// what every sim_digest and golden depends on.
+func TestMultiSlabPopOrderMatchesEager(t *testing.T) {
+	for _, per := range []int{64, 128, 1000, 2048} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			rt := persist.NewRuntime("alloc-test", "native", 4, persist.Config{NoTrace: true})
+			m := NewMultiSlab(rt, per)
+			c := m.classes[1] // the 32-byte class
+			ref := newEagerFree(c.perSlab)
+			live := map[int]bool{}
+			var order []int // the live blocks, for picking one to free
+			for op := 0; op < 6*c.perSlab; op++ {
+				th := rt.Thread(rng.Intn(4))
+				switch r := rng.Intn(100); {
+				case r < 60:
+					want, ok := ref.pop(th.ID())
+					a := m.Alloc(th, 17+rng.Intn(16))
+					if !ok {
+						if a != 0 {
+							t.Fatalf("per=%d seed=%d op %d: got %v from an exhausted class", per, seed, op, a)
+						}
+						continue
+					}
+					if wantA := c.data + mem.Addr(want*c.blockSize); a != wantA {
+						t.Fatalf("per=%d seed=%d op %d: thread %d got %v, eager order gives %v", per, seed, op, th.ID(), a, wantA)
+					}
+					live[want] = true
+					order = append(order, want)
+				case r < 98:
+					if len(order) == 0 {
+						continue
+					}
+					i := rng.Intn(len(order))
+					blk := order[i]
+					order[i] = order[len(order)-1]
+					order = order[:len(order)-1]
+					delete(live, blk)
+					m.Free(th, c.data+mem.Addr(blk*c.blockSize))
+					ref.push(blk)
+				default:
+					m.Recover(th)
+					ref.recover(c.perSlab, live)
+				}
+			}
 		}
 	}
 }

@@ -32,9 +32,18 @@ type slabClass struct {
 	bitmaps   mem.Addr       // perSlab/64 persistent words
 	data      mem.Addr       // perSlab * blockSize bytes
 	free      [stripes][]int // volatile free indexes, striped by bitmap word
+
+	// fresh is, per stripe, a cursor over the blocks nobody has used yet:
+	// the stripe's blocks from the fresh[i]-th on, in ascending order, are
+	// free without being on free, so construction pushes nothing. Recover
+	// puts every free block on free and the cursors past the end.
+	fresh [stripes]int
 }
 
-// pop takes a free block, preferring the thread's own stripe.
+// pop takes a free block, preferring the thread's own stripe. Within a
+// stripe the freed blocks go first, the last freed first, then the lowest
+// block never used: the order a free list holding every block, pushed
+// highest first, would give.
 func (c *slabClass) pop(tid int) (int, bool) {
 	s := tid % stripes
 	for i := 0; i < stripes; i++ {
@@ -43,6 +52,13 @@ func (c *slabClass) pop(tid int) (int, bool) {
 			blk := c.free[idx][n-1]
 			c.free[idx] = c.free[idx][:n-1]
 			return blk, true
+		}
+		// The j-th block of stripe idx sits in its j/64-th word, which is
+		// word j/64*stripes+idx of the slab.
+		j := c.fresh[idx]
+		if w := j/64*stripes + idx; w < c.perSlab/64 {
+			c.fresh[idx]++
+			return w*64 + j%64, true
 		}
 	}
 	return 0, false
@@ -67,16 +83,12 @@ func NewMultiSlab(rt *persist.Runtime, blocksPerClass int) *MultiSlab {
 	per := (blocksPerClass + 63) &^ 63
 	m := &MultiSlab{rt: rt}
 	for _, bs := range MultiSlabClasses {
-		c := &slabClass{
+		m.classes = append(m.classes, &slabClass{
 			blockSize: bs,
 			perSlab:   per,
 			bitmaps:   rt.Dev.Map(per / 8),
 			data:      rt.Dev.Map(per * bs),
-		}
-		for blk := per - 1; blk >= 0; blk-- {
-			c.push(blk)
-		}
-		m.classes = append(m.classes, c)
+		})
 	}
 	return m
 }
@@ -146,6 +158,7 @@ func (m *MultiSlab) Recover(th *persist.Thread) {
 	for _, c := range m.classes {
 		for i := range c.free {
 			c.free[i] = c.free[i][:0]
+			c.fresh[i] = c.perSlab
 		}
 		for w := 0; w < c.perSlab/64; w++ {
 			v := th.LoadU64(c.bitmaps + mem.Addr(w*8))

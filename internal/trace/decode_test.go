@@ -14,14 +14,15 @@ import (
 )
 
 // requireGoroutines waits for the goroutine count to come back to base:
-// Decode has waited for its workers by the time it returns, but they may
-// not have exited yet. It yields rather than sleeps, which keeps the fuzz
+// Decode has waited for its workers by the time it returns, and a Fanout
+// pump has closed its branches by the time they end, but either may not
+// have exited yet. It yields rather than sleeps, which keeps the fuzz
 // targets that call it fast.
 func requireGoroutines(t testing.TB, base int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, %d before: a Decode worker outlived the call", runtime.NumGoroutine(), base)
+			t.Fatalf("%d goroutines, %d before: a Decode worker or Fanout pump outlived the call", runtime.NumGoroutine(), base)
 		}
 	}
 }

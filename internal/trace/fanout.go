@@ -32,6 +32,10 @@ type fanout struct {
 	err     error
 	vloads  uint64
 	vstores uint64
+
+	// panicked is the source's panic value, which every branch re-raises
+	// on its reader's goroutine in place of the end of the stream.
+	panicked any
 }
 
 // Branch is one consumer's view of a fanned-out stream. It implements
@@ -59,7 +63,16 @@ func Fanout(src EventSource, n int) []*Branch {
 	return f.branches
 }
 
+// pump ends the stream when the source does, with its error, and also
+// when it panics: the panic then reaches every branch's reader rather than
+// ending the process on the pump's goroutine.
 func (f *fanout) pump() {
+	defer func() {
+		f.panicked = recover()
+		for _, b := range f.branches {
+			close(b.ch)
+		}
+	}()
 	for {
 		chunk, err := f.src.NextChunk()
 		if err != nil {
@@ -67,9 +80,6 @@ func (f *fanout) pump() {
 				f.err = err
 			}
 			f.vloads, f.vstores = f.src.Volatile()
-			for _, b := range f.branches {
-				close(b.ch)
-			}
 			return
 		}
 		for _, b := range f.branches {
@@ -85,11 +95,15 @@ func (f *fanout) pump() {
 func (b *Branch) Meta() Meta { return b.f.src.Meta() }
 
 // NextChunk returns the branch's next batch of events, io.EOF at the end
-// of a well-formed stream, or the source's error. The returned slice is
+// of a well-formed stream, or the source's error; where the source
+// panicked it panics with the source's value. The returned slice is
 // shared with the other branches and must be treated as read-only.
 func (b *Branch) NextChunk() ([]Event, error) {
 	if chunk, ok := <-b.ch; ok {
 		return chunk, nil
+	}
+	if b.f.panicked != nil {
+		panic(b.f.panicked)
 	}
 	if b.f.err != nil {
 		return nil, b.f.err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -148,4 +149,49 @@ func TestFanoutPropagatesSourceError(t *testing.T) {
 			t.Errorf("branch %d: err = %v, want %v", i, err, wantErr)
 		}
 	}
+}
+
+// panickingSource hands out one chunk of n events and then panics with
+// value, as a source with a bug would.
+type panickingSource struct {
+	failingSource
+	value any
+}
+
+func (p *panickingSource) NextChunk() ([]Event, error) {
+	if p.n == 0 {
+		panic(p.value)
+	}
+	return p.failingSource.NextChunk()
+}
+
+// TestFanoutSourcePanicReachesEveryBranch: a source that panics on the
+// pump's goroutine does not end the process; every branch hands out what
+// the source produced before it, then panics with the source's own value
+// on its reader's goroutine, and the pump is gone.
+func TestFanoutSourcePanicReachesEveryBranch(t *testing.T) {
+	value := errors.New("source bug")
+	base := runtime.NumGoroutine()
+	branches := Fanout(&panickingSource{failingSource: failingSource{n: 5}, value: value}, 2)
+	for i, b := range branches {
+		seen := 0
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			for {
+				c, err := b.NextChunk()
+				if err != nil {
+					t.Errorf("branch %d: NextChunk = %v, want a panic", i, err)
+					return nil
+				}
+				seen += len(c)
+			}
+		}()
+		if r != value {
+			t.Errorf("branch %d: recovered %v, want the source's %v", i, r, value)
+		}
+		if seen != 5 {
+			t.Errorf("branch %d: saw %d events before the panic, want 5", i, seen)
+		}
+	}
+	requireGoroutines(t, base)
 }

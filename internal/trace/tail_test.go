@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 )
@@ -101,8 +104,8 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 						return
 					}
 					// A keeping trace is the trace an unfollowed recording
-					// would have left, and the tail handed out its own
-					// storage rather than copies.
+					// would have left, and its chunks are the very copies
+					// the tail handed out.
 					for i, e := range flat(tr) {
 						if e.Time != mem.Time(i) {
 							t.Fatalf("retained trace holds time %d at event %d", e.Time, i)
@@ -172,4 +175,98 @@ func TestTailNeedsAnEmptyTrace(t *testing.T) {
 	tr := &Trace{}
 	tr.Append(Event{})
 	tr.Tail(true)
+}
+
+// rampLens is the chunk lengths an n-event recording leaves: each chunk as
+// large as everything before it, from firstChunkEvents up to maxChunkEvents,
+// the last one part-filled.
+func rampLens(n int) []int {
+	var lens []int
+	for done := 0; done < n; {
+		k := min(max(done, firstChunkEvents), maxChunkEvents, n-done)
+		lens = append(lens, k)
+		done += k
+	}
+	return lens
+}
+
+// TestTailRecyclesRecorderBuffers: a keeping tail's recorder writes into
+// the buffers its reader hands back, and the trace keeps the reader's
+// copies (run it under -race). Over every tailSizes length and one long
+// enough to wrap the buffers many times:
+//   - the recorder writes into at most freeDepth distinct full-size
+//     buffers however long the run, so past the ramp it allocates nothing;
+//   - the chunks the reader is handed, which the trace keeps, end where
+//     the ramp's chunks do;
+//   - every retained chunk is clipped, so a later Append opens its own;
+//   - once the stream has ended the heap holds the events and no buffer
+//     besides, although the tail is still reachable.
+func TestTailRecyclesRecorderBuffers(t *testing.T) {
+	for _, n := range append(slices.Clone(tailSizes), 24*maxChunkEvents+7) {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+
+			tr := &Trace{App: "tail"}
+			tl := tr.Tail(true)
+			// The recorder notes each full-size buffer it opens a chunk in,
+			// as an address, so the note keeps none of them alive.
+			var full []uintptr
+			go func() {
+				for i := 0; i < n; i++ {
+					tr.Append(Event{Time: mem.Time(i), Kind: KStore, Size: 8})
+					if c := tr.chunks[len(tr.chunks)-1]; len(c) == 1 && cap(c) == maxChunkEvents {
+						full = append(full, uintptr(unsafe.Pointer(unsafe.SliceData(c))))
+					}
+				}
+				tl.Close(nil)
+			}()
+			var lens []int
+			for {
+				c, err := tl.NextChunk()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				lens = append(lens, len(c))
+			}
+
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+			if limit := 1.1 * float64(n) * float64(unsafe.Sizeof(Event{})); n >= maxChunkEvents && float64(live) > limit {
+				t.Errorf("%d bytes live after the end of the stream, want <= %.0f: a buffer outlived the run", live, limit)
+			}
+			runtime.KeepAlive(tl)
+
+			if want := rampLens(n); !slices.Equal(lens, want) {
+				t.Fatalf("the tail handed out chunks of %v events, want the ramp's %v", lens, want)
+			}
+			if len(tr.Chunks()) != len(lens) {
+				t.Fatalf("the trace keeps %d chunks, the tail handed out %d", len(tr.Chunks()), len(lens))
+			}
+			for i, c := range tr.Chunks() {
+				if len(c) != lens[i] || len(c) != cap(c) {
+					t.Fatalf("retained chunk %d holds %d events in %d, want %d clipped", i, len(c), cap(c), lens[i])
+				}
+			}
+			slices.Sort(full)
+			if distinct := len(slices.Compact(full)); distinct > freeDepth {
+				t.Errorf("the recorder wrote into %d distinct full-size buffers, want <= %d", distinct, freeDepth)
+			}
+
+			tr.Append(Event{Time: mem.Time(n)})
+			if len(tr.Chunks()) != len(lens)+1 {
+				t.Fatalf("an Append after the end wrote into a retained chunk")
+			}
+			for i, e := range flat(tr) {
+				if e.Time != mem.Time(i) {
+					t.Fatalf("retained trace holds time %d at event %d", e.Time, i)
+				}
+			}
+		})
+	}
 }

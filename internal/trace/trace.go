@@ -141,12 +141,14 @@ type Trace struct {
 	// chunks holds the events in recorded order. Every chunk is non-empty;
 	// Append writes only into the last one and opens a new chunk when that
 	// one is full, each as large as everything before it, up to
-	// maxChunkEvents. Chunks adopted whole (FromEvents, Decode's blocks)
-	// are clipped to their length, so Append never writes into them.
+	// maxChunkEvents. Chunks adopted whole (FromEvents, Decode's blocks, a
+	// keeping tail's copies) are clipped to their length, so Append never
+	// writes into them.
 	chunks [][]Event
 	n      int
 
-	// tail, when set, is handed every chunk as Append seals it (tail.go).
+	// tail, when set, is handed every chunk as Append seals it, and chunks
+	// holds only the open one (tail.go).
 	tail *Tail
 
 	// VolatileLoads/VolatileStores count the DRAM loads and stores the
@@ -180,17 +182,28 @@ func (t *Trace) Append(e Event) {
 
 // openChunk seals the full last chunk — it is never written again, so a
 // tail's reader may have it now — and starts the next, returning its index.
+// Under a tail the sealed chunk leaves the trace, and the next one is a
+// buffer the reader has handed back when there is one (tail.go).
 func (t *Trace) openChunk() int {
 	limit := maxChunkEvents
+	var buf []Event
 	if tl := t.tail; tl != nil {
 		if k := len(t.chunks) - 1; k >= 0 {
 			tl.ch <- t.chunks[k]
 		}
+		t.chunks = t.chunks[:0]
 		if !tl.keep {
-			t.chunks, limit = t.chunks[:0], droppedChunkEvents
+			limit = droppedChunkEvents
+		}
+		select {
+		case buf = <-tl.free: // only full-size buffers come back
+		default:
 		}
 	}
-	t.chunks = append(t.chunks, make([]Event, 0, min(max(t.n, firstChunkEvents), limit)))
+	if buf == nil {
+		buf = make([]Event, 0, min(max(t.n, firstChunkEvents), limit))
+	}
+	t.chunks = append(t.chunks, buf[:0])
 	return len(t.chunks) - 1
 }
 

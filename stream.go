@@ -23,27 +23,30 @@ import (
 // keeps its own result; an error from any tap fails the pass.
 type tap func(*trace.Branch) error
 
-// pipeline runs the epoch analysis over src on the calling goroutine
-// with every tap consuming the same events concurrently. Without taps
-// nothing is fanned out: the analysis reads src directly. A tap's panic
-// reaches the caller with its own value (the lowest tap's, if several
-// panicked) once the analysis and every other tap have finished.
+// pipeline runs the epoch analysis over src with every tap consuming the
+// same events concurrently. Without taps nothing is fanned out: the
+// analysis reads src directly on the calling goroutine. With taps the
+// analysis is the first of the consumers par.Go joins, so a panic reaches
+// the caller with its own value once every consumer has finished: the
+// source's, which every branch re-raises, or else the lowest tap's.
 func pipeline(src trace.EventSource, taps []tap) (*epoch.Analysis, error) {
 	if len(taps) == 0 {
 		return epoch.AnalyzeStream(src)
 	}
 	branches := trace.Fanout(src, 1+len(taps))
-	errs := make([]error, len(taps))
-	join := par.Go(len(taps), func(i int) {
-		// A tap that gives up early, or panics, must release the pump, or
-		// the other branches stall behind its full queue.
-		defer branches[1+i].Close()
-		errs[i] = taps[i](branches[1+i])
-	})
-	a, err := epoch.AnalyzeStream(branches[0])
-	branches[0].Close()
-	join()
-	if err = cmp.Or(err, cmp.Or(errs...)); err != nil {
+	var a *epoch.Analysis
+	errs := make([]error, len(branches))
+	par.Go(len(branches), func(i int) {
+		// A consumer that gives up early, or panics, must release the pump,
+		// or the other branches stall behind its full queue.
+		defer branches[i].Close()
+		if i == 0 {
+			a, errs[0] = epoch.AnalyzeStream(branches[0])
+			return
+		}
+		errs[i] = taps[i-1](branches[i])
+	})()
+	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -79,10 +82,12 @@ func writeV2(w io.Writer, src *trace.Branch) error {
 // never per event — so the analysis of one chunk overlaps the recording of
 // the next instead of re-reading the whole trace from cold memory after the
 // run. Run and RunAllFused are the same two stages and differ only in
-// whether the trace keeps a chunk it has handed over: Run's does, and the
-// retained trace is Report.Trace; RunAllFused's drops it, so the full
-// event sequence is never materialized and Report.Trace is nil. The reports
-// are identical (TestStreamMatchesSerial asserts it on every suite member).
+// whether the trace keeps a chunk it has handed over. Run's does: the
+// pipeline reads the tail's copy of each sealed chunk, the recorder writes
+// on into the buffer the copy was taken from, and the copies are the
+// retained trace, Report.Trace. RunAllFused's drops it, so the full event
+// sequence is never materialized and Report.Trace is nil. The reports are
+// identical (TestStreamMatchesSerial asserts it on every suite member).
 
 // record launches the named benchmark on its own goroutine, recording into
 // a fresh runtime's trace, and returns that trace with the tail its events
