@@ -11,10 +11,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure files")
 
-// goldenApps are the two fixed-seed benchmarks pinned by golden files:
-// one native-layer app with large transactions and one NVML-layer app
-// with small ones, so every figure has signal in both regimes.
-var goldenApps = []string{"echo", "ctree"}
+// goldenApps are the fixed-seed benchmarks pinned by golden files: every
+// suite member, so a change to any one app's workload or sizes shows up
+// as a figure diff.
+var goldenApps = Names()
 
 var goldenCfg = Config{Ops: 10, Seed: 13}
 
@@ -42,7 +42,7 @@ func renderFigures(r *Report) string {
 	return b.String()
 }
 
-// TestGoldenFigures locks Figures 3–6 and Table 1 for two fixed-seed apps
+// TestGoldenFigures locks Figures 3–6 and Table 1 for every fixed-seed app
 // against committed golden files, and asserts the serial, parallel, and
 // streaming execution paths all render the figures byte-identically.
 // Regenerate with: go test -run TestGoldenFigures -update .
