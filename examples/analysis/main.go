@@ -71,13 +71,14 @@ func main() {
 	if err := reports[0].Trace.Encode(&buf); err != nil {
 		log.Fatal(err)
 	}
+	encoded := buf.Len()
 	back, err := whisper.DecodeTrace(&buf)
 	if err != nil {
 		log.Fatal(err)
 	}
 	again := whisper.Analyze(back)
 	fmt.Printf("trace codec round trip: %s, %d events, %d bytes encoded\n",
-		back.App(), back.Events(), buf.Len())
+		back.App(), back.Events(), encoded)
 	if again.TotalEpochs != reports[0].TotalEpochs {
 		log.Fatal("re-analysis diverged")
 	}

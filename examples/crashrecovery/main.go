@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	rt := persist.NewRuntime("crash-example", "pmfs", 1, persist.Config{})
+	rt := persist.NewRuntime("crash-example", "pmfs", 1, persist.Config{NoTrace: true})
 	th := rt.Thread(0)
 	fs := pmfs.Format(rt, th, pmfs.Options{Inodes: 512, Blocks: 2048})
 

@@ -56,39 +56,26 @@ const (
 	vSize  = 24
 )
 
-// Config sizes a Store.
-type Config struct {
-	Buckets   int // hash buckets (default 4096)
-	SlabBytes int // single-slab heap size (default 16 MB)
-	BatchSize int // updates per client batch (default 32)
-}
-
-func (c Config) withDefaults() Config {
-	if c.Buckets == 0 {
-		c.Buckets = 4096
-	}
-	if c.SlabBytes == 0 {
-		c.SlabBytes = 16 << 20
-	}
-	if c.BatchSize == 0 {
-		// echo-test submits large batches; with ~4.5 epochs per applied
-		// update this lands the Figure 3 median near the paper's 307.
-		c.BatchSize = 64
-	}
-	return c
-}
+// Store sizes: echo-test's configuration.
+const (
+	numBuckets = 4096     // master KVS hash buckets
+	slabBytes  = 16 << 20 // single-slab heap
+	// batchSize is the updates a client stages per batch. echo-test
+	// submits large batches; with ~4.5 epochs per applied update this
+	// lands the Figure 3 median near the paper's 307.
+	batchSize = 64
+)
 
 // Store is the Echo master KVS plus client state.
 type Store struct {
 	rt   *persist.Runtime
-	cfg  Config
 	slab *alloc.SingleSlab
 
-	buckets mem.Addr // Buckets * 8 pointer words
+	buckets mem.Addr // numBuckets * 8 pointer words
 	// desc holds one batch descriptor per client thread (status u64 |
 	// count u64): batch state is thread-local in Echo.
 	desc []mem.Addr
-	// logRegion is the client submission log: BatchSize records of
+	// logRegion is the client submission log: batchSize records of
 	// {keyHash u64, value u64}.
 	logs []mem.Addr
 
@@ -101,26 +88,24 @@ type Store struct {
 }
 
 // New creates an Echo store on rt.
-func New(rt *persist.Runtime, cfg Config) *Store {
-	cfg = cfg.withDefaults()
+func New(rt *persist.Runtime) *Store {
 	th := rt.Thread(0)
 	s := &Store{
 		rt:    rt,
-		cfg:   cfg,
-		slab:  alloc.NewSingleSlab(rt, th, cfg.SlabBytes),
+		slab:  alloc.NewSingleSlab(rt, th, slabBytes),
 		index: make(map[uint64]mem.Addr),
 	}
-	s.buckets = rt.Dev.Map(cfg.Buckets * 8)
+	s.buckets = rt.Dev.Map(numBuckets * 8)
 	for i := 0; i < rt.Threads(); i++ {
 		s.desc = append(s.desc, rt.Dev.Map(16))
-		s.logs = append(s.logs, rt.Dev.Map(cfg.BatchSize*16))
+		s.logs = append(s.logs, rt.Dev.Map(batchSize*16))
 		s.local = append(s.local, make(map[uint64]uint64))
 	}
 	return s
 }
 
 func (s *Store) bucketAddr(h uint64) mem.Addr {
-	return s.buckets + mem.Addr(int(h%uint64(s.cfg.Buckets))*8)
+	return s.buckets + mem.Addr(int(h%numBuckets)*8)
 }
 
 // Put stages an update in the client's volatile store; it becomes durable
@@ -182,7 +167,7 @@ func (s *Store) SubmitBatch(tid int) int {
 	log := s.logs[tid]
 	n := 0
 	for _, h := range keys {
-		if n >= s.cfg.BatchSize {
+		if n >= batchSize {
 			break
 		}
 		rec := log + mem.Addr(n*16)
@@ -272,7 +257,7 @@ func (s *Store) Recover() {
 	th := s.rt.Thread(0)
 	s.slab.Recover(th)
 	s.index = make(map[uint64]mem.Addr)
-	for b := 0; b < s.cfg.Buckets; b++ {
+	for b := 0; b < numBuckets; b++ {
 		e := mem.Addr(th.LoadU64(s.buckets + mem.Addr(b*8)))
 		for e != 0 {
 			h := th.LoadU64(e + eHash)
@@ -301,7 +286,7 @@ func (s *Store) Recover() {
 // holds a legal status word.
 func (s *Store) CheckInvariants() error {
 	th := s.rt.Thread(0)
-	for b := 0; b < s.cfg.Buckets; b++ {
+	for b := 0; b < numBuckets; b++ {
 		seenE := make(map[mem.Addr]bool)
 		hashes := make(map[uint64]bool)
 		e := mem.Addr(th.LoadU64(s.buckets + mem.Addr(b*8)))
@@ -311,8 +296,8 @@ func (s *Store) CheckInvariants() error {
 			}
 			seenE[e] = true
 			h := th.LoadU64(e + eHash)
-			if int(h%uint64(s.cfg.Buckets)) != b {
-				return fmt.Errorf("echo: hash %#x in bucket %d, belongs in %d", h, b, int(h%uint64(s.cfg.Buckets)))
+			if int(h%numBuckets) != b {
+				return fmt.Errorf("echo: hash %#x in bucket %d, belongs in %d", h, b, h%numBuckets)
 			}
 			if hashes[h] {
 				return fmt.Errorf("echo: duplicate hash %#x in bucket %d", h, b)
@@ -345,13 +330,9 @@ func (s *Store) CheckInvariants() error {
 	return nil
 }
 
-// BatchSize is the number of updates a client stages per batch.
-func (s *Store) BatchSize() int { return s.cfg.BatchSize }
-
 // Batcher is the method set the echo workload drives: a *Store, or an
 // oracle wrapping one and forwarding every call unchanged.
 type Batcher interface {
-	BatchSize() int
 	Put(tid int, key string, value uint64)
 	SubmitBatch(tid int) int
 }
@@ -376,7 +357,7 @@ func Setup(rt *persist.Runtime, s Batcher, clients int, seed int64) *Workload {
 
 // Op runs client tid's i-th batch submission.
 func (w *Workload) Op(tid, i int) {
-	for n := w.s.BatchSize(); n > 0; n-- {
+	for n := batchSize; n > 0; n-- {
 		op := w.gens[tid].Next()
 		w.s.Put(tid, op.Key, uint64(len(op.Value)))
 	}

@@ -13,7 +13,7 @@ import (
 
 func newStore(threads int) (*persist.Runtime, *Store) {
 	rt := persist.NewRuntime("echo", "native", threads, persist.Config{})
-	return rt, New(rt, Config{Buckets: 256, SlabBytes: 1 << 20, BatchSize: 8})
+	return rt, New(rt)
 }
 
 func TestPutGetLocal(t *testing.T) {

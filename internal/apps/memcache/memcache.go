@@ -66,7 +66,7 @@ func New(rt *persist.Runtime, heap *mnemosyne.Heap, nbuckets, maxItems int) *Cac
 // chains (recency order is cache policy and is legitimately lost).
 func (c *Cache) Recover() {
 	th := c.rt.Thread(0)
-	c.heap.Recover(th, true)
+	c.heap.Recover(th)
 	c.buckets = c.heap.Root(th, rootSlot)
 	c.CountPersistent(0)
 }

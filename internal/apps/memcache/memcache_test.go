@@ -97,7 +97,7 @@ func TestCrashRecover(t *testing.T) {
 		c.Insert(0, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))
 	}
 	rt.Crash(pmem.Strict, 12)
-	heap.Recover(rt.Thread(0), true)
+	heap.Recover(rt.Thread(0))
 	if got := c.CountPersistent(0); got != 10 {
 		t.Fatalf("recovered count = %d", got)
 	}
@@ -121,7 +121,7 @@ func TestCrashMidSetInvisible(t *testing.T) {
 		})
 	}()
 	rt.Crash(pmem.Adversarial, 13)
-	heap.Recover(rt.Thread(0), true)
+	heap.Recover(rt.Thread(0))
 	if got := c.CountPersistent(0); got != 1 {
 		t.Fatalf("count = %d, want 1", got)
 	}

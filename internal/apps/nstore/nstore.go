@@ -76,32 +76,19 @@ func walSum(addr, lengen uint64, data []byte) uint64 {
 	return h
 }
 
-// Config sizes a DB.
-type Config struct {
-	Partitions int // one per client thread
-	Buckets    int // index buckets per partition (default 1024)
-	SlabBytes  int // allocator arena per partition (default 8 MB)
-}
-
-func (c Config) withDefaults(threads int) Config {
-	if c.Partitions == 0 {
-		c.Partitions = threads
-	}
-	if c.Buckets == 0 {
-		c.Buckets = 1024
-	}
-	if c.SlabBytes == 0 {
-		c.SlabBytes = 8 << 20
-	}
-	return c
-}
+// Partition sizes: the database has one partition per client thread, each
+// with its own index and allocator arena.
+const (
+	numBuckets = 1024    // persistent index buckets
+	slabBytes  = 8 << 20 // single-slab allocator arena
+)
 
 // partition is one thread's shard: slab, index, undo log. The WAL is
 // circular: slots advance across transactions so log writes do not revisit
 // recently written lines (long reuse distance, like a real WAL).
 type partition struct {
 	slab    *alloc.SingleSlab
-	buckets mem.Addr // Buckets * 8 (persistent index)
+	buckets mem.Addr // numBuckets * 8 (persistent index)
 	walDesc mem.Addr // status u64 | generation u64 | start slot u64
 	walLog  mem.Addr
 	walNext int                 // next free slot (volatile, circular)
@@ -112,7 +99,6 @@ type partition struct {
 // DB is an N-store database instance.
 type DB struct {
 	rt    *persist.Runtime
-	cfg   Config
 	parts []*partition
 	// commits holds one flush group per thread, reused by every commit
 	// that thread makes. Like the indexes it is volatile: Recover starts
@@ -120,16 +106,15 @@ type DB struct {
 	commits []*persist.Group
 }
 
-// Open creates a database with cfg.Partitions partitions.
-func Open(rt *persist.Runtime, cfg Config) *DB {
-	cfg = cfg.withDefaults(rt.Threads())
-	db := &DB{rt: rt, cfg: cfg}
+// Open creates a database with one partition per thread of rt.
+func Open(rt *persist.Runtime) *DB {
+	db := &DB{rt: rt}
 	db.resetCommits()
 	th := rt.Thread(0)
-	for i := 0; i < cfg.Partitions; i++ {
+	for i := 0; i < rt.Threads(); i++ {
 		db.parts = append(db.parts, &partition{
-			slab:    alloc.NewSingleSlab(rt, th, cfg.SlabBytes),
-			buckets: rt.Dev.Map(cfg.Buckets * 8),
+			slab:    alloc.NewSingleSlab(rt, th, slabBytes),
+			buckets: rt.Dev.Map(numBuckets * 8),
 			walDesc: rt.Dev.Map(16),
 			walLog:  rt.Dev.Map(walEntries * walEntrySize),
 			index:   make(map[uint64]mem.Addr),
@@ -271,7 +256,7 @@ func (tx *Tx) Insert(key uint64, attrs [nAttrs]uint64, varchar string) {
 	// shared line, since 72-byte tuples straddle cache lines. No undo is
 	// needed for the chain word: an aborted insert's block is reclaimed
 	// via the state variable.)
-	bucket := p.buckets + mem.Addr(int(key%uint64(tx.db.cfg.Buckets))*8)
+	bucket := p.buckets + mem.Addr(int(key%numBuckets)*8)
 	head := th.LoadU64(bucket)
 
 	var buf [tSize]byte
@@ -462,7 +447,7 @@ func (db *DB) Recover() {
 		// Rebuild the index by walking bucket chains.
 		p.slab.Recover(th)
 		p.index = make(map[uint64]mem.Addr)
-		for b := 0; b < db.cfg.Buckets; b++ {
+		for b := 0; b < numBuckets; b++ {
 			t := mem.Addr(th.LoadU64(p.buckets + mem.Addr(b*8)))
 			for t != 0 {
 				key := th.LoadU64(t + tKey)
@@ -494,7 +479,7 @@ func (db *DB) CheckInvariants() error {
 	th := db.rt.Thread(0)
 	for pi, p := range db.parts {
 		rebuilt := make(map[uint64]mem.Addr)
-		for b := 0; b < db.cfg.Buckets; b++ {
+		for b := 0; b < numBuckets; b++ {
 			seen := make(map[mem.Addr]bool)
 			t := mem.Addr(th.LoadU64(p.buckets + mem.Addr(b*8)))
 			for t != 0 {
@@ -503,9 +488,9 @@ func (db *DB) CheckInvariants() error {
 				}
 				seen[t] = true
 				key := th.LoadU64(t + tKey)
-				if int(key%uint64(db.cfg.Buckets)) != b {
+				if int(key%numBuckets) != b {
 					return fmt.Errorf("nstore: partition %d key %d in bucket %d, belongs in %d",
-						pi, key, b, key%uint64(db.cfg.Buckets))
+						pi, key, b, key%numBuckets)
 				}
 				if _, dup := rebuilt[key]; !dup {
 					rebuilt[key] = t

@@ -14,7 +14,7 @@ import (
 
 func newDB(threads int) (*persist.Runtime, *DB) {
 	rt := persist.NewRuntime("nstore", "native", threads, persist.Config{})
-	return rt, Open(rt, Config{Buckets: 128, SlabBytes: 1 << 20})
+	return rt, Open(rt)
 }
 
 func TestInsertRead(t *testing.T) {

@@ -24,6 +24,13 @@ const (
 	numTables
 )
 
+// Relations is the number of resources seeded per table, and Capacity the
+// free units each starts with: the suite's vacation configuration.
+const (
+	Relations = 512
+	Capacity  = 8
+)
+
 // Resource record layout: numFree u64 | numTotal u64 | price u64.
 const (
 	resFree  = 0
@@ -66,9 +73,9 @@ type Manager struct {
 	counters mem.Addr
 }
 
-// NewManager builds the manager and seeds `relations` resources per table
-// with `capacity` slots each.
-func NewManager(rt *persist.Runtime, heap *mnemosyne.Heap, relations int, capacity uint64) *Manager {
+// NewManager builds the manager and seeds Relations resources per table
+// with Capacity slots each.
+func NewManager(rt *persist.Runtime, heap *mnemosyne.Heap) *Manager {
 	m := &Manager{rt: rt, heap: heap}
 	th := rt.Thread(0)
 	var dir mem.Addr
@@ -91,25 +98,22 @@ func NewManager(rt *persist.Runtime, heap *mnemosyne.Heap, relations int, capaci
 	heap.SetRoot(th, rootSlot, dir)
 	// Seed resources in batched transactions (vacation's setup phase).
 	const batch = 32
-	for start := 0; start < relations; start += batch {
-		end := start + batch
-		if end > relations {
-			end = relations
-		}
+	for start := 0; start < Relations; start += batch {
+		end := min(start+batch, Relations)
 		heap.Run(th, func(tx *mnemosyne.Tx) error {
 			for id := start; id < end; id++ {
 				for tbl := range m.tables {
 					rec := tx.Alloc(resSize)
 					var buf [resSize]byte
-					binary.LittleEndian.PutUint64(buf[resFree:], capacity)
-					binary.LittleEndian.PutUint64(buf[resTotal:], capacity)
+					binary.LittleEndian.PutUint64(buf[resFree:], Capacity)
+					binary.LittleEndian.PutUint64(buf[resTotal:], Capacity)
 					binary.LittleEndian.PutUint64(buf[resPrice:], 100+uint64(id%400))
 					tx.Write(rec, buf[:])
 					m.tables[tbl].Insert(tx, uint64(id), uint64(rec))
 				}
 			}
 			for tbl := 0; tbl < numTables; tbl++ {
-				tx.WriteU64(m.counters+mem.Addr(tbl*8), uint64(end)*capacity)
+				tx.WriteU64(m.counters+mem.Addr(tbl*8), uint64(end)*Capacity)
 			}
 			return nil
 		})
@@ -138,7 +142,7 @@ func AttachManager(rt *persist.Runtime, heap *mnemosyne.Heap) *Manager {
 // pointers, which may predate the crash).
 func (m *Manager) Recover() {
 	th := m.rt.Thread(0)
-	m.heap.Recover(th, true)
+	m.heap.Recover(th)
 	*m = *AttachManager(m.rt, m.heap)
 }
 
@@ -306,7 +310,7 @@ type Store interface {
 	AddInventory(tid int, table int, id, delta uint64) error
 }
 
-// Workload is the vacation client mix over `relations` tuples per table.
+// Workload is the vacation client mix over Relations tuples per table.
 type Workload struct {
 	rt   *persist.Runtime
 	m    Store
@@ -314,10 +318,10 @@ type Workload struct {
 }
 
 // Setup prepares clients' transaction generators over m.
-func Setup(rt *persist.Runtime, m Store, relations, clients int, seed int64) *Workload {
+func Setup(rt *persist.Runtime, m Store, clients int, seed int64) *Workload {
 	w := &Workload{rt: rt, m: m}
 	for c := 0; c < clients; c++ {
-		w.gens = append(w.gens, workload.NewVacation(seed+int64(c), 256, relations))
+		w.gens = append(w.gens, workload.NewVacation(seed+int64(c), 256, Relations))
 	}
 	return w
 }

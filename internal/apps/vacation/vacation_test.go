@@ -12,10 +12,10 @@ import (
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
-func newMgr(threads, relations int) (*persist.Runtime, *mnemosyne.Heap, *Manager) {
+func newMgr(threads int) (*persist.Runtime, *mnemosyne.Heap, *Manager) {
 	rt := persist.NewRuntime("vacation", "mnemosyne", threads, persist.Config{})
 	heap := mnemosyne.New(rt, 16384, mnemosyne.Options{})
-	return rt, heap, NewManager(rt, heap, relations, 4)
+	return rt, heap, NewManager(rt, heap)
 }
 
 func TestRBTreeInsertLookup(t *testing.T) {
@@ -77,7 +77,7 @@ func TestRBTreeSequentialInsertBalances(t *testing.T) {
 }
 
 func TestReserveDecrementsInventory(t *testing.T) {
-	_, _, m := newMgr(1, 16)
+	_, _, m := newMgr(1)
 	before, _ := m.FreeSlots(0, TableCar, 3)
 	ok, err := m.Reserve(0, 42, TableCar, 3)
 	if err != nil || !ok {
@@ -93,8 +93,8 @@ func TestReserveDecrementsInventory(t *testing.T) {
 }
 
 func TestReserveSoldOut(t *testing.T) {
-	_, _, m := newMgr(1, 4)
-	for i := 0; i < 4; i++ { // capacity is 4 in newMgr
+	_, _, m := newMgr(1)
+	for i := 0; i < Capacity; i++ {
 		if ok, _ := m.Reserve(0, uint64(i), TableRoom, 1); !ok {
 			t.Fatalf("reservation %d failed early", i)
 		}
@@ -105,7 +105,7 @@ func TestReserveSoldOut(t *testing.T) {
 }
 
 func TestCancelRestoresInventory(t *testing.T) {
-	_, _, m := newMgr(1, 8)
+	_, _, m := newMgr(1)
 	m.Reserve(0, 7, TableFlight, 2)
 	before, _ := m.FreeSlots(0, TableFlight, 2)
 	ok, err := m.Cancel(0, 7, TableFlight)
@@ -125,7 +125,7 @@ func TestCancelRestoresInventory(t *testing.T) {
 }
 
 func TestCountersTrackInventory(t *testing.T) {
-	_, _, m := newMgr(1, 8)
+	_, _, m := newMgr(1)
 	c0 := m.Counter(0, TableCar)
 	m.Reserve(0, 1, TableCar, 0)
 	if got := m.Counter(0, TableCar); got != c0-1 {
@@ -138,11 +138,11 @@ func TestCountersTrackInventory(t *testing.T) {
 }
 
 func TestCrashRecoverConsistent(t *testing.T) {
-	rt, heap, m := newMgr(1, 8)
+	rt, heap, m := newMgr(1)
 	m.Reserve(0, 5, TableCar, 2)
 	m.Reserve(0, 5, TableRoom, 3)
 	rt.Crash(pmem.Strict, 10)
-	heap.Recover(rt.Thread(0), true)
+	heap.Recover(rt.Thread(0))
 	if m.Reservations(0, 5) != 2 {
 		t.Fatalf("reservations after crash = %d", m.Reservations(0, 5))
 	}
@@ -154,7 +154,7 @@ func TestCrashRecoverConsistent(t *testing.T) {
 func TestCrashMidTxNoPartialBooking(t *testing.T) {
 	// Crash inside a reservation: after recovery the booking is invisible
 	// (inventory, list and counter all unchanged — redo logging).
-	rt, heap, m := newMgr(1, 8)
+	rt, heap, m := newMgr(1)
 	before, _ := m.FreeSlots(0, TableCar, 1)
 	c0 := m.Counter(0, TableCar)
 	func() {
@@ -167,7 +167,7 @@ func TestCrashMidTxNoPartialBooking(t *testing.T) {
 		})
 	}()
 	rt.Crash(pmem.Adversarial, 11)
-	heap.Recover(rt.Thread(0), true)
+	heap.Recover(rt.Thread(0))
 	after, _ := m.FreeSlots(0, TableCar, 1)
 	if after != before {
 		t.Fatalf("partial booking leaked: %d -> %d", before, after)
@@ -180,7 +180,7 @@ func TestCrashMidTxNoPartialBooking(t *testing.T) {
 func TestCrossDependenciesFromCounters(t *testing.T) {
 	// Two clients updating the same global counter within the window
 	// produce cross-dependencies (§5.1).
-	rt, _, m := newMgr(2, 8)
+	rt, _, m := newMgr(2)
 	*rt.Trace = trace.Trace{}
 	for i := 0; i < 10; i++ {
 		m.Reserve(0, 1, TableCar, uint64(i%8))

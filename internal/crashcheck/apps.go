@@ -349,24 +349,23 @@ type vacPending struct {
 // vacationOracle wraps a reservation manager.
 type vacationOracle struct {
 	*vacation.Manager
-	relations int
 	model     *vacModel
 	customers map[uint64]bool
 	pending   *vacPending
 	firstErr
 }
 
-// newVacationOracle wraps mgr, freshly built with relations tuples per
-// table of capacity free slots each.
-func newVacationOracle(mgr *vacation.Manager, relations int, capacity uint64) *vacationOracle {
-	o := &vacationOracle{Manager: mgr, relations: relations,
+// newVacationOracle wraps mgr, freshly built with vacation.Relations
+// tuples per table of vacation.Capacity free slots each.
+func newVacationOracle(mgr *vacation.Manager) *vacationOracle {
+	o := &vacationOracle{Manager: mgr,
 		model:     &vacModel{free: make(map[[2]uint64]uint64), resv: make(map[uint64][]vacOp)},
 		customers: make(map[uint64]bool)}
 	for t := 0; t < 3; t++ {
-		for id := 0; id < relations; id++ {
-			o.model.free[[2]uint64{uint64(t), uint64(id)}] = capacity
+		for id := 0; id < vacation.Relations; id++ {
+			o.model.free[[2]uint64{uint64(t), uint64(id)}] = vacation.Capacity
 		}
-		o.model.counters[t] = uint64(relations) * capacity
+		o.model.counters[t] = vacation.Relations * vacation.Capacity
 	}
 	return o
 }
@@ -424,7 +423,7 @@ func (o *vacationOracle) compare(tid int, m *vacModel) error {
 		if got := o.Counter(tid, t); got != m.counters[t] {
 			return fmt.Errorf("table %d counter: recovered %d, model %d", t, got, m.counters[t])
 		}
-		for id := 0; id < o.relations; id++ {
+		for id := 0; id < vacation.Relations; id++ {
 			got, found := o.Manager.FreeSlots(tid, t, uint64(id))
 			want := m.free[[2]uint64{uint64(t), uint64(id)}]
 			if !found || got != want {

@@ -381,7 +381,7 @@ func TestEchoOracleRepeatedKey(t *testing.T) {
 	}
 	open := func() (*persist.Runtime, *echoOracle) {
 		rt := persist.NewRuntime("echo", "native", 1, persist.Config{NoTrace: true})
-		o := newEchoOracle(echo.New(rt, echo.Config{}))
+		o := newEchoOracle(echo.New(rt))
 		o.Put(0, a, 5)
 		o.Put(0, b, 2)
 		o.Put(0, a, 1)
@@ -421,7 +421,7 @@ func TestEchoOracleRepeatedKey(t *testing.T) {
 	rt, o = open()
 	rt.AbortAt(1, nil, func() { o.SubmitBatch(0) })
 	rt2 := persist.NewRuntime("echo", "native", 1, persist.Config{NoTrace: true})
-	replaced := echo.New(rt2, echo.Config{})
+	replaced := echo.New(rt2)
 	replaced.Put(0, a, 5)
 	replaced.SubmitBatch(0)
 	o.Store = replaced

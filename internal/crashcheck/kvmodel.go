@@ -41,9 +41,9 @@ type KV[K, V any] interface {
 func OpenU64(app string, rt *persist.Runtime) KV[uint64, uint64] {
 	switch app {
 	case "ctree":
-		return ctree.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}))
+		return ctree.New(rt, nvml.Open(rt, poolBlocks, nvml.Options{}))
 	case "hashmap":
-		return hashstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)
+		return hashstore.New(rt, nvml.Open(rt, poolBlocks, nvml.Options{}), 256)
 	}
 	panic("crashcheck: not a uint64 key-value app: " + app)
 }
@@ -52,11 +52,11 @@ func OpenU64(app string, rt *persist.Runtime) KV[uint64, uint64] {
 func OpenStr(app string, rt *persist.Runtime) KV[string, string] {
 	switch app {
 	case "redis":
-		return redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 256)
+		return redisstore.New(rt, nvml.Open(rt, poolBlocks, nvml.Options{}), 256)
 	case "memcached":
 		// maxItems far above any driven keyspace: LRU eviction never fires,
 		// so the model needs no eviction mirror.
-		return memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 256, 1<<20)
+		return memcache.New(rt, mnemosyne.New(rt, poolBlocks, mnemosyne.Options{}), 256, 1<<20)
 	}
 	panic("crashcheck: not a string key-value app: " + app)
 }

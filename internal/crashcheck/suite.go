@@ -50,6 +50,10 @@ type App struct {
 	open func(rt *persist.Runtime, mix workload.Mix, clients int, seed int64, check bool) (func(tid, i int), Oracle)
 }
 
+// poolBlocks is the blocks per size class of every NVML pool and
+// Mnemosyne heap the suite and the scenario tenants open.
+const poolBlocks = 1 << 15
+
 var (
 	paperMix  = []workload.Mix{workload.Paper}
 	bothMixes = []workload.Mix{workload.Paper, workload.Checker}
@@ -62,7 +66,7 @@ var suite = []App{
 		Workload: "echo-test / 4 clients, batched update transactions",
 		Clients:  4, Ops: 40, Mixes: paperMix,
 		open: func(rt *persist.Runtime, _ workload.Mix, clients int, seed int64, check bool) (func(int, int), Oracle) {
-			st := echo.New(rt, echo.Config{})
+			st := echo.New(rt)
 			s, o := pick[echo.Batcher](st, check, func() Oracle { return newEchoOracle(st) })
 			return echo.Setup(rt, s, clients, seed).Op, o
 		},
@@ -72,7 +76,7 @@ var suite = []App{
 		Workload: "YCSB-like / 4 clients, 80% writes (N-store OPTWAL)",
 		Clients:  4, Ops: 300, Mixes: bothMixes,
 		open: func(rt *persist.Runtime, mix workload.Mix, clients int, seed int64, check bool) (func(int, int), Oracle) {
-			db := nstore.Open(rt, nstore.Config{})
+			db := nstore.Open(rt)
 			s, o := pick[nstore.Store](db, check, func() Oracle { return newNStoreOracle(db) })
 			return nstore.SetupYCSB(rt, s, mix, clients, seed).Op, o
 		},
@@ -82,7 +86,7 @@ var suite = []App{
 		Workload: "TPC-C-like / 4 clients, 40% writes (N-store OPTWAL)",
 		Clients:  4, Ops: 150, Mixes: paperMix,
 		open: func(rt *persist.Runtime, _ workload.Mix, clients int, seed int64, check bool) (func(int, int), Oracle) {
-			db := nstore.Open(rt, nstore.Config{})
+			db := nstore.Open(rt)
 			s, o := pick[nstore.Store](db, check, func() Oracle { return newNStoreOracle(db) })
 			return nstore.SetupTPCC(rt, s, clients, seed).Op, o
 		},
@@ -92,7 +96,7 @@ var suite = []App{
 		Workload: "redis-cli lru-test / 1 million keys",
 		Clients:  1, Ops: 1200, Mixes: bothMixes, serial: true,
 		open: func(rt *persist.Runtime, mix workload.Mix, _ int, seed int64, check bool) (func(int, int), Oracle) {
-			kv, o := wrapKV[string, string](redisstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 4096), check)
+			kv, o := wrapKV[string, string](redisstore.New(rt, nvml.Open(rt, poolBlocks, nvml.Options{}), 4096), check)
 			return redisstore.Setup(rt, kv, mix, seed).Op, o
 		},
 	},
@@ -101,7 +105,7 @@ var suite = []App{
 		Workload: "4 clients, INSERT transactions",
 		Clients:  4, Ops: 250, Mixes: bothMixes,
 		open: func(rt *persist.Runtime, mix workload.Mix, clients int, seed int64, check bool) (func(int, int), Oracle) {
-			kv, o := wrapKV[uint64, uint64](ctree.New(rt, nvml.Open(rt, 1<<15, nvml.Options{})), check)
+			kv, o := wrapKV[uint64, uint64](ctree.New(rt, nvml.Open(rt, poolBlocks, nvml.Options{})), check)
 			return ctree.Setup(rt, kv, mix, clients, seed).Op, o
 		},
 	},
@@ -110,7 +114,7 @@ var suite = []App{
 		Workload: "4 clients, INSERT transactions",
 		Clients:  4, Ops: 250, Mixes: bothMixes,
 		open: func(rt *persist.Runtime, mix workload.Mix, clients int, seed int64, check bool) (func(int, int), Oracle) {
-			kv, o := wrapKV[uint64, uint64](hashstore.New(rt, nvml.Open(rt, 1<<15, nvml.Options{}), 4096), check)
+			kv, o := wrapKV[uint64, uint64](hashstore.New(rt, nvml.Open(rt, poolBlocks, nvml.Options{}), 4096), check)
 			return hashstore.Setup(rt, kv, mix, clients, seed).Op, o
 		},
 	},
@@ -119,10 +123,9 @@ var suite = []App{
 		Workload: "4 clients, reservation mix, red-black trees",
 		Clients:  4, Ops: 200, Mixes: paperMix,
 		open: func(rt *persist.Runtime, _ workload.Mix, clients int, seed int64, check bool) (func(int, int), Oracle) {
-			const relations, capacity = 512, 8
-			mgr := vacation.NewManager(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), relations, capacity)
-			s, o := pick[vacation.Store](mgr, check, func() Oracle { return newVacationOracle(mgr, relations, capacity) })
-			return vacation.Setup(rt, s, relations, clients, seed).Op, o
+			mgr := vacation.NewManager(rt, mnemosyne.New(rt, poolBlocks, mnemosyne.Options{}))
+			s, o := pick[vacation.Store](mgr, check, func() Oracle { return newVacationOracle(mgr) })
+			return vacation.Setup(rt, s, clients, seed).Op, o
 		},
 	},
 	{
@@ -130,7 +133,7 @@ var suite = []App{
 		Workload: "memslap / 4 clients, 5% SET",
 		Clients:  4, Ops: 500, Mixes: bothMixes,
 		open: func(rt *persist.Runtime, mix workload.Mix, clients int, seed int64, check bool) (func(int, int), Oracle) {
-			kv, o := wrapKV[string, string](memcache.New(rt, mnemosyne.New(rt, 1<<15, mnemosyne.Options{}), 4096, 1<<14), check)
+			kv, o := wrapKV[string, string](memcache.New(rt, mnemosyne.New(rt, poolBlocks, mnemosyne.Options{}), 4096, 1<<14), check)
 			return memcache.Setup(rt, kv, mix, clients, seed).Op, o
 		},
 	},

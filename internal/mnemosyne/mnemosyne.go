@@ -376,10 +376,9 @@ func (tx *Tx) clearLog(logBase mem.Addr) {
 }
 
 // Recover replays any committed-but-uncleared transaction logs after a
-// crash and resets the logs. It must be called once per thread log before
-// the heap is used; it also rebuilds the allocator's volatile indexes when
-// rebuildAlloc is set.
-func (h *Heap) Recover(th *persist.Thread, rebuildAlloc bool) {
+// crash, resets the logs and rebuilds the allocator's volatile indexes. It
+// must be called before the heap is used again.
+func (h *Heap) Recover(th *persist.Thread) {
 	for _, logBase := range h.logs {
 		if th.LoadU64(logBase+stateOffset) == logCommitted {
 			// Replay: apply each record in order.
@@ -402,9 +401,7 @@ func (h *Heap) Recover(th *persist.Thread, rebuildAlloc bool) {
 		th.Fence()
 		h.zeroLog(th, logBase)
 	}
-	if rebuildAlloc {
-		h.alloc.Recover(th)
-	}
+	h.alloc.Recover(th)
 }
 
 func (h *Heap) zeroLog(th *persist.Thread, logBase mem.Addr) {

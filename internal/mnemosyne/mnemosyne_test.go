@@ -156,7 +156,7 @@ func TestCrashBeforeCommitRollsForwardNothing(t *testing.T) {
 		})
 	}()
 	rt.Crash(pmem.Strict, 1)
-	h.Recover(th, true)
+	h.Recover(th)
 	if got := th.Load(a, 8); !bytes.Equal(got, []byte("original")) {
 		t.Fatalf("after crash+recover = %q, want original", got)
 	}
@@ -182,7 +182,7 @@ func TestCrashAfterCommitRecordReplays(t *testing.T) {
 	th.Fence()
 
 	rt.Crash(pmem.Strict, 2)
-	h.Recover(th, true)
+	h.Recover(th)
 	if got := th.Load(a, 8); !bytes.Equal(got, []byte("replayed")) {
 		t.Fatalf("after crash+recover = %q, want replayed", got)
 	}
@@ -226,7 +226,7 @@ func TestCrashAtEveryEpochBoundary(t *testing.T) {
 		// prefix by crashing adversarially with a seed derived from k.
 		_ = f0
 		rt.Crash(pmem.Adversarial, int64(k*7919+1))
-		h.Recover(th, true)
+		h.Recover(th)
 		got := th.Load(a, 8)
 		if !bytes.Equal(got, oldVal) && !bytes.Equal(got, newVal) {
 			t.Fatalf("k=%d: torn value %q after recovery", k, got)
@@ -302,7 +302,7 @@ func TestTransactionAtomicityQuick(t *testing.T) {
 				return nil
 			})
 			rt.Crash(pmem.Strict, 3)
-			h.Recover(th, true)
+			h.Recover(th)
 			for i, v := range vals {
 				if th.LoadU64(a+mem.Addr(i*8)) != v {
 					return false
@@ -321,7 +321,7 @@ func TestTransactionAtomicityQuick(t *testing.T) {
 			})
 		}()
 		rt.Crash(pmem.Strict, 4)
-		h.Recover(th, true)
+		h.Recover(th)
 		for i := range vals {
 			if th.LoadU64(a+mem.Addr(i*8)) != 0 {
 				return false

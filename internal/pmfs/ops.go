@@ -19,33 +19,13 @@ type Info struct {
 }
 
 // Create makes an empty regular file. It fails if the file exists.
-func (fs *FS) Create(th *persist.Thread, path string) error {
-	th.TxBegin()
-	defer th.TxEnd()
-	dir, name, err := fs.resolveParent(th, path)
-	if err != nil {
-		return err
-	}
-	if _, err := fs.lookupEntry(th, dir, name); err == nil {
-		return ErrExists
-	}
-	mt := fs.jrnl.begin(th)
-	ino, err := fs.allocInode(th, mt, typeFile)
-	if err != nil {
-		mt.abort()
-		return err
-	}
-	if err := fs.addDirent(th, mt, dir, name, ino); err != nil {
-		mt.abort()
-		fs.freeInodes = append(fs.freeInodes, ino)
-		return err
-	}
-	mt.commit()
-	return nil
-}
+func (fs *FS) Create(th *persist.Thread, path string) error { return fs.create(th, path, typeFile) }
 
 // Mkdir makes an empty directory.
-func (fs *FS) Mkdir(th *persist.Thread, path string) error {
+func (fs *FS) Mkdir(th *persist.Thread, path string) error { return fs.create(th, path, typeDir) }
+
+// create makes an empty inode of type typ at path, failing if path exists.
+func (fs *FS) create(th *persist.Thread, path string, typ uint64) error {
 	th.TxBegin()
 	defer th.TxEnd()
 	dir, name, err := fs.resolveParent(th, path)
@@ -56,7 +36,7 @@ func (fs *FS) Mkdir(th *persist.Thread, path string) error {
 		return ErrExists
 	}
 	mt := fs.jrnl.begin(th)
-	ino, err := fs.allocInode(th, mt, typeDir)
+	ino, err := fs.allocInode(th, mt, typ)
 	if err != nil {
 		mt.abort()
 		return err
