@@ -24,7 +24,10 @@
 // usage errors.
 //
 // -debug-addr serves net/http/pprof and expvar (the live metrics snapshot
-// is published as the "whisper" expvar) for profiling long sweeps.
+// is published as the "whisper" expvar) for profiling long sweeps. A live
+// scrape sees the persist_* instruments as of each thread's last
+// transaction boundary: a thread publishes its fences at TxEnd, not at
+// every fence inside a transaction.
 package main
 
 import (
@@ -92,7 +95,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *debugAddr != "" {
 		// The metrics registry is atomic end to end, so scraping it while
-		// benchmarks run is safe and does not perturb them.
+		// benchmarks run is safe and does not perturb them. Device counters
+		// are published when a run ends.
 		expvar.Publish("whisper", expvar.Func(func() any {
 			return obs.Default().Snapshot()
 		}))

@@ -57,7 +57,13 @@ type Config struct {
 	NoTrace bool
 }
 
-// Runtime binds a device, clock and trace for one application run.
+// Runtime binds a device, clock and trace for one application run. Its
+// instruments — persist_epoch_lines, the size in cache-line touches of
+// every epoch the run closes (the paper's Figure 3 dimension), and each
+// thread's persist_ordering_points_total — come from the configured
+// registry once per run; the threads publish to them (see Thread), and
+// they never touch the simulated clock or trace, so metrics on or off the
+// run is byte-identical.
 type Runtime struct {
 	Dev   *pmem.Device
 	Clock *mem.Clock
@@ -68,13 +74,6 @@ type Runtime struct {
 	cfg     Config
 	threads []*Thread
 	onEvent func(trace.Event)
-
-	// epochLines records the size, in cache-line touches, of every epoch
-	// the run closes (the paper's Figure 3 dimension). Instruments come
-	// from the process-wide obs registry, are cached here once per run,
-	// and never touch the simulated clock or trace — metrics on or off,
-	// the run is byte-identical.
-	epochLines *obs.Histogram
 }
 
 // NewRuntime creates a runtime for app running under the given access layer
@@ -103,12 +102,13 @@ func NewRuntime(app, layer string, nthreads int, cfg Config) *Runtime {
 		}
 		return l
 	}
-	r.epochLines = reg.Histogram("persist_epoch_lines",
+	epochLines := reg.Histogram("persist_epoch_lines",
 		labels(), 1, 2, 4, 8, 16, 32, 64, 128, 256)
 	r.threads = make([]*Thread, nthreads)
 	for i := range r.threads {
 		r.threads[i] = &Thread{
 			rt: r, id: pmem.ThreadID(i),
+			epochs: obs.NewTally(epochLines),
 			orderingPoints: reg.Counter("persist_ordering_points_total",
 				labels("thread", fmt.Sprint(i))),
 		}
@@ -127,13 +127,11 @@ func (r *Runtime) Threads() int { return len(r.threads) }
 // A KCrash event marks the failure in the trace so durability analyses
 // (pmsan) reset their cache state instead of carrying dirty lines and
 // open transactions across the power loss. The event bypasses the event
-// hook: it is not a device operation a checker could stop on.
+// hook: it is not a device operation a checker could stop on. Every
+// thread publishes its fences before its transaction is abandoned.
 func (r *Runtime) Crash(mode pmem.CrashMode, seed int64) {
 	r.Dev.Crash(mode, seed)
-	for _, th := range r.threads {
-		th.txDepth = 0
-		th.epochLineTouches = 0 // the open epoch never closed; don't record it
-	}
+	r.resetThreads()
 	if !r.cfg.NoTrace {
 		r.Trace.Append(trace.Event{Time: r.Clock.Now(), Kind: trace.KCrash})
 	}
@@ -158,7 +156,9 @@ type crashSignal struct{}
 // after the n-th event's device operation, before the unwind — which is
 // where a caller clones the device. The result is whether fn was stopped;
 // false means fn emitted fewer than n events and ran to completion. The
-// runtime's event hook is taken over for the call and cleared after it.
+// runtime's event hook is taken over for the call and cleared after it,
+// and every thread publishes its fences on the way out, so the registry
+// counts the fences of a transaction the stop left open.
 func (r *Runtime) AbortAt(n int, atStop func(), fn func()) (aborted bool) {
 	r.onEvent = func(trace.Event) {
 		if n--; n == 0 {
@@ -170,6 +170,9 @@ func (r *Runtime) AbortAt(n int, atStop func(), fn func()) (aborted bool) {
 	}
 	defer func() {
 		r.onEvent = nil
+		for _, th := range r.threads {
+			th.publish()
+		}
 		if p := recover(); p != nil {
 			if _, ok := p.(crashSignal); !ok {
 				panic(p)
@@ -183,30 +186,50 @@ func (r *Runtime) AbortAt(n int, atStop func(), fn func()) (aborted bool) {
 
 // Reboot replaces the runtime's device with dev — typically a crash image —
 // and resets all per-thread volatile state (open transactions and epochs
-// are abandoned, like CPU state across a power failure). The trace keeps
-// recording, so recovery-path PM traffic is visible to analysis.
+// are abandoned, like CPU state across a power failure, after every thread
+// publishes its fences). The trace keeps recording, so recovery-path PM
+// traffic is visible to analysis.
 func (r *Runtime) Reboot(dev *pmem.Device) {
 	r.Dev = dev
+	r.resetThreads()
+}
+
+// resetThreads abandons every thread's open transaction and epoch, as a
+// power failure does, after publishing the fences the threads issued.
+func (r *Runtime) resetThreads() {
 	for _, th := range r.threads {
+		th.publish()
 		th.txDepth = 0
-		th.epochLineTouches = 0
+		th.epochLineTouches = 0 // the open epoch never closed; don't record it
 	}
 }
 
 // Thread is a logical hardware-thread context. All persistent operations
 // are methods on Thread so that every event carries its thread ID, which
 // the epoch analysis needs for the self-/cross-dependency study (Fig. 5).
+//
+// A thread counts its fences and the sizes of the epochs they close in
+// plain fields and publishes them to the runtime's instruments at TxEnd,
+// at a fence outside a transaction, and at the runtime's Crash, Reboot and
+// AbortAt exit: a fence inside a transaction costs no atomic instruction,
+// and the registry is exact whenever no transaction is open. A run that
+// panics out of an open transaction (redis at its pool ceiling) leaves
+// that transaction's fences out of the registry.
 type Thread struct {
 	rt      *Runtime
 	id      pmem.ThreadID
 	txDepth int
 
 	// epochLineTouches counts cache-line touches by PM stores in the
-	// current epoch; observed into the runtime's epoch-size histogram at
-	// the fence that closes the epoch.
+	// current epoch; tallied into epochs at the fence that closes the
+	// epoch.
 	epochLineTouches uint64
-	// orderingPoints counts the thread's fences (the paper's ordering
-	// points, §5.1).
+	// fences counts the thread's fences (the paper's ordering points,
+	// §5.1) and epochs the sizes of the epochs they closed, both since the
+	// last publish, which adds them to orderingPoints and the runtime's
+	// persist_epoch_lines histogram.
+	fences         uint64
+	epochs         obs.Tally
 	orderingPoints *obs.Counter
 
 	// flushHook, when set, observes every non-empty flush this thread
@@ -309,11 +332,24 @@ func (t *Thread) Fence() {
 	// models; this charge only shapes the trace's wall-clock (Table 1).
 	t.tick(trace.Charge(trace.KFence, pending))
 	t.emit(trace.KFence, 0, 0)
-	t.orderingPoints.Inc()
+	t.fences++
 	if t.epochLineTouches > 0 {
-		t.rt.epochLines.Observe(t.epochLineTouches)
+		t.epochs.Observe(t.epochLineTouches)
 		t.epochLineTouches = 0
 	}
+	if t.txDepth == 0 {
+		t.publish()
+	}
+}
+
+// publish adds the fences and epoch sizes the thread has counted since the
+// last publish to the runtime's instruments and zeroes its counts.
+func (t *Thread) publish() {
+	if t.fences != 0 {
+		t.orderingPoints.Add(t.fences)
+		t.fences = 0
+	}
+	t.epochs.Flush()
 }
 
 // TxBegin marks the start of a durable transaction. Transactions may not
@@ -332,6 +368,7 @@ func (t *Thread) TxEnd() {
 		panic(fmt.Sprintf("persist: TxEnd without TxBegin on thread %d", t.id))
 	}
 	t.txDepth = 0
+	t.publish()
 	t.emit(trace.KTxEnd, 0, 0)
 }
 

@@ -414,6 +414,54 @@ func TestAbortAt(t *testing.T) {
 	rt.AbortAt(1, nil, func() { panic("bug") })
 }
 
+// TestFenceInstrumentsAtEveryCut: fences issued inside an open transaction
+// reach the registry at TxEnd, at Crash, at Reboot and when AbortAt stops
+// the run — three fences, two of them closing epochs of 1 and 3 line
+// touches — and not before.
+func TestFenceInstrumentsAtEveryCut(t *testing.T) {
+	const (
+		points = `persist_ordering_points_total{app=cut,thread=0}`
+		epochs = `persist_epoch_lines{app=cut}`
+	)
+	for _, cut := range []struct {
+		name string
+		cut  func(rt *Runtime)
+	}{
+		{"TxEnd", func(rt *Runtime) { rt.Thread(0).TxEnd() }},
+		{"Crash", func(rt *Runtime) { rt.Crash(pmem.Strict, 1) }},
+		{"Reboot", func(rt *Runtime) { rt.Reboot(rt.Dev.Clone()) }},
+		{"AbortAt", func(rt *Runtime) {
+			// Stop at the load that follows the third fence.
+			if !rt.AbortAt(1, nil, func() { rt.Thread(0).LoadU64(rt.Dev.Mapped() - 8) }) {
+				t.Fatal("AbortAt did not stop at the load")
+			}
+		}},
+	} {
+		reg := obs.NewRegistry()
+		rt := NewRuntime("cut", "native", 1, Config{Metrics: reg})
+		th := rt.Thread(0)
+		a := rt.Dev.Map(4 * mem.LineSize)
+		th.TxBegin()
+		th.StoreU64(a, 1)
+		th.Fence()
+		th.Store(a, make([]byte, 2*mem.LineSize+1))
+		th.Flush(a, 2*mem.LineSize+1)
+		th.Fence()
+		th.Fence()
+		if snap := reg.Snapshot(); snap.Counters[points] != 0 || snap.Histograms[epochs].Count != 0 {
+			t.Fatalf("%s: fences inside the transaction reached the registry before a cut: %d points, %d epochs",
+				cut.name, snap.Counters[points], snap.Histograms[epochs].Count)
+		}
+		cut.cut(rt)
+		snap := reg.Snapshot()
+		h := snap.Histograms[epochs]
+		if snap.Counters[points] != 3 || h.Count != 2 || h.Sum != 4 || h.Counts[0] != 1 || h.Counts[2] != 1 {
+			t.Errorf("%s: %d ordering points, epochs %+v; want 3 points and epochs of 1 and 3 lines",
+				cut.name, snap.Counters[points], h)
+		}
+	}
+}
+
 func TestFlushHookObservesFlushes(t *testing.T) {
 	rt := newRT(t)
 	th := rt.Thread(0)

@@ -46,7 +46,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 )
@@ -112,7 +111,8 @@ const maxSpareBlocks = 64
 // the last ResetStats. Memory-operation counters (Stores, NTStores, Loads,
 // Flushes) count one per 64 B line touched, matching how the paper counts
 // PM accesses: a store spanning three lines is three stores, exactly as a
-// flush of three lines is three CLWBs.
+// flush of three lines is three CLWBs. The device counts in plain fields,
+// on the goroutine driving it, like the rest of its state.
 type Stats struct {
 	Stores       uint64 // cacheable PM stores (per line touched)
 	NTStores     uint64 // non-temporal PM stores (per line touched)
@@ -122,50 +122,6 @@ type Stats struct {
 	LinesPersist uint64 // lines made durable by fences
 	BytesStored  uint64 // bytes written to PM (cacheable + NTI)
 	Crashes      uint64 // injected crashes
-}
-
-// deviceStats is the device's internal counter block. Every field is
-// atomic so that Stats/ResetStats may be called from a metrics scraper (or
-// the parallel suite runner's bookkeeping) concurrently with the single
-// goroutine driving device operations, without a data race. Hot paths
-// accumulate per-call tallies locally and publish them with one atomic add
-// per counter, so the store path pays at most two uncontended atomic adds
-// per operation regardless of how many lines it spans.
-type deviceStats struct {
-	stores       atomic.Uint64
-	ntStores     atomic.Uint64
-	loads        atomic.Uint64
-	flushes      atomic.Uint64
-	fences       atomic.Uint64
-	linesPersist atomic.Uint64
-	bytesStored  atomic.Uint64
-	crashes      atomic.Uint64
-}
-
-// load copies the counters into the public value struct.
-func (s *deviceStats) load() Stats {
-	return Stats{
-		Stores:       s.stores.Load(),
-		NTStores:     s.ntStores.Load(),
-		Loads:        s.loads.Load(),
-		Flushes:      s.flushes.Load(),
-		Fences:       s.fences.Load(),
-		LinesPersist: s.linesPersist.Load(),
-		BytesStored:  s.bytesStored.Load(),
-		Crashes:      s.crashes.Load(),
-	}
-}
-
-// store overwrites the counters from the public value struct.
-func (s *deviceStats) store(v Stats) {
-	s.stores.Store(v.Stores)
-	s.ntStores.Store(v.NTStores)
-	s.loads.Store(v.Loads)
-	s.flushes.Store(v.Flushes)
-	s.fences.Store(v.Fences)
-	s.linesPersist.Store(v.LinesPersist)
-	s.bytesStored.Store(v.BytesStored)
-	s.crashes.Store(v.Crashes)
 }
 
 // CrashMode selects the crash adversary.
@@ -227,12 +183,12 @@ type threadBuf struct {
 }
 
 // Device is the simulated PM device plus the volatile machinery (caches,
-// WCBs) in front of it. Memory operations are not safe for concurrent use;
-// the deterministic scheduler (internal/sched) serializes all access, and
-// the parallel suite runner gives every run its own Device. The stats
-// counters are the exception: Stats and ResetStats are atomic and may be
-// called from another goroutine (a metrics scraper, the suite runner's
-// bookkeeping) while operations are in flight.
+// WCBs) in front of it. No method is safe for concurrent use, Stats and
+// ResetStats included: the deterministic scheduler (internal/sched)
+// serializes all access, the parallel suite runner gives every run its own
+// Device, and whoever reads the counters does so on the goroutine driving
+// the device or after a happens-before edge from it (the run's end, a lock,
+// a channel receive).
 type Device struct {
 	// pages is the image: every page ever written, flushed or persisted.
 	// lastIdx/lastPg cache the page used last (lastIdx is noPage when
@@ -257,7 +213,7 @@ type Device struct {
 	threads []threadBuf
 
 	next  mem.Addr // bump pointer for Map
-	stats deviceStats
+	stats Stats
 }
 
 // New creates an empty device whose persistent range starts at mem.PMBase.
@@ -437,8 +393,8 @@ func (d *Device) Store(tid ThreadID, a mem.Addr, data []byte) {
 		}
 		lines++
 	}
-	d.stats.stores.Add(lines)
-	d.stats.bytesStored.Add(uint64(len(data)))
+	d.stats.Stores += lines
+	d.stats.BytesStored += uint64(len(data))
 }
 
 // StoreNT performs non-temporal stores: the bytes bypass the cache, land in
@@ -467,8 +423,8 @@ func (d *Device) StoreNT(tid ThreadID, a mem.Addr, data []byte) {
 		}
 		lines++
 	}
-	d.stats.ntStores.Add(lines)
-	d.stats.bytesStored.Add(uint64(len(data)))
+	d.stats.NTStores += lines
+	d.stats.BytesStored += uint64(len(data))
 }
 
 // Load reads size bytes at a from the live image into a fresh slice.
@@ -498,7 +454,7 @@ func (d *Device) LoadInto(tid ThreadID, a mem.Addr, out []byte) {
 		}
 		lines++
 	}
-	d.stats.loads.Add(lines)
+	d.stats.Loads += lines
 }
 
 // Flush issues CLWB for every line overlapping [a, a+size). The current
@@ -514,7 +470,7 @@ func (d *Device) Flush(tid ThreadID, a mem.Addr, size int) {
 		f.put(l, &d.page(l).data[mem.PageIndex(l)])
 		l++
 	}
-	d.stats.flushes.Add(uint64(n))
+	d.stats.Flushes += uint64(n)
 }
 
 // Fence issues SFENCE for tid: all of the thread's outstanding flushes and
@@ -528,7 +484,7 @@ func (d *Device) Fence(tid ThreadID) {
 		d.drain(&b.flushed)
 		d.drain(&b.wcb)
 	}
-	d.stats.fences.Add(1)
+	d.stats.Fences++
 }
 
 // drain persists every pending snapshot of s and empties it.
@@ -540,7 +496,7 @@ func (d *Device) drain(s *lineSet) {
 	for i, l := range lines {
 		d.persistLine(l, &s.snaps[i])
 	}
-	d.stats.linesPersist.Add(uint64(len(lines)))
+	d.stats.LinesPersist += uint64(len(lines))
 	s.reset()
 }
 
@@ -617,7 +573,7 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 				kept++
 			}
 		}
-		d.stats.linesPersist.Add(kept)
+		d.stats.LinesPersist += kept
 	}
 	// Reset volatile state: every stale line takes its durable value back.
 	for _, f := range d.inflight {
@@ -634,7 +590,7 @@ func (d *Device) Crash(mode CrashMode, seed int64) {
 	for i := range d.threads {
 		d.threads[i] = threadBuf{}
 	}
-	d.stats.crashes.Add(1)
+	d.stats.Crashes++
 }
 
 // Durable reads size bytes at a from the durable image (what a crash right
@@ -691,14 +647,13 @@ func (d *Device) PendingFlushes(tid ThreadID) int {
 	return d.threads[tid].flushed.keys.Len()
 }
 
-// Stats returns a copy of the device counters. Safe to call concurrently
-// with device operations (the counters are atomics); the copy is a
-// near-point-in-time view, not a synchronized snapshot.
-func (d *Device) Stats() Stats { return d.stats.load() }
+// Stats returns a copy of the device counters. Like every other method, it
+// runs on the goroutine driving the device or after a happens-before edge
+// from it.
+func (d *Device) Stats() Stats { return d.stats }
 
-// ResetStats zeroes the device counters. Like Stats, it is safe against
-// concurrent device operations.
-func (d *Device) ResetStats() { d.stats.store(Stats{}) }
+// ResetStats zeroes the device counters, under the same rule as Stats.
+func (d *Device) ResetStats() { d.stats = Stats{} }
 
 // Mapped returns the device's bump pointer: the first unmapped persistent
 // address. Together with DurableImage it fully describes the durable state.
@@ -716,8 +671,8 @@ func (d *Device) Clone() *Device {
 		inflight: make([]inflightPage, len(d.inflight)),
 		ndirty:   d.ndirty,
 		next:     d.next,
+		stats:    d.stats,
 	}
-	c.stats.store(d.stats.load())
 	pages, blocks := make([]page, 0, len(d.pages)), make([]block, 0, len(d.pages))
 	for idx, pg := range d.pages {
 		blocks = append(blocks, *pg.data)

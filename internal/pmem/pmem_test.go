@@ -317,44 +317,35 @@ func TestNonPMAddressPanics(t *testing.T) {
 	d.Store(0, 0x1000, []byte{1})
 }
 
-// TestStatsConcurrentReaders runs memory operations while another goroutine
-// hammers Stats/ResetStats. Memory operations themselves stay single-
-// threaded (the scheduler serializes them); only the stats accessors are
-// documented as safe to call concurrently, and under -race this test proves
-// it. It also checks the final counts survive the concurrent readers.
-func TestStatsConcurrentReaders(t *testing.T) {
+// TestStatsAfterHandoff runs memory operations on one goroutine and reads
+// the counters on another after a channel receive — the happens-before edge
+// every reader of a device's counters has. The counts are exact, ResetStats
+// zeroes them, and under -race the hand-off is the only synchronisation the
+// plain counters need.
+func TestStatsAfterHandoff(t *testing.T) {
 	d := New()
 	a := d.Map(4096)
 	const rounds = 2000
-	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				s := d.Stats()
-				// Counters are monotonic between resets; a torn read
-				// would show flushes without the stores that fed them.
-				if s.Flushes > 0 && s.Stores == 0 {
-					t.Error("stats read saw flushes before any store")
-					return
-				}
-			}
+		for i := 0; i < rounds; i++ {
+			d.Store(0, a, []byte{byte(i)})
+			d.StoreNT(1, a+64, []byte{byte(i), 1})
+			d.LoadInto(0, a, make([]byte, 1))
+			d.Flush(0, a, 1)
+			d.Fence(0)
+			d.Fence(1)
 		}
 	}()
-	for i := 0; i < rounds; i++ {
-		d.Store(0, a, []byte{byte(i)})
-		d.Flush(0, a, 1)
-		d.Fence(0)
-	}
-	close(stop)
 	<-done
-	s := d.Stats()
-	if s.Stores != rounds || s.Flushes != rounds || s.Fences != rounds {
-		t.Errorf("final stats %+v, want %d stores/flushes/fences", s, rounds)
+	want := Stats{Stores: rounds, NTStores: rounds, Loads: rounds, Flushes: rounds,
+		Fences: 2 * rounds, LinesPersist: 2 * rounds, BytesStored: 3 * rounds}
+	if s := d.Stats(); s != want {
+		t.Errorf("stats after the hand-off %+v, want %+v", s, want)
+	}
+	if c := d.Clone(); c.Stats() != want {
+		t.Errorf("clone's stats %+v, want %+v", c.Stats(), want)
 	}
 	d.ResetStats()
 	if d.Stats() != (Stats{}) {

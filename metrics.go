@@ -21,7 +21,9 @@ type HistogramMetric = obs.HistogramSnapshot
 //   - pmem_*_total{app}: device operation counts (stores, NT stores,
 //     loads, CLWBs, SFENCEs, lines persisted, bytes stored, crashes);
 //   - persist_epoch_lines{app} / persist_ordering_points_total{app,thread}:
-//     epoch sizes in line touches and fences per thread (Figures 3–4);
+//     epoch sizes in line touches and fences per thread (Figures 3–4),
+//     published by each thread at its transaction ends and at every fence
+//     outside a transaction, so exact once the run has returned;
 //   - hops_pb_occupancy / hops_drain_stall_cycles{app,model}: persist-
 //     buffer pressure in the Figure 10 replay, added when each replay
 //     finishes, not per observation;

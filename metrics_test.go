@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
+
+	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // TestMetricsCoverEveryApp pins the tentpole's acceptance contract: running
@@ -26,6 +30,54 @@ func TestMetricsCoverEveryApp(t *testing.T) {
 		}
 		if snap.Histograms[fmt.Sprintf("persist_epoch_lines{app=%s}", name)].Count == 0 {
 			t.Errorf("persist_epoch_lines{app=%s} recorded no epochs", name)
+		}
+	}
+}
+
+// TestMetricsMatchTheTrace holds the persist instruments to the run they
+// describe, for every suite member after Run: the threads' ordering points
+// sum to the device's fence count, and persist_epoch_lines holds one
+// observation per fence that closed an epoch with a store or NT-store line
+// touch on its thread, summing to those epochs' line touches as the
+// retained trace gives them. An instrument published late, or not at all,
+// fails it.
+func TestMetricsMatchTheTrace(t *testing.T) {
+	defer ResetMetrics()
+	for _, name := range Names() {
+		ResetMetrics()
+		rep, err := Run(name, Config{Ops: 20, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := Metrics()
+		var points uint64
+		for k, v := range snap.Counters {
+			if strings.HasPrefix(k, "persist_ordering_points_total{app="+name+",") {
+				points += v
+			}
+		}
+		if fences := snap.Counters["pmem_fences_total{app="+name+"}"]; points != fences || fences == 0 {
+			t.Errorf("%s: threads' ordering points sum to %d, the device fenced %d times", name, points, fences)
+		}
+		touches := make(map[int32]uint64)
+		var epochs, lines uint64
+		for _, chunk := range rep.Trace.tr.Chunks() {
+			for _, e := range chunk {
+				switch e.Kind {
+				case trace.KStore, trace.KStoreNT:
+					touches[e.TID] += uint64(mem.LinesSpanned(e.Addr, int(e.Size)))
+				case trace.KFence:
+					if n := touches[e.TID]; n > 0 {
+						epochs, lines = epochs+1, lines+n
+						touches[e.TID] = 0
+					}
+				}
+			}
+		}
+		h := snap.Histograms["persist_epoch_lines{app="+name+"}"]
+		if h.Count != epochs || h.Sum != lines || epochs == 0 {
+			t.Errorf("%s: persist_epoch_lines count %d sum %d, the trace closes %d epochs of %d line touches",
+				name, h.Count, h.Sum, epochs, lines)
 		}
 	}
 }
