@@ -175,26 +175,34 @@ func TestMultiSlabRecover(t *testing.T) {
 	rt, th := newRT()
 	m := NewMultiSlab(rt, 128)
 	a := m.Alloc(th, 64)
-	_ = m.Alloc(th, 64)
+	b := m.Alloc(th, 64)
 	m.Free(th, a)
 	rt.Crash(pmem.Strict, 1)
 	m.Recover(th)
 	if allocated(th, m) != 1 {
 		t.Fatalf("Allocated after recover = %d, want 1", allocated(th, m))
 	}
-	// Freshly allocated blocks must not collide with the surviving one.
-	for i := 0; i < 10; i++ {
-		if b := m.Alloc(th, 64); b == a {
-			// a was freed before the crash and may be reused — but only once.
-			a = 0
-			continue
+	// Drain the class: the surviving block b must never come back, and a,
+	// freed before the crash, exactly once.
+	seen := map[mem.Addr]bool{}
+	for x := m.Alloc(th, 64); x != 0; x = m.Alloc(th, 64) {
+		if x == b {
+			t.Fatalf("Alloc after Recover returned the live block %v", b)
 		}
+		if seen[x] {
+			t.Fatalf("Alloc after Recover returned %v twice", x)
+		}
+		seen[x] = true
+	}
+	if len(seen) != 127 || !seen[a] {
+		t.Fatalf("drained %d blocks (a handed out: %v), want 127 with a", len(seen), seen[a])
 	}
 }
 
-// eagerFree is the free index NewMultiSlab built before it went lazy, kept
-// as the oracle for the order blocks are handed out in: every block pushed
-// at construction, highest first, onto its stripe's stack.
+// eagerFree is the free index NewMultiSlab and Recover built a block at a
+// time before the index went a word at a time, kept as the oracle for the
+// order blocks are handed out in: every block pushed at construction,
+// highest first, onto its stripe's stack.
 type eagerFree [stripes][]int
 
 func newEagerFree(perSlab int) *eagerFree {
@@ -219,67 +227,153 @@ func (e *eagerFree) pop(tid int) (int, bool) {
 	return 0, false
 }
 
-// recover rebuilds the stacks from the live blocks as Recover does from
-// the bitmaps: words ascending, bits descending.
-func (e *eagerFree) recover(perSlab int, live map[int]bool) {
+// recover rebuilds the stacks from bitmap words as Recover once did: words
+// ascending, bits descending, every clear bit pushed.
+func (e *eagerFree) recover(words []uint64) {
 	for i := range e {
 		e[i] = e[i][:0]
 	}
-	for w := 0; w < perSlab/64; w++ {
+	for w, v := range words {
 		for b := 63; b >= 0; b-- {
-			if !live[w*64+b] {
+			if v&(1<<uint(b)) == 0 {
 				e.push(w*64 + b)
 			}
 		}
 	}
 }
 
-// TestMultiSlabPopOrderMatchesEager: the lazily built free lists hand out
-// blocks in exactly the order the eager ones did, over random runs of
-// allocations from several threads, frees of random live blocks and
-// Recovers, through exhaustion of whole stripes and classes. The order is
-// what every sim_digest and golden depends on.
+// bitmapWords reads c's persistent bitmap.
+func bitmapWords(th *persist.Thread, c *slabClass) []uint64 {
+	words := make([]uint64, c.perSlab/64)
+	for w := range words {
+		words[w] = th.LoadU64(c.bitmaps + mem.Addr(w*8))
+	}
+	return words
+}
+
+// orderAllocator is what TestMultiSlabPopOrderMatchesEager drives: one of
+// the two bitmap allocators, seen through the block bases of the class
+// under test.
+type orderAllocator struct {
+	class   *slabClass
+	events  int                               // PM events in an Alloc
+	alloc   func(th *persist.Thread) mem.Addr // a block base of the class, or 0
+	free    func(th *persist.Thread, base mem.Addr)
+	recover func(th *persist.Thread)
+}
+
+func newOrderAllocator(logged bool, rt *persist.Runtime, per int, rng *rand.Rand) orderAllocator {
+	if !logged {
+		m := NewMultiSlab(rt, per)
+		return orderAllocator{
+			class:   m.classes[1], // the 32-byte class
+			events:  4,
+			alloc:   func(th *persist.Thread) mem.Addr { return m.Alloc(th, 17+rng.Intn(16)) },
+			free:    m.Free,
+			recover: m.Recover,
+		}
+	}
+	g := NewLogged(rt, per)
+	return orderAllocator{
+		class:  g.inner.classes[1], // 32 bytes with the header
+		events: 18,
+		alloc: func(th *persist.Thread) mem.Addr {
+			if a := g.Alloc(th, 1+rng.Intn(16)); a != 0 {
+				return a - objHeaderSize
+			}
+			return 0
+		},
+		free:    func(th *persist.Thread, base mem.Addr) { g.Free(th, base+objHeaderSize) },
+		recover: g.Recover,
+	}
+}
+
+// TestMultiSlabPopOrderMatchesEager: the word-at-a-time free indexes hand
+// out blocks in exactly the order the eager per-block stacks did, for
+// MultiSlab and for Logged, over random runs of allocations from several
+// threads, frees of random live blocks and Recovers, through exhaustion of
+// whole stripes and classes. In the crash runs a Recover follows an Alloc
+// or Free stopped at a random event and an Adversarial crash, and the
+// oracle is rebuilt from the durable bitmap words. The order is what every
+// sim_digest and golden depends on.
 func TestMultiSlabPopOrderMatchesEager(t *testing.T) {
-	for _, per := range []int{64, 128, 1000, 2048} {
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			rt := persist.NewRuntime("alloc-test", "native", 4, persist.Config{NoTrace: true})
-			m := NewMultiSlab(rt, per)
-			c := m.classes[1] // the 32-byte class
-			ref := newEagerFree(c.perSlab)
-			live := map[int]bool{}
-			var order []int // the live blocks, for picking one to free
-			for op := 0; op < 6*c.perSlab; op++ {
-				th := rt.Thread(rng.Intn(4))
-				switch r := rng.Intn(100); {
-				case r < 60:
-					want, ok := ref.pop(th.ID())
-					a := m.Alloc(th, 17+rng.Intn(16))
-					if !ok {
-						if a != 0 {
-							t.Fatalf("per=%d seed=%d op %d: got %v from an exhausted class", per, seed, op, a)
-						}
-						continue
-					}
-					if wantA := c.data + mem.Addr(want*c.blockSize); a != wantA {
-						t.Fatalf("per=%d seed=%d op %d: thread %d got %v, eager order gives %v", per, seed, op, th.ID(), a, wantA)
-					}
-					live[want] = true
-					order = append(order, want)
-				case r < 98:
-					if len(order) == 0 {
-						continue
-					}
-					i := rng.Intn(len(order))
-					blk := order[i]
-					order[i] = order[len(order)-1]
-					order = order[:len(order)-1]
-					delete(live, blk)
-					m.Free(th, c.data+mem.Addr(blk*c.blockSize))
-					ref.push(blk)
-				default:
-					m.Recover(th)
-					ref.recover(c.perSlab, live)
+	for _, logged := range []bool{false, true} {
+		for _, crash := range []bool{false, true} {
+			for _, per := range []int{64, 128, 1000, 2048} {
+				for seed := int64(1); seed <= 4; seed++ {
+					checkPopOrder(t, logged, crash, per, seed)
+				}
+			}
+		}
+	}
+}
+
+func checkPopOrder(t *testing.T, logged, crash bool, per int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	rt := persist.NewRuntime("alloc-test", "native", 4, persist.Config{NoTrace: true})
+	m := newOrderAllocator(logged, rt, per, rng)
+	c := m.class
+	ref := newEagerFree(c.perSlab)
+	live := map[int]bool{}
+	var order []int // the live blocks, for picking one to free
+	for op := 0; op < 6*c.perSlab; op++ {
+		th := rt.Thread(rng.Intn(4))
+		switch r := rng.Intn(100); {
+		case r < 60:
+			want, ok := ref.pop(th.ID())
+			a := m.alloc(th)
+			if !ok {
+				if a != 0 {
+					t.Fatalf("logged=%v crash=%v per=%d seed=%d op %d: got %v from an exhausted class", logged, crash, per, seed, op, a)
+				}
+				continue
+			}
+			if wantA := c.data + mem.Addr(want*c.blockSize); a != wantA {
+				t.Fatalf("logged=%v crash=%v per=%d seed=%d op %d: thread %d got %v, eager order gives %v", logged, crash, per, seed, op, th.ID(), a, wantA)
+			}
+			live[want] = true
+			order = append(order, want)
+		case r < 98:
+			if len(order) == 0 {
+				continue
+			}
+			i := rng.Intn(len(order))
+			blk := order[i]
+			order[i] = order[len(order)-1]
+			order = order[:len(order)-1]
+			delete(live, blk)
+			m.free(th, c.data+mem.Addr(blk*c.blockSize))
+			ref.push(blk)
+		case !crash:
+			m.recover(th)
+			words := bitmapWords(th, c)
+			for blk := 0; blk < c.perSlab; blk++ {
+				if words[blk/64]&(1<<uint(blk%64)) != 0 != live[blk] {
+					t.Fatalf("logged=%v per=%d seed=%d op %d: bitmap and live disagree on block %d", logged, per, seed, op, blk)
+				}
+			}
+			ref.recover(words)
+		default:
+			// Stop an Alloc, or the Free of a live block, at a random event
+			// (or, past its last one, not at all), crash, recover; the
+			// durable bitmap decides which blocks are live.
+			fn := func() { m.alloc(th) }
+			if len(order) > 0 && rng.Intn(2) == 0 {
+				blk := order[rng.Intn(len(order))]
+				fn = func() { m.free(th, c.data+mem.Addr(blk*c.blockSize)) }
+			}
+			rt.AbortAt(1+rng.Intn(m.events+2), nil, fn)
+			rt.Crash(pmem.Adversarial, rng.Int63())
+			m.recover(th)
+			words := bitmapWords(th, c)
+			ref.recover(words)
+			clear(live)
+			order = order[:0]
+			for blk := 0; blk < c.perSlab; blk++ {
+				if words[blk/64]&(1<<uint(blk%64)) != 0 {
+					live[blk] = true
+					order = append(order, blk)
 				}
 			}
 		}
@@ -317,36 +411,35 @@ func TestLoggedAllocEpochCount(t *testing.T) {
 	}
 }
 
+// TestLoggedCrashAtomicity stops a second allocation at each of its 18 PM
+// events, crashes the device and recovers. The first block must stay live
+// and never be handed out again; the second is live or free, and live
+// whenever the crashed image held a committed redo record, which Recover
+// must apply.
 func TestLoggedCrashAtomicity(t *testing.T) {
-	// Crash the allocator at every epoch boundary of an allocation; after
-	// Recover the bitmap state must be consistent: either the allocation
-	// fully happened (bit set) or not at all.
-	for crashAfter := 0; crashAfter < 6; crashAfter++ {
-		rt, th := newRT()
-		g := NewLogged(rt, 128)
-		pre := g.Alloc(th, 40) // one stable allocation
-		_ = pre
-
-		// Count fences during a second allocation, crash after the k-th.
-		target := rt.Trace.CountKind(trace.KFence) + crashAfter
-		func() {
-			defer func() { recover() }() // stop mid-allocation via panic
-			fenceCount := func() int { return rt.Trace.CountKind(trace.KFence) }
-			if crashAfter < 5 {
-				// Run the allocation in a goroutine-free way: simulate by
-				// running Alloc fully, then crash — unless we can stop at
-				// the boundary. Simplest faithful approach: run Alloc fully
-				// when crashAfter >= 5.
-				_ = fenceCount
-				_ = target
+	const events = 18 // Alloc: bitmap load, four logged epochs' 13, the header's 4
+	for _, mode := range []pmem.CrashMode{pmem.Strict, pmem.Adversarial} {
+		for seed := int64(1); seed <= 8; seed++ {
+			for stop := 1; stop <= events; stop++ {
+				rt, th := newRT()
+				g := NewLogged(rt, 128)
+				pre := g.Alloc(th, 40)
+				if !rt.AbortAt(stop, nil, func() { g.Alloc(th, 40) }) {
+					t.Fatalf("Alloc ended before its event %d", stop)
+				}
+				rt.Crash(mode, seed)
+				committed := th.LoadU64(g.logs[0]+16) == logCommitted
+				g.Recover(th)
+				n := allocated(th, g.inner)
+				if n != 1 && n != 2 || committed && n != 2 {
+					t.Fatalf("mode %d seed %d stop %d: Allocated = %d with committed record %v", mode, seed, stop, n, committed)
+				}
+				for a := g.Alloc(th, 40); a != 0; a = g.Alloc(th, 40) {
+					if a == pre {
+						t.Fatalf("mode %d seed %d stop %d: Alloc after Recover returned the live block %v", mode, seed, stop, pre)
+					}
+				}
 			}
-			g.Alloc(th, 40)
-		}()
-		rt.Crash(pmem.Strict, int64(crashAfter))
-		g.Recover(th)
-		n := allocated(th, g.inner)
-		if n != 1 && n != 2 {
-			t.Fatalf("crashAfter=%d: Allocated = %d, want 1 or 2", crashAfter, n)
 		}
 	}
 }
@@ -373,5 +466,19 @@ func TestLoggedRecoverReplaysCommittedRecord(t *testing.T) {
 	}
 	if allocated(th, g.inner) != 1 {
 		t.Fatalf("Allocated = %d, want 1 (replayed allocation)", allocated(th, g.inner))
+	}
+}
+
+// BenchmarkMultiSlabRecover rebuilds the free indexes of an empty
+// allocator at the crash checker's pool size, 13 classes of 1<<15 blocks:
+// the cost every recovery of an NVML or Mnemosyne pool pays however
+// little the app allocated.
+func BenchmarkMultiSlabRecover(b *testing.B) {
+	rt := persist.NewRuntime("alloc-bench", "native", 1, persist.Config{NoTrace: true})
+	th := rt.Thread(0)
+	m := NewMultiSlab(rt, 1<<15)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Recover(th)
 	}
 }

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
@@ -28,44 +29,56 @@ const stripes = 8
 
 type slabClass struct {
 	blockSize int
-	perSlab   int            // blocks per slab
-	bitmaps   mem.Addr       // perSlab/64 persistent words
-	data      mem.Addr       // perSlab * blockSize bytes
-	free      [stripes][]int // volatile free indexes, striped by bitmap word
-
-	// fresh is, per stripe, a cursor over the blocks nobody has used yet:
-	// the stripe's blocks from the fresh[i]-th on, in ascending order, are
-	// free without being on free, so construction pushes nothing. Recover
-	// puts every free block on free and the cursors past the end.
-	fresh [stripes]int
+	perSlab   int                // blocks per slab
+	bitmaps   mem.Addr           // perSlab/64 persistent words
+	data      mem.Addr           // perSlab * blockSize bytes
+	free      [stripes]FreeWords // volatile free indexes, striped by bitmap word
 }
 
-// pop takes a free block, preferring the thread's own stripe. Within a
-// stripe the freed blocks go first, the last freed first, then the lowest
-// block never used: the order a free list holding every block, pushed
-// highest first, would give.
+// FreeWords is the volatile free index over a persistent allocation
+// bitmap: a stack of (bitmap word, free bits) pairs, one entry per word
+// rather than one per block. Pop hands out the top word's lowest free bit.
+type FreeWords []freeWord
+
+type freeWord struct {
+	w    int
+	free uint64
+}
+
+// Push puts word w's free bits on top of the stack; a zero mask is skipped.
+func (f *FreeWords) Push(w int, free uint64) {
+	if free != 0 {
+		*f = append(*f, freeWord{w, free})
+	}
+}
+
+// Pop takes the lowest free bit of the top word, dropping the word once it
+// is empty, and returns its block number w*64+bit.
+func (f *FreeWords) Pop() (int, bool) {
+	n := len(*f)
+	if n == 0 {
+		return 0, false
+	}
+	top := &(*f)[n-1]
+	blk := top.w*64 + bits.TrailingZeros64(top.free)
+	if top.free &= top.free - 1; top.free == 0 {
+		*f = (*f)[:n-1]
+	}
+	return blk, true
+}
+
+// pop takes a free block, preferring the thread's own stripe.
 func (c *slabClass) pop(tid int) (int, bool) {
-	s := tid % stripes
 	for i := 0; i < stripes; i++ {
-		idx := (s + i) % stripes
-		if n := len(c.free[idx]); n > 0 {
-			blk := c.free[idx][n-1]
-			c.free[idx] = c.free[idx][:n-1]
+		if blk, ok := c.free[(tid+i)%stripes].Pop(); ok {
 			return blk, true
-		}
-		// The j-th block of stripe idx sits in its j/64-th word, which is
-		// word j/64*stripes+idx of the slab.
-		j := c.fresh[idx]
-		if w := j/64*stripes + idx; w < c.perSlab/64 {
-			c.fresh[idx]++
-			return w*64 + j%64, true
 		}
 	}
 	return 0, false
 }
 
 func (c *slabClass) push(blk int) {
-	c.free[(blk/64)%stripes] = append(c.free[(blk/64)%stripes], blk)
+	c.free[(blk/64)%stripes].Push(blk/64, 1<<uint(blk%64))
 }
 
 // MultiSlabClasses are the supported allocation sizes. The large classes
@@ -83,12 +96,16 @@ func NewMultiSlab(rt *persist.Runtime, blocksPerClass int) *MultiSlab {
 	per := (blocksPerClass + 63) &^ 63
 	m := &MultiSlab{rt: rt}
 	for _, bs := range MultiSlabClasses {
-		m.classes = append(m.classes, &slabClass{
+		c := &slabClass{
 			blockSize: bs,
 			perSlab:   per,
 			bitmaps:   rt.Dev.Map(per / 8),
 			data:      rt.Dev.Map(per * bs),
-		})
+		}
+		for w := per/64 - 1; w >= 0; w-- {
+			c.free[w%stripes].Push(w, ^uint64(0))
+		}
+		m.classes = append(m.classes, c)
 	}
 	return m
 }
@@ -153,20 +170,15 @@ func (m *MultiSlab) locate(a mem.Addr) (*slabClass, int) {
 	panic(fmt.Sprintf("alloc: address %v not from this allocator", a))
 }
 
-// Recover rebuilds the volatile free indexes from the persistent bitmaps.
+// Recover rebuilds the volatile free indexes from the persistent bitmaps,
+// one entry per word with a free block, words pushed lowest first.
 func (m *MultiSlab) Recover(th *persist.Thread) {
 	for _, c := range m.classes {
 		for i := range c.free {
 			c.free[i] = c.free[i][:0]
-			c.fresh[i] = c.perSlab
 		}
 		for w := 0; w < c.perSlab/64; w++ {
-			v := th.LoadU64(c.bitmaps + mem.Addr(w*8))
-			for b := 63; b >= 0; b-- {
-				if v&(1<<uint(b)) == 0 {
-					c.push(w*64 + b)
-				}
-			}
+			c.free[w%stripes].Push(w, ^th.LoadU64(c.bitmaps+mem.Addr(w*8)))
 		}
 	}
 }

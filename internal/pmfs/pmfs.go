@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/whisper-pm/whisper/internal/alloc"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
 )
@@ -99,7 +100,7 @@ type FS struct {
 
 	// freeBlocks and freeInodes are volatile allocation hints rebuilt by
 	// Recover; the persistent truth is the bitmap and inode types.
-	freeBlocks []uint32
+	freeBlocks alloc.FreeWords
 	freeInodes []uint32
 }
 
@@ -136,16 +137,11 @@ func (fs *FS) blockAddr(blk uint32) mem.Addr {
 }
 
 // rebuildFreeLists scans persistent metadata to rebuild volatile
-// allocation hints (mount/recovery path).
+// allocation hints (mount/recovery path), bitmap words highest first.
 func (fs *FS) rebuildFreeLists(th *persist.Thread) {
 	fs.freeBlocks = fs.freeBlocks[:0]
 	for w := fs.opts.Blocks/64 - 1; w >= 0; w-- {
-		v := th.LoadU64(fs.bitmap + mem.Addr(w*8))
-		for b := 63; b >= 0; b-- {
-			if v&(1<<uint(b)) == 0 {
-				fs.freeBlocks = append(fs.freeBlocks, uint32(w*64+b))
-			}
-		}
+		fs.freeBlocks.Push(w, ^th.LoadU64(fs.bitmap+mem.Addr(w*8)))
 	}
 	fs.freeInodes = fs.freeInodes[:0]
 	for i := fs.opts.Inodes - 1; i >= 2; i-- { // 0 invalid, 1 root
@@ -164,11 +160,11 @@ func (fs *FS) Recover(th *persist.Thread) {
 
 // allocBlock reserves a data block inside the metadata transaction mt.
 func (fs *FS) allocBlock(th *persist.Thread, mt *mdTx) (uint32, error) {
-	if len(fs.freeBlocks) == 0 {
+	b, ok := fs.freeBlocks.Pop()
+	if !ok {
 		return 0, ErrNoSpace
 	}
-	blk := fs.freeBlocks[len(fs.freeBlocks)-1]
-	fs.freeBlocks = fs.freeBlocks[:len(fs.freeBlocks)-1]
+	blk := uint32(b)
 	word := fs.bitmap + mem.Addr(blk/64*8)
 	v := th.LoadU64(word)
 	mt.writeU64(word, v|1<<uint(blk%64))
@@ -181,7 +177,7 @@ func (fs *FS) freeBlock(th *persist.Thread, mt *mdTx, blk uint32) {
 	word := fs.bitmap + mem.Addr(blk/64*8)
 	v := th.LoadU64(word)
 	mt.writeU64(word, v&^(1<<uint(blk%64)))
-	fs.freeBlocks = append(fs.freeBlocks, blk)
+	fs.freeBlocks.Push(int(blk/64), 1<<uint(blk%64))
 	th.VStore(1)
 }
 

@@ -2,13 +2,17 @@ package pmfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/pmsan"
@@ -183,17 +187,132 @@ func TestDirentSlotReuse(t *testing.T) {
 	}
 }
 
+// freeOrder is every block fs's free index holds, in the order allocBlock
+// would hand them out.
+func freeOrder(fs *FS) []uint32 {
+	var out []uint32
+	f := slices.Clone(fs.freeBlocks)
+	for blk, ok := f.Pop(); ok; blk, ok = f.Pop() {
+		out = append(out, uint32(blk))
+	}
+	return out
+}
+
 func TestUnlinkFreesBlocks(t *testing.T) {
 	_, th, fs := newFS(t)
 	fs.Create(th, "/f") // the root directory grabs its dirent block here
-	free0 := len(fs.freeBlocks)
+	free0 := len(freeOrder(fs))
 	fs.WriteAt(th, "/f", 0, make([]byte, 5*BlockSize))
-	if len(fs.freeBlocks) >= free0 {
-		t.Fatal("write did not consume blocks")
+	if n := len(freeOrder(fs)); n != free0-5 {
+		t.Fatalf("5-block write left %d of %d blocks free", n, free0)
 	}
 	fs.Unlink(th, "/f")
-	if len(fs.freeBlocks) != free0 {
-		t.Fatalf("blocks leaked: %d -> %d", free0, len(fs.freeBlocks))
+	if n := len(freeOrder(fs)); n != free0 {
+		t.Fatalf("blocks leaked: %d -> %d", free0, n)
+	}
+}
+
+// eagerBlocks is the per-block free stack rebuildFreeLists built before
+// the free index went a word at a time, kept as the oracle for the order
+// allocBlock hands blocks out in.
+type eagerBlocks []uint32
+
+// rebuild is the old rebuildFreeLists block loop: words highest first,
+// bits descending, every clear bit pushed.
+func (e *eagerBlocks) rebuild(th *persist.Thread, fs *FS) {
+	*e = (*e)[:0]
+	for w := fs.opts.Blocks/64 - 1; w >= 0; w-- {
+		v := th.LoadU64(fs.bitmap + mem.Addr(w*8))
+		for b := 63; b >= 0; b-- {
+			if v&(1<<uint(b)) == 0 {
+				*e = append(*e, uint32(w*64+b))
+			}
+		}
+	}
+}
+
+// TestAllocBlockOrderMatchesEager: the word-at-a-time free index hands out
+// data blocks in exactly the order the per-block stack did, over random
+// runs of creates, writes, unlinks and Recovers, some Recovers following
+// an operation stopped at a random event and an Adversarial crash. An
+// event hook watches every store to the bitmap: a bit set is an
+// allocBlock, checked against the top of the eager stack, and a bit
+// cleared is a freeBlock, pushed on it.
+func TestAllocBlockOrderMatchesEager(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rt := persist.NewRuntime("pmfs-test", "pmfs", 1, persist.Config{NoTrace: true})
+		th := rt.Thread(0)
+		fs := Format(rt, th, Options{Inodes: 64, Blocks: 512})
+		var ref eagerBlocks
+		shadow := make([]uint64, fs.opts.Blocks/64) // the bitmap as the hook last saw it
+		resync := func() {
+			ref.rebuild(th, fs)
+			for w := range shadow {
+				shadow[w] = th.LoadU64(fs.bitmap + mem.Addr(w*8))
+			}
+		}
+		resync()
+		watch := func(e trace.Event) {
+			if e.Kind != trace.KStore || e.Addr < fs.bitmap || e.Addr >= fs.bitmap+mem.Addr(len(shadow)*8) {
+				return
+			}
+			w := int(e.Addr-fs.bitmap) / 8
+			v := binary.LittleEndian.Uint64(rt.Dev.Load(0, fs.bitmap+mem.Addr(w*8), 8))
+			set, cleared := v&^shadow[w], shadow[w]&^v
+			shadow[w] = v
+			if bits.OnesCount64(set|cleared) != 1 {
+				t.Fatalf("seed %d: bitmap word %d went %#x -> %#x in one store", seed, w, v^set^cleared, v)
+			}
+			if cleared != 0 {
+				ref = append(ref, uint32(w*64+bits.TrailingZeros64(cleared)))
+				return
+			}
+			blk := uint32(w*64 + bits.TrailingZeros64(set))
+			if n := len(ref); n == 0 || ref[n-1] != blk {
+				t.Fatalf("seed %d: allocBlock took %d, the eager stack's top is %v", seed, blk, ref[max(n-1, 0):])
+			}
+			ref = ref[:len(ref)-1]
+		}
+		// At most 8 files of at most 31 blocks, the indirect one included:
+		// no write runs out of space, so no transaction aborts.
+		op := func() {
+			name := fmt.Sprintf("/f%d", rng.Intn(8))
+			var err error
+			switch rng.Intn(3) {
+			case 0:
+				err = fs.Create(th, name)
+			case 1:
+				off := int64(rng.Intn(24*BlockSize + 1))
+				err = fs.WriteAt(th, name, off, make([]byte, 1+rng.Intn(6*BlockSize)))
+			default:
+				err = fs.Unlink(th, name)
+			}
+			if err != nil && !errors.Is(err, ErrExists) && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		for i := 0; i < 300; i++ {
+			switch r := rng.Intn(100); {
+			case r < 90:
+				rt.SetEventHook(watch)
+				op()
+				rt.SetEventHook(nil)
+			case r < 95:
+				fs.Recover(th)
+				resync()
+			default:
+				rt.AbortAt(1+rng.Intn(400), nil, op)
+				rt.Crash(pmem.Adversarial, rng.Int63())
+				fs.Recover(th)
+				resync()
+			}
+			want := slices.Clone(ref)
+			slices.Reverse(want)
+			if got := freeOrder(fs); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: free index hands out %v..., the eager stack %v...", seed, i, got[:min(8, len(got))], want[:min(8, len(want))])
+			}
+		}
 	}
 }
 
