@@ -29,7 +29,7 @@ func genPipelineTrace(n, threads int) *trace.Trace {
 	tr := trace.FromEvents(meta, nil)
 	clock := mem.Time(1)
 	for tr.Len() < n {
-		tid := int32(rng.Intn(threads))
+		tid := uint16(rng.Intn(threads))
 		clock += mem.Time(rng.Intn(300))
 		base := mem.PMBase + mem.Addr(rng.Intn(1<<14))*mem.LineSize
 		tr.Append(trace.Event{Kind: trace.KTxBegin, TID: tid, Time: clock})
@@ -215,7 +215,7 @@ func (g *genSource) NextChunk() ([]trace.Event, error) {
 	for len(chunk) < cap(chunk) {
 		g.i++
 		g.clock += mem.Time(10 + g.rng.Intn(100))
-		e := trace.Event{Kind: trace.KFence, TID: int32(g.i % g.threads), Time: g.clock}
+		e := trace.Event{Kind: trace.KFence, TID: uint16(g.i % g.threads), Time: g.clock}
 		if g.i%5 != 0 {
 			e.Kind, e.Size = trace.KStore, 8
 			e.Addr = mem.PMBase + mem.Addr(g.rng.Intn(1<<16))*mem.LineSize

@@ -11,13 +11,13 @@ import (
 
 // hostileTraces are well-formed v2 files (every CRC and count valid) that
 // no recorder writes: the decoder accepts them, so the consumers are the
-// only line of defence. The first two took the process down before the
-// consumers shared one thread table and one bounded line walk — cachesim
-// indexed l1[-1] on a tap goroutine, and mem.Lines called make with a
-// negative capacity; the third walked 67 M lines in three of the four.
+// only line of defence. The first names the highest TID, which every
+// thread table keeps in its map. The second took the process down before
+// the consumers shared one bounded line walk (mem.Lines called make with a
+// negative capacity); the third walked 67 M lines in three of the four.
 func hostileTraces(t testing.TB) []hostileTrace {
 	// One transaction touching [a, a+size) with every kind of memory event.
-	sff := func(tid int32, a mem.Addr, size uint32) []byte {
+	sff := func(tid uint16, a mem.Addr, size uint32) []byte {
 		tr := trace.FromEvents(trace.Meta{App: "hostile", Layer: "native", Threads: 1}, []trace.Event{
 			{Time: 1, TID: tid, Kind: trace.KTxBegin},
 			{Time: 2, TID: tid, Kind: trace.KStore, Addr: a, Size: size},
@@ -34,7 +34,7 @@ func hostileTraces(t testing.TB) []hostileTrace {
 		return buf.Bytes()
 	}
 	return []hostileTrace{
-		{"negative-tid", sff(-1, mem.PMBase, 8)},
+		{"top-tid", sff(0xFFFF, mem.PMBase, 8)},
 		{"wrapping-span", sff(0, ^mem.Addr(0)-4, 64)},
 		{"4GiB-store", sff(0, mem.PMBase, 0xFFFFFFFF)},
 	}
@@ -71,8 +71,8 @@ func analyzeHostile(t *testing.T, data []byte) {
 	}
 }
 
-// TestHostileTraceFilesReportOrError pins the hand-found inputs: a
-// negative TID, a span that wraps the address space, and a 4 GiB store
+// TestHostileTraceFilesReportOrError pins the hand-found inputs: the
+// highest TID, a span that wraps the address space, and a 4 GiB store
 // each come back as a report or an error from the fused pass and the
 // HOPS replay.
 func TestHostileTraceFilesReportOrError(t *testing.T) {

@@ -246,8 +246,8 @@ func require(ok bool, field string, v int, want string) {
 
 // Access performs the memory event e on the core its thread runs on, a
 // line at a time over e.Lines; events that touch no memory (fences,
-// transaction markers) do nothing. TIDs map onto cores modulo Threads as
-// unsigned numbers, so a negative TID in a hostile file still names one.
+// transaction markers) do nothing. TIDs map onto cores modulo Threads, so
+// any TID a file names, 0xFFFF included, names one.
 func (h *Hierarchy) Access(e trace.Event) {
 	var op func(*Hierarchy, int, mem.Line)
 	switch e.Kind {

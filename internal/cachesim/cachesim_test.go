@@ -12,7 +12,7 @@ func small() *Hierarchy {
 }
 
 // access performs one memory event on h, as a replay would.
-func access(h *Hierarchy, k trace.Kind, tid int32, a mem.Addr, size uint32) {
+func access(h *Hierarchy, k trace.Kind, tid uint16, a mem.Addr, size uint32) {
 	h.Access(trace.Event{Kind: k, TID: tid, Addr: a, Size: size})
 }
 
@@ -187,7 +187,7 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 	for _, threads := range []int{1, 32} {
 		cfg := ok
 		cfg.Threads = threads
-		access(New(cfg), trace.KStore, -1, mem.PMBase, 8)
+		access(New(cfg), trace.KStore, 0xFFFF, mem.PMBase, 8)
 	}
 }
 

@@ -121,8 +121,8 @@ func newRefHierarchy(cfg Config) *refHierarchy {
 
 // Access performs the memory event e on the core its thread runs on, a
 // line at a time over e.Lines; events that touch no memory (fences,
-// transaction markers) do nothing. TIDs map onto cores modulo Threads as
-// unsigned numbers, so a negative TID in a hostile file still names one.
+// transaction markers) do nothing. TIDs map onto cores modulo Threads, so
+// any TID a file names, 0xFFFF included, names one.
 func (h *refHierarchy) Access(e trace.Event) {
 	var op func(*refHierarchy, int, mem.Line)
 	switch e.Kind {
@@ -262,11 +262,11 @@ func tinyConfig(threads int) Config {
 
 // randomProgram is n events over every memory kind plus fences, on a pool
 // of 48 PM and 16 DRAM lines that collide in the tiny geometry's sets. TIDs
-// include -1 and 1<<20, and sizes run up to three lines from any offset.
+// include 1<<15 and 0xFFFF, and sizes run up to three lines from any offset.
 func randomProgram(seed int64, n int) []trace.Event {
 	rng := rand.New(rand.NewSource(seed))
 	kinds := []trace.Kind{trace.KLoad, trace.KVLoad, trace.KStore, trace.KVStore, trace.KStoreNT, trace.KFlush, trace.KFence}
-	tids := []int32{0, 1, 2, 3, 4, 5, 31, 32, 33, -1, 1 << 20}
+	tids := []uint16{0, 1, 2, 3, 4, 5, 31, 32, 33, 1 << 15, 0xFFFF}
 	events := make([]trace.Event, n)
 	for i := range events {
 		base := mem.PMBase + mem.Addr(rng.Intn(48))*mem.LineSize

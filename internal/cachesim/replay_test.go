@@ -83,14 +83,17 @@ func TestReplayEdgeCases(t *testing.T) {
 			want: Stats{PMReads: 1, L1Hits: 1},
 		},
 		{
-			name: "negative TID names a core",
+			name: "TIDs 0 and 0xFFFF name cores",
 			events: []trace.Event{
-				// TIDs fold as unsigned numbers: -1 is 0xFFFFFFFF, core 3 of
-				// 4. A signed remainder indexed l1[-1] here.
-				{Kind: trace.KStore, TID: -1, Time: 1, Addr: base, Size: 8},
+				// The edges of the TID range: 0xFFFF is core 3 of 4, and
+				// 0 core 0. (TIDs were signed once, and a signed remainder
+				// of -1 indexed l1[-1] here.)
+				{Kind: trace.KStore, TID: 0xFFFF, Time: 1, Addr: base, Size: 8},
 				{Kind: trace.KLoad, TID: 3, Time: 2, Addr: base, Size: 8},
+				{Kind: trace.KStore, TID: 0, Time: 3, Addr: base + 64, Size: 8},
+				{Kind: trace.KLoad, TID: 0, Time: 4, Addr: base + 64, Size: 8},
 			},
-			want: Stats{PMReads: 1, L1Hits: 1},
+			want: Stats{PMReads: 2, L1Hits: 2},
 		},
 		{
 			name: "span wrapping the address space is one line",

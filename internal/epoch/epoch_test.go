@@ -15,23 +15,23 @@ func mk(events ...trace.Event) *trace.Trace {
 	return trace.FromEvents(trace.Meta{App: "synthetic", Layer: "native", Threads: 2}, events)
 }
 
-func st(tid int32, at mem.Time, addr mem.Addr, size uint32) trace.Event {
+func st(tid uint16, at mem.Time, addr mem.Addr, size uint32) trace.Event {
 	return trace.Event{Kind: trace.KStore, TID: tid, Time: at, Addr: addr, Size: size}
 }
 
-func nt(tid int32, at mem.Time, addr mem.Addr, size uint32) trace.Event {
+func nt(tid uint16, at mem.Time, addr mem.Addr, size uint32) trace.Event {
 	return trace.Event{Kind: trace.KStoreNT, TID: tid, Time: at, Addr: addr, Size: size}
 }
 
-func fence(tid int32, at mem.Time) trace.Event {
+func fence(tid uint16, at mem.Time) trace.Event {
 	return trace.Event{Kind: trace.KFence, TID: tid, Time: at}
 }
 
-func txb(tid int32, at mem.Time) trace.Event {
+func txb(tid uint16, at mem.Time) trace.Event {
 	return trace.Event{Kind: trace.KTxBegin, TID: tid, Time: at}
 }
 
-func txe(tid int32, at mem.Time) trace.Event {
+func txe(tid uint16, at mem.Time) trace.Event {
 	return trace.Event{Kind: trace.KTxEnd, TID: tid, Time: at}
 }
 

@@ -28,7 +28,7 @@ func newOpenEpoch() *openEpoch { return &openEpoch{lines: make(map[mem.Line]bool
 
 // lineWriter remembers the last epoch that wrote a line.
 type lineWriter struct {
-	thread int32
+	thread uint16
 	end    mem.Time
 }
 
@@ -46,10 +46,10 @@ func referenceAnalyze(tr *trace.Trace) *Analysis {
 		a.Duration = events[len(events)-1].Time - events[0].Time
 	}
 
-	open := make(map[int32]*openEpoch)
+	open := make(map[uint16]*openEpoch)
 	lastWriter := make(map[mem.Line]lineWriter)
-	inTx := make(map[int32]bool)
-	txEpochs := make(map[int32]int)
+	inTx := make(map[uint16]bool)
+	txEpochs := make(map[uint16]int)
 
 	for _, e := range events {
 		switch e.Kind {
@@ -125,7 +125,7 @@ func referenceAnalyze(tr *trace.Trace) *Analysis {
 	return a
 }
 
-func (a *Analysis) closeEpoch(tid int32, end mem.Time, oe *openEpoch, lastWriter map[mem.Line]lineWriter) {
+func (a *Analysis) closeEpoch(tid uint16, end mem.Time, oe *openEpoch, lastWriter map[mem.Line]lineWriter) {
 	a.TotalEpochs++
 	n := len(oe.lines)
 	a.SizeHist[sizeBucket(n)]++
@@ -250,7 +250,7 @@ func requireMatchesOracle(t *testing.T, tr *trace.Trace) *Analysis {
 func TestDegenerateAgainstOracle(t *testing.T) {
 	wide := &trace.Trace{App: "wide", Layer: "native", Threads: 100}
 	for i := 0; i < 100; i++ {
-		tid := int32(i)
+		tid := uint16(i)
 		wide.Append(st(tid, mem.Time(10*i+1), pm+mem.Addr(i)*mem.LineSize, 8))
 		wide.Append(st(tid, mem.Time(10*i+2), pm, 8)) // shared line
 		wide.Append(fence(tid, mem.Time(10*i+3)))
@@ -302,7 +302,7 @@ func TestLineSetSizesAgainstOracle(t *testing.T) {
 			tr := &trace.Trace{App: "sizes", Layer: "native", Threads: 2}
 			clock := mem.Time(1)
 			for epoch := 0; epoch < 4; epoch++ {
-				tid := int32(epoch % 2)
+				tid := uint16(epoch % 2)
 				for _, i := range order {
 					tr.Append(st(tid, clock, pm+mem.Addr(i)*mem.LineSize, 8))
 					clock++

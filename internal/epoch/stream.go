@@ -42,7 +42,7 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 	a := &Analysis{}
 	var writers mem.LineTable[writerSlot]
 	var states trace.TIDTable[threadState]
-	var lastTID int32
+	var lastTID uint16
 	var lastST *threadState
 	var (
 		first mem.Time
@@ -165,7 +165,7 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 // writerSlot remembers the last epoch that wrote a line: the last-writer
 // table behind the Figure 5 WAW classification.
 type writerSlot struct {
-	thread int32
+	thread uint16
 	set    bool
 	end    mem.Time
 }
@@ -176,7 +176,7 @@ type writerSlot struct {
 // epoch's first store — and then claims the slot. Line order within an
 // epoch is immaterial: an epoch's lines are unique, so each touches a
 // distinct slot.
-func classify(writers *mem.LineTable[writerSlot], tid int32, start, end mem.Time, lines []mem.Line) (self, cross bool) {
+func classify(writers *mem.LineTable[writerSlot], tid uint16, start, end mem.Time, lines []mem.Line) (self, cross bool) {
 	for _, l := range lines {
 		w := writers.Get(l)
 		if w.set {

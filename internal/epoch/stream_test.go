@@ -87,7 +87,7 @@ func genRandomTrace(seed int64) *trace.Trace {
 	// Small line pool forces heavy WAW contention across threads.
 	pool := 1 + rng.Intn(40)
 	for i := 0; i < n; i++ {
-		tid := int32(rng.Intn(threads))
+		tid := uint16(rng.Intn(threads))
 		clock += mem.Time(rng.Intn(int(DependencyWindow) / 10))
 		e := trace.Event{TID: tid, Time: clock}
 		switch r := rng.Intn(100); {
@@ -153,7 +153,7 @@ func TestStreamManyThreadsBeyondShardCap(t *testing.T) {
 	// correctly on every event.
 	tr := &trace.Trace{App: "wide", Layer: "native", Threads: 48}
 	for i := 0; i < 48; i++ {
-		tid := int32(i)
+		tid := uint16(i)
 		tr.Append(st(tid, mem.Time(10*i+1), mem.PMBase+mem.Addr(i)*mem.LineSize, 8))
 		tr.Append(st(tid, mem.Time(10*i+2), mem.PMBase, 8)) // shared line
 		tr.Append(fence(tid, mem.Time(10*i+3)))
@@ -161,12 +161,12 @@ func TestStreamManyThreadsBeyondShardCap(t *testing.T) {
 	requireMatchesOracle(t, tr)
 }
 
-func TestStreamNegativeTID(t *testing.T) {
+func TestStreamTopTIDs(t *testing.T) {
 	tr := mk(
-		st(-1, 1, mem.PMBase, 8),
-		fence(-1, 2),
-		st(-2, 3, mem.PMBase, 8),
-		fence(-2, 4),
+		st(0xFFFF, 1, mem.PMBase, 8),
+		fence(0xFFFF, 2),
+		st(0xFFFE, 3, mem.PMBase, 8),
+		fence(0xFFFE, 4),
 	)
 	tr.Threads = 2
 	requireMatchesOracle(t, tr)

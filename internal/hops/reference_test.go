@@ -60,13 +60,13 @@ type refReplayer struct {
 	// original execution charged each fence, independent of the model
 	// being replayed. modelPending is the x86 models' own drain set and
 	// additionally includes NT-store lines waiting in the WCB.
-	origPending  map[int32]map[mem.Line]bool
-	modelPending map[int32]map[mem.Line]bool
+	origPending  map[uint16]map[mem.Line]bool
+	modelPending map[uint16]map[mem.Line]bool
 	// pbs holds the per-thread HOPS persist buffers.
-	pbs map[int32]*refPBState
+	pbs map[uint16]*refPBState
 	// fencedTx holds the threads that fenced since their last KTxBegin or
 	// KTxEnd: their next commit is a dfence.
-	fencedTx map[int32]bool
+	fencedTx map[uint16]bool
 
 	persistLat    mem.Cycles
 	drainInterval mem.Cycles
@@ -82,10 +82,10 @@ func newRefReplayer(model Model, cfg Config, ro ReplayObs) *refReplayer {
 	r := &refReplayer{
 		model: model, cfg: cfg, ro: ro,
 		res:          Result{Model: model},
-		origPending:  make(map[int32]map[mem.Line]bool),
-		modelPending: make(map[int32]map[mem.Line]bool),
-		pbs:          make(map[int32]*refPBState),
-		fencedTx:     make(map[int32]bool),
+		origPending:  make(map[uint16]map[mem.Line]bool),
+		modelPending: make(map[uint16]map[mem.Line]bool),
+		pbs:          make(map[uint16]*refPBState),
+		fencedTx:     make(map[uint16]bool),
 	}
 	r.persistLat = mem.PMCycles
 	if model == X86PWQ || model == HOPSPWQ {
@@ -115,7 +115,7 @@ func newRefReplayer(model Model, cfg Config, ro ReplayObs) *refReplayer {
 	return r
 }
 
-func refGetSet(m map[int32]map[mem.Line]bool, tid int32) map[mem.Line]bool {
+func refGetSet(m map[uint16]map[mem.Line]bool, tid uint16) map[mem.Line]bool {
 	p := m[tid]
 	if p == nil {
 		p = make(map[mem.Line]bool)
@@ -124,7 +124,7 @@ func refGetSet(m map[int32]map[mem.Line]bool, tid int32) map[mem.Line]bool {
 	return p
 }
 
-func (r *refReplayer) refGetPB(tid int32) *refPBState {
+func (r *refReplayer) refGetPB(tid uint16) *refPBState {
 	pb := r.pbs[tid]
 	if pb == nil {
 		pb = &refPBState{}
@@ -348,7 +348,7 @@ func newBuilder(seed int64) *builder {
 	return &builder{tr: &trace.Trace{App: "ref", Layer: "native"}, rng: rand.New(rand.NewSource(seed))}
 }
 
-func (b *builder) add(tid int32, k trace.Kind, a mem.Addr, size uint32) {
+func (b *builder) add(tid uint16, k trace.Kind, a mem.Addr, size uint32) {
 	b.at += mem.Time(b.rng.Intn(300))
 	b.tr.Append(trace.Event{Kind: k, TID: tid, Time: b.at, Addr: a, Size: size})
 }
@@ -361,7 +361,7 @@ func lineAddr(i int) mem.Addr { return pm + mem.Addr(i)*mem.LineSize }
 func ntHeavyTrace(n int) *trace.Trace {
 	b := newBuilder(7)
 	for i := 0; i < n; i++ {
-		tid := int32(b.rng.Intn(2))
+		tid := uint16(b.rng.Intn(2))
 		b.add(tid, trace.KTxBegin, 0, 0)
 		for j := 0; j < 1+b.rng.Intn(12); j++ {
 			a := lineAddr(b.rng.Intn(24)) + mem.Addr(b.rng.Intn(64))
@@ -410,12 +410,12 @@ func largeEpochTrace() *trace.Trace {
 	return b.tr
 }
 
-// oddTIDTrace interleaves a dense TID with one negative and one huge TID
+// oddTIDTrace interleaves a dense TID with a mid-range one and the highest
 // (the lazily built side of every per-thread table) and ends in fences that
 // no commit follows, which stay ofences.
 func oddTIDTrace() *trace.Trace {
 	b := newBuilder(13)
-	tids := []int32{-1, 1 << 20, 3}
+	tids := []uint16{0xFFFF, 1 << 15, 3}
 	for i := 0; i < 120; i++ {
 		tid := tids[b.rng.Intn(len(tids))]
 		a := lineAddr(b.rng.Intn(40))

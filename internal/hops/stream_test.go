@@ -32,7 +32,7 @@ func genReplayTrace(seed int64, n int) *trace.Trace {
 	tr := &trace.Trace{App: "rand", Layer: "native", Threads: 4}
 	clock := mem.Time(1)
 	for i := 0; i < n; i++ {
-		tid := int32(rng.Intn(4))
+		tid := uint16(rng.Intn(4))
 		clock += mem.Time(rng.Intn(500))
 		e := trace.Event{TID: tid, Time: clock}
 		switch r := rng.Intn(100); {

@@ -117,7 +117,7 @@ type frontStep struct {
 	// pending is, at a fence, the size of the thread's x86 drain set: the
 	// distinct lines CLWB'd or NT-stored since its previous fence.
 	pending int
-	tid     int32
+	tid     uint16
 	kind    trace.Kind
 	// dfence marks a KTxEnd that is a durability fence under the HOPS
 	// models: its transaction fenced at least once.

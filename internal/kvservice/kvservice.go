@@ -175,6 +175,9 @@ var stageNames = [numStages]string{"wait", "apply", "copy", "commit", "retire"}
 // shardAddrStride) so shard traces can be merged without aliasing.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
+	if cfg.Record && cfg.Shards > 1<<16 {
+		panic("kvservice: a recorded service names one TID per shard, and a TID names at most 1<<16")
+	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default()
@@ -684,7 +687,7 @@ func (s *Service) Trace() *trace.Trace {
 			break
 		}
 		e := rest[first][0]
-		e.TID = int32(first)
+		e.TID = uint16(first)
 		events = append(events, e)
 		if rest[first] = rest[first][1:]; len(rest[first]) == 0 && len(later[first]) > 0 {
 			rest[first], later[first] = later[first][0], later[first][1:]

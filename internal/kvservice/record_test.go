@@ -50,6 +50,13 @@ func TestTraceOfUnrecordedServicePanics(t *testing.T) {
 	}
 }
 
+// TestRecordedShardsBoundedByTID: the merged trace names each shard by a
+// 16-bit TID, so a recorded service with more than 1<<16 shards is refused
+// before any shard is built.
+func TestRecordedShardsBoundedByTID(t *testing.T) {
+	requirePanic(t, "New", "1<<16", func() { New(Config{Shards: 1<<16 + 1, Record: true}) })
+}
+
 // TestRecordingDoesNotPerturb: with recording on and off a run reports the
 // same row, counters, space picture, latency histogram, log heads and
 // durable bytes — on the read shape and on a churn shape that compacts, one
@@ -120,7 +127,7 @@ func retainedAfterRun(cfg SimConfig) retained {
 
 // TestUnrecordedRunRetainsNothingPerEvent: on the read shape, what a service
 // still holds after 2N requests against after N grows with the devices and
-// the index, and not with the events — more than one per request, 32 bytes
+// the index, and not with the events — more than one per request, 24 bytes
 // each when kept. A recording pair calibrates the measurement: its growth
 // must exceed the other's by the trace it holds.
 func TestUnrecordedRunRetainsNothingPerEvent(t *testing.T) {

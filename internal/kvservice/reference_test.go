@@ -360,7 +360,7 @@ func referenceTrace(s *Service) *trace.Trace {
 	for i, sh := range s.shards {
 		for _, c := range sh.rt.Trace.Chunks() {
 			for _, e := range c {
-				e.TID = int32(i)
+				e.TID = uint16(i)
 				events = append(events, e)
 			}
 		}

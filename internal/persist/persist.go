@@ -82,6 +82,9 @@ func NewRuntime(app, layer string, nthreads int, cfg Config) *Runtime {
 	if nthreads <= 0 {
 		panic("persist: nthreads must be positive")
 	}
+	if nthreads > 1<<16 {
+		panic("persist: nthreads exceeds the 1<<16 TIDs a trace event can name")
+	}
 	r := &Runtime{
 		Dev:   pmem.New(),
 		Clock: &mem.Clock{},
@@ -257,11 +260,11 @@ func (t *Thread) emit(k trace.Kind, a mem.Addr, size int) {
 	rt := t.rt
 	if rt.cfg.NoTrace {
 		if rt.onEvent != nil {
-			rt.onEvent(trace.Event{Time: rt.Clock.Now(), Addr: a, Size: uint32(size), TID: int32(t.id), Kind: k})
+			rt.onEvent(trace.Event{Time: rt.Clock.Now(), Addr: a, Size: uint32(size), TID: uint16(t.id), Kind: k})
 		}
 		return
 	}
-	ev := trace.Event{Time: rt.Clock.Now(), Addr: a, Size: uint32(size), TID: int32(t.id), Kind: k}
+	ev := trace.Event{Time: rt.Clock.Now(), Addr: a, Size: uint32(size), TID: uint16(t.id), Kind: k}
 	rt.Trace.Append(ev)
 	if rt.onEvent != nil {
 		rt.onEvent(ev)

@@ -104,6 +104,31 @@ func TestTxNestingPanics(t *testing.T) {
 	}()
 }
 
+// TestThreadCountBoundedByTID: a trace event names its thread in 16 bits,
+// so a runtime holds at most 1<<16 threads, and its last thread's events
+// carry TID 0xFFFF.
+func TestThreadCountBoundedByTID(t *testing.T) {
+	for _, n := range []int{0, 1<<16 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewRuntime with %d threads did not panic", n)
+				}
+			}()
+			NewRuntime("test", "native", n, Config{Metrics: obs.NewRegistry()})
+		}()
+	}
+	rt := NewRuntime("test", "native", 1<<16, Config{Metrics: obs.NewRegistry()})
+	th := rt.Thread(1<<16 - 1)
+	th.Fence()
+	if n := rt.Trace.Len(); n != 1 {
+		t.Fatalf("trace holds %d events, want 1", n)
+	}
+	if e := rt.Trace.Chunks()[0][0]; e.TID != 0xFFFF {
+		t.Fatalf("last thread's fence carries TID %d, want 0xFFFF", e.TID)
+	}
+}
+
 func TestCrashResetsTxDepth(t *testing.T) {
 	rt := newRT(t)
 	th := rt.Thread(0)

@@ -1,6 +1,10 @@
 package pmfs
 
 import (
+	"errors"
+	"slices"
+
+	"github.com/whisper-pm/whisper/internal/alloc"
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
 )
@@ -47,6 +51,11 @@ func newJournal(rt *persist.Runtime) *journal {
 	}
 }
 
+// errJournalFull is a metadata transaction that needs more undo entries
+// than the journal holds: a write of more than 254 new blocks, or an
+// unlink of a file that large.
+var errJournalFull = errors.New("pmfs: metadata transaction exceeds the journal")
+
 // mdTx is one metadata transaction: a set of journaled in-place updates
 // applied under the undo journal.
 type mdTx struct {
@@ -55,19 +64,45 @@ type mdTx struct {
 	start int // first slot of this transaction
 	n     int // entries appended
 	dirty persist.Group
+	// err is sticky: the first entry the journal could not hold. Every
+	// write after it is dropped, and commit aborts instead.
+	err error
+
+	// What abort gives back to the volatile allocation state, which the
+	// journal's undo does not reach. The free-block index's entries below
+	// keep are untouched since begin, and taken holds the ones above it
+	// as they were at begin, a pop having since worn them down (newest
+	// last); whatever freeBlock pushed sits above keep. ino is an inode
+	// taken off the free list, or 0.
+	fs    *FS
+	keep  int
+	taken alloc.FreeWords
+	ino   uint32
 }
 
 // begin opens the journal for a metadata transaction: bump the generation
 // and mark the descriptor UNCOMMITTED. The descriptor flush shares the
 // first entry's fence (entries are invalid without the matching
 // generation, so this ordering is safe), saving an epoch per system call.
-func (j *journal) begin(th *persist.Thread) *mdTx {
+func (fs *FS) begin(th *persist.Thread) *mdTx {
+	j := fs.jrnl
 	j.gen++
 	th.StoreU64(j.desc, jrnlUncommitted)
 	th.StoreU64(j.desc+8, j.gen)
 	th.StoreU64(j.desc+16, uint64(j.next))
 	th.Flush(j.desc, 24)
-	return &mdTx{j: j, th: th, start: j.next, dirty: *persist.NewGroup(th)}
+	return &mdTx{j: j, th: th, start: j.next, dirty: *persist.NewGroup(th), fs: fs, keep: len(fs.freeBlocks)}
+}
+
+// popBlock takes a block off the free index, first keeping the index
+// entry the pop wears down if it predates the transaction.
+func (mt *mdTx) popBlock() (int, bool) {
+	f := &mt.fs.freeBlocks
+	if top := len(*f) - 1; top >= 0 && top < mt.keep {
+		mt.taken = append(mt.taken, (*f)[top])
+		mt.keep = top
+	}
+	return f.Pop()
 }
 
 func (j *journal) slotAddr(slot int) mem.Addr {
@@ -84,8 +119,12 @@ func (mt *mdTx) write(a mem.Addr, data []byte) {
 		mt.write(a+jrnlMaxData, data[jrnlMaxData:])
 		return
 	}
+	if mt.err != nil {
+		return
+	}
 	if mt.n >= jrnlMaxEntries {
-		panic("pmfs: journal overflow")
+		mt.err = errJournalFull
+		return
 	}
 	th := mt.th
 	entry := mt.j.slotAddr(mt.start + mt.n)
@@ -119,7 +158,13 @@ func (mt *mdTx) writeU64(a mem.Addr, v uint64) {
 
 // commit flushes the in-place metadata updates, marks the journal
 // COMMITTED, clears the entries one epoch each, and frees the descriptor.
-func (mt *mdTx) commit() {
+// A transaction the journal could not hold is aborted instead, and its
+// error returned.
+func (mt *mdTx) commit() error {
+	if mt.err != nil {
+		mt.abort()
+		return mt.err
+	}
 	th := mt.th
 	// One flush per distinct dirty line. Metadata words cluster: an
 	// inode's size and mtime live in the same 64-byte line, so flushing
@@ -129,6 +174,7 @@ func (mt *mdTx) commit() {
 	th.Flush(mt.j.desc, 8)
 	th.Fence()
 	mt.j.clear(th, mt.start, mt.n)
+	return nil
 }
 
 // clear zeroes n journal entries starting at slot start, frees the
@@ -147,11 +193,18 @@ func (j *journal) clear(th *persist.Thread, start, n int) {
 	j.next = (start + n) % jrnlMaxEntries
 }
 
-// abort undoes the applied updates from the journal (reverse order) and
-// frees the descriptor. Used by operations that fail mid-way.
+// abort undoes the applied updates from the journal (reverse order),
+// frees the descriptor, and puts the free-block index and the inode free
+// list back as they were at begin. Used by operations that fail mid-way.
 func (mt *mdTx) abort() {
 	mt.j.undo(mt.th, mt.j.gen, mt.start)
 	mt.j.clear(mt.th, mt.start, mt.n)
+	fs := mt.fs
+	slices.Reverse(mt.taken)
+	fs.freeBlocks = append(fs.freeBlocks[:mt.keep], mt.taken...)
+	if mt.ino != 0 {
+		fs.freeInodes = append(fs.freeInodes, mt.ino)
+	}
 }
 
 // undo restores old images for the valid run of entries carrying gen,

@@ -35,19 +35,16 @@ func (fs *FS) create(th *persist.Thread, path string, typ uint64) error {
 	if _, err := fs.lookupEntry(th, dir, name); err == nil {
 		return ErrExists
 	}
-	mt := fs.jrnl.begin(th)
+	mt := fs.begin(th)
 	ino, err := fs.allocInode(th, mt, typ)
+	if err == nil {
+		err = fs.addDirent(th, mt, dir, name, ino)
+	}
 	if err != nil {
 		mt.abort()
 		return err
 	}
-	if err := fs.addDirent(th, mt, dir, name, ino); err != nil {
-		mt.abort()
-		fs.freeInodes = append(fs.freeInodes, ino)
-		return err
-	}
-	mt.commit()
-	return nil
+	return mt.commit()
 }
 
 // WriteAt writes data at the byte offset off, extending the file as
@@ -71,7 +68,7 @@ func (fs *FS) WriteAt(th *persist.Thread, path string, off int64, data []byte) e
 		return ErrTooLarge
 	}
 
-	mt := fs.jrnl.begin(th)
+	mt := fs.begin(th)
 	pos := uint64(off)
 	rest := data
 	for len(rest) > 0 {
@@ -97,8 +94,7 @@ func (fs *FS) WriteAt(th *persist.Thread, path string, off int64, data []byte) e
 		mt.writeU64(ia+offSize, newSize)
 	}
 	mt.writeU64(ia+offMtime, uint64(fs.rt.Clock.Now()))
-	mt.commit()
-	return nil
+	return mt.commit()
 }
 
 // Append writes data at the end of the file.
@@ -174,7 +170,7 @@ func (fs *FS) Unlink(th *persist.Thread, path string) error {
 		}
 	}
 
-	mt := fs.jrnl.begin(th)
+	mt := fs.begin(th)
 	// Remove the directory entry. The directory is scanned again for the
 	// entry's address; a scan that fails now (a corrupt image) must not
 	// turn into a journalled write to address 0.
@@ -188,15 +184,16 @@ func (fs *FS) Unlink(th *persist.Thread, path string) error {
 	nlink := th.LoadU64(ia + offNlink)
 	if nlink > 1 {
 		mt.writeU64(ia+offNlink, nlink-1)
-		mt.commit()
-		return nil
+		return mt.commit()
 	}
 	// Last link: free data blocks, then the inode.
 	fs.freeFileBlocks(th, mt, ino)
 	mt.writeU64(ia+offNlink, 0)
 	mt.writeU64(ia+offSize, 0)
 	mt.writeU64(ia+offType, typeFree)
-	mt.commit()
+	if err := mt.commit(); err != nil {
+		return err
+	}
 	fs.freeInodes = append(fs.freeInodes, ino)
 	return nil
 }

@@ -158,9 +158,11 @@ func (fs *FS) Recover(th *persist.Thread) {
 	fs.rebuildFreeLists(th)
 }
 
-// allocBlock reserves a data block inside the metadata transaction mt.
+// allocBlock reserves a data block inside the metadata transaction mt. It
+// fails if the block or its bitmap entry does not fit, and mt's abort then
+// gives the block back.
 func (fs *FS) allocBlock(th *persist.Thread, mt *mdTx) (uint32, error) {
-	b, ok := fs.freeBlocks.Pop()
+	b, ok := mt.popBlock()
 	if !ok {
 		return 0, ErrNoSpace
 	}
@@ -169,7 +171,7 @@ func (fs *FS) allocBlock(th *persist.Thread, mt *mdTx) (uint32, error) {
 	v := th.LoadU64(word)
 	mt.writeU64(word, v|1<<uint(blk%64))
 	th.VStore(1)
-	return blk, nil
+	return blk, mt.err
 }
 
 // freeBlock releases a data block inside mt.
@@ -188,6 +190,7 @@ func (fs *FS) allocInode(th *persist.Thread, mt *mdTx, typ uint64) (uint32, erro
 	}
 	ino := fs.freeInodes[len(fs.freeInodes)-1]
 	fs.freeInodes = fs.freeInodes[:len(fs.freeInodes)-1]
+	mt.ino = ino
 	ia := fs.inodeAddr(ino)
 	// type, size and nlink are contiguous: one journal entry covers the
 	// whole initialization.
@@ -379,5 +382,5 @@ func (fs *FS) blockForWrite(th *persist.Thread, mt *mdTx, ino uint32, off uint64
 		mt.writeU64(slot, uint64(blk)+1)
 		ptr = uint64(blk) + 1
 	}
-	return fs.blockAddr(uint32(ptr - 1)), nil
+	return fs.blockAddr(uint32(ptr - 1)), mt.err
 }

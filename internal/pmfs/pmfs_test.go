@@ -237,13 +237,19 @@ func (e *eagerBlocks) rebuild(th *persist.Thread, fs *FS) {
 // an operation stopped at a random event and an Adversarial crash. An
 // event hook watches every store to the bitmap: a bit set is an
 // allocBlock, checked against the top of the eager stack, and a bit
-// cleared is a freeBlock, pushed on it.
+// cleared is a freeBlock, pushed on it. On the 64-block filesystem writes
+// run out of space: an aborted write's undo clears its bits newest first,
+// so the stack comes back as it was, and the index must too.
 func TestAllocBlockOrderMatchesEager(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 12; seed++ {
+		blocks := 512
+		if seed > 6 {
+			blocks = 64
+		}
 		rng := rand.New(rand.NewSource(seed))
 		rt := persist.NewRuntime("pmfs-test", "pmfs", 1, persist.Config{NoTrace: true})
 		th := rt.Thread(0)
-		fs := Format(rt, th, Options{Inodes: 64, Blocks: 512})
+		fs := Format(rt, th, Options{Inodes: 64, Blocks: blocks})
 		var ref eagerBlocks
 		shadow := make([]uint64, fs.opts.Blocks/64) // the bitmap as the hook last saw it
 		resync := func() {
@@ -274,8 +280,13 @@ func TestAllocBlockOrderMatchesEager(t *testing.T) {
 			}
 			ref = ref[:len(ref)-1]
 		}
-		// At most 8 files of at most 31 blocks, the indirect one included:
-		// no write runs out of space, so no transaction aborts.
+		// At most 8 files of at most 31 blocks, the indirect one included,
+		// do not fill 512 blocks. The 64-block filesystem takes writes four
+		// times as long, and runs out of space.
+		scale, aborts := 1, 0
+		if blocks < 512 {
+			scale = 4
+		}
 		op := func() {
 			name := fmt.Sprintf("/f%d", rng.Intn(8))
 			var err error
@@ -284,11 +295,13 @@ func TestAllocBlockOrderMatchesEager(t *testing.T) {
 				err = fs.Create(th, name)
 			case 1:
 				off := int64(rng.Intn(24*BlockSize + 1))
-				err = fs.WriteAt(th, name, off, make([]byte, 1+rng.Intn(6*BlockSize)))
+				err = fs.WriteAt(th, name, off, make([]byte, scale*(1+rng.Intn(6*BlockSize))))
 			default:
 				err = fs.Unlink(th, name)
 			}
-			if err != nil && !errors.Is(err, ErrExists) && !errors.Is(err, ErrNotFound) {
+			if errors.Is(err, ErrNoSpace) && blocks < 512 {
+				aborts++
+			} else if err != nil && !errors.Is(err, ErrExists) && !errors.Is(err, ErrNotFound) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
@@ -312,6 +325,9 @@ func TestAllocBlockOrderMatchesEager(t *testing.T) {
 			if got := freeOrder(fs); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: free index hands out %v..., the eager stack %v...", seed, i, got[:min(8, len(got))], want[:min(8, len(want))])
 			}
+		}
+		if blocks < 512 && aborts == 0 {
+			t.Fatalf("seed %d: no write ran out of %d blocks", seed, blocks)
 		}
 	}
 }
@@ -377,7 +393,7 @@ func TestCrashDuringMetadataOpRecovers(t *testing.T) {
 	fs.WriteAt(th, "/keep", 0, []byte("safe"))
 
 	// Begin a metadata transaction by hand and crash before commit.
-	mt := fs.jrnl.begin(th)
+	mt := fs.begin(th)
 	ia := fs.inodeAddr(rootIno)
 	oldSize := th.LoadU64(ia + offSize)
 	mt.writeU64(ia+offSize, oldSize+direntSize) // half-made entry
@@ -652,5 +668,155 @@ func TestTornJournalEntryIsNotReplayed(t *testing.T) {
 				t.Fatalf("crash at event %d of %d, seed %d: %v", k, events, seed, err)
 			}
 		}
+	}
+}
+
+// metadataImage is fs's inode table and allocation bitmap as the device
+// holds them, and its free-block index in hand-out order.
+func metadataImage(rt *persist.Runtime, fs *FS) ([]byte, []uint32) {
+	img := rt.Dev.Load(0, fs.inodes, fs.opts.Inodes*inodeSize)
+	img = append(img, rt.Dev.Load(0, fs.bitmap, fs.opts.Blocks/8)...)
+	return img, freeOrder(fs)
+}
+
+// requireAborted holds a failed call to leaving fs as before: the same
+// metadata bytes, the free-block index exactly as it was, the journal
+// free, and a fresh Recover rebuilding an index of the same blocks.
+func requireAborted(t *testing.T, rt *persist.Runtime, th *persist.Thread, fs *FS, img0 []byte, free0 []uint32) {
+	t.Helper()
+	img, free := metadataImage(rt, fs)
+	if !bytes.Equal(img, img0) {
+		t.Fatal("the failed call changed the inode table or the bitmap")
+	}
+	if !slices.Equal(free, free0) {
+		t.Fatalf("free index holds %d blocks %v..., want the %d it held before, %v...",
+			len(free), free[:min(4, len(free))], len(free0), free0[:min(4, len(free0))])
+	}
+	if th.LoadU64(fs.jrnl.desc) != jrnlFree {
+		t.Fatal("journal left open after the failed call")
+	}
+	fs.Recover(th)
+	rebuilt := freeOrder(fs)
+	slices.Sort(free)
+	slices.Sort(rebuilt)
+	if !slices.Equal(rebuilt, free) {
+		t.Fatalf("Recover rebuilt %d free blocks, the index held %d", len(rebuilt), len(free))
+	}
+}
+
+// TestAbortGivesBlocksBack: a write that runs out of space part-way gives
+// back every block it took. With 31 blocks free, a 32-block write (33
+// blocks with its indirect one) fails with ErrNoSpace after taking all
+// 31, and must leave them in the index; a write of 30 blocks, 31 with the
+// indirect one, then fits. The free index used to come out of the abort
+// empty.
+func TestAbortGivesBlocksBack(t *testing.T) {
+	rt, th, fs := newFS(t)
+	for i := 0; len(freeOrder(fs)) > 31; i++ {
+		name := fmt.Sprintf("/fill%d", i)
+		if err := fs.Create(th, name); err != nil {
+			t.Fatal(err)
+		}
+		n := min(numDirect, len(freeOrder(fs))-31) // direct blocks only: n blocks each
+		if err := fs.WriteAt(th, name, 0, make([]byte, n*BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Create(th, "/big"); err != nil {
+		t.Fatal(err)
+	}
+	img0, free0 := metadataImage(rt, fs)
+	if len(free0) != 31 {
+		t.Fatalf("%d blocks free, want 31", len(free0))
+	}
+	if err := fs.WriteAt(th, "/big", 0, make([]byte, 32*BlockSize)); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("32-block write with 31 blocks free = %v, want ErrNoSpace", err)
+	}
+	requireAborted(t, rt, th, fs, img0, free0)
+	if err := fs.WriteAt(th, "/big", 0, make([]byte, 30*BlockSize)); err != nil {
+		t.Fatalf("31-block write with 31 blocks free: %v", err)
+	}
+	if n := len(freeOrder(fs)); n != 0 {
+		t.Fatalf("%d blocks free after the 31-block write, want 0", n)
+	}
+}
+
+// TestAbortGivesDirentBlocksBack: a create whose directory needs two new
+// blocks — its indirect block and a dirent block — with one free takes the
+// indirect block and then fails; the abort gives it back, and the inode.
+func TestAbortGivesDirentBlocksBack(t *testing.T) {
+	rt := persist.NewRuntime("pmfs-test", "pmfs", 1, persist.Config{NoTrace: true})
+	th := rt.Thread(0)
+	fs := Format(rt, th, Options{Inodes: 2048, Blocks: 64})
+	if err := fs.Mkdir(th, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	perBlock := BlockSize / direntSize
+	for i := 0; i < numDirect*perBlock; i++ { // /d's direct blocks, full
+		if err := fs.Create(th, fmt.Sprintf("/d/%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Create(th, "/f"); err != nil {
+		t.Fatal(err)
+	}
+	n := len(freeOrder(fs)) - 2 // data blocks past numDirect take an indirect block too
+	if err := fs.WriteAt(th, "/f", 0, make([]byte, n*BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	img0, free0 := metadataImage(rt, fs)
+	inodes0 := slices.Clone(fs.freeInodes)
+	if len(free0) != 1 {
+		t.Fatalf("%d blocks free, want 1", len(free0))
+	}
+	if err := fs.Create(th, "/d/more"); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("create needing two blocks with one free = %v, want ErrNoSpace", err)
+	}
+	if !slices.Equal(fs.freeInodes, inodes0) {
+		t.Fatal("the failed create kept its inode")
+	}
+	requireAborted(t, rt, th, fs, img0, free0)
+}
+
+// TestJournalOverflowIsAnError: a metadata transaction gets at most
+// jrnlMaxEntries undo entries. A 254-block write to a new file takes 512
+// — a bitmap word and a pointer per block, the same for the indirect
+// block, the size and the mtime — and succeeds; a 255-block one would take
+// 514, and returns an error with the filesystem as it was, where it used
+// to panic. So does an unlink of a 300-block file, two entries a block.
+func TestJournalOverflowIsAnError(t *testing.T) {
+	rt := persist.NewRuntime("pmfs-test", "pmfs", 1, persist.Config{NoTrace: true})
+	th := rt.Thread(0)
+	fs := Format(rt, th, Options{})
+	for _, f := range []string{"/a", "/b", "/c"} {
+		if err := fs.Create(th, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.WriteAt(th, "/a", 0, make([]byte, 254*BlockSize)); err != nil {
+		t.Fatalf("254-block write: %v", err)
+	}
+
+	img0, free0 := metadataImage(rt, fs)
+	if err := fs.WriteAt(th, "/b", 0, make([]byte, 255*BlockSize)); !errors.Is(err, errJournalFull) {
+		t.Fatalf("255-block write = %v, want errJournalFull", err)
+	}
+	requireAborted(t, rt, th, fs, img0, free0)
+	if info, err := fs.Stat(th, "/b"); err != nil || info.Size != 0 {
+		t.Fatalf("/b after the failed write: %+v, %v; want empty", info, err)
+	}
+
+	for _, off := range []int{0, 150} {
+		if err := fs.WriteAt(th, "/c", int64(off*BlockSize), make([]byte, 150*BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img0, free0 = metadataImage(rt, fs)
+	if err := fs.Unlink(th, "/c"); !errors.Is(err, errJournalFull) {
+		t.Fatalf("unlink of a 300-block file = %v, want errJournalFull", err)
+	}
+	requireAborted(t, rt, th, fs, img0, free0)
+	if info, err := fs.Stat(th, "/c"); err != nil || info.Size != 300*BlockSize {
+		t.Fatalf("/c after the failed unlink: %+v, %v; want 300 blocks", info, err)
 	}
 }

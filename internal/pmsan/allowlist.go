@@ -38,7 +38,7 @@ type allowRule struct {
 	class string // class name or "*"
 
 	hasTID bool
-	tid    int32
+	tid    uint16
 
 	hasLine bool
 	line    mem.Line
@@ -112,11 +112,11 @@ func ParseAllowlist(r io.Reader) (*Allowlist, error) {
 		for _, f := range fields[2:] {
 			switch {
 			case strings.HasPrefix(f, "t") && !strings.Contains(f, "="):
-				tid, err := strconv.ParseInt(f[1:], 10, 32)
+				tid, err := strconv.ParseUint(f[1:], 10, 16)
 				if err != nil {
 					return nil, fmt.Errorf("pmsan: allowlist line %d: bad thread %q", lineNo, f)
 				}
-				rule.hasTID, rule.tid = true, int32(tid)
+				rule.hasTID, rule.tid = true, uint16(tid)
 			case strings.HasPrefix(f, "line="):
 				addr, err := strconv.ParseUint(strings.TrimPrefix(strings.TrimPrefix(f, "line="), "0x"), 16, 64)
 				if err != nil {

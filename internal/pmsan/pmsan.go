@@ -117,7 +117,7 @@ type threadState struct {
 // vkey aggregates violations per (class, thread, line).
 type vkey struct {
 	class Class
-	tid   int32
+	tid   uint16
 	line  mem.Line
 }
 
@@ -138,7 +138,7 @@ func New(meta trace.Meta) *Sanitizer {
 	return &Sanitizer{meta: meta, viol: make(map[vkey]*Violation)}
 }
 
-func (s *Sanitizer) record(c Class, tid int32, l mem.Line, at mem.Time) {
+func (s *Sanitizer) record(c Class, tid uint16, l mem.Line, at mem.Time) {
 	k := vkey{class: c, tid: tid, line: l}
 	v := s.viol[k]
 	if v == nil {

@@ -15,7 +15,7 @@ func pmAddr(line int, off int) mem.Addr {
 	return mem.PMBase + mem.Addr(line)*mem.LineSize + mem.Addr(off)
 }
 
-func ev(kind trace.Kind, tid int32, addr mem.Addr, size int, at mem.Time) trace.Event {
+func ev(kind trace.Kind, tid uint16, addr mem.Addr, size int, at mem.Time) trace.Event {
 	return trace.Event{Time: at, Addr: addr, Size: uint32(size), TID: tid, Kind: kind}
 }
 
@@ -306,7 +306,7 @@ func TestBrokenWorkloadCatchesAllFiveClasses(t *testing.T) {
 	// Stable diagnostics: the exact sites, in sorted order.
 	want := []struct {
 		class Class
-		tid   int32
+		tid   uint16
 		line  mem.Line
 	}{
 		{DirtyAtCommit, 0, mem.LineOf(pmAddr(1, 0))},

@@ -13,7 +13,7 @@ import (
 // (thread, line) site.
 type Violation struct {
 	Class Class
-	TID   int32
+	TID   uint16
 	Line  mem.Line
 	// Count is the number of events that hit this site.
 	Count uint64

@@ -9,19 +9,19 @@ import "github.com/whisper-pm/whisper/internal/mem"
 // the same bounded work and indexes nothing out of range.
 
 // TIDTable resolves a TID to its *T: a direct-indexed array for the common
-// small non-negative TIDs, so interleaved traces pay an array load per
-// thread switch and not a map lookup, and a lazily built map for the rest
-// (negative or huge TIDs in hand-built or hostile traces). Entries are
+// small TIDs, so interleaved traces pay an array load per thread switch and
+// not a map lookup, and a lazily built map for the rest (the TIDs of a
+// many-shard service, or of hand-built or hostile traces). Entries are
 // created zero-valued on first use and never move. The zero table is empty
 // and ready to use.
 type TIDTable[T any] struct {
 	dense [64]*T
-	odd   map[int32]*T
+	odd   map[uint16]*T
 }
 
 // Get returns tid's entry, creating it on first use.
-func (t *TIDTable[T]) Get(tid int32) *T {
-	if uint32(tid) < uint32(len(t.dense)) {
+func (t *TIDTable[T]) Get(tid uint16) *T {
+	if int(tid) < len(t.dense) {
 		v := t.dense[tid]
 		if v == nil {
 			v = new(T)
@@ -32,7 +32,7 @@ func (t *TIDTable[T]) Get(tid int32) *T {
 	v := t.odd[tid]
 	if v == nil {
 		if t.odd == nil {
-			t.odd = make(map[int32]*T)
+			t.odd = make(map[uint16]*T)
 		}
 		v = new(T)
 		t.odd[tid] = v

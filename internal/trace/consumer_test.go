@@ -8,13 +8,13 @@ import (
 
 // TestTIDTable: an entry is created zero-valued the first time its TID is
 // asked for and is the same pointer ever after, for TIDs at both ends of
-// the dense range, just past it, negative and huge; only the last three
-// touch the map.
+// the dense range, just past it, mid-range and the highest; only the last
+// three touch the map.
 func TestTIDTable(t *testing.T) {
 	type state struct{ n int }
 	var tab TIDTable[state]
-	tids := []int32{0, 63, 64, -1, 1 << 20}
-	first := make(map[int32]*state)
+	tids := []uint16{0, 63, 64, 1 << 15, 0xFFFF}
+	first := make(map[uint16]*state)
 	for i, tid := range tids {
 		p := tab.Get(tid)
 		if p == nil || p.n != 0 {
@@ -31,12 +31,12 @@ func TestTIDTable(t *testing.T) {
 		}
 	}
 	if len(tab.odd) != 3 {
-		t.Fatalf("map holds %d entries, want 3 (TIDs 64, -1 and 1<<20)", len(tab.odd))
+		t.Fatalf("map holds %d entries, want 3 (TIDs 64, 1<<15 and 0xFFFF)", len(tab.odd))
 	}
 
 	var dense TIDTable[state]
 	if allocs := testing.AllocsPerRun(10, func() {
-		for tid := int32(0); tid < 64; tid++ {
+		for tid := uint16(0); tid < 64; tid++ {
 			dense.Get(tid).n++
 		}
 	}); allocs != 0 || dense.odd != nil {

@@ -13,7 +13,7 @@ import (
 func fanoutTestTrace() *Trace {
 	tr := &Trace{App: "fan", Layer: "native", Threads: 2, VolatileLoads: 7, VolatileStores: 9}
 	for i := 0; i < 3*DefaultBlockEvents+17; i++ {
-		tr.Append(Event{Kind: KStore, TID: int32(i % 2), Time: memTime(uint64(i + 1)), Addr: memAddr(uint64(64 * i)), Size: 8})
+		tr.Append(Event{Kind: KStore, TID: uint16(i % 2), Time: memTime(uint64(i + 1)), Addr: memAddr(uint64(64 * i)), Size: 8})
 	}
 	return tr
 }

@@ -34,6 +34,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("WSPR\x02\x04echo\x06native"))
 	// Past the first three chunk boundaries of the decoder's store.
 	seed(countingTrace(4*firstChunkEvents + 3))
+	// A block naming tid 0x10000, one past what an Event holds.
+	f.Add(append(append(v2Header(), okBlock(rawEvent(byte(KStore), 1<<16, 1, 0, 8))...), rawTrailer(0, 0, 1, true, 0)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(bytes.NewReader(data))

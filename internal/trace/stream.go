@@ -62,13 +62,13 @@ const (
 	maxKind = byte(KCrash)
 
 	// maxThreads bounds the header thread count the Reader trusts,
-	// mirroring the string-length bound in readString. The count
-	// is attacker-controlled input that downstream consumers use to size
-	// per-thread state (dense per-TID tables), and
-	// the raw uvarint cast to int would go negative for values >= 2^63 on
-	// 64-bit platforms. Honest traces stay far below: the suite runs at
-	// most 8 client threads and the sharded service a few thousand.
-	maxThreads = 1 << 20
+	// mirroring the string-length bound in readString: it is the number
+	// of TIDs an Event can name, 0 through 0xFFFF. The count is
+	// attacker-controlled input that downstream consumers use to size
+	// per-thread state, and the raw uvarint cast to int would go negative
+	// for values >= 2^63 on 64-bit platforms. The suite runs at most 8
+	// client threads, and a recorded service one per shard.
+	maxThreads = 1 << 16
 )
 
 // Meta identifies the run a trace stream came from.
@@ -484,12 +484,15 @@ func decodeBlock(p []byte, crc uint32, count int) ([]Event, error) {
 		} else {
 			return nil, fmt.Errorf("trace: block event %d: bad size varint", i)
 		}
+		if tid >= maxThreads {
+			return nil, fmt.Errorf("trace: block event %d: tid %d out of range (max %d)", i, tid, maxThreads-1)
+		}
 		// The deltas are binary.Varint's zigzag of the unsigned value.
 		prevTime += uint64(int64(dt>>1) ^ -int64(dt&1))
 		prevAddr += uint64(int64(da>>1) ^ -int64(da&1))
 		block[i] = Event{
 			Kind: Kind(kind),
-			TID:  int32(tid),
+			TID:  uint16(tid),
 			Time: memTime(prevTime),
 			Addr: memAddr(prevAddr),
 			Size: uint32(size),

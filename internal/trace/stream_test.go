@@ -13,7 +13,7 @@ import (
 )
 
 // genTrace generates a random but valid trace: every Kind, extreme
-// time/addr jumps in both directions, zero-size stores, negative TIDs.
+// time/addr jumps in both directions, zero-size stores, every TID.
 func genTrace(rng *rand.Rand, n int) *Trace {
 	apps := []string{"", "echo", "ycsb", "a-very-long-application-name"}
 	tr := &Trace{
@@ -26,7 +26,7 @@ func genTrace(rng *rand.Rand, n int) *Trace {
 	for i := 0; i < n; i++ {
 		e := Event{
 			Kind: Kind(rng.Intn(int(KUserData) + 1)),
-			TID:  int32(rng.Uint32()), // full range, including negatives
+			TID:  uint16(rng.Uint32()), // full range
 			Time: mem.Time(rng.Uint64() >> uint(rng.Intn(64))),
 			Addr: mem.Addr(rng.Uint64() >> uint(rng.Intn(64))),
 			Size: rng.Uint32() >> uint(rng.Intn(32)),
@@ -286,6 +286,14 @@ func TestV2RejectsMalformed(t *testing.T) {
 				return append(v2Header(), okBlock(bad)...)
 			}(),
 			wantErr: "invalid kind",
+		},
+		{
+			name: "tid past 16 bits",
+			stream: func() []byte {
+				b := append(v2Header(), okBlock(ev, rawEvent(byte(KStore), 1<<16, 1, 0, 8))...)
+				return append(b, rawTrailer(0, 0, 2, true, 0)...)
+			}(),
+			wantErr: "block event 1: tid 65536 out of range",
 		},
 		{
 			name: "trailing payload bytes",

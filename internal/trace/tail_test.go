@@ -24,7 +24,7 @@ var tailSizes = []int{0, 1, 15, 16, 17, 511, 512, 513, 1024, 32767, 32768, 32769
 func record(tr *Trace, tl *Tail, n int, closeErr error) {
 	go func() {
 		for i := 0; i < n; i++ {
-			tr.Append(Event{Time: mem.Time(i), TID: int32(i % 4), Kind: KStore, Size: 8})
+			tr.Append(Event{Time: mem.Time(i), TID: uint16(i % 4), Kind: KStore, Size: 8})
 			if i%1000 == 0 {
 				tr.VolatileLoads += 3 // as persist.Thread.VLoad does mid-run
 			}

@@ -101,12 +101,13 @@ func Charge(k Kind, pendingFlushes int) mem.Cycles {
 
 // Event is one trace record. Addr/Size are meaningful for memory events;
 // for KFence, KTxBegin and KTxEnd they are zero. For KUserData, Size holds
-// the payload byte count.
+// the payload byte count. TID is 16 bits, so the record is 23 bytes of
+// fields in 24: a trace holds 24 bytes per event, and one byte is spare.
 type Event struct {
 	Time mem.Time
 	Addr mem.Addr
 	Size uint32
-	TID  int32
+	TID  uint16
 	Kind Kind
 }
 
@@ -119,7 +120,7 @@ func (e Event) String() string {
 	}
 }
 
-// maxChunkEvents caps one chunk of a Trace's event store (1 MiB of
+// maxChunkEvents caps one chunk of a Trace's event store (768 KiB of
 // events): the slack a long trace carries is at most one part-filled
 // chunk, whatever its length.
 const maxChunkEvents = 1 << 15

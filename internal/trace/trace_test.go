@@ -65,7 +65,7 @@ func TestCodecRoundTripRandom(t *testing.T) {
 			Time: mem.Time(rng.Uint64() % (1 << 40)),
 			Addr: mem.Addr(rng.Uint64() % (1 << 44)),
 			Size: rng.Uint32() % 4096,
-			TID:  int32(rng.Intn(8)),
+			TID:  uint16(rng.Intn(8)),
 			Kind: Kind(rng.Intn(int(KUserData) + 1)),
 		})
 	}
@@ -129,13 +129,15 @@ func TestDecodeAbsurdCountDoesNotPreallocate(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsAbsurdThreadCount feeds headers whose thread-count uvarint claims 2^40 or 2^63 threads. The count used
+// TestDecodeRejectsAbsurdThreadCount feeds headers whose thread-count
+// uvarint claims one thread more than a TID can name, 2^40 or 2^63
+// threads. The count used
 // to be cast straight to int: consumers sizing per-TID state from
 // Meta.Threads would trust it, and values >= 2^63 wrapped negative on
 // 64-bit platforms. The reader must reject it like it already rejects
 // unreasonable string lengths and block counts.
 func TestDecodeRejectsAbsurdThreadCount(t *testing.T) {
-	for _, claim := range []uint64{1 << 40, 1 << 63} {
+	for _, claim := range []uint64{maxThreads + 1, 1 << 40, 1 << 63} {
 		var raw []byte
 		raw = append(raw, magic...)
 		raw = append(raw, version)
@@ -188,14 +190,14 @@ func TestDecodeLargeHonestTrace(t *testing.T) {
 }
 
 // TestCodecRoundTripAdversarialFields round-trips events whose fields sit
-// at the encoding's edges: negative thread IDs, time and address deltas
-// that run backwards, and maximum sizes. Delta encoding must reproduce
-// them all exactly.
+// at the encoding's edges: the lowest and highest thread IDs, a TID that
+// needs a multi-byte varint, time and address deltas that run backwards,
+// and maximum sizes. Delta encoding must reproduce them all exactly.
 func TestCodecRoundTripAdversarialFields(t *testing.T) {
 	orig := &Trace{App: "adv", Layer: "native", Threads: 2}
-	orig.Append(Event{Time: 1 << 50, Addr: mem.Addr(1<<63 + 7), Size: 1<<32 - 1, TID: -1, Kind: KStore})
-	orig.Append(Event{Time: 0, Addr: 0, Size: 0, TID: -2147483648, Kind: KLoad})   // both deltas go backwards
-	orig.Append(Event{Time: 1<<64 - 1, Addr: 1<<64 - 1, Size: 1, TID: 2147483647}) // max deltas forward
+	orig.Append(Event{Time: 1 << 50, Addr: mem.Addr(1<<63 + 7), Size: 1<<32 - 1, TID: 0xFFFF, Kind: KStore})
+	orig.Append(Event{Time: 0, Addr: 0, Size: 0, TID: 0, Kind: KLoad})       // both deltas go backwards
+	orig.Append(Event{Time: 1<<64 - 1, Addr: 1<<64 - 1, Size: 1, TID: 0x80}) // max deltas forward
 	orig.Append(Event{Time: 5, Addr: 3, Size: 1<<32 - 1, TID: 0, Kind: KUserData})
 	var buf bytes.Buffer
 	if err := EncodeV2(&buf, orig); err != nil {
@@ -223,6 +225,15 @@ func TestKindString(t *testing.T) {
 	}
 	if !strings.Contains(Kind(200).String(), "200") {
 		t.Error("unknown kind should include numeric value")
+	}
+}
+
+// TestEventIs24Bytes pins the record every retained trace is made of: 23
+// bytes of fields, the 16-bit TID in what was padding, in 24. A field
+// that grows the record costs every trace a quarter more (32 bytes).
+func TestEventIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 24", got)
 	}
 }
 

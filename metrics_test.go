@@ -59,7 +59,7 @@ func TestMetricsMatchTheTrace(t *testing.T) {
 		if fences := snap.Counters["pmem_fences_total{app="+name+"}"]; points != fences || fences == 0 {
 			t.Errorf("%s: threads' ordering points sum to %d, the device fenced %d times", name, points, fences)
 		}
-		touches := make(map[int32]uint64)
+		touches := make(map[uint16]uint64)
 		var epochs, lines uint64
 		for _, chunk := range rep.Trace.tr.Chunks() {
 			for _, e := range chunk {
