@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"github.com/whisper-pm/whisper"
+	"github.com/whisper-pm/whisper/internal/mem"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 func TestRunErrorPaths(t *testing.T) {
@@ -175,6 +178,53 @@ func TestSanFlag(t *testing.T) {
 	}
 	if strings.Contains(out, "Figure") {
 		t.Errorf("-san alone printed figures:\n%s", out)
+	}
+}
+
+// TestSanFailsOnErrorSite is the gate itself: a saved trace whose one
+// transaction commits an unflushed PM store prints that dirty-at-commit
+// site and exits 1. No report can waive a site, so every error-class site
+// fails the run.
+func TestSanFailsOnErrorSite(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "dirty.wspr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := trace.NewWriter(f, trace.Meta{App: "dirty", Layer: "native", Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []trace.Event{
+		{Time: 1, Kind: trace.KTxBegin},
+		{Time: 2, Kind: trace.KStore, Addr: mem.PMBase, Size: 8},
+		{Time: 3, Kind: trace.KTxEnd},
+	} {
+		if err := tw.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-dir", dir, "-san"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	for _, want := range []string{
+		"pmsan: app=dirty layer=native events=3 errors=1\n",
+		fmt.Sprintf("  E dirty-at-commit t0 line=%#x count=1 first=3\n", uint64(mem.PMBase)),
+	} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
+	}
+	if want := "sanitizer found 1 ordering error sites"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q lacks %q", stderr.String(), want)
 	}
 }
 

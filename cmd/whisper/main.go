@@ -5,12 +5,11 @@
 // Usage:
 //
 //	whisper [-bench name] [-clients n] [-ops n] [-seed n] [-parallel n] [-trace dir] [-table1]
-//	        [-san] [-san-allow file] [-metrics out.json] [-debug-addr :6060]
+//	        [-san] [-metrics out.json] [-debug-addr :6060]
 //
 // -san puts the durability-ordering sanitizer (internal/pmsan) on every
 // run and prints one report per app after the benchmark output; the
-// process exits 1 if any unsuppressed ordering error remains. -san-allow
-// loads an allowlist of known findings to suppress.
+// process exits 1 if any report holds an error-class site.
 //
 // With no -bench, the whole suite runs, up to -parallel benchmarks at a
 // time (default: one worker per CPU). Each run owns its own simulated
@@ -67,8 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.NumCPU(), "max concurrent benchmark runs (1 = serial)")
 	traceDir := fs.String("trace", "", "directory to save raw traces")
 	table1 := fs.Bool("table1", false, "print only the Table 1 epoch-rate rows")
-	san := fs.Bool("san", false, "run the durability-ordering sanitizer over each run; exit 1 on unsuppressed ordering errors")
-	sanAllow := fs.String("san-allow", "", "allowlist file of known sanitizer findings to suppress (implies -san)")
+	san := fs.Bool("san", false, "run the durability-ordering sanitizer over each run; exit 1 on any ordering error")
 	metrics := fs.String("metrics", "", "write a JSON metrics snapshot to this path on exit")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. :6060)")
 	if !cliutil.Parse(fs, args) || !cliutil.InRange(fs,
@@ -82,15 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Errors from package whisper already carry the prefix.
 		fmt.Fprintln(stderr, "whisper:", strings.TrimPrefix(err.Error(), "whisper: "))
 		return 1
-	}
-
-	var allow *whisper.Allowlist
-	if *sanAllow != "" {
-		*san = true
-		var err error
-		if allow, err = whisper.LoadAllowlist(*sanAllow); err != nil {
-			return fail(err)
-		}
 	}
 
 	if *debugAddr != "" {
@@ -143,7 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sanErrors := 0
 	if *san {
 		for _, p := range passes {
-			p.San.ApplyAllowlist(allow)
 			fmt.Fprint(stdout, p.San.String())
 			sanErrors += p.San.Errors()
 		}
@@ -152,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if sanErrors > 0 {
-		return fail(fmt.Errorf("sanitizer found %d unsuppressed ordering error sites", sanErrors))
+		return fail(fmt.Errorf("sanitizer found %d ordering error sites", sanErrors))
 	}
 	return 0
 }

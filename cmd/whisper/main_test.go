@@ -19,7 +19,6 @@ func TestRunErrorPaths(t *testing.T) {
 	}{
 		{"unknown benchmark", []string{"-bench", "nope"}, 1, `unknown benchmark "nope"`},
 		{"unwritable trace dir", []string{"-bench", "echo", "-ops", "2", "-trace", filepath.Join(os.DevNull, "traces")}, 1, os.DevNull},
-		{"unreadable allowlist", []string{"-san-allow", filepath.Join(t.TempDir(), "missing.allow")}, 1, "allowlist"},
 		// flag parsing stops at "echo": without the check -san is dropped
 		// and the run succeeds unsanitized.
 		{"stray positional argument", []string{"-table1", "echo", "-san"}, 2, "unexpected arguments: [echo -san]"},

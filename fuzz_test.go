@@ -2,6 +2,9 @@ package whisper
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/hops"
@@ -10,11 +13,14 @@ import (
 )
 
 // hostileTraces are well-formed v2 files (every CRC and count valid) that
-// no recorder writes: the decoder accepts them, so the consumers are the
-// only line of defence. The first names the highest TID, which every
-// thread table keeps in its map. The second took the process down before
-// the consumers shared one bounded line walk (mem.Lines called make with a
-// negative capacity); the third walked 67 M lines in three of the four.
+// no recorder writes. The decoder accepts the first three, so the
+// consumers are the only line of defence. The first names the highest TID,
+// which every thread table keeps in its map. The second took the process
+// down before the consumers shared one bounded line walk (mem.Lines called
+// make with a negative capacity); the third walked 67 M lines in three of
+// the four. The fourth's one event claims 2^32+8 bytes, which an Event
+// cannot hold: the decoder once kept the low 32 bits and handed the
+// consumers an 8-byte store, and must refuse it.
 func hostileTraces(t testing.TB) []hostileTrace {
 	// One transaction touching [a, a+size) with every kind of memory event.
 	sff := func(tid uint16, a mem.Addr, size uint32) []byte {
@@ -28,21 +34,42 @@ func hostileTraces(t testing.TB) []hostileTrace {
 			{Time: 7, TID: tid, Kind: trace.KTxEnd},
 		})
 		var buf bytes.Buffer
-		if err := trace.EncodeV2(&buf, tr); err != nil {
+		if err := trace.EncodeV2(&buf, trace.NewSliceSource(tr)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	return []hostileTrace{
-		{"top-tid", sff(0xFFFF, mem.PMBase, 8)},
-		{"wrapping-span", sff(0, ^mem.Addr(0)-4, 64)},
-		{"4GiB-store", sff(0, mem.PMBase, 0xFFFFFFFF)},
+		{"top-tid", sff(0xFFFF, mem.PMBase, 8), ""},
+		{"wrapping-span", sff(0, ^mem.Addr(0)-4, 64), ""},
+		{"4GiB-store", sff(0, mem.PMBase, 0xFFFFFFFF), ""},
+		{"huge-size", hugeSize(), "block event 0: size 4294967304 out of range"},
 	}
+}
+
+// hugeSize frames by hand, since no Writer can, a v2 file holding one
+// store whose size is 2^32+8.
+func hugeSize() []byte {
+	var ev []byte
+	ev = append(ev, byte(trace.KStore), 0)           // kind, tid
+	ev = binary.AppendVarint(ev, 1)                  // time delta
+	ev = binary.AppendVarint(ev, int64(mem.PMBase))  // addr delta
+	ev = binary.AppendUvarint(ev, 1<<32+8)           // size
+	b := []byte("WSPR\x02\x07hostile\x06native\x01") // magic, version, app, layer, threads
+	b = append(b, 0x01, 1)                           // block tag, one event
+	b = binary.AppendUvarint(b, uint64(len(ev)))
+	b = append(b, ev...)
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(ev))
+	counts := []byte{0, 0, 1} // volatile loads, volatile stores, events
+	b = append(append(b, 0x02), counts...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(counts))
 }
 
 type hostileTrace struct {
 	name string
 	data []byte
+	// wantErr, when set, is what the decoder must refuse the file with.
+	wantErr string
 }
 
 // analyzeHostile runs every consumer of a trace file over data — the
@@ -74,10 +101,27 @@ func analyzeHostile(t *testing.T, data []byte) {
 // TestHostileTraceFilesReportOrError pins the hand-found inputs: the
 // highest TID, a span that wraps the address space, and a 4 GiB store
 // each come back as a report or an error from the fused pass and the
-// HOPS replay.
+// HOPS replay. A size past 32 bits comes back as the decoder's error from
+// both.
 func TestHostileTraceFilesReportOrError(t *testing.T) {
 	for _, h := range hostileTraces(t) {
-		t.Run(h.name, func(t *testing.T) { analyzeHostile(t, h.data) })
+		t.Run(h.name, func(t *testing.T) {
+			analyzeHostile(t, h.data)
+			if h.wantErr == "" {
+				return
+			}
+			_, err := AnalyzeReaderFused(bytes.NewReader(h.data), FusedConfig{Sanitize: true, Cache: true})
+			if err == nil || !strings.Contains(err.Error(), h.wantErr) {
+				t.Errorf("fused pass: error %v, want one containing %q", err, h.wantErr)
+			}
+			rd, err := trace.NewReader(bytes.NewReader(h.data))
+			if err == nil {
+				_, err = hops.NormalizedSource(rd, hops.DefaultConfig(), nil)
+			}
+			if err == nil || !strings.Contains(err.Error(), h.wantErr) {
+				t.Errorf("HOPS replay: error %v, want one containing %q", err, h.wantErr)
+			}
+		})
 	}
 }
 
@@ -86,7 +130,7 @@ func TestHostileTraceFilesReportOrError(t *testing.T) {
 // only one whose line walk and thread lookup survived a hostile file;
 // this target covers the shared table and walk under all four. Seeds: the
 // FuzzDecode / FuzzSanitizer corpora (testdata/fuzz/FuzzFused) and the
-// three hostile files above.
+// four hostile files above.
 func FuzzFused(f *testing.F) {
 	for _, h := range hostileTraces(f) {
 		f.Add(h.data)

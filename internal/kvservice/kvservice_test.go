@@ -197,7 +197,7 @@ func TestServiceTraceCleanUnderAnalysis(t *testing.T) {
 		t.Fatalf("pmsan: %v", err)
 	}
 	if rep.Errors() != 0 {
-		t.Fatalf("sanitizer found %d unsuppressed error sites:\n%s", rep.Errors(), rep)
+		t.Fatalf("sanitizer found %d error sites:\n%s", rep.Errors(), rep)
 	}
 	an, err := epoch.AnalyzeStream(trace.NewSliceSource(svc.Trace()))
 	if err != nil {

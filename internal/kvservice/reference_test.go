@@ -200,10 +200,10 @@ func requireMatchesReference(t *testing.T, cfg SimConfig) SimResult {
 	}
 	for i := 0; i < gs.Shards(); i++ {
 		var g, w bytes.Buffer
-		if err := trace.EncodeV2(&g, gs.Runtime(i).Trace); err != nil {
+		if err := trace.EncodeV2(&g, trace.NewSliceSource(gs.Runtime(i).Trace)); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.EncodeV2(&w, ws.Runtime(i).Trace); err != nil {
+		if err := trace.EncodeV2(&w, trace.NewSliceSource(ws.Runtime(i).Trace)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(g.Bytes(), w.Bytes()) {
@@ -392,10 +392,10 @@ func TestTraceMergeMatchesStableSort(t *testing.T) {
 		svc.Flush()
 		got, want := svc.Trace(), referenceTrace(svc)
 		var g, w bytes.Buffer
-		if err := trace.EncodeV2(&g, got); err != nil {
+		if err := trace.EncodeV2(&g, trace.NewSliceSource(got)); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.EncodeV2(&w, want); err != nil {
+		if err := trace.EncodeV2(&w, trace.NewSliceSource(want)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(g.Bytes(), w.Bytes()) {

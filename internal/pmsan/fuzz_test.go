@@ -19,7 +19,7 @@ func FuzzSanitizer(f *testing.F) {
 		slices.Concat(broken.Chunks()...)[:7])
 	for _, tr := range []*trace.Trace{broken, open} {
 		var buf bytes.Buffer
-		if err := trace.EncodeV2(&buf, tr); err != nil {
+		if err := trace.EncodeV2(&buf, trace.NewSliceSource(tr)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())

@@ -70,7 +70,7 @@ func (c Class) String() string {
 // a performance diagnostic).
 func (c Class) IsError() bool { return c <= UnfencedNTStore }
 
-// ClassByName maps a report/allowlist name back to its Class.
+// ClassByName maps a class name, as a report prints it, back to its Class.
 func ClassByName(name string) (Class, bool) {
 	for i, n := range classNames {
 		if n == name {

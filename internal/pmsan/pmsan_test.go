@@ -2,7 +2,6 @@ package pmsan
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -388,7 +387,7 @@ func TestRunOverEncodedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := trace.EncodeV2(&buf, brokenWorkload()); err != nil {
+	if err := trace.EncodeV2(&buf, trace.NewSliceSource(brokenWorkload())); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := trace.NewReader(&buf)
@@ -401,77 +400,6 @@ func TestRunOverEncodedTrace(t *testing.T) {
 	}
 	if direct.String() != decoded.String() {
 		t.Fatalf("decoded report differs:\n%s\n---\n%s", direct, decoded)
-	}
-}
-
-func TestAllowlistSuppression(t *testing.T) {
-	al, err := ParseAllowlist(strings.NewReader(`
-# suppress the two t0 error sites, not t1's NT store
-broken dirty-at-commit t0
-* unfenced-flush line=0x100000080
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(al.rules) != 2 {
-		t.Fatalf("parsed %d rules, want 2", len(al.rules))
-	}
-	rep, err := Run(trace.NewSliceSource(brokenWorkload()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := al.Apply(rep); n != 2 {
-		t.Fatalf("suppressed %d sites, want 2\n%s", n, rep)
-	}
-	if rep.Errors() != 1 || rep.Suppressed() != 2 {
-		t.Fatalf("errors=%d suppressed=%d, want 1/2\n%s", rep.Errors(), rep.Suppressed(), rep)
-	}
-	if !strings.Contains(rep.String(), "(allowed)") {
-		t.Fatalf("suppressed sites not marked in render:\n%s", rep)
-	}
-}
-
-func TestAllowlistAppMismatch(t *testing.T) {
-	al, err := ParseAllowlist(strings.NewReader("otherapp *\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(trace.NewSliceSource(brokenWorkload()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := al.Apply(rep); n != 0 {
-		t.Fatalf("rule for another app suppressed %d sites", n)
-	}
-}
-
-func TestAllowlistWildcard(t *testing.T) {
-	al, err := ParseAllowlist(strings.NewReader("* *\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(trace.NewSliceSource(brokenWorkload()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	al.Apply(rep)
-	if rep.Errors() != 0 {
-		t.Fatalf("wildcard left %d errors", rep.Errors())
-	}
-}
-
-func TestAllowlistParseErrors(t *testing.T) {
-	cases := []string{
-		"justone\n",
-		"echo not-a-class\n",
-		"echo dirty-at-commit tfoo\n",
-		"echo dirty-at-commit line=zzz\n",
-		"echo dirty-at-commit bogus=1\n",
-	}
-	for _, c := range cases {
-		if _, err := ParseAllowlist(strings.NewReader(c)); err == nil {
-			t.Errorf("ParseAllowlist(%q) succeeded, want error", c)
-		}
 	}
 }
 

@@ -19,10 +19,6 @@ type Violation struct {
 	Count uint64
 	// First is the simulated time of the first hit.
 	First mem.Time
-	// Suppressed is set by Allowlist.Apply when a rule matches; the
-	// site still renders (marked "allowed") but no longer counts as an
-	// unsuppressed error.
-	Suppressed bool
 }
 
 // Report is the deterministic result of sanitizing one trace. The
@@ -77,23 +73,12 @@ func (r *Report) classTotals() [numClasses]classTotal {
 // Sites returns the number of distinct (thread, line) sites for class c.
 func (r *Report) Sites(c Class) int { return r.classTotals()[c].sites }
 
-// Errors returns the number of unsuppressed error-class sites. A suite
-// run is clean when every report's Errors is zero.
+// Errors returns the number of error-class sites. A suite run is clean
+// when every report's Errors is zero.
 func (r *Report) Errors() int {
 	n := 0
 	for _, v := range r.Violations {
-		if v.Class.IsError() && !v.Suppressed {
-			n++
-		}
-	}
-	return n
-}
-
-// Suppressed returns the number of allowlisted error-class sites.
-func (r *Report) Suppressed() int {
-	n := 0
-	for _, v := range r.Violations {
-		if v.Class.IsError() && v.Suppressed {
+		if v.Class.IsError() {
 			n++
 		}
 	}
@@ -109,8 +94,8 @@ const maxDiagSites = 8
 // on the ordered violation set, never on map order or timing.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pmsan: app=%s layer=%s events=%d errors=%d suppressed=%d\n",
-		r.App, r.Layer, r.Events, r.Errors(), r.Suppressed())
+	fmt.Fprintf(&b, "pmsan: app=%s layer=%s events=%d errors=%d\n",
+		r.App, r.Layer, r.Events, r.Errors())
 	for _, c := range r.classTotals() {
 		kind := "error"
 		if !c.class.IsError() {
@@ -124,12 +109,8 @@ func (r *Report) String() string {
 	diagTruncated := [numClasses]int{}
 	for _, v := range r.Violations {
 		if v.Class.IsError() {
-			mark := ""
-			if v.Suppressed {
-				mark = " (allowed)"
-			}
-			fmt.Fprintf(&b, "  E %s t%d line=0x%x count=%d first=%d%s\n",
-				v.Class, v.TID, uint64(mem.LineAddr(v.Line)), v.Count, v.First, mark)
+			fmt.Fprintf(&b, "  E %s t%d line=0x%x count=%d first=%d\n",
+				v.Class, v.TID, uint64(mem.LineAddr(v.Line)), v.Count, v.First)
 			continue
 		}
 		if diagShown[v.Class] >= maxDiagSites {

@@ -78,7 +78,7 @@ type Result struct {
 // recovery point.
 func (r *Result) Ok() bool { return len(r.Violations) == 0 }
 
-// SanErrors sums unsuppressed sanitizer error sites across domains.
+// SanErrors sums sanitizer error sites across domains.
 func (r *Result) SanErrors() int {
 	n := 0
 	for _, d := range r.Domains {

@@ -59,7 +59,7 @@ func TestFanoutAllBranchesSeeFullStream(t *testing.T) {
 		{"chunk-source", func() EventSource { return NewSliceSource(tr) }},
 		{"next-only", func() EventSource {
 			var buf bytes.Buffer
-			if err := EncodeV2(&buf, tr); err != nil {
+			if err := EncodeV2(&buf, NewSliceSource(tr)); err != nil {
 				t.Fatal(err)
 			}
 			rd, err := NewReader(&buf)

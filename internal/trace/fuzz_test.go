@@ -16,7 +16,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	seed := func(tr *Trace) {
 		var buf bytes.Buffer
-		if err := EncodeV2(&buf, tr); err != nil {
+		if err := EncodeV2(&buf, NewSliceSource(tr)); err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
 		f.Add(buf.Bytes())
@@ -36,6 +36,8 @@ func FuzzDecode(f *testing.F) {
 	seed(countingTrace(4*firstChunkEvents + 3))
 	// A block naming tid 0x10000, one past what an Event holds.
 	f.Add(append(append(v2Header(), okBlock(rawEvent(byte(KStore), 1<<16, 1, 0, 8))...), rawTrailer(0, 0, 1, true, 0)...))
+	// A block naming a size of 2^32+8, past what an Event holds.
+	f.Add(append(append(v2Header(), okBlock(rawEvent(byte(KStore), 0, 1, 0, 1<<32+8))...), rawTrailer(0, 0, 1, true, 0)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(bytes.NewReader(data))
@@ -43,7 +45,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := EncodeV2(&buf, tr); err != nil {
+		if err := EncodeV2(&buf, NewSliceSource(tr)); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)
 		}
 		tr2, err := Decode(bytes.NewReader(buf.Bytes()))
@@ -76,7 +78,7 @@ func FuzzReaderV2(f *testing.F) {
 	})
 	seedTrace.VolatileLoads, seedTrace.VolatileStores = 7, 3
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, seedTrace); err != nil {
+	if err := EncodeV2(&buf, NewSliceSource(seedTrace)); err != nil {
 		f.Fatalf("seed encode: %v", err)
 	}
 	whole := buf.Bytes()
@@ -99,7 +101,7 @@ func FuzzReaderV2(f *testing.F) {
 		big.Append(Event{Kind: KStore, Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i*8), Size: 8})
 	}
 	buf.Reset()
-	if err := EncodeV2(&buf, big); err != nil {
+	if err := EncodeV2(&buf, NewSliceSource(big)); err != nil {
 		f.Fatalf("seed encode: %v", err)
 	}
 	f.Add(append([]byte(nil), buf.Bytes()...))
@@ -147,7 +149,7 @@ func FuzzReaderV2(f *testing.F) {
 			t.Fatalf("Decode failed on stream Reader accepted: %v", err)
 		}
 		buf := &bytes.Buffer{}
-		if err := EncodeV2(buf, tr); err != nil {
+		if err := EncodeV2(buf, NewSliceSource(tr)); err != nil {
 			t.Fatalf("re-encode of accepted v2 trace failed: %v", err)
 		}
 		tr2, err := Decode(bytes.NewReader(buf.Bytes()))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 )
 
 // Chunked binary trace format (version 2):
@@ -239,20 +240,27 @@ func (w *Writer) Close(vloads, vstores uint64) error {
 	return w.bw.Flush()
 }
 
-// EncodeV2 writes t to w in the chunked v2 format.
-func EncodeV2(w io.Writer, t *Trace) error {
-	tw, err := NewWriter(w, Meta{App: t.App, Layer: t.Layer, Threads: t.Threads})
+// EncodeV2 drains src to w in the chunked v2 format: a retained trace
+// through its SliceSource, a live run through its Fanout branch.
+func EncodeV2(w io.Writer, src EventSource) error {
+	tw, err := NewWriter(w, src.Meta())
 	if err != nil {
 		return err
 	}
-	for _, c := range t.chunks {
-		for _, e := range c {
+	for {
+		chunk, err := src.NextChunk()
+		if err == io.EOF {
+			return tw.Close(src.Volatile())
+		}
+		if err != nil {
+			return err
+		}
+		for _, e := range chunk {
 			if err := tw.Write(e); err != nil {
 				return err
 			}
 		}
 	}
-	return tw.Close(t.VolatileLoads, t.VolatileStores)
 }
 
 // --- Reader --------------------------------------------------------------
@@ -486,6 +494,9 @@ func decodeBlock(p []byte, crc uint32, count int) ([]Event, error) {
 		}
 		if tid >= maxThreads {
 			return nil, fmt.Errorf("trace: block event %d: tid %d out of range (max %d)", i, tid, maxThreads-1)
+		}
+		if size > math.MaxUint32 {
+			return nil, fmt.Errorf("trace: block event %d: size %d out of range (max %d)", i, size, uint64(math.MaxUint32))
 		}
 		// The deltas are binary.Varint's zigzag of the unsigned value.
 		prevTime += uint64(int64(dt>>1) ^ -int64(dt&1))

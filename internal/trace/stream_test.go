@@ -98,7 +98,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 			orig := genTrace(rng, n)
 
 			var v2 bytes.Buffer
-			if err := EncodeV2(&v2, orig); err != nil {
+			if err := EncodeV2(&v2, NewSliceSource(orig)); err != nil {
 				t.Fatalf("seed %d n %d: EncodeV2: %v", seed, n, err)
 			}
 			got, err := Decode(bytes.NewReader(v2.Bytes()))
@@ -294,6 +294,14 @@ func TestV2RejectsMalformed(t *testing.T) {
 				return append(b, rawTrailer(0, 0, 2, true, 0)...)
 			}(),
 			wantErr: "block event 1: tid 65536 out of range",
+		},
+		{
+			name: "size past 32 bits",
+			stream: func() []byte {
+				b := append(v2Header(), okBlock(rawEvent(byte(KStore), 0, 1, 0, 1<<32+8))...)
+				return append(b, rawTrailer(0, 0, 1, true, 0)...)
+			}(),
+			wantErr: "block event 0: size 4294967304 out of range",
 		},
 		{
 			name: "trailing payload bytes",

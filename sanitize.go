@@ -3,7 +3,6 @@ package whisper
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/whisper-pm/whisper/internal/pmsan"
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -28,8 +27,8 @@ type SanReport struct {
 // String renders the full report (summary plus per-site detail).
 func (r *SanReport) String() string { return r.rep.String() }
 
-// Errors returns the number of unsuppressed error-class sites. Zero
-// means the trace is clean (modulo the applied allowlist).
+// Errors returns the number of error-class sites. Zero means the trace
+// is clean.
 func (r *SanReport) Errors() int { return r.rep.Errors() }
 
 // Sites returns the number of distinct (thread, line) sites reported
@@ -40,40 +39,6 @@ func (r *SanReport) Sites(class string) int {
 		return 0
 	}
 	return r.rep.Sites(c)
-}
-
-// ApplyAllowlist suppresses sites matching the allowlist and returns
-// how many were newly suppressed. Nil allowlists are no-ops.
-func (r *SanReport) ApplyAllowlist(a *Allowlist) int {
-	if a == nil {
-		return 0
-	}
-	return a.al.Apply(r.rep)
-}
-
-// Allowlist suppresses known-intentional sanitizer findings; see
-// internal/pmsan for the file format.
-type Allowlist struct {
-	al *pmsan.Allowlist
-}
-
-// ParseAllowlist reads allowlist rules from r.
-func ParseAllowlist(r io.Reader) (*Allowlist, error) {
-	al, err := pmsan.ParseAllowlist(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Allowlist{al: al}, nil
-}
-
-// LoadAllowlist reads allowlist rules from a file.
-func LoadAllowlist(path string) (*Allowlist, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("whisper: allowlist: %v", err)
-	}
-	defer f.Close()
-	return ParseAllowlist(f)
 }
 
 // Sanitize runs the durability-ordering sanitizer over a retained

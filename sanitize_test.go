@@ -2,7 +2,6 @@ package whisper
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/pmsan"
@@ -82,31 +81,5 @@ func TestSanitizerParallelMatchesSerial(t *testing.T) {
 func TestSanitizeReaderRejectsGarbage(t *testing.T) {
 	if _, err := SanitizeReader(bytes.NewReader([]byte("not a trace"))); err == nil {
 		t.Fatal("SanitizeReader accepted garbage")
-	}
-}
-
-// TestAllowlistAPIRoundTrip exercises the exported allowlist surface:
-// parse, apply, and the suppressed accounting.
-func TestAllowlistAPIRoundTrip(t *testing.T) {
-	rep, err := Run("ycsb", Config{Ops: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	san := Sanitize(rep.Trace)
-	// Wildcard-suppress everything; on a clean trace this must be a no-op
-	// but the parse/apply path still has to work.
-	al, err := ParseAllowlist(strings.NewReader(
-		"# suite-wide waiver\n* * \n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := san.ApplyAllowlist(al); n != san.rep.Suppressed() {
-		t.Errorf("ApplyAllowlist returned %d, Suppressed() = %d", n, san.rep.Suppressed())
-	}
-	if san.ApplyAllowlist(nil) != 0 {
-		t.Error("nil allowlist suppressed sites")
-	}
-	if _, err := ParseAllowlist(strings.NewReader("toofew\n")); err == nil {
-		t.Error("malformed allowlist rule accepted")
 	}
 }

@@ -52,29 +52,6 @@ func pipeline(src trace.EventSource, taps []tap) (*epoch.Analysis, error) {
 	return a, nil
 }
 
-// writeV2 is the trace-file tap: it copies its branch to w in the chunked
-// v2 format.
-func writeV2(w io.Writer, src *trace.Branch) error {
-	tw, err := trace.NewWriter(w, src.Meta())
-	if err != nil {
-		return err
-	}
-	for {
-		chunk, err := src.NextChunk()
-		if err == io.EOF {
-			return tw.Close(src.Volatile())
-		}
-		if err != nil {
-			return err
-		}
-		for _, e := range chunk {
-			if err := tw.Write(e); err != nil {
-				return err
-			}
-		}
-	}
-}
-
 // Live runs are two stages at chunk granularity, exec ∥ analysis: the
 // benchmark records on its own goroutine into a trace.Trace whose chunks
 // never move once written, and each chunk reaches the pipeline through the

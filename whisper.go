@@ -53,7 +53,9 @@ func (t *Trace) Events() int { return t.tr.Len() }
 
 // Encode writes the trace in the binary trace format (chunked v2: framed,
 // CRC-checksummed event blocks; see internal/trace).
-func (t *Trace) Encode(w io.Writer) error { return trace.EncodeV2(w, t.tr) }
+func (t *Trace) Encode(w io.Writer) error {
+	return trace.EncodeV2(w, trace.NewSliceSource(t.tr))
+}
 
 // EncodeV2 is Encode under its earlier name, from when Encode still wrote
 // the v1 layout.
