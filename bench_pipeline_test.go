@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,7 +50,7 @@ func genPipelineTrace(n, threads int) *trace.Trace {
 		clock += mem.Time(5)
 		tr.Append(trace.Event{Kind: trace.KTxEnd, TID: tid, Time: clock})
 	}
-	return trace.FromEvents(meta, slices.Concat(tr.Chunks()...)[:n])
+	return trace.FromEvents(meta, traceEvents(tr)[:n])
 }
 
 // BenchmarkPipelineAnalyze is the epoch analysis on a synthetic trace of

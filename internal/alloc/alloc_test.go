@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"io"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -132,11 +133,9 @@ func TestMultiSlabSingletonEpochPerAlloc(t *testing.T) {
 	}
 	// The single store must be 8 bytes (a bitmap word).
 	var last trace.Event
-	for _, c := range rt.Trace.Chunks() {
-		for _, e := range c {
-			if e.Kind == trace.KStore {
-				last = e
-			}
+	for _, e := range traceEvents(rt.Trace) {
+		if e.Kind == trace.KStore {
+			last = e
 		}
 	}
 	if sz := last.Size; sz != 8 {
@@ -480,5 +479,21 @@ func BenchmarkMultiSlabRecover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Recover(th)
+	}
+}
+
+// traceEvents drains tr through its SliceSource: the recorded events in
+// order, which never fail to unpack.
+func traceEvents(tr *trace.Trace) []trace.Event {
+	var out []trace.Event
+	for src := trace.NewSliceSource(tr); ; {
+		c, err := src.NextChunk()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, c...)
 	}
 }

@@ -172,9 +172,9 @@ func TestReplayAllocsIndependentOfLength(t *testing.T) {
 // first few hundred lines, evicts — allocates only for the directory
 // growing to N entries. (Sets that reallocated on every insert cost two
 // allocations a line.) The directory's own growth is measured on a bare
-// table of the same type and taken off; how many tables its page map of
-// 125 pages splits into varies by a few with the hash seed, hence the
-// slack.
+// table of the same type and taken off, and so is the source's, a chunk a
+// block it unpacks; how many tables its page map of 125 pages splits into
+// varies by a few with the hash seed, hence the slack.
 func TestColdPassAllocsIndependentOfLines(t *testing.T) {
 	beyondDirectory := func(lines int) float64 {
 		events := make([]trace.Event, lines)
@@ -194,7 +194,14 @@ func TestColdPassAllocsIndependentOfLines(t *testing.T) {
 				*dir.Get(mem.LineOf(mem.PMBase) + mem.Line(i)) = lineInfo{}
 			}
 		})
-		return pass - dir
+		source := testing.AllocsPerRun(5, func() {
+			for src := trace.NewSliceSource(tr); ; {
+				if _, err := src.NextChunk(); err != nil {
+					return
+				}
+			}
+		})
+		return pass - dir - source
 	}
 	if small, large := beyondDirectory(2_000), beyondDirectory(32_000); large > small+8 {
 		t.Fatalf("a cold pass allocates %v times beyond its directory over 2 000 lines, %v over 32 000: the caches allocate per fill", small, large)

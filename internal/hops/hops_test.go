@@ -244,22 +244,21 @@ func TestTraceDrivesHOPSMachine(t *testing.T) {
 			m := NewMachine(4, DefaultConfig())
 			var f front
 			var st frontStep
-			for _, c := range recorded(name).Chunks() {
-				for i := range c {
-					e := &c[i]
-					f.next(e, &st)
-					tid := int(e.TID) % 4
-					switch e.Kind {
-					case trace.KStore, trace.KStoreNT:
-						for l, n := e.Lines(); n > 0; l, n = l+1, n-1 {
-							m.Store(tid, l, uint64(e.Time))
-						}
-					case trace.KFence:
-						m.OFence(tid)
-					case trace.KTxEnd:
-						if st.dfence {
-							m.DFence(tid)
-						}
+			c := events(recorded(name))
+			for i := range c {
+				e := &c[i]
+				f.next(e, &st)
+				tid := int(e.TID) % 4
+				switch e.Kind {
+				case trace.KStore, trace.KStoreNT:
+					for l, n := e.Lines(); n > 0; l, n = l+1, n-1 {
+						m.Store(tid, l, uint64(e.Time))
+					}
+				case trace.KFence:
+					m.OFence(tid)
+				case trace.KTxEnd:
+					if st.dfence {
+						m.DFence(tid)
 					}
 				}
 			}

@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -658,24 +657,28 @@ func (s *Service) Trace() *trace.Trace {
 	if !s.cfg.Record {
 		panic("kvservice: Trace on a service built without Config.Record: its shards recorded no events")
 	}
-	// rest[i] is the unread part of shard i's current chunk, later[i] the
-	// chunks after it. A sealed chunk never changes and the open one only
-	// grows past the length snapshotted here, so the merge runs unlocked.
+	// Each shard's sealed blocks never change and its open events are
+	// copied, so the merge runs unlocked on snapshots. rest[i] is the
+	// unread part of shard i's current chunk, srcs[i] the chunks after it.
+	srcs := make([]*trace.SliceSource, len(s.shards))
 	rest := make([][]trace.Event, len(s.shards))
-	later := make([][][]trace.Event, len(s.shards))
-	var total int
 	var vloads, vstores uint64
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		if chunks := sh.rt.Trace.Chunks(); len(chunks) > 0 {
-			rest[i], later[i] = chunks[0], slices.Clone(chunks[1:])
-		}
-		total += sh.rt.Trace.Len()
-		vloads += sh.rt.Trace.VolatileLoads
-		vstores += sh.rt.Trace.VolatileStores
+		snap := sh.rt.Trace.Snapshot()
 		sh.mu.Unlock()
+		srcs[i] = trace.NewSliceSource(snap)
+		vloads += snap.VolatileLoads
+		vstores += snap.VolatileStores
 	}
-	events := make([]trace.Event, 0, total)
+	next := func(i int) {
+		// A snapshot of recorded events cannot fail to unpack.
+		rest[i], _ = srcs[i].NextChunk()
+	}
+	for i := range srcs {
+		next(i)
+	}
+	merged := trace.FromEvents(trace.Meta{App: "kvservice", Layer: "native", Threads: len(s.shards)}, nil)
 	for {
 		first := -1
 		for i, r := range rest {
@@ -688,12 +691,11 @@ func (s *Service) Trace() *trace.Trace {
 		}
 		e := rest[first][0]
 		e.TID = uint16(first)
-		events = append(events, e)
-		if rest[first] = rest[first][1:]; len(rest[first]) == 0 && len(later[first]) > 0 {
-			rest[first], later[first] = later[first][0], later[first][1:]
+		merged.Append(e)
+		if rest[first] = rest[first][1:]; len(rest[first]) == 0 {
+			next(first)
 		}
 	}
-	merged := trace.FromEvents(trace.Meta{App: "kvservice", Layer: "native", Threads: len(s.shards)}, events)
 	merged.VolatileLoads, merged.VolatileStores = vloads, vstores
 	return merged
 }

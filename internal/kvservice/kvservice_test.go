@@ -64,9 +64,8 @@ func TestGroupCommitTraceShape(t *testing.T) {
 		t.Fatalf("TxBegin count = %d, want 2", got)
 	}
 	// The batch's transaction must close after its last fence.
-	chunks := tr.Chunks()
-	tail := chunks[len(chunks)-1]
-	if last := tail[len(tail)-1]; last.Kind != trace.KTxEnd {
+	all := traceEvents(tr)
+	if last := all[len(all)-1]; last.Kind != trace.KTxEnd {
 		t.Fatalf("trace does not end at TxEnd: %v", last)
 	}
 	// A read-only batch adds no fences at all.

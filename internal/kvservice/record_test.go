@@ -1,12 +1,12 @@
 package kvservice
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"github.com/whisper-pm/whisper/internal/pmem"
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -105,9 +105,10 @@ func TestRecordingDoesNotPerturb(t *testing.T) {
 // retained is what a finished run still holds: the live heap with the
 // service reachable, and the sizes of the two things that heap should be
 // made of — device pages and index keys — plus the events a recording
-// service kept.
+// service kept and the bytes they encode to, which is what a trace holds
+// them in.
 type retained struct {
-	heap, pages, keys, events int64
+	heap, pages, keys, events, packed int64
 }
 
 func retainedAfterRun(cfg SimConfig) retained {
@@ -120,16 +121,25 @@ func retainedAfterRun(cfg SimConfig) retained {
 	for i, sh := range svc.shards {
 		r.pages += int64(len(sh.rt.Dev.DurableImage()))
 		r.keys += int64(len(sh.st.keys))
-		r.events += int64(svc.Runtime(i).Trace.Len())
+		tr := svc.Runtime(i).Trace
+		r.events += int64(tr.Len())
+		if tr.Len() > 0 {
+			var buf bytes.Buffer
+			if err := tr.Encode(&buf); err != nil {
+				panic(err)
+			}
+			r.packed += int64(buf.Len())
+		}
 	}
 	return r
 }
 
 // TestUnrecordedRunRetainsNothingPerEvent: on the read shape, what a service
 // still holds after 2N requests against after N grows with the devices and
-// the index, and not with the events — more than one per request, 24 bytes
-// each when kept. A recording pair calibrates the measurement: its growth
-// must exceed the other's by the trace it holds.
+// the index, and not with the events — more than one per request, several
+// bytes each when kept. A recording pair calibrates the measurement: its
+// growth must exceed the other's by the trace it holds, the events' packed
+// blocks.
 func TestUnrecordedRunRetainsNothingPerEvent(t *testing.T) {
 	const ops = 100_000
 	growth := func(record bool) retained {
@@ -138,17 +148,18 @@ func TestUnrecordedRunRetainsNothingPerEvent(t *testing.T) {
 		a := retainedAfterRun(cfg)
 		cfg.Ops = 2 * ops
 		b := retainedAfterRun(cfg)
-		return retained{b.heap - a.heap, b.pages - a.pages, b.keys - a.keys, b.events - a.events}
+		return retained{b.heap - a.heap, b.pages - a.pages, b.keys - a.keys, b.events - a.events, b.packed - a.packed}
 	}
 	rec, quiet := growth(true), growth(false)
-	traceBytes := rec.events * int64(unsafe.Sizeof(trace.Event{}))
+	traceBytes := rec.packed
 	t.Logf("%d more requests: %d more events (%d B kept); heap grew %d B recording, %d B not; %d more device pages, %d more keys",
 		ops, rec.events, traceBytes, rec.heap, quiet.heap, quiet.pages, quiet.keys)
 	if rec.events < ops || quiet.events != 0 {
 		t.Fatalf("%d more events recording and %d not, for %d more requests", rec.events, quiet.events, ops)
 	}
-	// Part-filled chunks make the recording side's growth lumpy by up to a
-	// chunk a shard either way, hence three quarters rather than all of it.
+	// Part-filled open blocks make the recording side's growth lumpy by up
+	// to a block a shard either way, hence three quarters rather than all
+	// of it.
 	if rec.heap-quiet.heap < traceBytes*3/4 {
 		t.Errorf("recording grew the heap %d B more than not recording, but the trace alone is %d B: the unrecorded run retains events",
 			rec.heap-quiet.heap, traceBytes)

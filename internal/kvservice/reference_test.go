@@ -3,6 +3,7 @@ package kvservice
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -358,11 +359,9 @@ func referenceTrace(s *Service) *trace.Trace {
 	var events []trace.Event
 	var vloads, vstores uint64
 	for i, sh := range s.shards {
-		for _, c := range sh.rt.Trace.Chunks() {
-			for _, e := range c {
-				e.TID = uint16(i)
-				events = append(events, e)
-			}
+		for _, e := range traceEvents(sh.rt.Trace) {
+			e.TID = uint16(i)
+			events = append(events, e)
 		}
 		vloads += sh.rt.Trace.VolatileLoads
 		vstores += sh.rt.Trace.VolatileStores
@@ -403,13 +402,11 @@ func TestTraceMergeMatchesStableSort(t *testing.T) {
 		}
 		ties := 0
 		var prev trace.Event
-		for _, c := range got.Chunks() {
-			for _, e := range c {
-				if e.Time == prev.Time && e.TID != prev.TID {
-					ties++
-				}
-				prev = e
+		for _, e := range traceEvents(got) {
+			if e.Time == prev.Time && e.TID != prev.TID {
+				ties++
 			}
+			prev = e
 		}
 		if shards > 1 && ties == 0 {
 			t.Fatalf("%d shards: no two shards' events share a timestamp; tie order went untested", shards)
@@ -422,5 +419,21 @@ func TestKeyNameMatchesFmt(t *testing.T) {
 		if got, want := keyName(n), fmt.Sprintf("key%08d", n); got != want {
 			t.Errorf("keyName(%d) = %q, want %q", n, got, want)
 		}
+	}
+}
+
+// traceEvents drains tr through its SliceSource: the recorded events in
+// order, which never fail to unpack.
+func traceEvents(tr *trace.Trace) []trace.Event {
+	var out []trace.Event
+	for src := trace.NewSliceSource(tr); ; {
+		c, err := src.NextChunk()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, c...)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,7 +16,7 @@ import (
 )
 
 // events flattens the runtime's recorded trace for indexed assertions.
-func events(rt *Runtime) []trace.Event { return slices.Concat(rt.Trace.Chunks()...) }
+func events(rt *Runtime) []trace.Event { return traceEvents(rt.Trace) }
 
 func newRT(t *testing.T) *Runtime {
 	t.Helper()
@@ -124,7 +125,7 @@ func TestThreadCountBoundedByTID(t *testing.T) {
 	if n := rt.Trace.Len(); n != 1 {
 		t.Fatalf("trace holds %d events, want 1", n)
 	}
-	if e := rt.Trace.Chunks()[0][0]; e.TID != 0xFFFF {
+	if e := events(rt)[0]; e.TID != 0xFFFF {
 		t.Fatalf("last thread's fence carries TID %d, want 0xFFFF", e.TID)
 	}
 }
@@ -719,4 +720,20 @@ func TestAbortAtWithoutTrace(t *testing.T) {
 func persistStore(th *Thread, a mem.Addr, data []byte) {
 	th.Store(a, data)
 	th.FlushFence(a, len(data))
+}
+
+// traceEvents drains tr through its SliceSource: the recorded events in
+// order, which never fail to unpack.
+func traceEvents(tr *trace.Trace) []trace.Event {
+	var out []trace.Event
+	for src := trace.NewSliceSource(tr); ; {
+		c, err := src.NextChunk()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, c...)
+	}
 }

@@ -14,19 +14,22 @@ import (
 // stream.go. Strings are uvarint length + bytes.
 const magic = "WSPR"
 
-// Decode reads a binary trace from r and materializes it. It shares the
+// Decode reads a binary trace from r into a Trace. It shares the
 // streaming Reader's framing and block decoder, so it accepts exactly the
 // streams the Reader accepts and rejects the others with the error the
 // Reader would give first: kind bytes outside the known range, unknown
 // versions and truncated or corrupt input are never silently accepted.
 //
 // The blocks are independent, so Decode frames them on the caller's
-// goroutine and checks and decodes them on one worker per core, up to
-// maxDecodeWorkers. Each block is framed into a payload buffer of a fixed
-// ring — one per worker and one for the framer — and adopted as the
-// trace's next chunk in stream order, so storage is the events actually
-// decoded, allocated once per block and never copied, plus those few
-// payload buffers. No worker outlives the call.
+// goroutine and checks and unpacks them on one worker per core, up to
+// maxDecodeWorkers. Each block is framed into the payload buffer of a
+// slot of a fixed ring — one per worker and one for the framer — and taken
+// into the trace in stream order. A canonical block of DefaultBlockEvents
+// events, which is every block a Writer frames but the last, is kept as
+// its payload, without materializing its events; any other block is
+// appended event by event and so re-packed, which keeps the trace's blocks
+// the Writer's and Encode's bytes the Writer's. No worker outlives the
+// call.
 func Decode(r io.Reader) (*Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -47,7 +50,10 @@ func Decode(r io.Reader) (*Trace, error) {
 		go func() {
 			defer wg.Done()
 			for s := range jobs {
-				s.events, s.err = decodeBlock(s.payload, s.crc, s.count)
+				if cap(s.events) < s.count {
+					s.events = make([]Event, s.count)
+				}
+				s.events, s.canonical, s.err = decodeBlock(s.events[:s.count], s.payload, s.crc)
 				s.done <- struct{}{}
 			}
 		}()
@@ -57,26 +63,32 @@ func Decode(r io.Reader) (*Trace, error) {
 		wg.Wait()
 	}()
 
-	// ring[head : head+inFlight] (mod len) are framed and not yet adopted,
-	// oldest first. adopt takes the oldest once its worker is done.
+	// ring[head : head+inFlight] (mod len) are framed and not yet taken,
+	// oldest first. take takes the oldest once its worker is done.
 	head, inFlight := 0, 0
-	adopt := func() error {
+	take := func() error {
 		s := &ring[head]
 		<-s.done
 		head, inFlight = (head+1)%len(ring), inFlight-1
 		if s.err != nil {
 			return s.err
 		}
-		// No one touches a block again once it is decoded, and clipping
-		// its capacity makes it full: a later Append opens a chunk of
-		// its own.
-		t.chunks = append(t.chunks, s.events[:len(s.events):len(s.events)])
-		t.n += len(s.events)
+		if len(t.open) == DefaultBlockEvents {
+			t.openChunk() // seals it, which Append leaves to the next event
+		}
+		if s.canonical && len(s.events) == DefaultBlockEvents && len(t.open) == 0 {
+			t.sealed.keep(s.payload)
+			t.n += DefaultBlockEvents
+			return nil
+		}
+		for _, e := range s.events {
+			t.Append(e)
+		}
 		return nil
 	}
 	for {
 		if inFlight == len(ring) {
-			if err := adopt(); err != nil {
+			if err := take(); err != nil {
 				return nil, err
 			}
 		}
@@ -91,33 +103,37 @@ func Decode(r io.Reader) (*Trace, error) {
 	// A block framed before the stream ended or failed comes before that
 	// in stream order, and so does its error.
 	for inFlight > 0 {
-		if err := adopt(); err != nil {
+		if err := take(); err != nil {
 			return nil, err
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
+	t.sealed.trim()
 	t.VolatileLoads, t.VolatileStores = rd.Volatile()
 	return t, nil
 }
 
-// maxDecodeWorkers caps Decode's workers. Each one adds a payload buffer
-// to the ring, allocated the first time the ring reaches it, so the cap is
-// what keeps Decode's allocations one per block plus a constant, and its
-// in-flight payloads a few blocks' worth, on a machine of any core count.
+// maxDecodeWorkers caps Decode's workers. Each one adds a slot to the
+// ring, whose buffers are allocated the first time the ring reaches it,
+// so the cap is what keeps Decode's allocations a constant plus the
+// trace's own, and its in-flight blocks a few, on a machine of any core
+// count.
 const maxDecodeWorkers = 4
 
 // decodeSlot is one block on its way through Decode: framed into payload
-// by the caller, decoded into events (or err) by a worker, which then
-// signals done.
+// by the caller, checked and unpacked into events (or err) by a worker,
+// which then signals done. Both buffers are reused by the slot's next
+// block, once Decode has taken this one.
 type decodeSlot struct {
-	payload []byte
-	crc     uint32
-	count   int
-	events  []Event
-	err     error
-	done    chan struct{}
+	payload   []byte
+	crc       uint32
+	count     int
+	events    []Event
+	canonical bool
+	err       error
+	done      chan struct{}
 }
 
 func writeString(w *bufio.Writer, s string) {

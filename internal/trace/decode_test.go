@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 )
 
 // requireGoroutines waits for the goroutine count to come back to base:
@@ -31,6 +30,18 @@ func requireGoroutines(t testing.TB, base int) {
 func atProcs(procs int, f func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
+}
+
+// sliceChunks reads tr through its SliceSource chunk by chunk.
+func sliceChunks(tr *Trace) [][]Event {
+	var chunks [][]Event
+	for src := NewSliceSource(tr); ; {
+		c, err := src.NextChunk()
+		if err != nil {
+			return chunks
+		}
+		chunks = append(chunks, c)
+	}
 }
 
 // readerChunks reads data with the streaming Reader chunk by chunk: what it
@@ -74,8 +85,9 @@ func blockEnds(t *testing.T, data []byte) []int {
 }
 
 // TestDecodeAnyGOMAXPROCS holds Decode's workers to the streaming Reader:
-// at one, two and four procs it adopts the Reader's chunks, block for
-// block, with the same events and the same trailer counters.
+// at one, two and four procs the decoded trace reads back the Reader's
+// chunks, block for block, with the same events and the same trailer
+// counters.
 func TestDecodeAnyGOMAXPROCS(t *testing.T) {
 	orig := genTrace(rand.New(rand.NewSource(11)), 9*DefaultBlockEvents+123)
 	data := encoded(t, orig)
@@ -91,7 +103,7 @@ func TestDecodeAnyGOMAXPROCS(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 			}
 			requireGoroutines(t, base)
-			got := tr.Chunks()
+			got := sliceChunks(tr)
 			if len(got) != len(want) {
 				t.Fatalf("GOMAXPROCS=%d: %d chunks, the Reader gave %d", procs, len(got), len(want))
 			}
@@ -138,12 +150,12 @@ func TestDecodeReportsTheFirstDamage(t *testing.T) {
 
 // TestDecodeAllocsAnyGOMAXPROCS holds Decode to TestDecodeAdoptsBlocks'
 // bounds at many procs, which AllocsPerRun cannot show because it counts
-// at one: the ring's payload buffers are as few on a many-core machine as
-// on one core, so 56 more blocks still cost 56 more allocations and a
-// constant, and the events are still the bytes allocated.
+// at one: the ring's buffers are as few on a many-core machine as on one
+// core, so 56 more blocks still cost 56 more allocations and a constant,
+// and the payloads are still about the bytes allocated.
 func TestDecodeAllocsAnyGOMAXPROCS(t *testing.T) {
 	const short, long, runs = 8 * DefaultBlockEvents, 64 * DefaultBlockEvents, 10
-	decode := func(n int) (allocs, bytesPerEvent float64) {
+	decode := func(n int) (allocs, bytesPerEvent, encodedPerEvent float64) {
 		raw := encoded(t, countingTrace(n))
 		if _, err := Decode(bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
@@ -156,21 +168,21 @@ func TestDecodeAllocsAnyGOMAXPROCS(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(n)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(n), float64(len(raw)) / float64(n)
 	}
 	for _, procs := range []int{16, 64} {
 		atProcs(procs, func() {
 			// The first collection at a new proc count starts a mark
 			// worker per proc, which the runtime allocates: not Decode's.
 			runtime.GC()
-			shortAllocs, _ := decode(short)
-			longAllocs, perEvent := decode(long)
+			shortAllocs, _, _ := decode(short)
+			longAllocs, perEvent, encodedPerEvent := decode(long)
 			if extra, want := longAllocs-shortAllocs, float64(long-short)/DefaultBlockEvents+6; extra > want {
 				t.Errorf("GOMAXPROCS=%d: %d events: %.0f allocs, %d events: %.0f — %.0f more, want <= %.0f (one per block)",
 					procs, short, shortAllocs, long, longAllocs, extra, want)
 			}
-			if size := float64(unsafe.Sizeof(Event{})); perEvent > 1.1*size {
-				t.Errorf("GOMAXPROCS=%d: Decode allocated %.1f B/event, want <= %.1f (the blocks alone)", procs, perEvent, 1.1*size)
+			if want := 1.1*encodedPerEvent + decodeSlack/long; perEvent > want {
+				t.Errorf("GOMAXPROCS=%d: Decode allocated %.2f B/event, want <= %.2f (the payloads, %.2f B/event, an arena and the ring)", procs, perEvent, want, encodedPerEvent)
 			}
 		})
 	}

@@ -53,8 +53,13 @@ type Branch struct {
 // Fanout starts a pump goroutine over src and returns n branches that
 // each replay the full stream. The pump runs at the pace of the slowest
 // branch (bounded buffering, no unbounded fan-out queue); a branch that
-// is abandoned early must be Closed or the pump stalls forever.
+// is abandoned early must be Closed or the pump stalls forever. It panics
+// on a keeping Tail, whose chunks are written again once the pump asks for
+// the next.
 func Fanout(src EventSource, n int) []*Branch {
+	if tl, ok := src.(*Tail); ok && tl.keep {
+		panic("trace: Fanout over a keeping Tail: its chunks are recycled on the next NextChunk, and a branch keeps them longer")
+	}
 	f := &fanout{src: src, branches: make([]*Branch, n)}
 	for i := range f.branches {
 		f.branches[i] = &Branch{ch: make(chan []Event, fanoutDepth), f: f, stop: make(chan struct{})}

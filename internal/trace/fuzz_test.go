@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzDecode throws arbitrary bytes at the trace decoder: it must accept or
-// reject without panicking or over-allocating, and any accepted trace must
-// survive an encode/decode round trip unchanged.
+// reject without panicking or over-allocating, any accepted trace must
+// read back through its SliceSource as the streaming Reader reads the
+// input, and Encode → Decode must give back its events unchanged.
 func FuzzDecode(f *testing.F) {
 	seed := func(tr *Trace) {
 		var buf bytes.Buffer
@@ -32,7 +33,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("WSPR"))
 	f.Add([]byte{})
 	f.Add([]byte("WSPR\x02\x04echo\x06native"))
-	// Past the first three chunk boundaries of the decoder's store.
+	// Past the open block's first three doublings.
 	seed(countingTrace(4*firstChunkEvents + 3))
 	// A block naming tid 0x10000, one past what an Event holds.
 	f.Add(append(append(v2Header(), okBlock(rawEvent(byte(KStore), 1<<16, 1, 0, 8))...), rawTrailer(0, 0, 1, true, 0)...))
@@ -44,8 +45,17 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// What Decode keeps reads back as the streaming Reader reads the
+		// input, whether kept as its payloads or re-packed.
+		chunks, err := readerChunks(data)
+		if err != io.EOF {
+			t.Fatalf("Decode accepted a stream the Reader ends with %v", err)
+		}
+		if !slices.Equal(flat(tr), slices.Concat(chunks...)) {
+			t.Fatalf("the decoded trace reads back %d events, the Reader %d, or they differ", tr.Len(), len(slices.Concat(chunks...)))
+		}
 		var buf bytes.Buffer
-		if err := EncodeV2(&buf, NewSliceSource(tr)); err != nil {
+		if err := tr.Encode(&buf); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)
 		}
 		tr2, err := Decode(bytes.NewReader(buf.Bytes()))

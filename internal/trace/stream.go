@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
+	"slices"
 )
 
 // Chunked binary trace format (version 2):
@@ -99,13 +99,33 @@ type EventSource interface {
 	Volatile() (loads, stores uint64)
 }
 
-// SliceSource adapts an in-memory Trace to the EventSource interface.
+// SliceSource adapts an in-memory Trace to the EventSource interface. It
+// unpacks one sealed block per chunk into a slice of its own, and hands
+// over a copy of the open block last, so its chunks pass to the caller
+// like any source's while the trace stays packed. While the caller works
+// on one block the next is unpacked on a goroutine of its own, which ends
+// once it has, whether or not the caller asks for that block.
 type SliceSource struct {
-	tr *Trace
-	c  int // next chunk
+	tr    *Trace
+	b     int           // next sealed block; one past them, the open block
+	ahead chan unpacked // block b, unpacking; cap 1, so it never waits
+	busy  bool          // whether block b is on its way through ahead
 }
 
-// NewSliceSource returns an EventSource over tr's events.
+// unpacked is a block on its way to a SliceSource's caller.
+type unpacked struct {
+	events []Event
+	err    error
+}
+
+// unpackBlock unpacks the sealed payload p into a new slice.
+func unpackBlock(p []byte) unpacked {
+	events, _, err := unpack(make([]Event, DefaultBlockEvents), p)
+	return unpacked{events, err}
+}
+
+// NewSliceSource returns an EventSource over tr's events. A trace whose
+// events were recorded (of known kinds) reads without error.
 func NewSliceSource(tr *Trace) *SliceSource { return &SliceSource{tr: tr} }
 
 // Meta returns the trace's run metadata.
@@ -113,14 +133,30 @@ func (s *SliceSource) Meta() Meta {
 	return Meta{App: s.tr.App, Layer: s.tr.Layer, Threads: s.tr.Threads}
 }
 
-// NextChunk returns the trace's stored chunks (never empty, see
-// Trace.chunks) one at a time without copying, then io.EOF.
+// NextChunk returns the trace's next block, unpacked, then io.EOF.
 func (s *SliceSource) NextChunk() ([]Event, error) {
-	if s.c >= len(s.tr.chunks) {
-		return nil, io.EOF
+	blocks := s.tr.sealed.blocks
+	switch {
+	case s.b < len(blocks):
+		var u unpacked
+		if s.busy {
+			u = <-s.ahead
+		} else {
+			u = unpackBlock(blocks[s.b])
+		}
+		s.b++
+		if s.busy = s.b < len(blocks); s.busy {
+			if s.ahead == nil {
+				s.ahead = make(chan unpacked, 1)
+			}
+			go func(ahead chan<- unpacked, p []byte) { ahead <- unpackBlock(p) }(s.ahead, blocks[s.b])
+		}
+		return u.events, u.err
+	case s.b == len(blocks) && len(s.tr.open) > 0:
+		s.b++
+		return slices.Clone(s.tr.open), nil
 	}
-	s.c++
-	return s.tr.chunks[s.c-1], nil
+	return nil, io.EOF
 }
 
 // Volatile returns the trace's aggregate DRAM counters.
@@ -131,17 +167,15 @@ func (s *SliceSource) Volatile() (uint64, uint64) {
 // --- Writer --------------------------------------------------------------
 
 // Writer encodes an event stream in the chunked v2 format. Events are
-// buffered into framed blocks of DefaultBlockEvents and flushed as each
-// block fills; Close writes the trailer. A Writer holds O(block) memory
+// buffered into blocks of DefaultBlockEvents, each packed and framed as
+// it fills; Close writes the trailer. A Writer holds O(block) memory
 // regardless of trace length.
 type Writer struct {
 	bw      *bufio.Writer
+	block   []Event
 	payload []byte
-	count   int
 	total   uint64
 	closed  bool
-
-	prevTime, prevAddr uint64
 }
 
 // NewWriter writes the v2 stream header for m to w and returns a Writer
@@ -172,43 +206,43 @@ func (w *Writer) Write(e Event) error {
 	if byte(e.Kind) > maxKind {
 		return fmt.Errorf("trace: invalid kind %d", e.Kind)
 	}
-	w.payload = append(w.payload, byte(e.Kind))
-	w.payload = binary.AppendUvarint(w.payload, uint64(e.TID))
-	w.payload = binary.AppendVarint(w.payload, int64(uint64(e.Time)-w.prevTime))
-	w.payload = binary.AppendVarint(w.payload, int64(uint64(e.Addr)-w.prevAddr))
-	w.payload = binary.AppendUvarint(w.payload, uint64(e.Size))
-	w.prevTime = uint64(e.Time)
-	w.prevAddr = uint64(e.Addr)
-	w.count++
-	w.total++
-	if w.count >= DefaultBlockEvents {
+	if w.block == nil {
+		w.block = make([]Event, 0, DefaultBlockEvents)
+	}
+	w.block = append(w.block, e)
+	if len(w.block) == DefaultBlockEvents {
 		return w.flushBlock()
 	}
 	return nil
 }
 
-// flushBlock frames and writes the buffered events, if any.
+// flushBlock packs and frames the buffered events, if any.
 func (w *Writer) flushBlock() error {
-	if w.count == 0 {
+	if len(w.block) == 0 {
 		return nil
 	}
+	w.payload = pack(w.payload[:0], w.block)
+	err := w.writeBlock(w.payload, len(w.block))
+	w.block = w.block[:0]
+	return err
+}
+
+// writeBlock frames the packed payload of count events.
+func (w *Writer) writeBlock(payload []byte, count int) error {
 	if err := w.bw.WriteByte(tagBlock); err != nil {
 		return err
 	}
-	writeUvarint(w.bw, uint64(w.count))
-	writeUvarint(w.bw, uint64(len(w.payload)))
-	if _, err := w.bw.Write(w.payload); err != nil {
+	writeUvarint(w.bw, uint64(count))
+	writeUvarint(w.bw, uint64(len(payload)))
+	if _, err := w.bw.Write(payload); err != nil {
 		return err
 	}
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(w.payload))
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
 	if _, err := w.bw.Write(crc[:]); err != nil {
 		return err
 	}
-	w.payload = w.payload[:0]
-	w.count = 0
-	// Deltas reset per block so each block is self-contained.
-	w.prevTime, w.prevAddr = 0, 0
+	w.total += uint64(count)
 	return nil
 }
 
@@ -240,8 +274,30 @@ func (w *Writer) Close(vloads, vstores uint64) error {
 	return w.bw.Flush()
 }
 
-// EncodeV2 drains src to w in the chunked v2 format: a retained trace
-// through its SliceSource, a live run through its Fanout branch.
+// Encode writes t in the chunked v2 format: the bytes a Writer makes of
+// its events, written without unpacking them, since the sealed blocks are
+// already the Writer's payloads. Only the open block is packed here.
+func (t *Trace) Encode(w io.Writer) error {
+	tw, err := NewWriter(w, Meta{App: t.App, Layer: t.Layer, Threads: t.Threads})
+	if err != nil {
+		return err
+	}
+	for _, p := range t.sealed.blocks {
+		if err := tw.writeBlock(p, DefaultBlockEvents); err != nil {
+			return err
+		}
+	}
+	for _, e := range t.open {
+		if err := tw.Write(e); err != nil {
+			return err
+		}
+	}
+	return tw.Close(t.VolatileLoads, t.VolatileStores)
+}
+
+// EncodeV2 drains src to w in the chunked v2 format: a live run through
+// its Fanout branch. A retained trace encodes faster with Trace.Encode,
+// to the same bytes.
 func EncodeV2(w io.Writer, src EventSource) error {
 	tw, err := NewWriter(w, src.Meta())
 	if err != nil {
@@ -375,7 +431,8 @@ func (r *Reader) readFrame() ([]Event, error) {
 	if err != nil || count == 0 {
 		return nil, err
 	}
-	return decodeBlock(r.payload, crc, count)
+	block, _, err := decodeBlock(make([]Event, count), r.payload, crc)
+	return block, err
 }
 
 // nextFrame reads one frame without decoding it. For an event block it
@@ -436,83 +493,6 @@ func (r *Reader) readBlock(buf *[]byte) (int, uint32, error) {
 	}
 	r.framed += count
 	return int(count), binary.LittleEndian.Uint32(r.crc[:]), nil
-}
-
-// decodeBlock checks a block's payload p against its crc and decodes its
-// count events into a new slice. It is the one block decoder, shared by
-// the streaming Reader and Decode's workers, so both report a damaged
-// block the same way.
-//
-// Nearly every field of a realistic event fits in one varint byte (a small
-// tid, close deltas, a small size), so a field whose first byte ends it is
-// read inline and binary.Uvarint runs only otherwise.
-func decodeBlock(p []byte, crc uint32, count int) ([]Event, error) {
-	if got := crc32.ChecksumIEEE(p); got != crc {
-		return nil, fmt.Errorf("trace: block crc mismatch (%#x != %#x)", got, crc)
-	}
-	block := make([]Event, count)
-	pos := 0
-	var prevTime, prevAddr uint64 // deltas reset per block
-	for i := range block {
-		if pos >= len(p) {
-			return nil, fmt.Errorf("trace: block event %d: payload exhausted", i)
-		}
-		kind := p[pos]
-		pos++
-		if kind > maxKind {
-			return nil, fmt.Errorf("trace: block event %d: invalid kind %d", i, kind)
-		}
-		var tid, dt, da, size uint64
-		var n int
-		if pos < len(p) && p[pos] < 0x80 {
-			tid, pos = uint64(p[pos]), pos+1
-		} else if tid, n = binary.Uvarint(p[pos:]); n > 0 {
-			pos += n
-		} else {
-			return nil, fmt.Errorf("trace: block event %d: bad tid varint", i)
-		}
-		if pos < len(p) && p[pos] < 0x80 {
-			dt, pos = uint64(p[pos]), pos+1
-		} else if dt, n = binary.Uvarint(p[pos:]); n > 0 {
-			pos += n
-		} else {
-			return nil, fmt.Errorf("trace: block event %d: bad time varint", i)
-		}
-		if pos < len(p) && p[pos] < 0x80 {
-			da, pos = uint64(p[pos]), pos+1
-		} else if da, n = binary.Uvarint(p[pos:]); n > 0 {
-			pos += n
-		} else {
-			return nil, fmt.Errorf("trace: block event %d: bad addr varint", i)
-		}
-		if pos < len(p) && p[pos] < 0x80 {
-			size, pos = uint64(p[pos]), pos+1
-		} else if size, n = binary.Uvarint(p[pos:]); n > 0 {
-			pos += n
-		} else {
-			return nil, fmt.Errorf("trace: block event %d: bad size varint", i)
-		}
-		if tid >= maxThreads {
-			return nil, fmt.Errorf("trace: block event %d: tid %d out of range (max %d)", i, tid, maxThreads-1)
-		}
-		if size > math.MaxUint32 {
-			return nil, fmt.Errorf("trace: block event %d: size %d out of range (max %d)", i, size, uint64(math.MaxUint32))
-		}
-		// The deltas are binary.Varint's zigzag of the unsigned value.
-		prevTime += uint64(int64(dt>>1) ^ -int64(dt&1))
-		prevAddr += uint64(int64(da>>1) ^ -int64(da&1))
-		block[i] = Event{
-			Kind: Kind(kind),
-			TID:  uint16(tid),
-			Time: memTime(prevTime),
-			Addr: memAddr(prevAddr),
-			Size: uint32(size),
-		}
-	}
-	if pos != len(p) {
-		return nil, fmt.Errorf("trace: block has %d trailing payload bytes", len(p)-pos)
-	}
-	return block, nil
 }
 
 func (r *Reader) readTrailer() error {

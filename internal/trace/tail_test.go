@@ -1,23 +1,35 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 )
 
-// tailSizes crosses every stage of the chunk-size ramp (16, 16, 32, … up to
-// maxChunkEvents, and droppedChunkEvents for a trace that drops): an empty
-// trace, a part-filled first chunk, traces that end exactly on a chunk
-// boundary (16, 512, 1024, 65 536 = the first full-size chunk filled) and
-// one event either side of them.
-var tailSizes = []int{0, 1, 15, 16, 17, 511, 512, 513, 1024, 32767, 32768, 32769, 65536, 65537, 100_000}
+// tailSizes crosses every stage of the open block's ramp (16, 32, … up to
+// DefaultBlockEvents, and droppedChunkEvents for a trace that drops): an
+// empty trace, a part-filled first block, traces that end exactly on a
+// block boundary (16, 512, 1024, 4096, 8192, 32 768, 65 536) and one event
+// either side of some of them.
+var tailSizes = []int{0, 1, 15, 16, 17, 511, 512, 513, 1024, 4095, 4096, 4097, 8192, 32767, 32768, 32769, 65536, 65537, 100_000}
+
+// copying reads a keeping tail the way a consumer that keeps its chunks
+// must, since the tail's are valid only until the next call: it copies
+// each one.
+type copying struct{ *Tail }
+
+func (c copying) NextChunk() ([]Event, error) {
+	chunk, err := c.Tail.NextChunk()
+	return slices.Clone(chunk), err
+}
 
 // record appends n events to tr from its own goroutine, the way a run
 // does, and closes the tail with closeErr.
@@ -38,9 +50,12 @@ func record(tr *Trace, tl *Tail, n int, closeErr error) {
 // read on another (run it under -race): every event arrives once, in
 // order, whether the trace keeps its chunks or drops them and whether the
 // reader is on the tail itself, as whisper.Run is, or behind a Fanout
-// branch, as a run with taps is (the subtest key still spells that
+// branch, as a run with taps is — a keeping tail behind a copy of each
+// chunk, since Fanout refuses it bare (the subtest key still spells that
 // "chunks=", true for the tail itself, so results line up with earlier
-// runs); the volatile counters are complete at io.EOF.
+// runs); the volatile counters are complete at io.EOF, and a keeping
+// trace then holds every event, in blocks that encode to the Writer's
+// bytes.
 func TestTailSeesEveryEventOnce(t *testing.T) {
 	for _, keep := range []bool{true, false} {
 		for _, n := range tailSizes {
@@ -49,7 +64,11 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 					tr := &Trace{App: "tail", Layer: "native", Threads: 4}
 					tl := tr.Tail(keep)
 					var src EventSource = tl
-					if !direct {
+					switch {
+					case direct:
+					case keep:
+						src = Fanout(copying{tl}, 1)[0]
+					default:
 						src = Fanout(tl, 1)[0]
 					}
 					if m := src.Meta(); m != (Meta{App: "tail", Layer: "native", Threads: 4}) {
@@ -58,7 +77,7 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 					record(tr, tl, n, nil)
 
 					seen := 0
-					var chunks [][]Event
+					var chunks []int
 					check := func(e Event) {
 						if e.Time != mem.Time(seen) {
 							t.Fatalf("event %d carries time %d: lost, repeated or reordered", seen, e.Time)
@@ -73,7 +92,7 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 						if err != nil || len(c) == 0 {
 							t.Fatalf("NextChunk = %d events, %v", len(c), err)
 						}
-						chunks = append(chunks, c)
+						chunks = append(chunks, len(c))
 						for _, e := range c {
 							check(e)
 						}
@@ -93,28 +112,28 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 						t.Fatalf("Len = %d, want %d", tr.Len(), n)
 					}
 					if !keep {
-						if len(tr.Chunks()) != 0 {
-							t.Fatalf("a dropping trace still holds %d chunks after Close", len(tr.Chunks()))
+						if got := len(flat(tr)); got != 0 {
+							t.Fatalf("a dropping trace still holds %d events after Close", got)
 						}
 						for _, c := range chunks {
-							if len(c) > droppedChunkEvents {
-								t.Fatalf("dropped chunk of %d events, cap is %d", len(c), droppedChunkEvents)
+							if c > droppedChunkEvents {
+								t.Fatalf("dropped chunk of %d events, cap is %d", c, droppedChunkEvents)
 							}
 						}
 						return
 					}
 					// A keeping trace is the trace an unfollowed recording
-					// would have left, and its chunks are the very copies
-					// the tail handed out.
+					// would have left.
 					for i, e := range flat(tr) {
 						if e.Time != mem.Time(i) {
 							t.Fatalf("retained trace holds time %d at event %d", e.Time, i)
 						}
 					}
-					for i, c := range chunks {
-						if &c[0] != &tr.Chunks()[i][0] || len(c) != len(tr.Chunks()[i]) {
-							t.Fatalf("chunk %d from the tail is not the trace's chunk %d", i, i)
-						}
+					if len(flat(tr)) != n {
+						t.Fatalf("the retained trace holds %d events, want %d", len(flat(tr)), n)
+					}
+					if !bytes.Equal(traceBytes(t, tr), writerBytes(t, tr)) {
+						t.Fatal("the retained trace does not encode to the Writer's bytes")
 					}
 				})
 			}
@@ -149,7 +168,8 @@ func TestTailCloseError(t *testing.T) {
 }
 
 // TestTailDetachesAtClose: a retained trace is an ordinary trace again
-// once its run is over — appending to it does not reach for the tail.
+// once its run is over — appending to it does not reach for the tail, and
+// the appended events follow the recorded one.
 func TestTailDetachesAtClose(t *testing.T) {
 	tr := &Trace{}
 	tl := tr.Tail(true)
@@ -158,12 +178,40 @@ func TestTailDetachesAtClose(t *testing.T) {
 	if c, err := tl.NextChunk(); err != nil || len(c) != 1 {
 		t.Fatalf("NextChunk = %d events, %v, want the one event", len(c), err)
 	}
+	if _, err := tl.NextChunk(); err != io.EOF {
+		t.Fatalf("NextChunk after the last = %v, want io.EOF", err)
+	}
 	for i := 0; i < 100; i++ {
 		tr.Append(Event{Time: mem.Time(2 + i)})
 	}
 	if tr.Len() != 101 {
 		t.Fatalf("Len = %d after appending past Close, want 101", tr.Len())
 	}
+	for i, e := range flat(tr) {
+		if e.Time != mem.Time(1+i) {
+			t.Fatalf("event %d carries time %d after appending past Close", i, e.Time)
+		}
+	}
+}
+
+// TestTailFanoutRefusesAKeepingTail: a Fanout branch keeps its chunks past
+// the pump's next read, which is when a keeping tail writes them again, so
+// Fanout panics over one, with a message that says so, and starts no pump.
+func TestTailFanoutRefusesAKeepingTail(t *testing.T) {
+	tr := &Trace{}
+	tl := tr.Tail(true)
+	base := runtime.NumGoroutine()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "keeping Tail") {
+			t.Fatalf("Fanout over a keeping tail recovered %q, want a panic naming the keeping Tail", msg)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("%d goroutines after the refusal, %d before", n, base)
+		}
+		tl.Close(nil)
+	}()
+	Fanout(tl, 2)
 }
 
 func TestTailNeedsAnEmptyTrace(t *testing.T) {
@@ -177,32 +225,30 @@ func TestTailNeedsAnEmptyTrace(t *testing.T) {
 	tr.Tail(true)
 }
 
-// rampLens is the chunk lengths an n-event recording leaves: each chunk as
-// large as everything before it, from firstChunkEvents up to maxChunkEvents,
-// the last one part-filled.
-func rampLens(n int) []int {
+// blockLens is the chunk lengths a keeping tail hands out for an n-event
+// recording: full blocks, then the part-filled last one.
+func blockLens(n int) []int {
 	var lens []int
-	for done := 0; done < n; {
-		k := min(max(done, firstChunkEvents), maxChunkEvents, n-done)
-		lens = append(lens, k)
-		done += k
+	for done := 0; done < n; done += DefaultBlockEvents {
+		lens = append(lens, min(DefaultBlockEvents, n-done))
 	}
 	return lens
 }
 
 // TestTailRecyclesRecorderBuffers: a keeping tail's recorder writes into
-// the buffers its reader hands back, and the trace keeps the reader's
-// copies (run it under -race). Over every tailSizes length and one long
+// the buffers its reader hands back, and the trace keeps what the reader
+// packs (run it under -race). Over every tailSizes length and one long
 // enough to wrap the buffers many times:
 //   - the recorder writes into at most freeDepth distinct full-size
-//     buffers however long the run, so past the ramp it allocates nothing;
-//   - the chunks the reader is handed, which the trace keeps, end where
-//     the ramp's chunks do;
-//   - every retained chunk is clipped, so a later Append opens its own;
-//   - once the stream has ended the heap holds the events and no buffer
-//     besides, although the tail is still reachable.
+//     buffers however long the run, so past the first blocks it allocates
+//     nothing;
+//   - the chunks the reader is handed are whole blocks but the last;
+//   - once the stream has ended the heap holds at most 8 bytes a retained
+//     event, the packed blocks and no buffer besides, although the tail
+//     is still reachable;
+//   - an Append after the end follows the retained events.
 func TestTailRecyclesRecorderBuffers(t *testing.T) {
-	for _, n := range append(slices.Clone(tailSizes), 24*maxChunkEvents+7) {
+	for _, n := range append(slices.Clone(tailSizes), 192*DefaultBlockEvents+7) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
@@ -210,14 +256,16 @@ func TestTailRecyclesRecorderBuffers(t *testing.T) {
 
 			tr := &Trace{App: "tail"}
 			tl := tr.Tail(true)
-			// The recorder notes each full-size buffer it opens a chunk in,
+			// The recorder notes each full-size buffer it opens a block in,
 			// as an address, so the note keeps none of them alive.
 			var full []uintptr
+			recorded := make(chan struct{})
 			go func() {
+				defer close(recorded)
 				for i := 0; i < n; i++ {
 					tr.Append(Event{Time: mem.Time(i), Kind: KStore, Size: 8})
-					if c := tr.chunks[len(tr.chunks)-1]; len(c) == 1 && cap(c) == maxChunkEvents {
-						full = append(full, uintptr(unsafe.Pointer(unsafe.SliceData(c))))
+					if len(tr.open) == 1 && cap(tr.open) == DefaultBlockEvents {
+						full = append(full, uintptr(unsafe.Pointer(unsafe.SliceData(tr.open))))
 					}
 				}
 				tl.Close(nil)
@@ -234,24 +282,17 @@ func TestTailRecyclesRecorderBuffers(t *testing.T) {
 				lens = append(lens, len(c))
 			}
 
+			<-recorded // and the recorder's frames with it
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-			if limit := 1.1 * float64(n) * float64(unsafe.Sizeof(Event{})); n >= maxChunkEvents && float64(live) > limit {
-				t.Errorf("%d bytes live after the end of the stream, want <= %.0f: a buffer outlived the run", live, limit)
+			if limit := 8 * n; n >= 8*DefaultBlockEvents && live > int64(limit) {
+				t.Errorf("%d bytes live after the end of the stream, want <= %d (8 B an event): a buffer outlived the run", live, limit)
 			}
 			runtime.KeepAlive(tl)
 
-			if want := rampLens(n); !slices.Equal(lens, want) {
-				t.Fatalf("the tail handed out chunks of %v events, want the ramp's %v", lens, want)
-			}
-			if len(tr.Chunks()) != len(lens) {
-				t.Fatalf("the trace keeps %d chunks, the tail handed out %d", len(tr.Chunks()), len(lens))
-			}
-			for i, c := range tr.Chunks() {
-				if len(c) != lens[i] || len(c) != cap(c) {
-					t.Fatalf("retained chunk %d holds %d events in %d, want %d clipped", i, len(c), cap(c), lens[i])
-				}
+			if want := blockLens(n); !slices.Equal(lens, want) {
+				t.Fatalf("the tail handed out chunks of %v events, want %v", lens, want)
 			}
 			slices.Sort(full)
 			if distinct := len(slices.Compact(full)); distinct > freeDepth {
@@ -259,13 +300,14 @@ func TestTailRecyclesRecorderBuffers(t *testing.T) {
 			}
 
 			tr.Append(Event{Time: mem.Time(n)})
-			if len(tr.Chunks()) != len(lens)+1 {
-				t.Fatalf("an Append after the end wrote into a retained chunk")
-			}
-			for i, e := range flat(tr) {
+			got := flat(tr)
+			for i, e := range got {
 				if e.Time != mem.Time(i) {
 					t.Fatalf("retained trace holds time %d at event %d", e.Time, i)
 				}
+			}
+			if len(got) != n+1 {
+				t.Fatalf("the trace holds %d events after one more Append, want %d", len(got), n+1)
 			}
 		})
 	}

@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/whisper-pm/whisper/internal/mem"
 )
@@ -101,8 +102,9 @@ func Charge(k Kind, pendingFlushes int) mem.Cycles {
 
 // Event is one trace record. Addr/Size are meaningful for memory events;
 // for KFence, KTxBegin and KTxEnd they are zero. For KUserData, Size holds
-// the payload byte count. TID is 16 bits, so the record is 23 bytes of
-// fields in 24: a trace holds 24 bytes per event, and one byte is spare.
+// the payload byte count. It is 24 bytes, but only the open block of a
+// trace and the chunks in flight to its readers hold events as Events: a
+// retained trace holds them packed (pack.go).
 type Event struct {
 	Time mem.Time
 	Addr mem.Addr
@@ -120,36 +122,39 @@ func (e Event) String() string {
 	}
 }
 
-// maxChunkEvents caps one chunk of a Trace's event store (768 KiB of
-// events): the slack a long trace carries is at most one part-filled
-// chunk, whatever its length.
-const maxChunkEvents = 1 << 15
-
-// firstChunkEvents sizes the first chunk, so a litmus-sized trace holds a
-// few hundred bytes.
+// firstChunkEvents sizes a trace's first open block, which doubles up to
+// its limit, so a litmus-sized trace holds a few hundred bytes.
 const firstChunkEvents = 16
 
-// Trace is an in-memory sequence of events plus run metadata. Events live
-// in append-only chunks that never move once written: recording costs a
-// bounds check and a store per event, never a re-copy of the history, and
-// a chunk handed to a reader (Chunks, SliceSource.NextChunk) stays valid
-// while recording continues.
+// arenaBytes sizes the arenas sealed payloads are carved from once a trace
+// has sealed that much. A payload of one block is about 30 KiB: allocated
+// on its own it would take a 32 KiB size class, a tenth more than its
+// bytes, while an arena wastes less than a payload at its end.
+const arenaBytes = 1 << 20
+
+// Trace is an in-memory sequence of events plus run metadata, held the way
+// a file holds it: sealed blocks of DefaultBlockEvents events, each packed
+// into its v2 payload, then one open block of at most DefaultBlockEvents
+// events that Append writes into. Recording costs a bounds check and a
+// store per event and, once a block, packing the block, which a keeping
+// tail's reader does instead (tail.go); a retained trace costs what its
+// file does, about 7 bytes an event. Every reader goes through a
+// SliceSource, which unpacks a block per chunk.
 type Trace struct {
 	App     string // application name ("echo", "ycsb", ...)
 	Layer   string // access layer ("native", "mnemosyne", "nvml", "pmfs")
 	Threads int    // number of logical client threads
 
-	// chunks holds the events in recorded order. Every chunk is non-empty;
-	// Append writes only into the last one and opens a new chunk when that
-	// one is full, each as large as everything before it, up to
-	// maxChunkEvents. Chunks adopted whole (FromEvents, Decode's blocks, a
-	// keeping tail's copies) are clipped to their length, so Append never
-	// writes into them.
-	chunks [][]Event
-	n      int
+	sealed blockStore
+	// open holds the events after the sealed ones. Append seals it when
+	// it is full at DefaultBlockEvents; a smaller full one moves to a
+	// buffer twice its size. Under a tail it is the chunk the recorder
+	// hands over next (tail.go), and never sealed here.
+	open []Event
+	n    int
 
-	// tail, when set, is handed every chunk as Append seals it, and chunks
-	// holds only the open one (tail.go).
+	// tail, when set, is handed the open block each time it fills, and
+	// sealed stays empty until the tail's reader reaches the end (tail.go).
 	tail *Tail
 
 	// VolatileLoads/VolatileStores count the DRAM loads and stores the
@@ -159,72 +164,138 @@ type Trace struct {
 	VolatileStores uint64
 }
 
-// FromEvents returns a trace whose first chunk is events itself: the slice
-// is adopted, not copied, and must not be written by the caller afterwards.
-// Later Appends go to fresh chunks, never into events' spare capacity.
+// blockStore holds sealed blocks: each the v2 payload of DefaultBlockEvents
+// events. The first arenaBytes of them are allocated one by one, so a
+// short trace holds no empty arena, and the rest are carved from arenas,
+// so a long one costs its bytes. A payload never changes once kept, and a
+// later one is carved past it, so a copy of blocks stays valid while the
+// store grows.
+type blockStore struct {
+	blocks  [][]byte
+	arena   []byte
+	inArena int    // index of the first block carved from arena
+	carved  int    // bytes kept so far
+	scratch []byte // seal's pack buffer
+}
+
+// seal packs a full block and keeps its payload.
+func (s *blockStore) seal(block []Event) {
+	s.scratch = pack(s.scratch[:0], block)
+	s.keep(s.scratch)
+}
+
+// keep carves a copy of the payload p, which must be a full block's.
+func (s *blockStore) keep(p []byte) {
+	if cap(s.arena)-len(s.arena) < len(p) {
+		size := len(p)
+		if s.carved >= arenaBytes {
+			size = arenaBytes
+		}
+		s.arena = make([]byte, 0, size)
+		s.inArena = len(s.blocks)
+	}
+	at := len(s.arena)
+	s.arena = append(s.arena, p...)
+	s.blocks = append(s.blocks, s.arena[at:len(s.arena):len(s.arena)])
+	s.carved += len(p)
+}
+
+// trim moves the blocks carved from the last arena into an allocation of
+// their size, so a store that is done growing holds no arena's empty end,
+// and drops the pack buffer. The bytes are the same, so a copy of blocks
+// still reads them.
+func (s *blockStore) trim() {
+	if len(s.arena) < cap(s.arena) {
+		exact := slices.Clone(s.arena)
+		for i, at := s.inArena, 0; i < len(s.blocks); i++ {
+			end := at + len(s.blocks[i])
+			s.blocks[i] = exact[at:end:end]
+			at = end
+		}
+		s.arena = exact[:len(exact):len(exact)]
+	}
+	s.scratch = nil
+}
+
+// FromEvents returns a trace holding a copy of events; FromEvents(m, nil)
+// is an empty trace to Append to.
 func FromEvents(m Meta, events []Event) *Trace {
 	t := &Trace{App: m.App, Layer: m.Layer, Threads: m.Threads}
-	if len(events) > 0 {
-		t.chunks = [][]Event{events[:len(events):len(events)]}
-		t.n = len(events)
+	for _, e := range events {
+		t.Append(e)
 	}
 	return t
 }
 
-// Append adds an event.
+// Append adds an event, which must be of a known Kind: a sealed block
+// holding any other fails to unpack.
 func (t *Trace) Append(e Event) {
-	k := len(t.chunks) - 1
-	if k < 0 || len(t.chunks[k]) == cap(t.chunks[k]) {
-		k = t.openChunk()
+	if len(t.open) == cap(t.open) {
+		t.openChunk()
 	}
-	t.chunks[k] = append(t.chunks[k], e)
+	t.open = append(t.open, e)
 	t.n++
 }
 
-// openChunk seals the full last chunk — it is never written again, so a
-// tail's reader may have it now — and starts the next, returning its index.
-// Under a tail the sealed chunk leaves the trace, and the next one is a
-// buffer the reader has handed back when there is one (tail.go).
-func (t *Trace) openChunk() int {
-	limit := maxChunkEvents
-	var buf []Event
-	if tl := t.tail; tl != nil {
-		if k := len(t.chunks) - 1; k >= 0 {
-			tl.ch <- t.chunks[k]
-		}
-		t.chunks = t.chunks[:0]
-		if !tl.keep {
-			limit = droppedChunkEvents
-		}
+// openChunk makes room in the full open block. Short of its limit it moves
+// to a buffer twice its size. At the limit it is sealed: packed into the
+// trace's sealed blocks and reused or, under a tail, handed to the tail's
+// reader, the next block being a buffer the reader has handed back when
+// there is one (tail.go).
+func (t *Trace) openChunk() {
+	limit := DefaultBlockEvents
+	tl := t.tail
+	if tl != nil && !tl.keep {
+		limit = droppedChunkEvents
+	}
+	switch n := len(t.open); {
+	case n == 0:
+		t.open = make([]Event, 0, firstChunkEvents)
+	case n < limit:
+		grown := make([]Event, n, min(2*n, limit))
+		copy(grown, t.open)
+		t.open = grown
+	case tl == nil:
+		t.sealed.seal(t.open)
+		t.open = t.open[:0]
+	default:
+		tl.ch <- t.open
 		select {
-		case buf = <-tl.free: // only full-size buffers come back
+		case buf := <-tl.free: // nil for a dropping tail: never ready
+			t.open = buf[:0]
 		default:
+			t.open = make([]Event, 0, limit)
 		}
 	}
-	if buf == nil {
-		buf = make([]Event, 0, min(max(t.n, firstChunkEvents), limit))
-	}
-	t.chunks = append(t.chunks, buf[:0])
-	return len(t.chunks) - 1
 }
 
 // Len returns the number of recorded events.
 func (t *Trace) Len() int { return t.n }
 
-// Chunks returns the recorded events in order as a sequence of non-empty
-// slices. Both levels are the trace's own storage: read-only for the
-// caller.
-func (t *Trace) Chunks() [][]Event { return t.chunks }
+// Snapshot returns a trace holding t's events so far, for a reader while
+// another goroutine records on into t: the sealed blocks are shared, as
+// they never change, and the open ones copied. The caller must hold off
+// t's recorder while it runs.
+func (t *Trace) Snapshot() *Trace {
+	s := &Trace{App: t.App, Layer: t.Layer, Threads: t.Threads, n: t.n,
+		VolatileLoads: t.VolatileLoads, VolatileStores: t.VolatileStores}
+	s.sealed.blocks = slices.Clip(t.sealed.blocks)
+	s.open = slices.Clone(t.open)
+	return s
+}
 
 // CountKind returns the number of events of kind k.
 func (t *Trace) CountKind(k Kind) int {
 	n := 0
-	for _, c := range t.chunks {
-		for _, e := range c {
-			if e.Kind == k {
+	for src := NewSliceSource(t); ; {
+		c, err := src.NextChunk()
+		if err != nil {
+			return n
+		}
+		for i := range c {
+			if c[i].Kind == k {
 				n++
 			}
 		}
 	}
-	return n
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -13,13 +14,53 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 )
 
-// flat returns t's events as one slice, for indexed comparisons.
-func flat(t *Trace) []Event { return slices.Concat(t.Chunks()...) }
+// flat returns t's events as one slice, for indexed comparisons, read
+// through its SliceSource as every reader does.
+func flat(t *Trace) []Event {
+	var out []Event
+	for src := NewSliceSource(t); ; {
+		c, err := src.NextChunk()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, c...)
+	}
+}
+
+// writerBytes is what a Writer makes of t's events, one Write each.
+func writerBytes(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Meta{App: tr.App, Layer: tr.Layer, Threads: tr.Threads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range flat(tr) {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(tr.VolatileLoads, tr.VolatileStores); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// traceBytes is t.Encode's output.
+func traceBytes(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // Equal reports whether a and b hold the same run metadata, volatile
-// counters and event sequence. Chunk boundaries are storage, not content:
-// a decoded trace is chunked by the stream's blocks, a recorded one by
-// Append's geometry, and the two are Equal when their events are.
+// counters and event sequence.
 func Equal(a, b *Trace) bool {
 	if a.App != b.App || a.Layer != b.Layer || a.Threads != b.Threads ||
 		a.VolatileLoads != b.VolatileLoads || a.VolatileStores != b.VolatileStores || a.n != b.n {
@@ -166,11 +207,11 @@ func TestDecodeRejectsAbsurdThreadCount(t *testing.T) {
 	}
 }
 
-// TestDecodeLargeHonestTrace checks that a trace larger than any one
-// chunk of the decoder's store still round-trips.
+// TestDecodeLargeHonestTrace checks that a trace of many blocks still
+// round-trips.
 func TestDecodeLargeHonestTrace(t *testing.T) {
 	orig := &Trace{App: "big", Layer: "native", Threads: 1}
-	for i := 0; i < 2*maxChunkEvents+100; i++ {
+	for i := 0; i < 16*DefaultBlockEvents+100; i++ {
 		orig.Append(Event{Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i*8), Size: 8, Kind: KStore})
 	}
 	var buf bytes.Buffer
@@ -185,7 +226,7 @@ func TestDecodeLargeHonestTrace(t *testing.T) {
 		t.Fatalf("decoded %d events, want %d", got.Len(), orig.Len())
 	}
 	if !slices.Equal(flat(orig), flat(got)) {
-		t.Fatal("events past the first chunk corrupted")
+		t.Fatal("events past the first block corrupted")
 	}
 }
 
@@ -257,88 +298,83 @@ func countingTrace(n int) *Trace {
 	return t
 }
 
-// TestStoreReadSurfacesAgree pins the chunked store at its boundaries:
-// Len, Chunks, a SliceSource and a codec round trip must all
-// yield the appended sequence, and the chunk invariants must hold.
+// TestStoreReadSurfacesAgree pins the block store at its boundaries: Len,
+// a SliceSource and a codec round trip must all yield the appended
+// sequence, every sealed block holds DefaultBlockEvents events and the
+// open one fewer or as many, and Encode writes the Writer's bytes.
 func TestStoreReadSurfacesAgree(t *testing.T) {
-	for _, n := range []int{0, 1, maxChunkEvents - 1, maxChunkEvents, maxChunkEvents + 1, 3*maxChunkEvents + 7} {
+	for _, n := range []int{0, 1, DefaultBlockEvents - 1, DefaultBlockEvents, DefaultBlockEvents + 1, 3*DefaultBlockEvents + 7} {
 		tr := countingTrace(n)
 		if tr.Len() != n {
 			t.Fatalf("n=%d: Len = %d", n, tr.Len())
 		}
-		want := make([]Event, 0, n)
-		for i, c := range tr.Chunks() {
-			if len(c) == 0 || len(c) > maxChunkEvents {
-				t.Fatalf("n=%d: chunk %d holds %d events", n, i, len(c))
-			}
-			if i < len(tr.Chunks())-1 && len(c) != cap(c) {
-				t.Fatalf("n=%d: chunk %d is part-filled (%d of %d) but not last", n, i, len(c), cap(c))
-			}
-			want = append(want, c...)
+		if sealed := len(tr.sealed.blocks); sealed != max(n-1, 0)/DefaultBlockEvents || len(tr.open) != n-sealed*DefaultBlockEvents {
+			t.Fatalf("n=%d: %d sealed blocks and %d open events", n, sealed, len(tr.open))
 		}
+		var chunks [][]Event
+		for src := NewSliceSource(tr); ; {
+			c, err := src.NextChunk()
+			if err == io.EOF {
+				break
+			}
+			if err != nil || len(c) == 0 {
+				t.Fatalf("n=%d: NextChunk = %d events, %v", n, len(c), err)
+			}
+			chunks = append(chunks, c)
+		}
+		want := slices.Concat(chunks...)
 		if len(want) != n {
-			t.Fatalf("n=%d: Chunks hold %d events", n, len(want))
+			t.Fatalf("n=%d: the chunks hold %d events", n, len(want))
 		}
 		for i, e := range want {
 			if e.Time != mem.Time(i) {
 				t.Fatalf("n=%d: event %d carries time %d", n, i, e.Time)
 			}
 		}
-
-		var viaChunk []Event
-		for src := NewSliceSource(tr); ; {
-			c, err := src.NextChunk()
-			if err != nil {
-				break
-			}
-			if len(c) == 0 {
-				t.Fatalf("n=%d: NextChunk returned an empty chunk", n)
-			}
-			viaChunk = append(viaChunk, c...)
+		raw := traceBytes(t, tr)
+		if !bytes.Equal(raw, writerBytes(t, tr)) {
+			t.Fatalf("n=%d: Encode differs from the Writer", n)
 		}
-		var buf bytes.Buffer
-		if err := EncodeV2(&buf, NewSliceSource(tr)); err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := Decode(&buf)
+		decoded, err := Decode(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, got := range map[string][]Event{"NextChunk": viaChunk, "EncodeV2/Decode": flat(decoded)} {
-			if !slices.Equal(got, want) {
-				t.Fatalf("n=%d: %s yields %d events that differ from Chunks (%d)", n, name, len(got), n)
-			}
+		if got := flat(decoded); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: Encode/Decode yields %d events that differ from the %d appended", n, len(got), n)
 		}
 	}
 }
 
-// TestFromEventsAdoptsWithoutSharingCapacity checks the constructor's
-// contract: the slice becomes the first chunk as is, and a later Append
-// never writes into its spare capacity.
-func TestFromEventsAdoptsWithoutSharingCapacity(t *testing.T) {
+// TestFromEventsCopiesWithoutSharingCapacity checks the constructor's
+// contract: the trace holds a copy of the slice, so neither a later write
+// to the slice nor a later Append reaches the other.
+func TestFromEventsCopiesWithoutSharingCapacity(t *testing.T) {
 	backing := make([]Event, 3, 8)
 	for i := range backing {
 		backing[i].Time = mem.Time(i)
 	}
 	tr := FromEvents(Meta{App: "a", Layer: "native", Threads: 2}, backing)
-	if tr.App != "a" || tr.Threads != 2 || tr.Len() != 3 || &tr.Chunks()[0][0] != &backing[0] {
-		t.Fatalf("FromEvents did not adopt the slice: %+v", tr)
+	if tr.App != "a" || tr.Threads != 2 || tr.Len() != 3 {
+		t.Fatalf("FromEvents = %+v", tr)
 	}
+	backing[0].Time = 99
 	tr.Append(Event{Time: 3})
 	if spare := backing[:4][3]; spare != (Event{}) {
-		t.Fatalf("Append wrote into the adopted slice's capacity: %+v", spare)
+		t.Fatalf("Append wrote into the slice's capacity: %+v", spare)
 	}
-	if got := flat(tr); len(got) != 4 || got[3].Time != 3 {
+	if got := flat(tr); len(got) != 4 || got[0].Time != 0 || got[3].Time != 3 {
 		t.Fatalf("events after Append = %v", got)
 	}
-	if empty := FromEvents(Meta{}, nil); empty.Len() != 0 || len(empty.Chunks()) != 0 {
+	if empty := FromEvents(Meta{}, nil); empty.Len() != 0 || len(flat(empty)) != 0 {
 		t.Fatalf("FromEvents(nil) = %+v", empty)
 	}
 }
 
 // TestAppendNeverRecopies bounds what recording allocates: a long trace
-// allocates about its own size once (a store that regrew would allocate
-// its history several times over), and a litmus-sized trace stays small.
+// allocates about its packed size once, plus at most an arena it has not
+// filled and the open block's ramp (a store that regrew would allocate its
+// history several times over, and one of Events 24 bytes an event), and a
+// litmus-sized trace stays small.
 func TestAppendNeverRecopies(t *testing.T) {
 	allocated := func(n int) (uint64, *Trace) {
 		var before, after runtime.MemStats
@@ -349,8 +385,9 @@ func TestAppendNeverRecopies(t *testing.T) {
 	}
 	const n = 1_000_000
 	got, tr := allocated(n)
-	if limit := uint64(1.1 * n * float64(unsafe.Sizeof(Event{}))); got > limit {
-		t.Errorf("appending %d events allocated %d bytes, want <= %d", n, got, limit)
+	packed := len(traceBytes(t, tr))
+	if limit := uint64(1.1*float64(packed)) + arenaBytes + 256<<10; got > limit {
+		t.Errorf("appending %d events (%d bytes encoded) allocated %d bytes, want <= %d", n, packed, got, limit)
 	}
 	runtime.KeepAlive(tr)
 	if got, tr = allocated(10); got >= 4<<10 {
@@ -363,7 +400,7 @@ var sinkTrace *Trace
 
 // BenchmarkTraceAppend is the recorder's cost per event: one op is a
 // 1 M-event trace appended from empty, so ns/event and B/event include
-// every chunk the store allocates along the way.
+// packing every block and every arena the store allocates along the way.
 func BenchmarkTraceAppend(b *testing.B) {
 	const n = 1_000_000
 	var before, after runtime.MemStats
@@ -379,13 +416,16 @@ func BenchmarkTraceAppend(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
 }
 
-// TestDecodeAdoptsBlocks pins what Decode allocates: the Reader's one
-// slice per block, which becomes a chunk as it is, plus a constant and the
-// chunk list's doubling — never a second copy of the events. A decoder
-// that re-appended every event would allocate its chunks on top of the
-// blocks and twice the bytes.
+// decodeSlack is what Decode may allocate besides the payloads: an arena
+// it has not filled, and each ring slot's buffers — a block's events and
+// its payload, at most 32 bytes an event.
+const decodeSlack = float64(arenaBytes + (maxDecodeWorkers+1)*DefaultBlockEvents*32)
+
+// TestDecodeAdoptsBlocks pins what Decode allocates: the blocks' payloads,
+// at most one allocation a block, plus a constant — never the events
+// themselves, which would cost 24 bytes an event.
 func TestDecodeAdoptsBlocks(t *testing.T) {
-	decode := func(n int) (allocs float64, bytesPerEvent float64) {
+	decode := func(n int) (allocs float64, bytesPerEvent, encodedPerEvent float64) {
 		raw := encoded(t, countingTrace(n))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -396,46 +436,43 @@ func TestDecodeAdoptsBlocks(t *testing.T) {
 		})
 		runtime.ReadMemStats(&after)
 		// AllocsPerRun makes one warm-up run besides the three it counts.
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 4 / float64(n)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 4 / float64(n), float64(len(raw)) / float64(n)
 	}
 	const short, long = 8 * DefaultBlockEvents, 64 * DefaultBlockEvents
-	shortAllocs, _ := decode(short)
-	longAllocs, perEvent := decode(long)
-	// 56 more blocks, the chunk list doubles three more times, and the
+	shortAllocs, _, _ := decode(short)
+	longAllocs, perEvent, encodedPerEvent := decode(long)
+	// 56 more blocks, the block list doubles three more times, and the
 	// runtime may allocate a little of its own while the runs are counted.
 	if extra, want := longAllocs-shortAllocs, float64(long-short)/DefaultBlockEvents+6; extra > want {
 		t.Errorf("%d events: %.0f allocs, %d events: %.0f — %.0f more, want <= %.0f (one per block)",
 			short, shortAllocs, long, longAllocs, extra, want)
 	}
-	if size := float64(unsafe.Sizeof(Event{})); perEvent > 1.1*size {
-		t.Errorf("Decode allocated %.1f B/event, want <= %.1f (the blocks alone)", perEvent, 1.1*size)
+	if want := 1.1*encodedPerEvent + decodeSlack/long; perEvent > want {
+		t.Errorf("Decode allocated %.2f B/event, want <= %.2f (the payloads, %.2f B/event, an arena and the ring)", perEvent, want, encodedPerEvent)
 	}
 }
 
-// TestAppendAfterDecodeKeepsDecodedEvents checks that an adopted block is
-// full as far as Append is concerned: appending to a decoded trace opens a
-// chunk of its own and leaves every decoded event in place.
+// TestAppendAfterDecodeKeepsDecodedEvents checks that appending to a
+// decoded trace leaves every decoded event in place and keeps the blocks
+// whole: the trace still encodes to the Writer's bytes.
 func TestAppendAfterDecodeKeepsDecodedEvents(t *testing.T) {
 	const n = 2*DefaultBlockEvents + 5
 	tr, err := Decode(bytes.NewReader(encoded(t, countingTrace(n))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := len(tr.Chunks())
-	for i, c := range tr.Chunks() {
-		if len(c) != cap(c) {
-			t.Fatalf("decoded chunk %d holds %d events in a capacity of %d", i, len(c), cap(c))
-		}
+	if len(tr.sealed.blocks) != 2 || len(tr.open) != 5 {
+		t.Fatalf("decoded %d blocks and %d open events, want 2 and 5", len(tr.sealed.blocks), len(tr.open))
 	}
-	want := flat(countingTrace(n + 100))
-	for i, e := range want[n:] {
+	want := flat(countingTrace(n + DefaultBlockEvents))
+	for _, e := range want[n:] {
 		tr.Append(e)
-		if i == 0 && len(tr.Chunks()) != blocks+1 {
-			t.Fatalf("the first Append left %d chunks, want a new one after the %d decoded", len(tr.Chunks()), blocks)
-		}
 	}
 	if got := flat(tr); !slices.Equal(got, want) {
 		t.Fatalf("after %d Appends the trace holds %d events that differ from the %d expected", len(want)-n, len(got), len(want))
+	}
+	if !bytes.Equal(traceBytes(t, tr), writerBytes(t, tr)) {
+		t.Fatal("Encode after Appends differs from the Writer")
 	}
 }
 

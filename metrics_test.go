@@ -61,16 +61,14 @@ func TestMetricsMatchTheTrace(t *testing.T) {
 		}
 		touches := make(map[uint16]uint64)
 		var epochs, lines uint64
-		for _, chunk := range rep.Trace.tr.Chunks() {
-			for _, e := range chunk {
-				switch e.Kind {
-				case trace.KStore, trace.KStoreNT:
-					touches[e.TID] += uint64(mem.LinesSpanned(e.Addr, int(e.Size)))
-				case trace.KFence:
-					if n := touches[e.TID]; n > 0 {
-						epochs, lines = epochs+1, lines+n
-						touches[e.TID] = 0
-					}
+		for _, e := range traceEvents(rep.Trace.tr) {
+			switch e.Kind {
+			case trace.KStore, trace.KStoreNT:
+				touches[e.TID] += uint64(mem.LinesSpanned(e.Addr, int(e.Size)))
+			case trace.KFence:
+				if n := touches[e.TID]; n > 0 {
+					epochs, lines = epochs+1, lines+n
+					touches[e.TID] = 0
 				}
 			}
 		}

@@ -52,19 +52,23 @@ func pipeline(src trace.EventSource, taps []tap) (*epoch.Analysis, error) {
 	return a, nil
 }
 
-// Live runs are two stages at chunk granularity, exec ∥ analysis: the
-// benchmark records on its own goroutine into a trace.Trace whose chunks
-// never move once written, and each chunk reaches the pipeline through the
-// trace's Tail the moment Append seals it — one channel send per chunk,
-// never per event — so the analysis of one chunk overlaps the recording of
+// Live runs are two stages at block granularity, exec ∥ analysis: the
+// benchmark records on its own goroutine into a trace.Trace, and each
+// block of DefaultBlockEvents events reaches the pipeline through the
+// trace's Tail the moment Append fills it — one channel send per block,
+// never per event — so the analysis of one block overlaps the recording of
 // the next instead of re-reading the whole trace from cold memory after the
 // run. Run and RunAllFused are the same two stages and differ only in
-// whether the trace keeps a chunk it has handed over. Run's does: the
-// pipeline reads the tail's copy of each sealed chunk, the recorder writes
-// on into the buffer the copy was taken from, and the copies are the
-// retained trace, Report.Trace. RunAllFused's drops it, so the full event
-// sequence is never materialized and Report.Trace is nil. The reports are
-// identical (TestStreamMatchesSerial asserts it on every suite member).
+// whether the trace keeps a block it has handed over. Run's does: the
+// tail's reader packs each block into its v2 payload, about 7 bytes an
+// event, the analysis reads the recorder's own buffer, and the buffer goes
+// back to the recorder when the analysis asks for the next block — which
+// is safe because Run's pipeline has no taps, and epoch.AnalyzeStream
+// copies each event and keeps no chunk. The packed blocks are the retained
+// trace, Report.Trace. RunAllFused's tail keeps nothing it hands over, so
+// the full event sequence is never materialized and Report.Trace is nil.
+// The reports are identical (TestStreamMatchesSerial asserts it on every
+// suite member).
 
 // record launches the named benchmark on its own goroutine, recording into
 // a fresh runtime's trace, and returns that trace with the tail its events

@@ -2,6 +2,7 @@ package whisper
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -14,7 +15,7 @@ import (
 func sameTrace(a, b *trace.Trace) bool {
 	return a.App == b.App && a.Layer == b.Layer && a.Threads == b.Threads &&
 		a.VolatileLoads == b.VolatileLoads && a.VolatileStores == b.VolatileStores &&
-		slices.Equal(slices.Concat(a.Chunks()...), slices.Concat(b.Chunks()...))
+		slices.Equal(traceEvents(a), traceEvents(b))
 }
 
 // TestStreamMatchesSerial is the pipeline's core contract: for every suite
@@ -84,5 +85,21 @@ func TestRunStreamUnknownBenchmark(t *testing.T) {
 func TestAnalyzeReaderRejectsGarbage(t *testing.T) {
 	if _, err := AnalyzeReader(bytes.NewReader([]byte("not a trace"))); err == nil {
 		t.Fatal("AnalyzeReader accepted garbage")
+	}
+}
+
+// traceEvents drains tr through its SliceSource: the recorded events in
+// order, which never fail to unpack.
+func traceEvents(tr *trace.Trace) []trace.Event {
+	var out []trace.Event
+	for src := trace.NewSliceSource(tr); ; {
+		c, err := src.NextChunk()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, c...)
 	}
 }

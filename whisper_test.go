@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 func TestSuiteComplete(t *testing.T) {
@@ -110,6 +112,49 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 	if tr2.App() != "redis" || tr2.tr.Layer != "nvml" || tr2.Events() == 0 {
 		t.Fatal("trace metadata lost")
 	}
+}
+
+// TestRetainedTraceBytesPerEvent: a report holds its run's trace as the
+// trace file holds it, packed v2 blocks, so keeping it costs at most 8
+// bytes of live heap an event — not the 24 of an Event — and Encode
+// writes those blocks as they are: a Writer fed the same events writes the
+// same bytes.
+func TestRetainedTraceBytesPerEvent(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := Run("ycsb", Config{Ops: 600, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	n := rep.Trace.Events()
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if perEvent := float64(live) / float64(n); perEvent > 8 {
+		t.Errorf("%d events hold %d bytes live with their report, %.2f B/event, want <= 8", n, live, perEvent)
+	}
+
+	var got, want bytes.Buffer
+	if err := rep.Trace.Encode(&got); err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(&want, trace.Meta{App: rep.Trace.tr.App, Layer: rep.Trace.tr.Layer, Threads: rep.Trace.tr.Threads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range traceEvents(rep.Trace.tr) {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(rep.Trace.tr.VolatileLoads, rep.Trace.tr.VolatileStores); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("Encode wrote %d bytes, a Writer fed the same %d events %d, or they differ", got.Len(), n, want.Len())
+	}
+	runtime.KeepAlive(rep)
 }
 
 func TestSimulateHOPS(t *testing.T) {
