@@ -50,7 +50,7 @@ func genPipelineTrace(n, threads int) *trace.Trace {
 		clock += mem.Time(5)
 		tr.Append(trace.Event{Kind: trace.KTxEnd, TID: tid, Time: clock})
 	}
-	return trace.FromEvents(meta, traceEvents(tr)[:n])
+	return trace.FromEvents(meta, tr.Events()[:n])
 }
 
 // BenchmarkPipelineAnalyze is the epoch analysis on a synthetic trace of

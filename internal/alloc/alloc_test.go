@@ -1,7 +1,6 @@
 package alloc
 
 import (
-	"io"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -133,7 +132,7 @@ func TestMultiSlabSingletonEpochPerAlloc(t *testing.T) {
 	}
 	// The single store must be 8 bytes (a bitmap word).
 	var last trace.Event
-	for _, e := range traceEvents(rt.Trace) {
+	for _, e := range rt.Trace.Events() {
 		if e.Kind == trace.KStore {
 			last = e
 		}
@@ -479,21 +478,5 @@ func BenchmarkMultiSlabRecover(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Recover(th)
-	}
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
 	}
 }

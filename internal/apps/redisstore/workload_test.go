@@ -1,13 +1,11 @@
 package redisstore_test
 
 import (
-	"io"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/persist"
-	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // record runs app's paper mix through the suite's one driver on a
@@ -31,25 +29,9 @@ func TestRunWorkload(t *testing.T) {
 		t.Fatal("no transactions traced")
 	}
 	// Single-threaded server: everything on thread 0.
-	for _, e := range traceEvents(rt.Trace) {
+	for _, e := range rt.Trace.Events() {
 		if e.TID != 0 {
 			t.Fatal("event off the event-loop thread")
 		}
-	}
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 	"testing"
 
@@ -90,7 +89,7 @@ func TestOracleAddsNoEvent(t *testing.T) {
 			if bare.Len() == 0 {
 				t.Fatalf("%s/%s recorded nothing", a.Name, mix)
 			}
-			b, c := traceEvents(bare), traceEvents(checked)
+			b, c := bare.Events(), checked.Events()
 			if !slices.Equal(b, c) {
 				t.Errorf("%s/%s: %d events bare, %d with the oracle, or the streams differ", a.Name, mix, len(b), len(c))
 			}
@@ -428,21 +427,5 @@ func TestEchoOracleRepeatedKey(t *testing.T) {
 	o.Store = replaced
 	if err := o.Check(0); err == nil {
 		t.Fatalf("store holding the replaced update %s=5 passed", a)
-	}
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
 	}
 }

@@ -2,7 +2,6 @@ package epoch
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -42,7 +41,7 @@ func referenceAnalyze(tr *trace.Trace) *Analysis {
 		Threads:      tr.Threads,
 		DRAMAccesses: tr.VolatileLoads + tr.VolatileStores,
 	}
-	events := traceEvents(tr)
+	events := tr.Events()
 	if len(events) > 0 {
 		a.Duration = events[len(events)-1].Time - events[0].Time
 	}
@@ -317,21 +316,5 @@ func TestLineSetSizesAgainstOracle(t *testing.T) {
 					n, name, a.SizeHist, a.CrossDepEpochs, n)
 			}
 		}
-	}
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
 	}
 }

@@ -1,7 +1,6 @@
 package hops
 
 import (
-	"io"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -37,7 +36,7 @@ func replaySerial(tr *trace.Trace, model Model, cfg Config, dfenceAt func(int)) 
 	return r.result()
 }
 
-func events(tr *trace.Trace) []trace.Event { return traceEvents(tr) }
+func events(tr *trace.Trace) []trace.Event { return tr.Events() }
 
 // replay and normalized run the streaming replay over an in-memory trace,
 // whose source cannot fail.
@@ -395,21 +394,5 @@ func TestReplayAllocsIndependentOfLength(t *testing.T) {
 	if long-short > 4 {
 		t.Errorf("%d transactions: %.0f allocs, %d transactions: %.0f — the replay allocates per event or per epoch",
 			n, short, 4*n, long)
-	}
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
 	}
 }

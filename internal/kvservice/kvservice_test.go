@@ -64,7 +64,7 @@ func TestGroupCommitTraceShape(t *testing.T) {
 		t.Fatalf("TxBegin count = %d, want 2", got)
 	}
 	// The batch's transaction must close after its last fence.
-	all := traceEvents(tr)
+	all := tr.Events()
 	if last := all[len(all)-1]; last.Kind != trace.KTxEnd {
 		t.Fatalf("trace does not end at TxEnd: %v", last)
 	}

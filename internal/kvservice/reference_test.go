@@ -3,7 +3,6 @@ package kvservice
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -359,7 +358,7 @@ func referenceTrace(s *Service) *trace.Trace {
 	var events []trace.Event
 	var vloads, vstores uint64
 	for i, sh := range s.shards {
-		for _, e := range traceEvents(sh.rt.Trace) {
+		for _, e := range sh.rt.Trace.Events() {
 			e.TID = uint16(i)
 			events = append(events, e)
 		}
@@ -402,7 +401,7 @@ func TestTraceMergeMatchesStableSort(t *testing.T) {
 		}
 		ties := 0
 		var prev trace.Event
-		for _, e := range traceEvents(got) {
+		for _, e := range got.Events() {
 			if e.Time == prev.Time && e.TID != prev.TID {
 				ties++
 			}
@@ -419,21 +418,5 @@ func TestKeyNameMatchesFmt(t *testing.T) {
 		if got, want := keyName(n), fmt.Sprintf("key%08d", n); got != want {
 			t.Errorf("keyName(%d) = %q, want %q", n, got, want)
 		}
-	}
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
 	}
 }

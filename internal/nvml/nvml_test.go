@@ -3,7 +3,6 @@ package nvml
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 	"testing/quick"
 
@@ -410,7 +409,7 @@ func TestReadU64DoesNotAllocate(t *testing.T) {
 		before := rt.Trace.Len()
 		tx.ReadU64(a)
 		tx.Read(a, 8)
-		if ev := traceEvents(rt.Trace)[before:]; len(ev) != 2 ||
+		if ev := rt.Trace.Events()[before:]; len(ev) != 2 ||
 			ev[0].Kind != trace.KLoad || ev[0].Addr != ev[1].Addr || ev[0].Size != ev[1].Size || ev[0].Kind != ev[1].Kind {
 			t.Errorf("ReadU64 and Read(a, 8) emitted %v", ev)
 		}
@@ -418,21 +417,5 @@ func TestReadU64DoesNotAllocate(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
 	}
 }

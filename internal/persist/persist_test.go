@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -16,7 +15,7 @@ import (
 )
 
 // events flattens the runtime's recorded trace for indexed assertions.
-func events(rt *Runtime) []trace.Event { return traceEvents(rt.Trace) }
+func events(rt *Runtime) []trace.Event { return rt.Trace.Events() }
 
 func newRT(t *testing.T) *Runtime {
 	t.Helper()
@@ -720,20 +719,4 @@ func TestAbortAtWithoutTrace(t *testing.T) {
 func persistStore(th *Thread, a mem.Addr, data []byte) {
 	th.Store(a, data)
 	th.FlushFence(a, len(data))
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
-	}
 }

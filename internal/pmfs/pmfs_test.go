@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -340,7 +339,7 @@ func TestUserDataUsesNTI(t *testing.T) {
 	*rt.Trace = trace.Trace{}
 	fs.WriteAt(th, "/f", 0, make([]byte, BlockSize))
 	var ntBytes, storeBytes uint64
-	for _, e := range traceEvents(rt.Trace) {
+	for _, e := range rt.Trace.Events() {
 		switch e.Kind {
 		case trace.KStoreNT:
 			ntBytes += uint64(e.Size)
@@ -362,7 +361,7 @@ func TestBlockWriteIs64LineEpoch(t *testing.T) {
 	fs.WriteAt(th, "/f", 0, make([]byte, BlockSize))
 	// Find the NT store of the user data and check it spans 64 lines.
 	found := false
-	for _, e := range traceEvents(rt.Trace) {
+	for _, e := range rt.Trace.Events() {
 		if e.Kind == trace.KStoreNT && e.Size == BlockSize {
 			found = true
 		}
@@ -557,7 +556,7 @@ func TestSecondScanFailureAbortsTheTransaction(t *testing.T) {
 			if err := call(fs, th); !errors.Is(err, ErrNotDir) {
 				t.Fatalf("%s over a directory corrupted mid-call = %v, want ErrNotDir", name, err)
 			}
-			for _, e := range traceEvents(rt.Trace) {
+			for _, e := range rt.Trace.Events() {
 				if (e.Kind == trace.KStore || e.Kind == trace.KStoreNT) && e.Addr == 0 {
 					t.Fatalf("%s stored to address 0: %v", name, e)
 				}
@@ -817,21 +816,5 @@ func TestJournalOverflowIsAnError(t *testing.T) {
 	requireAborted(t, rt, th, fs, img0, free0)
 	if info, err := fs.Stat(th, "/c"); err != nil || info.Size != 300*BlockSize {
 		t.Fatalf("/c after the failed unlink: %+v, %v; want 300 blocks", info, err)
-	}
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
 	}
 }

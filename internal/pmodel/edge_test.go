@@ -1,7 +1,6 @@
 package pmodel
 
 import (
-	"io"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/epoch"
@@ -103,24 +102,8 @@ func TestFenceOnlyProgramClosesNoEpoch(t *testing.T) {
 func sanitize(tr *trace.Trace) *pmsan.Report {
 	src := trace.NewSliceSource(tr)
 	s := pmsan.New(src.Meta())
-	for _, e := range traceEvents(tr) {
+	for _, e := range tr.Events() {
 		s.Observe(e)
 	}
 	return s.Finish()
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
-	}
 }

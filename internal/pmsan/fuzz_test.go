@@ -2,7 +2,6 @@ package pmsan
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/trace"
@@ -16,7 +15,7 @@ import (
 func FuzzSanitizer(f *testing.F) {
 	broken := brokenWorkload()
 	open := trace.FromEvents(trace.Meta{App: broken.App, Layer: broken.Layer, Threads: broken.Threads},
-		traceEvents(broken)[:7])
+		broken.Events()[:7])
 	for _, tr := range []*trace.Trace{broken, open} {
 		var buf bytes.Buffer
 		if err := trace.EncodeV2(&buf, trace.NewSliceSource(tr)); err != nil {
@@ -42,20 +41,4 @@ func FuzzSanitizer(f *testing.F) {
 			t.Fatalf("nondeterministic report:\n%s\n---\n%s", a, b)
 		}
 	})
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
-	}
 }

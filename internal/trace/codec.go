@@ -22,14 +22,16 @@ const magic = "WSPR"
 //
 // The blocks are independent, so Decode frames them on the caller's
 // goroutine and checks and unpacks them on one worker per core, up to
-// maxDecodeWorkers. Each block is framed into the payload buffer of a
-// slot of a fixed ring — one per worker and one for the framer — and taken
-// into the trace in stream order. A canonical block of DefaultBlockEvents
-// events, which is every block a Writer frames but the last, is kept as
-// its payload, without materializing its events; any other block is
-// appended event by event and so re-packed, which keeps the trace's blocks
-// the Writer's and Encode's bytes the Writer's. No worker outlives the
-// call.
+// maxDecodeWorkers. Each block is framed into a payload buffer of a fixed
+// ring — one per worker and one for the framer — and its events are taken
+// as the trace's next decoded block in stream order, so storage is the
+// events actually decoded, allocated once per block and never copied, plus
+// those few payload buffers. No worker outlives the call.
+//
+// A decoded trace holds its events unpacked, 24 bytes each, not its
+// payloads: checking a block costs about what unpacking it does, and a
+// decoded trace is read in full (the HOPS replay, Analyze), so keeping the
+// payloads would unpack every event twice.
 func Decode(r io.Reader) (*Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -50,10 +52,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		go func() {
 			defer wg.Done()
 			for s := range jobs {
-				if cap(s.events) < s.count {
-					s.events = make([]Event, s.count)
-				}
-				s.events, s.canonical, s.err = decodeBlock(s.events[:s.count], s.payload, s.crc)
+				s.events, s.err = decodeBlock(make([]Event, s.count), s.payload, s.crc)
 				s.done <- struct{}{}
 			}
 		}()
@@ -73,17 +72,8 @@ func Decode(r io.Reader) (*Trace, error) {
 		if s.err != nil {
 			return s.err
 		}
-		if len(t.open) == DefaultBlockEvents {
-			t.openChunk() // seals it, which Append leaves to the next event
-		}
-		if s.canonical && len(s.events) == DefaultBlockEvents && len(t.open) == 0 {
-			t.sealed.keep(s.payload)
-			t.n += DefaultBlockEvents
-			return nil
-		}
-		for _, e := range s.events {
-			t.Append(e)
-		}
+		t.decoded = append(t.decoded, s.events)
+		t.n += len(s.events)
 		return nil
 	}
 	for {
@@ -110,30 +100,26 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.sealed.trim()
 	t.VolatileLoads, t.VolatileStores = rd.Volatile()
 	return t, nil
 }
 
-// maxDecodeWorkers caps Decode's workers. Each one adds a slot to the
-// ring, whose buffers are allocated the first time the ring reaches it,
-// so the cap is what keeps Decode's allocations a constant plus the
-// trace's own, and its in-flight blocks a few, on a machine of any core
-// count.
+// maxDecodeWorkers caps Decode's workers. Each one adds a payload buffer
+// to the ring, allocated the first time the ring reaches it, so the cap is
+// what keeps Decode's allocations one per block plus a constant, and its
+// in-flight payloads a few blocks' worth, on a machine of any core count.
 const maxDecodeWorkers = 4
 
 // decodeSlot is one block on its way through Decode: framed into payload
 // by the caller, checked and unpacked into events (or err) by a worker,
-// which then signals done. Both buffers are reused by the slot's next
-// block, once Decode has taken this one.
+// which then signals done.
 type decodeSlot struct {
-	payload   []byte
-	crc       uint32
-	count     int
-	events    []Event
-	canonical bool
-	err       error
-	done      chan struct{}
+	payload []byte
+	crc     uint32
+	count   int
+	events  []Event
+	err     error
+	done    chan struct{}
 }
 
 func writeString(w *bufio.Writer, s string) {

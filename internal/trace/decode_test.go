@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // requireGoroutines waits for the goroutine count to come back to base:
@@ -150,12 +151,12 @@ func TestDecodeReportsTheFirstDamage(t *testing.T) {
 
 // TestDecodeAllocsAnyGOMAXPROCS holds Decode to TestDecodeAdoptsBlocks'
 // bounds at many procs, which AllocsPerRun cannot show because it counts
-// at one: the ring's buffers are as few on a many-core machine as on one
-// core, so 56 more blocks still cost 56 more allocations and a constant,
-// and the payloads are still about the bytes allocated.
+// at one: the ring's payload buffers are as few on a many-core machine as
+// on one core, so 56 more blocks still cost 56 more allocations and a
+// constant, and the events are still the bytes allocated.
 func TestDecodeAllocsAnyGOMAXPROCS(t *testing.T) {
 	const short, long, runs = 8 * DefaultBlockEvents, 64 * DefaultBlockEvents, 10
-	decode := func(n int) (allocs, bytesPerEvent, encodedPerEvent float64) {
+	decode := func(n int) (allocs, bytesPerEvent float64) {
 		raw := encoded(t, countingTrace(n))
 		if _, err := Decode(bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
@@ -168,21 +169,21 @@ func TestDecodeAllocsAnyGOMAXPROCS(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(n), float64(len(raw)) / float64(n)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(n)
 	}
 	for _, procs := range []int{16, 64} {
 		atProcs(procs, func() {
 			// The first collection at a new proc count starts a mark
 			// worker per proc, which the runtime allocates: not Decode's.
 			runtime.GC()
-			shortAllocs, _, _ := decode(short)
-			longAllocs, perEvent, encodedPerEvent := decode(long)
+			shortAllocs, _ := decode(short)
+			longAllocs, perEvent := decode(long)
 			if extra, want := longAllocs-shortAllocs, float64(long-short)/DefaultBlockEvents+6; extra > want {
 				t.Errorf("GOMAXPROCS=%d: %d events: %.0f allocs, %d events: %.0f — %.0f more, want <= %.0f (one per block)",
 					procs, short, shortAllocs, long, longAllocs, extra, want)
 			}
-			if want := 1.1*encodedPerEvent + decodeSlack/long; perEvent > want {
-				t.Errorf("GOMAXPROCS=%d: Decode allocated %.2f B/event, want <= %.2f (the payloads, %.2f B/event, an arena and the ring)", procs, perEvent, want, encodedPerEvent)
+			if size := float64(unsafe.Sizeof(Event{})); perEvent > 1.1*size {
+				t.Errorf("GOMAXPROCS=%d: Decode allocated %.1f B/event, want <= %.1f (the blocks alone)", procs, perEvent, 1.1*size)
 			}
 		})
 	}

@@ -87,7 +87,7 @@ func TestFanoutAllBranchesSeeFullStream(t *testing.T) {
 			}
 			wg.Wait()
 			for i, ev := range events {
-				if !reflect.DeepEqual(ev, flat(tr)) {
+				if !reflect.DeepEqual(ev, tr.Events()) {
 					t.Fatalf("branch %d saw %d events, diverges from source (%d events)",
 						i, len(ev), tr.Len())
 				}
@@ -103,7 +103,7 @@ func TestFanoutEarlyCloseReleasesPump(t *testing.T) {
 	// stream without the pump stalling on the dead branch.
 	branches[1].Close()
 	got, _, _ := drainBranch(t, branches[0])
-	if !reflect.DeepEqual(got, flat(tr)) {
+	if !reflect.DeepEqual(got, tr.Events()) {
 		t.Fatalf("surviving branch saw %d events, want %d", len(got), tr.Len())
 	}
 }

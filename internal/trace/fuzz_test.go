@@ -51,7 +51,7 @@ func FuzzDecode(f *testing.F) {
 		if err != io.EOF {
 			t.Fatalf("Decode accepted a stream the Reader ends with %v", err)
 		}
-		if !slices.Equal(flat(tr), slices.Concat(chunks...)) {
+		if !slices.Equal(tr.Events(), slices.Concat(chunks...)) {
 			t.Fatalf("the decoded trace reads back %d events, the Reader %d, or they differ", tr.Len(), len(slices.Concat(chunks...)))
 		}
 		var buf bytes.Buffer
@@ -67,7 +67,7 @@ func FuzzDecode(f *testing.F) {
 			tr2.Len() != tr.Len() {
 			t.Fatalf("round trip changed trace header or event count")
 		}
-		if !slices.Equal(flat(tr), flat(tr2)) {
+		if !slices.Equal(tr.Events(), tr2.Events()) {
 			t.Fatalf("round trip changed events")
 		}
 	})

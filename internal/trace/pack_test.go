@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -39,14 +41,14 @@ func TestPackedTraceRoundTripsAdversarialEvents(t *testing.T) {
 	if len(tr.sealed.blocks) != 2 || len(tr.open) != 11 {
 		t.Fatalf("%d sealed blocks and %d open events, want 2 and 11", len(tr.sealed.blocks), len(tr.open))
 	}
-	if got := flat(tr); !slices.Equal(got, want) {
+	if got := tr.Events(); !slices.Equal(got, want) {
 		t.Fatalf("Append → SliceSource gave back %d events that differ from the %d appended", len(got), len(want))
 	}
 	decoded, err := Decode(bytes.NewReader(traceBytes(t, tr)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := flat(decoded); !slices.Equal(got, want) {
+	if got := decoded.Events(); !slices.Equal(got, want) {
 		t.Fatalf("Encode → Decode gave back %d events that differ from the %d appended", len(got), len(want))
 	}
 }
@@ -54,10 +56,10 @@ func TestPackedTraceRoundTripsAdversarialEvents(t *testing.T) {
 // TestEncodeIsTheWritersBytes: a trace encodes to what a Writer makes of
 // its events, whether it was recorded through a keeping tail, built by
 // FromEvents, or decoded from a file whose blocks are not the Writer's —
-// of 3 and 5 000 events, the second with an overlong varint — which
-// Decode re-packs rather than keeps.
+// of 3 and 5 000 events, the second with an overlong varint — whose
+// events Encode packs and frames afresh.
 func TestEncodeIsTheWritersBytes(t *testing.T) {
-	events := flat(genTrace(rand.New(rand.NewSource(5)), 3*DefaultBlockEvents+100))
+	events := genTrace(rand.New(rand.NewSource(5)), 3*DefaultBlockEvents+100).Events()
 	// The second block's first event, whose TID the file spells overlong.
 	events[3] = Event{Kind: KStore, TID: 1, Time: 5, Addr: 7, Size: 8}
 
@@ -89,7 +91,7 @@ func TestEncodeIsTheWritersBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := flat(fromFile); !slices.Equal(got, events[:5003]) {
+	if got := fromFile.Events(); !slices.Equal(got, events[:5003]) {
 		t.Fatalf("the hand-framed file decodes to %d events that differ from the %d framed", len(got), 5003)
 	}
 
@@ -104,6 +106,136 @@ func TestEncodeIsTheWritersBytes(t *testing.T) {
 		}
 		if name == "decoded" && bytes.Equal(got, file) {
 			t.Errorf("%s: Encode wrote the file's own blocks back", name)
+		}
+	}
+}
+
+// spell appends v as a varint of n bytes, n at least its minimal length:
+// overlong past that, ending in a zero byte (or n = 10 and a last byte
+// that overflows, which a reader must refuse).
+func spell(dst []byte, v uint64, n int) []byte {
+	for i := 0; i < n-1; i++ {
+		dst = append(dst, byte(v)|0x80)
+		v >>= 7
+	}
+	return append(dst, byte(v))
+}
+
+// unpackByField is unpack without its fast path: unpackEvent, event by
+// event.
+func unpackByField(n int, p []byte) ([]Event, error) {
+	out := make([]Event, n)
+	pos := 0
+	var prevTime, prevAddr uint64
+	for i := range out {
+		kind, tid, dt, da, size, next, err := unpackEvent(p, pos, i)
+		if err != nil {
+			return nil, err
+		}
+		pos = next
+		prevTime += uint64(int64(dt>>1) ^ -int64(dt&1))
+		prevAddr += uint64(int64(da>>1) ^ -int64(da&1))
+		out[i] = Event{Kind: Kind(kind), TID: uint16(tid), Time: memTime(prevTime), Addr: memAddr(prevAddr), Size: uint32(size)}
+	}
+	if pos != len(p) {
+		return nil, fmt.Errorf("trace: block has %d trailing payload bytes", len(p)-pos)
+	}
+	return out, nil
+}
+
+// TestUnpackMatchesFieldByField holds unpack's word-wide fast path to the
+// field-by-field decoder on payloads whose every field is spelled in one to
+// ten bytes, minimal or not, of every magnitude, some with a byte
+// overwritten, cut short or run on: the same events, or the same error.
+func TestUnpackMatchesFieldByField(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	// A value of about b bits, b from 0 to 64.
+	value := func() uint64 {
+		b := rng.Intn(65)
+		if b == 0 {
+			return 0
+		}
+		return rng.Uint64() >> (64 - b)
+	}
+	minLen := func(v uint64) int { return len(binary.AppendUvarint(nil, v)) }
+	field := func(dst []byte, v uint64) []byte {
+		n := minLen(v)
+		if rng.Intn(8) == 0 {
+			n += rng.Intn(11 - n)
+		}
+		return spell(dst, v, n)
+	}
+	var accepted, refused int
+	for round := 0; round < 20000; round++ {
+		n := 1 + rng.Intn(24)
+		var p []byte
+		for range n {
+			p = append(p, byte(rng.Intn(int(maxKind)+1)))
+			for f := range 4 {
+				v := value()
+				switch {
+				case f == 0 && rng.Intn(64) != 0:
+					v &= 0xFFFF // nearly always a TID an Event holds
+				case f == 3 && rng.Intn(64) != 0:
+					v &= math.MaxUint32
+				case rng.Intn(3) == 0:
+					v &= 0x7F // and many one-byte fields, as recorded
+				}
+				p = field(p, v)
+			}
+		}
+		switch rng.Intn(6) {
+		case 0:
+			p[rng.Intn(len(p))] = byte(rng.Intn(256))
+		case 1:
+			p = p[:rng.Intn(len(p))]
+		case 2:
+			p = append(p, byte(rng.Intn(256)))
+		}
+		want, wantErr := unpackByField(n, p)
+		got, gotErr := unpack(make([]Event, n), p)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("round %d: payload % x\nunpack: %v %v\nby field: %v %v", round, p, got, gotErr, want, wantErr)
+		}
+		if wantErr == nil {
+			accepted++
+		} else {
+			refused++
+		}
+	}
+	if accepted < 5000 || refused < 5000 {
+		t.Fatalf("%d payloads accepted and %d refused: want both kinds exercised", accepted, refused)
+	}
+}
+
+// TestCountKindReadsPayloads holds CountKind, which reads a sealed block's
+// kinds from its payload without unpacking it, to a count over the events,
+// for every kind: on recorded traces whose fields take one to ten bytes,
+// with sealed and open blocks, and on their decoded copies.
+func TestCountKindReadsPayloads(t *testing.T) {
+	for _, tr := range []*Trace{
+		genTrace(rand.New(rand.NewSource(7)), 3*DefaultBlockEvents+77),
+		FromEvents(Meta{}, adversarialEvents(2*DefaultBlockEvents+9)),
+		FromEvents(Meta{}, adversarialEvents(5)),
+	} {
+		decoded, err := Decode(bytes.NewReader(traceBytes(t, tr)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := tr.Events()
+		for k := Kind(0); k <= Kind(maxKind); k++ {
+			want := 0
+			for _, e := range events {
+				if e.Kind == k {
+					want++
+				}
+			}
+			if got := tr.CountKind(k); got != want {
+				t.Errorf("%d events, %d sealed blocks: CountKind(%v) = %d, want %d", tr.Len(), len(tr.sealed.blocks), k, got, want)
+			}
+			if got := decoded.CountKind(k); got != want {
+				t.Errorf("%d events, decoded: CountKind(%v) = %d, want %d", tr.Len(), k, got, want)
+			}
 		}
 	}
 }

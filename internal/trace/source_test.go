@@ -31,7 +31,7 @@ func TestEverySourceOneContract(t *testing.T) {
 	// Three blocks and a part one; past the tail's 512-event dropped chunks
 	// and its queue depth.
 	orig := genTrace(rand.New(rand.NewSource(22)), 3*DefaultBlockEvents+17)
-	want := flat(orig)
+	want := orig.Events()
 
 	reader := func(t *testing.T) EventSource {
 		rd, err := NewReader(bytes.NewReader(encoded(t, orig)))
@@ -111,7 +111,7 @@ func TestEverySourceOneContract(t *testing.T) {
 // delivered before it is a prefix of the recorded events.
 func TestDamagedStreamEndsInAnError(t *testing.T) {
 	orig := genTrace(rand.New(rand.NewSource(7)), 40)
-	want := flat(orig)
+	want := orig.Events()
 	whole := encoded(t, orig)
 	damaged := map[string][]byte{}
 	for cut := 0; cut < len(whole); cut++ {

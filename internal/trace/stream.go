@@ -100,32 +100,17 @@ type EventSource interface {
 }
 
 // SliceSource adapts an in-memory Trace to the EventSource interface. It
-// unpacks one sealed block per chunk into a slice of its own, and hands
-// over a copy of the open block last, so its chunks pass to the caller
-// like any source's while the trace stays packed. While the caller works
-// on one block the next is unpacked on a goroutine of its own, which ends
-// once it has, whether or not the caller asks for that block.
+// hands over a decoded trace's blocks as they are, since no one writes to
+// them, unpacks each sealed block into a slice of its own, and hands over a
+// copy of the open block last, so its chunks pass to the caller like any
+// source's while a recorded trace stays packed.
 type SliceSource struct {
-	tr    *Trace
-	b     int           // next sealed block; one past them, the open block
-	ahead chan unpacked // block b, unpacking; cap 1, so it never waits
-	busy  bool          // whether block b is on its way through ahead
-}
-
-// unpacked is a block on its way to a SliceSource's caller.
-type unpacked struct {
-	events []Event
-	err    error
-}
-
-// unpackBlock unpacks the sealed payload p into a new slice.
-func unpackBlock(p []byte) unpacked {
-	events, _, err := unpack(make([]Event, DefaultBlockEvents), p)
-	return unpacked{events, err}
+	tr *Trace
+	b  int // next block: decoded, then sealed, then the open one
 }
 
 // NewSliceSource returns an EventSource over tr's events. A trace whose
-// events were recorded (of known kinds) reads without error.
+// events were recorded (of known kinds) or decoded reads without error.
 func NewSliceSource(tr *Trace) *SliceSource { return &SliceSource{tr: tr} }
 
 // Meta returns the trace's run metadata.
@@ -135,27 +120,18 @@ func (s *SliceSource) Meta() Meta {
 
 // NextChunk returns the trace's next block, unpacked, then io.EOF.
 func (s *SliceSource) NextChunk() ([]Event, error) {
-	blocks := s.tr.sealed.blocks
+	decoded, sealed := s.tr.decoded, s.tr.sealed.blocks
+	b := s.b
+	s.b++
 	switch {
-	case s.b < len(blocks):
-		var u unpacked
-		if s.busy {
-			u = <-s.ahead
-		} else {
-			u = unpackBlock(blocks[s.b])
-		}
-		s.b++
-		if s.busy = s.b < len(blocks); s.busy {
-			if s.ahead == nil {
-				s.ahead = make(chan unpacked, 1)
-			}
-			go func(ahead chan<- unpacked, p []byte) { ahead <- unpackBlock(p) }(s.ahead, blocks[s.b])
-		}
-		return u.events, u.err
-	case s.b == len(blocks) && len(s.tr.open) > 0:
-		s.b++
+	case b < len(decoded):
+		return decoded[b], nil
+	case b-len(decoded) < len(sealed):
+		return unpack(make([]Event, DefaultBlockEvents), sealed[b-len(decoded)])
+	case b == len(decoded)+len(sealed) && len(s.tr.open) > 0:
 		return slices.Clone(s.tr.open), nil
 	}
+	s.b = b // stay at the end
 	return nil, io.EOF
 }
 
@@ -275,12 +251,16 @@ func (w *Writer) Close(vloads, vstores uint64) error {
 }
 
 // Encode writes t in the chunked v2 format: the bytes a Writer makes of
-// its events, written without unpacking them, since the sealed blocks are
-// already the Writer's payloads. Only the open block is packed here.
+// its events. A recorded trace's sealed blocks are already the Writer's
+// payloads and are written as they are; only the open block, and a decoded
+// trace's events, are packed here.
 func (t *Trace) Encode(w io.Writer) error {
 	tw, err := NewWriter(w, Meta{App: t.App, Layer: t.Layer, Threads: t.Threads})
 	if err != nil {
 		return err
+	}
+	if len(t.decoded) > 0 {
+		return encodeEvents(tw, NewSliceSource(t))
 	}
 	for _, p := range t.sealed.blocks {
 		if err := tw.writeBlock(p, DefaultBlockEvents); err != nil {
@@ -303,6 +283,11 @@ func EncodeV2(w io.Writer, src EventSource) error {
 	if err != nil {
 		return err
 	}
+	return encodeEvents(tw, src)
+}
+
+// encodeEvents writes src's events to tw, then its trailer.
+func encodeEvents(tw *Writer, src EventSource) error {
 	for {
 		chunk, err := src.NextChunk()
 		if err == io.EOF {
@@ -431,8 +416,7 @@ func (r *Reader) readFrame() ([]Event, error) {
 	if err != nil || count == 0 {
 		return nil, err
 	}
-	block, _, err := decodeBlock(make([]Event, count), r.payload, crc)
-	return block, err
+	return decodeBlock(make([]Event, count), r.payload, crc)
 }
 
 // nextFrame reads one frame without decoding it. For an event block it

@@ -55,8 +55,8 @@ func tracesEqual(t *testing.T, ctx string, want, got *Trace) {
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d events, want %d", ctx, got.Len(), want.Len())
 	}
-	gotEv := flat(got)
-	for i, w := range flat(want) {
+	gotEv := got.Events()
+	for i, w := range want.Events() {
 		if gotEv[i] != w {
 			t.Fatalf("%s: event %d = %+v, want %+v", ctx, i, gotEv[i], w)
 		}

@@ -63,7 +63,8 @@ type Tail struct {
 	// lent, the chunk its caller holds, which it hands back on free at the
 	// next call; last is the part-filled chunk Close handed over. At the
 	// end of the stream kept and last become the trace's sealed and open
-	// blocks, and all of them are dropped.
+	// blocks, ahead of anything appended since Close, and all of them are
+	// dropped.
 	kept blockStore
 	lent []Event
 	last []Event
@@ -97,7 +98,10 @@ func (t *Trace) Tail(keep bool) *Tail {
 
 // Close ends the stream: the recorder hands over the part-filled last
 // chunk, and the reader then sees err, or io.EOF when err is nil. Only the
-// recording goroutine may call it, once, after its last Append.
+// recording goroutine may call it, once, after its last Append to the
+// tail. The trace takes Appends again after Close; a keeping tail's reader
+// puts them after the tail's events when it reaches the end of the stream,
+// so they must not race that last NextChunk.
 func (tl *Tail) Close(err error) {
 	t := tl.tr
 	if len(t.open) > 0 {
@@ -138,7 +142,16 @@ func (tl *Tail) NextChunk() ([]Event, error) {
 	}
 	if tl.free != nil {
 		tl.kept.trim()
-		tl.tr.sealed, tl.tr.open = tl.kept, tl.last
+		t := tl.tr
+		// Anything appended since Close, which found no tail, goes after
+		// what the reader kept.
+		since := &Trace{sealed: t.sealed, open: t.open,
+			n: t.n - len(tl.kept.blocks)*DefaultBlockEvents - len(tl.last)}
+		t.sealed, t.open = tl.kept, tl.last
+		for _, e := range since.Events() {
+			t.Append(e)
+		}
+		t.n -= since.n
 		tl.kept, tl.last, tl.free = blockStore{}, nil, nil
 	}
 	if tl.err != nil {

@@ -112,7 +112,7 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 						t.Fatalf("Len = %d, want %d", tr.Len(), n)
 					}
 					if !keep {
-						if got := len(flat(tr)); got != 0 {
+						if got := len(tr.Events()); got != 0 {
 							t.Fatalf("a dropping trace still holds %d events after Close", got)
 						}
 						for _, c := range chunks {
@@ -124,13 +124,13 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 					}
 					// A keeping trace is the trace an unfollowed recording
 					// would have left.
-					for i, e := range flat(tr) {
+					for i, e := range tr.Events() {
 						if e.Time != mem.Time(i) {
 							t.Fatalf("retained trace holds time %d at event %d", e.Time, i)
 						}
 					}
-					if len(flat(tr)) != n {
-						t.Fatalf("the retained trace holds %d events, want %d", len(flat(tr)), n)
+					if len(tr.Events()) != n {
+						t.Fatalf("the retained trace holds %d events, want %d", len(tr.Events()), n)
 					}
 					if !bytes.Equal(traceBytes(t, tr), writerBytes(t, tr)) {
 						t.Fatal("the retained trace does not encode to the Writer's bytes")
@@ -178,16 +178,23 @@ func TestTailDetachesAtClose(t *testing.T) {
 	if c, err := tl.NextChunk(); err != nil || len(c) != 1 {
 		t.Fatalf("NextChunk = %d events, %v, want the one event", len(c), err)
 	}
+	// Past Close, and before the reader reaches the end: enough to seal
+	// blocks of their own.
+	const more = 2*DefaultBlockEvents + 100
+	for i := 0; i < more; i++ {
+		tr.Append(Event{Time: mem.Time(2 + i)})
+	}
+	if tr.Len() != 1+more {
+		t.Fatalf("Len = %d after appending past Close, want %d", tr.Len(), 1+more)
+	}
 	if _, err := tl.NextChunk(); err != io.EOF {
 		t.Fatalf("NextChunk after the last = %v, want io.EOF", err)
 	}
-	for i := 0; i < 100; i++ {
-		tr.Append(Event{Time: mem.Time(2 + i)})
+	got := tr.Events()
+	if len(got) != 1+more || tr.Len() != 1+more {
+		t.Fatalf("the trace holds %d events, Len %d, want %d", len(got), tr.Len(), 1+more)
 	}
-	if tr.Len() != 101 {
-		t.Fatalf("Len = %d after appending past Close, want 101", tr.Len())
-	}
-	for i, e := range flat(tr) {
+	for i, e := range got {
 		if e.Time != mem.Time(1+i) {
 			t.Fatalf("event %d carries time %d after appending past Close", i, e.Time)
 		}
@@ -300,7 +307,7 @@ func TestTailRecyclesRecorderBuffers(t *testing.T) {
 			}
 
 			tr.Append(Event{Time: mem.Time(n)})
-			got := flat(tr)
+			got := tr.Events()
 			for i, e := range got {
 				if e.Time != mem.Time(i) {
 					t.Fatalf("retained trace holds time %d at event %d", e.Time, i)

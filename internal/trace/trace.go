@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"slices"
 
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -132,20 +133,26 @@ const firstChunkEvents = 16
 // bytes, while an arena wastes less than a payload at its end.
 const arenaBytes = 1 << 20
 
-// Trace is an in-memory sequence of events plus run metadata, held the way
-// a file holds it: sealed blocks of DefaultBlockEvents events, each packed
-// into its v2 payload, then one open block of at most DefaultBlockEvents
-// events that Append writes into. Recording costs a bounds check and a
-// store per event and, once a block, packing the block, which a keeping
-// tail's reader does instead (tail.go); a retained trace costs what its
-// file does, about 7 bytes an event. Every reader goes through a
-// SliceSource, which unpacks a block per chunk.
+// Trace is an in-memory sequence of events plus run metadata. A recorded
+// trace is held the way a file holds it: sealed blocks of
+// DefaultBlockEvents events, each packed into its v2 payload, then one open
+// block of at most DefaultBlockEvents events that Append writes into.
+// Recording costs a bounds check and a store per event and, once a block,
+// packing the block, which a keeping tail's reader does instead (tail.go);
+// a retained recording costs what its file does, about 7 bytes an event. A
+// decoded trace keeps the events Decode unpacked, ahead of anything
+// appended to it since. Every reader goes through a SliceSource.
 type Trace struct {
 	App     string // application name ("echo", "ycsb", ...)
 	Layer   string // access layer ("native", "mnemosyne", "nvml", "pmfs")
 	Threads int    // number of logical client threads
 
-	sealed blockStore
+	// decoded holds the blocks Decode read, unpacked: Decode has checked
+	// every event, and its readers read every event again, so unpacking
+	// them once is cheaper than keeping their payloads. No one writes to
+	// them once decoded.
+	decoded [][]Event
+	sealed  blockStore
 	// open holds the events after the sealed ones. Append seals it when
 	// it is full at DefaultBlockEvents; a smaller full one moves to a
 	// buffer twice its size. Under a tail it is the chunk the recorder
@@ -273,29 +280,53 @@ func (t *Trace) openChunk() {
 func (t *Trace) Len() int { return t.n }
 
 // Snapshot returns a trace holding t's events so far, for a reader while
-// another goroutine records on into t: the sealed blocks are shared, as
-// they never change, and the open ones copied. The caller must hold off
-// t's recorder while it runs.
+// another goroutine records on into t: the decoded and sealed blocks are
+// shared, as they never change, and the open ones copied. The caller must
+// hold off t's recorder while it runs.
 func (t *Trace) Snapshot() *Trace {
 	s := &Trace{App: t.App, Layer: t.Layer, Threads: t.Threads, n: t.n,
 		VolatileLoads: t.VolatileLoads, VolatileStores: t.VolatileStores}
+	s.decoded = slices.Clip(t.decoded)
 	s.sealed.blocks = slices.Clip(t.sealed.blocks)
 	s.open = slices.Clone(t.open)
 	return s
 }
 
-// CountKind returns the number of events of kind k.
-func (t *Trace) CountKind(k Kind) int {
-	n := 0
+// Events returns a copy of t's events in one slice, at 24 bytes an event:
+// for tests and small traces. It panics if a sealed block fails to unpack,
+// which only an Append of an unknown Kind can make happen.
+func (t *Trace) Events() []Event {
+	out := make([]Event, 0, t.n)
 	for src := NewSliceSource(t); ; {
 		c, err := src.NextChunk()
-		if err != nil {
-			return n
+		if err == io.EOF {
+			return out
 		}
-		for i := range c {
-			if c[i].Kind == k {
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, c...)
+	}
+}
+
+// CountKind returns the number of events of kind k, which must be a known
+// Kind. It reads a sealed block's kinds from its payload without unpacking
+// the block (countPacked).
+func (t *Trace) CountKind(k Kind) int {
+	n := 0
+	count := func(events []Event) {
+		for i := range events {
+			if events[i].Kind == k {
 				n++
 			}
 		}
 	}
+	for _, c := range t.decoded {
+		count(c)
+	}
+	for _, p := range t.sealed.blocks {
+		n += countPacked(p, k)
+	}
+	count(t.open)
+	return n
 }

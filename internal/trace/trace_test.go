@@ -14,22 +14,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 )
 
-// flat returns t's events as one slice, for indexed comparisons, read
-// through its SliceSource as every reader does.
-func flat(t *Trace) []Event {
-	var out []Event
-	for src := NewSliceSource(t); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
-	}
-}
-
 // writerBytes is what a Writer makes of t's events, one Write each.
 func writerBytes(t testing.TB, tr *Trace) []byte {
 	t.Helper()
@@ -38,7 +22,7 @@ func writerBytes(t testing.TB, tr *Trace) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range flat(tr) {
+	for _, e := range tr.Events() {
 		if err := w.Write(e); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +50,7 @@ func Equal(a, b *Trace) bool {
 		a.VolatileLoads != b.VolatileLoads || a.VolatileStores != b.VolatileStores || a.n != b.n {
 		return false
 	}
-	return slices.Equal(flat(a), flat(b))
+	return slices.Equal(a.Events(), b.Events())
 }
 
 func sampleTrace() *Trace {
@@ -225,7 +209,7 @@ func TestDecodeLargeHonestTrace(t *testing.T) {
 	if got.Len() != orig.Len() {
 		t.Fatalf("decoded %d events, want %d", got.Len(), orig.Len())
 	}
-	if !slices.Equal(flat(orig), flat(got)) {
+	if !slices.Equal(orig.Events(), got.Events()) {
 		t.Fatal("events past the first block corrupted")
 	}
 }
@@ -339,7 +323,7 @@ func TestStoreReadSurfacesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := flat(decoded); !slices.Equal(got, want) {
+		if got := decoded.Events(); !slices.Equal(got, want) {
 			t.Fatalf("n=%d: Encode/Decode yields %d events that differ from the %d appended", n, len(got), n)
 		}
 	}
@@ -362,10 +346,10 @@ func TestFromEventsCopiesWithoutSharingCapacity(t *testing.T) {
 	if spare := backing[:4][3]; spare != (Event{}) {
 		t.Fatalf("Append wrote into the slice's capacity: %+v", spare)
 	}
-	if got := flat(tr); len(got) != 4 || got[0].Time != 0 || got[3].Time != 3 {
+	if got := tr.Events(); len(got) != 4 || got[0].Time != 0 || got[3].Time != 3 {
 		t.Fatalf("events after Append = %v", got)
 	}
-	if empty := FromEvents(Meta{}, nil); empty.Len() != 0 || len(flat(empty)) != 0 {
+	if empty := FromEvents(Meta{}, nil); empty.Len() != 0 || len(empty.Events()) != 0 {
 		t.Fatalf("FromEvents(nil) = %+v", empty)
 	}
 }
@@ -416,16 +400,13 @@ func BenchmarkTraceAppend(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
 }
 
-// decodeSlack is what Decode may allocate besides the payloads: an arena
-// it has not filled, and each ring slot's buffers — a block's events and
-// its payload, at most 32 bytes an event.
-const decodeSlack = float64(arenaBytes + (maxDecodeWorkers+1)*DefaultBlockEvents*32)
-
-// TestDecodeAdoptsBlocks pins what Decode allocates: the blocks' payloads,
-// at most one allocation a block, plus a constant — never the events
-// themselves, which would cost 24 bytes an event.
+// TestDecodeAdoptsBlocks pins what Decode allocates: the Reader's one
+// slice per block, which becomes a chunk as it is, plus a constant and the
+// chunk list's doubling — never a second copy of the events. A decoder
+// that re-appended every event would allocate its chunks on top of the
+// blocks and twice the bytes.
 func TestDecodeAdoptsBlocks(t *testing.T) {
-	decode := func(n int) (allocs float64, bytesPerEvent, encodedPerEvent float64) {
+	decode := func(n int) (allocs float64, bytesPerEvent float64) {
 		raw := encoded(t, countingTrace(n))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -436,39 +417,46 @@ func TestDecodeAdoptsBlocks(t *testing.T) {
 		})
 		runtime.ReadMemStats(&after)
 		// AllocsPerRun makes one warm-up run besides the three it counts.
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 4 / float64(n), float64(len(raw)) / float64(n)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 4 / float64(n)
 	}
 	const short, long = 8 * DefaultBlockEvents, 64 * DefaultBlockEvents
-	shortAllocs, _, _ := decode(short)
-	longAllocs, perEvent, encodedPerEvent := decode(long)
-	// 56 more blocks, the block list doubles three more times, and the
+	shortAllocs, _ := decode(short)
+	longAllocs, perEvent := decode(long)
+	// 56 more blocks, the chunk list doubles three more times, and the
 	// runtime may allocate a little of its own while the runs are counted.
 	if extra, want := longAllocs-shortAllocs, float64(long-short)/DefaultBlockEvents+6; extra > want {
 		t.Errorf("%d events: %.0f allocs, %d events: %.0f — %.0f more, want <= %.0f (one per block)",
 			short, shortAllocs, long, longAllocs, extra, want)
 	}
-	if want := 1.1*encodedPerEvent + decodeSlack/long; perEvent > want {
-		t.Errorf("Decode allocated %.2f B/event, want <= %.2f (the payloads, %.2f B/event, an arena and the ring)", perEvent, want, encodedPerEvent)
+	if size := float64(unsafe.Sizeof(Event{})); perEvent > 1.1*size {
+		t.Errorf("Decode allocated %.1f B/event, want <= %.1f (the blocks alone)", perEvent, 1.1*size)
 	}
 }
 
-// TestAppendAfterDecodeKeepsDecodedEvents checks that appending to a
-// decoded trace leaves every decoded event in place and keeps the blocks
-// whole: the trace still encodes to the Writer's bytes.
+// TestAppendAfterDecodeKeepsDecodedEvents checks that a decoded block is
+// full as far as Append is concerned: appending to a decoded trace opens a
+// block of its own, leaves every decoded event in place, and the trace
+// still encodes to the Writer's bytes.
 func TestAppendAfterDecodeKeepsDecodedEvents(t *testing.T) {
 	const n = 2*DefaultBlockEvents + 5
 	tr, err := Decode(bytes.NewReader(encoded(t, countingTrace(n))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.sealed.blocks) != 2 || len(tr.open) != 5 {
-		t.Fatalf("decoded %d blocks and %d open events, want 2 and 5", len(tr.sealed.blocks), len(tr.open))
+	blocks := len(tr.decoded)
+	for i, c := range tr.decoded {
+		if len(c) != cap(c) {
+			t.Fatalf("decoded block %d holds %d events in a capacity of %d", i, len(c), cap(c))
+		}
 	}
-	want := flat(countingTrace(n + DefaultBlockEvents))
-	for _, e := range want[n:] {
+	want := countingTrace(n + DefaultBlockEvents).Events()
+	for i, e := range want[n:] {
 		tr.Append(e)
+		if i == 0 && (len(tr.decoded) != blocks || len(tr.open) != 1) {
+			t.Fatalf("the first Append left %d decoded blocks and %d open events, want the %d decoded and 1", len(tr.decoded), len(tr.open), blocks)
+		}
 	}
-	if got := flat(tr); !slices.Equal(got, want) {
+	if got := tr.Events(); !slices.Equal(got, want) {
 		t.Fatalf("after %d Appends the trace holds %d events that differ from the %d expected", len(want)-n, len(got), len(want))
 	}
 	if !bytes.Equal(traceBytes(t, tr), writerBytes(t, tr)) {

@@ -61,7 +61,7 @@ func TestMetricsMatchTheTrace(t *testing.T) {
 		}
 		touches := make(map[uint16]uint64)
 		var epochs, lines uint64
-		for _, e := range traceEvents(rep.Trace.tr) {
+		for _, e := range rep.Trace.tr.Events() {
 			switch e.Kind {
 			case trace.KStore, trace.KStoreNT:
 				touches[e.TID] += uint64(mem.LinesSpanned(e.Addr, int(e.Size)))

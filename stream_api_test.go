@@ -2,7 +2,6 @@ package whisper
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,7 +14,7 @@ import (
 func sameTrace(a, b *trace.Trace) bool {
 	return a.App == b.App && a.Layer == b.Layer && a.Threads == b.Threads &&
 		a.VolatileLoads == b.VolatileLoads && a.VolatileStores == b.VolatileStores &&
-		slices.Equal(traceEvents(a), traceEvents(b))
+		slices.Equal(a.Events(), b.Events())
 }
 
 // TestStreamMatchesSerial is the pipeline's core contract: for every suite
@@ -85,21 +84,5 @@ func TestRunStreamUnknownBenchmark(t *testing.T) {
 func TestAnalyzeReaderRejectsGarbage(t *testing.T) {
 	if _, err := AnalyzeReader(bytes.NewReader([]byte("not a trace"))); err == nil {
 		t.Fatal("AnalyzeReader accepted garbage")
-	}
-}
-
-// traceEvents drains tr through its SliceSource: the recorded events in
-// order, which never fail to unpack.
-func traceEvents(tr *trace.Trace) []trace.Event {
-	var out []trace.Event
-	for src := trace.NewSliceSource(tr); ; {
-		c, err := src.NextChunk()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, c...)
 	}
 }

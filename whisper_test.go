@@ -143,7 +143,7 @@ func TestRetainedTraceBytesPerEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range traceEvents(rep.Trace.tr) {
+	for _, e := range rep.Trace.tr.Events() {
 		if err := w.Write(e); err != nil {
 			t.Fatal(err)
 		}
