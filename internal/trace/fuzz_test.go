@@ -46,7 +46,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// What Decode keeps reads back as the streaming Reader reads the
-		// input, whether kept as its payloads or re-packed.
+		// input.
 		chunks, err := readerChunks(data)
 		if err != io.EOF {
 			t.Fatalf("Decode accepted a stream the Reader ends with %v", err)

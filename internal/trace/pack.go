@@ -135,7 +135,7 @@ func countPacked(p []byte, k Kind) int {
 		isK := ^(x&low + low | x | low) // the high bit of each byte equal to k
 		ends := uint8((^w & high) * gather >> 56)
 		n += bits.OnesCount8(kindsAt[f&7][ends] & uint8(isK*gather>>56))
-		f = mod5[f+bits.OnesCount8(ends)&15]
+		f = mod5[(f+bits.OnesCount8(ends))&15]
 	}
 	return n
 }
