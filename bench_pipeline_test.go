@@ -24,8 +24,7 @@ import (
 // Deterministic per (n, threads).
 func genPipelineTrace(n, threads int) *trace.Trace {
 	rng := rand.New(rand.NewSource(int64(n)*31 + int64(threads)))
-	meta := trace.Meta{App: "pipeline", Layer: "native", Threads: threads}
-	tr := trace.FromEvents(meta, nil)
+	tr := &trace.Trace{App: "pipeline", Layer: "native", Threads: threads}
 	clock := mem.Time(1)
 	for tr.Len() < n {
 		tid := uint16(rng.Intn(threads))
@@ -50,7 +49,11 @@ func genPipelineTrace(n, threads int) *trace.Trace {
 		clock += mem.Time(5)
 		tr.Append(trace.Event{Kind: trace.KTxEnd, TID: tid, Time: clock})
 	}
-	return trace.FromEvents(meta, tr.Events()[:n])
+	cut := &trace.Trace{App: tr.App, Layer: tr.Layer, Threads: threads}
+	for _, e := range tr.Events()[:n] {
+		cut.Append(e)
+	}
+	return cut
 }
 
 // BenchmarkPipelineAnalyze is the epoch analysis on a synthetic trace of

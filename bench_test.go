@@ -16,7 +16,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmfs"
-	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // benchOps scales runs for benchmarking: big enough to be representative,
@@ -195,25 +194,25 @@ func BenchmarkAblationLogClear(b *testing.B) {
 			pool := nvml.Open(rt, 1024, nvml.Options{BatchClear: batch})
 			var a mem.Addr
 			pool.Run(th, func(tx *nvml.Tx) error { a = tx.Alloc(128); return nil })
-			f0 := rt.Trace.CountKind(trace.KFence)
+			f0 := rt.Dev.Stats().Fences
 			pool.Run(th, func(tx *nvml.Tx) error {
 				for i := 0; i < 8; i++ {
 					tx.SetU64(a+mem.Addr(i*16), uint64(i))
 				}
 				return nil
 			})
-			return rt.Trace.CountKind(trace.KFence) - f0
+			return int(rt.Dev.Stats().Fences - f0)
 		}
 		heap := mnemosyne.New(rt, 1024, mnemosyne.Options{BatchClear: batch})
 		a := heap.PMalloc(th, 128)
-		f0 := rt.Trace.CountKind(trace.KFence)
+		f0 := rt.Dev.Stats().Fences
 		heap.Run(th, func(tx *mnemosyne.Tx) error {
 			for i := 0; i < 8; i++ {
 				tx.WriteU64(a+mem.Addr(i*16), uint64(i))
 			}
 			return nil
 		})
-		return rt.Trace.CountKind(trace.KFence) - f0
+		return int(rt.Dev.Stats().Fences - f0)
 	}
 	for _, cfg := range []struct {
 		name        string
@@ -240,12 +239,12 @@ func BenchmarkAblationUndoVsRedo(b *testing.B) {
 	run := func(undo bool) int {
 		rt := persist.NewRuntime("ablation", "lib", 1, persist.Config{})
 		th := rt.Thread(0)
-		f0 := 0
+		var f0 uint64
 		if undo {
 			pool := nvml.Open(rt, 1024, nvml.Options{})
 			var a mem.Addr
 			pool.Run(th, func(tx *nvml.Tx) error { a = tx.Alloc(256); return nil })
-			f0 = rt.Trace.CountKind(trace.KFence)
+			f0 = rt.Dev.Stats().Fences
 			pool.Run(th, func(tx *nvml.Tx) error {
 				for i := 0; i < 16; i++ {
 					tx.SetU64(a+mem.Addr(i*16), uint64(i))
@@ -255,7 +254,7 @@ func BenchmarkAblationUndoVsRedo(b *testing.B) {
 		} else {
 			heap := mnemosyne.New(rt, 1024, mnemosyne.Options{})
 			a := heap.PMalloc(th, 256)
-			f0 = rt.Trace.CountKind(trace.KFence)
+			f0 = rt.Dev.Stats().Fences
 			heap.Run(th, func(tx *mnemosyne.Tx) error {
 				for i := 0; i < 16; i++ {
 					tx.WriteU64(a+mem.Addr(i*16), uint64(i))
@@ -263,7 +262,7 @@ func BenchmarkAblationUndoVsRedo(b *testing.B) {
 				return nil
 			})
 		}
-		return rt.Trace.CountKind(trace.KFence) - f0
+		return int(rt.Dev.Stats().Fences - f0)
 	}
 	b.Run("undo", func(b *testing.B) {
 		var n int

@@ -52,7 +52,6 @@ import (
 	"github.com/whisper-pm/whisper/internal/kvservice"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/pmsan"
-	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 func main() {
@@ -243,19 +242,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return writeMetricsAndExit(*metrics, stderr)
 }
 
-// sanitize runs the durability sanitizer over svc's merged trace, after
-// printing how many fences that trace holds beside the shard devices' own
+// sanitize runs the durability sanitizer over svc's merged trace, then
+// prints how many fences that trace holds beside the shard devices' own
 // count. The two must agree: a trace with fewer is not the record of the
 // run — from a service that was not recording it would be empty — and the
 // sanitizer's "0 errors" about it would mean nothing.
 func sanitize(svc *kvservice.Service, stdout io.Writer) (*pmsan.Report, error) {
-	tr := svc.Trace()
-	seen, issued := uint64(tr.CountKind(trace.KFence)), svc.Stats().Fences
+	rep, err := pmsan.Run(svc.TraceSource())
+	if err != nil {
+		return nil, err
+	}
+	seen, issued := rep.Fences, svc.Stats().Fences
 	fmt.Fprintf(stdout, "wserve: sanitizer input holds %d fences, the shard devices issued %d\n", seen, issued)
 	if seen != issued {
 		return nil, fmt.Errorf("the trace is not the run's: %d fences against the devices' %d", seen, issued)
 	}
-	return pmsan.Run(trace.NewSliceSource(tr))
+	return rep, nil
 }
 
 func writeMetricsAndExit(path string, stderr io.Writer) int {

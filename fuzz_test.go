@@ -24,7 +24,8 @@ import (
 func hostileTraces(t testing.TB) []hostileTrace {
 	// One transaction touching [a, a+size) with every kind of memory event.
 	sff := func(tid uint16, a mem.Addr, size uint32) []byte {
-		tr := trace.FromEvents(trace.Meta{App: "hostile", Layer: "native", Threads: 1}, []trace.Event{
+		tr := &trace.Trace{App: "hostile", Layer: "native", Threads: 1}
+		for _, e := range []trace.Event{
 			{Time: 1, TID: tid, Kind: trace.KTxBegin},
 			{Time: 2, TID: tid, Kind: trace.KStore, Addr: a, Size: size},
 			{Time: 3, TID: tid, Kind: trace.KStoreNT, Addr: a, Size: size},
@@ -32,7 +33,9 @@ func hostileTraces(t testing.TB) []hostileTrace {
 			{Time: 5, TID: tid, Kind: trace.KFlush, Addr: a, Size: size},
 			{Time: 6, TID: tid, Kind: trace.KFence},
 			{Time: 7, TID: tid, Kind: trace.KTxEnd},
-		})
+		} {
+			tr.Append(e)
+		}
 		var buf bytes.Buffer
 		if err := trace.EncodeV2(&buf, trace.NewSliceSource(tr)); err != nil {
 			t.Fatal(err)

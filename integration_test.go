@@ -171,7 +171,10 @@ func TestScaleUp(t *testing.T) {
 		t.Skip("long run")
 	}
 	rt := recordApp(t, "hashmap", 4, 2000, 19)
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a.TxEpochCounts) < 8000 {
 		t.Fatalf("expected 8000 insert transactions, got %d", len(a.TxEpochCounts))
 	}

@@ -90,9 +90,9 @@ func TestSingleSlabSetStateEpoch(t *testing.T) {
 	rt, th := newRT()
 	s := NewSingleSlab(rt, th, 1024)
 	a := s.Alloc(th, 64)
-	n := rt.Trace.CountKind(trace.KFence)
+	n := int(rt.Dev.Stats().Fences)
 	s.SetState(th, a, StateVolatile)
-	if got := rt.Trace.CountKind(trace.KFence) - n; got != 1 {
+	if got := int(rt.Dev.Stats().Fences) - n; got != 1 {
 		t.Errorf("SetState used %d epochs, want exactly 1", got)
 	}
 }
@@ -121,14 +121,20 @@ func TestMultiSlabSingletonEpochPerAlloc(t *testing.T) {
 	// The paper: Mnemosyne allocs are single sub-10-byte singleton epochs.
 	rt, th := newRT()
 	m := NewMultiSlab(rt, 128)
-	fences := rt.Trace.CountKind(trace.KFence)
-	stores := rt.Trace.CountKind(trace.KStore)
+	fences := int(rt.Dev.Stats().Fences)
+	before := rt.Trace.Len()
 	m.Alloc(th, 64)
-	if got := rt.Trace.CountKind(trace.KFence) - fences; got != 1 {
+	if got := int(rt.Dev.Stats().Fences) - fences; got != 1 {
 		t.Errorf("alloc used %d epochs, want 1", got)
 	}
-	if got := rt.Trace.CountKind(trace.KStore) - stores; got != 1 {
-		t.Errorf("alloc used %d stores, want 1", got)
+	stores := 0
+	for _, e := range rt.Trace.Events()[before:] {
+		if e.Kind == trace.KStore {
+			stores++
+		}
+	}
+	if stores != 1 {
+		t.Errorf("alloc used %d stores, want 1", stores)
 	}
 	// The single store must be 8 bytes (a bitmap word).
 	var last trace.Event
@@ -402,9 +408,9 @@ func TestLoggedAllocEpochCount(t *testing.T) {
 	// apply, clear, header init) — the write-amplification story of §5.2.
 	rt, th := newRT()
 	g := NewLogged(rt, 128)
-	n := rt.Trace.CountKind(trace.KFence)
+	n := int(rt.Dev.Stats().Fences)
 	g.Alloc(th, 40)
-	if got := rt.Trace.CountKind(trace.KFence) - n; got != 5 {
+	if got := int(rt.Dev.Stats().Fences) - n; got != 5 {
 		t.Errorf("logged alloc used %d epochs, want 5", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 func newTree() (*persist.Runtime, *nvml.Pool, *Tree) {
@@ -119,7 +120,10 @@ func TestEpochsPerInsertNearPaper(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tr.Insert(0, rng.Uint64(), uint64(i))
 	}
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	med := a.MedianTxEpochs()
 	if med < 8 || med > 22 {
 		t.Errorf("median epochs/insert = %d, paper reports 11", med)

@@ -8,6 +8,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/mem"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
+	"github.com/whisper-pm/whisper/internal/trace"
 	"github.com/whisper-pm/whisper/internal/workload"
 )
 
@@ -64,7 +65,10 @@ func TestBatchIsOneTransaction(t *testing.T) {
 		s.Put(0, fmt.Sprintf("k%d", i), uint64(i))
 	}
 	s.SubmitBatch(0)
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a.TxEpochCounts) != 1 {
 		t.Fatalf("transactions = %d, want 1", len(a.TxEpochCounts))
 	}
@@ -84,7 +88,10 @@ func TestSelfDependenciesExist(t *testing.T) {
 		}
 		s.SubmitBatch(0)
 	}
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.SelfDepFraction() < 0.2 {
 		t.Errorf("self-dep fraction = %.2f, want substantial (paper: 0.55)", a.SelfDepFraction())
 	}

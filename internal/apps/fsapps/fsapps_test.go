@@ -6,6 +6,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/persist"
+	"github.com/whisper-pm/whisper/internal/trace"
 	"github.com/whisper-pm/whisper/internal/workload"
 )
 
@@ -43,7 +44,10 @@ func agrees(t *testing.T, app string, clients, ops int, seed int64) {
 
 func TestRunNFS(t *testing.T) {
 	rt := record(t, "nfs", 4, 30, 41)
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.TotalEpochs == 0 {
 		t.Fatal("no epochs")
 	}
@@ -63,7 +67,11 @@ func TestRunExim(t *testing.T) {
 	// Setup's 3 mkdirs, the log and 250 mailboxes, then five durable
 	// calls per delivery: spool create and write, mailbox and log appends,
 	// spool unlink.
-	if n, want := len(epoch.Analyze(rt.Trace).TxEpochCounts), 254+5*20; n != want {
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, want := len(a.TxEpochCounts), 254+5*20; n != want {
 		t.Fatalf("durable calls = %d, want %d", n, want)
 	}
 	agrees(t, "exim", 2, 10, 43)
@@ -71,7 +79,10 @@ func TestRunExim(t *testing.T) {
 
 func TestRunMySQL(t *testing.T) {
 	rt := record(t, "mysql", 2, 20, 47)
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// MySQL has the lowest self-dependency rate of the suite (Fig. 5).
 	if a.SelfDepFraction() > 0.8 {
 		t.Errorf("self-dep fraction = %.2f, expected low-ish for MySQL", a.SelfDepFraction())
@@ -81,7 +92,10 @@ func TestRunMySQL(t *testing.T) {
 
 func TestEximMedianTxSmall(t *testing.T) {
 	// Figure 3: exim median 5 epochs per transaction (= system call).
-	a := epoch.Analyze(record(t, "exim", 1, 10, 53).Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(record(t, "exim", 1, 10, 53).Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	med := a.MedianTxEpochs()
 	if med < 2 || med > 12 {
 		t.Errorf("median epochs/syscall = %d, paper reports 5", med)
@@ -90,7 +104,10 @@ func TestEximMedianTxSmall(t *testing.T) {
 
 func TestFSAppsPMFraction(t *testing.T) {
 	// Filesystem apps still have mostly volatile traffic.
-	a := epoch.Analyze(record(t, "nfs", 2, 20, 59).Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(record(t, "nfs", 2, 20, 59).Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.DRAMAccesses == 0 {
 		t.Fatal("no volatile accounting")
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/nvml"
 	"github.com/whisper-pm/whisper/internal/persist"
 	"github.com/whisper-pm/whisper/internal/pmem"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 func newMap(threads int) (*persist.Runtime, *nvml.Pool, *Map) {
@@ -67,7 +68,10 @@ func TestEpochsPerInsertNearPaper(t *testing.T) {
 	for k := uint64(0); k < 20; k++ {
 		m.Insert(0, k*64, k) // all distinct buckets: pure inserts
 	}
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	med := a.MedianTxEpochs()
 	if med < 7 || med > 16 {
 		t.Errorf("median epochs/insert = %d, paper reports 11", med)
@@ -83,7 +87,10 @@ func TestSelfDepsHigh(t *testing.T) {
 	for k := uint64(0); k < 50; k++ {
 		m.Insert(0, k, k)
 	}
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.SelfDepFraction() < 0.4 {
 		t.Errorf("self-dep fraction = %.2f, paper reports ~0.81", a.SelfDepFraction())
 	}

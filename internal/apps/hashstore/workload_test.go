@@ -6,6 +6,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/persist"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // record runs app's paper mix through the suite's one driver on a
@@ -23,7 +24,10 @@ func record(t *testing.T, app string, clients, ops int, seed int64) *persist.Run
 
 func TestRunWorkload(t *testing.T) {
 	rt := record(t, "hashmap", 4, 25, 99)
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a.TxEpochCounts) < 100 {
 		t.Fatalf("transactions = %d, want >= 100", len(a.TxEpochCounts))
 	}

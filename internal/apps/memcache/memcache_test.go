@@ -80,12 +80,17 @@ func TestGetIsReadOnlyTx(t *testing.T) {
 	// epochs because GETs dominate).
 	rt, _, c := newCache(1, 100)
 	c.Insert(0, "k", "v")
-	n := rt.Trace.CountKind(trace.KFence)
+	n := int(rt.Dev.Stats().Fences)
 	c.Get(0, "k")
-	if got := rt.Trace.CountKind(trace.KFence) - n; got != 0 {
+	if got := int(rt.Dev.Stats().Fences) - n; got != 0 {
 		t.Errorf("GET issued %d fences, want 0 (read-only tx)", got)
 	}
-	begins := rt.Trace.CountKind(trace.KTxBegin)
+	begins := 0
+	for _, e := range rt.Trace.Events() {
+		if e.Kind == trace.KTxBegin {
+			begins++
+		}
+	}
 	if begins < 2 {
 		t.Error("GET not bracketed as a transaction")
 	}

@@ -6,6 +6,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/crashcheck"
 	"github.com/whisper-pm/whisper/internal/epoch"
 	"github.com/whisper-pm/whisper/internal/persist"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // record runs app's paper mix through the suite's one driver on a
@@ -24,7 +25,10 @@ func record(t *testing.T, app string, clients, ops int, seed int64) *persist.Run
 func TestRunWorkloadMedianSmall(t *testing.T) {
 	// memslap is GET-heavy, so the median transaction is tiny (paper: 4).
 	rt := record(t, "memcached", 4, 100, 23)
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	med := a.MedianTxEpochs()
 	if med > 6 {
 		t.Errorf("median epochs/tx = %d, paper reports 4", med)

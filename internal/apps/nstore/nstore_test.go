@@ -131,7 +131,10 @@ func TestStateVariableSelfDeps(t *testing.T) {
 		tx.Insert(uint64(i), [nAttrs]uint64{0, 0, 0, 0}, "x")
 		tx.Commit()
 	}
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.SelfDepFraction() < 0.15 {
 		t.Errorf("self-dep fraction = %.2f, want substantial (paper: 0.27-0.40)", a.SelfDepFraction())
 	}

@@ -25,7 +25,10 @@ func record(t *testing.T, app string, clients, ops int, seed int64) *persist.Run
 
 func TestYCSBWorkload(t *testing.T) {
 	rt := record(t, "ycsb", 2, 10, 11)
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// 2 preload txs + 20 workload txs.
 	if len(a.TxEpochCounts) != 22 {
 		t.Fatalf("transactions = %d", len(a.TxEpochCounts))
@@ -37,7 +40,10 @@ func TestYCSBWorkload(t *testing.T) {
 
 func TestTPCCWorkload(t *testing.T) {
 	rt := record(t, "tpcc", 2, 10, 13)
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a.TxEpochCounts) != 22 {
 		t.Fatalf("transactions = %d", len(a.TxEpochCounts))
 	}

@@ -91,7 +91,10 @@ func TestEpochsPerSetNearPaper(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Insert(0, "warm", fmt.Sprintf("v%d", i))
 	}
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	med := a.MedianTxEpochs()
 	if med < 4 || med > 10 {
 		t.Errorf("median epochs/update = %d, paper reports 6", med)

@@ -186,7 +186,10 @@ func TestCrossDependenciesFromCounters(t *testing.T) {
 		m.Reserve(0, 1, TableCar, uint64(i%8))
 		m.Reserve(1, 2, TableCar, uint64(i%8))
 	}
-	a := epoch.Analyze(rt.Trace)
+	a, err := epoch.AnalyzeStream(trace.NewSliceSource(rt.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.CrossDepEpochs == 0 {
 		t.Fatal("no cross-dependencies despite shared counters")
 	}

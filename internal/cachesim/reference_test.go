@@ -345,7 +345,7 @@ func TestHierarchyMatchesReference(t *testing.T) {
 		var total Stats
 		for seed := int64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("random/threads%d/seed%d", threads, seed), func(t *testing.T) {
-				tr := trace.FromEvents(trace.Meta{App: "random", Threads: threads}, randomProgram(seed, 4000))
+				tr := appended(&trace.Trace{App: "random", Threads: threads}, randomProgram(seed, 4000))
 				st := requireMatchesReference(t, tinyConfig(threads), trace.NewSliceSource(tr))
 				total.L1Hits += st.L1Hits
 				total.L2Hits += st.L2Hits

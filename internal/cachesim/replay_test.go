@@ -124,7 +124,7 @@ func TestReplayEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := trace.FromEvents(trace.Meta{App: "edge", Layer: "native", Threads: 4}, tc.events)
+			tr := appended(&trace.Trace{App: "edge", Layer: "native", Threads: 4}, tc.events)
 
 			got, err := ReplaySource(New(DefaultConfig()), trace.NewSliceSource(tr))
 			if err != nil {
@@ -153,7 +153,7 @@ func TestReplayAllocsIndependentOfLength(t *testing.T) {
 				trace.Event{Kind: trace.KFlush, Time: tm + 1, Addr: mem.PMBase, Size: 4096},
 				trace.Event{Kind: trace.KFence, Time: tm + 2})
 		}
-		tr := trace.FromEvents(trace.Meta{App: "allocs", Threads: 1}, events)
+		tr := appended(&trace.Trace{App: "allocs", Threads: 1}, events)
 		h := New(DefaultConfig())
 		return testing.AllocsPerRun(5, func() {
 			if _, err := ReplaySource(h, trace.NewSliceSource(tr)); err != nil {
@@ -181,7 +181,7 @@ func TestColdPassAllocsIndependentOfLines(t *testing.T) {
 		for i := range events {
 			events[i] = trace.Event{Kind: trace.KLoad, Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i)*mem.LineSize, Size: 8}
 		}
-		tr := trace.FromEvents(trace.Meta{App: "cold", Threads: 1}, events)
+		tr := appended(&trace.Trace{App: "cold", Threads: 1}, events)
 		cfg := Config{L1Size: 4 << 10, L1Ways: 4, L2Size: 16 << 10, L2Ways: 8, Threads: 1}
 		pass := testing.AllocsPerRun(5, func() {
 			if _, err := ReplaySource(New(cfg), trace.NewSliceSource(tr)); err != nil {
@@ -206,4 +206,12 @@ func TestColdPassAllocsIndependentOfLines(t *testing.T) {
 	if small, large := beyondDirectory(2_000), beyondDirectory(32_000); large > small+8 {
 		t.Fatalf("a cold pass allocates %v times beyond its directory over 2 000 lines, %v over 32 000: the caches allocate per fill", small, large)
 	}
+}
+
+// appended appends events to tr and returns it.
+func appended(tr *trace.Trace, events []trace.Event) *trace.Trace {
+	for _, e := range events {
+		tr.Append(e)
+	}
+	return tr
 }

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"github.com/whisper-pm/whisper/internal/mem"
-	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // DependencyWindow is the paper's upper bound on how long a flushed line
@@ -88,13 +87,6 @@ type Analysis struct {
 	// Duration is the simulated time spanned; EpochsPerSecond is the
 	// Table 1 rate.
 	Duration mem.Time
-}
-
-// Analyze runs the full epoch analysis over a materialized trace: the
-// one streaming state machine, fed from the trace's stored chunks.
-func Analyze(tr *trace.Trace) *Analysis {
-	a, _ := AnalyzeStream(trace.NewSliceSource(tr)) // a slice source cannot fail
-	return a
 }
 
 // MedianTxEpochs returns the median number of epochs per transaction

@@ -10,9 +10,22 @@ import (
 
 const pm = mem.PMBase
 
+// Analyze runs AnalyzeStream over a retained trace, which cannot fail.
+func Analyze(tr *trace.Trace) *Analysis {
+	a, err := AnalyzeStream(trace.NewSliceSource(tr))
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 // mk builds a trace from a compact event list.
 func mk(events ...trace.Event) *trace.Trace {
-	return trace.FromEvents(trace.Meta{App: "synthetic", Layer: "native", Threads: 2}, events)
+	tr := &trace.Trace{App: "synthetic", Layer: "native", Threads: 2}
+	for _, e := range events {
+		tr.Append(e)
+	}
+	return tr
 }
 
 func st(tid uint16, at mem.Time, addr mem.Addr, size uint32) trace.Event {

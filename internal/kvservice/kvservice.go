@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"sync"
@@ -70,10 +71,10 @@ type Config struct {
 	// private registry per run so rows never contaminate each other.
 	Metrics *obs.Registry
 	// Record makes every shard keep its PM event trace, for callers that
-	// go on to read Trace or a shard runtime's Trace (the sanitizer and
-	// epoch analysis runs, trace-comparing tests). Off, the shards record
-	// nothing — the service's counters, clocks and devices are the same
-	// either way — and Trace panics.
+	// go on to read TraceSource or a shard runtime's Trace (the sanitizer
+	// and epoch analysis runs, trace-comparing tests). Off, the shards
+	// record nothing — the service's counters, clocks and devices are the
+	// same either way — and TraceSource panics.
 	Record bool
 }
 
@@ -645,59 +646,82 @@ func (s *Service) Space() SpaceStats {
 // Latency exposes the service latency histogram (ns).
 func (s *Service) Latency() *obs.Histogram { return s.latency }
 
-// Trace merges the per-shard traces into one: events sorted by simulated
-// time (ties keep shard order), thread ID rewritten to the shard index,
-// volatile counters summed. Shard address windows are disjoint, so the
-// merged trace is a legal multi-threaded run for the sanitizer and the
-// epoch analysis. Each shard's trace is already in time order — a shard's
-// clock never runs backwards — so this is a k-way merge. It panics on a
-// service built without Config.Record: there the shards kept no events,
-// and an empty trace would pass every analysis.
-func (s *Service) Trace() *trace.Trace {
+// TraceSource returns the per-shard traces merged into one stream: events
+// sorted by simulated time (ties keep shard order), thread ID rewritten to
+// the shard index, volatile counters summed. Shard address windows are
+// disjoint, so the merged stream is a legal multi-threaded run for the
+// sanitizer and the epoch analysis. Each shard's trace is already in time
+// order — a shard's clock never runs backwards — so this is a k-way merge,
+// over snapshots taken here: requests served afterwards are not in it. It
+// panics on a service built without Config.Record: there the shards kept
+// no events, and an empty stream would pass every analysis.
+func (s *Service) TraceSource() trace.EventSource {
 	if !s.cfg.Record {
-		panic("kvservice: Trace on a service built without Config.Record: its shards recorded no events")
+		panic("kvservice: TraceSource on a service built without Config.Record: its shards recorded no events")
 	}
-	// Each shard's sealed blocks never change and its open events are
-	// copied, so the merge runs unlocked on snapshots. rest[i] is the
-	// unread part of shard i's current chunk, srcs[i] the chunks after it.
-	srcs := make([]*trace.SliceSource, len(s.shards))
-	rest := make([][]trace.Event, len(s.shards))
-	var vloads, vstores uint64
+	m := &mergeSource{
+		meta: trace.Meta{App: "kvservice", Layer: "native", Threads: len(s.shards)},
+		srcs: make([]*trace.SliceSource, len(s.shards)),
+		rest: make([][]trace.Event, len(s.shards)),
+	}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		snap := sh.rt.Trace.Snapshot()
 		sh.mu.Unlock()
-		srcs[i] = trace.NewSliceSource(snap)
-		vloads += snap.VolatileLoads
-		vstores += snap.VolatileStores
+		m.srcs[i] = trace.NewSliceSource(snap)
+		m.vloads += snap.VolatileLoads
+		m.vstores += snap.VolatileStores
+		m.next(i)
 	}
-	next := func(i int) {
-		// A snapshot of recorded events cannot fail to unpack.
-		rest[i], _ = srcs[i].NextChunk()
-	}
-	for i := range srcs {
-		next(i)
-	}
-	merged := trace.FromEvents(trace.Meta{App: "kvservice", Layer: "native", Threads: len(s.shards)}, nil)
-	for {
+	return m
+}
+
+// mergeSource is TraceSource's stream. rest[i] is the unread part of shard
+// i's current chunk, srcs[i] the chunks after it.
+type mergeSource struct {
+	meta            trace.Meta
+	srcs            []*trace.SliceSource
+	rest            [][]trace.Event
+	vloads, vstores uint64
+}
+
+func (m *mergeSource) next(i int) {
+	// A snapshot of recorded events cannot fail to unpack.
+	m.rest[i], _ = m.srcs[i].NextChunk()
+}
+
+func (m *mergeSource) Meta() trace.Meta { return m.meta }
+
+func (m *mergeSource) Volatile() (uint64, uint64) { return m.vloads, m.vstores }
+
+// NextChunk returns the next DefaultBlockEvents merged events, or fewer at
+// the end, in a slice of its own, then io.EOF.
+func (m *mergeSource) NextChunk() ([]trace.Event, error) {
+	var out []trace.Event
+	for len(out) < trace.DefaultBlockEvents {
 		first := -1
-		for i, r := range rest {
-			if len(r) > 0 && (first < 0 || r[0].Time < rest[first][0].Time) {
+		for i, r := range m.rest {
+			if len(r) > 0 && (first < 0 || r[0].Time < m.rest[first][0].Time) {
 				first = i
 			}
 		}
 		if first < 0 {
 			break
 		}
-		e := rest[first][0]
+		if out == nil {
+			out = make([]trace.Event, 0, trace.DefaultBlockEvents)
+		}
+		e := m.rest[first][0]
 		e.TID = uint16(first)
-		merged.Append(e)
-		if rest[first] = rest[first][1:]; len(rest[first]) == 0 {
-			next(first)
+		out = append(out, e)
+		if m.rest[first] = m.rest[first][1:]; len(m.rest[first]) == 0 {
+			m.next(first)
 		}
 	}
-	merged.VolatileLoads, merged.VolatileStores = vloads, vstores
-	return merged
+	if out == nil {
+		return nil, io.EOF
+	}
+	return out, nil
 }
 
 // latencyBuckets is the service latency layout: quarter-power-of-two

@@ -52,30 +52,35 @@ func TestPutGetFlush(t *testing.T) {
 // single put pays at batch size 1.
 func TestGroupCommitTraceShape(t *testing.T) {
 	svc := New(Config{Shards: 1, Batch: 4, Record: true})
-	initFences := svc.Runtime(0).Trace.CountKind(trace.KFence)
+	initFences := svc.Stats().Fences
 	for i := 0; i < 4; i++ {
 		svc.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte(i)}, 32))
 	}
-	tr := svc.Runtime(0).Trace
-	if got := tr.CountKind(trace.KFence) - initFences; got != 2 {
+	if got := svc.Stats().Fences - initFences; got != 2 {
 		t.Fatalf("batch of 4 puts used %d fences, want 2", got)
 	}
-	if got := tr.CountKind(trace.KTxBegin); got != 2 { // format + batch
-		t.Fatalf("TxBegin count = %d, want 2", got)
+	all := svc.Runtime(0).Trace.Events()
+	begins := 0
+	for _, e := range all {
+		if e.Kind == trace.KTxBegin {
+			begins++
+		}
+	}
+	if begins != 2 { // format + batch
+		t.Fatalf("TxBegin count = %d, want 2", begins)
 	}
 	// The batch's transaction must close after its last fence.
-	all := tr.Events()
 	if last := all[len(all)-1]; last.Kind != trace.KTxEnd {
 		t.Fatalf("trace does not end at TxEnd: %v", last)
 	}
 	// A read-only batch adds no fences at all.
-	before := tr.CountKind(trace.KFence)
+	before := svc.Stats().Fences
 	for i := 0; i < 4; i++ {
 		svc.shards[0].pending = append(svc.shards[0].pending,
 			request{op: workload.KVOp{Kind: workload.OpRead, Key: fmt.Sprintf("k%d", i)}})
 	}
 	svc.Flush()
-	if got := svc.Runtime(0).Trace.CountKind(trace.KFence); got != before {
+	if got := svc.Stats().Fences; got != before {
 		t.Fatalf("read-only batch issued %d fences", got-before)
 	}
 }
@@ -89,7 +94,11 @@ func TestStatsFencesMatchTrace(t *testing.T) {
 		t.Helper()
 		var want uint64
 		for i := 0; i < svc.Shards(); i++ {
-			want += uint64(svc.Runtime(i).Trace.CountKind(trace.KFence))
+			for _, e := range svc.Runtime(i).Trace.Events() {
+				if e.Kind == trace.KFence {
+					want++
+				}
+			}
 		}
 		if got := svc.Stats().Fences; got != want || got == 0 {
 			t.Fatalf("%s: Stats().Fences = %d, traces hold %d KFence events", when, got, want)
@@ -191,14 +200,14 @@ func TestCrashRecoverySegmentGrowth(t *testing.T) {
 // group commit must not cost the service its persistency discipline.
 func TestServiceTraceCleanUnderAnalysis(t *testing.T) {
 	_, svc := Run(SimConfig{Shards: 3, Batch: 8, Clients: 2000, Ops: 4000, Record: true})
-	rep, err := pmsan.Run(trace.NewSliceSource(svc.Trace()))
+	rep, err := pmsan.Run(svc.TraceSource())
 	if err != nil {
 		t.Fatalf("pmsan: %v", err)
 	}
 	if rep.Errors() != 0 {
 		t.Fatalf("sanitizer found %d error sites:\n%s", rep.Errors(), rep)
 	}
-	an, err := epoch.AnalyzeStream(trace.NewSliceSource(svc.Trace()))
+	an, err := epoch.AnalyzeStream(svc.TraceSource())
 	if err != nil {
 		t.Fatalf("epoch analysis: %v", err)
 	}

@@ -42,10 +42,16 @@ func TestTraceOfUnrecordedServicePanics(t *testing.T) {
 			t.Fatalf("shard %d recorded %d events without Config.Record", i, n)
 		}
 	}
-	requirePanic(t, "Trace", "Config.Record", func() { svc.Trace() })
+	requirePanic(t, "TraceSource", "Config.Record", func() { svc.TraceSource() })
 
 	_, svc = Run(SimConfig{Shards: 2, Batch: 8, Clients: 2000, Ops: 500, Record: true})
-	if got, want := uint64(svc.Trace().CountKind(trace.KFence)), svc.Stats().Fences; got != want {
+	var got uint64
+	for _, e := range drain(t, svc.TraceSource()) {
+		if e.Kind == trace.KFence {
+			got++
+		}
+	}
+	if want := svc.Stats().Fences; got != want {
 		t.Fatalf("recorded trace holds %d fences, the devices issued %d", got, want)
 	}
 }

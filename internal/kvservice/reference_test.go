@@ -3,6 +3,7 @@ package kvservice
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -352,8 +353,9 @@ func sameDurable(a, b *pmem.Device) bool {
 	return a.Mapped() == b.Mapped() && slices.Equal(a.DurableImage(), b.DurableImage())
 }
 
-// referenceTrace is Service.Trace as it was before the k-way merge: every
-// shard's events copied end to end, then one stable sort by time.
+// referenceTrace is the merged trace as Service built it before the k-way
+// merge: every shard's events copied end to end, then one stable sort by
+// time.
 func referenceTrace(s *Service) *trace.Trace {
 	var events []trace.Event
 	var vloads, vstores uint64
@@ -368,15 +370,41 @@ func referenceTrace(s *Service) *trace.Trace {
 	sort.SliceStable(events, func(a, b int) bool {
 		return events[a].Time < events[b].Time
 	})
-	merged := trace.FromEvents(trace.Meta{App: "kvservice", Layer: "native", Threads: len(s.shards)}, events)
-	merged.VolatileLoads, merged.VolatileStores = vloads, vstores
+	merged := &trace.Trace{App: "kvservice", Layer: "native", Threads: len(s.shards),
+		VolatileLoads: vloads, VolatileStores: vstores}
+	for _, e := range events {
+		merged.Append(e)
+	}
 	return merged
 }
 
-// TestTraceMergeMatchesStableSort: the merged trace is byte for byte the
-// stable sort's, on one shard, two and four, through a crash and recovery,
-// and where shards' events share a timestamp (every shard formats its log
-// at the same simulated instants, so ties are there from the first event).
+// drain reads src to its end and returns its events, failing t on an error,
+// an empty chunk or one of more than DefaultBlockEvents events.
+func drain(t *testing.T, src trace.EventSource) []trace.Event {
+	t.Helper()
+	var events []trace.Event
+	for {
+		c, err := src.NextChunk()
+		if err == io.EOF {
+			return events
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c) == 0 || len(c) > trace.DefaultBlockEvents {
+			t.Fatalf("a chunk of %d events, want 1 to %d", len(c), trace.DefaultBlockEvents)
+		}
+		events = append(events, c...)
+	}
+}
+
+// TestTraceMergeMatchesStableSort: the merged stream holds the stable
+// sort's events, Meta and volatile counters, on one shard, two and four,
+// through a crash and recovery, and where shards' events share a timestamp
+// (every shard formats its log at the same simulated instants, so ties are
+// there from the first event). It is a snapshot: a request served after
+// TraceSource returns is not in it. drain holds every chunk to 1 to
+// DefaultBlockEvents events.
 func TestTraceMergeMatchesStableSort(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		_, svc := Run(SimConfig{
@@ -388,20 +416,25 @@ func TestTraceMergeMatchesStableSort(t *testing.T) {
 		}
 		svc.Put("after", []byte("crash"))
 		svc.Flush()
-		got, want := svc.Trace(), referenceTrace(svc)
-		var g, w bytes.Buffer
-		if err := trace.EncodeV2(&g, trace.NewSliceSource(got)); err != nil {
-			t.Fatal(err)
+		src, want := svc.TraceSource(), referenceTrace(svc)
+		svc.Put("later", []byte("than the snapshot"))
+		svc.Flush()
+		got := drain(t, src)
+		if !slices.Equal(got, want.Events()) {
+			t.Fatalf("%d shards: merged events differ from the stable sort (%d vs %d events)", shards, len(got), want.Len())
 		}
-		if err := trace.EncodeV2(&w, trace.NewSliceSource(want)); err != nil {
-			t.Fatal(err)
+		if m, w := src.Meta(), (trace.Meta{App: want.App, Layer: want.Layer, Threads: want.Threads}); m != w {
+			t.Fatalf("%d shards: Meta() = %+v, want %+v", shards, m, w)
 		}
-		if !bytes.Equal(g.Bytes(), w.Bytes()) {
-			t.Fatalf("%d shards: merged trace differs from the stable sort (%d vs %d events)", shards, got.Len(), want.Len())
+		if l, s := src.Volatile(); l != want.VolatileLoads || s != want.VolatileStores {
+			t.Fatalf("%d shards: Volatile() = %d, %d, want %d, %d", shards, l, s, want.VolatileLoads, want.VolatileStores)
+		}
+		if later := referenceTrace(svc).Len(); later <= len(got) {
+			t.Fatalf("%d shards: the put after the snapshot recorded nothing (%d events, %d before)", shards, later, len(got))
 		}
 		ties := 0
 		var prev trace.Event
-		for _, e := range got.Events() {
+		for _, e := range got {
 			if e.Time == prev.Time && e.TID != prev.TID {
 				ties++
 			}

@@ -93,12 +93,18 @@ func TestReadOverlayPartial(t *testing.T) {
 func TestLogWritesUseNTI(t *testing.T) {
 	rt, th, h := newHeap(Options{})
 	a := h.PMalloc(th, 64)
-	nt0 := rt.Trace.CountKind(trace.KStoreNT)
+	before := rt.Trace.Len()
 	h.Run(th, func(tx *Tx) error {
 		tx.Write(a, []byte("12345678"))
 		return nil
 	})
-	if got := rt.Trace.CountKind(trace.KStoreNT) - nt0; got < 2 {
+	got := 0
+	for _, e := range rt.Trace.Events()[before:] {
+		if e.Kind == trace.KStoreNT {
+			got++
+		}
+	}
+	if got < 2 {
 		// at least: one log record + commit record (+ clears)
 		t.Errorf("NT stores in tx = %d, want >= 2 (redo log uses NTI)", got)
 	}
@@ -110,12 +116,12 @@ func TestEpochsPerSmallTx(t *testing.T) {
 	// Mnemosyne transactions land in this small-single-digit range.
 	rt, th, h := newHeap(Options{})
 	a := h.PMalloc(th, 64)
-	f0 := rt.Trace.CountKind(trace.KFence)
+	f0 := int(rt.Dev.Stats().Fences)
 	h.Run(th, func(tx *Tx) error {
 		tx.WriteU64(a, 7)
 		return nil
 	})
-	got := rt.Trace.CountKind(trace.KFence) - f0
+	got := int(rt.Dev.Stats().Fences) - f0
 	if got < 4 || got > 6 {
 		t.Errorf("epochs per 1-write tx = %d, want 4..6", got)
 	}
@@ -125,14 +131,14 @@ func TestBatchClearUsesFewerEpochs(t *testing.T) {
 	count := func(opts Options) int {
 		rt, th, h := newHeap(opts)
 		a := h.PMalloc(th, 256)
-		f0 := rt.Trace.CountKind(trace.KFence)
+		f0 := int(rt.Dev.Stats().Fences)
 		h.Run(th, func(tx *Tx) error {
 			for i := 0; i < 8; i++ {
 				tx.WriteU64(a+mem.Addr(i*8), uint64(i))
 			}
 			return nil
 		})
-		return rt.Trace.CountKind(trace.KFence) - f0
+		return int(rt.Dev.Stats().Fences) - f0
 	}
 	per := count(Options{})
 	batch := count(Options{BatchClear: true})
@@ -204,15 +210,14 @@ func TestCrashAtEveryEpochBoundary(t *testing.T) {
 	rtFull, thFull, hFull := newHeap(Options{})
 	aFull := hFull.PMalloc(thFull, 64)
 	persistStore(thFull, aFull, oldVal)
-	f0 := rtFull.Trace.CountKind(trace.KFence)
+	f0 := int(rtFull.Dev.Stats().Fences)
 	hFull.Run(thFull, func(tx *Tx) error { tx.Write(aFull, newVal); return nil })
-	total := rtFull.Trace.CountKind(trace.KFence) - f0
+	total := int(rtFull.Dev.Stats().Fences) - f0
 
 	for k := 0; k <= total; k++ {
 		rt, th, h := newHeap(Options{})
 		a := h.PMalloc(th, 64)
 		persistStore(th, a, oldVal)
-		f0 := rt.Trace.CountKind(trace.KFence)
 		crash := errors.New("crash")
 		func() {
 			defer func() { recover() }()
@@ -224,7 +229,6 @@ func TestCrashAtEveryEpochBoundary(t *testing.T) {
 		}()
 		// Truncate durability: re-run is full, so emulate the k-epoch
 		// prefix by crashing adversarially with a seed derived from k.
-		_ = f0
 		rt.Crash(pmem.Adversarial, int64(k*7919+1))
 		h.Recover(th)
 		got := th.Load(a, 8)
@@ -372,12 +376,12 @@ func TestReadOnlyAbortIssuesNoFence(t *testing.T) {
 	}
 
 	// A writing abort must still fence its buffered log records.
-	fences := rt.Trace.CountKind(trace.KFence)
+	fences := int(rt.Dev.Stats().Fences)
 	h.Run(th, func(tx *Tx) error {
 		tx.Write(a, []byte{7}) // appends an undo record (NT stores)
 		return errors.New("abort")
 	})
-	if rt.Trace.CountKind(trace.KFence) == fences {
+	if int(rt.Dev.Stats().Fences) == fences {
 		t.Fatal("writing abort issued no fence for its log records")
 	}
 }

@@ -142,13 +142,13 @@ func TestUndoEpochFragmentation(t *testing.T) {
 	var a mem.Addr
 	p.Run(th, func(tx *Tx) error { a = tx.Alloc(64); return nil })
 
-	f0 := rt.Trace.CountKind(trace.KFence)
+	f0 := int(rt.Dev.Stats().Fences)
 	p.Run(th, func(tx *Tx) error {
 		tx.SetU64(a, 1)
 		tx.SetU64(a+32, 2)
 		return nil
 	})
-	epochs := rt.Trace.CountKind(trace.KFence) - f0
+	epochs := int(rt.Dev.Stats().Fences) - f0
 	if epochs < 5 {
 		t.Errorf("undo tx epochs = %d, want >= 5 (2 log + flush + commit + clears)", epochs)
 	}
@@ -161,14 +161,14 @@ func TestUndoVsRedoFragmentation(t *testing.T) {
 	rt, th, p := newPool(Options{})
 	var a mem.Addr
 	p.Run(th, func(tx *Tx) error { a = tx.Alloc(128); return nil })
-	f0 := rt.Trace.CountKind(trace.KFence)
+	f0 := int(rt.Dev.Stats().Fences)
 	p.Run(th, func(tx *Tx) error {
 		for i := 0; i < 8; i++ {
 			tx.SetU64(a+mem.Addr(i*16), uint64(i))
 		}
 		return nil
 	})
-	undoEpochs := rt.Trace.CountKind(trace.KFence) - f0
+	undoEpochs := int(rt.Dev.Stats().Fences) - f0
 	if undoEpochs < 10 {
 		t.Errorf("8-field undo tx = %d epochs; expected heavy fragmentation (>=10)", undoEpochs)
 	}
@@ -313,14 +313,14 @@ func TestBatchClearFewerEpochs(t *testing.T) {
 		rt, th, p := newPool(opts)
 		var a mem.Addr
 		p.Run(th, func(tx *Tx) error { a = tx.Alloc(128); return nil })
-		f0 := rt.Trace.CountKind(trace.KFence)
+		f0 := int(rt.Dev.Stats().Fences)
 		p.Run(th, func(tx *Tx) error {
 			for i := 0; i < 8; i++ {
 				tx.SetU64(a+mem.Addr(i*16), uint64(i))
 			}
 			return nil
 		})
-		return rt.Trace.CountKind(trace.KFence) - f0
+		return int(rt.Dev.Stats().Fences) - f0
 	}
 	if b, per := count(Options{BatchClear: true}), count(Options{}); b >= per {
 		t.Errorf("batch clear (%d epochs) not fewer than per-entry (%d)", b, per)
@@ -332,7 +332,7 @@ func TestDoubleAddRangeSingleRecord(t *testing.T) {
 	var a mem.Addr
 	p.Run(th, func(tx *Tx) error { a = tx.Alloc(32); return nil })
 	run := func(dup bool) int {
-		f0 := rt.Trace.CountKind(trace.KFence)
+		f0 := int(rt.Dev.Stats().Fences)
 		p.Run(th, func(tx *Tx) error {
 			tx.AddRange(a, 8)
 			if dup {
@@ -341,7 +341,7 @@ func TestDoubleAddRangeSingleRecord(t *testing.T) {
 			tx.Write(a, []byte("x"))
 			return nil
 		})
-		return rt.Trace.CountKind(trace.KFence) - f0
+		return int(rt.Dev.Stats().Fences) - f0
 	}
 	if with, without := run(true), run(false); with != without {
 		t.Errorf("duplicate AddRange changed epoch count: %d vs %d", with, without)

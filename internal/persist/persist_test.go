@@ -337,7 +337,7 @@ func TestGroupReusableAcrossBatches(t *testing.T) {
 			t.Fatalf("batch %d not durable", batch)
 		}
 	}
-	if got := rt.Trace.CountKind(trace.KFence); got != 3 {
+	if got := rt.Dev.Stats().Fences; got != 3 {
 		t.Fatalf("fences = %d, want 3 (one per batch)", got)
 	}
 }

@@ -449,8 +449,15 @@ func TestSyscallsAreTransactions(t *testing.T) {
 	fs.Create(th, "/t")
 	fs.WriteAt(th, "/t", 0, []byte("x"))
 	fs.Stat(th, "/t")
-	begins := rt.Trace.CountKind(trace.KTxBegin)
-	ends := rt.Trace.CountKind(trace.KTxEnd)
+	begins, ends := 0, 0
+	for _, e := range rt.Trace.Events() {
+		switch e.Kind {
+		case trace.KTxBegin:
+			begins++
+		case trace.KTxEnd:
+			ends++
+		}
+	}
 	if begins != 3 || ends != 3 {
 		t.Fatalf("tx brackets = %d/%d, want 3/3", begins, ends)
 	}

@@ -14,7 +14,7 @@ import (
 // deterministic — sanitizing the same trace twice renders byte-identically.
 func FuzzSanitizer(f *testing.F) {
 	broken := brokenWorkload()
-	open := trace.FromEvents(trace.Meta{App: broken.App, Layer: broken.Layer, Threads: broken.Threads},
+	open := appended(&trace.Trace{App: broken.App, Layer: broken.Layer, Threads: broken.Threads},
 		broken.Events()[:7])
 	for _, tr := range []*trace.Trace{broken, open} {
 		var buf bytes.Buffer

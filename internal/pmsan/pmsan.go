@@ -129,6 +129,8 @@ type Sanitizer struct {
 	threads  trace.TIDTable[threadState]
 	viol     map[vkey]*Violation
 	events   uint64
+	fences   uint64
+	flushes  uint64
 	finished bool
 }
 
@@ -157,8 +159,10 @@ func (s *Sanitizer) Observe(e trace.Event) {
 	case trace.KStoreNT:
 		s.store(e, true)
 	case trace.KFlush:
+		s.flushes++
 		s.flush(e)
 	case trace.KFence:
+		s.fences++
 		s.fence(e)
 	case trace.KTxBegin:
 		t := s.threads.Get(e.TID)
@@ -272,6 +276,7 @@ func (s *Sanitizer) crash() {
 // it more than once returns the same report without re-publishing.
 func (s *Sanitizer) Finish() *Report {
 	r := newReport(s.meta, s.events, s.viol)
+	r.Fences, r.Flushes = s.fences, s.flushes
 	if !s.finished {
 		s.finished = true
 		for _, c := range r.classTotals() {

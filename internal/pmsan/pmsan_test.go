@@ -18,14 +18,35 @@ func ev(kind trace.Kind, tid uint16, addr mem.Addr, size int, at mem.Time) trace
 	return trace.Event{Time: at, Addr: addr, Size: uint32(size), TID: tid, Kind: kind}
 }
 
+// sanitize runs the sanitizer over events and holds the report's event,
+// fence and flush counts to a count over them.
 func sanitize(t *testing.T, events []trace.Event) *Report {
 	t.Helper()
-	tr := trace.FromEvents(trace.Meta{App: "synthetic", Layer: "native", Threads: 2}, events)
-	rep, err := Run(trace.NewSliceSource(tr))
+	rep, err := Run(trace.NewSliceSource(appended(&trace.Trace{App: "synthetic", Layer: "native", Threads: 2}, events)))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	requireCounts(t, rep, events)
 	return rep
+}
+
+// requireCounts fails t unless rep counts as many events, fences and
+// flushes as events holds.
+func requireCounts(t *testing.T, rep *Report, events []trace.Event) {
+	t.Helper()
+	var fences, flushes uint64
+	for _, e := range events {
+		switch e.Kind {
+		case trace.KFence:
+			fences++
+		case trace.KFlush:
+			flushes++
+		}
+	}
+	if rep.Events != uint64(len(events)) || rep.Fences != fences || rep.Flushes != flushes {
+		t.Fatalf("report counts %d events, %d fences, %d flushes; the trace holds %d, %d, %d",
+			rep.Events, rep.Fences, rep.Flushes, len(events), fences, flushes)
+	}
 }
 
 // only asserts the report contains exactly the given class counts (all
@@ -220,6 +241,10 @@ func TestCrashResetsState(t *testing.T) {
 	if rep.Errors() != 0 {
 		t.Fatalf("crash carried state into recovery: %d errors\n%s", rep.Errors(), rep)
 	}
+	// The thread state resets; the counts, which sanitize checks, do not.
+	if rep.Fences != 1 || rep.Flushes != 2 {
+		t.Fatalf("%d fences and %d flushes, want 1 and 2 across the crash", rep.Fences, rep.Flushes)
+	}
 }
 
 // TestCrashResetsAllThreads pins that the reset is machine-wide, not
@@ -276,7 +301,15 @@ func brokenWorkload() *trace.Trace {
 		ev(trace.KFence, 1, 0, 0, 15),
 		ev(trace.KFence, 1, 0, 0, 16),
 	}
-	return trace.FromEvents(trace.Meta{App: "broken", Layer: "native", Threads: 2}, events)
+	return appended(&trace.Trace{App: "broken", Layer: "native", Threads: 2}, events)
+}
+
+// appended appends events to tr and returns it.
+func appended(tr *trace.Trace, events []trace.Event) *trace.Trace {
+	for _, e := range events {
+		tr.Append(e)
+	}
+	return tr
 }
 
 func TestBrokenWorkloadCatchesAllFiveClasses(t *testing.T) {
@@ -285,6 +318,7 @@ func TestBrokenWorkloadCatchesAllFiveClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireCounts(t, rep, tr.Events())
 	wantSites(t, rep, map[Class]int{
 		DirtyAtCommit:   1,
 		UnfencedFlush:   1,

@@ -26,9 +26,14 @@ type Violation struct {
 // over the same event sequence are deeply equal and String renders
 // byte-identically.
 type Report struct {
-	App        string
-	Layer      string
-	Events     uint64
+	App    string
+	Layer  string
+	Events uint64
+	// Fences and Flushes count the events of those kinds observed, across
+	// crashes: what the trace holds, for a caller to hold against the
+	// devices' own counts.
+	Fences     uint64
+	Flushes    uint64
 	Violations []Violation
 }
 

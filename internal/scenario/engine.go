@@ -163,6 +163,19 @@ type engine struct {
 // report. The whole run is single-goroutine, so results are identical at
 // any GOMAXPROCS.
 func Run(spec *Spec, cfg Config) (*Result, error) {
+	e, err := execute(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.analyze(); err != nil {
+		return nil, err
+	}
+	return e.res, nil
+}
+
+// execute runs spec's traffic, crashes and final checks, leaving its
+// domains' traces to analyze.
+func execute(spec *Spec, cfg Config) (*engine, error) {
 	norm := *spec // normalize a copy; the caller's spec is not mutated
 	norm.Tenants = append([]Tenant(nil), spec.Tenants...)
 	norm.withDefaults()
@@ -196,10 +209,7 @@ func Run(spec *Spec, cfg Config) (*Result, error) {
 	e.build(reg)
 	e.drive()
 	e.finish()
-	if err := e.analyze(); err != nil {
-		return nil, err
-	}
-	return e.res, nil
+	return e, nil
 }
 
 // build instantiates tenants: app tenants share one runtime (one logical
@@ -439,7 +449,7 @@ func (e *engine) finish() {
 // but domains overlap each other, so they are analyzed separately).
 func (e *engine) analyze() error {
 	if e.rt != nil {
-		d, err := domainResult("apps", e.rt.Trace, e.rt.Dev.Stats().Fences)
+		d, err := domainResult("apps", trace.NewSliceSource(e.rt.Trace), e.rt.Dev.Stats().Fences)
 		if err != nil {
 			return err
 		}
@@ -447,7 +457,7 @@ func (e *engine) analyze() error {
 	}
 	for _, t := range e.tenants {
 		if t.svc != nil {
-			d, err := domainResult(t.tgt.label(), t.svc.svc.Trace(), t.svc.svc.Stats().Fences)
+			d, err := domainResult(t.tgt.label(), t.svc.svc.TraceSource(), t.svc.svc.Stats().Fences)
 			if err != nil {
 				return err
 			}
@@ -457,30 +467,43 @@ func (e *engine) analyze() error {
 	return nil
 }
 
-// domainResult analyzes one domain's trace. devFences is the fence count of
-// the domain's devices: a trace holding any other number is not the record
-// of what the devices did — a domain that was not recording hands over an
-// empty one — and a sanitizer fed it would report 0 errors about nothing.
-func domainResult(name string, tr *trace.Trace, devFences uint64) (DomainResult, error) {
-	d := DomainResult{
-		Domain:  name,
-		Events:  uint64(tr.Len()),
-		Fences:  uint64(tr.CountKind(trace.KFence)),
-		Flushes: uint64(tr.CountKind(trace.KFlush)),
+// domainResult analyzes one domain's trace in one pass: the epoch analysis
+// reads it through sanitizing, which feeds the sanitizer the same chunks.
+// devFences is the fence count of the domain's devices: a trace holding any
+// other number is not the record of what the devices did — a domain that
+// was not recording hands over an empty one — and a sanitizer fed it would
+// report 0 errors about nothing.
+func domainResult(name string, src trace.EventSource, devFences uint64) (DomainResult, error) {
+	san := sanitizing{src, pmsan.New(src.Meta())}
+	an, err := epoch.AnalyzeStream(san)
+	if err != nil {
+		panic("scenario: in-memory trace stream failed: " + err.Error())
 	}
+	rep := san.s.Finish()
+	d := DomainResult{Domain: name, Events: rep.Events, Fences: rep.Fences, Flushes: rep.Flushes}
 	if d.Fences != devFences {
 		return d, fmt.Errorf("scenario: domain %s: trace holds %d fences, its devices issued %d", name, d.Fences, devFences)
 	}
-	an := epoch.Analyze(tr)
 	d.Epochs = an.TotalEpochs
 	if an.TotalEpochs > 0 {
 		d.SingletonPct = math.Round(1000*float64(an.Singletons)/float64(an.TotalEpochs)) / 10
 	}
-	rep, err := pmsan.Run(trace.NewSliceSource(tr))
-	if err != nil {
-		panic("scenario: in-memory trace stream failed: " + err.Error())
-	}
 	d.SanErrors = rep.Errors()
 	d.SanSites = len(rep.Violations)
 	return d, nil
+}
+
+// sanitizing is an EventSource that also feeds every chunk it hands out to
+// a sanitizer.
+type sanitizing struct {
+	trace.EventSource
+	s *pmsan.Sanitizer
+}
+
+func (src sanitizing) NextChunk() ([]trace.Event, error) {
+	c, err := src.EventSource.NextChunk()
+	for _, e := range c {
+		src.s.Observe(e)
+	}
+	return c, err
 }

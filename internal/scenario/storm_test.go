@@ -8,6 +8,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/kvservice"
 	"github.com/whisper-pm/whisper/internal/obs"
 	"github.com/whisper-pm/whisper/internal/pmem"
+	"github.com/whisper-pm/whisper/internal/trace"
 )
 
 // TestStormAcceptance pins the PR's acceptance storm: storm-mixed runs
@@ -104,17 +105,17 @@ func TestDomainAnalysisRefusesAnUnrecordedRun(t *testing.T) {
 	func() {
 		defer func() {
 			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "Config.Record") {
-				t.Fatalf("Trace on an unrecorded service: recovered %q, want the Config.Record panic", msg)
+				t.Fatalf("TraceSource on an unrecorded service: recovered %q, want the Config.Record panic", msg)
 			}
 		}()
-		quiet.Trace()
+		quiet.TraceSource()
 	}()
 	issued := quiet.Stats().Fences
-	if _, err := domainResult("kv", quiet.Runtime(0).Trace, issued); err == nil || !strings.Contains(err.Error(), "fences") {
+	if _, err := domainResult("kv", trace.NewSliceSource(quiet.Runtime(0).Trace), issued); err == nil || !strings.Contains(err.Error(), "fences") {
 		t.Fatalf("an empty trace against %d device fences: err = %v, want the fence mismatch", issued, err)
 	}
 	rec := load(true)
-	d, err := domainResult("kv", rec.Trace(), rec.Stats().Fences)
+	d, err := domainResult("kv", rec.TraceSource(), rec.Stats().Fences)
 	if err != nil || d.Fences != issued || d.SanErrors != 0 {
 		t.Fatalf("recording twin: %+v, %v; want %d fences and a clean pass", d, err, issued)
 	}

@@ -23,7 +23,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	seed(&Trace{App: "echo", Layer: "native", Threads: 1})
-	three := FromEvents(Meta{App: "ycsb", Layer: "native", Threads: 2}, []Event{
+	three := appended(&Trace{App: "ycsb", Layer: "native", Threads: 2}, []Event{
 		{Time: 10, Addr: mem.PMBase, Size: 8, TID: 0, Kind: KStore},
 		{Time: 12, Addr: mem.PMBase + 64, Size: 64, TID: 1, Kind: KFlush},
 		{Time: 13, TID: 1, Kind: KFence},
@@ -80,7 +80,7 @@ func FuzzDecode(f *testing.F) {
 // encoded blocks (whole v2 streams plus hand-truncated and bit-flipped
 // variants) so the fuzzer starts inside the format.
 func FuzzReaderV2(f *testing.F) {
-	seedTrace := FromEvents(Meta{App: "ycsb", Layer: "native", Threads: 2}, []Event{
+	seedTrace := appended(&Trace{App: "ycsb", Layer: "native", Threads: 2}, []Event{
 		{Time: 10, Addr: mem.PMBase, Size: 8, TID: 0, Kind: KStore},
 		{Time: 12, Addr: mem.PMBase + 64, Size: 64, TID: 1, Kind: KFlush},
 		{Time: 13, TID: 1, Kind: KFence},

@@ -110,60 +110,6 @@ func varintBits(w uint64, e uint) uint64 {
 	return x&0x000000000fffffff | x>>4&0x00fffffff0000000
 }
 
-// countPacked returns how many events of the valid payload p are of kind
-// k, without unpacking them. Every field of an event but its kind is a
-// varint, and its kind a single byte below 0x80, so each byte below 0x80
-// ends a field, and every fifth of them, from the payload's first byte on,
-// is a kind. It reads a word at a time, without a branch on the data: the
-// bytes that end a field, gathered into a byte, pick out through kindsAt
-// the ones that are kinds, and those equal to k are counted.
-func countPacked(p []byte, k Kind) int {
-	const low, high = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
-	const gather = 0x0002040810204081 // moves byte j's high bit to bit 56+j
-	kk := uint64(k) * 0x0101010101010101
-	n, f := 0, 0 // f counts the fields ended since the last kind
-	for at := 0; at < len(p); at += 8 {
-		var w uint64
-		if at+8 <= len(p) {
-			w = binary.LittleEndian.Uint64(p[at:])
-		} else {
-			last := [8]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80} // ends no field
-			copy(last[:], p[at:])
-			w = binary.LittleEndian.Uint64(last[:])
-		}
-		x := w ^ kk
-		isK := ^(x&low + low | x | low) // the high bit of each byte equal to k
-		ends := uint8((^w & high) * gather >> 56)
-		n += bits.OnesCount8(kindsAt[f&7][ends] & uint8(isK*gather>>56))
-		f = mod5[(f+bits.OnesCount8(ends))&15]
-	}
-	return n
-}
-
-// mod5 is n % 5 for the n countPacked needs, below 13.
-var mod5 = [16]int{0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1, 2}
-
-// kindsAt[f][m] picks out of m, the bytes of a word that end a field (bit j
-// for byte j), those that are kinds when f fields have ended since the last
-// kind: every fifth, counting on from f. Rows 5 to 7 are never read; they
-// let countPacked index without a bounds check.
-var kindsAt = func() (t [8][256]uint8) {
-	for f := range 5 {
-		for m := range 256 {
-			r := f
-			for j := range 8 {
-				if m>>j&1 == 1 {
-					if r%5 == 0 {
-						t[f][m] |= 1 << j
-					}
-					r++
-				}
-			}
-		}
-	}
-	return t
-}()
-
 // unpackEvent decodes the event at p[pos:], the i-th of its block, field
 // by field: its kind, tid, time and address deltas (still zigzagged) and
 // size, and the position after it.

@@ -37,7 +37,7 @@ func adversarialEvents(n int) []Event {
 // in the open one.
 func TestPackedTraceRoundTripsAdversarialEvents(t *testing.T) {
 	want := adversarialEvents(2*DefaultBlockEvents + 11)
-	tr := FromEvents(Meta{App: "adv", Layer: "native", Threads: 3}, want)
+	tr := appended(&Trace{App: "adv", Layer: "native", Threads: 3}, want)
 	if len(tr.sealed.blocks) != 2 || len(tr.open) != 11 {
 		t.Fatalf("%d sealed blocks and %d open events, want 2 and 11", len(tr.sealed.blocks), len(tr.open))
 	}
@@ -54,8 +54,8 @@ func TestPackedTraceRoundTripsAdversarialEvents(t *testing.T) {
 }
 
 // TestEncodeIsTheWritersBytes: a trace encodes to what a Writer makes of
-// its events, whether it was recorded through a keeping tail, built by
-// FromEvents, or decoded from a file whose blocks are not the Writer's —
+// its events, whether it was recorded through a keeping tail, appended
+// to, or decoded from a file whose blocks are not the Writer's —
 // of 3 and 5 000 events, the second with an overlong varint — whose
 // events Encode packs and frames afresh.
 func TestEncodeIsTheWritersBytes(t *testing.T) {
@@ -96,9 +96,9 @@ func TestEncodeIsTheWritersBytes(t *testing.T) {
 	}
 
 	for name, tr := range map[string]*Trace{
-		"recorded":   recorded,
-		"FromEvents": FromEvents(Meta{App: "fe", Layer: "native", Threads: 2}, events),
-		"decoded":    fromFile,
+		"recorded": recorded,
+		"appended": appended(&Trace{App: "fe", Layer: "native", Threads: 2}, events),
+		"decoded":  fromFile,
 	} {
 		got := traceBytes(t, tr)
 		if !bytes.Equal(got, writerBytes(t, tr)) {
@@ -205,37 +205,5 @@ func TestUnpackMatchesFieldByField(t *testing.T) {
 	}
 	if accepted < 5000 || refused < 5000 {
 		t.Fatalf("%d payloads accepted and %d refused: want both kinds exercised", accepted, refused)
-	}
-}
-
-// TestCountKindReadsPayloads holds CountKind, which reads a sealed block's
-// kinds from its payload without unpacking it, to a count over the events,
-// for every kind: on recorded traces whose fields take one to ten bytes,
-// with sealed and open blocks, and on their decoded copies.
-func TestCountKindReadsPayloads(t *testing.T) {
-	for _, tr := range []*Trace{
-		genTrace(rand.New(rand.NewSource(7)), 3*DefaultBlockEvents+77),
-		FromEvents(Meta{}, adversarialEvents(2*DefaultBlockEvents+9)),
-		FromEvents(Meta{}, adversarialEvents(5)),
-	} {
-		decoded, err := Decode(bytes.NewReader(traceBytes(t, tr)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		events := tr.Events()
-		for k := Kind(0); k <= Kind(maxKind); k++ {
-			want := 0
-			for _, e := range events {
-				if e.Kind == k {
-					want++
-				}
-			}
-			if got := tr.CountKind(k); got != want {
-				t.Errorf("%d events, %d sealed blocks: CountKind(%v) = %d, want %d", tr.Len(), len(tr.sealed.blocks), k, got, want)
-			}
-			if got := decoded.CountKind(k); got != want {
-				t.Errorf("%d events, decoded: CountKind(%v) = %d, want %d", tr.Len(), k, got, want)
-			}
-		}
 	}
 }

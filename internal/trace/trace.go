@@ -224,16 +224,6 @@ func (s *blockStore) trim() {
 	s.scratch = nil
 }
 
-// FromEvents returns a trace holding a copy of events; FromEvents(m, nil)
-// is an empty trace to Append to.
-func FromEvents(m Meta, events []Event) *Trace {
-	t := &Trace{App: m.App, Layer: m.Layer, Threads: m.Threads}
-	for _, e := range events {
-		t.Append(e)
-	}
-	return t
-}
-
 // Append adds an event, which must be of a known Kind: a sealed block
 // holding any other fails to unpack.
 func (t *Trace) Append(e Event) {
@@ -307,26 +297,4 @@ func (t *Trace) Events() []Event {
 		}
 		out = append(out, c...)
 	}
-}
-
-// CountKind returns the number of events of kind k, which must be a known
-// Kind. It reads a sealed block's kinds from its payload without unpacking
-// the block (countPacked).
-func (t *Trace) CountKind(k Kind) int {
-	n := 0
-	count := func(events []Event) {
-		for i := range events {
-			if events[i].Kind == k {
-				n++
-			}
-		}
-	}
-	for _, c := range t.decoded {
-		count(c)
-	}
-	for _, p := range t.sealed.blocks {
-		n += countPacked(p, k)
-	}
-	count(t.open)
-	return n
 }

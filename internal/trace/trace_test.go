@@ -237,13 +237,6 @@ func TestCodecRoundTripAdversarialFields(t *testing.T) {
 	}
 }
 
-func TestCounts(t *testing.T) {
-	tr := sampleTrace()
-	if got := tr.CountKind(KFence); got != 2 {
-		t.Errorf("CountKind(KFence) = %d, want 2", got)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KStore.String() != "store" || KFence.String() != "fence" {
 		t.Error("kind names wrong")
@@ -280,6 +273,14 @@ func countingTrace(n int) *Trace {
 		t.Append(Event{Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i*8), Size: 8, Kind: KStore})
 	}
 	return t
+}
+
+// appended appends events to tr and returns it.
+func appended(tr *Trace, events []Event) *Trace {
+	for _, e := range events {
+		tr.Append(e)
+	}
+	return tr
 }
 
 // TestStoreReadSurfacesAgree pins the block store at its boundaries: Len,
@@ -326,31 +327,6 @@ func TestStoreReadSurfacesAgree(t *testing.T) {
 		if got := decoded.Events(); !slices.Equal(got, want) {
 			t.Fatalf("n=%d: Encode/Decode yields %d events that differ from the %d appended", n, len(got), n)
 		}
-	}
-}
-
-// TestFromEventsCopiesWithoutSharingCapacity checks the constructor's
-// contract: the trace holds a copy of the slice, so neither a later write
-// to the slice nor a later Append reaches the other.
-func TestFromEventsCopiesWithoutSharingCapacity(t *testing.T) {
-	backing := make([]Event, 3, 8)
-	for i := range backing {
-		backing[i].Time = mem.Time(i)
-	}
-	tr := FromEvents(Meta{App: "a", Layer: "native", Threads: 2}, backing)
-	if tr.App != "a" || tr.Threads != 2 || tr.Len() != 3 {
-		t.Fatalf("FromEvents = %+v", tr)
-	}
-	backing[0].Time = 99
-	tr.Append(Event{Time: 3})
-	if spare := backing[:4][3]; spare != (Event{}) {
-		t.Fatalf("Append wrote into the slice's capacity: %+v", spare)
-	}
-	if got := tr.Events(); len(got) != 4 || got[0].Time != 0 || got[3].Time != 3 {
-		t.Fatalf("events after Append = %v", got)
-	}
-	if empty := FromEvents(Meta{}, nil); empty.Len() != 0 || len(empty.Events()) != 0 {
-		t.Fatalf("FromEvents(nil) = %+v", empty)
 	}
 }
 
