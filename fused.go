@@ -112,7 +112,7 @@ func RunAllFused(names []string, cfg Config, fcfg FusedConfig, workers int, trac
 // runFused is one member of RunAllFused: the named benchmark's live stream
 // through fused, and through the v2 writer too when traceOut is non-nil.
 func runFused(name string, cfg Config, fcfg FusedConfig, traceOut io.Writer) (*FusedReport, error) {
-	tail, _, err := record(name, cfg, false)
+	tail, err := record(name, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -209,6 +209,9 @@ func (s *Store) masterApply(th *persist.Thread, h, value uint64) {
 
 	// Allocate and persist the new version, linking it to the chain head.
 	ver := s.slab.Alloc(th, vSize)
+	if ver == 0 {
+		panic("echo: slab exhausted allocating a version")
+	}
 	prev := th.LoadU64(entry + eVer)
 	var buf [vSize]byte
 	binary.LittleEndian.PutUint64(buf[vValue:], value)
@@ -228,6 +231,9 @@ func (s *Store) masterApply(th *persist.Thread, h, value uint64) {
 // insertEntry allocates a hash entry for h and links it into its bucket.
 func (s *Store) insertEntry(th *persist.Thread, h uint64) mem.Addr {
 	entry := s.slab.Alloc(th, eKey+8)
+	if entry == 0 {
+		panic("echo: slab exhausted allocating a hash entry")
+	}
 	bucket := s.bucketAddr(h)
 	head := th.LoadU64(bucket)
 	var buf [eKey]byte

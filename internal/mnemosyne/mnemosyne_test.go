@@ -201,40 +201,53 @@ func TestCrashAfterCommitRecordReplays(t *testing.T) {
 	}
 }
 
+// TestCrashAtEveryEpochBoundary stops a transaction at each of its PM
+// events, every fence that ends one of its epochs included, crashes a clone
+// of the device taken at that instant in both crash modes, reboots on it
+// and recovers: the value is all old or all new. A stop before the commit
+// record is durable must recover the old value and one after it the new,
+// so some stop recovers each. The value spans three lines, which a crash
+// keeps or loses one by one, so a half-applied update shows as torn.
 func TestCrashAtEveryEpochBoundary(t *testing.T) {
-	// Property: crash after any prefix of the transaction's epochs; after
-	// recovery the value is either fully old or fully new.
-	oldVal := []byte("OLDOLDOL")
-	newVal := []byte("NEWNEWNE")
-	// Count epochs in a full run first.
-	rtFull, thFull, hFull := newHeap(Options{})
-	aFull := hFull.PMalloc(thFull, 64)
-	persistStore(thFull, aFull, oldVal)
-	f0 := int(rtFull.Dev.Stats().Fences)
-	hFull.Run(thFull, func(tx *Tx) error { tx.Write(aFull, newVal); return nil })
-	total := int(rtFull.Dev.Stats().Fences) - f0
-
-	for k := 0; k <= total; k++ {
+	oldVal := bytes.Repeat([]byte("OLDOLDOL"), 16)
+	newVal := bytes.Repeat([]byte("NEWNEWNE"), 16)
+	setup := func() (*persist.Runtime, *persist.Thread, *Heap, mem.Addr) {
 		rt, th, h := newHeap(Options{})
-		a := h.PMalloc(th, 64)
+		a := h.PMalloc(th, len(oldVal))
 		persistStore(th, a, oldVal)
-		crash := errors.New("crash")
-		func() {
-			defer func() { recover() }()
-			h.Run(th, func(tx *Tx) error {
-				tx.Write(a, newVal)
-				return nil
-			})
-			_ = crash
-		}()
-		// Truncate durability: re-run is full, so emulate the k-epoch
-		// prefix by crashing adversarially with a seed derived from k.
-		rt.Crash(pmem.Adversarial, int64(k*7919+1))
-		h.Recover(th)
-		got := th.Load(a, 8)
-		if !bytes.Equal(got, oldVal) && !bytes.Equal(got, newVal) {
-			t.Fatalf("k=%d: torn value %q after recovery", k, got)
+		return rt, th, h, a
+	}
+	update := func(th *persist.Thread, h *Heap, a mem.Addr) func() {
+		return func() {
+			h.Run(th, func(tx *Tx) error { tx.Write(a, newVal); return nil })
 		}
+	}
+	rt, th, h, a := setup()
+	events := 0
+	rt.SetEventHook(func(trace.Event) { events++ })
+	update(th, h, a)()
+	rt.SetEventHook(nil)
+
+	recovered := map[string]int{}
+	for k := 1; k <= events; k++ {
+		for _, mode := range []pmem.CrashMode{pmem.Strict, pmem.Adversarial} {
+			rt, th, h, a := setup()
+			var clone *pmem.Device
+			if !rt.AbortAt(k, func() { clone = rt.Dev.Clone() }, update(th, h, a)) {
+				t.Fatalf("the update ran to its end before its event %d of %d", k, events)
+			}
+			clone.Crash(mode, int64(k))
+			rt.Reboot(clone)
+			h.Recover(th)
+			got := th.Load(a, len(oldVal))
+			if !bytes.Equal(got, oldVal) && !bytes.Equal(got, newVal) {
+				t.Fatalf("crash at event %d of %d, mode %v: torn value %q after recovery", k, events, mode, got)
+			}
+			recovered[string(got[:3])]++
+		}
+	}
+	if recovered["OLD"] == 0 || recovered["NEW"] == 0 {
+		t.Fatalf("over %d stops in two modes, recovery gave %v: want both the old and the new value", events, recovered)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // Fanout: one event stream, several independent consumers, one pass.
@@ -13,7 +14,8 @@ import (
 // simulator can all ride the same tap instead of replaying the trace
 // once each. Every branch sees the identical event sequence in order,
 // which keeps each consumer's output byte-identical to what it would
-// produce reading the source alone.
+// produce reading the source alone. The last branch past a chunk hands it
+// to the source's Release, if it has one (a Tail does).
 
 // fanoutDepth bounds each branch's queue. The pump advances at the pace
 // of the slowest branch, so total buffered memory is
@@ -23,6 +25,7 @@ const fanoutDepth = 4
 // fanout is the shared pump state.
 type fanout struct {
 	src      EventSource
+	rel      interface{ Release([]Event) } // src, if it takes chunks back
 	branches []*Branch
 
 	// Written by the pump strictly before it closes the branch channels;
@@ -38,14 +41,28 @@ type fanout struct {
 	panicked any
 }
 
+// shared is a chunk and the branches not yet past it.
+type shared struct {
+	events []Event
+	left   atomic.Int32
+}
+
+// done marks one branch past c; the last one releases it to the source.
+func (f *fanout) done(c *shared) {
+	if c != nil && c.left.Add(-1) == 0 && f.rel != nil {
+		f.rel.Release(c.events)
+	}
+}
+
 // Branch is one consumer's view of a fanned-out stream. It implements
-// EventSource; chunks are shared read-only with the other branches, so a
-// consumer must not mutate the slices NextChunk returns. A consumer that
-// stops early must call Close to release the pump — io.EOF and stream
-// errors close the branch automatically.
+// EventSource, but its chunks do not pass to the caller: a chunk is shared
+// read-only with the other branches and valid only until the branch's next
+// NextChunk or Close. A consumer that stops early must call Close to
+// release the pump — io.EOF and stream errors end the branch by themselves.
 type Branch struct {
-	ch   chan []Event // the pump closes it at the end of the stream
+	ch   chan *shared // the pump closes it at the end of the stream
 	f    *fanout
+	held *shared // the chunk the consumer was last handed
 	stop chan struct{}
 	once sync.Once
 }
@@ -53,16 +70,12 @@ type Branch struct {
 // Fanout starts a pump goroutine over src and returns n branches that
 // each replay the full stream. The pump runs at the pace of the slowest
 // branch (bounded buffering, no unbounded fan-out queue); a branch that
-// is abandoned early must be Closed or the pump stalls forever. It panics
-// on a keeping Tail, whose chunks are written again once the pump asks for
-// the next.
+// is abandoned early must be Closed or the pump stalls forever.
 func Fanout(src EventSource, n int) []*Branch {
-	if tl, ok := src.(*Tail); ok && tl.keep {
-		panic("trace: Fanout over a keeping Tail: its chunks are recycled on the next NextChunk, and a branch keeps them longer")
-	}
 	f := &fanout{src: src, branches: make([]*Branch, n)}
+	f.rel, _ = src.(interface{ Release([]Event) })
 	for i := range f.branches {
-		f.branches[i] = &Branch{ch: make(chan []Event, fanoutDepth), f: f, stop: make(chan struct{})}
+		f.branches[i] = &Branch{ch: make(chan *shared, fanoutDepth), f: f, stop: make(chan struct{})}
 	}
 	go f.pump()
 	return f.branches
@@ -70,16 +83,25 @@ func Fanout(src EventSource, n int) []*Branch {
 
 // pump ends the stream when the source does, with its error, and also
 // when it panics: the panic then reaches every branch's reader rather than
-// ending the process on the pump's goroutine.
+// ending the process on the pump's goroutine. A chunk it skips for a
+// closed branch is done for it, and at the end so is one it queued there
+// as the branch closed.
 func (f *fanout) pump() {
 	defer func() {
 		f.panicked = recover()
+		for _, b := range f.branches { // before any branch sees the end
+			select {
+			case <-b.stop:
+				b.drain()
+			default:
+			}
+		}
 		for _, b := range f.branches {
 			close(b.ch)
 		}
 	}()
 	for {
-		chunk, err := f.src.NextChunk()
+		events, err := f.src.NextChunk()
 		if err != nil {
 			if err != io.EOF {
 				f.err = err
@@ -87,11 +109,29 @@ func (f *fanout) pump() {
 			f.vloads, f.vstores = f.src.Volatile()
 			return
 		}
+		c := &shared{events: events}
+		c.left.Store(int32(len(f.branches)))
 		for _, b := range f.branches {
 			select {
-			case b.ch <- chunk:
+			case b.ch <- c:
 			case <-b.stop:
+				f.done(c)
 			}
+		}
+	}
+}
+
+// drain counts every chunk queued to b as done.
+func (b *Branch) drain() {
+	for {
+		select {
+		case c, ok := <-b.ch:
+			if !ok {
+				return
+			}
+			b.f.done(c)
+		default:
+			return
 		}
 	}
 }
@@ -99,13 +139,15 @@ func (f *fanout) pump() {
 // Meta returns the source's run metadata.
 func (b *Branch) Meta() Meta { return b.f.src.Meta() }
 
-// NextChunk returns the branch's next batch of events, io.EOF at the end
-// of a well-formed stream, or the source's error; where the source
-// panicked it panics with the source's value. The returned slice is
-// shared with the other branches and must be treated as read-only.
+// NextChunk moves the branch past its last chunk and returns the next
+// batch of events, io.EOF at the end of a well-formed stream, or the
+// source's error; where the source panicked it panics with the source's
+// value.
 func (b *Branch) NextChunk() ([]Event, error) {
-	if chunk, ok := <-b.ch; ok {
-		return chunk, nil
+	b.f.done(b.held)
+	b.held = <-b.ch
+	if b.held != nil {
+		return b.held.events, nil
 	}
 	if b.f.panicked != nil {
 		panic(b.f.panicked)
@@ -120,22 +162,15 @@ func (b *Branch) NextChunk() ([]Event, error) {
 // after NextChunk has returned io.EOF.
 func (b *Branch) Volatile() (loads, stores uint64) { return b.f.vloads, b.f.vstores }
 
-// Close releases the branch: the pump stops delivering to it and will
-// not block on it again. Consumers that drain to io.EOF need not call
-// it; consumers that may stop early must, or the pump (and the other
-// branches) stall.
+// Close releases the branch: it moves past its last chunk and everything
+// queued to it, and the pump will not block on it again. Consumers that
+// drain to io.EOF need not call it; consumers that may stop early must, or
+// the pump (and the other branches) stall.
 func (b *Branch) Close() {
-	b.once.Do(func() { close(b.stop) })
-	// Drain anything already queued so the pump's buffered sends are not
-	// mistaken for progress by this branch's future reads.
-	for {
-		select {
-		case _, ok := <-b.ch:
-			if !ok {
-				return
-			}
-		default:
-			return
-		}
-	}
+	b.once.Do(func() {
+		close(b.stop)
+		b.f.done(b.held)
+		b.held = nil
+		b.drain()
+	})
 }

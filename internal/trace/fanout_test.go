@@ -2,12 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 func fanoutTestTrace() *Trace {
@@ -194,4 +198,146 @@ func TestFanoutSourcePanicReachesEveryBranch(t *testing.T) {
 		}
 	}
 	requireGoroutines(t, base)
+}
+
+// releasing hands out chunks of fresh events and takes them back: it counts
+// each Release of a chunk it gave out and poisons the chunk, so a branch
+// still holding it reads the damage (and -race reports the write).
+type releasing struct {
+	chunks, size int   // chunks to hand out, of size events each
+	err          error // what follows them; io.EOF when nil
+
+	mu       sync.Mutex
+	given    []*Event // each chunk's first event, by chunk
+	released []int    // Release calls, by chunk
+	strays   int      // Release calls of a chunk never given out
+}
+
+func (r *releasing) Meta() Meta { return Meta{App: "rel", Threads: 1} }
+
+func (r *releasing) NextChunk() ([]Event, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := len(r.given)
+	if k == r.chunks {
+		return nil, cmp.Or(r.err, io.EOF)
+	}
+	c := make([]Event, r.size)
+	for i := range c {
+		c[i] = Event{Kind: KStore, Time: memTime(uint64(k*r.size + i)), Size: 8}
+	}
+	r.given = append(r.given, &c[0])
+	r.released = append(r.released, 0)
+	return c, nil
+}
+
+func (r *releasing) Release(c []Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := slices.Index(r.given, &c[0])
+	if k < 0 {
+		r.strays++
+		return
+	}
+	r.released[k]++
+	for i := range c {
+		c[i] = Event{Kind: KCrash, Time: memTime(^uint64(0))}
+	}
+}
+
+func (r *releasing) Volatile() (uint64, uint64) { return 0, 0 }
+
+// readHolding reads b the way every consumer behind a branch must: it
+// checks, before asking for the next chunk, that the one it holds still
+// reads as it did when handed out, and that the chunks carry the source's
+// events in order. It stops after stopAfter chunks (Closing the branch),
+// or at the end of the stream when stopAfter is negative, and naps after
+// each chunk when slow.
+func readHolding(b *Branch, stopAfter int, slow bool) (events int, err error) {
+	defer b.Close()
+	var held, asGiven []Event
+	for k := 0; ; k++ {
+		if !slices.Equal(held, asGiven) {
+			return events, fmt.Errorf("chunk %d changed while the branch held it", k-1)
+		}
+		if k == stopAfter {
+			return events, nil
+		}
+		c, err := b.NextChunk()
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return events, err
+		}
+		for i, e := range c {
+			if e.Time != memTime(uint64(events+i)) {
+				return events, fmt.Errorf("event %d carries time %d", events+i, e.Time)
+			}
+		}
+		held, asGiven = c, slices.Clone(c)
+		events += len(c)
+		if slow {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+// TestFanoutReleasesEachChunkOnce: over a source that takes its chunks
+// back, every chunk the pump read goes back exactly once, and never while
+// a branch holds it — with one branch slower than the others, with one
+// branch Closed early, and with a source that errors mid-stream (run it
+// under -race).
+func TestFanoutReleasesEachChunkOnce(t *testing.T) {
+	boom := errors.New("mid-stream corruption")
+	const chunks, size = 40, 64
+	for _, tc := range []struct {
+		name      string
+		err       error
+		slow      int // the branch that naps after each chunk, or -1
+		stopAfter int // chunks branch 1 reads before it Closes, or -1
+	}{
+		{"slow-branch", nil, 0, -1},
+		{"closed-early", nil, -1, 3},
+		{"source-error", boom, 2, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &releasing{chunks: chunks, size: size, err: tc.err}
+			branches := Fanout(src, 3)
+			events := make([]int, len(branches))
+			errs := make([]error, len(branches))
+			var wg sync.WaitGroup
+			for i, b := range branches {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					stop := -1
+					if i == 1 {
+						stop = tc.stopAfter
+					}
+					events[i], errs[i] = readHolding(b, stop, i == tc.slow)
+				}()
+			}
+			wg.Wait()
+			for i := range branches {
+				want, wantErr := chunks*size, tc.err
+				if i == 1 && tc.stopAfter >= 0 {
+					want, wantErr = tc.stopAfter*size, nil
+				}
+				if events[i] != want || errs[i] != wantErr {
+					t.Errorf("branch %d read %d events and ended with %v, want %d and %v", i, events[i], errs[i], want, wantErr)
+				}
+			}
+			src.mu.Lock()
+			defer src.mu.Unlock()
+			if len(src.given) != chunks || src.strays != 0 {
+				t.Fatalf("the source gave out %d chunks of %d and had %d strays back", len(src.given), chunks, src.strays)
+			}
+			for k, n := range src.released {
+				if n != 1 {
+					t.Errorf("chunk %d was released %d times, want once", k, n)
+				}
+			}
+		})
+	}
 }

@@ -54,7 +54,7 @@ func TestPackedTraceRoundTripsAdversarialEvents(t *testing.T) {
 }
 
 // TestEncodeIsTheWritersBytes: a trace encodes to what a Writer makes of
-// its events, whether it was recorded through a keeping tail, appended
+// its events, whether it was collected from a tail, appended
 // to, or decoded from a file whose blocks are not the Writer's —
 // of 3 and 5 000 events, the second with an overlong varint — whose
 // events Encode packs and frames afresh.
@@ -63,19 +63,18 @@ func TestEncodeIsTheWritersBytes(t *testing.T) {
 	// The second block's first event, whose TID the file spells overlong.
 	events[3] = Event{Kind: KStore, TID: 1, Time: 5, Addr: 7, Size: 8}
 
-	recorded := &Trace{App: "rec", Layer: "nvml", Threads: 4}
-	tl := recorded.Tail(true)
+	live := &Trace{App: "rec", Layer: "nvml", Threads: 4}
+	tl := live.Tail()
 	go func() {
 		for _, e := range events {
-			recorded.Append(e)
+			live.Append(e)
 		}
-		recorded.VolatileLoads = 9
+		live.VolatileLoads = 9
 		tl.Close(nil)
 	}()
-	for {
-		if _, err := tl.NextChunk(); err != nil {
-			break
-		}
+	recorded, err := Collect(Fanout(tl, 1)[0])
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var file []byte

@@ -24,12 +24,12 @@ func encoded(t testing.TB, tr *Trace) []byte {
 // recorded sequence, never an empty chunk, io.EOF that stays io.EOF, the
 // volatile counters complete by then — and a chunk the caller was given
 // earlier still reads the same after the source has been drained, which a
-// source that decoded into a reused buffer would fail. A keeping tail is
-// the one exception, by design: its chunk is the recorder's buffer, valid
-// until the next call, so it is held to reading right until then.
+// source that decoded into a reused buffer would fail. A Fanout branch is
+// the one exception, by design: over a tail its chunk goes back to the
+// recorder once the branch moves past it, so it is held to reading right
+// until the next call.
 func TestEverySourceOneContract(t *testing.T) {
-	// Three blocks and a part one; past the tail's 512-event dropped chunks
-	// and its queue depth.
+	// Three blocks and a part one, so a tail recycles buffers.
 	orig := genTrace(rand.New(rand.NewSource(22)), 3*DefaultBlockEvents+17)
 	want := orig.Events()
 
@@ -40,19 +40,17 @@ func TestEverySourceOneContract(t *testing.T) {
 		}
 		return rd
 	}
-	tail := func(keep bool) func(*testing.T) EventSource {
-		return func(*testing.T) EventSource {
-			tr := &Trace{App: orig.App, Layer: orig.Layer, Threads: orig.Threads}
-			tl := tr.Tail(keep)
-			go func() {
-				for _, e := range want {
-					tr.Append(e)
-				}
-				tr.VolatileLoads, tr.VolatileStores = orig.VolatileLoads, orig.VolatileStores
-				tl.Close(nil)
-			}()
-			return tl
-		}
+	tail := func(*testing.T) *Tail {
+		tr := &Trace{App: orig.App, Layer: orig.Layer, Threads: orig.Threads}
+		tl := tr.Tail()
+		go func() {
+			for _, e := range want {
+				tr.Append(e)
+			}
+			tr.VolatileLoads, tr.VolatileStores = orig.VolatileLoads, orig.VolatileStores
+			tl.Close(nil)
+		}()
+		return tl
 	}
 	for _, tc := range []struct {
 		name  string
@@ -63,8 +61,8 @@ func TestEverySourceOneContract(t *testing.T) {
 		{"reader-v2", reader, false},
 		{"fanout-branch", func(*testing.T) EventSource { return Fanout(NewSliceSource(orig), 1)[0] }, false},
 		{"fanout-over-reader", func(t *testing.T) EventSource { return Fanout(reader(t), 1)[0] }, false},
-		{"tail-keeping", tail(true), true},
-		{"tail-dropping", tail(false), false},
+		{"tail", func(t *testing.T) EventSource { return tail(t) }, false},
+		{"fanout-over-tail", func(t *testing.T) EventSource { return Fanout(tail(t), 1)[0] }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := tc.open(t)

@@ -92,7 +92,8 @@ type EventSource interface {
 	// stream is corrupt or truncated. Ownership of the returned slice
 	// transfers to the caller: the source must never reuse or mutate it
 	// (consumers may share it across goroutines), and the caller must
-	// treat it as read-only.
+	// treat it as read-only. A Fanout Branch is the one exception: its
+	// chunk is valid until the branch's next NextChunk or Close.
 	NextChunk() ([]Event, error)
 	// Volatile returns the aggregate DRAM load/store counters. The
 	// values are complete only after NextChunk has returned io.EOF.

@@ -2,12 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"slices"
-	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -15,21 +16,10 @@ import (
 )
 
 // tailSizes crosses every stage of the open block's ramp (16, 32, … up to
-// DefaultBlockEvents, and droppedChunkEvents for a trace that drops): an
-// empty trace, a part-filled first block, traces that end exactly on a
-// block boundary (16, 512, 1024, 4096, 8192, 32 768, 65 536) and one event
-// either side of some of them.
+// DefaultBlockEvents): an empty trace, a part-filled first block, traces
+// that end exactly on a block boundary (16, 512, 1024, 4096, 8192, 32 768,
+// 65 536) and one event either side of some of them.
 var tailSizes = []int{0, 1, 15, 16, 17, 511, 512, 513, 1024, 4095, 4096, 4097, 8192, 32767, 32768, 32769, 65536, 65537, 100_000}
-
-// copying reads a keeping tail the way a consumer that keeps its chunks
-// must, since the tail's are valid only until the next call: it copies
-// each one.
-type copying struct{ *Tail }
-
-func (c copying) NextChunk() ([]Event, error) {
-	chunk, err := c.Tail.NextChunk()
-	return slices.Clone(chunk), err
-}
 
 // record appends n events to tr from its own goroutine, the way a run
 // does, and closes the tail with closeErr.
@@ -46,29 +36,51 @@ func record(tr *Trace, tl *Tail, n int, closeErr error) {
 	}()
 }
 
+// inOrder passes a source's chunks on and checks, as each arrives, that it
+// is not empty and carries the next events of a recording by record; a
+// chunk that does not ends the stream in an error.
+type inOrder struct {
+	EventSource
+	seen int
+	lens []int
+}
+
+func (s *inOrder) NextChunk() ([]Event, error) {
+	c, err := s.EventSource.NextChunk()
+	if err != nil {
+		return c, err
+	}
+	if len(c) == 0 {
+		return nil, fmt.Errorf("chunk %d is empty", len(s.lens))
+	}
+	s.lens = append(s.lens, len(c))
+	for _, e := range c {
+		if e.Time != mem.Time(s.seen) {
+			return nil, fmt.Errorf("event %d carries time %d: lost, repeated or reordered", s.seen, e.Time)
+		}
+		s.seen++
+	}
+	return c, nil
+}
+
 // TestTailSeesEveryEventOnce appends from one goroutine while the tail is
 // read on another (run it under -race): every event arrives once, in
-// order, whether the trace keeps its chunks or drops them and whether the
-// reader is on the tail itself, as whisper.Run is, or behind a Fanout
-// branch, as a run with taps is — a keeping tail behind a copy of each
-// chunk, since Fanout refuses it bare (the subtest key still spells that
-// "chunks=", true for the tail itself, so results line up with earlier
-// runs); the volatile counters are complete at io.EOF, and a keeping
-// trace then holds every event, in blocks that encode to the Writer's
-// bytes.
+// order, in whole blocks but the last, whether the reader is on the tail
+// itself (chunks=true) or behind a Fanout branch, which hands each block
+// back to the recorder (chunks=false), and whether it only reads the events
+// or, as whisper.Run does, keeps them with Collect (keep=true). The
+// volatile counters are complete at io.EOF, the recording trace keeps no
+// event, and a collected trace holds every event, in blocks that encode to
+// the Writer's bytes.
 func TestTailSeesEveryEventOnce(t *testing.T) {
 	for _, keep := range []bool{true, false} {
 		for _, n := range tailSizes {
 			for _, direct := range []bool{true, false} {
 				t.Run(fmt.Sprintf("keep=%v/n=%d/chunks=%v", keep, n, direct), func(t *testing.T) {
 					tr := &Trace{App: "tail", Layer: "native", Threads: 4}
-					tl := tr.Tail(keep)
+					tl := tr.Tail()
 					var src EventSource = tl
-					switch {
-					case direct:
-					case keep:
-						src = Fanout(copying{tl}, 1)[0]
-					default:
+					if !direct {
 						src = Fanout(tl, 1)[0]
 					}
 					if m := src.Meta(); m != (Meta{App: "tail", Layer: "native", Threads: 4}) {
@@ -76,29 +88,29 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 					}
 					record(tr, tl, n, nil)
 
-					seen := 0
-					var chunks []int
-					check := func(e Event) {
-						if e.Time != mem.Time(seen) {
-							t.Fatalf("event %d carries time %d: lost, repeated or reordered", seen, e.Time)
+					in := &inOrder{EventSource: src}
+					var kept *Trace
+					if keep {
+						var err error
+						if kept, err = Collect(in); err != nil {
+							t.Fatal(err)
 						}
-						seen++
-					}
-					for {
-						c, err := src.NextChunk()
-						if err == io.EOF {
-							break
-						}
-						if err != nil || len(c) == 0 {
-							t.Fatalf("NextChunk = %d events, %v", len(c), err)
-						}
-						chunks = append(chunks, len(c))
-						for _, e := range c {
-							check(e)
+					} else {
+						for {
+							_, err := in.NextChunk()
+							if err == io.EOF {
+								break
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
 						}
 					}
-					if seen != n {
-						t.Fatalf("saw %d events, want %d", seen, n)
+					if in.seen != n {
+						t.Fatalf("saw %d events, want %d", in.seen, n)
+					}
+					if want := blockLens(n); !slices.Equal(in.lens, want) {
+						t.Fatalf("chunks of %v events, want %v", in.lens, want)
 					}
 					wantLoads := uint64(3 * ((n + 999) / 1000))
 					if l, s := src.Volatile(); l != wantLoads || s != uint64(n) {
@@ -107,33 +119,29 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 					if _, err := src.NextChunk(); err != io.EOF {
 						t.Fatalf("NextChunk after the end = %v, want io.EOF", err)
 					}
-
 					if tr.Len() != n {
 						t.Fatalf("Len = %d, want %d", tr.Len(), n)
 					}
+					if got := len(tr.Events()); got != 0 {
+						t.Fatalf("the recording trace still holds %d events after Close", got)
+					}
 					if !keep {
-						if got := len(tr.Events()); got != 0 {
-							t.Fatalf("a dropping trace still holds %d events after Close", got)
-						}
-						for _, c := range chunks {
-							if c > droppedChunkEvents {
-								t.Fatalf("dropped chunk of %d events, cap is %d", c, droppedChunkEvents)
-							}
-						}
 						return
 					}
-					// A keeping trace is the trace an unfollowed recording
-					// would have left.
-					for i, e := range tr.Events() {
+					if kept.Len() != n {
+						t.Fatalf("the collected trace holds %d events, want %d", kept.Len(), n)
+					}
+					for i, e := range kept.Events() {
 						if e.Time != mem.Time(i) {
-							t.Fatalf("retained trace holds time %d at event %d", e.Time, i)
+							t.Fatalf("collected trace holds time %d at event %d", e.Time, i)
 						}
 					}
-					if len(tr.Events()) != n {
-						t.Fatalf("the retained trace holds %d events, want %d", len(tr.Events()), n)
+					if kept.VolatileLoads != wantLoads || kept.VolatileStores != uint64(n) {
+						t.Fatalf("the collected trace's Volatile = %d, %d, want %d, %d",
+							kept.VolatileLoads, kept.VolatileStores, wantLoads, n)
 					}
-					if !bytes.Equal(traceBytes(t, tr), writerBytes(t, tr)) {
-						t.Fatal("the retained trace does not encode to the Writer's bytes")
+					if !bytes.Equal(traceBytes(t, kept), writerBytes(t, kept)) {
+						t.Fatal("the collected trace does not encode to the Writer's bytes")
 					}
 				})
 			}
@@ -146,7 +154,7 @@ func TestTailSeesEveryEventOnce(t *testing.T) {
 func TestTailCloseError(t *testing.T) {
 	boom := errors.New("app panicked")
 	tr := &Trace{App: "tail"}
-	tl := tr.Tail(false)
+	tl := tr.Tail()
 	record(tr, tl, 600, boom)
 	seen := 0
 	for {
@@ -167,17 +175,14 @@ func TestTailCloseError(t *testing.T) {
 	}
 }
 
-// TestTailDetachesAtClose: a retained trace is an ordinary trace again
-// once its run is over — appending to it does not reach for the tail, and
-// the appended events follow the recorded one.
+// TestTailDetachesAtClose: a trace is an ordinary trace again once its
+// tail is closed — appending to it does not reach for the tail, and the
+// trace keeps those events, after none of the ones it handed over.
 func TestTailDetachesAtClose(t *testing.T) {
 	tr := &Trace{}
-	tl := tr.Tail(true)
+	tl := tr.Tail()
 	tr.Append(Event{Time: 1})
 	tl.Close(nil) // one chunk: it fits the queue, no reader needed yet
-	if c, err := tl.NextChunk(); err != nil || len(c) != 1 {
-		t.Fatalf("NextChunk = %d events, %v, want the one event", len(c), err)
-	}
 	// Past Close, and before the reader reaches the end: enough to seal
 	// blocks of their own.
 	const more = 2*DefaultBlockEvents + 100
@@ -187,38 +192,21 @@ func TestTailDetachesAtClose(t *testing.T) {
 	if tr.Len() != 1+more {
 		t.Fatalf("Len = %d after appending past Close, want %d", tr.Len(), 1+more)
 	}
+	if c, err := tl.NextChunk(); err != nil || len(c) != 1 || c[0].Time != 1 {
+		t.Fatalf("NextChunk = %v, %v, want the one event recorded under the tail", c, err)
+	}
 	if _, err := tl.NextChunk(); err != io.EOF {
 		t.Fatalf("NextChunk after the last = %v, want io.EOF", err)
 	}
 	got := tr.Events()
-	if len(got) != 1+more || tr.Len() != 1+more {
-		t.Fatalf("the trace holds %d events, Len %d, want %d", len(got), tr.Len(), 1+more)
+	if len(got) != more {
+		t.Fatalf("the trace holds %d events, want the %d appended past Close", len(got), more)
 	}
 	for i, e := range got {
-		if e.Time != mem.Time(1+i) {
+		if e.Time != mem.Time(2+i) {
 			t.Fatalf("event %d carries time %d after appending past Close", i, e.Time)
 		}
 	}
-}
-
-// TestTailFanoutRefusesAKeepingTail: a Fanout branch keeps its chunks past
-// the pump's next read, which is when a keeping tail writes them again, so
-// Fanout panics over one, with a message that says so, and starts no pump.
-func TestTailFanoutRefusesAKeepingTail(t *testing.T) {
-	tr := &Trace{}
-	tl := tr.Tail(true)
-	base := runtime.NumGoroutine()
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "keeping Tail") {
-			t.Fatalf("Fanout over a keeping tail recovered %q, want a panic naming the keeping Tail", msg)
-		}
-		if n := runtime.NumGoroutine(); n != base {
-			t.Fatalf("%d goroutines after the refusal, %d before", n, base)
-		}
-		tl.Close(nil)
-	}()
-	Fanout(tl, 2)
 }
 
 func TestTailNeedsAnEmptyTrace(t *testing.T) {
@@ -229,10 +217,10 @@ func TestTailNeedsAnEmptyTrace(t *testing.T) {
 	}()
 	tr := &Trace{}
 	tr.Append(Event{})
-	tr.Tail(true)
+	tr.Tail()
 }
 
-// blockLens is the chunk lengths a keeping tail hands out for an n-event
+// blockLens is the chunk lengths a tail hands out for an n-event
 // recording: full blocks, then the part-filled last one.
 func blockLens(n int) []int {
 	var lens []int
@@ -242,18 +230,20 @@ func blockLens(n int) []int {
 	return lens
 }
 
-// TestTailRecyclesRecorderBuffers: a keeping tail's recorder writes into
-// the buffers its reader hands back, and the trace keeps what the reader
-// packs (run it under -race). Over every tailSizes length and one long
-// enough to wrap the buffers many times:
+// TestTailRecyclesRecorderBuffers: behind a two-branch Fanout, as in
+// whisper.Run, the recorder writes into the buffers the branches are done
+// with, and the trace one branch collects is all that outlives the run
+// (run it under -race). Over every tailSizes length and one long enough to
+// wrap the buffers many times:
 //   - the recorder writes into at most freeDepth distinct full-size
-//     buffers however long the run, so past the first blocks it allocates
-//     nothing;
-//   - the chunks the reader is handed are whole blocks but the last;
-//   - once the stream has ended the heap holds at most 8 bytes a retained
-//     event, the packed blocks and no buffer besides, although the tail
-//     is still reachable;
-//   - an Append after the end follows the retained events.
+//     buffers, one more for each branch, however long the run: tailDepth
+//     queued to the pump, fanoutDepth+2 between the pump and its slowest
+//     branch, one open, and one a branch has moved past but not yet handed
+//     back; so past the first blocks it allocates nothing;
+//   - the chunks each branch is handed are whole blocks but the last;
+//   - once the stream has ended the heap holds at most 8 bytes an event,
+//     the collected trace's packed blocks and no buffer besides;
+//   - an Append to the collected trace follows its events.
 func TestTailRecyclesRecorderBuffers(t *testing.T) {
 	for _, n := range append(slices.Clone(tailSizes), 192*DefaultBlockEvents+7) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -261,56 +251,30 @@ func TestTailRecyclesRecorderBuffers(t *testing.T) {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 
-			tr := &Trace{App: "tail"}
-			tl := tr.Tail(true)
-			// The recorder notes each full-size buffer it opens a block in,
-			// as an address, so the note keeps none of them alive.
-			var full []uintptr
-			recorded := make(chan struct{})
-			go func() {
-				defer close(recorded)
-				for i := 0; i < n; i++ {
-					tr.Append(Event{Time: mem.Time(i), Kind: KStore, Size: 8})
-					if len(tr.open) == 1 && cap(tr.open) == DefaultBlockEvents {
-						full = append(full, uintptr(unsafe.Pointer(unsafe.SliceData(tr.open))))
-					}
-				}
-				tl.Close(nil)
-			}()
-			var lens []int
-			for {
-				c, err := tl.NextChunk()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				lens = append(lens, len(c))
-			}
+			kept, lens, full := recycledRun(t, n)
 
-			<-recorded // and the recorder's frames with it
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 			if limit := 8 * n; n >= 8*DefaultBlockEvents && live > int64(limit) {
 				t.Errorf("%d bytes live after the end of the stream, want <= %d (8 B an event): a buffer outlived the run", live, limit)
 			}
-			runtime.KeepAlive(tl)
 
-			if want := blockLens(n); !slices.Equal(lens, want) {
-				t.Fatalf("the tail handed out chunks of %v events, want %v", lens, want)
+			for i, l := range lens {
+				if want := blockLens(n); !slices.Equal(l, want) {
+					t.Fatalf("branch %d was handed chunks of %v events, want %v", i, l, want)
+				}
 			}
 			slices.Sort(full)
-			if distinct := len(slices.Compact(full)); distinct > freeDepth {
-				t.Errorf("the recorder wrote into %d distinct full-size buffers, want <= %d", distinct, freeDepth)
+			if distinct, limit := len(slices.Compact(full)), freeDepth+len(lens); distinct > limit {
+				t.Errorf("the recorder wrote into %d distinct full-size buffers, want <= %d", distinct, limit)
 			}
 
-			tr.Append(Event{Time: mem.Time(n)})
-			got := tr.Events()
+			kept.Append(Event{Time: mem.Time(n)})
+			got := kept.Events()
 			for i, e := range got {
 				if e.Time != mem.Time(i) {
-					t.Fatalf("retained trace holds time %d at event %d", e.Time, i)
+					t.Fatalf("collected trace holds time %d at event %d", e.Time, i)
 				}
 			}
 			if len(got) != n+1 {
@@ -318,4 +282,60 @@ func TestTailRecyclesRecorderBuffers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recycledRun records n events under a tail read by a two-branch Fanout —
+// one collecting the trace, one noting chunk lengths — and returns the
+// collected trace, each branch's chunk lengths and, as addresses so the
+// note keeps none of them alive, each full-size buffer the recorder opened
+// a block in. It returns once the recorder, the pump and both branches are
+// done, so nothing else of the run is reachable.
+func recycledRun(t *testing.T, n int) (*Trace, [2][]int, []uintptr) {
+	tr := &Trace{App: "tail"}
+	tl := tr.Tail()
+	var full []uintptr
+	recorded := make(chan struct{})
+	go func() {
+		defer close(recorded)
+		for i := 0; i < n; i++ {
+			tr.Append(Event{Time: mem.Time(i), Kind: KStore, Size: 8})
+			if len(tr.open) == 1 && cap(tr.open) == DefaultBlockEvents {
+				full = append(full, uintptr(unsafe.Pointer(unsafe.SliceData(tr.open))))
+			}
+		}
+		tl.Close(nil)
+	}()
+	branches := Fanout(tl, 2)
+	var kept *Trace
+	var lens [2][]int
+	var err [2]error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer branches[0].Close()
+		in := &inOrder{EventSource: branches[0]}
+		kept, err[0] = Collect(in)
+		lens[0] = in.lens
+	}()
+	go func() {
+		defer wg.Done()
+		defer branches[1].Close()
+		for {
+			c, e := branches[1].NextChunk()
+			if e != nil {
+				if e != io.EOF {
+					err[1] = e
+				}
+				return
+			}
+			lens[1] = append(lens[1], len(c))
+		}
+	}()
+	wg.Wait()
+	<-recorded
+	if e := cmp.Or(err[:]...); e != nil {
+		t.Fatal(e)
+	}
+	return kept, lens, full
 }

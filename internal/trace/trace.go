@@ -138,10 +138,11 @@ const arenaBytes = 1 << 20
 // DefaultBlockEvents events, each packed into its v2 payload, then one open
 // block of at most DefaultBlockEvents events that Append writes into.
 // Recording costs a bounds check and a store per event and, once a block,
-// packing the block, which a keeping tail's reader does instead (tail.go);
-// a retained recording costs what its file does, about 7 bytes an event. A
-// decoded trace keeps the events Decode unpacked, ahead of anything
-// appended to it since. Every reader goes through a SliceSource.
+// packing the block, which under a tail Collect does on a reader's
+// goroutine instead (tail.go); a retained recording costs what its file
+// does, about 7 bytes an event. A decoded trace keeps the events Decode
+// unpacked, ahead of anything appended to it since. Every reader goes
+// through a SliceSource.
 type Trace struct {
 	App     string // application name ("echo", "ycsb", ...)
 	Layer   string // access layer ("native", "mnemosyne", "nvml", "pmfs")
@@ -161,7 +162,7 @@ type Trace struct {
 	n    int
 
 	// tail, when set, is handed the open block each time it fills, and
-	// sealed stays empty until the tail's reader reaches the end (tail.go).
+	// sealed stays empty (tail.go).
 	tail *Tail
 
 	// VolatileLoads/VolatileStores count the DRAM loads and stores the
@@ -234,34 +235,29 @@ func (t *Trace) Append(e Event) {
 	t.n++
 }
 
-// openChunk makes room in the full open block. Short of its limit it moves
-// to a buffer twice its size. At the limit it is sealed: packed into the
-// trace's sealed blocks and reused or, under a tail, handed to the tail's
-// reader, the next block being a buffer the reader has handed back when
-// there is one (tail.go).
+// openChunk makes room in the full open block. Short of DefaultBlockEvents
+// it moves to a buffer twice its size. A full block is sealed: packed into
+// the trace's sealed blocks and reused or, under a tail, handed to the
+// tail's reader, the next block being a buffer the reader has released
+// when there is one (tail.go).
 func (t *Trace) openChunk() {
-	limit := DefaultBlockEvents
-	tl := t.tail
-	if tl != nil && !tl.keep {
-		limit = droppedChunkEvents
-	}
 	switch n := len(t.open); {
 	case n == 0:
 		t.open = make([]Event, 0, firstChunkEvents)
-	case n < limit:
-		grown := make([]Event, n, min(2*n, limit))
+	case n < DefaultBlockEvents:
+		grown := make([]Event, n, min(2*n, DefaultBlockEvents))
 		copy(grown, t.open)
 		t.open = grown
-	case tl == nil:
+	case t.tail == nil:
 		t.sealed.seal(t.open)
 		t.open = t.open[:0]
 	default:
-		tl.ch <- t.open
+		t.tail.ch <- t.open
 		select {
-		case buf := <-tl.free: // nil for a dropping tail: never ready
+		case buf := <-t.tail.free:
 			t.open = buf[:0]
 		default:
-			t.open = make([]Event, 0, limit)
+			t.open = make([]Event, 0, DefaultBlockEvents)
 		}
 	}
 }
@@ -297,4 +293,32 @@ func (t *Trace) Events() []Event {
 		}
 		out = append(out, c...)
 	}
+}
+
+// Collect drains src into a packed trace, sealing each whole block as it
+// arrives; at io.EOF it takes src's volatile counters and trims the last
+// arena. It keeps no chunk, so it may read a Fanout branch.
+func Collect(src EventSource) (*Trace, error) {
+	m := src.Meta()
+	t := &Trace{App: m.App, Layer: m.Layer, Threads: m.Threads}
+	for {
+		c, err := src.NextChunk()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(t.open) == 0 && len(c) == DefaultBlockEvents {
+			t.sealed.seal(c)
+			t.n += len(c)
+			continue
+		}
+		for _, e := range c {
+			t.Append(e)
+		}
+	}
+	t.sealed.trim()
+	t.VolatileLoads, t.VolatileStores = src.Volatile()
+	return t, nil
 }

@@ -24,15 +24,11 @@ import (
 type tap func(*trace.Branch) error
 
 // pipeline runs the epoch analysis over src with every tap consuming the
-// same events concurrently. Without taps nothing is fanned out: the
-// analysis reads src directly on the calling goroutine. With taps the
+// same events concurrently, each on its own trace.Fanout branch. The
 // analysis is the first of the consumers par.Go joins, so a panic reaches
 // the caller with its own value once every consumer has finished: the
 // source's, which every branch re-raises, or else the lowest tap's.
 func pipeline(src trace.EventSource, taps []tap) (*epoch.Analysis, error) {
-	if len(taps) == 0 {
-		return epoch.AnalyzeStream(src)
-	}
 	branches := trace.Fanout(src, 1+len(taps))
 	var a *epoch.Analysis
 	errs := make([]error, len(branches))
@@ -58,32 +54,27 @@ func pipeline(src trace.EventSource, taps []tap) (*epoch.Analysis, error) {
 // trace's Tail the moment Append fills it — one channel send per block,
 // never per event — so the analysis of one block overlaps the recording of
 // the next instead of re-reading the whole trace from cold memory after the
-// run. Run and RunAllFused are the same two stages and differ only in
-// whether the trace keeps a block it has handed over. Run's does: the
-// tail's reader packs each block into its v2 payload, about 7 bytes an
-// event, the analysis reads the recorder's own buffer, and the buffer goes
-// back to the recorder when the analysis asks for the next block — which
-// is safe because Run's pipeline has no taps, and epoch.AnalyzeStream
-// copies each event and keeps no chunk. The packed blocks are the retained
-// trace, Report.Trace. RunAllFused's tail keeps nothing it hands over, so
-// the full event sequence is never materialized and Report.Trace is nil.
-// The reports are identical (TestStreamMatchesSerial asserts it on every
-// suite member).
+// run. Run and RunAllFused are the same pass, record then pipeline, and
+// differ only in their taps: Run's is trace.Collect, whose packed blocks,
+// about 7 bytes an event, are Report.Trace; RunAllFused's keep no events.
+// Either way the Fanout hands each block back to the recorder once every
+// branch is past it. The reports are identical (TestStreamMatchesSerial
+// asserts it on every suite member).
 
 // record launches the named benchmark on its own goroutine, recording into
-// a fresh runtime's trace, and returns that trace with the tail its events
-// arrive on. The goroutine ends with the run, a panicking member closing the
-// tail with the run's error; the caller must read the tail to its end (io.EOF
-// or that error), which pipeline always does.
-func record(name string, cfg Config, keep bool) (*trace.Tail, *trace.Trace, error) {
+// a fresh runtime's trace, and returns the tail its events arrive on. The
+// goroutine ends with the run, a panicking member closing the tail with the
+// run's error; the caller must read the tail to its end (io.EOF or that
+// error), which pipeline always does.
+func record(name string, cfg Config) (*trace.Tail, error) {
 	a, cfg, err := resolve(name, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rt := persist.NewRuntime(a.Name, a.Layer, cfg.Clients, persist.Config{})
-	tail := rt.Trace.Tail(keep)
+	tail := rt.Trace.Tail()
 	go func() { tail.Close(execute(a, rt, cfg)) }()
-	return tail, rt.Trace, nil
+	return tail, nil
 }
 
 // AnalyzeReader computes a Report by streaming a saved trace through the

@@ -129,15 +129,19 @@ func execute(a *crashcheck.App, rt *persist.Runtime, cfg Config) (err error) {
 
 // Run executes the named benchmark and returns its analysis report (with
 // the raw trace attached). The analysis reads the trace's tail while the
-// benchmark is still recording it (see record).
+// benchmark is still recording it, and collects the trace (see record).
 func Run(name string, cfg Config) (*Report, error) {
-	tail, tr, err := record(name, cfg, true)
+	tail, err := record(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	a, err := pipeline(tail, nil)
+	var kept *trace.Trace
+	a, err := pipeline(tail, []tap{func(b *trace.Branch) (err error) {
+		kept, err = trace.Collect(b)
+		return err
+	}})
 	if err != nil {
 		return nil, err
 	}
-	return newReport(a, &Trace{tr: tr}), nil
+	return newReport(a, &Trace{tr: kept}), nil
 }

@@ -269,6 +269,17 @@ func TestEverySuiteMemberRuns(t *testing.T) {
 	}
 }
 
+// TestEchoSlabExhaustionIsNamed: echo's 16 MiB slab fills at about 2 400
+// passes, and the run comes back as an error that says so, where the
+// master stored through the 0 a full slab returns and failed with "pmem:
+// address 0x0(dram) is not persistent".
+func TestEchoSlabExhaustionIsNamed(t *testing.T) {
+	const want = "whisper: echo panicked: echo: slab exhausted allocating a version"
+	if _, err := Run("echo", Config{Ops: 3000}); err == nil || err.Error() != want {
+		t.Fatalf("Run(echo, 3000 ops) = %v, want %q", err, want)
+	}
+}
+
 // TestPanickingMemberIsOneError pins the one panic contract: a suite
 // member that panics mid-run — redis exhausting its nvml pool, which it
 // does between 60 000 and 100 000 operations — comes back as the same error
