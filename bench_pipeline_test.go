@@ -96,6 +96,35 @@ func BenchmarkHOPSReplay(b *testing.B) {
 	b.ReportMetric(float64(rep.Trace.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 }
 
+// BenchmarkDecodeThenReplay is bench's analyze workload's HOPS leg in
+// process: DecodeTrace of a saved ycsb run at that workload's size (2 000
+// ops, about 1.1 M events), then SimulateHOPS of the decoded trace.
+// Mevents/s is trace events per second through both, allocs/op the leg's
+// allocations.
+func BenchmarkDecodeThenReplay(b *testing.B) {
+	rep, err := Run("ycsb", Config{Ops: 2000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := rep.Trace.EncodeV2(&file); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultHOPSConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decoded, err := DecodeTrace(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if norm := SimulateHOPS(decoded, cfg); len(norm) != len(HOPSModels()) {
+			b.Fatalf("%d models replayed", len(norm))
+		}
+	}
+	b.ReportMetric(float64(rep.Trace.Events())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
+}
+
 // BenchmarkCacheReplay is the Table 3 hierarchy — cachesim.ReplaySource
 // on a fresh DefaultConfig hierarchy, the fused pass's cache tap — over a
 // recorded ycsb run: Mevents/s is trace events per second, allocs/op the

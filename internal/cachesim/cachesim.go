@@ -259,6 +259,8 @@ func (h *Hierarchy) Access(e trace.Event) {
 		op = (*Hierarchy).writeNTLine
 	case trace.KFlush:
 		op = (*Hierarchy).flushLine
+	case trace.KReleased:
+		panic("cachesim: an event read after its chunk was released")
 	default:
 		return
 	}

@@ -149,6 +149,9 @@ func AnalyzeStream(src trace.EventSource) (*Analysis, error) {
 
 			case trace.KUserData:
 				a.UserBytes += uint64(e.Size)
+
+			case trace.KReleased:
+				panic("epoch: an event read after its chunk was released")
 			}
 		}
 	}

@@ -214,6 +214,8 @@ func (f *front) next(e *trace.Event, st *frontStep) {
 		p := f.threads.Get(e.TID)
 		st.dfence = p.fenced
 		p.fenced = false
+	case trace.KReleased:
+		panic("hops: an event read after its chunk was released")
 	}
 	if gap > orig {
 		st.compute = (gap - orig) / oooWidth

@@ -23,7 +23,10 @@
 // with and without them.
 package obs
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Counter is a monotonically increasing atomic counter. The zero value is
 // ready to use; a nil *Counter is a no-op on every method.
@@ -87,6 +90,7 @@ func (g *Gauge) Value() int64 {
 // updates are atomic; a nil *Histogram is a no-op.
 type Histogram struct {
 	bounds []uint64
+	pow2   bool            // bounds are 1, 2, 4, …: a bucket is a bit length
 	counts []atomic.Uint64 // len(bounds)+1, last = overflow
 	count  atomic.Uint64
 	sum    atomic.Uint64
@@ -106,7 +110,11 @@ func NewHistogram(bounds ...uint64) *Histogram {
 	}
 	b := make([]uint64, len(bounds))
 	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
+	pow2 := true
+	for i, v := range b {
+		pow2 = pow2 && v == 1<<i
+	}
+	return &Histogram{bounds: b, pow2: pow2, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // Observe records one observation.
@@ -120,8 +128,15 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 // bucket returns the index of the bucket v falls in: the first bound at or
-// above v, or len(bounds) for the overflow bucket.
+// above v, or len(bounds) for the overflow bucket. Over power-of-two bounds
+// that is the bit length of v-1, found without a search.
 func (h *Histogram) bucket(v uint64) int {
+	if h.pow2 {
+		if v == 0 {
+			return 0
+		}
+		return min(bits.Len64(v-1), len(h.bounds))
+	}
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -135,7 +150,7 @@ func (h *Histogram) bucket(v uint64) int {
 }
 
 // Tally accumulates observations for one Histogram with plain arithmetic,
-// for a single goroutine's hot loop: Observe costs a bucket search and
+// for a single goroutine's hot loop: Observe costs a bucket lookup and
 // three adds, no atomics, and Flush adds the accumulated counts to the
 // histogram in one go. A Tally over a nil histogram is a no-op. The zero
 // Tally is one over nil.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -94,6 +95,55 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	wantSum := uint64(0 + 1 + 2 + 10 + 11 + 99 + 100 + 101 + (1 << 40))
 	if s.Sum != wantSum {
 		t.Fatalf("Sum = %d, want %d", s.Sum, wantSum)
+	}
+}
+
+// TestBucketMatchesSearch holds bucket, the bit-length path over
+// power-of-two bounds and the binary search over any others, to a plain
+// search of the bounds, on every bucket layout the tree uses: v in
+// 0..2^17, every 2^k and 2^k±1, and the largest value.
+func TestBucketMatchesSearch(t *testing.T) {
+	// kvservice_latency_ns: 72 bounds, four a doubling from 16, each at
+	// least one past the last (kvservice.latencyBuckets).
+	var latency []uint64
+	for i := 0; i < 72; i++ {
+		b := uint64(math.Round(16 * math.Pow(2, float64(i)/4)))
+		if len(latency) > 0 && b <= latency[len(latency)-1] {
+			b = latency[len(latency)-1] + 1
+		}
+		latency = append(latency, b)
+	}
+	for _, tc := range []struct {
+		name   string
+		bounds []uint64
+		pow2   bool
+	}{
+		{"hops_pb_occupancy", ExpBuckets(1, 2, 8), true},
+		{"hops_drain_stall_cycles, scenario_cycle_ops", ExpBuckets(1, 2, 14), true},
+		{"crashcheck_oracle_us", ExpBuckets(1, 2, 16), true},
+		{"persist_epoch_lines", []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256}, true},
+		{"every power of two", ExpBuckets(1, 2, 64), true},
+		{"kvservice_latency_ns", latency, false},
+		{"TestHistogramBucketBoundaries", []uint64{1, 10, 100}, false},
+		{"powers of two from 2", ExpBuckets(2, 2, 10), false},
+	} {
+		h := NewHistogram(tc.bounds...)
+		if h.pow2 != tc.pow2 {
+			t.Fatalf("%s: pow2 = %v, want %v", tc.name, h.pow2, tc.pow2)
+		}
+		values := []uint64{math.MaxUint64}
+		for v := uint64(0); v <= 1<<17; v++ {
+			values = append(values, v)
+		}
+		for k := 0; k < 64; k++ {
+			values = append(values, 1<<k-1, 1<<k, 1<<k+1)
+		}
+		for _, v := range values {
+			want := sort.Search(len(tc.bounds), func(i int) bool { return v <= tc.bounds[i] })
+			if got := h.bucket(v); got != want {
+				t.Fatalf("%s: bucket(%d) = %d, want %d", tc.name, v, got, want)
+			}
+		}
 	}
 }
 

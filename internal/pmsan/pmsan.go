@@ -171,6 +171,8 @@ func (s *Sanitizer) Observe(e trace.Event) {
 		s.txEnd(e)
 	case trace.KCrash:
 		s.crash()
+	case trace.KReleased:
+		panic("pmsan: an event read after its chunk was released")
 	}
 	// Loads, vloads/vstores, and userdata records don't move the
 	// durability state machine.

@@ -23,15 +23,16 @@ const magic = "WSPR"
 // The blocks are independent, so Decode frames them on the caller's
 // goroutine and checks and unpacks them on one worker per core, up to
 // maxDecodeWorkers. Each block is framed into a payload buffer of a fixed
-// ring — one per worker and one for the framer — and its events are taken
-// as the trace's next decoded block in stream order, so storage is the
-// events actually decoded, allocated once per block and never copied, plus
-// those few payload buffers. No worker outlives the call.
+// ring — one per worker and one for the framer — and unpacked into that
+// slot's own events, both reused from block to block. No worker outlives
+// the call.
 //
-// A decoded trace holds its events unpacked, 24 bytes each, not its
-// payloads: checking a block costs about what unpacking it does, and a
-// decoded trace is read in full (the HOPS replay, Analyze), so keeping the
-// payloads would unpack every event twice.
+// A decoded trace is held as a recorded one is, in v2 payloads. A full
+// block that arrives while the open block is empty is kept as it is when
+// its payload is what pack makes of its events, and packed afresh when it
+// is not; any other block is appended event by event, which re-blocks and
+// re-packs it. A Writer's file decodes to its own payloads, about 7 bytes
+// an event, and encodes back to its own bytes.
 func Decode(r io.Reader) (*Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -52,7 +53,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		go func() {
 			defer wg.Done()
 			for s := range jobs {
-				s.events, s.err = decodeBlock(make([]Event, s.count), s.payload, s.crc)
+				s.check()
 				s.done <- struct{}{}
 			}
 		}()
@@ -72,8 +73,11 @@ func Decode(r io.Reader) (*Trace, error) {
 		if s.err != nil {
 			return s.err
 		}
-		t.decoded = append(t.decoded, s.events)
-		t.n += len(s.events)
+		p := s.payload
+		if !s.canonical {
+			p = nil
+		}
+		t.appendChunk(s.events[:s.count], p)
 		return nil
 	}
 	for {
@@ -100,14 +104,16 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.sealed.trim()
 	t.VolatileLoads, t.VolatileStores = rd.Volatile()
 	return t, nil
 }
 
-// maxDecodeWorkers caps Decode's workers. Each one adds a payload buffer
-// to the ring, allocated the first time the ring reaches it, so the cap is
-// what keeps Decode's allocations one per block plus a constant, and its
-// in-flight payloads a few blocks' worth, on a machine of any core count.
+// maxDecodeWorkers caps Decode's workers. Each one adds a slot to the
+// ring, whose buffers are allocated the first time the ring reaches it, so
+// the cap is what keeps Decode's allocations those of the blocks it keeps
+// plus a constant, and its in-flight blocks a few, on a machine of any core
+// count.
 const maxDecodeWorkers = 4
 
 // decodeSlot is one block on its way through Decode: framed into payload
@@ -117,9 +123,22 @@ type decodeSlot struct {
 	payload []byte
 	crc     uint32
 	count   int
-	events  []Event
-	err     error
-	done    chan struct{}
+	events  []Event // the slot's own, of at least count events
+	// canonical is set for a full block whose payload is what pack makes
+	// of its events, which Decode keeps as it is.
+	canonical bool
+	err       error
+	done      chan struct{}
+}
+
+// check checks the slot's block against its crc and unpacks it into the
+// slot's events.
+func (s *decodeSlot) check() {
+	if cap(s.events) < s.count {
+		s.events = make([]Event, s.count)
+	}
+	_, s.err = decodeBlock(s.events[:s.count], s.payload, s.crc)
+	s.canonical = s.err == nil && s.count == DefaultBlockEvents && canonical(s.payload)
 }
 
 func writeString(w *bufio.Writer, s string) {

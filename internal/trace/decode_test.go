@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"runtime"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"github.com/whisper-pm/whisper/internal/mem"
 )
 
 // requireGoroutines waits for the goroutine count to come back to base:
@@ -151,9 +154,9 @@ func TestDecodeReportsTheFirstDamage(t *testing.T) {
 
 // TestDecodeAllocsAnyGOMAXPROCS holds Decode to TestDecodeAdoptsBlocks'
 // bounds at many procs, which AllocsPerRun cannot show because it counts
-// at one: the ring's payload buffers are as few on a many-core machine as
-// on one core, so 56 more blocks still cost 56 more allocations and a
-// constant, and the events are still the bytes allocated.
+// at one: the ring's buffers are as few on a many-core machine as
+// on one core, so 56 more blocks still cost at most 56 more allocations
+// and a constant, and fewer bytes than the events unpacked.
 func TestDecodeAllocsAnyGOMAXPROCS(t *testing.T) {
 	const short, long, runs = 8 * DefaultBlockEvents, 64 * DefaultBlockEvents, 10
 	decode := func(n int) (allocs, bytesPerEvent float64) {
@@ -183,8 +186,145 @@ func TestDecodeAllocsAnyGOMAXPROCS(t *testing.T) {
 					procs, short, shortAllocs, long, longAllocs, extra, want)
 			}
 			if size := float64(unsafe.Sizeof(Event{})); perEvent > 1.1*size {
-				t.Errorf("GOMAXPROCS=%d: Decode allocated %.1f B/event, want <= %.1f (the blocks alone)", procs, perEvent, 1.1*size)
+				t.Errorf("GOMAXPROCS=%d: Decode allocated %.1f B/event, want <= %.1f (the events unpacked)", procs, perEvent, 1.1*size)
 			}
 		})
 	}
+}
+
+// fileOf frames each payload as a block of the given event count behind a
+// v2 header, then the trailer for their total.
+func fileOf(counts []int, payloads [][]byte) []byte {
+	file := v2Header()
+	total := 0
+	for i, p := range payloads {
+		file = append(file, rawBlock(uint64(counts[i]), uint64(len(p)), p, crc32.ChecksumIEEE(p))...)
+		total += counts[i]
+	}
+	return append(file, rawTrailer(0, 0, uint64(total), true, 0)...)
+}
+
+// TestDecodeKeepsTheWritersFile: a file a Writer made decodes to its own
+// payloads — every full block sealed as it is, the part one open — and
+// encodes back to itself byte for byte.
+func TestDecodeKeepsTheWritersFile(t *testing.T) {
+	for _, n := range []int{1, DefaultBlockEvents, DefaultBlockEvents + 1, 3*DefaultBlockEvents + 17} {
+		file := writerBytes(t, genTrace(rand.New(rand.NewSource(int64(n))), n))
+		tr, err := Decode(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full := n / DefaultBlockEvents; len(tr.sealed.blocks) != full || len(tr.open) != n-full*DefaultBlockEvents {
+			t.Fatalf("n=%d: %d sealed blocks and %d open events, want %d and %d", n, len(tr.sealed.blocks), len(tr.open), full, n-full*DefaultBlockEvents)
+		}
+		if got := traceBytes(t, tr); !bytes.Equal(got, file) {
+			t.Fatalf("n=%d: Encode(Decode(file)) is %d bytes that differ from the file's %d", n, len(got), len(file))
+		}
+	}
+}
+
+// TestDecodeRepacksAnOverlongBlock: a full block whose payload spells a
+// varint overlong is not kept as it is: the trace holds pack's bytes of its
+// events, as a recorded trace would, and encodes to the Writer's bytes,
+// not the file's.
+func TestDecodeRepacksAnOverlongBlock(t *testing.T) {
+	events := genTrace(rand.New(rand.NewSource(3)), 2*DefaultBlockEvents).Events()
+	events[0].TID = 1
+	first := pack(nil, events[:DefaultBlockEvents])
+	// Its first TID, 1, as an overlong varint: the same value in two bytes.
+	overlong := append([]byte{first[0], 0x81, 0}, first[2:]...)
+	second := pack(nil, events[DefaultBlockEvents:])
+	file := fileOf([]int{DefaultBlockEvents, DefaultBlockEvents}, [][]byte{overlong, second})
+	tr, err := Decode(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Events(); !slices.Equal(got, events) {
+		t.Fatalf("decoded %d events that differ from the %d framed", len(got), len(events))
+	}
+	if len(tr.sealed.blocks) != 2 || !bytes.Equal(tr.sealed.blocks[0], first) || !bytes.Equal(tr.sealed.blocks[1], second) {
+		t.Fatal("the blocks are not held as pack's bytes")
+	}
+	if got := traceBytes(t, tr); !bytes.Equal(got, writerBytes(t, tr)) || bytes.Equal(got, file) {
+		t.Fatal("Encode is not the Writer's bytes of the events")
+	}
+}
+
+// TestDecodeReblocksOddBlocks: a file of blocks of 3, 5 000 and 4 096
+// events, none of them a Writer's block boundary past the first, decodes to
+// the events the Reader reads, re-blocked as a recorded trace holds them.
+func TestDecodeReblocksOddBlocks(t *testing.T) {
+	counts := []int{3, 5000, DefaultBlockEvents}
+	events := genTrace(rand.New(rand.NewSource(9)), 3+5000+DefaultBlockEvents).Events()
+	var payloads [][]byte
+	for at, c := range []int{0, 3, 5003} {
+		payloads = append(payloads, pack(nil, events[c:c+counts[at]]))
+	}
+	file := fileOf(counts, payloads)
+	chunks, err := readerChunks(file)
+	if err != io.EOF {
+		t.Fatalf("the Reader ended in %v", err)
+	}
+	tr, err := Decode(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tr.Events(), slices.Concat(chunks...); !slices.Equal(got, want) || !slices.Equal(want, events) {
+		t.Fatalf("Decode gave %d events, the Reader %d, %d framed, or they differ", len(got), len(want), len(events))
+	}
+	if full := len(events) / DefaultBlockEvents; len(tr.sealed.blocks) != full || len(tr.open) != len(events)-full*DefaultBlockEvents {
+		t.Fatalf("%d sealed blocks and %d open events, want %d and %d", len(tr.sealed.blocks), len(tr.open), full, len(events)-full*DefaultBlockEvents)
+	}
+	if !bytes.Equal(traceBytes(t, tr), writerBytes(t, tr)) {
+		t.Fatal("Encode differs from the Writer")
+	}
+}
+
+// TestDecodedTraceHoldsPayloads: a decoded trace holds its file's payload
+// bytes, not 24 bytes an event. The live heap it adds, with every arena
+// trimmed, is within a tenth of the file plus the open block's buffer.
+func TestDecodedTraceHoldsPayloads(t *testing.T) {
+	const n = 64*DefaultBlockEvents + 100
+	// Made in a call of its own, so the recorded trace is gone by the
+	// first collection.
+	file := func() []byte { return writerBytes(t, genPipeline(n)) }()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tr, err := Decode(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int(after.HeapAlloc) - int(before.HeapAlloc)
+	runtime.KeepAlive(tr)
+	runtime.KeepAlive(file)
+	payloads := 0
+	for _, p := range tr.sealed.blocks {
+		payloads += len(p)
+	}
+	if payloads >= len(file) || payloads < len(file)*9/10 {
+		t.Fatalf("the sealed blocks hold %d bytes of a %d-byte file", payloads, len(file))
+	}
+	t.Logf("%d events: a %d-byte file, %d bytes held (%.1f B/event)", n, len(file), held, float64(held)/n)
+	if limit := len(file)*11/10 + DefaultBlockEvents*int(unsafe.Sizeof(Event{})); held > limit {
+		t.Fatalf("a decoded trace of %d events holds %d bytes (%.1f B/event), want <= %d (a %d-byte file)",
+			n, held, float64(held)/n, limit, len(file))
+	}
+}
+
+// genPipeline returns n events of a recorded run's shape: a few threads,
+// small steps in time and address, stores flushed and fenced.
+func genPipeline(n int) *Trace {
+	rng := rand.New(rand.NewSource(int64(n)))
+	tr := &Trace{App: "ycsb", Layer: "native", Threads: 4}
+	clock, addr := mem.Time(0), mem.PMBase
+	kinds := []Kind{KStore, KStore, KFlush, KFence, KLoad, KTxBegin, KTxEnd}
+	for range n {
+		clock += mem.Time(1 + rng.Intn(200))
+		addr += mem.Addr(rng.Intn(512)) - 256
+		tr.Append(Event{Kind: kinds[rng.Intn(len(kinds))], TID: uint16(rng.Intn(4)), Time: clock, Addr: addr, Size: uint32(8 << rng.Intn(4))})
+	}
+	return tr
 }

@@ -15,7 +15,8 @@ import (
 // once each. Every branch sees the identical event sequence in order,
 // which keeps each consumer's output byte-identical to what it would
 // produce reading the source alone. The last branch past a chunk hands it
-// to the source's Release, if it has one (a Tail does).
+// to the source's Release, if it has one (a Tail, a Reader and a
+// SliceSource do); nothing else calls Release.
 
 // fanoutDepth bounds each branch's queue. The pump advances at the pace
 // of the slowest branch, so total buffered memory is

@@ -13,7 +13,9 @@ import (
 // FuzzDecode throws arbitrary bytes at the trace decoder: it must accept or
 // reject without panicking or over-allocating, any accepted trace must
 // read back through its SliceSource as the streaming Reader reads the
-// input, and Encode → Decode must give back its events unchanged.
+// input, Encode must write the Writer's bytes of those events (the file's
+// own blocks where they are pack's, the others packed afresh), and
+// Encode → Decode must give back its events unchanged.
 func FuzzDecode(f *testing.F) {
 	seed := func(tr *Trace) {
 		var buf bytes.Buffer
@@ -57,6 +59,9 @@ func FuzzDecode(f *testing.F) {
 		var buf bytes.Buffer
 		if err := tr.Encode(&buf); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), writerBytes(t, tr)) {
+			t.Fatalf("Encode of the decoded trace differs from the Writer's bytes of its events")
 		}
 		tr2, err := Decode(bytes.NewReader(buf.Bytes()))
 		if err != nil {

@@ -33,6 +33,32 @@ func pack(dst []byte, block []Event) []byte {
 	return dst
 }
 
+// canonical reports whether the payload p, which unpacks without error,
+// is what pack makes of its events: whether it spells every varint in its
+// shortest form. An overlong varint ends in a zero byte after a
+// continuation byte (one of 0x80 or more), and a shortest one never does;
+// a kind byte is never a continuation byte, so no other pair of bytes is
+// one. The pairs are found eight bytes at a time.
+func canonical(p []byte) bool {
+	const low7, high = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080
+	var cont uint64 // 0x80 when the byte before p is a continuation byte
+	for ; len(p) >= 8; p = p[8:] {
+		w := binary.LittleEndian.Uint64(p)
+		zero := ^(w&low7 + low7 | w) & high // the high bit of each zero byte
+		if (w&high<<8|cont)&zero != 0 {
+			return false
+		}
+		cont = w >> 56 & 0x80
+	}
+	for _, b := range p {
+		if cont != 0 && b == 0 {
+			return false
+		}
+		cont = uint64(b) & 0x80
+	}
+	return true
+}
+
 // decodeBlock checks a block's payload p against its crc and unpacks its
 // len(block) events into block, as unpack does. It is the one block
 // decoder, shared by the streaming Reader and Decode's workers, so both

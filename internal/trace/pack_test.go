@@ -146,6 +146,7 @@ func unpackByField(n int, p []byte) ([]Event, error) {
 // field-by-field decoder on payloads whose every field is spelled in one to
 // ten bytes, minimal or not, of every magnitude, some with a byte
 // overwritten, cut short or run on: the same events, or the same error.
+// Of an accepted payload, canonical must say whether it is pack's.
 func TestUnpackMatchesFieldByField(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	// A value of about b bits, b from 0 to 64.
@@ -164,7 +165,7 @@ func TestUnpackMatchesFieldByField(t *testing.T) {
 		}
 		return spell(dst, v, n)
 	}
-	var accepted, refused int
+	var accepted, refused, packs int
 	for round := 0; round < 20000; round++ {
 		n := 1 + rng.Intn(24)
 		var p []byte
@@ -198,11 +199,18 @@ func TestUnpackMatchesFieldByField(t *testing.T) {
 		}
 		if wantErr == nil {
 			accepted++
+			isPacks := bytes.Equal(p, pack(nil, got))
+			if canonical(p) != isPacks {
+				t.Fatalf("round %d: payload % x: canonical = %v, pack's = %v", round, p, !isPacks, isPacks)
+			}
+			if isPacks {
+				packs++
+			}
 		} else {
 			refused++
 		}
 	}
-	if accepted < 5000 || refused < 5000 {
-		t.Fatalf("%d payloads accepted and %d refused: want both kinds exercised", accepted, refused)
+	if accepted < 5000 || refused < 5000 || packs < 500 || accepted-packs < 500 {
+		t.Fatalf("%d payloads accepted (%d of them pack's) and %d refused: want every kind exercised", accepted, packs, refused)
 	}
 }

@@ -25,8 +25,9 @@ func encoded(t testing.TB, tr *Trace) []byte {
 // volatile counters complete by then — and a chunk the caller was given
 // earlier still reads the same after the source has been drained, which a
 // source that decoded into a reused buffer would fail. A Fanout branch is
-// the one exception, by design: over a tail its chunk goes back to the
-// recorder once the branch moves past it, so it is held to reading right
+// the one exception, by design: its chunk goes back to its source once the
+// branch moves past it — a tail's to the recorder, a Reader's or a
+// SliceSource's to be unpacked into again — so it is held to reading right
 // until the next call.
 func TestEverySourceOneContract(t *testing.T) {
 	// Three blocks and a part one, so a tail recycles buffers.
@@ -59,8 +60,15 @@ func TestEverySourceOneContract(t *testing.T) {
 	}{
 		{"slice", func(*testing.T) EventSource { return NewSliceSource(orig) }, false},
 		{"reader-v2", reader, false},
-		{"fanout-branch", func(*testing.T) EventSource { return Fanout(NewSliceSource(orig), 1)[0] }, false},
-		{"fanout-over-reader", func(t *testing.T) EventSource { return Fanout(reader(t), 1)[0] }, false},
+		{"fanout-branch", func(*testing.T) EventSource { return Fanout(NewSliceSource(orig), 1)[0] }, true},
+		{"fanout-over-reader", func(t *testing.T) EventSource { return Fanout(reader(t), 1)[0] }, true},
+		{"fanout-over-slice", func(t *testing.T) EventSource {
+			decoded, err := Decode(bytes.NewReader(encoded(t, orig)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Fanout(NewSliceSource(decoded), 1)[0]
+		}, true},
 		{"tail", func(t *testing.T) EventSource { return tail(t) }, false},
 		{"fanout-over-tail", func(t *testing.T) EventSource { return Fanout(tail(t), 1)[0] }, true},
 	} {

@@ -93,7 +93,10 @@ type EventSource interface {
 	// transfers to the caller: the source must never reuse or mutate it
 	// (consumers may share it across goroutines), and the caller must
 	// treat it as read-only. A Fanout Branch is the one exception: its
-	// chunk is valid until the branch's next NextChunk or Close.
+	// chunk is valid until the branch's next NextChunk or Close, after
+	// which the Fanout, the only caller of Release, may hand it back to a
+	// source that writes later chunks there (a Tail, a Reader, a
+	// SliceSource).
 	NextChunk() ([]Event, error)
 	// Volatile returns the aggregate DRAM load/store counters. The
 	// values are complete only after NextChunk has returned io.EOF.
@@ -101,18 +104,21 @@ type EventSource interface {
 }
 
 // SliceSource adapts an in-memory Trace to the EventSource interface. It
-// hands over a decoded trace's blocks as they are, since no one writes to
-// them, unpacks each sealed block into a slice of its own, and hands over a
-// copy of the open block last, so its chunks pass to the caller like any
-// source's while a recorded trace stays packed.
+// unpacks each sealed block into a chunk of its own, and hands over a copy
+// of the open block last, so its chunks pass to the caller like any
+// source's while the trace stays packed. A chunk released to it (a Fanout
+// does) is where a later block is unpacked.
 type SliceSource struct {
 	tr *Trace
-	b  int // next block: decoded, then sealed, then the open one
+	b  int // next block: sealed, then the open one
+	blockPool
 }
 
 // NewSliceSource returns an EventSource over tr's events. A trace whose
 // events were recorded (of known kinds) or decoded reads without error.
-func NewSliceSource(tr *Trace) *SliceSource { return &SliceSource{tr: tr} }
+func NewSliceSource(tr *Trace) *SliceSource {
+	return &SliceSource{tr: tr, blockPool: newBlockPool(poolDepth)}
+}
 
 // Meta returns the trace's run metadata.
 func (s *SliceSource) Meta() Meta {
@@ -121,18 +127,15 @@ func (s *SliceSource) Meta() Meta {
 
 // NextChunk returns the trace's next block, unpacked, then io.EOF.
 func (s *SliceSource) NextChunk() ([]Event, error) {
-	decoded, sealed := s.tr.decoded, s.tr.sealed.blocks
-	b := s.b
-	s.b++
-	switch {
-	case b < len(decoded):
-		return decoded[b], nil
-	case b-len(decoded) < len(sealed):
-		return unpack(make([]Event, DefaultBlockEvents), sealed[b-len(decoded)])
-	case b == len(decoded)+len(sealed) && len(s.tr.open) > 0:
+	sealed := s.tr.sealed.blocks
+	switch b := s.b; {
+	case b < len(sealed):
+		s.b++
+		return unpack(s.block(DefaultBlockEvents), sealed[b])
+	case b == len(sealed) && len(s.tr.open) > 0:
+		s.b++
 		return slices.Clone(s.tr.open), nil
 	}
-	s.b = b // stay at the end
 	return nil, io.EOF
 }
 
@@ -252,16 +255,13 @@ func (w *Writer) Close(vloads, vstores uint64) error {
 }
 
 // Encode writes t in the chunked v2 format: the bytes a Writer makes of
-// its events. A recorded trace's sealed blocks are already the Writer's
-// payloads and are written as they are; only the open block, and a decoded
-// trace's events, are packed here.
+// its events. Its sealed blocks, recorded or decoded, are already the
+// Writer's payloads and are written as they are; only the open block is
+// packed here.
 func (t *Trace) Encode(w io.Writer) error {
 	tw, err := NewWriter(w, Meta{App: t.App, Layer: t.Layer, Threads: t.Threads})
 	if err != nil {
 		return err
-	}
-	if len(t.decoded) > 0 {
-		return encodeEvents(tw, NewSliceSource(t))
 	}
 	for _, p := range t.sealed.blocks {
 		if err := tw.writeBlock(p, DefaultBlockEvents); err != nil {
@@ -314,11 +314,12 @@ type Reader struct {
 	meta Meta
 
 	// payload is a reusable buffer for a block's encoded bytes, crc one for
-	// its checksum (a local would escape to the heap once per block). The
-	// decoded events are never reused: a chunk belongs to whoever NextChunk
-	// gave it to.
+	// its checksum (a local would escape to the heap once per block). A
+	// chunk belongs to whoever NextChunk gave it to: a block is decoded
+	// into one only once it is released (a Fanout does).
 	payload []byte
 	crc     [4]byte
+	blockPool
 
 	cur []Event // what Next has yet to hand out of the last chunk
 
@@ -348,7 +349,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if ver != version {
 		return nil, fmt.Errorf("trace: unsupported version %d", ver)
 	}
-	rd := &Reader{br: br}
+	rd := &Reader{br: br, blockPool: newBlockPool(poolDepth)}
 	if rd.meta.App, err = readString(br); err != nil {
 		return nil, err
 	}
@@ -374,9 +375,9 @@ func (r *Reader) Meta() Meta { return r.meta }
 // io.EOF.
 func (r *Reader) Volatile() (uint64, uint64) { return r.vloads, r.vstores }
 
-// NextChunk returns the next decoded block in a slice the Reader never
-// touches again; io.EOF at the end of a well-formed stream, or a
-// descriptive error on corruption. Either is sticky.
+// NextChunk returns the next decoded block in a slice the Reader touches
+// again only once it is released; io.EOF at the end of a well-formed
+// stream, or a descriptive error on corruption. Either is sticky.
 func (r *Reader) NextChunk() ([]Event, error) {
 	if r.err != nil {
 		return nil, r.err
@@ -417,7 +418,7 @@ func (r *Reader) readFrame() ([]Event, error) {
 	if err != nil || count == 0 {
 		return nil, err
 	}
-	return decodeBlock(make([]Event, count), r.payload, crc)
+	return decodeBlock(r.block(count), r.payload, crc)
 }
 
 // nextFrame reads one frame without decoding it. For an event block it

@@ -48,6 +48,12 @@ const (
 	KCrash
 )
 
+// KReleased is no event: under the race detector every event of a chunk a
+// reader has released carries it (race.go), and each consumer's kind switch
+// panics on it, so a read of a chunk after its release shows at once. No
+// recorder emits it and the codec rejects it.
+const KReleased = KCrash + 1
+
 var kindNames = [...]string{
 	KStore: "store", KStoreNT: "store.nt", KLoad: "load", KFlush: "flush",
 	KFence: "fence", KTxBegin: "tx.begin", KTxEnd: "tx.end",
@@ -139,21 +145,16 @@ const arenaBytes = 1 << 20
 // block of at most DefaultBlockEvents events that Append writes into.
 // Recording costs a bounds check and a store per event and, once a block,
 // packing the block, which under a tail Collect does on a reader's
-// goroutine instead (tail.go); a retained recording costs what its file
-// does, about 7 bytes an event. A decoded trace keeps the events Decode
-// unpacked, ahead of anything appended to it since. Every reader goes
-// through a SliceSource.
+// goroutine instead (tail.go). A decoded trace is held the same way, its
+// file's full blocks kept as they are (Decode), so a retained trace,
+// recorded or decoded, costs what its file does, about 7 bytes an event.
+// Every reader goes through a SliceSource.
 type Trace struct {
 	App     string // application name ("echo", "ycsb", ...)
 	Layer   string // access layer ("native", "mnemosyne", "nvml", "pmfs")
 	Threads int    // number of logical client threads
 
-	// decoded holds the blocks Decode read, unpacked: Decode has checked
-	// every event, and its readers read every event again, so unpacking
-	// them once is cheaper than keeping their payloads. No one writes to
-	// them once decoded.
-	decoded [][]Event
-	sealed  blockStore
+	sealed blockStore
 	// open holds the events after the sealed ones. Append seals it when
 	// it is full at DefaultBlockEvents; a smaller full one moves to a
 	// buffer twice its size. Under a tail it is the chunk the recorder
@@ -253,26 +254,39 @@ func (t *Trace) openChunk() {
 		t.open = t.open[:0]
 	default:
 		t.tail.ch <- t.open
-		select {
-		case buf := <-t.tail.free:
-			t.open = buf[:0]
-		default:
-			t.open = make([]Event, 0, DefaultBlockEvents)
-		}
+		t.open = t.tail.block(DefaultBlockEvents)[:0]
 	}
+}
+
+// appendChunk appends the events of c. A full block that arrives while the
+// open block is empty is sealed at once, its payload p kept as it is when p
+// is pack's bytes of c, packed here when p is nil; any other chunk is
+// appended event by event.
+func (t *Trace) appendChunk(c []Event, p []byte) {
+	if len(t.open) != 0 || len(c) != DefaultBlockEvents {
+		for _, e := range c {
+			t.Append(e)
+		}
+		return
+	}
+	if p == nil {
+		t.sealed.seal(c)
+	} else {
+		t.sealed.keep(p)
+	}
+	t.n += len(c)
 }
 
 // Len returns the number of recorded events.
 func (t *Trace) Len() int { return t.n }
 
 // Snapshot returns a trace holding t's events so far, for a reader while
-// another goroutine records on into t: the decoded and sealed blocks are
-// shared, as they never change, and the open ones copied. The caller must
-// hold off t's recorder while it runs.
+// another goroutine records on into t: the sealed blocks are shared, as
+// they never change, and the open one copied. The caller must hold off t's
+// recorder while it runs.
 func (t *Trace) Snapshot() *Trace {
 	s := &Trace{App: t.App, Layer: t.Layer, Threads: t.Threads, n: t.n,
 		VolatileLoads: t.VolatileLoads, VolatileStores: t.VolatileStores}
-	s.decoded = slices.Clip(t.decoded)
 	s.sealed.blocks = slices.Clip(t.sealed.blocks)
 	s.open = slices.Clone(t.open)
 	return s
@@ -309,14 +323,7 @@ func Collect(src EventSource) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(t.open) == 0 && len(c) == DefaultBlockEvents {
-			t.sealed.seal(c)
-			t.n += len(c)
-			continue
-		}
-		for _, e := range c {
-			t.Append(e)
-		}
+		t.appendChunk(c, nil)
 	}
 	t.sealed.trim()
 	t.VolatileLoads, t.VolatileStores = src.Volatile()

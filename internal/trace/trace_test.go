@@ -376,11 +376,11 @@ func BenchmarkTraceAppend(b *testing.B) {
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
 }
 
-// TestDecodeAdoptsBlocks pins what Decode allocates: the Reader's one
-// slice per block, which becomes a chunk as it is, plus a constant and the
-// chunk list's doubling — never a second copy of the events. A decoder
-// that re-appended every event would allocate its chunks on top of the
-// blocks and twice the bytes.
+// TestDecodeAdoptsBlocks pins what Decode allocates: at most one
+// allocation per block it keeps, plus a constant and the block list's
+// doubling, and fewer bytes than the events would take unpacked. A decoder
+// that allocated each block's events as well as its payload would exceed
+// both.
 func TestDecodeAdoptsBlocks(t *testing.T) {
 	decode := func(n int) (allocs float64, bytesPerEvent float64) {
 		raw := encoded(t, countingTrace(n))
@@ -398,20 +398,21 @@ func TestDecodeAdoptsBlocks(t *testing.T) {
 	const short, long = 8 * DefaultBlockEvents, 64 * DefaultBlockEvents
 	shortAllocs, _ := decode(short)
 	longAllocs, perEvent := decode(long)
-	// 56 more blocks, the chunk list doubles three more times, and the
+	// 56 more blocks, the block list doubles three more times, and the
 	// runtime may allocate a little of its own while the runs are counted.
 	if extra, want := longAllocs-shortAllocs, float64(long-short)/DefaultBlockEvents+6; extra > want {
 		t.Errorf("%d events: %.0f allocs, %d events: %.0f — %.0f more, want <= %.0f (one per block)",
 			short, shortAllocs, long, longAllocs, extra, want)
 	}
 	if size := float64(unsafe.Sizeof(Event{})); perEvent > 1.1*size {
-		t.Errorf("Decode allocated %.1f B/event, want <= %.1f (the blocks alone)", perEvent, 1.1*size)
+		t.Errorf("Decode allocated %.1f B/event, want <= %.1f (the events unpacked)", perEvent, 1.1*size)
 	}
 }
 
-// TestAppendAfterDecodeKeepsDecodedEvents checks that a decoded block is
-// full as far as Append is concerned: appending to a decoded trace opens a
-// block of its own, leaves every decoded event in place, and the trace
+// TestAppendAfterDecodeKeepsDecodedEvents checks that a decoded trace is a
+// recorded one as far as Append is concerned: its file's full blocks are
+// sealed, the part one is the open block, and appending fills that block,
+// seals it when full, leaves every decoded event in place, and the trace
 // still encodes to the Writer's bytes.
 func TestAppendAfterDecodeKeepsDecodedEvents(t *testing.T) {
 	const n = 2*DefaultBlockEvents + 5
@@ -419,18 +420,18 @@ func TestAppendAfterDecodeKeepsDecodedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := len(tr.decoded)
-	for i, c := range tr.decoded {
-		if len(c) != cap(c) {
-			t.Fatalf("decoded block %d holds %d events in a capacity of %d", i, len(c), cap(c))
-		}
+	if len(tr.sealed.blocks) != 2 || len(tr.open) != 5 {
+		t.Fatalf("decoded %d events into %d sealed blocks and %d open events, want 2 and 5", n, len(tr.sealed.blocks), len(tr.open))
 	}
 	want := countingTrace(n + DefaultBlockEvents).Events()
 	for i, e := range want[n:] {
 		tr.Append(e)
-		if i == 0 && (len(tr.decoded) != blocks || len(tr.open) != 1) {
-			t.Fatalf("the first Append left %d decoded blocks and %d open events, want the %d decoded and 1", len(tr.decoded), len(tr.open), blocks)
+		if i == 0 && (len(tr.sealed.blocks) != 2 || len(tr.open) != 6) {
+			t.Fatalf("the first Append left %d sealed blocks and %d open events, want 2 and 6", len(tr.sealed.blocks), len(tr.open))
 		}
+	}
+	if len(tr.sealed.blocks) != 3 || len(tr.open) != 5 {
+		t.Fatalf("after %d Appends: %d sealed blocks and %d open events, want 3 and 5", len(want)-n, len(tr.sealed.blocks), len(tr.open))
 	}
 	if got := tr.Events(); !slices.Equal(got, want) {
 		t.Fatalf("after %d Appends the trace holds %d events that differ from the %d expected", len(want)-n, len(got), len(want))
@@ -441,8 +442,8 @@ func TestAppendAfterDecodeKeepsDecodedEvents(t *testing.T) {
 }
 
 // BenchmarkDecode materializes a 1 M-event trace from its v2 encoding:
-// Mevents/s is decoded events per second, allocs/op one per block plus a
-// constant.
+// Mevents/s is decoded events per second, allocs/op at most one per block
+// plus a constant.
 func BenchmarkDecode(b *testing.B) {
 	const n = 1 << 20
 	raw := encoded(b, countingTrace(n))

@@ -142,7 +142,11 @@ func SimulateHOPS(t *Trace, cfg HOPSConfig) map[string]float64 {
 				obs.ExpBuckets(1, 2, 14)...),
 		}
 	}
-	norm, err := hops.NormalizedSource(trace.NewSliceSource(t.tr), hc, instruments)
+	// Through a branch, the blocks are unpacked on the pump's goroutine,
+	// off the replay's first stage, into buffers the branch hands back.
+	b := trace.Fanout(trace.NewSliceSource(t.tr), 1)[0]
+	defer b.Close()
+	norm, err := hops.NormalizedSource(b, hc, instruments)
 	if err != nil {
 		panic("whisper: in-memory trace stream failed: " + err.Error())
 	}

@@ -44,7 +44,9 @@ func (r *SanReport) Sites(class string) int {
 // Sanitize runs the durability-ordering sanitizer over a retained
 // trace (as produced by Run; Report.Trace carries one).
 func Sanitize(t *Trace) *SanReport {
-	rep, err := pmsan.Run(trace.NewSliceSource(t.tr))
+	b := trace.Fanout(trace.NewSliceSource(t.tr), 1)[0]
+	defer b.Close()
+	rep, err := pmsan.Run(b)
 	if err != nil {
 		// A slice source cannot fail mid-stream; keep the API ergonomic.
 		panic(fmt.Sprintf("whisper: sanitize: %v", err))
