@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, name := range subset {
 			r := reports[name]
 			fmt.Fprintf(stdout, "%-10s %-9.2f%% %.2f%%\n", name, r.PMShare*100, paperPMShare[name])
-			sum += r.PMShare * 100
+			sum += float64(r.PMShare * 100) // rounded, so arm64 fuses no FMADDD
 		}
 		fmt.Fprintf(stdout, "%-10s %-9.2f%% %.2f%%\n\n", "average", sum/float64(len(subset)), 3.54)
 	}

@@ -12,7 +12,7 @@ func Example() {
 	// (c) singleton epochs, suite average: 76% (paper: 75%)
 	// (d) self-deps 73% vs cross-deps 2.17% (paper: high vs ~0)
 	//
-	// trace codec round trip: echo, 177472 events, 1292628 bytes encoded
+	// trace codec round trip: echo, 177472 events, 795494 bytes encoded
 	//
 	// per-application reports:
 	// echo (native): 40979 epochs, 2.32e+06 epochs/s, 160 txs, median 252 epochs/tx

@@ -77,7 +77,7 @@ func AnalyzeReaderFused(r io.Reader, fcfg FusedConfig) (*FusedReport, error) {
 // time, and fans each live event stream out to the epoch analysis plus the
 // consumers fcfg selects; no trace is materialized, and the reports come
 // back in names order. When traceOut is non-nil each run's events also go,
-// in the chunked v2 format, to the writer traceOut(name) opens; it is
+// in the chunked trace format, to the writer traceOut(name) opens; it is
 // closed when that run ends. Neither the reports nor the bytes written
 // depend on workers. An unknown name fails the call before anything runs
 // or traceOut is called.
@@ -110,7 +110,7 @@ func RunAllFused(names []string, cfg Config, fcfg FusedConfig, workers int, trac
 }
 
 // runFused is one member of RunAllFused: the named benchmark's live stream
-// through fused, and through the v2 writer too when traceOut is non-nil.
+// through fused, and through the trace writer too when traceOut is non-nil.
 func runFused(name string, cfg Config, fcfg FusedConfig, traceOut io.Writer) (*FusedReport, error) {
 	tail, err := record(name, cfg)
 	if err != nil {
@@ -120,7 +120,7 @@ func runFused(name string, cfg Config, fcfg FusedConfig, traceOut io.Writer) (*F
 }
 
 // fused runs one pipeline pass over src with the sanitizer and the cache
-// simulation as taps when fcfg selects them, and the v2 writer as one when
+// simulation as taps when fcfg selects them, and the trace writer as one when
 // traceOut is non-nil. Each tap fills its own field of the report; the
 // pipeline's join orders those writes before the return.
 func fused(src trace.EventSource, fcfg FusedConfig, traceOut io.Writer) (*FusedReport, error) {

@@ -3,6 +3,7 @@ package whisper
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -178,11 +179,15 @@ func TestRunAllFusedUnknownNameOpensNothing(t *testing.T) {
 	}
 }
 
-// TestV1TraceRejected feeds the header of a version 1 trace file, a format
-// no longer read, to every entry point that reads a trace: each refuses it
-// by its version.
+// TestV1TraceRejected feeds the header of a version 1 trace file and a
+// whole version 2 one, formats no longer read, to every entry point that
+// reads a trace: each refuses them by their version.
 func TestV1TraceRejected(t *testing.T) {
-	v1 := []byte("WSPR\x01\x04echo\x06native\x01\x00\x00\x00")
+	old := map[int][]byte{
+		1: []byte("WSPR\x01\x04echo\x06native\x01\x00\x00\x00"),
+		// An empty echo trace as v2 wrote it: header, trailer and its crc.
+		2: []byte("WSPR\x02\x04echo\x06native\x01\x02\x00\x00\x00\x12\xd9A\xff"),
+	}
 	for name, read := range map[string]func(io.Reader) error{
 		"trace.NewReader": func(r io.Reader) error { _, err := trace.NewReader(r); return err },
 		"trace.Decode":    func(r io.Reader) error { _, err := trace.Decode(r); return err },
@@ -193,8 +198,10 @@ func TestV1TraceRejected(t *testing.T) {
 		},
 		"SanitizeReader": func(r io.Reader) error { _, err := SanitizeReader(r); return err },
 	} {
-		if err := read(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-			t.Errorf("%s: error = %v, want unsupported version 1", name, err)
+		for v, file := range old {
+			if err := read(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", v)) {
+				t.Errorf("%s: error = %v, want unsupported version %d", name, err, v)
+			}
 		}
 	}
 }

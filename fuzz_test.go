@@ -3,6 +3,7 @@ package whisper
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 	"github.com/whisper-pm/whisper/internal/trace"
 )
 
-// hostileTraces are well-formed v2 files (every CRC and count valid) that
+// hostileTraces are well-formed v3 files (every CRC and count valid) that
 // no recorder writes. The decoder accepts the first three, so the
 // consumers are the only line of defence. The first names the highest TID,
 // which every thread table keeps in its map. The second took the process
@@ -50,15 +51,15 @@ func hostileTraces(t testing.TB) []hostileTrace {
 	}
 }
 
-// hugeSize frames by hand, since no Writer can, a v2 file holding one
+// hugeSize frames by hand, since no Writer can, a v3 file holding one
 // store whose size is 2^32+8.
 func hugeSize() []byte {
 	var ev []byte
-	ev = append(ev, byte(trace.KStore), 0)           // kind, tid
+	ev = append(ev, 0x80|byte(trace.KStore))         // head: an address follows, tid 0, kind
 	ev = binary.AppendVarint(ev, 1)                  // time delta
 	ev = binary.AppendVarint(ev, int64(mem.PMBase))  // addr delta
 	ev = binary.AppendUvarint(ev, 1<<32+8)           // size
-	b := []byte("WSPR\x02\x07hostile\x06native\x01") // magic, version, app, layer, threads
+	b := []byte("WSPR\x03\x07hostile\x06native\x01") // magic, version, app, layer, threads
 	b = append(b, 0x01, 1)                           // block tag, one event
 	b = binary.AppendUvarint(b, uint64(len(ev)))
 	b = append(b, ev...)
@@ -131,12 +132,21 @@ func TestHostileTraceFilesReportOrError(t *testing.T) {
 // FuzzFused throws arbitrary bytes at everything that reads a trace file.
 // pmsan was the only consumer with a fuzz target (FuzzSanitizer), and the
 // only one whose line walk and thread lookup survived a hostile file;
-// this target covers the shared table and walk under all four. Seeds: the
-// FuzzDecode / FuzzSanitizer corpora (testdata/fuzz/FuzzFused) and the
-// four hostile files above.
+// this target covers the shared table and walk under all four, and holds
+// a file of any version but v3 to failing by its version. Seeds: the
+// FuzzDecode / FuzzSanitizer corpora (testdata/fuzz/FuzzFused, with a v2
+// file and the escaped heads) and the four hostile files above.
 func FuzzFused(f *testing.F) {
 	for _, h := range hostileTraces(f) {
 		f.Add(h.data)
 	}
-	f.Fuzz(analyzeHostile)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4 && string(data[:4]) == "WSPR" && data[4] != 3 {
+			_, err := AnalyzeReaderFused(bytes.NewReader(data), FusedConfig{Sanitize: true, Cache: true})
+			if want := fmt.Sprintf("unsupported version %d", data[4]); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("a version %d file: error %v, want %q", data[4], err, want)
+			}
+		}
+		analyzeHostile(t, data)
+	})
 }

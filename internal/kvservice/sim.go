@@ -200,7 +200,10 @@ func Run(cfg SimConfig) (SimResult, *Service) {
 	meanGapNS := 1e9 / (float64(cfg.Clients) * cfg.ClientOpsPerSec)
 	var t float64
 	for i := 0; i < cfg.Ops; i++ {
-		t += rng.ExpFloat64() * meanGapNS
+		// The conversion rounds the product before the sum, so no
+		// architecture fuses the two (arm64 would, with FMADDD) and the
+		// arrival clock is the same on every machine.
+		t += float64(rng.ExpFloat64() * meanGapNS)
 		arrival := mem.Time(t)
 		if arrival == 0 {
 			arrival = 1 // zero is the "untimed" sentinel

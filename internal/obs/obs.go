@@ -233,7 +233,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(total)
+	// The explicit conversion rounds the product, so no architecture
+	// fuses it into rank-cum below (arm64 would, with FNMSUBD): the
+	// quantile is the same float on every machine.
+	rank := float64(q * float64(total))
 	cum := 0.0
 	for i := range h.counts {
 		c := float64(h.counts[i].Load())

@@ -27,12 +27,12 @@ const magic = "WSPR"
 // slot's own events, both reused from block to block. No worker outlives
 // the call.
 //
-// A decoded trace is held as a recorded one is, in v2 payloads. A full
+// A decoded trace is held as a recorded one is, in v3 payloads. A full
 // block that arrives while the open block is empty is kept as it is when
-// its payload is what pack makes of its events, and packed afresh when it
-// is not; any other block is appended event by event, which re-blocks and
-// re-packs it. A Writer's file decodes to its own payloads, about 7 bytes
-// an event, and encodes back to its own bytes.
+// its payload is what pack makes of its events (unpack tells), and packed
+// afresh when it is not; any other block is appended event by event, which
+// re-blocks and re-packs it. A Writer's file decodes to its own payloads,
+// about 4.8 bytes an event, and encodes back to its own bytes.
 func Decode(r io.Reader) (*Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
@@ -137,8 +137,8 @@ func (s *decodeSlot) check() {
 	if cap(s.events) < s.count {
 		s.events = make([]Event, s.count)
 	}
-	_, s.err = decodeBlock(s.events[:s.count], s.payload, s.crc)
-	s.canonical = s.err == nil && s.count == DefaultBlockEvents && canonical(s.payload)
+	canonical, err := decodeBlock(s.events[:s.count], s.payload, s.crc)
+	s.err, s.canonical = err, err == nil && s.count == DefaultBlockEvents && canonical
 }
 
 func writeString(w *bufio.Writer, s string) {

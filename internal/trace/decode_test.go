@@ -65,7 +65,7 @@ func readerChunks(data []byte) ([][]Event, error) {
 	}
 }
 
-// blockEnds returns the offset just past each block frame of a v2 stream.
+// blockEnds returns the offset just past each block frame of a stream.
 func blockEnds(t *testing.T, data []byte) []int {
 	t.Helper()
 	rd, err := NewReader(bytes.NewReader(data))
@@ -193,9 +193,9 @@ func TestDecodeAllocsAnyGOMAXPROCS(t *testing.T) {
 }
 
 // fileOf frames each payload as a block of the given event count behind a
-// v2 header, then the trailer for their total.
+// v3 header, then the trailer for their total.
 func fileOf(counts []int, payloads [][]byte) []byte {
-	file := v2Header()
+	file := v3Header()
 	total := 0
 	for i, p := range payloads {
 		file = append(file, rawBlock(uint64(counts[i]), uint64(len(p)), p, crc32.ChecksumIEEE(p))...)
@@ -223,30 +223,46 @@ func TestDecodeKeepsTheWritersFile(t *testing.T) {
 	}
 }
 
-// TestDecodeRepacksAnOverlongBlock: a full block whose payload spells a
-// varint overlong is not kept as it is: the trace holds pack's bytes of its
-// events, as a recorded trace would, and encodes to the Writer's bytes,
-// not the file's.
+// TestDecodeRepacksAnOverlongBlock: a full block spelled otherwise than
+// pack spells it — a varint overlong, a TID below inlineTIDs escaped, or a
+// zero address spelled as a delta that lands on 0 (which moves the base
+// of every address delta after it) — unpacks to the same events but is not
+// canonical, so it is not kept as it is: the trace holds pack's bytes of
+// its events, as a recorded trace would, and encodes to the Writer's
+// bytes, not the file's.
 func TestDecodeRepacksAnOverlongBlock(t *testing.T) {
 	events := genTrace(rand.New(rand.NewSource(3)), 2*DefaultBlockEvents).Events()
 	events[0].TID = 1
-	first := pack(nil, events[:DefaultBlockEvents])
-	// Its first TID, 1, as an overlong varint: the same value in two bytes.
-	overlong := append([]byte{first[0], 0x81, 0}, first[2:]...)
+	events[5].Kind, events[5].Addr = KFence, 0
+	block := events[:DefaultBlockEvents]
+	first := pack(nil, block)
+	// The first event's time delta, one byte longer than it need be.
+	dt, n := binary.Uvarint(first[1:])
+	overlong := append(spell(first[:1:1], dt, n+1), first[1+n:]...)
 	second := pack(nil, events[DefaultBlockEvents:])
-	file := fileOf([]int{DefaultBlockEvents, DefaultBlockEvents}, [][]byte{overlong, second})
-	tr, err := Decode(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Events(); !slices.Equal(got, events) {
-		t.Fatalf("decoded %d events that differ from the %d framed", len(got), len(events))
-	}
-	if len(tr.sealed.blocks) != 2 || !bytes.Equal(tr.sealed.blocks[0], first) || !bytes.Equal(tr.sealed.blocks[1], second) {
-		t.Fatal("the blocks are not held as pack's bytes")
-	}
-	if got := traceBytes(t, tr); !bytes.Equal(got, writerBytes(t, tr)) || bytes.Equal(got, file) {
-		t.Fatal("Encode is not the Writer's bytes of the events")
+	for name, p := range map[string][]byte{
+		"overlong time":    overlong,
+		"escaped tid 1":    respell(block, func(i int) bool { return i == 0 }, never),
+		"zero address set": respell(block, never, func(i int) bool { return i == 5 }),
+	} {
+		got := make([]Event, DefaultBlockEvents)
+		if canonical, err := unpack(got, p); err != nil || canonical || !slices.Equal(got, block) {
+			t.Fatalf("%s: unpack says canonical %v, %v, or its events differ", name, canonical, err)
+		}
+		file := fileOf([]int{DefaultBlockEvents, DefaultBlockEvents}, [][]byte{p, second})
+		tr, err := Decode(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Events(); !slices.Equal(got, events) {
+			t.Fatalf("%s: decoded %d events that differ from the %d framed", name, len(got), len(events))
+		}
+		if len(tr.sealed.blocks) != 2 || !bytes.Equal(tr.sealed.blocks[0], first) || !bytes.Equal(tr.sealed.blocks[1], second) {
+			t.Fatalf("%s: the blocks are not held as pack's bytes", name)
+		}
+		if got := traceBytes(t, tr); !bytes.Equal(got, writerBytes(t, tr)) || bytes.Equal(got, file) {
+			t.Fatalf("%s: Encode is not the Writer's bytes of the events", name)
+		}
 	}
 }
 
@@ -282,7 +298,9 @@ func TestDecodeReblocksOddBlocks(t *testing.T) {
 
 // TestDecodedTraceHoldsPayloads: a decoded trace holds its file's payload
 // bytes, not 24 bytes an event. The live heap it adds, with every arena
-// trimmed, is within a tenth of the file plus the open block's buffer.
+// trimmed, is within a tenth of the file plus the open block's buffer, and
+// at most 5.5 bytes an event, the bound a recorded ycsb run is held to
+// (TestRetainedTraceBytesPerEvent).
 func TestDecodedTraceHoldsPayloads(t *testing.T) {
 	const n = 64*DefaultBlockEvents + 100
 	// Made in a call of its own, so the recorded trace is gone by the
@@ -312,10 +330,14 @@ func TestDecodedTraceHoldsPayloads(t *testing.T) {
 		t.Fatalf("a decoded trace of %d events holds %d bytes (%.1f B/event), want <= %d (a %d-byte file)",
 			n, held, float64(held)/n, limit, len(file))
 	}
+	if perEvent := float64(held) / n; perEvent > 5.5 {
+		t.Fatalf("a decoded trace of %d events holds %.2f B/event, want <= 5.5", n, perEvent)
+	}
 }
 
 // genPipeline returns n events of a recorded run's shape: a few threads,
-// small steps in time and address, stores flushed and fenced.
+// small steps in time and address, stores flushed and fenced, and no
+// address on a fence or a transaction mark.
 func genPipeline(n int) *Trace {
 	rng := rand.New(rand.NewSource(int64(n)))
 	tr := &Trace{App: "ycsb", Layer: "native", Threads: 4}
@@ -324,7 +346,11 @@ func genPipeline(n int) *Trace {
 	for range n {
 		clock += mem.Time(1 + rng.Intn(200))
 		addr += mem.Addr(rng.Intn(512)) - 256
-		tr.Append(Event{Kind: kinds[rng.Intn(len(kinds))], TID: uint16(rng.Intn(4)), Time: clock, Addr: addr, Size: uint32(8 << rng.Intn(4))})
+		e := Event{Kind: kinds[rng.Intn(len(kinds))], TID: uint16(rng.Intn(4)), Time: clock, Addr: addr, Size: uint32(8 << rng.Intn(4))}
+		if e.Kind == KFence || e.Kind == KTxBegin || e.Kind == KTxEnd {
+			e.Addr, e.Size = 0, 0
+		}
+		tr.Append(e)
 	}
 	return tr
 }

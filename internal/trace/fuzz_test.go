@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"slices"
@@ -11,11 +12,12 @@ import (
 )
 
 // FuzzDecode throws arbitrary bytes at the trace decoder: it must accept or
-// reject without panicking or over-allocating, any accepted trace must
-// read back through its SliceSource as the streaming Reader reads the
-// input, Encode must write the Writer's bytes of those events (the file's
-// own blocks where they are pack's, the others packed afresh), and
-// Encode → Decode must give back its events unchanged.
+// reject without panicking or over-allocating, a file of any version but
+// v3 (a v1 or v2 seed among them) must fail by its version, any accepted
+// trace must read back through its SliceSource as the streaming Reader
+// reads the input, Encode must write the Writer's bytes of those events
+// (the file's own blocks where they are pack's, the others packed afresh),
+// and Encode → Decode must give back its events unchanged.
 func FuzzDecode(f *testing.F) {
 	seed := func(tr *Trace) {
 		var buf bytes.Buffer
@@ -34,16 +36,17 @@ func FuzzDecode(f *testing.F) {
 	seed(three)
 	f.Add([]byte("WSPR"))
 	f.Add([]byte{})
-	f.Add([]byte("WSPR\x02\x04echo\x06native"))
+	f.Add([]byte("WSPR\x03\x04echo\x06native"))
 	// Past the open block's first three doublings.
 	seed(countingTrace(4*firstChunkEvents + 3))
 	// A block naming tid 0x10000, one past what an Event holds.
-	f.Add(append(append(v2Header(), okBlock(rawEvent(byte(KStore), 1<<16, 1, 0, 8))...), rawTrailer(0, 0, 1, true, 0)...))
+	f.Add(append(append(v3Header(), okBlock(rawEvent(byte(KStore), 1<<16, 1, 0, 8))...), rawTrailer(0, 0, 1, true, 0)...))
 	// A block naming a size of 2^32+8, past what an Event holds.
-	f.Add(append(append(v2Header(), okBlock(rawEvent(byte(KStore), 0, 1, 0, 1<<32+8))...), rawTrailer(0, 0, 1, true, 0)...))
+	f.Add(append(append(v3Header(), okBlock(rawEvent(byte(KStore), 0, 1, 0, 1<<32+8))...), rawTrailer(0, 0, 1, true, 0)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(bytes.NewReader(data))
+		requireVersion(t, data, err)
 		if err != nil {
 			return
 		}
@@ -78,18 +81,33 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzReaderV2 targets the chunked v2 block reader specifically: truncated
+// requireVersion fails t unless a file whose header names a version other
+// than this package's was refused, with err, by that version.
+func requireVersion(t *testing.T, data []byte, err error) {
+	t.Helper()
+	if len(data) <= len(magic) || string(data[:len(magic)]) != magic || data[len(magic)] == version {
+		return
+	}
+	if want := fmt.Sprintf("trace: unsupported version %d", data[len(magic)]); err == nil || err.Error() != want {
+		t.Fatalf("a version %d file: error %v, want %q", data[len(magic)], err, want)
+	}
+}
+
+// FuzzReaderV2 targets the chunked block reader specifically: truncated
 // blocks, corrupted CRCs, and lying block counts must error — never panic
 // or allocate beyond the framing caps — and Decode must reject what the
 // streaming Reader rejects, with the same error. The corpus is seeded with real
-// encoded blocks (whole v2 streams plus hand-truncated and bit-flipped
-// variants) so the fuzzer starts inside the format.
+// encoded blocks (whole v3 streams, with both kinds of escaped head, plus
+// hand-truncated and bit-flipped variants) so the fuzzer starts inside the
+// format.
 func FuzzReaderV2(f *testing.F) {
 	seedTrace := appended(&Trace{App: "ycsb", Layer: "native", Threads: 2}, []Event{
 		{Time: 10, Addr: mem.PMBase, Size: 8, TID: 0, Kind: KStore},
 		{Time: 12, Addr: mem.PMBase + 64, Size: 64, TID: 1, Kind: KFlush},
 		{Time: 13, TID: 1, Kind: KFence},
 		{Time: 14, TID: 0, Kind: KTxEnd},
+		{Time: 15, Addr: mem.PMBase + 8, Size: 8, TID: 9, Kind: KStore},
+		{Time: 16, Size: 64, TID: 300, Kind: KUserData},
 	})
 	seedTrace.VolatileLoads, seedTrace.VolatileStores = 7, 3
 	var buf bytes.Buffer
@@ -120,7 +138,7 @@ func FuzzReaderV2(f *testing.F) {
 		f.Fatalf("seed encode: %v", err)
 	}
 	f.Add(append([]byte(nil), buf.Bytes()...))
-	f.Add([]byte("WSPR\x02\x04echo\x06native\x01"))
+	f.Add([]byte("WSPR\x03\x04echo\x06native\x01"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode frames the blocks serially and decodes them on workers; a
@@ -165,14 +183,14 @@ func FuzzReaderV2(f *testing.F) {
 		}
 		buf := &bytes.Buffer{}
 		if err := EncodeV2(buf, NewSliceSource(tr)); err != nil {
-			t.Fatalf("re-encode of accepted v2 trace failed: %v", err)
+			t.Fatalf("re-encode of accepted trace failed: %v", err)
 		}
 		tr2, err := Decode(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("decode of re-encoded v2 trace failed: %v", err)
+			t.Fatalf("decode of re-encoded trace failed: %v", err)
 		}
 		if tr2.Len() != tr.Len() {
-			t.Fatalf("v2 round trip changed event count")
+			t.Fatalf("round trip changed event count")
 		}
 	})
 }

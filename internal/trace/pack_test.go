@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/whisper-pm/whisper/internal/mem"
@@ -56,7 +57,7 @@ func TestPackedTraceRoundTripsAdversarialEvents(t *testing.T) {
 // TestEncodeIsTheWritersBytes: a trace encodes to what a Writer makes of
 // its events, whether it was collected from a tail, appended
 // to, or decoded from a file whose blocks are not the Writer's —
-// of 3 and 5 000 events, the second with an overlong varint — whose
+// of 3 and 5 000 events, the second with an escaped TID of 1 — whose
 // events Encode packs and frames afresh.
 func TestEncodeIsTheWritersBytes(t *testing.T) {
 	events := genTrace(rand.New(rand.NewSource(5)), 3*DefaultBlockEvents+100).Events()
@@ -78,13 +79,14 @@ func TestEncodeIsTheWritersBytes(t *testing.T) {
 	}
 
 	var file []byte
-	file = append(file, v2Header()...)
+	file = append(file, v3Header()...)
 	three := pack(nil, events[:3])
 	file = append(file, rawBlock(3, uint64(len(three)), three, crc32.ChecksumIEEE(three))...)
 	big := pack(nil, events[3:5003])
-	// Its TID, 1, as an overlong varint: the same value in two bytes.
-	overlong := append([]byte{big[0], 0x81, 0}, big[2:]...)
-	file = append(file, rawBlock(5000, uint64(len(overlong)), overlong, crc32.ChecksumIEEE(overlong))...)
+	// Its TID, 1, escaped: spelled after the head, as a TID of inlineTIDs
+	// or more is.
+	escaped := append(rawHead(byte(KStore), 1, true, true), big[1:]...)
+	file = append(file, rawBlock(5000, uint64(len(escaped)), escaped, crc32.ChecksumIEEE(escaped))...)
 	file = append(file, rawTrailer(0, 0, 5003, true, 0)...)
 	fromFile, err := Decode(bytes.NewReader(file))
 	if err != nil {
@@ -122,31 +124,127 @@ func spell(dst []byte, v uint64, n int) []byte {
 
 // unpackByField is unpack without its fast path: unpackEvent, event by
 // event.
-func unpackByField(n int, p []byte) ([]Event, error) {
+func unpackByField(n int, p []byte) ([]Event, bool, error) {
 	out := make([]Event, n)
 	pos := 0
-	var prevTime, prevAddr uint64
+	var prevTime, prevAddr, odd uint64
 	for i := range out {
-		kind, tid, dt, da, size, next, err := unpackEvent(p, pos, i)
+		f, next, err := unpackEvent(p, pos, i)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		pos = next
-		prevTime += uint64(int64(dt>>1) ^ -int64(dt&1))
-		prevAddr += uint64(int64(da>>1) ^ -int64(da&1))
-		out[i] = Event{Kind: Kind(kind), TID: uint16(tid), Time: memTime(prevTime), Addr: memAddr(prevAddr), Size: uint32(size)}
+		prevTime += uint64(int64(f.dt>>1) ^ -int64(f.dt&1))
+		e := Event{Kind: Kind(f.kind), TID: uint16(f.tid), Time: memTime(prevTime), Size: uint32(f.size)}
+		if f.has == 1 {
+			prevAddr += uint64(int64(f.da>>1) ^ -int64(f.da&1))
+			e.Addr = memAddr(prevAddr)
+			if prevAddr == 0 {
+				odd = 1
+			}
+		}
+		odd |= f.odd
+		out[i] = e
 	}
 	if pos != len(p) {
-		return nil, fmt.Errorf("trace: block has %d trailing payload bytes", len(p)-pos)
+		return nil, false, fmt.Errorf("trace: block has %d trailing payload bytes", len(p)-pos)
 	}
-	return out, nil
+	return out, odd == 0, nil
+}
+
+// respell is pack with two of its choices made by the caller, to frame
+// payloads pack never writes: event i's TID is escaped when esc(i), and
+// its address spelled, as a delta from the last one spelled, when
+// addr(i) or its Addr is not 0.
+func respell(block []Event, esc, addr func(i int) bool) []byte {
+	var p []byte
+	var prevTime, prevAddr uint64
+	for i, e := range block {
+		escaped := esc(i) || e.TID >= inlineTIDs
+		spelled := addr(i) || e.Addr != 0
+		p = append(p, rawHead(byte(e.Kind), uint64(e.TID), escaped, spelled)...)
+		p = binary.AppendVarint(p, int64(uint64(e.Time)-prevTime))
+		if spelled {
+			p = binary.AppendVarint(p, int64(uint64(e.Addr)-prevAddr))
+			prevAddr = uint64(e.Addr)
+		}
+		p = binary.AppendUvarint(p, uint64(e.Size))
+		prevTime = uint64(e.Time)
+	}
+	return p
+}
+
+// never is a respell choice that keeps pack's.
+func never(int) bool { return false }
+
+// TestPackRoundTripsEdgeValues holds the codec to being lossless and
+// canonical at every edge of its layout: for every known kind, TIDs 0, the
+// last inline one, the first escaped one and 0xFFFF; Addr 0 and not, on
+// every kind (a store at 0, a fence with an address); sizes 0 and
+// 2^32-1; and time and address deltas that wrap 2^64 both ways. Each
+// block must unpack, on both paths, to its events, and be canonical.
+func TestPackRoundTripsEdgeValues(t *testing.T) {
+	tids := []uint16{0, inlineTIDs - 1, inlineTIDs, 0xFFFF}
+	sizes := []uint32{0, math.MaxUint32}
+	wraps := []uint64{0, math.MaxUint64, 1, math.MaxUint64 - 1, 1 << 63}
+	checked := 0
+	for k := Kind(0); k <= Kind(maxKind); k++ {
+		for _, tid := range tids {
+			for _, size := range sizes {
+				for _, addr := range []uint64{0, 1, math.MaxUint64} {
+					// The event under test between neighbours whose time
+					// and address sit across the wrap from it, each
+					// neighbour addressed or not.
+					var block []Event
+					for i, w := range wraps {
+						block = append(block,
+							Event{Kind: KStore, TID: uint16(i), Time: memTime(w), Addr: memAddr(w * uint64(i%2)), Size: 8},
+							Event{Kind: k, TID: tid, Time: memTime(^w), Addr: memAddr(addr), Size: size})
+					}
+					p := pack(nil, block)
+					got := make([]Event, len(block))
+					canon, err := unpack(got, p)
+					if err != nil || !canon || !slices.Equal(got, block) {
+						t.Fatalf("%v tid %d size %d addr %#x: unpack(pack) = %v, canonical %v, %v", k, tid, size, addr, got, canon, err)
+					}
+					byField, canon, err := unpackByField(len(block), p)
+					if err != nil || !canon || !slices.Equal(byField, block) {
+						t.Fatalf("%v tid %d size %d addr %#x: by field: %v, canonical %v, %v", k, tid, size, addr, byField, canon, err)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if want := (int(maxKind) + 1) * 4 * 2 * 3; checked != want {
+		t.Fatalf("checked %d blocks, want %d", checked, want)
+	}
+}
+
+// TestPackedUnknownKindFailsToUnpack: a sealed block holding an event of
+// no known kind — the race build's KReleased, the first past maxKind and
+// so an escape nibble if packed as it is, or any other — fails to unpack,
+// with an inline TID or an escaped one, as Trace.Append promises.
+func TestPackedUnknownKindFailsToUnpack(t *testing.T) {
+	for _, k := range []Kind{KReleased, KReleased + 1, 15, 16, 200, 255} {
+		for _, tid := range []uint16{3, 300} {
+			tr := countingTrace(DefaultBlockEvents - 1)
+			tr.Append(Event{Kind: k, TID: tid, Time: 1, Addr: 64, Size: 8})
+			tr.Append(Event{Kind: KFence})
+			if _, err := NewSliceSource(tr).NextChunk(); err == nil || !strings.Contains(err.Error(), "invalid kind") {
+				t.Errorf("kind %d, tid %d: unpack said %v, want an invalid kind", k, tid, err)
+			}
+		}
+	}
 }
 
 // TestUnpackMatchesFieldByField holds unpack's word-wide fast path to the
 // field-by-field decoder on payloads whose every field is spelled in one to
-// ten bytes, minimal or not, of every magnitude, some with a byte
-// overwritten, cut short or run on: the same events, or the same error.
-// Of an accepted payload, canonical must say whether it is pack's.
+// ten bytes, minimal or not, of every magnitude, behind heads inline,
+// escaped or of no kind, with and without an address (some landing on 0),
+// some with a byte overwritten, cut short or run on: the same events, or
+// the same error. Of an accepted payload, both must say whether it is
+// pack's.
 func TestUnpackMatchesFieldByField(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	// A value of about b bits, b from 0 to 64.
@@ -165,24 +263,56 @@ func TestUnpackMatchesFieldByField(t *testing.T) {
 		}
 		return spell(dst, v, n)
 	}
-	var accepted, refused, packs int
+	// small is v, mostly cut to seven bits, as recorded fields are.
+	small := func(v uint64) uint64 {
+		if rng.Intn(3) == 0 {
+			return v & 0x7F
+		}
+		return v
+	}
+	var accepted, refused, packs, escapes, zeros int
 	for round := 0; round < 20000; round++ {
 		n := 1 + rng.Intn(24)
 		var p []byte
+		var addr uint64 // the address the last spelled delta lands on
 		for range n {
-			p = append(p, byte(rng.Intn(int(maxKind)+1)))
-			for f := range 4 {
-				v := value()
-				switch {
-				case f == 0 && rng.Intn(64) != 0:
-					v &= 0xFFFF // nearly always a TID an Event holds
-				case f == 3 && rng.Intn(64) != 0:
-					v &= math.MaxUint32
-				case rng.Intn(3) == 0:
-					v &= 0x7F // and many one-byte fields, as recorded
+			kind := byte(rng.Intn(int(maxKind) + 1))
+			tid := uint64(rng.Intn(inlineTIDs))
+			esc, has := rng.Intn(4) == 0, rng.Intn(3) != 0
+			if esc {
+				escapes++
+				tid = value()
+				if rng.Intn(64) != 0 {
+					tid &= 0xFFFF // nearly always a TID an Event holds
 				}
-				p = field(p, v)
+				if rng.Intn(4) == 0 {
+					tid &= 7 // and often one that fits the head
+				}
 			}
+			h := rawHead(kind, tid, esc, has)[0]
+			if rng.Intn(48) == 0 {
+				h = byte(rng.Intn(256)) // any head at all
+			}
+			p = append(p, h)
+			if esc {
+				p = field(p, tid)
+			}
+			p = field(p, small(value()))
+			if has {
+				da := small(value())
+				if rng.Intn(16) == 0 {
+					zeros++
+					back := -int64(addr) // lands on 0
+					da = uint64(back<<1) ^ uint64(back>>63)
+				}
+				addr += uint64(int64(da>>1) ^ -int64(da&1))
+				p = field(p, da)
+			}
+			size := small(value())
+			if rng.Intn(64) != 0 {
+				size &= math.MaxUint32
+			}
+			p = field(p, size)
 		}
 		switch rng.Intn(6) {
 		case 0:
@@ -192,16 +322,17 @@ func TestUnpackMatchesFieldByField(t *testing.T) {
 		case 2:
 			p = append(p, byte(rng.Intn(256)))
 		}
-		want, wantErr := unpackByField(n, p)
-		got, gotErr := unpack(make([]Event, n), p)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
-			t.Fatalf("round %d: payload % x\nunpack: %v %v\nby field: %v %v", round, p, got, gotErr, want, wantErr)
+		want, wantCanon, wantErr := unpackByField(n, p)
+		got := make([]Event, n)
+		gotCanon, gotErr := unpack(got, p)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || wantErr == nil && (!slices.Equal(got, want) || gotCanon != wantCanon) {
+			t.Fatalf("round %d: payload % x\nunpack: %v %v %v\nby field: %v %v %v", round, p, got, gotCanon, gotErr, want, wantCanon, wantErr)
 		}
 		if wantErr == nil {
 			accepted++
 			isPacks := bytes.Equal(p, pack(nil, got))
-			if canonical(p) != isPacks {
-				t.Fatalf("round %d: payload % x: canonical = %v, pack's = %v", round, p, !isPacks, isPacks)
+			if gotCanon != isPacks {
+				t.Fatalf("round %d: payload % x: canonical = %v, pack's = %v", round, p, gotCanon, isPacks)
 			}
 			if isPacks {
 				packs++
@@ -210,7 +341,8 @@ func TestUnpackMatchesFieldByField(t *testing.T) {
 			refused++
 		}
 	}
-	if accepted < 5000 || refused < 5000 || packs < 500 || accepted-packs < 500 {
-		t.Fatalf("%d payloads accepted (%d of them pack's) and %d refused: want every kind exercised", accepted, packs, refused)
+	if accepted < 5000 || refused < 5000 || packs < 500 || accepted-packs < 500 || escapes < 5000 || zeros < 5000 {
+		t.Fatalf("%d payloads accepted (%d of them pack's) and %d refused, %d escaped TIDs and %d addresses landing on 0: want every kind exercised",
+			accepted, packs, refused, escapes, zeros)
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"slices"
 )
 
-// Chunked binary trace format (version 2):
+// Chunked binary trace format (version 3):
 //
-//	magic "WSPR" | version u8 = 2
+//	magic "WSPR" | version u8 = 3
 //	app string | layer string | threads uvarint
 //	zero or more blocks, each:
 //	    tag u8 = 0x01
@@ -25,18 +25,21 @@ import (
 //	    vloads uvarint | vstores uvarint | total uvarint
 //	    crc u32 LE              IEEE CRC-32 of the three varints above
 //
-// An event is kind u8, tid uvarint, time delta varint, addr delta varint,
-// size uvarint. Time and Addr are signed deltas from the previous event in
-// the same block, which keeps realistic traces small (consecutive events
-// are close in both time and space); the delta state resets at each block
-// boundary, so every block is independently decodable and checkable.
-// There is no up-front event count: the writer emits events as they happen
-// and the aggregate volatile counters ride in the trailer, which is what
-// lets a live run stream into analysis without ever materializing the
-// trace. Memory on both sides is O(block), not O(trace).
+// An event is a head byte holding its kind, a TID of 0 to 7 and whether an
+// address follows, a uvarint TID only when it is 8 or more, a time delta
+// varint, an address delta varint only when Addr is not 0, and a size
+// uvarint (pack.go). Time and Addr are signed deltas from the previous
+// event in the same block that has one, which keeps realistic traces small
+// (consecutive events are close in both time and space); the delta state
+// resets at each block boundary, so every block is independently
+// decodable and checkable. There is no up-front event count: the writer
+// emits events as they happen and the aggregate volatile counters ride in
+// the trailer, which is what lets a live run stream into analysis without
+// ever materializing the trace. Memory on both sides is O(block), not
+// O(trace). Versions 1 and 2 are no longer read.
 
 const (
-	version = 2
+	version = 3
 
 	tagBlock   = 0x01
 	tagTrailer = 0x02
@@ -53,10 +56,10 @@ const (
 	maxBlockEvents = 1 << 17
 	maxBlockBytes  = 1 << 23
 
-	// minEventBytes is the smallest possible encoded event (one byte per
-	// field); a block claiming more events than payloadLen/minEventBytes
-	// is lying about its count.
-	minEventBytes = 5
+	// minEventBytes is the smallest possible encoded event (a head, a time
+	// delta and a size of a byte each); a block claiming more events than
+	// payloadLen/minEventBytes is lying about its count.
+	minEventBytes = 3
 
 	// maxKind is the highest valid Kind byte; the Reader and the Writer
 	// reject anything above it.
@@ -131,7 +134,11 @@ func (s *SliceSource) NextChunk() ([]Event, error) {
 	switch b := s.b; {
 	case b < len(sealed):
 		s.b++
-		return unpack(s.block(DefaultBlockEvents), sealed[b])
+		c := s.block(DefaultBlockEvents)
+		if _, err := unpack(c, sealed[b]); err != nil {
+			return nil, err
+		}
+		return c, nil
 	case b == len(sealed) && len(s.tr.open) > 0:
 		s.b++
 		return slices.Clone(s.tr.open), nil
@@ -146,7 +153,7 @@ func (s *SliceSource) Volatile() (uint64, uint64) {
 
 // --- Writer --------------------------------------------------------------
 
-// Writer encodes an event stream in the chunked v2 format. Events are
+// Writer encodes an event stream in the chunked v3 format. Events are
 // buffered into blocks of DefaultBlockEvents, each packed and framed as
 // it fills; Close writes the trailer. A Writer holds O(block) memory
 // regardless of trace length.
@@ -158,7 +165,7 @@ type Writer struct {
 	closed  bool
 }
 
-// NewWriter writes the v2 stream header for m to w and returns a Writer
+// NewWriter writes the v3 stream header for m to w and returns a Writer
 // ready to receive events.
 func NewWriter(w io.Writer, m Meta) (*Writer, error) {
 	bw := bufio.NewWriter(w)
@@ -254,7 +261,7 @@ func (w *Writer) Close(vloads, vstores uint64) error {
 	return w.bw.Flush()
 }
 
-// Encode writes t in the chunked v2 format: the bytes a Writer makes of
+// Encode writes t in the chunked v3 format: the bytes a Writer makes of
 // its events. Its sealed blocks, recorded or decoded, are already the
 // Writer's payloads and are written as they are; only the open block is
 // packed here.
@@ -276,9 +283,9 @@ func (t *Trace) Encode(w io.Writer) error {
 	return tw.Close(t.VolatileLoads, t.VolatileStores)
 }
 
-// EncodeV2 drains src to w in the chunked v2 format: a live run through
-// its Fanout branch. A retained trace encodes faster with Trace.Encode,
-// to the same bytes.
+// EncodeV2 drains src to w in the chunked format, v3 since the head-byte
+// codec (the name is from v2's day): a live run through its Fanout branch.
+// A retained trace encodes faster with Trace.Encode, to the same bytes.
 func EncodeV2(w io.Writer, src EventSource) error {
 	tw, err := NewWriter(w, src.Meta())
 	if err != nil {
@@ -418,7 +425,11 @@ func (r *Reader) readFrame() ([]Event, error) {
 	if err != nil || count == 0 {
 		return nil, err
 	}
-	return decodeBlock(r.block(count), r.payload, crc)
+	block := r.block(count)
+	if _, err := decodeBlock(block, r.payload, crc); err != nil {
+		return nil, err
+	}
+	return block, nil
 }
 
 // nextFrame reads one frame without decoding it. For an event block it

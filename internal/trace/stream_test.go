@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -163,8 +164,8 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// v2Header returns a valid v2 stream header.
-func v2Header() []byte {
+// v3Header returns a valid v3 stream header.
+func v3Header() []byte {
 	var b []byte
 	b = append(b, magic...)
 	b = append(b, version)
@@ -174,15 +175,33 @@ func v2Header() []byte {
 	return b
 }
 
-// rawEvent encodes one event payload with explicit raw fields.
+// rawHead spells the head of an event of the given kind and TID: escaped
+// when esc is set, as pack spells a TID of inlineTIDs or more (and as only
+// a kind past maxKind can be spelled), with addrBit when addr is set.
+func rawHead(kind byte, tid uint64, esc, addr bool) []byte {
+	n, t := kind, byte(tid)
+	if esc {
+		n, t = escape+kind>>3, kind&7
+	}
+	h := t<<4 | n
+	if addr {
+		h |= addrBit
+	}
+	b := []byte{h}
+	if esc {
+		b = appendUvarint(b, tid)
+	}
+	return b
+}
+
+// rawEvent encodes one event payload with explicit raw fields, its address
+// delta always spelled: the kind and TID in the head when they fit there,
+// escaped otherwise.
 func rawEvent(kind byte, tid uint64, dt, da int64, size uint64) []byte {
-	var b []byte
-	b = append(b, kind)
-	b = appendUvarint(b, tid)
+	b := rawHead(kind, tid, tid >= inlineTIDs || kind > maxKind, true)
 	b = appendVarint(b, dt)
 	b = appendVarint(b, da)
-	b = appendUvarint(b, size)
-	return b
+	return appendUvarint(b, size)
 }
 
 // rawBlock frames a block with explicit count/len/crc so tests can lie.
@@ -219,7 +238,7 @@ func okBlock(events ...[]byte) []byte {
 	return rawBlock(uint64(len(events)), uint64(len(payload)), payload, crc32.ChecksumIEEE(payload))
 }
 
-// TestV2RejectsMalformed is the table of adversarial v2 inputs: each must
+// TestV2RejectsMalformed is the table of adversarial v3 inputs: each must
 // produce a descriptive error — never a panic, a silent acceptance, or a
 // large allocation.
 func TestV2RejectsMalformed(t *testing.T) {
@@ -233,38 +252,38 @@ func TestV2RejectsMalformed(t *testing.T) {
 	}{
 		{
 			name:    "missing trailer",
-			stream:  append(v2Header(), good...),
+			stream:  append(v3Header(), good...),
 			wantErr: "frame tag",
 		},
 		{
 			name:    "unknown frame tag",
-			stream:  append(v2Header(), 0x7f),
+			stream:  append(v3Header(), 0x7f),
 			wantErr: "unknown frame tag",
 		},
 		{
 			name:    "empty block",
-			stream:  append(v2Header(), rawBlock(0, 0, nil, 0)...),
+			stream:  append(v3Header(), rawBlock(0, 0, nil, 0)...),
 			wantErr: "empty block",
 		},
 		{
 			name:    "count beyond cap",
-			stream:  append(v2Header(), rawBlock(maxBlockEvents+1, maxBlockBytes, nil, 0)...),
+			stream:  append(v3Header(), rawBlock(maxBlockEvents+1, maxBlockBytes, nil, 0)...),
 			wantErr: "claims",
 		},
 		{
 			name:    "payload beyond cap",
-			stream:  append(v2Header(), rawBlock(1, maxBlockBytes+1, nil, 0)...),
+			stream:  append(v3Header(), rawBlock(1, maxBlockBytes+1, nil, 0)...),
 			wantErr: "claims",
 		},
 		{
 			name:    "lying count vs payload",
-			stream:  append(v2Header(), rawBlock(uint64(len(ev)/minEventBytes+2), uint64(len(ev)), ev, crc32.ChecksumIEEE(ev))...),
+			stream:  append(v3Header(), rawBlock(uint64(len(ev)/minEventBytes+2), uint64(len(ev)), ev, crc32.ChecksumIEEE(ev))...),
 			wantErr: "claims",
 		},
 		{
 			name: "corrupted payload crc",
 			stream: func() []byte {
-				b := append(v2Header(), rawBlock(1, uint64(len(ev)), ev, crc32.ChecksumIEEE(ev)^0xdeadbeef)...)
+				b := append(v3Header(), rawBlock(1, uint64(len(ev)), ev, crc32.ChecksumIEEE(ev)^0xdeadbeef)...)
 				return append(b, rawTrailer(0, 0, 1, true, 0)...)
 			}(),
 			wantErr: "crc mismatch",
@@ -274,7 +293,7 @@ func TestV2RejectsMalformed(t *testing.T) {
 			stream: func() []byte {
 				bad := append([]byte(nil), ev...)
 				bad[0] ^= 0x40
-				b := append(v2Header(), rawBlock(1, uint64(len(bad)), bad, crc32.ChecksumIEEE(ev))...)
+				b := append(v3Header(), rawBlock(1, uint64(len(bad)), bad, crc32.ChecksumIEEE(ev))...)
 				return append(b, rawTrailer(0, 0, 1, true, 0)...)
 			}(),
 			wantErr: "crc mismatch",
@@ -283,22 +302,38 @@ func TestV2RejectsMalformed(t *testing.T) {
 			name: "invalid kind in block",
 			stream: func() []byte {
 				bad := rawEvent(maxKind+1, 0, 0, 0, 0)
-				return append(v2Header(), okBlock(bad)...)
+				return append(v3Header(), okBlock(bad)...)
 			}(),
 			wantErr: "invalid kind",
 		},
 		{
 			name: "tid past 16 bits",
 			stream: func() []byte {
-				b := append(v2Header(), okBlock(ev, rawEvent(byte(KStore), 1<<16, 1, 0, 8))...)
+				b := append(v3Header(), okBlock(ev, rawEvent(byte(KStore), 1<<16, 1, 0, 8))...)
 				return append(b, rawTrailer(0, 0, 2, true, 0)...)
 			}(),
 			wantErr: "block event 1: tid 65536 out of range",
 		},
 		{
+			name: "escaped tid cut short",
+			stream: func() []byte {
+				b := append(v3Header(), okBlock(rawHead(byte(KStore), 1<<14, true, false)[:3])...)
+				return append(b, rawTrailer(0, 0, 1, true, 0)...)
+			}(),
+			wantErr: "block event 0: bad tid varint",
+		},
+		{
+			name: "address cut short",
+			stream: func() []byte {
+				b := append(v3Header(), okBlock(append(rawHead(byte(KStore), 0, false, true), 2, 0x80, 0x80))...)
+				return append(b, rawTrailer(0, 0, 1, true, 0)...)
+			}(),
+			wantErr: "block event 0: bad addr varint",
+		},
+		{
 			name: "size past 32 bits",
 			stream: func() []byte {
-				b := append(v2Header(), okBlock(rawEvent(byte(KStore), 0, 1, 0, 1<<32+8))...)
+				b := append(v3Header(), okBlock(rawEvent(byte(KStore), 0, 1, 0, 1<<32+8))...)
 				return append(b, rawTrailer(0, 0, 1, true, 0)...)
 			}(),
 			wantErr: "block event 0: size 4294967304 out of range",
@@ -307,7 +342,7 @@ func TestV2RejectsMalformed(t *testing.T) {
 			name: "trailing payload bytes",
 			stream: func() []byte {
 				payload := append(append([]byte(nil), ev...), 0x00, 0x00, 0x00, 0x00, 0x00)
-				return append(v2Header(), rawBlock(1, uint64(len(payload)), payload, crc32.ChecksumIEEE(payload))...)
+				return append(v3Header(), rawBlock(1, uint64(len(payload)), payload, crc32.ChecksumIEEE(payload))...)
 			}(),
 			wantErr: "trailing payload",
 		},
@@ -315,19 +350,19 @@ func TestV2RejectsMalformed(t *testing.T) {
 			name: "count larger than events in payload",
 			stream: func() []byte {
 				payload := append(append([]byte(nil), ev...), ev...)
-				return append(v2Header(), rawBlock(3, uint64(len(payload)), payload, crc32.ChecksumIEEE(payload))...)
+				return append(v3Header(), rawBlock(3, uint64(len(payload)), payload, crc32.ChecksumIEEE(payload))...)
 			}(),
 			wantErr: "payload exhausted",
 		},
 		{
 			name:    "truncated block payload",
-			stream:  append(v2Header(), append([]byte{tagBlock, 1, 20}, ev...)...),
+			stream:  append(v3Header(), append([]byte{tagBlock, 1, 20}, ev...)...),
 			wantErr: "block",
 		},
 		{
 			name: "trailer count mismatch",
 			stream: func() []byte {
-				b := append(v2Header(), good...)
+				b := append(v3Header(), good...)
 				return append(b, rawTrailer(0, 0, 99, true, 0)...)
 			}(),
 			wantErr: "trailer claims",
@@ -335,14 +370,14 @@ func TestV2RejectsMalformed(t *testing.T) {
 		{
 			name: "trailer crc mismatch",
 			stream: func() []byte {
-				b := append(v2Header(), good...)
+				b := append(v3Header(), good...)
 				return append(b, rawTrailer(7, 8, 1, false, 0x12345678)...)
 			}(),
 			wantErr: "crc mismatch",
 		},
 		{
 			name:    "truncated trailer",
-			stream:  append(append(v2Header(), good...), tagTrailer, 0x80),
+			stream:  append(append(v3Header(), good...), tagTrailer, 0x80),
 			wantErr: "trailer",
 		},
 	}
@@ -359,18 +394,28 @@ func TestV2RejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestReaderRejectsInvalidKind checks that a kind byte outside the known
-// range is refused inside a block whose framing and CRC are valid.
+// TestReaderRejectsInvalidKind checks that a head spelling a kind outside
+// the known range is refused inside a block whose framing and CRC are
+// valid: an escaped kind past maxKind, and a kind nibble that is neither a
+// kind nor an escape.
 func TestReaderRejectsInvalidKind(t *testing.T) {
-	for _, kind := range []byte{maxKind + 1, 0x42, 0xff} {
-		b := append(v2Header(), okBlock(rawEvent(kind, 0, 1, 1, 8))...)
+	for _, tc := range []struct {
+		ev   []byte
+		kind int
+	}{
+		{rawEvent(maxKind+1, 0, 1, 1, 8), int(maxKind) + 1},
+		{rawEvent(15, 9, 1, 1, 8), 15},
+		{[]byte{escape + 2, 2, 16}, int(escape) + 2},
+		{[]byte{0xff, 9, 2, 2, 16}, 15},
+	} {
+		b := append(v3Header(), okBlock(tc.ev)...)
 		b = append(b, rawTrailer(0, 0, 1, true, 0)...)
 		_, err := Decode(bytes.NewReader(b))
 		if err == nil {
-			t.Fatalf("Decode accepted kind %d", kind)
+			t.Fatalf("Decode accepted % x", tc.ev)
 		}
-		if !strings.Contains(err.Error(), "invalid kind") {
-			t.Fatalf("kind %d: error %q does not mention invalid kind", kind, err)
+		if want := fmt.Sprintf("invalid kind %d", tc.kind); !strings.Contains(err.Error(), want) {
+			t.Fatalf("% x: error %q does not say %s", tc.ev, err, want)
 		}
 	}
 }
@@ -378,7 +423,7 @@ func TestReaderRejectsInvalidKind(t *testing.T) {
 // TestReaderStickyError ensures a corrupt stream keeps failing rather
 // than resynchronizing on garbage.
 func TestReaderStickyError(t *testing.T) {
-	stream := append(v2Header(), 0x7f)
+	stream := append(v3Header(), 0x7f)
 	rd, err := NewReader(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)

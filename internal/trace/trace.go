@@ -134,20 +134,20 @@ func (e Event) String() string {
 const firstChunkEvents = 16
 
 // arenaBytes sizes the arenas sealed payloads are carved from once a trace
-// has sealed that much. A payload of one block is about 30 KiB: allocated
-// on its own it would take a 32 KiB size class, a tenth more than its
-// bytes, while an arena wastes less than a payload at its end.
+// has sealed that much. A payload of one block is about 20 KiB: allocated
+// on its own it would take the next size class, up to a tenth more than
+// its bytes, while an arena wastes less than a payload at its end.
 const arenaBytes = 1 << 20
 
 // Trace is an in-memory sequence of events plus run metadata. A recorded
 // trace is held the way a file holds it: sealed blocks of
-// DefaultBlockEvents events, each packed into its v2 payload, then one open
+// DefaultBlockEvents events, each packed into its v3 payload, then one open
 // block of at most DefaultBlockEvents events that Append writes into.
 // Recording costs a bounds check and a store per event and, once a block,
 // packing the block, which under a tail Collect does on a reader's
 // goroutine instead (tail.go). A decoded trace is held the same way, its
 // file's full blocks kept as they are (Decode), so a retained trace,
-// recorded or decoded, costs what its file does, about 7 bytes an event.
+// recorded or decoded, costs what its file does, about 4.8 bytes an event.
 // Every reader goes through a SliceSource.
 type Trace struct {
 	App     string // application name ("echo", "ycsb", ...)
@@ -173,7 +173,7 @@ type Trace struct {
 	VolatileStores uint64
 }
 
-// blockStore holds sealed blocks: each the v2 payload of DefaultBlockEvents
+// blockStore holds sealed blocks: each the v3 payload of DefaultBlockEvents
 // events. The first arenaBytes of them are allocated one by one, so a
 // short trace holds no empty arena, and the rest are carved from arenas,
 // so a long one costs its bytes. A payload never changes once kept, and a

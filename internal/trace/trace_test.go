@@ -441,7 +441,7 @@ func TestAppendAfterDecodeKeepsDecodedEvents(t *testing.T) {
 	}
 }
 
-// BenchmarkDecode materializes a 1 M-event trace from its v2 encoding:
+// BenchmarkDecode materializes a 1 M-event trace from its encoding:
 // Mevents/s is decoded events per second, allocs/op at most one per block
 // plus a constant.
 func BenchmarkDecode(b *testing.B) {

@@ -13,7 +13,7 @@ import (
 // One pass, any number of consumers. Every analysis entry point of the
 // package — a live run, a saved file or a retained trace — is
 // pipeline(src, taps): the epoch analysis reads src, and whatever else
-// wants the events (the sanitizer, the cache simulation, the v2 trace
+// wants the events (the sanitizer, the cache simulation, the trace
 // writer; see fused) rides the same pass as a tap on its own trace.Fanout
 // branch. Each consumer sees the identical event sequence, so its output
 // is byte-identical to reading the source alone, and the source is
@@ -56,7 +56,7 @@ func pipeline(src trace.EventSource, taps []tap) (*epoch.Analysis, error) {
 // the next instead of re-reading the whole trace from cold memory after the
 // run. Run and RunAllFused are the same pass, record then pipeline, and
 // differ only in their taps: Run's is trace.Collect, whose packed blocks,
-// about 7 bytes an event, are Report.Trace; RunAllFused's keep no events.
+// about 4.8 bytes an event, are Report.Trace; RunAllFused's keep no events.
 // Either way the Fanout hands each block back to the recorder once every
 // branch is past it. The reports are identical (TestStreamMatchesSerial
 // asserts it on every suite member).

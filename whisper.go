@@ -51,14 +51,14 @@ func (t *Trace) App() string { return t.tr.App }
 // Events returns the number of recorded PM events.
 func (t *Trace) Events() int { return t.tr.Len() }
 
-// Encode writes the trace in the binary trace format (chunked v2: framed,
+// Encode writes the trace in the binary trace format (chunked v3: framed,
 // CRC-checksummed event blocks; see internal/trace).
 func (t *Trace) Encode(w io.Writer) error {
 	return t.tr.Encode(w)
 }
 
 // EncodeV2 is Encode under its earlier name, from when Encode still wrote
-// the v1 layout.
+// the v1 layout; like Encode it writes v3.
 func (t *Trace) EncodeV2(w io.Writer) error { return t.Encode(w) }
 
 // DecodeTrace reads a trace written with Encode.

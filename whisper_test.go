@@ -115,10 +115,10 @@ func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestRetainedTraceBytesPerEvent: a report holds its run's trace as the
-// trace file holds it, packed v2 blocks, so keeping it costs at most 8
-// bytes of live heap an event — not the 24 of an Event — and Encode
-// writes those blocks as they are: a Writer fed the same events writes the
-// same bytes.
+// trace file holds it, packed v3 blocks, so keeping it costs at most 5.5
+// bytes of live heap an event — not the 24 of an Event, nor v2's 7.4 —
+// and Encode writes those blocks as they are: a Writer fed the same events
+// writes the same bytes.
 func TestRetainedTraceBytesPerEvent(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -131,8 +131,10 @@ func TestRetainedTraceBytesPerEvent(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	n := rep.Trace.Events()
 	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if perEvent := float64(live) / float64(n); perEvent > 8 {
-		t.Errorf("%d events hold %d bytes live with their report, %.2f B/event, want <= 8", n, live, perEvent)
+	perEvent := float64(live) / float64(n)
+	t.Logf("%d events hold %d bytes live with their report, %.2f B/event", n, live, perEvent)
+	if perEvent > 5.5 {
+		t.Errorf("%d events hold %d bytes live with their report, %.2f B/event, want <= 5.5", n, live, perEvent)
 	}
 
 	var got, want bytes.Buffer
