@@ -141,9 +141,9 @@ func FuzzReaderV2(f *testing.F) {
 	f.Add([]byte("WSPR\x03\x04echo\x06native\x01"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode frames the blocks serially and decodes them on workers; a
-		// stream the Reader rejects it must reject with the Reader's
-		// error, and leave no worker behind either way.
+		// Decode is the Reader's block loop: a stream the Reader rejects
+		// it must reject with the Reader's error, and start no goroutine
+		// either way.
 		base := runtime.NumGoroutine()
 		_, decodeErr := Decode(bytes.NewReader(data))
 		requireGoroutines(t, base)

@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/bits"
 )
@@ -65,17 +64,6 @@ func pack(dst []byte, block []Event) []byte {
 		prevTime = uint64(e.Time)
 	}
 	return dst
-}
-
-// decodeBlock checks a block's payload p against its crc and unpacks its
-// len(block) events into block, as unpack does. It is the one block
-// decoder, shared by the streaming Reader and Decode's workers, so both
-// report a damaged block the same way.
-func decodeBlock(block []Event, p []byte, crc uint32) (canonical bool, err error) {
-	if got := crc32.ChecksumIEEE(p); got != crc {
-		return false, fmt.Errorf("trace: block crc mismatch (%#x != %#x)", got, crc)
-	}
-	return unpack(block, p)
 }
 
 // unpack decodes the payload p of len(block) events into block, checking

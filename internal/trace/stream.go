@@ -323,7 +323,7 @@ type Reader struct {
 	// payload is a reusable buffer for a block's encoded bytes, crc one for
 	// its checksum (a local would escape to the heap once per block). A
 	// chunk belongs to whoever NextChunk gave it to: a block is decoded
-	// into one only once it is released (a Fanout does).
+	// into one only once it is released (a Fanout does; so does Decode).
 	payload []byte
 	crc     [4]byte
 	blockPool
@@ -389,16 +389,12 @@ func (r *Reader) NextChunk() ([]Event, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	chunk, err := r.readFrame()
-	switch {
-	case err != nil:
+	chunk, _, err := r.readFrame()
+	if err != nil {
 		r.err = err
-	case chunk == nil: // the trailer
-		r.err = io.EOF
-	default:
-		return chunk, nil
+		return nil, err
 	}
-	return nil, r.err
+	return chunk, nil
 }
 
 // Next returns the next event, io.EOF at the end of a well-formed stream,
@@ -418,42 +414,43 @@ func (r *Reader) Next() (Event, error) {
 	return e, nil
 }
 
-// readFrame reads one frame: an event block, returned decoded, or the
-// trailer, which completes the stream and returns no events.
-func (r *Reader) readFrame() ([]Event, error) {
-	count, crc, err := r.nextFrame(&r.payload)
-	if err != nil || count == 0 {
-		return nil, err
-	}
-	block := r.block(count)
-	if _, err := decodeBlock(block, r.payload, crc); err != nil {
-		return nil, err
-	}
-	return block, nil
-}
-
-// nextFrame reads one frame without decoding it. For an event block it
-// reads the payload into *buf, growing it if need be, and returns the
-// block's event count and crc; the trailer it reads and checks against
-// the events framed so far, and returns a count of 0.
-func (r *Reader) nextFrame(buf *[]byte) (count int, crc uint32, err error) {
+// readFrame reads one frame. An event block it reads into r.payload,
+// checks against its crc and unpacks into a block of the pool, and returns
+// with whether the payload is what pack makes of its events; the trailer
+// it reads and checks against the events framed so far, and returns
+// io.EOF. It is the one block path, NextChunk's and Decode's.
+func (r *Reader) readFrame() (block []Event, canonical bool, err error) {
 	tag, err := r.br.ReadByte()
 	if err != nil {
-		return 0, 0, fmt.Errorf("trace: reading frame tag: %w", noEOF(err))
+		return nil, false, fmt.Errorf("trace: reading frame tag: %w", noEOF(err))
 	}
 	switch tag {
 	case tagBlock:
-		return r.readBlock(buf)
+		count, crc, err := r.readBlock()
+		if err != nil {
+			return nil, false, err
+		}
+		if got := crc32.ChecksumIEEE(r.payload); got != crc {
+			return nil, false, fmt.Errorf("trace: block crc mismatch (%#x != %#x)", got, crc)
+		}
+		block = r.block(count)
+		if canonical, err = unpack(block, r.payload); err != nil {
+			return nil, false, err
+		}
+		return block, canonical, nil
 	case tagTrailer:
-		return 0, 0, r.readTrailer()
+		if err := r.readTrailer(); err != nil {
+			return nil, false, err
+		}
+		return nil, false, io.EOF
 	default:
-		return 0, 0, fmt.Errorf("trace: unknown frame tag %#x", tag)
+		return nil, false, fmt.Errorf("trace: unknown frame tag %#x", tag)
 	}
 }
 
 // readBlock reads a block's framing: its header, bounded before anything
-// is allocated, its payload into *buf and its crc.
-func (r *Reader) readBlock(buf *[]byte) (int, uint32, error) {
+// is allocated, its payload into r.payload and its crc.
+func (r *Reader) readBlock() (int, uint32, error) {
 	count, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		return 0, 0, fmt.Errorf("trace: block count: %w", noEOF(err))
@@ -478,11 +475,11 @@ func (r *Reader) readBlock(buf *[]byte) (int, uint32, error) {
 	if count*minEventBytes > payloadLen {
 		return 0, 0, fmt.Errorf("trace: block claims %d events in %d bytes", count, payloadLen)
 	}
-	if uint64(cap(*buf)) < payloadLen {
-		*buf = make([]byte, payloadLen)
+	if uint64(cap(r.payload)) < payloadLen {
+		r.payload = make([]byte, payloadLen)
 	}
-	*buf = (*buf)[:payloadLen]
-	if _, err := io.ReadFull(r.br, *buf); err != nil {
+	r.payload = r.payload[:payloadLen]
+	if _, err := io.ReadFull(r.br, r.payload); err != nil {
 		return 0, 0, fmt.Errorf("trace: block payload: %w", noEOF(err))
 	}
 	if _, err := io.ReadFull(r.br, r.crc[:]); err != nil {

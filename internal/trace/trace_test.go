@@ -378,11 +378,11 @@ func BenchmarkTraceAppend(b *testing.B) {
 
 // TestDecodeAdoptsBlocks pins what Decode allocates: at most one
 // allocation per block it keeps, plus a constant and the block list's
-// doubling, and fewer bytes than the events would take unpacked. A decoder
+// doubling, and at most 1.5 bytes an event past the file's own. A decoder
 // that allocated each block's events as well as its payload would exceed
 // both.
 func TestDecodeAdoptsBlocks(t *testing.T) {
-	decode := func(n int) (allocs float64, bytesPerEvent float64) {
+	decode := func(n int) (allocs, bytesPerEvent, fileBytesPerEvent float64) {
 		raw := encoded(t, countingTrace(n))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -393,19 +393,20 @@ func TestDecodeAdoptsBlocks(t *testing.T) {
 		})
 		runtime.ReadMemStats(&after)
 		// AllocsPerRun makes one warm-up run besides the three it counts.
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 4 / float64(n)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 4 / float64(n), float64(len(raw)) / float64(n)
 	}
 	const short, long = 8 * DefaultBlockEvents, 64 * DefaultBlockEvents
-	shortAllocs, _ := decode(short)
-	longAllocs, perEvent := decode(long)
+	shortAllocs, _, _ := decode(short)
+	longAllocs, perEvent, filePerEvent := decode(long)
 	// 56 more blocks, the block list doubles three more times, and the
 	// runtime may allocate a little of its own while the runs are counted.
 	if extra, want := longAllocs-shortAllocs, float64(long-short)/DefaultBlockEvents+6; extra > want {
 		t.Errorf("%d events: %.0f allocs, %d events: %.0f — %.0f more, want <= %.0f (one per block)",
 			short, shortAllocs, long, longAllocs, extra, want)
 	}
-	if size := float64(unsafe.Sizeof(Event{})); perEvent > 1.1*size {
-		t.Errorf("Decode allocated %.1f B/event, want <= %.1f (the events unpacked)", perEvent, 1.1*size)
+	t.Logf("%d events: %.2f B/event allocated, a %.2f B/event file", long, perEvent, filePerEvent)
+	if want := filePerEvent + 1.5; perEvent > want {
+		t.Errorf("Decode allocated %.2f B/event, want <= %.2f (the file's %.2f and 1.5)", perEvent, want, filePerEvent)
 	}
 }
 

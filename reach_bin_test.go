@@ -1,5 +1,3 @@
-//go:build reach
-
 package whisper
 
 import (
@@ -18,9 +16,10 @@ import (
 // inlining, reads their symbols, and fails when a function declared outside
 // a _test.go file is reached by none of them and is not in
 // testdata/unreached.allow, or when an entry of that list is reached or no
-// longer declared — so the list only shrinks. Run it with
+// longer declared — so the list only shrinks. go test ./... runs it; by
+// itself it is
 //
-//	go test -tags reach -run TestEveryFunctionReached .
+//	go test -run TestEveryFunctionReached .
 //
 // An interface method the program never calls is dropped by the linker and
 // counts as unreached, which is what it is.

@@ -12,8 +12,8 @@ import (
 	"testing"
 )
 
-// The reachability probe behind TestEveryFunctionReached (reach_bin_test.go,
-// build tag reach): every function declared outside a _test.go file must
+// The reachability probe behind TestEveryFunctionReached
+// (reach_bin_test.go): every function declared outside a _test.go file must
 // appear in the symbol table of some binary the module builds, or be named
 // in testdata/unreached.allow. This file holds the name mapping between the
 // two sides, which is tested here without building anything.
