@@ -184,13 +184,13 @@ func BenchmarkSanitizeReplay(b *testing.B) {
 func BenchmarkTraceCodecV2(b *testing.B) {
 	tr := genPipelineTrace(1_000_000, 8)
 	var v2 bytes.Buffer
-	if err := trace.EncodeV2(&v2, trace.NewSliceSource(tr)); err != nil {
+	if err := trace.EncodeSource(&v2, trace.NewSliceSource(tr)); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("encode/v2", func(b *testing.B) {
 		b.SetBytes(int64(v2.Len()))
 		for i := 0; i < b.N; i++ {
-			if err := trace.EncodeV2(io.Discard, trace.NewSliceSource(tr)); err != nil {
+			if err := trace.EncodeSource(io.Discard, trace.NewSliceSource(tr)); err != nil {
 				b.Fatal(err)
 			}
 		}

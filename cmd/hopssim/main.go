@@ -75,24 +75,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 			subset = append(subset, b.Name)
 		}
 	}
-	reports := make(map[string]*whisper.Report)
-	for _, name := range subset {
+	// Each app's recorded trace is replayed as soon as it is run, so only
+	// one is alive at a time; the figures keep its PM share and its row.
+	pmShare := make([]float64, len(subset))
+	norms := make([]map[string]float64, len(subset))
+	for i, name := range subset {
 		rep, err := whisper.Run(name, whisper.Config{Ops: *ops, Seed: *seed})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		reports[name] = rep
+		pmShare[i] = rep.PMShare
+		if both || *fig10 {
+			norms[i] = whisper.SimulateHOPS(rep.Trace, cfg)
+		}
 	}
 
 	if both || *fig6 {
 		fmt.Fprintln(stdout, "== Figure 6: PM accesses among all memory accesses ==")
 		fmt.Fprintf(stdout, "%-10s %-10s %s\n", "Benchmark", "Measured", "Paper")
 		var sum float64
-		for _, name := range subset {
-			r := reports[name]
-			fmt.Fprintf(stdout, "%-10s %-9.2f%% %.2f%%\n", name, r.PMShare*100, paperPMShare[name])
-			sum += float64(r.PMShare * 100) // rounded, so arm64 fuses no FMADDD
+		for i, name := range subset {
+			fmt.Fprintf(stdout, "%-10s %-9.2f%% %.2f%%\n", name, pmShare[i]*100, paperPMShare[name])
+			sum += float64(pmShare[i] * 100) // rounded, so arm64 fuses no FMADDD
 		}
 		fmt.Fprintf(stdout, "%-10s %-9.2f%% %.2f%%\n\n", "average", sum/float64(len(subset)), 3.54)
 	}
@@ -107,12 +112,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout)
 		avg := make(map[string]float64)
-		for _, name := range subset {
-			norm := whisper.SimulateHOPS(reports[name].Trace, cfg)
+		for i, name := range subset {
 			fmt.Fprintf(stdout, "%-10s", name)
 			for _, m := range models {
-				fmt.Fprintf(stdout, " %14.3f", norm[m])
-				avg[m] += norm[m]
+				fmt.Fprintf(stdout, " %14.3f", norms[i][m])
+				avg[m] += norms[i][m]
 			}
 			fmt.Fprintln(stdout)
 		}

@@ -101,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	sr, err := pmodel.RunSuite(pmodel.CheckConfig{})
+	sr, err := pmodel.RunSuite()
 	if err != nil {
 		return fail(err)
 	}
@@ -144,7 +144,7 @@ func check(src string) (*pmodel.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pmodel.Check(p, pmodel.CheckConfig{})
+	return pmodel.Check(p)
 }
 
 func crossValidate(res *pmodel.Result, seeds int, stdout, stderr io.Writer) int {

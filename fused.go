@@ -141,7 +141,7 @@ func fused(src trace.EventSource, fcfg FusedConfig, traceOut io.Writer) (*FusedR
 		})
 	}
 	if traceOut != nil {
-		taps = append(taps, func(b *trace.Branch) error { return trace.EncodeV2(traceOut, b) })
+		taps = append(taps, func(b *trace.Branch) error { return trace.EncodeSource(traceOut, b) })
 	}
 	a, err := pipeline(src, taps)
 	if err != nil {

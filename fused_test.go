@@ -161,7 +161,7 @@ func TestRunAllFusedMatchesSingleRuns(t *testing.T) {
 // TestRunAllFusedUnknownNameOpensNothing: a name outside the suite fails
 // the call before any run starts or any trace writer is opened, so a
 // `whisper -bench nope -trace dir` leaves no empty file behind for a later
-// `wanalyze -dir` to choke on.
+// `whisper -dir` to choke on.
 func TestRunAllFusedUnknownNameOpensNothing(t *testing.T) {
 	var mu sync.Mutex
 	var opened []string

@@ -38,7 +38,7 @@ func hostileTraces(t testing.TB) []hostileTrace {
 			tr.Append(e)
 		}
 		var buf bytes.Buffer
-		if err := trace.EncodeV2(&buf, trace.NewSliceSource(tr)); err != nil {
+		if err := trace.EncodeSource(&buf, trace.NewSliceSource(tr)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

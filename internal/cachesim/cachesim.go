@@ -21,7 +21,7 @@
 //
 // Four behaviours are deliberate and pinned by the reference hierarchy in
 // reference_test.go; changing any of them moves the bench `analyze`
-// sim_digest and what `wanalyze -cache` prints:
+// sim_digest and what `whisper -cache` prints:
 //
 //  1. Only a load's fills count evictions; a store's inserts evict
 //     without counting.

@@ -211,8 +211,8 @@ func feeds(t *testing.T, tr *trace.Trace) map[string]trace.EventSource {
 	// hand-built traces skip the file round trip.
 	if tr.Threads >= 0 {
 		var buf bytes.Buffer
-		if err := trace.EncodeV2(&buf, trace.NewSliceSource(tr)); err != nil {
-			t.Fatalf("EncodeV2: %v", err)
+		if err := trace.EncodeSource(&buf, trace.NewSliceSource(tr)); err != nil {
+			t.Fatalf("EncodeSource: %v", err)
 		}
 		rd, err := trace.NewReader(&buf)
 		if err != nil {

@@ -68,10 +68,10 @@ func recoverTwins(t *testing.T, dev *pmem.Device, now mem.Time, super mem.Addr, 
 		t.Fatalf("openStore: device stats %+v, the single-pass scan %+v", g, w)
 	}
 	var gb, wb bytes.Buffer
-	if err := trace.EncodeV2(&gb, trace.NewSliceSource(got.rt.Trace)); err != nil {
+	if err := trace.EncodeSource(&gb, trace.NewSliceSource(got.rt.Trace)); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.EncodeV2(&wb, trace.NewSliceSource(want.rt.Trace)); err != nil {
+	if err := trace.EncodeSource(&wb, trace.NewSliceSource(want.rt.Trace)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {

@@ -201,10 +201,10 @@ func requireMatchesReference(t *testing.T, cfg SimConfig) SimResult {
 	}
 	for i := 0; i < gs.Shards(); i++ {
 		var g, w bytes.Buffer
-		if err := trace.EncodeV2(&g, trace.NewSliceSource(gs.Runtime(i).Trace)); err != nil {
+		if err := trace.EncodeSource(&g, trace.NewSliceSource(gs.Runtime(i).Trace)); err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.EncodeV2(&w, trace.NewSliceSource(ws.Runtime(i).Trace)); err != nil {
+		if err := trace.EncodeSource(&w, trace.NewSliceSource(ws.Runtime(i).Trace)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(g.Bytes(), w.Bytes()) {

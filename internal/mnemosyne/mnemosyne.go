@@ -23,6 +23,7 @@
 package mnemosyne
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/whisper-pm/whisper/internal/alloc"
@@ -180,7 +181,7 @@ func (tx *Tx) Write(a mem.Addr, data []byte) {
 // WriteU64 is Write for a little-endian uint64.
 func (tx *Tx) WriteU64(a mem.Addr, v uint64) {
 	var buf [8]byte
-	putU64(buf[:], v)
+	binary.LittleEndian.PutUint64(buf[:], v)
 	tx.Write(a, buf[:])
 }
 
@@ -192,8 +193,8 @@ func (tx *Tx) appendRecord(a mem.Addr, data []byte) {
 		panic("mnemosyne: redo log overflow (transaction too large)")
 	}
 	var hdr [recHeader]byte
-	putU64(hdr[0:], uint64(a))
-	putU64(hdr[8:], uint64(len(data)))
+	binary.LittleEndian.PutUint64(hdr[0:], uint64(a))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(data)))
 	buf := make([]byte, recHeader+padded)
 	copy(buf, hdr[:])
 	copy(buf[recHeader:], data)
@@ -282,7 +283,7 @@ func (w shadowWrite) overlay(a mem.Addr, out []byte, lo, hi mem.Addr) {
 func (tx *Tx) ReadU64(a mem.Addr) uint64 {
 	var buf [8]byte
 	tx.readInto(a, buf[:])
-	return getU64(buf[:])
+	return binary.LittleEndian.Uint64(buf[:])
 }
 
 // Alloc allocates inside the transaction (pmalloc).
@@ -417,18 +418,4 @@ func (h *Heap) zeroLog(th *persist.Thread, logBase mem.Addr) {
 		th.Fence()
 		pos += mem.Addr(recHeader + ((length + 7) &^ 7))
 	}
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }

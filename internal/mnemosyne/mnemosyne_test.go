@@ -2,6 +2,7 @@ package mnemosyne
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -179,8 +180,8 @@ func TestCrashAfterCommitRecordReplays(t *testing.T) {
 	// record, then crash before any in-place apply.
 	logBase := h.logs[th.ID()]
 	var rec [32]byte
-	putU64(rec[0:], uint64(a))
-	putU64(rec[8:], 8)
+	binary.LittleEndian.PutUint64(rec[0:], uint64(a))
+	binary.LittleEndian.PutUint64(rec[8:], 8)
 	copy(rec[16:], "replayed")
 	th.StoreNT(logBase+entryOffset, rec[:])
 	th.Fence()
@@ -423,7 +424,7 @@ func TestReadU64DoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, read); n != 0 {
 			t.Errorf("ReadU64 over a write set allocates %v times per call, want 0", n)
 		}
-		if want := getU64(tx.Read(a+4, 8)); v != want || v != 0x2222444433333333 {
+		if want := binary.LittleEndian.Uint64(tx.Read(a+4, 8)); v != want || v != 0x2222444433333333 {
 			t.Errorf("ReadU64 over a write set = %#x, Read says %#x", v, want)
 		}
 		// Past indexAfter writes the read goes through the line index: built

@@ -14,26 +14,10 @@ import (
 // durable state is exactly one uint64 per variable.
 const varBytes = 8
 
-// DefaultMaxStates bounds the explicit-state search when CheckConfig
-// leaves MaxStates zero. The builtin suite peaks around a few thousand
-// states; the cap exists for the fuzz target and hand-written programs.
+// DefaultMaxStates bounds Check's explicit-state search. The builtin
+// suite peaks around a few thousand states; the cap exists for the fuzz
+// target and hand-written programs.
 const DefaultMaxStates = 1 << 20
-
-// CheckConfig tunes one enumeration run.
-type CheckConfig struct {
-	// MaxStates aborts the search with an error once more than this many
-	// states have been visited (<= 0 means DefaultMaxStates). Without
-	// memoization the same state may be visited — and counted — more
-	// than once.
-	MaxStates int
-	// NoMemo disables canonical-state memoization. The search still
-	// terminates (every transition either advances a pc or strictly
-	// shrinks the pending-persist measure) but revisits shared states;
-	// the fuzz target uses it as the oracle configuration.
-	NoMemo bool
-	// NoPOR disables the ascending-line persist ordering reduction.
-	NoPOR bool
-}
 
 // Result is the outcome of one enumeration: counters plus the full set of
 // reachable durable states, each a value vector indexed like
@@ -164,31 +148,35 @@ func encodeVals(vals []uint64) []byte {
 }
 
 type checker struct {
-	p    *Program
-	cfg  CheckConfig
-	res  *Result
-	memo map[string]struct{}
+	p          *Program
+	exhaustive bool
+	res        *Result
+	memo       map[string]struct{}
 }
 
 // Check enumerates every durable state the program's persistency model
 // can leave behind a crash and evaluates the invariant against each. It
-// returns an error (not a panic) when the program is invalid or the
-// visited-state bound is exceeded, so callers can surface "too big to
-// enumerate" distinctly from "violated".
-func Check(p *Program, cfg CheckConfig) (*Result, error) {
+// returns an error (not a panic) when the program is invalid or the search
+// visits more than DefaultMaxStates states, so callers can surface "too
+// big to enumerate" distinctly from "violated".
+func Check(p *Program) (*Result, error) { return check(p, DefaultMaxStates, false) }
+
+// check is Check with its state bound given. exhaustive turns off
+// canonical-state memoization and the ascending-line persist ordering
+// reduction: the search still terminates (every transition either
+// advances a pc or strictly shrinks the pending-persist measure) but
+// revisits shared states, and counts each visit against maxStates. The
+// fuzz and differential tests hold Check to that search as their oracle.
+func check(p *Program, maxStates int, exhaustive bool) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	maxStates := cfg.MaxStates
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
 	c := &checker{
-		p:   p,
-		cfg: cfg,
-		res: &Result{Program: p, durKeys: make(map[string]struct{})},
+		p:          p,
+		exhaustive: exhaustive,
+		res:        &Result{Program: p, durKeys: make(map[string]struct{})},
 	}
-	if !cfg.NoMemo {
+	if !exhaustive {
 		c.memo = make(map[string]struct{})
 	}
 
@@ -405,7 +393,7 @@ func (c *checker) succPersistPx86(s *ckState, stack []*ckState) []*ckState {
 		if !enabled {
 			continue
 		}
-		if !c.cfg.NoPOR && s.lastPersist >= 0 && int8(v) < s.lastPersist {
+		if !c.exhaustive && s.lastPersist >= 0 && int8(v) < s.lastPersist {
 			c.res.Prunes++
 			continue
 		}

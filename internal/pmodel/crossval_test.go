@@ -16,7 +16,7 @@ func TestCrashcheckSubset(t *testing.T) {
 		if p.Model != ModelPx86 {
 			continue
 		}
-		r, err := Check(p, CheckConfig{})
+		r, err := Check(p)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -38,7 +38,7 @@ func TestCrashcheckSubset(t *testing.T) {
 
 func TestCrossValidateRejectsEpoch(t *testing.T) {
 	p := MustParse("model epoch\nthread:\n  st x 1\n")
-	r, err := Check(p, CheckConfig{})
+	r, err := Check(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPR2BugShapesRediscovered(t *testing.T) {
 		if !ok {
 			t.Fatalf("shape %s missing from suite", c.shape)
 		}
-		r, err := Check(MustParse(s.DSL), CheckConfig{})
+		r, err := Check(MustParse(s.DSL))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestPR2BugShapesRediscovered(t *testing.T) {
 		if !ok {
 			t.Fatalf("shape %s-fixed missing from suite", c.shape)
 		}
-		fr, err := Check(MustParse(fixed.DSL), CheckConfig{})
+		fr, err := Check(MustParse(fixed.DSL))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func TestSanitizerFindingsHaveWitnessStates(t *testing.T) {
 		}
 		rep := sanitize(ex.Trace)
 		flagged := rep.Sites(pmsan.DirtyAtCommit) > 0 || rep.Sites(pmsan.UnfencedNTStore) > 0
-		r, err := Check(p, CheckConfig{})
+		r, err := Check(p)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -76,7 +76,7 @@ func TestSanitizerSitesAlignWithWitness(t *testing.T) {
 	if blamed < 0 || p.Vars[blamed] != "t" {
 		t.Fatalf("pmsan blames line %#x (var %d), want the terminator t", dirty[0].Line, blamed)
 	}
-	r, err := Check(p, CheckConfig{})
+	r, err := Check(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSanitizerSitesAlignWithWitness(t *testing.T) {
 func TestSuiteReportDeterministic(t *testing.T) {
 	first := ""
 	for i := 0; i < 20; i++ {
-		sr, err := RunSuite(CheckConfig{})
+		sr, err := RunSuite()
 		if err != nil {
 			t.Fatal(err)
 		}

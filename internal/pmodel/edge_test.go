@@ -9,7 +9,7 @@ import (
 )
 
 func TestEmptyProgram(t *testing.T) {
-	r := checkDSL(t, "", CheckConfig{})
+	r := checkDSL(t, "")
 	if r.States != 1 || len(r.Durable) != 1 {
 		t.Fatalf("states=%d durable=%v; want exactly the initial state", r.States, r.Durable)
 	}
@@ -26,7 +26,7 @@ func TestEmptyProgram(t *testing.T) {
 }
 
 func TestSingleOpThread(t *testing.T) {
-	r := checkDSL(t, "thread:\n  st x 7\n", CheckConfig{})
+	r := checkDSL(t, "thread:\n  st x 7\n")
 	for _, want := range [][]uint64{vals(0), vals(7)} {
 		if !r.Contains(want) {
 			t.Errorf("durable set %v misses %v", r.Durable, want)
@@ -42,7 +42,7 @@ func TestZeroThreadsWithInvariant(t *testing.T) {
 	// only durable state is all-zero, and execution still works — the
 	// runtime is created with one idle thread.
 	p := MustParse("invariant x == 0\n")
-	r, err := Check(p, CheckConfig{})
+	r, err := Check(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ thread:
   fence
 invariant x == 0
 `
-	r := checkDSL(t, src, CheckConfig{})
+	r := checkDSL(t, src)
 	if len(r.Durable) != 1 || !r.Clean() {
 		t.Fatalf("durable=%v clean=%v", r.Durable, r.Clean())
 	}

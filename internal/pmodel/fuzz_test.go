@@ -102,11 +102,11 @@ func FuzzPmodel(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("generator produced an invalid program: %v\n%+v", err, p)
 		}
-		fast, err := Check(p, CheckConfig{MaxStates: 1 << 16})
+		fast, err := check(p, 1<<16, false)
 		if err != nil {
 			t.Skipf("state bound: %v", err)
 		}
-		slow, err := Check(p, CheckConfig{MaxStates: 1 << 20, NoMemo: true, NoPOR: true})
+		slow, err := check(p, DefaultMaxStates, true)
 		if err != nil {
 			t.Skipf("oracle state bound: %v", err)
 		}

@@ -18,7 +18,7 @@ func TestGoldenShapeReports(t *testing.T) {
 	for _, s := range Suite() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			r, err := Check(MustParse(s.DSL), CheckConfig{})
+			r, err := Check(MustParse(s.DSL))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestGoldenShapeReports(t *testing.T) {
 // TestGoldenSuiteSummary pins the whole-suite report, summary line
 // included — the artifact the CI litmus-smoke job diffs across two runs.
 func TestGoldenSuiteSummary(t *testing.T) {
-	sr, err := RunSuite(CheckConfig{})
+	sr, err := RunSuite()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func ModelByName(name string) (Model, bool) {
 
 // Enumeration caps. Programs are validated against these up front so the
 // search is bounded by construction — the fuzz target's termination
-// invariant rests on them plus the visited-state bound in CheckConfig.
+// invariant rests on them plus Check's visited-state bound, DefaultMaxStates.
 const (
 	MaxThreads   = 4  // logical threads per program
 	MaxVars      = 12 // named variables (one PM cache line each)

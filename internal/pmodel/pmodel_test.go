@@ -11,13 +11,13 @@ import (
 // vals builds a durable value vector literal.
 func vals(vs ...uint64) []uint64 { return vs }
 
-func checkDSL(t *testing.T, src string, cfg CheckConfig) *Result {
+func checkDSL(t *testing.T, src string) *Result {
 	t.Helper()
 	p, err := Parse(src)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	r, err := Check(p, cfg)
+	r, err := Check(p)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -35,7 +35,7 @@ thread:
   fence
   st y 1
 invariant y==1 -> x==1
-`, CheckConfig{})
+`)
 	want := [][]uint64{vals(0, 0), vals(1, 0), vals(1, 1)}
 	if !reflect.DeepEqual(r.Durable, want) {
 		t.Fatalf("durable set = %v, want %v", r.Durable, want)
@@ -51,7 +51,7 @@ thread:
   st x 1
   st y 1
 invariant y==1 -> x==1
-`, CheckConfig{})
+`)
 	if r.Clean() {
 		t.Fatal("unordered publish enumerated clean; want a violation")
 	}
@@ -72,7 +72,7 @@ thread:
   tx.end
   st c 1
 invariant c==1 -> x==2
-`, CheckConfig{})
+`)
 	want := [][]uint64{vals(0, 0), vals(1, 0), vals(2, 0), vals(2, 1)}
 	if !reflect.DeepEqual(r.Durable, want) {
 		t.Fatalf("durable set = %v, want %v", r.Durable, want)
@@ -90,7 +90,7 @@ thread:
   tx.end
   st c 1
 invariant c==1 -> x==2
-`, CheckConfig{})
+`)
 	if !r.Contains(vals(1, 1)) {
 		t.Fatalf("durable set %v misses the in-epoch reorder x=1 c=1", r.Durable)
 	}
@@ -111,7 +111,7 @@ thread:
   fence
   st z 1
 invariant z==1 -> x==1
-`, CheckConfig{})
+`)
 	if !r.Clean() {
 		t.Fatalf("violations = %v; fence must order flushed x before z", r.Violations)
 	}
@@ -126,11 +126,11 @@ func TestMemoAndPORPreserveDurableSets(t *testing.T) {
 	// must agree on the reachable durable sets for every builtin shape.
 	for _, s := range Suite() {
 		p := MustParse(s.DSL)
-		fast, err := Check(p, CheckConfig{})
+		fast, err := Check(p)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
-		slow, err := Check(p, CheckConfig{NoMemo: true, NoPOR: true})
+		slow, err := check(p, DefaultMaxStates, true)
 		if err != nil {
 			t.Fatalf("%s (oracle): %v", s.Name, err)
 		}
@@ -153,7 +153,7 @@ func TestPORPrunes(t *testing.T) {
 thread:
   st x 1
   st y 1
-`, CheckConfig{})
+`)
 	if r.Prunes == 0 {
 		t.Fatal("no prunes recorded on two independent dirty lines")
 	}
@@ -165,7 +165,7 @@ thread:
 }
 
 func TestSuiteVerdictsMatchPins(t *testing.T) {
-	sr, err := RunSuite(CheckConfig{})
+	sr, err := RunSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +187,8 @@ thread:
   st y 1
   st z 1
 `)
-	if _, err := Check(p, CheckConfig{MaxStates: 3}); err == nil {
-		t.Fatal("MaxStates=3 did not abort the search")
+	if _, err := check(p, 3, false); err == nil {
+		t.Fatal("a bound of 3 states did not abort the search")
 	}
 }
 
@@ -272,7 +272,7 @@ func BenchmarkCheckShapes(b *testing.B) {
 		p := MustParse(s.DSL)
 		b.Run(s.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Check(p, CheckConfig{}); err != nil {
+				if _, err := Check(p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -279,11 +279,11 @@ type SuiteResult struct {
 	Shapes []ShapeResult
 }
 
-// RunSuite checks every builtin shape under cfg.
-func RunSuite(cfg CheckConfig) (*SuiteResult, error) {
+// RunSuite checks every builtin shape.
+func RunSuite() (*SuiteResult, error) {
 	out := &SuiteResult{}
 	for _, s := range Suite() {
-		r, err := Check(MustParse(s.DSL), cfg)
+		r, err := Check(MustParse(s.DSL))
 		if err != nil {
 			return nil, fmt.Errorf("pmodel: shape %s: %w", s.Name, err)
 		}

@@ -18,7 +18,7 @@ func FuzzSanitizer(f *testing.F) {
 		broken.Events()[:7])
 	for _, tr := range []*trace.Trace{broken, open} {
 		var buf bytes.Buffer
-		if err := trace.EncodeV2(&buf, trace.NewSliceSource(tr)); err != nil {
+		if err := trace.EncodeSource(&buf, trace.NewSliceSource(tr)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())

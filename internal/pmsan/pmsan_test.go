@@ -421,7 +421,7 @@ func TestRunOverEncodedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := trace.EncodeV2(&buf, trace.NewSliceSource(brokenWorkload())); err != nil {
+	if err := trace.EncodeSource(&buf, trace.NewSliceSource(brokenWorkload())); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := trace.NewReader(&buf)

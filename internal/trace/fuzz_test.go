@@ -21,7 +21,7 @@ import (
 func FuzzDecode(f *testing.F) {
 	seed := func(tr *Trace) {
 		var buf bytes.Buffer
-		if err := EncodeV2(&buf, NewSliceSource(tr)); err != nil {
+		if err := EncodeSource(&buf, NewSliceSource(tr)); err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
 		f.Add(buf.Bytes())
@@ -111,7 +111,7 @@ func FuzzReaderV2(f *testing.F) {
 	})
 	seedTrace.VolatileLoads, seedTrace.VolatileStores = 7, 3
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, NewSliceSource(seedTrace)); err != nil {
+	if err := EncodeSource(&buf, NewSliceSource(seedTrace)); err != nil {
 		f.Fatalf("seed encode: %v", err)
 	}
 	whole := buf.Bytes()
@@ -134,7 +134,7 @@ func FuzzReaderV2(f *testing.F) {
 		big.Append(Event{Kind: KStore, Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i*8), Size: 8})
 	}
 	buf.Reset()
-	if err := EncodeV2(&buf, NewSliceSource(big)); err != nil {
+	if err := EncodeSource(&buf, NewSliceSource(big)); err != nil {
 		f.Fatalf("seed encode: %v", err)
 	}
 	f.Add(append([]byte(nil), buf.Bytes()...))
@@ -182,7 +182,7 @@ func FuzzReaderV2(f *testing.F) {
 			t.Fatalf("Decode failed on stream Reader accepted: %v", err)
 		}
 		buf := &bytes.Buffer{}
-		if err := EncodeV2(buf, NewSliceSource(tr)); err != nil {
+		if err := EncodeSource(buf, NewSliceSource(tr)); err != nil {
 			t.Fatalf("re-encode of accepted trace failed: %v", err)
 		}
 		tr2, err := Decode(bytes.NewReader(buf.Bytes()))

@@ -13,7 +13,7 @@ import (
 func encoded(t testing.TB, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, NewSliceSource(tr)); err != nil {
+	if err := EncodeSource(&buf, NewSliceSource(tr)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

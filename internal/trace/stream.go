@@ -283,10 +283,10 @@ func (t *Trace) Encode(w io.Writer) error {
 	return tw.Close(t.VolatileLoads, t.VolatileStores)
 }
 
-// EncodeV2 drains src to w in the chunked format, v3 since the head-byte
-// codec (the name is from v2's day): a live run through its Fanout branch.
-// A retained trace encodes faster with Trace.Encode, to the same bytes.
-func EncodeV2(w io.Writer, src EventSource) error {
+// EncodeSource drains src to w in the chunked v3 format: a live run
+// through its Fanout branch. A retained trace encodes faster with
+// Trace.Encode, to the same bytes.
+func EncodeSource(w io.Writer, src EventSource) error {
 	tw, err := NewWriter(w, src.Meta())
 	if err != nil {
 		return err

@@ -90,7 +90,7 @@ func readerMaterialize(t *testing.T, r io.Reader) *Trace {
 
 // TestPropertyRoundTrip is the codec property test: for random valid
 // traces — all kinds, extreme deltas, zero-size stores, empty traces —
-// EncodeV2→Decode and Writer→Reader must both reproduce the input exactly.
+// EncodeSource→Decode and Writer→Reader must both reproduce the input exactly.
 func TestPropertyRoundTrip(t *testing.T) {
 	sizes := []int{0, 1, 2, 17, 1000, DefaultBlockEvents, 2*DefaultBlockEvents + 37}
 	for seed := int64(0); seed < 8; seed++ {
@@ -99,14 +99,14 @@ func TestPropertyRoundTrip(t *testing.T) {
 			orig := genTrace(rng, n)
 
 			var v2 bytes.Buffer
-			if err := EncodeV2(&v2, NewSliceSource(orig)); err != nil {
-				t.Fatalf("seed %d n %d: EncodeV2: %v", seed, n, err)
+			if err := EncodeSource(&v2, NewSliceSource(orig)); err != nil {
+				t.Fatalf("seed %d n %d: EncodeSource: %v", seed, n, err)
 			}
 			got, err := Decode(bytes.NewReader(v2.Bytes()))
 			if err != nil {
 				t.Fatalf("seed %d n %d: Decode: %v", seed, n, err)
 			}
-			tracesEqual(t, "EncodeV2/Decode", orig, got)
+			tracesEqual(t, "EncodeSource/Decode", orig, got)
 
 			// Writer→Reader, event by event.
 			tracesEqual(t, "Writer/Reader", orig, readerMaterialize(t, bytes.NewReader(v2.Bytes())))

@@ -70,7 +70,7 @@ func sampleTrace() *Trace {
 func TestCodecRoundTrip(t *testing.T) {
 	orig := sampleTrace()
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, NewSliceSource(orig)); err != nil {
+	if err := EncodeSource(&buf, NewSliceSource(orig)); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	got, err := Decode(&buf)
@@ -95,7 +95,7 @@ func TestCodecRoundTripRandom(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, NewSliceSource(orig)); err != nil {
+	if err := EncodeSource(&buf, NewSliceSource(orig)); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	got, err := Decode(&buf)
@@ -122,7 +122,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestDecodeRejectsTruncatedEvents(t *testing.T) {
 	orig := sampleTrace()
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, NewSliceSource(orig)); err != nil {
+	if err := EncodeSource(&buf, NewSliceSource(orig)); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -179,7 +179,7 @@ func TestDecodeRejectsAbsurdThreadCount(t *testing.T) {
 	// The bound itself must round-trip: a trace at maxThreads is honest.
 	var buf bytes.Buffer
 	ok := &Trace{App: "x", Layer: "native", Threads: maxThreads}
-	if err := EncodeV2(&buf, NewSliceSource(ok)); err != nil {
+	if err := EncodeSource(&buf, NewSliceSource(ok)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -199,7 +199,7 @@ func TestDecodeLargeHonestTrace(t *testing.T) {
 		orig.Append(Event{Time: mem.Time(i), Addr: mem.PMBase + mem.Addr(i*8), Size: 8, Kind: KStore})
 	}
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, NewSliceSource(orig)); err != nil {
+	if err := EncodeSource(&buf, NewSliceSource(orig)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
@@ -225,7 +225,7 @@ func TestCodecRoundTripAdversarialFields(t *testing.T) {
 	orig.Append(Event{Time: 1<<64 - 1, Addr: 1<<64 - 1, Size: 1, TID: 0x80}) // max deltas forward
 	orig.Append(Event{Time: 5, Addr: 3, Size: 1<<32 - 1, TID: 0, Kind: KUserData})
 	var buf bytes.Buffer
-	if err := EncodeV2(&buf, NewSliceSource(orig)); err != nil {
+	if err := EncodeSource(&buf, NewSliceSource(orig)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Decode(&buf)
