@@ -16,6 +16,46 @@ import (
 
 func TestRunErrorPaths(t *testing.T) {
 	tmp := t.TempDir()
+	cases := []struct {
+		name     string
+		args     []string
+		wantCode int
+		wantErr  string
+	}{
+		{"unknown benchmark", []string{"-bench", "nope"}, 1, `unknown benchmark "nope"`},
+		{"unwritable trace dir", []string{"-bench", "echo", "-ops", "2", "-trace", filepath.Join(os.DevNull, "traces")}, 1, os.DevNull},
+		// flag parsing stops at "echo": without the check -san is dropped
+		// and the run succeeds unsanitized.
+		{"stray positional argument", []string{"-table1", "echo", "-san"}, 2, "unexpected arguments: [echo -san]"},
+		{"unknown flag", []string{"-nope"}, 2, "flag provided but not defined"},
+		// Every run streams in one fused pass; the flags that used to ask
+		// for it are gone.
+		{"removed -stream flag", []string{"-stream"}, 2, "flag provided but not defined: -stream"},
+		{"unwritable metrics path", []string{"-bench", "echo", "-ops", "2", "-metrics", filepath.Join(tmp, "no-dir", "m.json")}, 1, "write metrics"},
+		// Out of range: the suite would run its defaults, or serially.
+		{"negative clients", []string{"-clients", "-3", "-ops", "-2"}, 2, "whisper: bad -clients -3 (want "},
+		{"negative ops", []string{"-bench", "echo", "-ops", "-2"}, 2, "whisper: bad -ops -2 (want "},
+		{"zero parallel", []string{"-bench", "echo", "-ops", "2", "-parallel", "0"}, 2, "whisper: bad -parallel 0 (want "},
+		{"negative parallel", []string{"-bench", "echo", "-ops", "2", "-parallel", "-1"}, 2, "whisper: bad -parallel -1 (want "},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != tc.wantCode {
+				t.Fatalf("exit code = %d, want %d (stderr: %s)", code, tc.wantCode, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.wantErr) {
+				t.Fatalf("stderr %q does not contain %q", stderr.String(), tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestDirErrorPaths pins the command line that reads saved traces: the
+// flags are checked under -dir as they are for a run, and the directory is
+// read as a path.
+func TestDirErrorPaths(t *testing.T) {
+	tmp := t.TempDir()
 
 	// A saved hashmap trace in directories whose names are glob patterns.
 	// The bracket directory also holds a subdirectory named like a trace,
@@ -41,25 +81,16 @@ func TestRunErrorPaths(t *testing.T) {
 		wantCode int
 		want     string // in stderr, or in stdout when the run succeeds
 	}{
-		{"unknown benchmark", []string{"-bench", "nope"}, 1, `unknown benchmark "nope"`},
-		{"unwritable trace dir", []string{"-bench", "echo", "-ops", "2", "-trace", filepath.Join(os.DevNull, "traces")}, 1, os.DevNull},
-		// flag parsing stops at "echo": without the check -san is dropped
-		// and the run succeeds unsanitized.
-		{"stray positional argument", []string{"-table1", "echo", "-san"}, 2, "unexpected arguments: [echo -san]"},
-		{"unknown flag", []string{"-nope"}, 2, "flag provided but not defined"},
-		// Every run streams in one fused pass; the flags that used to ask
-		// for it are gone.
-		{"removed -stream flag", []string{"-stream"}, 2, "flag provided but not defined: -stream"},
+		{"unknown flag", []string{"-dir", traceDir, "-nope"}, 2, "flag provided but not defined"},
+		{"stray positional argument", []string{"-dir", traceDir, "-fig4", "echo", "-san"}, 2, "unexpected arguments: [echo -san]"},
+		// -dir ignores the run flags, but a bad value is still an error.
+		{"negative ops", []string{"-dir", traceDir, "-ops", "-1"}, 2, "whisper: bad -ops -1 (want "},
+		{"zero parallel", []string{"-dir", traceDir, "-parallel", "0"}, 2, "whisper: bad -parallel 0 (want "},
+		{"removed -stream flag", []string{"-dir", traceDir, "-stream"}, 2, "flag provided but not defined: -stream"},
 		{"removed -fused flag", []string{"-dir", traceDir, "-fused"}, 2, "flag provided but not defined: -fused"},
-		// A run is the default input; the flag that used to ask for it is
+		// A run is the default input; the flag that chose it over -dir is
 		// gone.
-		{"removed -run flag", []string{"-run"}, 2, "flag provided but not defined: -run"},
-		{"unwritable metrics path", []string{"-bench", "echo", "-ops", "2", "-metrics", filepath.Join(tmp, "no-dir", "m.json")}, 1, "write metrics"},
-		// Out of range: the suite would run its defaults, or serially.
-		{"negative clients", []string{"-clients", "-3", "-ops", "-2"}, 2, "whisper: bad -clients -3 (want "},
-		{"negative ops", []string{"-bench", "echo", "-ops", "-2"}, 2, "whisper: bad -ops -2 (want "},
-		{"zero parallel", []string{"-bench", "echo", "-ops", "2", "-parallel", "0"}, 2, "whisper: bad -parallel 0 (want "},
-		{"negative parallel", []string{"-bench", "echo", "-ops", "2", "-parallel", "-1"}, 2, "whisper: bad -parallel -1 (want "},
+		{"removed -run flag", []string{"-run", "-dir", traceDir}, 2, "flag provided but not defined: -run"},
 		// -dir reads traces and -trace writes them: one run, one input.
 		{"dir with trace", []string{"-dir", traceDir, "-trace", filepath.Join(tmp, "out")}, 2, "-dir reads saved traces and -trace saves a run's"},
 		{"empty trace dir", []string{"-dir", tmp}, 1, "nothing to analyze"},
@@ -70,7 +101,7 @@ func TestRunErrorPaths(t *testing.T) {
 		{"trace dir named like a pattern", []string{"-dir", filepath.Join(tmp, "a*")}, 1, filepath.Join(tmp, "a*")},
 		{"missing trace dir", []string{"-dir", filepath.Join(tmp, "nonexistent")}, 1, filepath.Join(tmp, "nonexistent") + ": no such file or directory"},
 		{"corrupt trace file", []string{"-dir", corruptDir}, 1, "bad.wspr"},
-		{"unwritable metrics path with -dir", []string{"-dir", traceDir, "-metrics", filepath.Join(tmp, "no-dir", "m.json")}, 1, "write metrics"},
+		{"unwritable metrics path", []string{"-dir", traceDir, "-metrics", filepath.Join(tmp, "no-dir", "m.json")}, 1, "write metrics"},
 		{"saved trace success", []string{"-dir", traceDir, "-fig4", "-metrics", filepath.Join(tmp, "m.json")}, 0, "Figure 4"},
 	}
 	for _, tc := range cases {
@@ -130,9 +161,7 @@ func TestUnknownBenchmarkWritesNoTrace(t *testing.T) {
 
 // TestParallelFlagChangesNothing is the one-collector contract: -parallel
 // only schedules the runs, so stdout and the trace files -trace writes are
-// byte-identical with one worker and with two, and reading those files
-// back with -dir prints the same lines (-dir lists files by name, a run in
-// suite order, so the two compare as sets of lines).
+// byte-identical with one worker and with two.
 func TestParallelFlagChangesNothing(t *testing.T) {
 	dirs := map[string]string{"1": t.TempDir(), "2": t.TempDir()}
 	outputs := map[string]string{}
@@ -160,13 +189,28 @@ func TestParallelFlagChangesNothing(t *testing.T) {
 			t.Errorf("%s.wspr differs between -parallel 1 and -parallel 2", name)
 		}
 	}
+}
+
+// TestDirMatchesRun: reading a run's saved traces back with -dir prints
+// the lines the run printed, with every analysis selected. -dir lists
+// files by name, a run in suite order, so the two compare as sets of
+// lines.
+func TestDirMatchesRun(t *testing.T) {
+	traceDir := t.TempDir()
+	ran := runOK(t, "-ops", "5", "-seed", "3", "-trace", traceDir, "-cache", "-san")
+	read := runOK(t, "-dir", traceDir, "-cache", "-san")
 	sortedLines := func(s string) string {
 		lines := strings.Split(s, "\n")
 		sort.Strings(lines)
 		return strings.Join(lines, "\n")
 	}
-	if dir := runOK(t, "-dir", dirs["1"], "-cache", "-san"); sortedLines(dir) != sortedLines(outputs["1"]) {
-		t.Errorf("the run and -dir disagree:\nrun:\n%s\n-dir:\n%s", outputs["1"], dir)
+	if sortedLines(read) != sortedLines(ran) {
+		t.Errorf("the run and -dir disagree:\nrun:\n%s\n-dir:\n%s", ran, read)
+	}
+	for _, want := range []string{"Cache hierarchy", "pmsan: app=vacation"} {
+		if !strings.Contains(read, want) {
+			t.Errorf("-dir output lacks %q:\n%s", want, read)
+		}
 	}
 }
 
